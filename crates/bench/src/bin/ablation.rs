@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices of §IV (see DESIGN.md §3):
+//! Ablation studies for the design choices of the paper's §IV:
 //!
 //! * `multipair`   — §IV-C: multi-pair reporting vs one pair per loop.
 //! * `maintenance` — §IV-B: incremental plist maintenance vs BBS

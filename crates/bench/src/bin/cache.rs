@@ -137,7 +137,7 @@ fn serve_stream(
             client
                 .submit(
                     client
-                        .engine()
+                        .backend()
                         .request(&pool[i % pool.len()])
                         .algorithm(algo),
                 )

@@ -396,7 +396,7 @@ fn run(cfg: &Config) {
         assert_eq!(resp.status, 200, "wire check: {}", resp.text());
         let wire_pairs = decode_pairs(&resp.body).expect("decode pairs");
         let fs = FunctionSet::try_from_rows(cfg.dim, &rows).expect("rows are valid");
-        let engine = server.registry().get("primary").expect("tenant").engine();
+        let engine = server.registry().get("primary").expect("tenant").backend();
         let direct = engine
             .request(&fs)
             .algorithm(Algorithm::Sb)

@@ -230,7 +230,7 @@ fn run(cfg: &Config) {
     let submit_all = |pool: &[FunctionSet]| {
         let tickets: Vec<_> = pool
             .iter()
-            .map(|fs| client.submit(client.engine().request(fs)).expect("queued"))
+            .map(|fs| client.submit(client.backend().request(fs)).expect("queued"))
             .collect();
         for t in tickets {
             t.wait().expect("valid request");

@@ -36,8 +36,9 @@ use std::time::Instant;
 
 use mpq_bench::json::Json;
 use mpq_bench::{env_flag, env_usize, identical_matchings};
-use mpq_core::{Engine, EvalSeed, Matching, MpqError, Scratch, ShardedEngine};
+use mpq_core::{Engine, EvalBackend, Scratch, ShardedEngine};
 use mpq_datagen::{Distribution, WorkloadBuilder};
+use mpq_rtree::RTree;
 use mpq_ta::FunctionSet;
 
 const SCHEMA: &str = "mpq.bench.refine/1";
@@ -66,50 +67,6 @@ impl DeltaAxis {
         match self {
             DeltaAxis::Exclusions => "exclusions",
             DeltaAxis::Weights => "weights",
-        }
-    }
-}
-
-/// The engine under test, unsharded or sharded, behind one seam.
-enum Backend {
-    One(Box<Engine>, Box<Scratch>),
-    Many(ShardedEngine),
-}
-
-impl Backend {
-    fn cold(&mut self, fs: &FunctionSet, excl: &[u64]) -> Result<Matching, MpqError> {
-        match self {
-            Backend::One(e, _) => e.request(fs).exclude(excl.iter().copied()).evaluate(),
-            Backend::Many(e) => e.request(fs).exclude(excl.iter().copied()).evaluate(),
-        }
-    }
-
-    fn seeded(
-        &mut self,
-        fs: &FunctionSet,
-        excl: &[u64],
-        seed: Option<&EvalSeed>,
-    ) -> Result<(Matching, Option<EvalSeed>), MpqError> {
-        match self {
-            Backend::One(e, scratch) => e
-                .request(fs)
-                .exclude(excl.iter().copied())
-                .evaluate_seeded(scratch.as_mut(), seed),
-            Backend::Many(e) => e
-                .request(fs)
-                .exclude(excl.iter().copied())
-                .evaluate_seeded(seed),
-        }
-    }
-
-    fn clear_buffers(&self) {
-        match self {
-            Backend::One(e, _) => e.tree().clear_buffer(),
-            Backend::Many(e) => {
-                for s in e.shards() {
-                    s.tree().clear_buffer();
-                }
-            }
         }
     }
 }
@@ -163,25 +120,28 @@ fn run_chain(cfg: &Config, shards: usize, axis: DeltaAxis) -> Json {
         .distribution(cfg.distribution)
         .seed(2010 + shards as u64)
         .build();
-    let mut backend = if shards == 1 {
-        Backend::One(
-            Box::new(
-                Engine::builder()
-                    .objects(&w.objects)
-                    .build()
-                    .expect("workload objects are valid"),
-            ),
-            Box::new(Scratch::new()),
-        )
+    // The engine under test, unsharded or sharded, behind the one
+    // backend trait; `trees` is what a cold start has to clear.
+    let (single, sharded);
+    let (backend, trees): (&dyn EvalBackend, Vec<&RTree>) = if shards == 1 {
+        single = Engine::builder()
+            .objects(&w.objects)
+            .build()
+            .expect("workload objects are valid");
+        (&single, vec![single.tree()])
     } else {
-        Backend::Many(
-            ShardedEngine::builder()
-                .objects(&w.objects)
-                .shards(shards)
-                .build()
-                .expect("workload objects are valid"),
+        sharded = ShardedEngine::builder()
+            .objects(&w.objects)
+            .shards(shards)
+            .build()
+            .expect("workload objects are valid");
+        (
+            &sharded,
+            sharded.shards().iter().map(Engine::tree).collect(),
         )
     };
+    let clear_buffers = || trees.iter().for_each(|t| t.clear_buffer());
+    let mut scratch = Scratch::new();
 
     let mut fn_rows: Vec<Vec<f64>> = (0..cfg.functions)
         .map(|i| w.functions.weights(i as u32).to_vec())
@@ -192,7 +152,8 @@ fn run_chain(cfg: &Config, shards: usize, axis: DeltaAxis) -> Json {
     // The priming evaluation: both modes start from its captured seed,
     // so it is outside the timed window.
     let (first, seed) = backend
-        .seeded(&fs, &excl, None)
+        .request(&fs)
+        .evaluate_seeded(&mut scratch, None)
         .expect("valid initial request");
     let mut seed = Some(seed.expect("uncapacitated SB must capture a seed"));
     let mut top_oid = first.pairs().first().map_or(0, |p| p.oid);
@@ -211,15 +172,16 @@ fn run_chain(cfg: &Config, shards: usize, axis: DeltaAxis) -> Json {
             }
         }
 
-        backend.clear_buffers();
+        let request = || backend.request(&fs).exclude(excl.iter().copied());
+        clear_buffers();
         let t = Instant::now();
-        let cold = backend.cold(&fs, &excl).expect("valid refinement");
+        let cold = request().evaluate().expect("valid refinement");
         cold_wall += t.elapsed().as_secs_f64();
 
-        backend.clear_buffers();
+        clear_buffers();
         let t = Instant::now();
-        let (warm, captured) = backend
-            .seeded(&fs, &excl, seed.as_ref())
+        let (warm, captured) = request()
+            .evaluate_seeded(&mut scratch, seed.as_ref())
             .expect("valid refinement");
         seeded_wall += t.elapsed().as_secs_f64();
 

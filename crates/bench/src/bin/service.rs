@@ -195,7 +195,7 @@ fn run(cfg: &Config) {
                 .iter()
                 .map(|fs| {
                     client
-                        .submit(client.engine().request(fs).algorithm(algo))
+                        .submit(client.backend().request(fs).algorithm(algo))
                         .expect("queue sized to the run")
                 })
                 .collect();

@@ -3,7 +3,7 @@
 //! tables.
 //!
 //! Every figure of the paper has a binary in `src/bin/` that regenerates
-//! its series (see `DESIGN.md` §3 for the experiment index); Criterion
+//! its series (each binary's module docs say which); Criterion
 //! micro/macro benchmarks live in `benches/`.
 
 use std::time::Instant;

@@ -38,7 +38,7 @@ use std::fs;
 use std::sync::Arc;
 
 use mpq_core::service::resolved_workers;
-use mpq_core::{Algorithm, BackpressurePolicy, Engine, MpqError, ServiceConfig, ShardedEngine};
+use mpq_core::{Algorithm, BackpressurePolicy, Engine, EngineService, MpqError, ServiceConfig};
 use mpq_datagen::Distribution;
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -172,28 +172,11 @@ fn cmd_match(args: &[String]) -> Result<String, CliError> {
     }
     let (objects, functions) = build_inputs(&objects_table, &functions_table)?;
 
-    let matching = if shards > 1 {
-        let engine = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(shards)
-            .build()
-            .map_err(cli_from_mpq)?;
-        engine
-            .request(&functions)
-            .algorithm(algorithm)
-            .evaluate()
-            .map_err(cli_from_mpq)?
-    } else {
-        let engine = Engine::builder()
-            .objects(&objects)
-            .build()
-            .map_err(cli_from_mpq)?;
-        engine
-            .request(&functions)
-            .algorithm(algorithm)
-            .evaluate()
-            .map_err(cli_from_mpq)?
-    };
+    let matching = Engine::builder()
+        .objects(&objects)
+        .open_or_build(shards)
+        .and_then(|backend| backend.request(&functions).algorithm(algorithm).evaluate())
+        .map_err(cli_from_mpq)?;
     let met = matching.metrics();
     eprintln!(
         "{}{}: {} pairs, {:.3}s matching, {} physical I/Os ({} loops)",
@@ -463,55 +446,44 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     };
     let data_dir = arg_value(args, "--data-dir").map(std::path::PathBuf::from);
     let shards = parse_shards(args)?;
-    if shards > 1 {
-        return serve_sharded(
-            args,
-            ServeFlags {
-                algorithm,
-                requests,
-                workers,
-                queue_cap,
-                cache,
-                backpressure,
-                data_dir,
-                shards,
-            },
-        );
-    }
 
-    // A directory already holding a persisted engine is reopened —
-    // page file plus WAL replay — so mutations from earlier runs are
+    // A directory already holding a persisted inventory is reopened —
+    // page file(s) plus WAL replay — so mutations from earlier runs are
     // visible; otherwise build from the objects CSV (persisting to
     // `--data-dir` when given).
-    let (engine, storage) = match &data_dir {
-        Some(dir) if Engine::persisted_at(dir) => {
-            let engine = Engine::open(dir).map_err(cli_from_mpq)?;
-            (Arc::new(engine), format!(", opened from {}", dir.display()))
-        }
-        _ => {
-            let objects = load_objects(args)?;
-            let mut builder = Engine::builder()
-                .objects(&objects)
-                .buffer_shards(resolved_workers(workers));
-            let storage = match &data_dir {
-                Some(dir) => {
-                    builder = builder.data_dir(dir);
-                    format!(", persisted to {}", dir.display())
-                }
-                None => String::new(),
-            };
-            (Arc::new(builder.build().map_err(cli_from_mpq)?), storage)
-        }
+    let reopened = data_dir.as_deref().is_some_and(mpq_core::persisted_at);
+    let objects = if reopened {
+        None
+    } else {
+        Some(load_objects(args)?)
     };
-    let functions = load_functions(args, engine.dim())?;
-    let expected = engine
+    let mut builder = Engine::builder().buffer_shards(resolved_workers(workers));
+    if let Some(objects) = &objects {
+        builder = builder.objects(objects);
+    }
+    let storage = match &data_dir {
+        Some(dir) => {
+            builder = builder.data_dir(dir);
+            let verb = if reopened {
+                "opened from"
+            } else {
+                "persisted to"
+            };
+            format!(", {verb} {}", dir.display())
+        }
+        None => String::new(),
+    };
+    let backend = builder.open_or_build(shards).map_err(cli_from_mpq)?;
+    let functions = load_functions(args, backend.dim())?;
+    let expected = backend
         .request(&functions)
         .algorithm(algorithm)
         .evaluate()
         .map_err(cli_from_mpq)?
         .sorted_pairs();
 
-    let service = engine.clone().serve(
+    let service = EngineService::spawn(
+        Arc::clone(&backend),
         ServiceConfig::default()
             .workers(workers)
             .queue_capacity(queue_cap)
@@ -522,17 +494,25 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut tickets = Vec::with_capacity(requests);
     let mut rejected = 0usize;
     for _ in 0..requests {
-        match client.submit(client.engine().request(&functions).algorithm(algorithm)) {
+        match client.submit(backend.request(&functions).algorithm(algorithm)) {
             Ok(t) => tickets.push(t),
             Err(MpqError::Overloaded) => rejected += 1,
             Err(e) => return Err(cli_from_mpq(e)),
         }
     }
+    // The same check under either name: every served matching equals
+    // a direct `evaluate()` on the backend.
+    let k = backend.version_vector().len();
+    let reference = if k > 1 {
+        "direct sharded evaluation"
+    } else {
+        "sequential"
+    };
     for ticket in tickets {
         let served = ticket.wait().map_err(cli_from_mpq)?;
         if served.sorted_pairs() != expected {
             return Err(CliError::runtime(
-                "served result diverged from sequential evaluation".to_string(),
+                "served result diverged from direct evaluation".to_string(),
             ));
         }
     }
@@ -542,111 +522,16 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let metrics = client.metrics();
 
     Ok(format!(
-        "{} x{requests} requests over {} objects via EngineService \
+        "{} x{requests} requests over {} objects{} via EngineService \
          (queue cap {queue_cap}, {} backpressure{}{storage})\n{metrics}\n\
-         all served matchings identical to sequential\n",
+         all served matchings identical to {reference}\n",
         algorithm.name(),
-        engine.n_objects(),
-        match backpressure {
-            BackpressurePolicy::Block => "block",
-            BackpressurePolicy::Reject => "reject",
-        },
-        if rejected > 0 {
-            format!(", {rejected} rejected")
+        backend.n_objects(),
+        if k > 1 {
+            format!(" in {k} shards")
         } else {
             String::new()
         },
-    ))
-}
-
-/// Parsed `mpq serve` replay flags, bundled so the sharded path shares
-/// them without re-parsing.
-struct ServeFlags {
-    algorithm: Algorithm,
-    requests: usize,
-    workers: usize,
-    queue_cap: usize,
-    cache: usize,
-    backpressure: BackpressurePolicy,
-    data_dir: Option<std::path::PathBuf>,
-    shards: usize,
-}
-
-/// The `--shards K > 1` replay: build (or reopen) a [`ShardedEngine`],
-/// serve the same replay workload through its service, and verify every
-/// served matching bit-identical to a direct scatter-gather evaluation.
-fn serve_sharded(args: &[String], flags: ServeFlags) -> Result<String, CliError> {
-    let ServeFlags {
-        algorithm,
-        requests,
-        workers,
-        queue_cap,
-        cache,
-        backpressure,
-        data_dir,
-        shards,
-    } = flags;
-    let (engine, storage) = match &data_dir {
-        Some(dir) if ShardedEngine::persisted_at(dir) => {
-            let engine = ShardedEngine::open(dir).map_err(cli_from_mpq)?;
-            (Arc::new(engine), format!(", opened from {}", dir.display()))
-        }
-        _ => {
-            let objects = load_objects(args)?;
-            let mut builder = ShardedEngine::builder().objects(&objects).shards(shards);
-            let storage = match &data_dir {
-                Some(dir) => {
-                    builder = builder.data_dir(dir);
-                    format!(", persisted to {}", dir.display())
-                }
-                None => String::new(),
-            };
-            (Arc::new(builder.build().map_err(cli_from_mpq)?), storage)
-        }
-    };
-    let functions = load_functions(args, engine.dim())?;
-    let expected = engine
-        .request(&functions)
-        .algorithm(algorithm)
-        .evaluate()
-        .map_err(cli_from_mpq)?
-        .sorted_pairs();
-
-    let service = Arc::clone(&engine).serve(
-        ServiceConfig::default()
-            .workers(workers)
-            .queue_capacity(queue_cap)
-            .backpressure(backpressure)
-            .cache_capacity(cache),
-    );
-    let client = service.client();
-    let mut tickets = Vec::with_capacity(requests);
-    let mut rejected = 0usize;
-    for _ in 0..requests {
-        match client.submit_sharded(engine.request(&functions).algorithm(algorithm)) {
-            Ok(t) => tickets.push(t),
-            Err(MpqError::Overloaded) => rejected += 1,
-            Err(e) => return Err(cli_from_mpq(e)),
-        }
-    }
-    for ticket in tickets {
-        let served = ticket.wait().map_err(cli_from_mpq)?;
-        if served.sorted_pairs() != expected {
-            return Err(CliError::runtime(
-                "served result diverged from direct sharded evaluation".to_string(),
-            ));
-        }
-    }
-    service.shutdown();
-    let metrics = client.metrics();
-
-    Ok(format!(
-        "{} x{requests} requests over {} objects in {} shards via EngineService \
-         (queue cap {queue_cap}, {} backpressure{}{storage})\n{metrics}\n\
-         all served matchings identical to direct sharded evaluation\n",
-        algorithm.name(),
-        engine.n_objects(),
-        engine.shard_count(),
         match backpressure {
             BackpressurePolicy::Block => "block",
             BackpressurePolicy::Reject => "reject",
@@ -845,36 +730,31 @@ fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
 /// Checkpoint a persisted engine: reopen it (replaying the WAL), fold
 /// the recovered state into the page file, and truncate the WAL — the
 /// next `serve --data-dir` opens instantly, replaying nothing. A
-/// directory holding a *sharded* manifest routes through
-/// [`ShardedEngine`] instead, checkpointing every shard.
+/// directory holding a *sharded* manifest reopens as a sharded engine
+/// and checkpoints every shard.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     let dir = arg_value(args, "--data-dir")
         .ok_or_else(|| CliError::usage(format!("--data-dir is required\n{USAGE}")))?;
-    if ShardedEngine::persisted_at(dir) {
-        let engine = ShardedEngine::open(dir).map_err(cli_from_mpq)?;
-        let wal_before = engine.wal_bytes();
-        engine.checkpoint().map_err(cli_from_mpq)?;
-        let wal_after = engine.wal_bytes();
-        let pages: usize = engine.shards().iter().map(|s| s.tree().page_count()).sum();
-        return Ok(format!(
-            "compacted {dir}: {} shards, {} objects over {pages} pages, wal {wal_before} -> {wal_after} bytes\n",
-            engine.shards().len(),
-            engine.n_objects(),
-        ));
-    }
-    if !Engine::persisted_at(dir) {
+    if !mpq_core::persisted_at(dir) {
         return Err(CliError::runtime(format!(
             "no persisted engine under {dir} (run `mpq serve --data-dir` first)"
         )));
     }
-    let engine = Engine::open(dir).map_err(cli_from_mpq)?;
-    let wal_before = engine.wal_bytes();
-    engine.checkpoint().map_err(cli_from_mpq)?;
-    let wal_after = engine.wal_bytes();
+    let backend = Engine::builder()
+        .data_dir(dir)
+        .open_or_build(1)
+        .map_err(cli_from_mpq)?;
+    let wal_before = backend.wal_bytes();
+    backend.checkpoint().map_err(cli_from_mpq)?;
+    let wal_after = backend.wal_bytes();
+    let shards = match backend.version_vector().len() {
+        1 => String::new(),
+        k => format!("{k} shards, "),
+    };
     Ok(format!(
-        "compacted {dir}: {} objects over {} pages, wal {wal_before} -> {wal_after} bytes\n",
-        engine.n_objects(),
-        engine.tree().page_count(),
+        "compacted {dir}: {shards}{} objects over {} pages, wal {wal_before} -> {wal_after} bytes\n",
+        backend.n_objects(),
+        backend.page_count(),
     ))
 }
 
@@ -917,6 +797,7 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpq_core::ShardedEngine;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()

@@ -431,19 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_run_shim_still_returns_empty_matching() {
-        let w = WorkloadBuilder::new()
-            .objects(20)
-            .functions(1)
-            .dim(2)
-            .build();
-        let fs = mpq_ta::FunctionSet::new(2);
-        #[allow(deprecated)]
-        let m = bf(BfStrategy::Incremental).run(&w.objects, &fs);
-        assert!(m.is_empty());
-    }
-
-    #[test]
     fn tie_heavy_grid_matches_reference() {
         let mut ps = PointSet::new(2);
         for x in 0..6 {

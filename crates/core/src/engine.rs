@@ -3,11 +3,11 @@
 //!
 //! The paper's motivating deployment (§I) is a reservation site where
 //! preference-query batches arrive continuously against one persistent
-//! inventory. The legacy [`crate::Matcher::run`] API forced every call to
-//! bulk-load a private R-tree, so serving N requests paid N index
-//! builds and nothing could be shared across threads. [`Engine`] inverts
-//! that: [`Engine::builder`] validates the object set and bulk-loads the
-//! R-tree exactly once (observable via
+//! inventory. A one-shot matcher call that bulk-loads a private R-tree
+//! makes serving N requests pay N index builds, and nothing can be
+//! shared across threads. [`Engine`] inverts that: [`Engine::builder`]
+//! validates the object set and bulk-loads the R-tree exactly once
+//! (observable via
 //! [`crate::matching::index_build_count`]); evaluation then goes through
 //! [`MatchRequest`]s that read the shared index without mutating it, so
 //! any number of requests — also concurrently from multiple threads —
@@ -39,7 +39,6 @@
 //! assert_eq!(sb.sorted_pairs(), bf.sorted_pairs());
 //! ```
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
@@ -52,6 +51,7 @@ use mpq_rtree::{
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::{FunctionSet, ReverseTopOne};
 
+use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
 use crate::cache::{MutationEvent, MutationLog};
 use crate::capacity::run_capacity_on;
@@ -64,10 +64,8 @@ use crate::sb::{
 };
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedPart};
-use crate::service::{
-    resolved_workers, safe_rate, worker_loop, EngineService, ServiceConfig, ServiceCore,
-    SubmitOptions,
-};
+use crate::service::{safe_rate, EngineService, ServiceConfig};
+use crate::shard::{ShardedEngine, ShardedStream};
 use crate::wal::{Wal, WalRecord};
 
 /// Page file name inside an engine's data directory.
@@ -298,6 +296,51 @@ impl<'o> EngineBuilder<'o> {
             degraded: AtomicBool::new(false),
             injector: self.fault_injector,
         })
+    }
+
+    /// Open or build the backend that hosts this inventory — the one
+    /// place that decides which engine does. An inventory already
+    /// persisted under [`EngineBuilder::data_dir`] is **reopened** (WAL
+    /// replay included), its on-disk layout being authoritative: a
+    /// `shards.mpq` manifest reopens a [`ShardedEngine`] whatever
+    /// `shards` says, a bare page file an [`Engine`]. Otherwise the
+    /// inventory is built from [`EngineBuilder::objects`]: `shards == 1`
+    /// builds an [`Engine`] (its single-tree path is measurably cheaper
+    /// than a 1-shard merge), any other count a hash-partitioned
+    /// [`ShardedEngine`] (`0` is rejected). [`EngineBuilder::buffer_shards`]
+    /// applies to a freshly built [`Engine`] only (every shard already
+    /// has a buffer pool of its own).
+    pub fn open_or_build(self, shards: usize) -> Result<Arc<dyn EvalBackend>, MpqError> {
+        if let Some(dir) = &self.data_dir {
+            if ShardedEngine::persisted_at(dir) {
+                return Ok(Arc::new(ShardedEngine::open_with(dir, self.index)?));
+            }
+            if Engine::persisted_at(dir) {
+                let engine = Engine::open_inner(dir, self.index, self.fault_injector, false)?;
+                return Ok(Arc::new(engine));
+            }
+            if self.objects.is_none() {
+                return Err(MpqError::UnsupportedRequest(
+                    "no persisted inventory at data_dir and no objects given",
+                ));
+            }
+        }
+        if shards == 1 {
+            return Ok(Arc::new(self.build()?));
+        }
+        if self.fault_injector.is_some() {
+            return Err(MpqError::UnsupportedRequest(
+                "fault injection is only supported on an unsharded engine",
+            ));
+        }
+        let mut sharded = ShardedEngine::builder().index(self.index).shards(shards);
+        if let Some(objects) = self.objects {
+            sharded = sharded.objects(objects);
+        }
+        if let Some(dir) = self.data_dir {
+            sharded = sharded.data_dir(dir);
+        }
+        Ok(Arc::new(sharded.build()?))
     }
 }
 
@@ -840,11 +883,7 @@ impl Engine {
     /// Start a [`MatchRequest`] for `functions` with default options
     /// (SB algorithm, multi-pair reporting, no exclusions).
     pub fn request<'e, 'f>(&'e self, functions: &'f FunctionSet) -> MatchRequest<'e, 'f> {
-        MatchRequest {
-            engine: self,
-            functions,
-            options: RequestOptions::default(),
-        }
+        MatchRequest::new(self, functions)
     }
 
     /// Progressive SB evaluation with default options: stable pairs are
@@ -891,7 +930,7 @@ impl Engine {
     /// let service = engine.clone().serve(ServiceConfig::default().workers(2));
     /// let client = service.client();
     /// let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
-    /// let ticket = client.submit(client.engine().request(&functions)).unwrap();
+    /// let ticket = client.submit(client.backend().request(&functions)).unwrap();
     /// let matching = ticket.wait().unwrap();
     /// assert_eq!(matching.len(), 1);
     /// service.shutdown();
@@ -945,99 +984,162 @@ impl Engine {
         requests: &[MatchRequest<'_, '_>],
         threads: usize,
     ) -> Result<BatchOutcome, MpqError> {
-        let wall_start = Instant::now();
-        let n = requests.len();
-        let threads = resolved_workers(threads).clamp(1, n.max(1));
-
-        // Fail fast: all evaluation errors are request-shape errors, so
-        // an invalid request is caught here — in input order — before
-        // any work is spent on the rest of the batch. Requests built on
-        // a *different* engine are refused outright (same guard as
-        // `ServiceClient::submit_with`): this engine's workers would
-        // otherwise evaluate them against the wrong inventory.
-        for request in requests {
-            if !std::ptr::eq(request.engine(), self) {
-                return Err(MpqError::UnsupportedRequest(
-                    "request was built against a different engine than this batch's",
-                ));
-            }
-            request.validate()?;
-        }
-
-        // The batch is one drained service run: a queue sized to the
-        // batch (so submission never blocks), FIFO order, scoped workers
-        // borrowing `self` instead of the long-lived service's Arc. The
-        // queue payloads are *borrowed* from `requests` (the workers
-        // cannot outlive the slice), so no request is cloned to travel
-        // the queue. Caching is off: a batch is explicit about its
-        // request list, and per-request [`RunMetrics`] stay exact only
-        // when every request pays its own run.
-        let core = ServiceCore::new(
-            &ServiceConfig::default()
-                .workers(threads)
-                .queue_capacity(n.max(1))
-                .cache_capacity(0),
-            threads,
-        );
-        let mut results: Vec<Result<Matching, MpqError>> = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let core = &core;
-                scope.spawn(move || worker_loop(core, crate::service::BackendRef::Single(self)));
-            }
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|r| {
-                    let (functions, options) = r.parts();
-                    core.enqueue(
-                        Cow::Borrowed(functions),
-                        Cow::Borrowed(options),
-                        SubmitOptions::default(),
-                    )
-                    .expect("batch queue is sized to the batch and not shutting down")
-                })
-                .collect();
-            results.extend(tickets.into_iter().map(|t| t.wait()));
-            // All tickets resolved: let the scoped workers drain out so
-            // the scope can join them.
-            core.begin_shutdown();
-        });
-
-        let mut matchings = Vec::with_capacity(n);
-        let mut metrics = BatchMetrics {
-            threads,
-            requests: n,
-            ..BatchMetrics::default()
-        };
-        for result in results {
-            let m = result?;
-            let met = m.metrics();
-            metrics.io += met.io;
-            metrics.cpu_total += met.elapsed;
-            metrics.loops += met.loops;
-            metrics.top1_searches += met.top1_searches;
-            metrics.reverse_top1_calls += met.reverse_top1_calls;
-            matchings.push(m);
-        }
-        metrics.wall = wall_start.elapsed();
-        Ok(BatchOutcome { matchings, metrics })
-    }
-
-    fn validate_functions(&self, functions: &FunctionSet) -> Result<(), MpqError> {
-        if functions.n_alive() == 0 {
-            return Err(MpqError::EmptyFunctions);
-        }
-        if functions.dim() != self.dim {
-            return Err(MpqError::DimensionMismatch {
-                engine: self.dim,
-                functions: functions.dim(),
-            });
-        }
-        Ok(())
+        evaluate_batch_on(self, requests, threads)
     }
 }
 
-/// One evaluation against a prepared [`Engine`], configured fluently.
+impl EvalBackend for Engine {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn n_objects(&self) -> usize {
+        Engine::n_objects(self)
+    }
+
+    fn oid_bound(&self) -> u64 {
+        Engine::oid_bound(self)
+    }
+
+    fn page_count(&self) -> usize {
+        self.tree.page_count()
+    }
+
+    fn wal_bytes(&self) -> u64 {
+        Engine::wal_bytes(self)
+    }
+
+    fn version_vector(&self) -> Vec<u64> {
+        vec![self.inventory_version()]
+    }
+
+    fn mutation_logs(&self) -> Vec<&MutationLog> {
+        vec![&self.mutations]
+    }
+
+    fn storage_stats(&self) -> IoStats {
+        Engine::storage_stats(self)
+    }
+
+    /// The single unsharded evaluation code path. Only the resumable
+    /// configuration (SB, incremental maintenance, no capacities) honors
+    /// `seed`/`capture`: it primes the skyline from `seed` when the seed
+    /// is still pinned to the engine's current inventory, and leaves
+    /// this run's own [`EvalSeed`] in `capture`.
+    fn evaluate_seeded(
+        &self,
+        functions: &FunctionSet,
+        options: &RequestOptions,
+        scratch: &mut Scratch,
+        seed: Option<&EvalSeed>,
+        capture: Option<&mut Option<EvalSeed>>,
+    ) -> Result<Matching, MpqError> {
+        validate_request(self, functions, options)?;
+        self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        let version_before = self.inventory_version();
+        let session = IoSession::new(&self.tree);
+
+        if let Some(caps) = &options.capacities {
+            return Ok(run_capacity_on(&session, functions, caps, &options.exclude));
+        }
+
+        match options.algorithm {
+            Algorithm::Sb => {
+                let cfg = sb_config_of(self, options);
+                match options.maintenance {
+                    MaintenanceMode::Incremental => {
+                        // A mutation that straddled the session pin makes
+                        // the pinned epoch ambiguous: decline the seed and
+                        // capture nothing rather than guess. (Versions are
+                        // monotone and minted at commit, so equality here
+                        // proves the pinned tree *is* the `version` epoch.)
+                        let version = self.inventory_version();
+                        let stable = version == version_before;
+                        let part = seed
+                            .filter(|s| stable && s.parts.len() == 1 && s.usable_at(&[version]))
+                            .map(|s| &s.parts[0]);
+                        let mut captured: Option<SeedPart> = None;
+                        let slot = (capture.is_some() && stable).then_some(&mut captured);
+                        let matching = run_sb_seeded(
+                            &cfg,
+                            &session,
+                            functions,
+                            &options.exclude,
+                            scratch,
+                            part,
+                            slot,
+                        );
+                        if let Some(out) = capture {
+                            *out = captured.map(|p| EvalSeed {
+                                versions: vec![version],
+                                parts: vec![p],
+                            });
+                        }
+                        Ok(matching)
+                    }
+                    MaintenanceMode::Rescan => Ok(run_rescan_on(
+                        &cfg,
+                        &session,
+                        functions,
+                        &options.exclude,
+                        scratch,
+                    )),
+                }
+            }
+            Algorithm::BruteForce => match options.bf_strategy {
+                BfStrategy::Incremental => Ok(run_incremental_on(
+                    &session,
+                    functions,
+                    &options.exclude,
+                    scratch,
+                )),
+                BfStrategy::Restart => Ok(run_restart_on(
+                    &session,
+                    functions,
+                    &options.exclude,
+                    scratch,
+                )),
+            },
+            Algorithm::Chain => Ok(run_chain_on(
+                &self.config,
+                &session,
+                functions,
+                &options.exclude,
+                scratch,
+            )),
+        }
+    }
+
+    fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
+        Engine::insert_object(self, point)
+    }
+
+    fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
+        Engine::remove_object(self, oid)
+    }
+
+    fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
+        Engine::update_object(self, oid, point)
+    }
+
+    fn checkpoint(&self) -> Result<(), MpqError> {
+        Engine::checkpoint(self)
+    }
+}
+
+/// One evaluation against a prepared backend, configured fluently —
+/// the only request builder. `B` is the backend the request was built
+/// against: [`Engine`] by default (so `MatchRequest<'e, 'f>` reads as it
+/// always did), [`ShardedEngine`] from [`ShardedEngine::request`], or
+/// `dyn EvalBackend` from a [`ServiceClient`](crate::ServiceClient)'s
+/// [`backend()`](crate::ServiceClient::backend). The knobs, evaluation
+/// and cache identity are shared; only the progressive `stream` forms
+/// are per-engine.
+///
+/// The [`ShardedEngine`] resolves every [`Algorithm`] through one merge
+/// (the canonical matching is unique), so there the algorithm and the
+/// SB / Brute Force ablation knobs only affect request validation and
+/// cache identity.
 ///
 /// ```
 /// # use mpq_core::{Algorithm, Engine};
@@ -1055,19 +1157,21 @@ impl Engine {
 ///     .unwrap();
 /// ```
 #[derive(Debug)]
-pub struct MatchRequest<'e, 'f> {
-    engine: &'e Engine,
+pub struct MatchRequest<'e, 'f, B: EvalBackend + ?Sized = Engine> {
+    backend: &'e B,
     functions: &'f FunctionSet,
     options: RequestOptions,
 }
 
-/// The owned, engine-independent core of a [`MatchRequest`]: every knob
-/// except the borrowed engine and function set. Detaching the options
-/// (plus a clone of the functions) is what lets a request outlive its
-/// submission scope and travel through the [`crate::service`] queue to a
-/// worker thread.
+/// The owned, backend-independent core of a [`MatchRequest`]: every
+/// knob except the borrowed backend and function set. Detaching the
+/// options (plus a clone of the functions) is what lets a request
+/// outlive its submission scope and travel through the
+/// [`crate::service`] queue to a worker thread. Opaque outside the
+/// crate — it is public only because [`EvalBackend::evaluate_seeded`]
+/// receives it; build one through the [`MatchRequest`] knobs.
 #[derive(Debug, Clone)]
-pub(crate) struct RequestOptions {
+pub struct RequestOptions {
     pub(crate) algorithm: Algorithm,
     pub(crate) best_pair: BestPairMode,
     pub(crate) maintenance: MaintenanceMode,
@@ -1091,33 +1195,39 @@ impl Default for RequestOptions {
     }
 }
 
+/// The function-set half of request validation, shared with the
+/// stream and session entry points.
+fn validate_functions(dim: usize, functions: &FunctionSet) -> Result<(), MpqError> {
+    if functions.n_alive() == 0 {
+        return Err(MpqError::EmptyFunctions);
+    }
+    if functions.dim() != dim {
+        return Err(MpqError::DimensionMismatch {
+            engine: dim,
+            functions: functions.dim(),
+        });
+    }
+    Ok(())
+}
+
 /// Request-shape checks shared by direct evaluation and the service
-/// queue: everything evaluation can fail on, with no evaluation work.
-/// [`Engine::evaluate_batch`] and [`crate::service::ServiceClient`] run
-/// this *before* enqueueing, so an invalid request is reported to the
-/// submitter instead of travelling to a worker first.
-pub(crate) fn validate_options(
-    engine: &Engine,
+/// queue: everything evaluation can fail on, with no evaluation work —
+/// the same errors and strings on every backend (it needs only the
+/// backend's dimensionality and id bound). Batches and
+/// [`crate::service::ServiceClient`] run this *before* enqueueing, so
+/// an invalid request is reported to the submitter instead of
+/// travelling to a worker first.
+pub(crate) fn validate_request<B: EvalBackend + ?Sized>(
+    backend: &B,
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> Result<(), MpqError> {
-    engine.validate_functions(functions)?;
-    validate_options_shape(engine.oid_bound() as usize, options)
-}
-
-/// The engine-independent half of [`validate_options`]: request-shape
-/// checks against an id bound. Shared with the sharded evaluation path,
-/// which validates against the *global* id bound (same errors, same
-/// strings) before scattering.
-pub(crate) fn validate_options_shape(
-    oid_bound: usize,
-    options: &RequestOptions,
-) -> Result<(), MpqError> {
+    validate_functions(backend.dim(), functions)?;
     if let Some(caps) = &options.capacities {
         // Capacities are indexed by object id; ids are never recycled,
         // so the vector must cover the full id bound even when removals
         // left holes below it.
-        let expected = oid_bound;
+        let expected = backend.oid_bound() as usize;
         if caps.len() != expected {
             return Err(MpqError::CapacityMismatch {
                 expected,
@@ -1146,113 +1256,6 @@ pub(crate) fn validate_options_shape(
     Ok(())
 }
 
-/// The one evaluation code path: validate and run `options` over
-/// `functions` against the engine's shared index, serving working state
-/// from `scratch`. Direct [`MatchRequest::evaluate_with`] calls, the
-/// batch workers, and the [`crate::service`] workers all land here.
-pub(crate) fn evaluate_options(
-    engine: &Engine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-    scratch: &mut Scratch,
-) -> Result<Matching, MpqError> {
-    evaluate_options_seeded(engine, functions, options, scratch, None, None)
-}
-
-/// Seed-capable form of [`evaluate_options`] — the actual single
-/// evaluation code path. Dispatch is **uniform**: every configuration
-/// takes the same `seed`/`capture` arguments, and only the resumable
-/// one (SB, incremental maintenance, no capacities) honors them — it
-/// primes the skyline from `seed` when the seed is still pinned to the
-/// engine's current inventory, and leaves this run's own [`EvalSeed`]
-/// in `capture`. Every other configuration silently declines both and
-/// runs cold, so callers (the service workers, the bench harnesses)
-/// never branch on the algorithm. Seeded and cold evaluation of the
-/// same request are score-bit-identical (see [`crate::seed`]).
-pub(crate) fn evaluate_options_seeded(
-    engine: &Engine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-    scratch: &mut Scratch,
-    seed: Option<&EvalSeed>,
-    capture: Option<&mut Option<EvalSeed>>,
-) -> Result<Matching, MpqError> {
-    validate_options(engine, functions, options)?;
-    engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-    let version_before = engine.inventory_version();
-    let session = IoSession::new(&engine.tree);
-
-    if let Some(caps) = &options.capacities {
-        return Ok(run_capacity_on(&session, functions, caps, &options.exclude));
-    }
-
-    match options.algorithm {
-        Algorithm::Sb => {
-            let cfg = sb_config_of(engine, options);
-            match options.maintenance {
-                MaintenanceMode::Incremental => {
-                    // A mutation that straddled the session pin makes
-                    // the pinned epoch ambiguous: decline the seed and
-                    // capture nothing rather than guess. (Versions are
-                    // monotone and minted at commit, so equality here
-                    // proves the pinned tree *is* the `version` epoch.)
-                    let version = engine.inventory_version();
-                    let stable = version == version_before;
-                    let part = seed
-                        .filter(|s| stable && s.parts.len() == 1 && s.usable_at(&[version]))
-                        .map(|s| &s.parts[0]);
-                    let mut captured: Option<SeedPart> = None;
-                    let slot = (capture.is_some() && stable).then_some(&mut captured);
-                    let matching = run_sb_seeded(
-                        &cfg,
-                        &session,
-                        functions,
-                        &options.exclude,
-                        scratch,
-                        part,
-                        slot,
-                    );
-                    if let Some(out) = capture {
-                        *out = captured.map(|p| EvalSeed {
-                            versions: vec![version],
-                            parts: vec![p],
-                        });
-                    }
-                    Ok(matching)
-                }
-                MaintenanceMode::Rescan => Ok(run_rescan_on(
-                    &cfg,
-                    &session,
-                    functions,
-                    &options.exclude,
-                    scratch,
-                )),
-            }
-        }
-        Algorithm::BruteForce => match options.bf_strategy {
-            BfStrategy::Incremental => Ok(run_incremental_on(
-                &session,
-                functions,
-                &options.exclude,
-                scratch,
-            )),
-            BfStrategy::Restart => Ok(run_restart_on(
-                &session,
-                functions,
-                &options.exclude,
-                scratch,
-            )),
-        },
-        Algorithm::Chain => Ok(run_chain_on(
-            &engine.config,
-            &session,
-            functions,
-            &options.exclude,
-            scratch,
-        )),
-    }
-}
-
 fn sb_config_of(engine: &Engine, options: &RequestOptions) -> SkylineMatcher {
     SkylineMatcher {
         index: engine.config.clone(),
@@ -1262,7 +1265,17 @@ fn sb_config_of(engine: &Engine, options: &RequestOptions) -> SkylineMatcher {
     }
 }
 
-impl<'e> MatchRequest<'e, '_> {
+impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
+    /// A request for `functions` against `backend` with default options
+    /// (SB algorithm, multi-pair reporting, no exclusions).
+    pub(crate) fn new(backend: &'e B, functions: &'f FunctionSet) -> Self {
+        MatchRequest {
+            backend,
+            functions,
+            options: RequestOptions::default(),
+        }
+    }
+
     /// Select the algorithm (default [`Algorithm::Sb`]).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.options.algorithm = algorithm;
@@ -1300,7 +1313,7 @@ impl<'e> MatchRequest<'e, '_> {
     /// Mask out objects (e.g. already-reserved inventory). Excluded
     /// objects are invisible to this request: they are neither assigned
     /// nor allowed to shadow other objects. Ids not present in the
-    /// engine are ignored. Accumulates across calls.
+    /// backend are ignored. Accumulates across calls.
     pub fn exclude<I: IntoIterator<Item = u64>>(mut self, oids: I) -> Self {
         self.options.exclude.extend(oids);
         self
@@ -1308,16 +1321,17 @@ impl<'e> MatchRequest<'e, '_> {
 
     /// Per-object capacities (the many-to-one extension): `caps[oid]`
     /// users may share object `oid`. Requires [`Algorithm::Sb`] and a
-    /// capacity for every object.
+    /// capacity for every object id up to the backend's id bound.
     pub fn capacities(mut self, caps: &[u32]) -> Self {
         self.options.capacities = Some(caps.to_vec());
         self
     }
 
-    /// The engine this request was built against (the service checks
-    /// submissions target its own engine).
-    pub(crate) fn engine(&self) -> &'e Engine {
-        self.engine
+    /// Was this request built against `backend`? Services and batches
+    /// refuse foreign requests — their workers would otherwise evaluate
+    /// them against the wrong inventory.
+    pub(crate) fn targets(&self, backend: &dyn EvalBackend) -> bool {
+        std::ptr::addr_eq(self.backend, backend)
     }
 
     /// Detach the request into owned parts — a clone of the function set
@@ -1327,9 +1341,9 @@ impl<'e> MatchRequest<'e, '_> {
         (self.functions.clone(), self.options.clone())
     }
 
-    /// Borrow the request's parts without detaching (the scoped
-    /// [`Engine::evaluate_batch`] path, whose workers cannot outlive the
-    /// request slice — no clones needed).
+    /// Borrow the request's parts without detaching (the scoped batch
+    /// path, whose workers cannot outlive the request slice — no clones
+    /// needed).
     pub(crate) fn parts(&self) -> (&FunctionSet, &RequestOptions) {
         (self.functions, &self.options)
     }
@@ -1337,16 +1351,16 @@ impl<'e> MatchRequest<'e, '_> {
     /// The canonical cache identity of this request: covers the function
     /// rows (bit-exact, in function-id order, with tombstones), the
     /// algorithm and every evaluation knob, the exclusion set
-    /// (order-insensitively) and the capacity vector. Pair it with
-    /// [`Engine::inventory_version`] to use a
-    /// [`ResultCache`](crate::ResultCache) standalone; the
-    /// [`EngineService`] computes the same key
+    /// (order-insensitively) and the capacity vector. Pair it with the
+    /// backend's version vector ([`Engine::inventory_version`] for a
+    /// single engine) to use a [`ResultCache`](crate::ResultCache)
+    /// standalone; the [`EngineService`] computes the same key
     /// internally on every submission.
     pub fn cache_key(&self) -> crate::cache::RequestKey {
         crate::cache::request_key(self.functions, &self.options)
     }
 
-    /// Validate and evaluate the request against the engine's shared
+    /// Validate and evaluate the request against the backend's shared
     /// index. The index is read, never mutated; concurrent evaluations
     /// are independent and each [`Matching::metrics`] reports only its
     /// own run's I/O.
@@ -1366,16 +1380,17 @@ impl<'e> MatchRequest<'e, '_> {
     /// allocator is hit; reuse one per thread across any sequence of
     /// requests.
     pub fn evaluate_with(&self, scratch: &mut Scratch) -> Result<Matching, MpqError> {
-        evaluate_options(self.engine, self.functions, &self.options, scratch)
+        self.backend
+            .evaluate_seeded(self.functions, &self.options, scratch, None, None)
     }
 
     /// Seed-capable [`MatchRequest::evaluate_with`]: primes the run from
-    /// `seed` when the configuration is resumable (SB, incremental
-    /// maintenance, no capacities) and the seed is still pinned to the
-    /// engine's current inventory — otherwise runs cold; the dispatch is
-    /// uniform, so callers never branch on the algorithm. Returns the
-    /// matching together with the [`EvalSeed`] this run captured (when
-    /// resumable), which can prime the next refinement of this request.
+    /// `seed` when the configuration is resumable and the seed is still
+    /// pinned to the backend's current inventory — otherwise runs cold;
+    /// the dispatch is uniform, so callers never branch on the
+    /// algorithm or the backend. Returns the matching together with the
+    /// [`EvalSeed`] this run captured (when resumable), which can prime
+    /// the next refinement of this request.
     ///
     /// Seeded and cold evaluation are score-bit-identical. The
     /// [`EngineService`] drives this machinery
@@ -1387,8 +1402,7 @@ impl<'e> MatchRequest<'e, '_> {
         seed: Option<&EvalSeed>,
     ) -> Result<(Matching, Option<EvalSeed>), MpqError> {
         let mut captured = None;
-        let matching = evaluate_options_seeded(
-            self.engine,
+        let matching = self.backend.evaluate_seeded(
             self.functions,
             &self.options,
             scratch,
@@ -1398,6 +1412,14 @@ impl<'e> MatchRequest<'e, '_> {
         Ok((matching, captured))
     }
 
+    /// All the request-shape checks evaluation can fail on, with no
+    /// evaluation work (see [`validate_request`]).
+    pub(crate) fn validate(&self) -> Result<(), MpqError> {
+        validate_request(self.backend, self.functions, &self.options)
+    }
+}
+
+impl<'e> MatchRequest<'e, '_> {
     /// Progressive SB evaluation: returns a stream that yields stable
     /// pairs as soon as they are identified, reading the shared index
     /// through its own run-scoped I/O session.
@@ -1405,15 +1427,7 @@ impl<'e> MatchRequest<'e, '_> {
     /// Requires [`Algorithm::Sb`] with incremental maintenance and no
     /// capacities.
     pub fn stream(&self) -> Result<SbStream<'static, IoSession<'e>>, MpqError> {
-        self.check_streamable()?;
-        let session = IoSession::new(&self.engine.tree);
-        Ok(stream_on(
-            &sb_config_of(self.engine, &self.options),
-            session,
-            self.functions,
-            &self.options.exclude,
-            ScratchLease::fresh(),
-        ))
+        self.stream_leased(ScratchLease::fresh())
     }
 
     /// Like [`MatchRequest::stream`], but serving the stream's per-run
@@ -1430,19 +1444,14 @@ impl<'e> MatchRequest<'e, '_> {
         &self,
         scratch: &'s mut Scratch,
     ) -> Result<SbStream<'s, IoSession<'e>>, MpqError> {
-        self.check_streamable()?;
-        let session = IoSession::new(&self.engine.tree);
-        Ok(stream_on(
-            &sb_config_of(self.engine, &self.options),
-            session,
-            self.functions,
-            &self.options.exclude,
-            ScratchLease::Leased(scratch),
-        ))
+        self.stream_leased(ScratchLease::Leased(scratch))
     }
 
-    fn check_streamable(&self) -> Result<(), MpqError> {
-        self.engine.validate_functions(self.functions)?;
+    fn stream_leased<'s>(
+        &self,
+        lease: ScratchLease<'s>,
+    ) -> Result<SbStream<'s, IoSession<'e>>, MpqError> {
+        validate_functions(self.backend.dim, self.functions)?;
         if self.options.algorithm != Algorithm::Sb {
             return Err(MpqError::UnsupportedRequest(
                 "streaming is only supported with Algorithm::Sb",
@@ -1458,13 +1467,23 @@ impl<'e> MatchRequest<'e, '_> {
                 "streaming does not support capacities",
             ));
         }
-        Ok(())
+        Ok(stream_on(
+            &sb_config_of(self.backend, &self.options),
+            IoSession::new(&self.backend.tree),
+            self.functions,
+            &self.options.exclude,
+            lease,
+        ))
     }
+}
 
-    /// All the request-shape checks evaluation can fail on, with no
-    /// evaluation work (see [`validate_options`]).
-    pub(crate) fn validate(&self) -> Result<(), MpqError> {
-        validate_options(self.engine, self.functions, &self.options)
+impl<'e> MatchRequest<'e, '_, ShardedEngine> {
+    /// Progressive evaluation through the scatter-gather merge: yields
+    /// stable pairs in canonical (descending) order as the merge
+    /// resolves them. Requires [`Algorithm::Sb`] and no capacities.
+    pub fn stream(&self) -> Result<ShardedStream<'e>, MpqError> {
+        self.validate()?;
+        ShardedStream::open(self.backend, self.functions, &self.options)
     }
 }
 
@@ -1477,8 +1496,8 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Assemble an outcome (same-crate batch runners: the unsharded
-    /// batch path here and the sharded one in [`crate::shard`]).
+    /// Assemble an outcome (the one batch runner lives beside the
+    /// [`EvalBackend`] trait it drives).
     pub(crate) fn from_parts(matchings: Vec<Matching>, metrics: BatchMetrics) -> BatchOutcome {
         BatchOutcome { matchings, metrics }
     }
@@ -1596,7 +1615,7 @@ impl MatchSession<'_> {
     /// Returns the batch's stable matching; the assigned objects stay
     /// reserved for subsequent batches.
     pub fn submit(&mut self, functions: &FunctionSet) -> Result<Matching, MpqError> {
-        self.engine.validate_functions(functions)?;
+        validate_functions(self.engine.dim, functions)?;
         self.batches += 1;
         let start = Instant::now();
         let io_start = self.io.stats();

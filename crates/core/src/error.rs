@@ -1,11 +1,11 @@
 //! Typed errors for the engine API.
 //!
-//! The legacy [`crate::Matcher::run`] path reported malformed input by
-//! panicking somewhere inside the index or matcher internals. The engine
-//! API validates at the boundary instead — [`crate::Engine::builder`]
-//! checks the object set before paying for a bulk load, and
-//! [`crate::MatchRequest::evaluate`] checks the request against the
-//! prepared engine — and reports what is wrong with a [`MpqError`].
+//! Malformed input never panics somewhere inside the index or matcher
+//! internals: the engine API validates at the boundary —
+//! [`crate::Engine::builder`] checks the object set before paying for a
+//! bulk load, and [`crate::MatchRequest::evaluate`] checks the request
+//! against the prepared engine — and reports what is wrong with a
+//! [`MpqError`].
 
 use mpq_ta::WeightError;
 

@@ -43,9 +43,7 @@
 //! every run accounts its own I/O through a run-scoped
 //! [`mpq_rtree::IoSession`]. [`Engine::session`] additionally keeps the
 //! maintained skyline alive across batches (the online deployment), and
-//! [`Engine::stream`] yields stable pairs progressively. The legacy
-//! one-shot [`Matcher::run`] survives as a deprecated shim that builds a
-//! private engine per call.
+//! [`Engine::stream`] yields stable pairs progressively.
 //!
 //! ## Serving goes through the [`EngineService`]
 //!
@@ -60,6 +58,19 @@
 //! attaches to the running job instead of re-evaluating — see the
 //! [`cache`] module). [`Engine::evaluate_batch`] is a
 //! submit-all-then-wait wrapper over the same scheduling core.
+//!
+//! ## One hosting path: the [`EvalBackend`]
+//!
+//! The service, the network tenants and the CLI hold an
+//! `Arc<dyn EvalBackend>` and never ask which engine is behind it: an
+//! [`Engine`] or a [`ShardedEngine`] (below) serve through the same
+//! [`EngineService`], the same [`ServiceClient::submit`] and the one
+//! request builder —
+//! `client.submit(client.backend().request(&functions))`.
+//! [`EngineBuilder::open_or_build`] is the one place that decides which
+//! of the two hosts an inventory: a persisted directory reopens as
+//! whatever layout it holds, otherwise one shard builds an [`Engine`]
+//! and `K > 1` a [`ShardedEngine`].
 //!
 //! ## The inventory is mutable — and can persist
 //!
@@ -85,13 +96,15 @@
 //! WAL segment — and resolves the global matching with a scatter-gather
 //! best-pair merge whose per-shard score bounds skip shards that
 //! provably cannot produce the next winner. The sharded matching is
-//! bit-identical to the unsharded one; mutations route through a
-//! pluggable [`Partitioner`] to exactly one shard, and the cache stamps
-//! results with a per-shard version vector so one shard's mutations
-//! never invalidate another shard's cached work.
+//! bit-identical to the unsharded one, and built with the same
+//! [`MatchRequest`]; mutations route through a pluggable [`Partitioner`]
+//! to exactly one shard, and the cache stamps results with a per-shard
+//! version vector so one shard's mutations never invalidate another
+//! shard's cached work.
 
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod brute_force;
 pub mod cache;
 pub mod capacity;
@@ -111,6 +124,7 @@ pub mod shard;
 pub mod verify;
 pub mod wal;
 
+pub use backend::{persisted_at, EvalBackend};
 pub use brute_force::{BfStrategy, BruteForceMatcher};
 pub use cache::{CacheMetrics, MutationEvent, MutationLog, RequestKey, ResultCache};
 pub use capacity::{CapacityMatcher, CapacityMatching};
@@ -132,7 +146,7 @@ pub use service::{
 };
 pub use shard::{
     GridPartitioner, HashPartitioner, Partitioner, ShardGauges, ShardedEngine,
-    ShardedEngineBuilder, ShardedMatchRequest, ShardedStream,
+    ShardedEngineBuilder, ShardedStream,
 };
 pub use verify::{verify_stable, verify_weakly_stable};
 pub use wal::{Wal, WalRecord};

@@ -160,42 +160,14 @@ pub trait Matcher {
     /// Human-readable name used in experiment output.
     fn name(&self) -> &'static str;
 
-    /// The index configuration this matcher uses when it must build its
-    /// own engine (the deprecated [`Matcher::run`] path).
+    /// The index configuration this matcher's experiments build their
+    /// engine with.
     fn index_config(&self) -> &IndexConfig;
 
     /// Evaluate this matcher's configuration against a prepared engine.
     /// The engine's shared index is not mutated; any number of `run_on`
     /// calls (also from different threads) may target one engine.
     fn run_on(&self, engine: &Engine, functions: &FunctionSet) -> Result<Matching, MpqError>;
-
-    /// Compute the stable matching, building a private single-use engine
-    /// over `objects` first.
-    ///
-    /// Every call pays a full index bulk load; serving more than one
-    /// request this way is exactly the cost the engine API exists to
-    /// avoid. Kept as a migration shim.
-    ///
-    /// # Panics
-    /// Panics if the inputs are invalid (the engine path reports the
-    /// same conditions as [`MpqError`] values instead).
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an Engine once with Engine::builder() and evaluate \
-                MatchRequests (or Matcher::run_on) against it"
-    )]
-    fn run(&self, objects: &PointSet, functions: &FunctionSet) -> Matching {
-        if objects.is_empty() || functions.n_alive() == 0 {
-            return Matching::default();
-        }
-        let engine = Engine::builder()
-            .index(self.index_config().clone())
-            .objects(objects)
-            .build()
-            .unwrap_or_else(|e| panic!("invalid matcher input: {e}"));
-        self.run_on(&engine, functions)
-            .unwrap_or_else(|e| panic!("invalid matcher input: {e}"))
-    }
 }
 
 /// How matchers build and buffer the object R-tree.

@@ -46,14 +46,6 @@
 
 pub use crate::engine::MatchSession;
 
-/// Deprecated name for [`MatchSession`]. Open sessions with
-/// [`crate::Engine::session`].
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to MatchSession; open one with Engine::session()"
-)]
-pub type OnlineSession<'e> = MatchSession<'e>;
-
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;

@@ -1,21 +1,26 @@
 //! The async serving layer: a submission queue in front of a shared
-//! [`Engine`], with cross-request result caching and in-flight dedupe.
+//! [`EvalBackend`] — an [`Engine`](crate::Engine) or a
+//! [`ShardedEngine`](crate::ShardedEngine), the service never asks
+//! which — with cross-request result caching and in-flight dedupe.
 //!
 //! The paper's premise (§I) is *many* preference queries arriving
-//! against one inventory — but [`Engine::evaluate_batch`] forces callers
-//! to pre-collect synchronous batches, which a network front-end cannot
-//! do: requests stream in one at a time, get revised, cancelled and
-//! resubmitted (Chomicki's preference-revision line of work is the
-//! motivating related literature). [`EngineService`] inverts the
-//! control flow:
+//! against one inventory — but a pre-collected synchronous batch
+//! ([`Engine::evaluate_batch`](crate::Engine::evaluate_batch)) is
+//! something a network front-end cannot assemble: requests stream in
+//! one at a time, get revised, cancelled and resubmitted (Chomicki's
+//! preference-revision line of work is the motivating related
+//! literature). [`EngineService`] inverts the control flow:
 //!
-//! * [`EngineService::spawn`] (or the blessed [`Engine::serve`]) starts
+//! * [`EngineService::spawn`] (or the blessed
+//!   [`Engine::serve`](crate::Engine::serve)) starts
 //!   a pool of worker threads, each owning a persistent [`Scratch`] so
 //!   every evaluation after its first is allocation-light;
 //! * any number of cheap, cloneable [`ServiceClient`] handles feed a
 //!   **bounded** submission queue — when it is full the configured
 //!   [`BackpressurePolicy`] either blocks the submitter or rejects with
 //!   [`MpqError::Overloaded`];
+//! * requests are built in one way, whatever engine is served:
+//!   `client.submit(client.backend().request(&functions))`;
 //! * every submission returns a [`Ticket`] — a std-only future
 //!   (`Condvar`-backed oneshot, mirroring the `shims/` philosophy of
 //!   zero external dependencies) that can be blocked on ([`Ticket::wait`],
@@ -50,11 +55,13 @@
 //! change the matching (asserted by `tests/service.rs` and
 //! `tests/cache.rs`).
 //!
-//! There is exactly one scheduling code path: [`Engine::evaluate_batch`]
-//! is a submit-all-then-wait wrapper over the same `ServiceCore` used
-//! here (with caching off — a batch is explicit about its request list),
-//! with scoped workers borrowing the engine instead of long-lived
-//! threads holding an [`Arc`].
+//! There is exactly one scheduling code path: every worker — the
+//! long-lived service's threads holding an [`Arc`] of the backend, and
+//! the scoped workers of a batch (`evaluate_batch` on either engine or
+//! on `dyn EvalBackend`, a submit-all-then-wait run with caching off —
+//! a batch is explicit about its request list) borrowing it — runs the
+//! same worker loop over the same `ServiceCore`, and evaluates through
+//! the one [`EvalBackend::evaluate_seeded`] call.
 
 use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -64,82 +71,14 @@ use std::time::{Duration, Instant};
 
 use mpq_ta::FunctionSet;
 
+use crate::backend::EvalBackend;
 use crate::cache::{request_key, CacheMetrics, MutationLog, RequestKey, ResultCache};
-use crate::engine::{evaluate_options_seeded, Engine, MatchRequest, RequestOptions};
+use crate::engine::{MatchRequest, RequestOptions};
 use crate::error::MpqError;
 use crate::matching::Matching;
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
-use crate::shard::{
-    evaluate_sharded_options_seeded, ShardGauges, ShardedEngine, ShardedMatchRequest,
-};
-
-/// The engine behind a service, by reference: the scheduling core is
-/// engine-agnostic, and the worker loop dispatches each popped job to
-/// whichever evaluation surface the service was spawned over — a single
-/// [`Engine`] or a [`ShardedEngine`]. `Copy`, so scoped batch workers
-/// can pass it around freely.
-#[derive(Clone, Copy)]
-pub(crate) enum BackendRef<'e> {
-    /// One unsharded engine.
-    Single(&'e Engine),
-    /// A partitioned engine resolved by the scatter-gather merge.
-    Sharded(&'e ShardedEngine),
-}
-
-impl<'e> BackendRef<'e> {
-    /// The per-shard inventory version vector (1-component for a single
-    /// engine) — the cache stamp for results evaluated against this
-    /// backend.
-    fn version_vector(self) -> Vec<u64> {
-        match self {
-            BackendRef::Single(e) => vec![e.inventory_version()],
-            BackendRef::Sharded(s) => s.version_vector(),
-        }
-    }
-
-    /// The per-shard mutation logs, aligned with
-    /// [`BackendRef::version_vector`].
-    fn mutation_logs(self) -> Vec<&'e MutationLog> {
-        match self {
-            BackendRef::Single(e) => vec![e.mutation_log()],
-            BackendRef::Sharded(s) => s.mutation_logs(),
-        }
-    }
-
-    /// Summed storage-level I/O.
-    fn storage_stats(self) -> mpq_rtree::IoStats {
-        match self {
-            BackendRef::Single(e) => e.storage_stats(),
-            BackendRef::Sharded(s) => s.storage_stats(),
-        }
-    }
-}
-
-/// The engine behind a long-lived service, owned (`Arc`'d into every
-/// worker thread and client handle).
-enum Backend {
-    Single(Arc<Engine>),
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl Clone for Backend {
-    fn clone(&self) -> Backend {
-        match self {
-            Backend::Single(e) => Backend::Single(Arc::clone(e)),
-            Backend::Sharded(s) => Backend::Sharded(Arc::clone(s)),
-        }
-    }
-}
-
-impl Backend {
-    fn as_ref(&self) -> BackendRef<'_> {
-        match self {
-            Backend::Single(e) => BackendRef::Single(e),
-            Backend::Sharded(s) => BackendRef::Sharded(s),
-        }
-    }
-}
+use crate::shard::ShardGauges;
 
 /// Lock a mutex, ignoring poisoning: all protected state is kept
 /// consistent by construction (a panicking worker resolves its ticket
@@ -537,9 +476,9 @@ struct DedupeGroup {
 /// One queued evaluation plus its scheduling envelope. The request
 /// payload is `Cow`: the long-lived service detaches submissions into
 /// owned copies (they must outlive the submitter's borrow), while the
-/// scoped [`Engine::evaluate_batch`] wrapper enqueues *borrowed*
-/// requests — its workers cannot outlive the batch slice, so the PR 3
-/// zero-clone batch path is preserved.
+/// scoped batch wrapper enqueues *borrowed* requests — its workers
+/// cannot outlive the batch slice, so the PR 3 zero-clone batch path is
+/// preserved.
 struct Job<'a> {
     functions: Cow<'a, FunctionSet>,
     options: Cow<'a, RequestOptions>,
@@ -618,11 +557,11 @@ struct CacheLayer {
 }
 
 /// The scheduling heart shared by the long-lived [`EngineService`]
-/// (Arc'd workers) and the scoped [`Engine::evaluate_batch`] wrapper
-/// (borrowing workers): a bounded `Mutex + Condvar` priority queue with
-/// backpressure, eager deadlines, result caching + dedupe, and rolling
-/// metrics. Engine-agnostic — the engine is passed to [`worker_loop`],
-/// which is what lets one core serve both ownership models.
+/// (Arc'd workers) and the scoped batch wrapper (borrowing workers): a
+/// bounded `Mutex + Condvar` priority queue with backpressure, eager
+/// deadlines, result caching + dedupe, and rolling metrics.
+/// Backend-agnostic — the backend is passed to [`worker_loop`], which
+/// is what lets one core serve both ownership models.
 pub(crate) struct ServiceCore<'a> {
     workers: usize,
     queue_capacity: usize,
@@ -921,7 +860,7 @@ impl<'a> ServiceCore<'a> {
     /// the in-flight index (attach to an identical queued/running job),
     /// and only then pay a queue slot. `versions` is the submitting
     /// backend's inventory version vector — one component per shard,
-    /// exactly one for an unsharded [`Engine`]. Cache entries stamped
+    /// exactly one for an unsharded engine. Cache entries stamped
     /// from any other inventory are misses, except that `logs` (the
     /// per-shard [`MutationLog`]s, when available) may revalidate an
     /// older entry whose result provably survived every intervening
@@ -1097,7 +1036,7 @@ impl<'a> ServiceCore<'a> {
     /// in-flight slot: close the group, expire lapsed members, evaluate
     /// once, publish to the cache, fan the result out to every surviving
     /// member.
-    fn execute(&self, backend: BackendRef<'_>, job: Job<'_>, scratch: &mut Scratch) {
+    fn execute(&self, backend: &dyn EvalBackend, job: Job<'_>, scratch: &mut Scratch) {
         // Claim: close the group first so an identical submission
         // arriving from here on starts a fresh job instead of racing the
         // fan-out; then expire members whose deadline lapsed before
@@ -1133,22 +1072,8 @@ impl<'a> ServiceCore<'a> {
         let seed = job.seed.as_deref().filter(|s| s.usable_at(&versions));
         let mut captured: Option<EvalSeed> = None;
         let capture = (job.group.key.is_some() && self.cached.is_some()).then_some(&mut captured);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match backend {
-            BackendRef::Single(engine) => evaluate_options_seeded(
-                engine,
-                &job.functions,
-                &job.options,
-                scratch,
-                seed,
-                capture,
-            ),
-            BackendRef::Sharded(sharded) => evaluate_sharded_options_seeded(
-                sharded,
-                &job.functions,
-                &job.options,
-                seed,
-                capture,
-            ),
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            backend.evaluate_seeded(&job.functions, &job.options, scratch, seed, capture)
         }))
         .unwrap_or_else(|_| {
             // The scratch may have been mid-mutation; replace it.
@@ -1275,7 +1200,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// persistent [`Scratch`] across the entire stream — until shutdown
 /// drains the queue. Shared verbatim between the long-lived service
 /// (Arc'd backend) and the scoped batch wrapper (borrowed engine).
-pub(crate) fn worker_loop(core: &ServiceCore<'_>, backend: BackendRef<'_>) {
+pub(crate) fn worker_loop(core: &ServiceCore<'_>, backend: &dyn EvalBackend) {
     let mut scratch = Scratch::new();
     while let Some(job) = core.next_job() {
         core.execute(backend, job, &mut scratch);
@@ -1324,9 +1249,9 @@ pub struct ServiceMetrics {
     /// `ServiceCore` without an engine attached).
     pub health: HealthState,
     /// Per-shard gauges when the service serves a
-    /// [`ShardedEngine`] — one entry per shard, in shard order. Empty
-    /// for an unsharded engine (and in snapshots taken through a bare
-    /// `ServiceCore`).
+    /// [`ShardedEngine`](crate::ShardedEngine) — one entry per shard, in
+    /// shard order. Empty for an unsharded engine (and in snapshots
+    /// taken through a bare `ServiceCore`).
     pub shards: Vec<ShardGauges>,
     /// Shards skipped by the scatter-gather merge's score-bound pruning
     /// since spawn. Always zero for an unsharded engine.
@@ -1543,7 +1468,7 @@ struct HealthInner {
 /// Callers report outcomes ([`HealthMonitor::report_failure`] /
 /// [`HealthMonitor::report_success`]) and ask when the next repair
 /// attempt is due ([`HealthMonitor::probe_due`]); the network tenant
-/// runs the actual probe (an [`Engine::checkpoint`] retry) and reports
+/// runs the actual probe (an [`EvalBackend::checkpoint`] retry) and reports
 /// its outcome back.
 pub struct HealthMonitor {
     inner: Mutex<HealthInner>,
@@ -1655,24 +1580,26 @@ impl HealthMonitor {
     }
 }
 
-/// A long-lived worker pool serving one shared [`Engine`] through a
-/// bounded submission queue (see the [module docs](self)).
+/// A long-lived worker pool serving one shared [`EvalBackend`] — an
+/// [`Engine`](crate::Engine) or a [`ShardedEngine`](crate::ShardedEngine)
+/// alike — through a bounded submission queue (see the
+/// [module docs](self)).
 ///
-/// Spawn with [`Engine::serve`] or [`EngineService::spawn`]; feed it
-/// through [`ServiceClient`] handles; stop it with
-/// [`EngineService::shutdown`] (dropping the service shuts down
-/// gracefully too, draining all queued work first).
+/// Spawn with [`Engine::serve`](crate::Engine::serve),
+/// [`ShardedEngine::serve`](crate::ShardedEngine::serve) or
+/// [`EngineService::spawn`]; feed it through [`ServiceClient`] handles;
+/// stop it with [`EngineService::shutdown`] (dropping the service shuts
+/// down gracefully too, draining all queued work first).
 pub struct EngineService {
-    backend: Backend,
+    backend: Arc<dyn EvalBackend>,
     core: Arc<ServiceCore<'static>>,
     health: Arc<HealthMonitor>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Resolve a configured worker/thread count: `0` means "one per
-/// available core". Shared by [`EngineService::spawn`],
-/// [`Engine::evaluate_batch`] and the CLI so the resolution policy
-/// cannot drift between surfaces.
+/// available core". Shared by [`EngineService::spawn`], the batch path
+/// and the CLI so the resolution policy cannot drift between surfaces.
 pub fn resolved_workers(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -1683,44 +1610,42 @@ pub fn resolved_workers(requested: usize) -> usize {
 
 impl std::fmt::Debug for EngineService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("EngineService");
-        match &self.backend {
-            Backend::Single(engine) => s.field("engine", engine),
-            Backend::Sharded(sharded) => s.field("sharded", sharded),
-        };
-        s.field("workers", &self.handles.len()).finish()
+        f.debug_struct("EngineService")
+            .field("backend", &self.backend)
+            .field("workers", &self.handles.len())
+            .finish()
     }
 }
 
+/// A metrics snapshot of `core` completed with what only the backend
+/// and the health monitor know.
+fn full_metrics(
+    core: &ServiceCore<'_>,
+    backend: &dyn EvalBackend,
+    health: &HealthMonitor,
+) -> ServiceMetrics {
+    let mut m = core.metrics_snapshot();
+    m.storage = backend.storage_stats();
+    m.health = health.state();
+    m.shards = backend.shard_gauges();
+    m.skipped_shards = backend.skipped_shards();
+    m
+}
+
 impl EngineService {
-    /// Start a worker pool over `engine`. Each worker owns a persistent
+    /// Start a worker pool over `backend`. Each worker owns a persistent
     /// [`Scratch`] for its whole lifetime, so steady-state evaluations
     /// reuse warm buffers instead of allocating per request.
-    pub fn spawn(engine: Arc<Engine>, config: ServiceConfig) -> EngineService {
-        EngineService::spawn_backend(Backend::Single(engine), config)
-    }
-
-    /// Start a worker pool over a [`ShardedEngine`] — the same
-    /// scheduling core, queue, cache and dedupe machinery, with every
-    /// evaluation resolved by the scatter-gather merge. Reached through
-    /// [`ShardedEngine::serve`].
-    pub(crate) fn spawn_sharded(
-        engine: Arc<ShardedEngine>,
-        config: ServiceConfig,
-    ) -> EngineService {
-        EngineService::spawn_backend(Backend::Sharded(engine), config)
-    }
-
-    fn spawn_backend(backend: Backend, config: ServiceConfig) -> EngineService {
+    pub fn spawn(backend: Arc<dyn EvalBackend>, config: ServiceConfig) -> EngineService {
         let workers = resolved_workers(config.workers);
         let core = Arc::new(ServiceCore::new(&config, workers));
         let handles = (0..workers)
             .map(|i| {
                 let core = Arc::clone(&core);
-                let backend = backend.clone();
+                let backend = Arc::clone(&backend);
                 std::thread::Builder::new()
                     .name(format!("mpq-worker-{i}"))
-                    .spawn(move || worker_loop(&core, backend.as_ref()))
+                    .spawn(move || worker_loop(&core, &*backend))
                     .expect("spawn service worker")
             })
             .collect();
@@ -1744,34 +1669,15 @@ impl EngineService {
     /// [`MpqError::ServiceStopped`].
     pub fn client(&self) -> ServiceClient {
         ServiceClient {
-            backend: self.backend.clone(),
+            backend: Arc::clone(&self.backend),
             core: Arc::clone(&self.core),
             health: Arc::clone(&self.health),
         }
     }
 
-    /// The served engine.
-    ///
-    /// # Panics
-    ///
-    /// If the service serves a [`ShardedEngine`] (spawned through
-    /// [`ShardedEngine::serve`]) — use [`EngineService::sharded`] there.
-    pub fn engine(&self) -> &Arc<Engine> {
-        match &self.backend {
-            Backend::Single(engine) => engine,
-            Backend::Sharded(_) => {
-                panic!("this service serves a sharded engine; use EngineService::sharded")
-            }
-        }
-    }
-
-    /// The served [`ShardedEngine`], when the service was spawned over
-    /// one; `None` for a plain [`Engine`].
-    pub fn sharded(&self) -> Option<&Arc<ShardedEngine>> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
-        }
+    /// The served backend.
+    pub fn backend(&self) -> &Arc<dyn EvalBackend> {
+        &self.backend
     }
 
     /// Worker threads in the pool.
@@ -1781,14 +1687,7 @@ impl EngineService {
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        let mut m = self.core.metrics_snapshot();
-        m.storage = self.backend.as_ref().storage_stats();
-        m.health = self.health.state();
-        if let Backend::Sharded(sharded) = &self.backend {
-            m.shards = sharded.shard_gauges();
-            m.skipped_shards = sharded.skipped_shards();
-        }
-        m
+        full_metrics(&self.core, &*self.backend, &self.health)
     }
 
     /// Requests queued and not yet claimed by a worker, right now — a
@@ -1833,75 +1732,52 @@ impl Drop for EngineService {
 /// [`EngineService`].
 #[derive(Clone)]
 pub struct ServiceClient {
-    backend: Backend,
+    backend: Arc<dyn EvalBackend>,
     core: Arc<ServiceCore<'static>>,
     health: Arc<HealthMonitor>,
 }
 
 impl std::fmt::Debug for ServiceClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("ServiceClient");
-        match &self.backend {
-            Backend::Single(engine) => s.field("engine", engine),
-            Backend::Sharded(sharded) => s.field("sharded", sharded),
-        };
-        s.finish()
+        f.debug_struct("ServiceClient")
+            .field("backend", &self.backend)
+            .finish()
     }
 }
 
 impl ServiceClient {
-    /// The served engine — build requests against it:
-    /// `client.submit(client.engine().request(&functions))`.
-    ///
-    /// # Panics
-    ///
-    /// If the service serves a [`ShardedEngine`] — use
-    /// [`ServiceClient::sharded`] there.
-    pub fn engine(&self) -> &Engine {
-        match &self.backend {
-            Backend::Single(engine) => engine,
-            Backend::Sharded(_) => {
-                panic!("this service serves a sharded engine; use ServiceClient::sharded")
-            }
-        }
-    }
-
-    /// The served [`ShardedEngine`], when the service was spawned over
-    /// one; `None` for a plain [`Engine`].
-    pub fn sharded(&self) -> Option<&ShardedEngine> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
-        }
+    /// The served backend — build requests against it:
+    /// `client.submit(client.backend().request(&functions))`.
+    pub fn backend(&self) -> &dyn EvalBackend {
+        &*self.backend
     }
 
     /// Submit a request with default [`SubmitOptions`] (no deadline,
     /// priority 0).
-    pub fn submit(&self, request: MatchRequest<'_, '_>) -> Result<Ticket, MpqError> {
+    pub fn submit<B: EvalBackend + ?Sized>(
+        &self,
+        request: MatchRequest<'_, '_, B>,
+    ) -> Result<Ticket, MpqError> {
         self.submit_with(request, SubmitOptions::default())
     }
 
-    /// Submit a request with a deadline and/or priority. The request is
-    /// validated *now* — shape errors surface to the submitter instead
-    /// of travelling to a worker — then served from the result cache if
-    /// an identical request already completed against this inventory,
-    /// attached to an identical queued/running job if one is in flight,
-    /// and only otherwise detached (owned function-set copy + options)
-    /// and enqueued under the backpressure policy.
-    pub fn submit_with(
+    /// Submit a request with a deadline and/or priority. The request
+    /// must have been built against the served backend — through
+    /// [`ServiceClient::backend`] or the concrete engine behind it; one
+    /// built on any other backend is refused with
+    /// [`MpqError::UnsupportedRequest`]. It is validated *now* — shape
+    /// errors surface to the submitter instead of travelling to a worker
+    /// — then served from the result cache (stamped with the backend's
+    /// version vector) if an identical request already completed against
+    /// this inventory, attached to an identical queued/running job if
+    /// one is in flight, and only otherwise detached (owned function-set
+    /// copy + options) and enqueued under the backpressure policy.
+    pub fn submit_with<B: EvalBackend + ?Sized>(
         &self,
-        request: MatchRequest<'_, '_>,
+        request: MatchRequest<'_, '_, B>,
         options: SubmitOptions,
     ) -> Result<Ticket, MpqError> {
-        let engine = match &self.backend {
-            Backend::Single(engine) => engine,
-            Backend::Sharded(_) => {
-                return Err(MpqError::UnsupportedRequest(
-                    "request was built against a different engine than this service serves",
-                ))
-            }
-        };
-        if !std::ptr::eq(request.engine(), &**engine) {
+        if !request.targets(&*self.backend) {
             return Err(MpqError::UnsupportedRequest(
                 "request was built against a different engine than this service serves",
             ));
@@ -1912,60 +1788,14 @@ impl ServiceClient {
             functions,
             request_options,
             options,
-            &[engine.inventory_version()],
-            Some(&[engine.mutation_log()]),
-        )
-    }
-
-    /// Submit a sharded request with default [`SubmitOptions`].
-    pub fn submit_sharded(&self, request: ShardedMatchRequest<'_, '_>) -> Result<Ticket, MpqError> {
-        self.submit_sharded_with(request, SubmitOptions::default())
-    }
-
-    /// Submit a request built against the served [`ShardedEngine`].
-    /// Same contract as [`ServiceClient::submit_with`] — validated now,
-    /// cache-first (stamped with the per-shard version vector), deduped
-    /// in flight, and otherwise resolved by a worker running the
-    /// scatter-gather merge.
-    pub fn submit_sharded_with(
-        &self,
-        request: ShardedMatchRequest<'_, '_>,
-        options: SubmitOptions,
-    ) -> Result<Ticket, MpqError> {
-        let sharded = match &self.backend {
-            Backend::Sharded(sharded) => sharded,
-            Backend::Single(_) => {
-                return Err(MpqError::UnsupportedRequest(
-                    "request was built against a different engine than this service serves",
-                ))
-            }
-        };
-        if !std::ptr::eq(request.engine(), &**sharded) {
-            return Err(MpqError::UnsupportedRequest(
-                "request was built against a different engine than this service serves",
-            ));
-        }
-        request.validate()?;
-        let (functions, request_options) = request.owned_parts();
-        self.core.submit_owned(
-            functions,
-            request_options,
-            options,
-            &sharded.version_vector(),
-            Some(&sharded.mutation_logs()),
+            &self.backend.version_vector(),
+            Some(&self.backend.mutation_logs()),
         )
     }
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        let mut m = self.core.metrics_snapshot();
-        m.storage = self.backend.as_ref().storage_stats();
-        m.health = self.health.state();
-        if let Backend::Sharded(sharded) = &self.backend {
-            m.shards = sharded.shard_gauges();
-            m.skipped_shards = sharded.skipped_shards();
-        }
-        m
+        full_metrics(&self.core, &*self.backend, &self.health)
     }
 
     /// The service's storage [`HealthMonitor`] (shared with
@@ -1989,7 +1819,7 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BatchMetrics;
+    use crate::engine::{BatchMetrics, Engine};
 
     #[test]
     fn safe_rate_guards_zero_and_degenerate_inputs() {
@@ -2481,7 +2311,7 @@ mod tests {
             Engine::builder().objects(&objects).build().unwrap()
         };
         let mut scratch = Scratch::new();
-        core.execute(BackendRef::Single(&engine), job, &mut scratch);
+        core.execute(&engine, job, &mut scratch);
         assert_eq!(core.queue_depth(), 2);
         assert_eq!(core.in_flight(), 0);
     }
@@ -2494,10 +2324,8 @@ mod tests {
             objects.push(&p);
         }
         let engine = Arc::new(Engine::builder().objects(&objects).build().unwrap());
-        let service = EngineService::spawn(
-            Arc::clone(&engine),
-            ServiceConfig::default().workers(1).queue_capacity(4),
-        );
+        let service =
+            Arc::clone(&engine).serve(ServiceConfig::default().workers(1).queue_capacity(4));
         let client = service.client();
         let fs = test_functions();
         let t = client.submit(engine.request(&fs)).unwrap();

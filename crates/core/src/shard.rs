@@ -1,5 +1,5 @@
 //! Partitioned engine: per-shard R-trees with a scatter-gather
-//! best-pair merge (ROADMAP item 3).
+//! best-pair merge.
 //!
 //! All three matchers reduce to repeatedly finding the best
 //! `(score desc, fid asc, oid asc)` pair over the surviving inventory —
@@ -41,6 +41,21 @@
 //! engine's `sorted_pairs()` for SB, BF and Chain alike, under
 //! exclusions and capacities (asserted by `tests/shard_identity.rs`).
 //!
+//! ## One hosting path
+//!
+//! Nothing above the engines forks on the shard count. A
+//! [`ShardedEngine`] is one more [`EvalBackend`]: requests are the same
+//! [`MatchRequest`] an [`Engine`] takes
+//! (`sharded.request(&fs).exclude(..).evaluate()`), batches and the
+//! [`EngineService`] run it through the scheduling core they run an
+//! [`Engine`] through, and
+//! [`EngineBuilder::open_or_build`](crate::EngineBuilder::open_or_build)
+//! alone decides when an inventory is hosted sharded (`K > 1`, or a
+//! `shards.mpq` manifest on disk). A 1-shard merge stays buildable —
+//! it is the merge-overhead baseline — but nothing selects it: it
+//! costs 1.6–1.7× the single engine on the benchmark's `batch_indep`
+//! workload, which is why both evaluators exist.
+//!
 //! ## Versioning under sharding
 //!
 //! A single global [`Engine::inventory_version`] stamp would invalidate
@@ -63,12 +78,14 @@ use mpq_rtree::{IoSession, IoStats, PointSet};
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::{FunctionSet, ReverseTopOne};
 
-use crate::cache::{MutationLog, RequestKey};
+use crate::backend::{evaluate_batch_on, EvalBackend};
+use crate::cache::MutationLog;
 use crate::engine::{
-    validate_options_shape, Algorithm, BatchMetrics, BatchOutcome, Engine, RequestOptions,
+    validate_request, Algorithm, BatchOutcome, Engine, MatchRequest, RequestOptions,
 };
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, PeeledLog, SeedPart};
 use crate::service::{EngineService, ServiceConfig};
 
@@ -588,89 +605,37 @@ impl ShardedEngine {
             .map_err(|(index, source)| MpqError::InvalidFunction { index, source })
     }
 
-    /// Start a [`ShardedMatchRequest`] for `functions` with default
-    /// options.
-    pub fn request<'e, 'f>(&'e self, functions: &'f FunctionSet) -> ShardedMatchRequest<'e, 'f> {
-        ShardedMatchRequest {
-            engine: self,
-            functions,
-            options: RequestOptions::default(),
-        }
+    /// Start a [`MatchRequest`] for `functions` with default options.
+    pub fn request<'e, 'f>(
+        &'e self,
+        functions: &'f FunctionSet,
+    ) -> MatchRequest<'e, 'f, ShardedEngine> {
+        MatchRequest::new(self, functions)
     }
 
     /// Evaluate `functions` with default options (shorthand for
-    /// [`ShardedMatchRequest::evaluate`]).
+    /// [`MatchRequest::evaluate`]).
     pub fn evaluate(&self, functions: &FunctionSet) -> Result<Matching, MpqError> {
         self.request(functions).evaluate()
     }
 
     /// Progressive evaluation: stable pairs are yielded as soon as the
     /// merge resolves them, in canonical (descending) order. Mirrors
-    /// [`Engine::stream`]'s request shape: SB with incremental
-    /// maintenance, no capacities.
+    /// [`Engine::stream`]'s request shape: SB, no capacities.
     pub fn stream<'e>(&'e self, functions: &FunctionSet) -> Result<ShardedStream<'e>, MpqError> {
         self.request(functions).stream()
     }
 
     /// Evaluate independent requests on a scoped worker pool, returning
-    /// matchings **in input order** plus aggregated [`BatchMetrics`] —
-    /// the sharded mirror of [`Engine::evaluate_batch`]. `threads == 0`
+    /// matchings **in input order** plus aggregated batch metrics — the
+    /// same scheduling path as [`Engine::evaluate_batch`]. `threads == 0`
     /// means one worker per available core.
     pub fn evaluate_batch(
         &self,
-        requests: &[ShardedMatchRequest<'_, '_>],
+        requests: &[MatchRequest<'_, '_, ShardedEngine>],
         threads: usize,
     ) -> Result<BatchOutcome, MpqError> {
-        let wall_start = Instant::now();
-        let n = requests.len();
-        let threads = crate::service::resolved_workers(threads).clamp(1, n.max(1));
-        for request in requests {
-            if !std::ptr::eq(request.engine, self) {
-                return Err(MpqError::UnsupportedRequest(
-                    "request was built against a different engine than this batch's",
-                ));
-            }
-            request.validate()?;
-        }
-        let next = AtomicU64::new(0);
-        let results: Vec<Mutex<Option<Matching>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, AtomicOrdering::Relaxed) as usize;
-                    if i >= n {
-                        break;
-                    }
-                    let m = run_sharded_merge_seeded(
-                        self,
-                        requests[i].functions,
-                        &requests[i].options,
-                        None,
-                        None,
-                    );
-                    *lock(&results[i]) = Some(m);
-                });
-            }
-        });
-        let matchings: Vec<Matching> = results
-            .into_iter()
-            .map(|m| lock(&m).take().expect("every request evaluated"))
-            .collect();
-        let mut metrics = BatchMetrics {
-            threads,
-            requests: n,
-            ..BatchMetrics::default()
-        };
-        for m in &matchings {
-            let r = m.metrics();
-            metrics.io += r.io;
-            metrics.cpu_total += r.elapsed;
-            metrics.loops += r.loops;
-            metrics.top1_searches += r.top1_searches;
-            metrics.reverse_top1_calls += r.reverse_top1_calls;
-        }
-        metrics.wall = wall_start.elapsed();
-        Ok(BatchOutcome::from_parts(matchings, metrics))
+        evaluate_batch_on(self, requests, threads)
     }
 
     /// Start a long-lived [`EngineService`] over this sharded engine —
@@ -678,177 +643,105 @@ impl ShardedEngine {
     /// [`Engine::serve`], with cache entries stamped by the per-shard
     /// version vector.
     pub fn serve(self: Arc<Self>, config: ServiceConfig) -> EngineService {
-        EngineService::spawn_sharded(self, config)
-    }
-
-    /// Shared function validation (mirrors the unsharded engine's).
-    fn validate_functions(&self, functions: &FunctionSet) -> Result<(), MpqError> {
-        if functions.n_alive() == 0 {
-            return Err(MpqError::EmptyFunctions);
-        }
-        if functions.dim() != self.dim {
-            return Err(MpqError::DimensionMismatch {
-                engine: self.dim,
-                functions: functions.dim(),
-            });
-        }
-        Ok(())
+        EngineService::spawn(self, config)
     }
 }
 
-/// Request-shape checks for the sharded path — the same contract as the
-/// unsharded [`validate_options_shape`], against the sharded engine's
-/// global `oid_bound`.
-pub(crate) fn validate_sharded_options(
-    engine: &ShardedEngine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-) -> Result<(), MpqError> {
-    engine.validate_functions(functions)?;
-    validate_options_shape(engine.oid_bound() as usize, options)
-}
-
-/// The one sharded evaluation path: validate, then run the
-/// scatter-gather merge (all algorithms produce the canonical matching,
-/// so the merge serves every [`Algorithm`]).
-pub(crate) fn evaluate_sharded_options(
-    engine: &ShardedEngine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-) -> Result<Matching, MpqError> {
-    evaluate_sharded_options_seeded(engine, functions, options, None, None)
-}
-
-/// Seed-capable form of [`evaluate_sharded_options`] — the sharded
-/// mirror of [`crate::engine::evaluate_options_seeded`], with the same
-/// uniform dispatch contract. An [`EvalSeed`] here carries one
-/// [`SeedPart`] per shard (the partitioner already split the inventory;
-/// seeds follow that split), each pinned to its shard's version
-/// component; every shard independently primes from its part or falls
-/// back to a cold BBS build, and the unchanged scatter-gather merge
-/// runs over the primed probes. Capacitated requests decline seeds and
-/// capture nothing. Because the merge serves every [`Algorithm`]
-/// through the same probes, the sharded path is resumable for all of
-/// them.
-pub(crate) fn evaluate_sharded_options_seeded(
-    engine: &ShardedEngine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-    seed: Option<&EvalSeed>,
-    capture: Option<&mut Option<EvalSeed>>,
-) -> Result<Matching, MpqError> {
-    validate_sharded_options(engine, functions, options)?;
-    Ok(run_sharded_merge_seeded(
-        engine, functions, options, seed, capture,
-    ))
-}
-
-/// One evaluation against a prepared [`ShardedEngine`], configured
-/// fluently — the sharded mirror of [`crate::MatchRequest`]. All three
-/// algorithms resolve through the same merge (the canonical matching is
-/// unique), so [`ShardedMatchRequest::algorithm`] only affects request
-/// validation and cache identity.
-#[derive(Debug)]
-pub struct ShardedMatchRequest<'e, 'f> {
-    engine: &'e ShardedEngine,
-    functions: &'f FunctionSet,
-    options: RequestOptions,
-}
-
-impl<'e> ShardedMatchRequest<'e, '_> {
-    /// Select the algorithm (default [`Algorithm::Sb`]). The sharded
-    /// merge produces the identical canonical matching for all three.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.options.algorithm = algorithm;
-        self
+impl EvalBackend for ShardedEngine {
+    fn dim(&self) -> usize {
+        self.dim
     }
 
-    /// Mask out objects (same contract as [`crate::MatchRequest::exclude`]).
-    pub fn exclude<I: IntoIterator<Item = u64>>(mut self, oids: I) -> Self {
-        self.options.exclude.extend(oids);
-        self
+    fn n_objects(&self) -> usize {
+        ShardedEngine::n_objects(self)
     }
 
-    /// Per-object capacities, indexed by global object id up to
-    /// [`ShardedEngine::oid_bound`] (same contract as
-    /// [`crate::MatchRequest::capacities`]).
-    pub fn capacities(mut self, caps: &[u32]) -> Self {
-        self.options.capacities = Some(caps.to_vec());
-        self
+    fn oid_bound(&self) -> u64 {
+        ShardedEngine::oid_bound(self)
     }
 
-    /// The engine this request was built against.
-    pub(crate) fn engine(&self) -> &'e ShardedEngine {
-        self.engine
+    fn page_count(&self) -> usize {
+        self.shards.iter().map(|s| s.tree().page_count()).sum()
     }
 
-    /// Detach into owned parts for the service queue (mirrors
-    /// [`crate::MatchRequest`]'s pathway).
-    pub(crate) fn owned_parts(&self) -> (FunctionSet, RequestOptions) {
-        (self.functions.clone(), self.options.clone())
+    fn wal_bytes(&self) -> u64 {
+        ShardedEngine::wal_bytes(self)
     }
 
-    /// The canonical cache identity of this request — computed by the
-    /// same keying function as the unsharded path, so a sharded
-    /// service's cache behaves identically.
-    pub fn cache_key(&self) -> RequestKey {
-        crate::cache::request_key(self.functions, &self.options)
+    fn version_vector(&self) -> Vec<u64> {
+        ShardedEngine::version_vector(self)
     }
 
-    /// All the request-shape checks evaluation can fail on.
-    pub(crate) fn validate(&self) -> Result<(), MpqError> {
-        validate_sharded_options(self.engine, self.functions, &self.options)
+    fn mutation_logs(&self) -> Vec<&MutationLog> {
+        ShardedEngine::mutation_logs(self)
     }
 
-    /// Validate and evaluate the request through the scatter-gather
-    /// merge. Pairs are emitted in canonical (descending) order;
-    /// the matching is bit-identical to the unsharded engine's
-    /// canonical result.
-    pub fn evaluate(&self) -> Result<Matching, MpqError> {
-        evaluate_sharded_options(self.engine, self.functions, &self.options)
+    fn storage_stats(&self) -> IoStats {
+        ShardedEngine::storage_stats(self)
     }
 
-    /// Seed-capable [`ShardedMatchRequest::evaluate`] — the sharded
-    /// mirror of [`crate::MatchRequest::evaluate_seeded`]: primes every
-    /// shard's probe from its slice of `seed` (when the seed is still
-    /// pinned to the engine's current version vector; cold otherwise)
-    /// and returns the per-shard [`EvalSeed`] this evaluation captured.
-    /// Seeded and cold evaluation are score-bit-identical.
-    pub fn evaluate_seeded(
+    fn shard_gauges(&self) -> Vec<ShardGauges> {
+        ShardedEngine::shard_gauges(self)
+    }
+
+    fn skipped_shards(&self) -> u64 {
+        ShardedEngine::skipped_shards(self)
+    }
+
+    /// The one sharded evaluation path: validate, then run the
+    /// scatter-gather merge (all algorithms produce the canonical
+    /// matching, so the merge serves every [`Algorithm`] — and is
+    /// resumable for all of them). An [`EvalSeed`] here carries one
+    /// seed part per shard (the partitioner already split the
+    /// inventory; seeds follow that split), each pinned to its shard's
+    /// version component; every shard independently primes from its part
+    /// or falls back to a cold BBS build. Capacitated requests decline
+    /// seeds and capture nothing. The probes own their working state,
+    /// so the scratch goes unused.
+    fn evaluate_seeded(
         &self,
+        functions: &FunctionSet,
+        options: &RequestOptions,
+        _scratch: &mut Scratch,
         seed: Option<&EvalSeed>,
-    ) -> Result<(Matching, Option<EvalSeed>), MpqError> {
-        let mut captured = None;
-        let matching = evaluate_sharded_options_seeded(
-            self.engine,
-            self.functions,
-            &self.options,
-            seed,
-            Some(&mut captured),
-        )?;
-        Ok((matching, captured))
+        capture: Option<&mut Option<EvalSeed>>,
+    ) -> Result<Matching, MpqError> {
+        validate_request(self, functions, options)?;
+        self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        let start = Instant::now();
+        let (mut state, captured) =
+            MergeState::new_seeded(self, functions, options, seed, capture.is_some());
+        if let Some(out) = capture {
+            *out = captured;
+        }
+        let mut pairs = Vec::new();
+        while let Some(p) = state.next_pair() {
+            pairs.push(p);
+        }
+        let metrics = RunMetrics {
+            elapsed: start.elapsed(),
+            io: state.io_total(),
+            loops: state.rounds,
+            reverse_top1_calls: state.reverse_top1_total(),
+            ..RunMetrics::default()
+        };
+        Ok(Matching::new(pairs, metrics))
     }
 
-    /// Progressive evaluation: yield stable pairs as the merge resolves
-    /// them. Mirrors [`crate::MatchRequest::stream`]'s shape requirements.
-    pub fn stream(&self) -> Result<ShardedStream<'e>, MpqError> {
-        self.validate()?;
-        if self.options.algorithm != Algorithm::Sb {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming is only supported with Algorithm::Sb",
-            ));
-        }
-        if self.options.capacities.is_some() {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming does not support capacities",
-            ));
-        }
-        self.engine
-            .evaluations
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(ShardedStream {
-            state: MergeState::new(self.engine, self.functions, &self.options),
-        })
+    fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
+        ShardedEngine::insert_object(self, point)
+    }
+
+    fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
+        ShardedEngine::remove_object(self, oid)
+    }
+
+    fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
+        ShardedEngine::update_object(self, oid, point)
+    }
+
+    fn checkpoint(&self) -> Result<(), MpqError> {
+        ShardedEngine::checkpoint(self)
     }
 }
 
@@ -873,6 +766,31 @@ pub struct ShardGauges {
 /// them (the sharded mirror of [`crate::SbStream`]).
 pub struct ShardedStream<'e> {
     state: MergeState<'e>,
+}
+
+impl<'e> ShardedStream<'e> {
+    /// Open a stream for an already validated request (see
+    /// [`MatchRequest::stream`]).
+    pub(crate) fn open(
+        engine: &'e ShardedEngine,
+        functions: &FunctionSet,
+        options: &RequestOptions,
+    ) -> Result<ShardedStream<'e>, MpqError> {
+        if options.algorithm != Algorithm::Sb {
+            return Err(MpqError::UnsupportedRequest(
+                "streaming is only supported with Algorithm::Sb",
+            ));
+        }
+        if options.capacities.is_some() {
+            return Err(MpqError::UnsupportedRequest(
+                "streaming does not support capacities",
+            ));
+        }
+        engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        Ok(ShardedStream {
+            state: MergeState::new_seeded(engine, functions, options, None, false).0,
+        })
+    }
 }
 
 impl Iterator for ShardedStream<'_> {
@@ -1077,16 +995,8 @@ struct MergeState<'e> {
 }
 
 impl<'e> MergeState<'e> {
-    fn new(
-        engine: &'e ShardedEngine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-    ) -> MergeState<'e> {
-        MergeState::new_seeded(engine, functions, options, None, false).0
-    }
-
-    /// [`MergeState::new`] with per-shard seed priming and capture:
-    /// shard `i` primes from `seed.parts[i]` (when still pinned to the
+    /// Build and probe every shard, with per-shard seed priming and
+    /// capture: shard `i` primes from `seed.parts[i]` (when still pinned to the
     /// shard's current version) and, when `capture` is set, reports its
     /// own post-peel snapshot. The assembled [`EvalSeed`] is returned
     /// only if *every* shard captured — a partial seed cannot resume a
@@ -1256,37 +1166,6 @@ impl<'e> MergeState<'e> {
     fn reverse_top1_total(&self) -> u64 {
         self.shards.iter().map(|s| s.reverse_top1_calls).sum()
     }
-}
-
-/// Run one full scatter-gather merge (the sharded mirror of the
-/// unsharded engine's single evaluation path). The caller has already
-/// validated the request shape.
-fn run_sharded_merge_seeded(
-    engine: &ShardedEngine,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-    seed: Option<&EvalSeed>,
-    capture: Option<&mut Option<EvalSeed>>,
-) -> Matching {
-    engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-    let start = Instant::now();
-    let (mut state, captured) =
-        MergeState::new_seeded(engine, functions, options, seed, capture.is_some());
-    if let Some(out) = capture {
-        *out = captured;
-    }
-    let mut pairs = Vec::new();
-    while let Some(p) = state.next_pair() {
-        pairs.push(p);
-    }
-    let metrics = RunMetrics {
-        elapsed: start.elapsed(),
-        io: state.io_total(),
-        loops: state.rounds,
-        reverse_top1_calls: state.reverse_top1_total(),
-        ..RunMetrics::default()
-    };
-    Matching::new(pairs, metrics)
 }
 
 #[cfg(test)]

@@ -113,7 +113,7 @@ fn unrelated_cache_entries_survive_a_mutation() {
 
     let submit = |fs: &FunctionSet| {
         client
-            .submit(client.engine().request(fs))
+            .submit(client.backend().request(fs))
             .unwrap()
             .wait()
             .unwrap()
@@ -173,7 +173,7 @@ fn entries_excluding_the_mutated_object_survive() {
 
     let submit_excluding = || {
         client
-            .submit(client.engine().request(&fs).exclude([2u64]))
+            .submit(client.backend().request(&fs).exclude([2u64]))
             .unwrap()
             .wait()
             .unwrap()
@@ -204,7 +204,7 @@ fn stale_entries_are_swept_out_of_the_metrics() {
     let fs = base_functions();
 
     client
-        .submit(client.engine().request(&fs))
+        .submit(client.backend().request(&fs))
         .unwrap()
         .wait()
         .unwrap();
@@ -215,7 +215,7 @@ fn stale_entries_are_swept_out_of_the_metrics() {
     engine.insert_object(&[0.99, 0.99]).unwrap();
     let other = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
     client
-        .submit(client.engine().request(&other))
+        .submit(client.backend().request(&other))
         .unwrap()
         .wait()
         .unwrap();

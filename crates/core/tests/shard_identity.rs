@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mpq_core::{
-    Algorithm, Engine, GridPartitioner, MpqError, ServiceConfig, ShardedEngine, SubmitOptions,
+    reference_matching, reference_matching_excluding, verify_stable, Algorithm, Engine,
+    EngineService, EvalBackend, GridPartitioner, Matching, MpqError, Pair, ServiceConfig,
+    ShardedEngine, SubmitOptions, Ticket,
 };
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -66,7 +68,7 @@ fn functions(dim: usize, n: usize, seed: u64) -> FunctionSet {
 const ALGORITHMS: [Algorithm; 3] = [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain];
 
 /// Bit-exact pair comparison: scores via `to_bits`, not epsilon.
-fn exact(pairs: &[mpq_core::Pair]) -> Vec<(u32, u64, u64)> {
+fn exact(pairs: &[Pair]) -> Vec<(u32, u64, u64)> {
     pairs
         .iter()
         .map(|p| (p.fid, p.oid, p.score.to_bits()))
@@ -342,118 +344,217 @@ fn hash_partition_is_stable_across_reopen() {
     assert_eq!(membership(&reopened), before);
 }
 
-/// The version-vector cache audit: a mutation that lands on one shard
-/// and provably cannot change a cached matching (a dominated insert)
-/// must not cost a re-evaluation — the per-shard mutation logs
-/// revalidate the entry component-wise. A mutation that *can* change
-/// the result must re-evaluate.
+/// Every hosting path runs on every backend: the unsharded engine and
+/// the scatter-gather merge at K = 1 and K = 4, each with the number of
+/// per-shard gauge rows its service must report.
+fn backends(objects: &PointSet) -> Vec<(&'static str, Arc<dyn EvalBackend>, usize)> {
+    let sharded = |k| {
+        ShardedEngine::builder()
+            .objects(objects)
+            .shards(k)
+            .build()
+            .unwrap()
+    };
+    vec![
+        (
+            "engine",
+            Arc::new(Engine::builder().objects(objects).build().unwrap()),
+            0,
+        ),
+        ("sharded K=1", Arc::new(sharded(1)), 1),
+        ("sharded K=4", Arc::new(sharded(4)), 4),
+    ]
+}
+
+fn sorted_exact(mut pairs: Vec<Pair>) -> Vec<(u32, u64, u64)> {
+    pairs.sort_unstable();
+    exact(&pairs)
+}
+
+/// One body, every backend, behind `&dyn EvalBackend`: direct
+/// evaluation, the batch path and the service (cold, cached, seeded
+/// near-miss) — all three algorithms, exclusions and capacities — must
+/// produce the reference matching bit for bit.
+#[test]
+fn every_backend_serves_the_reference_matching_on_every_path() {
+    let objects = seeded_points(160, 3, 0x0B0D);
+    let fs = functions(3, 12, 0x1DEA);
+    let exclude: Vec<u64> = vec![3, 17, 42, 99, 140];
+    // 0/1 capacities are exclusions by another name, so the exact
+    // reference covers them (multi-unit capacities are compared across
+    // engines in `sharded_matches_unsharded_for_all_algorithms_and_options`).
+    let caps: Vec<u32> = (0..objects.len() as u64)
+        .map(|oid| u32::from(oid % 4 != 0))
+        .collect();
+    let want_plain = sorted_exact(reference_matching(&objects, &fs));
+    let reference_without = |gone: &dyn Fn(u64) -> bool| {
+        sorted_exact(reference_matching_excluding(&objects, &fs, gone))
+    };
+    let want_masked = reference_without(&|oid| exclude.contains(&oid));
+    let want_caps = reference_without(&|oid| caps[oid as usize] == 0);
+    let want_refined = reference_without(&|oid| oid == exclude[0]);
+
+    for (name, backend, gauge_rows) in backends(&objects) {
+        let plain = |alg| backend.request(&fs).algorithm(alg);
+        let masked = |alg| plain(alg).exclude(exclude.iter().copied());
+        let capped = || backend.request(&fs).capacities(&caps);
+        let got = |m: &Matching| exact(&m.sorted_pairs());
+
+        // Direct evaluation and the batch path.
+        for alg in ALGORITHMS {
+            let direct = plain(alg).evaluate().unwrap();
+            assert_eq!(got(&direct), want_plain, "{name}, {alg:?}, direct");
+            verify_stable(&objects, &fs, direct.pairs())
+                .unwrap_or_else(|e| panic!("{name}, {alg:?}: {e}"));
+            let direct = masked(alg).evaluate().unwrap();
+            assert_eq!(got(&direct), want_masked, "{name}, {alg:?}, masked");
+
+            let batch = backend
+                .evaluate_batch(&[plain(alg), masked(alg)], 2)
+                .unwrap();
+            assert_eq!(got(&batch.matchings()[0]), want_plain, "{name}, {alg:?}");
+            assert_eq!(got(&batch.matchings()[1]), want_masked, "{name}, {alg:?}");
+        }
+        let direct = capped().evaluate().unwrap();
+        assert_eq!(got(&direct), want_caps, "{name}, capacities");
+
+        // The service: cold, then cached.
+        let service =
+            EngineService::spawn(Arc::clone(&backend), ServiceConfig::default().workers(2));
+        let client = service.client();
+        let serve = |request| client.submit(request).unwrap().wait().unwrap();
+        for alg in ALGORITHMS {
+            let cold = serve(plain(alg));
+            assert_eq!(got(&cold), want_plain, "{name}, {alg:?}, cold ticket");
+            let hits = client.metrics().cache.hits;
+            let cached = serve(plain(alg));
+            assert_eq!(got(&cached), want_plain, "{name}, {alg:?}, cached ticket");
+            assert_eq!(client.metrics().cache.hits, hits + 1, "{name}, {alg:?}");
+            assert_eq!(got(&serve(masked(alg))), want_masked, "{name}, {alg:?}");
+        }
+        assert_eq!(got(&serve(capped())), want_caps, "{name}, capacities");
+
+        // One exclusion away from the cached SB request: a near miss,
+        // evaluated seeded from the donor's captured state.
+        let seeded = client.metrics().cache.seeded_hits;
+        let refined = serve(backend.request(&fs).exclude([exclude[0]]));
+        assert_eq!(got(&refined), want_refined, "{name}, seeded near-miss");
+        assert_eq!(client.metrics().cache.seeded_hits, seeded + 1, "{name}");
+
+        // Per-shard gauges surface exactly when there are shards.
+        let metrics = client.metrics();
+        assert_eq!(metrics.shards.len(), gauge_rows, "{name}");
+        if gauge_rows > 0 {
+            let covered: usize = metrics.shards.iter().map(|s| s.objects).sum();
+            assert_eq!(covered, objects.len(), "{name}: gauges cover the inventory");
+        }
+        let json = metrics.to_json();
+        assert!(json.get("shards").is_some() && json.get("skipped_shards").is_some());
+        service.shutdown();
+    }
+}
+
+/// The version-vector cache audit, on every backend: a mutation that
+/// provably cannot change a cached matching (a dominated insert, which
+/// lands on exactly one shard) must not cost a re-evaluation — the
+/// per-shard mutation logs revalidate the entry component-wise. A
+/// mutation that *can* change the result must re-evaluate.
 #[test]
 fn cache_entries_survive_mutations_scoped_to_other_shards() {
     let objects = seeded_points(80, 2, 0xCACE);
     let fs = functions(2, 6, 0x77);
-    let sharded = Arc::new(
-        ShardedEngine::builder()
-            .objects(&objects)
-            .shards(4)
-            .build()
-            .unwrap(),
-    );
-    let service = Arc::clone(&sharded).serve(ServiceConfig::default().workers(1));
-    let client = service.client();
+    for (name, backend, _) in backends(&objects) {
+        let service =
+            EngineService::spawn(Arc::clone(&backend), ServiceConfig::default().workers(1));
+        let client = service.client();
+        let submit = || client.submit(backend.request(&fs)).unwrap().wait().unwrap();
+        let first = submit();
+        assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
+        assert_eq!(
+            client.metrics().cache.hits,
+            1,
+            "{name}: identical resubmission must be a cache hit"
+        );
 
-    let submit = || {
-        client
-            .submit_sharded(sharded.request(&fs))
-            .unwrap()
-            .wait()
-            .unwrap()
-    };
-    let first = submit();
-    let evals_after_first = sharded.evaluation_count();
-    assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
-    assert_eq!(
-        sharded.evaluation_count(),
-        evals_after_first,
-        "identical resubmission must be a cache hit"
-    );
+        // A deeply dominated insert bumps exactly one component of the
+        // version vector; the logs prove the matching unchanged and the
+        // entry is restamped, not evicted.
+        let versions_before = backend.version_vector();
+        backend.insert_object(&[0.001, 0.001]).unwrap();
+        let versions_after = backend.version_vector();
+        assert_eq!(
+            versions_before
+                .iter()
+                .zip(&versions_after)
+                .filter(|(a, b)| a != b)
+                .count(),
+            1,
+            "{name}: one mutation bumps exactly one shard's version"
+        );
+        assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
+        let cache = client.metrics().cache;
+        assert_eq!(
+            (cache.hits, cache.revalidations),
+            (2, 1),
+            "{name}: a dominated insert must not evict the cached matching"
+        );
 
-    // A deeply dominated insert bumps exactly one component of the
-    // version vector; the logs prove the matching unchanged and the
-    // entry is restamped, not evicted.
-    let versions_before = sharded.version_vector();
-    sharded.insert_object(&[0.001, 0.001]).unwrap();
-    let versions_after = sharded.version_vector();
-    assert_eq!(
-        versions_before
-            .iter()
-            .zip(&versions_after)
-            .filter(|(a, b)| a != b)
-            .count(),
-        1,
-        "one mutation bumps exactly one shard's version"
-    );
-    assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
-    assert_eq!(
-        sharded.evaluation_count(),
-        evals_after_first,
-        "a dominated insert on one shard must not evict the cached matching"
-    );
-
-    // A dominating insert can win a greedy round: the entry must fall
-    // back to a real re-evaluation (and the result changes).
-    sharded.insert_object(&[0.999, 0.999]).unwrap();
-    let after = submit();
-    assert!(
-        sharded.evaluation_count() > evals_after_first,
-        "a result-changing mutation must re-evaluate"
-    );
-    assert_ne!(after.sorted_pairs(), first.sorted_pairs());
+        // A dominating insert can win a greedy round: the entry must
+        // fall back to a real re-evaluation (and the result changes).
+        backend.insert_object(&[0.999, 0.999]).unwrap();
+        let after = submit();
+        assert_eq!(
+            client.metrics().cache.hits,
+            2,
+            "{name}: a result-changing mutation must re-evaluate"
+        );
+        assert_ne!(after.sorted_pairs(), first.sorted_pairs());
+    }
 }
 
-/// Service submission against a sharded backend: the ticket resolves to
-/// the scatter-gather result, per-shard gauges surface in the metrics,
-/// and requests built against a different engine are refused with the
-/// same message the unsharded service uses.
+/// A request is only ever evaluated by the backend it was built
+/// against: a service refuses one built on any other backend — of the
+/// other kind (in both directions) or another instance of its own kind —
+/// with one message, and accepts its own backend's requests whether
+/// they were built through the concrete engine or the trait object.
 #[test]
-fn sharded_service_serves_tickets_and_per_shard_metrics() {
+fn services_refuse_requests_built_on_another_backend() {
     let objects = seeded_points(100, 3, 0x5E4E);
     let fs = functions(3, 10, 0x42);
-    let sharded = Arc::new(
-        ShardedEngine::builder()
-            .objects(&objects)
-            .shards(3)
-            .build()
-            .unwrap(),
-    );
+    let build_single = || Arc::new(Engine::builder().objects(&objects).build().unwrap());
+    let build_sharded = || {
+        let builder = ShardedEngine::builder().objects(&objects).shards(3);
+        Arc::new(builder.build().unwrap())
+    };
+    let (single, other_single) = (build_single(), build_single());
+    let (sharded, other_sharded) = (build_sharded(), build_sharded());
+    let single_service = Arc::clone(&single).serve(ServiceConfig::default().workers(1));
+    let sharded_service = Arc::clone(&sharded).serve(ServiceConfig::default().workers(1));
+    let (to_single, to_sharded) = (single_service.client(), sharded_service.client());
+
+    let refused = |submitted: Result<Ticket, MpqError>| {
+        assert_eq!(
+            submitted.unwrap_err(),
+            MpqError::UnsupportedRequest(
+                "request was built against a different engine than this service serves"
+            )
+        );
+    };
+    refused(to_single.submit(sharded.request(&fs)));
+    refused(to_sharded.submit(single.request(&fs)));
+    refused(to_single.submit(other_single.request(&fs)));
+    refused(to_sharded.submit(other_sharded.request(&fs)));
+    refused(to_single.submit(to_sharded.backend().request(&fs)));
+    refused(to_sharded.submit_with(to_single.backend().request(&fs), SubmitOptions::default()));
+
     let direct = sharded.request(&fs).evaluate().unwrap();
-
-    let service = Arc::clone(&sharded).serve(ServiceConfig::default().workers(2));
-    assert!(service.sharded().is_some());
-    let client = service.client();
-    let served = client
-        .submit_sharded_with(sharded.request(&fs), SubmitOptions::default())
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!(exact(&served.sorted_pairs()), exact(&direct.sorted_pairs()));
-
-    let metrics = client.metrics();
-    assert_eq!(metrics.shards.len(), 3, "one gauge row per shard");
-    assert_eq!(
-        metrics.shards.iter().map(|s| s.objects).sum::<usize>(),
-        100,
-        "gauges cover the whole inventory"
-    );
-    let json = metrics.to_json();
-    assert!(json.get("shards").is_some());
-    assert!(json.get("skipped_shards").is_some());
-
-    // A request built against a foreign sharded engine is refused.
-    let other = ShardedEngine::builder()
-        .objects(&objects)
-        .shards(3)
-        .build()
-        .unwrap();
-    let err = client.submit_sharded(other.request(&fs)).unwrap_err();
-    assert!(matches!(err, MpqError::UnsupportedRequest(_)), "{err:?}");
+    for ticket in [
+        to_single.submit(single.request(&fs)),
+        to_single.submit(to_single.backend().request(&fs)),
+        to_sharded.submit(sharded.request(&fs)),
+        to_sharded.submit(to_sharded.backend().request(&fs)),
+    ] {
+        let served = ticket.unwrap().wait().unwrap();
+        assert_eq!(exact(&served.sorted_pairs()), exact(&direct.sorted_pairs()));
+    }
 }

@@ -23,8 +23,8 @@ use std::time::Duration;
 
 use mpq_core::service::{BackpressurePolicy, QueueOrdering};
 use mpq_core::{
-    Algorithm, Engine, EngineService, HealthMonitor, MpqError, ServiceClient, ServiceConfig,
-    ShardedEngine, SubmitOptions, Ticket,
+    Algorithm, Engine, EngineService, EvalBackend, HealthMonitor, MpqError, ServiceClient,
+    ServiceConfig, SubmitOptions, Ticket,
 };
 use mpq_ta::FunctionSet;
 
@@ -49,9 +49,10 @@ pub struct TenantConfig {
     pub seed_delta_bound: usize,
     /// Rolling latency window for p50/p99 (also feeds `Retry-After`).
     pub latency_window: usize,
-    /// Shards of the hosted engine: `1` hosts a plain [`Engine`], `> 1`
-    /// a [`ShardedEngine`] with this many hash-partitioned shards.
-    /// `0` is rejected at tenant creation.
+    /// Shards of the hosted engine: `1` hosts a plain
+    /// [`Engine`], `> 1` a
+    /// [`ShardedEngine`](mpq_core::ShardedEngine) with this many
+    /// hash-partitioned shards. `0` is rejected at tenant creation.
     pub shards: usize,
 }
 
@@ -86,7 +87,9 @@ impl TenantConfig {
     }
 }
 
-/// One hosted engine with its private service.
+/// One hosted backend — an [`Engine`] or a
+/// [`ShardedEngine`](mpq_core::ShardedEngine), the tenant never asks
+/// which — with its private service.
 ///
 /// ## Health and degraded mode
 ///
@@ -97,67 +100,14 @@ impl TenantConfig {
 /// the server answers `503` with a `Retry-After` from the monitor's
 /// backoff — while reads keep serving from the engine's pinned epoch
 /// snapshot and result cache. A background **recovery probe** thread
-/// retries [`Engine::checkpoint`] with capped exponential backoff; the
-/// first success restores `Healthy`.
+/// retries [`EvalBackend::checkpoint`] with capped exponential backoff;
+/// the first success restores `Healthy`.
 pub struct Tenant {
     name: String,
-    engine: TenantEngine,
     service: EngineService,
     client: ServiceClient,
     probe_stop: Arc<AtomicBool>,
     probe_handle: Option<thread::JoinHandle<()>>,
-}
-
-/// The engine a tenant hosts: a plain [`Engine`] or, with
-/// `shards=K > 1` in its [`TenantConfig`], a [`ShardedEngine`]. Both
-/// expose the same wire surface (match submission, mutations,
-/// checkpoint-as-repair), so everything above this enum is
-/// shard-agnostic.
-#[derive(Clone)]
-enum TenantEngine {
-    Single(Arc<Engine>),
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl TenantEngine {
-    fn checkpoint(&self) -> Result<(), MpqError> {
-        match self {
-            TenantEngine::Single(e) => e.checkpoint(),
-            TenantEngine::Sharded(s) => s.checkpoint(),
-        }
-    }
-
-    fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
-        match self {
-            TenantEngine::Single(e) => e.insert_object(point),
-            TenantEngine::Sharded(s) => s.insert_object(point),
-        }
-    }
-
-    fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
-        match self {
-            TenantEngine::Single(e) => e.remove_object(oid),
-            TenantEngine::Sharded(s) => s.remove_object(oid),
-        }
-    }
-
-    fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
-        match self {
-            TenantEngine::Single(e) => e.update_object(oid, point),
-            TenantEngine::Sharded(s) => s.update_object(oid, point),
-        }
-    }
-
-    /// A monotone scalar version for mutation acks: the single engine's
-    /// inventory version, or the sum of the sharded version vector
-    /// (each mutation bumps exactly one component, so the sum advances
-    /// by one per committed mutation).
-    fn ack_version(&self) -> u64 {
-        match self {
-            TenantEngine::Single(e) => e.inventory_version(),
-            TenantEngine::Sharded(s) => s.version_vector().iter().sum(),
-        }
-    }
 }
 
 impl Drop for Tenant {
@@ -175,7 +125,7 @@ impl Drop for Tenant {
 const PROBE_POLL: Duration = Duration::from_millis(10);
 
 fn spawn_probe(
-    engine: TenantEngine,
+    backend: Arc<dyn EvalBackend>,
     health: Arc<HealthMonitor>,
     stop: Arc<AtomicBool>,
 ) -> thread::JoinHandle<()> {
@@ -188,7 +138,7 @@ fn spawn_probe(
                     // A checkpoint is the repair primitive: it flushes
                     // the dirty pages, commits a new header and
                     // truncates (un-wedging) the WAL.
-                    match engine.checkpoint() {
+                    match backend.checkpoint() {
                         Ok(()) => health.report_success(),
                         Err(_) => {
                             let _ = health.report_failure();
@@ -207,38 +157,15 @@ impl Tenant {
         &self.name
     }
 
-    /// The hosted engine (for request building and direct evaluation in
+    /// The hosted backend (for request building and direct evaluation in
     /// tests).
-    ///
-    /// # Panics
-    ///
-    /// If the tenant hosts a sharded engine (`shards > 1`) — use
-    /// [`Tenant::sharded`] there, or the shard-agnostic
-    /// [`Tenant::submit_match`].
-    pub fn engine(&self) -> &Arc<Engine> {
-        match &self.engine {
-            TenantEngine::Single(engine) => engine,
-            TenantEngine::Sharded(_) => {
-                panic!("this tenant hosts a sharded engine; use Tenant::sharded")
-            }
-        }
-    }
-
-    /// The hosted [`ShardedEngine`], when this tenant was created with
-    /// `shards > 1`; `None` for a plain engine.
-    pub fn sharded(&self) -> Option<&Arc<ShardedEngine>> {
-        match &self.engine {
-            TenantEngine::Single(_) => None,
-            TenantEngine::Sharded(sharded) => Some(sharded),
-        }
+    pub fn backend(&self) -> &Arc<dyn EvalBackend> {
+        self.service.backend()
     }
 
     /// Shards of the hosted engine (`1` for a plain engine).
     pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            TenantEngine::Single(_) => 1,
-            TenantEngine::Sharded(sharded) => sharded.shard_count(),
-        }
+        self.backend().version_vector().len()
     }
 
     /// A cloneable submission handle to this tenant's service.
@@ -246,10 +173,8 @@ impl Tenant {
         &self.client
     }
 
-    /// Build and submit a match request against whichever engine this
-    /// tenant hosts — the shard-agnostic submission path the wire layer
-    /// uses. Validation, cache consultation and in-flight dedupe all
-    /// behave identically for both engine kinds.
+    /// Build and submit a match request against the hosted backend — the
+    /// submission path the wire layer uses.
     pub fn submit_match(
         &self,
         functions: &FunctionSet,
@@ -258,28 +183,15 @@ impl Tenant {
         capacities: Option<&[u32]>,
         options: SubmitOptions,
     ) -> Result<Ticket, MpqError> {
-        match &self.engine {
-            TenantEngine::Single(engine) => {
-                let mut req = engine
-                    .request(functions)
-                    .algorithm(algorithm)
-                    .exclude(exclude.iter().copied());
-                if let Some(caps) = capacities {
-                    req = req.capacities(caps);
-                }
-                self.client.submit_with(req, options)
-            }
-            TenantEngine::Sharded(sharded) => {
-                let mut req = sharded
-                    .request(functions)
-                    .algorithm(algorithm)
-                    .exclude(exclude.iter().copied());
-                if let Some(caps) = capacities {
-                    req = req.capacities(caps);
-                }
-                self.client.submit_sharded_with(req, options)
-            }
+        let mut req = self
+            .backend()
+            .request(functions)
+            .algorithm(algorithm)
+            .exclude(exclude.iter().copied());
+        if let Some(caps) = capacities {
+            req = req.capacities(caps);
         }
+        self.client.submit_with(req, options)
     }
 
     /// Snapshot of this tenant's service metrics.
@@ -298,9 +210,12 @@ impl Tenant {
         self.service.health()
     }
 
-    /// Apply a wire mutation to the hosted engine.
+    /// Apply a wire mutation to the hosted backend.
     ///
-    /// Returns `(oid, inventory_version)` — `oid` only for inserts.
+    /// Returns `(oid, version)` — `oid` only for inserts; `version` is
+    /// the sum of the backend's version vector, a monotone scalar (each
+    /// mutation bumps exactly one component) that equals
+    /// [`Engine::inventory_version`] on a single engine.
     /// Storage failures ([`MpqError::Io`], [`MpqError::StorageDegraded`])
     /// are reported to the health monitor, and while the tenant is not
     /// healthy further mutations are refused up front with
@@ -311,17 +226,16 @@ impl Tenant {
         if !self.health().state().is_healthy() {
             return Err(MpqError::StorageDegraded);
         }
+        let backend = self.backend();
         let result = match mutation {
-            WireMutation::Insert(point) => self.engine.insert_object(point).map(Some),
-            WireMutation::Remove(oid) => self.engine.remove_object(*oid).map(|()| None),
-            WireMutation::Update(oid, point) => {
-                self.engine.update_object(*oid, point).map(|()| None)
-            }
+            WireMutation::Insert(point) => backend.insert_object(point).map(Some),
+            WireMutation::Remove(oid) => backend.remove_object(*oid).map(|()| None),
+            WireMutation::Update(oid, point) => backend.update_object(*oid, point).map(|()| None),
         };
         match result {
             Ok(oid) => {
                 self.health().report_success();
-                Ok((oid, self.engine.ack_version()))
+                Ok((oid, backend.version_vector().iter().sum()))
             }
             Err(e @ (MpqError::Io(_) | MpqError::StorageDegraded)) => {
                 let _ = self.health().report_failure();
@@ -353,36 +267,26 @@ impl TenantRegistry {
         Self::default()
     }
 
-    /// Host `engine` as tenant `name`, spawning its service.
+    /// Host a pre-built `engine` — an [`Engine`] or a
+    /// [`ShardedEngine`](mpq_core::ShardedEngine) — as tenant `name`,
+    /// spawning its service.
     ///
     /// Fails with [`MpqError::UnsupportedRequest`] on an invalid or
     /// duplicate name.
-    pub fn add_engine(
+    pub fn add_engine<B: EvalBackend + 'static>(
         &mut self,
         name: &str,
-        engine: Arc<Engine>,
+        engine: Arc<B>,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        let service = Arc::clone(&engine).serve(config.service_config());
-        self.host(name, TenantEngine::Single(engine), service)
-    }
-
-    /// Host a pre-built [`ShardedEngine`] as tenant `name`.
-    pub fn add_sharded_engine(
-        &mut self,
-        name: &str,
-        engine: Arc<ShardedEngine>,
-        config: TenantConfig,
-    ) -> Result<(), MpqError> {
-        let service = Arc::clone(&engine).serve(config.service_config());
-        self.host(name, TenantEngine::Sharded(engine), service)
+        self.host(name, engine, config)
     }
 
     fn host(
         &mut self,
         name: &str,
-        engine: TenantEngine,
-        service: EngineService,
+        backend: Arc<dyn EvalBackend>,
+        config: TenantConfig,
     ) -> Result<(), MpqError> {
         if !valid_tenant_name(name) {
             return Err(MpqError::UnsupportedRequest(
@@ -392,10 +296,11 @@ impl TenantRegistry {
         if self.tenants.contains_key(name) {
             return Err(MpqError::UnsupportedRequest("duplicate tenant name"));
         }
+        let service = EngineService::spawn(Arc::clone(&backend), config.service_config());
         let client = service.client();
         let probe_stop = Arc::new(AtomicBool::new(false));
         let probe_handle = spawn_probe(
-            engine.clone(),
+            backend,
             Arc::clone(service.health()),
             Arc::clone(&probe_stop),
         );
@@ -403,7 +308,6 @@ impl TenantRegistry {
             name.to_string(),
             Arc::new(Tenant {
                 name: name.to_string(),
-                engine,
                 service,
                 client,
                 probe_stop,
@@ -413,35 +317,29 @@ impl TenantRegistry {
         Ok(())
     }
 
-    /// Build an in-memory engine over `objects` and host it. With
-    /// `config.shards > 1` the engine is a hash-partitioned
-    /// [`ShardedEngine`]; `config.shards == 0` is rejected.
+    /// Build an in-memory engine over `objects` and host it: a plain
+    /// [`Engine`] for `config.shards == 1`, a hash-partitioned
+    /// [`ShardedEngine`](mpq_core::ShardedEngine) otherwise
+    /// (`config.shards == 0` is rejected) — see
+    /// [`EngineBuilder::open_or_build`](mpq_core::EngineBuilder::open_or_build).
     pub fn add_objects(
         &mut self,
         name: &str,
         objects: &PointSet,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        if config.shards != 1 {
-            // 0 is rejected by the builder with a tenant-legible error.
-            let engine = Arc::new(
-                ShardedEngine::builder()
-                    .objects(objects)
-                    .shards(config.shards)
-                    .build()?,
-            );
-            return self.add_sharded_engine(name, engine, config);
-        }
-        let engine = Arc::new(Engine::builder().objects(objects).build()?);
-        self.add_engine(name, engine, config)
+        let backend = Engine::builder()
+            .objects(objects)
+            .open_or_build(config.shards)?;
+        self.host(name, backend, config)
     }
 
     /// Host a disk-backed tenant rooted at `data_dir`. If the directory
     /// already holds a persisted inventory it is **reopened** (WAL
     /// replay included — per shard when the directory holds a sharded
-    /// layout); otherwise a fresh engine over `objects` is created
-    /// there, sharded when `config.shards > 1`. `objects` may be `None`
-    /// only when reopening.
+    /// layout, whatever `config.shards` says); otherwise a fresh engine
+    /// over `objects` is created there, sharded when
+    /// `config.shards > 1`. `objects` may be `None` only when reopening.
     pub fn add_persistent(
         &mut self,
         name: &str,
@@ -449,34 +347,11 @@ impl TenantRegistry {
         data_dir: PathBuf,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        if ShardedEngine::persisted_at(&data_dir) {
-            // An existing sharded layout wins regardless of the
-            // configured shard count: the manifest is authoritative.
-            let engine = Arc::new(ShardedEngine::open(&data_dir)?);
-            return self.add_sharded_engine(name, engine, config);
+        let mut builder = Engine::builder().data_dir(data_dir);
+        if let Some(objects) = objects {
+            builder = builder.objects(objects);
         }
-        if Engine::persisted_at(&data_dir) {
-            let engine = Arc::new(Engine::open(&data_dir)?);
-            return self.add_engine(name, engine, config);
-        }
-        let objects = objects.ok_or(MpqError::UnsupportedRequest(
-            "no persisted inventory at data_dir and no objects given",
-        ))?;
-        if config.shards != 1 {
-            let engine = Arc::new(
-                ShardedEngine::builder()
-                    .objects(objects)
-                    .shards(config.shards)
-                    .data_dir(&data_dir)
-                    .build()?,
-            );
-            return self.add_sharded_engine(name, engine, config);
-        }
-        let engine = Engine::builder()
-            .objects(objects)
-            .data_dir(&data_dir)
-            .build()?;
-        self.add_engine(name, Arc::new(engine), config)
+        self.host(name, builder.open_or_build(config.shards)?, config)
     }
 
     /// Look up a tenant by name.
@@ -584,7 +459,7 @@ mod tests {
         reg.add_objects("s", &w.objects, config).unwrap();
         let tenant = reg.get("s").unwrap();
         assert_eq!(tenant.shard_count(), 4);
-        assert!(tenant.sharded().is_some());
+        assert_eq!(tenant.backend().shard_gauges().len(), 4);
 
         // The shard-agnostic submission path resolves to the same
         // matching an unsharded engine would produce.
@@ -633,15 +508,24 @@ mod tests {
             .dim(2)
             .seed(7)
             .build();
+        let engine = Arc::new(Engine::builder().objects(&w.objects).build().unwrap());
         let mut reg = TenantRegistry::new();
-        reg.add_objects("t", &w.objects, TenantConfig::default())
+        reg.add_engine("t", Arc::clone(&engine), TenantConfig::default())
             .unwrap();
         let tenant = reg.get("t").unwrap();
+        assert_eq!(tenant.shard_count(), 1);
         let ticket = tenant
             .client()
-            .submit(tenant.engine().request(&w.functions))
+            .submit(tenant.backend().request(&w.functions))
             .unwrap();
         let m = ticket.wait().unwrap();
         assert_eq!(m.len(), 4);
+
+        // On a single engine the ack version (the sum of a 1-component
+        // version vector) is the engine's inventory version.
+        let (_, acked) = tenant
+            .mutate(&WireMutation::Insert(vec![0.3, 0.7]))
+            .unwrap();
+        assert_eq!(acked, engine.inventory_version());
     }
 }

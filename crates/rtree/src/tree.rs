@@ -489,8 +489,16 @@ impl RTree {
     /// the pinned version stay allocated until the snapshot drops, even
     /// while concurrent mutations publish newer epochs.
     pub fn snapshot(&self) -> Snapshot<'_> {
-        let st = *self.state.lock();
+        // Pin while still holding the `state` guard: a `publish` landing
+        // between the read and the pin would see no pinned reader and
+        // reclaim the very pages this snapshot is about to traverse.
+        // Lock order `state -> epochs` is safe: `publish` releases
+        // `state` before taking `epochs`, and `unpin`/`reclaim_locked`
+        // never take `state`.
+        let guard = self.state.lock();
+        let st = *guard;
         *self.epochs.lock().active.entry(st.epoch).or_insert(0) += 1;
+        drop(guard);
         Snapshot {
             tree: self,
             root: st.root,

@@ -191,3 +191,53 @@ fn io_stats_are_deterministic_for_identical_runs() {
     };
     assert_eq!(run(), run());
 }
+
+/// Regression for the snapshot epoch-pin race: `snapshot()` used to copy
+/// the tree state, drop that lock, and only then pin the epoch, so a
+/// `publish` in between saw no pinned reader and freed the root the
+/// snapshot was about to read. Readers pin and fully scan while a writer
+/// churns a small tree (every mutation rewrites the root path); every
+/// snapshot must yield exactly `snapshot.len()` points.
+#[test]
+fn snapshots_stay_readable_while_a_writer_publishes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn count(tree: &RTree, pid: PageId) -> u64 {
+        match &*tree.read_node(pid) {
+            Node::Leaf(leaf) => leaf.len() as u64,
+            Node::Inner(inner) => (0..inner.len()).map(|i| count(tree, inner.child(i))).sum(),
+        }
+    }
+
+    let ps = seeded_points(200, 2, 6);
+    let tree = RTree::bulk_load(
+        &ps,
+        RTreeParams {
+            page_size: 256,
+            min_fill_ratio: 0.4,
+            buffer_capacity: 64,
+        },
+    );
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    let snap = tree.snapshot();
+                    assert_eq!(count(&tree, snap.root_page()), snap.len());
+                }
+            });
+        }
+        start.wait();
+        for round in 0..4_000usize {
+            let i = round % ps.len();
+            assert!(tree.delete(ps.get(i), i as u64));
+            tree.insert(ps.get(i), i as u64);
+        }
+        done.store(true, Ordering::Release);
+    });
+    tree.check_invariants();
+    assert_eq!(tree.len(), 200);
+}

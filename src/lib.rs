@@ -79,22 +79,17 @@
 //! assert_eq!(matching.sorted_pairs(), bf.sorted_pairs());
 //! ```
 //!
-//! ## Migration from `Matcher::run`
+//! ## Migration table
 //!
-//! Before this release, every evaluation went through
-//! `matcher.run(&objects, &functions)`, which bulk-loaded a private
-//! R-tree per call and panicked on malformed input. That method still
-//! works (as a deprecated shim that builds a single-use engine), but new
-//! code should hold an engine:
+//! Evaluation goes through an engine that is built once and shared —
+//! the one-shot `matcher.run(&objects, &functions)` entry point (a
+//! private R-tree bulk-loaded per call, panics on malformed input) is
+//! gone:
 //!
 //! | before | after |
 //! |---|---|
-//! | `SkylineMatcher::default().run(&o, &f)` | `engine.request(&f).evaluate()?` |
-//! | `BruteForceMatcher::default().run(&o, &f)` | `engine.request(&f).algorithm(Algorithm::BruteForce).evaluate()?` |
-//! | `ChainMatcher::default().run(&o, &f)` | `engine.request(&f).algorithm(Algorithm::Chain).evaluate()?` |
 //! | `CapacityMatcher::default().run(&o, &f, &caps)` | `engine.request(&f).capacities(&caps).evaluate()?` |
 //! | `matcher.stream(&tree, &f)` | `engine.stream(&f)?` |
-//! | `OnlineSession::new(&tree)` | `engine.session()` |
 //! | `engine.evaluate_batch(&reqs, t)` (pre-collected batches) | `engine.serve(config)` + `client.submit(..)` per request |
 //! | rebuild the engine on inventory change | `engine.insert_object(&p)?` / `engine.remove_object(oid)?` / `engine.update_object(oid, &p)?` |
 //! | in-memory only, lost on restart | `Engine::builder().data_dir(dir)` once, `Engine::open(dir)?` after |
@@ -140,14 +135,14 @@
 //!     .clone()
 //!     .serve(ServiceConfig::default().workers(2).cache_capacity(256));
 //! let client = service.client();
-//! let ticket = client.submit(client.engine().request(&functions)).unwrap();
+//! let ticket = client.submit(client.backend().request(&functions)).unwrap();
 //! let matching = ticket.wait().unwrap();
 //! # assert_eq!(matching.len(), 1);
 //!
 //! // An identical request is a cache hit: bit-identical result, no
 //! // second evaluation (the engine's evaluation counter stands still).
 //! let evals = engine.evaluation_count();
-//! let repeat = client.submit(client.engine().request(&functions)).unwrap();
+//! let repeat = client.submit(client.backend().request(&functions)).unwrap();
 //! assert_eq!(repeat.wait().unwrap().sorted_pairs(), matching.sorted_pairs());
 //! assert_eq!(engine.evaluation_count(), evals);
 //! assert_eq!(client.metrics().cache.hits, 1);
@@ -170,8 +165,8 @@ pub use mpq_ta as ta;
 pub mod prelude {
     pub use mpq_core::{
         Algorithm, BatchMetrics, BatchOutcome, BruteForceMatcher, CacheMetrics, CapacityMatcher,
-        ChainMatcher, Engine, EngineService, EvalSeed, GridPartitioner, HashPartitioner,
-        HealthMonitor, HealthState, MatchRequest, MatchSession, Matcher, Matching,
+        ChainMatcher, Engine, EngineService, EvalBackend, EvalSeed, GridPartitioner,
+        HashPartitioner, HealthMonitor, HealthState, MatchRequest, MatchSession, Matcher, Matching,
         MonotoneSkylineMatcher, MpqError, Pair, Partitioner, RequestKey, ResultCache, Scratch,
         ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges, ShardedEngine,
         ShardedEngineBuilder, SkylineMatcher, Ticket,

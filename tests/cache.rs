@@ -97,7 +97,7 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
     // while their leader is still queued — the deterministic dedupe
     // window.
     let slow = slow_functions();
-    let blocker = client.submit(client.engine().request(&slow)).unwrap();
+    let blocker = client.submit(client.backend().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
     let evals_before = engine.evaluation_count();
@@ -109,7 +109,7 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
             std::thread::spawn(move || {
                 let functions = fast_functions(900);
                 barrier.wait();
-                client.submit(client.engine().request(&functions)).unwrap()
+                client.submit(client.backend().request(&functions)).unwrap()
             })
         })
         .collect();
@@ -144,7 +144,7 @@ fn cache_hit_skips_evaluation_and_is_bit_identical() {
     let client = service.client();
 
     let first = client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -153,7 +153,7 @@ fn cache_hit_skips_evaluation_and_is_bit_identical() {
     // The result is published to the cache before the first ticket
     // resolves, so this re-submission must hit — no new evaluation.
     let second = client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -181,12 +181,12 @@ fn cancelling_a_follower_leaves_the_leader_running() {
     let client = service.client();
 
     let slow = slow_functions();
-    let blocker = client.submit(client.engine().request(&slow)).unwrap();
+    let blocker = client.submit(client.backend().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
     let evals_before = engine.evaluation_count();
-    let leader = client.submit(client.engine().request(&functions)).unwrap();
-    let follower = client.submit(client.engine().request(&functions)).unwrap();
+    let leader = client.submit(client.backend().request(&functions)).unwrap();
+    let follower = client.submit(client.backend().request(&functions)).unwrap();
     assert_eq!(client.metrics().cache.attaches, 1);
 
     assert!(follower.cancel(), "queued follower must be cancellable");
@@ -212,16 +212,16 @@ fn follower_deadline_expires_only_that_follower() {
     let client = service.client();
 
     let slow = slow_functions();
-    let blocker = client.submit(client.engine().request(&slow)).unwrap();
+    let blocker = client.submit(client.backend().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
     // Leader without a deadline; follower with a zero budget — by the
     // time the busy worker claims the shared job, only the follower has
     // expired.
-    let leader = client.submit(client.engine().request(&functions)).unwrap();
+    let leader = client.submit(client.backend().request(&functions)).unwrap();
     let follower = client
         .submit_with(
-            client.engine().request(&functions),
+            client.backend().request(&functions),
             SubmitOptions::default().deadline(Duration::ZERO),
         )
         .unwrap();
@@ -247,11 +247,11 @@ fn leader_cancellation_still_serves_the_followers() {
     let client = service.client();
 
     let slow = slow_functions();
-    let blocker = client.submit(client.engine().request(&slow)).unwrap();
+    let blocker = client.submit(client.backend().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
-    let leader = client.submit(client.engine().request(&functions)).unwrap();
-    let follower = client.submit(client.engine().request(&functions)).unwrap();
+    let leader = client.submit(client.backend().request(&functions)).unwrap();
+    let follower = client.submit(client.backend().request(&functions)).unwrap();
 
     // Cancelling the *first* submission must not starve the second —
     // the job survives as long as any attached submission wants it.
@@ -316,12 +316,12 @@ fn disabling_the_cache_restores_pay_per_submission() {
 
     let evals_before = engine.evaluation_count();
     let a = client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let b = client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -348,12 +348,12 @@ fn distinct_requests_never_collide_in_the_cache() {
     let client = service.client();
 
     let plain = client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let masked = client
-        .submit(client.engine().request(&functions).exclude([0u64, 5]))
+        .submit(client.backend().request(&functions).exclude([0u64, 5]))
         .unwrap()
         .wait()
         .unwrap();
@@ -362,7 +362,7 @@ fn distinct_requests_never_collide_in_the_cache() {
 
     // ...but exclusion *order* does not: this is the same request again.
     let masked_again = client
-        .submit(client.engine().request(&functions).exclude([5u64, 0]))
+        .submit(client.backend().request(&functions).exclude([5u64, 0]))
         .unwrap()
         .wait()
         .unwrap();
@@ -392,14 +392,14 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
     let client = service.client();
 
     client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let evals_after_donor = engine.evaluation_count();
 
     let refined = client
-        .submit(client.engine().request(&functions).exclude([7u64]))
+        .submit(client.backend().request(&functions).exclude([7u64]))
         .unwrap()
         .wait()
         .unwrap();
@@ -423,7 +423,7 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
     // The seeded evaluation captured its own seed: refining one step
     // further finds the *closer* donor (delta 1, not 2).
     client
-        .submit(client.engine().request(&functions).exclude([7u64, 11]))
+        .submit(client.backend().request(&functions).exclude([7u64, 11]))
         .unwrap()
         .wait()
         .unwrap();
@@ -444,12 +444,12 @@ fn seed_delta_bound_zero_disables_near_miss_seeding() {
     let client = service.client();
 
     client
-        .submit(client.engine().request(&functions))
+        .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let refined = client
-        .submit(client.engine().request(&functions).exclude([3u64]))
+        .submit(client.backend().request(&functions).exclude([3u64]))
         .unwrap()
         .wait()
         .unwrap();

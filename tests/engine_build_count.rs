@@ -63,17 +63,4 @@ fn index_is_built_exactly_once_per_engine() {
         1,
         "8 evaluations + 1 session + 1 stream must not rebuild the index"
     );
-
-    // The object tree used by a Chain request is the shared one; only
-    // its request-local *function* tree is private, and that one is
-    // main-memory (not built through IndexConfig::build_tree).
-    let legacy_before = index_build_count();
-    #[allow(deprecated)]
-    let _ = mpq::core::SkylineMatcher::default().run(&w.objects, &w.functions);
-    assert_eq!(
-        index_build_count() - legacy_before,
-        1,
-        "the deprecated Matcher::run shim pays one build per call — \
-         the cost the engine API exists to amortize"
-    );
 }

@@ -1,10 +1,11 @@
 //! Property tests for seeded evaluation (PR 10): priming an evaluation
 //! from a captured [`EvalSeed`] must be **bit-identical** to running it
 //! cold, under random request deltas — exclusion flips and function
-//! weight tweaks — on both the unsharded engine (K = 1) and the
-//! sharded scatter-gather merge (K = 4), including across interleaved
-//! inventory mutations (which stale the seed: the evaluation must
-//! detect that and silently fall back cold).
+//! weight tweaks — on every backend behind `dyn EvalBackend` (the
+//! unsharded engine and the sharded scatter-gather merge at K = 1 and
+//! K = 4), including across interleaved inventory mutations (which
+//! stale the seed: the evaluation must detect that and silently fall
+//! back cold).
 //!
 //! Object points are deduplicated at generation so the canonical
 //! matching is unique down to object identity — the comparison is full
@@ -37,69 +38,11 @@ fn points(rows: &[Vec<u16>]) -> (PointSet, Vec<u64>) {
     (ps, live)
 }
 
-enum Backend {
-    One(Box<Engine>),
-    Many(ShardedEngine),
-}
-
-impl Backend {
-    fn evaluate_pair(
-        &self,
-        functions: &FunctionSet,
-        excl: &BTreeSet<u64>,
-        seed: Option<&EvalSeed>,
-        scratch: &mut Scratch,
-    ) -> (Matching, Matching, Option<EvalSeed>) {
-        match self {
-            Backend::One(e) => {
-                let cold = e
-                    .request(functions)
-                    .exclude(excl.iter().copied())
-                    .evaluate()
-                    .unwrap();
-                let (warm, captured) = e
-                    .request(functions)
-                    .exclude(excl.iter().copied())
-                    .evaluate_seeded(scratch, seed)
-                    .unwrap();
-                (cold, warm, captured)
-            }
-            Backend::Many(e) => {
-                let cold = e
-                    .request(functions)
-                    .exclude(excl.iter().copied())
-                    .evaluate()
-                    .unwrap();
-                let (warm, captured) = e
-                    .request(functions)
-                    .exclude(excl.iter().copied())
-                    .evaluate_seeded(seed)
-                    .unwrap();
-                (cold, warm, captured)
-            }
-        }
-    }
-
-    fn insert(&self, point: &[f64]) -> u64 {
-        match self {
-            Backend::One(e) => e.insert_object(point).unwrap(),
-            Backend::Many(e) => e.insert_object(point).unwrap(),
-        }
-    }
-
-    fn remove(&self, oid: u64) {
-        match self {
-            Backend::One(e) => e.remove_object(oid).unwrap(),
-            Backend::Many(e) => e.remove_object(oid).unwrap(),
-        }
-    }
-}
-
 fn check(
     obj_rows: &[Vec<u16>],
     fn_rows: &[Vec<u8>],
     rounds: &[Round],
-    shards: usize,
+    build: &dyn Fn(&PointSet) -> Box<dyn EvalBackend>,
 ) -> Result<(), TestCaseError> {
     let (objects, mut live) = points(obj_rows);
     let mut fn_rows: Vec<Vec<f64>> = fn_rows
@@ -108,19 +51,7 @@ fn check(
         .collect();
     prop_assume!(live.len() > fn_rows.len() + 6);
 
-    let backend = if shards == 1 {
-        Backend::One(Box::new(
-            Engine::builder().objects(&objects).build().unwrap(),
-        ))
-    } else {
-        Backend::Many(
-            ShardedEngine::builder()
-                .objects(&objects)
-                .shards(shards)
-                .build()
-                .unwrap(),
-        )
-    };
+    let backend = build(&objects);
 
     let mut excl: BTreeSet<u64> = BTreeSet::new();
     let mut seed: Option<EvalSeed> = None;
@@ -157,21 +88,24 @@ fn check(
                     (1 + (mut_sel / 997) % 989) as f64 / 991.0,
                 ];
                 if point_bits.insert([p[0].to_bits(), p[1].to_bits()]) {
-                    live.push(backend.insert(&p));
+                    live.push(backend.insert_object(&p).unwrap());
                 }
             }
             2 if live.len() > fn_rows.len() + excl.len() + 8 => {
                 let i = ((mut_sel / 3) as usize) % live.len();
                 let oid = live.swap_remove(i);
                 excl.remove(&oid);
-                backend.remove(oid);
+                backend.remove_object(oid).unwrap();
             }
             _ => {}
         }
 
         let functions = FunctionSet::from_rows(2, &fn_rows);
-        let (cold, warm, captured) =
-            backend.evaluate_pair(&functions, &excl, seed.as_ref(), &mut scratch);
+        let request = || backend.request(&functions).exclude(excl.iter().copied());
+        let cold = request().evaluate().unwrap();
+        let (warm, captured) = request()
+            .evaluate_seeded(&mut scratch, seed.as_ref())
+            .unwrap();
 
         prop_assert_eq!(
             cold.len(),
@@ -216,7 +150,13 @@ proptest! {
             1..5,
         ),
     ) {
-        check(&obj_rows, &fn_rows, &rounds, 1)?;
-        check(&obj_rows, &fn_rows, &rounds, 4)?;
+        check(&obj_rows, &fn_rows, &rounds, &|objects| {
+            Box::new(Engine::builder().objects(objects).build().unwrap())
+        })?;
+        for k in [1, 4] {
+            check(&obj_rows, &fn_rows, &rounds, &|objects| {
+                Box::new(ShardedEngine::builder().objects(objects).shards(k).build().unwrap())
+            })?;
+        }
     }
 }
