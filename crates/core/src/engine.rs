@@ -39,12 +39,13 @@
 //! assert_eq!(sb.sorted_pairs(), bf.sorted_pairs());
 //! ```
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
 use mpq_rtree::{
     DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PointSet, RTree,
 };
@@ -58,6 +59,7 @@ use crate::capacity::run_capacity_on;
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::objects::ObjectTable;
 use crate::sb::{
     run_rescan_on, run_sb_seeded, sb_loop_round, stream_on, BestPairMode, MaintenanceMode,
     SbStream, ScratchLease, SkylineMatcher,
@@ -145,6 +147,10 @@ pub struct EngineBuilder<'o> {
     /// a shard with zero objects; the sharded engine enforces the
     /// global non-empty contract itself).
     allow_empty: bool,
+    /// Threads the bulk load may keep runnable, when the caller builds
+    /// several engines at once and divides the cores among them
+    /// (shard-internal); one per core otherwise.
+    build_threads: Option<usize>,
 }
 
 impl<'o> EngineBuilder<'o> {
@@ -216,6 +222,14 @@ impl<'o> EngineBuilder<'o> {
         self
     }
 
+    /// Cap the bulk load at `threads` runnable threads. Shard-internal:
+    /// the sharded builder loads its shards side by side and hands each
+    /// its share of the cores.
+    pub(crate) fn build_threads(mut self, threads: usize) -> EngineBuilder<'o> {
+        self.build_threads = Some(threads);
+        self
+    }
+
     /// Validate the inventory and bulk-load the object R-tree (exactly
     /// once for the engine's lifetime).
     ///
@@ -228,6 +242,7 @@ impl<'o> EngineBuilder<'o> {
         if objects.is_empty() && !self.allow_empty {
             return Err(MpqError::EmptyObjects);
         }
+        check_inventory_len(objects.len())?;
         if let Some(ids) = self.oids {
             assert_eq!(ids.len(), objects.len(), "oid slice length mismatch");
         }
@@ -235,17 +250,20 @@ impl<'o> EngineBuilder<'o> {
         for (i, p) in objects.iter() {
             validate_point(oid_of(i), objects.dim(), p)?;
         }
+        let threads = self.build_threads.unwrap_or_else(thread_budget);
         let mut tree = match &self.data_dir {
             None => match &self.fault_injector {
                 None => self.index.build_tree_with_oids_in(
                     MemPager::new(self.index.page_size),
                     objects,
                     self.oids,
+                    threads,
                 ),
                 Some(inj) => self.index.build_tree_with_oids_in(
                     FaultPageStore::new(MemPager::new(self.index.page_size), Arc::clone(inj)),
                     objects,
                     self.oids,
+                    threads,
                 ),
             },
             Some(dir) => {
@@ -255,12 +273,20 @@ impl<'o> EngineBuilder<'o> {
                     store.attach_injector(Arc::clone(inj));
                 }
                 self.index
-                    .build_tree_with_oids_in(store, objects, self.oids)
+                    .build_tree_with_oids_in(store, objects, self.oids, threads)
             }
         };
         if let Some(shards) = self.buffer_shards {
             tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
         }
+        let table = ObjectTable::from_columns(
+            objects.dim(),
+            match self.oids {
+                None => (0..objects.len() as u64).collect(),
+                Some(ids) => ids.to_vec(),
+            },
+            objects.as_flat().to_vec(),
+        );
         let wal = match &self.data_dir {
             None => None,
             Some(dir) => {
@@ -272,21 +298,15 @@ impl<'o> EngineBuilder<'o> {
                     wal.set_injector(Arc::clone(inj));
                 }
                 wal.truncate()?;
-                tree.checkpoint(&0u64.to_le_bytes())?;
+                tree.checkpoint(&checkpoint_extra(0, table.bound()))?;
                 Some(Mutex::new(wal))
             }
         };
-        let map: BTreeMap<u64, Box<[f64]>> = objects
-            .iter()
-            .map(|(i, p)| (oid_of(i), Box::from(p)))
-            .collect();
-        let next_oid = map.keys().next_back().map_or(0, |k| k + 1);
         Ok(Engine {
             dim: objects.dim(),
             config: self.index,
             tree,
-            next_oid: AtomicU64::new(next_oid),
-            objects: Mutex::new(map),
+            objects: Mutex::new(table),
             version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
             evaluations: AtomicU64::new(0),
             mutations: MutationLog::default(),
@@ -344,6 +364,36 @@ impl<'o> EngineBuilder<'o> {
     }
 }
 
+/// The tiler packs item indices into 32 bits, so one bulk load takes at
+/// most `u32::MAX` objects; a larger inventory is refused here rather
+/// than wrapped there.
+pub(crate) fn check_inventory_len(n: usize) -> Result<(), MpqError> {
+    if n > MAX_BULK_LEN {
+        return Err(MpqError::TooManyObjects {
+            got: n,
+            max: MAX_BULK_LEN,
+        });
+    }
+    Ok(())
+}
+
+/// What a checkpoint records beside the tree: the WAL sequence number
+/// it covers and the id bound, so a reopen replays only what follows
+/// and never mints a removed object's id again.
+fn checkpoint_extra(seq: u64, oid_bound: u64) -> [u8; 16] {
+    let mut extra = [0u8; 16];
+    extra[..8].copy_from_slice(&seq.to_le_bytes());
+    extra[8..].copy_from_slice(&oid_bound.to_le_bytes());
+    extra
+}
+
+/// Read little-endian field `i` of a checkpoint's extra bytes; `None`
+/// where an older file stops short of it.
+fn extra_field(extra: &[u8], i: usize) -> Option<u64> {
+    let bytes = extra.get(8 * i..8 * i + 8)?;
+    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+}
+
 /// Shared point validation for the bulk build path and the incremental
 /// mutation path: the preference space is `[0, 1]^dim` with finite
 /// coordinates everywhere.
@@ -396,12 +446,11 @@ pub struct Engine {
     config: IndexConfig,
     tree: RTree,
     /// The live inventory by object id. Mirrors the R-tree's leaf
-    /// entries; the map is what gives mutations O(log n) point lookup
-    /// and what recovery replays the WAL against.
-    objects: Mutex<BTreeMap<u64, Box<[f64]>>>,
-    /// Ids `>= next_oid` have never been assigned; ids below it may have
-    /// been removed. Removal never recycles an id.
-    next_oid: AtomicU64,
+    /// entries; the table is what gives mutations O(log n) point lookup
+    /// and what recovery replays the WAL against. It also owns the id
+    /// bound: ids at or above it have never been assigned, ids below it
+    /// may have been removed. Removal never recycles an id.
+    objects: Mutex<ObjectTable>,
     /// Bumped on every mutation (see [`Engine::inventory_version`]).
     version: AtomicU64,
     /// Evaluations actually run against this engine (see
@@ -460,12 +509,12 @@ impl Engine {
     /// report.
     #[inline]
     pub fn oid_bound(&self) -> u64 {
-        self.next_oid.load(AtomicOrdering::Acquire)
+        lock(&self.objects).bound()
     }
 
     /// The point currently stored for `oid`, if the engine holds it.
     pub fn object_point(&self, oid: u64) -> Option<Box<[f64]>> {
-        lock(&self.objects).get(&oid).cloned()
+        lock(&self.objects).get(oid).map(Box::from)
     }
 
     /// The index configuration the engine was built with.
@@ -597,11 +646,7 @@ impl Engine {
         }
         let (tree, extra) = RTree::open(store, config.min_buffer_pages.max(1))?;
         tree.set_buffer_capacity(config.buffer_pages_for(tree.page_count()));
-        let ckpt_seq = if extra.len() >= 8 {
-            u64::from_le_bytes(extra[..8].try_into().expect("8-byte slice"))
-        } else {
-            0
-        };
+        let ckpt_seq = extra_field(&extra, 0).unwrap_or(0);
 
         let (mut wal, records) = Wal::open(&dir.join(WAL_FILE))?;
         if let Some(inj) = &injector {
@@ -612,40 +657,53 @@ impl Engine {
         // the checkpoint's high-water mark after the *next* crash.
         wal.ensure_next_seq(ckpt_seq + 1);
 
-        let mut objects: BTreeMap<u64, Box<[f64]>> = BTreeMap::new();
+        // The header's count sizes the columns, capped by what the
+        // pages could hold in case it is wrong.
+        let n = (tree.len() as usize).min(tree.page_count() * tree.leaf_capacity());
+        let mut oids = Vec::with_capacity(n);
+        let mut coords = Vec::with_capacity(n * tree.dim());
         tree.for_each_point(|oid, p| {
-            objects.insert(oid, Box::from(p));
+            oids.push(oid);
+            coords.extend_from_slice(p);
         });
+        let mut objects = ObjectTable::from_columns(tree.dim(), oids, coords);
+        // A file written before the bound was checkpointed stops after
+        // the sequence number: the live ids are then all there is to go
+        // by, as they were for the engine that wrote it.
+        objects.raise_bound(extra_field(&extra, 1).unwrap_or(0));
         for (seq, rec) in records {
+            if let WalRecord::Insert { oid, .. } = &rec {
+                // Even a record the checkpoint already covers, or whose
+                // object a later record removes, spent its id.
+                objects.raise_bound(oid.saturating_add(1));
+            }
             if seq <= ckpt_seq {
                 continue; // already part of the checkpointed image
             }
             match rec {
                 WalRecord::Insert { oid, point } => {
                     tree.insert(&point, oid);
-                    objects.insert(oid, point);
+                    objects.insert(oid, &point);
                 }
                 WalRecord::Remove { oid, point } => {
                     tree.delete(&point, oid);
-                    objects.remove(&oid);
+                    objects.remove(oid);
                 }
                 WalRecord::Update { oid, old, new } => {
                     tree.delete(&old, oid);
                     tree.insert(&new, oid);
-                    objects.insert(oid, new);
+                    objects.insert(oid, &new);
                 }
             }
         }
         if objects.is_empty() && !allow_empty {
             return Err(MpqError::EmptyObjects);
         }
-        let next_oid = objects.keys().next_back().map_or(0, |k| k + 1);
         Ok(Engine {
             dim: tree.dim(),
             config,
             tree,
             objects: Mutex::new(objects),
-            next_oid: AtomicU64::new(next_oid),
             version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
             evaluations: AtomicU64::new(0),
             mutations: MutationLog::default(),
@@ -668,15 +726,14 @@ impl Engine {
     pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
         let _m = lock(&self.mutator);
         self.check_storage()?;
-        let oid = self.next_oid.load(AtomicOrdering::Relaxed);
+        let oid = self.oid_bound();
         validate_point(oid, self.dim, point)?;
         self.log_wal(&WalRecord::Insert {
             oid,
             point: Box::from(point),
         })?;
         self.tree.insert(point, oid);
-        lock(&self.objects).insert(oid, Box::from(point));
-        self.next_oid.store(oid + 1, AtomicOrdering::Release);
+        lock(&self.objects).insert(oid, point);
         self.commit_mutation(MutationEvent::Insert {
             oid,
             point: Arc::from(point),
@@ -692,7 +749,7 @@ impl Engine {
         let _m = lock(&self.mutator);
         self.check_storage()?;
         validate_point(oid, self.dim, point)?;
-        if lock(&self.objects).contains_key(&oid) {
+        if lock(&self.objects).contains(oid) {
             return Err(MpqError::UnsupportedRequest(
                 "explicit-oid insert would overwrite an existing object",
             ));
@@ -702,9 +759,7 @@ impl Engine {
             point: Box::from(point),
         })?;
         self.tree.insert(point, oid);
-        lock(&self.objects).insert(oid, Box::from(point));
-        let next = self.next_oid.load(AtomicOrdering::Relaxed).max(oid + 1);
-        self.next_oid.store(next, AtomicOrdering::Release);
+        lock(&self.objects).insert(oid, point);
         self.commit_mutation(MutationEvent::Insert {
             oid,
             point: Arc::from(point),
@@ -735,14 +790,14 @@ impl Engine {
         self.check_storage()?;
         let point = {
             let objects = lock(&self.objects);
-            if !allow_empty && objects.len() == 1 && objects.contains_key(&oid) {
+            if !allow_empty && objects.len() == 1 && objects.contains(oid) {
                 return Err(MpqError::UnsupportedRequest(
                     "removing the last object would empty the inventory",
                 ));
             }
             objects
-                .get(&oid)
-                .cloned()
+                .get(oid)
+                .map(Box::<[f64]>::from)
                 .ok_or(MpqError::UnknownObject { oid })?
         };
         self.log_wal(&WalRecord::Remove {
@@ -751,7 +806,7 @@ impl Engine {
         })?;
         let removed = self.tree.delete(&point, oid);
         debug_assert!(removed, "object map and tree disagree on oid {oid}");
-        lock(&self.objects).remove(&oid);
+        lock(&self.objects).remove(oid);
         self.commit_mutation(MutationEvent::Remove { oid });
         Ok(())
     }
@@ -764,8 +819,8 @@ impl Engine {
         self.check_storage()?;
         validate_point(oid, self.dim, point)?;
         let old = lock(&self.objects)
-            .get(&oid)
-            .cloned()
+            .get(oid)
+            .map(Box::<[f64]>::from)
             .ok_or(MpqError::UnknownObject { oid })?;
         self.log_wal(&WalRecord::Update {
             oid,
@@ -775,7 +830,7 @@ impl Engine {
         let removed = self.tree.delete(&old, oid);
         debug_assert!(removed, "object map and tree disagree on oid {oid}");
         self.tree.insert(point, oid);
-        lock(&self.objects).insert(oid, Box::from(point));
+        lock(&self.objects).insert(oid, point);
         self.commit_mutation(MutationEvent::Update {
             oid,
             point: Arc::from(point),
@@ -839,8 +894,8 @@ impl Engine {
     }
 
     /// Checkpoint a disk-backed engine: flush every dirty page, durably
-    /// commit the current tree epoch (with the WAL high-water mark) into
-    /// the page file's header, then truncate the WAL. After a
+    /// commit the current tree epoch (with the WAL high-water mark and
+    /// the id bound) into the page file's header, then truncate the WAL. After a
     /// checkpoint, reopening replays nothing; between checkpoints, the
     /// WAL alone carries the delta. A no-op for in-memory engines.
     /// A successful checkpoint also repairs a degraded engine: the WAL
@@ -852,7 +907,8 @@ impl Engine {
             None => Ok(()),
             Some(wal) => {
                 let mut wal = lock(wal);
-                self.tree.checkpoint(&wal.last_seq().to_le_bytes())?;
+                let extra = checkpoint_extra(wal.last_seq(), self.oid_bound());
+                self.tree.checkpoint(&extra)?;
                 wal.truncate()?;
                 self.degraded.store(false, AtomicOrdering::Release);
                 Ok(())
@@ -1656,5 +1712,35 @@ impl MatchSession<'_> {
             metrics.ta = Some(rt1.stats());
         }
         Ok(Matching::new(pairs, metrics))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_inventory_past_the_tilers_index_width_is_refused() {
+        assert_eq!(check_inventory_len(0), Ok(()));
+        assert_eq!(check_inventory_len(u32::MAX as usize), Ok(()));
+        assert_eq!(
+            check_inventory_len(u32::MAX as usize + 1),
+            Err(MpqError::TooManyObjects {
+                got: 1 << 32,
+                max: u32::MAX as usize
+            })
+        );
+    }
+
+    #[test]
+    fn checkpoint_extra_round_trips_and_tolerates_the_short_form() {
+        let extra = checkpoint_extra(7, 101);
+        assert_eq!(extra_field(&extra, 0), Some(7));
+        assert_eq!(extra_field(&extra, 1), Some(101));
+        // What an engine wrote before the bound was recorded.
+        assert_eq!(extra_field(&extra[..8], 0), Some(7));
+        assert_eq!(extra_field(&extra[..8], 1), None);
+        assert_eq!(extra_field(&[], 0), None);
     }
 }

@@ -18,6 +18,13 @@ pub enum MpqError {
     /// The function set contains no alive functions; there is nobody to
     /// match.
     EmptyFunctions,
+    /// The object set is larger than one bulk load can index.
+    TooManyObjects {
+        /// Number of objects offered.
+        got: usize,
+        /// Most objects one engine (or one shard) can be built over.
+        max: usize,
+    },
     /// An object coordinate is NaN or infinite.
     NonFiniteCoordinate {
         /// Object id (point index) of the offending point.
@@ -115,6 +122,10 @@ impl std::fmt::Display for MpqError {
         match self {
             MpqError::EmptyObjects => write!(f, "object set is empty"),
             MpqError::EmptyFunctions => write!(f, "function set is empty"),
+            MpqError::TooManyObjects { got, max } => write!(
+                f,
+                "object set holds {got} objects, one index takes at most {max}"
+            ),
             MpqError::NonFiniteCoordinate { oid, dim, value } => write!(
                 f,
                 "object {oid} has non-finite coordinate {value} at dimension {dim}"

@@ -114,6 +114,7 @@ pub mod error;
 pub mod json;
 pub mod matching;
 pub mod monotone;
+mod objects;
 pub mod online;
 pub mod reference;
 pub mod sb;

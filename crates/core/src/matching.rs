@@ -223,18 +223,20 @@ impl IndexConfig {
         store: S,
         objects: &PointSet,
     ) -> RTree {
-        self.build_tree_with_oids_in(store, objects, None)
+        self.build_tree_with_oids_in(store, objects, None, mpq_rtree::bulk::thread_budget())
     }
 
     /// Like [`IndexConfig::build_tree_in`], but indexing `objects[i]`
     /// under `oids[i]` instead of the point index — the path sharded
     /// engines use so every per-shard tree speaks global object ids
-    /// natively.
+    /// natively — with at most `threads` threads tiling (shards loaded
+    /// side by side share the cores).
     pub(crate) fn build_tree_with_oids_in<S: mpq_rtree::PageStore + 'static>(
         &self,
         store: S,
         objects: &PointSet,
         oids: Option<&[u64]>,
+        threads: usize,
     ) -> RTree {
         INDEX_BUILDS.fetch_add(1, AtomicOrdering::Relaxed);
         let params = RTreeParams {
@@ -242,7 +244,7 @@ impl IndexConfig {
             min_fill_ratio: 0.4,
             buffer_capacity: self.min_buffer_pages.max(1),
         };
-        let tree = RTree::bulk_load_with_oids_in(store, objects, oids, params);
+        let tree = RTree::bulk_load_sharing_cores(store, objects, oids, params, threads);
         tree.set_buffer_capacity(self.buffer_pages_for(tree.page_count()));
         tree
     }

@@ -70,10 +70,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
+use mpq_rtree::bulk::thread_budget;
 use mpq_rtree::{IoSession, IoStats, PointSet};
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::{FunctionSet, ReverseTopOne};
@@ -259,30 +260,47 @@ impl<'o> ShardedEngineBuilder<'o> {
             return Err(MpqError::EmptyObjects);
         }
         let k = self.shards;
-        // Route every object, building one (points, oids) pair per shard.
-        let mut parts: Vec<PointSet> = (0..k).map(|_| PointSet::new(objects.dim())).collect();
-        let mut oids: Vec<Vec<u64>> = vec![Vec::new(); k];
+        // Route every object, building one (points, oids) pair per
+        // shard; a first pass sizes the pairs so the second never
+        // reallocates.
+        let route = |i: usize, p: &[f64]| self.partitioner.shard_of(i as u64, p, k).min(k - 1);
+        let mut sizes = vec![0usize; k];
         for (i, p) in objects.iter() {
-            let oid = i as u64;
-            let s = self.partitioner.shard_of(oid, p, k).min(k - 1);
-            parts[s].push(p);
-            oids[s].push(oid);
+            sizes[route(i, p)] += 1;
+        }
+        let mut parts: Vec<(PointSet, Vec<u64>)> = sizes
+            .iter()
+            .map(|&n| {
+                (
+                    PointSet::with_capacity(objects.dim(), n),
+                    Vec::with_capacity(n),
+                )
+            })
+            .collect();
+        for (i, p) in objects.iter() {
+            let (points, oids) = &mut parts[route(i, p)];
+            points.push(p);
+            oids.push(i as u64);
         }
         if let Some(dir) = &self.data_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let mut shards = Vec::with_capacity(k);
-        for (s, (part, ids)) in parts.iter().zip(&oids).enumerate() {
+        // K shards on up to one thread per core; cores left over when
+        // K is smaller go to the shards' tilers.
+        let workers = thread_budget().min(k);
+        let shards = for_each_shard(k, workers, |s| {
+            let (part, ids) = &parts[s];
             let mut b = Engine::builder()
                 .index(self.index.clone())
                 .objects(part)
                 .explicit_oids(ids)
-                .allow_empty();
+                .allow_empty()
+                .build_threads(thread_budget() / workers);
             if let Some(dir) = &self.data_dir {
                 b = b.data_dir(shard_dir(dir, s));
             }
-            shards.push(b.build()?);
-        }
+            b.build()
+        })?;
         if let Some(dir) = &self.data_dir {
             write_manifest(dir, k, &*self.partitioner)?;
         }
@@ -297,6 +315,43 @@ impl<'o> ShardedEngineBuilder<'o> {
             mutator: Mutex::new(()),
         })
     }
+}
+
+/// `make(0), .., make(k - 1)` in shard order, computed by `workers`
+/// threads — the caller and `workers - 1` scoped ones — that draw shard
+/// numbers from a shared counter. The first error in shard order wins;
+/// a panicking worker resurfaces from the scope.
+fn for_each_shard<T: Send>(
+    k: usize,
+    workers: usize,
+    make: impl Fn(usize) -> Result<T, MpqError> + Sync,
+) -> Result<Vec<T>, MpqError> {
+    if workers <= 1 {
+        return (0..k).map(make).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let made: Vec<Mutex<Option<Result<T, MpqError>>>> = (0..k).map(|_| Mutex::new(None)).collect();
+    let draw = || loop {
+        let s = next.fetch_add(1, AtomicOrdering::Relaxed);
+        if s >= k {
+            break;
+        }
+        *lock(&made[s]) = Some(make(s));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(draw);
+        }
+        draw();
+    });
+    // Every number below k was drawn, so every slot is filled.
+    made.into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .unwrap_or(Err(MpqError::WorkerPanicked))
+        })
+        .collect()
 }
 
 /// The data directory of shard `s` under a sharded root.
@@ -498,10 +553,9 @@ impl ShardedEngine {
     ) -> Result<ShardedEngine, MpqError> {
         let dir = dir.as_ref();
         let (k, partitioner) = read_manifest(dir)?;
-        let mut shards = Vec::with_capacity(k);
-        for s in 0..k {
-            shards.push(Engine::open_shard(&shard_dir(dir, s), config.clone())?);
-        }
+        let shards = for_each_shard(k, thread_budget().min(k), |s| {
+            Engine::open_shard(&shard_dir(dir, s), config.clone())
+        })?;
         if shards.iter().all(|s| s.n_objects() == 0) {
             return Err(MpqError::EmptyObjects);
         }

@@ -7,8 +7,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpq_core::wal::{decode_frame, encode_frame};
-use mpq_core::{Algorithm, Engine, IndexConfig, WalRecord};
-use mpq_rtree::PointSet;
+use mpq_core::{Algorithm, Engine, IndexConfig, ShardedEngine, WalRecord};
+use mpq_rtree::{DiskPager, PointSet, RTree, RTreeParams};
 use mpq_ta::FunctionSet;
 use proptest::prelude::*;
 
@@ -348,5 +348,111 @@ fn open_with_wrong_page_size_is_refused() {
     )
     .unwrap_err();
     assert!(matches!(err, mpq_core::MpqError::Io(_)), "{err:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Mint id 100, remove it, and come back: the id is spent. Replay alone
+/// (no checkpoint) must raise the bound over the `Insert` record even
+/// though a later record removed its object.
+#[test]
+fn a_removed_id_is_not_minted_again_after_wal_replay() {
+    let dir = tmp_dir("idreplay");
+    let objects = seeded_points(100, 2, 53);
+    {
+        let disk = Engine::builder()
+            .objects(&objects)
+            .data_dir(&dir)
+            .build()
+            .unwrap();
+        assert_eq!(disk.insert_object(&[0.3, 0.6]).unwrap(), 100);
+        disk.remove_object(100).unwrap();
+        assert_eq!(disk.oid_bound(), 101);
+    }
+    let reopened = Engine::open(&dir).unwrap();
+    assert_eq!(reopened.n_objects(), 100);
+    assert_eq!(reopened.oid_bound(), 101, "id 100 was handed out once");
+    assert_eq!(reopened.insert_object(&[0.7, 0.2]).unwrap(), 101);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same across a checkpoint: the WAL is truncated, so the page
+/// file's header is the only place the bound can survive — and it still
+/// must after a second, WAL-less reopen.
+#[test]
+fn a_removed_id_is_not_minted_again_after_a_checkpoint() {
+    let dir = tmp_dir("idckpt");
+    let objects = seeded_points(100, 2, 59);
+    {
+        let disk = Engine::builder()
+            .objects(&objects)
+            .data_dir(&dir)
+            .build()
+            .unwrap();
+        assert_eq!(disk.insert_object(&[0.3, 0.6]).unwrap(), 100);
+        disk.remove_object(100).unwrap();
+        disk.checkpoint().unwrap();
+        assert_eq!(disk.wal_bytes(), 0);
+    }
+    {
+        let reopened = Engine::open(&dir).unwrap();
+        assert_eq!(reopened.oid_bound(), 101, "id 100 was handed out once");
+        reopened.checkpoint().unwrap();
+    }
+    let again = Engine::open(&dir).unwrap();
+    assert_eq!(again.oid_bound(), 101);
+    assert_eq!(again.insert_object(&[0.7, 0.2]).unwrap(), 101);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sharded engine takes its bound from its shards', so it inherits
+/// both halves: replay in whichever shard owned the id, then the
+/// checkpointed header.
+#[test]
+fn a_removed_id_is_not_minted_again_across_four_shards() {
+    let dir = tmp_dir("idk4");
+    let objects = seeded_points(100, 3, 61);
+    {
+        let sharded = ShardedEngine::builder()
+            .objects(&objects)
+            .shards(4)
+            .data_dir(&dir)
+            .build()
+            .unwrap();
+        assert_eq!(sharded.insert_object(&[0.3, 0.6, 0.1]).unwrap(), 100);
+        sharded.remove_object(100).unwrap();
+    }
+    {
+        let reopened = ShardedEngine::open(&dir).unwrap();
+        assert_eq!(reopened.oid_bound(), 101, "replay: id 100 is spent");
+        reopened.checkpoint().unwrap();
+    }
+    let again = ShardedEngine::open(&dir).unwrap();
+    assert_eq!(again.oid_bound(), 101, "checkpoint: id 100 is spent");
+    assert_eq!(again.insert_object(&[0.7, 0.2, 0.4]).unwrap(), 101);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A page file checkpointed by an engine that recorded only the WAL
+/// sequence number (8 bytes of caller metadata) still opens, with the
+/// bound that engine would have derived: one past the highest live id.
+#[test]
+fn a_checkpoint_without_the_id_bound_still_opens() {
+    let dir = tmp_dir("oldextra");
+    let objects = seeded_points(50, 2, 67);
+    let fs = functions(2, 8, 71);
+    let params = RTreeParams {
+        page_size: IndexConfig::default().page_size,
+        ..RTreeParams::default()
+    };
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = DiskPager::create(&dir.join("pages.mpq"), params.page_size).unwrap();
+    RTree::bulk_load_in(store, &objects, params)
+        .checkpoint(&0u64.to_le_bytes())
+        .unwrap();
+    let reopened = Engine::open(&dir).unwrap();
+    assert_eq!(reopened.n_objects(), 50);
+    assert_eq!(reopened.oid_bound(), 50);
+    let reference = Engine::builder().objects(&objects).build().unwrap();
+    assert_eq!(matchings_of(&reopened, &fs), matchings_of(&reference, &fs));
     let _ = std::fs::remove_dir_all(&dir);
 }

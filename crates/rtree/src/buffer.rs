@@ -274,6 +274,23 @@ impl BufferPool {
         self.store.write().allocate()
     }
 
+    /// Allocate a fresh page and write `node` straight to the store,
+    /// leaving the cache untouched — the bulk loader's path: its nodes
+    /// are written once and never read back before the pool is emptied,
+    /// so caching them would only buy an LRU install and an eviction
+    /// each. A failed write keeps the node as a resident dirty frame
+    /// (over-admitted, like a failed zero-share write-through in
+    /// [`BufferPool::put`]) for a later flush to retry.
+    pub(crate) fn append_uncached(&self, node: Node) -> PageId {
+        let pid = self.allocate();
+        let mut g = self.shards[self.shard_of(pid)].lock();
+        if g.write_through(pid, &node, &self.store).is_err() {
+            self.write_failures.fetch_add(1, Ordering::Relaxed);
+            g.force_install(pid, Arc::new(node), true);
+        }
+        pid
+    }
+
     /// Drop any cached copy of `pid` (without write-back) and free the
     /// page in the pager.
     pub fn free(&self, pid: PageId) {
@@ -566,7 +583,8 @@ impl Shard {
         node: &Node,
         store: &RwLock<Box<dyn PageStore>>,
     ) -> io::Result<()> {
-        self.scratch.fill(0);
+        // `encode` sets every byte of the prefix it reports and the
+        // store zero-fills the page past it.
         node.encode(&mut self.scratch);
         let len = node.encoded_len();
         store.write().write(pid, &self.scratch[..len])

@@ -171,33 +171,34 @@ impl Node {
             "node of {need} bytes does not fit page of {} bytes",
             buf.len()
         );
-        let mut w = &mut buf[..];
+        let (mut header, body) = buf[..need].split_at_mut(HEADER_BYTES);
+        let (tag, level) = match self {
+            Node::Leaf(_) => (TAG_LEAF, 0),
+            Node::Inner(n) => (TAG_INNER, n.level),
+        };
+        header.put_u8(tag);
+        header.put_u8(level);
+        header.put_u16_le(self.len() as u16);
+        header.put_u32_le(0);
+        // Entry by entry over exact chunks: this runs once per page
+        // written, 2 000 times in a 200 000-point bulk load.
         match self {
             Node::Leaf(n) => {
-                w.put_u8(TAG_LEAF);
-                w.put_u8(0);
-                w.put_u16_le(n.len() as u16);
-                w.put_u32_le(0);
-                for i in 0..n.len() {
-                    for &c in n.point(i) {
-                        w.put_f64_le(c);
-                    }
-                    w.put_u64_le(n.oids[i]);
+                let entries = body.chunks_exact_mut(8 * n.dim + 8);
+                for ((entry, p), oid) in entries.zip(n.points.chunks_exact(n.dim)).zip(&n.oids) {
+                    let (coords, id) = entry.split_at_mut(8 * n.dim);
+                    put_f64s_le(coords, p);
+                    id.copy_from_slice(&oid.to_le_bytes());
                 }
             }
             Node::Inner(n) => {
-                w.put_u8(TAG_INNER);
-                w.put_u8(n.level);
-                w.put_u16_le(n.len() as u16);
-                w.put_u32_le(0);
-                for i in 0..n.len() {
-                    for &c in n.lo(i) {
-                        w.put_f64_le(c);
-                    }
-                    for &c in n.hi(i) {
-                        w.put_f64_le(c);
-                    }
-                    w.put_u32_le(n.children[i]);
+                let entries = body.chunks_exact_mut(16 * n.dim + 4);
+                for ((entry, mbr), child) in
+                    entries.zip(n.mbrs.chunks_exact(2 * n.dim)).zip(&n.children)
+                {
+                    let (corners, id) = entry.split_at_mut(16 * n.dim);
+                    put_f64s_le(corners, mbr);
+                    id.copy_from_slice(&child.to_le_bytes());
                 }
             }
         }
@@ -218,38 +219,47 @@ impl Node {
         let _reserved = r.get_u32_le();
         match tag {
             TAG_LEAF => {
-                let mut n = LeafNode::new(dim);
                 assert!(r.len() >= count * (8 * dim + 8), "truncated leaf page");
+                // Straight into exactly-sized columns: this runs on
+                // every buffer miss.
+                let mut points = Vec::with_capacity(count * dim);
+                let mut oids = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let mut p = Vec::with_capacity(dim);
                     for _ in 0..dim {
-                        p.push(r.get_f64_le());
+                        points.push(r.get_f64_le());
                     }
-                    let oid = r.get_u64_le();
-                    n.push(&p, oid);
+                    oids.push(r.get_u64_le());
                 }
-                Node::Leaf(n)
+                Node::Leaf(LeafNode { dim, points, oids })
             }
             TAG_INNER => {
                 assert!(level >= 1, "inner node with level 0");
-                let mut n = InnerNode::new(dim, level);
                 assert!(r.len() >= count * (16 * dim + 4), "truncated inner page");
-                let mut lo = vec![0.0; dim];
-                let mut hi = vec![0.0; dim];
+                let mut mbrs = Vec::with_capacity(count * 2 * dim);
+                let mut children = Vec::with_capacity(count);
                 for _ in 0..count {
-                    for c in lo.iter_mut() {
-                        *c = r.get_f64_le();
+                    for _ in 0..2 * dim {
+                        mbrs.push(r.get_f64_le());
                     }
-                    for c in hi.iter_mut() {
-                        *c = r.get_f64_le();
-                    }
-                    let child = PageId(r.get_u32_le());
-                    n.push(&lo, &hi, child);
+                    children.push(r.get_u32_le());
                 }
-                Node::Inner(n)
+                Node::Inner(InnerNode {
+                    dim,
+                    level,
+                    mbrs,
+                    children,
+                })
             }
             other => panic!("unknown node tag {other}"),
         }
+    }
+}
+
+/// Write `vals` little-endian into `dst` (`8 * vals.len()` bytes).
+#[inline]
+fn put_f64s_le(dst: &mut [u8], vals: &[f64]) {
+    for (bytes, v) in dst.chunks_exact_mut(8).zip(vals) {
+        bytes.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -260,6 +270,16 @@ impl LeafNode {
             dim,
             points: Vec::new(),
             oids: Vec::new(),
+        }
+    }
+
+    /// New empty leaf with room for `n` points (bulk loading knows the
+    /// fill up front).
+    pub fn with_capacity(dim: usize, n: usize) -> LeafNode {
+        LeafNode {
+            dim,
+            points: Vec::with_capacity(n * dim),
+            oids: Vec::with_capacity(n),
         }
     }
 
@@ -336,6 +356,17 @@ impl InnerNode {
             level,
             mbrs: Vec::new(),
             children: Vec::new(),
+        }
+    }
+
+    /// New empty inner node at `level` (≥ 1) with room for `n` children.
+    pub fn with_capacity(dim: usize, level: u8, n: usize) -> InnerNode {
+        debug_assert!(level >= 1);
+        InnerNode {
+            dim,
+            level,
+            mbrs: Vec::with_capacity(n * 2 * dim),
+            children: Vec::with_capacity(n),
         }
     }
 
@@ -467,6 +498,41 @@ mod tests {
             let mut page = vec![0u8; 256];
             n.encode(&mut page);
             assert_eq!(Node::decode(4, &page), n);
+        }
+    }
+
+    /// Decode rebuilds the columns directly, so hold it to the push-built
+    /// node — and the re-encoded bytes to the page — for every shape:
+    /// dims 2–6, empty, one entry, and as many as the page holds.
+    #[test]
+    fn decode_inverts_encode_for_every_dim_and_fill() {
+        const PAGE: usize = 1024;
+        let coord = |seed: usize| (seed as f64 * 0.37).fract() - 0.25;
+        for dim in 2..=6 {
+            let full_leaf = (PAGE - HEADER_BYTES) / (8 * dim + 8);
+            let full_inner = (PAGE - HEADER_BYTES) / (16 * dim + 4);
+            for (leaf_n, inner_n) in [(0, 0), (1, 1), (full_leaf, full_inner)] {
+                let mut leaf = LeafNode::new(dim);
+                for i in 0..leaf_n {
+                    let p: Vec<f64> = (0..dim).map(|d| coord(i * dim + d)).collect();
+                    leaf.push(&p, u64::MAX - i as u64);
+                }
+                let mut inner = InnerNode::new(dim, 3);
+                for i in 0..inner_n {
+                    let lo: Vec<f64> = (0..dim).map(|d| coord(i * dim + d)).collect();
+                    let hi: Vec<f64> = lo.iter().map(|c| c + 0.5).collect();
+                    inner.push(&lo, &hi, PageId(u32::MAX - 1 - i as u32));
+                }
+                for node in [Node::Leaf(leaf), Node::Inner(inner)] {
+                    let mut page = vec![0u8; PAGE];
+                    node.encode(&mut page);
+                    let back = Node::decode(dim, &page);
+                    assert_eq!(back, node, "dim {dim}, {} entries", node.len());
+                    let mut again = vec![0u8; PAGE];
+                    back.encode(&mut again);
+                    assert_eq!(again, page, "dim {dim}, {} entries", node.len());
+                }
+            }
         }
     }
 

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::bulk::str_bulk_load;
+use crate::bulk::{str_bulk_load, thread_budget};
 use crate::geometry::{enlargement, rect_area, rect_contains_point, rect_overlap, Mbr};
 use crate::node::{InnerNode, LeafNode, Node};
 use crate::pager::{MemPager, PageId, PageStore};
@@ -353,13 +353,31 @@ impl RTree {
     /// indices.
     ///
     /// # Panics
-    /// Panics if `store.page_size() != params.page_size` or if an oid
-    /// slice is supplied whose length differs from `points.len()`.
+    /// Panics if `store.page_size() != params.page_size`, if an oid
+    /// slice is supplied whose length differs from `points.len()`, or on
+    /// more than [`crate::bulk::MAX_BULK_LEN`] points.
     pub fn bulk_load_with_oids_in<S: PageStore + 'static>(
         store: S,
         points: &PointSet,
         oids: Option<&[u64]>,
         params: RTreeParams,
+    ) -> RTree {
+        RTree::bulk_load_sharing_cores(store, points, oids, params, thread_budget())
+    }
+
+    /// [`RTree::bulk_load_with_oids_in`] for a caller that loads several
+    /// trees at once and divides the cores among them: this load keeps
+    /// at most `threads` threads runnable instead of one per core. The
+    /// tree does not depend on `threads`.
+    ///
+    /// # Panics
+    /// See [`RTree::bulk_load_with_oids_in`].
+    pub fn bulk_load_sharing_cores<S: PageStore + 'static>(
+        store: S,
+        points: &PointSet,
+        oids: Option<&[u64]>,
+        params: RTreeParams,
+        threads: usize,
     ) -> RTree {
         assert_eq!(
             store.page_size(),
@@ -369,7 +387,9 @@ impl RTree {
         let dim = points.dim();
         let (leaf_cap, inner_cap) = Self::capacities(params.page_size, dim);
         let buf = BufferPool::new(store, dim, params.buffer_capacity);
-        let res = str_bulk_load(&buf, points, oids, leaf_cap, inner_cap);
+        let res = str_bulk_load(&buf, points, oids, leaf_cap, inner_cap, threads);
+        // Nodes went straight to the store: only one whose write failed
+        // is resident (dirty), and `clear` retries it.
         buf.clear();
         buf.reset_stats();
         let (leaf_min, inner_min) = Self::min_fills(leaf_cap, inner_cap, params.min_fill_ratio);
