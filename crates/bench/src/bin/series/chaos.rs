@@ -1,8 +1,5 @@
-//! Chaos harness: fault survival, degraded-mode goodput and recovery
-//! time, emitted as `BENCH_pr8.json` (schema `mpq.bench.chaos/1`).
-//!
-//! Extends the perf-trajectory series (`BENCH_pr3..7.json`) with the
-//! robustness PR's acceptance numbers:
+//! `chaos` — fault survival, degraded-mode goodput and recovery time
+//! (`BENCH_pr8.json`, schema `mpq.bench.chaos/1`):
 //!
 //! 1. **Fault-survival matrix** — a targeted fault (error, torn write,
 //!    ENOSPC, bit flip) is injected into each durability op class
@@ -20,76 +17,101 @@
 //! 4. **Recovery time** — once the storage heals, how long until the
 //!    tenant's recovery probe reports `healthy` again and mutations
 //!    commit.
-//!
-//! ```text
-//! cargo run --release -p mpq_bench --bin chaos                 # full run
-//! cargo run --release -p mpq_bench --bin chaos -- --quick      # CI smoke
-//! cargo run --release -p mpq_bench --bin chaos -- --out results.json
-//! cargo run -p mpq_bench --bin chaos -- --validate BENCH_pr8.json
-//! MPQ_OBJECTS=20000 MPQ_SWEEP_POINTS=64 ...                    # env overrides
-//! ```
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mpq_bench::identical_matchings;
 use mpq_bench::json::Json;
-use mpq_bench::{env_flag, env_usize, identical_matchings};
 use mpq_core::{Engine, Matching, MpqError};
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_net::{HttpClient, Server, ServerConfig, TenantConfig, TenantRegistry};
 use mpq_rtree::{FaultInjector, FaultKind, FaultOp, PointSet};
 use mpq_ta::FunctionSet;
 
-const SCHEMA: &str = "mpq.bench.chaos/1";
-const TARGET_GOODPUT_RATIO: f64 = 0.5;
+use crate::artifact::{Must, Rule, Series};
 
-struct Config {
+const TARGET_GOODPUT_RATIO: f64 = 0.5;
+const DIM: usize = 3;
+const MUTATIONS: usize = 12;
+
+struct Size {
     objects: usize,
-    mutations: usize,
     functions_per_request: usize,
     sweep_points: usize,
     read_requests: usize,
-    dim: usize,
-    out: String,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_pr8.json");
-        match validate_file(path) {
-            Ok(summary) => println!("{path}: OK ({summary})"),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
+const QUICK: Size = Size {
+    objects: 2_000,
+    functions_per_request: 12,
+    sweep_points: 12,
+    read_requests: 60,
+};
 
-    let quick = args.iter().any(|a| a == "--quick") || env_flag("MPQ_QUICK");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pr8.json".to_string());
+const FULL: Size = Size {
+    objects: 10_000,
+    functions_per_request: 24,
+    sweep_points: 48,
+    read_requests: 300,
+};
 
-    let cfg = Config {
-        objects: env_usize("MPQ_OBJECTS", if quick { 2_000 } else { 10_000 }),
-        mutations: env_usize("MPQ_MUTATIONS", 12),
-        functions_per_request: env_usize("MPQ_FUNCTIONS", if quick { 12 } else { 24 }),
-        sweep_points: env_usize("MPQ_SWEEP_POINTS", if quick { 12 } else { 48 }),
-        read_requests: env_usize("MPQ_READS", if quick { 60 } else { 300 }),
-        dim: env_usize("MPQ_DIM", 3),
-        out,
-    };
-    run(&cfg);
-}
+pub const SERIES: Series = Series {
+    name: "chaos",
+    schema: "mpq.bench.chaos/1",
+    default_out: "BENCH_pr8.json",
+    run,
+    rules: &[
+        Rule("workload.objects", Must::Num),
+        Rule("workload.mutations", Must::Num),
+        Rule("workload.functions_per_request", Must::Num),
+        Rule("workload.read_requests", Must::Num),
+        Rule("workload.dim", Must::Num),
+        Rule(
+            "fault_matrix.cells",
+            Must::Rows(
+                1,
+                &[
+                    Rule("op", Must::Str),
+                    Rule("kind", Must::Str),
+                    Rule("survived", Must::Bool),
+                    Rule("panicked", Must::Bool),
+                ],
+            ),
+        ),
+        Rule(
+            "fault_matrix.survived",
+            Must::NoLessThan("fault_matrix.total"),
+        ),
+        Rule("crash_sweep.scheduled_durability_ops", Must::Num),
+        Rule(
+            "crash_sweep.recovered",
+            Must::NoLessThan("crash_sweep.sampled"),
+        ),
+        Rule("degraded_mode.healthy_goodput_rps", Must::Min(0.0)),
+        Rule("degraded_mode.degraded_goodput_rps", Must::Min(0.0)),
+        Rule("degraded_mode.recovery_secs", Must::Min(0.0)),
+        Rule("degraded_mode.mutation_503_with_retry_after", Must::True),
+        Rule("degraded_mode.recovered", Must::True),
+        Rule("degraded_mode.mutations_after_recovery", Must::True),
+        Rule(
+            "degraded_mode.goodput_ratio",
+            Must::NoLessThan("acceptance.target_goodput_ratio"),
+        ),
+        // an injected fault that panics a worker is a failed run
+        Rule("acceptance.injected_panics", Must::Max(0.0)),
+        Rule("acceptance.achieved", Must::Bool),
+    ],
+    summary: &[
+        "fault_matrix.survived",
+        "fault_matrix.total",
+        "crash_sweep.recovered",
+        "crash_sweep.sampled",
+        "degraded_mode.goodput_ratio",
+        "acceptance.achieved",
+    ],
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,11 +132,11 @@ struct MutationWorkload {
 }
 
 impl MutationWorkload {
-    fn new(cfg: &Config) -> MutationWorkload {
+    fn new() -> MutationWorkload {
         let w = WorkloadBuilder::new()
-            .objects(cfg.mutations)
+            .objects(MUTATIONS)
             .functions(1)
-            .dim(cfg.dim)
+            .dim(DIM)
             .distribution(Distribution::Independent)
             .seed(777)
             .build();
@@ -181,7 +203,6 @@ fn reference_matching(
 /// the acked ops (nothing reordered, nothing invented, no garbage
 /// served).
 fn survival_trial(
-    cfg: &Config,
     base: &PointSet,
     workload: &MutationWorkload,
     fs: &FunctionSet,
@@ -200,7 +221,7 @@ fn survival_trial(
     inj.reset();
     arm(&inj);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        workload.run(&engine, cfg.mutations, checkpoint)
+        workload.run(&engine, MUTATIONS, checkpoint)
     }));
     drop(engine);
     inj.clear();
@@ -229,33 +250,27 @@ fn survival_trial(
     (acked.len(), survived, panicked)
 }
 
-fn run(cfg: &Config) {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
+    let cfg = if quick { &QUICK } else { &FULL };
     println!(
-        "chaos harness: |O|={} mutations={} |F|/req={} sweep={} reads={} D={} cores={}",
-        cfg.objects,
-        cfg.mutations,
-        cfg.functions_per_request,
-        cfg.sweep_points,
-        cfg.read_requests,
-        cfg.dim,
-        cores
+        "chaos: |O|={} mutations={MUTATIONS} |F|/req={} sweep={} reads={} D={DIM} cores={cores}",
+        cfg.objects, cfg.functions_per_request, cfg.sweep_points, cfg.read_requests,
     );
 
     let w = WorkloadBuilder::new()
         .objects(cfg.objects)
         .functions(cfg.functions_per_request)
-        .dim(cfg.dim)
+        .dim(DIM)
         .distribution(Distribution::Independent)
         .seed(2009)
         .build();
     let base = w.objects;
     let fs = w.functions;
-    let workload = MutationWorkload::new(cfg);
+    let workload = MutationWorkload::new();
 
     // 1. Fault-survival matrix: one targeted fault per durability op
     // class x fault kind, armed mid-workload.
-    let mid = (cfg.mutations / 2) as u64;
+    let mid = (MUTATIONS / 2) as u64;
     let matrix_cells: Vec<(&str, &str, FaultOp, FaultKind)> = vec![
         ("wal_write", "error", FaultOp::WalWrite, FaultKind::Error),
         ("wal_write", "torn", FaultOp::WalWrite, FaultKind::Torn),
@@ -284,7 +299,7 @@ fn run(cfg: &Config) {
     for (op_name, kind_name, op, kind) in &matrix_cells {
         let exact = !matches!(kind, FaultKind::BitFlip);
         let (acked, survived, panicked) =
-            survival_trial(cfg, &base, &workload, &fs, false, exact, |inj| {
+            survival_trial(&base, &workload, &fs, false, exact, |inj| {
                 inj.fail_nth(*op, mid, *kind);
             });
         if survived {
@@ -295,7 +310,7 @@ fn run(cfg: &Config) {
         }
         println!(
             "  matrix {op_name}/{kind_name}: acked {acked}/{} survived={survived}",
-            cfg.mutations
+            MUTATIONS
         );
         matrix.push(Json::obj([
             ("op", Json::Str((*op_name).into())),
@@ -318,7 +333,7 @@ fn run(cfg: &Config) {
             .build()
             .expect("valid base objects");
         inj.reset();
-        workload.run(&engine, cfg.mutations, true);
+        workload.run(&engine, MUTATIONS, true);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
         inj.durability_ops()
@@ -329,10 +344,9 @@ fn run(cfg: &Config) {
     let mut sweep_tried = 0usize;
     let t = Instant::now();
     for k in (0..total_ops).step_by(stride) {
-        let (_, survived, panicked) =
-            survival_trial(cfg, &base, &workload, &fs, true, true, |inj| {
-                inj.crash_at(k);
-            });
+        let (_, survived, panicked) = survival_trial(&base, &workload, &fs, true, true, |inj| {
+            inj.crash_at(k);
+        });
         sweep_tried += 1;
         if survived {
             sweep_survived += 1;
@@ -379,7 +393,7 @@ fn run(cfg: &Config) {
             let fs = WorkloadBuilder::new()
                 .objects(1)
                 .functions(cfg.functions_per_request)
-                .dim(cfg.dim)
+                .dim(DIM)
                 .seed(60_000 + i as u64)
                 .build()
                 .functions;
@@ -457,24 +471,20 @@ fn run(cfg: &Config) {
         && goodput_ratio >= TARGET_GOODPUT_RATIO
         && recovered
         && mutations_after_recovery;
-    let doc = Json::obj([
-        ("schema", Json::Str(SCHEMA.into())),
-        ("host", Json::obj([("cores", Json::Num(cores as f64))])),
+    let workload = Json::obj([
+        ("style", Json::Str("fault-injection".into())),
+        ("distribution", Json::Str("independent".into())),
+        ("objects", Json::Num(cfg.objects as f64)),
+        ("mutations", Json::Num(MUTATIONS as f64)),
         (
-            "workload",
-            Json::obj([
-                ("style", Json::Str("fault-injection".into())),
-                ("distribution", Json::Str("independent".into())),
-                ("objects", Json::Num(cfg.objects as f64)),
-                ("mutations", Json::Num(cfg.mutations as f64)),
-                (
-                    "functions_per_request",
-                    Json::Num(cfg.functions_per_request as f64),
-                ),
-                ("read_requests", Json::Num(cfg.read_requests as f64)),
-                ("dim", Json::Num(cfg.dim as f64)),
-            ]),
+            "functions_per_request",
+            Json::Num(cfg.functions_per_request as f64),
         ),
+        ("read_requests", Json::Num(cfg.read_requests as f64)),
+        ("dim", Json::Num(DIM as f64)),
+    ]);
+    vec![
+        ("workload", workload),
         (
             "fault_matrix",
             Json::obj([
@@ -525,151 +535,5 @@ fn run(cfg: &Config) {
                 ("achieved", Json::Bool(achieved)),
             ]),
         ),
-    ]);
-
-    std::fs::write(&cfg.out, doc.render() + "\n").expect("write benchmark artifact");
-    println!(
-        "wrote {} (matrix {matrix_survived}/{}, sweep {sweep_survived}/{sweep_tried}, \
-         ratio {goodput_ratio:.2}, achieved={achieved})",
-        cfg.out,
-        matrix_cells.len()
-    );
-    match validate_file(&cfg.out) {
-        Ok(summary) => println!("self-validation: OK ({summary})"),
-        Err(e) => {
-            eprintln!("self-validation FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Validate a `BENCH_pr8.json` artifact: parse, check the schema tag
-/// and the shape of every section. Returns a one-line summary.
-fn validate_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let doc = Json::parse(&text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("schema '{schema}' != '{SCHEMA}'"));
-    }
-    doc.get("host")
-        .and_then(|h| h.get("cores"))
-        .and_then(Json::as_f64)
-        .ok_or("missing 'host.cores'")?;
-    let workload = doc.get("workload").ok_or("missing 'workload'")?;
-    for key in [
-        "objects",
-        "mutations",
-        "functions_per_request",
-        "read_requests",
-        "dim",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric 'workload.{key}'"))?;
-    }
-    let matrix = doc.get("fault_matrix").ok_or("missing 'fault_matrix'")?;
-    let cells = matrix
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'fault_matrix.cells'")?;
-    if cells.is_empty() {
-        return Err("empty 'fault_matrix.cells'".to_string());
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        for key in ["op", "kind"] {
-            cell.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("missing string 'fault_matrix.cells[{i}].{key}'"))?;
-        }
-        for key in ["survived", "panicked"] {
-            cell.get(key)
-                .and_then(Json::as_bool)
-                .ok_or(format!("missing boolean 'fault_matrix.cells[{i}].{key}'"))?;
-        }
-    }
-    let survived = matrix
-        .get("survived")
-        .and_then(Json::as_f64)
-        .ok_or("missing 'fault_matrix.survived'")?;
-    let total = matrix
-        .get("total")
-        .and_then(Json::as_f64)
-        .ok_or("missing 'fault_matrix.total'")?;
-    if survived < total {
-        return Err(format!("fault matrix lost cells: {survived}/{total}"));
-    }
-    let sweep = doc.get("crash_sweep").ok_or("missing 'crash_sweep'")?;
-    for key in ["scheduled_durability_ops", "sampled", "recovered"] {
-        sweep
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric 'crash_sweep.{key}'"))?;
-    }
-    let sampled = sweep.get("sampled").and_then(Json::as_f64).unwrap();
-    let recovered = sweep.get("recovered").and_then(Json::as_f64).unwrap();
-    if recovered < sampled {
-        return Err(format!("crash sweep lost points: {recovered}/{sampled}"));
-    }
-    let degraded = doc.get("degraded_mode").ok_or("missing 'degraded_mode'")?;
-    for key in [
-        "healthy_goodput_rps",
-        "degraded_goodput_rps",
-        "goodput_ratio",
-        "recovery_secs",
-    ] {
-        let v = degraded
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric 'degraded_mode.{key}'"))?;
-        if v < 0.0 {
-            return Err(format!("negative 'degraded_mode.{key}'"));
-        }
-    }
-    for key in [
-        "mutation_503_with_retry_after",
-        "recovered",
-        "mutations_after_recovery",
-    ] {
-        if !degraded
-            .get(key)
-            .and_then(Json::as_bool)
-            .ok_or(format!("missing boolean 'degraded_mode.{key}'"))?
-        {
-            return Err(format!("'degraded_mode.{key}' is false"));
-        }
-    }
-    let ratio = degraded
-        .get("goodput_ratio")
-        .and_then(Json::as_f64)
-        .unwrap();
-    let acceptance = doc.get("acceptance").ok_or("missing 'acceptance'")?;
-    let target = acceptance
-        .get("target_goodput_ratio")
-        .and_then(Json::as_f64)
-        .ok_or("missing 'acceptance.target_goodput_ratio'")?;
-    if ratio < target {
-        return Err(format!(
-            "degraded goodput ratio {ratio:.2} below target {target}"
-        ));
-    }
-    let panics = acceptance
-        .get("injected_panics")
-        .and_then(Json::as_f64)
-        .ok_or("missing 'acceptance.injected_panics'")?;
-    if panics != 0.0 {
-        return Err(format!("{panics} injected faults panicked a worker"));
-    }
-    let achieved = acceptance
-        .get("achieved")
-        .and_then(Json::as_bool)
-        .ok_or("missing boolean 'acceptance.achieved'")?;
-    Ok(format!(
-        "matrix {survived}/{total}, sweep {recovered}/{sampled}, goodput ratio {ratio:.2}; \
-         acceptance.achieved={achieved}"
-    ))
+    ]
 }

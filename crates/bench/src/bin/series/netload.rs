@@ -1,17 +1,8 @@
-//! Open-loop network overload harness: offered-load sweeps against the
-//! `mpq_net` HTTP front-end, emitting `BENCH_pr7.json` (schema
-//! `mpq.bench.net/1`).
+//! `netload` — open-loop offered-load sweeps against the `mpq_net`
+//! HTTP front-end (`BENCH_pr7.json`, schema `mpq.bench.net/1`).
 //!
-//! ```text
-//! cargo run --release -p mpq_bench --bin netload                 # full run
-//! cargo run --release -p mpq_bench --bin netload -- --quick      # CI smoke
-//! cargo run --release -p mpq_bench --bin netload -- --out results.json
-//! cargo run -p mpq_bench --bin netload -- --validate BENCH_pr7.json
-//! MPQ_OBJECTS=20000 MPQ_FUNCTIONS=48 MPQ_CLIENTS=16 ...         # env overrides
-//! ```
-//!
-//! Unlike the closed-loop harnesses (`service`, `scaling`), arrivals
-//! here are **rate-driven**: request *i* is scheduled at `i / rate`
+//! Unlike the closed-loop ledger and `scaling`, arrivals here are
+//! **rate-driven**: request *i* is scheduled at `i / rate`
 //! seconds after the start of the point regardless of how many earlier
 //! requests have completed, and latency is measured **from the
 //! scheduled arrival instant** — so queueing delay caused by a
@@ -46,81 +37,94 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mpq_bench::json::Json;
-use mpq_bench::{env_flag, env_usize};
 use mpq_core::Algorithm;
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_net::{decode_pairs, HttpClient, Server, ServerConfig, TenantConfig, TenantRegistry};
 use mpq_ta::FunctionSet;
 
-const SCHEMA: &str = "mpq.bench.net/1";
+use crate::artifact::{Must, Rule, Series};
 
 /// `exclude` salts start far beyond any object id: they make every
 /// request's dedupe key unique without actually excluding anything, so
 /// all requests do identical work and the worker never short-circuits.
 const SALT_BASE: u64 = 1 << 40;
+const DIM: usize = 3;
+const QUEUE_CAPACITY: usize = 16;
 
-struct Config {
+struct Size {
     objects: usize,
     functions_per_request: usize,
-    dim: usize,
-    multipliers: Vec<f64>,
+    multipliers: &'static [f64],
     point_secs: f64,
-    clients: usize,
-    queue_capacity: usize,
     calibration_requests: usize,
-    out: String,
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_pr7.json");
-        match validate_file(path) {
-            Ok(summary) => println!("{path}: OK ({summary})"),
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
+const QUICK: Size = Size {
+    objects: 10_000,
+    functions_per_request: 32,
+    multipliers: &[0.5, 1.0, 2.0],
+    point_secs: 2.0,
+    calibration_requests: 64,
+};
 
-    let quick = args.iter().any(|a| a == "--quick") || env_flag("MPQ_QUICK");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_pr7.json".to_string());
+const FULL: Size = Size {
+    objects: 20_000,
+    functions_per_request: 48,
+    multipliers: &[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0],
+    point_secs: 4.0,
+    calibration_requests: 128,
+};
 
-    let multipliers = if quick {
-        vec![0.5, 1.0, 2.0]
-    } else {
-        vec![0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]
-    };
-    let queue_capacity = env_usize("MPQ_QUEUE_CAP", 16);
-    // The pool must out-number everything the server can hold (queue +
-    // in-flight) at the highest offered load, or the generator goes
-    // closed-loop before the server's queue ever fills and the sweep
-    // measures the client, not admission control.
-    let max_mult = multipliers.iter().cloned().fold(1.0f64, f64::max);
-    let default_clients = ((max_mult.ceil() as usize) * queue_capacity + 8).min(64);
-    let cfg = Config {
-        objects: env_usize("MPQ_OBJECTS", if quick { 10_000 } else { 20_000 }),
-        functions_per_request: env_usize("MPQ_FUNCTIONS", if quick { 32 } else { 48 }),
-        dim: env_usize("MPQ_DIM", 3),
-        multipliers,
-        point_secs: env_usize("MPQ_POINT_SECS", if quick { 2 } else { 4 }) as f64,
-        clients: env_usize("MPQ_CLIENTS", default_clients),
-        queue_capacity,
-        calibration_requests: if quick { 64 } else { 128 },
-        out,
-    };
-    run(&cfg);
-}
+pub const SERIES: Series = Series {
+    name: "netload",
+    schema: "mpq.bench.net/1",
+    default_out: "BENCH_pr7.json",
+    run,
+    rules: &[
+        Rule("workload.objects", Must::Num),
+        Rule("workload.functions_per_request", Must::Num),
+        Rule("workload.dim", Must::Num),
+        Rule("workload.queue_capacity", Must::Num),
+        Rule("workload.clients", Must::Num),
+        Rule("workload.point_secs", Must::Num),
+        Rule("workload.tenants", Must::Num),
+        Rule("wire_identical", Must::True),
+        Rule("capacity.closed_loop_rps", Must::Above(0.0)),
+        // at least a pre-overload and an overload point
+        Rule(
+            "series",
+            Must::Rows(
+                2,
+                &[
+                    Rule("multiplier", Must::Num),
+                    Rule("offered_rps", Must::Above(0.0)),
+                    Rule("wall_secs", Must::Above(0.0)),
+                    Rule("goodput_rps", Must::Above(0.0)),
+                    Rule("achieved_rps", Must::Above(0.0)),
+                    Rule("requests", Must::SumOf(&["ok", "rejected", "errors"])),
+                    Rule("ok", Must::Min(1.0)),
+                    Rule("latency_p50_ms", Must::NoMoreThan("latency_p99_ms")),
+                    Rule("latency_p99_ms", Must::NoMoreThan("latency_p999_ms")),
+                ],
+            ),
+        ),
+        Rule("series", Must::SomeRowAbove("multiplier", 1.0)),
+        // The acceptance bar: goodput just past saturation stays within
+        // 10% of the pre-overload plateau — and that point really shed
+        // load, or the generator saturated first and the sweep is void.
+        Rule("overload.goodput_within_10pct", Must::True),
+        Rule("overload.retained_frac", Must::Min(0.9)),
+        Rule("overload.rejected", Must::Min(1.0)),
+        Rule("isolation.alone_probes", Must::Num),
+        Rule("isolation.alone_p50_ms", Must::Num),
+        Rule("isolation.alone_p99_ms", Must::Num),
+        Rule("isolation.contended_probes", Must::Num),
+        Rule("isolation.contended_p50_ms", Must::Num),
+        Rule("isolation.contended_p99_ms", Must::Num),
+        Rule("isolation.all_ok", Must::True),
+    ],
+    summary: &["series", "overload.retained_frac"],
+};
 
 /// Deterministic raw (un-normalized) weight rows via xorshift; the wire
 /// codec and the direct path normalize the same inputs identically.
@@ -330,19 +334,18 @@ fn probe_neighbor(addr: SocketAddr, body: &str, duration: Duration) -> Vec<f64> 
     lat_ms
 }
 
-fn run(cfg: &Config) {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
+    let cfg = if quick { &QUICK } else { &FULL };
+    // The pool must out-number everything the server can hold (queue +
+    // in-flight) at the highest offered load, or the generator goes
+    // closed-loop before the server's queue ever fills and the sweep
+    // measures the client, not admission control.
+    let max_mult = cfg.multipliers.iter().cloned().fold(1.0f64, f64::max);
+    let clients = ((max_mult.ceil() as usize) * QUEUE_CAPACITY + 8).min(64);
     println!(
-        "netload harness: |O|={} |F|/req={} D={} multipliers={:?} point={}s clients={} \
-         queue_cap={} cores={}",
-        cfg.objects,
-        cfg.functions_per_request,
-        cfg.dim,
-        cfg.multipliers,
-        cfg.point_secs,
-        cfg.clients,
-        cfg.queue_capacity,
-        cores
+        "netload: |O|={} |F|/req={} D={DIM} multipliers={:?} point={}s clients={clients} \
+         queue_cap={QUEUE_CAPACITY} cores={cores}",
+        cfg.objects, cfg.functions_per_request, cfg.multipliers, cfg.point_secs,
     );
 
     // Two tenants behind one listener. The primary runs cache-off with
@@ -351,14 +354,14 @@ fn run(cfg: &Config) {
     let primary = WorkloadBuilder::new()
         .objects(cfg.objects)
         .functions(1)
-        .dim(cfg.dim)
+        .dim(DIM)
         .distribution(Distribution::Independent)
         .seed(2009)
         .build();
     let neighbor = WorkloadBuilder::new()
         .objects(2_000)
         .functions(1)
-        .dim(cfg.dim)
+        .dim(DIM)
         .distribution(Distribution::Independent)
         .seed(3007)
         .build();
@@ -370,7 +373,7 @@ fn run(cfg: &Config) {
             &primary.objects,
             TenantConfig {
                 workers: 1,
-                queue_capacity: cfg.queue_capacity,
+                queue_capacity: QUEUE_CAPACITY,
                 cache_capacity: 0,
                 ..TenantConfig::default()
             },
@@ -382,9 +385,9 @@ fn run(cfg: &Config) {
     let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
-    let rows = raw_rows(cfg.dim, cfg.functions_per_request, 4242);
+    let rows = raw_rows(DIM, cfg.functions_per_request, 4242);
     let rows_str = Arc::new(rows_json(&rows));
-    let neighbor_rows = raw_rows(cfg.dim, 8, 555);
+    let neighbor_rows = raw_rows(DIM, 8, 555);
     let neighbor_body = format!(r#"{{"functions":{}}}"#, rows_json(&neighbor_rows));
 
     // Wire fidelity: one request over the socket, bit-compared against
@@ -395,7 +398,7 @@ fn run(cfg: &Config) {
         let resp = client.post_json("/t/primary/match", &body).expect("match");
         assert_eq!(resp.status, 200, "wire check: {}", resp.text());
         let wire_pairs = decode_pairs(&resp.body).expect("decode pairs");
-        let fs = FunctionSet::try_from_rows(cfg.dim, &rows).expect("rows are valid");
+        let fs = FunctionSet::try_from_rows(DIM, &rows).expect("rows are valid");
         let engine = server.registry().get("primary").expect("tenant").backend();
         let direct = engine
             .request(&fs)
@@ -435,7 +438,7 @@ fn run(cfg: &Config) {
             &rows_str,
             n,
             rate,
-            cfg.clients,
+            clients,
             salt_base,
         );
         let (p50, p99, p999) = (
@@ -500,7 +503,6 @@ fn run(cfg: &Config) {
     let flood_n = ((flood_rate * probe_duration.as_secs_f64()).ceil() as usize).clamp(20, 4_000);
     let flood = {
         let rows_str = Arc::clone(&rows_str);
-        let clients = cfg.clients;
         thread::spawn(move || {
             run_open_loop(
                 addr,
@@ -525,27 +527,23 @@ fn run(cfg: &Config) {
 
     server.shutdown();
 
-    let doc = Json::obj([
-        ("schema", Json::Str(SCHEMA.into())),
-        ("host", Json::obj([("cores", Json::Num(cores as f64))])),
+    let workload = Json::obj([
+        ("style", Json::Str("open-loop".into())),
+        ("distribution", Json::Str("independent".into())),
+        ("objects", Json::Num(cfg.objects as f64)),
         (
-            "workload",
-            Json::obj([
-                ("style", Json::Str("open-loop".into())),
-                ("distribution", Json::Str("independent".into())),
-                ("objects", Json::Num(cfg.objects as f64)),
-                (
-                    "functions_per_request",
-                    Json::Num(cfg.functions_per_request as f64),
-                ),
-                ("dim", Json::Num(cfg.dim as f64)),
-                ("algorithm", Json::Str("sb".into())),
-                ("queue_capacity", Json::Num(cfg.queue_capacity as f64)),
-                ("clients", Json::Num(cfg.clients as f64)),
-                ("point_secs", Json::Num(cfg.point_secs)),
-                ("tenants", Json::Num(2.0)),
-            ]),
+            "functions_per_request",
+            Json::Num(cfg.functions_per_request as f64),
         ),
+        ("dim", Json::Num(DIM as f64)),
+        ("algorithm", Json::Str("sb".into())),
+        ("queue_capacity", Json::Num(QUEUE_CAPACITY as f64)),
+        ("clients", Json::Num(clients as f64)),
+        ("point_secs", Json::Num(cfg.point_secs)),
+        ("tenants", Json::Num(2.0)),
+    ]);
+    vec![
+        ("workload", workload),
         ("wire_identical", Json::Bool(wire_identical)),
         (
             "capacity",
@@ -582,158 +580,5 @@ fn run(cfg: &Config) {
                 ("all_ok", Json::Bool(true)), // probe asserts every 200
             ]),
         ),
-    ]);
-
-    std::fs::write(&cfg.out, doc.render() + "\n").expect("write benchmark artifact");
-    println!("wrote {}", cfg.out);
-    match validate_file(&cfg.out) {
-        Ok(summary) => println!("self-validation: OK ({summary})"),
-        Err(e) => {
-            eprintln!("self-validation FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Validate a `BENCH_pr7.json` artifact: schema tag, series shape
-/// (ordered percentiles, request accounting), the overload acceptance
-/// bar, wire fidelity, and the isolation section. Returns a summary.
-fn validate_file(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let doc = Json::parse(&text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("schema '{schema}' != '{SCHEMA}'"));
-    }
-    doc.get("host")
-        .and_then(|h| h.get("cores"))
-        .and_then(Json::as_f64)
-        .ok_or("missing 'host.cores'")?;
-    let workload = doc.get("workload").ok_or("missing 'workload'")?;
-    for key in [
-        "objects",
-        "functions_per_request",
-        "dim",
-        "queue_capacity",
-        "clients",
-        "point_secs",
-        "tenants",
-    ] {
-        workload
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric 'workload.{key}'"))?;
-    }
-    if doc.get("wire_identical").and_then(Json::as_bool) != Some(true) {
-        return Err("'wire_identical' is not true".to_string());
-    }
-    let capacity = doc
-        .get("capacity")
-        .and_then(|c| c.get("closed_loop_rps"))
-        .and_then(Json::as_f64)
-        .ok_or("missing 'capacity.closed_loop_rps'")?;
-    if capacity <= 0.0 {
-        return Err("non-positive capacity".to_string());
-    }
-
-    let series = doc
-        .get("series")
-        .and_then(Json::as_arr)
-        .ok_or("missing 'series' array")?;
-    if series.len() < 2 {
-        return Err("series needs at least a pre-overload and an overload point".to_string());
-    }
-    let mut saw_overload = false;
-    for (i, entry) in series.iter().enumerate() {
-        let num = |key: &str| {
-            entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("series[{i}]: missing numeric '{key}'"))
-        };
-        let mult = num("multiplier")?;
-        saw_overload |= mult > 1.0;
-        for key in ["offered_rps", "wall_secs", "goodput_rps", "achieved_rps"] {
-            if num(key)? <= 0.0 {
-                return Err(format!("series[{i}]: non-positive '{key}'"));
-            }
-        }
-        let (requests, ok) = (num("requests")?, num("ok")?);
-        let (rejected, errors) = (num("rejected")?, num("errors")?);
-        if ok + rejected + errors != requests {
-            return Err(format!(
-                "series[{i}]: ok {ok} + rejected {rejected} + errors {errors} != requests \
-                 {requests}"
-            ));
-        }
-        if ok < 1.0 {
-            return Err(format!("series[{i}]: no successful requests"));
-        }
-        let (p50, p99, p999) = (
-            num("latency_p50_ms")?,
-            num("latency_p99_ms")?,
-            num("latency_p999_ms")?,
-        );
-        if p50 > p99 || p99 > p999 {
-            return Err(format!(
-                "series[{i}]: percentiles out of order ({p50} / {p99} / {p999})"
-            ));
-        }
-    }
-    if !saw_overload {
-        return Err("no series point beyond 1.0x capacity".to_string());
-    }
-
-    let overload = doc.get("overload").ok_or("missing 'overload'")?;
-    let retained = overload
-        .get("retained_frac")
-        .and_then(Json::as_f64)
-        .ok_or("missing 'overload.retained_frac'")?;
-    if overload.get("goodput_within_10pct").and_then(Json::as_bool) != Some(true) {
-        return Err(format!(
-            "overload goodput collapsed: retained {:.1}% of the pre-overload plateau",
-            retained * 100.0
-        ));
-    }
-    if retained < 0.9 {
-        return Err(format!(
-            "'goodput_within_10pct' is true but retained_frac {retained} < 0.9"
-        ));
-    }
-    // An overload point that never shed anything did not overload the
-    // server — the generator saturated first and the sweep is invalid.
-    let shed = overload
-        .get("rejected")
-        .and_then(Json::as_f64)
-        .ok_or("missing 'overload.rejected'")?;
-    if shed < 1.0 {
-        return Err("overload point shed no load (429s == 0)".to_string());
-    }
-
-    let isolation = doc.get("isolation").ok_or("missing 'isolation'")?;
-    for key in [
-        "alone_probes",
-        "alone_p50_ms",
-        "alone_p99_ms",
-        "contended_probes",
-        "contended_p50_ms",
-        "contended_p99_ms",
-    ] {
-        isolation
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric 'isolation.{key}'"))?;
-    }
-    if isolation.get("all_ok").and_then(Json::as_bool) != Some(true) {
-        return Err("'isolation.all_ok' is not true".to_string());
-    }
-
-    Ok(format!(
-        "{} load points, overload retained {:.1}% of plateau goodput",
-        series.len(),
-        retained * 100.0
-    ))
+    ]
 }

@@ -1,0 +1,255 @@
+//! `scaling` — requests/sec of `Engine::evaluate_batch` vs. thread
+//! count × algorithm, against the sequential request loop
+//! (`BENCH_pr3.json`, schema `mpq.bench.scaling/1`).
+//!
+//! The workload is fig2-style (independent distribution, `D = 3`, 4 KiB
+//! pages, LRU buffer at 2% of the tree) — one shared engine, a stream of
+//! independent `MatchRequest`s each carrying its own preference-function
+//! batch. Every parallel cell is checked **pair-for-pair, bit-for-bit**
+//! against the sequential evaluation of the same requests; a mismatch
+//! aborts the run. The engine's buffer is sharded to the maximum tested
+//! thread count (`EngineBuilder::buffer_shards`).
+//!
+//! Speedup is machine-dependent: the `host.cores` field records how many
+//! cores the measurement actually had. The acceptance target (≥ 2× at
+//! ≥ 4 threads) is only reachable on a ≥ 4-core host; on fewer cores the
+//! series still measures and records honestly and `acceptance.achieved`
+//! reports `null` (not applicable) rather than a fake pass/fail.
+
+use std::time::Instant;
+
+use mpq_bench::identical_matchings;
+use mpq_bench::json::Json;
+use mpq_core::{Algorithm, Engine, MatchRequest, Matching};
+use mpq_datagen::{Distribution, WorkloadBuilder};
+use mpq_ta::FunctionSet;
+
+use crate::artifact::{Must, Rule, Series};
+
+const ACCEPT_THREADS: usize = 4;
+const ACCEPT_SPEEDUP: f64 = 2.0;
+const DIM: usize = 3;
+const ALGORITHMS: [Algorithm; 3] = [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain];
+
+struct Size {
+    objects: usize,
+    requests: usize,
+    functions_per_request: usize,
+    threads: &'static [usize],
+}
+
+const QUICK: Size = Size {
+    objects: 4_000,
+    requests: 12,
+    functions_per_request: 20,
+    threads: &[1, 2, 4],
+};
+
+const FULL: Size = Size {
+    objects: 30_000,
+    requests: 48,
+    functions_per_request: 50,
+    threads: &[1, 2, 4, 8],
+};
+
+pub const SERIES: Series = Series {
+    name: "scaling",
+    schema: "mpq.bench.scaling/1",
+    default_out: "BENCH_pr3.json",
+    run,
+    rules: &[
+        Rule("workload.objects", Must::Num),
+        Rule("workload.requests", Must::Num),
+        Rule("workload.functions_per_request", Must::Num),
+        Rule("workload.dim", Must::Num),
+        Rule(
+            "series",
+            Must::Rows(
+                1,
+                &[
+                    Rule("algorithm", Must::Str),
+                    Rule("mode", Must::OneOf(&["sequential", "batch"])),
+                    Rule("threads", Must::Min(0.0)),
+                    Rule("requests", Must::Min(0.0)),
+                    Rule("wall_secs", Must::Min(0.0)),
+                    Rule("requests_per_sec", Must::Min(0.0)),
+                    Rule("speedup_vs_sequential", Must::Min(0.0)),
+                    Rule("identical_to_sequential", Must::True),
+                ],
+            ),
+        ),
+        Rule("acceptance.threshold_speedup", Must::Num),
+    ],
+    summary: &["series", "acceptance.best_speedup_at_threshold"],
+};
+
+fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
+    let cfg = if quick { &QUICK } else { &FULL };
+    let max_threads = cfg.threads.iter().copied().max().unwrap_or(1);
+    println!(
+        "scaling: |O|={} requests={} |F|/req={} D={DIM} threads={:?} cores={cores}",
+        cfg.objects, cfg.requests, cfg.functions_per_request, cfg.threads
+    );
+
+    // fig2-style objects, one shared engine, buffer sharded to the
+    // widest tested thread count
+    let w = WorkloadBuilder::new()
+        .objects(cfg.objects)
+        .functions(1)
+        .dim(DIM)
+        .distribution(Distribution::Independent)
+        .seed(2009)
+        .build();
+    let build_start = Instant::now();
+    let engine = Engine::builder()
+        .objects(&w.objects)
+        .buffer_shards(max_threads)
+        .build()
+        .expect("workload objects are valid");
+    let build_secs = build_start.elapsed().as_secs_f64();
+
+    // one independent preference batch per request
+    let function_sets: Vec<FunctionSet> = (0..cfg.requests)
+        .map(|i| {
+            WorkloadBuilder::new()
+                .objects(1)
+                .functions(cfg.functions_per_request)
+                .dim(DIM)
+                .seed(40_000 + i as u64)
+                .build()
+                .functions
+        })
+        .collect();
+
+    let mut series: Vec<Json> = Vec::new();
+    let mut accept_best: Option<f64> = None;
+
+    for algo in ALGORITHMS {
+        let requests: Vec<MatchRequest> = function_sets
+            .iter()
+            .map(|fs| engine.request(fs).algorithm(algo))
+            .collect();
+
+        // sequential baseline (the pre-batch serving loop)
+        engine.tree().clear_buffer();
+        let seq_start = Instant::now();
+        let sequential: Vec<Matching> = requests
+            .iter()
+            .map(|r| r.evaluate().expect("valid request"))
+            .collect();
+        let seq_wall = seq_start.elapsed().as_secs_f64();
+        let seq_rps = cfg.requests as f64 / seq_wall;
+        println!(
+            "  {:<12} sequential: {:>8.2} req/s ({:.3}s)",
+            algo.name(),
+            seq_rps,
+            seq_wall
+        );
+        series.push(cell(
+            algo,
+            "sequential",
+            1,
+            cfg,
+            seq_wall,
+            seq_rps,
+            1.0,
+            true,
+        ));
+
+        for &threads in cfg.threads {
+            engine.tree().clear_buffer();
+            let outcome = engine
+                .evaluate_batch(&requests, threads)
+                .expect("valid requests");
+            let wall = outcome.metrics().wall.as_secs_f64();
+            let rps = outcome.metrics().requests_per_sec();
+            let identical = outcome
+                .matchings()
+                .iter()
+                .zip(&sequential)
+                .all(|(a, b)| identical_matchings(a, b));
+            assert!(
+                identical,
+                "{algo}: parallel matchings diverged from sequential — this is a bug"
+            );
+            let speedup = if seq_rps > 0.0 { rps / seq_rps } else { 0.0 };
+            println!(
+                "  {:<12} t={:<2}      : {:>8.2} req/s  speedup {:>5.2}x  identical={}",
+                algo.name(),
+                threads,
+                rps,
+                speedup,
+                identical
+            );
+            if threads >= ACCEPT_THREADS {
+                accept_best = Some(accept_best.map_or(speedup, |b: f64| b.max(speedup)));
+            }
+            series.push(cell(
+                algo, "batch", threads, cfg, wall, rps, speedup, identical,
+            ));
+        }
+    }
+
+    // acceptance verdict: only meaningful with enough cores to scale
+    let acceptance = Json::obj([
+        ("threshold_speedup", Json::Num(ACCEPT_SPEEDUP)),
+        ("at_threads", Json::Num(ACCEPT_THREADS as f64)),
+        (
+            "best_speedup_at_threshold",
+            accept_best.map_or(Json::Null, Json::Num),
+        ),
+        (
+            "achieved",
+            if cores < ACCEPT_THREADS {
+                Json::Null // not measurable on this host
+            } else {
+                Json::Bool(accept_best.unwrap_or(0.0) >= ACCEPT_SPEEDUP)
+            },
+        ),
+    ]);
+
+    let workload = Json::obj([
+        ("style", Json::Str("fig2".into())),
+        ("distribution", Json::Str("independent".into())),
+        ("objects", Json::Num(cfg.objects as f64)),
+        ("requests", Json::Num(cfg.requests as f64)),
+        (
+            "functions_per_request",
+            Json::Num(cfg.functions_per_request as f64),
+        ),
+        ("dim", Json::Num(DIM as f64)),
+        ("build_secs", Json::Num(build_secs)),
+        (
+            "buffer_shards",
+            Json::Num(engine.tree().buffer_shards() as f64),
+        ),
+    ]);
+    vec![
+        ("workload", workload),
+        ("series", Json::Arr(series)),
+        ("acceptance", acceptance),
+    ]
+}
+
+#[allow(clippy::too_many_arguments)]
+fn cell(
+    algo: Algorithm,
+    mode: &str,
+    threads: usize,
+    cfg: &Size,
+    wall: f64,
+    rps: f64,
+    speedup: f64,
+    identical: bool,
+) -> Json {
+    Json::obj([
+        ("algorithm", Json::Str(algo.name().into())),
+        ("mode", Json::Str(mode.into())),
+        ("threads", Json::Num(threads as f64)),
+        ("requests", Json::Num(cfg.requests as f64)),
+        ("wall_secs", Json::Num(wall)),
+        ("requests_per_sec", Json::Num(rps)),
+        ("speedup_vs_sequential", Json::Num(speedup)),
+        ("identical_to_sequential", Json::Bool(identical)),
+    ])
+}

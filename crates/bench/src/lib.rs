@@ -1,10 +1,12 @@
-//! Shared infrastructure of the experiment harness: run one matcher on
-//! one workload, collect the metrics the paper plots, and print aligned
+//! Shared infrastructure of the figure binaries: run one matcher on one
+//! workload, collect the metrics the paper plots, and print aligned
 //! tables.
 //!
 //! Every figure of the paper has a binary in `src/bin/` that regenerates
-//! its series (each binary's module docs say which); Criterion
-//! micro/macro benchmarks live in `benches/`.
+//! its series (`fig2`, `fig3`, `ablation`; each binary's module docs say
+//! which). Beside them live `series` — the thread-sweep, open-loop and
+//! fault-matrix artifacts — and the ledger, the repo's one benchmark,
+//! which links none of this library.
 
 use std::time::Instant;
 
@@ -13,8 +15,7 @@ use mpq_datagen::Workload;
 
 /// Re-export of the dependency-free JSON machinery, which moved down to
 /// [`mpq_core::json`] when the network front-end started sharing it for
-/// its wire codec and `/metrics` endpoint. Harness binaries keep using
-/// `mpq_bench::json::Json` unchanged.
+/// its wire codec and `/metrics` endpoint.
 pub use mpq_core::json;
 
 /// One experiment cell: a matcher's cost on one workload.
@@ -43,11 +44,10 @@ pub struct Cell {
     pub total_score: f64,
 }
 
-/// Byte-level identity of two matchings, the acceptance bar of every
-/// perf-trajectory harness: same pairs, same emission order, same score
+/// Byte-level identity of two matchings, the acceptance bar of the
+/// `series` binary: same pairs, same emission order, same score
 /// **bits** (`f64::to_bits`, so `-0.0 != 0.0` and NaNs never sneak
-/// through a `==`). Shared by the scaling and service harness binaries
-/// so the identity contract cannot drift between them.
+/// through a `==`).
 pub fn identical_matchings(a: &Matching, b: &Matching) -> bool {
     a.len() == b.len()
         && a.pairs().iter().zip(b.pairs()).all(|(x, y)| {

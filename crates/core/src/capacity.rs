@@ -11,17 +11,25 @@
 //!
 //! With every capacity equal to 1 this reduces exactly to the 1-1
 //! matching (asserted by tests).
+//!
+//! That greedy is written once, as the crate-private `GreedyProbe`: an
+//! [`Engine`] answers a capacitated request by draining one probe over
+//! its tree, and the [`crate::shard`] merge — whose un-capacitated
+//! requests are the all-ones case — drives one probe per shard and
+//! picks the best of their candidates each round.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
-use mpq_rtree::{NodeSource, PointSet};
+use mpq_rtree::{IoSession, IoStats, PointSet};
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::{FunctionSet, ReverseTopOne};
 
-use crate::engine::Engine;
+use crate::backend::EvalBackend;
+use crate::engine::{Engine, RequestOptions};
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::seed::{PeeledLog, SeedPart};
 
 /// Result of a capacitated run: assignment pairs in emission order and
 /// the per-object resident lists.
@@ -96,97 +104,272 @@ impl CapacityMatching {
     }
 }
 
-/// Capacitated matching over any node source. Objects in `excluded` are
-/// treated as having zero capacity.
-pub(crate) fn run_capacity_on<R: NodeSource>(
-    src: &R,
-    functions: &FunctionSet,
-    capacities: &[u32],
-    excluded: &HashSet<u64>,
-) -> Matching {
-    let start = Instant::now();
-    let io_start = src.io_snapshot();
-    let mut fs = functions.clone();
-    let mut rt1 = ReverseTopOne::build(&fs);
-    let mut maintainer = SkylineMaintainer::build(src);
-    let mut metrics = RunMetrics::default();
+/// Capacity units by global oid, as one request sees them.
+///
+/// The vector is sized from the backend's id bound *before* any
+/// snapshot is pinned, so a racing insert can put an object into a
+/// snapshot whose oid lies past its end. Such an object has `uncovered`
+/// units: 1 for an un-capacitated request (it is in the snapshot, so
+/// the matching over that snapshot may assign it), 0 for a capacitated
+/// one (the caller's vector predates it — invisible, like an exclusion).
+#[derive(Clone)]
+pub(crate) struct Units {
+    remaining: Vec<u32>,
+    uncovered: u32,
+}
 
-    let mut remaining: Vec<u32> = capacities.to_vec();
-    for &oid in excluded {
-        if let Some(slot) = remaining.get_mut(oid as usize) {
-            *slot = 0;
-        }
-    }
-    // objects with zero initial capacity are unavailable from the start
-    let zero_cap: Vec<u64> = maintainer
-        .iter()
-        .filter(|e| remaining[e.oid as usize] == 0)
-        .map(|e| e.oid)
-        .collect();
-    // removing them may promote other zero-capacity objects; iterate
-    let mut to_remove = zero_cap;
-    while !to_remove.is_empty() {
-        let promoted = maintainer.remove(&to_remove, src);
-        to_remove = promoted
-            .iter()
-            .filter(|(oid, _)| remaining[*oid as usize] == 0)
-            .map(|(oid, _)| *oid)
-            .collect();
-    }
-
-    let mut fbest: HashMap<u64, (u32, f64)> = HashMap::new();
-    let mut pairs: Vec<Pair> = Vec::new();
-
-    while fs.n_alive() > 0 && !maintainer.is_empty() {
-        metrics.loops += 1;
-        // refresh cached best functions
-        for e in maintainer.iter() {
-            if let Entry::Vacant(slot) = fbest.entry(e.oid) {
-                metrics.reverse_top1_calls += 1;
-                let best = rt1.best_for(&fs, e.point).expect("functions remain");
-                slot.insert(best);
+impl Units {
+    /// The request's capacities (one unit per object below the id bound
+    /// without them), zeroed for its excluded objects.
+    pub(crate) fn for_request<B: EvalBackend + ?Sized>(
+        backend: &B,
+        options: &RequestOptions,
+    ) -> Units {
+        let (mut remaining, uncovered) = match &options.capacities {
+            Some(caps) => (caps.clone(), 0),
+            None => (vec![1; backend.oid_bound() as usize], 1),
+        };
+        for &oid in &options.exclude {
+            if let Some(slot) = remaining.get_mut(oid as usize) {
+                *slot = 0;
             }
         }
-        // globally best pair in canonical order
+        Units {
+            remaining,
+            uncovered,
+        }
+    }
+
+    /// Units object `oid` can still take.
+    fn left(&self, oid: u64) -> u32 {
+        self.remaining
+            .get(oid as usize)
+            .copied()
+            .unwrap_or(self.uncovered)
+    }
+
+    /// Consume one unit of `oid`; true iff that exhausted it (an
+    /// uncovered object had its one unit).
+    fn take(&mut self, oid: u64) -> bool {
+        self.remaining.get_mut(oid as usize).is_none_or(|units| {
+            *units -= 1;
+            *units == 0
+        })
+    }
+}
+
+/// The canonical greedy over one pinned inventory snapshot: a working
+/// function-set copy, reverse top-1 index, skyline maintainer, cached
+/// best-function table and capacity view. [`Engine`]'s capacitated
+/// requests drain one ([`GreedyProbe::run`]); the K-shard merge in
+/// [`crate::shard`] drives one per shard, learning from it through
+/// candidate [`Pair`] messages and teaching it through assignment
+/// broadcasts.
+pub(crate) struct GreedyProbe<'e> {
+    io: IoSession<'e>,
+    io_start: IoStats,
+    fs: FunctionSet,
+    rt1: ReverseTopOne,
+    sky: SkylineMaintainer,
+    /// A shard consults only its own slice of the id space; a full
+    /// copy per shard is just the simplest container.
+    units: Units,
+    fbest: HashMap<u64, (u32, f64)>,
+    reverse_top1_calls: u64,
+}
+
+impl<'e> GreedyProbe<'e> {
+    /// Build a probe cold or primed from this shard's [`SeedPart`].
+    ///
+    /// `seed` is `(part, version)` — the part is honored only when the
+    /// shard's inventory version still equals `version` on both sides
+    /// of the I/O-session pin (the part's snapshot references pages of
+    /// exactly that epoch). `capture` receives this probe's own
+    /// post-peel snapshot, stamped with the pinned version — again only
+    /// when no mutation straddled the pin.
+    pub(crate) fn new(
+        engine: &'e Engine,
+        functions: &FunctionSet,
+        units: Units,
+        seed: Option<(&SeedPart, u64)>,
+        mut capture: Option<&mut Option<(SeedPart, u64)>>,
+    ) -> GreedyProbe<'e> {
+        let v_before = engine.inventory_version();
+        let io = IoSession::new(engine.tree());
+        let stable = engine.inventory_version() == v_before;
+        if !stable {
+            capture = None;
+        }
+        let io_start = io.stats();
+        let mut peeled_log: Vec<(u64, Box<[f64]>)> = Vec::new();
+        let capturing = capture.is_some();
+        let sky = match seed.filter(|&(_, v)| stable && v == v_before) {
+            None => SkylineMaintainer::build(&io),
+            Some((part, _)) => {
+                // Resume: re-admit the seed's peeled objects this
+                // request still wants, carry the rest into the capture
+                // journal (the maintainer's content afterwards is what
+                // a cold build over the available inventory yields).
+                let mut m = part.sky.clone();
+                for (oid, point) in &part.peeled {
+                    if units.left(*oid) == 0 {
+                        if capturing {
+                            peeled_log.push((*oid, point.clone()));
+                        }
+                    } else {
+                        m.insert(*oid, point.clone());
+                    }
+                }
+                m
+            }
+        };
+        let mut probe = GreedyProbe {
+            io,
+            io_start,
+            fs: functions.clone(),
+            rt1: ReverseTopOne::build(functions),
+            sky,
+            units,
+            fbest: HashMap::new(),
+            reverse_top1_calls: 0,
+        };
+        // Objects unavailable from the start (zero capacity / excluded)
+        // must leave the skyline before the first probe; removal can
+        // promote other unavailable objects, so iterate.
+        let dead: Vec<u64> = probe
+            .sky
+            .iter()
+            .filter(|e| probe.units.left(e.oid) == 0)
+            .map(|e| e.oid)
+            .collect();
+        if capturing {
+            for &oid in &dead {
+                let point = probe.sky.get(oid).expect("member being peeled");
+                peeled_log.push((oid, point.into()));
+            }
+        }
+        probe.peel(dead, capturing.then_some(&mut peeled_log));
+        if let Some(slot) = capture {
+            *slot = Some((
+                SeedPart {
+                    sky: probe.sky.clone(),
+                    peeled: peeled_log,
+                },
+                v_before,
+            ));
+        }
+        probe
+    }
+
+    /// Remove exhausted objects from the skyline, peeling promoted
+    /// objects that are themselves exhausted. When `peeled` is provided
+    /// (seed capture), it receives every object this call removes.
+    fn peel(&mut self, mut to_remove: Vec<u64>, mut peeled: Option<&mut PeeledLog>) {
+        while !to_remove.is_empty() {
+            let promoted = self.sky.remove(&to_remove, &self.io);
+            to_remove.clear();
+            for (oid, point) in promoted {
+                if self.units.left(oid) == 0 {
+                    to_remove.push(oid);
+                    if let Some(log) = peeled.as_deref_mut() {
+                        log.push((oid, point));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scatter message: compute (or serve from the `fbest` cache) the
+    /// best candidate pair of this snapshot. `None` means the probe is
+    /// exhausted — no function is left, or its skyline is empty and can
+    /// never refill.
+    pub(crate) fn probe(&mut self) -> Option<Pair> {
+        if self.fs.n_alive() == 0 {
+            return None;
+        }
         let mut best: Option<Pair> = None;
-        for e in maintainer.iter() {
-            let (fid, score) = fbest[&e.oid];
+        for e in self.sky.iter() {
+            let &mut (fid, score) = match self.fbest.entry(e.oid) {
+                Entry::Occupied(o) => o.into_mut(),
+                Entry::Vacant(v) => {
+                    self.reverse_top1_calls += 1;
+                    let b = self
+                        .rt1
+                        .best_for(&self.fs, e.point)
+                        .expect("functions remain");
+                    v.insert(b)
+                }
+            };
             let cand = Pair {
                 fid,
                 oid: e.oid,
                 score,
             };
-            if best.is_none() || cand.beats(best.as_ref().unwrap()) {
+            if best.as_ref().is_none_or(|b| cand.beats(b)) {
                 best = Some(cand);
             }
         }
-        let pair = best.expect("skyline non-empty");
-
-        fs.remove(pair.fid);
-        pairs.push(pair);
-        remaining[pair.oid as usize] -= 1;
-
-        if remaining[pair.oid as usize] == 0 {
-            fbest.remove(&pair.oid);
-            let mut to_remove = vec![pair.oid];
-            while !to_remove.is_empty() {
-                let promoted = maintainer.remove(&to_remove, src);
-                to_remove = promoted
-                    .iter()
-                    .filter(|(oid, _)| remaining[*oid as usize] == 0)
-                    .map(|(oid, _)| *oid)
-                    .collect();
-            }
-        }
-        // entries whose best function was just assigned are stale
-        fbest.retain(|_, (fid, _)| *fid != pair.fid);
+        best
     }
 
-    metrics.elapsed = start.elapsed();
-    metrics.io = src.io_snapshot().since(io_start);
-    metrics.skyline = Some(maintainer.stats());
-    metrics.ta = Some(rt1.stats());
-    Matching::new(pairs, metrics)
+    /// Assignment broadcast: the global winner is `pair`. Every probe
+    /// retires the assigned function; the owner additionally consumes
+    /// one capacity unit and retires the object when exhausted. Returns
+    /// true iff this probe owned the object.
+    pub(crate) fn assign(&mut self, pair: &Pair) -> bool {
+        self.fs.remove(pair.fid);
+        // cached candidates computed against the retired function are
+        // stale
+        self.fbest.retain(|_, (fid, _)| *fid != pair.fid);
+        let owned = self.sky.contains(pair.oid);
+        if owned && self.units.take(pair.oid) {
+            self.fbest.remove(&pair.oid);
+            self.peel(vec![pair.oid], None);
+        }
+        owned
+    }
+
+    /// True once every function is assigned.
+    pub(crate) fn functions_exhausted(&self) -> bool {
+        self.fs.n_alive() == 0
+    }
+
+    /// I/O on the pinned snapshot since the probe was built.
+    pub(crate) fn io(&self) -> IoStats {
+        self.io.stats().since(self.io_start)
+    }
+
+    /// Reverse top-1 searches issued so far.
+    pub(crate) fn reverse_top1_calls(&self) -> u64 {
+        self.reverse_top1_calls
+    }
+
+    /// The whole matching of one request over `engine`'s current
+    /// snapshot ([`Engine`] takes this path for capacitated requests).
+    pub(crate) fn run(
+        engine: &'e Engine,
+        functions: &FunctionSet,
+        options: &RequestOptions,
+    ) -> Matching {
+        let start = Instant::now();
+        let units = Units::for_request(engine, options);
+        let mut probe = GreedyProbe::new(engine, functions, units, None, None);
+        let mut pairs = Vec::new();
+        while let Some(pair) = probe.probe() {
+            probe.assign(&pair);
+            pairs.push(pair);
+        }
+        let metrics = RunMetrics {
+            elapsed: start.elapsed(),
+            io: probe.io(),
+            loops: pairs.len() as u64,
+            reverse_top1_calls: probe.reverse_top1_calls,
+            skyline: Some(probe.sky.stats()),
+            ta: Some(probe.rt1.stats()),
+            ..RunMetrics::default()
+        };
+        Matching::new(pairs, metrics)
+    }
 }
 
 /// Exact reference for the capacitated matching: greedy over all pairs.

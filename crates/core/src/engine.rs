@@ -55,7 +55,7 @@ use mpq_ta::{FunctionSet, ReverseTopOne};
 use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
 use crate::cache::{MutationEvent, MutationLog};
-use crate::capacity::run_capacity_on;
+use crate::capacity::GreedyProbe;
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
@@ -1092,12 +1092,11 @@ impl EvalBackend for Engine {
     ) -> Result<Matching, MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        if options.capacities.is_some() {
+            return Ok(GreedyProbe::run(self, functions, options));
+        }
         let version_before = self.inventory_version();
         let session = IoSession::new(&self.tree);
-
-        if let Some(caps) = &options.capacities {
-            return Ok(run_capacity_on(&session, functions, caps, &options.exclude));
-        }
 
         match options.algorithm {
             Algorithm::Sb => {

@@ -32,6 +32,9 @@
 //!
 //! The [`capacity`] module extends the model with object capacities
 //! (e.g. a room *type* with `c` identical rooms), which the examples use.
+//! Its greedy probe — best pair over a skyline, one capacity unit per
+//! assignment — is written once: an [`Engine`] drains one for a
+//! capacitated request, and the [`shard`] merge drives one per shard.
 //!
 //! ## Evaluation goes through the [`Engine`]
 //!

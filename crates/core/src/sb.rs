@@ -685,16 +685,11 @@ impl<R: NodeSource> SbStream<'_, R> {
             &mut self.metrics,
         );
         self.pending.extend(scratch.round.pairs.iter().copied());
-
-        #[cfg(debug_assertions)]
-        if std::env::var("MPQ_SB_CHECK").is_ok() {
-            self.check_obest_invariant();
-        }
     }
 
-    /// Debug-only invariant check: every current skyline object scoring
+    /// Test-only invariant check: every current skyline object scoring
     /// above an obest list's stored minimum must be in that list.
-    #[cfg(debug_assertions)]
+    #[cfg(test)]
     fn check_obest_invariant(&self) {
         let scratch = self.scratch.get();
         for (fid, list) in &scratch.obest {
@@ -960,6 +955,18 @@ mod tests {
         v
     }
 
+    /// Drain a stream loop by loop, checking the obest rank-list
+    /// invariant after every loop.
+    fn drain_checking_obest<R: NodeSource>(mut stream: SbStream<'_, R>) -> Vec<Pair> {
+        let mut pairs = Vec::new();
+        while !stream.done {
+            stream.loop_once();
+            stream.check_obest_invariant();
+            pairs.extend(stream.pending.drain(..));
+        }
+        pairs
+    }
+
     #[test]
     fn matches_reference_on_random_workload() {
         for (dist, seed) in [
@@ -1055,7 +1062,7 @@ mod tests {
         let expect = reference_matching(&w.objects, &w.functions);
         assert_eq!((first.fid, first.oid), (expect[0].fid, expect[0].oid));
         assert!(stream.unassigned_functions() < 25);
-        let rest: Vec<Pair> = stream.collect();
+        let rest = drain_checking_obest(stream);
         assert_eq!(rest.len(), 24);
     }
 
@@ -1160,6 +1167,9 @@ mod tests {
         let expect = reference_matching(&objects, &functions);
         assert_eq!(sorted(m.pairs()), sorted(&expect));
         verify_stable(&objects, &functions, m.pairs()).unwrap();
+        let tree = sb().index.build_tree(&objects);
+        let streamed = drain_checking_obest(sb().stream(&tree, &functions));
+        assert_eq!(sorted(&streamed), sorted(&expect));
     }
 
     #[test]

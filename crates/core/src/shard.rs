@@ -16,8 +16,9 @@
 //!    ids natively, so no id translation sits between the merge
 //!    protocol and the per-shard trees.
 //! 2. **Scatter.** Each evaluation round probes shards for their best
-//!    candidate pair (skyline + reverse top-1, exactly the canonical
-//!    greedy the unsharded capacity path runs).
+//!    candidate pair (skyline + reverse top-1: one `GreedyProbe` of
+//!    [`crate::capacity`] per shard — the very probe an unsharded
+//!    capacitated request drains on its own).
 //! 3. **Gather + merge.** The driver picks the best candidate, emits
 //!    it, and broadcasts the assignment; only shards whose state the
 //!    assignment touched (the owner of the object, or any shard whose
@@ -67,27 +68,25 @@
 //! [`MutationLog`]s prove irrelevant shard-A mutations harmless
 //! component-wise (see [`crate::ResultCache::get_with_logs`]).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mpq_rtree::bulk::thread_budget;
-use mpq_rtree::{IoSession, IoStats, PointSet};
-use mpq_skyline::SkylineMaintainer;
-use mpq_ta::{FunctionSet, ReverseTopOne};
+use mpq_rtree::{IoStats, PointSet};
+use mpq_ta::FunctionSet;
 
 use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::cache::MutationLog;
+use crate::capacity::{GreedyProbe, Units};
 use crate::engine::{
     validate_request, Algorithm, BatchOutcome, Engine, MatchRequest, RequestOptions,
 };
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
-use crate::seed::{EvalSeed, PeeledLog, SeedPart};
+use crate::seed::{EvalSeed, SeedPart};
 use crate::service::{EngineService, ServiceConfig};
 
 /// Manifest file name inside a sharded data directory.
@@ -855,187 +854,11 @@ impl Iterator for ShardedStream<'_> {
     }
 }
 
-/// One shard's evaluator state: its own working function-set copy,
-/// reverse top-1 index, skyline maintainer, cached best-function table
-/// and capacity view. Everything the driver learns from it travels as
-/// candidate [`Pair`] messages; everything it learns from the driver
-/// travels as assignment broadcasts.
-struct ShardProbe<'e> {
-    io: IoSession<'e>,
-    io_start: IoStats,
-    fs: FunctionSet,
-    rt1: ReverseTopOne,
-    sky: SkylineMaintainer,
-    /// Remaining capacity by global oid; only this shard's oids are
-    /// ever consulted (each shard owns a disjoint slice of the id
-    /// space, so a full-length vector is just the simplest container).
-    remaining: Vec<u32>,
-    fbest: HashMap<u64, (u32, f64)>,
-    reverse_top1_calls: u64,
-}
-
-impl<'e> ShardProbe<'e> {
-    /// Build a probe cold or primed from this shard's [`SeedPart`].
-    ///
-    /// `seed` is `(part, version)` — the part is honored only when the
-    /// shard's inventory version still equals `version` on both sides
-    /// of the I/O-session pin (the part's snapshot references pages of
-    /// exactly that epoch). `capture` receives this probe's own
-    /// post-peel snapshot, stamped with the pinned version — again only
-    /// when no mutation straddled the pin.
-    fn new(
-        engine: &'e Engine,
-        functions: &FunctionSet,
-        remaining: Vec<u32>,
-        seed: Option<(&SeedPart, u64)>,
-        mut capture: Option<&mut Option<(SeedPart, u64)>>,
-    ) -> ShardProbe<'e> {
-        let v_before = engine.inventory_version();
-        let io = IoSession::new(engine.tree());
-        let stable = engine.inventory_version() == v_before;
-        if !stable {
-            capture = None;
-        }
-        let io_start = io.stats();
-        let fs = functions.clone();
-        let rt1 = ReverseTopOne::build(&fs);
-        let mut peeled_log: Vec<(u64, Box<[f64]>)> = Vec::new();
-        let capturing = capture.is_some();
-        let sky = match seed.filter(|&(_, v)| stable && v == v_before) {
-            None => SkylineMaintainer::build(&io),
-            Some((part, _)) => {
-                // Resume: re-admit the seed's peeled objects this
-                // request still wants, carry the rest into the capture
-                // journal (the maintainer's content afterwards is what
-                // a cold build over the available inventory yields).
-                let mut m = part.sky.clone();
-                for (oid, point) in &part.peeled {
-                    if remaining[*oid as usize] == 0 {
-                        if capturing {
-                            peeled_log.push((*oid, point.clone()));
-                        }
-                    } else {
-                        m.insert(*oid, point.clone());
-                    }
-                }
-                m
-            }
-        };
-        let mut probe = ShardProbe {
-            io,
-            io_start,
-            fs,
-            rt1,
-            sky,
-            remaining,
-            fbest: HashMap::new(),
-            reverse_top1_calls: 0,
-        };
-        // Objects unavailable from the start (zero capacity / excluded)
-        // must leave the skyline before the first probe; removal can
-        // promote other unavailable objects, so iterate.
-        let dead: Vec<u64> = probe
-            .sky
-            .iter()
-            .filter(|e| probe.remaining[e.oid as usize] == 0)
-            .map(|e| e.oid)
-            .collect();
-        if capturing {
-            for &oid in &dead {
-                let point = probe.sky.get(oid).expect("member being peeled");
-                peeled_log.push((oid, point.into()));
-            }
-        }
-        probe.peel(dead, capturing.then_some(&mut peeled_log));
-        if let Some(slot) = capture {
-            *slot = Some((
-                SeedPart {
-                    sky: probe.sky.clone(),
-                    peeled: peeled_log,
-                },
-                v_before,
-            ));
-        }
-        probe
-    }
-
-    /// Remove exhausted objects from the skyline, peeling promoted
-    /// objects that are themselves exhausted (mirrors the unsharded
-    /// capacity path exactly). When `peeled` is provided (seed
-    /// capture), it receives every object this call removes.
-    fn peel(&mut self, mut to_remove: Vec<u64>, mut peeled: Option<&mut PeeledLog>) {
-        while !to_remove.is_empty() {
-            let promoted = self.sky.remove(&to_remove, &self.io);
-            to_remove.clear();
-            for (oid, point) in promoted {
-                if self.remaining[oid as usize] == 0 {
-                    to_remove.push(oid);
-                    if let Some(log) = peeled.as_deref_mut() {
-                        log.push((oid, point));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scatter message: compute (or serve from the `fbest` cache) the
-    /// shard's current best candidate pair. `None` means the shard is
-    /// exhausted — its skyline is empty and can never refill.
-    fn probe(&mut self) -> Option<Pair> {
-        if self.fs.n_alive() == 0 {
-            return None;
-        }
-        let mut best: Option<Pair> = None;
-        for e in self.sky.iter() {
-            let &mut (fid, score) = match self.fbest.entry(e.oid) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => {
-                    self.reverse_top1_calls += 1;
-                    let b = self
-                        .rt1
-                        .best_for(&self.fs, e.point)
-                        .expect("functions remain");
-                    v.insert(b)
-                }
-            };
-            let cand = Pair {
-                fid,
-                oid: e.oid,
-                score,
-            };
-            if best.as_ref().is_none_or(|b| cand.beats(b)) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
-    /// Assignment broadcast: the global winner is `pair`. Every shard
-    /// retires the assigned function; the owner additionally consumes
-    /// one capacity unit and retires the object when exhausted. Returns
-    /// true iff this shard owned the object.
-    fn assign(&mut self, pair: &Pair) -> bool {
-        self.fs.remove(pair.fid);
-        // cached candidates computed against the retired function are
-        // stale
-        self.fbest.retain(|_, (fid, _)| *fid != pair.fid);
-        let owned = self.sky.contains(pair.oid);
-        if owned {
-            self.remaining[pair.oid as usize] -= 1;
-            if self.remaining[pair.oid as usize] == 0 {
-                self.fbest.remove(&pair.oid);
-                self.peel(vec![pair.oid], None);
-            }
-        }
-        owned
-    }
-}
-
 /// Driver state of one scatter-gather merge, usable both as a one-shot
 /// evaluation (drain it) and as a progressive stream (pull pairs).
 struct MergeState<'e> {
     engine: &'e ShardedEngine,
-    shards: Vec<ShardProbe<'e>>,
+    shards: Vec<GreedyProbe<'e>>,
     /// Last gathered candidate per shard. For a stale shard the stored
     /// score doubles as the shard's upper bound (per-shard best scores
     /// are non-increasing over assignments).
@@ -1062,16 +885,7 @@ impl<'e> MergeState<'e> {
         seed: Option<&EvalSeed>,
         capture: bool,
     ) -> (MergeState<'e>, Option<EvalSeed>) {
-        let oid_bound = engine.oid_bound() as usize;
-        let mut remaining: Vec<u32> = match &options.capacities {
-            Some(caps) => caps.clone(),
-            None => vec![1; oid_bound],
-        };
-        for &oid in &options.exclude {
-            if let Some(slot) = remaining.get_mut(oid as usize) {
-                *slot = 0;
-            }
-        }
+        let units = Units::for_request(engine, options);
         let k = engine.shards.len();
         // Capacitated requests are not resumable (the probes peel by
         // remaining capacity, which a seed snapshot does not model).
@@ -1079,13 +893,13 @@ impl<'e> MergeState<'e> {
         let capture = capture && seedable;
         let seed = seed.filter(|s| seedable && s.parts.len() == k && s.versions.len() == k);
         let mut captures: Vec<Option<(SeedPart, u64)>> = (0..k).map(|_| None).collect();
-        let mut shards: Vec<Option<ShardProbe<'e>>> = (0..k).map(|_| None).collect();
+        let mut shards: Vec<Option<GreedyProbe<'e>>> = (0..k).map(|_| None).collect();
         let mut candidates: Vec<Option<Pair>> = vec![None; k];
         if k == 1 {
-            let mut probe = ShardProbe::new(
+            let mut probe = GreedyProbe::new(
                 &engine.shards[0],
                 functions,
-                remaining,
+                units,
                 seed.map(|s| (&s.parts[0], s.versions[0])),
                 capture.then_some(&mut captures[0]),
             );
@@ -1103,23 +917,18 @@ impl<'e> MergeState<'e> {
                     .zip(captures.iter_mut())
                     .zip(0..)
                 {
-                    let remaining = remaining.clone();
+                    let units = units.clone();
                     let part = seed.map(|s| (&s.parts[i], s.versions[i]));
                     scope.spawn(move || {
-                        let mut probe = ShardProbe::new(
-                            shard,
-                            functions,
-                            remaining,
-                            part,
-                            capture.then_some(cap),
-                        );
+                        let mut probe =
+                            GreedyProbe::new(shard, functions, units, part, capture.then_some(cap));
                         *cand = probe.probe();
                         *slot = Some(probe);
                     });
                 }
             });
         }
-        let shards: Vec<ShardProbe<'e>> = shards
+        let shards: Vec<GreedyProbe<'e>> = shards
             .into_iter()
             .map(|s| s.expect("every shard probed"))
             .collect();
@@ -1149,7 +958,7 @@ impl<'e> MergeState<'e> {
     /// Resolve and emit the next globally best pair, or `None` when the
     /// matching is complete.
     fn next_pair(&mut self) -> Option<Pair> {
-        if self.shards.is_empty() || self.shards[0].fs.n_alive() == 0 {
+        if self.shards.is_empty() || self.shards[0].functions_exhausted() {
             return None;
         }
         let k = self.shards.len();
@@ -1213,12 +1022,15 @@ impl<'e> MergeState<'e> {
     fn io_total(&self) -> IoStats {
         self.shards
             .iter()
-            .map(|s| s.io.stats().since(s.io_start))
+            .map(GreedyProbe::io)
             .fold(IoStats::default(), |a, b| a + b)
     }
 
     fn reverse_top1_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.reverse_top1_calls).sum()
+        self.shards
+            .iter()
+            .map(GreedyProbe::reverse_top1_calls)
+            .sum()
     }
 }
 

@@ -7,9 +7,12 @@
 //! observable is [`Engine::evaluation_count`] — a surviving entry keeps
 //! serving hits without paying an evaluation.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mpq_core::{Engine, ServiceConfig};
+use mpq_core::capacity::verify_capacity_stable;
+use mpq_core::{verify_stable, Engine, EvalBackend, MpqError, Pair, ServiceConfig, ShardedEngine};
+use mpq_datagen::WorkloadBuilder;
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
 
@@ -265,4 +268,126 @@ fn concurrent_evaluations_race_mutations_safely() {
     let fresh = Engine::builder().objects(&base_objects()).build().unwrap();
     let reference = fresh.request(&fs).evaluate().unwrap();
     assert_eq!(final_matching.sorted_pairs(), reference.sorted_pairs());
+}
+
+/// Per-object vectors — a request's capacities, the K-shard merge's
+/// availability vector — are sized from `oid_bound()` before the
+/// evaluation pins its snapshot, so a racing insert can put an object
+/// into the snapshot that the vector does not cover. That object is
+/// available to an un-capacitated request and invisible to a
+/// capacitated one; it must never be an index out of bounds.
+#[test]
+fn evaluations_racing_an_insert_stay_inside_their_vectors() {
+    const EVALUATIONS: usize = 2_000;
+    const CAPACITY: u32 = 2;
+    let w = WorkloadBuilder::new()
+        .objects(200)
+        .functions(3)
+        .dim(2)
+        .seed(14)
+        .build();
+    // The racing object beats the whole inventory for every function.
+    // Shards pin their snapshots one after another, so a K-shard
+    // matching can hold up to K incarnations of it: `inventories[r]`
+    // is the base inventory plus `r` racers.
+    let racer = [0.99, 0.99];
+    let mut inventories = vec![w.objects.clone()];
+    for r in 0..2 {
+        let mut next = inventories[r].clone();
+        next.push(&racer);
+        inventories.push(next);
+    }
+    let n = w.objects.len() as u64;
+    let sharded = || ShardedEngine::builder().objects(&w.objects).shards(2);
+    let backends: [(Arc<dyn EvalBackend>, bool); 3] = [
+        (
+            Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
+            true,
+        ),
+        (Arc::new(sharded().build().unwrap()), false),
+        (Arc::new(sharded().build().unwrap()), true),
+    ];
+    let bits = |pairs: Vec<Pair>| -> Vec<(u32, u64, u64)> {
+        pairs
+            .iter()
+            .map(|p| (p.fid, p.oid, p.score.to_bits()))
+            .collect()
+    };
+    for (backend, capacitated) in backends {
+        let evaluate = || {
+            let caps = vec![CAPACITY; backend.oid_bound() as usize];
+            let request = backend.request(&w.functions);
+            if capacitated {
+                request.capacities(&caps).evaluate()
+            } else {
+                request.evaluate()
+            }
+        };
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    let oid = backend.insert_object(&racer).unwrap();
+                    backend.remove_object(oid).unwrap();
+                }
+            });
+            let evaluations = scope.spawn(|| {
+                for _ in 0..EVALUATIONS {
+                    let matching = match evaluate() {
+                        Ok(matching) => matching,
+                        // the id bound moved between sizing and validation
+                        Err(MpqError::CapacityMismatch { .. }) if capacitated => continue,
+                        Err(e) => panic!("untyped failure under a racing insert: {e}"),
+                    };
+                    // Ids are never recycled: fold the racers this
+                    // matching saw onto the slots after the base ids.
+                    let mut racers: Vec<u64> = matching
+                        .pairs()
+                        .iter()
+                        .map(|p| p.oid)
+                        .filter(|&oid| oid >= n)
+                        .collect();
+                    racers.sort_unstable();
+                    racers.dedup();
+                    assert!(racers.len() <= backend.version_vector().len());
+                    let pairs: Vec<Pair> = matching
+                        .pairs()
+                        .iter()
+                        .map(|p| Pair {
+                            oid: racers
+                                .binary_search(&p.oid)
+                                .map_or(p.oid, |slot| n + slot as u64),
+                            ..*p
+                        })
+                        .collect();
+                    let objects = &inventories[racers.len()];
+                    if capacitated {
+                        let caps = vec![CAPACITY; objects.len()];
+                        verify_capacity_stable(objects, &w.functions, &caps, &pairs).unwrap();
+                    } else {
+                        verify_stable(objects, &w.functions, &pairs).unwrap();
+                    }
+                }
+            });
+            // Join before stopping the mutator, and stop it even when
+            // an evaluation panicked, or the scope would never end.
+            let outcome = evaluations.join();
+            stop.store(true, Ordering::Relaxed);
+            outcome.expect("an evaluation racing an insert panicked");
+        });
+
+        assert_eq!(backend.n_objects(), w.objects.len());
+        let fresh = Engine::builder().objects(&w.objects).build().unwrap();
+        let request = fresh.request(&w.functions);
+        let reference = if capacitated {
+            request.capacities(&vec![CAPACITY; w.objects.len()])
+        } else {
+            request
+        };
+        assert_eq!(
+            bits(evaluate().unwrap().sorted_pairs()),
+            bits(reference.evaluate().unwrap().sorted_pairs()),
+            "quiescent matching differs from a fresh build"
+        );
+    }
 }

@@ -52,7 +52,6 @@ pub mod bulk;
 pub mod disk;
 pub mod fault;
 pub mod geometry;
-pub mod knn;
 pub mod node;
 pub mod pager;
 pub mod points;
@@ -65,7 +64,6 @@ pub mod tree;
 pub use disk::DiskPager;
 pub use fault::{FaultInjector, FaultKind, FaultOp, FaultPageStore, WriteFault};
 pub use geometry::Mbr;
-pub use knn::{NnHit, NnIter};
 pub use node::{InnerNode, LeafNode, Node};
 pub use pager::{MemPager, PageId, PageStore};
 pub use points::PointSet;

@@ -50,10 +50,8 @@ pub mod bbs;
 pub mod dominance;
 pub mod maintain;
 pub mod naive;
-pub mod skyband;
 
 pub use bbs::{
     compute_skyline, compute_skyline_excluding, compute_skyline_excluding_with, BbsScratch,
 };
 pub use maintain::{SkylineEntry, SkylineMaintainer, SkylineStats};
-pub use skyband::compute_skyband;
