@@ -13,9 +13,9 @@
 //! cargo run --release -p mpq-bench --bin ablation -- all
 //! ```
 
-use mpq_bench::{env_usize, print_cell, print_header, run_cell};
+use mpq_bench::{build_engine, env_usize, print_cell, print_header, run_cell_on};
 use mpq_core::{
-    BestPairMode, BfStrategy, BruteForceMatcher, IndexConfig, MaintenanceMode, SkylineMatcher,
+    index_build_count, Algorithm, BestPairMode, BfStrategy, IndexConfig, MaintenanceMode,
 };
 use mpq_datagen::{Distribution, Workload, WorkloadBuilder};
 
@@ -35,18 +35,12 @@ fn multipair() {
         env_usize("MPQ_FUNCTIONS", 5_000),
         4,
     );
+    let engine = build_engine(&w, IndexConfig::default());
     print_header("A1 multi-pair per loop (independent, D=4)");
-    print_cell("multi/", &run_cell(&SkylineMatcher::default(), &w));
-    print_cell(
-        "single/",
-        &run_cell(
-            &SkylineMatcher {
-                multi_pair: false,
-                ..SkylineMatcher::default()
-            },
-            &w,
-        ),
-    );
+    for (label, multi) in [("multi/", true), ("single/", false)] {
+        let request = engine.request(&w.functions).multi_pair(multi);
+        print_cell(label, &run_cell_on("SB", &engine, request));
+    }
 }
 
 fn maintenance() {
@@ -56,18 +50,15 @@ fn maintenance() {
         env_usize("MPQ_FUNCTIONS", 1_000),
         4,
     );
+    let engine = build_engine(&w, IndexConfig::default());
     print_header("A2 skyline maintenance (independent, D=4, reduced scale)");
-    print_cell("incremental/", &run_cell(&SkylineMatcher::default(), &w));
-    print_cell(
-        "rescan/",
-        &run_cell(
-            &SkylineMatcher {
-                maintenance: MaintenanceMode::Rescan,
-                ..SkylineMatcher::default()
-            },
-            &w,
-        ),
-    );
+    for (label, method, mode) in [
+        ("incremental/", "SB", MaintenanceMode::Incremental),
+        ("rescan/", "SB-rescan", MaintenanceMode::Rescan),
+    ] {
+        let request = engine.request(&w.functions).maintenance(mode);
+        print_cell(label, &run_cell_on(method, &engine, request));
+    }
 }
 
 fn threshold() {
@@ -76,22 +67,15 @@ fn threshold() {
         env_usize("MPQ_FUNCTIONS", 5_000),
         4,
     );
+    let engine = build_engine(&w, IndexConfig::default());
     print_header("A3 best-pair search (independent, D=4)");
     for (label, mode) in [
         ("ta-tight/", BestPairMode::Ta),
         ("ta-naive/", BestPairMode::TaNaiveThreshold),
         ("scan/", BestPairMode::Scan),
     ] {
-        print_cell(
-            label,
-            &run_cell(
-                &SkylineMatcher {
-                    best_pair: mode,
-                    ..SkylineMatcher::default()
-                },
-                &w,
-            ),
-        );
+        let request = engine.request(&w.functions).best_pair(mode);
+        print_cell(label, &run_cell_on("SB", &engine, request));
     }
 }
 
@@ -103,30 +87,20 @@ fn buffer() {
     );
     print_header("A4 LRU buffer size (independent, D=4, BruteForce + SB)");
     for frac in [0.01, 0.02, 0.04, 0.08, 0.16] {
-        let index = IndexConfig {
-            buffer_fraction: frac,
-            ..IndexConfig::default()
-        };
-        print_cell(
-            &format!("{:>4.0}%/", frac * 100.0),
-            &run_cell(
-                &SkylineMatcher {
-                    index: index.clone(),
-                    ..SkylineMatcher::default()
-                },
-                &w,
-            ),
+        // the buffer fraction is the engine's: one engine per fraction
+        // serves both methods
+        let engine = build_engine(
+            &w,
+            IndexConfig {
+                buffer_fraction: frac,
+                ..IndexConfig::default()
+            },
         );
-        print_cell(
-            &format!("{:>4.0}%/", frac * 100.0),
-            &run_cell(
-                &BruteForceMatcher {
-                    index,
-                    strategy: BfStrategy::Incremental,
-                },
-                &w,
-            ),
-        );
+        let label = format!("{:>4.0}%/", frac * 100.0);
+        for algorithm in [Algorithm::Sb, Algorithm::BruteForce] {
+            let request = engine.request(&w.functions).algorithm(algorithm);
+            print_cell(&label, &run_cell_on(algorithm.name(), &engine, request));
+        }
     }
 }
 
@@ -134,11 +108,11 @@ fn functions() {
     let n = env_usize("MPQ_OBJECTS", 100_000);
     print_header("A5 |F| sweep (independent, D=4, SB)");
     for f in [1_000, 2_000, 5_000, 10_000, 20_000] {
+        // each |F| is a workload of its own
         let w = workload(n, f, 4);
-        print_cell(
-            &format!("F={f}/"),
-            &run_cell(&SkylineMatcher::default(), &w),
-        );
+        let engine = build_engine(&w, IndexConfig::default());
+        let request = engine.request(&w.functions);
+        print_cell(&format!("F={f}/"), &run_cell_on("SB", &engine, request));
     }
 }
 
@@ -148,18 +122,17 @@ fn bf() {
         env_usize("MPQ_FUNCTIONS", 2_000),
         4,
     );
+    let engine = build_engine(&w, IndexConfig::default());
     print_header("A6 Brute Force strategy (independent, D=4)");
-    for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
-        print_cell(
-            "",
-            &run_cell(
-                &BruteForceMatcher {
-                    index: IndexConfig::default(),
-                    strategy,
-                },
-                &w,
-            ),
-        );
+    for (method, strategy) in [
+        ("BruteForce", BfStrategy::Incremental),
+        ("BruteForce-restart", BfStrategy::Restart),
+    ] {
+        let request = engine
+            .request(&w.functions)
+            .algorithm(Algorithm::BruteForce)
+            .bf_strategy(strategy);
+        print_cell("", &run_cell_on(method, &engine, request));
     }
 }
 
@@ -188,4 +161,5 @@ fn main() {
             std::process::exit(2);
         }
     }
+    eprintln!("({} index bulk loads)", index_build_count());
 }

@@ -13,16 +13,14 @@
 //! than Brute Force; Brute Force beats Chain; I/O grows with `D` for all
 //! methods; SB also wins CPU, with Chain slowest.
 
-use mpq_bench::{build_engine, env_flag, env_usize, print_cell, print_header, run_cell_on};
-use mpq_core::{BruteForceMatcher, ChainMatcher, SkylineMatcher};
+use mpq_bench::{build_engine, env_usize, print_header, print_methods};
+use mpq_core::IndexConfig;
 use mpq_datagen::{Distribution, WorkloadBuilder};
 
 fn main() {
     let n_objects = env_usize("MPQ_OBJECTS", 100_000);
     let n_functions = env_usize("MPQ_FUNCTIONS", 5_000);
     let seed = env_usize("MPQ_SEED", 2009) as u64;
-    let skip_chain = env_flag("MPQ_SKIP_CHAIN");
-    let skip_bf = env_flag("MPQ_SKIP_BF");
 
     println!("Figure 2 reproduction: |O| = {n_objects}, |F| = {n_functions}, D = 3..6");
     println!("(io = physical page accesses on the object R-tree, 4KiB pages, LRU = 2%)");
@@ -38,17 +36,8 @@ fn main() {
                 .build();
             print_header(&format!("{} D={dim}", dist.name()));
             // one index build serves every method in this series
-            let (engine, build_secs) = build_engine(&w);
-            let sb = SkylineMatcher::default();
-            print_cell("", &run_cell_on(&sb, &engine, &w, build_secs));
-            if !skip_bf {
-                let bf = BruteForceMatcher::default();
-                print_cell("", &run_cell_on(&bf, &engine, &w, build_secs));
-            }
-            if !skip_chain {
-                let ch = ChainMatcher::default();
-                print_cell("", &run_cell_on(&ch, &engine, &w, build_secs));
-            }
+            let engine = build_engine(&w, IndexConfig::default());
+            print_methods(&engine, &w.functions);
         }
     }
     println!("\n(figure 2(a)/(b) = io column; figure 2(c)/(d) = cpu column)");

@@ -12,8 +12,8 @@
 //! highly skewed, which hurts the top-1-search-based competitors but not
 //! the skyline-based SB.
 
-use mpq_bench::{build_engine, env_flag, env_usize, print_cell, print_header, run_cell_on};
-use mpq_core::{BruteForceMatcher, ChainMatcher, SkylineMatcher};
+use mpq_bench::{build_engine, env_usize, print_header, print_methods};
+use mpq_core::IndexConfig;
 use mpq_datagen::functions::uniform_weights;
 use mpq_datagen::{zillow_preference_space, Workload};
 
@@ -21,8 +21,6 @@ fn main() {
     let n_functions = env_usize("MPQ_FUNCTIONS", 5_000);
     let max_objects = env_usize("MPQ_MAX_OBJECTS", 400_000);
     let seed = env_usize("MPQ_SEED", 2009) as u64;
-    let skip_chain = env_flag("MPQ_SKIP_CHAIN");
-    let skip_bf = env_flag("MPQ_SKIP_BF");
 
     println!(
         "Figure 3 reproduction: Zillow surrogate, |O| in 10K..{}K, |F| = {n_functions}, D = 5",
@@ -47,23 +45,9 @@ fn main() {
             functions: functions.clone(),
         };
         print_header(&format!("zillow |O| = {}K", n / 1000));
-        let (engine, build_secs) = build_engine(&w);
-        print_cell(
-            "",
-            &run_cell_on(&SkylineMatcher::default(), &engine, &w, build_secs),
-        );
-        if !skip_bf {
-            print_cell(
-                "",
-                &run_cell_on(&BruteForceMatcher::default(), &engine, &w, build_secs),
-            );
-        }
-        if !skip_chain {
-            print_cell(
-                "",
-                &run_cell_on(&ChainMatcher::default(), &engine, &w, build_secs),
-            );
-        }
+        // one index build serves every method in this series
+        let engine = build_engine(&w, IndexConfig::default());
+        print_methods(&engine, &w.functions);
     }
     println!("\n(figure 3(a) = io column; figure 3(b) = cpu column)");
 }

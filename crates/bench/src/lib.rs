@@ -1,6 +1,6 @@
-//! Shared infrastructure of the figure binaries: run one matcher on one
-//! workload, collect the metrics the paper plots, and print aligned
-//! tables.
+//! Shared infrastructure of the figure binaries: evaluate one request
+//! against one prepared engine, collect the metrics the paper plots, and
+//! print aligned tables.
 //!
 //! Every figure of the paper has a binary in `src/bin/` that regenerates
 //! its series (`fig2`, `fig3`, `ablation`; each binary's module docs say
@@ -8,20 +8,20 @@
 //! fault-matrix artifacts — and the ledger, the repo's one benchmark,
 //! which links none of this library.
 
-use std::time::Instant;
-
-use mpq_core::{Engine, Matcher, Matching};
+use mpq_core::{Algorithm, Engine, IndexConfig, MatchRequest, Matching};
 use mpq_datagen::Workload;
+use mpq_ta::FunctionSet;
 
 /// Re-export of the dependency-free JSON machinery, which moved down to
 /// [`mpq_core::json`] when the network front-end started sharing it for
 /// its wire codec and `/metrics` endpoint.
 pub use mpq_core::json;
 
-/// One experiment cell: a matcher's cost on one workload.
+/// One experiment cell: a request's cost on one workload.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// Matcher name ("SB", "BruteForce", "Chain", ...).
+    /// Method label ("SB", "SB-rescan", "BruteForce",
+    /// "BruteForce-restart", "Chain").
     pub method: String,
     /// Physical I/O accesses on the object tree (the paper's metric).
     pub io: u64,
@@ -29,8 +29,6 @@ pub struct Cell {
     pub logical: u64,
     /// CPU (wall) seconds of the matching phase.
     pub cpu_secs: f64,
-    /// Seconds spent building the index (not part of the paper metric).
-    pub build_secs: f64,
     /// Number of stable pairs produced.
     pub pairs: usize,
     /// Algorithm loop count.
@@ -55,51 +53,35 @@ pub fn identical_matchings(a: &Matching, b: &Matching) -> bool {
         })
 }
 
-/// Build an engine over the workload's objects, timing the index
-/// construction. Build it **once** per workload and pass it to every
-/// [`run_cell_on`] so the cells measure matching, never index builds.
-pub fn build_engine(w: &Workload) -> (Engine, f64) {
-    let t = Instant::now();
-    let engine = Engine::builder()
+/// Build an engine over the workload's objects. Build it **once** per
+/// workload (and per index configuration, for the A4 buffer-size sweep)
+/// and pass it to every [`run_cell_on`] so the cells measure matching,
+/// never index builds.
+pub fn build_engine(w: &Workload, index: IndexConfig) -> Engine {
+    Engine::builder()
+        .index(index)
         .objects(&w.objects)
         .build()
-        .expect("workload objects are valid");
-    (engine, t.elapsed().as_secs_f64())
+        .expect("workload objects are valid")
 }
 
-/// Run `matcher` against a prepared engine and collect a [`Cell`].
-/// `build_secs` is the (shared, already-paid) index build time passed in
-/// from [`build_engine`] — it is reported, not re-measured, because the
-/// engine amortizes it over every cell of the series.
+/// Evaluate `request` — built against `engine` — and collect a [`Cell`]
+/// labeled `method`.
 ///
 /// The shared LRU buffer is **cold-started before the run**, so cells
 /// are order-independent and match the paper's cold-buffer methodology
 /// (without the reset, method N+1 would read pages method N left hot).
 /// Consequently this is a sequential measurement harness — do not share
 /// the engine with concurrent requests while cells run.
-///
-/// # Panics
-/// Panics if the engine was built with a different [`mpq_core::IndexConfig`]
-/// than the matcher carries — the cell would otherwise be labeled with a
-/// configuration that never ran.
-pub fn run_cell_on(matcher: &dyn Matcher, engine: &Engine, w: &Workload, build_secs: f64) -> Cell {
-    assert_eq!(
-        engine.index_config(),
-        matcher.index_config(),
-        "engine/matcher index configurations disagree; use run_cell() for \
-         index-parameter sweeps"
-    );
+pub fn run_cell_on(method: &str, engine: &Engine, request: MatchRequest<'_, '_>) -> Cell {
     engine.tree().clear_buffer();
-    let m: Matching = matcher
-        .run_on(engine, &w.functions)
-        .expect("workload inputs are valid");
+    let m: Matching = request.evaluate().expect("workload inputs are valid");
     let met = m.metrics();
     Cell {
-        method: matcher.name().to_string(),
+        method: method.to_string(),
         io: met.io.physical(),
         logical: met.io.logical,
         cpu_secs: met.elapsed.as_secs_f64(),
-        build_secs,
         pairs: m.len(),
         loops: met.loops,
         top1: met.top1_searches,
@@ -108,20 +90,21 @@ pub fn run_cell_on(matcher: &dyn Matcher, engine: &Engine, w: &Workload, build_s
     }
 }
 
-/// One-shot convenience: build a private engine with the **matcher's**
-/// index configuration (timed) and run one cell. Prefer
-/// [`build_engine`] + [`run_cell_on`] when several matchers share a
-/// workload — but not when the cells sweep index parameters (e.g. the
-/// A4 buffer-size ablation), which is exactly what this variant is for.
-pub fn run_cell(matcher: &dyn Matcher, w: &Workload) -> Cell {
-    let t = Instant::now();
-    let engine = Engine::builder()
-        .index(matcher.index_config().clone())
-        .objects(&w.objects)
-        .build()
-        .expect("workload objects are valid");
-    let build_secs = t.elapsed().as_secs_f64();
-    run_cell_on(matcher, &engine, w, build_secs)
+/// One series of a figure: SB, Brute Force and Chain against one
+/// engine, a row each (`MPQ_SKIP_BF` / `MPQ_SKIP_CHAIN` drop the slow
+/// competitors).
+pub fn print_methods(engine: &Engine, functions: &FunctionSet) {
+    for algorithm in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
+        let skip = match algorithm {
+            Algorithm::Sb => false,
+            Algorithm::BruteForce => env_flag("MPQ_SKIP_BF"),
+            Algorithm::Chain => env_flag("MPQ_SKIP_CHAIN"),
+        };
+        if !skip {
+            let request = engine.request(functions).algorithm(algorithm);
+            print_cell("", &run_cell_on(algorithm.name(), engine, request));
+        }
+    }
 }
 
 /// Print a table header for a series of cells.
@@ -159,7 +142,7 @@ pub fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// `true` iff the named env toggle is set to a truthy value.
-pub fn env_flag(name: &str) -> bool {
+fn env_flag(name: &str) -> bool {
     matches!(
         std::env::var(name).ok().as_deref(),
         Some("1") | Some("true") | Some("yes")
@@ -169,7 +152,6 @@ pub fn env_flag(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpq_core::SkylineMatcher;
     use mpq_datagen::WorkloadBuilder;
 
     #[test]
@@ -180,7 +162,8 @@ mod tests {
             .dim(2)
             .seed(1)
             .build();
-        let c = run_cell(&SkylineMatcher::default(), &w);
+        let engine = build_engine(&w, IndexConfig::default());
+        let c = run_cell_on("SB", &engine, engine.request(&w.functions));
         assert_eq!(c.method, "SB");
         assert_eq!(c.pairs, 20);
         assert!(c.logical > 0);

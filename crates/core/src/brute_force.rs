@@ -1,4 +1,5 @@
-//! The Brute Force matcher (§III-A of the paper).
+//! The Brute Force algorithm (§III-A of the paper) — what a request
+//! runs under [`Algorithm::BruteForce`](crate::Algorithm::BruteForce).
 //!
 //! One top-1 ranked query per function seeds a global max-heap of
 //! candidate pairs. The heap top with a still-available object is
@@ -34,9 +35,7 @@ use std::time::Instant;
 use mpq_rtree::{LinearScorer, LinearScorerRef, NodeSource, RankedHit, RankedIter, SearchBuf};
 use mpq_ta::FunctionSet;
 
-use crate::engine::{Algorithm, Engine};
-use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matcher, Matching, Pair, RunMetrics};
+use crate::matching::{Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
 
 /// Candidate heap entry, ordered so the canonically first [`Pair`] is
@@ -86,37 +85,6 @@ pub enum BfStrategy {
     Incremental,
     /// Fresh top-1 search (skipping assigned objects) per invalidation.
     Restart,
-}
-
-/// Brute-force stable matcher: per-function top-1 queries with lazy
-/// invalidation (§III-A).
-#[derive(Debug, Clone, Default)]
-pub struct BruteForceMatcher {
-    /// Object R-tree construction/buffering parameters.
-    pub index: IndexConfig,
-    /// Re-search strategy.
-    pub strategy: BfStrategy,
-}
-
-impl Matcher for BruteForceMatcher {
-    fn name(&self) -> &'static str {
-        match self.strategy {
-            BfStrategy::Incremental => "BruteForce",
-            BfStrategy::Restart => "BruteForce-restart",
-        }
-    }
-
-    fn index_config(&self) -> &IndexConfig {
-        &self.index
-    }
-
-    fn run_on(&self, engine: &Engine, functions: &FunctionSet) -> Result<Matching, MpqError> {
-        engine
-            .request(functions)
-            .algorithm(Algorithm::BruteForce)
-            .bf_strategy(self.strategy)
-            .evaluate()
-    }
 }
 
 /// Incremental Brute Force over any node source. Objects in `excluded`
@@ -305,6 +273,9 @@ pub(crate) fn run_restart_on<R: NodeSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Algorithm, Engine};
+    use crate::error::MpqError;
+    use crate::matching::IndexConfig;
     use crate::reference::reference_matching;
     use crate::verify::verify_stable;
     use mpq_datagen::{Distribution, WorkloadBuilder};
@@ -318,20 +289,18 @@ mod tests {
         }
     }
 
-    fn bf(strategy: BfStrategy) -> BruteForceMatcher {
-        BruteForceMatcher {
-            index: tiny_index(),
-            strategy,
-        }
-    }
-
-    fn run(m: &BruteForceMatcher, objects: &PointSet, functions: &FunctionSet) -> Matching {
+    fn run(strategy: BfStrategy, objects: &PointSet, functions: &FunctionSet) -> Matching {
         let engine = Engine::builder()
-            .index(m.index.clone())
+            .index(tiny_index())
             .objects(objects)
             .build()
             .unwrap();
-        m.run_on(&engine, functions).unwrap()
+        engine
+            .request(functions)
+            .algorithm(Algorithm::BruteForce)
+            .bf_strategy(strategy)
+            .evaluate()
+            .unwrap()
     }
 
     #[test]
@@ -344,7 +313,7 @@ mod tests {
             .build();
         let expect = reference_matching(&w.objects, &w.functions);
         for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
-            let m = run(&bf(strategy), &w.objects, &w.functions);
+            let m = run(strategy, &w.objects, &w.functions);
             assert_eq!(
                 m.pairs(),
                 &expect[..],
@@ -363,7 +332,7 @@ mod tests {
             .distribution(Distribution::AntiCorrelated)
             .seed(3)
             .build();
-        let m = run(&bf(BfStrategy::Incremental), &w.objects, &w.functions);
+        let m = run(BfStrategy::Incremental, &w.objects, &w.functions);
         assert!(m.pairs().windows(2).all(|p| p[0].score >= p[1].score));
     }
 
@@ -376,7 +345,7 @@ mod tests {
             .seed(7)
             .build();
         for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
-            let m = run(&bf(strategy), &w.objects, &w.functions);
+            let m = run(strategy, &w.objects, &w.functions);
             assert_eq!(m.len(), 10, "{strategy:?}");
             verify_stable(&w.objects, &w.functions, m.pairs()).unwrap();
         }
@@ -390,7 +359,7 @@ mod tests {
             .dim(2)
             .seed(9)
             .build();
-        let m = run(&bf(BfStrategy::Incremental), &w.objects, &w.functions);
+        let m = run(BfStrategy::Incremental, &w.objects, &w.functions);
         let met = m.metrics();
         assert!(met.peak_frontier > 0, "frontier memory must be tracked");
         assert_eq!(met.io.physical_writes, 0, "BF never mutates the index");
@@ -405,7 +374,7 @@ mod tests {
             .dim(2)
             .seed(9)
             .build();
-        let m = run(&bf(BfStrategy::Restart), &w.objects, &w.functions);
+        let m = run(BfStrategy::Restart, &w.objects, &w.functions);
         let met = m.metrics();
         assert_eq!(
             met.io.physical_writes, 0,
@@ -425,7 +394,12 @@ mod tests {
         let fs = mpq_ta::FunctionSet::new(2);
         let engine = Engine::builder().objects(&w.objects).build().unwrap();
         for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
-            let err = bf(strategy).run_on(&engine, &fs).unwrap_err();
+            let err = engine
+                .request(&fs)
+                .algorithm(Algorithm::BruteForce)
+                .bf_strategy(strategy)
+                .evaluate()
+                .unwrap_err();
             assert_eq!(err, MpqError::EmptyFunctions, "{strategy:?}");
         }
     }
@@ -449,7 +423,7 @@ mod tests {
         );
         let expect = reference_matching(&ps, &fs);
         for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
-            let m = run(&bf(strategy), &ps, &fs);
+            let m = run(strategy, &ps, &fs);
             assert_eq!(m.pairs(), &expect[..], "{strategy:?}");
         }
     }

@@ -28,7 +28,7 @@ use mpq_ta::{FunctionSet, ReverseTopOne};
 
 use crate::backend::EvalBackend;
 use crate::engine::{Engine, RequestOptions};
-use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::matching::{Matching, Pair, RunMetrics};
 use crate::seed::{PeeledLog, SeedPart};
 
 /// Result of a capacitated run: assignment pairs in emission order and
@@ -41,49 +41,6 @@ pub struct CapacityMatching {
     pub residents: HashMap<u64, Vec<u32>>,
     /// Cost metrics.
     pub metrics: RunMetrics,
-}
-
-/// Stable many-to-one matcher with per-object capacities.
-#[derive(Debug, Clone, Default)]
-pub struct CapacityMatcher {
-    /// Object R-tree construction/buffering parameters.
-    pub index: IndexConfig,
-}
-
-impl CapacityMatcher {
-    /// Run the capacitated assignment. `capacities[i]` is the capacity
-    /// of object `i`; it must cover every object.
-    ///
-    /// Builds a single-use engine; to amortize the index over many
-    /// requests, prefer `engine.request(functions).capacities(caps)`.
-    ///
-    /// # Panics
-    /// Panics if `capacities.len() != objects.len()` or the inputs are
-    /// otherwise invalid (the engine path reports [`crate::MpqError`]
-    /// values instead).
-    pub fn run(
-        &self,
-        objects: &PointSet,
-        functions: &FunctionSet,
-        capacities: &[u32],
-    ) -> CapacityMatching {
-        assert_eq!(
-            capacities.len(),
-            objects.len(),
-            "one capacity per object required"
-        );
-        let engine = Engine::builder()
-            .index(self.index.clone())
-            .objects(objects)
-            .build()
-            .unwrap_or_else(|e| panic!("invalid capacity-matcher input: {e}"));
-        let matching = engine
-            .request(functions)
-            .capacities(capacities)
-            .evaluate()
-            .unwrap_or_else(|e| panic!("invalid capacity-matcher input: {e}"));
-        CapacityMatching::from_matching(matching)
-    }
 }
 
 impl CapacityMatching {
@@ -111,11 +68,15 @@ impl CapacityMatching {
 /// snapshot whose oid lies past its end. Such an object has `uncovered`
 /// units: 1 for an un-capacitated request (it is in the snapshot, so
 /// the matching over that snapshot may assign it), 0 for a capacitated
-/// one (the caller's vector predates it — invisible, like an exclusion).
+/// one (the caller's vector predates it — invisible, like an exclusion)
+/// — unless the request excluded that very id, which `excluded_past`
+/// remembers.
 #[derive(Clone)]
 pub(crate) struct Units {
     remaining: Vec<u32>,
     uncovered: u32,
+    /// Excluded ids at or past the end of `remaining`, sorted.
+    excluded_past: Vec<u64>,
 }
 
 impl Units {
@@ -129,23 +90,28 @@ impl Units {
             Some(caps) => (caps.clone(), 0),
             None => (vec![1; backend.oid_bound() as usize], 1),
         };
+        let mut excluded_past = Vec::new();
         for &oid in &options.exclude {
-            if let Some(slot) = remaining.get_mut(oid as usize) {
-                *slot = 0;
+            match remaining.get_mut(oid as usize) {
+                Some(slot) => *slot = 0,
+                None => excluded_past.push(oid),
             }
         }
+        excluded_past.sort_unstable();
         Units {
             remaining,
             uncovered,
+            excluded_past,
         }
     }
 
     /// Units object `oid` can still take.
     fn left(&self, oid: u64) -> u32 {
-        self.remaining
-            .get(oid as usize)
-            .copied()
-            .unwrap_or(self.uncovered)
+        match self.remaining.get(oid as usize) {
+            Some(&units) => units,
+            None if self.excluded_past.binary_search(&oid).is_ok() => 0,
+            None => self.uncovered,
+        }
     }
 
     /// Consume one unit of `oid`; true iff that exhausted it (an
@@ -460,21 +426,63 @@ pub fn verify_capacity_stable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matching::IndexConfig;
     use crate::reference::reference_matching;
     use mpq_datagen::WorkloadBuilder;
 
-    fn tiny_index() -> IndexConfig {
-        IndexConfig {
+    fn engine(objects: &PointSet) -> Engine {
+        let index = IndexConfig {
             page_size: 256,
             buffer_fraction: 0.1,
             min_buffer_pages: 4,
-        }
+        };
+        Engine::builder()
+            .index(index)
+            .objects(objects)
+            .build()
+            .unwrap()
+    }
+
+    fn run(objects: &PointSet, functions: &FunctionSet, capacities: &[u32]) -> CapacityMatching {
+        let matching = engine(objects)
+            .request(functions)
+            .capacities(capacities)
+            .evaluate()
+            .unwrap();
+        CapacityMatching::from_matching(matching)
     }
 
     fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
         let mut v: Vec<(u32, u64)> = pairs.iter().map(|p| (p.fid, p.oid)).collect();
         v.sort_unstable();
         v
+    }
+
+    #[test]
+    fn an_exclusion_past_the_id_bound_is_honoured() {
+        let w = WorkloadBuilder::new()
+            .objects(20)
+            .functions(3)
+            .dim(2)
+            .seed(79)
+            .build();
+        let engine = engine(&w.objects);
+        let bound = engine.oid_bound();
+        let request = engine.request(&w.functions).exclude([bound, bound + 7]);
+        let (_, options) = request.parts();
+        let units = Units::for_request(&engine, options);
+        assert_eq!(units.left(0), 1);
+        assert_eq!(units.left(bound), 0);
+        assert_eq!(units.left(bound + 7), 0);
+        assert_eq!(units.left(bound + 1), 1, "in the snapshot, not excluded");
+
+        let request = request.capacities(&vec![1; bound as usize]);
+        let (_, options) = request.parts();
+        let units = Units::for_request(&engine, options);
+        assert_eq!(units.left(0), 1);
+        for oid in [bound, bound + 7, bound + 1] {
+            assert_eq!(units.left(oid), 0, "the capacity vector predates {oid}");
+        }
     }
 
     #[test]
@@ -486,10 +494,7 @@ mod tests {
             .seed(81)
             .build();
         let caps = vec![1u32; w.objects.len()];
-        let m = CapacityMatcher {
-            index: tiny_index(),
-        }
-        .run(&w.objects, &w.functions, &caps);
+        let m = run(&w.objects, &w.functions, &caps);
         let expect = reference_matching(&w.objects, &w.functions);
         assert_eq!(m.pairs, expect, "capacity-1 must equal the 1-1 matching");
     }
@@ -503,10 +508,7 @@ mod tests {
             .seed(83)
             .build();
         let caps: Vec<u32> = (0..w.objects.len()).map(|i| (i % 3) as u32).collect();
-        let m = CapacityMatcher {
-            index: tiny_index(),
-        }
-        .run(&w.objects, &w.functions, &caps);
+        let m = run(&w.objects, &w.functions, &caps);
         let expect = reference_capacity_matching(&w.objects, &w.functions, &caps);
         assert_eq!(sorted(&m.pairs), sorted(&expect));
         verify_capacity_stable(&w.objects, &w.functions, &caps, &m.pairs).unwrap();
@@ -518,10 +520,7 @@ mod tests {
         ps.push(&[0.95, 0.95]); // everyone's favourite
         ps.push(&[0.3, 0.3]);
         let fs = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.6, 0.4], vec![0.4, 0.6]]);
-        let m = CapacityMatcher {
-            index: tiny_index(),
-        }
-        .run(&ps, &fs, &[2, 5]);
+        let m = run(&ps, &fs, &[2, 5]);
         assert_eq!(m.residents[&0].len(), 2, "object 0 fills its 2 slots");
         assert_eq!(m.residents[&1].len(), 1, "last user overflows to object 1");
     }
@@ -538,10 +537,7 @@ mod tests {
         for c in caps.iter_mut().take(20) {
             *c = 0;
         }
-        let m = CapacityMatcher {
-            index: tiny_index(),
-        }
-        .run(&w.objects, &w.functions, &caps);
+        let m = run(&w.objects, &w.functions, &caps);
         assert!(m.pairs.iter().all(|p| p.oid >= 20));
         verify_capacity_stable(&w.objects, &w.functions, &caps, &m.pairs).unwrap();
     }
@@ -555,10 +551,7 @@ mod tests {
             .seed(89)
             .build();
         let caps = vec![2u32; 5]; // 10 slots for 30 users
-        let m = CapacityMatcher {
-            index: tiny_index(),
-        }
-        .run(&w.objects, &w.functions, &caps);
+        let m = run(&w.objects, &w.functions, &caps);
         assert_eq!(m.pairs.len(), 10);
         verify_capacity_stable(&w.objects, &w.functions, &caps, &m.pairs).unwrap();
     }

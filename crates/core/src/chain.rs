@@ -1,5 +1,6 @@
-//! The Chain matcher — adaptation of Wong et al., "On Efficient Spatial
-//! Matching" (VLDB 2007), as described in §V of the paper.
+//! The Chain algorithm — adaptation of Wong et al., "On Efficient
+//! Spatial Matching" (VLDB 2007), as described in §V of the paper; what
+//! a request runs under [`Algorithm::Chain`](crate::Algorithm::Chain).
 //!
 //! The functions are indexed by a **main-memory R-tree built on their
 //! weight vectors**; the nearest-neighbor module of the spatial chain
@@ -32,9 +33,7 @@ use mpq_rtree::{LinearScorerRef, NodeSource, PointSet, RTree, RTreeParams, Ranke
 use mpq_ta::FunctionSet;
 
 use crate::brute_force::masked_top1;
-use crate::engine::{Algorithm, Engine};
-use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matcher, Matching, Pair, RunMetrics};
+use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
 
 /// A chain element: a function or an object (with its point, needed for
@@ -43,30 +42,6 @@ use crate::scratch::Scratch;
 enum Elem {
     F(u32),
     O(u64, Box<[f64]>),
-}
-
-/// Chain stable matcher (adapted competitor of §V).
-#[derive(Debug, Clone, Default)]
-pub struct ChainMatcher {
-    /// Object R-tree construction/buffering parameters.
-    pub index: IndexConfig,
-}
-
-impl Matcher for ChainMatcher {
-    fn name(&self) -> &'static str {
-        "Chain"
-    }
-
-    fn index_config(&self) -> &IndexConfig {
-        &self.index
-    }
-
-    fn run_on(&self, engine: &Engine, functions: &FunctionSet) -> Result<Matching, MpqError> {
-        engine
-            .request(functions)
-            .algorithm(Algorithm::Chain)
-            .evaluate()
-    }
 }
 
 /// Chain matching over any node source. Objects in `excluded` are
@@ -201,6 +176,7 @@ pub(crate) fn run_chain_on<R: NodeSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Algorithm, Engine};
     use crate::reference::reference_matching;
     use crate::verify::verify_stable;
     use mpq_datagen::{Distribution, WorkloadBuilder};
@@ -219,11 +195,11 @@ mod tests {
             .objects(objects)
             .build()
             .unwrap();
-        ChainMatcher {
-            index: tiny_index(),
-        }
-        .run_on(&engine, functions)
-        .unwrap()
+        engine
+            .request(functions)
+            .algorithm(Algorithm::Chain)
+            .evaluate()
+            .unwrap()
     }
 
     fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {

@@ -42,7 +42,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
@@ -61,12 +61,11 @@ use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
 use crate::objects::ObjectTable;
 use crate::sb::{
-    run_rescan_on, run_sb_seeded, sb_loop_round, stream_on, BestPairMode, MaintenanceMode,
-    SbStream, ScratchLease, SkylineMatcher,
+    run_rescan_on, run_sb_seeded, sb_loop_round, stream_on, BestPairMode, MaintenanceMode, SbStream,
 };
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedPart};
-use crate::service::{safe_rate, EngineService, ServiceConfig};
+use crate::service::{lock, safe_rate, EngineService, ServiceConfig};
 use crate::shard::{ShardedEngine, ShardedStream};
 use crate::wal::{Wal, WalRecord};
 
@@ -74,13 +73,6 @@ use crate::wal::{Wal, WalRecord};
 const PAGE_FILE: &str = "pages.mpq";
 /// Write-ahead log file name inside an engine's data directory.
 const WAL_FILE: &str = "wal.mpq";
-
-/// Lock a mutex, ignoring poisoning: every critical section in the
-/// engine leaves the protected state consistent even if a caller
-/// panicked mid-evaluation elsewhere.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Which stable-matching algorithm a [`MatchRequest`] runs.
 ///
@@ -945,23 +937,8 @@ impl Engine {
     /// Progressive SB evaluation with default options: stable pairs are
     /// yielded as soon as they are identified. Shorthand for
     /// [`MatchRequest::stream`].
-    pub fn stream(
-        &self,
-        functions: &FunctionSet,
-    ) -> Result<SbStream<'static, IoSession<'_>>, MpqError> {
+    pub fn stream(&self, functions: &FunctionSet) -> Result<SbStream<IoSession<'_>>, MpqError> {
         self.request(functions).stream()
-    }
-
-    /// Progressive SB evaluation served from a caller-owned reusable
-    /// [`Scratch`] (see [`MatchRequest::stream_with`]): consumers that
-    /// open many streams get zero-alloc rounds after the first.
-    /// Shorthand for [`MatchRequest::stream_with`].
-    pub fn stream_with<'e, 's>(
-        &'e self,
-        functions: &FunctionSet,
-        scratch: &'s mut Scratch,
-    ) -> Result<SbStream<'s, IoSession<'e>>, MpqError> {
-        self.request(functions).stream_with(scratch)
     }
 
     /// Start a long-lived [`EngineService`] over this engine — the
@@ -1099,48 +1076,31 @@ impl EvalBackend for Engine {
         let session = IoSession::new(&self.tree);
 
         match options.algorithm {
-            Algorithm::Sb => {
-                let cfg = sb_config_of(self, options);
-                match options.maintenance {
-                    MaintenanceMode::Incremental => {
-                        // A mutation that straddled the session pin makes
-                        // the pinned epoch ambiguous: decline the seed and
-                        // capture nothing rather than guess. (Versions are
-                        // monotone and minted at commit, so equality here
-                        // proves the pinned tree *is* the `version` epoch.)
-                        let version = self.inventory_version();
-                        let stable = version == version_before;
-                        let part = seed
-                            .filter(|s| stable && s.parts.len() == 1 && s.usable_at(&[version]))
-                            .map(|s| &s.parts[0]);
-                        let mut captured: Option<SeedPart> = None;
-                        let slot = (capture.is_some() && stable).then_some(&mut captured);
-                        let matching = run_sb_seeded(
-                            &cfg,
-                            &session,
-                            functions,
-                            &options.exclude,
-                            scratch,
-                            part,
-                            slot,
-                        );
-                        if let Some(out) = capture {
-                            *out = captured.map(|p| EvalSeed {
-                                versions: vec![version],
-                                parts: vec![p],
-                            });
-                        }
-                        Ok(matching)
+            Algorithm::Sb => match options.maintenance {
+                MaintenanceMode::Incremental => {
+                    // A mutation that straddled the session pin makes
+                    // the pinned epoch ambiguous: decline the seed and
+                    // capture nothing rather than guess. (Versions are
+                    // monotone and minted at commit, so equality here
+                    // proves the pinned tree *is* the `version` epoch.)
+                    let version = self.inventory_version();
+                    let stable = version == version_before;
+                    let part = seed
+                        .filter(|s| stable && s.parts.len() == 1 && s.usable_at(&[version]))
+                        .map(|s| &s.parts[0]);
+                    let mut captured: Option<SeedPart> = None;
+                    let slot = (capture.is_some() && stable).then_some(&mut captured);
+                    let matching = run_sb_seeded(&session, functions, options, scratch, part, slot);
+                    if let Some(out) = capture {
+                        *out = captured.map(|p| EvalSeed {
+                            versions: vec![version],
+                            parts: vec![p],
+                        });
                     }
-                    MaintenanceMode::Rescan => Ok(run_rescan_on(
-                        &cfg,
-                        &session,
-                        functions,
-                        &options.exclude,
-                        scratch,
-                    )),
+                    Ok(matching)
                 }
-            }
+                MaintenanceMode::Rescan => Ok(run_rescan_on(&session, functions, options, scratch)),
+            },
             Algorithm::BruteForce => match options.bf_strategy {
                 BfStrategy::Incremental => Ok(run_incremental_on(
                     &session,
@@ -1311,15 +1271,6 @@ pub(crate) fn validate_request<B: EvalBackend + ?Sized>(
     Ok(())
 }
 
-fn sb_config_of(engine: &Engine, options: &RequestOptions) -> SkylineMatcher {
-    SkylineMatcher {
-        index: engine.config.clone(),
-        multi_pair: options.multi_pair,
-        best_pair: options.best_pair,
-        maintenance: options.maintenance,
-    }
-}
-
 impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// A request for `functions` against `backend` with default options
     /// (SB algorithm, multi-pair reporting, no exclusions).
@@ -1481,31 +1432,7 @@ impl<'e> MatchRequest<'e, '_> {
     ///
     /// Requires [`Algorithm::Sb`] with incremental maintenance and no
     /// capacities.
-    pub fn stream(&self) -> Result<SbStream<'static, IoSession<'e>>, MpqError> {
-        self.stream_leased(ScratchLease::fresh())
-    }
-
-    /// Like [`MatchRequest::stream`], but serving the stream's per-run
-    /// state — working function set, rank-list caches, round buffers —
-    /// from a caller-owned reusable [`Scratch`] instead of fresh
-    /// allocations. Progressive consumers that open many streams (one
-    /// per arriving batch) get the same zero-alloc rounds as
-    /// [`MatchRequest::evaluate_with`]; the scratch never changes which
-    /// pairs are yielded (asserted by the allocation regression test).
-    ///
-    /// The scratch is borrowed for the stream's lifetime and is ready
-    /// for reuse as soon as the stream is dropped.
-    pub fn stream_with<'s>(
-        &self,
-        scratch: &'s mut Scratch,
-    ) -> Result<SbStream<'s, IoSession<'e>>, MpqError> {
-        self.stream_leased(ScratchLease::Leased(scratch))
-    }
-
-    fn stream_leased<'s>(
-        &self,
-        lease: ScratchLease<'s>,
-    ) -> Result<SbStream<'s, IoSession<'e>>, MpqError> {
+    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
         validate_functions(self.backend.dim, self.functions)?;
         if self.options.algorithm != Algorithm::Sb {
             return Err(MpqError::UnsupportedRequest(
@@ -1523,11 +1450,9 @@ impl<'e> MatchRequest<'e, '_> {
             ));
         }
         Ok(stream_on(
-            &sb_config_of(self.backend, &self.options),
             IoSession::new(&self.backend.tree),
             self.functions,
-            &self.options.exclude,
-            lease,
+            &self.options,
         ))
     }
 }

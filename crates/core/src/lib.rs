@@ -6,20 +6,24 @@
 //! matching obtained by repeatedly assigning the `(f, o)` pair with the
 //! globally highest score `f(o)` and removing both.
 //!
-//! Three matchers implement the same contract ([`Matcher`]):
+//! Three algorithms compute it, selected by [`Algorithm`] on the one
+//! request builder ([`MatchRequest`]):
 //!
-//! * [`SkylineMatcher`] — the paper's contribution ("SB", §III-B/§IV):
-//!   maintain the skyline of the remaining objects incrementally
-//!   ([`mpq_skyline`]), find each skyline object's best function with a
-//!   reverse top-1 TA scan ([`mpq_ta`]), and report *all* mutually-best
-//!   pairs per loop (§IV-C).
-//! * [`BruteForceMatcher`] — §III-A: one top-1 ranked query per function
-//!   against the object R-tree, a global heap with lazy invalidation,
-//!   and physical deletion of assigned objects.
-//! * [`ChainMatcher`] — the adapted competitor of §V (Wong et al., VLDB
-//!   2007): functions indexed by a main-memory R-tree on their weights;
-//!   chains of alternating top-1 searches until a mutually-best pair
-//!   surfaces.
+//! * [`Algorithm::Sb`] — the paper's contribution ("SB", §III-B/§IV, the
+//!   [`sb`] module): maintain the skyline of the remaining objects
+//!   incrementally ([`mpq_skyline`]), find each skyline object's best
+//!   function with a reverse top-1 TA scan ([`mpq_ta`]), and report
+//!   *all* mutually-best pairs per loop (§IV-C). The §IV options are
+//!   knobs of the same request ([`BestPairMode`], [`MaintenanceMode`],
+//!   `multi_pair`).
+//! * [`Algorithm::BruteForce`] — §III-A ([`brute_force`]): one top-1
+//!   ranked query per function against the object R-tree and a global
+//!   heap with lazy invalidation ([`BfStrategy`]); assigned objects are
+//!   masked per run, not deleted.
+//! * [`Algorithm::Chain`] — the adapted competitor of §V (Wong et al.,
+//!   VLDB 2007, [`chain`]): functions indexed by a main-memory R-tree on
+//!   their weights; chains of alternating top-1 searches until a
+//!   mutually-best pair surfaces.
 //!
 //! All three produce the **same matching** (asserted by the test suite):
 //! scores are tie-broken deterministically by `(score desc, function id
@@ -129,24 +133,23 @@ pub mod verify;
 pub mod wal;
 
 pub use backend::{persisted_at, EvalBackend};
-pub use brute_force::{BfStrategy, BruteForceMatcher};
+pub use brute_force::BfStrategy;
 pub use cache::{CacheMetrics, MutationEvent, MutationLog, RequestKey, ResultCache};
-pub use capacity::{CapacityMatcher, CapacityMatching};
-pub use chain::ChainMatcher;
+pub use capacity::CapacityMatching;
 pub use engine::{
     Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, MatchRequest, MatchSession,
 };
 pub use error::MpqError;
 pub use json::Json;
-pub use matching::{index_build_count, IndexConfig, Matcher, Matching, Pair, RunMetrics};
+pub use matching::{index_build_count, IndexConfig, Matching, Pair, RunMetrics};
 pub use monotone::{MonotoneFunction, MonotoneSkylineMatcher};
 pub use reference::{reference_matching, reference_matching_excluding};
-pub use sb::{BestPairMode, MaintenanceMode, SbStream, SkylineMatcher};
+pub use sb::{BestPairMode, MaintenanceMode, SbStream};
 pub use scratch::Scratch;
 pub use seed::EvalSeed;
 pub use service::{
-    BackpressurePolicy, EngineService, HealthMonitor, HealthState, QueueOrdering, ServiceClient,
-    ServiceConfig, ServiceMetrics, SubmitOptions, Ticket,
+    BackpressurePolicy, EngineService, HealthMonitor, HealthState, ServiceClient, ServiceConfig,
+    ServiceMetrics, SubmitOptions, Ticket,
 };
 pub use shard::{
     GridPartitioner, HashPartitioner, Partitioner, ShardGauges, ShardedEngine,

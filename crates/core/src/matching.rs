@@ -1,15 +1,12 @@
-//! Shared vocabulary of the matchers: assignment pairs, run metrics, the
-//! [`Matcher`] trait, and index construction defaults.
+//! Shared vocabulary of the algorithms: assignment pairs, run metrics,
+//! and index construction defaults.
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Duration;
 
 use mpq_rtree::{IoStats, PointSet, RTree, RTreeParams};
 use mpq_skyline::SkylineStats;
-use mpq_ta::{FunctionSet, TaStats};
-
-use crate::engine::Engine;
-use crate::error::MpqError;
+use mpq_ta::TaStats;
 
 /// One stable assignment: function `fid` gets object `oid` at `score`.
 ///
@@ -149,27 +146,6 @@ impl Matching {
     }
 }
 
-/// A stable-matching algorithm over `(objects, functions)`.
-///
-/// A matcher value is a bundle of algorithm configuration. Evaluation
-/// goes through a prepared [`Engine`]: build the engine once (paying the
-/// index bulk load once), then evaluate any number of requests against
-/// it with [`Matcher::run_on`] — or, more directly, with
-/// [`Engine::request`].
-pub trait Matcher {
-    /// Human-readable name used in experiment output.
-    fn name(&self) -> &'static str;
-
-    /// The index configuration this matcher's experiments build their
-    /// engine with.
-    fn index_config(&self) -> &IndexConfig;
-
-    /// Evaluate this matcher's configuration against a prepared engine.
-    /// The engine's shared index is not mutated; any number of `run_on`
-    /// calls (also from different threads) may target one engine.
-    fn run_on(&self, engine: &Engine, functions: &FunctionSet) -> Result<Matching, MpqError>;
-}
-
 /// How matchers build and buffer the object R-tree.
 ///
 /// Defaults follow the paper's setup: 4 KiB pages and an LRU buffer
@@ -201,8 +177,8 @@ static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 /// Process-wide number of object R-tree bulk loads performed so far.
 ///
 /// Diagnostic: lets deployments (and tests) assert that a shared
-/// [`Engine`] really amortizes index construction — N requests against
-/// one engine advance this counter by exactly 1.
+/// [`Engine`](crate::Engine) really amortizes index construction — N
+/// requests against one engine advance this counter by exactly 1.
 pub fn index_build_count() -> u64 {
     INDEX_BUILDS.load(AtomicOrdering::Relaxed)
 }

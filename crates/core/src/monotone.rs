@@ -98,8 +98,8 @@ impl MonotoneFunction for CobbDouglas {
 
 /// Skyline-based stable matcher for arbitrary monotone functions.
 ///
-/// Same loop as [`crate::SkylineMatcher`] with a scan-based best-pair
-/// module (no TA lists exist for non-linear functions). Outputs follow
+/// Same loop as [`Algorithm::Sb`](crate::Algorithm::Sb) with a
+/// scan-based best-pair module (no TA lists exist for non-linear functions). Outputs follow
 /// the canonical `(score desc, fid asc, oid asc)` tie-break.
 #[derive(Debug, Clone, Default)]
 pub struct MonotoneSkylineMatcher {
@@ -304,7 +304,6 @@ mod tests {
 
     #[test]
     fn linear_special_case_agrees_with_linear_matcher() {
-        use crate::matching::Matcher;
         use mpq_ta::FunctionSet;
         let ps = objects(200, 2, 43);
         let rows = [vec![0.7, 0.3], vec![0.4, 0.6], vec![0.55, 0.45]];
@@ -314,12 +313,7 @@ mod tests {
             .objects(&ps)
             .build()
             .unwrap();
-        let linear = crate::SkylineMatcher {
-            index: tiny_index(),
-            ..Default::default()
-        }
-        .run_on(&engine, &fs)
-        .unwrap();
+        let linear = engine.request(&fs).evaluate().unwrap();
 
         // the same functions as monotone closures, using the normalized
         // weights so scores are bitwise identical

@@ -53,8 +53,6 @@ mod tests {
     use crate::engine::Engine;
     use crate::matching::{IndexConfig, Pair};
     use crate::reference::reference_matching_excluding;
-    use crate::sb::SkylineMatcher;
-    use crate::Matcher;
     use mpq_datagen::{Distribution, WorkloadBuilder};
     use mpq_ta::FunctionSet;
 
@@ -89,12 +87,7 @@ mod tests {
             .seed(91)
             .build();
         let eng = engine(&w.objects);
-        let offline = SkylineMatcher {
-            index: tiny_index(),
-            ..Default::default()
-        }
-        .run_on(&eng, &w.functions)
-        .unwrap();
+        let offline = eng.request(&w.functions).evaluate().unwrap();
 
         let mut session = eng.session();
         let online = session.submit(&w.functions).unwrap();

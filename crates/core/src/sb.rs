@@ -1,5 +1,6 @@
-//! The Skyline-Based (SB) stable matcher — the paper's contribution
-//! (§III-B, implemented with the optimizations of §IV).
+//! The Skyline-Based (SB) algorithm — the paper's contribution (§III-B,
+//! implemented with the optimizations of §IV), and what a request runs
+//! under the default [`Algorithm::Sb`](crate::Algorithm::Sb).
 //!
 //! Key facts exploited:
 //!
@@ -40,14 +41,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
-use mpq_rtree::{IoStats, NodeSource, RTree};
+use mpq_rtree::{IoStats, NodeSource};
 use mpq_skyline::bbs::compute_skyline_excluding_with;
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
 
-use crate::engine::{Algorithm, Engine};
-use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matcher, Matching, Pair, RunMetrics};
+use crate::engine::RequestOptions;
+use crate::matching::{Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
 use crate::seed::{PeeledLog, SeedPart};
 
@@ -81,115 +81,6 @@ pub enum MaintenanceMode {
     /// Recompute BBS from scratch every loop — the strawman the paper
     /// calls "unacceptably expensive".
     Rescan,
-}
-
-/// The paper's SB algorithm with configurable ablations.
-#[derive(Debug, Clone)]
-pub struct SkylineMatcher {
-    /// Object R-tree construction/buffering parameters.
-    pub index: IndexConfig,
-    /// Report all mutually-best pairs per loop (§IV-C) instead of one.
-    pub multi_pair: bool,
-    /// Best-function search strategy.
-    pub best_pair: BestPairMode,
-    /// Skyline currency strategy.
-    pub maintenance: MaintenanceMode,
-}
-
-impl Default for SkylineMatcher {
-    fn default() -> Self {
-        SkylineMatcher {
-            index: IndexConfig::default(),
-            multi_pair: true,
-            best_pair: BestPairMode::Ta,
-            maintenance: MaintenanceMode::Incremental,
-        }
-    }
-}
-
-impl Matcher for SkylineMatcher {
-    fn name(&self) -> &'static str {
-        match self.maintenance {
-            MaintenanceMode::Incremental => "SB",
-            MaintenanceMode::Rescan => "SB-rescan",
-        }
-    }
-
-    fn index_config(&self) -> &IndexConfig {
-        &self.index
-    }
-
-    fn run_on(&self, engine: &Engine, functions: &FunctionSet) -> Result<Matching, MpqError> {
-        engine
-            .request(functions)
-            .algorithm(Algorithm::Sb)
-            .best_pair(self.best_pair)
-            .maintenance(self.maintenance)
-            .multi_pair(self.multi_pair)
-            .evaluate()
-    }
-}
-
-impl SkylineMatcher {
-    /// Progressive evaluation over a caller-provided tree: pairs are
-    /// yielded as soon as they are identified. Prefer
-    /// [`Engine::stream`](crate::Engine::stream), which reads a shared
-    /// engine index through a run-scoped I/O session.
-    ///
-    /// # Panics
-    /// Panics if configured with [`MaintenanceMode::Rescan`] (streaming
-    /// is only meaningful for the incremental algorithm) or if the tree
-    /// and function dimensionalities disagree.
-    pub fn stream<'a>(
-        &self,
-        tree: &'a RTree,
-        functions: &FunctionSet,
-    ) -> SbStream<'static, &'a RTree> {
-        stream_on(
-            self,
-            tree,
-            functions,
-            &HashSet::new(),
-            ScratchLease::fresh(),
-        )
-    }
-}
-
-/// How an [`SbStream`] holds its per-run working state: a private
-/// freshly-allocated [`Scratch`], or a lease on a caller-owned one
-/// ([`crate::MatchRequest::stream_with`]) whose warm buffers make the
-/// stream's rounds as allocation-light as
-/// [`crate::MatchRequest::evaluate_with`]. The lease never changes
-/// which pairs are yielded — only how often the allocator is hit.
-#[derive(Debug)]
-pub(crate) enum ScratchLease<'s> {
-    /// Stream-private state, allocated at construction.
-    Owned(Box<Scratch>),
-    /// Caller-owned state, borrowed for the stream's lifetime.
-    Leased(&'s mut Scratch),
-}
-
-impl ScratchLease<'static> {
-    /// A stream-private scratch (the non-leased path).
-    pub(crate) fn fresh() -> ScratchLease<'static> {
-        ScratchLease::Owned(Box::default())
-    }
-}
-
-impl ScratchLease<'_> {
-    fn get_mut(&mut self) -> &mut Scratch {
-        match self {
-            ScratchLease::Owned(s) => s,
-            ScratchLease::Leased(s) => s,
-        }
-    }
-
-    fn get(&self) -> &Scratch {
-        match self {
-            ScratchLease::Owned(s) => s,
-            ScratchLease::Leased(s) => s,
-        }
-    }
 }
 
 /// Round-local buffers of the SB matching loop, reused across rounds
@@ -296,40 +187,22 @@ fn prime_maintainer<R: NodeSource>(
     maintainer
 }
 
-/// Build a progressive SB stream over any node source (a bare tree or a
-/// run-scoped I/O session, which the source *owns*). Objects in
-/// `excluded` are invisible: removed from the initial skyline along with
-/// every excluded promotion they uncover. The stream's whole per-run
-/// state lives in `lease` — a fresh private scratch, or a caller-owned
-/// one whose warm buffers are reused instead of reallocated.
-///
-/// # Panics
-/// Panics if `cfg` uses [`MaintenanceMode::Rescan`] or dimensionalities
-/// disagree (the engine request path validates these up front).
-pub(crate) fn stream_on<'s, R: NodeSource>(
-    cfg: &SkylineMatcher,
+/// Build a progressive SB stream over a node source the stream *owns*
+/// (a run-scoped I/O session). The request's excluded objects are
+/// invisible: removed from the initial skyline along with every excluded
+/// promotion they uncover. Reads `best_pair`, `multi_pair` and `exclude`
+/// from `options`; the request path has already checked that the rest
+/// describe a streamable request.
+pub(crate) fn stream_on<R: NodeSource>(
     src: R,
     functions: &FunctionSet,
-    excluded: &HashSet<u64>,
-    mut lease: ScratchLease<'s>,
-) -> SbStream<'s, R> {
-    assert_eq!(
-        cfg.maintenance,
-        MaintenanceMode::Incremental,
-        "streaming requires incremental maintenance"
-    );
-    assert_eq!(
-        src.dim(),
-        functions.dim(),
-        "tree and functions must share dimensionality"
-    );
+    options: &RequestOptions,
+) -> SbStream<R> {
     let io_start = src.io_snapshot();
-    let scratch = lease.get_mut();
+    let mut scratch = Scratch::new();
     scratch.fs.copy_from(functions);
-    scratch.seed_assigned(excluded);
-    scratch.fbest.clear();
-    scratch.obest.clear();
-    let rt1 = match cfg.best_pair {
+    scratch.seed_assigned(&options.exclude);
+    let rt1 = match options.best_pair {
         BestPairMode::Scan => None,
         _ => Some(ReverseTopOne::build(&scratch.fs)),
     };
@@ -344,9 +217,9 @@ pub(crate) fn stream_on<'s, R: NodeSource>(
         src,
         rt1,
         maintainer,
-        best_pair: cfg.best_pair,
-        multi_pair: cfg.multi_pair,
-        scratch: lease,
+        best_pair: options.best_pair,
+        multi_pair: options.multi_pair,
+        scratch,
         pending: VecDeque::new(),
         metrics: RunMetrics::default(),
         io_start,
@@ -360,7 +233,7 @@ pub(crate) fn stream_on<'s, R: NodeSource>(
 /// [`evaluate`](crate::MatchRequest::evaluate) path: after the first
 /// request on a warm scratch, a run makes no per-round allocations and
 /// no per-run `FunctionSet`/exclusion-set clones (the request's
-/// `excluded` set is borrowed for the whole run instead of copied).
+/// exclusion set is borrowed for the whole run instead of copied).
 ///
 /// Produces exactly the pairs the progressive [`SbStream`] would, in the
 /// same order (asserted by tests).
@@ -374,24 +247,19 @@ pub(crate) fn stream_on<'s, R: NodeSource>(
 /// content-identical skylines, so seeded matchings are
 /// score-bit-identical to cold ones (pinned by `tests/seed_identity.rs`).
 pub(crate) fn run_sb_seeded<R: NodeSource>(
-    cfg: &SkylineMatcher,
     src: &R,
     functions: &FunctionSet,
-    excluded: &HashSet<u64>,
+    options: &RequestOptions,
     scratch: &mut Scratch,
     seed: Option<&SeedPart>,
     capture: Option<&mut Option<SeedPart>>,
 ) -> Matching {
-    assert_eq!(
-        cfg.maintenance,
-        MaintenanceMode::Incremental,
-        "run_sb_seeded implements the incremental algorithm"
-    );
+    let excluded = &options.exclude;
     let start = Instant::now();
     let io_start = src.io_snapshot();
     let mut metrics = RunMetrics::default();
     scratch.fs.copy_from(functions);
-    let mut rt1 = match cfg.best_pair {
+    let mut rt1 = match options.best_pair {
         BestPairMode::Scan => None,
         _ => Some(ReverseTopOne::build(&scratch.fs)),
     };
@@ -425,8 +293,8 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
             &mut scratch.obest,
             &mut scratch.round,
             excluded,
-            cfg.best_pair,
-            cfg.multi_pair,
+            options.best_pair,
+            options.multi_pair,
             &mut metrics,
         );
         pairs.extend_from_slice(&scratch.round.pairs);
@@ -443,23 +311,22 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
 
 /// The §IV-B strawman: full BBS recomputation per loop, no rank-list
 /// caches — but still scratch-served, so the per-loop BBS heap, skyline
-/// buffer, and pair buffers are reused instead of reallocated. Objects
-/// in `excluded` are invisible throughout.
+/// buffer, and pair buffers are reused instead of reallocated. The
+/// request's excluded objects are invisible throughout.
 pub(crate) fn run_rescan_on<R: NodeSource>(
-    cfg: &SkylineMatcher,
     src: &R,
     functions: &FunctionSet,
-    excluded: &HashSet<u64>,
+    options: &RequestOptions,
     scratch: &mut Scratch,
 ) -> Matching {
     let start = Instant::now();
     let io_start = src.io_snapshot();
     scratch.fs.copy_from(functions);
-    scratch.seed_assigned(excluded);
+    scratch.seed_assigned(&options.exclude);
     let fs = &mut scratch.fs;
     let assigned = &mut scratch.assigned;
     let bufs = &mut scratch.round;
-    let mut rt1 = match cfg.best_pair {
+    let mut rt1 = match options.best_pair {
         BestPairMode::Scan => None,
         _ => Some(ReverseTopOne::build(fs)),
     };
@@ -483,15 +350,15 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
         bufs.rescan_best.clear();
         for (oid, point) in sky {
             metrics.reverse_top1_calls += 1;
-            let best =
-                best_function(&mut rt1, fs, point, cfg.best_pair).expect("functions remain alive");
+            let best = best_function(&mut rt1, fs, point, options.best_pair)
+                .expect("functions remain alive");
             bufs.rescan_best.insert(*oid, best);
         }
         mutual_pairs(
             sky,
             &bufs.rescan_best,
             fs,
-            cfg.multi_pair,
+            options.multi_pair,
             &mut bufs.fbest_fns,
             &mut bufs.pairs,
         );
@@ -606,17 +473,16 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
     }
 }
 
-/// Progressive SB evaluation (see [`SkylineMatcher::stream`] and
-/// [`crate::MatchRequest::stream`]).
+/// Progressive SB evaluation (see [`crate::MatchRequest::stream`]).
 ///
 /// Implements [`Iterator`]: each item is the next stable pair. Pairs
 /// within one internal loop are yielded in canonical order; across loops
 /// scores are non-increasing.
 ///
-/// Generic over the node source it *owns*: `&RTree` for the legacy
-/// direct path, or an [`mpq_rtree::IoSession`] when streaming from a
-/// shared [`Engine`] (per-run I/O attribution).
-pub struct SbStream<'s, R: NodeSource> {
+/// Generic over the node source it *owns*: an [`mpq_rtree::IoSession`]
+/// when streaming from a shared [`Engine`](crate::Engine) (per-run I/O
+/// attribution).
+pub struct SbStream<R: NodeSource> {
     src: R,
     rt1: Option<ReverseTopOne>,
     maintainer: SkylineMaintainer,
@@ -625,16 +491,15 @@ pub struct SbStream<'s, R: NodeSource> {
     /// The run's working state — working function-set copy, masked
     /// objects (`assigned`, peeled from the initial skyline and every
     /// mid-run promotion wave), fbest/obest rank-list caches, and the
-    /// round-local buffers — either stream-private or leased from a
-    /// caller-owned reusable [`Scratch`].
-    scratch: ScratchLease<'s>,
+    /// round-local buffers.
+    scratch: Scratch,
     pending: VecDeque<Pair>,
     metrics: RunMetrics,
     io_start: IoStats,
     done: bool,
 }
 
-impl<R: NodeSource> SbStream<'_, R> {
+impl<R: NodeSource> SbStream<R> {
     /// Metrics accumulated so far (typically read after exhaustion).
     /// `elapsed` is not populated by the stream — callers time their own
     /// consumption (see [`crate::MatchRequest::evaluate`]).
@@ -660,13 +525,13 @@ impl<R: NodeSource> SbStream<'_, R> {
 
     /// Number of functions still awaiting assignment.
     pub fn unassigned_functions(&self) -> usize {
-        self.scratch.get().fs.n_alive()
+        self.scratch.fs.n_alive()
     }
 
     /// One SB loop (Algorithm 1 lines 3–9): refresh caches, find the
     /// mutually-best pairs, apply the removals, and queue the pairs.
     fn loop_once(&mut self) {
-        let scratch = self.scratch.get_mut();
+        let scratch = &mut self.scratch;
         if scratch.fs.n_alive() == 0 || self.maintainer.is_empty() {
             self.done = true;
             return;
@@ -691,7 +556,7 @@ impl<R: NodeSource> SbStream<'_, R> {
     /// above an obest list's stored minimum must be in that list.
     #[cfg(test)]
     fn check_obest_invariant(&self) {
-        let scratch = self.scratch.get();
+        let scratch = &self.scratch;
         for (fid, list) in &scratch.obest {
             if list.is_empty() {
                 continue;
@@ -895,7 +760,7 @@ pub(crate) fn fold_promotion(list: &mut Vec<(u64, f64)>, k: usize, oid: u64, s: 
     list.truncate(k);
 }
 
-impl<R: NodeSource> Iterator for SbStream<'_, R> {
+impl<R: NodeSource> Iterator for SbStream<R> {
     type Item = Pair;
 
     fn next(&mut self) -> Option<Pair> {
@@ -918,35 +783,41 @@ impl<R: NodeSource> Iterator for SbStream<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, MatchRequest};
+    use crate::matching::IndexConfig;
     use crate::reference::reference_matching;
     use crate::verify::verify_stable;
     use mpq_datagen::{Distribution, WorkloadBuilder};
     use mpq_rtree::PointSet;
 
-    fn tiny_index() -> IndexConfig {
-        IndexConfig {
+    /// One SB configuration: the knobs it turns on a default request.
+    type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+
+    /// The paper's SB with every option at its default.
+    const SB: Knobs = |r| r;
+    const SINGLE_PAIR: Knobs = |r| r.multi_pair(false);
+
+    /// An engine over small pages, so test-sized inventories still span
+    /// several tree levels.
+    fn engine(objects: &PointSet) -> Engine {
+        let index = IndexConfig {
             page_size: 256,
             buffer_fraction: 0.1,
             min_buffer_pages: 4,
-        }
-    }
-
-    fn sb() -> SkylineMatcher {
-        SkylineMatcher {
-            index: tiny_index(),
-            ..SkylineMatcher::default()
-        }
-    }
-
-    /// Evaluate through the engine path (index built once per call here;
-    /// the engine tests cover multi-request sharing).
-    fn run(m: &SkylineMatcher, objects: &PointSet, functions: &FunctionSet) -> Matching {
-        let engine = Engine::builder()
-            .index(m.index.clone())
+        };
+        Engine::builder()
+            .index(index)
             .objects(objects)
             .build()
-            .unwrap();
-        m.run_on(&engine, functions).unwrap()
+            .unwrap()
+    }
+
+    /// Evaluate one request (index built once per call here; the engine
+    /// tests cover multi-request sharing).
+    fn run(knobs: Knobs, objects: &PointSet, functions: &FunctionSet) -> Matching {
+        knobs(engine(objects).request(functions))
+            .evaluate()
+            .unwrap()
     }
 
     fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
@@ -957,7 +828,7 @@ mod tests {
 
     /// Drain a stream loop by loop, checking the obest rank-list
     /// invariant after every loop.
-    fn drain_checking_obest<R: NodeSource>(mut stream: SbStream<'_, R>) -> Vec<Pair> {
+    fn drain_checking_obest<R: NodeSource>(mut stream: SbStream<R>) -> Vec<Pair> {
         let mut pairs = Vec::new();
         while !stream.done {
             stream.loop_once();
@@ -982,7 +853,7 @@ mod tests {
                 .distribution(dist)
                 .seed(seed)
                 .build();
-            let m = run(&sb(), &w.objects, &w.functions);
+            let m = run(SB, &w.objects, &w.functions);
             let expect = reference_matching(&w.objects, &w.functions);
             assert_eq!(sorted(m.pairs()), sorted(&expect), "distribution {dist:?}");
             verify_stable(&w.objects, &w.functions, m.pairs()).unwrap();
@@ -997,14 +868,7 @@ mod tests {
             .dim(2)
             .seed(51)
             .build();
-        let m = run(
-            &SkylineMatcher {
-                multi_pair: false,
-                ..sb()
-            },
-            &w.objects,
-            &w.functions,
-        );
+        let m = run(SINGLE_PAIR, &w.objects, &w.functions);
         let expect = reference_matching(&w.objects, &w.functions);
         assert_eq!(m.pairs(), &expect[..], "single-pair SB is exactly greedy");
     }
@@ -1018,30 +882,19 @@ mod tests {
             .distribution(Distribution::AntiCorrelated)
             .seed(53)
             .build();
-        let baseline = run(&sb(), &w.objects, &w.functions);
-        for cfg in [
-            SkylineMatcher {
-                best_pair: BestPairMode::Scan,
-                ..sb()
-            },
-            SkylineMatcher {
-                best_pair: BestPairMode::TaNaiveThreshold,
-                ..sb()
-            },
-            SkylineMatcher {
-                maintenance: MaintenanceMode::Rescan,
-                ..sb()
-            },
-            SkylineMatcher {
-                multi_pair: false,
-                ..sb()
-            },
-        ] {
-            let m = run(&cfg, &w.objects, &w.functions);
+        let baseline = run(SB, &w.objects, &w.functions);
+        let configs: [(&str, Knobs); 4] = [
+            ("scan", |r| r.best_pair(BestPairMode::Scan)),
+            ("ta-naive", |r| r.best_pair(BestPairMode::TaNaiveThreshold)),
+            ("rescan", |r| r.maintenance(MaintenanceMode::Rescan)),
+            ("single-pair", SINGLE_PAIR),
+        ];
+        for (label, knobs) in configs {
+            let m = run(knobs, &w.objects, &w.functions);
             assert_eq!(
                 sorted(m.pairs()),
                 sorted(baseline.pairs()),
-                "config {cfg:?} diverged"
+                "config {label} diverged"
             );
         }
     }
@@ -1054,9 +907,8 @@ mod tests {
             .dim(2)
             .seed(57)
             .build();
-        let matcher = sb();
-        let tree = matcher.index.build_tree(&w.objects);
-        let mut stream = matcher.stream(&tree, &w.functions);
+        let engine = engine(&w.objects);
+        let mut stream = engine.stream(&w.functions).unwrap();
         let first = stream.next().expect("at least one pair");
         // the very first pair is the global best
         let expect = reference_matching(&w.objects, &w.functions);
@@ -1064,6 +916,11 @@ mod tests {
         assert!(stream.unassigned_functions() < 25);
         let rest = drain_checking_obest(stream);
         assert_eq!(rest.len(), 24);
+        // the stream yields exactly the pairs of the non-streaming path,
+        // in the same order
+        let whole = engine.request(&w.functions).evaluate().unwrap();
+        let streamed: Vec<Pair> = std::iter::once(first).chain(rest).collect();
+        assert_eq!(streamed, whole.pairs());
     }
 
     #[test]
@@ -1074,15 +931,8 @@ mod tests {
             .dim(3)
             .seed(61)
             .build();
-        let multi = run(&sb(), &w.objects, &w.functions);
-        let single = run(
-            &SkylineMatcher {
-                multi_pair: false,
-                ..sb()
-            },
-            &w.objects,
-            &w.functions,
-        );
+        let multi = run(SB, &w.objects, &w.functions);
+        let single = run(SINGLE_PAIR, &w.objects, &w.functions);
         assert!(multi.metrics().loops <= single.metrics().loops);
         assert_eq!(single.metrics().loops, 60, "one loop per pair");
     }
@@ -1095,7 +945,7 @@ mod tests {
             .dim(2)
             .seed(67)
             .build();
-        let m = run(&sb(), &w.objects, &w.functions);
+        let m = run(SB, &w.objects, &w.functions);
         assert_eq!(
             m.metrics().io.physical_writes,
             0,
@@ -1111,7 +961,7 @@ mod tests {
             .dim(2)
             .seed(71)
             .build();
-        let m = run(&sb(), &w.objects, &w.functions);
+        let m = run(SB, &w.objects, &w.functions);
         assert_eq!(m.len(), 12);
         verify_stable(&w.objects, &w.functions, m.pairs()).unwrap();
     }
@@ -1124,7 +974,7 @@ mod tests {
         }
         ps.push(&[0.2, 0.9]);
         let fs = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.6, 0.4], vec![0.4, 0.6]]);
-        let m = run(&sb(), &ps, &fs);
+        let m = run(SB, &ps, &fs);
         let expect = reference_matching(&ps, &fs);
         assert_eq!(sorted(m.pairs()), sorted(&expect));
         verify_stable(&ps, &fs, m.pairs()).unwrap();
@@ -1147,7 +997,7 @@ mod tests {
                 vec![0.7, 0.3],
             ],
         );
-        let m = run(&sb(), &ps, &fs);
+        let m = run(SB, &ps, &fs);
         assert_eq!(sorted(m.pairs()), sorted(&reference_matching(&ps, &fs)));
         verify_stable(&ps, &fs, m.pairs()).unwrap();
     }
@@ -1162,13 +1012,13 @@ mod tests {
         use mpq_datagen::zillow_preference_space;
         let objects = zillow_preference_space(800, 1234);
         let functions = uniform_weights(120, 5, 99);
-        let m = run(&sb(), &objects, &functions);
+        let m = run(SB, &objects, &functions);
         assert_eq!(m.len(), 120, "every buyer must be assigned");
         let expect = reference_matching(&objects, &functions);
         assert_eq!(sorted(m.pairs()), sorted(&expect));
         verify_stable(&objects, &functions, m.pairs()).unwrap();
-        let tree = sb().index.build_tree(&objects);
-        let streamed = drain_checking_obest(sb().stream(&tree, &functions));
+        let engine = engine(&objects);
+        let streamed = drain_checking_obest(engine.stream(&functions).unwrap());
         assert_eq!(sorted(&streamed), sorted(&expect));
     }
 
@@ -1180,7 +1030,7 @@ mod tests {
             .dim(3)
             .seed(73)
             .build();
-        let m = run(&sb(), &w.objects, &w.functions);
+        let m = run(SB, &w.objects, &w.functions);
         let met = m.metrics();
         assert!(met.loops >= 1);
         assert!(met.reverse_top1_calls >= 30);

@@ -39,9 +39,9 @@
 //!   job instead of paying a queue slot and a duplicate evaluation —
 //!   each attached submission keeps its own ticket, deadline and
 //!   cancellation;
-//! * the queue pops in FIFO or priority order ([`QueueOrdering`]); a
-//!   nonzero [`SubmitOptions::priority`] under FIFO is **rejected** with
-//!   a typed error rather than silently ignored;
+//! * the queue pops in one order — higher [`SubmitOptions::priority`]
+//!   first, submission order within a priority — so traffic that never
+//!   sets a priority is strictly FIFO;
 //! * [`EngineService::shutdown`] is graceful: submissions stop, queued
 //!   and in-flight work drains to completion, workers are joined;
 //! * [`EngineService::metrics`] exposes rolling [`ServiceMetrics`]
@@ -80,10 +80,12 @@ use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
 use crate::shard::ShardGauges;
 
-/// Lock a mutex, ignoring poisoning: all protected state is kept
-/// consistent by construction (a panicking worker resolves its ticket
-/// through a guard before unwinding past the lock).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a mutex, ignoring poisoning — the crate's one policy: every
+/// critical section (engine, shards, service) leaves the protected
+/// state consistent even if a thread panicked elsewhere; a panicking
+/// worker resolves its ticket through a guard before unwinding past the
+/// lock.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -100,12 +102,6 @@ pub(crate) fn safe_rate(count: u64, wall: Duration) -> f64 {
         count as f64 / secs
     }
 }
-
-/// The typed refusal for a nonzero [`SubmitOptions::priority`] under
-/// [`QueueOrdering::Fifo`] — callers must not believe they bought a
-/// priority the queue will never honor.
-const FIFO_PRIORITY_MSG: &str =
-    "SubmitOptions::priority requires QueueOrdering::Priority; this service pops FIFO";
 
 /// Floor for deadline-aware condvar waits so a just-lapsed deadline
 /// cannot degenerate into a hot spin.
@@ -131,19 +127,6 @@ pub enum BackpressurePolicy {
     Reject,
 }
 
-/// The order in which queued requests reach workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueOrdering {
-    /// Strict submission order. A nonzero [`SubmitOptions::priority`] is
-    /// **rejected** with [`MpqError::UnsupportedRequest`] — it would be
-    /// silently meaningless here.
-    #[default]
-    Fifo,
-    /// Higher [`SubmitOptions::priority`] first; ties in submission
-    /// order, so equal-priority traffic is still FIFO.
-    Priority,
-}
-
 /// Configuration of an [`EngineService`] worker pool and queue.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -153,11 +136,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Full-queue behavior.
     pub backpressure: BackpressurePolicy,
-    /// Pop order.
-    pub ordering: QueueOrdering,
-    /// How many recent completion latencies the rolling p50/p99 window
-    /// keeps; clamped to at least 1.
-    pub latency_window: usize,
     /// Maximum entries of the cross-request [`ResultCache`]; `0`
     /// disables result caching **and** in-flight dedupe (every
     /// submission pays its own evaluation). Default 256.
@@ -180,8 +158,6 @@ impl Default for ServiceConfig {
             workers: 0,
             queue_capacity: 256,
             backpressure: BackpressurePolicy::Block,
-            ordering: QueueOrdering::Fifo,
-            latency_window: 1024,
             cache_capacity: 256,
             cache_max_bytes: 32 << 20,
             seed_delta_bound: 16,
@@ -205,18 +181,6 @@ impl ServiceConfig {
     /// Set the full-queue behavior.
     pub fn backpressure(mut self, policy: BackpressurePolicy) -> ServiceConfig {
         self.backpressure = policy;
-        self
-    }
-
-    /// Set the pop order.
-    pub fn ordering(mut self, ordering: QueueOrdering) -> ServiceConfig {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Set the rolling latency window (clamped to at least 1).
-    pub fn latency_window(mut self, window: usize) -> ServiceConfig {
-        self.latency_window = window;
         self
     }
 
@@ -252,9 +216,8 @@ pub struct SubmitOptions {
     /// too large to represent as an instant (e.g. [`Duration::MAX`])
     /// means "no deadline".
     pub deadline: Option<Duration>,
-    /// Pop priority (higher first) under [`QueueOrdering::Priority`].
-    /// Nonzero values under FIFO are rejected with
-    /// [`MpqError::UnsupportedRequest`].
+    /// Pop priority: higher first, submission order within a
+    /// priority. The default 0 everywhere is strict FIFO.
     pub priority: i32,
 }
 
@@ -265,8 +228,7 @@ impl SubmitOptions {
         self
     }
 
-    /// Set the pop priority (higher first; requires
-    /// [`QueueOrdering::Priority`]).
+    /// Set the pop priority (higher first).
     pub fn priority(mut self, priority: i32) -> SubmitOptions {
         self.priority = priority;
         self
@@ -490,9 +452,8 @@ struct Job<'a> {
     seed: Option<Arc<EvalSeed>>,
 }
 
-/// Heap entry: pops by `(priority desc, seq asc)`. Under FIFO ordering
-/// every job carries priority 0 (nonzero is rejected at submission),
-/// which degenerates to strict submission order.
+/// Heap entry: pops by `(priority desc, seq asc)`. Jobs that all carry
+/// the default priority 0 pop in strict submission order.
 struct QueuedJob<'a> {
     priority: i32,
     seq: u64,
@@ -540,9 +501,24 @@ struct MetricsInner {
     panicked: u64,
     /// Submissions that attached to an identical in-flight job.
     dedupe_attaches: u64,
-    /// Most recent completion latencies (submit → resolve), bounded by
-    /// the configured window.
+    /// The [`LATENCY_WINDOW`] most recent completion latencies (submit
+    /// → resolve).
     latencies: VecDeque<Duration>,
+}
+
+/// How many recent completion latencies the rolling p50/p99 window
+/// keeps.
+const LATENCY_WINDOW: usize = 1024;
+
+impl MetricsInner {
+    /// Count one completion and roll its latency into the window.
+    fn complete(&mut self, latency: Duration) {
+        self.completed += 1;
+        self.latencies.push_back(latency);
+        if self.latencies.len() > LATENCY_WINDOW {
+            self.latencies.pop_front();
+        }
+    }
 }
 
 /// The caching layer behind one mutex: the result LRU plus the index of
@@ -566,8 +542,6 @@ pub(crate) struct ServiceCore<'a> {
     workers: usize,
     queue_capacity: usize,
     backpressure: BackpressurePolicy,
-    ordering: QueueOrdering,
-    latency_window: usize,
     /// Near-miss seeding delta bound (`0` disables the lookup).
     seed_delta_bound: usize,
     queue: Mutex<QueueState<'a>>,
@@ -593,8 +567,6 @@ impl<'a> ServiceCore<'a> {
             workers,
             queue_capacity: config.queue_capacity.max(1),
             backpressure: config.backpressure,
-            ordering: config.ordering,
-            latency_window: config.latency_window.max(1),
             seed_delta_bound: config.seed_delta_bound,
             queue: Mutex::new(QueueState {
                 heap: BinaryHeap::new(),
@@ -752,9 +724,6 @@ impl<'a> ServiceCore<'a> {
         group: Arc<DedupeGroup>,
         seed: Option<Arc<EvalSeed>>,
     ) -> Result<Ticket, MpqError> {
-        if self.ordering == QueueOrdering::Fifo && submit.priority != 0 {
-            return Err(MpqError::UnsupportedRequest(FIFO_PRIORITY_MSG));
-        }
         let now = Instant::now();
         let (ticket, shared) = self.new_ticket();
         // An unrepresentable deadline (now + huge) means "no deadline",
@@ -873,9 +842,6 @@ impl<'a> ServiceCore<'a> {
         versions: &[u64],
         logs: Option<&[&MutationLog]>,
     ) -> Result<Ticket, MpqError> {
-        if self.ordering == QueueOrdering::Fifo && submit.priority != 0 {
-            return Err(MpqError::UnsupportedRequest(FIFO_PRIORITY_MSG));
-        }
         // The post-shutdown contract holds for every path, including a
         // would-be cache hit: a stopped service accepts nothing.
         if lock(&self.queue).stopping {
@@ -899,11 +865,7 @@ impl<'a> ServiceCore<'a> {
                 *lock(&shared.state) = TicketState::Done(Ok(matching));
                 let mut metrics = lock(&self.metrics);
                 metrics.submitted += 1;
-                metrics.completed += 1;
-                metrics.latencies.push_back(start.elapsed());
-                while metrics.latencies.len() > self.latency_window {
-                    metrics.latencies.pop_front();
-                }
+                metrics.complete(start.elapsed());
                 return Ok(ticket);
             }
             if let Some(group) = layer.inflight.get(&key) {
@@ -1108,12 +1070,7 @@ impl<'a> ServiceCore<'a> {
                         // Count before notifying (still under the state
                         // lock, which every metrics taker acquires
                         // first) so a woken waiter observes the update.
-                        let mut metrics = lock(&self.metrics);
-                        metrics.completed += 1;
-                        metrics.latencies.push_back(latency);
-                        while metrics.latencies.len() > self.latency_window {
-                            metrics.latencies.pop_front();
-                        }
+                        lock(&self.metrics).complete(latency);
                     }
                     // Cancelled while we evaluated (and counted): this
                     // member's resolution stands; the result is
@@ -1955,12 +1912,8 @@ mod tests {
     fn queue_pops_fifo_and_priority_orders() {
         // No workers: enqueue, then drain the heap directly and observe
         // the pop order deterministically.
-        let pops = |ordering: QueueOrdering, priorities: &[i32]| -> Vec<u64> {
-            let core = uncached_core(
-                ServiceConfig::default()
-                    .ordering(ordering)
-                    .queue_capacity(8),
-            );
+        let pops = |priorities: &[i32]| -> Vec<u64> {
+            let core = uncached_core(ServiceConfig::default().queue_capacity(8));
             for &p in priorities {
                 core.enqueue(
                     Cow::Owned(test_functions()),
@@ -1978,50 +1931,10 @@ mod tests {
             order
         };
 
-        // FIFO pops in submission order (priority 0 only — nonzero is
-        // rejected, tested below).
-        assert_eq!(pops(QueueOrdering::Fifo, &[0, 0, 0, 0]), vec![0, 1, 2, 3]);
-        // Priority: higher first, FIFO among equals.
-        assert_eq!(
-            pops(QueueOrdering::Priority, &[0, 5, 0, 9, 5]),
-            vec![3, 1, 4, 0, 2]
-        );
-    }
-
-    #[test]
-    fn fifo_rejects_nonzero_priority_instead_of_pinning_it() {
-        let core = uncached_core(ServiceConfig::default());
-        let err = core
-            .enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default().priority(3),
-            )
-            .unwrap_err();
-        assert!(matches!(err, MpqError::UnsupportedRequest(_)), "{err:?}");
-        // Nothing was accepted: the caller must not believe it bought a
-        // priority the queue would silently discard.
-        assert_eq!(lock(&core.metrics).submitted, 0);
-        assert_eq!(lock(&core.queue).heap.len(), 0);
-        // The keyed submission path refuses identically.
-        let err = core
-            .submit_owned(
-                test_functions(),
-                RequestOptions::default(),
-                SubmitOptions::default().priority(-1),
-                &[1],
-                None,
-            )
-            .unwrap_err();
-        assert!(matches!(err, MpqError::UnsupportedRequest(_)), "{err:?}");
-        // Priority 0 is the FIFO-legal spelling and still enqueues.
-        core.enqueue(
-            Cow::Owned(test_functions()),
-            Cow::Owned(RequestOptions::default()),
-            SubmitOptions::default().priority(0),
-        )
-        .unwrap();
-        assert_eq!(lock(&core.queue).heap.len(), 1);
+        // Default priorities pop in submission order.
+        assert_eq!(pops(&[0, 0, 0, 0]), vec![0, 1, 2, 3]);
+        // Higher priority first, FIFO among equals.
+        assert_eq!(pops(&[0, 5, 0, 9, 5]), vec![3, 1, 4, 0, 2]);
     }
 
     #[test]
@@ -2129,16 +2042,14 @@ mod tests {
         assert_eq!(dead.wait().unwrap_err(), MpqError::DeadlineExceeded);
     }
 
-    /// Under priority ordering, a higher-priority duplicate must not
+    /// A higher-priority duplicate must not
     /// quietly inherit a queued twin's lower priority by attaching to
     /// it: it starts its own, correctly ordered job. Equal or lower
     /// priorities still dedupe.
     #[test]
     fn higher_priority_duplicate_does_not_attach_to_a_lower_priority_job() {
         let core = Arc::new(ServiceCore::new(
-            &ServiceConfig::default()
-                .ordering(QueueOrdering::Priority)
-                .queue_capacity(8),
+            &ServiceConfig::default().queue_capacity(8),
             0,
         ));
         let low = core

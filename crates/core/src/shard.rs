@@ -70,7 +70,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mpq_rtree::bulk::thread_budget;
@@ -87,18 +87,12 @@ use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedPart};
-use crate::service::{EngineService, ServiceConfig};
+use crate::service::{lock, EngineService, ServiceConfig};
 
 /// Manifest file name inside a sharded data directory.
 const MANIFEST_FILE: &str = "shards.mpq";
 /// First line of a sharded data-dir manifest.
 const MANIFEST_MAGIC: &str = "mpq-shard-manifest/1";
-
-/// Lock a mutex, ignoring poisoning (same policy as the engine: every
-/// critical section leaves the state consistent).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Assigns every object to exactly one of `k` shards.
 ///

@@ -270,12 +270,33 @@ fn concurrent_evaluations_race_mutations_safely() {
     assert_eq!(final_matching.sorted_pairs(), reference.sorted_pairs());
 }
 
+/// Run `evaluations` while a second thread keeps inserting and removing
+/// `racer`.
+fn racing_an_insert(backend: &dyn EvalBackend, racer: &[f64], evaluations: impl FnOnce() + Send) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let oid = backend.insert_object(racer).unwrap();
+                backend.remove_object(oid).unwrap();
+            }
+        });
+        // Join before stopping the mutator, and stop it even when an
+        // evaluation panicked, or the scope would never end.
+        let outcome = scope.spawn(evaluations).join();
+        stop.store(true, Ordering::Relaxed);
+        outcome.expect("an evaluation racing an insert panicked");
+    });
+}
+
 /// Per-object vectors — a request's capacities, the K-shard merge's
 /// availability vector — are sized from `oid_bound()` before the
 /// evaluation pins its snapshot, so a racing insert can put an object
 /// into the snapshot that the vector does not cover. That object is
 /// available to an un-capacitated request and invisible to a
-/// capacitated one; it must never be an index out of bounds.
+/// capacitated one; it must never be an index out of bounds. And an
+/// exclusion that names its id holds on every backend, although the id
+/// lies past the vector.
 #[test]
 fn evaluations_racing_an_insert_stay_inside_their_vectors() {
     const EVALUATIONS: usize = 2_000;
@@ -323,57 +344,43 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
                 request.evaluate()
             }
         };
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    let oid = backend.insert_object(&racer).unwrap();
-                    backend.remove_object(oid).unwrap();
+        racing_an_insert(&*backend, &racer, || {
+            for _ in 0..EVALUATIONS {
+                let matching = match evaluate() {
+                    Ok(matching) => matching,
+                    // the id bound moved between sizing and validation
+                    Err(MpqError::CapacityMismatch { .. }) if capacitated => continue,
+                    Err(e) => panic!("untyped failure under a racing insert: {e}"),
+                };
+                // Ids are never recycled: fold the racers this
+                // matching saw onto the slots after the base ids.
+                let mut racers: Vec<u64> = matching
+                    .pairs()
+                    .iter()
+                    .map(|p| p.oid)
+                    .filter(|&oid| oid >= n)
+                    .collect();
+                racers.sort_unstable();
+                racers.dedup();
+                assert!(racers.len() <= backend.version_vector().len());
+                let pairs: Vec<Pair> = matching
+                    .pairs()
+                    .iter()
+                    .map(|p| Pair {
+                        oid: racers
+                            .binary_search(&p.oid)
+                            .map_or(p.oid, |slot| n + slot as u64),
+                        ..*p
+                    })
+                    .collect();
+                let objects = &inventories[racers.len()];
+                if capacitated {
+                    let caps = vec![CAPACITY; objects.len()];
+                    verify_capacity_stable(objects, &w.functions, &caps, &pairs).unwrap();
+                } else {
+                    verify_stable(objects, &w.functions, &pairs).unwrap();
                 }
-            });
-            let evaluations = scope.spawn(|| {
-                for _ in 0..EVALUATIONS {
-                    let matching = match evaluate() {
-                        Ok(matching) => matching,
-                        // the id bound moved between sizing and validation
-                        Err(MpqError::CapacityMismatch { .. }) if capacitated => continue,
-                        Err(e) => panic!("untyped failure under a racing insert: {e}"),
-                    };
-                    // Ids are never recycled: fold the racers this
-                    // matching saw onto the slots after the base ids.
-                    let mut racers: Vec<u64> = matching
-                        .pairs()
-                        .iter()
-                        .map(|p| p.oid)
-                        .filter(|&oid| oid >= n)
-                        .collect();
-                    racers.sort_unstable();
-                    racers.dedup();
-                    assert!(racers.len() <= backend.version_vector().len());
-                    let pairs: Vec<Pair> = matching
-                        .pairs()
-                        .iter()
-                        .map(|p| Pair {
-                            oid: racers
-                                .binary_search(&p.oid)
-                                .map_or(p.oid, |slot| n + slot as u64),
-                            ..*p
-                        })
-                        .collect();
-                    let objects = &inventories[racers.len()];
-                    if capacitated {
-                        let caps = vec![CAPACITY; objects.len()];
-                        verify_capacity_stable(objects, &w.functions, &caps, &pairs).unwrap();
-                    } else {
-                        verify_stable(objects, &w.functions, &pairs).unwrap();
-                    }
-                }
-            });
-            // Join before stopping the mutator, and stop it even when
-            // an evaluation panicked, or the scope would never end.
-            let outcome = evaluations.join();
-            stop.store(true, Ordering::Relaxed);
-            outcome.expect("an evaluation racing an insert panicked");
+            }
         });
 
         assert_eq!(backend.n_objects(), w.objects.len());
@@ -389,5 +396,35 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
             bits(reference.evaluate().unwrap().sorted_pairs()),
             "quiescent matching differs from a fresh build"
         );
+    }
+
+    // A request may exclude ids the backend has not minted yet (it read
+    // `oid_bound()` first): the racer that then takes one of them is in
+    // the snapshot, past every vector, and still excluded — on the
+    // K-shard merge as on `Engine`, which is the control.
+    const AHEAD: u64 = 64;
+    let backends: [Arc<dyn EvalBackend>; 2] = [
+        Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
+        Arc::new(sharded().build().unwrap()),
+    ];
+    for backend in backends {
+        racing_an_insert(&*backend, &racer, || {
+            for _ in 0..EVALUATIONS {
+                let bound = backend.oid_bound();
+                let excluded = bound..bound + AHEAD;
+                let matching = backend
+                    .request(&w.functions)
+                    .exclude(excluded.clone())
+                    .evaluate()
+                    .unwrap();
+                for p in matching.pairs() {
+                    assert!(
+                        !excluded.contains(&p.oid),
+                        "{backend:?} assigned object {}, excluded as one of {excluded:?}",
+                        p.oid
+                    );
+                }
+            }
+        });
     }
 }

@@ -15,9 +15,7 @@
 //!    memory on anti-correlated high-dimensional data (the paper's OOM
 //!    note).
 
-use mpq_core::{
-    BruteForceMatcher, ChainMatcher, Engine, MaintenanceMode, Matcher, Matching, SkylineMatcher,
-};
+use mpq_core::{Algorithm, BfStrategy, Engine, MaintenanceMode, MatchRequest, Matching};
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
 
@@ -32,16 +30,23 @@ fn workload(dist: Distribution, n: usize, f: usize, dim: usize) -> mpq_datagen::
 }
 
 /// One engine per workload: the index is built once and shared by every
-/// matcher under comparison (the engine API's whole point).
+/// configuration under comparison (the engine API's whole point).
 fn engine(w: &mpq_datagen::Workload) -> Engine {
     Engine::builder().objects(&w.objects).build().unwrap()
 }
 
-fn run(m: &dyn Matcher, e: &Engine, fs: &FunctionSet) -> Matching {
+/// One configuration: the knobs it turns on a default request.
+type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+
+const SB: Knobs = |r| r;
+const BF: Knobs = |r| r.algorithm(Algorithm::BruteForce);
+const CHAIN: Knobs = |r| r.algorithm(Algorithm::Chain);
+
+fn run(knobs: Knobs, e: &Engine, fs: &FunctionSet) -> Matching {
     // cold buffer per method: the I/O comparisons stay order-independent
     // even though the methods share one engine
     e.tree().clear_buffer();
-    m.run_on(e, fs).unwrap()
+    knobs(e.request(fs)).evaluate().unwrap()
 }
 
 #[test]
@@ -49,9 +54,9 @@ fn sb_beats_brute_force_beats_chain_in_io() {
     for dist in [Distribution::Independent, Distribution::AntiCorrelated] {
         let w = workload(dist, 20_000, 500, 3);
         let e = engine(&w);
-        let sb = run(&SkylineMatcher::default(), &e, &w.functions);
-        let bf = run(&BruteForceMatcher::default(), &e, &w.functions);
-        let ch = run(&ChainMatcher::default(), &e, &w.functions);
+        let sb = run(SB, &e, &w.functions);
+        let bf = run(BF, &e, &w.functions);
+        let ch = run(CHAIN, &e, &w.functions);
 
         let (sb_io, bf_io, ch_io) = (
             sb.metrics().io.physical(),
@@ -82,7 +87,7 @@ fn io_grows_with_dimensionality() {
     let mut last = 0u64;
     for dim in [2usize, 4, 6] {
         let w = workload(Distribution::Independent, 10_000, 200, dim);
-        let sb = run(&SkylineMatcher::default(), &engine(&w), &w.functions);
+        let sb = run(SB, &engine(&w), &w.functions);
         let io = sb.metrics().io.physical();
         assert!(
             io > last,
@@ -96,15 +101,8 @@ fn io_grows_with_dimensionality() {
 fn incremental_maintenance_beats_rescan() {
     let w = workload(Distribution::Independent, 8_000, 300, 3);
     let e = engine(&w);
-    let incr = run(&SkylineMatcher::default(), &e, &w.functions);
-    let rescan = run(
-        &SkylineMatcher {
-            maintenance: MaintenanceMode::Rescan,
-            ..SkylineMatcher::default()
-        },
-        &e,
-        &w.functions,
-    );
+    let incr = run(SB, &e, &w.functions);
+    let rescan = run(|r| r.maintenance(MaintenanceMode::Rescan), &e, &w.functions);
     assert_eq!(incr.sorted_pairs(), rescan.sorted_pairs());
     let (a, b) = (incr.metrics().io.logical, rescan.metrics().io.logical);
     assert!(
@@ -139,15 +137,8 @@ fn tight_threshold_scans_less_than_naive() {
 fn multi_pair_reduces_loops_substantially() {
     let w = workload(Distribution::Independent, 20_000, 1_000, 3);
     let e = engine(&w);
-    let multi = run(&SkylineMatcher::default(), &e, &w.functions);
-    let single = run(
-        &SkylineMatcher {
-            multi_pair: false,
-            ..SkylineMatcher::default()
-        },
-        &e,
-        &w.functions,
-    );
+    let multi = run(SB, &e, &w.functions);
+    let single = run(|r| r.multi_pair(false), &e, &w.functions);
     assert_eq!(single.metrics().loops, 1_000);
     assert!(
         multi.metrics().loops * 2 < single.metrics().loops,
@@ -164,16 +155,8 @@ fn bf_frontier_memory_explodes_on_anticorrelated_data() {
     // the skyline-based state
     let independent = workload(Distribution::Independent, 10_000, 300, 3);
     let anti = workload(Distribution::AntiCorrelated, 10_000, 300, 6);
-    let bf_ind = run(
-        &BruteForceMatcher::default(),
-        &engine(&independent),
-        &independent.functions,
-    );
-    let bf_anti = run(
-        &BruteForceMatcher::default(),
-        &engine(&anti),
-        &anti.functions,
-    );
+    let bf_ind = run(BF, &engine(&independent), &independent.functions);
+    let bf_anti = run(BF, &engine(&anti), &anti.functions);
     assert!(
         bf_anti.metrics().peak_frontier > 4 * bf_ind.metrics().peak_frontier,
         "anti-correlated D=6 frontiers ({}) must dwarf independent D=3 ({})",
@@ -189,17 +172,10 @@ fn no_algorithm_writes_to_the_shared_index() {
     // restart strategy pays with extra top-1 searches instead.
     let w = workload(Distribution::Independent, 5_000, 100, 3);
     let e = engine(&w);
-    let sb = run(&SkylineMatcher::default(), &e, &w.functions);
+    let sb = run(SB, &e, &w.functions);
     assert_eq!(sb.metrics().io.physical_writes, 0);
-    let incr = run(&BruteForceMatcher::default(), &e, &w.functions);
-    let restart = run(
-        &BruteForceMatcher {
-            strategy: mpq_core::BfStrategy::Restart,
-            ..BruteForceMatcher::default()
-        },
-        &e,
-        &w.functions,
-    );
+    let incr = run(BF, &e, &w.functions);
+    let restart = run(|r| BF(r).bf_strategy(BfStrategy::Restart), &e, &w.functions);
     assert_eq!(incr.metrics().io.physical_writes, 0);
     assert_eq!(restart.metrics().io.physical_writes, 0);
     assert_eq!(incr.sorted_pairs(), restart.sorted_pairs());
@@ -220,8 +196,8 @@ fn zillow_skew_hurts_top1_searchers_more_than_sb() {
         .seed(2009)
         .build();
     let e = engine(&w);
-    let sb = run(&SkylineMatcher::default(), &e, &w.functions);
-    let bf = run(&BruteForceMatcher::default(), &e, &w.functions);
+    let sb = run(SB, &e, &w.functions);
+    let bf = run(BF, &e, &w.functions);
     let ratio = bf.metrics().io.physical() as f64 / sb.metrics().io.physical().max(1) as f64;
     assert!(
         ratio > 50.0,

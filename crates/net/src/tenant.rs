@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mpq_core::service::{BackpressurePolicy, QueueOrdering};
+use mpq_core::service::BackpressurePolicy;
 use mpq_core::{
     Algorithm, Engine, EngineService, EvalBackend, HealthMonitor, MpqError, ServiceClient,
     ServiceConfig, SubmitOptions, Ticket,
@@ -47,8 +47,6 @@ pub struct TenantConfig {
     /// entry evaluates *seeded* from that entry's captured skyline
     /// state (`0` disables; results stay bit-identical either way).
     pub seed_delta_bound: usize,
-    /// Rolling latency window for p50/p99 (also feeds `Retry-After`).
-    pub latency_window: usize,
     /// Shards of the hosted engine: `1` hosts a plain
     /// [`Engine`], `> 1` a
     /// [`ShardedEngine`](mpq_core::ShardedEngine) with this many
@@ -64,7 +62,6 @@ impl Default for TenantConfig {
             cache_capacity: 256,
             cache_max_bytes: 32 * 1024 * 1024,
             seed_delta_bound: 16,
-            latency_window: 1024,
             shards: 1,
         }
     }
@@ -77,13 +74,9 @@ impl TenantConfig {
             .queue_capacity(self.queue_capacity)
             // See the module docs: Reject is structural, not a default.
             .backpressure(BackpressurePolicy::Reject)
-            // The wire request carries a `priority` field; FIFO would
-            // reject any nonzero value.
-            .ordering(QueueOrdering::Priority)
             .cache_capacity(self.cache_capacity)
             .cache_max_bytes(self.cache_max_bytes)
             .seed_delta_bound(self.seed_delta_bound)
-            .latency_window(self.latency_window)
     }
 }
 

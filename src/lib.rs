@@ -21,7 +21,8 @@
 //! * [`datagen`] — synthetic workload generators (independent,
 //!   anti-correlated, clustered, Zillow surrogate).
 //! * [`core`] — the [`core::Engine`] and the [`core::EngineService`]
-//!   serving layer, plus the matchers: skyline-based **SB** (the paper's
+//!   serving layer, plus the three algorithms a request selects with
+//!   [`core::Algorithm`]: skyline-based **SB** (the paper's
 //!   contribution, §III-B/§IV), **Brute Force** (§III-A) and **Chain**
 //!   (the adapted competitor of §V), plus verification utilities; the
 //!   [`core::shard`] module scales out with per-shard R-trees behind a
@@ -81,15 +82,16 @@
 //!
 //! ## Migration table
 //!
-//! Evaluation goes through an engine that is built once and shared —
-//! the one-shot `matcher.run(&objects, &functions)` entry point (a
-//! private R-tree bulk-loaded per call, panics on malformed input) is
+//! Evaluation goes through an engine that is built once and shared, and
+//! there is one way to ask: `engine.request(&functions)` plus its knobs
+//! (`.algorithm(..)`, `.capacities(..)`, `.exclude(..)`, the §IV
+//! ablation options), then `.evaluate()` or `.stream()`. Every one-shot
+//! matcher entry point (a private R-tree bulk-loaded per call, panics
+//! on malformed input) and the matcher structs that configured one are
 //! gone:
 //!
 //! | before | after |
 //! |---|---|
-//! | `CapacityMatcher::default().run(&o, &f, &caps)` | `engine.request(&f).capacities(&caps).evaluate()?` |
-//! | `matcher.stream(&tree, &f)` | `engine.stream(&f)?` |
 //! | `engine.evaluate_batch(&reqs, t)` (pre-collected batches) | `engine.serve(config)` + `client.submit(..)` per request |
 //! | rebuild the engine on inventory change | `engine.insert_object(&p)?` / `engine.remove_object(oid)?` / `engine.update_object(oid, &p)?` |
 //! | in-memory only, lost on restart | `Engine::builder().data_dir(dir)` once, `Engine::open(dir)?` after |
@@ -112,7 +114,8 @@
 //! the blessed entry point): requests stream in through cloneable
 //! [`core::ServiceClient`] handles and resolve through pollable,
 //! blockable, cancellable [`core::Ticket`]s, with per-request deadlines,
-//! bounded-queue backpressure (block or reject), FIFO/priority ordering,
+//! bounded-queue backpressure (block or reject), one queue order
+//! (higher priority first, FIFO within a priority),
 //! graceful draining shutdown and rolling [`core::ServiceMetrics`].
 //! Because evaluation is deterministic over an immutable index,
 //! identical requests are served from a bounded, inventory-versioned
@@ -164,12 +167,11 @@ pub use mpq_ta as ta;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use mpq_core::{
-        Algorithm, BatchMetrics, BatchOutcome, BruteForceMatcher, CacheMetrics, CapacityMatcher,
-        ChainMatcher, Engine, EngineService, EvalBackend, EvalSeed, GridPartitioner,
-        HashPartitioner, HealthMonitor, HealthState, MatchRequest, MatchSession, Matcher, Matching,
-        MonotoneSkylineMatcher, MpqError, Pair, Partitioner, RequestKey, ResultCache, Scratch,
-        ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges, ShardedEngine,
-        ShardedEngineBuilder, SkylineMatcher, Ticket,
+        Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalBackend,
+        EvalSeed, GridPartitioner, HashPartitioner, HealthMonitor, HealthState, MatchRequest,
+        MatchSession, Matching, MonotoneSkylineMatcher, MpqError, Pair, Partitioner, RequestKey,
+        ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges,
+        ShardedEngine, ShardedEngineBuilder, Ticket,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

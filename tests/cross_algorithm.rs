@@ -7,8 +7,8 @@
 //! one engine (one index build) per workload serves all configurations.
 
 use mpq::core::{
-    reference_matching, verify_stable, BestPairMode, BfStrategy, BruteForceMatcher, ChainMatcher,
-    Engine, MaintenanceMode, Matcher, Pair, SkylineMatcher,
+    reference_matching, verify_stable, Algorithm, BestPairMode, BfStrategy, Engine,
+    MaintenanceMode, MatchRequest, Pair,
 };
 use mpq::datagen::{Distribution, FunctionStyle, WorkloadBuilder};
 
@@ -18,33 +18,25 @@ fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
     v
 }
 
-fn all_matchers() -> Vec<Box<dyn Matcher>> {
-    vec![
-        Box::new(SkylineMatcher::default()),
-        Box::new(SkylineMatcher {
-            multi_pair: false,
-            ..SkylineMatcher::default()
-        }),
-        Box::new(SkylineMatcher {
-            best_pair: BestPairMode::Scan,
-            ..SkylineMatcher::default()
-        }),
-        Box::new(SkylineMatcher {
-            best_pair: BestPairMode::TaNaiveThreshold,
-            ..SkylineMatcher::default()
-        }),
-        Box::new(SkylineMatcher {
-            maintenance: MaintenanceMode::Rescan,
-            ..SkylineMatcher::default()
-        }),
-        Box::new(BruteForceMatcher::default()),
-        Box::new(BruteForceMatcher {
-            strategy: BfStrategy::Restart,
-            ..BruteForceMatcher::default()
-        }),
-        Box::new(ChainMatcher::default()),
-    ]
-}
+/// One configuration: the knobs it turns on a default request.
+type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+
+/// Every configuration that must yield the one stable matching.
+const ALL_CONFIGS: [(&str, Knobs); 8] = [
+    ("SB", |r| r),
+    ("SB single-pair", |r| r.multi_pair(false)),
+    ("SB scan", |r| r.best_pair(BestPairMode::Scan)),
+    ("SB ta-naive", |r| {
+        r.best_pair(BestPairMode::TaNaiveThreshold)
+    }),
+    ("SB-rescan", |r| r.maintenance(MaintenanceMode::Rescan)),
+    ("BruteForce", |r| r.algorithm(Algorithm::BruteForce)),
+    ("BruteForce-restart", |r| {
+        r.algorithm(Algorithm::BruteForce)
+            .bf_strategy(BfStrategy::Restart)
+    }),
+    ("Chain", |r| r.algorithm(Algorithm::Chain)),
+];
 
 fn check_workload(dist: Distribution, n: usize, f: usize, dim: usize, seed: u64) {
     let w = WorkloadBuilder::new()
@@ -58,17 +50,16 @@ fn check_workload(dist: Distribution, n: usize, f: usize, dim: usize, seed: u64)
     let expect_sorted = sorted(&expect);
     // One shared engine: the index is built once for all configurations.
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
-    for m in all_matchers() {
-        let got = m.run_on(&engine, &w.functions).unwrap();
+    for (label, knobs) in ALL_CONFIGS {
+        let got = knobs(engine.request(&w.functions)).evaluate().unwrap();
         assert_eq!(
             sorted(got.pairs()),
             expect_sorted,
-            "{} diverged on {} n={n} f={f} dim={dim} seed={seed}",
-            m.name(),
+            "{label} diverged on {} n={n} f={f} dim={dim} seed={seed}",
             dist.name()
         );
         verify_stable(&w.objects, &w.functions, got.pairs())
-            .unwrap_or_else(|e| panic!("{} unstable: {e}", m.name()));
+            .unwrap_or_else(|e| panic!("{label} unstable: {e}"));
     }
 }
 
@@ -106,9 +97,9 @@ fn skewed_functions() {
         .build();
     let expect = sorted(&reference_matching(&w.objects, &w.functions));
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
-    for m in all_matchers() {
-        let got = m.run_on(&engine, &w.functions).unwrap();
-        assert_eq!(sorted(got.pairs()), expect, "{}", m.name());
+    for (label, knobs) in ALL_CONFIGS {
+        let got = knobs(engine.request(&w.functions)).evaluate().unwrap();
+        assert_eq!(sorted(got.pairs()), expect, "{label}");
     }
 }
 

@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 
 use mpq::core::{
-    reference_matching, verify_stable, verify_weakly_stable, BfStrategy, BruteForceMatcher,
-    ChainMatcher, Engine, Matcher, Pair, SkylineMatcher,
+    reference_matching, verify_stable, verify_weakly_stable, Algorithm, BfStrategy, Engine,
+    MatchRequest, Pair,
 };
 use mpq::rtree::PointSet;
 use mpq::ta::FunctionSet;
@@ -66,6 +66,11 @@ fn positive_functions(dim: usize) -> impl Strategy<Value = FunctionSet> {
     )
 }
 
+/// One configuration: the knobs it turns on a default request.
+type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+
+const SB_SINGLE_PAIR: Knobs = |r| r.multi_pair(false);
+
 fn check_all(objects: &PointSet, functions: &FunctionSet) -> Result<(), TestCaseError> {
     let expect = reference_matching(objects, functions);
     let expect_sorted = sorted(&expect);
@@ -75,55 +80,46 @@ fn check_all(objects: &PointSet, functions: &FunctionSet) -> Result<(), TestCase
 
     // Brute Force and Chain examine every individual object: exact
     // agreement with the reference, including duplicate identities.
-    let exact: Vec<Box<dyn Matcher>> = vec![
-        Box::new(BruteForceMatcher::default()),
-        Box::new(BruteForceMatcher {
-            strategy: BfStrategy::Restart,
-            ..BruteForceMatcher::default()
+    let exact: [(&str, Knobs); 3] = [
+        ("BruteForce", |r| r.algorithm(Algorithm::BruteForce)),
+        ("BruteForce-restart", |r| {
+            r.algorithm(Algorithm::BruteForce)
+                .bf_strategy(BfStrategy::Restart)
         }),
-        Box::new(ChainMatcher::default()),
+        ("Chain", |r| r.algorithm(Algorithm::Chain)),
     ];
-    for m in exact {
-        let got = m.run_on(&engine, functions).unwrap();
+    for (label, knobs) in exact {
+        let got = knobs(engine.request(functions)).evaluate().unwrap();
         prop_assert_eq!(
             sorted(got.pairs()),
             expect_sorted.clone(),
             "{} diverged",
-            m.name()
+            label
         );
         if let Err(e) = verify_stable(objects, functions, got.pairs()) {
-            panic!("{} produced an unstable matching: {e}", m.name());
+            panic!("{label} produced an unstable matching: {e}");
         }
     }
 
     // SB: agreement modulo duplicate substitution, plus weak stability.
-    let skyline: Vec<Box<dyn Matcher>> = vec![
-        Box::new(SkylineMatcher::default()),
-        Box::new(SkylineMatcher {
-            multi_pair: false,
-            ..SkylineMatcher::default()
-        }),
-    ];
-    for m in skyline {
-        let got = m.run_on(&engine, functions).unwrap();
+    let skyline: [(&str, Knobs); 2] = [("SB", |r| r), ("SB single-pair", SB_SINGLE_PAIR)];
+    for (label, knobs) in skyline {
+        let got = knobs(engine.request(functions)).evaluate().unwrap();
         prop_assert_eq!(
             sorted_by_point(got.pairs(), objects),
             expect_by_point.clone(),
             "{} diverged modulo duplicates",
-            m.name()
+            label
         );
         if let Err(e) = verify_weakly_stable(objects, functions, got.pairs()) {
-            panic!("{} produced a weakly unstable matching: {e}", m.name());
+            panic!("{label} produced a weakly unstable matching: {e}");
         }
     }
 
     // single-pair SB reproduces the greedy score sequence exactly
-    let seq = SkylineMatcher {
-        multi_pair: false,
-        ..SkylineMatcher::default()
-    }
-    .run_on(&engine, functions)
-    .unwrap();
+    let seq = SB_SINGLE_PAIR(engine.request(functions))
+        .evaluate()
+        .unwrap();
     let got_scores: Vec<u64> = seq.pairs().iter().map(|p| p.score.to_bits()).collect();
     let expect_scores: Vec<u64> = expect.iter().map(|p| p.score.to_bits()).collect();
     prop_assert_eq!(got_scores, expect_scores);
@@ -153,7 +149,7 @@ proptest! {
         (objects, functions) in (grid_objects(3), positive_functions(3))
     ) {
         let engine = Engine::builder().objects(&objects).build().unwrap();
-        let m = SkylineMatcher::default().run_on(&engine, &functions).unwrap();
+        let m = engine.request(&functions).evaluate().unwrap();
         // size = min(|F|, |O|)
         prop_assert_eq!(m.len(), functions.n_alive().min(objects.len()));
         // 1-1

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{Algorithm, BackpressurePolicy, QueueOrdering, ServiceConfig, SubmitOptions};
+use mpq::core::{Algorithm, BackpressurePolicy, ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::ta::FunctionSet;
@@ -376,12 +376,7 @@ fn priority_ordering_still_serves_everything_and_fifo_is_default() {
     // ordering itself is unit-tested in mpq_core::service): mixed
     // priorities all complete, bit-identical to sequential.
     let engine = slow_engine();
-    let service = engine.serve(
-        ServiceConfig::default()
-            .workers(1)
-            .queue_capacity(16)
-            .ordering(QueueOrdering::Priority),
-    );
+    let service = engine.serve(ServiceConfig::default().workers(1).queue_capacity(16));
     let client = service.client();
 
     let function_sets: Vec<FunctionSet> = (0..5).map(|i| fast_functions(300 + i)).collect();

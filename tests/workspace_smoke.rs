@@ -44,6 +44,16 @@ fn fixed_functions() -> FunctionSet {
     )
 }
 
+const ALGORITHMS: [Algorithm; 3] = [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain];
+
+fn run(algorithm: Algorithm, engine: &Engine, functions: &FunctionSet) -> Matching {
+    engine
+        .request(functions)
+        .algorithm(algorithm)
+        .evaluate()
+        .unwrap()
+}
+
 fn pair_set(pairs: &[Pair]) -> Vec<(u32, u64, u64)> {
     let mut v: Vec<(u32, u64, u64)> = pairs
         .iter()
@@ -85,11 +95,7 @@ fn all_matchers_agree_on_fixed_workload() {
     );
 
     let eng = engine(&objects);
-    let sb = SkylineMatcher::default().run_on(&eng, &functions).unwrap();
-    let bf = BruteForceMatcher::default()
-        .run_on(&eng, &functions)
-        .unwrap();
-    let chain = ChainMatcher::default().run_on(&eng, &functions).unwrap();
+    let [sb, bf, chain] = ALGORITHMS.map(|a| run(a, &eng, &functions));
 
     // Brute Force and Chain see every individual object: exact agreement.
     assert_eq!(
@@ -103,7 +109,7 @@ fn all_matchers_agree_on_fixed_workload() {
     assert_eq!(
         pair_set_by_point(sb.pairs(), &objects),
         pair_set_by_point(&expect, &objects),
-        "SkylineMatcher diverged modulo duplicates"
+        "SB diverged modulo duplicates"
     );
 
     for (name, m) in [("SB", &sb), ("BruteForce", &bf), ("Chain", &chain)] {
@@ -127,32 +133,12 @@ fn matchers_are_deterministic_across_runs() {
     let eng = engine(&objects);
     for _ in 0..3 {
         assert_eq!(
-            pair_set(
-                SkylineMatcher::default()
-                    .run_on(&eng, &functions)
-                    .unwrap()
-                    .pairs()
-            ),
-            pair_set(
-                SkylineMatcher::default()
-                    .run_on(&eng, &functions)
-                    .unwrap()
-                    .pairs()
-            ),
+            pair_set(run(Algorithm::Sb, &eng, &functions).pairs()),
+            pair_set(run(Algorithm::Sb, &eng, &functions).pairs()),
         );
         assert_eq!(
-            pair_set(
-                BruteForceMatcher::default()
-                    .run_on(&eng, &functions)
-                    .unwrap()
-                    .pairs()
-            ),
-            pair_set(
-                ChainMatcher::default()
-                    .run_on(&eng, &functions)
-                    .unwrap()
-                    .pairs()
-            ),
+            pair_set(run(Algorithm::BruteForce, &eng, &functions).pairs()),
+            pair_set(run(Algorithm::Chain, &eng, &functions).pairs()),
             "BruteForce and Chain must agree bit-for-bit on every run"
         );
     }
