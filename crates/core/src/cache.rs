@@ -107,9 +107,9 @@ impl RequestKey {
 /// Build the canonical key of `(functions, options)` — see
 /// [`RequestKey`] for what it covers. The inventory version is *not*
 /// part of the key; it stamps cache entries instead
-/// ([`ResultCache::insert`]), so one cache can safely span engine
-/// rebuilds. Under sharding the same holds for the whole per-shard
-/// version *vector* ([`ResultCache::insert_with_logs`]): keeping
+/// ([`ResultCache::insert_vec_seeded`]), so one cache can safely span
+/// engine rebuilds. Under sharding the same holds for the whole
+/// per-shard version *vector*: keeping
 /// versions out of the key material means a sharded and an unsharded
 /// service compute the identical key for the identical request, and
 /// version skew shows up as entry-stamp mismatches (catch-up-able) —
@@ -246,7 +246,7 @@ impl MutationEvent {
 /// a mutable [`Engine`](crate::Engine) and the caches serving it.
 ///
 /// Each committed mutation bumps the engine's inventory version and
-/// records the event here. [`ResultCache::get_with_log`] uses the window
+/// records the event here. [`ResultCache::get_with_logs`] uses the window
 /// to *catch entries up* across versions instead of treating every
 /// version change as a full invalidation: an entry whose result provably
 /// does not depend on the mutated objects is restamped and served. The
@@ -524,7 +524,7 @@ pub struct CacheMetrics {
     /// entries dropped on lookup count here too).
     pub evictions: u64,
     /// Entries restamped across inventory versions by scoped
-    /// invalidation ([`ResultCache::get_with_log`]): the mutation log
+    /// invalidation ([`ResultCache::get_with_logs`]): the mutation log
     /// proved the cached result unaffected, so the entry was caught up
     /// instead of dropped.
     pub revalidations: u64,
@@ -624,7 +624,7 @@ struct CacheEntry {
 /// let request = engine.request(&functions);
 /// let key = request.cache_key();
 /// let fresh = request.evaluate().unwrap();
-/// cache.insert(&key, engine.inventory_version(), &fresh);
+/// cache.insert_vec_seeded(&key, &[engine.inventory_version()], &fresh, None);
 ///
 /// // Same inventory: hit, bit-identical.
 /// let hit = cache.get(&key, engine.inventory_version()).unwrap();
@@ -751,8 +751,8 @@ impl ResultCache {
     /// the entry's whole per-shard version vector to equal `versions`
     /// (sharded engines stamp with
     /// [`ShardedEngine::version_vector`](crate::ShardedEngine::version_vector);
-    /// the scalar API is the 1-component special case).
-    pub fn get_vec(&mut self, key: &RequestKey, versions: &[u64]) -> Option<Matching> {
+    /// the scalar form is the 1-component special case).
+    fn get_vec(&mut self, key: &RequestKey, versions: &[u64]) -> Option<Matching> {
         let Some(entry) = self.entries.get(key) else {
             self.misses += 1;
             return None;
@@ -775,26 +775,16 @@ impl ResultCache {
         Some(matching)
     }
 
-    /// Store `matching` for `key` under inventory `version`, evicting
+    /// Store `matching` for `key` under the inventory version vector
+    /// `versions` (one component per shard, in shard order), evicting
     /// least-recently-used entries until both bounds hold. A result too
     /// large to ever fit the byte bound is not stored (the cache is an
-    /// accelerator, not a spill).
-    pub fn insert(&mut self, key: &RequestKey, version: u64, matching: &Matching) {
-        self.insert_vec(key, &[version], matching);
-    }
-
-    /// [`ResultCache::insert`] for vector-stamped entries (one version
-    /// component per shard, in shard order).
-    pub fn insert_vec(&mut self, key: &RequestKey, versions: &[u64], matching: &Matching) {
-        self.insert_vec_seeded(key, versions, matching, None);
-    }
-
-    /// [`ResultCache::insert_vec`], additionally attaching the
-    /// [`EvalSeed`] the evaluation captured (if any) so later near-miss
-    /// lookups can resume from this entry. The seed must have been
-    /// captured at exactly `versions`. If the seed would blow the byte
-    /// bound the *matching* still caches — the seed is dropped first
-    /// (it is an accelerator of an accelerator).
+    /// accelerator, not a spill). `seed` attaches the [`EvalSeed`] the
+    /// evaluation captured (if any) so later near-miss lookups can
+    /// resume from this entry; it must have been captured at exactly
+    /// `versions`. If the seed would blow the byte bound the *matching*
+    /// still caches — the seed is dropped first (it is an accelerator
+    /// of an accelerator).
     pub fn insert_vec_seeded(
         &mut self,
         key: &RequestKey,
@@ -892,26 +882,16 @@ impl ResultCache {
     }
 
     /// Like [`ResultCache::get`], but with **scoped invalidation**: an
-    /// entry stamped with an older inventory version is caught up
-    /// through the mutation `log` instead of being dropped outright.
+    /// entry stamped with an older inventory is caught up through the
+    /// mutation `logs` instead of being dropped outright — one version
+    /// component and one [`MutationLog`] per shard, in shard order.
     /// Each intervening mutation is checked against the cached matching
     /// (`survives_event`'s exact greedy argument); if all of them
     /// provably leave the result unchanged, the entry is restamped to
-    /// `version` and served as a hit. Only when a mutation *can* affect
-    /// the result — or the log window no longer covers the gap — does
+    /// `versions` and served as a hit. Only when a mutation *can* affect
+    /// the result — or a log window no longer covers the gap — does
     /// the entry fall back to the drop-and-miss of plain `get`.
-    pub fn get_with_log(
-        &mut self,
-        key: &RequestKey,
-        version: u64,
-        log: &MutationLog,
-    ) -> Option<Matching> {
-        self.get_with_logs(key, &[version], &[log])
-    }
-
-    /// [`ResultCache::get_with_log`] for vector-stamped entries: one
-    /// version component and one [`MutationLog`] per shard, in shard
-    /// order. Scoped invalidation is **component-wise**: only the shards
+    /// Scoped invalidation is **component-wise**: only the shards
     /// whose component lags are asked to prove their intervening
     /// mutations harmless — a mutation on shard A never touches the
     /// proof (or the validity) of a cached result whose assignments all
@@ -988,40 +968,14 @@ impl ResultCache {
         survives
     }
 
-    /// Like [`ResultCache::insert`], but first eagerly sweeps entries
-    /// stamped with any other version: each is caught up through `log`
-    /// (restamped if it survives) or evicted on the spot. Plain `get`
-    /// only drops a stale entry when its exact key is looked up again,
-    /// so after a mutation the `entries`/`bytes` metrics would keep
-    /// counting results that can never be served; sweeping at insert
-    /// time keeps the accounting honest without a periodic task.
-    pub fn insert_with_log(
-        &mut self,
-        key: &RequestKey,
-        version: u64,
-        matching: &Matching,
-        log: &MutationLog,
-    ) {
-        self.insert_with_logs(key, &[version], matching, &[log]);
-    }
-
-    /// [`ResultCache::insert_with_log`] for vector-stamped entries (one
-    /// version component and one [`MutationLog`] per shard, in shard
-    /// order).
-    pub fn insert_with_logs(
-        &mut self,
-        key: &RequestKey,
-        versions: &[u64],
-        matching: &Matching,
-        logs: &[&MutationLog],
-    ) {
-        self.insert_with_logs_seeded(key, versions, matching, logs, None);
-    }
-
-    /// [`ResultCache::insert_with_logs`], additionally attaching the
-    /// [`EvalSeed`] the evaluation captured (see
-    /// [`ResultCache::insert_vec_seeded`] for the seed's byte-bound
-    /// policy).
+    /// Like [`ResultCache::insert_vec_seeded`], but first eagerly
+    /// sweeps entries stamped with any other version vector: each is
+    /// caught up through `logs` (restamped if it survives) or evicted on
+    /// the spot. Plain `get` only drops a stale entry when its exact key
+    /// is looked up again, so after a mutation the `entries`/`bytes`
+    /// metrics would keep counting results that can never be served;
+    /// sweeping at insert time keeps the accounting honest without a
+    /// periodic task.
     pub fn insert_with_logs_seeded(
         &mut self,
         key: &RequestKey,
@@ -1210,10 +1164,10 @@ mod tests {
             key_of(&[vec![0.2, 0.8]]),
             key_of(&[vec![0.3, 0.7]]),
         );
-        cache.insert(&ka, 1, &matching_of(1));
-        cache.insert(&kb, 1, &matching_of(1));
+        cache.insert_vec_seeded(&ka, &[1], &matching_of(1), None);
+        cache.insert_vec_seeded(&kb, &[1], &matching_of(1), None);
         assert!(cache.get(&ka, 1).is_some()); // refresh a: b is now LRU
-        cache.insert(&kc, 1, &matching_of(1)); // evicts b
+        cache.insert_vec_seeded(&kc, &[1], &matching_of(1), None); // evicts b
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&ka, 1).is_some());
         assert!(cache.get(&kb, 1).is_none(), "b was least recently used");
@@ -1232,7 +1186,7 @@ mod tests {
             .map(|i| key_of(&[vec![0.1 + i as f64 * 0.05, 0.5]]))
             .collect();
         for k in &keys {
-            cache.insert(k, 1, &bulky);
+            cache.insert_vec_seeded(k, &[1], &bulky, None);
         }
         assert!(
             cache.bytes() <= cache.max_bytes,
@@ -1242,7 +1196,7 @@ mod tests {
 
         let huge = matching_of(100_000);
         let before = cache.len();
-        cache.insert(&key_of(&[vec![0.9, 0.1]]), 1, &huge);
+        cache.insert_vec_seeded(&key_of(&[vec![0.9, 0.1]]), &[1], &huge, None);
         assert_eq!(cache.len(), before, "oversize result must not be stored");
     }
 
@@ -1250,7 +1204,7 @@ mod tests {
     fn version_mismatch_is_a_miss_and_drops_the_stale_entry() {
         let mut cache = ResultCache::new(8, 1 << 20);
         let key = key_of(&[vec![0.4, 0.6]]);
-        cache.insert(&key, 7, &matching_of(3));
+        cache.insert_vec_seeded(&key, &[7], &matching_of(3), None);
         assert!(cache.get(&key, 7).is_some());
         assert!(cache.get(&key, 8).is_none(), "stale version must miss");
         assert!(
@@ -1265,10 +1219,11 @@ mod tests {
     fn invalidate_clears_everything() {
         let mut cache = ResultCache::new(8, 1 << 20);
         for i in 0..3 {
-            cache.insert(
+            cache.insert_vec_seeded(
                 &key_of(&[vec![0.1 * (i + 1) as f64, 0.5]]),
-                1,
+                &[1],
                 &matching_of(1),
+                None,
             );
         }
         assert_eq!(cache.len(), 3);
@@ -1284,7 +1239,7 @@ mod tests {
         assert_eq!(cache.metrics().hit_rate(), 0.0);
         let mut cache = cache;
         let key = key_of(&[vec![0.5, 0.5]]);
-        cache.insert(&key, 1, &matching_of(1));
+        cache.insert_vec_seeded(&key, &[1], &matching_of(1), None);
         let _ = cache.get(&key, 1);
         let _ = cache.get(&key_of(&[vec![0.6, 0.4]]), 1);
         let rate = cache.metrics().hit_rate();
@@ -1340,14 +1295,14 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
-        cache.insert(&key, 5, &orthogonal_matching());
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_log(&key, 6, &log).is_some());
+        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
         assert_eq!(cache.metrics().revalidations, 1);
 
         log.record(7, MutationEvent::Remove { oid: 0 });
-        assert!(cache.get_with_log(&key, 7, &log).is_none());
+        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_none());
         assert!(cache.is_empty(), "an affected entry is dropped outright");
     }
 
@@ -1356,7 +1311,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
-        cache.insert(&key, 5, &orthogonal_matching());
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         // Both functions score the newcomer below their assigned pair.
         log.record(
@@ -1366,7 +1321,7 @@ mod tests {
                 point: Arc::from([0.01, 0.02].as_slice()),
             },
         );
-        assert!(cache.get_with_log(&key, 6, &log).is_some());
+        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
 
         // Function 0 scores this newcomer 0.875 > 0.82: can steal.
         log.record(
@@ -1376,7 +1331,7 @@ mod tests {
                 point: Arc::from([0.95, 0.2].as_slice()),
             },
         );
-        assert!(cache.get_with_log(&key, 7, &log).is_none());
+        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_none());
         assert!(cache.is_empty());
     }
 
@@ -1387,7 +1342,7 @@ mod tests {
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
-        cache.insert(&key, 5, &orthogonal_matching());
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         // Even a would-dominate-everything update is invisible to a
         // request that excludes the object.
@@ -1398,9 +1353,9 @@ mod tests {
                 point: Arc::from([1.0, 1.0].as_slice()),
             },
         );
-        assert!(cache.get_with_log(&key, 6, &log).is_some());
+        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
         log.record(7, MutationEvent::Remove { oid: 2 });
-        assert!(cache.get_with_log(&key, 7, &log).is_some());
+        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_some());
         assert_eq!(cache.metrics().revalidations, 2);
     }
 
@@ -1413,12 +1368,12 @@ mod tests {
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
-        cache.insert(&key, 5, &orthogonal_matching());
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         // Harmless on its face, but the capacitated greedy's survival
         // argument is not implemented — must fall back to drop.
         log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_log(&key, 6, &log).is_none());
+        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_none());
         assert!(cache.is_empty());
     }
 
@@ -1427,10 +1382,10 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(1);
-        cache.insert(&key, 5, &orthogonal_matching());
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
         log.record(6, MutationEvent::Remove { oid: 3 });
         log.record(7, MutationEvent::Remove { oid: 3 }); // evicts v6
-        assert!(cache.get_with_log(&key, 7, &log).is_none());
+        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_none());
     }
 
     #[test]
@@ -1443,11 +1398,11 @@ mod tests {
 
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
-        cache.insert(&key_a, 5, &orthogonal_matching());
+        cache.insert_vec_seeded(&key_a, &[5], &orthogonal_matching(), None);
         // Entry B's matching does not assign object 0 (it excludes it).
-        cache.insert(
+        cache.insert_vec_seeded(
             &key_b,
-            5,
+            &[5],
             &Matching::new(
                 vec![Pair {
                     fid: 1,
@@ -1456,12 +1411,13 @@ mod tests {
                 }],
                 RunMetrics::default(),
             ),
+            None,
         );
         let bytes_before = cache.bytes();
 
         // Removing assigned object 0 kills A; B excluded it — survives.
         log.record(6, MutationEvent::Remove { oid: 0 });
-        cache.insert_with_log(&key_c, 6, &matching_of(1), &log);
+        cache.insert_with_logs_seeded(&key_c, &[6], &matching_of(1), &[&log], None);
         assert_eq!(cache.len(), 2, "A swept, B restamped, C inserted");
         assert!(cache.get(&key_b, 6).is_some());
         assert!(cache.get(&key_c, 6).is_some());
@@ -1472,7 +1428,7 @@ mod tests {
 
         // A publish stamped *older* than live entries must not evict
         // them (the worker-raced-a-mutation case).
-        cache.insert_with_log(&key_a, 5, &orthogonal_matching(), &log);
+        cache.insert_with_logs_seeded(&key_a, &[5], &orthogonal_matching(), &[&log], None);
         assert!(
             cache.get(&key_b, 6).is_some(),
             "newer entries survive an old-stamp publish"
@@ -1480,7 +1436,7 @@ mod tests {
         // The old-stamped entry itself installs, and its next versioned
         // lookup catches it up through the log — here: kills it, since
         // the remove hit its assigned object.
-        assert!(cache.get_with_log(&key_a, 6, &log).is_none());
+        assert!(cache.get_with_logs(&key_a, &[6], &[&log]).is_none());
     }
 
     // ------------------------------------------------------------------
@@ -1563,7 +1519,7 @@ mod tests {
         let mut cache = ResultCache::new(8, 1 << 20);
         let probe = key_excluding(&[3, 7]);
         // Seedless entry: never a donor.
-        cache.insert_vec(&key_excluding(&[3]), &[4], &matching_of(1));
+        cache.insert_vec_seeded(&key_excluding(&[3]), &[4], &matching_of(1), None);
         assert!(cache.near_miss(&probe, &[4], 16).is_none());
         // Seed pinned to version 4: unusable at 5.
         cache.insert_vec_seeded(
@@ -1597,7 +1553,7 @@ mod tests {
         // matching is served, but the seed (pinned to the version-5
         // epoch) is gone and its bytes are released.
         log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_log(&donor, 6, &log).is_some());
+        assert!(cache.get_with_logs(&donor, &[6], &[&log]).is_some());
         assert!(cache.near_miss(&key, &[6], 16).is_none());
         assert!(cache.bytes() < bytes_with_seed);
     }
@@ -1612,7 +1568,7 @@ mod tests {
             Some(seed_at(&[4])),
         );
         // Capacity 1: the second insert evicts the donor.
-        cache.insert_vec(&key_of(&[vec![0.5, 0.5]]), &[4], &matching_of(1));
+        cache.insert_vec_seeded(&key_of(&[vec![0.5, 0.5]]), &[4], &matching_of(1), None);
         assert!(cache.near_miss(&key_excluding(&[3, 7]), &[4], 16).is_none());
         assert!(cache.by_fns.len() <= 1 && cache.by_excl.len() <= 1);
     }

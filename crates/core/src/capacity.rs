@@ -10,26 +10,30 @@
 //! bookkeeping only when its capacity is exhausted.
 //!
 //! With every capacity equal to 1 this reduces exactly to the 1-1
-//! matching (asserted by tests).
-//!
-//! That greedy is written once, as the crate-private `GreedyProbe`: an
-//! [`Engine`] answers a capacitated request by draining one probe over
-//! its tree, and the [`crate::shard`] merge — whose un-capacitated
-//! requests are the all-ones case — drives one probe per shard and
-//! picks the best of their candidates each round.
+//! matching — the same pairs in the same order from the same number of
+//! loops and reverse top-1 searches as single-pair SB (asserted by
+//! tests), because it *is* single-pair SB: the crate-private
+//! `GreedyProbe` is the shared SB run of [`crate::sb`] plus `Units`, the
+//! remaining units of a capacitated request. Its `probe` is the
+//! *discover* half of an SB round, its `assign` the *retire* half, with
+//! the object retired only once its last unit went. An [`Engine`]
+//! answers a capacitated request by draining one probe over its tree;
+//! the [`crate::shard`] merge drives one probe per shard and picks the
+//! best of their candidates each round. Its un-capacitated requests
+//! carry no `Units` at all: every object has the one unit that
+//! assignment takes.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use mpq_rtree::{IoSession, IoStats, PointSet};
-use mpq_skyline::SkylineMaintainer;
-use mpq_ta::{FunctionSet, ReverseTopOne};
+use mpq_rtree::{IoSession, PointSet};
+use mpq_ta::FunctionSet;
 
-use crate::backend::EvalBackend;
 use crate::engine::{Engine, RequestOptions};
 use crate::matching::{Matching, Pair, RunMetrics};
-use crate::seed::{PeeledLog, SeedPart};
+use crate::sb::{BestPairMode, SbRun};
+use crate::scratch::Scratch;
+use crate::seed::SeedPart;
 
 /// Result of a capacitated run: assignment pairs in emission order and
 /// the per-object resident lists.
@@ -61,253 +65,123 @@ impl CapacityMatching {
     }
 }
 
-/// Capacity units by global oid, as one request sees them.
+/// Remaining units of a capacitated request, by global oid.
 ///
-/// The vector is sized from the backend's id bound *before* any
-/// snapshot is pinned, so a racing insert can put an object into a
-/// snapshot whose oid lies past its end. Such an object has `uncovered`
-/// units: 1 for an un-capacitated request (it is in the snapshot, so
-/// the matching over that snapshot may assign it), 0 for a capacitated
-/// one (the caller's vector predates it — invisible, like an exclusion)
-/// — unless the request excluded that very id, which `excluded_past`
-/// remembers.
-#[derive(Clone)]
-pub(crate) struct Units {
-    remaining: Vec<u32>,
-    uncovered: u32,
-    /// Excluded ids at or past the end of `remaining`, sorted.
-    excluded_past: Vec<u64>,
-}
+/// The request's vector was validated against the backend's id bound
+/// *before* any snapshot was pinned, so a racing insert can put an
+/// object into a snapshot whose oid lies past its end: the caller's
+/// vector predates it, and it has no units — invisible, like an
+/// exclusion.
+pub(crate) struct Units(Vec<u32>);
 
 impl Units {
-    /// The request's capacities (one unit per object below the id bound
-    /// without them), zeroed for its excluded objects.
-    pub(crate) fn for_request<B: EvalBackend + ?Sized>(
-        backend: &B,
-        options: &RequestOptions,
-    ) -> Units {
-        let (mut remaining, uncovered) = match &options.capacities {
-            Some(caps) => (caps.clone(), 0),
-            None => (vec![1; backend.oid_bound() as usize], 1),
-        };
-        let mut excluded_past = Vec::new();
-        for &oid in &options.exclude {
-            match remaining.get_mut(oid as usize) {
-                Some(slot) => *slot = 0,
-                None => excluded_past.push(oid),
-            }
-        }
-        excluded_past.sort_unstable();
-        Units {
-            remaining,
-            uncovered,
-            excluded_past,
-        }
-    }
-
     /// Units object `oid` can still take.
     fn left(&self, oid: u64) -> u32 {
-        match self.remaining.get(oid as usize) {
-            Some(&units) => units,
-            None if self.excluded_past.binary_search(&oid).is_ok() => 0,
-            None => self.uncovered,
-        }
+        self.0.get(oid as usize).copied().unwrap_or(0)
     }
 
-    /// Consume one unit of `oid`; true iff that exhausted it (an
-    /// uncovered object had its one unit).
+    /// Consume one unit of `oid`; true iff that exhausted it.
     fn take(&mut self, oid: u64) -> bool {
-        self.remaining.get_mut(oid as usize).is_none_or(|units| {
+        self.0.get_mut(oid as usize).is_none_or(|units| {
             *units -= 1;
             *units == 0
         })
     }
 }
 
-/// The canonical greedy over one pinned inventory snapshot: a working
-/// function-set copy, reverse top-1 index, skyline maintainer, cached
-/// best-function table and capacity view. [`Engine`]'s capacitated
-/// requests drain one ([`GreedyProbe::run`]); the K-shard merge in
+/// The one "invisible object" test of a probe: excluded by the request,
+/// or capacitated with no unit left. An un-capacitated object has its
+/// one unit until it is assigned, and assignment takes it off the
+/// skyline for good, so nothing is stored for it.
+fn invisible(excluded: &HashSet<u64>, units: &Option<Units>, oid: u64) -> bool {
+    excluded.contains(&oid) || units.as_ref().is_some_and(|u| u.left(oid) == 0)
+}
+
+/// The canonical greedy over one pinned inventory snapshot: the shared
+/// SB run of [`crate::sb`] in single-pair mode, plus the request's
+/// exclusions and capacity units. [`Engine`]'s capacitated requests
+/// drain one ([`GreedyProbe::run`]); the K-shard merge in
 /// [`crate::shard`] drives one per shard, learning from it through
 /// candidate [`Pair`] messages and teaching it through assignment
 /// broadcasts.
 pub(crate) struct GreedyProbe<'e> {
-    io: IoSession<'e>,
-    io_start: IoStats,
-    fs: FunctionSet,
-    rt1: ReverseTopOne,
-    sky: SkylineMaintainer,
+    run: SbRun<IoSession<'e>>,
+    excluded: HashSet<u64>,
     /// A shard consults only its own slice of the id space; a full
     /// copy per shard is just the simplest container.
-    units: Units,
-    fbest: HashMap<u64, (u32, f64)>,
-    reverse_top1_calls: u64,
+    units: Option<Units>,
 }
 
 impl<'e> GreedyProbe<'e> {
     /// Build a probe cold or primed from this shard's [`SeedPart`].
     ///
     /// `seed` is `(part, version)` — the part is honored only when the
-    /// shard's inventory version still equals `version` on both sides
-    /// of the I/O-session pin (the part's snapshot references pages of
-    /// exactly that epoch). `capture` receives this probe's own
-    /// post-peel snapshot, stamped with the pinned version — again only
-    /// when no mutation straddled the pin.
+    /// engine pinned exactly that version (see [`Engine::pin`]: the
+    /// part's snapshot references pages of exactly that epoch).
+    /// `capture` receives this probe's own post-peel snapshot, stamped
+    /// with the pinned version — again only when no mutation straddled
+    /// the pin.
     pub(crate) fn new(
         engine: &'e Engine,
         functions: &FunctionSet,
-        units: Units,
+        options: &RequestOptions,
         seed: Option<(&SeedPart, u64)>,
-        mut capture: Option<&mut Option<(SeedPart, u64)>>,
+        capture: Option<&mut Option<(SeedPart, u64)>>,
     ) -> GreedyProbe<'e> {
-        let v_before = engine.inventory_version();
-        let io = IoSession::new(engine.tree());
-        let stable = engine.inventory_version() == v_before;
-        if !stable {
-            capture = None;
+        let (io, version) = engine.pin();
+        let excluded = options.exclude.clone();
+        let units = options.capacities.clone().map(Units);
+        let part = seed.filter(|&(_, v)| version == Some(v)).map(|(p, _)| p);
+        let mut captured = None;
+        let slot = (capture.is_some() && version.is_some()).then_some(&mut captured);
+        let masked = |oid| invisible(&excluded, &units, oid);
+        let scratch = Scratch::new();
+        let run = SbRun::new(io, scratch, functions, BestPairMode::Ta, masked, part, slot);
+        if let Some(out) = capture {
+            *out = captured.zip(version);
         }
-        let io_start = io.stats();
-        let mut peeled_log: Vec<(u64, Box<[f64]>)> = Vec::new();
-        let capturing = capture.is_some();
-        let sky = match seed.filter(|&(_, v)| stable && v == v_before) {
-            None => SkylineMaintainer::build(&io),
-            Some((part, _)) => {
-                // Resume: re-admit the seed's peeled objects this
-                // request still wants, carry the rest into the capture
-                // journal (the maintainer's content afterwards is what
-                // a cold build over the available inventory yields).
-                let mut m = part.sky.clone();
-                for (oid, point) in &part.peeled {
-                    if units.left(*oid) == 0 {
-                        if capturing {
-                            peeled_log.push((*oid, point.clone()));
-                        }
-                    } else {
-                        m.insert(*oid, point.clone());
-                    }
-                }
-                m
-            }
-        };
-        let mut probe = GreedyProbe {
-            io,
-            io_start,
-            fs: functions.clone(),
-            rt1: ReverseTopOne::build(functions),
-            sky,
+        GreedyProbe {
+            run,
+            excluded,
             units,
-            fbest: HashMap::new(),
-            reverse_top1_calls: 0,
-        };
-        // Objects unavailable from the start (zero capacity / excluded)
-        // must leave the skyline before the first probe; removal can
-        // promote other unavailable objects, so iterate.
-        let dead: Vec<u64> = probe
-            .sky
-            .iter()
-            .filter(|e| probe.units.left(e.oid) == 0)
-            .map(|e| e.oid)
-            .collect();
-        if capturing {
-            for &oid in &dead {
-                let point = probe.sky.get(oid).expect("member being peeled");
-                peeled_log.push((oid, point.into()));
-            }
-        }
-        probe.peel(dead, capturing.then_some(&mut peeled_log));
-        if let Some(slot) = capture {
-            *slot = Some((
-                SeedPart {
-                    sky: probe.sky.clone(),
-                    peeled: peeled_log,
-                },
-                v_before,
-            ));
-        }
-        probe
-    }
-
-    /// Remove exhausted objects from the skyline, peeling promoted
-    /// objects that are themselves exhausted. When `peeled` is provided
-    /// (seed capture), it receives every object this call removes.
-    fn peel(&mut self, mut to_remove: Vec<u64>, mut peeled: Option<&mut PeeledLog>) {
-        while !to_remove.is_empty() {
-            let promoted = self.sky.remove(&to_remove, &self.io);
-            to_remove.clear();
-            for (oid, point) in promoted {
-                if self.units.left(oid) == 0 {
-                    to_remove.push(oid);
-                    if let Some(log) = peeled.as_deref_mut() {
-                        log.push((oid, point));
-                    }
-                }
-            }
         }
     }
 
-    /// Scatter message: compute (or serve from the `fbest` cache) the
-    /// best candidate pair of this snapshot. `None` means the probe is
-    /// exhausted — no function is left, or its skyline is empty and can
-    /// never refill.
+    /// Scatter message: the best candidate pair of this snapshot — the
+    /// first half of an SB round. `None` means the probe is exhausted —
+    /// no function is left, or its skyline is empty and can never
+    /// refill.
     pub(crate) fn probe(&mut self) -> Option<Pair> {
-        if self.fs.n_alive() == 0 {
+        if self.run.is_done() {
             return None;
         }
-        let mut best: Option<Pair> = None;
-        for e in self.sky.iter() {
-            let &mut (fid, score) = match self.fbest.entry(e.oid) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => {
-                    self.reverse_top1_calls += 1;
-                    let b = self
-                        .rt1
-                        .best_for(&self.fs, e.point)
-                        .expect("functions remain");
-                    v.insert(b)
-                }
-            };
-            let cand = Pair {
-                fid,
-                oid: e.oid,
-                score,
-            };
-            if best.as_ref().is_none_or(|b| cand.beats(b)) {
-                best = Some(cand);
-            }
-        }
-        best
+        self.run.discover(false);
+        self.run.pairs().first().copied()
     }
 
-    /// Assignment broadcast: the global winner is `pair`. Every probe
-    /// retires the assigned function; the owner additionally consumes
-    /// one capacity unit and retires the object when exhausted. Returns
-    /// true iff this probe owned the object.
+    /// Assignment broadcast: the global winner is `pair` — the second
+    /// half of an SB round. Every probe retires the assigned function;
+    /// the owner additionally consumes one capacity unit and retires
+    /// the object when exhausted. Returns true iff this probe owned the
+    /// object.
     pub(crate) fn assign(&mut self, pair: &Pair) -> bool {
-        self.fs.remove(pair.fid);
-        // cached candidates computed against the retired function are
-        // stale
-        self.fbest.retain(|_, (fid, _)| *fid != pair.fid);
-        let owned = self.sky.contains(pair.oid);
-        if owned && self.units.take(pair.oid) {
-            self.fbest.remove(&pair.oid);
-            self.peel(vec![pair.oid], None);
-        }
+        let owned = self.run.skyline().contains(pair.oid);
+        let spent = owned && self.units.as_mut().is_none_or(|u| u.take(pair.oid));
+        self.run.retire(&[*pair], spent, |oid| {
+            invisible(&self.excluded, &self.units, oid)
+        });
         owned
     }
 
     /// True once every function is assigned.
     pub(crate) fn functions_exhausted(&self) -> bool {
-        self.fs.n_alive() == 0
+        self.run.functions().n_alive() == 0
     }
 
-    /// I/O on the pinned snapshot since the probe was built.
-    pub(crate) fn io(&self) -> IoStats {
-        self.io.stats().since(self.io_start)
-    }
-
-    /// Reverse top-1 searches issued so far.
-    pub(crate) fn reverse_top1_calls(&self) -> u64 {
-        self.reverse_top1_calls
+    /// Counters and I/O on the pinned snapshot since the probe was
+    /// built; `loops` counts probes.
+    pub(crate) fn metrics(&self) -> RunMetrics {
+        self.run.metrics()
     }
 
     /// The whole matching of one request over `engine`'s current
@@ -318,22 +192,14 @@ impl<'e> GreedyProbe<'e> {
         options: &RequestOptions,
     ) -> Matching {
         let start = Instant::now();
-        let units = Units::for_request(engine, options);
-        let mut probe = GreedyProbe::new(engine, functions, units, None, None);
+        let mut probe = GreedyProbe::new(engine, functions, options, None, None);
         let mut pairs = Vec::new();
         while let Some(pair) = probe.probe() {
             probe.assign(&pair);
             pairs.push(pair);
         }
-        let metrics = RunMetrics {
-            elapsed: start.elapsed(),
-            io: probe.io(),
-            loops: pairs.len() as u64,
-            reverse_top1_calls: probe.reverse_top1_calls,
-            skyline: Some(probe.sky.stats()),
-            ta: Some(probe.rt1.stats()),
-            ..RunMetrics::default()
-        };
+        let mut metrics = probe.metrics();
+        metrics.elapsed = start.elapsed();
         Matching::new(pairs, metrics)
     }
 }
@@ -468,21 +334,41 @@ mod tests {
             .build();
         let engine = engine(&w.objects);
         let bound = engine.oid_bound();
+        let hidden = |probe: &GreedyProbe, oid| invisible(&probe.excluded, &probe.units, oid);
         let request = engine.request(&w.functions).exclude([bound, bound + 7]);
-        let (_, options) = request.parts();
-        let units = Units::for_request(&engine, options);
-        assert_eq!(units.left(0), 1);
-        assert_eq!(units.left(bound), 0);
-        assert_eq!(units.left(bound + 7), 0);
-        assert_eq!(units.left(bound + 1), 1, "in the snapshot, not excluded");
+        let (functions, options) = request.parts();
+        let probe = GreedyProbe::new(&engine, functions, options, None, None);
+        assert!(!hidden(&probe, 0));
+        assert!(hidden(&probe, bound));
+        assert!(hidden(&probe, bound + 7));
+        assert!(!hidden(&probe, bound + 1), "in the snapshot, not excluded");
 
         let request = request.capacities(&vec![1; bound as usize]);
-        let (_, options) = request.parts();
-        let units = Units::for_request(&engine, options);
-        assert_eq!(units.left(0), 1);
+        let (functions, options) = request.parts();
+        let probe = GreedyProbe::new(&engine, functions, options, None, None);
+        assert!(!hidden(&probe, 0));
         for oid in [bound, bound + 7, bound + 1] {
-            assert_eq!(units.left(oid), 0, "the capacity vector predates {oid}");
+            assert!(hidden(&probe, oid), "the capacity vector predates {oid}");
         }
+    }
+
+    #[test]
+    fn unit_capacities_count_like_single_pair_sb() {
+        let w = WorkloadBuilder::new()
+            .objects(3000)
+            .functions(120)
+            .dim(3)
+            .seed(97)
+            .build();
+        let engine = engine(&w.objects);
+        let request = || engine.request(&w.functions);
+        let units = vec![1; engine.oid_bound() as usize];
+        let unit = request().capacities(&units).evaluate().unwrap();
+        let single = request().multi_pair(false).evaluate().unwrap();
+        assert_eq!(unit.pairs(), single.pairs());
+        let (unit, single) = (unit.metrics(), single.metrics());
+        assert_eq!(unit.loops, single.loops);
+        assert_eq!(unit.reverse_top1_calls, single.reverse_top1_calls);
     }
 
     #[test]
@@ -508,10 +394,26 @@ mod tests {
             .seed(83)
             .build();
         let caps: Vec<u32> = (0..w.objects.len()).map(|i| (i % 3) as u32).collect();
-        let m = run(&w.objects, &w.functions, &caps);
-        let expect = reference_capacity_matching(&w.objects, &w.functions, &caps);
-        assert_eq!(sorted(&m.pairs), sorted(&expect));
-        verify_capacity_stable(&w.objects, &w.functions, &caps, &m.pairs).unwrap();
+        let engine = engine(&w.objects);
+        // Then again without two objects the first run filled: the mask
+        // is the exclusions and the exhausted capacities together.
+        let mut exclude: Vec<u64> = Vec::new();
+        for _ in 0..2 {
+            let m = engine
+                .request(&w.functions)
+                .capacities(&caps)
+                .exclude(exclude.iter().copied())
+                .evaluate()
+                .unwrap();
+            let mut visible = caps.clone();
+            for &oid in &exclude {
+                visible[oid as usize] = 0;
+            }
+            let expect = reference_capacity_matching(&w.objects, &w.functions, &visible);
+            assert_eq!(sorted(m.pairs()), sorted(&expect));
+            verify_capacity_stable(&w.objects, &w.functions, &visible, m.pairs()).unwrap();
+            exclude = vec![m.pairs()[0].oid, m.pairs()[5].oid];
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! Per-request cost accounting stays exact under sharing because every
 //! evaluation reads the tree through its own run-scoped
-//! [`mpq_rtree::IoSession`]: the [`RunMetrics::io`] of one request
-//! contains precisely the page traffic that request caused.
+//! [`mpq_rtree::IoSession`]: the
+//! [`RunMetrics::io`](crate::RunMetrics::io) of one request contains
+//! precisely the page traffic that request caused.
 //!
 //! ```
 //! use mpq_core::{Algorithm, Engine};
@@ -47,10 +48,10 @@ use std::time::{Duration, Instant};
 
 use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
 use mpq_rtree::{
-    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PointSet, RTree,
+    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, NodeSource, PointSet,
+    RTree,
 };
-use mpq_skyline::SkylineMaintainer;
-use mpq_ta::{FunctionSet, ReverseTopOne};
+use mpq_ta::FunctionSet;
 
 use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
@@ -58,10 +59,10 @@ use crate::cache::{MutationEvent, MutationLog};
 use crate::capacity::GreedyProbe;
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::matching::{IndexConfig, Matching, Pair};
 use crate::objects::ObjectTable;
 use crate::sb::{
-    run_rescan_on, run_sb_seeded, sb_loop_round, stream_on, BestPairMode, MaintenanceMode, SbStream,
+    run_rescan_on, run_sb_seeded, stream_on, BestPairMode, MaintenanceMode, SbRun, SbStream,
 };
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedPart};
@@ -522,9 +523,9 @@ impl Engine {
     /// engine's version can never be served against another engine's
     /// inventory, and an entry stamped before a mutation is stale unless
     /// the [`Engine::mutation_log`] proves the mutation could not have
-    /// changed it (see [`ResultCache::get_with_log`]).
+    /// changed it (see [`ResultCache::get_with_logs`]).
     ///
-    /// [`ResultCache::get_with_log`]: crate::ResultCache::get_with_log
+    /// [`ResultCache::get_with_logs`]: crate::ResultCache::get_with_logs
     #[inline]
     pub fn inventory_version(&self) -> u64 {
         self.version.load(AtomicOrdering::Acquire)
@@ -977,15 +978,35 @@ impl Engine {
     /// survives across batches (the paper's online deployment, §IV-B).
     pub fn session(&self) -> MatchSession<'_> {
         let io = IoSession::new(&self.tree);
-        let maintainer = SkylineMaintainer::build(&io);
         MatchSession {
             engine: self,
-            io,
-            maintainer,
-            scratch: Scratch::new(),
+            // No batch yet: the run holds the skyline, `submit` loads
+            // each batch's functions.
+            run: SbRun::new(
+                io,
+                Scratch::new(),
+                &FunctionSet::new(self.dim),
+                BestPairMode::Ta,
+                |_| false,
+                None,
+                None,
+            ),
             assigned: 0,
             batches: 0,
         }
+    }
+
+    /// Pin a run-scoped I/O session on the current epoch. The version is
+    /// `Some` iff no mutation straddled the pin: versions are monotone
+    /// and minted at commit, so equality on both sides proves the pinned
+    /// tree *is* that version's epoch. Otherwise the epoch is ambiguous,
+    /// and the run must decline seeds and capture nothing rather than
+    /// guess.
+    pub(crate) fn pin(&self) -> (IoSession<'_>, Option<u64>) {
+        let before = self.inventory_version();
+        let session = IoSession::new(&self.tree);
+        let stable = self.inventory_version() == before;
+        (session, stable.then_some(before))
     }
 
     /// Evaluate a slice of independent requests on a built-in scoped
@@ -1072,29 +1093,22 @@ impl EvalBackend for Engine {
         if options.capacities.is_some() {
             return Ok(GreedyProbe::run(self, functions, options));
         }
-        let version_before = self.inventory_version();
-        let session = IoSession::new(&self.tree);
+        let (session, version) = self.pin();
 
         match options.algorithm {
             Algorithm::Sb => match options.maintenance {
                 MaintenanceMode::Incremental => {
-                    // A mutation that straddled the session pin makes
-                    // the pinned epoch ambiguous: decline the seed and
-                    // capture nothing rather than guess. (Versions are
-                    // monotone and minted at commit, so equality here
-                    // proves the pinned tree *is* the `version` epoch.)
-                    let version = self.inventory_version();
-                    let stable = version == version_before;
                     let part = seed
-                        .filter(|s| stable && s.parts.len() == 1 && s.usable_at(&[version]))
+                        .filter(|s| s.parts.len() == 1)
+                        .filter(|s| version.is_some_and(|v| s.usable_at(&[v])))
                         .map(|s| &s.parts[0]);
                     let mut captured: Option<SeedPart> = None;
-                    let slot = (capture.is_some() && stable).then_some(&mut captured);
+                    let slot = (capture.is_some() && version.is_some()).then_some(&mut captured);
                     let matching = run_sb_seeded(&session, functions, options, scratch, part, slot);
                     if let Some(out) = capture {
-                        *out = captured.map(|p| EvalSeed {
+                        *out = captured.zip(version).map(|(part, version)| EvalSeed {
                             versions: vec![version],
-                            parts: vec![p],
+                            parts: vec![part],
                         });
                     }
                     Ok(matching)
@@ -1514,8 +1528,8 @@ impl BatchOutcome {
 /// denominator); `cpu_total` is the *sum* of per-request matching times,
 /// so `cpu_total / wall` approximates the achieved parallelism. The
 /// I/O and algorithm counters are sums over the per-request
-/// [`RunMetrics`]; the per-request values stay available on each
-/// [`Matching`].
+/// [`RunMetrics`](crate::RunMetrics); the per-request values stay
+/// available on each [`Matching`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchMetrics {
     /// End-to-end wall-clock time of the batch.
@@ -1560,19 +1574,17 @@ impl BatchMetrics {
 /// hitting the same engine concurrently.
 pub struct MatchSession<'e> {
     engine: &'e Engine,
-    io: IoSession<'e>,
-    maintainer: SkylineMaintainer,
-    /// Per-batch working state (function-set copy, rank-list caches,
-    /// round buffers), reused across batches.
-    scratch: Scratch,
+    /// The skyline persists; every batch loads its own functions.
+    run: SbRun<IoSession<'e>>,
     assigned: u64,
     batches: u64,
 }
 
 impl MatchSession<'_> {
-    /// Objects not yet reserved by any earlier batch.
+    /// Objects of the snapshot the session pinned that no earlier batch
+    /// reserved.
     pub fn objects_remaining(&self) -> u64 {
-        self.engine.tree.len() - self.assigned
+        self.run.src().len() - self.assigned
     }
 
     /// Number of batches processed so far.
@@ -1582,13 +1594,13 @@ impl MatchSession<'_> {
 
     /// Current skyline size (diagnostic).
     pub fn skyline_len(&self) -> usize {
-        self.maintainer.len()
+        self.run.skyline().len()
     }
 
     /// Total I/O this session has caused since it was opened (including
     /// the initial skyline computation).
     pub fn io_stats(&self) -> mpq_rtree::IoStats {
-        self.io.stats()
+        self.run.src().stats()
     }
 
     /// Match one arriving batch against the remaining inventory.
@@ -1598,43 +1610,18 @@ impl MatchSession<'_> {
         validate_functions(self.engine.dim, functions)?;
         self.batches += 1;
         let start = Instant::now();
-        let io_start = self.io.stats();
-        let mut metrics = RunMetrics::default();
-
-        self.scratch.fs.copy_from(functions);
-        let mut rt1 = Some(ReverseTopOne::build(&self.scratch.fs));
-        // rank-list caches are fresh per batch (cleared, buffers
-        // reused); the maintainer persists
-        self.scratch.fbest.clear();
-        self.scratch.obest.clear();
-        let no_exclusions = HashSet::new();
+        let io_start = self.io_stats();
+        self.run.load(functions);
         let mut pairs: Vec<Pair> = Vec::new();
-
-        while self.scratch.fs.n_alive() > 0 && !self.maintainer.is_empty() {
-            sb_loop_round(
-                &self.io,
-                &mut self.maintainer,
-                &mut self.scratch.fs,
-                &mut rt1,
-                &mut self.scratch.fbest,
-                &mut self.scratch.obest,
-                &mut self.scratch.round,
-                &no_exclusions,
-                BestPairMode::Ta,
-                true,
-                &mut metrics,
-            );
-            // every pair removed one distinct object from the inventory
-            self.assigned += self.scratch.round.pairs.len() as u64;
-            pairs.extend_from_slice(&self.scratch.round.pairs);
+        while !self.run.is_done() {
+            pairs.extend_from_slice(self.run.round(true, |_| false));
         }
+        // every pair removed one distinct object from the inventory
+        self.assigned += pairs.len() as u64;
 
+        let mut metrics = self.run.metrics();
         metrics.elapsed = start.elapsed();
-        metrics.io = self.io.stats().since(io_start);
-        metrics.skyline = Some(self.maintainer.stats());
-        if let Some(rt1) = &rt1 {
-            metrics.ta = Some(rt1.stats());
-        }
+        metrics.io = self.io_stats().since(io_start);
         Ok(Matching::new(pairs, metrics))
     }
 }

@@ -163,6 +163,26 @@ mod tests {
     }
 
     #[test]
+    fn remaining_count_survives_a_concurrent_removal() {
+        let w = WorkloadBuilder::new()
+            .objects(15)
+            .functions(10)
+            .dim(2)
+            .seed(96)
+            .build();
+        let eng = engine(&w.objects);
+        let mut session = eng.session();
+        let batch = session.submit(&w.functions).unwrap();
+        assert_eq!(batch.len(), 10);
+        // The live inventory shrinks below what the session reserved;
+        // the session counts against the snapshot it pinned.
+        for oid in 0..6 {
+            eng.remove_object(oid).unwrap();
+        }
+        assert_eq!(session.objects_remaining(), 5);
+    }
+
+    #[test]
     fn later_batches_cost_less_io_than_the_initial_skyline() {
         let w = WorkloadBuilder::new()
             .objects(5_000)

@@ -33,6 +33,34 @@
 //! Neither cache changes the output (asserted by tests); they only
 //! remove redundant reverse-top-1 calls and skyline scans.
 //!
+//! ## One run state, two halves of a round
+//!
+//! Everything above lives once, in the crate-private `SbRun`: the pinned
+//! node source, the maintained skyline, the working function set with
+//! its reverse top-1 index, both rank-list caches and the counters.
+//! `SbRun::new` loads the functions and primes the skyline — cold by
+//! BBS, or resumed from a seed ([`crate::seed`]) — with the objects the
+//! run must not see peeled off; "must not see" is one predicate, so a
+//! request's exclusions and a capacitated request's exhausted objects
+//! take the same path. A round (Algorithm 1 lines 3–9) is two calls:
+//!
+//! * **discover** refreshes the rank lists and reports the round's
+//!   mutually-best pairs in canonical order — all of them, or with
+//!   `multi_pair` off only the first. It changes nothing a matching
+//!   depends on.
+//! * **retire** applies assignments: functions are tombstoned, and
+//!   objects leave the skyline (§IV-B maintenance, masked promotions
+//!   peeled before they reach a cache).
+//!
+//! Four drivers run it. The engine's evaluation (`run_sb_seeded`), the
+//! progressive [`SbStream`] and the persistent
+//! [`MatchSession`](crate::MatchSession) retire exactly what they
+//! discovered, round after round. The `GreedyProbe` of
+//! [`crate::capacity`] — a capacitated request, or one shard of the
+//! [`crate::shard`] merge — discovers one pair, offers it, and retires
+//! whichever pair the merge then announces: always the function, the
+//! object only when it is the probe's own and out of capacity.
+//!
 //! [`SbStream`] exposes the algorithm *progressively*: stable pairs are
 //! yielded as soon as they are identified, which is the paper's
 //! motivating deployment (a booking site confirming reservations while
@@ -90,101 +118,337 @@ pub enum MaintenanceMode {
 /// state, between rounds.
 #[derive(Debug, Default)]
 pub(crate) struct RoundBufs {
-    /// This round's mutually-best pairs — the round's *output*, read by
-    /// the caller after [`sb_loop_round`] returns.
-    pub(crate) pairs: Vec<Pair>,
+    /// This round's mutually-best pairs — what [`SbRun::discover`]
+    /// leaves behind.
+    pairs: Vec<Pair>,
     /// Functions that are some skyline object's current best.
     fbest_fns: HashSet<u32>,
-    /// Functions assigned this round.
-    removed_fids: HashSet<u32>,
-    /// Objects assigned this round (in pair order).
-    removed_oids: Vec<u64>,
-    /// Same objects as a set, for the cache retain pass.
-    removed_oid_set: HashSet<u64>,
-    /// Masked promotions peeled during skyline maintenance.
-    masked: Vec<u64>,
+    /// The objects one skyline removal takes out (see [`peel_masked`]).
+    wave: Vec<u64>,
     /// Per-loop best function per skyline object (SB-rescan only).
     rescan_best: HashMap<u64, (u32, f64)>,
 }
 
-/// Remove every masked (`excluded`) object from the maintained skyline.
-/// Peeling can promote further masked objects — their dominator just
-/// left — so iterate until the skyline is clean. `buf` is scratch
-/// storage for the per-wave removal list. When `peeled` is provided,
-/// every removed object is logged with its point — the seed-capture
+/// Remove the objects in `wave` from the maintained skyline, then every
+/// *masked* object that removal promotes — its dominator just left —
+/// wave after wave until the skyline is clean, so a masked object never
+/// reaches the caches. Returns the promotions that stay. `wave` comes
+/// back empty. When `peeled` is provided, every masked object removed
+/// past the first wave is logged with its point — the seed-capture
 /// journal that lets a later request re-admit it without a tree read.
 fn peel_masked<R: NodeSource>(
     maintainer: &mut SkylineMaintainer,
     src: &R,
-    excluded: &HashSet<u64>,
-    buf: &mut Vec<u64>,
+    wave: &mut Vec<u64>,
+    masked: &impl Fn(u64) -> bool,
     mut peeled: Option<&mut PeeledLog>,
-) {
-    if excluded.is_empty() {
-        return;
-    }
-    buf.clear();
-    buf.extend(
-        maintainer
-            .iter()
-            .filter(|e| excluded.contains(&e.oid))
-            .map(|e| e.oid),
-    );
-    if let Some(log) = peeled.as_deref_mut() {
-        for &oid in buf.iter() {
-            let point = maintainer.get(oid).expect("member being peeled");
-            log.push((oid, point.into()));
-        }
-    }
-    while !buf.is_empty() {
-        let promoted = maintainer.remove(buf, src);
-        buf.clear();
+) -> Vec<(u64, Box<[f64]>)> {
+    let mut kept = Vec::new();
+    while !wave.is_empty() {
+        let promoted = maintainer.remove(wave, src);
+        wave.clear();
         for (oid, point) in promoted {
-            if excluded.contains(&oid) {
-                buf.push(oid);
-                if let Some(log) = peeled.as_deref_mut() {
-                    log.push((oid, point));
-                }
+            if !masked(oid) {
+                kept.push((oid, point));
+                continue;
+            }
+            wave.push(oid);
+            if let Some(log) = peeled.as_deref_mut() {
+                log.push((oid, point));
             }
         }
     }
+    kept
 }
 
 /// Prime a maintainer for a run: cold (BBS over the whole tree) or
 /// resumed from a [`SeedPart`] — clone the snapshot, re-admit the
-/// objects the seed had peeled that this request no longer excludes,
-/// then peel this request's own exclusions. Either way the returned
-/// maintainer holds exactly the skyline of the non-excluded inventory,
-/// so the matching loop downstream cannot tell the histories apart.
-/// When `peeled` is provided (seed capture), it receives the exact
-/// removed-object journal for the returned state.
-fn prime_maintainer<R: NodeSource>(
+/// objects the seed had peeled that this request can see again — then
+/// peel what this request masks. Either way the returned maintainer
+/// holds exactly the skyline of the visible inventory, so the matching
+/// loop downstream cannot tell the histories apart. A `capture` slot
+/// receives that state with the exact journal of objects removed to
+/// reach it, before the matching loop consumes the skyline.
+fn prime<R: NodeSource>(
     src: &R,
-    excluded: &HashSet<u64>,
+    masked: &impl Fn(u64) -> bool,
     seed: Option<&SeedPart>,
-    buf: &mut Vec<u64>,
-    mut peeled: Option<&mut PeeledLog>,
+    capture: Option<&mut Option<SeedPart>>,
+    wave: &mut Vec<u64>,
 ) -> SkylineMaintainer {
+    let mut peeled = capture.is_some().then(PeeledLog::new);
     let mut maintainer = match seed {
         None => SkylineMaintainer::build(src),
         Some(part) => {
             let mut m = part.sky.clone();
             for (oid, point) in &part.peeled {
-                if excluded.contains(oid) {
-                    // Still excluded: stays peeled, carries over into
-                    // the capture journal.
-                    if let Some(log) = peeled.as_deref_mut() {
-                        log.push((*oid, point.clone()));
-                    }
-                } else {
+                if !masked(*oid) {
                     m.insert(*oid, point.clone());
+                } else if let Some(log) = &mut peeled {
+                    // Still masked: stays peeled, carries over.
+                    log.push((*oid, point.clone()));
                 }
             }
             m
         }
     };
-    peel_masked(&mut maintainer, src, excluded, buf, peeled);
+    wave.clear();
+    wave.extend(maintainer.iter().map(|e| e.oid).filter(|&oid| masked(oid)));
+    if let Some(log) = &mut peeled {
+        for &oid in wave.iter() {
+            let point = maintainer.get(oid).expect("member being peeled");
+            log.push((oid, point.into()));
+        }
+    }
+    peel_masked(&mut maintainer, src, wave, masked, peeled.as_mut());
+    if let (Some(slot), Some(peeled)) = (capture, peeled) {
+        *slot = Some(SeedPart {
+            sky: maintainer.clone(),
+            peeled,
+        });
+    }
     maintainer
+}
+
+/// Give `scratch` a fresh working copy of `functions` and empty
+/// rank-list caches (buffers reused), and build the copy's reverse
+/// top-1 index.
+fn load_functions(
+    scratch: &mut Scratch,
+    functions: &FunctionSet,
+    best_pair: BestPairMode,
+) -> Option<ReverseTopOne> {
+    scratch.fs.copy_from(functions);
+    scratch.fbest.clear();
+    scratch.obest.clear();
+    match best_pair {
+        BestPairMode::Scan => None,
+        _ => Some(ReverseTopOne::build(&scratch.fs)),
+    }
+}
+
+/// The state of one SB run over one pinned node source — the only SB
+/// state machine in the crate (see the [module docs](self)).
+pub(crate) struct SbRun<R: NodeSource> {
+    src: R,
+    io_start: IoStats,
+    maintainer: SkylineMaintainer,
+    rt1: Option<ReverseTopOne>,
+    /// Working function set, fbest/obest rank-list caches and the
+    /// round-local buffers.
+    scratch: Scratch,
+    best_pair: BestPairMode,
+    metrics: RunMetrics,
+}
+
+impl<R: NodeSource> SbRun<R> {
+    /// Start a run over `src`: load `functions`, then prime the skyline
+    /// cold or from `seed` with every `masked` object invisible (see
+    /// [`prime`]).
+    pub(crate) fn new(
+        src: R,
+        mut scratch: Scratch,
+        functions: &FunctionSet,
+        best_pair: BestPairMode,
+        masked: impl Fn(u64) -> bool,
+        seed: Option<&SeedPart>,
+        capture: Option<&mut Option<SeedPart>>,
+    ) -> SbRun<R> {
+        let io_start = src.io_snapshot();
+        let rt1 = load_functions(&mut scratch, functions, best_pair);
+        let maintainer = prime(&src, &masked, seed, capture, &mut scratch.round.wave);
+        SbRun {
+            src,
+            io_start,
+            maintainer,
+            rt1,
+            scratch,
+            best_pair,
+            metrics: RunMetrics::default(),
+        }
+    }
+
+    /// Match `functions` against what is left of the skyline, with the
+    /// loop counters restarted. I/O keeps counting from the pin.
+    pub(crate) fn load(&mut self, functions: &FunctionSet) {
+        self.rt1 = load_functions(&mut self.scratch, functions, self.best_pair);
+        self.metrics = RunMetrics::default();
+    }
+
+    /// True once every function is assigned or the skyline drained (it
+    /// can never refill).
+    pub(crate) fn is_done(&self) -> bool {
+        self.scratch.fs.n_alive() == 0 || self.maintainer.is_empty()
+    }
+
+    pub(crate) fn src(&self) -> &R {
+        &self.src
+    }
+
+    pub(crate) fn skyline(&self) -> &SkylineMaintainer {
+        &self.maintainer
+    }
+
+    /// The working function set: the loaded functions not yet assigned.
+    pub(crate) fn functions(&self) -> &FunctionSet {
+        &self.scratch.fs
+    }
+
+    /// The pairs of the last [`discover`](SbRun::discover).
+    pub(crate) fn pairs(&self) -> &[Pair] {
+        &self.scratch.round.pairs
+    }
+
+    /// Counters since [`load`](SbRun::load), I/O since the pin.
+    /// `elapsed` is left to the caller, who knows what it is timing.
+    pub(crate) fn metrics(&self) -> RunMetrics {
+        let mut m = self.metrics;
+        m.io = self.src.io_snapshot().since(self.io_start);
+        m.skyline = Some(self.maintainer.stats());
+        m.ta = self.rt1.as_ref().map(ReverseTopOne::stats);
+        m
+    }
+
+    /// Hand the working state back for the next run.
+    pub(crate) fn into_scratch(self) -> Scratch {
+        self.scratch
+    }
+
+    /// One whole round (Algorithm 1 lines 3–9): discover the
+    /// mutually-best pairs, retire them, return them.
+    pub(crate) fn round(&mut self, multi_pair: bool, masked: impl Fn(u64) -> bool) -> &[Pair] {
+        self.discover(multi_pair);
+        let pairs = std::mem::take(&mut self.scratch.round.pairs);
+        self.retire(&pairs, true, masked);
+        self.scratch.round.pairs = pairs;
+        &self.scratch.round.pairs
+    }
+
+    /// First half of a round: refresh the fbest/obest rank lists and
+    /// leave this round's mutually-best pairs, canonically sorted, in
+    /// [`pairs`](SbRun::pairs) (only the first without `multi_pair`). Changes
+    /// nothing a matching depends on, so asking twice answers the same.
+    ///
+    /// All round-local collections live in the scratch, so a round
+    /// performs no heap allocation once the buffers are warm.
+    ///
+    /// Precondition: the run is not [done](SbRun::is_done).
+    pub(crate) fn discover(&mut self, multi_pair: bool) {
+        let Scratch {
+            fs,
+            fbest,
+            obest,
+            round: bufs,
+            ..
+        } = &mut self.scratch;
+        let maintainer = &self.maintainer;
+        self.metrics.loops += 1;
+
+        // 1. Every skyline object needs a valid best function: drain dead
+        // prefix entries from its rank list; if the list empties, re-run
+        // the (top-M) reverse search. A surviving head entry is the true
+        // reverse top-1 because removals can only have deleted
+        // better-ranked functions.
+        for e in maintainer.iter() {
+            let list = fbest.entry(e.oid).or_default();
+            while let Some(&(fid, _)) = list.first() {
+                if fs.is_alive(fid) {
+                    break;
+                }
+                list.remove(0);
+            }
+            if list.is_empty() {
+                self.metrics.reverse_top1_calls += 1;
+                *list = best_functions(&mut self.rt1, fs, e.point, self.best_pair);
+                debug_assert!(!list.is_empty(), "fs.n_alive() > 0");
+            }
+        }
+
+        // 2. For each function that is some object's best, ensure a valid
+        // best-object rank list: drain entries that left the skyline; a
+        // surviving head is the true maximum (better-ranked objects were
+        // all assigned, and promotions were folded in); empty ⇒ full
+        // skyline rescan.
+        bufs.fbest_fns.clear();
+        bufs.fbest_fns
+            .extend(maintainer.iter().map(|e| fbest[&e.oid][0].0));
+        for &fid in &bufs.fbest_fns {
+            let list = obest.entry(fid).or_default();
+            while let Some(&(oid, _)) = list.first() {
+                if maintainer.contains(oid) {
+                    break;
+                }
+                list.remove(0);
+            }
+            if list.is_empty() {
+                for e in maintainer.iter() {
+                    let s = fs.score(fid, e.point);
+                    insert_ranked(list, OBEST_RANKS, e.oid, s);
+                }
+                debug_assert!(!list.is_empty(), "skyline is non-empty");
+            }
+        }
+
+        // 3. Mutually-best pairs (Property 1).
+        bufs.pairs.clear();
+        for &fid in &bufs.fbest_fns {
+            let (oid, score) = obest[&fid][0];
+            if fbest[&oid][0].0 == fid {
+                bufs.pairs.push(Pair { fid, oid, score });
+            }
+        }
+        finalize_loop_pairs(&mut bufs.pairs, multi_pair);
+        assert!(
+            !bufs.pairs.is_empty(),
+            "SB invariant violated: the globally best remaining pair is always \
+             mutually best, so every loop must emit at least one pair"
+        );
+    }
+
+    /// Second half of a round: the functions of `pairs` are assigned
+    /// and, with `objects`, so are their objects — tombstone, drop the
+    /// rank lists of what left, maintain the skyline.
+    pub(crate) fn retire(&mut self, pairs: &[Pair], objects: bool, masked: impl Fn(u64) -> bool) {
+        let Scratch {
+            fs,
+            fbest,
+            obest,
+            round: bufs,
+            ..
+        } = &mut self.scratch;
+        // Assigned functions never return: drop their obest lists. Dead
+        // functions inside fbest lists are drained lazily in step 1.
+        for p in pairs {
+            fs.remove(p.fid);
+            obest.remove(&p.fid);
+        }
+        if !objects {
+            return;
+        }
+        // Assigned objects never return: drop their fbest lists. Dead
+        // objects inside obest lists are drained lazily in step 2.
+        bufs.wave.clear();
+        for p in pairs {
+            fbest.remove(&p.oid);
+            bufs.wave.push(p.oid);
+        }
+        // Skyline maintenance (§IV-B): promotions are folded into every
+        // cached obest rank list to preserve its "nothing better than the
+        // stored minimum is missing" invariant.
+        let promoted = peel_masked(
+            &mut self.maintainer,
+            &self.src,
+            &mut bufs.wave,
+            &masked,
+            None,
+        );
+        for (oid, point) in &promoted {
+            for (fid, list) in obest.iter_mut() {
+                let s = fs.score(*fid, point);
+                fold_promotion(list, OBEST_RANKS, *oid, s);
+            }
+        }
+    }
 }
 
 /// Build a progressive SB stream over a node source the stream *owns*
@@ -198,38 +462,28 @@ pub(crate) fn stream_on<R: NodeSource>(
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> SbStream<R> {
-    let io_start = src.io_snapshot();
-    let mut scratch = Scratch::new();
-    scratch.fs.copy_from(functions);
-    scratch.seed_assigned(&options.exclude);
-    let rt1 = match options.best_pair {
-        BestPairMode::Scan => None,
-        _ => Some(ReverseTopOne::build(&scratch.fs)),
-    };
-    let maintainer = prime_maintainer(
-        &src,
-        &scratch.assigned,
+    let excluded = options.exclude.clone();
+    let run = SbRun::new(
+        src,
+        Scratch::new(),
+        functions,
+        options.best_pair,
+        |oid| excluded.contains(&oid),
         None,
-        &mut scratch.round.masked,
         None,
     );
     SbStream {
-        src,
-        rt1,
-        maintainer,
-        best_pair: options.best_pair,
+        run,
         multi_pair: options.multi_pair,
-        scratch,
+        excluded,
         pending: VecDeque::new(),
-        metrics: RunMetrics::default(),
-        io_start,
-        done: false,
     }
 }
 
 /// Non-streaming SB evaluation over any node source, serving its entire
 /// per-run state — working function set, rank-list caches, round
-/// buffers — from a reusable [`Scratch`]. This is the engine's
+/// buffers — from a reusable [`Scratch`] (lent to the run, handed back
+/// at the end). This is the engine's
 /// [`evaluate`](crate::MatchRequest::evaluate) path: after the first
 /// request on a warm scratch, a run makes no per-round allocations and
 /// no per-run `FunctionSet`/exclusion-set clones (the request's
@@ -241,8 +495,7 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// Seed-capable: `seed`
 /// resumes from a prior request's post-peel skyline snapshot instead of
 /// running BBS from scratch, and a `capture` slot receives this run's
-/// own snapshot (taken after priming, before the matching loop consumes
-/// the skyline) so refinement chains keep seeding. Pass `None, None`
+/// own snapshot so refinement chains keep seeding. Pass `None, None`
 /// for a plain cold run. Both paths run the identical round body over
 /// content-identical skylines, so seeded matchings are
 /// score-bit-identical to cold ones (pinned by `tests/seed_identity.rs`).
@@ -254,58 +507,25 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     seed: Option<&SeedPart>,
     capture: Option<&mut Option<SeedPart>>,
 ) -> Matching {
-    let excluded = &options.exclude;
     let start = Instant::now();
-    let io_start = src.io_snapshot();
-    let mut metrics = RunMetrics::default();
-    scratch.fs.copy_from(functions);
-    let mut rt1 = match options.best_pair {
-        BestPairMode::Scan => None,
-        _ => Some(ReverseTopOne::build(&scratch.fs)),
-    };
-    let mut peeled_log = PeeledLog::new();
-    let capturing = capture.is_some();
-    let mut maintainer = prime_maintainer(
+    let masked = |oid| options.exclude.contains(&oid);
+    let mut run = SbRun::new(
         src,
-        excluded,
+        std::mem::take(scratch),
+        functions,
+        options.best_pair,
+        masked,
         seed,
-        &mut scratch.round.masked,
-        capturing.then_some(&mut peeled_log),
+        capture,
     );
-    if let Some(slot) = capture {
-        *slot = Some(SeedPart {
-            sky: maintainer.clone(),
-            peeled: peeled_log,
-        });
-    }
-    scratch.fbest.clear();
-    scratch.obest.clear();
-
-    let budget = scratch.fs.n_alive().min(src.len() as usize);
+    let budget = functions.n_alive().min(src.len() as usize);
     let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
-    while scratch.fs.n_alive() > 0 && !maintainer.is_empty() {
-        sb_loop_round(
-            src,
-            &mut maintainer,
-            &mut scratch.fs,
-            &mut rt1,
-            &mut scratch.fbest,
-            &mut scratch.obest,
-            &mut scratch.round,
-            excluded,
-            options.best_pair,
-            options.multi_pair,
-            &mut metrics,
-        );
-        pairs.extend_from_slice(&scratch.round.pairs);
+    while !run.is_done() {
+        pairs.extend_from_slice(run.round(options.multi_pair, masked));
     }
-
+    let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
-    metrics.io = src.io_snapshot().since(io_start);
-    metrics.skyline = Some(maintainer.stats());
-    if let Some(rt1) = &rt1 {
-        metrics.ta = Some(rt1.stats());
-    }
+    *scratch = run.into_scratch();
     Matching::new(pairs, metrics)
 }
 
@@ -483,20 +703,11 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
 /// when streaming from a shared [`Engine`](crate::Engine) (per-run I/O
 /// attribution).
 pub struct SbStream<R: NodeSource> {
-    src: R,
-    rt1: Option<ReverseTopOne>,
-    maintainer: SkylineMaintainer,
-    best_pair: BestPairMode,
+    run: SbRun<R>,
     multi_pair: bool,
-    /// The run's working state — working function-set copy, masked
-    /// objects (`assigned`, peeled from the initial skyline and every
-    /// mid-run promotion wave), fbest/obest rank-list caches, and the
-    /// round-local buffers.
-    scratch: Scratch,
+    /// The request's excluded objects, masked for the whole run.
+    excluded: HashSet<u64>,
     pending: VecDeque<Pair>,
-    metrics: RunMetrics,
-    io_start: IoStats,
-    done: bool,
 }
 
 impl<R: NodeSource> SbStream<R> {
@@ -504,13 +715,7 @@ impl<R: NodeSource> SbStream<R> {
     /// `elapsed` is not populated by the stream — callers time their own
     /// consumption (see [`crate::MatchRequest::evaluate`]).
     pub fn metrics(&self) -> RunMetrics {
-        let mut m = self.metrics;
-        m.io = self.src.io_snapshot().since(self.io_start);
-        m.skyline = Some(self.maintainer.stats());
-        if let Some(rt1) = &self.rt1 {
-            m.ta = Some(rt1.stats());
-        }
-        m
+        self.run.metrics()
     }
 
     /// Consume the stream, returning the final metrics.
@@ -520,199 +725,43 @@ impl<R: NodeSource> SbStream<R> {
 
     /// Number of objects currently on the maintained skyline.
     pub fn skyline_len(&self) -> usize {
-        self.maintainer.len()
+        self.run.skyline().len()
     }
 
     /// Number of functions still awaiting assignment.
     pub fn unassigned_functions(&self) -> usize {
-        self.scratch.fs.n_alive()
+        self.run.functions().n_alive()
     }
 
-    /// One SB loop (Algorithm 1 lines 3–9): refresh caches, find the
-    /// mutually-best pairs, apply the removals, and queue the pairs.
+    /// One SB round, its pairs queued.
     fn loop_once(&mut self) {
-        let scratch = &mut self.scratch;
-        if scratch.fs.n_alive() == 0 || self.maintainer.is_empty() {
-            self.done = true;
-            return;
-        }
-        sb_loop_round(
-            &self.src,
-            &mut self.maintainer,
-            &mut scratch.fs,
-            &mut self.rt1,
-            &mut scratch.fbest,
-            &mut scratch.obest,
-            &mut scratch.round,
-            &scratch.assigned,
-            self.best_pair,
-            self.multi_pair,
-            &mut self.metrics,
-        );
-        self.pending.extend(scratch.round.pairs.iter().copied());
+        let pairs = self
+            .run
+            .round(self.multi_pair, |oid| self.excluded.contains(&oid));
+        self.pending.extend(pairs);
     }
 
     /// Test-only invariant check: every current skyline object scoring
     /// above an obest list's stored minimum must be in that list.
     #[cfg(test)]
     fn check_obest_invariant(&self) {
-        let scratch = &self.scratch;
+        let scratch = &self.run.scratch;
         for (fid, list) in &scratch.obest {
             if list.is_empty() {
                 continue;
             }
             let (mo, ms) = *list.last().unwrap();
-            for e in self.maintainer.iter() {
+            for e in self.run.maintainer.iter() {
                 let s = scratch.fs.score(*fid, e.point);
                 let better = s > ms || (s == ms && e.oid < mo);
                 if better && !list.iter().any(|&(o, _)| o == e.oid) {
                     panic!(
                         "loop {}: J violated for fid={fid}: skyline oid={} score={s} \
                          beats stored min ({mo}, {ms}) but is missing; list={list:?}",
-                        self.metrics.loops, e.oid
+                        self.run.metrics.loops, e.oid
                     );
                 }
             }
-        }
-    }
-}
-
-/// One SB matching round (Algorithm 1 lines 3–9) over shared cache
-/// state: refresh the fbest/obest rank lists, report this round's
-/// mutually-best pairs (canonically sorted, left in `bufs.pairs` for the
-/// caller), and apply the removals — function tombstones, cache drops,
-/// and skyline maintenance with masked-promotion peeling. The single
-/// implementation behind the progressive [`SbStream`], the scratch-based
-/// [`run_sb_seeded`] evaluation, and the engine's persistent
-/// [`crate::MatchSession`] batches.
-///
-/// All round-local collections live in `bufs`, so a round performs no
-/// heap allocation once the buffers are warm.
-///
-/// Preconditions: `fs.n_alive() > 0` and a non-empty skyline.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sb_loop_round<R: NodeSource>(
-    src: &R,
-    maintainer: &mut SkylineMaintainer,
-    fs: &mut FunctionSet,
-    rt1: &mut Option<ReverseTopOne>,
-    fbest: &mut HashMap<u64, Vec<(u32, f64)>>,
-    obest: &mut HashMap<u32, Vec<(u64, f64)>>,
-    bufs: &mut RoundBufs,
-    excluded: &HashSet<u64>,
-    best_pair: BestPairMode,
-    multi_pair: bool,
-    metrics: &mut RunMetrics,
-) {
-    metrics.loops += 1;
-
-    // 1. Every skyline object needs a valid best function: drain dead
-    // prefix entries from its rank list; if the list empties, re-run
-    // the (top-M) reverse search. A surviving head entry is the true
-    // reverse top-1 because removals can only have deleted
-    // better-ranked functions.
-    for e in maintainer.iter() {
-        let list = fbest.entry(e.oid).or_default();
-        while let Some(&(fid, _)) = list.first() {
-            if fs.is_alive(fid) {
-                break;
-            }
-            list.remove(0);
-        }
-        if list.is_empty() {
-            metrics.reverse_top1_calls += 1;
-            *list = best_functions(rt1, fs, e.point, best_pair);
-            debug_assert!(!list.is_empty(), "fs.n_alive() > 0");
-        }
-    }
-
-    // 2. For each function that is some object's best, ensure a valid
-    // best-object rank list: drain entries that left the skyline; a
-    // surviving head is the true maximum (better-ranked objects were
-    // all assigned, and promotions were folded in); empty ⇒ full
-    // skyline rescan.
-    bufs.fbest_fns.clear();
-    bufs.fbest_fns
-        .extend(maintainer.iter().map(|e| fbest[&e.oid][0].0));
-    for &fid in &bufs.fbest_fns {
-        let list = obest.entry(fid).or_default();
-        while let Some(&(oid, _)) = list.first() {
-            if maintainer.contains(oid) {
-                break;
-            }
-            list.remove(0);
-        }
-        if list.is_empty() {
-            for e in maintainer.iter() {
-                let s = fs.score(fid, e.point);
-                insert_ranked(list, OBEST_RANKS, e.oid, s);
-            }
-            debug_assert!(!list.is_empty(), "skyline is non-empty");
-        }
-    }
-
-    // 3. Mutually-best pairs (Property 1).
-    bufs.pairs.clear();
-    for &fid in &bufs.fbest_fns {
-        let (oid, score) = obest[&fid][0];
-        if fbest[&oid][0].0 == fid {
-            bufs.pairs.push(Pair { fid, oid, score });
-        }
-    }
-    finalize_loop_pairs(&mut bufs.pairs, multi_pair);
-    assert!(
-        !bufs.pairs.is_empty(),
-        "SB invariant violated: the globally best remaining pair is always \
-         mutually best, so every loop must emit at least one pair"
-    );
-
-    // 4. Apply removals and maintain the caches.
-    bufs.removed_fids.clear();
-    bufs.removed_fids.extend(bufs.pairs.iter().map(|p| p.fid));
-    bufs.removed_oids.clear();
-    bufs.removed_oids.extend(bufs.pairs.iter().map(|p| p.oid));
-    for &fid in &bufs.removed_fids {
-        fs.remove(fid);
-    }
-    bufs.removed_oid_set.clear();
-    bufs.removed_oid_set
-        .extend(bufs.removed_oids.iter().copied());
-
-    // Assigned objects never return: drop their fbest lists. Dead
-    // functions inside surviving lists are drained lazily in step 1.
-    let removed_oid_set = &bufs.removed_oid_set;
-    fbest.retain(|oid, _| !removed_oid_set.contains(oid));
-    // Assigned functions never return: drop their obest lists. Dead
-    // objects inside surviving lists are drained lazily in step 2.
-    for fid in &bufs.removed_fids {
-        obest.remove(fid);
-    }
-
-    // Skyline maintenance (§IV-B): promotions are folded into every
-    // cached obest rank list to preserve its "nothing better than the
-    // stored minimum is missing" invariant. An assignment can promote a
-    // *masked* object (its dominator just left); peel those immediately
-    // — each peel wave can surface further masked objects — so they
-    // never reach the caches or the skyline.
-    let mut promoted = maintainer.remove(&bufs.removed_oids, src);
-    while !excluded.is_empty() {
-        bufs.masked.clear();
-        bufs.masked.extend(
-            promoted
-                .iter()
-                .filter(|(oid, _)| excluded.contains(oid))
-                .map(|(oid, _)| *oid),
-        );
-        if bufs.masked.is_empty() {
-            break;
-        }
-        promoted.retain(|(oid, _)| !excluded.contains(oid));
-        promoted.extend(maintainer.remove(&bufs.masked, src));
-    }
-    for (oid, point) in &promoted {
-        for (fid, list) in obest.iter_mut() {
-            let s = fs.score(*fid, point);
-            fold_promotion(list, OBEST_RANKS, *oid, s);
         }
     }
 }
@@ -764,19 +813,10 @@ impl<R: NodeSource> Iterator for SbStream<R> {
     type Item = Pair;
 
     fn next(&mut self) -> Option<Pair> {
-        loop {
-            if let Some(p) = self.pending.pop_front() {
-                return Some(p);
-            }
-            if self.done {
-                return None;
-            }
+        if self.pending.is_empty() && !self.run.is_done() {
             self.loop_once();
-            if self.pending.is_empty() && !self.done {
-                // loop_once always emits or finishes; defensive guard
-                self.done = true;
-            }
         }
+        self.pending.pop_front()
     }
 }
 
@@ -830,7 +870,7 @@ mod tests {
     /// invariant after every loop.
     fn drain_checking_obest<R: NodeSource>(mut stream: SbStream<R>) -> Vec<Pair> {
         let mut pairs = Vec::new();
-        while !stream.done {
+        while !stream.run.is_done() {
             stream.loop_once();
             stream.check_obest_invariant();
             pairs.extend(stream.pending.drain(..));

@@ -10,6 +10,8 @@
 //! at small delta can *resume*: clone the snapshot, re-admit the peeled
 //! objects it no longer excludes ([`SkylineMaintainer::insert`]), peel
 //! the ones it newly excludes, and run the unchanged matching loop.
+//! Capture and resume are one function — the priming step of
+//! [`crate::sb`]'s run state — whichever engine, shard or stream asks.
 //!
 //! Because the loop's output is determined entirely by skyline
 //! *content* (the rank-list caches are canonical under the total order

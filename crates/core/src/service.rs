@@ -831,16 +831,16 @@ impl<'a> ServiceCore<'a> {
     /// backend's inventory version vector — one component per shard,
     /// exactly one for an unsharded engine. Cache entries stamped
     /// from any other inventory are misses, except that `logs` (the
-    /// per-shard [`MutationLog`]s, when available) may revalidate an
-    /// older entry whose result provably survived every intervening
-    /// mutation on every shard.
+    /// per-shard [`MutationLog`]s) may revalidate an older entry whose
+    /// result provably survived every intervening mutation on every
+    /// shard.
     pub(crate) fn submit_owned(
         &self,
         functions: FunctionSet,
         options: RequestOptions,
         submit: SubmitOptions,
         versions: &[u64],
-        logs: Option<&[&MutationLog]>,
+        logs: &[&MutationLog],
     ) -> Result<Ticket, MpqError> {
         // The post-shutdown contract holds for every path, including a
         // would-be cache hit: a stopped service accepts nothing.
@@ -854,11 +854,7 @@ impl<'a> ServiceCore<'a> {
         let key = request_key(&functions, &options);
         let (group, seed) = {
             let mut layer = lock(cached);
-            let hit = match logs {
-                Some(logs) => layer.cache.get_with_logs(&key, versions, logs),
-                None => layer.cache.get_vec(&key, versions),
-            };
-            if let Some(matching) = hit {
+            if let Some(matching) = layer.cache.get_with_logs(&key, versions, logs) {
                 // Hit: resolve a ticket on the spot — no queue slot, no
                 // worker, bit-identical result by construction.
                 let (ticket, shared) = self.new_ticket();
@@ -1746,7 +1742,7 @@ impl ServiceClient {
             request_options,
             options,
             &self.backend.version_vector(),
-            Some(&self.backend.mutation_logs()),
+            &self.backend.mutation_logs(),
         )
     }
 
@@ -2058,7 +2054,7 @@ mod tests {
                 RequestOptions::default(),
                 SubmitOptions::default().priority(0),
                 &[1],
-                None,
+                &[&MutationLog::default()],
             )
             .unwrap();
         // Identical request, higher priority: its own heap entry.
@@ -2068,7 +2064,7 @@ mod tests {
                 RequestOptions::default(),
                 SubmitOptions::default().priority(10),
                 &[1],
-                None,
+                &[&MutationLog::default()],
             )
             .unwrap();
         assert_eq!(lock(&core.queue).heap.len(), 2);
@@ -2082,7 +2078,7 @@ mod tests {
                 RequestOptions::default(),
                 SubmitOptions::default().priority(5),
                 &[1],
-                None,
+                &[&MutationLog::default()],
             )
             .unwrap();
         assert_eq!(lock(&core.queue).heap.len(), 2);
@@ -2120,7 +2116,7 @@ mod tests {
                 RequestOptions::default(),
                 SubmitOptions::default(),
                 &[1],
-                None,
+                &[&MutationLog::default()],
             )
         });
         let registered = |core: &ServiceCore<'static>| {
@@ -2142,7 +2138,7 @@ mod tests {
                 RequestOptions::default(),
                 SubmitOptions::default().deadline(Duration::ZERO),
                 &[1],
-                None,
+                &[&MutationLog::default()],
             )
             .unwrap();
         assert_eq!(lock(&core.metrics).dedupe_attaches, 1);

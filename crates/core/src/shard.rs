@@ -16,9 +16,14 @@
 //!    ids natively, so no id translation sits between the merge
 //!    protocol and the per-shard trees.
 //! 2. **Scatter.** Each evaluation round probes shards for their best
-//!    candidate pair (skyline + reverse top-1: one `GreedyProbe` of
-//!    [`crate::capacity`] per shard — the very probe an unsharded
-//!    capacitated request drains on its own).
+//!    candidate pair: one `GreedyProbe` of [`crate::capacity`] per
+//!    shard — the very probe an unsharded capacitated request drains on
+//!    its own. A probe is the SB run of [`crate::sb`] in single-pair
+//!    mode over the shard's tree: probing is the *discover* half of an
+//!    SB round (rank-list caches included), the broadcast below its
+//!    *retire* half. A shard therefore does per candidate exactly what
+//!    `Engine` does per single-pair loop, and nothing is allocated per
+//!    object id.
 //! 3. **Gather + merge.** The driver picks the best candidate, emits
 //!    it, and broadcasts the assignment; only shards whose state the
 //!    assignment touched (the owner of the object, or any shard whose
@@ -53,9 +58,18 @@
 //! [`EngineBuilder::open_or_build`](crate::EngineBuilder::open_or_build)
 //! alone decides when an inventory is hosted sharded (`K > 1`, or a
 //! `shards.mpq` manifest on disk). A 1-shard merge stays buildable —
-//! it is the merge-overhead baseline — but nothing selects it: it
-//! costs 1.6–1.7× the single engine on the benchmark's `batch_indep`
-//! workload, which is why both evaluators exist.
+//! it is the merge-overhead baseline — but nothing selects it. On the
+//! benchmark's `batch_indep` workload (three alternating `ledger
+//! trace` runs a side, 2-core container, PR 16) `shard.evaluate_k1_ms`
+//! is 226 ms against `engine.evaluate_ms` 136 ms, 1.65×, unmoved by
+//! sharing the round body (224–236 ms, parent 223–232), while
+//! `shard.evaluate_k4_ms` went 298–315 → 248–254 ms (1.85× the engine).
+//! What still separates K = 1 from the engine is no longer a second
+//! implementation but the round shape: the engine retires every
+//! mutually-best pair of a round at once (§IV-C, ~17 pairs over 57.5
+//! loops), a probe offers one pair and so walks its skyline and runs
+//! skyline maintenance once per emitted pair — 1 000 rounds for 1 000
+//! functions.
 //!
 //! ## Versioning under sharding
 //!
@@ -79,7 +93,7 @@ use mpq_ta::FunctionSet;
 
 use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::cache::MutationLog;
-use crate::capacity::{GreedyProbe, Units};
+use crate::capacity::GreedyProbe;
 use crate::engine::{
     validate_request, Algorithm, BatchOutcome, Engine, MatchRequest, RequestOptions,
 };
@@ -765,11 +779,12 @@ impl EvalBackend for ShardedEngine {
         while let Some(p) = state.next_pair() {
             pairs.push(p);
         }
+        let (io, reverse_top1_calls) = state.shard_totals();
         let metrics = RunMetrics {
             elapsed: start.elapsed(),
-            io: state.io_total(),
+            io,
             loops: state.rounds,
-            reverse_top1_calls: state.reverse_top1_total(),
+            reverse_top1_calls,
             ..RunMetrics::default()
         };
         Ok(Matching::new(pairs, metrics))
@@ -879,7 +894,6 @@ impl<'e> MergeState<'e> {
         seed: Option<&EvalSeed>,
         capture: bool,
     ) -> (MergeState<'e>, Option<EvalSeed>) {
-        let units = Units::for_request(engine, options);
         let k = engine.shards.len();
         // Capacitated requests are not resumable (the probes peel by
         // remaining capacity, which a seed snapshot does not model).
@@ -893,7 +907,7 @@ impl<'e> MergeState<'e> {
             let mut probe = GreedyProbe::new(
                 &engine.shards[0],
                 functions,
-                units,
+                options,
                 seed.map(|s| (&s.parts[0], s.versions[0])),
                 capture.then_some(&mut captures[0]),
             );
@@ -911,11 +925,15 @@ impl<'e> MergeState<'e> {
                     .zip(captures.iter_mut())
                     .zip(0..)
                 {
-                    let units = units.clone();
                     let part = seed.map(|s| (&s.parts[i], s.versions[i]));
                     scope.spawn(move || {
-                        let mut probe =
-                            GreedyProbe::new(shard, functions, units, part, capture.then_some(cap));
+                        let mut probe = GreedyProbe::new(
+                            shard,
+                            functions,
+                            options,
+                            part,
+                            capture.then_some(cap),
+                        );
                         *cand = probe.probe();
                         *slot = Some(probe);
                     });
@@ -1012,19 +1030,15 @@ impl<'e> MergeState<'e> {
         Some(pair)
     }
 
-    /// Summed per-shard I/O since the probes were built.
-    fn io_total(&self) -> IoStats {
+    /// Summed per-shard I/O and reverse top-1 searches since the probes
+    /// were built.
+    fn shard_totals(&self) -> (IoStats, u64) {
         self.shards
             .iter()
-            .map(GreedyProbe::io)
-            .fold(IoStats::default(), |a, b| a + b)
-    }
-
-    fn reverse_top1_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(GreedyProbe::reverse_top1_calls)
-            .sum()
+            .map(GreedyProbe::metrics)
+            .fold((IoStats::default(), 0), |(io, calls), m| {
+                (io + m.io, calls + m.reverse_top1_calls)
+            })
     }
 }
 

@@ -288,7 +288,7 @@ fn inventory_version_makes_rebuilt_engines_miss() {
     let fresh = request.evaluate().unwrap();
 
     let mut cache = ResultCache::new(16, 1 << 20);
-    cache.insert(&key, engine1.inventory_version(), &fresh);
+    cache.insert_vec_seeded(&key, &[engine1.inventory_version()], &fresh, None);
 
     let hit = cache
         .get(&key, engine1.inventory_version())
