@@ -78,9 +78,9 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Validate and evaluate `options` over `functions`. A usable `seed`
-    /// primes the evaluation, and `capture` receives the [`EvalSeed`]
-    /// this run leaves behind; configurations that cannot resume
-    /// silently decline both and run cold, so callers never branch on
+    /// primes the evaluation; a run that had none and ran cold leaves
+    /// the inventory's [`EvalSeed`] in `capture`. Configurations that
+    /// cannot resume silently decline both, so callers never branch on
     /// the algorithm or the backend. `scratch` serves reusable working
     /// state to backends that have any. Seeded and cold evaluation of
     /// the same request are score-bit-identical (see [`crate::seed`]).

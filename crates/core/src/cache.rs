@@ -35,20 +35,21 @@
 //! so a hash collision can never surface a wrong cached matching — the
 //! bit-identical guarantee survives adversarial inputs.
 //!
-//! ## Near-miss lookup
+//! ## The seed slot
 //!
-//! Beyond exact identity, the cache supports **near-miss** lookup
-//! ([`ResultCache::near_miss`]): each key additionally carries FNV
-//! digests of its three independent components (function rows,
-//! exclusion set, evaluation knobs + capacities), and the cache keeps
-//! secondary indexes over them. On an exact miss, a request can ask for
-//! the cached entry at the smallest *request delta* — number of flipped
-//! exclusions, or number of changed function rows, with everything else
-//! identical — that still holds a usable [`EvalSeed`]. The caller then
-//! evaluates *seeded* from that entry's captured skyline state instead
-//! of cold (see [`crate::seed`]).
+//! Beside the entries the cache holds at most one [`EvalSeed`]: the
+//! inventory's BBS skyline at one version vector (see [`crate::seed`]).
+//! It belongs to the inventory, not to any cached request — §III-B of
+//! the paper puts every monotone function's top-1 object in the skyline
+//! of the remaining objects, so no function row, exclusion or capacity
+//! enters it — and therefore every exact miss at that vector
+//! ([`ResultCache::near_miss`]) evaluates *seeded* from it instead of
+//! cold. The first miss after a version change runs cold and installs
+//! the seed it captured; a seed older than a looker's vector is dropped
+//! on sight. Its bytes count once, against the same `max_bytes` as the
+//! entries.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use std::sync::{Mutex, PoisonError};
@@ -76,12 +77,6 @@ use crate::seed::EvalSeed;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestKey {
     hash: u64,
-    /// FNV digest of the function-rows section (dim, count, rows).
-    fns_digest: u64,
-    /// FNV digest of the exclusion-set section (count + sorted unique ids).
-    excl_digest: u64,
-    /// FNV digest of the evaluation-knob and capacity sections.
-    knobs_digest: u64,
     material: Box<[u64]>,
 }
 
@@ -126,7 +121,6 @@ pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> 
         m.push(u64::from(functions.is_alive(fid)));
         m.extend(functions.weights(fid).iter().map(|w| w.to_bits()));
     }
-    let rows_end = m.len();
 
     // Every evaluation knob of RequestOptions.
     m.push(match options.algorithm {
@@ -149,19 +143,15 @@ pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> 
         crate::brute_force::BfStrategy::Restart => 1,
     });
 
-    let knobs_end = m.len();
-
     // Exclusions are a set: canonicalize (sort + dedupe) once here, so
     // HashSet iteration order cannot make two identical requests key
-    // differently and every later consumer (`KeyView::excludes`'
-    // binary search, near-miss delta counting) can rely on a sorted
-    // unique list.
+    // differently and `KeyView::excludes`' binary search can rely on a
+    // sorted unique list.
     let mut excluded: Vec<u64> = options.exclude.iter().copied().collect();
     excluded.sort_unstable();
     excluded.dedup();
     m.push(excluded.len() as u64);
     m.extend(excluded);
-    let excl_end = m.len();
 
     match &options.capacities {
         None => m.push(0),
@@ -172,31 +162,18 @@ pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> 
         }
     }
 
-    // FNV-1a, both over the whole material and per component section
-    // (the near-miss index groups keys by the sections they share):
-    // deterministic across processes (unlike SipHash's random keys), so
-    // keys are stable for logging and cross-run comparison.
-    let hash = fnv64(FNV_OFFSET, &m);
-    let fns_digest = fnv64(FNV_OFFSET, &m[..rows_end]);
-    let excl_digest = fnv64(FNV_OFFSET, &m[knobs_end..excl_end]);
-    // Capacities fold into the knobs digest: they parameterize the
-    // evaluation rather than either delta axis.
-    let knobs_digest = fnv64(fnv64(FNV_OFFSET, &m[rows_end..knobs_end]), &m[excl_end..]);
-
+    // FNV-1a over the whole material: deterministic across processes
+    // (unlike SipHash's random keys), so keys are stable for logging
+    // and cross-run comparison.
     RequestKey {
-        hash,
-        fns_digest,
-        excl_digest,
-        knobs_digest,
+        hash: fnv64(&m),
         material: m.into_boxed_slice(),
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over the little-endian bytes of `words`, chained from `hash`
-/// (pass [`FNV_OFFSET`] to start a fresh digest).
-fn fnv64(mut hash: u64, words: &[u64]) -> u64 {
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv64(words: &[u64]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for word in words {
         for byte in word.to_le_bytes() {
             hash ^= u64::from(byte);
@@ -328,14 +305,7 @@ struct KeyView<'k> {
     dim: usize,
     n_fns: usize,
     material: &'k [u64],
-    /// The function-rows section (dim, count, rows) — near-miss
-    /// candidates along the exclusion axis must match it exactly.
-    rows: &'k [u64],
-    /// The 5 evaluation-knob words.
-    knobs: &'k [u64],
     excl: &'k [u64],
-    /// The capacity section (flag onwards).
-    caps: &'k [u64],
     has_caps: bool,
 }
 
@@ -347,19 +317,13 @@ impl<'k> KeyView<'k> {
         // rows, then 5 knob words, then the exclusion count
         let n_excl_at = rows_end + 5;
         let n_excl = *material.get(n_excl_at)? as usize;
-        let rows = material.get(..rows_end)?;
-        let knobs = material.get(rows_end..n_excl_at)?;
         let excl = material.get(n_excl_at + 1..n_excl_at + 1 + n_excl)?;
-        let caps = material.get(n_excl_at + 1 + n_excl..)?;
-        let has_caps = *caps.first()? != 0;
+        let has_caps = *material.get(n_excl_at + 1 + n_excl)? != 0;
         Some(KeyView {
             dim,
             n_fns,
             material,
-            rows,
-            knobs,
             excl,
-            caps,
             has_caps,
         })
     }
@@ -382,59 +346,6 @@ impl<'k> KeyView<'k> {
     fn excludes(&self, oid: u64) -> bool {
         self.excl.binary_search(&oid).is_ok()
     }
-}
-
-/// Symmetric-difference size of two sorted unique id lists.
-fn symdiff_len(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                i += 1;
-                n += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                j += 1;
-                n += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n + (a.len() - i) + (b.len() - j)
-}
-
-/// Request delta along the exclusion axis: the number of objects whose
-/// exclusion status flips between the two keys — provided *everything
-/// else* (function rows, knobs, capacities) is bit-identical, else
-/// `None`. The exact comparison makes digest collisions harmless.
-fn exclusion_delta(a: &KeyView<'_>, b: &KeyView<'_>) -> Option<usize> {
-    (a.rows == b.rows && a.knobs == b.knobs && a.caps == b.caps)
-        .then(|| symdiff_len(a.excl, b.excl))
-}
-
-/// Request delta along the function axis: the number of function rows
-/// (tombstone flag + weight bits) that differ — provided the shapes
-/// match and everything else is bit-identical, else `None`.
-fn function_delta(a: &KeyView<'_>, b: &KeyView<'_>) -> Option<usize> {
-    if a.dim != b.dim
-        || a.n_fns != b.n_fns
-        || a.knobs != b.knobs
-        || a.caps != b.caps
-        || a.excl != b.excl
-    {
-        return None;
-    }
-    let w = a.dim + 1;
-    Some(
-        a.rows[2..]
-            .chunks(w)
-            .zip(b.rows[2..].chunks(w))
-            .filter(|(x, y)| x != y)
-            .count(),
-    )
 }
 
 /// Does the cached `matching` for `key` provably survive `event`
@@ -528,17 +439,14 @@ pub struct CacheMetrics {
     /// proved the cached result unaffected, so the entry was caught up
     /// instead of dropped.
     pub revalidations: u64,
-    /// Near-miss lookups that found a seed-bearing entry within the
-    /// delta bound ([`ResultCache::near_miss`]) — the request was then
-    /// evaluated *seeded* instead of cold.
+    /// Exact misses that found the inventory's seed usable at their
+    /// version vector ([`ResultCache::near_miss`]) — the request was
+    /// then evaluated *seeded* instead of cold.
     pub seeded_hits: u64,
-    /// Cumulative request delta (flipped exclusions / changed function
-    /// rows) across `seeded_hits`; `seed_delta / seeded_hits` is the
-    /// mean distance a seed was carried.
-    pub seed_delta: u64,
     /// Current number of cached entries.
     pub entries: usize,
-    /// Current approximate heap footprint of the cached entries.
+    /// Current approximate heap footprint of the cached entries and
+    /// the seed.
     pub bytes: usize,
 }
 
@@ -572,7 +480,6 @@ impl CacheMetrics {
             ("evictions", Json::Num(self.evictions as f64)),
             ("revalidations", Json::Num(self.revalidations as f64)),
             ("seeded_hits", Json::Num(self.seeded_hits as f64)),
-            ("seed_delta", Json::Num(self.seed_delta as f64)),
             ("entries", Json::Num(self.entries as f64)),
             ("bytes", Json::Num(self.bytes as f64)),
             ("hit_rate", Json::Num(self.hit_rate())),
@@ -589,12 +496,7 @@ struct CacheEntry {
     /// entry as absent, unless per-component mutation logs prove the
     /// intervening mutations harmless (scoped invalidation).
     stamp: Box<[u64]>,
-    /// Resumable evaluation state captured by the run that produced
-    /// `matching`, for near-miss seeding. Pinned to `stamp`: a restamp
-    /// (scoped revalidation) keeps the matching but drops the seed,
-    /// whose pruned entries reference pages of the original epoch.
-    seed: Option<Arc<EvalSeed>>,
-    /// Approximate heap footprint (key + matching + seed).
+    /// Approximate heap footprint (key + matching).
     bytes: usize,
     /// Recency tick (key into the LRU index).
     tick: u64,
@@ -604,8 +506,9 @@ struct CacheEntry {
 /// stamped with the inventory version they were computed against.
 ///
 /// Capacity is double-bounded: at most `max_entries` results and at most
-/// `max_bytes` of approximate heap footprint — whichever bound is hit
-/// first evicts the least-recently-used entry. Both bounds are clamped
+/// `max_bytes` of approximate heap footprint (the one [`EvalSeed`]
+/// included) — whichever bound is hit first evicts the
+/// least-recently-used entry. Both bounds are clamped
 /// to sane minimums so a cache that exists can always hold one entry
 /// (construct via [`ServiceConfig`](crate::service::ServiceConfig) with
 /// `cache_capacity == 0` to disable caching entirely instead).
@@ -642,15 +545,11 @@ pub struct ResultCache {
     /// Recency index: tick → key, oldest first. Ticks are unique (one
     /// per touch), so this is a faithful LRU order.
     lru: BTreeMap<u64, Arc<RequestKey>>,
-    /// Near-miss index, exclusion axis: `(fns_digest, knobs_digest)` →
-    /// resident keys. Keys in one bucket can differ only in their
-    /// exclusion sets (up to digest collisions, which the exact delta
-    /// comparison filters out).
-    by_fns: HashMap<(u64, u64), HashSet<Arc<RequestKey>>>,
-    /// Near-miss index, function axis: `(excl_digest, knobs_digest)` →
-    /// resident keys differing only in their function rows.
-    by_excl: HashMap<(u64, u64), HashSet<Arc<RequestKey>>>,
+    /// The inventory's skyline at the newest version vector any insert
+    /// offered one for (see the [module docs](self)).
+    seed: Option<Arc<EvalSeed>>,
     next_tick: u64,
+    /// Entries plus seed.
     bytes: usize,
     hits: u64,
     misses: u64,
@@ -658,7 +557,6 @@ pub struct ResultCache {
     evictions: u64,
     revalidations: u64,
     seeded_hits: u64,
-    seed_delta: u64,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -682,8 +580,7 @@ impl ResultCache {
             max_bytes: max_bytes.max(4096),
             entries: HashMap::new(),
             lru: BTreeMap::new(),
-            by_fns: HashMap::new(),
-            by_excl: HashMap::new(),
+            seed: None,
             next_tick: 0,
             bytes: 0,
             hits: 0,
@@ -692,48 +589,71 @@ impl ResultCache {
             evictions: 0,
             revalidations: 0,
             seeded_hits: 0,
-            seed_delta: 0,
-        }
-    }
-
-    /// Register `key` in the near-miss secondary indexes.
-    fn index_key(&mut self, key: &Arc<RequestKey>) {
-        self.by_fns
-            .entry((key.fns_digest, key.knobs_digest))
-            .or_default()
-            .insert(Arc::clone(key));
-        self.by_excl
-            .entry((key.excl_digest, key.knobs_digest))
-            .or_default()
-            .insert(Arc::clone(key));
-    }
-
-    /// Drop `key` from the near-miss secondary indexes.
-    fn unindex_key(&mut self, key: &RequestKey) {
-        if let Some(set) = self.by_fns.get_mut(&(key.fns_digest, key.knobs_digest)) {
-            set.remove(key);
-            if set.is_empty() {
-                self.by_fns.remove(&(key.fns_digest, key.knobs_digest));
-            }
-        }
-        if let Some(set) = self.by_excl.get_mut(&(key.excl_digest, key.knobs_digest)) {
-            set.remove(key);
-            if set.is_empty() {
-                self.by_excl.remove(&(key.excl_digest, key.knobs_digest));
-            }
         }
     }
 
     /// Remove `key`'s entry and every piece of bookkeeping that tracks
-    /// it (LRU slot, byte accounting, near-miss indexes). The single
-    /// removal path — the eviction *counter* stays with the callers,
-    /// which know why the entry left.
+    /// it (LRU slot, byte accounting). The single removal path — the
+    /// eviction *counter* stays with the callers, which know why the
+    /// entry left.
     fn detach(&mut self, key: &RequestKey) -> Option<CacheEntry> {
         let entry = self.entries.remove(key)?;
         self.lru.remove(&entry.tick);
         self.bytes -= entry.bytes;
-        self.unindex_key(key);
         Some(entry)
+    }
+
+    /// Evict the least-recently-used entry; `false` if none is left.
+    fn evict_lru(&mut self) -> bool {
+        let Some((_, victim)) = self.lru.iter().next() else {
+            return false;
+        };
+        let victim = Arc::clone(victim);
+        self.detach(&victim).expect("lru tracks entries");
+        self.evictions += 1;
+        true
+    }
+
+    /// Drop a resident seed that is strictly older than a looker's
+    /// `versions`: it describes an inventory that no longer exists. One
+    /// with a *newer* component (the looker read its vector before a
+    /// mutation published) stays for the current lookers. Every entry
+    /// point that carries a looker's vector — lookup, miss, insert —
+    /// passes through here, so a write-heavy tenant whose reads all
+    /// revalidate does not keep a dead seed resident.
+    fn retire_seed_before(&mut self, versions: &[u64]) {
+        let stale =
+            |s: &Arc<EvalSeed>| !s.usable_at(versions) && !newer_somewhere(s.versions(), versions);
+        if self.seed.as_ref().is_some_and(stale) {
+            self.drop_seed();
+        }
+    }
+
+    fn drop_seed(&mut self) {
+        if let Some(seed) = self.seed.take() {
+            self.bytes -= seed.approx_bytes();
+        }
+    }
+
+    /// Install `seed` unless the resident one already serves `versions`
+    /// or is newer than it. A seed that alone exceeds the byte bound is
+    /// not kept; one that fits displaces LRU entries until it does.
+    fn offer_seed(&mut self, seed: Arc<EvalSeed>, versions: &[u64]) {
+        debug_assert!(
+            seed.usable_at(versions),
+            "seed captured at a different version vector than the entry stamp"
+        );
+        self.retire_seed_before(versions);
+        if self.seed.is_some() {
+            return;
+        }
+        let bytes = seed.approx_bytes();
+        if bytes > self.max_bytes {
+            return;
+        }
+        self.seed = Some(seed);
+        self.bytes += bytes;
+        while self.bytes > self.max_bytes && self.evict_lru() {}
     }
 
     /// Look up `key` under inventory `version`. A hit returns a clone of
@@ -753,6 +673,7 @@ impl ResultCache {
     /// [`ShardedEngine::version_vector`](crate::ShardedEngine::version_vector);
     /// the scalar form is the 1-component special case).
     fn get_vec(&mut self, key: &RequestKey, versions: &[u64]) -> Option<Matching> {
+        self.retire_seed_before(versions);
         let Some(entry) = self.entries.get(key) else {
             self.misses += 1;
             return None;
@@ -779,54 +700,45 @@ impl ResultCache {
     /// `versions` (one component per shard, in shard order), evicting
     /// least-recently-used entries until both bounds hold. A result too
     /// large to ever fit the byte bound is not stored (the cache is an
-    /// accelerator, not a spill). `seed` attaches the [`EvalSeed`] the
-    /// evaluation captured (if any) so later near-miss lookups can
-    /// resume from this entry; it must have been captured at exactly
-    /// `versions`. If the seed would blow the byte bound the *matching*
-    /// still caches — the seed is dropped first (it is an accelerator
-    /// of an accelerator).
+    /// accelerator, not a spill). `seed` is the [`EvalSeed`] the
+    /// evaluation captured (if it ran cold), which must have been
+    /// captured at exactly `versions`: it becomes the cache's one seed
+    /// unless the resident one already serves `versions` or is newer.
+    /// An entry that cannot fit beside the seed displaces it — a
+    /// matching answers its request outright, the seed only shortens a
+    /// miss.
     pub fn insert_vec_seeded(
         &mut self,
         key: &RequestKey,
         versions: &[u64],
         matching: &Matching,
-        mut seed: Option<Arc<EvalSeed>>,
+        seed: Option<Arc<EvalSeed>>,
     ) {
-        debug_assert!(
-            seed.as_ref().is_none_or(|s| s.usable_at(versions)),
-            "seed captured at a different version vector than the entry stamp"
-        );
-        let base = key.approx_bytes() + matching.approx_bytes();
-        let mut bytes = base + seed.as_ref().map_or(0, |s| s.approx_bytes());
-        if bytes > self.max_bytes {
-            seed = None;
-            bytes = base;
+        if let Some(seed) = seed {
+            self.offer_seed(seed, versions);
         }
+        let bytes = key.approx_bytes() + matching.approx_bytes();
         if bytes > self.max_bytes {
             return;
         }
         // Replace any stale entry for this key first so the bounds see
         // consistent accounting.
         self.detach(key);
-        while self.entries.len() + 1 > self.max_entries || self.bytes + bytes > self.max_bytes {
-            let Some((_, victim)) = self.lru.iter().next() else {
-                break;
-            };
-            let victim = Arc::clone(victim);
-            self.detach(&victim).expect("lru tracks entries");
-            self.evictions += 1;
+        while (self.entries.len() + 1 > self.max_entries || self.bytes + bytes > self.max_bytes)
+            && self.evict_lru()
+        {}
+        if self.bytes + bytes > self.max_bytes {
+            self.drop_seed();
         }
         let tick = self.next_tick;
         self.next_tick += 1;
         let key = Arc::new(key.clone());
         self.lru.insert(tick, Arc::clone(&key));
-        self.index_key(&key);
         self.entries.insert(
             key,
             CacheEntry {
                 matching: matching.clone(),
                 stamp: versions.into(),
-                seed,
                 bytes,
                 tick,
             },
@@ -835,15 +747,14 @@ impl ResultCache {
         self.insertions += 1;
     }
 
-    /// Drop every entry (e.g. the engine behind the cache was rebuilt
-    /// and the stale versions should stop occupying space). Counters
-    /// survive; dropped entries count as evictions.
+    /// Drop every entry and the seed (e.g. the engine behind the cache
+    /// was rebuilt and the stale versions should stop occupying space).
+    /// Counters survive; dropped entries count as evictions.
     pub fn invalidate(&mut self) {
         self.evictions += self.entries.len() as u64;
         self.entries.clear();
         self.lru.clear();
-        self.by_fns.clear();
-        self.by_excl.clear();
+        self.seed = None;
         self.bytes = 0;
     }
 
@@ -857,7 +768,7 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Approximate heap footprint of the cached entries.
+    /// Approximate heap footprint of the cached entries and the seed.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -875,7 +786,6 @@ impl ResultCache {
             evictions: self.evictions,
             revalidations: self.revalidations,
             seeded_hits: self.seeded_hits,
-            seed_delta: self.seed_delta,
             entries: self.entries.len(),
             bytes: self.bytes,
         }
@@ -903,8 +813,7 @@ impl ResultCache {
         logs: &[&MutationLog],
     ) -> Option<Matching> {
         if let Some(entry) = self.entries.get(key) {
-            let comparable = entry.stamp.len() == versions.len();
-            if comparable && entry.stamp.iter().zip(versions).any(|(e, v)| e > v) {
+            if newer_somewhere(&entry.stamp, versions) {
                 // Some component is *newer* than the looker's version
                 // read (a mutation and a publish slipped in between):
                 // not servable backwards, but evicting the current
@@ -933,9 +842,7 @@ impl ResultCache {
         let Some(entry) = self.entries.get(key) else {
             return false;
         };
-        if entry.stamp.len() != versions.len()
-            || entry.stamp.iter().zip(versions).any(|(e, v)| e > v)
-        {
+        if entry.stamp.len() != versions.len() || newer_somewhere(&entry.stamp, versions) {
             return false;
         }
         let mut survives = true;
@@ -956,13 +863,6 @@ impl ResultCache {
         if survives {
             let entry = self.entries.get_mut(key).expect("entry just found");
             entry.stamp = versions.into();
-            // The matching survives the mutations; the seed does not —
-            // its pruned entries reference pages of the original epoch.
-            if let Some(seed) = entry.seed.take() {
-                let freed = seed.approx_bytes();
-                entry.bytes -= freed;
-                self.bytes -= freed;
-            }
             self.revalidations += 1;
         }
         survives
@@ -1003,87 +903,45 @@ impl ResultCache {
                 self.evictions += 1;
             }
         }
-        if self.entries.get(key).is_some_and(|e| {
-            e.stamp.len() == versions.len() && e.stamp.iter().zip(versions).any(|(a, b)| a > b)
-        }) {
+        if self
+            .entries
+            .get(key)
+            .is_some_and(|e| newer_somewhere(&e.stamp, versions))
+        {
             return; // a newer result for this key is already published
         }
         self.insert_vec_seeded(key, versions, matching, seed);
     }
 
-    /// **Near-miss** lookup: on an exact miss, find the resident entry
-    /// at the smallest *request delta* from `key` — differing from it
-    /// only in its exclusion set (delta = flipped exclusions) or only
-    /// in its function rows (delta = changed rows) — that still holds
-    /// an [`EvalSeed`] usable at exactly `versions`. Returns the seed
-    /// and its delta if one exists with `0 < delta <= bound`; ties
-    /// break toward the most recently used donor. A successful lookup
-    /// counts into `seeded_hits`/`seed_delta`; it does **not** count as
-    /// a cache hit (the caller still evaluates — just warm).
+    /// What an exact miss at `versions` can still save: the inventory's
+    /// seed, if the cache holds it at exactly that vector — whatever
+    /// `key` asks (no part of a request enters a seed, see the
+    /// [module docs](self)). The caller then evaluates *seeded* instead
+    /// of cold. A successful lookup counts into `seeded_hits`; it does
+    /// **not** count as a cache hit. `bound == 0` declines.
     ///
-    /// Capacitated requests never near-miss (the capacitated greedy
-    /// consumes the matching differently; the seeded SB path declines
-    /// them anyway).
+    /// The name, `key` and `bound` date from per-entry seeds picked by
+    /// request distance; the benchmark compiles against them.
     pub fn near_miss(
         &mut self,
-        key: &RequestKey,
+        _key: &RequestKey,
         versions: &[u64],
         bound: usize,
-    ) -> Option<(Arc<EvalSeed>, usize)> {
+    ) -> Option<Arc<EvalSeed>> {
         if bound == 0 {
             return None;
         }
-        let view = KeyView::parse(&key.material)?;
-        if view.has_caps {
-            return None;
-        }
-        let axes = [
-            (self.by_fns.get(&(key.fns_digest, key.knobs_digest)), true),
-            (
-                self.by_excl.get(&(key.excl_digest, key.knobs_digest)),
-                false,
-            ),
-        ];
-        let mut best: Option<(usize, u64, Arc<EvalSeed>)> = None;
-        for (bucket, excl_axis) in axes {
-            let Some(bucket) = bucket else { continue };
-            for cand in bucket {
-                if cand.as_ref() == key {
-                    continue;
-                }
-                let Some(entry) = self.entries.get(cand) else {
-                    continue;
-                };
-                let Some(seed) = &entry.seed else { continue };
-                if !seed.usable_at(versions) {
-                    continue;
-                }
-                let Some(cview) = KeyView::parse(&cand.material) else {
-                    continue;
-                };
-                let delta = if excl_axis {
-                    exclusion_delta(&view, &cview)
-                } else {
-                    function_delta(&view, &cview)
-                };
-                let Some(delta) = delta else { continue };
-                if delta == 0 || delta > bound {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bd, bt, _)) => delta < *bd || (delta == *bd && entry.tick > *bt),
-                };
-                if better {
-                    best = Some((delta, entry.tick, Arc::clone(seed)));
-                }
-            }
-        }
-        let (delta, _, seed) = best?;
+        self.retire_seed_before(versions);
+        let seed = self.seed.as_ref().filter(|s| s.usable_at(versions))?;
         self.seeded_hits += 1;
-        self.seed_delta += delta as u64;
-        Some((seed, delta))
+        Some(Arc::clone(seed))
     }
+}
+
+/// True iff `stamp` is comparable to `versions` (same shard count) and
+/// ahead of it in some component.
+fn newer_somewhere(stamp: &[u64], versions: &[u64]) -> bool {
+    stamp.len() == versions.len() && stamp.iter().zip(versions).any(|(s, v)| s > v)
 }
 
 #[cfg(test)]
@@ -1440,7 +1298,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Near-miss lookup + seeds
+    // The seed slot
     // ------------------------------------------------------------------
 
     fn seed_at(versions: &[u64]) -> Arc<EvalSeed> {
@@ -1460,8 +1318,8 @@ mod tests {
     #[test]
     fn exclusions_are_canonical_at_construction() {
         // Order-insensitive (already pinned above) *and* stored sorted:
-        // the material's exclusion section is the canonical form every
-        // consumer (binary search, delta counting) relies on.
+        // the material's exclusion section is the canonical form the
+        // binary search of scoped invalidation relies on.
         let key = key_excluding(&[11, 3, 7]);
         let view = KeyView::parse(&key.material).expect("well-formed key");
         assert_eq!(view.excl, &[3, 7, 11]);
@@ -1470,106 +1328,121 @@ mod tests {
     }
 
     #[test]
-    fn near_miss_returns_the_smallest_delta_within_the_bound() {
-        let mut cache = ResultCache::new(8, 1 << 20);
-        // Donors at exclusion-delta 3 and 1 from the probe {3, 7}.
-        cache.insert_vec_seeded(
-            &key_excluding(&[1, 2, 9]),
-            &[4],
-            &matching_of(1),
-            Some(seed_at(&[4])),
-        );
-        cache.insert_vec_seeded(
-            &key_excluding(&[3]),
-            &[4],
-            &matching_of(1),
-            Some(seed_at(&[4])),
-        );
-
-        let probe = key_excluding(&[3, 7]);
-        let (seed, delta) = cache.near_miss(&probe, &[4], 16).expect("delta-1 donor");
-        assert_eq!(delta, 1);
-        assert!(seed.usable_at(&[4]));
-        // Bound excludes everything: {1,2,9} vs {3,7} is delta 5.
-        assert!(cache.near_miss(&key_excluding(&[100]), &[4], 1).is_none());
-        let m = cache.metrics();
-        assert_eq!((m.seeded_hits, m.seed_delta), (1, 1));
-    }
-
-    #[test]
-    fn near_miss_spans_the_function_axis_too() {
-        let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.9, 0.1]]);
-        let tweaked = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.8, 0.2]]);
-        let donor = request_key(&functions, &RequestOptions::default());
-        let probe = request_key(&tweaked, &RequestOptions::default());
-        let mut cache = ResultCache::new(8, 1 << 20);
-        cache.insert_vec_seeded(&donor, &[1], &matching_of(1), Some(seed_at(&[1])));
-        let (_, delta) = cache.near_miss(&probe, &[1], 4).expect("one tweaked row");
-        assert_eq!(delta, 1);
-        // A request differing on *both* axes is not a near miss.
-        let mut o = RequestOptions::default();
-        o.exclude.insert(5);
-        assert!(cache
-            .near_miss(&request_key(&tweaked, &o), &[1], 4)
-            .is_none());
-    }
-
-    #[test]
     fn near_miss_requires_a_seed_at_exactly_the_lookup_versions() {
         let mut cache = ResultCache::new(8, 1 << 20);
         let probe = key_excluding(&[3, 7]);
-        // Seedless entry: never a donor.
+        // No insert offered a seed yet: nothing to resume from.
         cache.insert_vec_seeded(&key_excluding(&[3]), &[4], &matching_of(1), None);
         assert!(cache.near_miss(&probe, &[4], 16).is_none());
-        // Seed pinned to version 4: unusable at 5.
+        // The seed serves any request at version 4 — capacitated, other
+        // functions, other exclusions — and none at 3.
         cache.insert_vec_seeded(
             &key_excluding(&[7]),
             &[4],
             &matching_of(1),
             Some(seed_at(&[4])),
         );
-        assert!(cache.near_miss(&probe, &[5], 16).is_none());
+        let capacitated = orthogonal_key(&RequestOptions {
+            capacities: Some(vec![1, 1, 1, 1]),
+            ..RequestOptions::default()
+        });
+        for key in [&probe, &capacitated, &key_excluding(&[7])] {
+            let seed = cache
+                .near_miss(key, &[4], 16)
+                .expect("one seed, every miss");
+            assert!(seed.usable_at(&[4]));
+        }
+        // A looker that read its version before the mutation leaves the
+        // newer seed alone ...
+        assert!(cache.near_miss(&probe, &[3], 16).is_none());
         assert!(cache.near_miss(&probe, &[4], 16).is_some());
-        // Bound 0 disables the machinery outright.
+        // ... bound 0 declines ...
         assert!(cache.near_miss(&probe, &[4], 0).is_none());
+        assert_eq!(cache.metrics().seeded_hits, 4);
+        // ... and a looker past it drops it on sight, bytes and all.
+        let with_seed = cache.bytes();
+        assert!(cache.near_miss(&probe, &[5], 16).is_none());
+        assert_eq!(cache.bytes(), with_seed - seed_at(&[4]).approx_bytes());
+        assert!(cache.near_miss(&probe, &[4], 16).is_none());
+    }
+
+    #[test]
+    fn the_slot_keeps_the_newest_seed_and_counts_it_once() {
+        let mut cache = ResultCache::new(8, 1 << 20);
+        let entry = |k: &RequestKey| k.approx_bytes() + matching_of(1).approx_bytes();
+        let (ka, kb, kc) = (
+            key_excluding(&[1]),
+            key_excluding(&[2]),
+            key_excluding(&[3]),
+        );
+        let first = seed_at(&[4, 4]);
+        cache.insert_vec_seeded(&ka, &[4, 4], &matching_of(1), Some(Arc::clone(&first)));
+        // A second capture at the same vector (two workers missed
+        // together) is dropped, not stacked.
+        cache.insert_vec_seeded(&kb, &[4, 4], &matching_of(1), Some(seed_at(&[4, 4])));
+        let resident = cache.near_miss(&kc, &[4, 4], 16).unwrap();
+        assert!(Arc::ptr_eq(&resident, &first));
+        assert_eq!(
+            cache.bytes(),
+            entry(&ka) + entry(&kb) + first.approx_bytes(),
+            "one seed beside two entries"
+        );
+        // A newer vector replaces it; a late publish from the older one
+        // does not replace it back.
+        cache.insert_vec_seeded(&kc, &[4, 5], &matching_of(1), Some(seed_at(&[4, 5])));
+        cache.insert_vec_seeded(&ka, &[4, 4], &matching_of(1), Some(seed_at(&[4, 4])));
+        assert!(cache.near_miss(&kb, &[4, 5], 16).is_some());
+        assert!(cache.near_miss(&kb, &[4, 4], 16).is_none());
+        cache.invalidate();
+        assert!(cache.near_miss(&kb, &[4, 5], 16).is_none());
+        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]
     fn revalidation_keeps_the_matching_but_drops_the_seed() {
         let key = orthogonal_key(&RequestOptions::default());
-        let donor = {
-            let functions = FunctionSet::from_rows(2, &[vec![0.9, 0.1], vec![0.1, 0.9]]);
-            let mut o = RequestOptions::default();
-            o.exclude.insert(42);
-            request_key(&functions, &o)
-        };
+        let other = key_excluding(&[42]);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
-        cache.insert_vec_seeded(&donor, &[5], &orthogonal_matching(), Some(seed_at(&[5])));
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), Some(seed_at(&[5])));
         let bytes_with_seed = cache.bytes();
-        assert!(cache.near_miss(&key, &[5], 16).is_some());
+        assert!(cache.near_miss(&other, &[5], 16).is_some());
 
-        // A harmless remove revalidates the entry to version 6 — the
-        // matching is served, but the seed (pinned to the version-5
-        // epoch) is gone and its bytes are released.
+        // A harmless remove revalidates the entry to version 6: the
+        // matching is served, but the restamp never carries the seed —
+        // whose pruned entries reference pages of the version-5 epoch —
+        // along. The revalidating lookup itself releases it.
         log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_logs(&donor, &[6], &[&log]).is_some());
-        assert!(cache.near_miss(&key, &[6], 16).is_none());
+        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
+        assert_eq!(cache.metrics().revalidations, 1);
         assert!(cache.bytes() < bytes_with_seed);
+        assert!(cache.near_miss(&other, &[6], 16).is_none());
     }
 
     #[test]
     fn eviction_unindexes_the_donor() {
-        let mut cache = ResultCache::new(1, 1 << 20);
-        cache.insert_vec_seeded(
-            &key_excluding(&[3]),
-            &[4],
-            &matching_of(1),
-            Some(seed_at(&[4])),
-        );
-        // Capacity 1: the second insert evicts the donor.
-        cache.insert_vec_seeded(&key_of(&[vec![0.5, 0.5]]), &[4], &matching_of(1), None);
-        assert!(cache.near_miss(&key_excluding(&[3, 7]), &[4], 16).is_none());
-        assert!(cache.by_fns.len() <= 1 && cache.by_excl.len() <= 1);
+        // The seed counts against the byte bound like an entry, and is
+        // the last thing evicted: it gives way only to a matching that
+        // cannot fit beside it.
+        let bulky = matching_of(1000);
+        let (ka, kb) = (key_excluding(&[1]), key_excluding(&[2]));
+        let entry = ka.approx_bytes() + bulky.approx_bytes();
+        let seed = seed_at(&[4]);
+        let mut cache = ResultCache::new(8, entry + seed.approx_bytes());
+        cache.insert_vec_seeded(&ka, &[4], &bulky, Some(seed));
+        assert!(cache.near_miss(&kb, &[4], 16).is_some());
+        assert_eq!(cache.bytes(), cache.max_bytes);
+        // A second entry of the same size evicts the first; the seed
+        // stays.
+        cache.insert_vec_seeded(&kb, &[4], &bulky, None);
+        assert_eq!((cache.len(), cache.metrics().evictions), (1, 1));
+        assert!(cache.near_miss(&ka, &[4], 16).is_some());
+        // A larger entry fits the bound alone but not beside the seed:
+        // the donor goes, from the lookup and from the byte count.
+        let larger = matching_of(1001);
+        cache.insert_vec_seeded(&ka, &[4], &larger, None);
+        assert!(cache.get(&ka, 4).is_some());
+        assert!(cache.near_miss(&kb, &[4], 16).is_none());
+        assert_eq!(cache.bytes(), ka.approx_bytes() + larger.approx_bytes());
     }
 }

@@ -27,13 +27,13 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use mpq_rtree::{IoSession, PointSet};
+use mpq_skyline::SkylineMaintainer;
 use mpq_ta::FunctionSet;
 
 use crate::engine::{Engine, RequestOptions};
 use crate::matching::{Matching, Pair, RunMetrics};
 use crate::sb::{BestPairMode, SbRun};
 use crate::scratch::Scratch;
-use crate::seed::SeedPart;
 
 /// Result of a capacitated run: assignment pairs in emission order and
 /// the per-object resident lists.
@@ -113,20 +113,23 @@ pub(crate) struct GreedyProbe<'e> {
 }
 
 impl<'e> GreedyProbe<'e> {
-    /// Build a probe cold or primed from this shard's [`SeedPart`].
+    /// Build a probe cold or primed from this engine's part of a seed.
     ///
-    /// `seed` is `(part, version)` — the part is honored only when the
-    /// engine pinned exactly that version (see [`Engine::pin`]: the
-    /// part's snapshot references pages of exactly that epoch).
-    /// `capture` receives this probe's own post-peel snapshot, stamped
-    /// with the pinned version — again only when no mutation straddled
-    /// the pin.
+    /// `seed` is `(snapshot, version)` — the snapshot is honored only
+    /// when the engine pinned exactly that version (see [`Engine::pin`]:
+    /// its pruned entries reference pages of exactly that epoch). A
+    /// probe that ran cold leaves its own BBS snapshot in `capture`,
+    /// stamped with the pinned version — again only when no mutation
+    /// straddled the pin. The snapshot predates every peel, so a
+    /// capacitated request resumes and captures like any other: its
+    /// spent objects are masked off the clone exactly as off a fresh
+    /// BBS.
     pub(crate) fn new(
         engine: &'e Engine,
         functions: &FunctionSet,
         options: &RequestOptions,
-        seed: Option<(&SeedPart, u64)>,
-        capture: Option<&mut Option<(SeedPart, u64)>>,
+        seed: Option<(&SkylineMaintainer, u64)>,
+        capture: Option<&mut Option<(SkylineMaintainer, u64)>>,
     ) -> GreedyProbe<'e> {
         let (io, version) = engine.pin();
         let excluded = options.exclude.clone();
@@ -185,14 +188,17 @@ impl<'e> GreedyProbe<'e> {
     }
 
     /// The whole matching of one request over `engine`'s current
-    /// snapshot ([`Engine`] takes this path for capacitated requests).
+    /// snapshot ([`Engine`] takes this path for capacitated requests),
+    /// seeded and captured as by [`GreedyProbe::new`].
     pub(crate) fn run(
         engine: &'e Engine,
         functions: &FunctionSet,
         options: &RequestOptions,
+        seed: Option<(&SkylineMaintainer, u64)>,
+        capture: Option<&mut Option<(SkylineMaintainer, u64)>>,
     ) -> Matching {
         let start = Instant::now();
-        let mut probe = GreedyProbe::new(engine, functions, options, None, None);
+        let mut probe = GreedyProbe::new(engine, functions, options, seed, capture);
         let mut pairs = Vec::new();
         while let Some(pair) = probe.probe() {
             probe.assign(&pair);

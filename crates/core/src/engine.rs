@@ -65,7 +65,7 @@ use crate::sb::{
     run_rescan_on, run_sb_seeded, stream_on, BestPairMode, MaintenanceMode, SbRun, SbStream,
 };
 use crate::scratch::Scratch;
-use crate::seed::{EvalSeed, SeedPart};
+use crate::seed::EvalSeed;
 use crate::service::{lock, safe_rate, EngineService, ServiceConfig};
 use crate::shard::{ShardedEngine, ShardedStream};
 use crate::wal::{Wal, WalRecord};
@@ -1075,11 +1075,12 @@ impl EvalBackend for Engine {
         Engine::storage_stats(self)
     }
 
-    /// The single unsharded evaluation code path. Only the resumable
-    /// configuration (SB, incremental maintenance, no capacities) honors
-    /// `seed`/`capture`: it primes the skyline from `seed` when the seed
-    /// is still pinned to the engine's current inventory, and leaves
-    /// this run's own [`EvalSeed`] in `capture`.
+    /// The single unsharded evaluation code path. The resumable
+    /// configurations — SB with incremental maintenance, and every
+    /// capacitated request (one drained `GreedyProbe`) — honor
+    /// `seed`/`capture`: they prime the skyline from `seed` when it is
+    /// still pinned to the engine's current inventory, and otherwise
+    /// run cold and leave the inventory's [`EvalSeed`] in `capture`.
     fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
@@ -1090,53 +1091,49 @@ impl EvalBackend for Engine {
     ) -> Result<Matching, MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-        if options.capacities.is_some() {
-            return Ok(GreedyProbe::run(self, functions, options));
-        }
-        let (session, version) = self.pin();
-
-        match options.algorithm {
-            Algorithm::Sb => match options.maintenance {
-                MaintenanceMode::Incremental => {
-                    let part = seed
-                        .filter(|s| s.parts.len() == 1)
-                        .filter(|s| version.is_some_and(|v| s.usable_at(&[v])))
-                        .map(|s| &s.parts[0]);
-                    let mut captured: Option<SeedPart> = None;
-                    let slot = (capture.is_some() && version.is_some()).then_some(&mut captured);
-                    let matching = run_sb_seeded(&session, functions, options, scratch, part, slot);
-                    if let Some(out) = capture {
-                        *out = captured.zip(version).map(|(part, version)| EvalSeed {
-                            versions: vec![version],
-                            parts: vec![part],
-                        });
+        let seed = seed
+            .filter(|s| s.parts.len() == 1)
+            .map(|s| (&s.parts[0], s.versions[0]));
+        let mut captured = None;
+        let matching = if options.capacities.is_some() {
+            let slot = capture.is_some().then_some(&mut captured);
+            GreedyProbe::run(self, functions, options, seed, slot)
+        } else {
+            let (session, version) = self.pin();
+            match options.algorithm {
+                Algorithm::Sb => match options.maintenance {
+                    MaintenanceMode::Incremental => {
+                        let part = seed.filter(|&(_, v)| version == Some(v)).map(|(p, _)| p);
+                        let mut snapshot = None;
+                        let slot =
+                            (capture.is_some() && version.is_some()).then_some(&mut snapshot);
+                        let matching =
+                            run_sb_seeded(&session, functions, options, scratch, part, slot);
+                        captured = snapshot.zip(version);
+                        matching
                     }
-                    Ok(matching)
+                    MaintenanceMode::Rescan => run_rescan_on(&session, functions, options, scratch),
+                },
+                Algorithm::BruteForce => match options.bf_strategy {
+                    BfStrategy::Incremental => {
+                        run_incremental_on(&session, functions, &options.exclude, scratch)
+                    }
+                    BfStrategy::Restart => {
+                        run_restart_on(&session, functions, &options.exclude, scratch)
+                    }
+                },
+                Algorithm::Chain => {
+                    run_chain_on(&self.config, &session, functions, &options.exclude, scratch)
                 }
-                MaintenanceMode::Rescan => Ok(run_rescan_on(&session, functions, options, scratch)),
-            },
-            Algorithm::BruteForce => match options.bf_strategy {
-                BfStrategy::Incremental => Ok(run_incremental_on(
-                    &session,
-                    functions,
-                    &options.exclude,
-                    scratch,
-                )),
-                BfStrategy::Restart => Ok(run_restart_on(
-                    &session,
-                    functions,
-                    &options.exclude,
-                    scratch,
-                )),
-            },
-            Algorithm::Chain => Ok(run_chain_on(
-                &self.config,
-                &session,
-                functions,
-                &options.exclude,
-                scratch,
-            )),
+            }
+        };
+        if let Some(out) = capture {
+            *out = captured.map(|(snapshot, version)| EvalSeed {
+                versions: vec![version],
+                parts: vec![snapshot],
+            });
         }
+        Ok(matching)
     }
 
     fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
@@ -1409,13 +1406,15 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// pinned to the backend's current inventory — otherwise runs cold;
     /// the dispatch is uniform, so callers never branch on the
     /// algorithm or the backend. Returns the matching together with the
-    /// [`EvalSeed`] this run captured (when resumable), which can prime
-    /// the next refinement of this request.
+    /// [`EvalSeed`] a cold resumable run captured — the inventory's
+    /// skyline, which can prime *any* later request against the same
+    /// inventory. A run that resumed returns `None`: keep the seed it
+    /// was handed.
     ///
     /// Seeded and cold evaluation are score-bit-identical. The
-    /// [`EngineService`] drives this machinery
-    /// automatically through the result cache's near-miss lookup; call
-    /// it directly to manage refinement chains by hand.
+    /// [`EngineService`] drives this machinery automatically through
+    /// the result cache's seed slot; call it directly to carry a seed
+    /// by hand.
     pub fn evaluate_seeded(
         &self,
         scratch: &mut Scratch,

@@ -39,10 +39,10 @@
 //! node source, the maintained skyline, the working function set with
 //! its reverse top-1 index, both rank-list caches and the counters.
 //! `SbRun::new` loads the functions and primes the skyline — cold by
-//! BBS, or resumed from a seed ([`crate::seed`]) — with the objects the
-//! run must not see peeled off; "must not see" is one predicate, so a
-//! request's exclusions and a capacitated request's exhausted objects
-//! take the same path. A round (Algorithm 1 lines 3–9) is two calls:
+//! BBS, or cloned from the inventory's seed ([`crate::seed`]) — then
+//! peels off the objects the run must not see; "must not see" is one
+//! predicate, so a request's exclusions and a capacitated request's
+//! exhausted objects take the same path. A round (Algorithm 1 lines 3–9) is two calls:
 //!
 //! * **discover** refreshes the rank lists and reports the round's
 //!   mutually-best pairs in canonical order — all of them, or with
@@ -77,7 +77,6 @@ use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
 use crate::engine::RequestOptions;
 use crate::matching::{Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
-use crate::seed::{PeeledLog, SeedPart};
 
 /// Certified reverse-top-`M` cached per skyline object. Deeper lists
 /// amortize one TA scan over more function removals; the marginal scan
@@ -133,28 +132,22 @@ pub(crate) struct RoundBufs {
 /// *masked* object that removal promotes — its dominator just left —
 /// wave after wave until the skyline is clean, so a masked object never
 /// reaches the caches. Returns the promotions that stay. `wave` comes
-/// back empty. When `peeled` is provided, every masked object removed
-/// past the first wave is logged with its point — the seed-capture
-/// journal that lets a later request re-admit it without a tree read.
+/// back empty.
 fn peel_masked<R: NodeSource>(
     maintainer: &mut SkylineMaintainer,
     src: &R,
     wave: &mut Vec<u64>,
     masked: &impl Fn(u64) -> bool,
-    mut peeled: Option<&mut PeeledLog>,
 ) -> Vec<(u64, Box<[f64]>)> {
     let mut kept = Vec::new();
     while !wave.is_empty() {
         let promoted = maintainer.remove(wave, src);
         wave.clear();
         for (oid, point) in promoted {
-            if !masked(oid) {
+            if masked(oid) {
+                wave.push(oid);
+            } else {
                 kept.push((oid, point));
-                continue;
-            }
-            wave.push(oid);
-            if let Some(log) = peeled.as_deref_mut() {
-                log.push((oid, point));
             }
         }
     }
@@ -162,51 +155,32 @@ fn peel_masked<R: NodeSource>(
 }
 
 /// Prime a maintainer for a run: cold (BBS over the whole tree) or
-/// resumed from a [`SeedPart`] — clone the snapshot, re-admit the
-/// objects the seed had peeled that this request can see again — then
-/// peel what this request masks. Either way the returned maintainer
-/// holds exactly the skyline of the visible inventory, so the matching
-/// loop downstream cannot tell the histories apart. A `capture` slot
-/// receives that state with the exact journal of objects removed to
-/// reach it, before the matching loop consumes the skyline.
+/// cloned from `seed`, the same tree's BBS snapshot — then peel what
+/// this request masks. Either way the returned maintainer holds exactly
+/// the skyline of the visible inventory, so the matching loop
+/// downstream cannot tell the histories apart. A cold run leaves its
+/// snapshot in the `capture` slot *before* the peel, so what it
+/// captures depends on the tree alone; a seeded run captures nothing.
 fn prime<R: NodeSource>(
     src: &R,
     masked: &impl Fn(u64) -> bool,
-    seed: Option<&SeedPart>,
-    capture: Option<&mut Option<SeedPart>>,
+    seed: Option<&SkylineMaintainer>,
+    capture: Option<&mut Option<SkylineMaintainer>>,
     wave: &mut Vec<u64>,
 ) -> SkylineMaintainer {
-    let mut peeled = capture.is_some().then(PeeledLog::new);
     let mut maintainer = match seed {
-        None => SkylineMaintainer::build(src),
-        Some(part) => {
-            let mut m = part.sky.clone();
-            for (oid, point) in &part.peeled {
-                if !masked(*oid) {
-                    m.insert(*oid, point.clone());
-                } else if let Some(log) = &mut peeled {
-                    // Still masked: stays peeled, carries over.
-                    log.push((*oid, point.clone()));
-                }
+        Some(snapshot) => snapshot.clone(),
+        None => {
+            let built = SkylineMaintainer::build(src);
+            if let Some(slot) = capture {
+                *slot = Some(built.clone());
             }
-            m
+            built
         }
     };
     wave.clear();
     wave.extend(maintainer.iter().map(|e| e.oid).filter(|&oid| masked(oid)));
-    if let Some(log) = &mut peeled {
-        for &oid in wave.iter() {
-            let point = maintainer.get(oid).expect("member being peeled");
-            log.push((oid, point.into()));
-        }
-    }
-    peel_masked(&mut maintainer, src, wave, masked, peeled.as_mut());
-    if let (Some(slot), Some(peeled)) = (capture, peeled) {
-        *slot = Some(SeedPart {
-            sky: maintainer.clone(),
-            peeled,
-        });
-    }
+    peel_masked(&mut maintainer, src, wave, masked);
     maintainer
 }
 
@@ -251,8 +225,8 @@ impl<R: NodeSource> SbRun<R> {
         functions: &FunctionSet,
         best_pair: BestPairMode,
         masked: impl Fn(u64) -> bool,
-        seed: Option<&SeedPart>,
-        capture: Option<&mut Option<SeedPart>>,
+        seed: Option<&SkylineMaintainer>,
+        capture: Option<&mut Option<SkylineMaintainer>>,
     ) -> SbRun<R> {
         let io_start = src.io_snapshot();
         let rt1 = load_functions(&mut scratch, functions, best_pair);
@@ -435,13 +409,7 @@ impl<R: NodeSource> SbRun<R> {
         // Skyline maintenance (§IV-B): promotions are folded into every
         // cached obest rank list to preserve its "nothing better than the
         // stored minimum is missing" invariant.
-        let promoted = peel_masked(
-            &mut self.maintainer,
-            &self.src,
-            &mut bufs.wave,
-            &masked,
-            None,
-        );
+        let promoted = peel_masked(&mut self.maintainer, &self.src, &mut bufs.wave, &masked);
         for (oid, point) in &promoted {
             for (fid, list) in obest.iter_mut() {
                 let s = fs.score(*fid, point);
@@ -492,20 +460,19 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// Produces exactly the pairs the progressive [`SbStream`] would, in the
 /// same order (asserted by tests).
 ///
-/// Seed-capable: `seed`
-/// resumes from a prior request's post-peel skyline snapshot instead of
-/// running BBS from scratch, and a `capture` slot receives this run's
-/// own snapshot so refinement chains keep seeding. Pass `None, None`
-/// for a plain cold run. Both paths run the identical round body over
-/// content-identical skylines, so seeded matchings are
-/// score-bit-identical to cold ones (pinned by `tests/seed_identity.rs`).
+/// Seed-capable: `seed` resumes from the tree's BBS snapshot instead of
+/// running BBS from scratch, and a cold run leaves its own snapshot in
+/// the `capture` slot. Pass `None, None` for a plain cold run. Both
+/// paths run the identical round body over content-identical skylines,
+/// so seeded matchings are score-bit-identical to cold ones (pinned by
+/// `tests/seed_identity.rs`).
 pub(crate) fn run_sb_seeded<R: NodeSource>(
     src: &R,
     functions: &FunctionSet,
     options: &RequestOptions,
     scratch: &mut Scratch,
-    seed: Option<&SeedPart>,
-    capture: Option<&mut Option<SeedPart>>,
+    seed: Option<&SkylineMaintainer>,
+    capture: Option<&mut Option<SkylineMaintainer>>,
 ) -> Matching {
     let start = Instant::now();
     let masked = |oid| options.exclude.contains(&oid);

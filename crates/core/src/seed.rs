@@ -1,17 +1,26 @@
-//! Evaluation seeds: resumable skyline state for incremental reuse
-//! across similar requests (Chomicki-style query *modification*).
+//! Evaluation seeds: the inventory's skyline at a version vector, kept
+//! once and resumed by every request against that inventory.
 //!
-//! A cold SB evaluation spends most of its budget computing the initial
-//! skyline (BBS over the whole tree) and peeling the request's excluded
-//! objects. Two requests whose exclusion sets differ by a handful of
-//! objects repeat almost all of that work. An [`EvalSeed`] captures the
-//! reusable part — the post-peel [`SkylineMaintainer`] snapshot plus the
-//! exact set of objects that were peeled out of it — so a later request
-//! at small delta can *resume*: clone the snapshot, re-admit the peeled
-//! objects it no longer excludes ([`SkylineMaintainer::insert`]), peel
-//! the ones it newly excludes, and run the unchanged matching loop.
+//! SB rests on one fact (§III-B of the paper): the top-1 object of
+//! *every* monotone function lies in the skyline of the remaining
+//! objects. The BBS skyline an evaluation starts from therefore depends
+//! on the inventory and on nothing in the request — not on the function
+//! rows (they never enter a dominance test), and on the exclusions or
+//! capacities only through the objects the run peels off *after* the
+//! build. In the terms of Chomicki's query modification it is the part
+//! of the answer that survives **any** change of a monotone preference.
+//!
+//! An [`EvalSeed`] is that part: per shard, the
+//! [`SkylineMaintainer`] exactly as BBS left it, before anything was
+//! peeled. A cold run captures it right after the build; any later run
+//! against the same inventory — whatever its functions, exclusions or
+//! capacities — *resumes*: clone the snapshot (O(skyline); the pruned
+//! lists are shared copy-on-write, see `mpq_skyline::maintain`), peel
+//! what this request must not see, and run the unchanged matching loop.
 //! Capture and resume are one function — the priming step of
 //! [`crate::sb`]'s run state — whichever engine, shard or stream asks.
+//! A run that resumed captures nothing: it would only reproduce the
+//! seed it was handed.
 //!
 //! Because the loop's output is determined entirely by skyline
 //! *content* (the rank-list caches are canonical under the total order
@@ -26,56 +35,30 @@
 //! Seeds are **pinned to the exact inventory**: the snapshot's pruned
 //! entries reference R-tree pages of the version vector it was captured
 //! at, so a seed is only usable while the backend's versions are
-//! bit-equal to [`EvalSeed::versions`]. The result cache enforces this
-//! (a revalidated entry keeps its matching but drops its seed), and the
-//! evaluation path re-checks before priming.
+//! bit-equal to [`EvalSeed::versions`]. The result cache keeps at most
+//! one — a seed is a property of the inventory, not of a cached request
+//! — and hands it to every miss at exactly that vector; the evaluation
+//! path re-checks each component against the tree epoch it pinned
+//! before priming from it.
 
 use mpq_skyline::SkylineMaintainer;
 
-/// A journal of objects peeled from a skyline snapshot: (oid, point)
-/// in peel order, point kept so re-admission needs no tree read.
-pub(crate) type PeeledLog = Vec<(u64, Box<[f64]>)>;
-
-/// The per-shard slice of an [`EvalSeed`]: the post-peel skyline
-/// snapshot and the objects peeled from it (with their points, so they
-/// can be re-admitted without touching the tree).
-#[derive(Clone)]
-pub(crate) struct SeedPart {
-    /// Maintainer state after the seed request's exclusions were peeled.
-    pub(crate) sky: SkylineMaintainer,
-    /// Exactly the objects removed from `sky` relative to the full
-    /// inventory, in peel order.
-    pub(crate) peeled: PeeledLog,
-}
-
-impl SeedPart {
-    /// Approximate heap footprint, for cache byte accounting.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let peeled: usize = self
-            .peeled
-            .iter()
-            .map(|(_, p)| std::mem::size_of::<(u64, Box<[f64]>)>() + p.len() * 8)
-            .sum();
-        self.sky.approx_bytes() + peeled
-    }
-}
-
-/// A resumable evaluation state captured from one SB evaluation and
-/// usable to prime another against the *same* inventory (see the
+/// The inventory's skyline at one version vector, from which any
+/// evaluation against the *same* inventory can resume (see the
 /// [module docs](self)).
 ///
 /// Opaque by design: obtain one from
 /// [`MatchRequest::evaluate_seeded`](crate::MatchRequest::evaluate_seeded)
 /// (or its sharded twin), or let the serving layer capture and apply
-/// seeds transparently through the result cache's near-miss lookup.
+/// it transparently through the result cache.
 #[derive(Clone)]
 pub struct EvalSeed {
     /// Per-shard inventory version vector at capture time (one
     /// component for an unsharded engine). The seed is valid only while
     /// the backend's vector is bit-equal.
     pub(crate) versions: Vec<u64>,
-    /// One part per shard, in shard order.
-    pub(crate) parts: Vec<SeedPart>,
+    /// One un-peeled BBS snapshot per shard, in shard order.
+    pub(crate) parts: Vec<SkylineMaintainer>,
 }
 
 impl std::fmt::Debug for EvalSeed {
@@ -110,6 +93,10 @@ impl EvalSeed {
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<EvalSeed>()
             + self.versions.len() * 8
-            + self.parts.iter().map(SeedPart::approx_bytes).sum::<usize>()
+            + self
+                .parts
+                .iter()
+                .map(SkylineMaintainer::approx_bytes)
+                .sum::<usize>()
     }
 }

@@ -143,13 +143,6 @@ pub struct ServiceConfig {
     /// Approximate byte bound of the result cache (evicts LRU-first
     /// when exceeded). Default 32 MiB.
     pub cache_max_bytes: usize,
-    /// Near-miss seeding bound: on an exact cache miss, a cached entry
-    /// within this request delta (flipped exclusions or changed
-    /// function rows — see [`ResultCache::near_miss`]) primes the
-    /// evaluation with its captured seed instead of running cold. `0`
-    /// disables near-miss seeding (exact hits and dedupe still work).
-    /// Default 16.
-    pub seed_delta_bound: usize,
 }
 
 impl Default for ServiceConfig {
@@ -160,7 +153,6 @@ impl Default for ServiceConfig {
             backpressure: BackpressurePolicy::Block,
             cache_capacity: 256,
             cache_max_bytes: 32 << 20,
-            seed_delta_bound: 16,
         }
     }
 }
@@ -194,13 +186,6 @@ impl ServiceConfig {
     /// Set the result-cache approximate byte bound.
     pub fn cache_max_bytes(mut self, bytes: usize) -> ServiceConfig {
         self.cache_max_bytes = bytes;
-        self
-    }
-
-    /// Set the near-miss seeding bound (`0` disables near-miss
-    /// seeding).
-    pub fn seed_delta_bound(mut self, bound: usize) -> ServiceConfig {
-        self.seed_delta_bound = bound;
         self
     }
 }
@@ -445,10 +430,10 @@ struct Job<'a> {
     functions: Cow<'a, FunctionSet>,
     options: Cow<'a, RequestOptions>,
     group: Arc<DedupeGroup>,
-    /// A near-miss donor's captured [`EvalSeed`], when the submission
-    /// path found one within the configured delta bound: the worker
-    /// primes the evaluation with it instead of running cold (and may
-    /// still decline it — bit-identity is unconditional either way).
+    /// The inventory's [`EvalSeed`], when the submission path found the
+    /// cache holding it at the submission's versions: the worker primes
+    /// the evaluation with it instead of running cold (and may still
+    /// decline it — bit-identity is unconditional either way).
     seed: Option<Arc<EvalSeed>>,
 }
 
@@ -542,8 +527,6 @@ pub(crate) struct ServiceCore<'a> {
     workers: usize,
     queue_capacity: usize,
     backpressure: BackpressurePolicy,
-    /// Near-miss seeding delta bound (`0` disables the lookup).
-    seed_delta_bound: usize,
     queue: Mutex<QueueState<'a>>,
     /// Workers wait here for jobs (or shutdown).
     jobs: Condvar,
@@ -567,7 +550,6 @@ impl<'a> ServiceCore<'a> {
             workers,
             queue_capacity: config.queue_capacity.max(1),
             backpressure: config.backpressure,
-            seed_delta_bound: config.seed_delta_bound,
             queue: Mutex::new(QueueState {
                 heap: BinaryHeap::new(),
                 stopping: false,
@@ -900,16 +882,11 @@ impl<'a> ServiceCore<'a> {
                 // fall through and start a fresh job; the insert below
                 // replaces the stale index entry.
             }
-            // Exact miss, nothing identical in flight: before paying a
-            // cold evaluation, probe the near-miss index for a donor
-            // within the configured delta. A hit enqueues a *seeded*
-            // job under this request's own exact key — it does not
-            // attach to the donor's group (the donor answers a
-            // different request).
-            let seed = layer
-                .cache
-                .near_miss(&key, versions, self.seed_delta_bound)
-                .map(|(seed, _)| seed);
+            // Exact miss, nothing identical in flight: the job takes
+            // the inventory's seed along, if the cache holds it at
+            // these versions, and resumes from it instead of running
+            // BBS (any non-zero bound asks; see `near_miss`).
+            let seed = layer.cache.near_miss(&key, versions, usize::MAX);
             let key = Arc::new(key);
             let group = Arc::new(DedupeGroup {
                 key: Some(Arc::clone(&key)),
@@ -1023,13 +1000,15 @@ impl<'a> ServiceCore<'a> {
         // only makes the cache conservative. Reading the version *after*
         // evaluating would stamp a pre-mutation result as current.
         let versions = backend.version_vector();
-        // The donor seed is only honored if it was captured at exactly
-        // this inventory (the evaluation re-checks against its own
-        // pinned snapshot and may still decline); a seed is captured
-        // back only for keyed jobs that can publish it.
+        // The seed is only honored if it was captured at exactly this
+        // inventory (the evaluation re-checks against its own pinned
+        // snapshot and may still decline). A job without one runs cold
+        // and captures the seed for the misses after it — if it is
+        // keyed, so that it can publish it.
         let seed = job.seed.as_deref().filter(|s| s.usable_at(&versions));
         let mut captured: Option<EvalSeed> = None;
-        let capture = (job.group.key.is_some() && self.cached.is_some()).then_some(&mut captured);
+        let capture = (seed.is_none() && job.group.key.is_some() && self.cached.is_some())
+            .then_some(&mut captured);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             backend.evaluate_seeded(&job.functions, &job.options, scratch, seed, capture)
         }))
@@ -1046,9 +1025,9 @@ impl<'a> ServiceCore<'a> {
         if let (Some(key), Some(cached), Ok(matching)) = (&job.group.key, &self.cached, &result) {
             let logs = backend.mutation_logs();
             // A seed captured from a snapshot newer than the publish
-            // stamp would violate the entry's version invariant (a
-            // mutation landed mid-evaluation): drop it, keep the
-            // conservative matching-only entry.
+            // stamp (a mutation landed mid-evaluation) is not the
+            // skyline at `versions`: drop it, publish the matching
+            // alone.
             let captured = captured.filter(|s| s.usable_at(&versions)).map(Arc::new);
             lock(cached)
                 .cache
@@ -2271,7 +2250,6 @@ mod tests {
                 evictions: 1,
                 revalidations: 1,
                 seeded_hits: 2,
-                seed_delta: 3,
                 entries: 1,
                 bytes: 512,
             },
@@ -2327,7 +2305,6 @@ mod tests {
             "evictions",
             "revalidations",
             "seeded_hits",
-            "seed_delta",
             "entries",
             "bytes",
             "hit_rate",

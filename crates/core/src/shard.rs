@@ -89,6 +89,7 @@ use std::time::Instant;
 
 use mpq_rtree::bulk::thread_budget;
 use mpq_rtree::{IoStats, PointSet};
+use mpq_skyline::SkylineMaintainer;
 use mpq_ta::FunctionSet;
 
 use crate::backend::{evaluate_batch_on, EvalBackend};
@@ -100,7 +101,7 @@ use crate::engine::{
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
-use crate::seed::{EvalSeed, SeedPart};
+use crate::seed::EvalSeed;
 use crate::service::{lock, EngineService, ServiceConfig};
 
 /// Manifest file name inside a sharded data directory.
@@ -752,13 +753,11 @@ impl EvalBackend for ShardedEngine {
     /// The one sharded evaluation path: validate, then run the
     /// scatter-gather merge (all algorithms produce the canonical
     /// matching, so the merge serves every [`Algorithm`] — and is
-    /// resumable for all of them). An [`EvalSeed`] here carries one
-    /// seed part per shard (the partitioner already split the
-    /// inventory; seeds follow that split), each pinned to its shard's
-    /// version component; every shard independently primes from its part
-    /// or falls back to a cold BBS build. Capacitated requests decline
-    /// seeds and capture nothing. The probes own their working state,
-    /// so the scratch goes unused.
+    /// resumable for all of them, capacitated or not). An [`EvalSeed`]
+    /// here carries one BBS snapshot per shard (the partitioner already
+    /// split the inventory; seeds follow that split), each pinned to
+    /// its shard's version component. The probes own their working
+    /// state, so the scratch goes unused.
     fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
@@ -881,10 +880,11 @@ struct MergeState<'e> {
 }
 
 impl<'e> MergeState<'e> {
-    /// Build and probe every shard, with per-shard seed priming and
-    /// capture: shard `i` primes from `seed.parts[i]` (when still pinned to the
-    /// shard's current version) and, when `capture` is set, reports its
-    /// own post-peel snapshot. The assembled [`EvalSeed`] is returned
+    /// Build and probe every shard. A `seed` taken at the engine's
+    /// current version vector primes every shard from its part (each
+    /// probe re-checks its component against the epoch it pins);
+    /// otherwise every shard runs cold and, when `capture` is set,
+    /// reports its BBS snapshot. The assembled [`EvalSeed`] is returned
     /// only if *every* shard captured — a partial seed cannot resume a
     /// whole evaluation.
     fn new_seeded(
@@ -895,12 +895,9 @@ impl<'e> MergeState<'e> {
         capture: bool,
     ) -> (MergeState<'e>, Option<EvalSeed>) {
         let k = engine.shards.len();
-        // Capacitated requests are not resumable (the probes peel by
-        // remaining capacity, which a seed snapshot does not model).
-        let seedable = options.capacities.is_none();
-        let capture = capture && seedable;
-        let seed = seed.filter(|s| seedable && s.parts.len() == k && s.versions.len() == k);
-        let mut captures: Vec<Option<(SeedPart, u64)>> = (0..k).map(|_| None).collect();
+        let seed = seed.filter(|s| s.parts.len() == k && s.usable_at(&engine.version_vector()));
+        let capture = capture && seed.is_none();
+        let mut captures: Vec<Option<(SkylineMaintainer, u64)>> = (0..k).map(|_| None).collect();
         let mut shards: Vec<Option<GreedyProbe<'e>>> = (0..k).map(|_| None).collect();
         let mut candidates: Vec<Option<Pair>> = vec![None; k];
         if k == 1 {
@@ -945,7 +942,7 @@ impl<'e> MergeState<'e> {
             .map(|s| s.expect("every shard probed"))
             .collect();
         let captured = if capture && captures.iter().all(Option::is_some) {
-            let (parts, versions): (Vec<SeedPart>, Vec<u64>) = captures
+            let (parts, versions): (Vec<SkylineMaintainer>, Vec<u64>) = captures
                 .into_iter()
                 .map(|c| c.expect("just checked"))
                 .unzip();

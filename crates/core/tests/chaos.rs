@@ -445,18 +445,16 @@ fn worker_panic_from_injected_fault_does_not_wedge_the_service() {
             .build()
             .unwrap(),
     );
-    // Near-miss seeding off: a donor seed would prime the skyline from
+    // Cache off: the healthy round's seed would prime the skyline from
     // memory and legitimately dodge the injected page read — this test
     // needs the evaluation to actually touch the device.
-    let service =
-        Arc::clone(&engine).serve(ServiceConfig::default().workers(2).seed_delta_bound(0));
+    let service = Arc::clone(&engine).serve(ServiceConfig::default().workers(2).cache_capacity(0));
     let client = service.client();
 
-    // Healthy round first, so the cache/metrics locks are warm.
+    // Healthy round first, so the queue/metrics locks are warm.
     client.submit(engine.request(&fs)).unwrap().wait().unwrap();
 
     inj.fail_from(FaultOp::PageRead, 0, FaultKind::Panic);
-    // Distinct function set so the result cache cannot absorb the hit.
     let fs2 = functions(2, 10, 35);
     let err = client
         .submit(engine.request(&fs2))

@@ -373,7 +373,7 @@ fn sorted_exact(mut pairs: Vec<Pair>) -> Vec<(u32, u64, u64)> {
 
 /// One body, every backend, behind `&dyn EvalBackend`: direct
 /// evaluation, the batch path and the service (cold, cached, seeded
-/// near-miss) — all three algorithms, exclusions and capacities — must
+/// miss) — all three algorithms, exclusions and capacities — must
 /// produce the reference matching bit for bit.
 #[test]
 fn every_backend_serves_the_reference_matching_on_every_path() {
@@ -434,11 +434,11 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
         }
         assert_eq!(got(&serve(capped())), want_caps, "{name}, capacities");
 
-        // One exclusion away from the cached SB request: a near miss,
-        // evaluated seeded from the donor's captured state.
+        // A request the cache has not seen: an exact miss, evaluated
+        // seeded from the skyline the first cold run left there.
         let seeded = client.metrics().cache.seeded_hits;
         let refined = serve(backend.request(&fs).exclude([exclude[0]]));
-        assert_eq!(got(&refined), want_refined, "{name}, seeded near-miss");
+        assert_eq!(got(&refined), want_refined, "{name}, seeded miss");
         assert_eq!(client.metrics().cache.seeded_hits, seeded + 1, "{name}");
 
         // Per-shard gauges surface exactly when there are shards.

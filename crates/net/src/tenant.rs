@@ -42,11 +42,6 @@ pub struct TenantConfig {
     pub cache_capacity: usize,
     /// Result-cache byte budget.
     pub cache_max_bytes: usize,
-    /// Near-miss seeding delta bound: an exact cache miss within this
-    /// many flipped exclusions / changed function rows of a cached
-    /// entry evaluates *seeded* from that entry's captured skyline
-    /// state (`0` disables; results stay bit-identical either way).
-    pub seed_delta_bound: usize,
     /// Shards of the hosted engine: `1` hosts a plain
     /// [`Engine`], `> 1` a
     /// [`ShardedEngine`](mpq_core::ShardedEngine) with this many
@@ -61,7 +56,6 @@ impl Default for TenantConfig {
             queue_capacity: 64,
             cache_capacity: 256,
             cache_max_bytes: 32 * 1024 * 1024,
-            seed_delta_bound: 16,
             shards: 1,
         }
     }
@@ -76,7 +70,6 @@ impl TenantConfig {
             .backpressure(BackpressurePolicy::Reject)
             .cache_capacity(self.cache_capacity)
             .cache_max_bytes(self.cache_max_bytes)
-            .seed_delta_bound(self.seed_delta_bound)
     }
 }
 

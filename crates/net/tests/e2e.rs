@@ -530,9 +530,9 @@ fn oversized_and_malformed_requests_close_cleanly() {
 }
 
 /// A refinement over the wire — the same functions with one more
-/// excluded object — must be served *seeded* from the cached donor
-/// (visible in `/metrics`) and stay bit-identical to a direct cold
-/// evaluation of the refined request.
+/// excluded object — must be served *seeded* from the skyline the first
+/// request left in the tenant's cache (visible in `/metrics`) and stay
+/// bit-identical to a direct cold evaluation of the refined request.
 #[test]
 fn near_miss_refinement_over_the_wire_is_seeded_and_identical() {
     let w = WorkloadBuilder::new()
@@ -548,13 +548,13 @@ fn near_miss_refinement_over_the_wire_is_seeded_and_identical() {
     let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
 
-    // Warm the cache with the unrefined request.
+    // The unrefined request runs cold and leaves the inventory's seed.
     let resp = client
         .post_json("/t/solo/match", &match_body(&w.functions))
         .unwrap();
     assert_eq!(resp.status, 200);
 
-    // One flipped exclusion: an exact miss, but a near miss at delta 1.
+    // One flipped exclusion: an exact miss, resumed from that seed.
     let body = format!(
         r#"{{"functions":{},"exclude":[9]}}"#,
         functions_json(&w.functions)
@@ -585,7 +585,7 @@ fn near_miss_refinement_over_the_wire_is_seeded_and_identical() {
     let doc = Json::parse(&resp.text()).unwrap();
     let cache = doc.get("cache").expect("metrics carry the cache block");
     assert_eq!(metric(cache, "seeded_hits"), 1.0);
-    assert_eq!(metric(cache, "seed_delta"), 1.0);
+    assert_eq!(metric(cache, "misses"), 2.0);
 
     server.shutdown();
 }

@@ -416,10 +416,12 @@ impl RTree {
     /// tree plus the caller metadata (`extra`) that was passed to the
     /// matching [`RTree::checkpoint`].
     ///
-    /// Recovery walks the tree from the checkpointed root and hands every
-    /// unreachable page back to the store's free list, so no free list is
-    /// persisted and leaked pages cannot accumulate across restarts. The
-    /// buffer restarts cold with zeroed I/O counters.
+    /// Recovery walks the inner nodes from the checkpointed root — the
+    /// checkpointed height says which level holds the leaves, so no leaf
+    /// is read — and hands every unreachable page back to the store's
+    /// free list, so no free list is persisted and leaked pages cannot
+    /// accumulate across restarts. The buffer restarts cold with zeroed
+    /// I/O counters.
     pub fn open<S: PageStore + 'static>(
         store: S,
         buffer_capacity: usize,
@@ -447,7 +449,7 @@ impl RTree {
             epochs: Mutex::new(Epochs::default()),
         };
         let mut reachable = HashSet::new();
-        tree.collect_reachable(st.root, &mut reachable);
+        tree.collect_reachable(st.root, st.height, &mut reachable);
         let free: Vec<u32> = (0..tree.buf.page_bound())
             .filter(|i| !reachable.contains(i))
             .collect();
@@ -457,14 +459,17 @@ impl RTree {
         Ok((tree, extra))
     }
 
-    fn collect_reachable(&self, pid: PageId, out: &mut HashSet<u32>) {
-        if !out.insert(pid.0) {
+    /// Mark `pid`, a node `level` levels above the ground (1 = leaf),
+    /// and everything below it. A leaf has no children to learn of, so
+    /// it is marked without being read.
+    fn collect_reachable(&self, pid: PageId, level: u32, out: &mut HashSet<u32>) {
+        if !out.insert(pid.0) || level <= 1 {
             return;
         }
         let node = self.buf.get(pid);
         if let Node::Inner(inner) = &*node {
             for i in 0..inner.len() {
-                self.collect_reachable(inner.child(i), out);
+                self.collect_reachable(inner.child(i), level - 1, out);
             }
         }
     }
@@ -1630,6 +1635,39 @@ mod tests {
         let bound_before = tree.buf.page_bound();
         tree.insert(&[0.5, 0.5], 55_555);
         assert_eq!(tree.buf.page_bound(), bound_before);
+        tree.check_invariants();
+    }
+
+    #[test]
+    fn open_reads_no_leaf() {
+        use crate::fault::{FaultInjector, FaultOp, FaultPageStore};
+        let path = tmp("open_reads.pages");
+        let ps = seeded_points(2_000, 2, 17);
+        let params = RTreeParams {
+            page_size: 256,
+            min_fill_ratio: 0.4,
+            buffer_capacity: 64,
+        };
+        let (pages, leaves) = {
+            let store = DiskPager::create(&path, 256).unwrap();
+            let tree = RTree::bulk_load_in(store, &ps, params);
+            tree.checkpoint(&[]).unwrap();
+            assert!(tree.height() >= 3, "inner levels above the leaf parents");
+            let mut leaves = 0u64;
+            let mut stack = vec![tree.snapshot().root_page()];
+            while let Some(pid) = stack.pop() {
+                match &*tree.buf.get(pid) {
+                    Node::Leaf(_) => leaves += 1,
+                    Node::Inner(inner) => stack.extend((0..inner.len()).map(|i| inner.child(i))),
+                }
+            }
+            (tree.page_count() as u64, leaves)
+        };
+        let reads = FaultInjector::shared();
+        let store = FaultPageStore::new(DiskPager::open(&path, 256).unwrap(), Arc::clone(&reads));
+        let (tree, _) = RTree::open(store, 64).unwrap();
+        assert_eq!(reads.count(FaultOp::PageRead), pages - leaves);
+        assert_eq!(tree.page_count() as u64, pages);
         tree.check_invariants();
     }
 

@@ -25,6 +25,27 @@
 //!   plist ownership survives removals without index fix-ups, and the
 //!   descending-sum order array is rebuilt only after enough changes
 //!   accumulate.
+//!
+//! ## Plist layout and snapshots
+//!
+//! A plist is stored column-wise: one vector of entry ids (an object id
+//! or a subtree's page id) and one vector of upper corners, contiguous
+//! at stride `dim`, entry `i` owning `corners[i * dim..(i + 1) * dim]`.
+//! No entry owns a heap allocation — a dominated child's corner is
+//! written straight from the node's slice into its owner's columns —
+//! so copying a plist is two `memcpy`s and dropping it two frees,
+//! however many entries it holds. Entries are only ever appended, and
+//! a removed object's entries are re-homed in the order they were
+//! recorded, so the sequence of dominance tests and page reads is a
+//! function of the removal sequence alone.
+//!
+//! That is what makes a maintainer cheap to snapshot ([`Clone`]): the
+//! clone copies the slab, the lookup map and the order index —
+//! O(skyline) — and *shares* every plist behind its `Arc`. Either side
+//! copies a plist only when it first appends to it; removing an object
+//! merely reads its (possibly shared) plist and drops the reference.
+//! The serving layer keeps one such snapshot per inventory version and
+//! resumes every evaluation from it (see `mpq_core::seed`).
 
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -68,48 +89,61 @@ pub struct SkylineStats {
     pub dominance_checks: u64,
 }
 
-/// An entry pruned by (and owned by) a skyline object, or queued in the
-/// candidate heap.
-#[derive(Debug, Clone)]
-enum Pruned {
-    Point { oid: u64, point: Box<[f64]> },
-    Subtree { pid: PageId, hi: Box<[f64]> },
+/// What a pruned entry names: an object, or an unexpanded subtree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EntryId {
+    Point(u64),
+    Subtree(PageId),
 }
 
-impl Pruned {
-    /// Upper corner: the best point the entry could contain.
-    #[inline]
-    fn hi(&self) -> &[f64] {
-        match self {
-            Pruned::Point { point, .. } => point,
-            Pruned::Subtree { hi, .. } => hi,
-        }
+/// The entries one skyline object pruned, column-wise (see the
+/// [module docs](self)): entry `i` is `ids[i]` with upper corner — the
+/// best point the entry could contain — `corners[i * dim..][..dim]`.
+#[derive(Debug, Clone, Default)]
+struct Plist {
+    ids: Vec<EntryId>,
+    corners: Vec<f64>,
+}
+
+impl Plist {
+    fn push(&mut self, id: EntryId, hi: &[f64]) {
+        self.ids.push(id);
+        self.corners.extend_from_slice(hi);
     }
 
-    fn heap_entry(self) -> HeapEntry {
-        let key = mindist_to_best(self.hi());
-        let (kind, id) = match &self {
-            Pruned::Point { oid, .. } => (0u8, *oid),
-            Pruned::Subtree { pid, .. } => (1u8, pid.0 as u64),
-        };
-        HeapEntry {
-            key,
-            kind,
-            id,
-            payload: self,
-        }
+    /// The entries in recording order.
+    fn iter(&self, dim: usize) -> impl Iterator<Item = (EntryId, &[f64])> + '_ {
+        self.ids.iter().copied().zip(self.corners.chunks_exact(dim))
     }
 }
 
 /// Candidate-heap entry, popped in ascending `key` (L1 mindist to the
 /// best corner), with deterministic tie-breaking: points before subtrees,
-/// then ascending id.
+/// then ascending id. Unlike a plist entry it owns its corner: a point
+/// that survives the heap moves it into the slab.
 #[derive(Debug)]
 struct HeapEntry {
     key: f64,
-    kind: u8,
-    id: u64,
-    payload: Pruned,
+    id: EntryId,
+    hi: Box<[f64]>,
+}
+
+impl HeapEntry {
+    fn new(id: EntryId, hi: &[f64]) -> HeapEntry {
+        HeapEntry {
+            key: mindist_to_best(hi),
+            id,
+            hi: hi.into(),
+        }
+    }
+
+    /// Tie-break rank behind `key`.
+    fn rank(&self) -> (u8, u64) {
+        match self.id {
+            EntryId::Point(oid) => (0, oid),
+            EntryId::Subtree(pid) => (1, pid.0 as u64),
+        }
+    }
 }
 
 impl PartialEq for HeapEntry {
@@ -129,8 +163,7 @@ impl Ord for HeapEntry {
         other
             .key
             .total_cmp(&self.key)
-            .then_with(|| other.kind.cmp(&self.kind))
-            .then_with(|| other.id.cmp(&self.id))
+            .then_with(|| other.rank().cmp(&self.rank()))
     }
 }
 
@@ -141,17 +174,11 @@ struct SkyObj {
     /// Cached coordinate sum for the dominance fast path.
     sum: f64,
     /// Entries this object pruned (it is their exclusive owner). Behind
-    /// an `Arc` so snapshot clones (seeded evaluation) share the pruned
-    /// entries — collectively O(inventory) — copy-on-write: a clone is
-    /// O(skyline), and only the plists a mutation actually touches are
-    /// ever deep-copied.
-    plist: Arc<Vec<Pruned>>,
-}
-
-/// Take a plist by value: the cheap move when this maintainer is the
-/// only owner, a deep copy when a snapshot still shares it.
-fn take_plist(plist: Arc<Vec<Pruned>>) -> Vec<Pruned> {
-    Arc::try_unwrap(plist).unwrap_or_else(|shared| (*shared).clone())
+    /// an `Arc` so snapshot clones share the pruned entries —
+    /// collectively O(inventory) — copy-on-write: a clone is
+    /// O(skyline), and only the plists a later append touches are ever
+    /// copied.
+    plist: Arc<Plist>,
 }
 
 /// The maintained skyline of an R-tree-indexed object set.
@@ -167,6 +194,8 @@ fn take_plist(plist: Arc<Vec<Pruned>>) -> Vec<Pruned> {
 /// source backed by the same tree across calls (page ids recorded in the
 /// plists are meaningless in any other tree).
 pub struct SkylineMaintainer {
+    /// Dimensionality of the indexed points (the plist corner stride).
+    dim: usize,
     /// Stable slab: `None` = removed. plist owners are slab indices.
     slab: Vec<Option<SkyObj>>,
     alive: usize,
@@ -188,7 +217,7 @@ pub struct SkylineMaintainer {
 /// Snapshotting support for seeded evaluation: between calls the
 /// candidate heap is always drained (every public mutator ends in the
 /// internal BBS drain), so a clone only has to copy the slab, the
-/// lookup maps and the order index — never in-flight heap entries.
+/// lookup map and the order index — never in-flight heap entries.
 /// The plists are shared copy-on-write, so the copy is O(skyline).
 impl Clone for SkylineMaintainer {
     fn clone(&self) -> SkylineMaintainer {
@@ -197,6 +226,7 @@ impl Clone for SkylineMaintainer {
             "maintainer cloned with a non-drained candidate heap"
         );
         SkylineMaintainer {
+            dim: self.dim,
             slab: self.slab.clone(),
             alive: self.alive,
             by_oid: self.by_oid.clone(),
@@ -215,6 +245,7 @@ impl SkylineMaintainer {
     /// pruned entries for later maintenance.
     pub fn build<R: NodeSource>(tree: &R) -> SkylineMaintainer {
         let mut m = SkylineMaintainer {
+            dim: tree.dim(),
             slab: Vec::new(),
             alive: 0,
             by_oid: HashMap::new(),
@@ -225,13 +256,10 @@ impl SkylineMaintainer {
             entered: Vec::new(),
             stats: SkylineStats::default(),
         };
-        m.heap.push(
-            Pruned::Subtree {
-                pid: tree.root_page(),
-                hi: vec![1.0; tree.dim()].into(),
-            }
-            .heap_entry(),
-        );
+        m.heap.push(HeapEntry::new(
+            EntryId::Subtree(tree.root_page()),
+            &vec![1.0; tree.dim()],
+        ));
         m.run(tree);
         m.rebuild_order();
         m.entered.clear(); // build's "entries" are the initial skyline
@@ -290,7 +318,9 @@ impl SkylineMaintainer {
     /// error in the caller (the SB algorithm only assigns skyline
     /// objects).
     pub fn remove<R: NodeSource>(&mut self, oids: &[u64], tree: &R) -> Vec<(u64, Box<[f64]>)> {
-        let mut orphaned: Vec<Pruned> = Vec::new();
+        // The removed objects' plists are only read from here on, so one
+        // a snapshot still shares is never copied.
+        let mut orphaned: Vec<Arc<Plist>> = Vec::with_capacity(oids.len());
         for &oid in oids {
             let idx = self
                 .by_oid
@@ -299,87 +329,24 @@ impl SkylineMaintainer {
             let obj = self.slab[idx].take().expect("slab and by_oid in sync");
             self.alive -= 1;
             self.stale += 1;
-            orphaned.extend(take_plist(obj.plist));
+            orphaned.push(obj.plist);
         }
 
         // Re-home entries still dominated by a surviving skyline object;
         // the rest become candidates (the paper's `Scand`).
-        for e in orphaned {
-            if let Some(owner) = self.find_dominator(e.hi()) {
+        let dim = self.dim;
+        for (id, hi) in orphaned.iter().flat_map(|plist| plist.iter(dim)) {
+            if let Some(owner) = self.find_dominator(hi) {
                 self.stats.entries_rehomed += 1;
-                self.assign_to_owner(owner, e);
+                self.assign_to_owner(owner, id, hi);
             } else {
                 self.stats.entries_reheaped += 1;
-                self.heap.push(e.heap_entry());
+                self.heap.push(HeapEntry::new(id, hi));
             }
         }
 
         self.run(tree);
         std::mem::take(&mut self.entered)
-    }
-
-    /// Re-admit a previously removed object without touching the tree.
-    ///
-    /// This is the inverse of [`SkylineMaintainer::remove`] for seeded
-    /// evaluation: an object peeled for one request's exclusion set
-    /// comes back when the next request no longer excludes it. If a
-    /// live skyline object dominates (or equals) the point it is
-    /// recorded in that owner's plist; otherwise it is promoted and
-    /// every live member it now dominates is demoted into its plist
-    /// (along with their own plists). Purely in-memory — no pages are
-    /// read — and it does not log to the promotion journal drained by
-    /// [`SkylineMaintainer::remove`].
-    ///
-    /// # Panics
-    /// Panics if `oid` is already in the skyline.
-    pub fn insert(&mut self, oid: u64, point: Box<[f64]>) {
-        assert!(
-            !self.by_oid.contains_key(&oid),
-            "object {oid} is already in the skyline"
-        );
-        debug_assert!(self.heap.is_empty());
-        if let Some(owner) = self.find_dominator(&point) {
-            self.stats.entries_pruned += 1;
-            self.assign_to_owner(owner, Pruned::Point { oid, point });
-            return;
-        }
-        // Nobody dominates-or-equals the point, so no live member can
-        // be coordinate-equal to it: everything it dominates-or-equals
-        // is strictly beneath it and must leave the skyline.
-        let mut plist: Vec<Pruned> = Vec::new();
-        for i in 0..self.slab.len() {
-            let demote = match self.slab[i].as_ref() {
-                Some(obj) => {
-                    self.stats.dominance_checks += 1;
-                    dominates_or_equal(&point, &obj.point)
-                }
-                None => false,
-            };
-            if demote {
-                let obj = self.slab[i].take().expect("just matched Some");
-                self.alive -= 1;
-                self.stale += 1;
-                self.by_oid.remove(&obj.oid);
-                plist.push(Pruned::Point {
-                    oid: obj.oid,
-                    point: obj.point,
-                });
-                plist.extend(take_plist(obj.plist));
-                self.stats.entries_pruned += 1;
-            }
-        }
-        self.stats.points_promoted += 1;
-        self.alive += 1;
-        let sum = point.iter().sum();
-        let idx = self.slab.len();
-        self.by_oid.insert(oid, idx);
-        self.slab.push(Some(SkyObj {
-            oid,
-            point,
-            sum,
-            plist: Arc::new(plist),
-        }));
-        self.fresh.push(idx as u32);
     }
 
     /// Approximate heap footprint of the maintained state (slab,
@@ -390,11 +357,9 @@ impl SkylineMaintainer {
             + (self.order.capacity() + self.fresh.capacity()) * std::mem::size_of::<u32>()
             + self.by_oid.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<usize>());
         for obj in self.slab.iter().flatten() {
-            bytes += obj.point.len() * std::mem::size_of::<f64>();
-            bytes += obj.plist.capacity() * std::mem::size_of::<Pruned>();
-            for e in obj.plist.iter() {
-                bytes += std::mem::size_of_val(e.hi());
-            }
+            bytes += obj.point.len() * std::mem::size_of::<f64>()
+                + obj.plist.ids.capacity() * std::mem::size_of::<EntryId>()
+                + obj.plist.corners.capacity() * std::mem::size_of::<f64>();
         }
         bytes
     }
@@ -408,22 +373,22 @@ impl SkylineMaintainer {
     /// equals the representative, so a smallest-id convention cannot be
     /// maintained without defeating the lazy plist design. Removing the
     /// representative eventually surfaces the remaining duplicates.
-    fn assign_to_owner(&mut self, owner: usize, entry: Pruned) {
+    fn assign_to_owner(&mut self, owner: usize, id: EntryId, hi: &[f64]) {
         let plist = &mut self.slab[owner].as_mut().expect("owner is alive").plist;
-        Arc::make_mut(plist).push(entry);
+        Arc::make_mut(plist).push(id, hi);
     }
 
     /// Drain the candidate heap: standard BBS with plist recording.
     fn run<R: NodeSource>(&mut self, tree: &R) {
         while let Some(e) = self.heap.pop() {
-            if let Some(owner) = self.find_dominator(e.payload.hi()) {
+            if let Some(owner) = self.find_dominator(&e.hi) {
                 self.stats.entries_pruned += 1;
-                self.assign_to_owner(owner, e.payload);
+                self.assign_to_owner(owner, e.id, &e.hi);
                 continue;
             }
-            match e.payload {
-                Pruned::Point { oid, point } => self.promote(oid, point),
-                Pruned::Subtree { pid, .. } => {
+            match e.id {
+                EntryId::Point(oid) => self.promote(oid, e.hi),
+                EntryId::Subtree(pid) => {
                     let node = tree.read_node(pid);
                     self.stats.nodes_expanded += 1;
                     self.expand(&node);
@@ -438,32 +403,25 @@ impl SkylineMaintainer {
         match node {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {
-                    let cand = Pruned::Point {
-                        oid,
-                        point: p.into(),
-                    };
-                    if let Some(owner) = self.find_dominator(p) {
-                        self.stats.entries_pruned += 1;
-                        self.assign_to_owner(owner, cand);
-                    } else {
-                        self.heap.push(cand.heap_entry());
-                    }
+                    self.admit(EntryId::Point(oid), p);
                 }
             }
             Node::Inner(inner) => {
                 for i in 0..inner.len() {
-                    let cand = Pruned::Subtree {
-                        pid: inner.child(i),
-                        hi: inner.hi(i).into(),
-                    };
-                    if let Some(owner) = self.find_dominator(inner.hi(i)) {
-                        self.stats.entries_pruned += 1;
-                        self.assign_to_owner(owner, cand);
-                    } else {
-                        self.heap.push(cand.heap_entry());
-                    }
+                    self.admit(EntryId::Subtree(inner.child(i)), inner.hi(i));
                 }
             }
+        }
+    }
+
+    /// One child of an expanded node: into its dominator's plist, or —
+    /// undominated so far — into the candidate heap.
+    fn admit(&mut self, id: EntryId, hi: &[f64]) {
+        if let Some(owner) = self.find_dominator(hi) {
+            self.stats.entries_pruned += 1;
+            self.assign_to_owner(owner, id, hi);
+        } else {
+            self.heap.push(HeapEntry::new(id, hi));
         }
     }
 
@@ -478,7 +436,7 @@ impl SkylineMaintainer {
             oid,
             point,
             sum,
-            plist: Arc::new(Vec::new()),
+            plist: Arc::default(),
         }));
         self.fresh.push(idx as u32);
     }
@@ -733,55 +691,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn insert_reverses_remove_to_the_same_skyline_content() {
-        let ps = seeded_points(600, 3, 21);
-        let tree = RTree::bulk_load(&ps, params());
-        let mut m = SkylineMaintainer::build(&tree);
-        let reference = sky_ids(&m);
-        // Remove five skyline members, then re-admit them in a
-        // different order: the skyline content must round-trip.
-        let victims: Vec<(u64, Box<[f64]>)> =
-            m.iter().take(5).map(|e| (e.oid, e.point.into())).collect();
-        let oids: Vec<u64> = victims.iter().map(|(o, _)| *o).collect();
-        m.remove(&oids, &tree);
-        assert_ne!(sky_ids(&m), reference);
-        for (oid, point) in victims.into_iter().rev() {
-            m.insert(oid, point);
-        }
-        assert_eq!(sky_ids(&m), reference);
-        // The round-tripped state keeps maintaining correctly.
-        let mut removed: HashSet<u64> = HashSet::new();
-        for _ in 0..10 {
-            let victim = m.iter().next().unwrap().oid;
-            removed.insert(victim);
-            m.remove(&[victim], &tree);
-            assert_eq!(sky_ids(&m), naive_skyline_excluding(&ps, &removed));
-        }
-    }
-
-    #[test]
-    fn insert_of_a_dominated_point_stays_hidden_until_its_owner_leaves() {
-        let mut ps = PointSet::new(2);
-        ps.push(&[0.9, 0.9]); // 0: dominates everything
-        ps.push(&[0.5, 0.5]); // 1
-        let tree = RTree::bulk_load(&ps, params());
-        let mut m = SkylineMaintainer::build(&tree);
-        assert_eq!(sky_ids(&m), vec![0]);
-        // Peel the dominated point's representative path: remove 0,
-        // which surfaces 1, remove 1, then re-admit it.
-        m.remove(&[0], &tree);
-        assert_eq!(sky_ids(&m), vec![1]);
-        m.remove(&[1], &tree);
-        assert!(m.is_empty());
-        m.insert(0, Box::from([0.9, 0.9]));
-        assert_eq!(sky_ids(&m), vec![0]);
-        // A dominated insert hides in the dominator's plist ...
-        m.insert(1, Box::from([0.5, 0.5]));
-        assert_eq!(sky_ids(&m), vec![0]);
-        // ... and resurfaces when that owner is removed.
-        m.remove(&[0], &tree);
-        assert_eq!(sky_ids(&m), vec![1]);
+    /// Every plist of `m`, by owner, down to the corner bits.
+    fn plist_dump(m: &SkylineMaintainer) -> Vec<(u64, Vec<EntryId>, Vec<u64>)> {
+        m.slab
+            .iter()
+            .flatten()
+            .map(|o| {
+                let corners = o.plist.corners.iter().map(|c| c.to_bits()).collect();
+                (o.oid, o.plist.ids.clone(), corners)
+            })
+            .collect()
     }
 
     #[test]
@@ -790,35 +709,31 @@ mod tests {
         let tree = RTree::bulk_load(&ps, params());
         let mut a = SkylineMaintainer::build(&tree);
         let baseline = sky_ids(&a);
+        let plists = plist_dump(&a);
+        assert!(plists.iter().any(|(_, ids, _)| !ids.is_empty()));
         let mut b = a.clone();
         assert_eq!(sky_ids(&b), baseline);
         assert!(b.approx_bytes() > 0);
 
-        // Mutating the clone leaves the original untouched, and both
-        // keep tracking the naive skyline through further removals.
-        let victim = b.iter().next().unwrap().oid;
-        b.remove(&[victim], &tree);
-        assert_eq!(sky_ids(&a), baseline);
+        // The clone removes half the skyline — re-homing into plists it
+        // shares with the snapshot, re-heaping, promoting — and tracks
+        // the naive skyline; the snapshot's members and plists stay
+        // byte for byte what they were.
         let mut removed = HashSet::new();
-        removed.insert(victim);
-        assert_eq!(sky_ids(&b), naive_skyline_excluding(&ps, &removed));
+        for &victim in baseline.iter().step_by(2) {
+            removed.insert(victim);
+            b.remove(&[victim], &tree);
+            assert_eq!(sky_ids(&b), naive_skyline_excluding(&ps, &removed));
+        }
+        assert_eq!(sky_ids(&a), baseline);
+        assert_eq!(plist_dump(&a), plists);
 
+        // ... and it still maintains correctly on its own.
         let victim_a = a.iter().nth(1).unwrap().oid;
         a.remove(&[victim_a], &tree);
         let mut removed_a = HashSet::new();
         removed_a.insert(victim_a);
         assert_eq!(sky_ids(&a), naive_skyline_excluding(&ps, &removed_a));
-    }
-
-    #[test]
-    #[should_panic(expected = "already in the skyline")]
-    fn inserting_a_live_member_panics() {
-        let ps = seeded_points(50, 2, 3);
-        let tree = RTree::bulk_load(&ps, params());
-        let mut m = SkylineMaintainer::build(&tree);
-        let live = m.iter().next().unwrap().oid;
-        let point: Box<[f64]> = m.get(live).unwrap().into();
-        m.insert(live, point);
     }
 
     #[test]

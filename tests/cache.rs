@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{ResultCache, ServiceConfig, SubmitOptions};
+use mpq::core::{EngineService, ResultCache, ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::ta::FunctionSet;
@@ -28,27 +28,26 @@ fn slow_engine() -> Arc<Engine> {
     Arc::new(Engine::builder().objects(&w.objects).build().unwrap())
 }
 
-/// A heavy request batch for the slow engine.
-fn slow_functions() -> FunctionSet {
+/// `n` functions; equal seeds produce bit-identical rows, i.e.
+/// identical cache keys, and different seeds share no row.
+fn function_set(n: usize, seed: u64) -> FunctionSet {
     WorkloadBuilder::new()
         .objects(1)
-        .functions(150)
-        .dim(3)
-        .seed(43)
-        .build()
-        .functions
-}
-
-/// A small request batch (fast to evaluate); equal seeds produce
-/// bit-identical rows, i.e. identical cache keys.
-fn fast_functions(seed: u64) -> FunctionSet {
-    WorkloadBuilder::new()
-        .objects(1)
-        .functions(10)
+        .functions(n)
         .dim(3)
         .seed(seed)
         .build()
         .functions
+}
+
+/// A heavy request batch for the slow engine.
+fn slow_functions() -> FunctionSet {
+    function_set(150, 43)
+}
+
+/// A small request batch (fast to evaluate).
+fn fast_functions(seed: u64) -> FunctionSet {
+    function_set(10, seed)
 }
 
 /// Spin until the service reports `in_flight` requests being evaluated
@@ -382,9 +381,11 @@ fn distinct_requests_never_collide_in_the_cache() {
 
 #[test]
 fn near_miss_submission_is_seeded_and_bit_identical() {
-    // A request one exclusion away from a cached one must not attach
-    // (different identity) and must not hit (different result) — it
-    // evaluates, but *seeded* from the donor's captured skyline state.
+    // Any request that misses at an unchanged inventory — one exclusion
+    // away from a cached one, or sharing nothing with it — must not
+    // attach (different identity) and must not hit (different result):
+    // it evaluates, but *seeded* from the skyline the first miss left
+    // in the cache.
     let engine = slow_engine();
     let functions = fast_functions(908);
 
@@ -396,7 +397,12 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
         .unwrap()
         .wait()
         .unwrap();
-    let evals_after_donor = engine.evaluation_count();
+    let evals_after_first = engine.evaluation_count();
+    assert_eq!(
+        client.metrics().cache.seeded_hits,
+        0,
+        "the first miss is cold"
+    );
 
     let refined = client
         .submit(client.backend().request(&functions).exclude([7u64]))
@@ -405,13 +411,12 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
         .unwrap();
     // Seeding is an accelerator, not a cache hit: the refined request
     // still pays an evaluation of its own.
-    assert_eq!(engine.evaluation_count() - evals_after_donor, 1);
+    assert_eq!(engine.evaluation_count() - evals_after_first, 1);
 
     let m = client.metrics();
     assert_eq!(m.cache.hits, 0, "a near miss is not an exact hit");
     assert_eq!(m.cache.attaches, 0, "a near miss starts its own job");
-    assert_eq!(m.cache.seeded_hits, 1, "the donor seed was picked up");
-    assert_eq!(m.cache.seed_delta, 1, "one flipped exclusion");
+    assert_eq!(m.cache.seeded_hits, 1, "the seed was picked up");
 
     let sequential = engine
         .request(&functions)
@@ -420,49 +425,168 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
         .unwrap();
     assert_identical(&refined, &sequential, "seeded vs cold sequential");
 
-    // The seeded evaluation captured its own seed: refining one step
-    // further finds the *closer* donor (delta 1, not 2).
-    client
-        .submit(client.backend().request(&functions).exclude([7u64, 11]))
+    // A brand-new function set — 20 rows, none shared with anything
+    // cached — resumes from the same seed: no function enters a skyline.
+    let fresh = function_set(20, 77);
+    let served = client
+        .submit(client.backend().request(&fresh))
         .unwrap()
         .wait()
         .unwrap();
-    let m = client.metrics();
-    assert_eq!(m.cache.seeded_hits, 2);
-    assert_eq!(m.cache.seed_delta, 2, "each refinement step was delta 1");
+    assert_eq!(client.metrics().cache.seeded_hits, 2);
+    let sequential = engine.request(&fresh).evaluate().unwrap();
+    assert_identical(&served, &sequential, "fresh functions, seeded vs cold");
+    assert!(
+        served.metrics().io.logical < sequential.metrics().io.logical,
+        "a seeded run skips the BBS page reads"
+    );
     service.shutdown();
 }
 
 #[test]
-fn seed_delta_bound_zero_disables_near_miss_seeding() {
+fn twelve_distinct_requests_share_one_seed_and_evict_nothing() {
     let engine = slow_engine();
-    let functions = fast_functions(909);
+    let sets: Vec<FunctionSet> = (0..12).map(|i| fast_functions(920 + i)).collect();
+    let (matching, seed) = engine
+        .request(&sets[0])
+        .evaluate_seeded(&mut Scratch::new(), None)
+        .unwrap();
+    let seed_bytes = seed.expect("a cold run captures").approx_bytes();
+    let entry_bytes = {
+        let mut probe = ResultCache::new(1, 1 << 20);
+        let key = engine.request(&sets[0]).cache_key();
+        probe.insert_vec_seeded(&key, &[engine.inventory_version()], &matching, None);
+        probe.bytes()
+    };
+    assert!(
+        seed_bytes > 12 * entry_bytes,
+        "the seed dwarfs the matchings"
+    );
 
+    // Room for the twelve matchings and one seed — not for two seeds.
+    let budget = 12 * entry_bytes + seed_bytes + seed_bytes / 2;
     let service = engine
         .clone()
-        .serve(ServiceConfig::default().workers(1).seed_delta_bound(0));
+        .serve(ServiceConfig::default().workers(1).cache_max_bytes(budget));
     let client = service.client();
+    for functions in &sets {
+        client
+            .submit(client.backend().request(functions))
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    let m = client.metrics();
+    assert_eq!((m.cache.entries, m.cache.evictions), (12, 0));
+    assert_eq!(m.cache.seeded_hits, 11, "every miss but the first resumed");
+    assert!(
+        m.cache.bytes <= 12 * entry_bytes + seed_bytes,
+        "{} bytes cached; one seed is {seed_bytes}, one entry {entry_bytes}",
+        m.cache.bytes
+    );
+    service.shutdown();
+}
 
+#[test]
+fn two_workers_resume_concurrently_from_the_one_seed() {
+    let engine = slow_engine();
+    let functions = function_set(40, 930);
+    let exclusions: Vec<Vec<u64>> = (0..16u64)
+        .map(|i| (0..=i).map(|j| j * 37 % 15_000).collect())
+        .collect();
+    let sequential: Vec<Matching> = exclusions
+        .iter()
+        .map(|excl| {
+            let request = engine.request(&functions).exclude(excl.iter().copied());
+            request.evaluate().unwrap()
+        })
+        .collect();
+
+    let service = engine.clone().serve(ServiceConfig::default().workers(2));
+    let client = service.client();
+    // The first miss leaves the seed; the sixteen after it are queued
+    // together, so both workers clone, peel and diverge from it at once.
     client
         .submit(client.backend().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
-    let refined = client
-        .submit(client.backend().request(&functions).exclude([3u64]))
-        .unwrap()
-        .wait()
-        .unwrap();
-
-    let m = client.metrics();
-    assert_eq!(m.cache.seeded_hits, 0, "bound 0 must disable the lookup");
-    assert_eq!(m.cache.seed_delta, 0);
-
-    let sequential = engine
-        .request(&functions)
-        .exclude([3u64])
-        .evaluate()
-        .unwrap();
-    assert_identical(&refined, &sequential, "cold vs cold sequential");
+    let tickets: Vec<_> = exclusions
+        .iter()
+        .map(|excl| {
+            let request = client.backend().request(&functions);
+            client
+                .submit(request.exclude(excl.iter().copied()))
+                .unwrap()
+        })
+        .collect();
+    for (i, (ticket, cold)) in tickets.into_iter().zip(&sequential).enumerate() {
+        let served = ticket.wait().unwrap();
+        assert_identical(&served, cold, &format!("exclusion set {i}"));
+    }
+    assert_eq!(client.metrics().cache.seeded_hits, 16);
     service.shutdown();
+}
+
+#[test]
+fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
+    let w = WorkloadBuilder::new()
+        .objects(3_000)
+        .functions(1)
+        .dim(3)
+        .distribution(Distribution::AntiCorrelated)
+        .seed(91)
+        .build();
+    let backends: [(&str, Arc<dyn EvalBackend>); 2] = [
+        (
+            "engine",
+            Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
+        ),
+        (
+            "K=4",
+            Arc::new(
+                ShardedEngine::builder()
+                    .objects(&w.objects)
+                    .shards(4)
+                    .build()
+                    .unwrap(),
+            ),
+        ),
+    ];
+    for (name, backend) in backends {
+        let service =
+            EngineService::spawn(Arc::clone(&backend), ServiceConfig::default().workers(1));
+        let client = service.client();
+        // Each step submits a set the cache has never seen; whether the
+        // evaluation resumed shows in `seeded_hits` and in its page
+        // reads, which equal a direct cold evaluation's only when it
+        // ran BBS itself.
+        let step = |seed: u64, resumes: bool| {
+            let functions = fast_functions(seed);
+            let before = client.metrics().cache.seeded_hits;
+            let served = client
+                .submit(backend.request(&functions))
+                .unwrap()
+                .wait()
+                .unwrap();
+            let cold = backend.request(&functions).evaluate().unwrap();
+            assert_identical(&served, &cold, &format!("{name}, set {seed}"));
+            let seeded = client.metrics().cache.seeded_hits - before;
+            assert_eq!(seeded, u64::from(resumes), "{name}, set {seed}");
+            let (served, cold) = (served.metrics().io.logical, cold.metrics().io.logical);
+            assert_eq!(
+                served < cold,
+                resumes,
+                "{name}, set {seed}: {served} vs {cold}"
+            );
+        };
+        step(940, false);
+        step(941, true);
+        // The inventory moves on: the seed's pruned entries name pages
+        // of an epoch that is gone, so it must not be applied.
+        backend.insert_object(&[0.41, 0.43, 0.47]).unwrap();
+        step(942, false);
+        step(943, true);
+        service.shutdown();
+    }
 }

@@ -1,11 +1,11 @@
-//! Property tests for seeded evaluation (PR 10): priming an evaluation
-//! from a captured [`EvalSeed`] must be **bit-identical** to running it
-//! cold, under random request deltas — exclusion flips and function
-//! weight tweaks — on every backend behind `dyn EvalBackend` (the
-//! unsharded engine and the sharded scatter-gather merge at K = 1 and
-//! K = 4), including across interleaved inventory mutations (which
-//! stale the seed: the evaluation must detect that and silently fall
-//! back cold).
+//! Property tests for seeded evaluation: priming an evaluation from
+//! the inventory's [`EvalSeed`] must be **bit-identical** to running it
+//! cold, whatever the request — exclusion flips, function weight
+//! tweaks, capacities on and off — on every backend behind `dyn
+//! EvalBackend` (the unsharded engine and the sharded scatter-gather
+//! merge at K = 1 and K = 4), including across interleaved inventory
+//! mutations (which stale the seed: the evaluation must detect that,
+//! fall back cold and capture the new inventory's seed).
 //!
 //! Object points are deduplicated at generation so the canonical
 //! matching is unique down to object identity — the comparison is full
@@ -20,8 +20,9 @@ use mpq::prelude::*;
 use mpq::ta::FunctionSet;
 
 /// One randomized refinement step: toggle up to 3 exclusions, maybe
-/// rewrite one function row, maybe mutate the inventory.
-type Round = (Vec<u64>, Vec<u8>, u64, u64);
+/// rewrite one function row, maybe mutate the inventory, and evaluate
+/// with or without capacities.
+type Round = (Vec<u64>, Vec<u8>, u64, u64, bool);
 
 /// Deduplicated 2-d points on a fine grid.
 fn points(rows: &[Vec<u16>]) -> (PointSet, Vec<u64>) {
@@ -41,6 +42,7 @@ fn points(rows: &[Vec<u16>]) -> (PointSet, Vec<u64>) {
 fn check(
     obj_rows: &[Vec<u16>],
     fn_rows: &[Vec<u8>],
+    caps: &[u32],
     rounds: &[Round],
     build: &dyn Fn(&PointSet) -> Box<dyn EvalBackend>,
 ) -> Result<(), TestCaseError> {
@@ -64,7 +66,7 @@ fn check(
         })
         .collect();
 
-    for (step, (flips, tweak_row, tweak_sel, mut_sel)) in rounds.iter().enumerate() {
+    for (step, (flips, tweak_row, tweak_sel, mut_sel, capacitated)) in rounds.iter().enumerate() {
         // Exclusion flips (≤ 3), bounded so the matching stays total.
         for f in flips {
             let oid = live[(*f as usize) % live.len()];
@@ -101,8 +103,22 @@ fn check(
         }
 
         let functions = FunctionSet::from_rows(2, &fn_rows);
-        let request = || backend.request(&functions).exclude(excl.iter().copied());
+        // `caps` repeated over the id space: units 0..=3 per object.
+        let capacities: Vec<u32> = (0..backend.oid_bound() as usize)
+            .map(|oid| caps[oid % caps.len()])
+            .collect();
+        let request = || {
+            let request = backend.request(&functions).exclude(excl.iter().copied());
+            if *capacitated {
+                request.capacities(&capacities)
+            } else {
+                request
+            }
+        };
         let cold = request().evaluate().unwrap();
+        let carried_usable = seed
+            .as_ref()
+            .is_some_and(|s| s.usable_at(&backend.version_vector()));
         let (warm, captured) = request()
             .evaluate_seeded(&mut scratch, seed.as_ref())
             .unwrap();
@@ -123,12 +139,15 @@ fn check(
                 step
             );
         }
-        prop_assert!(
+        // One seed per inventory version: a run that resumed captures
+        // nothing, a run that could not captures the new version's.
+        prop_assert_eq!(
             captured.is_some(),
-            "round {}: an uncapacitated SB evaluation must capture a seed",
+            !carried_usable,
+            "round {}: capture exactly when the carried seed was unusable",
             step
         );
-        seed = captured;
+        seed = captured.or(seed);
     }
     Ok(())
 }
@@ -140,21 +159,23 @@ proptest! {
     fn seeded_is_bit_identical_to_cold_under_random_deltas(
         obj_rows in proptest::collection::vec(proptest::collection::vec(0u16..=1000, 2), 28..72),
         fn_rows in proptest::collection::vec(proptest::collection::vec(1u8..=9, 2), 3..8),
+        caps in proptest::collection::vec(0u32..=3, 1..4),
         rounds in proptest::collection::vec(
             (
                 proptest::collection::vec(any::<u64>(), 0..=3),
                 proptest::collection::vec(1u8..=9, 2),
                 any::<u64>(),
                 any::<u64>(),
+                any::<bool>(),
             ),
             1..5,
         ),
     ) {
-        check(&obj_rows, &fn_rows, &rounds, &|objects| {
+        check(&obj_rows, &fn_rows, &caps, &rounds, &|objects| {
             Box::new(Engine::builder().objects(objects).build().unwrap())
         })?;
         for k in [1, 4] {
-            check(&obj_rows, &fn_rows, &rounds, &|objects| {
+            check(&obj_rows, &fn_rows, &caps, &rounds, &|objects| {
                 Box::new(ShardedEngine::builder().objects(objects).shards(k).build().unwrap())
             })?;
         }
