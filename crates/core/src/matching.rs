@@ -86,7 +86,16 @@ pub struct RunMetrics {
     /// Brute Force only) — the memory footprint that makes the paper's
     /// BF run out of memory on anti-correlated `D = 6` data.
     pub peak_frontier: u64,
-    /// Skyline computation/maintenance counters (SB only).
+    /// Time in the *discover* half of SB's rounds: refreshing the rank
+    /// lists, reverse top-1 scans included (SB only).
+    pub discover: Duration,
+    /// Time in skyline maintenance — removing assigned or masked objects
+    /// and promoting what they uncover; the BBS build is not in it (SB
+    /// only).
+    pub maintain: Duration,
+    /// Skyline computation/maintenance counters (SB only). A run resumed
+    /// from a seed counts from the resume: the seed's build is not its
+    /// work.
     pub skyline: Option<SkylineStats>,
     /// TA scan counters (SB only).
     pub ta: Option<TaStats>,

@@ -67,11 +67,11 @@
 //! the rest of the batch is still being matched).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mpq_rtree::{IoStats, NodeSource};
 use mpq_skyline::bbs::compute_skyline_excluding_with;
-use mpq_skyline::SkylineMaintainer;
+use mpq_skyline::{SkylineMaintainer, SkylineStats};
 use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
 
 use crate::engine::RequestOptions;
@@ -124,34 +124,39 @@ pub(crate) struct RoundBufs {
     fbest_fns: HashSet<u32>,
     /// The objects one skyline removal takes out (see [`peel_masked`]).
     wave: Vec<u64>,
+    /// The promotions that removal leaves on the skyline.
+    promoted: Vec<u64>,
     /// Per-loop best function per skyline object (SB-rescan only).
     rescan_best: HashMap<u64, (u32, f64)>,
 }
 
-/// Remove the objects in `wave` from the maintained skyline, then every
-/// *masked* object that removal promotes — its dominator just left —
-/// wave after wave until the skyline is clean, so a masked object never
-/// reaches the caches. Returns the promotions that stay. `wave` comes
-/// back empty.
+/// Remove the objects in `bufs.wave` from the maintained skyline, then
+/// every *masked* object that removal promotes — its dominator just left
+/// — wave after wave until the skyline is clean, so a masked object
+/// never reaches the caches. The promotions that stay are left in
+/// `bufs.promoted`; `bufs.wave` comes back empty. The time spent is
+/// added to `spent`.
 fn peel_masked<R: NodeSource>(
     maintainer: &mut SkylineMaintainer,
     src: &R,
-    wave: &mut Vec<u64>,
+    bufs: &mut RoundBufs,
     masked: &impl Fn(u64) -> bool,
-) -> Vec<(u64, Box<[f64]>)> {
-    let mut kept = Vec::new();
-    while !wave.is_empty() {
-        let promoted = maintainer.remove(wave, src);
-        wave.clear();
-        for (oid, point) in promoted {
+    spent: &mut Duration,
+) {
+    let start = Instant::now();
+    bufs.promoted.clear();
+    while !bufs.wave.is_empty() {
+        let promoted = maintainer.remove(&bufs.wave, src);
+        bufs.wave.clear();
+        for &oid in promoted {
             if masked(oid) {
-                wave.push(oid);
+                bufs.wave.push(oid);
             } else {
-                kept.push((oid, point));
+                bufs.promoted.push(oid);
             }
         }
     }
-    kept
+    *spent += start.elapsed();
 }
 
 /// Prime a maintainer for a run: cold (BBS over the whole tree) or
@@ -161,12 +166,15 @@ fn peel_masked<R: NodeSource>(
 /// downstream cannot tell the histories apart. A cold run leaves its
 /// snapshot in the `capture` slot *before* the peel, so what it
 /// captures depends on the tree alone; a seeded run captures nothing.
+/// Both clones share what BBS recorded (the build ends frozen, see
+/// `mpq_skyline::maintain`): neither copies a member or a plist.
 fn prime<R: NodeSource>(
     src: &R,
     masked: &impl Fn(u64) -> bool,
     seed: Option<&SkylineMaintainer>,
     capture: Option<&mut Option<SkylineMaintainer>>,
-    wave: &mut Vec<u64>,
+    bufs: &mut RoundBufs,
+    maintain: &mut Duration,
 ) -> SkylineMaintainer {
     let mut maintainer = match seed {
         Some(snapshot) => snapshot.clone(),
@@ -178,9 +186,10 @@ fn prime<R: NodeSource>(
             built
         }
     };
-    wave.clear();
-    wave.extend(maintainer.iter().map(|e| e.oid).filter(|&oid| masked(oid)));
-    peel_masked(&mut maintainer, src, wave, masked);
+    bufs.wave.clear();
+    let masked_members = maintainer.iter().map(|e| e.oid).filter(|&oid| masked(oid));
+    bufs.wave.extend(masked_members);
+    peel_masked(&mut maintainer, src, bufs, masked, maintain);
     maintainer
 }
 
@@ -206,6 +215,9 @@ fn load_functions(
 pub(crate) struct SbRun<R: NodeSource> {
     src: R,
     io_start: IoStats,
+    /// The maintainer's counters when the run took it over: a resumed
+    /// run does not report the seed's BBS as its own work.
+    sky_start: SkylineStats,
     maintainer: SkylineMaintainer,
     rt1: Option<ReverseTopOne>,
     /// Working function set, fbest/obest rank-list caches and the
@@ -229,16 +241,20 @@ impl<R: NodeSource> SbRun<R> {
         capture: Option<&mut Option<SkylineMaintainer>>,
     ) -> SbRun<R> {
         let io_start = src.io_snapshot();
+        let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
         let rt1 = load_functions(&mut scratch, functions, best_pair);
-        let maintainer = prime(&src, &masked, seed, capture, &mut scratch.round.wave);
+        let mut metrics = RunMetrics::default();
+        let (bufs, spent) = (&mut scratch.round, &mut metrics.maintain);
+        let maintainer = prime(&src, &masked, seed, capture, bufs, spent);
         SbRun {
             src,
             io_start,
+            sky_start,
             maintainer,
             rt1,
             scratch,
             best_pair,
-            metrics: RunMetrics::default(),
+            metrics,
         }
     }
 
@@ -278,7 +294,7 @@ impl<R: NodeSource> SbRun<R> {
     pub(crate) fn metrics(&self) -> RunMetrics {
         let mut m = self.metrics;
         m.io = self.src.io_snapshot().since(self.io_start);
-        m.skyline = Some(self.maintainer.stats());
+        m.skyline = Some(stats_since(self.maintainer.stats(), self.sky_start));
         m.ta = self.rt1.as_ref().map(ReverseTopOne::stats);
         m
     }
@@ -316,6 +332,7 @@ impl<R: NodeSource> SbRun<R> {
             ..
         } = &mut self.scratch;
         let maintainer = &self.maintainer;
+        let start = Instant::now();
         self.metrics.loops += 1;
 
         // 1. Every skyline object needs a valid best function: drain dead
@@ -325,15 +342,11 @@ impl<R: NodeSource> SbRun<R> {
         // better-ranked functions.
         for e in maintainer.iter() {
             let list = fbest.entry(e.oid).or_default();
-            while let Some(&(fid, _)) = list.first() {
-                if fs.is_alive(fid) {
-                    break;
-                }
-                list.remove(0);
-            }
+            let dead = list.iter().take_while(|&&(fid, _)| !fs.is_alive(fid));
+            list.drain(..dead.count());
             if list.is_empty() {
                 self.metrics.reverse_top1_calls += 1;
-                *list = best_functions(&mut self.rt1, fs, e.point, self.best_pair);
+                best_functions(&mut self.rt1, fs, e.point, self.best_pair, list);
                 debug_assert!(!list.is_empty(), "fs.n_alive() > 0");
             }
         }
@@ -347,13 +360,14 @@ impl<R: NodeSource> SbRun<R> {
         bufs.fbest_fns
             .extend(maintainer.iter().map(|e| fbest[&e.oid][0].0));
         for &fid in &bufs.fbest_fns {
-            let list = obest.entry(fid).or_default();
-            while let Some(&(oid, _)) = list.first() {
-                if maintainer.contains(oid) {
-                    break;
-                }
-                list.remove(0);
-            }
+            // Filling a list inserts before it truncates: one allocation.
+            let list = obest
+                .entry(fid)
+                .or_insert_with(|| Vec::with_capacity(OBEST_RANKS + 1));
+            let gone = list
+                .iter()
+                .take_while(|&&(oid, _)| !maintainer.contains(oid));
+            list.drain(..gone.count());
             if list.is_empty() {
                 for e in maintainer.iter() {
                     let s = fs.score(fid, e.point);
@@ -377,6 +391,7 @@ impl<R: NodeSource> SbRun<R> {
             "SB invariant violated: the globally best remaining pair is always \
              mutually best, so every loop must emit at least one pair"
         );
+        self.metrics.discover += start.elapsed();
     }
 
     /// Second half of a round: the functions of `pairs` are assigned
@@ -409,11 +424,13 @@ impl<R: NodeSource> SbRun<R> {
         // Skyline maintenance (§IV-B): promotions are folded into every
         // cached obest rank list to preserve its "nothing better than the
         // stored minimum is missing" invariant.
-        let promoted = peel_masked(&mut self.maintainer, &self.src, &mut bufs.wave, &masked);
-        for (oid, point) in &promoted {
+        let spent = &mut self.metrics.maintain;
+        peel_masked(&mut self.maintainer, &self.src, bufs, &masked, spent);
+        for &oid in &bufs.promoted {
+            let point = self.maintainer.get(oid).expect("a kept promotion");
             for (fid, list) in obest.iter_mut() {
                 let s = fs.score(*fid, point);
-                fold_promotion(list, OBEST_RANKS, *oid, s);
+                fold_promotion(list, OBEST_RANKS, oid, s);
             }
         }
     }
@@ -586,28 +603,38 @@ fn best_function(
     }
 }
 
-/// Certified top-`M` alive functions for `point` (rank-list cache fill).
-/// Scan mode certifies only the top-1, so its lists hold one entry.
+/// Certified top-`M` alive functions for `point`, written over `list`
+/// (rank-list cache fill). Scan mode certifies only the top-1, so its
+/// lists hold one entry.
 pub(crate) fn best_functions(
     rt1: &mut Option<ReverseTopOne>,
     fs: &FunctionSet,
     point: &[f64],
     mode: BestPairMode,
-) -> Vec<(u32, f64)> {
-    match mode {
-        BestPairMode::Ta => rt1.as_mut().expect("TA mode has an index").top_m_for(
-            fs,
-            point,
-            FBEST_RANKS,
-            ThresholdMode::Tight,
-        ),
-        BestPairMode::TaNaiveThreshold => rt1.as_mut().expect("TA mode has an index").top_m_for(
-            fs,
-            point,
-            FBEST_RANKS,
-            ThresholdMode::Naive,
-        ),
-        BestPairMode::Scan => fs.scan_best(point).into_iter().collect(),
+    list: &mut Vec<(u32, f64)>,
+) {
+    let threshold = match mode {
+        BestPairMode::Ta => ThresholdMode::Tight,
+        BestPairMode::TaNaiveThreshold => ThresholdMode::Naive,
+        BestPairMode::Scan => {
+            list.clear();
+            list.extend(fs.scan_best(point));
+            return;
+        }
+    };
+    let rt1 = rt1.as_mut().expect("TA mode has an index");
+    rt1.top_m_for(fs, point, FBEST_RANKS, threshold, list);
+}
+
+/// The maintainer's counters over the stretch that started at `origin`.
+fn stats_since(now: SkylineStats, origin: SkylineStats) -> SkylineStats {
+    SkylineStats {
+        nodes_expanded: now.nodes_expanded - origin.nodes_expanded,
+        entries_pruned: now.entries_pruned - origin.entries_pruned,
+        entries_rehomed: now.entries_rehomed - origin.entries_rehomed,
+        entries_reheaped: now.entries_reheaped - origin.entries_reheaped,
+        points_promoted: now.points_promoted - origin.points_promoted,
+        dominance_checks: now.dominance_checks - origin.dominance_checks,
     }
 }
 
@@ -1029,6 +1056,40 @@ mod tests {
         assert_eq!(sorted(&streamed), sorted(&expect));
     }
 
+    /// A resumed run counts its own skyline work, from the resume: the
+    /// seed's BBS — which it skipped — is exactly what it reports less
+    /// than the same request run cold.
+    #[test]
+    fn a_seeded_run_does_not_report_the_seeds_build() {
+        let w = WorkloadBuilder::new()
+            .objects(2000)
+            .functions(40)
+            .dim(3)
+            .distribution(Distribution::AntiCorrelated)
+            .seed(79)
+            .build();
+        let engine = engine(&w.objects);
+        let mut scratch = Scratch::new();
+        let request = || engine.request(&w.functions);
+        let (cold, seed) = request().evaluate_seeded(&mut scratch, None).unwrap();
+        let seed = seed.expect("a cold run captures");
+        let (seeded, _) = request()
+            .evaluate_seeded(&mut scratch, Some(&seed))
+            .unwrap();
+        assert_eq!(cold.pairs(), seeded.pairs());
+
+        let build = SkylineMaintainer::build(engine.tree()).stats();
+        let cold = cold.metrics().skyline.unwrap();
+        let seeded = seeded.metrics().skyline.unwrap();
+        assert!(seeded.nodes_expanded < cold.nodes_expanded);
+        assert!(seeded.dominance_checks < cold.dominance_checks);
+        let skipped = stats_since(cold, seeded);
+        assert_eq!(skipped.nodes_expanded, build.nodes_expanded);
+        assert_eq!(skipped.dominance_checks, build.dominance_checks);
+        assert_eq!(skipped.points_promoted, build.points_promoted);
+        assert_eq!(skipped.entries_pruned, build.entries_pruned);
+    }
+
     #[test]
     fn metrics_are_populated() {
         let w = WorkloadBuilder::new()
@@ -1045,5 +1106,7 @@ mod tests {
         assert!(met.ta.is_some());
         assert!(met.io.logical > 0);
         assert!(met.elapsed.as_nanos() > 0);
+        assert!(met.discover.as_nanos() > 0 && met.maintain.as_nanos() > 0);
+        assert!(met.discover + met.maintain <= met.elapsed);
     }
 }

@@ -14,9 +14,16 @@
 //! [`SkylineMaintainer`] exactly as BBS left it, before anything was
 //! peeled. A cold run captures it right after the build; any later run
 //! against the same inventory — whatever its functions, exclusions or
-//! capacities — *resumes*: clone the snapshot (O(skyline); the pruned
-//! lists are shared copy-on-write, see `mpq_skyline::maintain`), peel
-//! what this request must not see, and run the unchanged matching loop.
+//! capacities — *resumes*: clone the snapshot, peel what this request
+//! must not see, and run the unchanged matching loop. The clone
+//! **shares** everything BBS left — member points, the id lookup, the
+//! dominance-scan index and every pruned list, frozen behind one `Arc`
+//! — and **owns** only what the run will change: a tombstone per
+//! member, the members it promotes, and the pruned entries it records
+//! or re-homes from then on (see `mpq_skyline::maintain`). Resuming
+//! therefore costs two small allocations whatever the skyline's size,
+//! the run that captured a seed goes on sharing with it, and nothing a
+//! seed shares is ever written.
 //! Capture and resume are one function — the priming step of
 //! [`crate::sb`]'s run state — whichever engine, shard or stream asks.
 //! A run that resumed captures nothing: it would only reproduce the

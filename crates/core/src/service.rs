@@ -486,6 +486,11 @@ struct MetricsInner {
     panicked: u64,
     /// Submissions that attached to an identical in-flight job.
     dedupe_attaches: u64,
+    /// Summed [`RunMetrics::discover`](crate::RunMetrics::discover) and
+    /// [`RunMetrics::maintain`](crate::RunMetrics::maintain) of every
+    /// evaluation a worker ran.
+    discover: Duration,
+    maintain: Duration,
     /// The [`LATENCY_WINDOW`] most recent completion latencies (submit
     /// → resolve).
     latencies: VecDeque<Duration>,
@@ -1019,6 +1024,12 @@ impl<'a> ServiceCore<'a> {
             Err(MpqError::WorkerPanicked)
         });
 
+        if let Ok(matching) = &result {
+            let mut metrics = lock(&self.metrics);
+            metrics.discover += matching.metrics().discover;
+            metrics.maintain += matching.metrics().maintain;
+        }
+
         // Publish to the cache *before* resolving any ticket: a caller
         // that observed its ticket resolve and immediately resubmits
         // must hit.
@@ -1113,6 +1124,8 @@ impl<'a> ServiceCore<'a> {
             uptime: self.started.elapsed(),
             p50_latency: percentile(&sorted, 0.50),
             p99_latency: percentile(&sorted, 0.99),
+            discover: metrics.discover,
+            maintain: metrics.maintain,
         }
     }
 }
@@ -1194,6 +1207,15 @@ pub struct ServiceMetrics {
     pub p50_latency: Duration,
     /// 99th-percentile submit→resolve latency over the rolling window.
     pub p99_latency: Duration,
+    /// Time SB evaluations spent discovering pairs (rank-list refresh,
+    /// reverse top-1 scans included), summed over every evaluation a
+    /// worker ran since spawn — a sharded evaluation adds all its shards.
+    pub discover: Duration,
+    /// Time those evaluations spent in skyline maintenance, summed the
+    /// same way. With `discover` it says where an evaluation's time
+    /// goes; what is left of the latency is the BBS build of cold runs,
+    /// queueing and the layers above.
+    pub maintain: Duration,
 }
 
 impl ServiceMetrics {
@@ -1268,6 +1290,14 @@ impl ServiceMetrics {
             (
                 "latency_p99_ms",
                 Json::Num(self.p99_latency.as_secs_f64() * 1e3),
+            ),
+            (
+                "discover_ms_sum",
+                Json::Num(self.discover.as_secs_f64() * 1e3),
+            ),
+            (
+                "maintain_ms_sum",
+                Json::Num(self.maintain.as_secs_f64() * 1e3),
             ),
         ])
     }
@@ -1803,6 +1833,8 @@ mod tests {
             uptime: Duration::ZERO,
             p50_latency: Duration::ZERO,
             p99_latency: Duration::ZERO,
+            discover: Duration::ZERO,
+            maintain: Duration::ZERO,
         };
         assert_eq!(m.requests_per_sec(), 0.0); // 0 / 0
         m.completed = 12;
@@ -2272,6 +2304,8 @@ mod tests {
             uptime: Duration::from_secs(2),
             p50_latency: Duration::from_millis(5),
             p99_latency: Duration::from_millis(50),
+            discover: Duration::from_millis(30),
+            maintain: Duration::from_millis(70),
         };
         let json = m.to_json();
         for key in [
@@ -2288,6 +2322,8 @@ mod tests {
             "requests_per_sec",
             "latency_p50_ms",
             "latency_p99_ms",
+            "discover_ms_sum",
+            "maintain_ms_sum",
         ] {
             assert!(
                 json.get(key).and_then(crate::json::Json::as_f64).is_some()
@@ -2369,6 +2405,7 @@ mod tests {
             json.get("latency_p99_ms").unwrap().as_f64(),
             Some(m.p99_latency.as_secs_f64() * 1e3)
         );
+        assert_eq!(json.get("maintain_ms_sum").unwrap().as_f64(), Some(70.0));
         // Disabled cache renders with enabled=false and zero counters,
         // matching the Display impl's "cache disabled" line.
         m.cache = CacheMetrics::default();

@@ -778,13 +778,10 @@ impl EvalBackend for ShardedEngine {
         while let Some(p) = state.next_pair() {
             pairs.push(p);
         }
-        let (io, reverse_top1_calls) = state.shard_totals();
         let metrics = RunMetrics {
             elapsed: start.elapsed(),
-            io,
             loops: state.rounds,
-            reverse_top1_calls,
-            ..RunMetrics::default()
+            ..state.shard_totals()
         };
         Ok(Matching::new(pairs, metrics))
     }
@@ -1027,15 +1024,17 @@ impl<'e> MergeState<'e> {
         Some(pair)
     }
 
-    /// Summed per-shard I/O and reverse top-1 searches since the probes
-    /// were built.
-    fn shard_totals(&self) -> (IoStats, u64) {
-        self.shards
-            .iter()
-            .map(GreedyProbe::metrics)
-            .fold((IoStats::default(), 0), |(io, calls), m| {
-                (io + m.io, calls + m.reverse_top1_calls)
-            })
+    /// Per-shard I/O, reverse top-1 searches and phase times since the
+    /// probes were built, summed over the shards.
+    fn shard_totals(&self) -> RunMetrics {
+        let shards = self.shards.iter().map(GreedyProbe::metrics);
+        shards.fold(RunMetrics::default(), |sum, m| RunMetrics {
+            io: sum.io + m.io,
+            reverse_top1_calls: sum.reverse_top1_calls + m.reverse_top1_calls,
+            discover: sum.discover + m.discover,
+            maintain: sum.maintain + m.maintain,
+            ..sum
+        })
     }
 }
 

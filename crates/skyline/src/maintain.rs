@@ -13,38 +13,66 @@
 //!
 //! ## Dominance-scan acceleration
 //!
-//! Dominance tests against the skyline are the CPU hot spot of BBS-style
-//! algorithms. Two standard devices are used (neither affects results):
+//! "Which member dominates this corner?" is the CPU hot spot of BBS and
+//! of every maintenance call — one function, `find_dominator`, under the
+//! build, under every removal and therefore inside every evaluation
+//! that resumes from a snapshot. Members are kept as *columns* — ids,
+//! points at stride `dim`, coordinate sums, a tombstone per member — and
+//! the scan never chases a pointer:
 //!
-//! * a skyline object whose *coordinate sum* is smaller than the
-//!   candidate's cannot dominate it (componentwise ≥ implies sum ≥), so
-//!   objects are scanned in descending-sum order and the scan stops at
-//!   the first object whose sum falls below the candidate's (minus an
-//!   f64 rounding slack);
-//! * skyline objects live in a stable slab (tombstoned on removal), so
-//!   plist ownership survives removals without index fix-ups, and the
-//!   descending-sum order array is rebuilt only after enough changes
-//!   accumulate.
+//! * The scan index holds one **cut** per axis plus one for the
+//!   coordinate sum: the members in descending order of that key, with
+//!   their points copied alongside *in that order*. A dominator of `x`
+//!   is at least `x` on every axis and (componentwise ≥ implies sum ≥)
+//!   in sum, so it sits in the prefix `key ≥ x's key` of **every** cut.
+//!   A binary search per cut finds the prefix lengths (one probe instead,
+//!   for a cut that reaches past the shortest found so far); only the
+//!   shortest prefix is scanned. The sum cut is what independent data
+//!   wants and what anti-correlated data defeats (all sums are nearly
+//!   equal); an axis cut does not depend on the distribution. The sum
+//!   comparison carries an f64 rounding slack, the axis comparisons are
+//!   exact.
+//! * The scan is the branch-free conjunction of `dim` comparisons over
+//!   contiguous rows (`crate::dominance::first_dominator`, small `dim`
+//!   specialised), with the tombstone looked up per row.
+//! * Members promoted since the index was last built are scanned
+//!   linearly first; the index is rebuilt only after enough promotions
+//!   and removals accumulate.
+//!
+//! The scan returns *a* dominator, not a canonical one, and any will do:
+//! an entry is re-examined only when its owner leaves, and goes back to
+//! the candidate heap exactly when no surviving member dominates it —
+//! which member held it in between changes neither the skyline after any
+//! removal, nor the promotions and their order, nor one page read (pinned
+//! by a test against an oracle that always picks the *last* dominator).
 //!
 //! ## Plist layout and snapshots
 //!
-//! A plist is stored column-wise: one vector of entry ids (an object id
-//! or a subtree's page id) and one vector of upper corners, contiguous
-//! at stride `dim`, entry `i` owning `corners[i * dim..(i + 1) * dim]`.
-//! No entry owns a heap allocation — a dominated child's corner is
-//! written straight from the node's slice into its owner's columns —
-//! so copying a plist is two `memcpy`s and dropping it two frees,
-//! however many entries it holds. Entries are only ever appended, and
-//! a removed object's entries are re-homed in the order they were
-//! recorded, so the sequence of dominance tests and page reads is a
-//! function of the removal sequence alone.
+//! Entries live in the slots of an arena, column-wise: one vector of
+//! entry ids (an object id or a subtree's page id), one of upper
+//! corners, contiguous at stride `dim`, and one of links. A plist is a
+//! chain of slots; so is nothing else — a candidate waiting in the heap
+//! just holds its slot. No entry owns a heap allocation: a dominated
+//! child's corner is written straight from the node's slice into a
+//! slot, pruning a candidate or re-homing an entry links the slot it
+//! already has, and a consumed entry's slot is recycled. Chains are
+//! only ever appended to, and a removed object's entries are re-homed
+//! in the order they were recorded, so the sequence of heap pushes and
+//! page reads is a function of the removal sequence alone.
 //!
-//! That is what makes a maintainer cheap to snapshot ([`Clone`]): the
-//! clone copies the slab, the lookup map and the order index —
-//! O(skyline) — and *shares* every plist behind its `Arc`. Either side
-//! copies a plist only when it first appends to it; removing an object
-//! merely reads its (possibly shared) plist and drops the reference.
-//! The serving layer keeps one such snapshot per inventory version and
+//! A member's plist is an immutable **base** plus a private **tail**.
+//! [`SkylineMaintainer::build`] ends by *freezing*: member columns, the
+//! id lookup, the scan index and the arena with every plist as BBS
+//! recorded it move — nothing is copied — behind one `Arc`. A [`Clone`]
+//! bumps that `Arc` and copies what a run owns: the tombstones, the
+//! members promoted since, and an arena of its own holding per member
+//! the tail of entries appended since — empty in a snapshot nobody
+//! maintained. Recording links onto the tail; removing a member reads
+//! its base chain, then its tail. A run that rebuilds its scan index
+//! builds a private one. Nothing behind the `Arc` is written after the
+//! freeze, so the run that built a snapshot, the snapshot and every run
+//! resumed from it share it for as long as any of them lives. The
+//! serving layer keeps one such snapshot per inventory version and
 //! resumes every evaluation from it (see `mpq_core::seed`).
 
 use std::collections::BinaryHeap;
@@ -55,10 +83,10 @@ use mpq_rtree::geometry::mindist_to_best;
 use mpq_rtree::pager::PageId;
 use mpq_rtree::{Node, NodeSource};
 
-use crate::dominance::dominates_or_equal;
+use crate::dominance::first_dominator;
 
-/// Tolerance for the coordinate-sum fast path in dominance scans: an
-/// object whose coordinate sum is smaller than the candidate's (beyond
+/// Tolerance for the coordinate-sum cut in dominance scans: an object
+/// whose coordinate sum is smaller than the candidate's (beyond
 /// accumulated f64 rounding) cannot dominate it.
 const SUM_SLACK: f64 = 1e-9;
 
@@ -96,47 +124,18 @@ enum EntryId {
     Subtree(PageId),
 }
 
-/// The entries one skyline object pruned, column-wise (see the
-/// [module docs](self)): entry `i` is `ids[i]` with upper corner — the
-/// best point the entry could contain — `corners[i * dim..][..dim]`.
-#[derive(Debug, Clone, Default)]
-struct Plist {
-    ids: Vec<EntryId>,
-    corners: Vec<f64>,
-}
-
-impl Plist {
-    fn push(&mut self, id: EntryId, hi: &[f64]) {
-        self.ids.push(id);
-        self.corners.extend_from_slice(hi);
-    }
-
-    /// The entries in recording order.
-    fn iter(&self, dim: usize) -> impl Iterator<Item = (EntryId, &[f64])> + '_ {
-        self.ids.iter().copied().zip(self.corners.chunks_exact(dim))
-    }
-}
-
 /// Candidate-heap entry, popped in ascending `key` (L1 mindist to the
 /// best corner), with deterministic tie-breaking: points before subtrees,
-/// then ascending id. Unlike a plist entry it owns its corner: a point
-/// that survives the heap moves it into the slab.
+/// then ascending id. The entry itself waits in a slot of the
+/// maintainer's [`Slots`].
 #[derive(Debug)]
 struct HeapEntry {
     key: f64,
     id: EntryId,
-    hi: Box<[f64]>,
+    slot: u32,
 }
 
 impl HeapEntry {
-    fn new(id: EntryId, hi: &[f64]) -> HeapEntry {
-        HeapEntry {
-            key: mindist_to_best(hi),
-            id,
-            hi: hi.into(),
-        }
-    }
-
     /// Tie-break rank behind `key`.
     fn rank(&self) -> (u8, u64) {
         match self.id {
@@ -167,18 +166,135 @@ impl Ord for HeapEntry {
     }
 }
 
-#[derive(Debug, Clone)]
-struct SkyObj {
-    oid: u64,
-    point: Box<[f64]>,
-    /// Cached coordinate sum for the dominance fast path.
-    sum: f64,
-    /// Entries this object pruned (it is their exclusive owner). Behind
-    /// an `Arc` so snapshot clones share the pruned entries —
-    /// collectively O(inventory) — copy-on-write: a clone is
-    /// O(skyline), and only the plists a later append touches are ever
-    /// copied.
-    plist: Arc<Plist>,
+/// "No slot": the end of a chain, an empty chain.
+const NONE: u32 = u32::MAX;
+
+/// Entries — pruned ones on plists, candidates in the heap — as slots
+/// of one arena, column-wise (see the [module docs](self)): slot `s` is
+/// entry `ids[s]` with upper corner — the best point the entry could
+/// contain — `corners[s * dim..][..dim]`. A plist is a chain of slots
+/// in recording order, so pruning a candidate, or re-homing an entry
+/// within one arena, *links* its slot to the new owner and copies
+/// nothing; slots of consumed entries are recycled through a free list,
+/// so recording allocates nothing once the arena has grown.
+#[derive(Debug, Clone, Default)]
+struct Slots {
+    ids: Vec<EntryId>,
+    corners: Vec<f64>,
+    /// The slot after this one in its chain.
+    next: Vec<u32>,
+    free: Vec<u32>,
+    /// Per member, the first and last slot of its chain.
+    chains: Vec<[u32; 2]>,
+}
+
+impl Slots {
+    fn store(&mut self, id: EntryId, hi: &[f64]) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                let at = slot as usize * hi.len();
+                self.ids[slot as usize] = id;
+                self.corners[at..at + hi.len()].copy_from_slice(hi);
+                slot
+            }
+            None => {
+                self.ids.push(id);
+                self.corners.extend_from_slice(hi);
+                self.next.push(NONE);
+                (self.next.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Append `slot` to `owner`'s chain.
+    fn link(&mut self, owner: usize, slot: u32) {
+        self.next[slot as usize] = NONE;
+        let [first, last] = &mut self.chains[owner];
+        match *last {
+            NONE => *first = slot,
+            last => self.next[last as usize] = slot,
+        }
+        *last = slot;
+    }
+
+    fn corner(&self, slot: u32, dim: usize) -> &[f64] {
+        &self.corners[slot as usize * dim..][..dim]
+    }
+
+    /// The entries on `member`'s chain, in recording order.
+    fn chain(&self, member: usize, dim: usize) -> impl Iterator<Item = (EntryId, &[f64])> + '_ {
+        let slot = |slot: u32| (slot != NONE).then_some(slot);
+        let first = self.chains.get(member).and_then(|&[first, _]| slot(first));
+        std::iter::successors(first, move |&at| slot(self.next[at as usize]))
+            .map(move |at| (self.ids[at as usize], self.corner(at, dim)))
+    }
+
+    fn bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<EntryId>()
+            + self.corners.capacity() * 8
+            + (self.next.capacity() + self.free.capacity()) * 4
+            + self.chains.capacity() * 8
+    }
+}
+
+/// Skyline members as columns: row `r` is object `ids[r]` at
+/// `points[r * dim..][..dim]` with coordinate sum `sums[r]`.
+#[derive(Debug, Clone, Default)]
+struct Members {
+    ids: Vec<u64>,
+    points: Vec<f64>,
+    sums: Vec<f64>,
+    rows: HashMap<u64, u32>,
+}
+
+impl Members {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn push(&mut self, oid: u64, point: &[f64]) {
+        self.rows.insert(oid, self.ids.len() as u32);
+        self.ids.push(oid);
+        self.points.extend_from_slice(point);
+        self.sums.push(point.iter().sum());
+    }
+
+    fn iter(&self, dim: usize) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
+        let points = self.points.chunks_exact(dim);
+        (self.ids.iter().zip(points)).map(|(&oid, point)| SkylineEntry { oid, point })
+    }
+
+    fn bytes(&self) -> usize {
+        (self.ids.capacity() + self.points.capacity() + self.sums.capacity()) * 8
+            + self.rows.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+    }
+}
+
+/// One cut of the scan index: members in descending `keys` order (one
+/// axis, or the coordinate sum), their points copied in that order so a
+/// scan of a prefix reads contiguous memory.
+#[derive(Debug, Clone, Default)]
+struct Cut {
+    keys: Vec<f64>,
+    members: Vec<u32>,
+    points: Vec<f64>,
+}
+
+impl Cut {
+    fn bytes(&self) -> usize {
+        (self.keys.capacity() + self.points.capacity()) * 8 + self.members.capacity() * 4
+    }
+}
+
+/// The frozen part of a maintainer (see the [module docs](self)):
+/// written once by [`SkylineMaintainer::freeze`], shared by every clone.
+#[derive(Debug, Default)]
+struct Base {
+    members: Members,
+    /// One cut per axis, then the coordinate-sum cut.
+    index: Vec<Cut>,
+    /// Every member's plist as BBS recorded it.
+    plists: Slots,
 }
 
 /// The maintained skyline of an R-tree-indexed object set.
@@ -194,31 +310,47 @@ struct SkyObj {
 /// source backed by the same tree across calls (page ids recorded in the
 /// plists are meaningless in any other tree).
 pub struct SkylineMaintainer {
-    /// Dimensionality of the indexed points (the plist corner stride).
+    /// Dimensionality of the indexed points (the stride of every point
+    /// and corner column).
     dim: usize,
-    /// Stable slab: `None` = removed. plist owners are slab indices.
-    slab: Vec<Option<SkyObj>>,
+    /// What the last freeze shared: members `0..base.members.len()`.
+    base: Arc<Base>,
+    /// Members promoted since the freeze: member `base.members.len() + r`
+    /// is row `r`.
+    own: Members,
+    /// Tombstone per member, base and own.
+    dead: Vec<bool>,
     alive: usize,
-    by_oid: HashMap<u64, usize>,
-    /// Slab indices sorted by coordinate sum descending (may contain
-    /// tombstones; excludes entries promoted after the last rebuild).
-    order: Vec<u32>,
-    /// Slab indices promoted since the last `order` rebuild.
-    fresh: Vec<u32>,
-    /// Removals since the last rebuild (tombstones inside `order`).
+    /// Per member, base and own: the entries it pruned since the freeze
+    /// — and the candidates in `heap`.
+    slots: Slots,
+    /// The scan index this run rebuilt for itself; `None` = the base's.
+    index: Option<Vec<Cut>>,
+    /// Members `0..indexed` are in the scan index (tombstones included);
+    /// the rest were promoted since it was built.
+    indexed: usize,
+    /// Removals since the scan index was built (tombstones inside it).
     stale: usize,
     heap: BinaryHeap<HeapEntry>,
-    /// Objects that entered the skyline since the last [`Self::remove`]
-    /// call drained it (promotions and duplicate-representative swaps).
-    entered: Vec<(u64, Box<[f64]>)>,
+    /// The corner of the slot being processed.
+    corner: Vec<f64>,
+    /// Members whose plists the current [`Self::remove`] re-homes.
+    departed: Vec<usize>,
+    /// Objects that entered the skyline during the last
+    /// [`Self::remove`], in promotion order.
+    entered: Vec<u64>,
     stats: SkylineStats,
+    /// Test oracle: take the *last* live dominator in member order, by
+    /// a plain scan (see `ownership_does_not_change_what_is_read`).
+    #[cfg(test)]
+    last_dominator_oracle: bool,
 }
 
 /// Snapshotting support for seeded evaluation: between calls the
 /// candidate heap is always drained (every public mutator ends in the
-/// internal BBS drain), so a clone only has to copy the slab, the
-/// lookup map and the order index — never in-flight heap entries.
-/// The plists are shared copy-on-write, so the copy is O(skyline).
+/// internal BBS drain), so a clone shares the frozen base and copies
+/// only what the run owns (see the [module docs](self)) — never
+/// in-flight heap entries.
 impl Clone for SkylineMaintainer {
     fn clone(&self) -> SkylineMaintainer {
         debug_assert!(
@@ -227,15 +359,21 @@ impl Clone for SkylineMaintainer {
         );
         SkylineMaintainer {
             dim: self.dim,
-            slab: self.slab.clone(),
+            base: Arc::clone(&self.base),
+            own: self.own.clone(),
+            dead: self.dead.clone(),
             alive: self.alive,
-            by_oid: self.by_oid.clone(),
-            order: self.order.clone(),
-            fresh: self.fresh.clone(),
+            slots: self.slots.clone(),
+            index: self.index.clone(),
+            indexed: self.indexed,
             stale: self.stale,
             heap: BinaryHeap::new(),
-            entered: self.entered.clone(),
+            corner: Vec::new(),
+            departed: Vec::new(),
+            entered: Vec::new(),
             stats: self.stats,
+            #[cfg(test)]
+            last_dominator_oracle: self.last_dominator_oracle,
         }
     }
 }
@@ -244,26 +382,41 @@ impl SkylineMaintainer {
     /// Compute the initial skyline of the whole tree (BBS), recording
     /// pruned entries for later maintenance.
     pub fn build<R: NodeSource>(tree: &R) -> SkylineMaintainer {
-        let mut m = SkylineMaintainer {
-            dim: tree.dim(),
-            slab: Vec::new(),
+        let mut m = SkylineMaintainer::empty(tree.dim());
+        m.bbs(tree);
+        m
+    }
+
+    /// [`Self::build`] on an empty maintainer.
+    fn bbs<R: NodeSource>(&mut self, tree: &R) {
+        self.admit(EntryId::Subtree(tree.root_page()), &vec![1.0; self.dim]);
+        self.run(tree);
+        self.freeze();
+        self.entered.clear(); // build's "entries" are the initial skyline
+    }
+
+    fn empty(dim: usize) -> SkylineMaintainer {
+        SkylineMaintainer {
+            dim,
+            base: Arc::new(Base {
+                index: vec![Cut::default(); dim + 1],
+                ..Base::default()
+            }),
+            own: Members::default(),
+            dead: Vec::new(),
             alive: 0,
-            by_oid: HashMap::new(),
-            order: Vec::new(),
-            fresh: Vec::new(),
+            slots: Slots::default(),
+            index: None,
+            indexed: 0,
             stale: 0,
             heap: BinaryHeap::new(),
+            corner: Vec::new(),
+            departed: Vec::new(),
             entered: Vec::new(),
             stats: SkylineStats::default(),
-        };
-        m.heap.push(HeapEntry::new(
-            EntryId::Subtree(tree.root_page()),
-            &vec![1.0; tree.dim()],
-        ));
-        m.run(tree);
-        m.rebuild_order();
-        m.entered.clear(); // build's "entries" are the initial skyline
-        m
+            #[cfg(test)]
+            last_dominator_oracle: false,
+        }
     }
 
     /// Number of current skyline objects.
@@ -280,26 +433,20 @@ impl SkylineMaintainer {
 
     /// True iff `oid` is currently a skyline object.
     pub fn contains(&self, oid: u64) -> bool {
-        self.by_oid.contains_key(&oid)
+        self.member(oid).is_some()
     }
 
     /// The attribute vector of skyline object `oid`, if present.
     pub fn get(&self, oid: u64) -> Option<&[f64]> {
-        self.by_oid
-            .get(&oid)
-            .and_then(|&i| self.slab[i].as_ref())
-            .map(|o| &*o.point)
+        self.member(oid).map(|m| self.point(m))
     }
 
     /// Iterate over the current skyline. Use [`SkylineMaintainer::len`]
     /// for the count.
     pub fn iter(&self) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
-        self.slab.iter().filter_map(|slot| {
-            slot.as_ref().map(|o| SkylineEntry {
-                oid: o.oid,
-                point: &o.point,
-            })
-        })
+        let members = self.base.members.iter(self.dim);
+        (members.chain(self.own.iter(self.dim)).zip(&self.dead))
+            .filter_map(|(e, &dead)| (!dead).then_some(e))
     }
 
     /// Work counters accumulated since construction.
@@ -310,61 +457,134 @@ impl SkylineMaintainer {
     /// Remove assigned skyline objects and restore the skyline property
     /// over the remaining set, reading any newly undominated pages
     /// through `tree`. Returns the objects *promoted into* the skyline
-    /// by this removal (in promotion order).
+    /// by this removal, in promotion order; their points are
+    /// [`get`](Self::get)'s.
     ///
     /// # Panics
     /// Panics if any of the `oids` is not currently in the skyline —
     /// removing a non-skyline object through the maintainer is a logic
     /// error in the caller (the SB algorithm only assigns skyline
     /// objects).
-    pub fn remove<R: NodeSource>(&mut self, oids: &[u64], tree: &R) -> Vec<(u64, Box<[f64]>)> {
-        // The removed objects' plists are only read from here on, so one
-        // a snapshot still shares is never copied.
-        let mut orphaned: Vec<Arc<Plist>> = Vec::with_capacity(oids.len());
+    pub fn remove<R: NodeSource>(&mut self, oids: &[u64], tree: &R) -> &[u64] {
+        self.entered.clear();
+        let mut departed = std::mem::take(&mut self.departed);
+        departed.clear();
         for &oid in oids {
-            let idx = self
-                .by_oid
-                .remove(&oid)
+            let m = self
+                .member(oid)
                 .unwrap_or_else(|| panic!("object {oid} is not in the skyline"));
-            let obj = self.slab[idx].take().expect("slab and by_oid in sync");
+            self.dead[m] = true;
             self.alive -= 1;
             self.stale += 1;
-            orphaned.push(obj.plist);
+            departed.push(m);
         }
 
         // Re-home entries still dominated by a surviving skyline object;
-        // the rest become candidates (the paper's `Scand`).
-        let dim = self.dim;
-        for (id, hi) in orphaned.iter().flat_map(|plist| plist.iter(dim)) {
-            if let Some(owner) = self.find_dominator(hi) {
-                self.stats.entries_rehomed += 1;
-                self.assign_to_owner(owner, id, hi);
-            } else {
-                self.stats.entries_reheaped += 1;
-                self.heap.push(HeapEntry::new(id, hi));
+        // the rest become candidates (the paper's `Scand`). What the base
+        // recorded for a departed member is only read, so a snapshot
+        // keeps sharing it; the slots of its tail move as they are.
+        let (base, dim) = (Arc::clone(&self.base), self.dim);
+        let mut corner = std::mem::take(&mut self.corner);
+        for &m in &departed {
+            for (id, hi) in base.plists.chain(m, dim) {
+                let slot = self.slots.store(id, hi);
+                self.rehome(slot, hi);
+            }
+            let [mut slot, _] = std::mem::replace(&mut self.slots.chains[m], [NONE; 2]);
+            while slot != NONE {
+                let next = self.slots.next[slot as usize];
+                corner.clear();
+                corner.extend_from_slice(self.slots.corner(slot, dim));
+                self.rehome(slot, &corner);
+                slot = next;
             }
         }
+        self.corner = corner;
+        self.departed = departed;
 
         self.run(tree);
-        std::mem::take(&mut self.entered)
+        &self.entered
     }
 
-    /// Approximate heap footprint of the maintained state (slab,
-    /// plists, lookup maps), for cache byte accounting of snapshots.
+    /// Approximate heap footprint of the maintained state (member
+    /// columns, scan index, plists, lookup maps) with the shared base
+    /// counted in full, for cache byte accounting of snapshots.
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<SkylineMaintainer>()
-            + self.slab.capacity() * std::mem::size_of::<Option<SkyObj>>()
-            + (self.order.capacity() + self.fresh.capacity()) * std::mem::size_of::<u32>()
-            + self.by_oid.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<usize>());
-        for obj in self.slab.iter().flatten() {
-            bytes += obj.point.len() * std::mem::size_of::<f64>()
-                + obj.plist.ids.capacity() * std::mem::size_of::<EntryId>()
-                + obj.plist.corners.capacity() * std::mem::size_of::<f64>();
-        }
-        bytes
+        let cuts = |index: &[Cut]| index.iter().map(Cut::bytes).sum::<usize>();
+        std::mem::size_of::<SkylineMaintainer>()
+            + std::mem::size_of::<Base>()
+            + self.base.members.bytes()
+            + cuts(&self.base.index)
+            + self.base.plists.bytes()
+            + self.own.bytes()
+            + self.dead.capacity()
+            + self.slots.bytes()
+            + self.index.as_deref().map_or(0, cuts)
     }
 
-    /// Put a pruned entry into a skyline object's plist.
+    /// The live member holding `oid` (most are the base's: look there
+    /// first).
+    fn member(&self, oid: u64) -> Option<usize> {
+        let m = match self.base.members.rows.get(&oid) {
+            Some(&row) => row as usize,
+            None => self.base.members.len() + *self.own.rows.get(&oid)? as usize,
+        };
+        (!self.dead[m]).then_some(m)
+    }
+
+    /// The columns holding `member`, and its row there.
+    fn row(&self, member: usize) -> (&Members, usize) {
+        match member.checked_sub(self.base.members.len()) {
+            None => (&self.base.members, member),
+            Some(row) => (&self.own, row),
+        }
+    }
+
+    fn point(&self, member: usize) -> &[f64] {
+        let (members, row) = self.row(member);
+        &members.points[row * self.dim..][..self.dim]
+    }
+
+    /// Member `member`'s key in cut `cut`: coordinate `cut`, or past the
+    /// last axis the coordinate sum.
+    fn key(&self, member: usize, cut: usize) -> f64 {
+        let (members, row) = self.row(member);
+        if cut < self.dim {
+            members.points[row * self.dim + cut]
+        } else {
+            members.sums[row]
+        }
+    }
+
+    /// Move everything recorded so far behind a fresh shared base —
+    /// member columns, lookup, scan index and the plists, arena and all;
+    /// nothing is copied. Called once, by [`Self::build`], on a
+    /// maintainer that has removed nothing.
+    fn freeze(&mut self) {
+        debug_assert!(self.base.members.len() == 0 && self.stale == 0);
+        self.reindex();
+        let chains = vec![[NONE; 2]; self.slots.chains.len()];
+        let mut plists = std::mem::replace(
+            &mut self.slots,
+            Slots {
+                chains,
+                ..Slots::default()
+            },
+        );
+        plists.free = Vec::new();
+        plists.ids.shrink_to_fit();
+        plists.corners.shrink_to_fit();
+        plists.next.shrink_to_fit();
+        self.base = Arc::new(Base {
+            members: std::mem::take(&mut self.own),
+            index: self.index.take().expect("just reindexed"),
+            plists,
+        });
+    }
+
+    /// Settle the entry in `slot`, whose corner is `hi`: onto the tail of
+    /// a member that dominates it, or — none does — into the candidate
+    /// heap. True iff it was pruned.
     ///
     /// Note on duplicates: when several objects share identical
     /// coordinates, exactly one of them represents the group in the
@@ -373,21 +593,43 @@ impl SkylineMaintainer {
     /// equals the representative, so a smallest-id convention cannot be
     /// maintained without defeating the lazy plist design. Removing the
     /// representative eventually surfaces the remaining duplicates.
-    fn assign_to_owner(&mut self, owner: usize, id: EntryId, hi: &[f64]) {
-        let plist = &mut self.slab[owner].as_mut().expect("owner is alive").plist;
-        Arc::make_mut(plist).push(id, hi);
+    fn settle(&mut self, slot: u32, hi: &[f64]) -> bool {
+        let owner = self.find_dominator(hi);
+        match owner {
+            Some(owner) => self.slots.link(owner, slot),
+            None => self.heap.push(HeapEntry {
+                key: mindist_to_best(hi),
+                id: self.slots.ids[slot as usize],
+                slot,
+            }),
+        }
+        owner.is_some()
+    }
+
+    /// One entry of a departed member's plist: to another dominator, or
+    /// — none survives — back into the candidate heap.
+    fn rehome(&mut self, slot: u32, hi: &[f64]) {
+        if self.settle(slot, hi) {
+            self.stats.entries_rehomed += 1;
+        } else {
+            self.stats.entries_reheaped += 1;
+        }
     }
 
     /// Drain the candidate heap: standard BBS with plist recording.
     fn run<R: NodeSource>(&mut self, tree: &R) {
+        let mut hi = std::mem::take(&mut self.corner);
         while let Some(e) = self.heap.pop() {
-            if let Some(owner) = self.find_dominator(&e.hi) {
+            hi.clear();
+            hi.extend_from_slice(self.slots.corner(e.slot, self.dim));
+            if let Some(owner) = self.find_dominator(&hi) {
                 self.stats.entries_pruned += 1;
-                self.assign_to_owner(owner, e.id, &e.hi);
+                self.slots.link(owner, e.slot);
                 continue;
             }
+            self.slots.free.push(e.slot);
             match e.id {
-                EntryId::Point(oid) => self.promote(oid, e.hi),
+                EntryId::Point(oid) => self.promote(oid, &hi),
                 EntryId::Subtree(pid) => {
                     let node = tree.read_node(pid);
                     self.stats.nodes_expanded += 1;
@@ -395,6 +637,7 @@ impl SkylineMaintainer {
                 }
             }
         }
+        self.corner = hi;
     }
 
     /// Push a node's children into the heap, pruning what the current
@@ -417,87 +660,102 @@ impl SkylineMaintainer {
     /// One child of an expanded node: into its dominator's plist, or —
     /// undominated so far — into the candidate heap.
     fn admit(&mut self, id: EntryId, hi: &[f64]) {
-        if let Some(owner) = self.find_dominator(hi) {
+        let slot = self.slots.store(id, hi);
+        if self.settle(slot, hi) {
             self.stats.entries_pruned += 1;
-            self.assign_to_owner(owner, id, hi);
-        } else {
-            self.heap.push(HeapEntry::new(id, hi));
         }
     }
 
-    fn promote(&mut self, oid: u64, point: Box<[f64]>) {
+    fn promote(&mut self, oid: u64, point: &[f64]) {
         self.stats.points_promoted += 1;
         self.alive += 1;
-        let sum = point.iter().sum();
-        let idx = self.slab.len();
-        self.by_oid.insert(oid, idx);
-        self.entered.push((oid, point.clone()));
-        self.slab.push(Some(SkyObj {
-            oid,
-            point,
-            sum,
-            plist: Arc::default(),
-        }));
-        self.fresh.push(idx as u32);
+        self.own.push(oid, point);
+        self.dead.push(false);
+        self.slots.chains.push([NONE; 2]);
+        self.entered.push(oid);
     }
 
-    /// First skyline object (slab index) that dominates-or-equals `x`,
-    /// if any. Scans recent promotions linearly, then the descending-sum
-    /// order with early exit once sums fall below the candidate's.
+    /// A live member that dominates-or-equals `x`, if any (see
+    /// "Dominance-scan acceleration" in the [module docs](self)): the
+    /// members promoted since the index was built, then the shortest
+    /// prefix among the cuts.
     fn find_dominator(&mut self, x: &[f64]) -> Option<usize> {
-        self.maybe_rebuild_order();
-        let x_sum: f64 = x.iter().sum();
-        let cutoff = x_sum - SUM_SLACK;
-        for &i in &self.fresh {
-            let Some(obj) = self.slab[i as usize].as_ref() else {
-                continue;
-            };
-            if obj.sum < cutoff {
+        #[cfg(test)]
+        if self.last_dominator_oracle {
+            return self.last_dominator(x);
+        }
+        self.maybe_reindex();
+        let cutoff = x.iter().sum::<f64>() - SUM_SLACK;
+
+        let first_fresh = self.indexed - self.base.members.len();
+        let (dead, sums) = (&self.dead[self.indexed..], &self.own.sums[first_fresh..]);
+        let points = &self.own.points[first_fresh * self.dim..];
+        let live = dead
+            .iter()
+            .zip(sums)
+            .map(|(&dead, &sum)| !dead & (sum >= cutoff));
+        let (hit, tested) = first_dominator(points, x, live);
+        self.stats.dominance_checks += tested;
+        if let Some(r) = hit {
+            return Some(self.indexed + r);
+        }
+
+        // The shortest prefix `key >= x's key` among the cuts (the first
+        // of equals). A cut whose key at the shortest length so far still
+        // qualifies reaches past it: one probe rules it out, and the
+        // others are searched only up to that length.
+        let index = self.index.as_ref().unwrap_or(&self.base.index);
+        let (mut cut, mut len) = (&index[0], usize::MAX);
+        for (other, &key) in index.iter().zip(x.iter().chain([&cutoff])) {
+            if other.keys.get(len).is_some_and(|&k| k >= key) {
                 continue;
             }
-            self.stats.dominance_checks += 1;
-            if dominates_or_equal(&obj.point, x) {
-                return Some(i as usize);
+            let within = &other.keys[..len.min(other.keys.len())];
+            let shorter = within.partition_point(|&k| k >= key);
+            if shorter < len {
+                (cut, len) = (other, shorter);
             }
         }
-        for &i in &self.order {
-            let Some(obj) = self.slab[i as usize].as_ref() else {
-                continue;
-            };
-            if obj.sum < cutoff {
-                break; // sorted descending: nothing below can dominate
-            }
-            self.stats.dominance_checks += 1;
-            if dominates_or_equal(&obj.point, x) {
-                return Some(i as usize);
-            }
-        }
-        None
+        let members = &cut.members[..len];
+        let live = members.iter().map(|&m| !self.dead[m as usize]);
+        let (hit, tested) = first_dominator(&cut.points[..len * self.dim], x, live);
+        self.stats.dominance_checks += tested;
+        hit.map(|r| members[r] as usize)
     }
 
-    fn maybe_rebuild_order(&mut self) {
-        let churn = self.fresh.len() + self.stale;
+    fn maybe_reindex(&mut self) {
+        let churn = self.dead.len() - self.indexed + self.stale;
         if churn > 64 && churn * 4 > self.alive {
-            self.rebuild_order();
+            self.reindex();
         }
     }
 
-    fn rebuild_order(&mut self) {
-        self.order.clear();
-        self.order.extend(
-            self.slab
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_some())
-                .map(|(i, _)| i as u32),
-        );
-        let slab = &self.slab;
-        self.order.sort_by(|&a, &b| {
-            let sa = slab[a as usize].as_ref().expect("alive").sum;
-            let sb = slab[b as usize].as_ref().expect("alive").sum;
-            sb.total_cmp(&sa).then(a.cmp(&b))
-        });
-        self.fresh.clear();
+    /// Build this run a scan index over its live members. Each cut
+    /// starts from the one in use, already in order, so the stable sort
+    /// only has to merge the members promoted since into it.
+    fn reindex(&mut self) {
+        let in_use = self.index.as_ref().unwrap_or(&self.base.index);
+        let index = (in_use.iter().enumerate())
+            .map(|(c, old)| {
+                let indexed = old.keys.iter().copied().zip(old.members.iter().copied());
+                let fresh = (self.indexed..self.dead.len()).map(|m| (self.key(m, c), m as u32));
+                let mut rows: Vec<(f64, u32)> = (indexed.chain(fresh))
+                    .filter(|&(_, m)| !self.dead[m as usize])
+                    .collect();
+                rows.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let mut cut = Cut {
+                    keys: rows.iter().map(|&(key, _)| key).collect(),
+                    members: rows.iter().map(|&(_, m)| m).collect(),
+                    points: Vec::with_capacity(rows.len() * self.dim),
+                };
+                for &m in &cut.members {
+                    cut.points.extend_from_slice(self.point(m as usize));
+                }
+                cut
+            })
+            .collect();
+        self.index = Some(index);
+        self.indexed = self.dead.len();
         self.stale = 0;
     }
 }
@@ -505,9 +763,24 @@ impl SkylineMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::dominates_or_equal;
     use crate::naive::naive_skyline_excluding;
-    use mpq_rtree::{PointSet, RTree, RTreeParams};
+    use mpq_datagen::Distribution;
+    use mpq_rtree::{IoStats, PointSet, RTree, RTreeParams};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
     use std::collections::HashSet;
+
+    impl SkylineMaintainer {
+        /// `find_dominator` of the ownership oracle: the *last* live
+        /// member in `iter()` order that dominates-or-equals `x`, by a
+        /// plain scan of every member — no index, no cut, no early exit.
+        pub(super) fn last_dominator(&self, x: &[f64]) -> Option<usize> {
+            (0..self.dead.len())
+                .rev()
+                .find(|&m| !self.dead[m] && dominates_or_equal(self.point(m), x))
+        }
+    }
 
     fn params() -> RTreeParams {
         RTreeParams {
@@ -581,16 +854,15 @@ mod tests {
         let mut m = SkylineMaintainer::build(&tree);
         let before: HashSet<u64> = m.iter().map(|e| e.oid).collect();
         let victim = m.iter().next().unwrap().oid;
-        let promoted = m.remove(&[victim], &tree);
+        let mut promoted = m.remove(&[victim], &tree).to_vec();
         let after: HashSet<u64> = m.iter().map(|e| e.oid).collect();
         let mut expected_new: Vec<u64> = after.difference(&before).copied().collect();
         expected_new.sort_unstable();
-        let mut got_new: Vec<u64> = promoted.iter().map(|(o, _)| *o).collect();
-        got_new.sort_unstable();
-        assert_eq!(got_new, expected_new);
+        promoted.sort_unstable();
+        assert_eq!(promoted, expected_new);
         // promoted points carry correct coordinates
-        for (oid, p) in &promoted {
-            assert_eq!(&**p, ps.get(*oid as usize));
+        for oid in promoted {
+            assert_eq!(m.get(oid), Some(ps.get(oid as usize)));
         }
     }
 
@@ -691,42 +963,60 @@ mod tests {
         );
     }
 
-    /// Every plist of `m`, by owner, down to the corner bits.
+    /// Every live member's plist — what the base recorded, then the
+    /// tail — by owner, down to the corner bits.
     fn plist_dump(m: &SkylineMaintainer) -> Vec<(u64, Vec<EntryId>, Vec<u64>)> {
-        m.slab
-            .iter()
-            .flatten()
-            .map(|o| {
-                let corners = o.plist.corners.iter().map(|c| c.to_bits()).collect();
-                (o.oid, o.plist.ids.clone(), corners)
+        let oids = m.base.members.ids.iter().chain(&m.own.ids);
+        (oids.enumerate())
+            .filter(|&(member, _)| !m.dead[member])
+            .map(|(member, &oid)| {
+                let recorded = m.base.plists.chain(member, m.dim);
+                let (mut ids, mut corners) = (Vec::new(), Vec::new());
+                for (id, hi) in recorded.chain(m.slots.chain(member, m.dim)) {
+                    ids.push(id);
+                    corners.extend(hi.iter().map(|c| c.to_bits()));
+                }
+                (oid, ids, corners)
             })
             .collect()
     }
 
     #[test]
     fn clone_snapshots_diverge_independently() {
-        let ps = seeded_points(400, 3, 7);
+        let ps = Distribution::AntiCorrelated.generate(1500, 3, 7);
         let tree = RTree::bulk_load(&ps, params());
         let mut a = SkylineMaintainer::build(&tree);
         let baseline = sky_ids(&a);
         let plists = plist_dump(&a);
         assert!(plists.iter().any(|(_, ids, _)| !ids.is_empty()));
+        let frozen = format!("{:?}", a.base);
         let mut b = a.clone();
         assert_eq!(sky_ids(&b), baseline);
         assert!(b.approx_bytes() > 0);
+        // A frozen capture shares with the run that made it.
+        assert!(Arc::ptr_eq(&a.base, &b.base));
 
-        // The clone removes half the skyline — re-homing into plists it
-        // shares with the snapshot, re-heaping, promoting — and tracks
-        // the naive skyline; the snapshot's members and plists stay
-        // byte for byte what they were.
+        // The clone removes half the skyline — re-homing onto plists it
+        // shares with the snapshot, re-heaping, promoting, rebuilding its
+        // scan index — and tracks the naive skyline ...
         let mut removed = HashSet::new();
         for &victim in baseline.iter().step_by(2) {
             removed.insert(victim);
             b.remove(&[victim], &tree);
-            assert_eq!(sky_ids(&b), naive_skyline_excluding(&ps, &removed));
+            if removed.len() % 16 == 0 {
+                assert_eq!(sky_ids(&b), naive_skyline_excluding(&ps, &removed));
+            }
         }
+        assert_eq!(sky_ids(&b), naive_skyline_excluding(&ps, &removed));
+        assert!(b.own.len() > 0 && b.index.is_some());
+        // ... while the snapshot's members and plists stay bit for bit
+        // what they were, behind a base that was never written and that
+        // the clone still shares: nothing was copied to diverge.
         assert_eq!(sky_ids(&a), baseline);
         assert_eq!(plist_dump(&a), plists);
+        assert_eq!(format!("{:?}", a.base), frozen);
+        assert!(Arc::ptr_eq(&a.base, &b.base));
+        assert_eq!(Arc::strong_count(&a.base), 2);
 
         // ... and it still maintains correctly on its own.
         let victim_a = a.iter().nth(1).unwrap().oid;
@@ -734,6 +1024,128 @@ mod tests {
         let mut removed_a = HashSet::new();
         removed_a.insert(victim_a);
         assert_eq!(sky_ids(&a), naive_skyline_excluding(&ps, &removed_a));
+        assert_eq!(format!("{:?}", b.base), frozen);
+    }
+
+    /// A node source that records the pages read through it, in order.
+    struct Recording<'a> {
+        tree: &'a RTree,
+        reads: RefCell<Vec<PageId>>,
+    }
+
+    impl NodeSource for Recording<'_> {
+        fn dim(&self) -> usize {
+            self.tree.dim()
+        }
+        fn root_page(&self) -> PageId {
+            self.tree.root_page()
+        }
+        fn len(&self) -> u64 {
+            self.tree.len()
+        }
+        fn read_node(&self, pid: PageId) -> Arc<Node> {
+            self.reads.borrow_mut().push(pid);
+            self.tree.read_node(pid)
+        }
+        fn io_snapshot(&self) -> IoStats {
+            self.tree.io_stats()
+        }
+    }
+
+    /// `find_dominator` may hand an entry to *any* dominator. Against an
+    /// oracle that always picks the last one in `iter()` order — as far
+    /// from the indexed scan's choice as a policy gets — the skyline,
+    /// the promotions and their order, the expansions and the very
+    /// sequence of pages read agree after every removal.
+    #[test]
+    fn ownership_does_not_change_what_is_read() {
+        let workloads = [
+            (Distribution::Independent, 2, 600),
+            (Distribution::Independent, 4, 1200),
+            (Distribution::AntiCorrelated, 3, 1200),
+            (Distribution::Clustered { clusters: 3 }, 5, 800),
+        ];
+        for (distribution, dim, n) in workloads {
+            let ps = distribution.generate(n, dim, 31);
+            let tree = RTree::bulk_load(&ps, params());
+            let recording = || Recording {
+                tree: &tree,
+                reads: RefCell::default(),
+            };
+            let (src, oracle_src) = (recording(), recording());
+            let mut m = SkylineMaintainer::build(&src);
+            let mut oracle = SkylineMaintainer::empty(dim);
+            oracle.last_dominator_oracle = true;
+            oracle.bbs(&oracle_src);
+
+            let mut owners_differed = false;
+            for round in 0.. {
+                let label = format!("{} dim {dim} round {round}", distribution.name());
+                assert!(m.iter().eq(oracle.iter()), "{label}: skyline");
+                let (s, o) = (m.stats(), oracle.stats());
+                assert_eq!(s.nodes_expanded, o.nodes_expanded, "{label}");
+                assert_eq!(s.points_promoted, o.points_promoted, "{label}");
+                assert_eq!(*src.reads.borrow(), *oracle_src.reads.borrow(), "{label}");
+                owners_differed |= plist_dump(&m) != plist_dump(&oracle);
+
+                let victims: Vec<u64> = sky_ids(&m).into_iter().take(1 + round % 8).collect();
+                if victims.is_empty() || round == 60 {
+                    break;
+                }
+                let promoted = m.remove(&victims, &src).to_vec();
+                assert_eq!(promoted, oracle.remove(&victims, &oracle_src), "{label}");
+            }
+            assert!(owners_differed, "the oracle must disagree on ownership");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// After any interleaving of removals — through promotions,
+        /// tombstones and index rebuilds, on the specialised and the
+        /// generic scan — `find_dominator` answers `Some(m)` only for a
+        /// live member that dominates-or-equals the probe and `None`
+        /// only when a linear scan over `iter()` finds none either.
+        #[test]
+        fn find_dominator_agrees_with_a_linear_scan(
+            dim in prop_oneof![Just(2usize), Just(3usize), Just(4usize), Just(5usize), Just(7usize)],
+            rows in proptest::collection::vec(proptest::collection::vec(0u8..=16, 7), 40..400),
+            removals in proptest::collection::vec((1usize..=8, any::<u64>()), 0..40),
+            probes in proptest::collection::vec(proptest::collection::vec(0u8..=17, 7), 1..24),
+        ) {
+            // A coarse grid: ties on every axis, equal sums, duplicates.
+            let on_grid = |row: &Vec<u8>| -> Vec<f64> {
+                row[..dim].iter().map(|&c| c as f64 / 16.0).collect()
+            };
+            let mut ps = PointSet::new(dim);
+            for row in &rows {
+                ps.push(&on_grid(row));
+            }
+            let tree = RTree::bulk_load(&ps, params());
+            let mut m = SkylineMaintainer::build(&tree);
+            for step in 0..=removals.len() {
+                for probe in &probes {
+                    let x = on_grid(probe);
+                    let dominated = m.iter().any(|e| dominates_or_equal(e.point, &x));
+                    match m.find_dominator(&x) {
+                        Some(member) => {
+                            prop_assert!(!m.dead[member], "member {} is dead", member);
+                            prop_assert!(dominates_or_equal(m.point(member), &x));
+                        }
+                        None => prop_assert!(!dominated, "missed a dominator of {:?}", x),
+                    }
+                }
+                let live = sky_ids(&m);
+                let Some(&(batch, pick)) = removals.get(step).filter(|_| !live.is_empty()) else {
+                    break;
+                };
+                let victims: Vec<u64> = (0..batch.min(live.len()))
+                    .map(|k| live[(pick as usize + k) % live.len()])
+                    .collect();
+                m.remove(&victims, &tree);
+            }
+        }
     }
 
     #[test]

@@ -62,6 +62,14 @@ pub struct ReverseTopOne {
     /// Per-function visit stamp (avoids clearing a bitmap every call).
     visited: Vec<u32>,
     stamp: u32,
+    /// Buffers of one scan, kept so that a scan allocates nothing: the
+    /// point's dimensions in descending order, the position reached in
+    /// each list and the coefficient last seen there.
+    order: Vec<usize>,
+    cursors: Vec<usize>,
+    last: Vec<f64>,
+    /// The one-entry list behind [`ReverseTopOne::best_for_with`].
+    top: Vec<(u32, f64)>,
     stats: TaStats,
 }
 
@@ -83,6 +91,10 @@ impl ReverseTopOne {
             lists,
             visited: vec![0; fs.len()],
             stamp: 0,
+            order: Vec::new(),
+            cursors: Vec::new(),
+            last: Vec::new(),
+            top: Vec::new(),
             stats: TaStats::default(),
         }
     }
@@ -101,12 +113,18 @@ impl ReverseTopOne {
         point: &[f64],
         mode: ThresholdMode,
     ) -> Option<(u32, f64)> {
-        self.top_m_for(fs, point, 1, mode).into_iter().next()
+        let mut top = std::mem::take(&mut self.top);
+        self.top_m_for(fs, point, 1, mode, &mut top);
+        let best = top.first().copied();
+        self.top = top;
+        best
     }
 
     /// The `m` best functions for `point`, certified by the threshold
-    /// bound and sorted by `(score desc, fid asc)`. Fewer than `m`
-    /// entries are returned only when fewer alive functions exist.
+    /// bound and sorted by `(score desc, fid asc)`, written over `top`
+    /// (whose capacity a caller that refills the same list keeps).
+    /// Fewer than `m` entries are left only when fewer alive functions
+    /// exist.
     ///
     /// Certified top-`m` results let callers amortize one TA scan over
     /// several function removals: as long as at least one entry is still
@@ -119,11 +137,13 @@ impl ReverseTopOne {
         point: &[f64],
         m: usize,
         mode: ThresholdMode,
-    ) -> Vec<(u32, f64)> {
+        top: &mut Vec<(u32, f64)>,
+    ) {
         assert_eq!(point.len(), self.dim, "object dimensionality mismatch");
         assert!(m >= 1, "m must be at least 1");
+        top.clear();
         if fs.n_alive() == 0 {
-            return Vec::new();
+            return;
         }
         self.maybe_compact(fs);
         self.stats.calls += 1;
@@ -138,12 +158,15 @@ impl ReverseTopOne {
             self.visited.resize(fs.len(), 0);
         }
 
-        let order = descending_order(point);
-        let mut cursors = vec![0usize; self.dim];
+        descending_order(point, &mut self.order);
+        let (order, cursors, last) = (&self.order, &mut self.cursors, &mut self.last);
+        cursors.clear();
+        cursors.resize(self.dim, 0);
         // before any list progress every coefficient is bounded by 1
-        let mut last = vec![1.0f64; self.dim];
-        // top-m candidates, sorted by (score desc, fid asc)
-        let mut top: Vec<(u32, f64)> = Vec::with_capacity(m + 1);
+        last.clear();
+        last.resize(self.dim, 1.0);
+        // `top` holds the candidates, sorted by (score desc, fid asc)
+        top.reserve(m + 1);
         let mut scored = 0u64;
         let mut advanced = 0u64;
 
@@ -169,7 +192,7 @@ impl ReverseTopOne {
                     self.visited[fid as usize] = self.stamp;
                     let s = fs.score(fid, point);
                     scored += 1;
-                    insert_top(&mut top, m, fid, s);
+                    insert_top(top, m, fid, s);
                 }
             }
             self.stats.rounds += 1;
@@ -180,8 +203,8 @@ impl ReverseTopOne {
             if top.len() == m {
                 let worst = top[m - 1].1;
                 let t = match mode {
-                    ThresholdMode::Tight => tight_threshold(&last, point, &order),
-                    ThresholdMode::Naive => naive_threshold(&last, point),
+                    ThresholdMode::Tight => tight_threshold(last, point, order),
+                    ThresholdMode::Naive => naive_threshold(last, point),
                 };
                 // Strict inequality with rounding slack: at `worst == t`
                 // an unseen function could still tie with a smaller id,
@@ -194,7 +217,6 @@ impl ReverseTopOne {
         }
         self.stats.functions_scored += scored;
         self.stats.positions_advanced += advanced;
-        top
     }
 
     /// Cumulative counters.
@@ -388,7 +410,8 @@ mod tests {
         let mut next = rng(72);
         for _ in 0..30 {
             let o: Vec<f64> = (0..3).map(|_| next()).collect();
-            let got = rt1.top_m_for(&fs, &o, 5, ThresholdMode::Tight);
+            let mut got = Vec::new();
+            rt1.top_m_for(&fs, &o, 5, ThresholdMode::Tight, &mut got);
             // reference: score everything, sort, take 5
             let mut all: Vec<(u32, f64)> = fs
                 .iter_alive()
@@ -405,7 +428,8 @@ mod tests {
         let mut fs = random_functions(4, 2, 73);
         fs.remove(1);
         let mut rt1 = ReverseTopOne::build(&fs);
-        let got = rt1.top_m_for(&fs, &[0.5, 0.5], 10, ThresholdMode::Tight);
+        let mut got = vec![(7, 0.5)]; // overwritten, not appended to
+        rt1.top_m_for(&fs, &[0.5, 0.5], 10, ThresholdMode::Tight, &mut got);
         assert_eq!(got.len(), 3);
         // sorted by score descending
         assert!(got.windows(2).all(|w| w[0].1 >= w[1].1));
@@ -420,7 +444,8 @@ mod tests {
         let mut next = rng(75);
         for _ in 0..20 {
             let o: Vec<f64> = (0..4).map(|_| next()).collect();
-            let m = a.top_m_for(&fs, &o, 4, ThresholdMode::Tight);
+            let mut m = Vec::new();
+            a.top_m_for(&fs, &o, 4, ThresholdMode::Tight, &mut m);
             let one = b.best_for(&fs, &o).unwrap();
             assert_eq!(m[0], one);
         }

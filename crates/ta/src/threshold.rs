@@ -51,23 +51,29 @@ pub fn tight_threshold(last_seen: &[f64], object: &[f64], order: &[usize]) -> f6
     t
 }
 
-/// Dimension indices sorted by object value descending (ties by index,
-/// for determinism).
-pub fn descending_order(object: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..object.len()).collect();
-    order.sort_by(|&a, &b| object[b].total_cmp(&object[a]).then(a.cmp(&b)));
-    order
+/// Fill `order` with the dimension indices sorted by object value
+/// descending (ties by index, for determinism).
+pub fn descending_order(object: &[f64], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..object.len());
+    order.sort_unstable_by(|&a, &b| object[b].total_cmp(&object[a]).then(a.cmp(&b)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn descending(object: &[f64]) -> Vec<usize> {
+        let mut order = vec![9]; // overwritten, not appended to
+        descending_order(object, &mut order);
+        order
+    }
+
     #[test]
     fn tight_never_exceeds_naive_when_budget_binds() {
         let l = [0.9, 0.8, 0.7];
         let o = [0.5, 0.6, 0.7];
-        let order = descending_order(&o);
+        let order = descending(&o);
         let tight = tight_threshold(&l, &o, &order);
         let naive = naive_threshold(&l, &o);
         assert!(tight <= naive + 1e-15);
@@ -81,7 +87,7 @@ mod tests {
         // goes to dim 0 (next largest object value)
         let l = [1.0, 1.0, 0.6];
         let o = [0.5, 0.2, 0.9];
-        let order = descending_order(&o);
+        let order = descending(&o);
         let t = tight_threshold(&l, &o, &order);
         let expect = 0.6 * 0.9 + 0.4 * 0.5;
         assert!((t - expect).abs() < 1e-12);
@@ -93,7 +99,7 @@ mod tests {
         // normalized function puts all weight on the largest coordinate
         let l = [1.0, 1.0];
         let o = [0.3, 0.8];
-        let order = descending_order(&o);
+        let order = descending(&o);
         assert!((tight_threshold(&l, &o, &order) - 0.8).abs() < 1e-15);
     }
 
@@ -103,13 +109,13 @@ mod tests {
         // the bound degrades gracefully to sub-unit budget
         let l = [0.25, 0.25];
         let o = [1.0, 1.0];
-        let order = descending_order(&o);
+        let order = descending(&o);
         assert!((tight_threshold(&l, &o, &order) - 0.5).abs() < 1e-15);
     }
 
     #[test]
     fn descending_order_is_stable_on_ties() {
-        assert_eq!(descending_order(&[0.5, 0.9, 0.5]), vec![1, 0, 2]);
+        assert_eq!(descending(&[0.5, 0.9, 0.5]), vec![1, 0, 2]);
     }
 
     #[test]
@@ -130,7 +136,7 @@ mod tests {
             if l.iter().sum::<f64>() < 1.0 {
                 continue; // no feasible beta
             }
-            let order = descending_order(&o);
+            let order = descending(&o);
             let t = tight_threshold(&l, &o, &order);
             // sample random feasible betas by scaling a random direction
             for _ in 0..20 {

@@ -44,7 +44,8 @@ proptest! {
     ) {
         let mut rt1 = ReverseTopOne::build(&fs);
         for mode in [ThresholdMode::Tight, ThresholdMode::Naive] {
-            let got = rt1.top_m_for(&fs, &point, m, mode);
+            let mut got = Vec::new();
+            rt1.top_m_for(&fs, &point, m, mode, &mut got);
             let mut expect = full_ranking(&fs, &point);
             expect.truncate(m);
             prop_assert_eq!(&got, &expect, "mode {:?}", mode);
@@ -61,7 +62,8 @@ proptest! {
         let rows: Vec<Vec<f64>> = (0..copies).map(|_| row.clone()).collect();
         let fs = FunctionSet::from_rows(2, &rows);
         let mut rt1 = ReverseTopOne::build(&fs);
-        let got = rt1.top_m_for(&fs, &point, copies, ThresholdMode::Tight);
+        let mut got = Vec::new();
+        rt1.top_m_for(&fs, &point, copies, ThresholdMode::Tight, &mut got);
         let ids: Vec<u32> = got.iter().map(|&(f, _)| f).collect();
         let expect: Vec<u32> = (0..copies as u32).collect();
         prop_assert_eq!(ids, expect, "identical functions must rank by id");

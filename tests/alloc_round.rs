@@ -1,0 +1,139 @@
+//! Allocation behaviour of a *served* evaluation — one that resumes
+//! from the inventory's seed on a warm [`Scratch`], which is what every
+//! cache miss of the serving layer runs.
+//!
+//! Pinned with a counting global allocator, on a 3 000-object × 120-
+//! function request (independent 3-d data, seeds 2009 / 7):
+//!
+//! | the second seeded `evaluate_seeded`                      | allocations |
+//! |----------------------------------------------------------|------------:|
+//! | parent (boxed members, copy-on-write plists, TA `Vec`s)  |       4 664 |
+//! | this store (shared base + slot arena, in-place TA lists) |         615 |
+//!
+//! What went: one box per member and per promotion point, a plist copy
+//! at the first append to each shared plist and its doublings after
+//! that, one box per candidate-heap entry, and five `Vec`s per reverse
+//! top-1 scan. What is left is mostly one rank list per skyline object
+//! and per function (365 of the 615; they are dropped with the
+//! scratch's maps between runs). The asserted bound is this store's
+//! count + 25 %, itself under a quarter of the parent's.
+//!
+//! Resuming must also cost the same however large the skyline is: the
+//! seeded arm of `sb.rs`'s priming is a clone of the snapshot, and that
+//! is a reference-count bump on the shared base plus one tombstone
+//! column and one column of (empty) tail chains.
+//!
+//! One `#[test]` only: the counter is process-global, and a second
+//! concurrently-running test would pollute the deltas.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use mpq::datagen::{Distribution, WorkloadBuilder};
+use mpq::prelude::*;
+use mpq::rtree::{RTree, RTreeParams};
+use mpq::skyline::SkylineMaintainer;
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocation count of `f`, plus its result.
+fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
+}
+
+/// The second seeded evaluation's allocations at the parent commit and
+/// with this store (see the module docs).
+const PARENT_ALLOCATIONS: u64 = 4_664;
+const STORE_ALLOCATIONS: u64 = 615;
+
+#[test]
+fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
+    let w = WorkloadBuilder::new()
+        .objects(3_000)
+        .functions(1)
+        .dim(3)
+        .distribution(Distribution::Independent)
+        .seed(2009)
+        .build();
+    let engine = Engine::builder().objects(&w.objects).build().unwrap();
+    let functions = WorkloadBuilder::new()
+        .objects(1)
+        .functions(120)
+        .dim(3)
+        .seed(7)
+        .build()
+        .functions;
+
+    // Cold run: warms the scratch and the page buffer, captures the seed.
+    let mut scratch = Scratch::new();
+    let (cold, seed) = engine
+        .request(&functions)
+        .evaluate_seeded(&mut scratch, None)
+        .unwrap();
+    let seed = seed.expect("a cold run captures the inventory's seed");
+    // First seeded run, then the measured second one.
+    let served = |scratch: &mut Scratch| {
+        let (matching, captured) = engine
+            .request(&functions)
+            .evaluate_seeded(scratch, Some(&seed))
+            .unwrap();
+        assert!(captured.is_none(), "a resumed run captures nothing");
+        matching
+    };
+    let first = served(&mut scratch);
+    let (allocations, second) = counting(|| served(&mut scratch));
+
+    assert_eq!(cold.pairs(), first.pairs());
+    assert_eq!(cold.pairs(), second.pairs());
+    assert!(
+        allocations <= STORE_ALLOCATIONS + STORE_ALLOCATIONS / 4,
+        "a served evaluation made {allocations} allocations, recorded {STORE_ALLOCATIONS}"
+    );
+    assert!(allocations * 4 <= PARENT_ALLOCATIONS);
+
+    // Resuming — cloning the snapshot — costs the same on a skyline of
+    // dozens and on one of hundreds.
+    let clone_allocations = |distribution, objects| {
+        let points = WorkloadBuilder::new()
+            .objects(objects)
+            .functions(1)
+            .dim(3)
+            .distribution(distribution)
+            .seed(11)
+            .build()
+            .objects;
+        let tree = RTree::bulk_load(&points, RTreeParams::default());
+        let snapshot = SkylineMaintainer::build(&tree);
+        let (allocations, resumed) = counting(|| snapshot.clone());
+        assert_eq!(resumed.len(), snapshot.len());
+        (allocations, snapshot.len())
+    };
+    let (small, few) = clone_allocations(Distribution::Independent, 500);
+    let (large, many) = clone_allocations(Distribution::AntiCorrelated, 5_000);
+    assert!(many > 8 * few, "skylines of {few} and {many} members");
+    assert_eq!(small, large, "resuming must not allocate per member");
+    assert!(large <= 4, "resuming made {large} allocations");
+}

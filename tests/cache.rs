@@ -95,11 +95,14 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
     // Occupy the single worker so the N identical submissions all land
     // while their leader is still queued — the deterministic dedupe
     // window.
+    // Counted from before the blocker: a worker holds a job "in flight"
+    // a moment before the evaluation counts itself, so a snapshot taken
+    // once the blocker is in flight could miss it.
+    let evals_before = engine.evaluation_count();
     let slow = slow_functions();
     let blocker = client.submit(client.backend().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
-    let evals_before = engine.evaluation_count();
     let barrier = Arc::new(std::sync::Barrier::new(N));
     let tickets: Vec<_> = (0..N)
         .map(|_| {
@@ -120,11 +123,11 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
         assert_identical(&served, &sequential, &format!("deduped submission {i}"));
     }
 
-    // One evaluation for the blocker was already counted before the
-    // snapshot; the N identical submissions must have added exactly one.
+    // One evaluation for the blocker; the N identical submissions must
+    // have added exactly one.
     assert_eq!(
         engine.evaluation_count() - evals_before,
-        1,
+        2,
         "{N} identical concurrent submissions must share one evaluation"
     );
     let m = client.metrics();
@@ -179,11 +182,11 @@ fn cancelling_a_follower_leaves_the_leader_running() {
         .serve(ServiceConfig::default().workers(1).queue_capacity(8));
     let client = service.client();
 
+    let evals_before = engine.evaluation_count(); // see above: before the blocker
     let slow = slow_functions();
     let blocker = client.submit(client.backend().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
-    let evals_before = engine.evaluation_count();
     let leader = client.submit(client.backend().request(&functions)).unwrap();
     let follower = client.submit(client.backend().request(&functions)).unwrap();
     assert_eq!(client.metrics().cache.attaches, 1);
@@ -194,7 +197,11 @@ fn cancelling_a_follower_leaves_the_leader_running() {
     assert!(blocker.wait().is_ok());
     let served = leader.wait().expect("the leader must be unaffected");
     assert_identical(&served, &sequential, "leader after follower cancel");
-    assert_eq!(engine.evaluation_count() - evals_before, 1);
+    assert_eq!(
+        engine.evaluation_count() - evals_before,
+        2,
+        "blocker + leader"
+    );
     assert!(client.metrics().cancelled >= 1);
     service.shutdown();
 }

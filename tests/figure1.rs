@@ -74,12 +74,11 @@ fn initial_skyline_is_a_and_e() {
 fn removing_e_updates_skyline_to_a_c_d_i() {
     let tree = RTree::bulk_load(&objects(), RTreeParams::default());
     let mut sky = SkylineMaintainer::build(&tree);
-    let promoted = sky.remove(&[E], &tree);
+    let mut new_ids = sky.remove(&[E], &tree).to_vec();
     let mut ids: Vec<u64> = sky.iter().map(|e| e.oid).collect();
     ids.sort_unstable();
     assert_eq!(ids, vec![A, C, D, 8], "updated skyline of Figure 1(b)");
     // exactly c, d, i enter the skyline
-    let mut new_ids: Vec<u64> = promoted.iter().map(|(o, _)| *o).collect();
     new_ids.sort_unstable();
     assert_eq!(new_ids, vec![C, D, 8]);
 }
