@@ -90,8 +90,8 @@ const USAGE: &str = "usage:
   mpq match --objects <objects.csv> --functions <functions.csv>
             [--algo sb|bf|chain] [--shards <K>] [--output <file>]
             # --shards K > 1 partitions the objects into K per-shard
-            # R-trees and resolves the (bit-identical) matching with the
-            # scatter-gather merge
+            # R-trees and runs the (bit-identical) matching over the
+            # union of their skylines
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
   mpq throughput --objects <objects.csv> --functions <functions.csv>
@@ -120,20 +120,6 @@ const USAGE: &str = "usage:
             # file so the next open replays nothing. A sharded store
             # (shards.mpq manifest) checkpoints every shard";
 
-/// Parse the shared `--shards` flag: absent means `1` (unsharded), and
-/// `0` is a usage error everywhere — a partitioned engine needs at
-/// least one shard.
-fn parse_shards(args: &[String]) -> Result<usize, CliError> {
-    let shards: usize = arg_value(args, "--shards")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError::usage("--shards must be an integer"))?;
-    if shards == 0 {
-        return Err(CliError::usage("--shards must be at least 1"));
-    }
-    Ok(shards)
-}
-
 fn arg_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -141,36 +127,93 @@ fn arg_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn cmd_match(args: &[String]) -> Result<String, CliError> {
-    let objects_path = arg_value(args, "--objects")
-        .ok_or_else(|| CliError::usage(format!("--objects is required\n{USAGE}")))?;
-    let functions_path = arg_value(args, "--functions")
-        .ok_or_else(|| CliError::usage(format!("--functions is required\n{USAGE}")))?;
-    // `--algo` is canonical; `--algorithm` stays accepted.
-    let algorithm: Algorithm = arg_value(args, "--algo")
-        .or_else(|| arg_value(args, "--algorithm"))
-        .unwrap_or("sb")
-        .parse()
-        .map_err(CliError::usage)?;
-    let shards = parse_shards(args)?;
+/// The value of a flag the command cannot do without.
+fn required<'a>(args: &'a [String], name: &str) -> Result<&'a str, CliError> {
+    arg_value(args, name).ok_or_else(|| CliError::usage(format!("{name} is required\n{USAGE}")))
+}
 
-    let objects_text = fs::read_to_string(objects_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {objects_path}: {e}")))?;
-    let functions_text = fs::read_to_string(functions_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {functions_path}: {e}")))?;
-    let objects_table =
-        parse(&objects_text).map_err(|e| CliError::runtime(format!("{objects_path}: {e}")))?;
-    let functions_table =
-        parse(&functions_text).map_err(|e| CliError::runtime(format!("{functions_path}: {e}")))?;
+/// The integer after flag `name`, or `default` where the flag is absent.
+fn int_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, CliError> {
+    arg_value(args, name).map_or(Ok(default), |value| {
+        let bad = |_| CliError::usage(format!("{name} must be an integer"));
+        value.parse().map_err(bad)
+    })
+}
 
-    if objects_table.columns.len() != functions_table.columns.len() {
+/// Parse the shared `--shards` flag: absent means `1` (unsharded), and
+/// `0` is a usage error everywhere — a partitioned engine needs at
+/// least one shard.
+fn parse_shards(args: &[String]) -> Result<usize, CliError> {
+    let shards = int_flag(args, "--shards", 1)?;
+    if shards == 0 {
+        return Err(CliError::usage("--shards must be at least 1"));
+    }
+    Ok(shards)
+}
+
+/// `--algo` is canonical; `--algorithm` stays accepted.
+fn parse_algorithm(args: &[String]) -> Result<Algorithm, CliError> {
+    let name = arg_value(args, "--algo").or_else(|| arg_value(args, "--algorithm"));
+    name.unwrap_or("sb").parse().map_err(CliError::usage)
+}
+
+fn read_table(path: &str) -> Result<Table, CliError> {
+    let text = fs::read_to_string(path)
+        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
+    parse(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))
+}
+
+/// The objects of the CSV at `path`, every attribute in `[0, 1]`, and
+/// their row identifiers.
+fn read_objects(path: &str) -> Result<(PointSet, Vec<String>), CliError> {
+    let table = read_table(path)?;
+    let mut objects = PointSet::with_capacity(table.columns.len(), table.rows());
+    for i in 0..table.rows() {
+        let row = table.row(i);
+        if row.iter().any(|v| !(0.0..=1.0).contains(v)) {
+            return Err(CliError::runtime(format!(
+                "{path}: object '{}' has attributes outside [0,1]; normalize your data \
+                 to larger-is-better unit scale first",
+                table.ids[i]
+            )));
+        }
+        objects.push(row);
+    }
+    Ok((objects, table.ids))
+}
+
+/// The weight rows of the CSV at `path`, one function each over `dim`
+/// attributes — as many as the objects' CSV or a reopened engine has —
+/// and their row identifiers.
+fn read_functions(path: &str, dim: usize) -> Result<(FunctionSet, Vec<String>), CliError> {
+    let table = read_table(path)?;
+    if table.columns.len() != dim {
         return Err(CliError::runtime(format!(
-            "dimensionality mismatch: objects have {} attributes, functions have {}",
-            objects_table.columns.len(),
-            functions_table.columns.len()
+            "dimensionality mismatch: objects have {dim} attributes, functions have {}",
+            table.columns.len()
         )));
     }
-    let (objects, functions) = build_inputs(&objects_table, &functions_table)?;
+    let mut functions = FunctionSet::new(dim);
+    for i in 0..table.rows() {
+        let row = table.row(i);
+        if row.iter().any(|&v| v < 0.0) || row.iter().all(|&v| v == 0.0) {
+            return Err(CliError::runtime(format!(
+                "{path}: function '{}' must have non-negative, not-all-zero weights",
+                table.ids[i]
+            )));
+        }
+        functions.push(row);
+    }
+    Ok((functions, table.ids))
+}
+
+fn cmd_match(args: &[String]) -> Result<String, CliError> {
+    let objects_path = required(args, "--objects")?;
+    let functions_path = required(args, "--functions")?;
+    let algorithm = parse_algorithm(args)?;
+    let shards = parse_shards(args)?;
+    let (objects, object_ids) = read_objects(objects_path)?;
+    let (functions, function_ids) = read_functions(functions_path, objects.dim())?;
 
     let matching = Engine::builder()
         .objects(&objects)
@@ -197,8 +240,8 @@ fn cmd_match(args: &[String]) -> Result<String, CliError> {
         .iter()
         .map(|p| {
             vec![
-                functions_table.ids[p.fid as usize].clone(),
-                objects_table.ids[p.oid as usize].clone(),
+                function_ids[p.fid as usize].clone(),
+                object_ids[p.oid as usize].clone(),
                 format!("{:.6}", p.score),
             ]
         })
@@ -219,116 +262,6 @@ fn cli_from_mpq(e: MpqError) -> CliError {
     CliError::runtime(e.to_string())
 }
 
-fn build_inputs(
-    objects_table: &Table,
-    functions_table: &Table,
-) -> Result<(PointSet, FunctionSet), CliError> {
-    let dim = objects_table.columns.len();
-    let mut objects = PointSet::with_capacity(dim, objects_table.rows());
-    for i in 0..objects_table.rows() {
-        let row = objects_table.row(i);
-        if row.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
-            return Err(CliError::runtime(format!(
-                "object '{}' has attributes outside [0,1]; normalize your data \
-                 to larger-is-better unit scale first",
-                objects_table.ids[i]
-            )));
-        }
-        objects.push(row);
-    }
-    let mut functions = FunctionSet::new(dim);
-    for i in 0..functions_table.rows() {
-        let row = functions_table.row(i);
-        if row.iter().any(|&v| v < 0.0) || row.iter().all(|&v| v == 0.0) {
-            return Err(CliError::runtime(format!(
-                "function '{}' must have non-negative, not-all-zero weights",
-                functions_table.ids[i]
-            )));
-        }
-        functions.push(row);
-    }
-    Ok((objects, functions))
-}
-
-/// Shared workload loader of the serving subcommands (`throughput`,
-/// `serve`): read the `--objects`/`--functions` CSVs and build the
-/// validated input sets.
-fn load_workload(args: &[String]) -> Result<(PointSet, FunctionSet), CliError> {
-    let objects_path = arg_value(args, "--objects")
-        .ok_or_else(|| CliError::usage(format!("--objects is required\n{USAGE}")))?;
-    let functions_path = arg_value(args, "--functions")
-        .ok_or_else(|| CliError::usage(format!("--functions is required\n{USAGE}")))?;
-    let objects_text = fs::read_to_string(objects_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {objects_path}: {e}")))?;
-    let functions_text = fs::read_to_string(functions_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {functions_path}: {e}")))?;
-    let objects_table =
-        parse(&objects_text).map_err(|e| CliError::runtime(format!("{objects_path}: {e}")))?;
-    let functions_table =
-        parse(&functions_text).map_err(|e| CliError::runtime(format!("{functions_path}: {e}")))?;
-    if objects_table.columns.len() != functions_table.columns.len() {
-        return Err(CliError::runtime(format!(
-            "dimensionality mismatch: objects have {} attributes, functions have {}",
-            objects_table.columns.len(),
-            functions_table.columns.len()
-        )));
-    }
-    build_inputs(&objects_table, &functions_table)
-}
-
-/// Objects-only loader for `serve --data-dir` building a fresh
-/// persistent engine.
-fn load_objects(args: &[String]) -> Result<PointSet, CliError> {
-    let path = arg_value(args, "--objects")
-        .ok_or_else(|| CliError::usage(format!("--objects is required\n{USAGE}")))?;
-    let text = fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    let table = parse(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    let dim = table.columns.len();
-    let mut objects = PointSet::with_capacity(dim, table.rows());
-    for i in 0..table.rows() {
-        let row = table.row(i);
-        if row.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
-            return Err(CliError::runtime(format!(
-                "object '{}' has attributes outside [0,1]; normalize your data \
-                 to larger-is-better unit scale first",
-                table.ids[i]
-            )));
-        }
-        objects.push(row);
-    }
-    Ok(objects)
-}
-
-/// Functions-only loader for `serve --data-dir` against a reopened
-/// engine, whose dimensionality comes from the page file rather than an
-/// objects CSV.
-fn load_functions(args: &[String], dim: usize) -> Result<FunctionSet, CliError> {
-    let path = arg_value(args, "--functions")
-        .ok_or_else(|| CliError::usage(format!("--functions is required\n{USAGE}")))?;
-    let text = fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    let table = parse(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    if table.columns.len() != dim {
-        return Err(CliError::runtime(format!(
-            "dimensionality mismatch: engine has {dim} attributes, functions have {}",
-            table.columns.len()
-        )));
-    }
-    let mut functions = FunctionSet::new(dim);
-    for i in 0..table.rows() {
-        let row = table.row(i);
-        if row.iter().any(|&v| v < 0.0) || row.iter().all(|&v| v == 0.0) {
-            return Err(CliError::runtime(format!(
-                "function '{}' must have non-negative, not-all-zero weights",
-                table.ids[i]
-            )));
-        }
-        functions.push(row);
-    }
-    Ok(functions)
-}
-
 /// Parallel serving demo: load one `(objects, functions)` pair, build
 /// the engine once (buffer sharded to the worker count), then serve `R`
 /// copies of the request on `T` threads via `Engine::evaluate_batch` and
@@ -336,20 +269,13 @@ fn load_functions(args: &[String], dim: usize) -> Result<FunctionSet, CliError> 
 /// are verified identical to the sequential ones before anything is
 /// reported.
 fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
-    let algorithm: Algorithm = arg_value(args, "--algo")
-        .or_else(|| arg_value(args, "--algorithm"))
-        .unwrap_or("sb")
-        .parse()
-        .map_err(CliError::usage)?;
-    let requests: usize = arg_value(args, "--requests")
-        .unwrap_or("32")
-        .parse()
-        .map_err(|_| CliError::usage("--requests must be an integer"))?;
-    let threads: usize = arg_value(args, "--threads")
-        .unwrap_or("0") // 0 = one worker per core
-        .parse()
-        .map_err(|_| CliError::usage("--threads must be an integer"))?;
-    let (objects, functions) = load_workload(args)?;
+    let objects_path = required(args, "--objects")?;
+    let functions_path = required(args, "--functions")?;
+    let algorithm = parse_algorithm(args)?;
+    let requests: usize = int_flag(args, "--requests", 32)?;
+    let threads: usize = int_flag(args, "--threads", 0)?; // 0 = one worker per core
+    let (objects, _) = read_objects(objects_path)?;
+    let (functions, _) = read_functions(functions_path, objects.dim())?;
 
     let engine = Engine::builder()
         .objects(&objects)
@@ -418,27 +344,11 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     if arg_value(args, "--listen").is_some() {
         return cmd_serve_listen(args);
     }
-    let algorithm: Algorithm = arg_value(args, "--algo")
-        .or_else(|| arg_value(args, "--algorithm"))
-        .unwrap_or("sb")
-        .parse()
-        .map_err(CliError::usage)?;
-    let requests: usize = arg_value(args, "--requests")
-        .unwrap_or("32")
-        .parse()
-        .map_err(|_| CliError::usage("--requests must be an integer"))?;
-    let workers: usize = arg_value(args, "--workers")
-        .unwrap_or("0") // 0 = one worker per core
-        .parse()
-        .map_err(|_| CliError::usage("--workers must be an integer"))?;
-    let queue_cap: usize = arg_value(args, "--queue-cap")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| CliError::usage("--queue-cap must be an integer"))?;
-    let cache: usize = arg_value(args, "--cache")
-        .unwrap_or("256")
-        .parse()
-        .map_err(|_| CliError::usage("--cache must be an integer (entries; 0 disables)"))?;
+    let algorithm = parse_algorithm(args)?;
+    let requests: usize = int_flag(args, "--requests", 32)?;
+    let workers: usize = int_flag(args, "--workers", 0)?; // 0 = one worker per core
+    let queue_cap: usize = int_flag(args, "--queue-cap", 64)?;
+    let cache: usize = int_flag(args, "--cache", 256)?; // entries; 0 disables
     let backpressure = if args.iter().any(|a| a == "--reject") {
         BackpressurePolicy::Reject
     } else {
@@ -455,7 +365,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let objects = if reopened {
         None
     } else {
-        Some(load_objects(args)?)
+        Some(read_objects(required(args, "--objects")?)?.0)
     };
     let mut builder = Engine::builder().buffer_shards(resolved_workers(workers));
     if let Some(objects) = &objects {
@@ -474,7 +384,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         None => String::new(),
     };
     let backend = builder.open_or_build(shards).map_err(cli_from_mpq)?;
-    let functions = load_functions(args, backend.dim())?;
+    let (functions, _) = read_functions(required(args, "--functions")?, backend.dim())?;
     let expected = backend
         .request(&functions)
         .algorithm(algorithm)
@@ -610,26 +520,6 @@ fn parse_tenant_spec(spec: &str) -> Result<TenantSpec, CliError> {
     Ok(out)
 }
 
-/// Load one tenant CSV into a validated [`PointSet`].
-fn load_objects_csv(path: &str) -> Result<PointSet, CliError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    let table = parse(&text).map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    let dim = table.columns.len();
-    let mut objects = PointSet::with_capacity(dim, table.rows());
-    for i in 0..table.rows() {
-        let row = table.row(i);
-        if row.iter().any(|&v| !(0.0..=1.0).contains(&v)) {
-            return Err(CliError::runtime(format!(
-                "{path}: object '{}' has attributes outside [0,1]",
-                table.ids[i]
-            )));
-        }
-        objects.push(row);
-    }
-    Ok(objects)
-}
-
 /// Build the tenant registry from `--tenant` specs (or the single
 /// `--objects`/`--data-dir` default tenant) and bind the HTTP server.
 /// Shared with the CLI tests, which bind port 0 and drive the server
@@ -637,8 +527,7 @@ fn load_objects_csv(path: &str) -> Result<PointSet, CliError> {
 /// shutdown path (Ctrl-C on a foreground `mpq serve --listen` kills the
 /// process, and persisted tenants recover from their WAL on reopen).
 pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
-    let listen = arg_value(args, "--listen")
-        .ok_or_else(|| CliError::usage(format!("--listen is required\n{USAGE}")))?;
+    let listen = required(args, "--listen")?;
 
     let mut specs = Vec::new();
     let mut i = 0;
@@ -663,16 +552,8 @@ pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
             )));
         }
         let mut config = mpq_net::TenantConfig::default();
-        if let Some(w) = arg_value(args, "--workers") {
-            config.workers = w
-                .parse()
-                .map_err(|_| CliError::usage("--workers must be an integer"))?;
-        }
-        if let Some(q) = arg_value(args, "--queue-cap") {
-            config.queue_capacity = q
-                .parse()
-                .map_err(|_| CliError::usage("--queue-cap must be an integer"))?;
-        }
+        config.workers = int_flag(args, "--workers", config.workers)?;
+        config.queue_capacity = int_flag(args, "--queue-cap", config.queue_capacity)?;
         config.shards = parse_shards(args)?;
         specs.push(TenantSpec {
             name: "default".to_string(),
@@ -684,11 +565,10 @@ pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
 
     let mut registry = mpq_net::TenantRegistry::new();
     for spec in specs {
-        let objects = spec
-            .objects_csv
-            .as_deref()
-            .map(load_objects_csv)
-            .transpose()?;
+        let objects = match &spec.objects_csv {
+            Some(path) => Some(read_objects(path)?.0),
+            None => None,
+        };
         let added = match spec.data_dir {
             Some(dir) => registry.add_persistent(&spec.name, objects.as_ref(), dir, spec.config),
             None => {
@@ -733,8 +613,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
 /// directory holding a *sharded* manifest reopens as a sharded engine
 /// and checkpoints every shard.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
-    let dir = arg_value(args, "--data-dir")
-        .ok_or_else(|| CliError::usage(format!("--data-dir is required\n{USAGE}")))?;
+    let dir = required(args, "--data-dir")?;
     if !mpq_core::persisted_at(dir) {
         return Err(CliError::runtime(format!(
             "no persisted engine under {dir} (run `mpq serve --data-dir` first)"
@@ -767,22 +646,10 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
         "zillow" => Distribution::Zillow,
         other => return Err(CliError::usage(format!("unknown distribution '{other}'"))),
     };
-    let n: usize = arg_value(args, "--objects")
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|_| CliError::usage("--objects must be an integer"))?;
-    let dim: usize = arg_value(args, "--dim")
-        .unwrap_or(if dist == Distribution::Zillow {
-            "5"
-        } else {
-            "3"
-        })
-        .parse()
-        .map_err(|_| CliError::usage("--dim must be an integer"))?;
-    let seed: u64 = arg_value(args, "--seed")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| CliError::usage("--seed must be an integer"))?;
+    let n: usize = int_flag(args, "--objects", 1000)?;
+    let zillow = dist == Distribution::Zillow;
+    let dim: usize = int_flag(args, "--dim", if zillow { 5 } else { 3 })?;
+    let seed: u64 = int_flag(args, "--seed", 0)?;
 
     let ps = dist.generate(n, dim, seed);
     let header: Vec<String> = (0..dim).map(|d| format!("attr{d}")).collect();

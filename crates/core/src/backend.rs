@@ -7,7 +7,8 @@
 //! an `Arc<dyn EvalBackend>` and never ask which engine is behind it.
 //! Two implementations exist: [`Engine`] (one R-tree, the paper's
 //! SB / Brute Force / Chain paths) and [`ShardedEngine`] (K per-shard
-//! R-trees behind the scatter-gather merge). Which of the two hosts a
+//! R-trees, evaluated by the engine's SB run over the union of their
+//! skylines). Which of the two hosts a
 //! given inventory is decided in exactly one place,
 //! [`EngineBuilder::open_or_build`](crate::EngineBuilder::open_or_build).
 
@@ -69,12 +70,6 @@ pub trait EvalBackend: Send + Sync + std::fmt::Debug {
     /// Per-shard operator gauges; empty for an unpartitioned engine.
     fn shard_gauges(&self) -> Vec<ShardGauges> {
         Vec::new()
-    }
-
-    /// Shard probes the merge skipped by score-bound pruning; always 0
-    /// for an unpartitioned engine.
-    fn skipped_shards(&self) -> u64 {
-        0
     }
 
     /// Validate and evaluate `options` over `functions`. A usable `seed`

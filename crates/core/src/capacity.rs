@@ -12,28 +12,23 @@
 //! With every capacity equal to 1 this reduces exactly to the 1-1
 //! matching — the same pairs in the same order from the same number of
 //! loops and reverse top-1 searches as single-pair SB (asserted by
-//! tests), because it *is* single-pair SB: the crate-private
-//! `GreedyProbe` is the shared SB run of [`crate::sb`] plus `Units`, the
-//! remaining units of a capacitated request. Its `probe` is the
-//! *discover* half of an SB round, its `assign` the *retire* half, with
-//! the object retired only once its last unit went. An [`Engine`]
-//! answers a capacitated request by draining one probe over its tree;
-//! the [`crate::shard`] merge drives one probe per shard and picks the
-//! best of their candidates each round. Its un-capacitated requests
-//! carry no `Units` at all: every object has the one unit that
-//! assignment takes.
+//! tests), because it *is* single-pair SB: a capacitated request is the
+//! one SB evaluation of [`crate::sb`] (`run_sb_seeded`) with the other
+//! loop body. Each round *discovers* the best pair, takes one of the
+//! object's `Units` — the remaining units of the request — and
+//! *retires* the function, and the object with it only once its last
+//! unit went. That holds on an [`Engine`](crate::Engine) and on a
+//! [`ShardedEngine`](crate::ShardedEngine) alike, which run it over one
+//! part and over one part per shard. An un-capacitated request carries
+//! no `Units` at all: every object has the one unit that assignment
+//! takes.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
-use mpq_rtree::{IoSession, PointSet};
-use mpq_skyline::SkylineMaintainer;
+use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
 
-use crate::engine::{Engine, RequestOptions};
 use crate::matching::{Matching, Pair, RunMetrics};
-use crate::sb::{BestPairMode, SbRun};
-use crate::scratch::Scratch;
 
 /// Result of a capacitated run: assignment pairs in emission order and
 /// the per-object resident lists.
@@ -72,7 +67,7 @@ impl CapacityMatching {
 /// object into a snapshot whose oid lies past its end: the caller's
 /// vector predates it, and it has no units — invisible, like an
 /// exclusion.
-pub(crate) struct Units(Vec<u32>);
+pub(crate) struct Units(pub(crate) Vec<u32>);
 
 impl Units {
     /// Units object `oid` can still take.
@@ -81,7 +76,7 @@ impl Units {
     }
 
     /// Consume one unit of `oid`; true iff that exhausted it.
-    fn take(&mut self, oid: u64) -> bool {
+    pub(crate) fn take(&mut self, oid: u64) -> bool {
         self.0.get_mut(oid as usize).is_none_or(|units| {
             *units -= 1;
             *units == 0
@@ -89,125 +84,12 @@ impl Units {
     }
 }
 
-/// The one "invisible object" test of a probe: excluded by the request,
+/// The one "invisible object" test of a run: excluded by the request,
 /// or capacitated with no unit left. An un-capacitated object has its
 /// one unit until it is assigned, and assignment takes it off the
 /// skyline for good, so nothing is stored for it.
-fn invisible(excluded: &HashSet<u64>, units: &Option<Units>, oid: u64) -> bool {
+pub(crate) fn invisible(excluded: &HashSet<u64>, units: &Option<Units>, oid: u64) -> bool {
     excluded.contains(&oid) || units.as_ref().is_some_and(|u| u.left(oid) == 0)
-}
-
-/// The canonical greedy over one pinned inventory snapshot: the shared
-/// SB run of [`crate::sb`] in single-pair mode, plus the request's
-/// exclusions and capacity units. [`Engine`]'s capacitated requests
-/// drain one ([`GreedyProbe::run`]); the K-shard merge in
-/// [`crate::shard`] drives one per shard, learning from it through
-/// candidate [`Pair`] messages and teaching it through assignment
-/// broadcasts.
-pub(crate) struct GreedyProbe<'e> {
-    run: SbRun<IoSession<'e>>,
-    excluded: HashSet<u64>,
-    /// A shard consults only its own slice of the id space; a full
-    /// copy per shard is just the simplest container.
-    units: Option<Units>,
-}
-
-impl<'e> GreedyProbe<'e> {
-    /// Build a probe cold or primed from this engine's part of a seed.
-    ///
-    /// `seed` is `(snapshot, version)` — the snapshot is honored only
-    /// when the engine pinned exactly that version (see [`Engine::pin`]:
-    /// its pruned entries reference pages of exactly that epoch). A
-    /// probe that ran cold leaves its own BBS snapshot in `capture`,
-    /// stamped with the pinned version — again only when no mutation
-    /// straddled the pin. The snapshot predates every peel, so a
-    /// capacitated request resumes and captures like any other: its
-    /// spent objects are masked off the clone exactly as off a fresh
-    /// BBS.
-    pub(crate) fn new(
-        engine: &'e Engine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-        seed: Option<(&SkylineMaintainer, u64)>,
-        capture: Option<&mut Option<(SkylineMaintainer, u64)>>,
-    ) -> GreedyProbe<'e> {
-        let (io, version) = engine.pin();
-        let excluded = options.exclude.clone();
-        let units = options.capacities.clone().map(Units);
-        let part = seed.filter(|&(_, v)| version == Some(v)).map(|(p, _)| p);
-        let mut captured = None;
-        let slot = (capture.is_some() && version.is_some()).then_some(&mut captured);
-        let masked = |oid| invisible(&excluded, &units, oid);
-        let scratch = Scratch::new();
-        let run = SbRun::new(io, scratch, functions, BestPairMode::Ta, masked, part, slot);
-        if let Some(out) = capture {
-            *out = captured.zip(version);
-        }
-        GreedyProbe {
-            run,
-            excluded,
-            units,
-        }
-    }
-
-    /// Scatter message: the best candidate pair of this snapshot — the
-    /// first half of an SB round. `None` means the probe is exhausted —
-    /// no function is left, or its skyline is empty and can never
-    /// refill.
-    pub(crate) fn probe(&mut self) -> Option<Pair> {
-        if self.run.is_done() {
-            return None;
-        }
-        self.run.discover(false);
-        self.run.pairs().first().copied()
-    }
-
-    /// Assignment broadcast: the global winner is `pair` — the second
-    /// half of an SB round. Every probe retires the assigned function;
-    /// the owner additionally consumes one capacity unit and retires
-    /// the object when exhausted. Returns true iff this probe owned the
-    /// object.
-    pub(crate) fn assign(&mut self, pair: &Pair) -> bool {
-        let owned = self.run.skyline().contains(pair.oid);
-        let spent = owned && self.units.as_mut().is_none_or(|u| u.take(pair.oid));
-        self.run.retire(&[*pair], spent, |oid| {
-            invisible(&self.excluded, &self.units, oid)
-        });
-        owned
-    }
-
-    /// True once every function is assigned.
-    pub(crate) fn functions_exhausted(&self) -> bool {
-        self.run.functions().n_alive() == 0
-    }
-
-    /// Counters and I/O on the pinned snapshot since the probe was
-    /// built; `loops` counts probes.
-    pub(crate) fn metrics(&self) -> RunMetrics {
-        self.run.metrics()
-    }
-
-    /// The whole matching of one request over `engine`'s current
-    /// snapshot ([`Engine`] takes this path for capacitated requests),
-    /// seeded and captured as by [`GreedyProbe::new`].
-    pub(crate) fn run(
-        engine: &'e Engine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-        seed: Option<(&SkylineMaintainer, u64)>,
-        capture: Option<&mut Option<(SkylineMaintainer, u64)>>,
-    ) -> Matching {
-        let start = Instant::now();
-        let mut probe = GreedyProbe::new(engine, functions, options, seed, capture);
-        let mut pairs = Vec::new();
-        while let Some(pair) = probe.probe() {
-            probe.assign(&pair);
-            pairs.push(pair);
-        }
-        let mut metrics = probe.metrics();
-        metrics.elapsed = start.elapsed();
-        Matching::new(pairs, metrics)
-    }
 }
 
 /// Exact reference for the capacitated matching: greedy over all pairs.
@@ -298,8 +180,11 @@ pub fn verify_capacity_stable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::EvalBackend;
+    use crate::engine::Engine;
     use crate::matching::IndexConfig;
     use crate::reference::reference_matching;
+    use crate::shard::ShardedEngine;
     use mpq_datagen::WorkloadBuilder;
 
     fn engine(objects: &PointSet) -> Engine {
@@ -340,21 +225,33 @@ mod tests {
             .build();
         let engine = engine(&w.objects);
         let bound = engine.oid_bound();
-        let hidden = |probe: &GreedyProbe, oid| invisible(&probe.excluded, &probe.units, oid);
-        let request = engine.request(&w.functions).exclude([bound, bound + 7]);
-        let (functions, options) = request.parts();
-        let probe = GreedyProbe::new(&engine, functions, options, None, None);
-        assert!(!hidden(&probe, 0));
-        assert!(hidden(&probe, bound));
-        assert!(hidden(&probe, bound + 7));
-        assert!(!hidden(&probe, bound + 1), "in the snapshot, not excluded");
+        let excluded: HashSet<u64> = [bound, bound + 7].into();
+        let hidden = |units: &Option<Units>, oid| invisible(&excluded, units, oid);
+        assert!(!hidden(&None, 0));
+        assert!(hidden(&None, bound));
+        assert!(hidden(&None, bound + 7));
+        assert!(!hidden(&None, bound + 1), "in the snapshot, not excluded");
 
-        let request = request.capacities(&vec![1; bound as usize]);
-        let (functions, options) = request.parts();
-        let probe = GreedyProbe::new(&engine, functions, options, None, None);
-        assert!(!hidden(&probe, 0));
+        let units = Some(Units(vec![1; bound as usize]));
+        assert!(!hidden(&units, 0));
         for oid in [bound, bound + 7, bound + 1] {
-            assert!(hidden(&probe, oid), "the capacity vector predates {oid}");
+            assert!(hidden(&units, oid), "the capacity vector predates {oid}");
+        }
+
+        // The run: everyone's favourite arrives after the request named
+        // its id, on one tree and behind two.
+        let sharded = ShardedEngine::builder().objects(&w.objects).shards(2);
+        let sharded = sharded.build().unwrap();
+        let backends: [&dyn EvalBackend; 2] = [&engine, &sharded];
+        for backend in backends {
+            let request = backend
+                .request(&w.functions)
+                .exclude(excluded.iter().copied());
+            let before = request.evaluate().unwrap();
+            assert_eq!(backend.insert_object(&[0.99, 0.99]), Ok(bound));
+            assert_eq!(request.evaluate().unwrap().pairs(), before.pairs());
+            let seen = backend.request(&w.functions).evaluate().unwrap();
+            assert_eq!(seen.pairs()[0].oid, bound, "visible unless excluded");
         }
     }
 

@@ -48,15 +48,13 @@ use std::time::{Duration, Instant};
 
 use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
 use mpq_rtree::{
-    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, NodeSource, PointSet,
-    RTree,
+    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PointSet, RTree,
 };
 use mpq_ta::FunctionSet;
 
 use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
 use crate::cache::{MutationEvent, MutationLog};
-use crate::capacity::GreedyProbe;
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair};
@@ -67,7 +65,7 @@ use crate::sb::{
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
 use crate::service::{lock, safe_rate, EngineService, ServiceConfig};
-use crate::shard::{ShardedEngine, ShardedStream};
+use crate::shard::ShardedEngine;
 use crate::wal::{Wal, WalRecord};
 
 /// Page file name inside an engine's data directory.
@@ -201,7 +199,8 @@ impl<'o> EngineBuilder<'o> {
     /// Index `objects[i]` under `oids[i]` instead of the point index —
     /// and mint new ids from `max(oids) + 1` on. Shard-internal (see
     /// the `shard` module): every per-shard tree speaks global object
-    /// ids natively, so the merge protocol needs no translation layer.
+    /// ids natively, so a run over several shards needs no translation
+    /// layer.
     pub(crate) fn explicit_oids(mut self, oids: &'o [u64]) -> EngineBuilder<'o> {
         self.oids = Some(oids);
         self
@@ -318,14 +317,26 @@ impl<'o> EngineBuilder<'o> {
     /// `shards.mpq` manifest reopens a [`ShardedEngine`] whatever
     /// `shards` says, a bare page file an [`Engine`]. Otherwise the
     /// inventory is built from [`EngineBuilder::objects`]: `shards == 1`
-    /// builds an [`Engine`] (its single-tree path is measurably cheaper
-    /// than a 1-shard merge), any other count a hash-partitioned
-    /// [`ShardedEngine`] (`0` is rejected). [`EngineBuilder::buffer_shards`]
+    /// builds an [`Engine`] (a 1-shard [`ShardedEngine`] would run SB
+    /// identically, but only a bare engine also hosts Brute Force, Chain
+    /// and SB-rescan), any other count a hash-partitioned
+    /// [`ShardedEngine`] (`0` is rejected). A
+    /// [`EngineBuilder::fault_injector`] is refused wherever shards
+    /// would host the inventory, reopened or built: no shard consults
+    /// one. [`EngineBuilder::buffer_shards`]
     /// applies to a freshly built [`Engine`] only (every shard already
     /// has a buffer pool of its own).
     pub fn open_or_build(self, shards: usize) -> Result<Arc<dyn EvalBackend>, MpqError> {
+        // No shard consults an injector, reopened or built.
+        let no_injector = || match self.fault_injector {
+            None => Ok(()),
+            Some(_) => Err(MpqError::UnsupportedRequest(
+                "fault injection is only supported on an unsharded engine",
+            )),
+        };
         if let Some(dir) = &self.data_dir {
             if ShardedEngine::persisted_at(dir) {
+                no_injector()?;
                 return Ok(Arc::new(ShardedEngine::open_with(dir, self.index)?));
             }
             if Engine::persisted_at(dir) {
@@ -341,11 +352,7 @@ impl<'o> EngineBuilder<'o> {
         if shards == 1 {
             return Ok(Arc::new(self.build()?));
         }
-        if self.fault_injector.is_some() {
-            return Err(MpqError::UnsupportedRequest(
-                "fault injection is only supported on an unsharded engine",
-            ));
-        }
+        no_injector()?;
         let mut sharded = ShardedEngine::builder().index(self.index).shards(shards);
         if let Some(objects) = self.objects {
             sharded = sharded.objects(objects);
@@ -983,7 +990,7 @@ impl Engine {
             // No batch yet: the run holds the skyline, `submit` loads
             // each batch's functions.
             run: SbRun::new(
-                io,
+                vec![io],
                 Scratch::new(),
                 &FunctionSet::new(self.dim),
                 BestPairMode::Ta,
@@ -1076,11 +1083,10 @@ impl EvalBackend for Engine {
     }
 
     /// The single unsharded evaluation code path. The resumable
-    /// configurations — SB with incremental maintenance, and every
-    /// capacitated request (one drained `GreedyProbe`) — honor
-    /// `seed`/`capture`: they prime the skyline from `seed` when it is
-    /// still pinned to the engine's current inventory, and otherwise
-    /// run cold and leave the inventory's [`EvalSeed`] in `capture`.
+    /// configurations — SB with incremental maintenance, which every
+    /// capacitated request is — are the 1-part case of
+    /// `run_sb_seeded`, which honours `seed` / `capture`; the others
+    /// decline both.
     fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
@@ -1091,49 +1097,29 @@ impl EvalBackend for Engine {
     ) -> Result<Matching, MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-        let seed = seed
-            .filter(|s| s.parts.len() == 1)
-            .map(|s| (&s.parts[0], s.versions[0]));
-        let mut captured = None;
-        let matching = if options.capacities.is_some() {
-            let slot = capture.is_some().then_some(&mut captured);
-            GreedyProbe::run(self, functions, options, seed, slot)
-        } else {
-            let (session, version) = self.pin();
-            match options.algorithm {
-                Algorithm::Sb => match options.maintenance {
-                    MaintenanceMode::Incremental => {
-                        let part = seed.filter(|&(_, v)| version == Some(v)).map(|(p, _)| p);
-                        let mut snapshot = None;
-                        let slot =
-                            (capture.is_some() && version.is_some()).then_some(&mut snapshot);
-                        let matching =
-                            run_sb_seeded(&session, functions, options, scratch, part, slot);
-                        captured = snapshot.zip(version);
-                        matching
-                    }
-                    MaintenanceMode::Rescan => run_rescan_on(&session, functions, options, scratch),
-                },
-                Algorithm::BruteForce => match options.bf_strategy {
-                    BfStrategy::Incremental => {
-                        run_incremental_on(&session, functions, &options.exclude, scratch)
-                    }
-                    BfStrategy::Restart => {
-                        run_restart_on(&session, functions, &options.exclude, scratch)
-                    }
-                },
-                Algorithm::Chain => {
-                    run_chain_on(&self.config, &session, functions, &options.exclude, scratch)
+        let (session, version) = self.pin();
+        Ok(match options.algorithm {
+            Algorithm::Sb => match options.maintenance {
+                MaintenanceMode::Incremental => {
+                    let (sources, versions) = (vec![session], [version]);
+                    run_sb_seeded(
+                        sources, &versions, functions, options, scratch, seed, capture,
+                    )
                 }
+                MaintenanceMode::Rescan => run_rescan_on(&session, functions, options, scratch),
+            },
+            Algorithm::BruteForce => match options.bf_strategy {
+                BfStrategy::Incremental => {
+                    run_incremental_on(&session, functions, &options.exclude, scratch)
+                }
+                BfStrategy::Restart => {
+                    run_restart_on(&session, functions, &options.exclude, scratch)
+                }
+            },
+            Algorithm::Chain => {
+                run_chain_on(&self.config, &session, functions, &options.exclude, scratch)
             }
-        };
-        if let Some(out) = capture {
-            *out = captured.map(|(snapshot, version)| EvalSeed {
-                versions: vec![version],
-                parts: vec![snapshot],
-            });
-        }
-        Ok(matching)
+        })
     }
 
     fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
@@ -1162,10 +1148,10 @@ impl EvalBackend for Engine {
 /// and cache identity are shared; only the progressive `stream` forms
 /// are per-engine.
 ///
-/// The [`ShardedEngine`] resolves every [`Algorithm`] through one merge
-/// (the canonical matching is unique), so there the algorithm and the
-/// SB / Brute Force ablation knobs only affect request validation and
-/// cache identity.
+/// The [`ShardedEngine`] resolves every [`Algorithm`] through the one SB
+/// run over its shards (the canonical matching is unique), so there the
+/// algorithm, the maintenance mode and the Brute Force strategy only
+/// affect request validation and cache identity.
 ///
 /// ```
 /// # use mpq_core::{Algorithm, Engine};
@@ -1438,15 +1424,11 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     }
 }
 
-impl<'e> MatchRequest<'e, '_> {
-    /// Progressive SB evaluation: returns a stream that yields stable
-    /// pairs as soon as they are identified, reading the shared index
-    /// through its own run-scoped I/O session.
-    ///
-    /// Requires [`Algorithm::Sb`] with incremental maintenance and no
-    /// capacities.
-    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
-        validate_functions(self.backend.dim, self.functions)?;
+impl<'e, B: EvalBackend + ?Sized> MatchRequest<'e, '_, B> {
+    /// The one progressive path: every check a stream makes, then one
+    /// run-scoped I/O session per engine of `parts`.
+    fn stream_over(&self, parts: &'e [Engine]) -> Result<SbStream<IoSession<'e>>, MpqError> {
+        self.validate()?;
         if self.options.algorithm != Algorithm::Sb {
             return Err(MpqError::UnsupportedRequest(
                 "streaming is only supported with Algorithm::Sb",
@@ -1462,21 +1444,29 @@ impl<'e> MatchRequest<'e, '_> {
                 "streaming does not support capacities",
             ));
         }
-        Ok(stream_on(
-            IoSession::new(&self.backend.tree),
-            self.functions,
-            &self.options,
-        ))
+        let sources = parts.iter().map(|part| IoSession::new(&part.tree));
+        Ok(stream_on(sources.collect(), self.functions, &self.options))
+    }
+}
+
+impl<'e> MatchRequest<'e, '_> {
+    /// Progressive SB evaluation: returns a stream that yields stable
+    /// pairs as soon as they are identified, reading the shared index
+    /// through its own run-scoped I/O session.
+    ///
+    /// Requires [`Algorithm::Sb`] with incremental maintenance and no
+    /// capacities.
+    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
+        self.stream_over(std::slice::from_ref(self.backend))
     }
 }
 
 impl<'e> MatchRequest<'e, '_, ShardedEngine> {
-    /// Progressive evaluation through the scatter-gather merge: yields
-    /// stable pairs in canonical (descending) order as the merge
-    /// resolves them. Requires [`Algorithm::Sb`] and no capacities.
-    pub fn stream(&self) -> Result<ShardedStream<'e>, MpqError> {
-        self.validate()?;
-        ShardedStream::open(self.backend, self.functions, &self.options)
+    /// Progressive SB evaluation over the union of the shards'
+    /// skylines: the same stream, pairs and order an [`Engine`] over
+    /// the same inventory yields, under the same requirements.
+    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
+        self.stream_over(self.backend.shards())
     }
 }
 
@@ -1583,7 +1573,7 @@ impl MatchSession<'_> {
     /// Objects of the snapshot the session pinned that no earlier batch
     /// reserved.
     pub fn objects_remaining(&self) -> u64 {
-        self.run.src().len() - self.assigned
+        self.run.pinned_objects() - self.assigned
     }
 
     /// Number of batches processed so far.
@@ -1593,13 +1583,13 @@ impl MatchSession<'_> {
 
     /// Current skyline size (diagnostic).
     pub fn skyline_len(&self) -> usize {
-        self.run.skyline().len()
+        self.run.skyline_len()
     }
 
     /// Total I/O this session has caused since it was opened (including
     /// the initial skyline computation).
     pub fn io_stats(&self) -> mpq_rtree::IoStats {
-        self.run.src().stats()
+        self.run.io()
     }
 
     /// Match one arriving batch against the remaining inventory.

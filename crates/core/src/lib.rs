@@ -36,9 +36,9 @@
 //!
 //! The [`capacity`] module extends the model with object capacities
 //! (e.g. a room *type* with `c` identical rooms), which the examples use.
-//! Its greedy probe — best pair over a skyline, one capacity unit per
-//! assignment — is written once: an [`Engine`] drains one for a
-//! capacitated request, and the [`shard`] merge drives one per shard.
+//! A capacitated request is the one SB evaluation with the other loop
+//! body — best pair of the round, one capacity unit per assignment —
+//! on an [`Engine`] and on a [`ShardedEngine`] alike.
 //!
 //! ## Evaluation goes through the [`Engine`]
 //!
@@ -96,16 +96,15 @@
 //! [`Engine::checkpoint`] folds the WAL into the page file so the next
 //! open replays nothing.
 //!
-//! ## Scale-out goes through the [`ShardedEngine`]
+//! ## Partitioned storage goes through the [`ShardedEngine`]
 //!
-//! The [`shard`] module partitions the object set into `K` independent
-//! shards — each a full [`Engine`] with its own R-tree, buffer pool and
-//! WAL segment — and resolves the global matching with a scatter-gather
-//! best-pair merge whose per-shard score bounds skip shards that
-//! provably cannot produce the next winner. The sharded matching is
-//! bit-identical to the unsharded one, and built with the same
-//! [`MatchRequest`]; mutations route through a pluggable [`Partitioner`]
-//! to exactly one shard, and the cache stamps results with a per-shard
+//! The [`shard`] module partitions the object set by object id into `K`
+//! independent shards — each a full [`Engine`] with its own R-tree,
+//! buffer pool and WAL segment — and evaluates a request with the very
+//! SB run an [`Engine`] uses, over the union of the shards' skylines.
+//! The sharded matching is bit-identical to the unsharded one, and
+//! built with the same [`MatchRequest`]; a mutation is one record in
+//! one shard's WAL, and the cache stamps results with a per-shard
 //! version vector so one shard's mutations never invalidate another
 //! shard's cached work.
 
@@ -151,9 +150,6 @@ pub use service::{
     BackpressurePolicy, EngineService, HealthMonitor, HealthState, ServiceClient, ServiceConfig,
     ServiceMetrics, SubmitOptions, Ticket,
 };
-pub use shard::{
-    GridPartitioner, HashPartitioner, Partitioner, ShardGauges, ShardedEngine,
-    ShardedEngineBuilder, ShardedStream,
-};
+pub use shard::{ShardGauges, ShardedEngine, ShardedEngineBuilder};
 pub use verify::{verify_stable, verify_weakly_stable};
 pub use wal::{Wal, WalRecord};

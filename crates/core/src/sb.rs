@@ -35,31 +35,38 @@
 //!
 //! ## One run state, two halves of a round
 //!
-//! Everything above lives once, in the crate-private `SbRun`: the pinned
-//! node source, the maintained skyline, the working function set with
-//! its reverse top-1 index, both rank-list caches and the counters.
-//! `SbRun::new` loads the functions and primes the skyline — cold by
-//! BBS, or cloned from the inventory's seed ([`crate::seed`]) — then
-//! peels off the objects the run must not see; "must not see" is one
-//! predicate, so a request's exclusions and a capacitated request's
-//! exhausted objects take the same path. A round (Algorithm 1 lines 3–9) is two calls:
+//! Everything above lives once, in the crate-private `SbRun`: its
+//! *parts* — one pinned node source and one maintained skyline each —
+//! the working function set with its reverse top-1 index, both
+//! rank-list caches and the counters. An [`Engine`](crate::Engine) is
+//! one part; a [`ShardedEngine`](crate::ShardedEngine) is one part per
+//! shard, and the run works over the **union** of the parts' skylines.
+//! That is all fact 1 needs: the maximal elements of a union lie among
+//! the maximal elements of its parts, so the union contains the
+//! skyline, and what it holds beside it is never mutually best (see
+//! [`crate::shard`] for what the surplus costs). `SbRun::new` loads the
+//! functions and primes every part — cold by BBS, or cloned from the
+//! inventory's seed ([`crate::seed`]) — then peels off the objects the
+//! run must not see; "must not see" is one predicate, so a request's
+//! exclusions and a capacitated request's exhausted objects take the
+//! same path. A round (Algorithm 1 lines 3–9) is two calls:
 //!
-//! * **discover** refreshes the rank lists and reports the round's
-//!   mutually-best pairs in canonical order — all of them, or with
-//!   `multi_pair` off only the first. It changes nothing a matching
-//!   depends on.
-//! * **retire** applies assignments: functions are tombstoned, and
-//!   objects leave the skyline (§IV-B maintenance, masked promotions
-//!   peeled before they reach a cache).
+//! * **discover** refreshes the rank lists against the union and
+//!   reports the round's mutually-best pairs in canonical order — all
+//!   of them, or with `multi_pair` off only the first. It changes
+//!   nothing a matching depends on.
+//! * **retire** applies assignments: functions are tombstoned, and each
+//!   object leaves the skyline of the one part that holds it (§IV-B
+//!   maintenance, masked promotions peeled before they reach a cache),
+//!   that part's promotions joining the union.
 //!
-//! Four drivers run it. The engine's evaluation (`run_sb_seeded`), the
-//! progressive [`SbStream`] and the persistent
+//! Three drivers run it. The evaluation (`run_sb_seeded`, for either
+//! engine), the progressive [`SbStream`] and the persistent
 //! [`MatchSession`](crate::MatchSession) retire exactly what they
-//! discovered, round after round. The `GreedyProbe` of
-//! [`crate::capacity`] — a capacitated request, or one shard of the
-//! [`crate::shard`] merge — discovers one pair, offers it, and retires
-//! whichever pair the merge then announces: always the function, the
-//! object only when it is the probe's own and out of capacity.
+//! discovered, round after round. A capacitated request
+//! ([`crate::capacity`]) is the evaluation with the other loop body:
+//! discover one pair, take one of its object's units, retire the
+//! function — and the object only once it is out of units.
 //!
 //! [`SbStream`] exposes the algorithm *progressively*: stable pairs are
 //! yielded as soon as they are identified, which is the paper's
@@ -69,14 +76,17 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
+use mpq_rtree::bulk::thread_budget;
 use mpq_rtree::{IoStats, NodeSource};
 use mpq_skyline::bbs::compute_skyline_excluding_with;
 use mpq_skyline::{SkylineMaintainer, SkylineStats};
 use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
 
+use crate::capacity::{invisible, Units};
 use crate::engine::RequestOptions;
 use crate::matching::{Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
+use crate::seed::EvalSeed;
 
 /// Certified reverse-top-`M` cached per skyline object. Deeper lists
 /// amortize one TA scan over more function removals; the marginal scan
@@ -159,38 +169,48 @@ fn peel_masked<R: NodeSource>(
     *spent += start.elapsed();
 }
 
-/// Prime a maintainer for a run: cold (BBS over the whole tree) or
-/// cloned from `seed`, the same tree's BBS snapshot — then peel what
-/// this request masks. Either way the returned maintainer holds exactly
-/// the skyline of the visible inventory, so the matching loop
-/// downstream cannot tell the histories apart. A cold run leaves its
-/// snapshot in the `capture` slot *before* the peel, so what it
-/// captures depends on the tree alone; a seeded run captures nothing.
-/// Both clones share what BBS recorded (the build ends frozen, see
+/// One part of a run: a pinned node source and the skyline maintained
+/// over it — a whole unsharded inventory, or one shard of a partitioned
+/// one.
+struct Part<R> {
+    src: R,
+    io_start: IoStats,
+    /// The maintainer's counters when the run took it over: a resumed
+    /// run does not report the seed's BBS as its own work.
+    sky_start: SkylineStats,
+    skyline: SkylineMaintainer,
+}
+
+/// Prime one part: cold (BBS over the whole tree) or cloned from `seed`,
+/// the same tree's BBS snapshot. Either way the part holds exactly the
+/// skyline of its inventory, so the matching loop downstream cannot
+/// tell the histories apart. With `capture` a cold part also returns
+/// its snapshot, taken *before* any peel, so what it captures depends
+/// on the tree alone; a seeded part captures nothing. Both clones share
+/// what BBS recorded (the build ends frozen, see
 /// `mpq_skyline::maintain`): neither copies a member or a plist.
 fn prime<R: NodeSource>(
-    src: &R,
-    masked: &impl Fn(u64) -> bool,
+    src: R,
     seed: Option<&SkylineMaintainer>,
-    capture: Option<&mut Option<SkylineMaintainer>>,
-    bufs: &mut RoundBufs,
-    maintain: &mut Duration,
-) -> SkylineMaintainer {
-    let mut maintainer = match seed {
-        Some(snapshot) => snapshot.clone(),
+    capture: bool,
+) -> (Part<R>, Option<SkylineMaintainer>) {
+    let io_start = src.io_snapshot();
+    let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
+    let (skyline, snapshot) = match seed {
+        Some(snapshot) => (snapshot.clone(), None),
         None => {
-            let built = SkylineMaintainer::build(src);
-            if let Some(slot) = capture {
-                *slot = Some(built.clone());
-            }
-            built
+            let built = SkylineMaintainer::build(&src);
+            let snapshot = capture.then(|| built.clone());
+            (built, snapshot)
         }
     };
-    bufs.wave.clear();
-    let masked_members = maintainer.iter().map(|e| e.oid).filter(|&oid| masked(oid));
-    bufs.wave.extend(masked_members);
-    peel_masked(&mut maintainer, src, bufs, masked, maintain);
-    maintainer
+    let part = Part {
+        src,
+        io_start,
+        sky_start,
+        skyline,
+    };
+    (part, snapshot)
 }
 
 /// Give `scratch` a fresh working copy of `functions` and empty
@@ -210,15 +230,13 @@ fn load_functions(
     }
 }
 
-/// The state of one SB run over one pinned node source — the only SB
-/// state machine in the crate (see the [module docs](self)).
+/// The state of one SB run over the union of its parts' skylines — the
+/// only SB state machine in the crate (see the [module docs](self)).
 pub(crate) struct SbRun<R: NodeSource> {
-    src: R,
-    io_start: IoStats,
-    /// The maintainer's counters when the run took it over: a resumed
-    /// run does not report the seed's BBS as its own work.
-    sky_start: SkylineStats,
-    maintainer: SkylineMaintainer,
+    /// One part for an [`Engine`](crate::Engine), one per shard for a
+    /// [`ShardedEngine`](crate::ShardedEngine). An object lives in
+    /// exactly one part.
+    parts: Vec<Part<R>>,
     rt1: Option<ReverseTopOne>,
     /// Working function set, fbest/obest rank-list caches and the
     /// round-local buffers.
@@ -228,29 +246,58 @@ pub(crate) struct SbRun<R: NodeSource> {
 }
 
 impl<R: NodeSource> SbRun<R> {
-    /// Start a run over `src`: load `functions`, then prime the skyline
-    /// cold or from `seed` with every `masked` object invisible (see
-    /// [`prime`]).
+    /// Start a run over `sources`: load `functions`, then prime every
+    /// part's skyline — cold, or from its snapshot in `seed` (one per
+    /// source, in order) — and peel every `masked` object off it. Cold
+    /// parts leave their snapshots in `capture`, in order (see
+    /// [`prime`]). The cold parts of a partitioned run are built side by
+    /// side on scoped threads where there are cores for it; a 1-part
+    /// run, a resume and a one-core host spawn nothing.
     pub(crate) fn new(
-        src: R,
+        sources: Vec<R>,
         mut scratch: Scratch,
         functions: &FunctionSet,
         best_pair: BestPairMode,
         masked: impl Fn(u64) -> bool,
-        seed: Option<&SkylineMaintainer>,
-        capture: Option<&mut Option<SkylineMaintainer>>,
-    ) -> SbRun<R> {
-        let io_start = src.io_snapshot();
-        let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
+        seed: Option<&[SkylineMaintainer]>,
+        mut capture: Option<&mut Vec<SkylineMaintainer>>,
+    ) -> SbRun<R>
+    where
+        R: Send,
+    {
         let rt1 = load_functions(&mut scratch, functions, best_pair);
+        let capturing = capture.is_some();
+        let prime_nth = |(i, src)| prime(src, seed.map(|parts| &parts[i]), capturing);
+        let jobs = sources.into_iter().enumerate();
+        let primed: Vec<_> = if seed.is_some() || jobs.len() == 1 || thread_budget() == 1 {
+            jobs.map(prime_nth).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let builds: Vec<_> = jobs
+                    .map(|job| scope.spawn(move || prime_nth(job)))
+                    .collect();
+                let joined = builds.into_iter().map(|build| build.join());
+                joined
+                    .map(|part| part.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                    .collect()
+            })
+        };
         let mut metrics = RunMetrics::default();
-        let (bufs, spent) = (&mut scratch.round, &mut metrics.maintain);
-        let maintainer = prime(&src, &masked, seed, capture, bufs, spent);
+        let mut parts = Vec::with_capacity(primed.len());
+        for (mut part, snapshot) in primed {
+            if let Some(snapshots) = capture.as_deref_mut() {
+                snapshots.extend(snapshot);
+            }
+            let bufs = &mut scratch.round;
+            bufs.wave.clear();
+            let members = part.skyline.iter().map(|e| e.oid);
+            bufs.wave.extend(members.filter(|&oid| masked(oid)));
+            let spent = &mut metrics.maintain;
+            peel_masked(&mut part.skyline, &part.src, bufs, &masked, spent);
+            parts.push(part);
+        }
         SbRun {
-            src,
-            io_start,
-            sky_start,
-            maintainer,
+            parts,
             rt1,
             scratch,
             best_pair,
@@ -268,15 +315,17 @@ impl<R: NodeSource> SbRun<R> {
     /// True once every function is assigned or the skyline drained (it
     /// can never refill).
     pub(crate) fn is_done(&self) -> bool {
-        self.scratch.fs.n_alive() == 0 || self.maintainer.is_empty()
+        self.scratch.fs.n_alive() == 0 || self.skyline_len() == 0
     }
 
-    pub(crate) fn src(&self) -> &R {
-        &self.src
+    /// Objects in the pinned snapshots, assigned or not.
+    pub(crate) fn pinned_objects(&self) -> u64 {
+        self.parts.iter().map(|part| part.src.len()).sum()
     }
 
-    pub(crate) fn skyline(&self) -> &SkylineMaintainer {
-        &self.maintainer
+    /// Objects on the union of the parts' skylines.
+    pub(crate) fn skyline_len(&self) -> usize {
+        self.parts.iter().map(|part| part.skyline.len()).sum()
     }
 
     /// The working function set: the loaded functions not yet assigned.
@@ -289,12 +338,27 @@ impl<R: NodeSource> SbRun<R> {
         &self.scratch.round.pairs
     }
 
-    /// Counters since [`load`](SbRun::load), I/O since the pin.
-    /// `elapsed` is left to the caller, who knows what it is timing.
+    /// Page traffic since the pins, summed over the parts.
+    pub(crate) fn io(&self) -> IoStats {
+        let since_pin = |part: &Part<R>| part.src.io_snapshot().since(part.io_start);
+        self.parts
+            .iter()
+            .map(since_pin)
+            .fold(IoStats::default(), |sum, io| sum + io)
+    }
+
+    /// Counters since [`load`](SbRun::load), I/O since the pins, both
+    /// summed over the parts. `elapsed` is left to the caller, who
+    /// knows what it is timing.
     pub(crate) fn metrics(&self) -> RunMetrics {
         let mut m = self.metrics;
-        m.io = self.src.io_snapshot().since(self.io_start);
-        m.skyline = Some(stats_since(self.maintainer.stats(), self.sky_start));
+        m.io = self.io();
+        let mut skyline = SkylineStats::default();
+        for part in &self.parts {
+            let own = zip_stats(part.skyline.stats(), part.sky_start, |now, then| now - then);
+            skyline = zip_stats(skyline, own, |sum, part| sum + part);
+        }
+        m.skyline = Some(skyline);
         m.ta = self.rt1.as_ref().map(ReverseTopOne::stats);
         m
     }
@@ -314,8 +378,9 @@ impl<R: NodeSource> SbRun<R> {
         &self.scratch.round.pairs
     }
 
-    /// First half of a round: refresh the fbest/obest rank lists and
-    /// leave this round's mutually-best pairs, canonically sorted, in
+    /// First half of a round: refresh the fbest/obest rank lists
+    /// against the union of the parts' skylines and leave this round's
+    /// mutually-best pairs, canonically sorted, in
     /// [`pairs`](SbRun::pairs) (only the first without `multi_pair`). Changes
     /// nothing a matching depends on, so asking twice answers the same.
     ///
@@ -331,7 +396,9 @@ impl<R: NodeSource> SbRun<R> {
             round: bufs,
             ..
         } = &mut self.scratch;
-        let maintainer = &self.maintainer;
+        let parts = &self.parts;
+        let skyline = || parts.iter().flat_map(|part| part.skyline.iter());
+        let on_skyline = |oid| parts.iter().any(|part| part.skyline.contains(oid));
         let start = Instant::now();
         self.metrics.loops += 1;
 
@@ -340,7 +407,7 @@ impl<R: NodeSource> SbRun<R> {
         // the (top-M) reverse search. A surviving head entry is the true
         // reverse top-1 because removals can only have deleted
         // better-ranked functions.
-        for e in maintainer.iter() {
+        for e in skyline() {
             let list = fbest.entry(e.oid).or_default();
             let dead = list.iter().take_while(|&&(fid, _)| !fs.is_alive(fid));
             list.drain(..dead.count());
@@ -357,22 +424,21 @@ impl<R: NodeSource> SbRun<R> {
         // all assigned, and promotions were folded in); empty ⇒ full
         // skyline rescan.
         bufs.fbest_fns.clear();
-        bufs.fbest_fns
-            .extend(maintainer.iter().map(|e| fbest[&e.oid][0].0));
+        bufs.fbest_fns.extend(skyline().map(|e| fbest[&e.oid][0].0));
         for &fid in &bufs.fbest_fns {
             // Filling a list inserts before it truncates: one allocation.
             let list = obest
                 .entry(fid)
                 .or_insert_with(|| Vec::with_capacity(OBEST_RANKS + 1));
-            let gone = list
-                .iter()
-                .take_while(|&&(oid, _)| !maintainer.contains(oid));
+            let gone = list.iter().take_while(|&&(oid, _)| !on_skyline(oid));
             list.drain(..gone.count());
             if list.is_empty() {
-                for e in maintainer.iter() {
+                // Every member, once per function: iterated from inside,
+                // so the chain of parts costs nothing per member.
+                skyline().for_each(|e| {
                     let s = fs.score(fid, e.point);
                     insert_ranked(list, OBEST_RANKS, e.oid, s);
-                }
+                });
                 debug_assert!(!list.is_empty(), "skyline is non-empty");
             }
         }
@@ -396,7 +462,8 @@ impl<R: NodeSource> SbRun<R> {
 
     /// Second half of a round: the functions of `pairs` are assigned
     /// and, with `objects`, so are their objects — tombstone, drop the
-    /// rank lists of what left, maintain the skyline.
+    /// rank lists of what left, maintain the skyline of every part that
+    /// held one of them.
     pub(crate) fn retire(&mut self, pairs: &[Pair], objects: bool, masked: impl Fn(u64) -> bool) {
         let Scratch {
             fs,
@@ -416,40 +483,47 @@ impl<R: NodeSource> SbRun<R> {
         }
         // Assigned objects never return: drop their fbest lists. Dead
         // objects inside obest lists are drained lazily in step 2.
-        bufs.wave.clear();
         for p in pairs {
             fbest.remove(&p.oid);
-            bufs.wave.push(p.oid);
         }
-        // Skyline maintenance (§IV-B): promotions are folded into every
-        // cached obest rank list to preserve its "nothing better than the
-        // stored minimum is missing" invariant.
-        let spent = &mut self.metrics.maintain;
-        peel_masked(&mut self.maintainer, &self.src, bufs, &masked, spent);
-        for &oid in &bufs.promoted {
-            let point = self.maintainer.get(oid).expect("a kept promotion");
-            for (fid, list) in obest.iter_mut() {
-                let s = fs.score(*fid, point);
-                fold_promotion(list, OBEST_RANKS, oid, s);
+        for part in &mut self.parts {
+            bufs.wave.clear();
+            let assigned = pairs.iter().map(|p| p.oid);
+            bufs.wave
+                .extend(assigned.filter(|&oid| part.skyline.contains(oid)));
+            if bufs.wave.is_empty() {
+                continue;
+            }
+            // Skyline maintenance (§IV-B): promotions are folded into every
+            // cached obest rank list to preserve its "nothing better than the
+            // stored minimum is missing" invariant.
+            let spent = &mut self.metrics.maintain;
+            peel_masked(&mut part.skyline, &part.src, bufs, &masked, spent);
+            for &oid in &bufs.promoted {
+                let point = part.skyline.get(oid).expect("a kept promotion");
+                for (fid, list) in obest.iter_mut() {
+                    let s = fs.score(*fid, point);
+                    fold_promotion(list, OBEST_RANKS, oid, s);
+                }
             }
         }
     }
 }
 
-/// Build a progressive SB stream over a node source the stream *owns*
-/// (a run-scoped I/O session). The request's excluded objects are
-/// invisible: removed from the initial skyline along with every excluded
-/// promotion they uncover. Reads `best_pair`, `multi_pair` and `exclude`
-/// from `options`; the request path has already checked that the rest
-/// describe a streamable request.
-pub(crate) fn stream_on<R: NodeSource>(
-    src: R,
+/// Build a progressive SB stream over node sources the stream *owns*
+/// (run-scoped I/O sessions, one per part). The request's excluded
+/// objects are invisible: removed from the initial skyline along with
+/// every excluded promotion they uncover. Reads `best_pair`,
+/// `multi_pair` and `exclude` from `options`; the request path has
+/// already checked that the rest describe a streamable request.
+pub(crate) fn stream_on<R: NodeSource + Send>(
+    sources: Vec<R>,
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> SbStream<R> {
     let excluded = options.exclude.clone();
     let run = SbRun::new(
-        src,
+        sources,
         Scratch::new(),
         functions,
         options.best_pair,
@@ -465,47 +539,83 @@ pub(crate) fn stream_on<R: NodeSource>(
     }
 }
 
-/// Non-streaming SB evaluation over any node source, serving its entire
-/// per-run state — working function set, rank-list caches, round
-/// buffers — from a reusable [`Scratch`] (lent to the run, handed back
-/// at the end). This is the engine's
-/// [`evaluate`](crate::MatchRequest::evaluate) path: after the first
-/// request on a warm scratch, a run makes no per-round allocations and
-/// no per-run `FunctionSet`/exclusion-set clones (the request's
-/// exclusion set is borrowed for the whole run instead of copied).
+/// Non-streaming SB evaluation of one request over pinned sources —
+/// one for an [`Engine`](crate::Engine), one per shard for a
+/// [`ShardedEngine`](crate::ShardedEngine); `versions[i]` is the
+/// inventory version `sources[i]` is pinned at, `None` where a mutation
+/// straddled the pin (see `Engine::pin`). The entire per-run state —
+/// working function set, rank-list caches, round buffers — is served
+/// from a reusable [`Scratch`] (lent to the run, handed back at the
+/// end): after the first request on a warm scratch, a run makes no
+/// per-round allocations and no per-run `FunctionSet`/exclusion-set
+/// clones (the request's exclusion set is borrowed for the whole run
+/// instead of copied).
 ///
 /// Produces exactly the pairs the progressive [`SbStream`] would, in the
-/// same order (asserted by tests).
+/// same order (asserted by tests). A capacitated request runs the same
+/// state through the other loop body: one pair per round, one capacity
+/// unit per pair, the object retired with its last unit.
 ///
-/// Seed-capable: `seed` resumes from the tree's BBS snapshot instead of
-/// running BBS from scratch, and a cold run leaves its own snapshot in
-/// the `capture` slot. Pass `None, None` for a plain cold run. Both
-/// paths run the identical round body over content-identical skylines,
-/// so seeded matchings are score-bit-identical to cold ones (pinned by
+/// Seed-capable, and the one place that decides it. A `seed` is
+/// honoured as a whole or not at all: only when every part is pinned,
+/// unambiguously, at exactly the seed's version — its pruned entries
+/// reference pages of those epochs. A run that resumed captures
+/// nothing; a cold one leaves the inventory's seed in `capture` only if
+/// every pin was stable, so every part's snapshot can be stamped. Pass
+/// `None, None` for a plain cold run. Both paths run the identical
+/// round body over content-identical skylines, so seeded matchings are
+/// score-bit-identical to cold ones (pinned by
 /// `tests/seed_identity.rs`).
-pub(crate) fn run_sb_seeded<R: NodeSource>(
-    src: &R,
+pub(crate) fn run_sb_seeded<R: NodeSource + Send>(
+    sources: Vec<R>,
+    versions: &[Option<u64>],
     functions: &FunctionSet,
     options: &RequestOptions,
     scratch: &mut Scratch,
-    seed: Option<&SkylineMaintainer>,
-    capture: Option<&mut Option<SkylineMaintainer>>,
+    seed: Option<&EvalSeed>,
+    capture: Option<&mut Option<EvalSeed>>,
 ) -> Matching {
     let start = Instant::now();
-    let masked = |oid| options.exclude.contains(&oid);
+    let pinned = || versions.iter().copied();
+    let seed = seed.filter(|s| pinned().eq(s.versions.iter().map(|&v| Some(v))));
+    let mut snapshots = Vec::new();
+    let capturing = capture.is_some() && seed.is_none() && pinned().all(|v| v.is_some());
+    let exclude = &options.exclude;
+    let mut units = options.capacities.clone().map(Units);
     let mut run = SbRun::new(
-        src,
+        sources,
         std::mem::take(scratch),
         functions,
         options.best_pair,
-        masked,
-        seed,
-        capture,
+        |oid| invisible(exclude, &units, oid),
+        seed.map(|s| &s.parts[..]),
+        capturing.then_some(&mut snapshots),
     );
-    let budget = functions.n_alive().min(src.len() as usize);
+    if let Some(out) = capture {
+        // A seed has a snapshot of every part or does not exist.
+        *out = (snapshots.len() == versions.len()).then(|| EvalSeed {
+            versions: pinned().flatten().collect(),
+            parts: snapshots,
+        });
+    }
+    let budget = functions.n_alive().min(run.pinned_objects() as usize);
     let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
     while !run.is_done() {
-        pairs.extend_from_slice(run.round(options.multi_pair, masked));
+        match &mut units {
+            None => {
+                let round = run.round(options.multi_pair, |oid| exclude.contains(&oid));
+                pairs.extend_from_slice(round);
+            }
+            // The canonical greedy: the round's best pair takes one
+            // unit, and the object stays while it has another.
+            Some(left) => {
+                run.discover(false);
+                let pair = run.pairs()[0];
+                let spent = left.take(pair.oid);
+                run.retire(&[pair], spent, |oid| invisible(exclude, &units, oid));
+                pairs.push(pair);
+            }
+        }
     }
     let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
@@ -626,15 +736,15 @@ pub(crate) fn best_functions(
     rt1.top_m_for(fs, point, FBEST_RANKS, threshold, list);
 }
 
-/// The maintainer's counters over the stretch that started at `origin`.
-fn stats_since(now: SkylineStats, origin: SkylineStats) -> SkylineStats {
+/// `op` applied counter by counter.
+fn zip_stats(a: SkylineStats, b: SkylineStats, op: impl Fn(u64, u64) -> u64) -> SkylineStats {
     SkylineStats {
-        nodes_expanded: now.nodes_expanded - origin.nodes_expanded,
-        entries_pruned: now.entries_pruned - origin.entries_pruned,
-        entries_rehomed: now.entries_rehomed - origin.entries_rehomed,
-        entries_reheaped: now.entries_reheaped - origin.entries_reheaped,
-        points_promoted: now.points_promoted - origin.points_promoted,
-        dominance_checks: now.dominance_checks - origin.dominance_checks,
+        nodes_expanded: op(a.nodes_expanded, b.nodes_expanded),
+        entries_pruned: op(a.entries_pruned, b.entries_pruned),
+        entries_rehomed: op(a.entries_rehomed, b.entries_rehomed),
+        entries_reheaped: op(a.entries_reheaped, b.entries_reheaped),
+        points_promoted: op(a.points_promoted, b.points_promoted),
+        dominance_checks: op(a.dominance_checks, b.dominance_checks),
     }
 }
 
@@ -717,9 +827,10 @@ impl<R: NodeSource> SbStream<R> {
         self.metrics()
     }
 
-    /// Number of objects currently on the maintained skyline.
+    /// Number of objects currently on the maintained skyline (the
+    /// union of the per-shard skylines on a sharded backend).
     pub fn skyline_len(&self) -> usize {
-        self.run.skyline().len()
+        self.run.skyline_len()
     }
 
     /// Number of functions still awaiting assignment.
@@ -745,7 +856,7 @@ impl<R: NodeSource> SbStream<R> {
                 continue;
             }
             let (mo, ms) = *list.last().unwrap();
-            for e in self.run.maintainer.iter() {
+            for e in self.run.parts.iter().flat_map(|p| p.skyline.iter()) {
                 let s = scratch.fs.score(*fid, e.point);
                 let better = s > ms || (s == ms && e.oid < mo);
                 if better && !list.iter().any(|&(o, _)| o == e.oid) {
@@ -1083,7 +1194,7 @@ mod tests {
         let seeded = seeded.metrics().skyline.unwrap();
         assert!(seeded.nodes_expanded < cold.nodes_expanded);
         assert!(seeded.dominance_checks < cold.dominance_checks);
-        let skipped = stats_since(cold, seeded);
+        let skipped = zip_stats(cold, seeded, |cold, seeded| cold - seeded);
         assert_eq!(skipped.nodes_expanded, build.nodes_expanded);
         assert_eq!(skipped.dominance_checks, build.dominance_checks);
         assert_eq!(skipped.points_promoted, build.points_promoted);

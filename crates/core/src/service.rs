@@ -1120,7 +1120,6 @@ impl<'a> ServiceCore<'a> {
             storage: mpq_rtree::IoStats::default(),
             health: HealthState::Healthy,
             shards: Vec::new(),
-            skipped_shards: 0,
             uptime: self.started.elapsed(),
             p50_latency: percentile(&sorted, 0.50),
             p99_latency: percentile(&sorted, 0.99),
@@ -1198,9 +1197,6 @@ pub struct ServiceMetrics {
     /// shard order. Empty for an unsharded engine (and in snapshots
     /// taken through a bare `ServiceCore`).
     pub shards: Vec<ShardGauges>,
-    /// Shards skipped by the scatter-gather merge's score-bound pruning
-    /// since spawn. Always zero for an unsharded engine.
-    pub skipped_shards: u64,
     /// Time since the service was spawned.
     pub uptime: Duration,
     /// Median submit→resolve latency over the rolling window.
@@ -1280,7 +1276,6 @@ impl ServiceMetrics {
                         .collect(),
                 ),
             ),
-            ("skipped_shards", Json::Num(self.skipped_shards as f64)),
             ("uptime_secs", Json::Num(self.uptime.as_secs_f64())),
             ("requests_per_sec", Json::Num(self.requests_per_sec())),
             (
@@ -1338,9 +1333,8 @@ impl std::fmt::Display for ServiceMetrics {
         if !self.shards.is_empty() {
             writeln!(
                 f,
-                "shards {}  skipped {}  objects [{}]",
+                "shards {}  objects [{}]",
                 self.shards.len(),
-                self.skipped_shards,
                 self.shards
                     .iter()
                     .map(|s| s.objects.to_string())
@@ -1590,7 +1584,6 @@ fn full_metrics(
     m.storage = backend.storage_stats();
     m.health = health.state();
     m.shards = backend.shard_gauges();
-    m.skipped_shards = backend.skipped_shards();
     m
 }
 
@@ -1829,7 +1822,6 @@ mod tests {
             storage: mpq_rtree::IoStats::default(),
             health: HealthState::Healthy,
             shards: Vec::new(),
-            skipped_shards: 0,
             uptime: Duration::ZERO,
             p50_latency: Duration::ZERO,
             p99_latency: Duration::ZERO,
@@ -2300,7 +2292,6 @@ mod tests {
                 buffer_hit_rate: 0.5,
                 wal_bytes: 64,
             }],
-            skipped_shards: 7,
             uptime: Duration::from_secs(2),
             p50_latency: Duration::from_millis(5),
             p99_latency: Duration::from_millis(50),
@@ -2374,11 +2365,6 @@ mod tests {
             json.get("health").and_then(crate::json::Json::as_str),
             Some("degraded"),
             "health must be reported as its lowercase wire name"
-        );
-        assert_eq!(
-            json.get("skipped_shards")
-                .and_then(crate::json::Json::as_f64),
-            Some(7.0)
         );
         let shards = match json.get("shards").expect("shards array") {
             crate::json::Json::Arr(items) => items,

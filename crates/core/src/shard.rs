@@ -1,51 +1,68 @@
-//! Partitioned engine: per-shard R-trees with a scatter-gather
-//! best-pair merge.
+//! Partitioned engine: per-shard R-trees, one SB run over the union of
+//! their skylines.
 //!
-//! All three matchers reduce to repeatedly finding the best
-//! `(score desc, fid asc, oid asc)` pair over the surviving inventory —
-//! and that reduction decomposes cleanly over a *partitioned* object
-//! set: if every shard reports its locally best candidate pair, the
-//! globally best pair is the best of the candidates. The
-//! [`ShardedEngine`] exploits this with a scatter-gather merge:
+//! SB rests on one fact (§III-B of the paper): every monotone
+//! function's top-1 lies in the skyline of the remaining objects. The
+//! fact needs only a candidate set that *contains* the skyline, and a
+//! partitioned inventory supplies one for free: the skyline is the set
+//! of maximal elements of the dominance order (Chomicki's winnow), and
+//! for any strict partial order the maximal elements of a union lie
+//! among the maximal elements of its parts. So the union of `K`
+//! per-shard skylines is a set SB's round (Algorithm 1, §IV-C's
+//! multi-pair reporting included) is already correct over, and a
+//! [`ShardedEngine`] evaluates a request in three steps:
 //!
-//! 1. **Partition.** A [`Partitioner`] (hash-by-oid by default,
-//!    pluggable grid/space partitioning via [`GridPartitioner`]) splits
-//!    the object set into `K` independent shards. Each shard is a full
-//!    [`Engine`]: its own bulk-loaded R-tree, buffer pool, WAL segment
-//!    and epoch snapshots — and each shard indexes **global** object
-//!    ids natively, so no id translation sits between the merge
-//!    protocol and the per-shard trees.
-//! 2. **Scatter.** Each evaluation round probes shards for their best
-//!    candidate pair: one `GreedyProbe` of [`crate::capacity`] per
-//!    shard — the very probe an unsharded capacitated request drains on
-//!    its own. A probe is the SB run of [`crate::sb`] in single-pair
-//!    mode over the shard's tree: probing is the *discover* half of an
-//!    SB round (rank-list caches included), the broadcast below its
-//!    *retire* half. A shard therefore does per candidate exactly what
-//!    `Engine` does per single-pair loop, and nothing is allocated per
-//!    object id.
-//! 3. **Gather + merge.** The driver picks the best candidate, emits
-//!    it, and broadcasts the assignment; only shards whose state the
-//!    assignment touched (the owner of the object, or any shard whose
-//!    cached candidate used the assigned function) re-probe next round.
-//! 4. **Bound pruning.** A shard's stale candidate score is a valid
-//!    *upper bound* on everything it can still produce (assignments
-//!    only remove objects and functions, and domination order implies
-//!    score order for non-negative weights), so a stale shard whose
-//!    bound is strictly below the current winner is **skipped** — the
-//!    Vlachou-style partition bound. Skips are counted in
-//!    [`ShardedEngine::skipped_shards`].
+//! 1. **Partition** (once, at build). Object `oid` lives in shard
+//!    `splitmix64(oid) % K` for as long as it lives — routing never
+//!    looks at the point, so an update is in place, every mutation is
+//!    one record in one WAL, and no id is ever in two shards. Each shard
+//!    is a full [`Engine`]: its own bulk-loaded R-tree, buffer pool, WAL
+//!    segment and epoch snapshots, indexing **global** object ids
+//!    natively.
+//! 2. **Pin.** Every shard is pinned at its current epoch, exactly as an
+//!    [`Engine`] pins its one tree; each shard is read at one epoch for
+//!    the whole evaluation.
+//! 3. **One run over the union.** The pins go to the very function an
+//!    [`Engine`] evaluates with (`run_sb_seeded` of [`crate::sb`]),
+//!    whose run state holds one part per pin: *discover* ranks
+//!    functions against the union of the parts' skylines, *retire*
+//!    hands each assigned object to the one part that holds it and
+//!    folds that part's promotions back into the union. Rounds, rank
+//!    lists, the caller's `Scratch`, exclusions, capacities, seeds and
+//!    streams work on `K` shards because they work on one.
 //!
-//! The merge protocol is **message-shaped**: driver and shards exchange
-//! only candidate [`Pair`]s, assignment broadcasts and bounds — no
-//! shared mutable state — so shards can later live in separate
-//! processes (the north-star scale-out seam).
+//! Nothing outside the skyline is ever *mutually* best, so a `K`-shard
+//! run reports the engine's pairs round for round: the same matching in
+//! the same order from the same number of loops, for every `K`, and at
+//! `K = 1` the same reverse top-1 scans and page reads to the count
+//! (asserted by `tests/shard_identity.rs`). Because the canonical
+//! stable matching is *unique* (deterministic tie-breaks end to end),
+//! that one run serves all three algorithms, under exclusions and
+//! capacities alike.
 //!
-//! Because the canonical stable matching is *unique* (deterministic
-//! tie-breaks end to end), one merge implementation serves all three
-//! algorithms: the sharded result is bit-identical to the unsharded
-//! engine's `sorted_pairs()` for SB, BF and Chain alike, under
-//! exclusions and capacities (asserted by `tests/shard_identity.rs`).
+//! ## What `K > 1` costs, and what it is for
+//!
+//! The union is larger than the skyline, and every extra member costs
+//! reverse top-1 scans without ever being matched. Exact counts on
+//! 200 000 × 4-d objects and 1 000 functions (`WorkloadBuilder`, seed
+//! 2009): independent data, skyline 407, union 632 / 1 032 / 1 646 at
+//! `K` = 2 / 4 / 8, and `reverse_top1_calls` 13 221 → 24 323 at
+//! `K = 4`; anti-correlated, skyline 3 660 against 5 801 / 9 321 /
+//! 14 711, and 51 222 → 109 998. Page reads grow with the number of
+//! trees (356 → 611 and 967 → 1 444 logical reads at `K = 4`). That is
+//! the only cost — there is no merge left to pay for — but it is a
+//! cost. On the benchmark's `batch_indep` and `batch_anti` workloads
+//! (three alternating `ledger trace` runs a side, 2-core container,
+//! PR 20) `shard.evaluate_k4_ms` is 1.64–1.86× and 1.34–1.48× the same
+//! run's `engine.evaluate_ms` (2.25–2.46× and 1.62–2.10× with the
+//! best-pair merge this run replaced), while `shard.evaluate_k1_ms` is
+//! 0.95–1.14× and 0.87–1.04× (from 1.92–2.10× and 1.40–1.46×). So on
+//! one host sharding is **not** a throughput feature. What it buys is
+//! independence of storage and of cached work: a WAL segment, a buffer
+//! pool and a version-vector component per shard, so a mutation
+//! appends to one shard's log and moves one component of the cache
+//! stamp, leaving what was cached or seeded against the other shards
+//! valid.
 //!
 //! ## One hosting path
 //!
@@ -57,19 +74,10 @@
 //! [`Engine`] through, and
 //! [`EngineBuilder::open_or_build`](crate::EngineBuilder::open_or_build)
 //! alone decides when an inventory is hosted sharded (`K > 1`, or a
-//! `shards.mpq` manifest on disk). A 1-shard merge stays buildable —
-//! it is the merge-overhead baseline — but nothing selects it. On the
-//! benchmark's `batch_indep` workload (three alternating `ledger
-//! trace` runs a side, 2-core container, PR 16) `shard.evaluate_k1_ms`
-//! is 226 ms against `engine.evaluate_ms` 136 ms, 1.65×, unmoved by
-//! sharing the round body (224–236 ms, parent 223–232), while
-//! `shard.evaluate_k4_ms` went 298–315 → 248–254 ms (1.85× the engine).
-//! What still separates K = 1 from the engine is no longer a second
-//! implementation but the round shape: the engine retires every
-//! mutually-best pair of a round at once (§IV-C, ~17 pairs over 57.5
-//! loops), a probe offers one pair and so walks its skyline and runs
-//! skyline maintenance once per emitted pair — 1 000 rounds for 1 000
-//! functions.
+//! `shards.mpq` manifest on disk). One shard builds an [`Engine`]
+//! there, not because a 1-shard run is slower — it is the same run —
+//! but because a bare [`Engine`] also hosts the Brute Force, Chain and
+//! rescan paths the paper's comparisons need.
 //!
 //! ## Versioning under sharding
 //!
@@ -85,21 +93,17 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use mpq_rtree::bulk::thread_budget;
-use mpq_rtree::{IoStats, PointSet};
-use mpq_skyline::SkylineMaintainer;
+use mpq_rtree::{IoSession, IoStats, PointSet};
 use mpq_ta::FunctionSet;
 
 use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::cache::MutationLog;
-use crate::capacity::GreedyProbe;
-use crate::engine::{
-    validate_request, Algorithm, BatchOutcome, Engine, MatchRequest, RequestOptions,
-};
+use crate::engine::{validate_request, BatchOutcome, Engine, MatchRequest, RequestOptions};
 use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::matching::{IndexConfig, Matching};
+use crate::sb::{run_sb_seeded, SbStream};
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
 use crate::service::{lock, EngineService, ServiceConfig};
@@ -109,28 +113,8 @@ const MANIFEST_FILE: &str = "shards.mpq";
 /// First line of a sharded data-dir manifest.
 const MANIFEST_MAGIC: &str = "mpq-shard-manifest/1";
 
-/// Assigns every object to exactly one of `k` shards.
-///
-/// The contract is a *true partition*: for a fixed `k`, every
-/// `(oid, point)` maps to exactly one shard in `0..k`, deterministically
-/// — the same inputs must map to the same shard across processes and
-/// reopens (asserted by a proptest). Implementations must be cheap:
-/// the router runs under the mutation lock.
-pub trait Partitioner: Send + Sync {
-    /// The shard (`0..k`) that owns object `oid` at `point`.
-    fn shard_of(&self, oid: u64, point: &[f64], k: usize) -> usize;
-
-    /// Stable identifier round-tripped through the data-dir manifest so
-    /// [`ShardedEngine::open`] can reconstruct the partitioner.
-    fn id(&self) -> String;
-}
-
-/// The default partitioner: shard by a fixed 64-bit mix of the object
-/// id (SplitMix64). Id-based routing is *placement-stable*: an object's
-/// shard never changes when its point moves, so updates never migrate
-/// between shards and every mutation touches exactly one WAL.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner;
+/// The manifest's name for the one routing rule, [`shard_of`].
+const PARTITIONER: &str = "hash";
 
 /// SplitMix64 finalizer — a fixed, documented mix so the partition is
 /// stable across processes, platforms and reopens.
@@ -141,68 +125,20 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-impl Partitioner for HashPartitioner {
-    fn shard_of(&self, oid: u64, _point: &[f64], k: usize) -> usize {
-        (splitmix64(oid) % k.max(1) as u64) as usize
-    }
-
-    fn id(&self) -> String {
-        "hash".to_string()
-    }
+/// The one shard of `k >= 1` that holds object `oid`, for as long as
+/// the object lives: routing looks at the id alone, so an update never
+/// moves an object between shards, every mutation is one record in one
+/// WAL, and no two shards can hold the same id.
+fn shard_of(oid: u64, k: usize) -> usize {
+    (splitmix64(oid) % k as u64) as usize
 }
 
-/// Space partitioner: slice the `[0, 1]` preference space into `k`
-/// equal-width slabs along one axis (`shard = floor(point[axis] * k)`,
-/// clamped). Clusters spatially close objects — and therefore skyline
-/// candidates — into few shards, which the merge's bound pruning turns
-/// into skipped probes.
-///
-/// Point-based routing means [`ShardedEngine::update_object`] may
-/// *migrate* an object between shards (a remove in one WAL plus an
-/// insert in another — two durable operations, not one atomic record;
-/// a crash between them can leave the object present in both shards
-/// until the stale copy is removed). Deployments that mutate under
-/// crash risk should prefer [`HashPartitioner`].
-#[derive(Debug, Clone, Copy)]
-pub struct GridPartitioner {
-    /// The axis (dimension index) the space is sliced along.
-    pub axis: usize,
-}
-
-impl Partitioner for GridPartitioner {
-    fn shard_of(&self, _oid: u64, point: &[f64], k: usize) -> usize {
-        let k = k.max(1);
-        let v = point.get(self.axis).copied().unwrap_or(0.0).clamp(0.0, 1.0);
-        ((v * k as f64) as usize).min(k - 1)
-    }
-
-    fn id(&self) -> String {
-        format!("grid:{}", self.axis)
-    }
-}
-
-/// Reconstruct a partitioner from its manifest [`Partitioner::id`].
-fn partitioner_from_id(id: &str) -> Result<Arc<dyn Partitioner>, MpqError> {
-    if id == "hash" {
-        return Ok(Arc::new(HashPartitioner));
-    }
-    if let Some(axis) = id.strip_prefix("grid:") {
-        if let Ok(axis) = axis.parse::<usize>() {
-            return Ok(Arc::new(GridPartitioner { axis }));
-        }
-    }
-    Err(MpqError::Io(format!(
-        "shard manifest names unknown partitioner '{id}'"
-    )))
-}
-
-/// Builder for [`ShardedEngine`]: configure the partition count, the
-/// partitioner and the per-shard index, then split and bulk-load once.
+/// Builder for [`ShardedEngine`]: configure the partition count and
+/// the per-shard index, then split and bulk-load once.
 pub struct ShardedEngineBuilder<'o> {
     index: IndexConfig,
     objects: Option<&'o PointSet>,
     shards: usize,
-    partitioner: Arc<dyn Partitioner>,
     data_dir: Option<PathBuf>,
 }
 
@@ -212,7 +148,6 @@ impl Default for ShardedEngineBuilder<'_> {
             index: IndexConfig::default(),
             objects: None,
             shards: 1,
-            partitioner: Arc::new(HashPartitioner),
             data_dir: None,
         }
     }
@@ -233,24 +168,16 @@ impl<'o> ShardedEngineBuilder<'o> {
     }
 
     /// Number of shards `K >= 1` (default 1 — a degenerate but valid
-    /// partition, useful as the merge-overhead baseline).
+    /// partition, which evaluates exactly as an [`Engine`] does).
     pub fn shards(mut self, k: usize) -> ShardedEngineBuilder<'o> {
         self.shards = k;
-        self
-    }
-
-    /// The partitioner assigning objects to shards (default
-    /// [`HashPartitioner`]).
-    pub fn partitioner(mut self, p: Arc<dyn Partitioner>) -> ShardedEngineBuilder<'o> {
-        self.partitioner = p;
         self
     }
 
     /// Persist every shard under `dir`: shard `i` lives in
     /// `dir/shard-i/` as a full engine data directory (its own
     /// `pages.mpq` + `wal.mpq`), and a manifest records the shard count
-    /// and partitioner so [`ShardedEngine::open`] can reassemble the
-    /// partition.
+    /// so [`ShardedEngine::open`] can reassemble the partition.
     pub fn data_dir(mut self, dir: impl AsRef<Path>) -> ShardedEngineBuilder<'o> {
         self.data_dir = Some(dir.as_ref().to_path_buf());
         self
@@ -271,10 +198,9 @@ impl<'o> ShardedEngineBuilder<'o> {
         // Route every object, building one (points, oids) pair per
         // shard; a first pass sizes the pairs so the second never
         // reallocates.
-        let route = |i: usize, p: &[f64]| self.partitioner.shard_of(i as u64, p, k).min(k - 1);
         let mut sizes = vec![0usize; k];
-        for (i, p) in objects.iter() {
-            sizes[route(i, p)] += 1;
+        for i in 0..objects.len() {
+            sizes[shard_of(i as u64, k)] += 1;
         }
         let mut parts: Vec<(PointSet, Vec<u64>)> = sizes
             .iter()
@@ -286,7 +212,7 @@ impl<'o> ShardedEngineBuilder<'o> {
             })
             .collect();
         for (i, p) in objects.iter() {
-            let (points, oids) = &mut parts[route(i, p)];
+            let (points, oids) = &mut parts[shard_of(i as u64, k)];
             points.push(p);
             oids.push(i as u64);
         }
@@ -310,16 +236,14 @@ impl<'o> ShardedEngineBuilder<'o> {
             b.build()
         })?;
         if let Some(dir) = &self.data_dir {
-            write_manifest(dir, k, &*self.partitioner)?;
+            write_manifest(dir, k)?;
         }
         Ok(ShardedEngine {
             dim: objects.dim(),
-            partitioner: self.partitioner,
             shards,
             next_oid: AtomicU64::new(objects.len() as u64),
             data_dir: self.data_dir,
             evaluations: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
             mutator: Mutex::new(()),
         })
     }
@@ -368,17 +292,16 @@ fn shard_dir(root: &Path, s: usize) -> PathBuf {
 }
 
 /// Write the sharded data-dir manifest (idempotent, overwrites).
-fn write_manifest(dir: &Path, k: usize, partitioner: &dyn Partitioner) -> Result<(), MpqError> {
-    let body = format!(
-        "{MANIFEST_MAGIC}\nshards={k}\npartitioner={}\n",
-        partitioner.id()
-    );
+fn write_manifest(dir: &Path, k: usize) -> Result<(), MpqError> {
+    let body = format!("{MANIFEST_MAGIC}\nshards={k}\npartitioner={PARTITIONER}\n");
     std::fs::write(dir.join(MANIFEST_FILE), body)?;
     Ok(())
 }
 
-/// Parse a sharded data-dir manifest into `(k, partitioner)`.
-fn read_manifest(dir: &Path) -> Result<(usize, Arc<dyn Partitioner>), MpqError> {
+/// Parse a sharded data-dir manifest into its shard count. A manifest
+/// that names any partitioner but [`PARTITIONER`] is refused: its
+/// objects are not where [`shard_of`] would look for them.
+fn read_manifest(dir: &Path) -> Result<usize, MpqError> {
     let body = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
     let mut lines = body.lines();
     if lines.next() != Some(MANIFEST_MAGIC) {
@@ -388,16 +311,21 @@ fn read_manifest(dir: &Path) -> Result<(usize, Arc<dyn Partitioner>), MpqError> 
         )));
     }
     let mut k = None;
-    let mut partitioner = None;
+    let mut partitioned = false;
     for line in lines {
         if let Some(v) = line.strip_prefix("shards=") {
             k = v.parse::<usize>().ok();
-        } else if let Some(v) = line.strip_prefix("partitioner=") {
-            partitioner = Some(partitioner_from_id(v)?);
+        } else if let Some(id) = line.strip_prefix("partitioner=") {
+            if id != PARTITIONER {
+                return Err(MpqError::Io(format!(
+                    "shard manifest names unknown partitioner '{id}'"
+                )));
+            }
+            partitioned = true;
         }
     }
-    match (k, partitioner) {
-        (Some(k), Some(p)) if k >= 1 => Ok((k, p)),
+    match k {
+        Some(k) if k >= 1 && partitioned => Ok(k),
         _ => Err(MpqError::Io(format!(
             "malformed shard manifest: {}",
             dir.join(MANIFEST_FILE).display()
@@ -407,26 +335,23 @@ fn read_manifest(dir: &Path) -> Result<(usize, Arc<dyn Partitioner>), MpqError> 
 
 /// A partitioned matching engine: `K` independent [`Engine`] shards
 /// (each with its own R-tree, buffer pool, WAL segment and epoch
-/// snapshots) behind the familiar evaluation surface, resolved by a
-/// scatter-gather best-pair merge (see the [module docs](self)).
+/// snapshots) behind the familiar evaluation surface, evaluated by the
+/// one SB run over the union of their skylines (see the
+/// [module docs](self)).
 ///
 /// `ShardedEngine` is `Sync` exactly like [`Engine`]: share it behind
 /// an `Arc` and evaluate requests concurrently; mutations are
-/// serialized internally and route to exactly one shard's WAL (two for
-/// a migrating [`GridPartitioner`] update).
+/// serialized internally and route to exactly one shard's WAL.
 pub struct ShardedEngine {
     dim: usize,
-    partitioner: Arc<dyn Partitioner>,
     shards: Vec<Engine>,
     /// Global id mint: ids `>= next_oid` have never been assigned, in
     /// any shard. Removal never recycles an id.
     next_oid: AtomicU64,
     data_dir: Option<PathBuf>,
-    /// Evaluations actually run through the merge driver.
+    /// Evaluations actually run (see
+    /// [`ShardedEngine::evaluation_count`]).
     evaluations: AtomicU64,
-    /// Shard probes skipped because the shard's score bound proved it
-    /// could not produce the round's winner.
-    skipped: AtomicU64,
     /// Serializes mutations (id minting + routing must be atomic).
     mutator: Mutex<()>,
 }
@@ -437,7 +362,6 @@ impl std::fmt::Debug for ShardedEngine {
             .field("dim", &self.dim)
             .field("shards", &self.shards.len())
             .field("objects", &self.n_objects())
-            .field("partitioner", &self.partitioner.id())
             .field("data_dir", &self.data_dir)
             .finish()
     }
@@ -480,19 +404,14 @@ impl ShardedEngine {
         self.next_oid.load(AtomicOrdering::Acquire)
     }
 
-    /// The point currently stored for `oid`, searching all shards.
+    /// The point currently stored for `oid`, if the inventory holds it.
     pub fn object_point(&self, oid: u64) -> Option<Box<[f64]>> {
-        self.shards.iter().find_map(|s| s.object_point(oid))
+        self.owner_of(oid).object_point(oid)
     }
 
-    /// The shard currently holding `oid`, if any. For a
-    /// [`HashPartitioner`] this is a direct computation; point-routed
-    /// partitioners scan (an updated point may have migrated the
-    /// object), which is `O(K log n)`.
-    fn owner_of(&self, oid: u64) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|s| s.object_point(oid).is_some())
+    /// The one shard that holds `oid` if any does (see [`shard_of`]).
+    fn owner_of(&self, oid: u64) -> &Engine {
+        &self.shards[shard_of(oid, self.shards.len())]
     }
 
     /// The per-shard inventory version vector, in shard order. This is
@@ -511,20 +430,21 @@ impl ShardedEngine {
         self.shards.iter().map(Engine::mutation_log).collect()
     }
 
-    /// Evaluations actually run through the merge driver (cache hits
-    /// served by a fronting service do not count).
+    /// Evaluations actually run against the shards (cache hits served
+    /// by a fronting service do not count).
     #[inline]
     pub fn evaluation_count(&self) -> u64 {
         self.evaluations.load(AtomicOrdering::Relaxed)
     }
 
-    /// How many per-shard probes the merge skipped because the shard's
-    /// score upper bound proved it could not win the round — the
-    /// observable for partition-bound effectiveness (plotted by the
-    /// `shard_scaling` bench).
+    /// **Stub, always 0.** It counted the shard probes the best-pair
+    /// merge pruned by score bound; that merge is gone, and nothing is
+    /// probed or skipped any more. The method stays only because the
+    /// benchmark, which no other change may edit, still calls it
+    /// (`shard.skipped_per_match`); a `benchmark` PR deletes both.
     #[inline]
     pub fn skipped_shards(&self) -> u64 {
-        self.skipped.load(AtomicOrdering::Relaxed)
+        0
     }
 
     /// True iff the shards persist to a data directory.
@@ -560,7 +480,7 @@ impl ShardedEngine {
         config: IndexConfig,
     ) -> Result<ShardedEngine, MpqError> {
         let dir = dir.as_ref();
-        let (k, partitioner) = read_manifest(dir)?;
+        let k = read_manifest(dir)?;
         let shards = for_each_shard(k, thread_budget().min(k), |s| {
             Engine::open_shard(&shard_dir(dir, s), config.clone())
         })?;
@@ -570,12 +490,10 @@ impl ShardedEngine {
         let next_oid = shards.iter().map(Engine::oid_bound).max().unwrap_or(0);
         Ok(ShardedEngine {
             dim: shards[0].dim(),
-            partitioner,
             shards,
             next_oid: AtomicU64::new(next_oid),
             data_dir: Some(dir.to_path_buf()),
             evaluations: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
             mutator: Mutex::new(()),
         })
     }
@@ -616,48 +534,35 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Insert a new object: mint the next global id, route it through
-    /// the partitioner, and apply it to exactly one shard (one WAL
-    /// record, one version-vector component bumped).
+    /// Insert a new object: mint the next global id and apply it to the
+    /// one shard that id routes to (one WAL record, one version-vector
+    /// component bumped).
     pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
         let _m = lock(&self.mutator);
         let oid = self.next_oid.load(AtomicOrdering::Relaxed);
-        let k = self.shards.len();
-        let s = self.partitioner.shard_of(oid, point, k).min(k - 1);
-        self.shards[s].insert_object_at(oid, point)?;
+        self.owner_of(oid).insert_object_at(oid, point)?;
         self.next_oid.store(oid + 1, AtomicOrdering::Release);
         Ok(oid)
     }
 
-    /// Remove an object from whichever shard holds it. Refuses to empty
+    /// Remove an object from the shard that holds it. Refuses to empty
     /// the *global* inventory (a shard may legally drain to zero).
     pub fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        let owner = self.owner_of(oid).ok_or(MpqError::UnknownObject { oid })?;
-        if self.n_objects() == 1 {
+        let owner = self.owner_of(oid);
+        if self.n_objects() == 1 && owner.object_point(oid).is_some() {
             return Err(MpqError::UnsupportedRequest(
                 "removing the last object would empty the inventory",
             ));
         }
-        self.shards[owner].remove_object_allow_empty(oid)
+        owner.remove_object_allow_empty(oid)
     }
 
-    /// Move an object to a new point. With an id-routed partitioner the
-    /// owner shard updates in place (one WAL record); with a
-    /// point-routed partitioner the object may *migrate* — an insert
-    /// into the new home shard followed by a remove from the old owner
-    /// (two WAL records in two segments, insert first so a crash
-    /// between them never loses the object; see [`GridPartitioner`]).
+    /// Move an object to a new point, in place in the shard that holds
+    /// it (one WAL record): its id, and so its shard, does not change.
     pub fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        let owner = self.owner_of(oid).ok_or(MpqError::UnknownObject { oid })?;
-        let k = self.shards.len();
-        let home = self.partitioner.shard_of(oid, point, k).min(k - 1);
-        if home == owner {
-            return self.shards[owner].update_object(oid, point);
-        }
-        self.shards[home].insert_object_at(oid, point)?;
-        self.shards[owner].remove_object_allow_empty(oid)
+        self.owner_of(oid).update_object(oid, point)
     }
 
     /// Build a [`FunctionSet`] from raw weight rows (same contract as
@@ -681,10 +586,10 @@ impl ShardedEngine {
         self.request(functions).evaluate()
     }
 
-    /// Progressive evaluation: stable pairs are yielded as soon as the
-    /// merge resolves them, in canonical (descending) order. Mirrors
-    /// [`Engine::stream`]'s request shape: SB, no capacities.
-    pub fn stream<'e>(&'e self, functions: &FunctionSet) -> Result<ShardedStream<'e>, MpqError> {
+    /// Progressive SB evaluation with default options: the stream, the
+    /// pairs and the order of [`Engine::stream`]. Shorthand for
+    /// [`MatchRequest::stream`].
+    pub fn stream(&self, functions: &FunctionSet) -> Result<SbStream<IoSession<'_>>, MpqError> {
         self.request(functions).stream()
     }
 
@@ -746,44 +651,26 @@ impl EvalBackend for ShardedEngine {
         ShardedEngine::shard_gauges(self)
     }
 
-    fn skipped_shards(&self) -> u64 {
-        ShardedEngine::skipped_shards(self)
-    }
-
-    /// The one sharded evaluation path: validate, then run the
-    /// scatter-gather merge (all algorithms produce the canonical
-    /// matching, so the merge serves every [`Algorithm`] — and is
-    /// resumable for all of them, capacitated or not). An [`EvalSeed`]
-    /// here carries one BBS snapshot per shard (the partitioner already
-    /// split the inventory; seeds follow that split), each pinned to
-    /// its shard's version component. The probes own their working
-    /// state, so the scratch goes unused.
+    /// The one sharded evaluation path: validate, pin every shard, and
+    /// run the engine's SB evaluation over the pins. All algorithms
+    /// produce the canonical matching, so that run serves every
+    /// [`Algorithm`](crate::Algorithm) — resumable for all of them,
+    /// capacitated or not. An [`EvalSeed`] here carries one BBS snapshot
+    /// per shard, each pinned to its shard's version component.
     fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
         options: &RequestOptions,
-        _scratch: &mut Scratch,
+        scratch: &mut Scratch,
         seed: Option<&EvalSeed>,
         capture: Option<&mut Option<EvalSeed>>,
     ) -> Result<Matching, MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-        let start = Instant::now();
-        let (mut state, captured) =
-            MergeState::new_seeded(self, functions, options, seed, capture.is_some());
-        if let Some(out) = capture {
-            *out = captured;
-        }
-        let mut pairs = Vec::new();
-        while let Some(p) = state.next_pair() {
-            pairs.push(p);
-        }
-        let metrics = RunMetrics {
-            elapsed: start.elapsed(),
-            loops: state.rounds,
-            ..state.shard_totals()
-        };
-        Ok(Matching::new(pairs, metrics))
+        let (sources, versions): (Vec<_>, Vec<_>) = self.shards.iter().map(Engine::pin).unzip();
+        Ok(run_sb_seeded(
+            sources, &versions, functions, options, scratch, seed, capture,
+        ))
     }
 
     fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
@@ -819,229 +706,14 @@ pub struct ShardGauges {
     pub wal_bytes: u64,
 }
 
-/// Progressive sharded evaluation: an iterator yielding stable pairs in
-/// canonical (descending) order as the scatter-gather merge resolves
-/// them (the sharded mirror of [`crate::SbStream`]).
-pub struct ShardedStream<'e> {
-    state: MergeState<'e>,
-}
-
-impl<'e> ShardedStream<'e> {
-    /// Open a stream for an already validated request (see
-    /// [`MatchRequest::stream`]).
-    pub(crate) fn open(
-        engine: &'e ShardedEngine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-    ) -> Result<ShardedStream<'e>, MpqError> {
-        if options.algorithm != Algorithm::Sb {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming is only supported with Algorithm::Sb",
-            ));
-        }
-        if options.capacities.is_some() {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming does not support capacities",
-            ));
-        }
-        engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(ShardedStream {
-            state: MergeState::new_seeded(engine, functions, options, None, false).0,
-        })
-    }
-}
-
-impl Iterator for ShardedStream<'_> {
-    type Item = Pair;
-
-    fn next(&mut self) -> Option<Pair> {
-        self.state.next_pair()
-    }
-}
-
-/// Driver state of one scatter-gather merge, usable both as a one-shot
-/// evaluation (drain it) and as a progressive stream (pull pairs).
-struct MergeState<'e> {
-    engine: &'e ShardedEngine,
-    shards: Vec<GreedyProbe<'e>>,
-    /// Last gathered candidate per shard. For a stale shard the stored
-    /// score doubles as the shard's upper bound (per-shard best scores
-    /// are non-increasing over assignments).
-    candidates: Vec<Option<Pair>>,
-    /// Shards whose cached candidate may have changed since gathering.
-    stale: Vec<bool>,
-    /// Shards whose skyline drained — they can never produce candidates
-    /// again and are excluded from refreshes.
-    exhausted: Vec<bool>,
-    rounds: u64,
-}
-
-impl<'e> MergeState<'e> {
-    /// Build and probe every shard. A `seed` taken at the engine's
-    /// current version vector primes every shard from its part (each
-    /// probe re-checks its component against the epoch it pins);
-    /// otherwise every shard runs cold and, when `capture` is set,
-    /// reports its BBS snapshot. The assembled [`EvalSeed`] is returned
-    /// only if *every* shard captured — a partial seed cannot resume a
-    /// whole evaluation.
-    fn new_seeded(
-        engine: &'e ShardedEngine,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-        seed: Option<&EvalSeed>,
-        capture: bool,
-    ) -> (MergeState<'e>, Option<EvalSeed>) {
-        let k = engine.shards.len();
-        let seed = seed.filter(|s| s.parts.len() == k && s.usable_at(&engine.version_vector()));
-        let capture = capture && seed.is_none();
-        let mut captures: Vec<Option<(SkylineMaintainer, u64)>> = (0..k).map(|_| None).collect();
-        let mut shards: Vec<Option<GreedyProbe<'e>>> = (0..k).map(|_| None).collect();
-        let mut candidates: Vec<Option<Pair>> = vec![None; k];
-        if k == 1 {
-            let mut probe = GreedyProbe::new(
-                &engine.shards[0],
-                functions,
-                options,
-                seed.map(|s| (&s.parts[0], s.versions[0])),
-                capture.then_some(&mut captures[0]),
-            );
-            candidates[0] = probe.probe();
-            shards[0] = Some(probe);
-        } else {
-            // Initial scatter: build and probe every shard in parallel
-            // (the expensive round — later rounds refresh only the
-            // shards an assignment touched).
-            std::thread::scope(|scope| {
-                for ((((slot, cand), shard), cap), i) in shards
-                    .iter_mut()
-                    .zip(candidates.iter_mut())
-                    .zip(&engine.shards)
-                    .zip(captures.iter_mut())
-                    .zip(0..)
-                {
-                    let part = seed.map(|s| (&s.parts[i], s.versions[i]));
-                    scope.spawn(move || {
-                        let mut probe = GreedyProbe::new(
-                            shard,
-                            functions,
-                            options,
-                            part,
-                            capture.then_some(cap),
-                        );
-                        *cand = probe.probe();
-                        *slot = Some(probe);
-                    });
-                }
-            });
-        }
-        let shards: Vec<GreedyProbe<'e>> = shards
-            .into_iter()
-            .map(|s| s.expect("every shard probed"))
-            .collect();
-        let captured = if capture && captures.iter().all(Option::is_some) {
-            let (parts, versions): (Vec<SkylineMaintainer>, Vec<u64>) = captures
-                .into_iter()
-                .map(|c| c.expect("just checked"))
-                .unzip();
-            Some(EvalSeed { versions, parts })
-        } else {
-            None
-        };
-        let exhausted: Vec<bool> = candidates.iter().map(Option::is_none).collect();
-        (
-            MergeState {
-                engine,
-                shards,
-                candidates,
-                stale: vec![false; k],
-                exhausted,
-                rounds: 0,
-            },
-            captured,
-        )
-    }
-
-    /// Resolve and emit the next globally best pair, or `None` when the
-    /// matching is complete.
-    fn next_pair(&mut self) -> Option<Pair> {
-        if self.shards.is_empty() || self.shards[0].functions_exhausted() {
-            return None;
-        }
-        let k = self.shards.len();
-        // Gather/merge loop: the best *fresh* candidate is the winner
-        // once every stale shard either re-probed or was pruned by its
-        // bound. A stale shard's previous candidate score bounds
-        // everything it can still produce, so `bound < winner.score`
-        // (strictly — an equal score could still win the fid/oid
-        // tie-break) proves the shard irrelevant this round.
-        let winner = loop {
-            let best = self
-                .candidates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !self.stale[*i])
-                .filter_map(|(_, c)| *c)
-                .fold(None, |acc: Option<Pair>, c| match acc {
-                    Some(b) if !c.beats(&b) => Some(b),
-                    _ => Some(c),
-                });
-            let mut refreshed = false;
-            for i in 0..k {
-                if !self.stale[i] || self.exhausted[i] {
-                    continue;
-                }
-                let pruned = match (&self.candidates[i], &best) {
-                    (Some(c), Some(w)) => c.score < w.score,
-                    _ => false,
-                };
-                if pruned {
-                    self.engine.skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                    continue;
-                }
-                self.candidates[i] = self.shards[i].probe();
-                if self.candidates[i].is_none() {
-                    self.exhausted[i] = true;
-                }
-                self.stale[i] = false;
-                refreshed = true;
-            }
-            if !refreshed {
-                break best;
-            }
-        };
-        let pair = winner?;
-        self.rounds += 1;
-        // Broadcast the assignment; shards whose cached candidate used
-        // the retired function — and the owner — must re-probe before
-        // their candidate competes again.
-        for i in 0..k {
-            let owned = self.shards[i].assign(&pair);
-            let fid_hit = self.candidates[i].is_some_and(|c| c.fid == pair.fid);
-            if (owned || fid_hit) && !self.exhausted[i] {
-                self.stale[i] = true;
-            }
-        }
-        Some(pair)
-    }
-
-    /// Per-shard I/O, reverse top-1 searches and phase times since the
-    /// probes were built, summed over the shards.
-    fn shard_totals(&self) -> RunMetrics {
-        let shards = self.shards.iter().map(GreedyProbe::metrics);
-        shards.fold(RunMetrics::default(), |sum, m| RunMetrics {
-            io: sum.io + m.io,
-            reverse_top1_calls: sum.reverse_top1_calls + m.reverse_top1_calls,
-            discover: sum.discover + m.discover,
-            maintain: sum.maintain + m.maintain,
-            ..sum
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Algorithm;
+    use crate::matching::Pair;
+    use crate::sb::MaintenanceMode;
     use mpq_datagen::WorkloadBuilder;
+    use mpq_skyline::SkylineMaintainer;
 
     fn workload(objects: usize, functions: usize, seed: u64) -> (PointSet, FunctionSet) {
         let w = WorkloadBuilder::new()
@@ -1055,38 +727,46 @@ mod tests {
 
     #[test]
     fn hash_partitioner_is_stable_and_in_range() {
-        let p = HashPartitioner;
         for oid in 0..500u64 {
             for k in [1usize, 2, 4, 8] {
-                let s = p.shard_of(oid, &[0.5, 0.5], k);
-                assert!(s < k);
-                assert_eq!(s, p.shard_of(oid, &[0.1, 0.9], k), "point-independent");
+                assert!(shard_of(oid, k) < k);
             }
         }
+        // Pinned: a reopened directory must find every object where
+        // the build put it.
+        let homes: Vec<usize> = (0..8).map(|oid| shard_of(oid, 4)).collect();
+        assert_eq!(homes, [3, 1, 2, 1, 2, 2, 0, 3]);
     }
 
     #[test]
-    fn grid_partitioner_slices_the_axis() {
-        let p = GridPartitioner { axis: 0 };
-        assert_eq!(p.shard_of(0, &[0.0, 0.5], 4), 0);
-        assert_eq!(p.shard_of(0, &[0.99, 0.5], 4), 3);
-        assert_eq!(p.shard_of(0, &[1.0, 0.5], 4), 3, "1.0 clamps into range");
-        assert_eq!(p.shard_of(1, &[0.3, 0.5], 1), 0);
-    }
-
-    #[test]
-    fn partitioner_ids_round_trip() {
-        for p in [
-            Box::new(HashPartitioner) as Box<dyn Partitioner>,
-            Box::new(GridPartitioner { axis: 2 }),
+    fn a_manifest_naming_another_partitioner_is_refused() {
+        let dir = std::env::temp_dir().join(format!("mpq-shard-manifest-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        write_manifest(&dir, 3).unwrap();
+        assert_eq!(read_manifest(&dir), Ok(3));
+        let written = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        assert_eq!(
+            written,
+            "mpq-shard-manifest/1\nshards=3\npartitioner=hash\n"
+        );
+        for (body, complaint) in [
+            (
+                "shards=3\npartitioner=grid:1\n",
+                "unknown partitioner 'grid:1'",
+            ),
+            (
+                "shards=3\npartitioner=mystery\n",
+                "unknown partitioner 'mystery'",
+            ),
+            ("shards=3\n", "malformed shard manifest"),
         ] {
-            let rebuilt = partitioner_from_id(&p.id()).unwrap();
-            for oid in 0..64u64 {
-                let pt = [0.25, 0.5, 0.75];
-                assert_eq!(p.shard_of(oid, &pt, 8), rebuilt.shard_of(oid, &pt, 8));
+            std::fs::write(dir.join(MANIFEST_FILE), format!("{MANIFEST_MAGIC}\n{body}")).unwrap();
+            match ShardedEngine::open(&dir) {
+                Err(MpqError::Io(message)) => assert!(message.contains(complaint), "{message}"),
+                other => panic!("{body:?} opened as {other:?}"),
             }
         }
-        assert!(partitioner_from_id("mystery").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1158,24 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_partitioner_matches_too() {
-        let (objects, functions) = workload(180, 16, 23);
-        let unsharded = Engine::builder().objects(&objects).build().unwrap();
-        let want = unsharded
-            .request(&functions)
-            .evaluate()
-            .unwrap()
-            .sorted_pairs();
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(4)
-            .partitioner(Arc::new(GridPartitioner { axis: 1 }))
-            .build()
-            .unwrap();
-        assert_eq!(sharded.evaluate(&functions).unwrap().sorted_pairs(), want);
-    }
-
-    #[test]
     fn stream_yields_the_matching_progressively() {
         let (objects, functions) = workload(120, 10, 31);
         let sharded = ShardedEngine::builder()
@@ -1186,6 +848,89 @@ mod tests {
         let eager = sharded.evaluate(&functions).unwrap();
         let streamed: Vec<Pair> = sharded.stream(&functions).unwrap().collect();
         assert_eq!(streamed, eager.pairs().to_vec());
+    }
+
+    /// What a stream reports between pairs is the state of the union: a
+    /// stream that has retired some objects holds the skyline a fresh
+    /// one would start from with those objects excluded.
+    #[test]
+    fn a_half_drained_stream_reports_the_union() {
+        let (objects, functions) = workload(400, 12, 37);
+        let sharded = ShardedEngine::builder()
+            .objects(&objects)
+            .shards(3)
+            .build()
+            .unwrap();
+        let request = || sharded.request(&functions).multi_pair(false);
+        let mut stream = request().stream().unwrap();
+        let shard_skylines = sharded
+            .shards()
+            .iter()
+            .map(|shard| SkylineMaintainer::build(shard.tree()).len());
+        assert_eq!(stream.skyline_len(), shard_skylines.sum::<usize>());
+        assert_eq!(stream.unassigned_functions(), 12);
+
+        // One pair per round, so nothing is retired ahead of what was
+        // yielded.
+        let drained: Vec<Pair> = stream.by_ref().take(6).collect();
+        assert_eq!(stream.unassigned_functions(), 6);
+        let rest = request().exclude(drained.iter().map(|p| p.oid));
+        assert_eq!(
+            stream.skyline_len(),
+            rest.stream().unwrap().skyline_len(),
+            "the skyline of what is left, however it was reached"
+        );
+        let whole = request().evaluate().unwrap();
+        let streamed: Vec<Pair> = drained.into_iter().chain(stream).collect();
+        assert_eq!(streamed, whole.pairs());
+    }
+
+    /// One list of what a stream accepts, and every knob it accepts is
+    /// honoured, on either backend.
+    #[test]
+    fn both_backends_stream_the_same_requests() {
+        let (objects, functions) = workload(300, 20, 43);
+        let single = Engine::builder().objects(&objects).build().unwrap();
+        let sharded = ShardedEngine::builder()
+            .objects(&objects)
+            .shards(4)
+            .build()
+            .unwrap();
+        let caps = vec![1; objects.len()];
+        macro_rules! refusals {
+            ($backend:expr) => {{
+                let request = || $backend.request(&functions);
+                [
+                    request()
+                        .maintenance(MaintenanceMode::Rescan)
+                        .stream()
+                        .err(),
+                    request().algorithm(Algorithm::BruteForce).stream().err(),
+                    request().capacities(&caps).stream().err(),
+                    request().multi_pair(false).stream().err(),
+                ]
+            }};
+        }
+        let refused = refusals!(single);
+        assert_eq!(refused, refusals!(sharded));
+        let unsupported = |why| Some(MpqError::UnsupportedRequest(why));
+        let expected = [
+            unsupported("streaming requires incremental skyline maintenance"),
+            unsupported("streaming is only supported with Algorithm::Sb"),
+            unsupported("streaming does not support capacities"),
+            None,
+        ];
+        assert_eq!(refused, expected);
+
+        let request = sharded.request(&functions).multi_pair(false);
+        let one_by_one: Vec<Pair> = request.stream().unwrap().collect();
+        assert_eq!(one_by_one.len(), 20);
+        assert!(
+            one_by_one.windows(2).all(|w| w[0].beats(&w[1])),
+            "single-pair rounds yield the canonical greedy order"
+        );
+        let rounds: Vec<Pair> = sharded.stream(&functions).unwrap().collect();
+        assert!(!rounds.windows(2).all(|w| w[0].beats(&w[1])));
     }
 
     #[test]
@@ -1209,24 +954,6 @@ mod tests {
             sharded.remove_object(999),
             Err(MpqError::UnknownObject { oid: 999 })
         ));
-    }
-
-    #[test]
-    fn skipped_shard_counter_advances_on_pruning() {
-        let (objects, functions) = workload(400, 32, 53);
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(8)
-            .build()
-            .unwrap();
-        sharded.evaluate(&functions).unwrap();
-        // Not guaranteed for adversarial inputs, but on a random
-        // workload with 8 shards and 32 rounds some shard must lose a
-        // round by a strict margin.
-        assert!(
-            sharded.skipped_shards() > 0,
-            "bound pruning never skipped a probe"
-        );
     }
 
     #[test]

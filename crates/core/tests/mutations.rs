@@ -289,8 +289,8 @@ fn racing_an_insert(backend: &dyn EvalBackend, racer: &[f64], evaluations: impl 
     });
 }
 
-/// Per-object vectors — a request's capacities, the K-shard merge's
-/// availability vector — are sized from `oid_bound()` before the
+/// Per-object vectors — a request's capacities — are sized from
+/// `oid_bound()` before the
 /// evaluation pins its snapshot, so a racing insert can put an object
 /// into the snapshot that the vector does not cover. That object is
 /// available to an un-capacitated request and invisible to a
@@ -401,7 +401,7 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
     // A request may exclude ids the backend has not minted yet (it read
     // `oid_bound()` first): the racer that then takes one of them is in
     // the snapshot, past every vector, and still excluded — on the
-    // K-shard merge as on `Engine`, which is the control.
+    // K-shard run as on `Engine`, which is the control.
     const AHEAD: u64 = 64;
     let backends: [Arc<dyn EvalBackend>; 2] = [
         Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),

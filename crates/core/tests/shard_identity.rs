@@ -1,8 +1,9 @@
 //! Partitioned-engine acceptance: a [`ShardedEngine`] must be an
 //! invisible optimization. For every algorithm, shard count, exclusion
 //! set, capacity vector and interleaved mutation schedule, the
-//! scatter-gather merge must produce matchings **bit-identical** to an
-//! unsharded [`Engine`] over the same objects — and a sharded data
+//! run over the shards must produce matchings **bit-identical** to an
+//! unsharded [`Engine`] over the same objects — at one shard the very
+//! same run, count for count — and a sharded data
 //! directory must reopen (per-shard WAL replay included) to the same
 //! state. The result cache is stamped with a per-shard version vector,
 //! so a mutation on one shard must not evict entries whose matching
@@ -14,10 +15,12 @@ use std::sync::Arc;
 
 use mpq_core::{
     reference_matching, reference_matching_excluding, verify_stable, Algorithm, Engine,
-    EngineService, EvalBackend, GridPartitioner, Matching, MpqError, Pair, ServiceConfig,
-    ShardedEngine, SubmitOptions, Ticket,
+    EngineService, EvalBackend, Matching, MpqError, Pair, Scratch, ServiceConfig, ShardedEngine,
+    SubmitOptions, Ticket,
 };
-use mpq_rtree::PointSet;
+use mpq_datagen::{Distribution, WorkloadBuilder};
+use mpq_rtree::{FaultInjector, PointSet};
+use mpq_skyline::SkylineMaintainer;
 use mpq_ta::FunctionSet;
 use proptest::prelude::*;
 
@@ -150,17 +153,16 @@ fn sharded_matches_unsharded_for_all_algorithms_and_options() {
     }
 }
 
-/// A spatial partitioner slices differently but must still be
-/// invisible: the merge only assumes disjoint-and-covering shards.
+/// A shard count that is no power of two, on two-dimensional data,
+/// slices differently but must still be invisible.
 #[test]
-fn grid_partitioned_shards_are_bit_identical_too() {
+fn five_hash_shards_are_bit_identical_too() {
     let objects = seeded_points(180, 2, 0xCAFE);
     let fs = functions(2, 15, 0xF00D);
     let single = Engine::builder().objects(&objects).build().unwrap();
     let sharded = ShardedEngine::builder()
         .objects(&objects)
         .shards(5)
-        .partitioner(Arc::new(GridPartitioner { axis: 1 }))
         .build()
         .unwrap();
     for alg in ALGORITHMS {
@@ -168,6 +170,127 @@ fn grid_partitioned_shards_are_bit_identical_too() {
         let got = sharded.request(&fs).algorithm(alg).evaluate().unwrap();
         assert_eq!(exact(&got.sorted_pairs()), exact(&want.sorted_pairs()));
     }
+}
+
+/// 3 000 objects × 120 functions in three dimensions: deep enough for
+/// several tree levels, multi-pair rounds and promotions.
+fn paper_shaped(distribution: Distribution, seed: u64) -> (PointSet, FunctionSet) {
+    let w = WorkloadBuilder::new()
+        .objects(3_000)
+        .functions(120)
+        .dim(3)
+        .distribution(distribution)
+        .seed(seed)
+        .build();
+    (w.objects, w.functions)
+}
+
+/// What two runs of one loop must agree on: the pairs in emission
+/// order, the rounds, the reverse top-1 scans, the page reads and the
+/// BBS expansions.
+fn counts(m: &Matching) -> (Vec<(u32, u64, u64)>, [u64; 4]) {
+    let met = m.metrics();
+    let expanded = met.skyline.expect("an SB run").nodes_expanded;
+    let work = [met.loops, met.reverse_top1_calls, met.io.logical, expanded];
+    (exact(m.pairs()), work)
+}
+
+/// A 1-shard evaluation *is* the engine's: not only the same matching
+/// but the same run — cold, resumed, with exclusions, capacitated.
+#[test]
+fn one_shard_is_the_engine_by_counts() {
+    for distribution in [Distribution::Independent, Distribution::AntiCorrelated] {
+        let (objects, fs) = paper_shaped(distribution, 2009);
+        let single = Engine::builder().objects(&objects).build().unwrap();
+        let sharded = ShardedEngine::builder().objects(&objects).shards(1);
+        let sharded = sharded.build().unwrap();
+        let units = vec![1; objects.len()];
+
+        let shapes = |backend: &dyn EvalBackend| {
+            let mut scratch = Scratch::new();
+            let request = || backend.request(&fs);
+            let (cold, seed) = request().evaluate_seeded(&mut scratch, None).unwrap();
+            let seed = seed.expect("a cold run captures");
+            let resume = request().evaluate_seeded(&mut scratch, Some(&seed));
+            let (seeded, captured) = resume.unwrap();
+            assert!(captured.is_none(), "a resumed run captures nothing");
+            let taken = cold.pairs().iter().step_by(7).map(|p| p.oid);
+            let excluded = request().exclude(taken).evaluate().unwrap();
+            let unit = request().capacities(&units).evaluate().unwrap();
+            let one_by_one = request().multi_pair(false).evaluate().unwrap();
+            assert_eq!(counts(&unit), counts(&one_by_one), "{distribution:?}");
+            [cold, seeded, excluded, unit].map(|m| counts(&m))
+        };
+        assert_eq!(shapes(&single), shapes(&sharded), "{distribution:?}");
+    }
+}
+
+/// K shards run the engine's rounds: the union of the shards' skylines
+/// contains the skyline, and nothing outside the skyline is ever
+/// mutually best, so every round reports the engine's pairs.
+#[test]
+fn any_shard_count_runs_the_engines_rounds() {
+    for (distribution, seed) in [
+        (Distribution::Independent, 2009),
+        (Distribution::AntiCorrelated, 7),
+        (Distribution::Correlated, 97),
+    ] {
+        let (objects, fs) = paper_shaped(distribution, seed);
+        let single = Engine::builder().objects(&objects).build().unwrap();
+        let want = single.request(&fs).evaluate().unwrap();
+        assert!(want.metrics().loops < 120, "multi-pair rounds");
+        for k in [2usize, 4, 8] {
+            let sharded = ShardedEngine::builder().objects(&objects).shards(k);
+            let got = sharded.build().unwrap().evaluate(&fs).unwrap();
+            let context = format!("{distribution:?}, K={k}");
+            assert_eq!(exact(got.pairs()), exact(want.pairs()), "{context}");
+            assert_eq!(got.metrics().loops, want.metrics().loops, "{context}");
+            assert!(
+                got.metrics().reverse_top1_calls >= want.metrics().reverse_top1_calls,
+                "{context}: the union is no smaller than the skyline"
+            );
+        }
+    }
+}
+
+/// One seed for K shards: captured once by a cold run, resumed by the
+/// next — which skips exactly the K BBS builds — and declined as a
+/// whole once any shard has moved on.
+#[test]
+fn a_sharded_seed_resumes_every_shard_or_none() {
+    let (objects, fs) = paper_shaped(Distribution::AntiCorrelated, 2009);
+    let sharded = ShardedEngine::builder().objects(&objects).shards(4);
+    let sharded = sharded.build().unwrap();
+    let mut scratch = Scratch::new();
+    let expanded = |m: &Matching| m.metrics().skyline.unwrap().nodes_expanded;
+
+    let request = sharded.request(&fs);
+    let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
+    let seed = seed.expect("a cold run over stable pins captures");
+    assert_eq!(seed.parts(), 4);
+    assert_eq!(seed.versions(), sharded.version_vector());
+    let (seeded, captured) = request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
+    assert!(captured.is_none(), "a resumed run captures nothing");
+    assert_eq!(exact(seeded.pairs()), exact(cold.pairs()));
+    assert!(expanded(&seeded) < expanded(&cold));
+    let builds = sharded.shards().iter().map(|shard| {
+        SkylineMaintainer::build(shard.tree())
+            .stats()
+            .nodes_expanded
+    });
+    assert_eq!(expanded(&cold) - expanded(&seeded), builds.sum::<u64>());
+
+    // A dominated insert lands on one shard and changes no matching,
+    // but the seed is now stale in one component: nothing resumes.
+    sharded.insert_object(&[0.001, 0.001, 0.001]).unwrap();
+    let moved = seed.versions().iter().zip(sharded.version_vector());
+    assert_eq!(moved.filter(|(then, now)| *then != now).count(), 1);
+    let (stale, recaptured) = request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
+    let (fresh, _) = request.evaluate_seeded(&mut scratch, None).unwrap();
+    assert_eq!(exact(stale.pairs()), exact(cold.pairs()));
+    assert_eq!(expanded(&stale), expanded(&fresh), "every shard ran cold");
+    let recaptured = recaptured.expect("a declined seed is replaced");
+    assert_eq!(recaptured.versions(), sharded.version_vector());
 }
 
 /// The same interleaved mutation schedule applied to both engines:
@@ -281,6 +404,33 @@ fn sharded_reopen_replays_per_shard_wals_to_bit_identity() {
     }
 }
 
+/// No shard consults a fault injector, so hosting shards with one is
+/// refused — building them, and reopening a directory that holds them,
+/// where a chaos schedule would otherwise inject nothing and pass.
+#[test]
+fn hosting_shards_with_a_fault_injector_is_refused() {
+    let dir = tmp_dir("injector");
+    let objects = seeded_points(60, 3, 0xFA17);
+    let host = |shards| {
+        Engine::builder()
+            .objects(&objects)
+            .data_dir(&dir)
+            .fault_injector(FaultInjector::shared())
+            .open_or_build(shards)
+            .map(|backend| backend.n_objects())
+    };
+    let refused = Err(MpqError::UnsupportedRequest(
+        "fault injection is only supported on an unsharded engine",
+    ));
+    assert_eq!(host(2), refused, "building");
+    assert!(!mpq_core::persisted_at(&dir), "refused before any file");
+    let builder = ShardedEngine::builder().objects(&objects).shards(2);
+    drop(builder.data_dir(&dir).build().unwrap());
+    assert_eq!(host(1), refused, "reopening: the directory decides");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(host(1), Ok(60), "one tree takes the injector");
+}
+
 /// Which shard holds each oid, by probing every shard's index.
 fn membership(sharded: &ShardedEngine) -> Vec<Vec<u64>> {
     (0..sharded.oid_bound())
@@ -345,7 +495,7 @@ fn hash_partition_is_stable_across_reopen() {
 }
 
 /// Every hosting path runs on every backend: the unsharded engine and
-/// the scatter-gather merge at K = 1 and K = 4, each with the number of
+/// the sharded engine at K = 1 and K = 4, each with the number of
 /// per-shard gauge rows its service must report.
 fn backends(objects: &PointSet) -> Vec<(&'static str, Arc<dyn EvalBackend>, usize)> {
     let sharded = |k| {
@@ -449,7 +599,7 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
             assert_eq!(covered, objects.len(), "{name}: gauges cover the inventory");
         }
         let json = metrics.to_json();
-        assert!(json.get("shards").is_some() && json.get("skipped_shards").is_some());
+        assert!(json.get("shards").is_some());
         service.shutdown();
     }
 }

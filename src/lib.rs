@@ -25,8 +25,9 @@
 //!   [`core::Algorithm`]: skyline-based **SB** (the paper's
 //!   contribution, §III-B/§IV), **Brute Force** (§III-A) and **Chain**
 //!   (the adapted competitor of §V), plus verification utilities; the
-//!   [`core::shard`] module scales out with per-shard R-trees behind a
-//!   scatter-gather best-pair merge ([`core::ShardedEngine`]).
+//!   [`core::shard`] module partitions the inventory into per-shard
+//!   R-trees, evaluated by the same SB run over the union of their
+//!   skylines ([`core::ShardedEngine`]).
 //! * [`net`] — the std-only HTTP/1.1 front-end: a [`net::Server`]
 //!   hosting one [`net::TenantRegistry`] of named engines, each behind
 //!   its own service (queue, workers, cache), with a JSON wire codec,
@@ -99,7 +100,7 @@
 //! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object map and `inventory_version` untouched; degraded tenants answer mutations `503 Retry-After` while reads keep serving ([`core::HealthMonitor`]) |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
-//! | one machine-wide tree | [`core::ShardedEngine`] — K per-shard R-trees behind a pluggable [`core::Partitioner`], scatter-gather best-pair merge bit-identical to the single engine; `mpq serve --shards K` / tenant spec `shards=K` |
+//! | one machine-wide tree | [`core::ShardedEngine`] — K per-shard R-trees (objects routed by id), one SB run over the union of their skylines, bit-identical to the single engine; `mpq serve --shards K` / tenant spec `shards=K` |
 //!
 //! where `let engine = Engine::builder().objects(&o).build()?;` is built
 //! once and shared (it is `Sync`; evaluation never mutates the index).
@@ -168,10 +169,9 @@ pub use mpq_ta as ta;
 pub mod prelude {
     pub use mpq_core::{
         Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalBackend,
-        EvalSeed, GridPartitioner, HashPartitioner, HealthMonitor, HealthState, MatchRequest,
-        MatchSession, Matching, MonotoneSkylineMatcher, MpqError, Pair, Partitioner, RequestKey,
-        ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges,
-        ShardedEngine, ShardedEngineBuilder, Ticket,
+        EvalSeed, HealthMonitor, HealthState, MatchRequest, MatchSession, Matching,
+        MonotoneSkylineMatcher, MpqError, Pair, RequestKey, ResultCache, Scratch, ServiceClient,
+        ServiceConfig, ServiceMetrics, ShardGauges, ShardedEngine, ShardedEngineBuilder, Ticket,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

@@ -16,7 +16,21 @@
 //! top-1 scan. What is left is mostly one rank list per skyline object
 //! and per function (365 of the 615; they are dropped with the
 //! scratch's maps between runs). The asserted bound is this store's
-//! count + 25 %, itself under a quarter of the parent's.
+//! count + 25 %, itself under a quarter of the parent's. (617 since the
+//! run state is a `Vec` of parts — one for an `Engine`.)
+//!
+//! The same request behind four shards (`ShardedEngine`, K = 4):
+//!
+//! | the second seeded `evaluate_seeded`, K = 4                     | allocations |
+//! |----------------------------------------------------------------|------------:|
+//! | parent (four probes: a scratch, a function copy, an exclusion  |             |
+//! | set and a reverse top-1 index each, fresh per call)            |       1 397 |
+//! | one run over the four pins, on the caller's warm scratch       |         917 |
+//!
+//! What is left over the engine's count is the union: 4 resumes
+//! instead of one, and a rank list for every member of the four
+//! shards' skylines, not only of the skyline. The asserted bound is
+//! 917 + 25 %, below the parent's count.
 //!
 //! Resuming must also cost the same however large the skyline is: the
 //! seeded arm of `sb.rs`'s priming is a clone of the snapshot, and that
@@ -68,6 +82,10 @@ fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// with this store (see the module docs).
 const PARENT_ALLOCATIONS: u64 = 4_664;
 const STORE_ALLOCATIONS: u64 = 615;
+/// The same behind four shards: with one probe per shard, and with one
+/// run over the four pins.
+const SHARDED_PARENT_ALLOCATIONS: u64 = 1_397;
+const SHARDED_ALLOCATIONS: u64 = 917;
 
 #[test]
 fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
@@ -113,6 +131,30 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         "a served evaluation made {allocations} allocations, recorded {STORE_ALLOCATIONS}"
     );
     assert!(allocations * 4 <= PARENT_ALLOCATIONS);
+
+    // The same request behind four shards: one run over the shards'
+    // pins on the caller's scratch, not four runs each with a scratch,
+    // a function copy and a reverse top-1 index of its own.
+    let sharded = ShardedEngine::builder().objects(&w.objects).shards(4);
+    let sharded = sharded.build().unwrap();
+    let request = sharded.request(&functions);
+    let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
+    let seed = seed.expect("a cold run captures the inventory's seed");
+    let mut served = || {
+        request
+            .evaluate_seeded(&mut scratch, Some(&seed))
+            .unwrap()
+            .0
+    };
+    let first = served();
+    let (allocations, second) = counting(served);
+    assert_eq!(cold.pairs(), first.pairs());
+    assert_eq!(cold.pairs(), second.pairs());
+    assert!(
+        allocations <= SHARDED_ALLOCATIONS + SHARDED_ALLOCATIONS / 4,
+        "a served 4-shard evaluation made {allocations} allocations, recorded {SHARDED_ALLOCATIONS}"
+    );
+    const { assert!(SHARDED_ALLOCATIONS + SHARDED_ALLOCATIONS / 4 < SHARDED_PARENT_ALLOCATIONS) };
 
     // Resuming — cloning the snapshot — costs the same on a skyline of
     // dozens and on one of hundreds.

@@ -2,8 +2,8 @@
 //! the inventory's [`EvalSeed`] must be **bit-identical** to running it
 //! cold, whatever the request — exclusion flips, function weight
 //! tweaks, capacities on and off — on every backend behind `dyn
-//! EvalBackend` (the unsharded engine and the sharded scatter-gather
-//! merge at K = 1 and K = 4), including across interleaved inventory
+//! EvalBackend` (the unsharded engine and the sharded engine at K = 1
+//! and K = 4), including across interleaved inventory
 //! mutations (which stale the seed: the evaluation must detect that,
 //! fall back cold and capture the new inventory's seed).
 //!
