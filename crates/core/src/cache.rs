@@ -87,12 +87,6 @@ impl std::hash::Hash for RequestKey {
 }
 
 impl RequestKey {
-    /// The precomputed 64-bit FNV-1a digest of the key material
-    /// (diagnostic; equality does not trust it).
-    pub fn hash64(&self) -> u64 {
-        self.hash
-    }
-
     /// Approximate heap footprint of the key, for cache byte accounting.
     pub(crate) fn approx_bytes(&self) -> usize {
         std::mem::size_of::<RequestKey>() + self.material.len() * std::mem::size_of::<u64>()

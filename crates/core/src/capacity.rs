@@ -9,19 +9,31 @@
 //! objects with remaining capacity, and an object leaves the skyline
 //! bookkeeping only when its capacity is exhausted.
 //!
-//! With every capacity equal to 1 this reduces exactly to the 1-1
-//! matching — the same pairs in the same order from the same number of
-//! loops and reverse top-1 searches as single-pair SB (asserted by
-//! tests), because it *is* single-pair SB: a capacitated request is the
-//! one SB evaluation of [`crate::sb`] (`run_sb_seeded`) with the other
-//! loop body. Each round *discovers* the best pair, takes one of the
-//! object's `Units` — the remaining units of the request — and
-//! *retires* the function, and the object with it only once its last
-//! unit went. That holds on an [`Engine`](crate::Engine) and on a
-//! [`ShardedEngine`](crate::ShardedEngine) alike, which run it over one
-//! part and over one part per shard. An un-capacitated request carries
-//! no `Units` at all: every object has the one unit that assignment
-//! takes.
+//! A capacitated request runs the one SB round of [`crate::sb`]
+//! (`SbRun::round`), multi-pair reporting (§IV-C) included, because the
+//! paper's argument never uses unit capacities. Let `o`, with a unit
+//! left, be `f`'s best object and `f` be `o`'s best unassigned function.
+//! No pair the greedy takes earlier can use up `f` — it would have to
+//! outscore `(f, o)` on `f` — nor `o`'s last unit — it would have to
+//! outscore it on `o`; and two mutually-best pairs of one round never
+//! share an object, since an object has one best function. So every
+//! pair of a round belongs to the matching, one unit each: the round
+//! takes one of the request's `Units` per pair and retires the functions
+//! together with the objects whose last unit went. An un-capacitated
+//! request carries no `Units` at all — every object has the one unit
+//! that assignment takes — and is otherwise the same run, on an
+//! [`Engine`](crate::Engine) (one part) and on a
+//! [`ShardedEngine`](crate::ShardedEngine) (one part per shard) alike.
+//!
+//! The contract, for every `multi_pair` × `best_pair`, evaluated or
+//! streamed, cold or resumed: [`Matching::sorted_pairs`] is
+//! `to_bits`-equal to [`reference_capacity_matching`] over the visible
+//! capacities (an excluded object has none) and passes
+//! [`verify_capacity_stable`]. Emission order is per-round canonical,
+//! as [`Matching::pairs`] states it for any request: with
+//! `.multi_pair(false)` it is the reference's order pair for pair, and
+//! with every capacity 1 the run is the un-capacitated one, count for
+//! count, at either setting (all asserted by tests).
 
 use std::collections::{HashMap, HashSet};
 
@@ -34,7 +46,7 @@ use crate::matching::{Matching, Pair, RunMetrics};
 /// the per-object resident lists.
 #[derive(Debug, Clone, Default)]
 pub struct CapacityMatching {
-    /// Pairs in assignment (descending canonical) order.
+    /// Pairs in emission order (see [`Matching::pairs`]).
     pub pairs: Vec<Pair>,
     /// For each object id, the functions assigned to it.
     pub residents: HashMap<u64, Vec<u32>>,
@@ -124,19 +136,51 @@ pub fn reference_capacity_matching(
     out
 }
 
-/// Verify capacitated stability: no function strictly prefers an object
-/// that either has spare capacity or hosts a strictly worse resident.
+/// Verify that `pairs` is the capacitated stable matching of
+/// `(objects, functions)` under `capacities` — what
+/// [`verify_stable`](crate::verify_stable) checks, with "an object at
+/// most once" read as "at most its capacity":
+///
+/// 1. there is one capacity per object, every pair references an alive
+///    function (at most once) and an existing object, and no object
+///    hosts more pairs than its capacity;
+/// 2. stored scores equal the recomputed `f(o)` bit-for-bit;
+/// 3. the matching is maximal: `min(|F|, Σ capacities)` pairs;
+/// 4. no blocking pair exists: no function strictly prefers an object
+///    that either has spare capacity or hosts a strictly worse resident.
+///
+/// Returns a human-readable description of the first violation.
 pub fn verify_capacity_stable(
     objects: &PointSet,
     functions: &FunctionSet,
     capacities: &[u32],
     pairs: &[Pair],
 ) -> Result<(), String> {
+    if capacities.len() != objects.len() {
+        return Err(format!(
+            "{} capacities for {} objects",
+            capacities.len(),
+            objects.len()
+        ));
+    }
     let mut f_match: HashMap<u32, &Pair> = HashMap::new();
     let mut residents: HashMap<u64, Vec<&Pair>> = HashMap::new();
     for p in pairs {
+        if !functions.is_alive(p.fid) {
+            return Err(format!("pair uses unknown/removed function {}", p.fid));
+        }
+        if p.oid as usize >= objects.len() {
+            return Err(format!("pair uses unknown object {}", p.oid));
+        }
         if f_match.insert(p.fid, p).is_some() {
             return Err(format!("function {} assigned twice", p.fid));
+        }
+        let expect = functions.score(p.fid, objects.get(p.oid as usize));
+        if expect.to_bits() != p.score.to_bits() {
+            return Err(format!(
+                "pair ({}, {}) stores score {} but f(o) = {}",
+                p.fid, p.oid, p.score, expect
+            ));
         }
         residents.entry(p.oid).or_default().push(p);
     }
@@ -144,6 +188,14 @@ pub fn verify_capacity_stable(
         if rs.len() > capacities[oid as usize] as usize {
             return Err(format!("object {oid} exceeds its capacity"));
         }
+    }
+    let units: u64 = capacities.iter().map(|&c| u64::from(c)).sum();
+    let budget = (functions.n_alive() as u64).min(units);
+    if pairs.len() as u64 != budget {
+        return Err(format!(
+            "matching has {} pairs but min(|F|, sum of capacities) = {budget}",
+            pairs.len()
+        ));
     }
     for (fid, _) in functions.iter_alive() {
         for (i, point) in objects.iter() {
@@ -255,6 +307,8 @@ mod tests {
         }
     }
 
+    /// All ones is the un-capacitated request: the same round takes the
+    /// one unit every object has anyway.
     #[test]
     fn unit_capacities_count_like_single_pair_sb() {
         let w = WorkloadBuilder::new()
@@ -264,14 +318,17 @@ mod tests {
             .seed(97)
             .build();
         let engine = engine(&w.objects);
-        let request = || engine.request(&w.functions);
         let units = vec![1; engine.oid_bound() as usize];
-        let unit = request().capacities(&units).evaluate().unwrap();
-        let single = request().multi_pair(false).evaluate().unwrap();
-        assert_eq!(unit.pairs(), single.pairs());
-        let (unit, single) = (unit.metrics(), single.metrics());
-        assert_eq!(unit.loops, single.loops);
-        assert_eq!(unit.reverse_top1_calls, single.reverse_top1_calls);
+        for multi_pair in [true, false] {
+            let request = || engine.request(&w.functions).multi_pair(multi_pair);
+            let unit = request().capacities(&units).evaluate().unwrap();
+            let plain = request().evaluate().unwrap();
+            assert_eq!(unit.pairs(), plain.pairs());
+            let (unit, plain) = (unit.metrics(), plain.metrics());
+            assert_eq!(unit.loops, plain.loops);
+            assert_eq!(unit.reverse_top1_calls, plain.reverse_top1_calls);
+            assert_eq!(plain.loops == 120, !multi_pair, "one loop per pair");
+        }
     }
 
     #[test]
@@ -283,9 +340,13 @@ mod tests {
             .seed(81)
             .build();
         let caps = vec![1u32; w.objects.len()];
-        let m = run(&w.objects, &w.functions, &caps);
         let expect = reference_matching(&w.objects, &w.functions);
-        assert_eq!(m.pairs, expect, "capacity-1 must equal the 1-1 matching");
+        let engine = engine(&w.objects);
+        let request = || engine.request(&w.functions).capacities(&caps);
+        let m = request().evaluate().unwrap();
+        assert_eq!(m.sorted_pairs(), expect, "capacity-1 is the 1-1 matching");
+        let single = request().multi_pair(false).evaluate().unwrap();
+        assert_eq!(single.pairs(), expect, "pair for pair, one per round");
     }
 
     #[test]
@@ -359,5 +420,49 @@ mod tests {
         let m = run(&w.objects, &w.functions, &caps);
         assert_eq!(m.pairs.len(), 10);
         verify_capacity_stable(&w.objects, &w.functions, &caps, &m.pairs).unwrap();
+    }
+
+    /// Each way a pair list can fail to be the capacitated matching is
+    /// an `Err` naming it — never a panic.
+    #[test]
+    fn the_verifier_reports_every_violation() {
+        let mut ps = PointSet::new(2);
+        for p in [[0.9, 0.8], [0.5, 0.6], [0.2, 0.2]] {
+            ps.push(&p);
+        }
+        let mut fs = FunctionSet::from_rows(2, &[vec![0.6, 0.4], vec![0.4, 0.6], vec![0.5, 0.5]]);
+        let pair = |fid: u32, oid: u64| Pair {
+            fid,
+            oid,
+            score: fs.score(fid, ps.get(oid as usize)),
+        };
+        // Object 0 seats its two best users, object 1 the third.
+        let caps = [2, 1, 0];
+        let good = [pair(0, 0), pair(2, 0), pair(1, 1)];
+        assert_eq!(reference_capacity_matching(&ps, &fs, &caps), good);
+        verify_capacity_stable(&ps, &fs, &caps, &good).unwrap();
+
+        let broken = |pairs: &[Pair], caps: &[u32], violation: &str| {
+            let err = verify_capacity_stable(&ps, &fs, caps, pairs).unwrap_err();
+            assert!(err.contains(violation), "{violation}: got {err}");
+        };
+        let (ghost, nowhere) = (Pair { fid: 9, ..good[0] }, Pair { oid: 3, ..good[0] });
+        let cheap = Pair {
+            score: 0.5,
+            ..good[0]
+        };
+        broken(&[ghost, good[1], good[2]], &caps, "removed function 9");
+        broken(&[nowhere, good[1], good[2]], &caps, "unknown object 3");
+        broken(&[good[0], good[0], good[2]], &caps, "function 0 assigned");
+        broken(&[cheap, good[1], good[2]], &caps, "stores score 0.5");
+        broken(&good[..2], &caps, "has 2 pairs but min");
+        broken(&good, &caps[..2], "2 capacities for 3 objects");
+        broken(&good, &[1, 2, 0], "object 0 exceeds its capacity");
+        let swapped = [pair(0, 0), pair(1, 0), pair(2, 1)];
+        broken(&swapped, &caps, "blocking pair: function 2 and object 0");
+
+        fs.remove(2);
+        let err = verify_capacity_stable(&ps, &fs, &caps, &good).unwrap_err();
+        assert!(err.contains("removed function 2"), "got {err}");
     }
 }

@@ -517,11 +517,6 @@ impl Engine {
         lock(&self.objects).get(oid).map(Box::from)
     }
 
-    /// The index configuration the engine was built with.
-    pub fn index_config(&self) -> &IndexConfig {
-        &self.config
-    }
-
     /// The engine's **inventory version**: a process-globally unique,
     /// monotonically increasing stamp assigned at build time and
     /// re-minted on every mutation. Two engines never share a version —
@@ -545,12 +540,6 @@ impl Engine {
     #[inline]
     pub fn mutation_log(&self) -> &MutationLog {
         &self.mutations
-    }
-
-    /// True iff the engine persists to a data directory (pages + WAL).
-    #[inline]
-    pub fn is_persistent(&self) -> bool {
-        self.data_dir.is_some()
     }
 
     /// The data directory the engine persists under, if disk-backed.
@@ -620,18 +609,6 @@ impl Engine {
     /// global non-empty contract itself).
     pub(crate) fn open_shard(dir: &Path, config: IndexConfig) -> Result<Engine, MpqError> {
         Engine::open_inner(dir, config, None, true)
-    }
-
-    /// Like [`Engine::open_with`], but routing the reopened engine's
-    /// durability operations through `injector` (see
-    /// [`EngineBuilder::fault_injector`]). Recovery itself runs with the
-    /// injector attached, so reads during replay can be failed too.
-    pub fn open_with_injector(
-        dir: impl AsRef<Path>,
-        config: IndexConfig,
-        injector: Arc<FaultInjector>,
-    ) -> Result<Engine, MpqError> {
-        Engine::open_inner(dir.as_ref(), config, Some(injector), false)
     }
 
     fn open_inner(
@@ -1251,17 +1228,12 @@ pub(crate) fn validate_request<B: EvalBackend + ?Sized>(
                 "capacities are only supported with Algorithm::Sb",
             ));
         }
-        // Reject — rather than silently ignore — SB ablation knobs
-        // the capacitated path does not implement. (multi_pair does
-        // not apply: the capacitated greedy emits one pair per loop.)
+        // Units are taken by the one SB round (`SbRun::round`), under
+        // any `multi_pair` and `best_pair`; the rescan strawman is
+        // another loop and knows nothing of them.
         if options.maintenance != MaintenanceMode::Incremental {
             return Err(MpqError::UnsupportedRequest(
                 "capacities do not support the rescan maintenance ablation",
-            ));
-        }
-        if options.best_pair != BestPairMode::Ta {
-            return Err(MpqError::UnsupportedRequest(
-                "capacities only support the TA best-pair mode",
             ));
         }
     }
@@ -1300,7 +1272,10 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     }
 
     /// SB only: report all mutually-best pairs per loop (§IV-C, default
-    /// `true`) or only the canonical best.
+    /// `true`) or only the canonical best — with or without
+    /// [`capacities`](MatchRequest::capacities). The matching is the
+    /// same; the emission order ([`Matching::pairs`]) and the number of
+    /// loops are what change.
     pub fn multi_pair(mut self, multi: bool) -> Self {
         self.options.multi_pair = multi;
         self
@@ -1323,8 +1298,11 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     }
 
     /// Per-object capacities (the many-to-one extension): `caps[oid]`
-    /// users may share object `oid`. Requires [`Algorithm::Sb`] and a
-    /// capacity for every object id up to the backend's id bound.
+    /// users may share object `oid`. Requires [`Algorithm::Sb`] with
+    /// incremental maintenance and a capacity for every object id up to
+    /// the backend's id bound; every other knob, and
+    /// [`stream`](MatchRequest::stream), means what it means without
+    /// them (see [`crate::capacity`] for the contract).
     pub fn capacities(mut self, caps: &[u32]) -> Self {
         self.options.capacities = Some(caps.to_vec());
         self
@@ -1439,11 +1417,6 @@ impl<'e, B: EvalBackend + ?Sized> MatchRequest<'e, '_, B> {
                 "streaming requires incremental skyline maintenance",
             ));
         }
-        if self.options.capacities.is_some() {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming does not support capacities",
-            ));
-        }
         let sources = parts.iter().map(|part| IoSession::new(&part.tree));
         Ok(stream_on(sources.collect(), self.functions, &self.options))
     }
@@ -1454,8 +1427,8 @@ impl<'e> MatchRequest<'e, '_> {
     /// pairs as soon as they are identified, reading the shared index
     /// through its own run-scoped I/O session.
     ///
-    /// Requires [`Algorithm::Sb`] with incremental maintenance and no
-    /// capacities.
+    /// Requires [`Algorithm::Sb`] with incremental maintenance; yields
+    /// [`evaluate`](MatchRequest::evaluate)'s pairs in its order.
     pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
         self.stream_over(std::slice::from_ref(self.backend))
     }
@@ -1488,11 +1461,6 @@ impl BatchOutcome {
     /// The matchings, one per request, **in input order**.
     pub fn matchings(&self) -> &[Matching] {
         &self.matchings
-    }
-
-    /// Consume the outcome, yielding the matchings in input order.
-    pub fn into_matchings(self) -> Vec<Matching> {
-        self.matchings
     }
 
     /// Aggregated metrics of the whole batch.
@@ -1603,7 +1571,7 @@ impl MatchSession<'_> {
         self.run.load(functions);
         let mut pairs: Vec<Pair> = Vec::new();
         while !self.run.is_done() {
-            pairs.extend_from_slice(self.run.round(true, |_| false));
+            pairs.extend_from_slice(self.run.round(true, &HashSet::new(), &mut None));
         }
         // every pair removed one distinct object from the inventory
         self.assigned += pairs.len() as u64;

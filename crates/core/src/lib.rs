@@ -36,9 +36,9 @@
 //!
 //! The [`capacity`] module extends the model with object capacities
 //! (e.g. a room *type* with `c` identical rooms), which the examples use.
-//! A capacitated request is the one SB evaluation with the other loop
-//! body — best pair of the round, one capacity unit per assignment —
-//! on an [`Engine`] and on a [`ShardedEngine`] alike.
+//! A capacitated request is the one SB evaluation — the same round,
+//! each of its pairs taking one unit of its object — evaluated or
+//! streamed, on an [`Engine`] and on a [`ShardedEngine`] alike.
 //!
 //! ## Evaluation goes through the [`Engine`]
 //!

@@ -115,7 +115,15 @@ impl Matching {
         Matching { pairs, metrics }
     }
 
-    /// The stable pairs, in emission order.
+    /// The stable pairs, in emission order. The one statement of that
+    /// order for SB, evaluated or streamed, capacitated or not: the
+    /// pairs of a round come out in canonical order (see [`Pair`]), and
+    /// the rounds' *first* pairs descend — each is the best pair left —
+    /// but the list as a whole need not: under the default
+    /// `multi_pair(true)` a later round's best pair can outscore an
+    /// earlier round's second. It is globally descending from
+    /// `.multi_pair(false)` (one pair a round: the greedy's own order)
+    /// and from [`sorted_pairs`](Matching::sorted_pairs).
     pub fn pairs(&self) -> &[Pair] {
         &self.pairs
     }

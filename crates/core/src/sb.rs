@@ -33,7 +33,7 @@
 //! Neither cache changes the output (asserted by tests); they only
 //! remove redundant reverse-top-1 calls and skyline scans.
 //!
-//! ## One run state, two halves of a round
+//! ## One run state, one round
 //!
 //! Everything above lives once, in the crate-private `SbRun`: its
 //! *parts* — one pinned node source and one maintained skyline each —
@@ -49,24 +49,27 @@
 //! inventory's seed ([`crate::seed`]) — then peels off the objects the
 //! run must not see; "must not see" is one predicate, so a request's
 //! exclusions and a capacitated request's exhausted objects take the
-//! same path. A round (Algorithm 1 lines 3–9) is two calls:
+//! same path. `SbRun::round` is the only loop body (Algorithm 1 lines
+//! 3–9): three steps, the first and the last its private halves, which
+//! nothing else calls.
 //!
 //! * **discover** refreshes the rank lists against the union and
 //!   reports the round's mutually-best pairs in canonical order — all
 //!   of them, or with `multi_pair` off only the first. It changes
 //!   nothing a matching depends on.
-//! * **retire** applies assignments: functions are tombstoned, and each
-//!   object leaves the skyline of the one part that holds it (§IV-B
-//!   maintenance, masked promotions peeled before they reach a cache),
-//!   that part's promotions joining the union.
+//! * Each pair takes one unit of its object — the only unit, unless
+//!   the request carries capacities ([`crate::capacity`], which also
+//!   says why every pair of the round may take one).
+//! * **retire** applies the round: functions are tombstoned, and each
+//!   object whose last unit went leaves the skyline of the one part
+//!   that holds it (§IV-B maintenance, masked promotions peeled before
+//!   they reach a cache), that part's promotions joining the union. An
+//!   object with a unit left stays where it is.
 //!
-//! Three drivers run it. The evaluation (`run_sb_seeded`, for either
-//! engine), the progressive [`SbStream`] and the persistent
-//! [`MatchSession`](crate::MatchSession) retire exactly what they
-//! discovered, round after round. A capacitated request
-//! ([`crate::capacity`]) is the evaluation with the other loop body:
-//! discover one pair, take one of its object's units, retire the
-//! function — and the object only once it is out of units.
+//! Three drivers call it until the run is done, and do nothing else to
+//! the run: the evaluation (`run_sb_seeded`, for either engine), the
+//! progressive [`SbStream`] and the persistent
+//! [`MatchSession`](crate::MatchSession).
 //!
 //! [`SbStream`] exposes the algorithm *progressively*: stable pairs are
 //! yielded as soon as they are identified, which is the paper's
@@ -127,9 +130,11 @@ pub enum MaintenanceMode {
 /// state, between rounds.
 #[derive(Debug, Default)]
 pub(crate) struct RoundBufs {
-    /// This round's mutually-best pairs — what [`SbRun::discover`]
-    /// leaves behind.
+    /// This round's mutually-best pairs — what `SbRun::discover` leaves
+    /// behind.
     pairs: Vec<Pair>,
+    /// The objects among them whose last unit this round took.
+    departed: Vec<u64>,
     /// Functions that are some skyline object's current best.
     fbest_fns: HashSet<u32>,
     /// The objects one skyline removal takes out (see [`peel_masked`]).
@@ -333,11 +338,6 @@ impl<R: NodeSource> SbRun<R> {
         &self.scratch.fs
     }
 
-    /// The pairs of the last [`discover`](SbRun::discover).
-    pub(crate) fn pairs(&self) -> &[Pair] {
-        &self.scratch.round.pairs
-    }
-
     /// Page traffic since the pins, summed over the parts.
     pub(crate) fn io(&self) -> IoStats {
         let since_pin = |part: &Part<R>| part.src.io_snapshot().since(part.io_start);
@@ -368,27 +368,41 @@ impl<R: NodeSource> SbRun<R> {
         self.scratch
     }
 
-    /// One whole round (Algorithm 1 lines 3–9): discover the
-    /// mutually-best pairs, retire them, return them.
-    pub(crate) fn round(&mut self, multi_pair: bool, masked: impl Fn(u64) -> bool) -> &[Pair] {
+    /// One whole round (Algorithm 1 lines 3–9), the only loop body:
+    /// discover the mutually-best pairs, let each take one unit of its
+    /// object — an object of an un-capacitated request has exactly the
+    /// one — and retire the functions together with the objects whose
+    /// last unit went. What retiring them promotes is masked by the one
+    /// `invisible` predicate, read *after* the round's takes.
+    pub(crate) fn round(
+        &mut self,
+        multi_pair: bool,
+        exclude: &HashSet<u64>,
+        units: &mut Option<Units>,
+    ) -> &[Pair] {
         self.discover(multi_pair);
         let pairs = std::mem::take(&mut self.scratch.round.pairs);
-        self.retire(&pairs, true, masked);
+        let mut departed = std::mem::take(&mut self.scratch.round.departed);
+        departed.clear();
+        let mut spent = |oid| units.as_mut().is_none_or(|left| left.take(oid));
+        departed.extend(pairs.iter().map(|p| p.oid).filter(|&oid| spent(oid)));
+        self.retire(&pairs, &departed, |oid| invisible(exclude, units, oid));
+        self.scratch.round.departed = departed;
         self.scratch.round.pairs = pairs;
         &self.scratch.round.pairs
     }
 
     /// First half of a round: refresh the fbest/obest rank lists
     /// against the union of the parts' skylines and leave this round's
-    /// mutually-best pairs, canonically sorted, in
-    /// [`pairs`](SbRun::pairs) (only the first without `multi_pair`). Changes
-    /// nothing a matching depends on, so asking twice answers the same.
+    /// mutually-best pairs, canonically sorted, in the round buffers
+    /// (only the first without `multi_pair`). Changes nothing a matching
+    /// depends on, so asking twice answers the same.
     ///
     /// All round-local collections live in the scratch, so a round
     /// performs no heap allocation once the buffers are warm.
     ///
     /// Precondition: the run is not [done](SbRun::is_done).
-    pub(crate) fn discover(&mut self, multi_pair: bool) {
+    fn discover(&mut self, multi_pair: bool) {
         let Scratch {
             fs,
             fbest,
@@ -460,11 +474,13 @@ impl<R: NodeSource> SbRun<R> {
         self.metrics.discover += start.elapsed();
     }
 
-    /// Second half of a round: the functions of `pairs` are assigned
-    /// and, with `objects`, so are their objects — tombstone, drop the
+    /// Second half of a round: the functions of `pairs` are assigned and
+    /// the `departed` objects have no unit left — tombstone, drop the
     /// rank lists of what left, maintain the skyline of every part that
-    /// held one of them.
-    pub(crate) fn retire(&mut self, pairs: &[Pair], objects: bool, masked: impl Fn(u64) -> bool) {
+    /// held one of them. An object that keeps a unit stays on the
+    /// skyline; the function it just took heads its fbest list and is
+    /// drained like any other dead one.
+    fn retire(&mut self, pairs: &[Pair], departed: &[u64], masked: impl Fn(u64) -> bool) {
         let Scratch {
             fs,
             fbest,
@@ -478,19 +494,15 @@ impl<R: NodeSource> SbRun<R> {
             fs.remove(p.fid);
             obest.remove(&p.fid);
         }
-        if !objects {
-            return;
-        }
-        // Assigned objects never return: drop their fbest lists. Dead
+        // Departed objects never return: drop their fbest lists. Dead
         // objects inside obest lists are drained lazily in step 2.
-        for p in pairs {
-            fbest.remove(&p.oid);
+        for oid in departed {
+            fbest.remove(oid);
         }
         for part in &mut self.parts {
             bufs.wave.clear();
-            let assigned = pairs.iter().map(|p| p.oid);
-            bufs.wave
-                .extend(assigned.filter(|&oid| part.skyline.contains(oid)));
+            let held = departed.iter().filter(|&&oid| part.skyline.contains(oid));
+            bufs.wave.extend(held);
             if bufs.wave.is_empty() {
                 continue;
             }
@@ -511,23 +523,25 @@ impl<R: NodeSource> SbRun<R> {
 }
 
 /// Build a progressive SB stream over node sources the stream *owns*
-/// (run-scoped I/O sessions, one per part). The request's excluded
-/// objects are invisible: removed from the initial skyline along with
-/// every excluded promotion they uncover. Reads `best_pair`,
-/// `multi_pair` and `exclude` from `options`; the request path has
-/// already checked that the rest describe a streamable request.
+/// (run-scoped I/O sessions, one per part). The objects the request
+/// cannot see — excluded, or without a unit of capacity — are removed
+/// from the initial skyline along with every such promotion they
+/// uncover. Reads `best_pair`, `multi_pair`, `exclude` and `capacities`
+/// from `options`; the request path has already checked that the rest
+/// describe a streamable request.
 pub(crate) fn stream_on<R: NodeSource + Send>(
     sources: Vec<R>,
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> SbStream<R> {
     let excluded = options.exclude.clone();
+    let units = options.capacities.clone().map(Units);
     let run = SbRun::new(
         sources,
         Scratch::new(),
         functions,
         options.best_pair,
-        |oid| excluded.contains(&oid),
+        |oid| invisible(&excluded, &units, oid),
         None,
         None,
     );
@@ -535,6 +549,7 @@ pub(crate) fn stream_on<R: NodeSource + Send>(
         run,
         multi_pair: options.multi_pair,
         excluded,
+        units,
         pending: VecDeque::new(),
     }
 }
@@ -552,9 +567,8 @@ pub(crate) fn stream_on<R: NodeSource + Send>(
 /// instead of copied).
 ///
 /// Produces exactly the pairs the progressive [`SbStream`] would, in the
-/// same order (asserted by tests). A capacitated request runs the same
-/// state through the other loop body: one pair per round, one capacity
-/// unit per pair, the object retired with its last unit.
+/// same order (asserted by tests), capacitated or not: both drive
+/// `SbRun::round` and nothing else.
 ///
 /// Seed-capable, and the one place that decides it. A `seed` is
 /// honoured as a whole or not at all: only when every part is pinned,
@@ -601,21 +615,7 @@ pub(crate) fn run_sb_seeded<R: NodeSource + Send>(
     let budget = functions.n_alive().min(run.pinned_objects() as usize);
     let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
     while !run.is_done() {
-        match &mut units {
-            None => {
-                let round = run.round(options.multi_pair, |oid| exclude.contains(&oid));
-                pairs.extend_from_slice(round);
-            }
-            // The canonical greedy: the round's best pair takes one
-            // unit, and the object stays while it has another.
-            Some(left) => {
-                run.discover(false);
-                let pair = run.pairs()[0];
-                let spent = left.take(pair.oid);
-                run.retire(&[pair], spent, |oid| invisible(exclude, &units, oid));
-                pairs.push(pair);
-            }
-        }
+        pairs.extend_from_slice(run.round(options.multi_pair, exclude, &mut units));
     }
     let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
@@ -799,9 +799,9 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
 
 /// Progressive SB evaluation (see [`crate::MatchRequest::stream`]).
 ///
-/// Implements [`Iterator`]: each item is the next stable pair. Pairs
-/// within one internal loop are yielded in canonical order; across loops
-/// scores are non-increasing.
+/// Implements [`Iterator`]: each item is the next stable pair, in the
+/// order [`Matching::pairs`] documents — the evaluation's, pair for
+/// pair, capacitated or not.
 ///
 /// Generic over the node source it *owns*: an [`mpq_rtree::IoSession`]
 /// when streaming from a shared [`Engine`](crate::Engine) (per-run I/O
@@ -811,6 +811,8 @@ pub struct SbStream<R: NodeSource> {
     multi_pair: bool,
     /// The request's excluded objects, masked for the whole run.
     excluded: HashSet<u64>,
+    /// What is left of the request's capacities, if it has any.
+    units: Option<Units>,
     pending: VecDeque<Pair>,
 }
 
@@ -842,7 +844,7 @@ impl<R: NodeSource> SbStream<R> {
     fn loop_once(&mut self) {
         let pairs = self
             .run
-            .round(self.multi_pair, |oid| self.excluded.contains(&oid));
+            .round(self.multi_pair, &self.excluded, &mut self.units);
         self.pending.extend(pairs);
     }
 
@@ -1080,6 +1082,40 @@ mod tests {
         let single = run(SINGLE_PAIR, &w.objects, &w.functions);
         assert!(multi.metrics().loops <= single.metrics().loops);
         assert_eq!(single.metrics().loops, 60, "one loop per pair");
+    }
+
+    /// The order contract of [`Matching::pairs`], on a request that
+    /// shows why it is worded as it is: canonical within a round, round
+    /// heads descending, the whole list not.
+    #[test]
+    fn multi_pair_emission_is_canonical_per_round_only() {
+        let w = WorkloadBuilder::new()
+            .objects(3000)
+            .functions(120)
+            .dim(3)
+            .seed(97)
+            .build();
+        let engine = engine(&w.objects);
+        let whole = engine.request(&w.functions).evaluate().unwrap();
+        let inversions = |pairs: &[Pair]| pairs.windows(2).filter(|w| w[1].beats(&w[0])).count();
+        assert_eq!(whole.len(), 120);
+        assert_eq!(inversions(whole.pairs()), 23, "not globally descending");
+
+        let mut stream = engine.stream(&w.functions).unwrap();
+        let (mut streamed, mut heads) = (Vec::new(), Vec::new());
+        while !stream.run.is_done() {
+            stream.loop_once();
+            let round: Vec<Pair> = stream.pending.drain(..).collect();
+            assert_eq!(inversions(&round), 0, "canonical within a round");
+            heads.push(round[0]);
+            streamed.extend(round);
+        }
+        assert_eq!(streamed, whole.pairs(), "the stream inverts alike");
+        assert_eq!(inversions(&heads), 0, "round heads descend");
+
+        let one_by_one = engine.request(&w.functions).multi_pair(false);
+        let one_by_one = one_by_one.evaluate().unwrap();
+        assert_eq!(one_by_one.pairs(), whole.sorted_pairs());
     }
 
     #[test]

@@ -447,12 +447,6 @@ impl ShardedEngine {
         0
     }
 
-    /// True iff the shards persist to a data directory.
-    #[inline]
-    pub fn is_persistent(&self) -> bool {
-        self.data_dir.is_some()
-    }
-
     /// The sharded data directory, if disk-backed.
     pub fn data_dir(&self) -> Option<&Path> {
         self.data_dir.as_deref()
@@ -896,7 +890,6 @@ mod tests {
             .shards(4)
             .build()
             .unwrap();
-        let caps = vec![1; objects.len()];
         macro_rules! refusals {
             ($backend:expr) => {{
                 let request = || $backend.request(&functions);
@@ -906,7 +899,6 @@ mod tests {
                         .stream()
                         .err(),
                     request().algorithm(Algorithm::BruteForce).stream().err(),
-                    request().capacities(&caps).stream().err(),
                     request().multi_pair(false).stream().err(),
                 ]
             }};
@@ -917,10 +909,22 @@ mod tests {
         let expected = [
             unsupported("streaming requires incremental skyline maintenance"),
             unsupported("streaming is only supported with Algorithm::Sb"),
-            unsupported("streaming does not support capacities"),
             None,
         ];
         assert_eq!(refused, expected);
+
+        // A capacitated stream is the capacitated evaluation, pair for
+        // pair: object `i` takes `i mod 3` users, so some objects stay
+        // on the skyline between rounds and some never enter it.
+        let caps: Vec<u32> = (0..objects.len()).map(|i| (i % 3) as u32).collect();
+        let whole = single.request(&functions).capacities(&caps);
+        let whole = whole.evaluate().unwrap();
+        let on_one = single.request(&functions).capacities(&caps);
+        let on_four = sharded.request(&functions).capacities(&caps);
+        let streams = [on_one.stream().unwrap(), on_four.stream().unwrap()];
+        for stream in streams {
+            assert_eq!(stream.collect::<Vec<Pair>>(), whole.pairs());
+        }
 
         let request = sharded.request(&functions).multi_pair(false);
         let one_by_one: Vec<Pair> = request.stream().unwrap().collect();

@@ -217,8 +217,7 @@ fn one_shard_is_the_engine_by_counts() {
             let taken = cold.pairs().iter().step_by(7).map(|p| p.oid);
             let excluded = request().exclude(taken).evaluate().unwrap();
             let unit = request().capacities(&units).evaluate().unwrap();
-            let one_by_one = request().multi_pair(false).evaluate().unwrap();
-            assert_eq!(counts(&unit), counts(&one_by_one), "{distribution:?}");
+            assert_eq!(counts(&unit), counts(&cold), "{distribution:?}");
             [cold, seeded, excluded, unit].map(|m| counts(&m))
         };
         assert_eq!(shapes(&single), shapes(&sharded), "{distribution:?}");

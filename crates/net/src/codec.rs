@@ -7,13 +7,17 @@
 //!   "functions": [[0.7, 0.3], [0.5, 0.5]],
 //!   "algorithm": "sb",
 //!   "exclude": [17, 42],
-//!   "capacities": [2, 1],
+//!   "capacities": [1, 0, 2, 1, 1],
 //!   "deadline_ms": 250,
 //!   "priority": 5
 //! }
 //! ```
 //!
-//! Only `functions` is required. The response is [`encode_matching`]:
+//! Only `functions` is required. `capacities` is per *object*, not per
+//! function: entry `oid` is how many functions object `oid` may take,
+//! and there must be one for every id below the tenant's id bound (a
+//! five-object inventory above) — any other length is a `400` whose
+//! body names the expected one. The response is [`encode_matching`]:
 //! `{"pairs":[{"fid":..,"oid":..,"score":..}],"len":..,"total_score":..}`.
 //! Scores cross the wire through [`Json`]'s shortest-round-trip `f64`
 //! rendering, so a decoded pair is **bit-identical** to what
@@ -45,7 +49,11 @@ pub struct WireRequest {
     pub algorithm: Algorithm,
     /// Object ids excluded from this evaluation.
     pub exclude: Vec<u64>,
-    /// Optional per-function capacities.
+    /// Optional per-object capacities, indexed by object id: one entry
+    /// for every id below the backend's id bound
+    /// ([`EvalBackend::oid_bound`](mpq_core::EvalBackend::oid_bound)),
+    /// or the request is refused with
+    /// [`MpqError::CapacityMismatch`](mpq_core::MpqError::CapacityMismatch).
     pub capacities: Option<Vec<u32>>,
     /// Optional per-request deadline in milliseconds.
     pub deadline_ms: Option<u64>,

@@ -7,12 +7,15 @@
 //! * a full queue answers `429` with a `Retry-After` header,
 //! * a saturated tenant does not disturb an idle tenant (isolation),
 //! * deadlines map to `504`, unknown tenants to `404`, and a client
-//!   that hangs up gets its queued request cancelled.
+//!   that hangs up gets its queued request cancelled,
+//! * `capacities` is a per-object vector: the capacitated matching
+//!   crosses the wire bit-identically, from one tree and from four.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use mpq_core::capacity::reference_capacity_matching;
 use mpq_core::json::Json;
 use mpq_datagen::WorkloadBuilder;
 use mpq_net::{
@@ -587,5 +590,60 @@ fn near_miss_refinement_over_the_wire_is_seeded_and_identical() {
     assert_eq!(metric(cache, "seeded_hits"), 1.0);
     assert_eq!(metric(cache, "misses"), 2.0);
 
+    server.shutdown();
+}
+
+/// `capacities` is indexed by object id and spans the tenant's id
+/// bound: the capacitated matching over HTTP is the reference's, on a
+/// plain and on a 4-shard tenant, cold and from the cache; any other
+/// length is a `400` that says which length was expected.
+#[test]
+fn capacitated_requests_cross_the_wire_bit_identically() {
+    let w = WorkloadBuilder::new()
+        .objects(400)
+        .functions(1)
+        .dim(3)
+        .seed(33)
+        .build();
+    let mut registry = TenantRegistry::new();
+    for (name, shards) in [("one", 1), ("four", 4)] {
+        let config = TenantConfig {
+            shards,
+            ..TenantConfig::default()
+        };
+        registry.add_objects(name, &w.objects, config).unwrap();
+    }
+    let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+
+    // Object `i` seats `i mod 3` users; 30 users for ~400 seats.
+    let rows = raw_rows(3, 30, 4242);
+    let functions = FunctionSet::try_from_rows(3, &rows).unwrap();
+    let caps: Vec<u32> = (0..400).map(|i| i % 3).collect();
+    let expect = reference_capacity_matching(&w.objects, &functions, &caps);
+    let body = |caps: &[u32]| {
+        let caps = Json::Arr(caps.iter().map(|&c| Json::Num(c.into())).collect());
+        let (rows, caps) = (rows_json(&rows), caps.render());
+        format!(r#"{{"functions":{rows},"capacities":{caps}}}"#)
+    };
+    for tenant in ["one", "four"] {
+        let path = format!("/t/{tenant}/match");
+        for served in ["cold", "from the cache"] {
+            let resp = client.post_json(&path, &body(&caps)).unwrap();
+            assert_eq!(resp.status, 200, "body: {}", resp.text());
+            let mut pairs = decode_pairs(&resp.body).unwrap();
+            pairs.sort_unstable();
+            assert_eq!(pairs, expect, "{tenant}, {served}");
+        }
+        let resp = client.get(&format!("/t/{tenant}/metrics")).unwrap();
+        let doc = Json::parse(&resp.text()).unwrap();
+        let cache = doc.get("cache").expect("metrics carry the cache block");
+        assert_eq!(metric(cache, "hits"), 1.0, "{tenant}: the repeat hit");
+
+        let resp = client.post_json(&path, &body(&caps[..30])).unwrap();
+        assert_eq!(resp.status, 400, "one capacity per *function*");
+        let why = resp.text();
+        assert!(why.contains("30 entries") && why.contains("400"), "{why}");
+    }
     server.shutdown();
 }

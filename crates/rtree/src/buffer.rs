@@ -431,11 +431,6 @@ impl BufferPool {
         self.store.write().checkpoint(meta)
     }
 
-    /// Recovery metadata installed by the store's most recent checkpoint.
-    pub fn store_meta(&self) -> Option<Vec<u8>> {
-        self.store.read().meta()
-    }
-
     /// Seed the store's free list after recovery (see
     /// [`PageStore::seed_free`]).
     pub fn seed_free(&self, free: &[u32]) {

@@ -57,15 +57,6 @@ pub enum FaultOp {
 const N_OPS: usize = 6;
 
 impl FaultOp {
-    /// The operation classes that make state durable — the domain of
-    /// [`FaultInjector::crash_at`].
-    pub const DURABILITY: [FaultOp; 4] = [
-        FaultOp::PageWrite,
-        FaultOp::PageSync,
-        FaultOp::WalWrite,
-        FaultOp::WalSync,
-    ];
-
     #[inline]
     fn index(self) -> usize {
         match self {
@@ -150,7 +141,8 @@ struct Plan {
 #[derive(Debug, Default)]
 struct Inner {
     counts: [u64; N_OPS],
-    /// Global ordinal over durability ops (see [`FaultOp::DURABILITY`]).
+    /// Global ordinal over durability ops: page and WAL writes and
+    /// syncs (see [`FaultOp::is_durability`]).
     durability_ops: u64,
     injected: u64,
     schedule: Vec<Plan>,

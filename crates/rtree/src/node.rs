@@ -136,15 +136,6 @@ impl Node {
         }
     }
 
-    /// Mutable leaf accessor (see [`Node::as_leaf`]).
-    #[inline]
-    pub fn as_leaf_mut(&mut self) -> &mut LeafNode {
-        match self {
-            Node::Leaf(n) => n,
-            Node::Inner(_) => panic!("expected leaf node, found inner node"),
-        }
-    }
-
     /// Mutable inner accessor (see [`Node::as_inner`]).
     #[inline]
     pub fn as_inner_mut(&mut self) -> &mut InnerNode {

@@ -646,12 +646,6 @@ impl RTree {
         self.leaf_cap
     }
 
-    /// Maximum entries per inner node.
-    #[inline]
-    pub fn inner_capacity(&self) -> usize {
-        self.inner_cap
-    }
-
     /// Number of live pages ("size of the tree on disk").
     pub fn page_count(&self) -> usize {
         self.buf.live_pages()

@@ -6,8 +6,10 @@
 //! cargo run --release --example hotel_booking
 //! ```
 
+use std::time::Instant;
+
 use mpq::core::capacity::{verify_capacity_stable, CapacityMatching};
-use mpq::core::Engine;
+use mpq::core::{Engine, Matching};
 use mpq::datagen::functions::skewed_weights;
 use mpq::datagen::objects::clustered;
 
@@ -31,13 +33,24 @@ fn main() {
         users.n_alive()
     );
 
+    // Bookings are confirmed as the stream identifies them: every
+    // mutually-best (user, room type) pair of a round is final, and a
+    // room type stays on offer until its last room went.
     let engine = Engine::builder().objects(&rooms).build().unwrap();
-    let matching = engine
-        .request(&users)
-        .capacities(&capacities)
-        .evaluate()
-        .unwrap();
-    let result = CapacityMatching::from_matching(matching);
+    let start = Instant::now();
+    let request = engine.request(&users).capacities(&capacities);
+    let mut stream = request.stream().unwrap();
+    let mut confirmed = Vec::new();
+    for booking in stream.by_ref() {
+        if confirmed.len() < 3 {
+            let (user, room, score) = (booking.fid, booking.oid, booking.score);
+            println!("confirmed: user {user:>4} -> room type {room:>4} (score {score:.4})");
+        }
+        confirmed.push(booking);
+    }
+    let mut metrics = stream.into_metrics();
+    metrics.elapsed = start.elapsed();
+    let result = CapacityMatching::from_matching(Matching::new(confirmed, metrics));
 
     println!(
         "assigned {} users in {} loops ({:.2}s matching, {} physical I/Os)",

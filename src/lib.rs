@@ -68,8 +68,9 @@
 //!
 //! let matching = engine.request(&functions).evaluate().unwrap();
 //! assert_eq!(matching.pairs().len(), 3); // every user got a room
-//! // Pairs come out in descending score order and are stable:
-//! assert!(matching.pairs().windows(2).all(|w| w[0].score >= w[1].score));
+//! // `pairs()` is emission order — canonical within an SB round, see
+//! // `Matching::pairs` — and `sorted_pairs()` descends by score:
+//! assert!(matching.sorted_pairs().windows(2).all(|w| w[0].score >= w[1].score));
 //!
 //! // The same engine serves further requests without another index
 //! // build — other algorithms, masked inventory, capacities, ...

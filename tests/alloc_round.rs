@@ -9,6 +9,7 @@
 //! |----------------------------------------------------------|------------:|
 //! | parent (boxed members, copy-on-write plists, TA `Vec`s)  |       4 664 |
 //! | this store (shared base + slot arena, in-place TA lists) |         615 |
+//! | the same with an all-ones capacity vector                |         618 |
 //!
 //! What went: one box per member and per promotion point, a plist copy
 //! at the first append to each shared plist and its doublings after
@@ -17,7 +18,10 @@
 //! and per function (365 of the 615; they are dropped with the
 //! scratch's maps between runs). The asserted bound is this store's
 //! count + 25 %, itself under a quarter of the parent's. (617 since the
-//! run state is a `Vec` of parts — one for an `Engine`.)
+//! run state is a `Vec` of parts — one for an `Engine`.) A capacitated
+//! request is that run and its one copy of the vector: the objects a
+//! round's pairs exhaust are listed in a round buffer, so the count is
+//! also held below the plain one plus the number of rounds.
 //!
 //! The same request behind four shards (`ShardedEngine`, K = 4):
 //!
@@ -82,6 +86,9 @@ fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// with this store (see the module docs).
 const PARENT_ALLOCATIONS: u64 = 4_664;
 const STORE_ALLOCATIONS: u64 = 615;
+/// The same request with an all-ones capacity vector: the plain run
+/// (617) and its one copy of the vector.
+const CAPACITATED_ALLOCATIONS: u64 = 618;
 /// The same behind four shards: with one probe per shard, and with one
 /// run over the four pins.
 const SHARDED_PARENT_ALLOCATIONS: u64 = 1_397;
@@ -122,15 +129,40 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         matching
     };
     let first = served(&mut scratch);
-    let (allocations, second) = counting(|| served(&mut scratch));
+    let (plain, second) = counting(|| served(&mut scratch));
 
     assert_eq!(cold.pairs(), first.pairs());
     assert_eq!(cold.pairs(), second.pairs());
     assert!(
-        allocations <= STORE_ALLOCATIONS + STORE_ALLOCATIONS / 4,
-        "a served evaluation made {allocations} allocations, recorded {STORE_ALLOCATIONS}"
+        plain <= STORE_ALLOCATIONS + STORE_ALLOCATIONS / 4,
+        "a served evaluation made {plain} allocations, recorded {STORE_ALLOCATIONS}"
     );
-    assert!(allocations * 4 <= PARENT_ALLOCATIONS);
+    assert!(plain * 4 <= PARENT_ALLOCATIONS);
+
+    // The same request with a capacity of one everywhere is the same
+    // run plus its copy of the vector: what a round's pairs take from
+    // it is listed in a round buffer, not in a fresh `Vec` per round.
+    let units = vec![1; w.objects.len()];
+    let request = engine.request(&functions).capacities(&units);
+    let mut served = || {
+        request
+            .evaluate_seeded(&mut scratch, Some(&seed))
+            .unwrap()
+            .0
+    };
+    let first = served();
+    let (allocations, second) = counting(served);
+    assert_eq!(cold.pairs(), first.pairs());
+    assert_eq!(cold.pairs(), second.pairs());
+    assert!(
+        allocations <= CAPACITATED_ALLOCATIONS + CAPACITATED_ALLOCATIONS / 4,
+        "a served capacitated evaluation made {allocations} allocations, recorded {CAPACITATED_ALLOCATIONS}"
+    );
+    let rounds = second.metrics().loops;
+    assert!(
+        allocations < plain + rounds,
+        "{allocations} allocations against {plain} without capacities: one a round ({rounds})?"
+    );
 
     // The same request behind four shards: one run over the shards'
     // pins on the caller's scratch, not four runs each with a scratch,

@@ -7,6 +7,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
+use mpq::core::capacity::reference_capacity_matching;
 use mpq::core::{reference_matching, verify_stable, Algorithm, BestPairMode, BfStrategy};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
@@ -222,7 +223,7 @@ fn capacities_reject_unimplemented_sb_ablations() {
         .dim(2)
         .seed(76)
         .build();
-    let caps = vec![1u32; w.objects.len()];
+    let caps: Vec<u32> = (0..40).map(|i| i % 3).collect();
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
     let err = engine
         .request(&w.functions)
@@ -231,13 +232,14 @@ fn capacities_reject_unimplemented_sb_ablations() {
         .evaluate()
         .unwrap_err();
     assert!(matches!(err, MpqError::UnsupportedRequest(_)));
-    let err = engine
-        .request(&w.functions)
-        .capacities(&caps)
-        .best_pair(BestPairMode::Scan)
-        .evaluate()
-        .unwrap_err();
-    assert!(matches!(err, MpqError::UnsupportedRequest(_)));
+    // The best-pair ablations are the same round with another search
+    // for an object's best function: units are taken all the same.
+    let expect = reference_capacity_matching(&w.objects, &w.functions, &caps);
+    for mode in [BestPairMode::Scan, BestPairMode::TaNaiveThreshold] {
+        let request = engine.request(&w.functions).capacities(&caps);
+        let m = request.best_pair(mode).evaluate().unwrap();
+        assert_eq!(m.sorted_pairs(), expect, "{mode:?}");
+    }
 }
 
 #[test]

@@ -10,12 +10,17 @@
 //! (see the duplicate-semantics note in `mpq_skyline::maintain`), so it
 //! is compared modulo the identity of duplicates — i.e. on
 //! `(function, coordinates)` multisets, which *are* uniquely determined.
+//!
+//! The capacitated request gets continuous coordinates instead — no
+//! duplicate objects — so its contract is checked exactly: every knob,
+//! both engines, streamed and resumed, against the capacity oracle.
 
 use proptest::prelude::*;
 
+use mpq::core::capacity::{reference_capacity_matching, verify_capacity_stable};
 use mpq::core::{
-    reference_matching, verify_stable, verify_weakly_stable, Algorithm, BfStrategy, Engine,
-    MatchRequest, Pair,
+    reference_matching, verify_stable, verify_weakly_stable, Algorithm, BestPairMode, BfStrategy,
+    Engine, MatchRequest, Pair, Scratch, ShardedEngine,
 };
 use mpq::rtree::PointSet;
 use mpq::ta::FunctionSet;
@@ -64,6 +69,78 @@ fn positive_functions(dim: usize) -> impl Strategy<Value = FunctionSet> {
             FunctionSet::from_rows(dim, &rows)
         },
     )
+}
+
+/// Objects with continuous coordinates: no two alike.
+fn continuous_objects(dim: usize) -> impl Strategy<Value = PointSet> {
+    proptest::collection::vec(proptest::collection::vec(0.0..1.0f64, dim), 8..80).prop_map(
+        move |rows| {
+            let mut ps = PointSet::new(dim);
+            for r in rows {
+                ps.push(&r);
+            }
+            ps
+        },
+    )
+}
+
+/// The capacitated contract on one backend (a macro: `stream()` is
+/// per engine type): for every `multi_pair` × `best_pair` the matching
+/// is the reference's over the visible capacities, bit for bit, and
+/// passes the verifier; one pair a round reproduces the reference's
+/// order; the stream and a seeded resume reproduce the evaluation. Then
+/// the two query-modification rules: more room in an object that did
+/// not fill changes nothing, and no room at all is an exclusion.
+macro_rules! check_capacitated {
+    ($backend:expr, $objects:expr, $functions:expr, $caps:expr, $excluded:expr) => {{
+        let (objects, functions, caps, excluded) = ($objects, $functions, $caps, $excluded);
+        let mut visible = caps.to_vec();
+        for &oid in excluded.iter().filter(|&&oid| oid < caps.len() as u64) {
+            visible[oid as usize] = 0;
+        }
+        let expect = reference_capacity_matching(objects, functions, &visible);
+        let request = || {
+            let request = $backend.request(functions).capacities(caps);
+            request.exclude(excluded.iter().copied())
+        };
+        let knobs = [true, false].into_iter().flat_map(|multi_pair| {
+            use BestPairMode::{Scan, Ta, TaNaiveThreshold};
+            [Ta, TaNaiveThreshold, Scan].map(|mode| (multi_pair, mode))
+        });
+        for (multi_pair, mode) in knobs {
+            let request = request().multi_pair(multi_pair).best_pair(mode);
+            let label = format!("multi_pair {multi_pair}, {mode:?}");
+            let mut scratch = Scratch::new();
+            let (got, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
+            prop_assert_eq!(got.sorted_pairs(), expect.clone(), "{}", label);
+            if let Err(e) = verify_capacity_stable(objects, functions, &visible, got.pairs()) {
+                panic!("{label}: unstable capacitated matching: {e}");
+            }
+            if !multi_pair {
+                prop_assert_eq!(got.pairs(), &expect[..], "{}: greedy order", label);
+            }
+            let streamed: Vec<Pair> = request.stream().unwrap().collect();
+            prop_assert_eq!(&streamed[..], got.pairs(), "{}: streamed", label);
+            prop_assert!(seed.is_some(), "{}: a cold run captures", label);
+            let resumed = request.evaluate_seeded(&mut scratch, seed.as_ref());
+            let (resumed, _) = resumed.unwrap();
+            prop_assert_eq!(resumed.pairs(), got.pairs(), "{}: resumed", label);
+        }
+
+        let base = request().evaluate().unwrap();
+        let mut roomier = caps.to_vec();
+        for (oid, units) in roomier.iter_mut().enumerate() {
+            let residents = base.pairs().iter().filter(|p| p.oid == oid as u64).count();
+            if residents < visible[oid] as usize {
+                *units += 2;
+            }
+        }
+        let raised = request().capacities(&roomier).evaluate().unwrap();
+        prop_assert_eq!(raised.pairs(), base.pairs(), "room nobody wanted");
+        let zeroed = $backend.request(functions).capacities(&visible);
+        let zeroed = zeroed.evaluate().unwrap();
+        prop_assert_eq!(zeroed.pairs(), base.pairs(), "no room is an exclusion");
+    }};
 }
 
 /// One configuration: the knobs it turns on a default request.
@@ -142,6 +219,20 @@ proptest! {
     #[test]
     fn tie_heavy_4d((objects, functions) in (grid_objects(4), positive_functions(4))) {
         check_all(&objects, &functions)?;
+    }
+
+    #[test]
+    fn capacitated_requests_keep_the_contract(
+        (objects, functions) in (continuous_objects(3), positive_functions(3)),
+        caps in proptest::collection::vec(0u32..=3, 80),
+        excluded in proptest::collection::vec(0u64..80, 0..6),
+    ) {
+        let caps = &caps[..objects.len()];
+        let single = Engine::builder().objects(&objects).build().unwrap();
+        let sharded = ShardedEngine::builder().objects(&objects).shards(4);
+        let sharded = sharded.build().unwrap();
+        check_capacitated!(single, &objects, &functions, caps, &excluded);
+        check_capacitated!(sharded, &objects, &functions, caps, &excluded);
     }
 
     #[test]

@@ -118,11 +118,13 @@ fn all_matchers_agree_on_fixed_workload() {
         }
     }
 
-    // The facade's documented ordering contract: SB emits pairs in
-    // non-increasing score order.
+    // The facade's documented ordering contract (`Matching::pairs`):
+    // one pair a round is the greedy's own, descending order.
+    let one_by_one = eng.request(&functions).multi_pair(false);
+    let one_by_one = one_by_one.evaluate().unwrap();
     assert!(
-        sb.pairs().windows(2).all(|w| w[0].score >= w[1].score),
-        "SB pairs must come out in descending score order"
+        one_by_one.pairs().windows(2).all(|w| w[0].beats(&w[1])),
+        "single-pair SB must emit in descending canonical order"
     );
 }
 
