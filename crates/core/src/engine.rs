@@ -46,9 +46,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
+use mpq_rtree::bulk::MAX_BULK_LEN;
 use mpq_rtree::{
-    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PointSet, RTree,
+    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PageStore, PointSet,
+    RTree,
 };
 use mpq_ta::FunctionSet;
 
@@ -58,7 +59,7 @@ use crate::cache::{MutationEvent, MutationLog};
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching, Pair};
-use crate::objects::ObjectTable;
+use crate::objects::{Cut, ObjectTable};
 use crate::sb::{
     run_rescan_on, run_sb_seeded, stream_on, BestPairMode, MaintenanceMode, SbRun, SbStream,
 };
@@ -131,17 +132,6 @@ pub struct EngineBuilder<'o> {
     buffer_shards: Option<usize>,
     data_dir: Option<PathBuf>,
     fault_injector: Option<Arc<FaultInjector>>,
-    /// Explicit object ids for `objects` (shard-internal: a partitioned
-    /// engine indexes globally minted oids in every per-shard tree).
-    oids: Option<&'o [u64]>,
-    /// Permit an empty inventory (shard-internal: a partition may leave
-    /// a shard with zero objects; the sharded engine enforces the
-    /// global non-empty contract itself).
-    allow_empty: bool,
-    /// Threads the bulk load may keep runnable, when the caller builds
-    /// several engines at once and divides the cores among them
-    /// (shard-internal); one per core otherwise.
-    build_threads: Option<usize>,
 }
 
 impl<'o> EngineBuilder<'o> {
@@ -196,89 +186,49 @@ impl<'o> EngineBuilder<'o> {
         self
     }
 
-    /// Index `objects[i]` under `oids[i]` instead of the point index —
-    /// and mint new ids from `max(oids) + 1` on. Shard-internal (see
-    /// the `shard` module): every per-shard tree speaks global object
-    /// ids natively, so a run over several shards needs no translation
-    /// layer.
-    pub(crate) fn explicit_oids(mut self, oids: &'o [u64]) -> EngineBuilder<'o> {
-        self.oids = Some(oids);
-        self
-    }
-
-    /// Accept an empty inventory. Shard-internal: a partition can leave
-    /// a shard with zero objects; the sharded engine enforces the
-    /// global non-empty contract itself.
-    pub(crate) fn allow_empty(mut self) -> EngineBuilder<'o> {
-        self.allow_empty = true;
-        self
-    }
-
-    /// Cap the bulk load at `threads` runnable threads. Shard-internal:
-    /// the sharded builder loads its shards side by side and hands each
-    /// its share of the cores.
-    pub(crate) fn build_threads(mut self, threads: usize) -> EngineBuilder<'o> {
-        self.build_threads = Some(threads);
-        self
-    }
-
     /// Validate the inventory and bulk-load the object R-tree (exactly
     /// once for the engine's lifetime).
     ///
     /// Validation happens before the bulk load: an empty set, a NaN or
     /// infinite coordinate, or a coordinate outside the `[0, 1]`
-    /// preference space is reported as an [`MpqError`] without paying
-    /// for index construction.
+    /// preference space is reported as an [`MpqError`] — the first bad
+    /// object in id order — without paying for index construction or
+    /// creating a file.
     pub fn build(self) -> Result<Engine, MpqError> {
         let objects = self.objects.ok_or(MpqError::EmptyObjects)?;
-        if objects.is_empty() && !self.allow_empty {
-            return Err(MpqError::EmptyObjects);
-        }
-        check_inventory_len(objects.len())?;
-        if let Some(ids) = self.oids {
-            assert_eq!(ids.len(), objects.len(), "oid slice length mismatch");
-        }
-        let oid_of = |i: usize| self.oids.map_or(i as u64, |ids| ids[i]);
-        for (i, p) in objects.iter() {
-            validate_point(oid_of(i), objects.dim(), p)?;
-        }
-        let threads = self.build_threads.unwrap_or_else(thread_budget);
-        let mut tree = match &self.data_dir {
-            None => match &self.fault_injector {
-                None => self.index.build_tree_with_oids_in(
-                    MemPager::new(self.index.page_size),
-                    objects,
-                    self.oids,
-                    threads,
-                ),
-                Some(inj) => self.index.build_tree_with_oids_in(
-                    FaultPageStore::new(MemPager::new(self.index.page_size), Arc::clone(inj)),
-                    objects,
-                    self.oids,
-                    threads,
-                ),
-            },
-            Some(dir) => {
+        let mut engines = build_engines(vec![self], objects, |_| 0)?;
+        Ok(engines.pop().expect("one builder, one engine"))
+    }
+
+    /// Create the store the engine keeps its pages in: a fresh page file
+    /// under [`EngineBuilder::data_dir`], else memory.
+    fn create_store(&self) -> Result<Box<dyn PageStore>, MpqError> {
+        let page_size = self.index.page_size;
+        Ok(match (&self.data_dir, &self.fault_injector) {
+            (None, None) => Box::new(MemPager::new(page_size)),
+            (None, Some(inj)) => Box::new(FaultPageStore::new(
+                MemPager::new(page_size),
+                Arc::clone(inj),
+            )),
+            (Some(dir), inj) => {
                 std::fs::create_dir_all(dir)?;
-                let mut store = DiskPager::create(&dir.join(PAGE_FILE), self.index.page_size)?;
-                if let Some(inj) = &self.fault_injector {
+                let mut store = DiskPager::create(&dir.join(PAGE_FILE), page_size)?;
+                if let Some(inj) = inj {
                     store.attach_injector(Arc::clone(inj));
                 }
-                self.index
-                    .build_tree_with_oids_in(store, objects, self.oids, threads)
+                Box::new(store)
             }
-        };
+        })
+    }
+
+    /// The engine over `tree`, bulk-loaded into [`create_store`]'s store
+    /// from the objects `table` holds.
+    ///
+    /// [`create_store`]: EngineBuilder::create_store
+    fn finish(self, mut tree: RTree, table: ObjectTable) -> Result<Engine, MpqError> {
         if let Some(shards) = self.buffer_shards {
             tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
         }
-        let table = ObjectTable::from_columns(
-            objects.dim(),
-            match self.oids {
-                None => (0..objects.len() as u64).collect(),
-                Some(ids) => ids.to_vec(),
-            },
-            objects.as_flat().to_vec(),
-        );
         let wal = match &self.data_dir {
             None => None,
             Some(dir) => {
@@ -295,7 +245,7 @@ impl<'o> EngineBuilder<'o> {
             }
         };
         Ok(Engine {
-            dim: objects.dim(),
+            dim: tree.dim(),
             config: self.index,
             tree,
             objects: Mutex::new(table),
@@ -364,6 +314,31 @@ impl<'o> EngineBuilder<'o> {
     }
 }
 
+/// Build one engine per builder of `builders` over `objects` cut that
+/// many ways: engine `j` holds the objects `part_of` sends to `j`, under
+/// their indices in `objects` — the one build path, of an [`Engine`] (one
+/// part) and of a sharded engine's shards alike. The inventory is
+/// validated whole and first ([`Cut::new`]), so an invalid one
+/// creates no file; the index configuration is the first builder's, and
+/// no builder's [`EngineBuilder::objects`] is consulted. A part may be
+/// empty.
+pub(crate) fn build_engines(
+    builders: Vec<EngineBuilder<'_>>,
+    objects: &PointSet,
+    part_of: impl Fn(u64) -> usize + Sync,
+) -> Result<Vec<Engine>, MpqError> {
+    let mut cut = Cut::new(objects, builders.len(), part_of)?;
+    let stores = (builders.iter())
+        .map(EngineBuilder::create_store)
+        .collect::<Result<Vec<_>, _>>()?;
+    let trees = builders[0]
+        .index
+        .build_trees_in(stores, objects, &mut cut.keys, &cut.bounds);
+    (builders.into_iter().zip(trees).zip(cut.into_tables()))
+        .map(|((builder, tree), table)| builder.finish(tree, table))
+        .collect()
+}
+
 /// The tiler packs item indices into 32 bits, so one bulk load takes at
 /// most `u32::MAX` objects; a larger inventory is refused here rather
 /// than wrapped there.
@@ -397,7 +372,7 @@ fn extra_field(extra: &[u8], i: usize) -> Option<u64> {
 /// Shared point validation for the bulk build path and the incremental
 /// mutation path: the preference space is `[0, 1]^dim` with finite
 /// coordinates everywhere.
-fn validate_point(oid: u64, dim: usize, p: &[f64]) -> Result<(), MpqError> {
+pub(crate) fn validate_point(oid: u64, dim: usize, p: &[f64]) -> Result<(), MpqError> {
     if p.len() != dim {
         return Err(MpqError::PointDimensionMismatch {
             engine: dim,

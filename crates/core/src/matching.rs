@@ -216,30 +216,42 @@ impl IndexConfig {
         store: S,
         objects: &PointSet,
     ) -> RTree {
-        self.build_tree_with_oids_in(store, objects, None, mpq_rtree::bulk::thread_budget())
+        INDEX_BUILDS.fetch_add(1, AtomicOrdering::Relaxed);
+        self.sized(RTree::bulk_load_in(store, objects, self.load_params()))
     }
 
-    /// Like [`IndexConfig::build_tree_in`], but indexing `objects[i]`
-    /// under `oids[i]` instead of the point index — the path sharded
-    /// engines use so every per-shard tree speaks global object ids
-    /// natively — with at most `threads` threads tiling (shards loaded
-    /// side by side share the cores).
-    pub(crate) fn build_tree_with_oids_in<S: mpq_rtree::PageStore + 'static>(
-        &self,
-        store: S,
-        objects: &PointSet,
-        oids: Option<&[u64]>,
-        threads: usize,
-    ) -> RTree {
-        INDEX_BUILDS.fetch_add(1, AtomicOrdering::Relaxed);
-        let params = RTreeParams {
+    /// What a bulk load needs of this configuration.
+    fn load_params(&self) -> RTreeParams {
+        RTreeParams {
             page_size: self.page_size,
             min_fill_ratio: 0.4,
             buffer_capacity: self.min_buffer_pages.max(1),
-        };
-        let tree = RTree::bulk_load_sharing_cores(store, objects, oids, params, threads);
+        }
+    }
+
+    /// `tree`, its buffer sized for its page count.
+    fn sized(&self, tree: RTree) -> RTree {
         tree.set_buffer_capacity(self.buffer_pages_for(tree.page_count()));
         tree
+    }
+
+    /// Like [`IndexConfig::build_tree_in`], for a partitioned inventory:
+    /// one tree per store, tree `j` over the objects that
+    /// `keys[bounds[j]..bounds[j + 1]]` names (one `bulk::sort_key` each),
+    /// indexed under their indices in `objects` — how the shards of a
+    /// partitioned engine index their shares of the inventory without a
+    /// copy of them (see [`RTree::bulk_load_parts`]). Counts one index
+    /// build a tree. `keys` comes back permuted.
+    pub(crate) fn build_trees_in(
+        &self,
+        stores: Vec<Box<dyn mpq_rtree::PageStore>>,
+        objects: &PointSet,
+        keys: &mut [u128],
+        bounds: &[usize],
+    ) -> Vec<RTree> {
+        INDEX_BUILDS.fetch_add(stores.len() as u64, AtomicOrdering::Relaxed);
+        let trees = RTree::bulk_load_parts(stores, objects, keys, bounds, self.load_params());
+        trees.into_iter().map(|tree| self.sized(tree)).collect()
     }
 
     /// The buffer capacity this configuration prescribes for a tree of

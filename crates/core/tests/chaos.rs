@@ -473,3 +473,41 @@ fn worker_panic_from_injected_fault_does_not_wedge_the_service() {
     assert_eq!(metrics.panicked, 1);
     service.shutdown();
 }
+
+/// An injected store takes the bulk load's run page by page, so a build
+/// is one `PageWrite` a page on the injector's schedule, in memory and
+/// on disk alike (where checkpoint zero's header slot is one more): the
+/// schedule the crash-point sweep counts over does not depend on how an
+/// un-injected store takes a run.
+#[test]
+fn an_injected_build_is_one_page_write_a_page() {
+    let objects = seeded_points(2_000, 3, 31);
+    let config = IndexConfig {
+        page_size: 512,
+        ..IndexConfig::default()
+    };
+    let inj = FaultInjector::shared();
+    let engine = Engine::builder()
+        .objects(&objects)
+        .index(config.clone())
+        .fault_injector(Arc::clone(&inj))
+        .build()
+        .unwrap();
+    let pages = engine.tree().page_count() as u64;
+    assert!(pages > 100);
+    assert_eq!(inj.count(FaultOp::PageWrite), pages);
+
+    let dir = tmp_dir("build_writes");
+    let inj = FaultInjector::shared();
+    let engine = Engine::builder()
+        .objects(&objects)
+        .index(config)
+        .data_dir(&dir)
+        .fault_injector(Arc::clone(&inj))
+        .build()
+        .unwrap();
+    assert_eq!(engine.tree().page_count() as u64, pages);
+    assert_eq!(inj.count(FaultOp::PageWrite), pages + 1);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}

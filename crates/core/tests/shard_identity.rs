@@ -19,7 +19,7 @@ use mpq_core::{
     SubmitOptions, Ticket,
 };
 use mpq_datagen::{Distribution, WorkloadBuilder};
-use mpq_rtree::{FaultInjector, PointSet};
+use mpq_rtree::{FaultInjector, Node, PageId, PointSet};
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::FunctionSet;
 use proptest::prelude::*;
@@ -428,6 +428,168 @@ fn hosting_shards_with_a_fault_injector_is_refused() {
     assert_eq!(host(1), refused, "reopening: the directory decides");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(host(1), Ok(60), "one tree takes the injector");
+}
+
+/// `(FNV-1a over the page images in page-id order, as `mpq_rtree`'s
+/// `bulk_layout.rs` hashes a tree; pages; root; height)`.
+type IndexImage = (u64, usize, u32, u32);
+
+/// The [`IndexImage`] of an engine's index.
+fn index_image(engine: &Engine) -> IndexImage {
+    let tree = engine.tree();
+    let mut page = vec![0u8; 4096];
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for pid in 0..tree.page_count() as u32 {
+        page.fill(0);
+        tree.read_node(PageId(pid)).encode(&mut page);
+        for &b in &page {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    (hash, tree.page_count(), tree.root_page().0, tree.height())
+}
+
+/// [`index_image`] of every shard of a `K`-shard build of 20 000 4-d
+/// objects (`WorkloadBuilder`, seed 2009), captured from the **parent
+/// commit's** builder — which copied each shard's objects out and
+/// bulk-loaded the copy under explicit ids — by running
+/// `index_image` there; not regenerated from the builder under test.
+#[rustfmt::skip]
+const SHARD_IMAGES: [(Distribution, usize, &[IndexImage]); 8] = [
+    (Distribution::Independent, 1, &[(14893964470603184496, 265, 264, 3)]),
+    (Distribution::Independent, 2, &[(1053212461801167387, 111, 110, 3), (16829426457523182214, 111, 110, 3)]),
+    (Distribution::Independent, 4, &[(11121258401293276384, 55, 54, 2), (11955463655933831730, 55, 54, 2), (17049035854579767248, 55, 54, 2), (12219998042092678593, 55, 54, 2)]),
+    (Distribution::Independent, 8, &[(16330308302444849398, 25, 24, 2), (2394000452755212344, 37, 36, 2), (10414981187465801163, 37, 36, 2), (10212147107417460841, 37, 36, 2), (9169831103859036534, 37, 36, 2), (6820014035614941866, 37, 36, 2), (7452370170638590255, 37, 36, 2), (17723314108245151662, 37, 36, 2)]),
+    (Distribution::AntiCorrelated, 1, &[(430285871828012940, 265, 264, 3)]),
+    (Distribution::AntiCorrelated, 2, &[(12675625870215435274, 111, 110, 3), (10590514517028413846, 111, 110, 3)]),
+    (Distribution::AntiCorrelated, 4, &[(8641979062071256666, 55, 54, 2), (16434861648782568041, 55, 54, 2), (13888921196175271364, 55, 54, 2), (6995916939793031126, 55, 54, 2)]),
+    (Distribution::AntiCorrelated, 8, &[(17489144907226492729, 25, 24, 2), (15159781867671376772, 37, 36, 2), (11786296231212867372, 37, 36, 2), (377587935662188104, 37, 36, 2), (7427099499325460908, 37, 36, 2), (2628575296973569778, 37, 36, 2), (37571922917182518, 37, 36, 2), (10953811740892140565, 37, 36, 2)]),
+];
+
+/// One key buffer cut `K` ways is `K` independent loads. Every shard's
+/// index is, byte for byte, the one the parent commit built from a copy
+/// of the shard's objects; it is the tree an [`Engine`] over just those
+/// objects builds, with each leaf entry under its global id; and its
+/// object table holds exactly the shard's objects.
+#[test]
+fn every_shard_is_the_index_its_objects_alone_would_load() {
+    for (distribution, k, images) in SHARD_IMAGES {
+        let objects = WorkloadBuilder::new()
+            .objects(20_000)
+            .functions(0)
+            .dim(4)
+            .distribution(distribution)
+            .seed(2009)
+            .build()
+            .objects;
+        let sharded = ShardedEngine::builder()
+            .objects(&objects)
+            .shards(k)
+            .build()
+            .unwrap();
+        let case = format!("{distribution:?}, K = {k}");
+        let built: Vec<_> = sharded.shards().iter().map(index_image).collect();
+        assert_eq!(built, images, "{case}");
+
+        let owners = membership(&sharded);
+        for (s, shard) in sharded.shards().iter().enumerate() {
+            let ids: Vec<u64> = (0..objects.len() as u64)
+                .filter(|&oid| owners[oid as usize] == [s as u64])
+                .collect();
+            assert_eq!(shard.n_objects(), ids.len(), "{case}, shard {s}");
+            assert_eq!(shard.oid_bound(), ids.last().map_or(0, |last| last + 1));
+            let mut alone = PointSet::new(4);
+            for &oid in &ids {
+                assert_eq!(
+                    shard.object_point(oid).as_deref(),
+                    Some(objects.get(oid as usize)),
+                    "{case}, shard {s}, object {oid}"
+                );
+                alone.push(objects.get(oid as usize));
+            }
+            let alone = Engine::builder().objects(&alone).build().unwrap();
+            let (tree, tree_alone) = (shard.tree(), alone.tree());
+            assert_eq!(tree.page_count(), tree_alone.page_count());
+            assert_eq!(tree.root_page(), tree_alone.root_page());
+            for pid in (0..tree.page_count() as u32).map(PageId) {
+                match (&*tree.read_node(pid), &*tree_alone.read_node(pid)) {
+                    (Node::Leaf(global), Node::Leaf(local)) => {
+                        assert_eq!(global.len(), local.len());
+                        for i in 0..local.len() {
+                            assert_eq!(global.point(i), local.point(i));
+                            assert_eq!(global.oid(i), ids[local.oid(i) as usize]);
+                        }
+                    }
+                    (global, local) => assert_eq!(global, local, "{case}, shard {s}, {pid}"),
+                }
+            }
+        }
+    }
+}
+
+/// A `K`-shard build validates as an [`Engine`] build does: the whole
+/// inventory, first, naming the first bad object in id order — not the
+/// first one in shard order, after building the shards before it — and
+/// an invalid inventory writes nothing.
+#[test]
+fn an_invalid_inventory_is_refused_as_an_engine_refuses_it_and_leaves_no_debris() {
+    let objects = seeded_points(400, 3, 91);
+    // Two ids in id order whose shards are in the opposite order.
+    let owners = membership(
+        &ShardedEngine::builder()
+            .objects(&objects)
+            .shards(4)
+            .build()
+            .unwrap(),
+    );
+    let (a, b) = (0..objects.len())
+        .flat_map(|a| (a + 1..objects.len()).map(move |b| (a, b)))
+        .find(|&(a, b)| owners[a] > owners[b])
+        .unwrap();
+    let with = |bad: [(usize, f64); 2]| {
+        let mut flat = objects.as_flat().to_vec();
+        for (i, v) in bad {
+            flat[i * 3 + 1] = v;
+        }
+        PointSet::from_flat(3, flat)
+    };
+    for bad in [
+        with([(a, f64::NAN), (b, 1.5)]),
+        with([(a, -0.25), (b, f64::INFINITY)]),
+    ] {
+        // (a NaN is not equal to itself: errors compare as printed)
+        let want = Engine::builder().objects(&bad).build().unwrap_err();
+        assert!(
+            matches!(
+                want,
+                MpqError::NonFiniteCoordinate { oid, .. } | MpqError::CoordinateOutOfRange { oid, .. }
+                    if oid == a as u64
+            ),
+            "an engine names object {a}: {want:?}"
+        );
+        for k in [1, 4] {
+            let got = ShardedEngine::builder().objects(&bad).shards(k).build();
+            assert_eq!(
+                format!("{:?}", got.unwrap_err()),
+                format!("{want:?}"),
+                "K = {k}"
+            );
+        }
+        let dir = tmp_dir("invalid");
+        let got = ShardedEngine::builder()
+            .objects(&bad)
+            .shards(4)
+            .data_dir(&dir)
+            .build();
+        assert_eq!(
+            format!("{:?}", got.unwrap_err()),
+            format!("{want:?}"),
+            "persistent"
+        );
+        let debris = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+        assert_eq!(debris, 0, "an invalid inventory creates no file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Which shard holds each oid, by probing every shard's index.

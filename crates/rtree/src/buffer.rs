@@ -274,21 +274,35 @@ impl BufferPool {
         self.store.write().allocate()
     }
 
-    /// Allocate a fresh page and write `node` straight to the store,
-    /// leaving the cache untouched — the bulk loader's path: its nodes
-    /// are written once and never read back before the pool is emptied,
-    /// so caching them would only buy an LRU install and an eviction
-    /// each. A failed write keeps the node as a resident dirty frame
-    /// (over-admitted, like a failed zero-share write-through in
-    /// [`BufferPool::put`]) for a later flush to retry.
-    pub(crate) fn append_uncached(&self, node: Node) -> PageId {
-        let pid = self.allocate();
-        let mut g = self.shards[self.shard_of(pid)].lock();
-        if g.write_through(pid, &node, &self.store).is_err() {
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
-            g.force_install(pid, Arc::new(node), true);
+    /// Append `run` — page images back to back, see
+    /// [`PageStore::append_run`] — to the store as fresh pages from id
+    /// `first` on, leaving the cache untouched. The bulk loader's path:
+    /// its pages are written once and never read back before the pool is
+    /// emptied, so caching them would only buy an LRU install and an
+    /// eviction each. A page whose write failed is kept as a resident
+    /// dirty frame (over-admitted, like a failed zero-share
+    /// write-through in [`BufferPool::put`]) for a later flush to retry.
+    ///
+    /// # Panics
+    /// Panics if the store's next fresh page is not `first`: the run's
+    /// inner nodes name their children by id.
+    pub(crate) fn append_run(&self, first: PageId, run: Vec<u8>) {
+        let pages = run.len() / self.page_size;
+        let mut failed = Vec::new();
+        {
+            let mut store = self.store.write();
+            assert_eq!(store.page_bound(), first.0, "run encoded for another id");
+            store.append_run(run, &mut |pid, page| {
+                failed.push((pid, Node::decode(self.dim, page)))
+            });
         }
-        pid
+        self.shards[0].lock().stats.physical_writes += (pages - failed.len()) as u64;
+        for (pid, node) in failed {
+            self.write_failures.fetch_add(1, Ordering::Relaxed);
+            self.shards[self.shard_of(pid)]
+                .lock()
+                .force_install(pid, Arc::new(node), true);
+        }
     }
 
     /// Drop any cached copy of `pid` (without write-back) and free the

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::fault::{flip_one_bit, FaultInjector, FaultOp, WriteFault};
-use crate::pager::{PageId, PageStore};
+use crate::pager::{append_run_paged, PageId, PageStore};
 use crate::stats::IoStats;
 
 /// Total bytes reserved for the header region at the start of the file.
@@ -372,6 +372,35 @@ impl PageStore for DiskPager {
         PageId(id)
     }
 
+    /// The run is one write at the end of the file. With an injector
+    /// attached it goes page by page instead, so every page write stays
+    /// an operation of its own on the injector's schedule.
+    fn append_run(&mut self, run: Vec<u8>, failed: &mut dyn FnMut(PageId, &[u8])) {
+        if self.injector.is_some() {
+            return append_run_paged(self, &run, failed);
+        }
+        assert_eq!(run.len() % self.page_size, 0, "a run is whole pages");
+        let first = self.page_count;
+        let pages = run.len() / self.page_size;
+        assert!(
+            pages < (u32::MAX - first) as usize,
+            "pager exhausted the PageId space"
+        );
+        self.page_count += pages as u32;
+        match self.file.write_all_at(&run, self.offset_of(PageId(first))) {
+            Ok(()) => {
+                self.disk_writes.fetch_add(pages as u64, Ordering::Relaxed);
+            }
+            // How much of the run landed is unknown: every page is the
+            // caller's to keep and retry.
+            Err(_) => {
+                for (id, page) in (first..).zip(run.chunks_exact(self.page_size)) {
+                    failed(PageId(id), page);
+                }
+            }
+        }
+    }
+
     fn free(&mut self, id: PageId) {
         assert!(
             id.0 < self.page_count,
@@ -524,6 +553,54 @@ mod tests {
         let stats = p.disk_stats();
         assert_eq!(stats.disk_reads, 2);
         assert!(stats.disk_writes >= 2);
+    }
+
+    #[test]
+    fn a_run_is_written_at_once_and_survives_a_checkpointed_reopen() {
+        use crate::pager::tests::numbered;
+        let path = tmp("run.mpq");
+        {
+            let mut p = DiskPager::create(&path, 64).unwrap();
+            let a = p.allocate();
+            p.write(a, &[9; 64]).unwrap();
+            p.append_run(numbered(6, 64), &mut |id, _| panic!("page {id} failed"));
+            assert_eq!(p.page_count(), 7);
+            assert_eq!(p.live_pages(), 7);
+            assert_eq!(p.allocate(), PageId(7));
+            p.checkpoint(b"m").unwrap();
+        }
+        let p = DiskPager::open(&path, 64).unwrap();
+        assert_eq!(p.page_count(), 8);
+        let mut buf = [0u8; 64];
+        for j in 0..6 {
+            p.read_into(PageId(1 + j), &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == j as u8 + 1), "page {}", 1 + j);
+        }
+        p.read_into(PageId(0), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 9));
+    }
+
+    /// With an injector attached every page of a run is a `PageWrite`
+    /// of its own, and the one that fails is handed back.
+    #[test]
+    fn an_injected_run_goes_page_by_page() {
+        use crate::fault::FaultKind;
+        use crate::pager::tests::numbered;
+        let path = tmp("run_injected.mpq");
+        let mut p = DiskPager::create(&path, 64).unwrap();
+        let inj = FaultInjector::shared();
+        inj.fail_nth(FaultOp::PageWrite, 2, FaultKind::Error);
+        p.attach_injector(Arc::clone(&inj));
+        let mut failed = Vec::new();
+        p.append_run(numbered(5, 64), &mut |id, page| {
+            failed.push((id, page.to_vec()))
+        });
+        assert_eq!(inj.count(FaultOp::PageWrite), 5);
+        assert_eq!(failed, vec![(PageId(2), vec![3u8; 64])]);
+        assert_eq!(p.page_count(), 5);
+        let mut buf = [0u8; 64];
+        p.read_into(PageId(4), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 5));
     }
 
     #[test]

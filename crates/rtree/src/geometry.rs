@@ -43,26 +43,12 @@ impl Mbr {
     /// Grow this MBR to cover `p`.
     pub fn union_point(&mut self, p: &[f64]) {
         debug_assert_eq!(p.len(), self.dim());
-        for (i, &c) in p.iter().enumerate() {
-            if c < self.lo[i] {
-                self.lo[i] = c;
-            }
-            if c > self.hi[i] {
-                self.hi[i] = c;
-            }
-        }
+        rect_cover(&mut self.lo, &mut self.hi, p, p);
     }
 
     /// Grow this MBR to cover the rectangle `(lo, hi)`.
     pub fn union_rect(&mut self, lo: &[f64], hi: &[f64]) {
-        for i in 0..self.lo.len() {
-            if lo[i] < self.lo[i] {
-                self.lo[i] = lo[i];
-            }
-            if hi[i] > self.hi[i] {
-                self.hi[i] = hi[i];
-            }
-        }
+        rect_cover(&mut self.lo, &mut self.hi, lo, hi);
     }
 
     /// True iff `p` lies inside the rectangle (boundaries inclusive).
@@ -75,6 +61,20 @@ impl Mbr {
     #[inline]
     pub fn area(&self) -> f64 {
         rect_area(&self.lo, &self.hi)
+    }
+}
+
+/// Grow the rectangle `(lo, hi)` to cover the rectangle `(other_lo,
+/// other_hi)` (a point is the rectangle of its two equal corners).
+#[inline]
+pub(crate) fn rect_cover(lo: &mut [f64], hi: &mut [f64], other_lo: &[f64], other_hi: &[f64]) {
+    for d in 0..lo.len() {
+        if other_lo[d] < lo[d] {
+            lo[d] = other_lo[d];
+        }
+        if other_hi[d] > hi[d] {
+            hi[d] = other_hi[d];
+        }
     }
 }
 

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::bulk::{str_bulk_load, thread_budget};
+use crate::bulk::{sort_key, str_bulk_load, thread_budget, Layout};
 use crate::geometry::{enlargement, rect_area, rect_contains_point, rect_overlap, Mbr};
 use crate::node::{InnerNode, LeafNode, Node};
 use crate::pager::{MemPager, PageId, PageStore};
@@ -336,80 +336,85 @@ impl RTree {
     /// a [`crate::disk::DiskPager`] for a disk-backed tree).
     ///
     /// # Panics
-    /// Panics if `store.page_size() != params.page_size`.
+    /// Panics if `store.page_size() != params.page_size` or on more than
+    /// [`crate::bulk::MAX_BULK_LEN`] points.
     pub fn bulk_load_in<S: PageStore + 'static>(
         store: S,
         points: &PointSet,
         params: RTreeParams,
     ) -> RTree {
-        RTree::bulk_load_with_oids_in(store, points, None, params)
+        let mut keys: Vec<u128> = (0..points.len()).map(|i| sort_key(points, i)).collect();
+        let bounds = [0, keys.len()];
+        let mut trees =
+            RTree::bulk_load_parts(vec![Box::new(store)], points, &mut keys, &bounds, params);
+        trees.pop().expect("one store, one tree")
     }
 
-    /// Like [`RTree::bulk_load_in`], but with explicit object ids:
-    /// `points[i]` is indexed under `oids[i]` instead of `i`. Shards of a
-    /// partitioned engine use this to index globally minted oids
-    /// directly, so no translation layer sits between the merge protocol
-    /// and the per-shard trees. Pass `None` to fall back to point
-    /// indices.
+    /// [`RTree::bulk_load_in`] for a partitioned set: one tree per store
+    /// of `stores`, tree `j` over the points that
+    /// `keys[bounds[j]..bounds[j + 1]]` names — one [`sort_key`] each, in
+    /// any order — indexed under their indices in `points`. Each tree is,
+    /// page for page, the tree a load of a set holding only its points
+    /// would build; but no part needs a copy of its points, everything
+    /// the loads write to is allocated here, by the caller, before they
+    /// start, and they share the cores (see [`crate::bulk`]). `keys` is
+    /// the loads' scratch and comes back permuted.
     ///
     /// # Panics
-    /// Panics if `store.page_size() != params.page_size`, if an oid
-    /// slice is supplied whose length differs from `points.len()`, or on
-    /// more than [`crate::bulk::MAX_BULK_LEN`] points.
-    pub fn bulk_load_with_oids_in<S: PageStore + 'static>(
-        store: S,
+    /// See [`RTree::bulk_load_in`]; also panics on a key naming no point
+    /// and on `bounds` that are not `stores.len() + 1` ascending offsets
+    /// into `keys`.
+    pub fn bulk_load_parts(
+        stores: Vec<Box<dyn PageStore>>,
         points: &PointSet,
-        oids: Option<&[u64]>,
+        keys: &mut [u128],
+        bounds: &[usize],
         params: RTreeParams,
-    ) -> RTree {
-        RTree::bulk_load_sharing_cores(store, points, oids, params, thread_budget())
-    }
-
-    /// [`RTree::bulk_load_with_oids_in`] for a caller that loads several
-    /// trees at once and divides the cores among them: this load keeps
-    /// at most `threads` threads runnable instead of one per core. The
-    /// tree does not depend on `threads`.
-    ///
-    /// # Panics
-    /// See [`RTree::bulk_load_with_oids_in`].
-    pub fn bulk_load_sharing_cores<S: PageStore + 'static>(
-        store: S,
-        points: &PointSet,
-        oids: Option<&[u64]>,
-        params: RTreeParams,
-        threads: usize,
-    ) -> RTree {
-        assert_eq!(
-            store.page_size(),
-            params.page_size,
-            "store page size must match params.page_size"
-        );
+    ) -> Vec<RTree> {
         let dim = points.dim();
         let (leaf_cap, inner_cap) = Self::capacities(params.page_size, dim);
-        let buf = BufferPool::new(store, dim, params.buffer_capacity);
-        let res = str_bulk_load(&buf, points, oids, leaf_cap, inner_cap, threads);
-        // Nodes went straight to the store: only one whose write failed
-        // is resident (dirty), and `clear` retries it.
-        buf.clear();
-        buf.reset_stats();
         let (leaf_min, inner_min) = Self::min_fills(leaf_cap, inner_cap, params.min_fill_ratio);
-        RTree {
-            dim,
+        let pools: Vec<BufferPool> = (stores.into_iter())
+            .map(|store| {
+                assert_eq!(
+                    store.page_size(),
+                    params.page_size,
+                    "store page size must match params.page_size"
+                );
+                BufferPool::with_boxed_store(store, dim, params.buffer_capacity, 1)
+            })
+            .collect();
+        let layout = Layout {
             leaf_cap,
             inner_cap,
-            leaf_min,
-            inner_min,
-            min_fill_ratio: params.min_fill_ratio,
-            buf,
-            state: Mutex::new(TreeState {
-                root: res.root,
-                height: res.height,
-                len: res.len,
-                epoch: 1,
-            }),
-            writer: Mutex::new(()),
-            epochs: Mutex::new(Epochs::default()),
-        }
+            page_size: params.page_size,
+        };
+        let loaded = str_bulk_load(&pools, points, keys, bounds, layout, thread_budget());
+        (pools.into_iter().zip(loaded))
+            .map(|(buf, res)| {
+                // Pages went straight to the store: only one whose write
+                // failed is resident (dirty), and `clear` retries it.
+                buf.clear();
+                buf.reset_stats();
+                RTree {
+                    dim,
+                    leaf_cap,
+                    inner_cap,
+                    leaf_min,
+                    inner_min,
+                    min_fill_ratio: params.min_fill_ratio,
+                    buf,
+                    state: Mutex::new(TreeState {
+                        root: res.root,
+                        height: res.height,
+                        len: res.len,
+                        epoch: 1,
+                    }),
+                    writer: Mutex::new(()),
+                    epochs: Mutex::new(Epochs::default()),
+                }
+            })
+            .collect()
     }
 
     /// Reopen a tree from a store's most recent checkpoint. Returns the

@@ -1,0 +1,184 @@
+//! Where a cold start allocates: on the thread that called `build`,
+//! once, at final size.
+//!
+//! Counted with a global allocator that also notes whether the
+//! allocating thread is the caller, over `Engine::builder()..build()`
+//! (K = 1) and a 4-shard `ShardedEngine` build of 20 000 and of 100 000
+//! 4-d objects (independent, seed 2009), on the two-core build
+//! container; "peak" is the most bytes live at once during the build
+//! over what the built engine keeps:
+//!
+//! | objects, K (pages, height) | parent: allocations, off the caller, peak | this loader |
+//! |----------------------------|-------------------------------------------|-------------|
+//! | 20 000, 1 (265, 3)         | 1 358, 0, +0                              | 58, 0, +2.5 KB |
+//! | 20 000, 4 (220, 2)         | 1 208, 594, +0.80 MB                      | 101, 0, +1.6 KB |
+//! | 100 000, 1 (1 105, 3)      | 5 560, 0, +0                              | 76, 0, +2.5 KB |
+//! | 100 000, 4 (1 060, 3)      | 5 436, 2 708, +4.00 MB                    | 127, 0, +1.6 KB |
+//!
+//! The parent allocated about five times a page (a `LeafNode`'s two
+//! `Vec`s, a boxed page, a frame) and built shards on scoped threads,
+//! each from a copy of its objects. Now a build allocates what it
+//! keeps — K page runs, K tables — plus one key buffer, a plan per tree
+//! (node boundaries and an MBR vector per level) and what spawning a
+//! thread costs the spawner; on one core (`taskset -c 0`, which CI
+//! runs) the counts are 47 / 93 / 47 / 101: `29 + K (12 + 2 height)`,
+//! whatever the page count. The key buffer is dropped before the tables
+//! are allocated, so nothing but the plans is ever live beside what is
+//! kept.
+//!
+//! Thread budgets: the budget is the machine's (`thread_budget()`), so
+//! this file sees one core under `taskset -c 0` and the machine's
+//! otherwise; the entry points that took a thread count are gone, and
+//! the loader's own tests cover 1, 2, 3 and 8 threads for layout. That
+//! no thread but the caller spawns — at any budget — is structural:
+//! every fan-out goes through `mpq_rtree::bulk::side_by_side`.
+//!
+//! One `#[test]` only: the counters are process-global, and a second
+//! concurrently-running test would pollute them. (`alloc_round.rs` has
+//! its own file for the same reason.)
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+
+use mpq::datagen::{Distribution, WorkloadBuilder};
+use mpq::prelude::*;
+use mpq::rtree::bulk::thread_budget;
+
+struct CountingAllocator;
+
+/// Set while a build is being measured.
+static MEASURING: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static OFF_CALLER: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not freed, and their high-water mark.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+thread_local! {
+    /// The test thread sets this; no other thread does. Initialised
+    /// `const`, so reading it never allocates (`thread::current()` may).
+    static IS_CALLER: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note(grown: i64) {
+    let live = LIVE.fetch_add(grown, Ordering::Relaxed) + grown;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+    if grown > 0 && MEASURING.load(Ordering::Relaxed) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if !IS_CALLER.try_with(Cell::get).unwrap_or(false) {
+            OFF_CALLER.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as i64);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as i64);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as i64));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(-(layout.size() as i64));
+        note(new_size.max(1) as i64);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// What a build cost.
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    allocations: u64,
+    off_caller: u64,
+    /// Most bytes live at once during the build, over what was live
+    /// before it.
+    peak: i64,
+    /// Bytes the built engine keeps.
+    kept: i64,
+}
+
+fn measure<T>(build: impl FnOnce() -> T) -> (Cost, T) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    OFF_CALLER.store(0, Ordering::Relaxed);
+    MEASURING.store(true, Ordering::SeqCst);
+    let built = build();
+    MEASURING.store(false, Ordering::SeqCst);
+    let cost = Cost {
+        allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        off_caller: OFF_CALLER.load(Ordering::Relaxed),
+        peak: PEAK.load(Ordering::Relaxed) - before,
+        kept: LIVE.load(Ordering::Relaxed) - before,
+    };
+    (cost, built)
+}
+
+#[test]
+fn a_build_allocates_on_the_caller_a_constant_number_of_times_and_no_copy() {
+    IS_CALLER.with(|c| c.set(true));
+    let threads = thread_budget() as u64;
+    for n in [20_000usize, 100_000] {
+        let objects = WorkloadBuilder::new()
+            .objects(n)
+            .functions(0)
+            .dim(4)
+            .distribution(Distribution::Independent)
+            .seed(2009)
+            .build()
+            .objects;
+        let key_buffer = (n * std::mem::size_of::<u128>()) as i64;
+        for k in [1u64, 4] {
+            // (the engine is leaked: dropping it is not part of the build)
+            let (cost, (pages, height)) = measure(|| {
+                if k == 1 {
+                    let e = Engine::builder().objects(&objects).build().unwrap();
+                    let shape = (e.tree().page_count(), e.tree().height() as u64);
+                    std::mem::forget(e);
+                    shape
+                } else {
+                    let e = ShardedEngine::builder()
+                        .objects(&objects)
+                        .shards(k as usize)
+                        .build()
+                        .unwrap();
+                    let pages = e.shards().iter().map(|s| s.tree().page_count()).sum();
+                    let height = e.shards().iter().map(|s| s.tree().height()).max().unwrap();
+                    std::mem::forget(e);
+                    (pages, height as u64)
+                }
+            });
+            let case = format!("{n} objects, K = {k}, {threads} threads: {pages} pages, {cost:?}");
+            eprintln!("{case}"); // shown by `--nocapture`: the probe of the verify skill
+            assert_eq!(
+                cost.off_caller, 0,
+                "allocations off the calling thread: {case}"
+            );
+            // What one core allocates, and six allocations for every
+            // thread a fan-out spawns: three passes of the cut, and a
+            // tile and a level's emission per tree at most.
+            let bound = 32 + k * (12 + 2 * height) + 6 * (threads - 1) * (4 + k * height);
+            assert!(
+                cost.allocations <= bound,
+                "over {bound} allocations: {case}"
+            );
+            assert!(
+                cost.peak <= cost.kept + key_buffer,
+                "more live than what is kept and the key buffer: {case}"
+            );
+        }
+    }
+}
