@@ -399,7 +399,7 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
         assert_eq!(resp.status, 200, "wire check: {}", resp.text());
         let wire_pairs = decode_pairs(&resp.body).expect("decode pairs");
         let fs = FunctionSet::try_from_rows(DIM, &rows).expect("rows are valid");
-        let engine = server.registry().get("primary").expect("tenant").backend();
+        let engine = server.registry().get("primary").expect("tenant").engine();
         let direct = engine
             .request(&fs)
             .algorithm(Algorithm::Sb)

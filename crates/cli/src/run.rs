@@ -217,8 +217,9 @@ fn cmd_match(args: &[String]) -> Result<String, CliError> {
 
     let matching = Engine::builder()
         .objects(&objects)
-        .open_or_build(shards)
-        .and_then(|backend| backend.request(&functions).algorithm(algorithm).evaluate())
+        .shards(shards)
+        .build()
+        .and_then(|engine| engine.request(&functions).algorithm(algorithm).evaluate())
         .map_err(cli_from_mpq)?;
     let met = matching.metrics();
     eprintln!(
@@ -361,13 +362,15 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     // page file(s) plus WAL replay — so mutations from earlier runs are
     // visible; otherwise build from the objects CSV (persisting to
     // `--data-dir` when given).
-    let reopened = data_dir.as_deref().is_some_and(mpq_core::persisted_at);
+    let reopened = data_dir.as_deref().is_some_and(Engine::persisted_at);
     let objects = if reopened {
         None
     } else {
         Some(read_objects(required(args, "--objects")?)?.0)
     };
-    let mut builder = Engine::builder().buffer_shards(resolved_workers(workers));
+    let mut builder = Engine::builder()
+        .shards(shards)
+        .buffer_shards(resolved_workers(workers));
     if let Some(objects) = &objects {
         builder = builder.objects(objects);
     }
@@ -383,9 +386,9 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         }
         None => String::new(),
     };
-    let backend = builder.open_or_build(shards).map_err(cli_from_mpq)?;
-    let (functions, _) = read_functions(required(args, "--functions")?, backend.dim())?;
-    let expected = backend
+    let engine = builder.open_or_build().map_err(cli_from_mpq)?;
+    let (functions, _) = read_functions(required(args, "--functions")?, engine.dim())?;
+    let expected = engine
         .request(&functions)
         .algorithm(algorithm)
         .evaluate()
@@ -393,7 +396,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         .sorted_pairs();
 
     let service = EngineService::spawn(
-        Arc::clone(&backend),
+        Arc::clone(&engine),
         ServiceConfig::default()
             .workers(workers)
             .queue_capacity(queue_cap)
@@ -404,15 +407,15 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut tickets = Vec::with_capacity(requests);
     let mut rejected = 0usize;
     for _ in 0..requests {
-        match client.submit(backend.request(&functions).algorithm(algorithm)) {
+        match client.submit(engine.request(&functions).algorithm(algorithm)) {
             Ok(t) => tickets.push(t),
             Err(MpqError::Overloaded) => rejected += 1,
             Err(e) => return Err(cli_from_mpq(e)),
         }
     }
     // The same check under either name: every served matching equals
-    // a direct `evaluate()` on the backend.
-    let k = backend.version_vector().len();
+    // a direct `evaluate()` on the engine.
+    let k = engine.shard_count();
     let reference = if k > 1 {
         "direct sharded evaluation"
     } else {
@@ -436,7 +439,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
          (queue cap {queue_cap}, {} backpressure{}{storage})\n{metrics}\n\
          all served matchings identical to {reference}\n",
         algorithm.name(),
-        backend.n_objects(),
+        engine.n_objects(),
         if k > 1 {
             format!(" in {k} shards")
         } else {
@@ -610,30 +613,27 @@ fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
 /// Checkpoint a persisted engine: reopen it (replaying the WAL), fold
 /// the recovered state into the page file, and truncate the WAL — the
 /// next `serve --data-dir` opens instantly, replaying nothing. A
-/// directory holding a *sharded* manifest reopens as a sharded engine
-/// and checkpoints every shard.
+/// directory holding a shard manifest reopens on its shards and
+/// checkpoints every one.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     let dir = required(args, "--data-dir")?;
-    if !mpq_core::persisted_at(dir) {
+    if !Engine::persisted_at(dir) {
         return Err(CliError::runtime(format!(
             "no persisted engine under {dir} (run `mpq serve --data-dir` first)"
         )));
     }
-    let backend = Engine::builder()
-        .data_dir(dir)
-        .open_or_build(1)
-        .map_err(cli_from_mpq)?;
-    let wal_before = backend.wal_bytes();
-    backend.checkpoint().map_err(cli_from_mpq)?;
-    let wal_after = backend.wal_bytes();
-    let shards = match backend.version_vector().len() {
+    let engine = Engine::open(dir).map_err(cli_from_mpq)?;
+    let wal_before = engine.wal_bytes();
+    engine.checkpoint().map_err(cli_from_mpq)?;
+    let wal_after = engine.wal_bytes();
+    let shards = match engine.shard_count() {
         1 => String::new(),
         k => format!("{k} shards, "),
     };
     Ok(format!(
         "compacted {dir}: {shards}{} objects over {} pages, wal {wal_before} -> {wal_after} bytes\n",
-        backend.n_objects(),
-        backend.page_count(),
+        engine.n_objects(),
+        engine.page_count(),
     ))
 }
 
@@ -664,7 +664,6 @@ fn cmd_generate(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpq_core::ShardedEngine;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -1242,7 +1241,7 @@ mod tests {
             let t = i as f64 / 12.0;
             objects.push(&[t, 1.0 - t]);
         }
-        let engine = ShardedEngine::builder()
+        let engine = Engine::builder()
             .objects(&objects)
             .shards(3)
             .data_dir(&store)
@@ -1265,7 +1264,7 @@ mod tests {
 
         // Every shard's WAL was folded; the matching survives the round
         // trip bit-identically.
-        let reopened = ShardedEngine::open(&store).unwrap();
+        let reopened = Engine::open(&store).unwrap();
         assert_eq!(reopened.wal_bytes(), 0, "all shard WALs folded");
         let served = reopened
             .request(&functions)

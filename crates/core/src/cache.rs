@@ -663,9 +663,9 @@ impl ResultCache {
 
     /// [`ResultCache::get`] for vector-stamped entries: a hit requires
     /// the entry's whole per-shard version vector to equal `versions`
-    /// (sharded engines stamp with
-    /// [`ShardedEngine::version_vector`](crate::ShardedEngine::version_vector);
-    /// the scalar form is the 1-component special case).
+    /// (engines stamp with
+    /// [`Engine::version_vector`](crate::Engine::version_vector); the
+    /// scalar form is the 1-component special case).
     fn get_vec(&mut self, key: &RequestKey, versions: &[u64]) -> Option<Matching> {
         self.retire_seed_before(versions);
         let Some(entry) = self.entries.get(key) else {
@@ -1296,9 +1296,10 @@ mod tests {
     // ------------------------------------------------------------------
 
     fn seed_at(versions: &[u64]) -> Arc<EvalSeed> {
+        let empty = mpq_rtree::RTree::new(2, mpq_rtree::RTreeParams::default());
         Arc::new(EvalSeed {
             versions: versions.to_vec(),
-            parts: Vec::new(),
+            skyline: mpq_skyline::SkylineMaintainer::build(&empty),
         })
     }
 

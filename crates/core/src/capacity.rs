@@ -21,9 +21,8 @@
 //! takes one of the request's `Units` per pair and retires the functions
 //! together with the objects whose last unit went. An un-capacitated
 //! request carries no `Units` at all — every object has the one unit
-//! that assignment takes — and is otherwise the same run, on an
-//! [`Engine`](crate::Engine) (one part) and on a
-//! [`ShardedEngine`](crate::ShardedEngine) (one part per shard) alike.
+//! that assignment takes — and is otherwise the same run, at any shard
+//! count.
 //!
 //! The contract, for every `multi_pair` × `best_pair`, evaluated or
 //! streamed, cold or resumed: [`Matching::sorted_pairs`] is
@@ -74,7 +73,7 @@ impl CapacityMatching {
 
 /// Remaining units of a capacitated request, by global oid.
 ///
-/// The request's vector was validated against the backend's id bound
+/// The request's vector was validated against the engine's id bound
 /// *before* any snapshot was pinned, so a racing insert can put an
 /// object into a snapshot whose oid lies past its end: the caller's
 /// vector predates it, and it has no units — invisible, like an
@@ -232,11 +231,9 @@ pub fn verify_capacity_stable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::EvalBackend;
     use crate::engine::Engine;
     use crate::matching::IndexConfig;
     use crate::reference::reference_matching;
-    use crate::shard::ShardedEngine;
     use mpq_datagen::WorkloadBuilder;
 
     fn engine(objects: &PointSet) -> Engine {
@@ -292,17 +289,16 @@ mod tests {
 
         // The run: everyone's favourite arrives after the request named
         // its id, on one tree and behind two.
-        let sharded = ShardedEngine::builder().objects(&w.objects).shards(2);
+        let sharded = Engine::builder().objects(&w.objects).shards(2);
         let sharded = sharded.build().unwrap();
-        let backends: [&dyn EvalBackend; 2] = [&engine, &sharded];
-        for backend in backends {
-            let request = backend
+        for engine in [&engine, &sharded] {
+            let request = engine
                 .request(&w.functions)
                 .exclude(excluded.iter().copied());
             let before = request.evaluate().unwrap();
-            assert_eq!(backend.insert_object(&[0.99, 0.99]), Ok(bound));
+            assert_eq!(engine.insert_object(&[0.99, 0.99]), Ok(bound));
             assert_eq!(request.evaluate().unwrap().pairs(), before.pairs());
-            let seen = backend.request(&w.functions).evaluate().unwrap();
+            let seen = engine.request(&w.functions).evaluate().unwrap();
             assert_eq!(seen.pairs()[0].oid, bound, "visible unless excluded");
         }
     }

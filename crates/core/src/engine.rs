@@ -46,14 +46,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mpq_rtree::bulk::MAX_BULK_LEN;
+use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
 use mpq_rtree::{
-    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PageStore, PointSet,
-    RTree,
+    DiskPager, FaultInjector, FaultPageStore, Forest, IoSession, IoStats, MemPager, PageStore,
+    PointSet, RTree,
 };
 use mpq_ta::FunctionSet;
 
-use crate::backend::{evaluate_batch_on, EvalBackend};
 use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
 use crate::cache::{MutationEvent, MutationLog};
 use crate::chain::run_chain_on;
@@ -65,13 +64,16 @@ use crate::sb::{
 };
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
-use crate::service::{lock, safe_rate, EngineService, ServiceConfig};
-use crate::shard::ShardedEngine;
+use crate::service::{evaluate_batch, lock, safe_rate, EngineService, ServiceConfig};
+use crate::shard::{
+    for_each_shard, fresh_shard_dirs, persisted_shard_dirs, shard_of, write_manifest, ShardGauges,
+    MANIFEST_FILE,
+};
 use crate::wal::{Wal, WalRecord};
 
-/// Page file name inside an engine's data directory.
-const PAGE_FILE: &str = "pages.mpq";
-/// Write-ahead log file name inside an engine's data directory.
+/// Page file name inside a shard's directory.
+pub(crate) const PAGE_FILE: &str = "pages.mpq";
+/// Write-ahead log file name inside a shard's directory.
 const WAL_FILE: &str = "wal.mpq";
 
 /// Which stable-matching algorithm a [`MatchRequest`] runs.
@@ -123,40 +125,68 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Builder for [`Engine`]: configure the index, validate the inventory,
-/// bulk-load once.
-#[derive(Debug, Default)]
+/// Builder for [`Engine`]: configure the index and the shard count,
+/// validate the inventory, bulk-load once.
+#[derive(Debug)]
 pub struct EngineBuilder<'o> {
     index: IndexConfig,
     objects: Option<&'o PointSet>,
+    shards: usize,
     buffer_shards: Option<usize>,
     data_dir: Option<PathBuf>,
     fault_injector: Option<Arc<FaultInjector>>,
 }
 
+impl Default for EngineBuilder<'_> {
+    fn default() -> Self {
+        EngineBuilder {
+            index: IndexConfig::default(),
+            objects: None,
+            shards: 1,
+            buffer_shards: None,
+            data_dir: None,
+            fault_injector: None,
+        }
+    }
+}
+
 impl<'o> EngineBuilder<'o> {
     /// Index construction/buffering parameters (defaults follow the
-    /// paper: 4 KiB pages, LRU buffer at 2% of the tree).
+    /// paper: 4 KiB pages, LRU buffer at 2% of the tree), applied to
+    /// every shard.
     pub fn index(mut self, config: IndexConfig) -> EngineBuilder<'o> {
         self.index = config;
         self
     }
 
-    /// The object inventory to index. Points are copied into the index;
-    /// the set does not need to outlive the engine.
+    /// The object inventory to index: object `i` of the set gets id `i`.
+    /// Points are copied into the index; the set does not need to
+    /// outlive the engine.
     pub fn objects(mut self, objects: &'o PointSet) -> EngineBuilder<'o> {
         self.objects = Some(objects);
         self
     }
 
-    /// Split the shared LRU buffer into `shards` lock shards so
+    /// Number of shards `K >= 1` the inventory is hash-partitioned into
+    /// by object id (default 1: one R-tree). Every shard has its own
+    /// R-tree, buffer pool, WAL segment and version component; every
+    /// request evaluates over all of them as over one tree (see
+    /// [`crate::shard`]).
+    pub fn shards(mut self, k: usize) -> EngineBuilder<'o> {
+        self.shards = k;
+        self
+    }
+
+    /// Split every shard's LRU buffer into `shards` lock shards so
     /// concurrent evaluations on distinct pages stop contending on one
     /// mutex (see the `mpq_rtree::buffer` docs). A good value is the
     /// thread count passed to [`Engine::evaluate_batch`]. Clamped to
-    /// `[1, buffer capacity]` so every shard caches at least one page.
+    /// `[1, buffer capacity]` so every lock shard caches at least one
+    /// page. Buffer geometry is a runtime choice, not persistent state:
+    /// it applies to an engine built and to one reopened alike.
     ///
-    /// Default: 1 shard — the classic single LRU of the paper's
-    /// experiments, with bit-identical eviction order and I/O counts.
+    /// Default: 1 — the classic single LRU of the paper's experiments,
+    /// with bit-identical eviction order and I/O counts.
     pub fn buffer_shards(mut self, shards: usize) -> EngineBuilder<'o> {
         self.buffer_shards = Some(shards);
         self
@@ -165,9 +195,11 @@ impl<'o> EngineBuilder<'o> {
     /// Persist the engine under `dir`: index pages go to a disk-backed
     /// pager (`pages.mpq`) and every mutation is logged to a write-ahead
     /// log (`wal.mpq`) before it is applied, so the engine survives a
-    /// restart — reopen it with [`Engine::open`]. The directory is
-    /// created if missing; any files from a previous engine in it are
-    /// overwritten.
+    /// restart — reopen it with [`Engine::open`]. One shard keeps the
+    /// two files in `dir` itself; `K > 1` shards keep theirs in
+    /// `dir/shard-i/`, beside a `shards.mpq` manifest that records `K`.
+    /// The directory is created if missing; any files from a previous
+    /// engine in it are superseded.
     pub fn data_dir(mut self, dir: impl AsRef<Path>) -> EngineBuilder<'o> {
         self.data_dir = Some(dir.as_ref().to_path_buf());
         self
@@ -180,31 +212,91 @@ impl<'o> EngineBuilder<'o> {
     /// in-memory engines (the pager is wrapped in a
     /// [`FaultPageStore`]) and disk-backed engines (the
     /// [`DiskPager`] and [`Wal`] consult the injector natively). Zero
-    /// cost when not called.
+    /// cost when not called. One shard only: an inventory hosted on
+    /// more is refused with an injector, built or reopened.
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> EngineBuilder<'o> {
         self.fault_injector = Some(injector);
         self
     }
 
-    /// Validate the inventory and bulk-load the object R-tree (exactly
-    /// once for the engine's lifetime).
-    ///
-    /// Validation happens before the bulk load: an empty set, a NaN or
-    /// infinite coordinate, or a coordinate outside the `[0, 1]`
-    /// preference space is reported as an [`MpqError`] — the first bad
-    /// object in id order — without paying for index construction or
-    /// creating a file.
-    pub fn build(self) -> Result<Engine, MpqError> {
-        let objects = self.objects.ok_or(MpqError::EmptyObjects)?;
-        let mut engines = build_engines(vec![self], objects, |_| 0)?;
-        Ok(engines.pop().expect("one builder, one engine"))
+    /// Can this builder host an inventory on `k` shards? Checked before
+    /// anything is allocated, read or written.
+    fn check_shards(&self, k: usize) -> Result<(), MpqError> {
+        if k == 0 {
+            return Err(MpqError::UnsupportedRequest(
+                "an engine needs at least one shard",
+            ));
+        }
+        if k > 1 && self.fault_injector.is_some() {
+            return Err(MpqError::UnsupportedRequest(
+                "fault injection is only supported on an unsharded engine",
+            ));
+        }
+        Ok(Pins::check(k, [])?)
     }
 
-    /// Create the store the engine keeps its pages in: a fresh page file
-    /// under [`EngineBuilder::data_dir`], else memory.
-    fn create_store(&self) -> Result<Box<dyn PageStore>, MpqError> {
+    /// Validate the inventory, cut it [`shards`](EngineBuilder::shards)
+    /// ways and bulk-load the R-trees (exactly once for the engine's
+    /// lifetime).
+    ///
+    /// Validation happens before the bulk load, on the whole inventory:
+    /// an empty set, a NaN or infinite coordinate, or a coordinate
+    /// outside the `[0, 1]` preference space is reported as an
+    /// [`MpqError`] — the first bad object in id order, whatever shard
+    /// it would land on — without paying for index construction or
+    /// creating a file. Then one key buffer is cut `K` ways by the
+    /// routing rule and every shard is loaded from its share of it
+    /// against the one `objects` — no shard holds a copy of its points
+    /// while it is built — into stores and tables this thread
+    /// allocated: the cores share the sorting and the encoding (see
+    /// `mpq_rtree::bulk`), never the allocating.
+    pub fn build(self) -> Result<Engine, MpqError> {
+        let k = self.shards;
+        self.check_shards(k)?;
+        let objects = self.objects.ok_or(MpqError::EmptyObjects)?;
+        let mut cut = Cut::new(objects, k, |oid| shard_of(oid, k))?;
+        let dirs = fresh_shard_dirs(self.data_dir.as_deref(), k);
+        let stores = (dirs.iter())
+            .map(|dir| self.create_store(dir.as_deref()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let trees = (self.index).build_trees_in(stores, objects, &mut cut.keys, &cut.bounds);
+        let shards = (trees.into_iter().zip(cut.into_tables()).zip(&dirs))
+            .map(|((tree, table), dir)| {
+                let wal = match dir {
+                    None => None,
+                    Some(dir) => {
+                        // A fresh build supersedes whatever a previous
+                        // engine left in the directory: discard any
+                        // stale WAL tail and commit the bulk-loaded
+                        // tree as checkpoint zero.
+                        let mut wal = self.open_wal(dir)?.0;
+                        wal.truncate()?;
+                        tree.checkpoint(&checkpoint_extra(0, table.bound()))?;
+                        Some(wal)
+                    }
+                };
+                Ok(Shard::new(tree, table, wal, self.buffer_shards))
+            })
+            .collect::<Result<Vec<_>, MpqError>>()?;
+        if let Some(root) = &self.data_dir {
+            if k > 1 {
+                write_manifest(root, k)?;
+            } else if let Err(e) = std::fs::remove_file(root.join(MANIFEST_FILE)) {
+                // A manifest some earlier engine left would outrank the
+                // bare page file at the next open.
+                if e.kind() != std::io::ErrorKind::NotFound {
+                    return Err(e.into());
+                }
+            }
+        }
+        Engine::over(shards, self)
+    }
+
+    /// Create the store a shard keeps its pages in: a fresh page file
+    /// under `dir`, else memory.
+    fn create_store(&self, dir: Option<&Path>) -> Result<Box<dyn PageStore>, MpqError> {
         let page_size = self.index.page_size;
-        Ok(match (&self.data_dir, &self.fault_injector) {
+        Ok(match (dir, &self.fault_injector) {
             (None, None) => Box::new(MemPager::new(page_size)),
             (None, Some(inj)) => Box::new(FaultPageStore::new(
                 MemPager::new(page_size),
@@ -221,122 +313,113 @@ impl<'o> EngineBuilder<'o> {
         })
     }
 
-    /// The engine over `tree`, bulk-loaded into [`create_store`]'s store
-    /// from the objects `table` holds.
-    ///
-    /// [`create_store`]: EngineBuilder::create_store
-    fn finish(self, mut tree: RTree, table: ObjectTable) -> Result<Engine, MpqError> {
-        if let Some(shards) = self.buffer_shards {
-            tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
+    /// Open the write-ahead log under `dir`, returning it with the
+    /// intact records it holds.
+    fn open_wal(&self, dir: &Path) -> Result<(Wal, Vec<(u64, WalRecord)>), MpqError> {
+        let (mut wal, records) = Wal::open(&dir.join(WAL_FILE))?;
+        if let Some(inj) = &self.fault_injector {
+            wal.set_injector(Arc::clone(inj));
         }
-        let wal = match &self.data_dir {
-            None => None,
-            Some(dir) => {
-                // A fresh build supersedes whatever a previous engine
-                // left in the directory: discard any stale WAL tail and
-                // commit the bulk-loaded tree as checkpoint zero.
-                let (mut wal, _stale) = Wal::open(&dir.join(WAL_FILE))?;
-                if let Some(inj) = &self.fault_injector {
-                    wal.set_injector(Arc::clone(inj));
-                }
-                wal.truncate()?;
-                tree.checkpoint(&checkpoint_extra(0, table.bound()))?;
-                Some(Mutex::new(wal))
-            }
-        };
-        Ok(Engine {
-            dim: tree.dim(),
-            config: self.index,
-            tree,
-            objects: Mutex::new(table),
-            version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
-            evaluations: AtomicU64::new(0),
-            mutations: MutationLog::default(),
-            wal,
-            data_dir: self.data_dir,
-            mutator: Mutex::new(()),
-            degraded: AtomicBool::new(false),
-            injector: self.fault_injector,
-        })
+        Ok((wal, records))
     }
 
-    /// Open or build the backend that hosts this inventory — the one
-    /// place that decides which engine does. An inventory already
+    /// Reopen one shard from the `pages.mpq` + `wal.mpq` pair under
+    /// `dir`: load the last checkpointed tree image, then replay every
+    /// intact WAL record past the checkpoint's high-water mark. A shard
+    /// may come back empty; an empty *inventory* is the engine's to
+    /// refuse.
+    fn open_shard(&self, dir: &Path) -> Result<Shard, MpqError> {
+        let config = &self.index;
+        let mut store = DiskPager::open(&dir.join(PAGE_FILE), config.page_size)?;
+        if let Some(inj) = &self.fault_injector {
+            store.attach_injector(Arc::clone(inj));
+        }
+        let (tree, extra) = RTree::open(store, config.min_buffer_pages.max(1))?;
+        tree.set_buffer_capacity(config.buffer_pages_for(tree.page_count()));
+        let ckpt_seq = extra_field(&extra, 0).unwrap_or(0);
+
+        let (mut wal, records) = self.open_wal(dir)?;
+        // A checkpoint truncates the WAL but sequence numbers must stay
+        // monotonic across it, or replayed records could collide with
+        // the checkpoint's high-water mark after the *next* crash.
+        wal.ensure_next_seq(ckpt_seq + 1);
+
+        // The header's count sizes the columns, capped by what the
+        // pages could hold in case it is wrong.
+        let n = (tree.len() as usize).min(tree.page_count() * tree.leaf_capacity());
+        let mut oids = Vec::with_capacity(n);
+        let mut coords = Vec::with_capacity(n * tree.dim());
+        tree.for_each_point(|oid, p| {
+            oids.push(oid);
+            coords.extend_from_slice(p);
+        });
+        let mut objects = ObjectTable::from_columns(tree.dim(), oids, coords);
+        // A file written before the bound was checkpointed stops after
+        // the sequence number: the live ids are then all there is to go
+        // by, as they were for the engine that wrote it.
+        objects.raise_bound(extra_field(&extra, 1).unwrap_or(0));
+        for (seq, rec) in records {
+            if let WalRecord::Insert { oid, .. } = &rec {
+                // Even a record the checkpoint already covers, or whose
+                // object a later record removes, spent its id.
+                objects.raise_bound(oid.saturating_add(1));
+            }
+            if seq <= ckpt_seq {
+                continue; // already part of the checkpointed image
+            }
+            match rec {
+                WalRecord::Insert { oid, point } => {
+                    tree.insert(&point, oid);
+                    objects.insert(oid, &point);
+                }
+                WalRecord::Remove { oid, point } => {
+                    tree.delete(&point, oid);
+                    objects.remove(oid);
+                }
+                WalRecord::Update { oid, old, new } => {
+                    tree.delete(&old, oid);
+                    tree.insert(&new, oid);
+                    objects.insert(oid, &new);
+                }
+            }
+        }
+        Ok(Shard::new(tree, objects, Some(wal), self.buffer_shards))
+    }
+
+    /// Reopen the inventory whose shards live in `dirs`, in shard order
+    /// (see [`Engine::open_with`]).
+    fn open(self, dirs: Vec<PathBuf>) -> Result<Engine, MpqError> {
+        self.check_shards(dirs.len())?;
+        let workers = thread_budget().min(dirs.len());
+        let shards = for_each_shard(dirs.len(), workers, |s| self.open_shard(&dirs[s]))?;
+        if shards.iter().all(|shard| lock(&shard.objects).is_empty()) {
+            return Err(MpqError::EmptyObjects);
+        }
+        Engine::over(shards, self)
+    }
+
+    /// Open or build the engine that hosts this inventory. One already
     /// persisted under [`EngineBuilder::data_dir`] is **reopened** (WAL
-    /// replay included), its on-disk layout being authoritative: a
-    /// `shards.mpq` manifest reopens a [`ShardedEngine`] whatever
-    /// `shards` says, a bare page file an [`Engine`]. Otherwise the
-    /// inventory is built from [`EngineBuilder::objects`]: `shards == 1`
-    /// builds an [`Engine`] (a 1-shard [`ShardedEngine`] would run SB
-    /// identically, but only a bare engine also hosts Brute Force, Chain
-    /// and SB-rescan), any other count a hash-partitioned
-    /// [`ShardedEngine`] (`0` is rejected). A
-    /// [`EngineBuilder::fault_injector`] is refused wherever shards
-    /// would host the inventory, reopened or built: no shard consults
-    /// one. [`EngineBuilder::buffer_shards`]
-    /// applies to a freshly built [`Engine`] only (every shard already
-    /// has a buffer pool of its own).
-    pub fn open_or_build(self, shards: usize) -> Result<Arc<dyn EvalBackend>, MpqError> {
-        // No shard consults an injector, reopened or built.
-        let no_injector = || match self.fault_injector {
-            None => Ok(()),
-            Some(_) => Err(MpqError::UnsupportedRequest(
-                "fault injection is only supported on an unsharded engine",
-            )),
+    /// replay included), the layout on disk being authoritative: it
+    /// comes back on the shards it was built on, whatever
+    /// [`EngineBuilder::shards`] says. Otherwise the inventory is built
+    /// from [`EngineBuilder::objects`].
+    pub fn open_or_build(self) -> Result<Arc<Engine>, MpqError> {
+        let persisted = match &self.data_dir {
+            None => None,
+            Some(dir) => persisted_shard_dirs(dir)?,
         };
-        if let Some(dir) = &self.data_dir {
-            if ShardedEngine::persisted_at(dir) {
-                no_injector()?;
-                return Ok(Arc::new(ShardedEngine::open_with(dir, self.index)?));
-            }
-            if Engine::persisted_at(dir) {
-                let engine = Engine::open_inner(dir, self.index, self.fault_injector, false)?;
-                return Ok(Arc::new(engine));
-            }
-            if self.objects.is_none() {
+        let engine = match persisted {
+            Some(dirs) => self.open(dirs)?,
+            None if self.data_dir.is_some() && self.objects.is_none() => {
                 return Err(MpqError::UnsupportedRequest(
                     "no persisted inventory at data_dir and no objects given",
-                ));
+                ))
             }
-        }
-        if shards == 1 {
-            return Ok(Arc::new(self.build()?));
-        }
-        no_injector()?;
-        let mut sharded = ShardedEngine::builder().index(self.index).shards(shards);
-        if let Some(objects) = self.objects {
-            sharded = sharded.objects(objects);
-        }
-        if let Some(dir) = self.data_dir {
-            sharded = sharded.data_dir(dir);
-        }
-        Ok(Arc::new(sharded.build()?))
+            None => self.build()?,
+        };
+        Ok(Arc::new(engine))
     }
-}
-
-/// Build one engine per builder of `builders` over `objects` cut that
-/// many ways: engine `j` holds the objects `part_of` sends to `j`, under
-/// their indices in `objects` — the one build path, of an [`Engine`] (one
-/// part) and of a sharded engine's shards alike. The inventory is
-/// validated whole and first ([`Cut::new`]), so an invalid one
-/// creates no file; the index configuration is the first builder's, and
-/// no builder's [`EngineBuilder::objects`] is consulted. A part may be
-/// empty.
-pub(crate) fn build_engines(
-    builders: Vec<EngineBuilder<'_>>,
-    objects: &PointSet,
-    part_of: impl Fn(u64) -> usize + Sync,
-) -> Result<Vec<Engine>, MpqError> {
-    let mut cut = Cut::new(objects, builders.len(), part_of)?;
-    let stores = (builders.iter())
-        .map(EngineBuilder::create_store)
-        .collect::<Result<Vec<_>, _>>()?;
-    let trees = builders[0]
-        .index
-        .build_trees_in(stores, objects, &mut cut.keys, &cut.bounds);
-    (builders.into_iter().zip(trees).zip(cut.into_tables()))
-        .map(|((builder, tree), table)| builder.finish(tree, table))
-        .collect()
 }
 
 /// The tiler packs item indices into 32 bits, so one bulk load takes at
@@ -398,314 +481,124 @@ pub(crate) fn validate_point(oid: u64, dim: usize, p: &[f64]) -> Result<(), MpqE
     Ok(())
 }
 
-/// Process-global inventory version source: every built engine — and
+/// Process-global inventory version source: every built shard — and
 /// every committed mutation — gets a distinct, monotonically increasing
 /// stamp (starting at 1 so 0 can serve as a "no engine" sentinel in
 /// caller code). The stamp is what makes a
 /// [`ResultCache`](crate::ResultCache) entry safe across engine rebuilds
 /// *and* in-place mutations: results computed against inventory version
 /// *v* are only served to lookups against the same *v*, unless the
-/// engine's [`MutationLog`] proves every intervening mutation irrelevant
+/// engine's [`MutationLog`]s prove every intervening mutation irrelevant
 /// to the entry.
 static NEXT_INVENTORY_VERSION: AtomicU64 = AtomicU64::new(1);
 
-/// A prepared matching engine: one validated, bulk-loaded object index
-/// serving any number of [`MatchRequest`]s.
-///
-/// `Engine` is `Sync`: share it behind an `Arc` (or plain borrows with
-/// scoped threads) and evaluate requests concurrently. Evaluation never
-/// mutates the index — assigned objects are masked per run, not deleted
-/// — so requests cannot observe each other.
-pub struct Engine {
-    dim: usize,
-    config: IndexConfig,
+/// One shard of an engine's inventory: the objects [`shard_of`] routes
+/// to it, in an R-tree of their own with its buffer pool, its WAL
+/// segment, its version component and its log of recent mutations. An
+/// engine of one shard holds the whole inventory in it.
+struct Shard {
     tree: RTree,
-    /// The live inventory by object id. Mirrors the R-tree's leaf
-    /// entries; the table is what gives mutations O(log n) point lookup
-    /// and what recovery replays the WAL against. It also owns the id
-    /// bound: ids at or above it have never been assigned, ids below it
-    /// may have been removed. Removal never recycles an id.
+    /// The live objects by id. Mirrors the R-tree's leaf entries; the
+    /// table is what gives mutations O(log n) point lookup and what
+    /// recovery replays the WAL against. Its id bound — ids at or above
+    /// it were never assigned here — is what a checkpoint records.
     objects: Mutex<ObjectTable>,
-    /// Bumped on every mutation (see [`Engine::inventory_version`]).
+    /// Bumped on every mutation of this shard (see
+    /// [`Engine::version_vector`]).
     version: AtomicU64,
-    /// Evaluations actually run against this engine (see
-    /// [`Engine::evaluation_count`]).
-    evaluations: AtomicU64,
     /// Recent mutations by version, for scoped cache invalidation.
     mutations: MutationLog,
     /// Write-ahead log; present iff the engine is disk-backed.
     wal: Option<Mutex<Wal>>,
-    /// Data directory; present iff the engine is disk-backed.
-    data_dir: Option<PathBuf>,
-    /// Serializes mutations and checkpoints; readers never take it.
-    mutator: Mutex<()>,
-    /// Set when a durability failure left the WAL wedged: mutations are
-    /// refused with [`MpqError::StorageDegraded`] until a successful
-    /// [`Engine::checkpoint`] repairs the log. Reads are unaffected.
+    /// Set when a durability failure left the WAL wedged: mutations of
+    /// this shard are refused with [`MpqError::StorageDegraded`] until a
+    /// successful [`Engine::checkpoint`] repairs the log. Reads are
+    /// unaffected.
     degraded: AtomicBool,
-    /// The fault injector every durability path consults, if one was
-    /// attached at build/open time.
-    injector: Option<Arc<FaultInjector>>,
 }
 
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("dim", &self.dim)
-            .field("objects", &self.n_objects())
-            .field("pages", &self.tree.page_count())
-            .field("version", &self.inventory_version())
-            .field("data_dir", &self.data_dir)
-            .finish()
-    }
-}
-
-impl Engine {
-    /// Start building an engine.
-    pub fn builder<'o>() -> EngineBuilder<'o> {
-        EngineBuilder::default()
-    }
-
-    /// Dimensionality of the indexed preference space.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of indexed objects (live inventory after mutations).
-    #[inline]
-    pub fn n_objects(&self) -> usize {
-        lock(&self.objects).len()
+impl Shard {
+    /// The one constructor, of a shard built and of one reopened: the
+    /// buffer pool takes its lock shards here, so the knob cannot miss a
+    /// path.
+    fn new(
+        mut tree: RTree,
+        objects: ObjectTable,
+        wal: Option<Wal>,
+        buffer_shards: Option<usize>,
+    ) -> Shard {
+        if let Some(shards) = buffer_shards {
+            tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
+        }
+        Shard {
+            tree,
+            objects: Mutex::new(objects),
+            version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
+            mutations: MutationLog::default(),
+            wal: wal.map(Mutex::new),
+            degraded: AtomicBool::new(false),
+        }
     }
 
-    /// One past the highest object id ever assigned. Object ids are
-    /// never recycled, so per-object vectors (capacities, exclusion
-    /// bitmaps) sized to this bound cover every id the engine can
-    /// report.
-    #[inline]
-    pub fn oid_bound(&self) -> u64 {
-        lock(&self.objects).bound()
-    }
-
-    /// The point currently stored for `oid`, if the engine holds it.
-    pub fn object_point(&self, oid: u64) -> Option<Box<[f64]>> {
-        lock(&self.objects).get(oid).map(Box::from)
-    }
-
-    /// The engine's **inventory version**: a process-globally unique,
-    /// monotonically increasing stamp assigned at build time and
-    /// re-minted on every mutation. Two engines never share a version —
-    /// even when built over identical objects — so a
-    /// [`ResultCache`](crate::ResultCache) entry stamped with one
-    /// engine's version can never be served against another engine's
-    /// inventory, and an entry stamped before a mutation is stale unless
-    /// the [`Engine::mutation_log`] proves the mutation could not have
-    /// changed it (see [`ResultCache::get_with_logs`]).
-    ///
-    /// [`ResultCache::get_with_logs`]: crate::ResultCache::get_with_logs
-    #[inline]
-    pub fn inventory_version(&self) -> u64 {
+    fn version(&self) -> u64 {
         self.version.load(AtomicOrdering::Acquire)
     }
 
-    /// The engine's recent-mutation log: every mutation records its
-    /// event under the version stamp it minted, which is what lets a
-    /// [`ResultCache`](crate::ResultCache) revalidate entries that a
-    /// mutation provably did not affect instead of flushing wholesale.
-    #[inline]
-    pub fn mutation_log(&self) -> &MutationLog {
-        &self.mutations
-    }
-
-    /// The data directory the engine persists under, if disk-backed.
-    pub fn data_dir(&self) -> Option<&Path> {
-        self.data_dir.as_deref()
-    }
-
-    /// Does `dir` hold a persisted engine — i.e. would [`Engine::open`]
-    /// have a page file to load? Lets callers (the CLI's
-    /// `serve --data-dir`) decide between opening and building fresh
-    /// without hard-coding the on-disk file names.
-    pub fn persisted_at(dir: impl AsRef<Path>) -> bool {
-        dir.as_ref().join(PAGE_FILE).is_file()
-    }
-
-    /// Current size of the write-ahead log in bytes (0 for an in-memory
-    /// engine). Grows with every mutation; drops back to zero at a
-    /// [`Engine::checkpoint`].
-    pub fn wal_bytes(&self) -> u64 {
+    fn wal_bytes(&self) -> u64 {
         match &self.wal {
             None => 0,
             Some(wal) => lock(wal).len_bytes(),
         }
     }
 
-    /// How many evaluations have actually run against this engine —
-    /// cache hits and dedupe attaches do **not** count, which is exactly
-    /// what makes this the observable for "N identical submissions paid
-    /// one evaluation" assertions (see `tests/cache.rs`).
-    #[inline]
-    pub fn evaluation_count(&self) -> u64 {
-        self.evaluations.load(AtomicOrdering::Relaxed)
+    /// The point stored for `oid`, if this shard holds it.
+    fn point(&self, oid: u64) -> Option<Box<[f64]>> {
+        lock(&self.objects).get(oid).map(Box::from)
     }
 
-    /// The shared object R-tree (read-only access; engine evaluation
-    /// never mutates it).
-    pub fn tree(&self) -> &RTree {
-        &self.tree
-    }
-
-    /// Reopen a persistent engine from `dir` with the default
-    /// [`IndexConfig`] (shorthand for [`Engine::open_with`]).
-    pub fn open(dir: impl AsRef<Path>) -> Result<Engine, MpqError> {
-        Engine::open_with(dir, IndexConfig::default())
-    }
-
-    /// Reopen a persistent engine from the `pages.mpq` + `wal.mpq` pair
-    /// under `dir`, created earlier by [`EngineBuilder::data_dir`].
-    ///
-    /// Recovery loads the last checkpointed tree image, then **replays**
-    /// every intact WAL record past the checkpoint's high-water mark —
-    /// a torn tail (crash mid-append) is discarded at the first corrupt
-    /// frame, so the engine reopens to the last fully-synced mutation.
-    /// The reopened engine serves matchings bit-identical to a freshly
-    /// built engine over the same surviving inventory.
-    ///
-    /// `config.page_size` must equal the page size the directory was
-    /// created with; the buffer is re-sized from `config` (buffer
-    /// geometry is a runtime choice, not persistent state).
-    pub fn open_with(dir: impl AsRef<Path>, config: IndexConfig) -> Result<Engine, MpqError> {
-        Engine::open_inner(dir.as_ref(), config, None, false)
-    }
-
-    /// Reopen one shard of a partitioned engine: like
-    /// [`Engine::open_with`], but an empty recovered inventory is legal
-    /// (a shard can hold zero objects; the sharded engine enforces the
-    /// global non-empty contract itself).
-    pub(crate) fn open_shard(dir: &Path, config: IndexConfig) -> Result<Engine, MpqError> {
-        Engine::open_inner(dir, config, None, true)
-    }
-
-    fn open_inner(
-        dir: &Path,
-        config: IndexConfig,
-        injector: Option<Arc<FaultInjector>>,
-        allow_empty: bool,
-    ) -> Result<Engine, MpqError> {
-        let mut store = DiskPager::open(&dir.join(PAGE_FILE), config.page_size)?;
-        if let Some(inj) = &injector {
-            store.attach_injector(Arc::clone(inj));
+    /// Refuse mutations while the storage is degraded (a failed WAL
+    /// rollback left the log wedged). Cleared by a successful
+    /// [`Engine::checkpoint`].
+    fn check_storage(&self) -> Result<(), MpqError> {
+        if self.degraded.load(AtomicOrdering::Acquire) {
+            return Err(MpqError::StorageDegraded);
         }
-        let (tree, extra) = RTree::open(store, config.min_buffer_pages.max(1))?;
-        tree.set_buffer_capacity(config.buffer_pages_for(tree.page_count()));
-        let ckpt_seq = extra_field(&extra, 0).unwrap_or(0);
+        Ok(())
+    }
 
-        let (mut wal, records) = Wal::open(&dir.join(WAL_FILE))?;
-        if let Some(inj) = &injector {
-            wal.set_injector(Arc::clone(inj));
-        }
-        // A checkpoint truncates the WAL but sequence numbers must stay
-        // monotonic across it, or replayed records could collide with
-        // the checkpoint's high-water mark after the *next* crash.
-        wal.ensure_next_seq(ckpt_seq + 1);
-
-        // The header's count sizes the columns, capped by what the
-        // pages could hold in case it is wrong.
-        let n = (tree.len() as usize).min(tree.page_count() * tree.leaf_capacity());
-        let mut oids = Vec::with_capacity(n);
-        let mut coords = Vec::with_capacity(n * tree.dim());
-        tree.for_each_point(|oid, p| {
-            oids.push(oid);
-            coords.extend_from_slice(p);
-        });
-        let mut objects = ObjectTable::from_columns(tree.dim(), oids, coords);
-        // A file written before the bound was checkpointed stops after
-        // the sequence number: the live ids are then all there is to go
-        // by, as they were for the engine that wrote it.
-        objects.raise_bound(extra_field(&extra, 1).unwrap_or(0));
-        for (seq, rec) in records {
-            if let WalRecord::Insert { oid, .. } = &rec {
-                // Even a record the checkpoint already covers, or whose
-                // object a later record removes, spent its id.
-                objects.raise_bound(oid.saturating_add(1));
-            }
-            if seq <= ckpt_seq {
-                continue; // already part of the checkpointed image
-            }
-            match rec {
-                WalRecord::Insert { oid, point } => {
-                    tree.insert(&point, oid);
-                    objects.insert(oid, &point);
+    /// Durably append a WAL record (no-op in memory). Called with the
+    /// mutator lock held, *before* the in-memory state changes: if the
+    /// append or fsync fails, the record is rolled back off the log and
+    /// the mutation is reported as [`MpqError::Io`] without having been
+    /// applied. If even the rollback fails, the WAL is wedged and the
+    /// shard flips to degraded: its mutations are refused with
+    /// [`MpqError::StorageDegraded`] until a successful
+    /// [`Engine::checkpoint`] truncates (and thereby repairs) the log.
+    fn log_wal(&self, rec: &WalRecord) -> Result<(), MpqError> {
+        if let Some(wal) = &self.wal {
+            let mut wal = lock(wal);
+            if let Err(e) = wal.append_sync(rec) {
+                if wal.is_wedged() {
+                    self.degraded.store(true, AtomicOrdering::Release);
                 }
-                WalRecord::Remove { oid, point } => {
-                    tree.delete(&point, oid);
-                    objects.remove(oid);
-                }
-                WalRecord::Update { oid, old, new } => {
-                    tree.delete(&old, oid);
-                    tree.insert(&new, oid);
-                    objects.insert(oid, &new);
-                }
+                return Err(e.into());
             }
         }
-        if objects.is_empty() && !allow_empty {
-            return Err(MpqError::EmptyObjects);
-        }
-        Ok(Engine {
-            dim: tree.dim(),
-            config,
-            tree,
-            objects: Mutex::new(objects),
-            version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
-            evaluations: AtomicU64::new(0),
-            mutations: MutationLog::default(),
-            wal: Some(Mutex::new(wal)),
-            data_dir: Some(dir.to_path_buf()),
-            mutator: Mutex::new(()),
-            degraded: AtomicBool::new(false),
-            injector,
-        })
+        Ok(())
     }
 
-    /// Insert a new object, returning its assigned id (ids are handed
-    /// out monotonically and never recycled).
-    ///
-    /// The mutation is durable before it is visible: on a disk-backed
-    /// engine the WAL record is appended and fsynced first, then the
-    /// R-tree is updated in place (copy-on-write — in-flight evaluations
-    /// keep reading their pinned epoch), and only then does
-    /// [`Engine::inventory_version`] advance.
-    pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
-        let _m = lock(&self.mutator);
-        self.check_storage()?;
-        let oid = self.oid_bound();
-        validate_point(oid, self.dim, point)?;
-        self.log_wal(&WalRecord::Insert {
-            oid,
-            point: Box::from(point),
-        })?;
-        self.tree.insert(point, oid);
-        lock(&self.objects).insert(oid, point);
-        self.commit_mutation(MutationEvent::Insert {
-            oid,
-            point: Arc::from(point),
-        });
-        Ok(oid)
+    /// Publish a committed mutation: record the event under a freshly
+    /// minted version stamp, then advance the shard's version. The
+    /// order matters — once a reader observes the new version, the log
+    /// already holds every event up to it.
+    fn commit_mutation(&self, event: MutationEvent) {
+        let v = NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed);
+        self.mutations.record(v, event);
+        self.version.store(v, AtomicOrdering::Release);
     }
 
-    /// Insert an object under a caller-chosen id instead of minting one.
-    /// Shard-internal: the sharded engine mints global oids and routes
-    /// each insert to exactly one shard, which must index the global id
-    /// verbatim. Fails if the shard already holds `oid`.
-    pub(crate) fn insert_object_at(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
-        let _m = lock(&self.mutator);
-        self.check_storage()?;
-        validate_point(oid, self.dim, point)?;
-        if lock(&self.objects).contains(oid) {
-            return Err(MpqError::UnsupportedRequest(
-                "explicit-oid insert would overwrite an existing object",
-            ));
-        }
+    /// Index a new object under `oid`, an id no shard has seen.
+    fn insert(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
         self.log_wal(&WalRecord::Insert {
             oid,
             point: Box::from(point),
@@ -719,39 +612,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Remove an object from the inventory.
-    ///
-    /// Fails with [`MpqError::UnknownObject`] if the engine does not
-    /// hold `oid`, and refuses to empty the inventory entirely (an
-    /// engine over zero objects violates the build-time contract; build
-    /// a new engine instead).
-    pub fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
-        self.remove_object_inner(oid, false)
-    }
-
-    /// Remove an object, allowing the shard to go empty. Shard-internal:
-    /// the sharded engine enforces the global "never empty the
-    /// inventory" rule across all shards, so one shard draining to zero
-    /// objects is legal.
-    pub(crate) fn remove_object_allow_empty(&self, oid: u64) -> Result<(), MpqError> {
-        self.remove_object_inner(oid, true)
-    }
-
-    fn remove_object_inner(&self, oid: u64, allow_empty: bool) -> Result<(), MpqError> {
-        let _m = lock(&self.mutator);
-        self.check_storage()?;
-        let point = {
-            let objects = lock(&self.objects);
-            if !allow_empty && objects.len() == 1 && objects.contains(oid) {
-                return Err(MpqError::UnsupportedRequest(
-                    "removing the last object would empty the inventory",
-                ));
-            }
-            objects
-                .get(oid)
-                .map(Box::<[f64]>::from)
-                .ok_or(MpqError::UnknownObject { oid })?
-        };
+    /// Drop object `oid`, stored at `point`.
+    fn remove(&self, oid: u64, point: Box<[f64]>) -> Result<(), MpqError> {
         self.log_wal(&WalRecord::Remove {
             oid,
             point: point.clone(),
@@ -763,17 +625,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Move an existing object to a new point (same id, new
-    /// coordinates): a single logical mutation — one WAL record, one
-    /// version bump — implemented as delete + re-insert on the index.
-    pub fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
-        let _m = lock(&self.mutator);
-        self.check_storage()?;
-        validate_point(oid, self.dim, point)?;
-        let old = lock(&self.objects)
-            .get(oid)
-            .map(Box::<[f64]>::from)
-            .ok_or(MpqError::UnknownObject { oid })?;
+    /// Move object `oid` from `old` to `point`: one WAL record, one
+    /// version bump, delete + re-insert on the index.
+    fn update(&self, oid: u64, old: Box<[f64]>, point: &[f64]) -> Result<(), MpqError> {
         self.log_wal(&WalRecord::Update {
             oid,
             old: old.clone(),
@@ -790,21 +644,331 @@ impl Engine {
         Ok(())
     }
 
-    /// Refuse mutations while the storage is degraded (a failed WAL
-    /// rollback left the log wedged). Cleared by a successful
-    /// [`Engine::checkpoint`].
-    fn check_storage(&self) -> Result<(), MpqError> {
-        if self.degraded.load(AtomicOrdering::Acquire) {
-            return Err(MpqError::StorageDegraded);
+    /// Flush every dirty page, durably commit the current tree epoch
+    /// (with the WAL high-water mark and the id bound) into the page
+    /// file's header, then truncate the WAL — which also wipes any
+    /// phantom record a failed rollback left behind, so a degraded
+    /// shard takes mutations again. A no-op in memory.
+    fn checkpoint(&self) -> Result<(), MpqError> {
+        if let Some(wal) = &self.wal {
+            let mut wal = lock(wal);
+            let extra = checkpoint_extra(wal.last_seq(), lock(&self.objects).bound());
+            self.tree.checkpoint(&extra)?;
+            wal.truncate()?;
+            self.degraded.store(false, AtomicOrdering::Release);
         }
         Ok(())
     }
 
-    /// True while the engine refuses mutations after an unrepaired
-    /// durability failure (see [`MpqError::StorageDegraded`]). Reads
-    /// keep serving the last committed snapshot throughout.
+    /// The index's logical/physical page traffic plus, on disk, the real
+    /// reads, writes and fsyncs of the pager and the WAL.
+    fn storage_stats(&self) -> IoStats {
+        let mut s = self.tree.io_stats();
+        if let Some(wal) = &self.wal {
+            let wal = lock(wal);
+            s.disk_writes += wal.appends();
+            s.fsyncs += wal.syncs();
+        }
+        s
+    }
+}
+
+/// A prepared matching engine: one validated inventory, bulk-loaded
+/// into `K >= 1` shards ([`EngineBuilder::shards`], one by default),
+/// serving any number of [`MatchRequest`]s.
+///
+/// `Engine` is `Sync`: share it behind an `Arc` (or plain borrows with
+/// scoped threads) and evaluate requests concurrently. Evaluation never
+/// mutates the index — assigned objects are masked per run, not deleted
+/// — so requests cannot observe each other. Mutations are serialized
+/// internally; each is one record in the WAL of the one shard its
+/// object lives in.
+pub struct Engine {
+    dim: usize,
+    config: IndexConfig,
+    /// In shard order; object `oid` lives in shard `shard_of(oid, K)`.
+    shards: Vec<Shard>,
+    /// The id mint: ids at or above it have never been assigned, in any
+    /// shard. Removal never recycles an id.
+    next_oid: AtomicU64,
+    /// Evaluations actually run against this engine (see
+    /// [`Engine::evaluation_count`]).
+    evaluations: AtomicU64,
+    /// Data directory; present iff the engine is disk-backed.
+    data_dir: Option<PathBuf>,
+    /// Serializes mutations (minting an id and routing it must be one
+    /// step) and checkpoints; readers never take it.
+    mutator: Mutex<()>,
+    /// The fault injector every durability path consults, if one was
+    /// attached at build/open time.
+    injector: Option<Arc<FaultInjector>>,
+}
+
+impl std::fmt::Debug for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("dim", &self.dim)
+            .field("shards", &self.shards.len())
+            .field("objects", &self.n_objects())
+            .field("pages", &self.page_count())
+            .field("versions", &self.version_vector())
+            .field("data_dir", &self.data_dir)
+            .finish()
+    }
+}
+
+impl Engine {
+    /// Start building an engine.
+    pub fn builder<'o>() -> EngineBuilder<'o> {
+        EngineBuilder::default()
+    }
+
+    /// The engine over `shards`, built or reopened by `builder` —
+    /// unless a tree is too large to be read beside the others.
+    fn over(shards: Vec<Shard>, builder: EngineBuilder<'_>) -> Result<Engine, MpqError> {
+        Pins::check(
+            shards.len(),
+            shards.iter().map(|shard| shard.tree.page_bound()),
+        )?;
+        let bounds = shards.iter().map(|shard| lock(&shard.objects).bound());
+        Ok(Engine {
+            dim: shards[0].tree.dim(),
+            config: builder.index,
+            next_oid: AtomicU64::new(bounds.max().unwrap_or(0)),
+            shards,
+            evaluations: AtomicU64::new(0),
+            data_dir: builder.data_dir,
+            mutator: Mutex::new(()),
+            injector: builder.fault_injector,
+        })
+    }
+
+    /// Dimensionality of the indexed preference space.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Number of shards `K`.
+    #[inline]
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Number of indexed objects (live inventory after mutations).
+    pub fn n_objects(&self) -> usize {
+        let sizes = self.shards.iter().map(|shard| lock(&shard.objects).len());
+        sizes.sum()
+    }
+
+    /// One past the highest object id ever assigned. Object ids are
+    /// never recycled, so per-object vectors (capacities, exclusion
+    /// bitmaps) sized to this bound cover every id the engine can
+    /// report.
+    #[inline]
+    pub fn oid_bound(&self) -> u64 {
+        self.next_oid.load(AtomicOrdering::Acquire)
+    }
+
+    /// The one shard that holds `oid` if any does (see [`shard_of`]).
+    fn owner_of(&self, oid: u64) -> &Shard {
+        &self.shards[shard_of(oid, self.shards.len())]
+    }
+
+    /// The point currently stored for `oid`, if the engine holds it.
+    pub fn object_point(&self, oid: u64) -> Option<Box<[f64]>> {
+        self.owner_of(oid).point(oid)
+    }
+
+    /// The engine's **inventory version vector**, one component per
+    /// shard, in shard order. A component is a process-globally unique,
+    /// monotonically increasing stamp assigned at build time and
+    /// re-minted on every mutation of its shard. Two engines never share
+    /// a component — even when built over identical objects — so a
+    /// [`ResultCache`](crate::ResultCache) entry stamped with one
+    /// engine's vector can never be served against another engine's
+    /// inventory; an entry stamped before a mutation is stale unless
+    /// [`Engine::mutation_logs`] prove the mutation could not have
+    /// changed it (see [`ResultCache::get_with_logs`]), and a mutation
+    /// of one shard leaves every other component — and that proof for
+    /// entries it cannot affect — intact.
+    ///
+    /// [`ResultCache::get_with_logs`]: crate::ResultCache::get_with_logs
+    pub fn version_vector(&self) -> Vec<u64> {
+        self.shards.iter().map(Shard::version).collect()
+    }
+
+    /// The per-shard recent-mutation logs, aligned with
+    /// [`Engine::version_vector`]: every mutation records its event
+    /// under the version stamp it minted, which is what lets a
+    /// [`ResultCache`](crate::ResultCache) revalidate entries that a
+    /// mutation provably did not affect instead of flushing wholesale.
+    pub fn mutation_logs(&self) -> Vec<&MutationLog> {
+        self.shards.iter().map(|shard| &shard.mutations).collect()
+    }
+
+    /// The data directory the engine persists under, if disk-backed.
+    pub fn data_dir(&self) -> Option<&Path> {
+        self.data_dir.as_deref()
+    }
+
+    /// Does `dir` hold a persisted engine, in either layout — i.e.
+    /// would [`Engine::open`] find a manifest or a page file to load?
+    /// Lets callers (the CLI's `serve --data-dir`) decide between
+    /// opening and building fresh without hard-coding the on-disk file
+    /// names.
+    pub fn persisted_at(dir: impl AsRef<Path>) -> bool {
+        [MANIFEST_FILE, PAGE_FILE]
+            .iter()
+            .any(|file| dir.as_ref().join(file).is_file())
+    }
+
+    /// Current size of the write-ahead logs in bytes, summed over the
+    /// shards (0 for an in-memory engine). Grows with every mutation;
+    /// drops back to zero at a [`Engine::checkpoint`].
+    pub fn wal_bytes(&self) -> u64 {
+        self.shards.iter().map(Shard::wal_bytes).sum()
+    }
+
+    /// R-tree pages across the shards.
+    pub fn page_count(&self) -> usize {
+        self.trees().map(RTree::page_count).sum()
+    }
+
+    /// How many evaluations have actually run against this engine —
+    /// cache hits and dedupe attaches do **not** count, which is exactly
+    /// what makes this the observable for "N identical submissions paid
+    /// one evaluation" assertions (see `tests/cache.rs`).
+    #[inline]
+    pub fn evaluation_count(&self) -> u64 {
+        self.evaluations.load(AtomicOrdering::Relaxed)
+    }
+
+    /// The shards' object R-trees, in shard order (read-only access;
+    /// evaluation never mutates them, and mutations go through the
+    /// engine so routing and id minting stay consistent).
+    pub fn trees(&self) -> impl ExactSizeIterator<Item = &RTree> {
+        self.shards.iter().map(|shard| &shard.tree)
+    }
+
+    /// Per-shard operator gauges, in shard order (surfaced by
+    /// `/metrics` so partition skew is visible).
+    pub fn shard_gauges(&self) -> Vec<ShardGauges> {
+        self.shards
+            .iter()
+            .map(|shard| ShardGauges {
+                objects: lock(&shard.objects).len(),
+                tree_height: shard.tree.height(),
+                buffer_hit_rate: shard.tree.io_stats().hit_ratio(),
+                wal_bytes: shard.wal_bytes(),
+            })
+            .collect()
+    }
+
+    /// Reopen a persistent engine from `dir` with the default
+    /// [`IndexConfig`] (shorthand for [`Engine::open_with`]).
+    pub fn open(dir: impl AsRef<Path>) -> Result<Engine, MpqError> {
+        Engine::open_with(dir, IndexConfig::default())
+    }
+
+    /// Reopen a persistent engine created earlier by
+    /// [`EngineBuilder::data_dir`] under `dir`: the `pages.mpq` +
+    /// `wal.mpq` pair of one shard, or the `shard-i/` directories a
+    /// `shards.mpq` manifest counts.
+    ///
+    /// Recovery is per shard: load the last checkpointed tree image,
+    /// then **replay** every intact WAL record past the checkpoint's
+    /// high-water mark — a torn tail (crash mid-append) is discarded at
+    /// the first corrupt frame, so the engine reopens to the last
+    /// fully-synced mutation. The reopened engine serves matchings
+    /// bit-identical to a freshly built engine over the same surviving
+    /// inventory.
+    ///
+    /// `config.page_size` must equal the page size the directory was
+    /// created with; the buffer is re-sized from `config` (buffer
+    /// geometry is a runtime choice, not persistent state).
+    pub fn open_with(dir: impl AsRef<Path>, config: IndexConfig) -> Result<Engine, MpqError> {
+        let dir = dir.as_ref();
+        // No page file either: let opening it say what is missing.
+        let dirs = persisted_shard_dirs(dir)?.unwrap_or_else(|| vec![dir.to_path_buf()]);
+        Engine::builder().index(config).data_dir(dir).open(dirs)
+    }
+
+    /// Insert a new object, returning its assigned id (ids are handed
+    /// out monotonically and never recycled).
+    ///
+    /// The mutation is durable before it is visible: on a disk-backed
+    /// engine the WAL record is appended and fsynced first — one record,
+    /// in the log of the one shard the id routes to — then that shard's
+    /// R-tree is updated in place (copy-on-write — in-flight evaluations
+    /// keep reading their pinned epoch), and only then does its
+    /// component of [`Engine::version_vector`] advance. Refused with
+    /// [`MpqError::Forest`] once that shard's tree, one of several, has
+    /// no page ids left to grow into.
+    pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
+        let _m = lock(&self.mutator);
+        let oid = self.next_oid.load(AtomicOrdering::Relaxed);
+        let shard = self.owner_of(oid);
+        shard.check_storage()?;
+        self.check_room(shard)?;
+        validate_point(oid, self.dim, point)?;
+        shard.insert(oid, point)?;
+        self.next_oid.store(oid + 1, AtomicOrdering::Release);
+        Ok(oid)
+    }
+
+    /// Remove an object from the inventory.
+    ///
+    /// Fails with [`MpqError::UnknownObject`] if the engine does not
+    /// hold `oid`, and refuses to empty the inventory entirely (an
+    /// engine over zero objects violates the build-time contract; build
+    /// a new engine instead). One shard of several may drain to zero.
+    pub fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
+        let _m = lock(&self.mutator);
+        let shard = self.owner_of(oid);
+        shard.check_storage()?;
+        let point = shard.point(oid);
+        if point.is_some() && self.n_objects() == 1 {
+            return Err(MpqError::UnsupportedRequest(
+                "removing the last object would empty the inventory",
+            ));
+        }
+        shard.remove(oid, point.ok_or(MpqError::UnknownObject { oid })?)
+    }
+
+    /// Move an existing object to a new point (same id, new
+    /// coordinates): a single logical mutation — one WAL record, one
+    /// version bump — implemented as delete + re-insert on the index of
+    /// the shard that holds it; its id, and so its shard, does not
+    /// change.
+    pub fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
+        let _m = lock(&self.mutator);
+        let shard = self.owner_of(oid);
+        shard.check_storage()?;
+        self.check_room(shard)?;
+        validate_point(oid, self.dim, point)?;
+        let old = shard.point(oid).ok_or(MpqError::UnknownObject { oid })?;
+        shard.update(oid, old, point)
+    }
+
+    /// Refuse to grow a tree of several past the page ids that fit
+    /// beside a shard number: an evaluation over it would have nothing
+    /// left to do but panic (what [`Engine::over`] refuses at build and
+    /// open, for a tree about to change). Removals stay welcome.
+    fn check_room(&self, shard: &Shard) -> Result<(), MpqError> {
+        Ok(Pins::check_room(
+            self.shards.len(),
+            shard.tree.page_bound(),
+        )?)
+    }
+
+    /// True while the engine refuses mutations — of any shard — after
+    /// an unrepaired durability failure (see
+    /// [`MpqError::StorageDegraded`]). Reads keep serving the last
+    /// committed snapshot throughout.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(AtomicOrdering::Acquire)
+        let degraded = |shard: &Shard| shard.degraded.load(AtomicOrdering::Acquire);
+        self.shards.iter().any(degraded)
     }
 
     /// The fault injector attached at build/open time, if any — lets
@@ -814,71 +978,26 @@ impl Engine {
         self.injector.as_ref()
     }
 
-    /// Durably append a WAL record (no-op for in-memory engines). Called
-    /// with the mutator lock held, *before* the in-memory state changes:
-    /// if the append or fsync fails, the record is rolled back off the
-    /// log and the mutation is reported as [`MpqError::Io`] without
-    /// having been applied. If even the rollback fails, the WAL is
-    /// wedged and the engine flips to degraded: further mutations are
-    /// refused with [`MpqError::StorageDegraded`] until a successful
-    /// [`Engine::checkpoint`] truncates (and thereby repairs) the log.
-    fn log_wal(&self, rec: &WalRecord) -> Result<(), MpqError> {
-        if let Some(wal) = &self.wal {
-            let mut wal = lock(wal);
-            if let Err(e) = wal.append_sync(rec) {
-                if wal.is_wedged() {
-                    self.degraded.store(true, AtomicOrdering::Release);
-                }
-                return Err(e.into());
-            }
-        }
-        Ok(())
-    }
-
-    /// Publish a committed mutation: record the event under a freshly
-    /// minted version stamp, then advance the engine's version. The
-    /// order matters — once a reader observes the new version, the log
-    /// already holds every event up to it.
-    fn commit_mutation(&self, event: MutationEvent) {
-        let v = NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed);
-        self.mutations.record(v, event);
-        self.version.store(v, AtomicOrdering::Release);
-    }
-
-    /// Checkpoint a disk-backed engine: flush every dirty page, durably
-    /// commit the current tree epoch (with the WAL high-water mark and
-    /// the id bound) into the page file's header, then truncate the WAL. After a
-    /// checkpoint, reopening replays nothing; between checkpoints, the
-    /// WAL alone carries the delta. A no-op for in-memory engines.
-    /// A successful checkpoint also repairs a degraded engine: the WAL
-    /// truncation wipes any phantom record a failed rollback left
-    /// behind, so mutations are accepted again.
+    /// Checkpoint a disk-backed engine, shard by shard: flush every
+    /// dirty page, durably commit the current tree epoch (with the WAL
+    /// high-water mark and the id bound) into the page file's header,
+    /// then truncate the WAL. After a checkpoint, reopening replays
+    /// nothing; between checkpoints, the WALs alone carry the delta. A
+    /// no-op for in-memory engines. A successful checkpoint also repairs
+    /// a degraded engine: the WAL truncation wipes any phantom record a
+    /// failed rollback left behind, so mutations are accepted again.
     pub fn checkpoint(&self) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        match &self.wal {
-            None => Ok(()),
-            Some(wal) => {
-                let mut wal = lock(wal);
-                let extra = checkpoint_extra(wal.last_seq(), self.oid_bound());
-                self.tree.checkpoint(&extra)?;
-                wal.truncate()?;
-                self.degraded.store(false, AtomicOrdering::Release);
-                Ok(())
-            }
-        }
+        self.shards.iter().try_for_each(Shard::checkpoint)
     }
 
-    /// Cumulative storage-level I/O: the index's logical/physical page
-    /// traffic plus, on a disk-backed engine, the real disk reads,
-    /// writes and fsyncs of the pager and the WAL.
+    /// Cumulative storage-level I/O, summed over the shards: the
+    /// indexes' logical/physical page traffic plus, on a disk-backed
+    /// engine, the real disk reads, writes and fsyncs of the pagers and
+    /// the WALs.
     pub fn storage_stats(&self) -> IoStats {
-        let mut s = self.tree.io_stats();
-        if let Some(wal) = &self.wal {
-            let wal = lock(wal);
-            s.disk_writes += wal.appends();
-            s.fsyncs += wal.syncs();
-        }
-        s
+        let stats = self.shards.iter().map(Shard::storage_stats);
+        stats.fold(IoStats::default(), |sum, io| sum + io)
     }
 
     /// Build a [`FunctionSet`] from raw weight rows, reporting malformed
@@ -891,13 +1010,23 @@ impl Engine {
     /// Start a [`MatchRequest`] for `functions` with default options
     /// (SB algorithm, multi-pair reporting, no exclusions).
     pub fn request<'e, 'f>(&'e self, functions: &'f FunctionSet) -> MatchRequest<'e, 'f> {
-        MatchRequest::new(self, functions)
+        MatchRequest {
+            engine: self,
+            functions,
+            options: RequestOptions::default(),
+        }
+    }
+
+    /// Evaluate `functions` with default options (shorthand for
+    /// [`MatchRequest::evaluate`]).
+    pub fn evaluate(&self, functions: &FunctionSet) -> Result<Matching, MpqError> {
+        self.request(functions).evaluate()
     }
 
     /// Progressive SB evaluation with default options: stable pairs are
     /// yielded as soon as they are identified. Shorthand for
     /// [`MatchRequest::stream`].
-    pub fn stream(&self, functions: &FunctionSet) -> Result<SbStream<IoSession<'_>>, MpqError> {
+    pub fn stream(&self, functions: &FunctionSet) -> Result<SbStream<Pins<'_>>, MpqError> {
         self.request(functions).stream()
     }
 
@@ -923,7 +1052,7 @@ impl Engine {
     /// let service = engine.clone().serve(ServiceConfig::default().workers(2));
     /// let client = service.client();
     /// let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
-    /// let ticket = client.submit(client.backend().request(&functions)).unwrap();
+    /// let ticket = client.submit(client.engine().request(&functions)).unwrap();
     /// let matching = ticket.wait().unwrap();
     /// assert_eq!(matching.len(), 1);
     /// service.shutdown();
@@ -936,13 +1065,12 @@ impl Engine {
     /// consume the inventory, and the incrementally-maintained skyline
     /// survives across batches (the paper's online deployment, §IV-B).
     pub fn session(&self) -> MatchSession<'_> {
-        let io = IoSession::new(&self.tree);
         MatchSession {
             engine: self,
             // No batch yet: the run holds the skyline, `submit` loads
             // each batch's functions.
             run: SbRun::new(
-                vec![io],
+                self.pin().0,
                 Scratch::new(),
                 &FunctionSet::new(self.dim),
                 BestPairMode::Ta,
@@ -955,17 +1083,59 @@ impl Engine {
         }
     }
 
-    /// Pin a run-scoped I/O session on the current epoch. The version is
-    /// `Some` iff no mutation straddled the pin: versions are monotone
-    /// and minted at commit, so equality on both sides proves the pinned
-    /// tree *is* that version's epoch. Otherwise the epoch is ambiguous,
-    /// and the run must decline seeds and capture nothing rather than
-    /// guess.
-    pub(crate) fn pin(&self) -> (IoSession<'_>, Option<u64>) {
-        let before = self.inventory_version();
-        let session = IoSession::new(&self.tree);
-        let stable = self.inventory_version() == before;
-        (session, stable.then_some(before))
+    /// Pin a run-scoped I/O session on every shard's current epoch and
+    /// read the pins as one source. The versions are `Some` iff no
+    /// mutation straddled a pin: versions are monotone and minted at
+    /// commit, so equality on both sides of a shard's pin proves the
+    /// pinned tree *is* that version's epoch. Otherwise some epoch is
+    /// ambiguous, and the run must decline seeds and capture nothing
+    /// rather than guess.
+    fn pin(&self) -> (Pins<'_>, Option<Vec<u64>>) {
+        let mut versions = Some(Vec::with_capacity(self.shards.len()));
+        let mut sessions = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let before = shard.version();
+            sessions.push(IoSession::new(&shard.tree));
+            match &mut versions {
+                Some(stable) if shard.version() == before => stable.push(before),
+                _ => versions = None,
+            }
+        }
+        (Forest::new(sessions), versions)
+    }
+
+    /// The single evaluation code path: validate, pin every shard, run
+    /// the request's algorithm over the forest of the pins. A usable
+    /// `seed` primes the evaluation; a run that had none and ran cold
+    /// leaves the inventory's [`EvalSeed`] in `capture`. The resumable
+    /// configurations are SB with incremental maintenance, which every
+    /// capacitated request is; the others silently decline both, so
+    /// callers never branch on the algorithm.
+    pub(crate) fn evaluate_seeded(
+        &self,
+        functions: &FunctionSet,
+        options: &RequestOptions,
+        scratch: &mut Scratch,
+        seed: Option<&EvalSeed>,
+        capture: Option<&mut Option<EvalSeed>>,
+    ) -> Result<Matching, MpqError> {
+        validate_request(self, functions, options)?;
+        self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        let (src, versions) = self.pin();
+        let exclude = &options.exclude;
+        Ok(match options.algorithm {
+            Algorithm::Sb => match options.maintenance {
+                MaintenanceMode::Incremental => {
+                    run_sb_seeded(src, versions, functions, options, scratch, seed, capture)
+                }
+                MaintenanceMode::Rescan => run_rescan_on(&src, functions, options, scratch),
+            },
+            Algorithm::BruteForce => match options.bf_strategy {
+                BfStrategy::Incremental => run_incremental_on(&src, functions, exclude, scratch),
+                BfStrategy::Restart => run_restart_on(&src, functions, exclude, scratch),
+            },
+            Algorithm::Chain => run_chain_on(&self.config, &src, functions, exclude, scratch),
+        })
     }
 
     /// Evaluate a slice of independent requests on a built-in scoped
@@ -977,7 +1147,7 @@ impl Engine {
     /// — one code path decides which worker runs which request. The
     /// workers are scoped threads; each owns one persistent [`Scratch`]
     /// across its whole request stream, and every run reads the shared
-    /// index through its own per-run [`IoSession`] — so every returned
+    /// index through its own per-run [`IoSession`]s — so every returned
     /// [`Matching::metrics`] still reports exactly its own run's I/O,
     /// and the result of every request is **identical to evaluating it
     /// sequentially** (each evaluation is deterministic and the index is
@@ -997,113 +1167,18 @@ impl Engine {
         requests: &[MatchRequest<'_, '_>],
         threads: usize,
     ) -> Result<BatchOutcome, MpqError> {
-        evaluate_batch_on(self, requests, threads)
+        evaluate_batch(self, requests, threads)
     }
 }
 
-impl EvalBackend for Engine {
-    fn dim(&self) -> usize {
-        self.dim
-    }
+/// What an evaluation reads an [`Engine`] through: one run-scoped
+/// [`IoSession`] per shard, each pinned to its shard's epoch, as one
+/// [`Forest`].
+type Pins<'e> = Forest<IoSession<'e>>;
 
-    fn n_objects(&self) -> usize {
-        Engine::n_objects(self)
-    }
-
-    fn oid_bound(&self) -> u64 {
-        Engine::oid_bound(self)
-    }
-
-    fn page_count(&self) -> usize {
-        self.tree.page_count()
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        Engine::wal_bytes(self)
-    }
-
-    fn version_vector(&self) -> Vec<u64> {
-        vec![self.inventory_version()]
-    }
-
-    fn mutation_logs(&self) -> Vec<&MutationLog> {
-        vec![&self.mutations]
-    }
-
-    fn storage_stats(&self) -> IoStats {
-        Engine::storage_stats(self)
-    }
-
-    /// The single unsharded evaluation code path. The resumable
-    /// configurations — SB with incremental maintenance, which every
-    /// capacitated request is — are the 1-part case of
-    /// `run_sb_seeded`, which honours `seed` / `capture`; the others
-    /// decline both.
-    fn evaluate_seeded(
-        &self,
-        functions: &FunctionSet,
-        options: &RequestOptions,
-        scratch: &mut Scratch,
-        seed: Option<&EvalSeed>,
-        capture: Option<&mut Option<EvalSeed>>,
-    ) -> Result<Matching, MpqError> {
-        validate_request(self, functions, options)?;
-        self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-        let (session, version) = self.pin();
-        Ok(match options.algorithm {
-            Algorithm::Sb => match options.maintenance {
-                MaintenanceMode::Incremental => {
-                    let (sources, versions) = (vec![session], [version]);
-                    run_sb_seeded(
-                        sources, &versions, functions, options, scratch, seed, capture,
-                    )
-                }
-                MaintenanceMode::Rescan => run_rescan_on(&session, functions, options, scratch),
-            },
-            Algorithm::BruteForce => match options.bf_strategy {
-                BfStrategy::Incremental => {
-                    run_incremental_on(&session, functions, &options.exclude, scratch)
-                }
-                BfStrategy::Restart => {
-                    run_restart_on(&session, functions, &options.exclude, scratch)
-                }
-            },
-            Algorithm::Chain => {
-                run_chain_on(&self.config, &session, functions, &options.exclude, scratch)
-            }
-        })
-    }
-
-    fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
-        Engine::insert_object(self, point)
-    }
-
-    fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
-        Engine::remove_object(self, oid)
-    }
-
-    fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
-        Engine::update_object(self, oid, point)
-    }
-
-    fn checkpoint(&self) -> Result<(), MpqError> {
-        Engine::checkpoint(self)
-    }
-}
-
-/// One evaluation against a prepared backend, configured fluently —
-/// the only request builder. `B` is the backend the request was built
-/// against: [`Engine`] by default (so `MatchRequest<'e, 'f>` reads as it
-/// always did), [`ShardedEngine`] from [`ShardedEngine::request`], or
-/// `dyn EvalBackend` from a [`ServiceClient`](crate::ServiceClient)'s
-/// [`backend()`](crate::ServiceClient::backend). The knobs, evaluation
-/// and cache identity are shared; only the progressive `stream` forms
-/// are per-engine.
-///
-/// The [`ShardedEngine`] resolves every [`Algorithm`] through the one SB
-/// run over its shards (the canonical matching is unique), so there the
-/// algorithm, the maintenance mode and the Brute Force strategy only
-/// affect request validation and cache identity.
+/// One evaluation against a prepared [`Engine`], configured fluently —
+/// the only request builder. Every knob means on `K` shards what it
+/// means on one.
 ///
 /// ```
 /// # use mpq_core::{Algorithm, Engine};
@@ -1121,21 +1196,18 @@ impl EvalBackend for Engine {
 ///     .unwrap();
 /// ```
 #[derive(Debug)]
-pub struct MatchRequest<'e, 'f, B: EvalBackend + ?Sized = Engine> {
-    backend: &'e B,
+pub struct MatchRequest<'e, 'f> {
+    engine: &'e Engine,
     functions: &'f FunctionSet,
     options: RequestOptions,
 }
 
-/// The owned, backend-independent core of a [`MatchRequest`]: every
-/// knob except the borrowed backend and function set. Detaching the
-/// options (plus a clone of the functions) is what lets a request
-/// outlive its submission scope and travel through the
-/// [`crate::service`] queue to a worker thread. Opaque outside the
-/// crate — it is public only because [`EvalBackend::evaluate_seeded`]
-/// receives it; build one through the [`MatchRequest`] knobs.
+/// The owned core of a [`MatchRequest`]: every knob except the borrowed
+/// engine and function set. Detaching the options (plus a clone of the
+/// functions) is what lets a request outlive its submission scope and
+/// travel through the [`crate::service`] queue to a worker thread.
 #[derive(Debug, Clone)]
-pub struct RequestOptions {
+pub(crate) struct RequestOptions {
     pub(crate) algorithm: Algorithm,
     pub(crate) best_pair: BestPairMode,
     pub(crate) maintenance: MaintenanceMode,
@@ -1176,22 +1248,22 @@ fn validate_functions(dim: usize, functions: &FunctionSet) -> Result<(), MpqErro
 
 /// Request-shape checks shared by direct evaluation and the service
 /// queue: everything evaluation can fail on, with no evaluation work —
-/// the same errors and strings on every backend (it needs only the
-/// backend's dimensionality and id bound). Batches and
+/// the same errors and strings at every shard count (it needs only the
+/// engine's dimensionality and id bound). Batches and
 /// [`crate::service::ServiceClient`] run this *before* enqueueing, so
 /// an invalid request is reported to the submitter instead of
 /// travelling to a worker first.
-pub(crate) fn validate_request<B: EvalBackend + ?Sized>(
-    backend: &B,
+pub(crate) fn validate_request(
+    engine: &Engine,
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> Result<(), MpqError> {
-    validate_functions(backend.dim(), functions)?;
+    validate_functions(engine.dim, functions)?;
     if let Some(caps) = &options.capacities {
         // Capacities are indexed by object id; ids are never recycled,
         // so the vector must cover the full id bound even when removals
         // left holes below it.
-        let expected = backend.oid_bound() as usize;
+        let expected = engine.oid_bound() as usize;
         if caps.len() != expected {
             return Err(MpqError::CapacityMismatch {
                 expected,
@@ -1215,17 +1287,7 @@ pub(crate) fn validate_request<B: EvalBackend + ?Sized>(
     Ok(())
 }
 
-impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
-    /// A request for `functions` against `backend` with default options
-    /// (SB algorithm, multi-pair reporting, no exclusions).
-    pub(crate) fn new(backend: &'e B, functions: &'f FunctionSet) -> Self {
-        MatchRequest {
-            backend,
-            functions,
-            options: RequestOptions::default(),
-        }
-    }
-
+impl<'e> MatchRequest<'e, '_> {
     /// Select the algorithm (default [`Algorithm::Sb`]).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.options.algorithm = algorithm;
@@ -1266,7 +1328,7 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// Mask out objects (e.g. already-reserved inventory). Excluded
     /// objects are invisible to this request: they are neither assigned
     /// nor allowed to shadow other objects. Ids not present in the
-    /// backend are ignored. Accumulates across calls.
+    /// engine are ignored. Accumulates across calls.
     pub fn exclude<I: IntoIterator<Item = u64>>(mut self, oids: I) -> Self {
         self.options.exclude.extend(oids);
         self
@@ -1275,7 +1337,7 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// Per-object capacities (the many-to-one extension): `caps[oid]`
     /// users may share object `oid`. Requires [`Algorithm::Sb`] with
     /// incremental maintenance and a capacity for every object id up to
-    /// the backend's id bound; every other knob, and
+    /// the engine's id bound; every other knob, and
     /// [`stream`](MatchRequest::stream), means what it means without
     /// them (see [`crate::capacity`] for the contract).
     pub fn capacities(mut self, caps: &[u32]) -> Self {
@@ -1283,11 +1345,11 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
         self
     }
 
-    /// Was this request built against `backend`? Services and batches
+    /// Was this request built against `engine`? Services and batches
     /// refuse foreign requests — their workers would otherwise evaluate
     /// them against the wrong inventory.
-    pub(crate) fn targets(&self, backend: &dyn EvalBackend) -> bool {
-        std::ptr::addr_eq(self.backend, backend)
+    pub(crate) fn targets(&self, engine: &Engine) -> bool {
+        std::ptr::eq(self.engine, engine)
     }
 
     /// Detach the request into owned parts — a clone of the function set
@@ -1307,16 +1369,16 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// The canonical cache identity of this request: covers the function
     /// rows (bit-exact, in function-id order, with tombstones), the
     /// algorithm and every evaluation knob, the exclusion set
-    /// (order-insensitively) and the capacity vector. Pair it with the
-    /// backend's version vector ([`Engine::inventory_version`] for a
-    /// single engine) to use a [`ResultCache`](crate::ResultCache)
-    /// standalone; the [`EngineService`] computes the same key
-    /// internally on every submission.
+    /// (order-insensitively) and the capacity vector. Pair it with
+    /// [`Engine::version_vector`] to use a
+    /// [`ResultCache`](crate::ResultCache) standalone; the
+    /// [`EngineService`] computes the same key internally on every
+    /// submission.
     pub fn cache_key(&self) -> crate::cache::RequestKey {
         crate::cache::request_key(self.functions, &self.options)
     }
 
-    /// Validate and evaluate the request against the backend's shared
+    /// Validate and evaluate the request against the engine's shared
     /// index. The index is read, never mutated; concurrent evaluations
     /// are independent and each [`Matching::metrics`] reports only its
     /// own run's I/O.
@@ -1336,15 +1398,15 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// allocator is hit; reuse one per thread across any sequence of
     /// requests.
     pub fn evaluate_with(&self, scratch: &mut Scratch) -> Result<Matching, MpqError> {
-        self.backend
+        self.engine
             .evaluate_seeded(self.functions, &self.options, scratch, None, None)
     }
 
     /// Seed-capable [`MatchRequest::evaluate_with`]: primes the run from
     /// `seed` when the configuration is resumable and the seed is still
-    /// pinned to the backend's current inventory — otherwise runs cold;
+    /// pinned to the engine's current inventory — otherwise runs cold;
     /// the dispatch is uniform, so callers never branch on the
-    /// algorithm or the backend. Returns the matching together with the
+    /// algorithm. Returns the matching together with the
     /// [`EvalSeed`] a cold resumable run captured — the inventory's
     /// skyline, which can prime *any* later request against the same
     /// inventory. A run that resumed returns `None`: keep the seed it
@@ -1360,7 +1422,7 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
         seed: Option<&EvalSeed>,
     ) -> Result<(Matching, Option<EvalSeed>), MpqError> {
         let mut captured = None;
-        let matching = self.backend.evaluate_seeded(
+        let matching = self.engine.evaluate_seeded(
             self.functions,
             &self.options,
             scratch,
@@ -1373,14 +1435,16 @@ impl<'e, 'f, B: EvalBackend + ?Sized> MatchRequest<'e, 'f, B> {
     /// All the request-shape checks evaluation can fail on, with no
     /// evaluation work (see [`validate_request`]).
     pub(crate) fn validate(&self) -> Result<(), MpqError> {
-        validate_request(self.backend, self.functions, &self.options)
+        validate_request(self.engine, self.functions, &self.options)
     }
-}
 
-impl<'e, B: EvalBackend + ?Sized> MatchRequest<'e, '_, B> {
-    /// The one progressive path: every check a stream makes, then one
-    /// run-scoped I/O session per engine of `parts`.
-    fn stream_over(&self, parts: &'e [Engine]) -> Result<SbStream<IoSession<'e>>, MpqError> {
+    /// Progressive SB evaluation: returns a stream that yields stable
+    /// pairs as soon as they are identified, reading the shared index
+    /// through its own run-scoped I/O sessions.
+    ///
+    /// Requires [`Algorithm::Sb`] with incremental maintenance; yields
+    /// [`evaluate`](MatchRequest::evaluate)'s pairs in its order.
+    pub fn stream(&self) -> Result<SbStream<Pins<'e>>, MpqError> {
         self.validate()?;
         if self.options.algorithm != Algorithm::Sb {
             return Err(MpqError::UnsupportedRequest(
@@ -1392,29 +1456,11 @@ impl<'e, B: EvalBackend + ?Sized> MatchRequest<'e, '_, B> {
                 "streaming requires incremental skyline maintenance",
             ));
         }
-        let sources = parts.iter().map(|part| IoSession::new(&part.tree));
-        Ok(stream_on(sources.collect(), self.functions, &self.options))
-    }
-}
-
-impl<'e> MatchRequest<'e, '_> {
-    /// Progressive SB evaluation: returns a stream that yields stable
-    /// pairs as soon as they are identified, reading the shared index
-    /// through its own run-scoped I/O session.
-    ///
-    /// Requires [`Algorithm::Sb`] with incremental maintenance; yields
-    /// [`evaluate`](MatchRequest::evaluate)'s pairs in its order.
-    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
-        self.stream_over(std::slice::from_ref(self.backend))
-    }
-}
-
-impl<'e> MatchRequest<'e, '_, ShardedEngine> {
-    /// Progressive SB evaluation over the union of the shards'
-    /// skylines: the same stream, pairs and order an [`Engine`] over
-    /// the same inventory yields, under the same requirements.
-    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
-        self.stream_over(self.backend.shards())
+        Ok(stream_on(
+            self.engine.pin().0,
+            self.functions,
+            &self.options,
+        ))
     }
 }
 
@@ -1428,7 +1474,7 @@ pub struct BatchOutcome {
 
 impl BatchOutcome {
     /// Assemble an outcome (the one batch runner lives beside the
-    /// [`EvalBackend`] trait it drives).
+    /// scheduling core it drives, in [`crate::service`]).
     pub(crate) fn from_parts(matchings: Vec<Matching>, metrics: BatchMetrics) -> BatchOutcome {
         BatchOutcome { matchings, metrics }
     }
@@ -1494,7 +1540,7 @@ impl BatchMetrics {
 }
 
 /// A persistent matching session over one engine: batches submitted over
-/// time consume the inventory, and the R-tree **and** the
+/// time consume the inventory, and the R-trees **and** the
 /// incrementally-maintained skyline (with its plists, §IV-B) survive
 /// across batches — each batch pays only for its own best-pair search
 /// plus the maintenance its assignments cause.
@@ -1507,7 +1553,7 @@ impl BatchMetrics {
 pub struct MatchSession<'e> {
     engine: &'e Engine,
     /// The skyline persists; every batch loads its own functions.
-    run: SbRun<IoSession<'e>>,
+    run: SbRun<Pins<'e>>,
     assigned: u64,
     batches: u64,
 }

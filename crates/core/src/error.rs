@@ -7,6 +7,7 @@
 //! against the prepared engine — and reports what is wrong with a
 //! [`MpqError`].
 
+use mpq_rtree::ForestError;
 use mpq_ta::WeightError;
 
 /// Why an engine could not be built or a match request not evaluated.
@@ -25,6 +26,9 @@ pub enum MpqError {
         /// Most objects one engine (or one shard) can be built over.
         max: usize,
     },
+    /// More shards, or a larger shard, than can be read as one index —
+    /// at build, at open, or from an insert that would grow one past it.
+    Forest(ForestError),
     /// An object coordinate is NaN or infinite.
     NonFiniteCoordinate {
         /// Object id (point index) of the offending point.
@@ -117,6 +121,12 @@ impl From<std::io::Error> for MpqError {
     }
 }
 
+impl From<ForestError> for MpqError {
+    fn from(e: ForestError) -> MpqError {
+        MpqError::Forest(e)
+    }
+}
+
 impl std::fmt::Display for MpqError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -126,6 +136,7 @@ impl std::fmt::Display for MpqError {
                 f,
                 "object set holds {got} objects, one index takes at most {max}"
             ),
+            MpqError::Forest(e) => write!(f, "shards do not fit one index: {e}"),
             MpqError::NonFiniteCoordinate { oid, dim, value } => write!(
                 f,
                 "object {oid} has non-finite coordinate {value} at dimension {dim}"
@@ -183,6 +194,7 @@ impl std::error::Error for MpqError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MpqError::InvalidFunction { source, .. } => Some(source),
+            MpqError::Forest(source) => Some(source),
             _ => None,
         }
     }

@@ -6,12 +6,11 @@
 //! file it mirrors. Ids are minted in increasing order, so a sorted
 //! `Vec<u64>` beside one contiguous `Vec<f64>` holds the same mapping:
 //! a build fills it with one copy, a mint appends, a lookup is a binary
-//! search, and the rare out-of-order id (`Engine::insert_object_at`
-//! takes whatever id its caller minted — today the sharded engine's
-//! routed insert, whose ids do ascend) is a `memmove`.
+//! search, and an out-of-order id (a shard takes whatever id the engine
+//! minted and routed to it, and those do ascend) would be a `memmove`.
 //!
 //! A build starts here too: a [`Cut`] validates an inventory and cuts it
-//! into the key buffer the bulk loads sort and one table a part.
+//! into the key buffer the bulk loads sort and one table a shard.
 
 use mpq_rtree::bulk::{side_by_side, sort_key, thread_budget};
 use mpq_rtree::PointSet;
@@ -19,8 +18,8 @@ use mpq_rtree::PointSet;
 use crate::engine::{check_inventory_len, validate_point};
 use crate::error::MpqError;
 
-/// An inventory, validated and cut into parts: what the engines over the
-/// parts are built from — first the key buffer their bulk loads sort
+/// An inventory, validated and cut into parts: what an engine's shards
+/// are built from — first the key buffer their bulk loads sort
 /// ([`Cut::keys`]), then, once the trees stand and that buffer is done
 /// with, one table a part ([`Cut::into_tables`]).
 pub(crate) struct Cut<'o, P> {
@@ -268,11 +267,6 @@ impl ObjectTable {
             .map(|slot| &self.coords[slot * self.dim..(slot + 1) * self.dim])
     }
 
-    /// Is `oid` live?
-    pub fn contains(&self, oid: u64) -> bool {
-        self.slot(oid).is_some()
-    }
-
     /// Store `point` under `oid`, replacing whatever the id held, and
     /// raise the bound past it.
     pub fn insert(&mut self, oid: u64, point: &[f64]) {
@@ -366,7 +360,7 @@ mod tests {
         assert_eq!(listed, want, "ascending iteration");
         for probe in 0..bound + 3 {
             assert_eq!(table.get(probe), model.get(&probe).map(Vec::as_slice));
-            assert_eq!(table.contains(probe), model.contains_key(&probe));
+            assert_eq!(table.get(probe).is_some(), model.contains_key(&probe));
         }
     }
 

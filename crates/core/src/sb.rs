@@ -35,25 +35,20 @@
 //!
 //! ## One run state, one round
 //!
-//! Everything above lives once, in the crate-private `SbRun`: its
-//! *parts* — one pinned node source and one maintained skyline each —
-//! the working function set with its reverse top-1 index, both
-//! rank-list caches and the counters. An [`Engine`](crate::Engine) is
-//! one part; a [`ShardedEngine`](crate::ShardedEngine) is one part per
-//! shard, and the run works over the **union** of the parts' skylines.
-//! That is all fact 1 needs: the maximal elements of a union lie among
-//! the maximal elements of its parts, so the union contains the
-//! skyline, and what it holds beside it is never mutually best (see
-//! [`crate::shard`] for what the surplus costs). `SbRun::new` loads the
-//! functions and primes every part — cold by BBS, or cloned from the
-//! inventory's seed ([`crate::seed`]) — then peels off the objects the
-//! run must not see; "must not see" is one predicate, so a request's
-//! exclusions and a capacitated request's exhausted objects take the
-//! same path. `SbRun::round` is the only loop body (Algorithm 1 lines
-//! 3–9): three steps, the first and the last its private halves, which
-//! nothing else calls.
+//! Everything above lives once, in the crate-private `SbRun`: one
+//! pinned node source — the engine's shards read as one forest (see
+//! [`crate::shard`]), so one tree or `K` is not the run's concern — the
+//! skyline maintained over it, the working function set with its
+//! reverse top-1 index, both rank-list caches and the counters.
+//! `SbRun::new` loads the functions and primes the skyline — cold by
+//! BBS, or cloned from the inventory's seed ([`crate::seed`]) — then
+//! peels off the objects the run must not see; "must not see" is one
+//! predicate, so a request's exclusions and a capacitated request's
+//! exhausted objects take the same path. `SbRun::round` is the only
+//! loop body (Algorithm 1 lines 3–9): three steps, the first and the
+//! last its private halves, which nothing else calls.
 //!
-//! * **discover** refreshes the rank lists against the union and
+//! * **discover** refreshes the rank lists against the skyline and
 //!   reports the round's mutually-best pairs in canonical order — all
 //!   of them, or with `multi_pair` off only the first. It changes
 //!   nothing a matching depends on.
@@ -61,13 +56,12 @@
 //!   the request carries capacities ([`crate::capacity`], which also
 //!   says why every pair of the round may take one).
 //! * **retire** applies the round: functions are tombstoned, and each
-//!   object whose last unit went leaves the skyline of the one part
-//!   that holds it (§IV-B maintenance, masked promotions peeled before
-//!   they reach a cache), that part's promotions joining the union. An
-//!   object with a unit left stays where it is.
+//!   object whose last unit went leaves the skyline (§IV-B
+//!   maintenance, masked promotions peeled before they reach a cache).
+//!   An object with a unit left stays where it is.
 //!
 //! Three drivers call it until the run is done, and do nothing else to
-//! the run: the evaluation (`run_sb_seeded`, for either engine), the
+//! the run: the evaluation (`run_sb_seeded`), the
 //! progressive [`SbStream`] and the persistent
 //! [`MatchSession`](crate::MatchSession).
 //!
@@ -79,7 +73,6 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
-use mpq_rtree::bulk::thread_budget;
 use mpq_rtree::{IoStats, NodeSource};
 use mpq_skyline::bbs::compute_skyline_excluding_with;
 use mpq_skyline::{SkylineMaintainer, SkylineStats};
@@ -174,50 +167,6 @@ fn peel_masked<R: NodeSource>(
     *spent += start.elapsed();
 }
 
-/// One part of a run: a pinned node source and the skyline maintained
-/// over it — a whole unsharded inventory, or one shard of a partitioned
-/// one.
-struct Part<R> {
-    src: R,
-    io_start: IoStats,
-    /// The maintainer's counters when the run took it over: a resumed
-    /// run does not report the seed's BBS as its own work.
-    sky_start: SkylineStats,
-    skyline: SkylineMaintainer,
-}
-
-/// Prime one part: cold (BBS over the whole tree) or cloned from `seed`,
-/// the same tree's BBS snapshot. Either way the part holds exactly the
-/// skyline of its inventory, so the matching loop downstream cannot
-/// tell the histories apart. With `capture` a cold part also returns
-/// its snapshot, taken *before* any peel, so what it captures depends
-/// on the tree alone; a seeded part captures nothing. Both clones share
-/// what BBS recorded (the build ends frozen, see
-/// `mpq_skyline::maintain`): neither copies a member or a plist.
-fn prime<R: NodeSource>(
-    src: R,
-    seed: Option<&SkylineMaintainer>,
-    capture: bool,
-) -> (Part<R>, Option<SkylineMaintainer>) {
-    let io_start = src.io_snapshot();
-    let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
-    let (skyline, snapshot) = match seed {
-        Some(snapshot) => (snapshot.clone(), None),
-        None => {
-            let built = SkylineMaintainer::build(&src);
-            let snapshot = capture.then(|| built.clone());
-            (built, snapshot)
-        }
-    };
-    let part = Part {
-        src,
-        io_start,
-        sky_start,
-        skyline,
-    };
-    (part, snapshot)
-}
-
 /// Give `scratch` a fresh working copy of `functions` and empty
 /// rank-list caches (buffers reused), and build the copy's reverse
 /// top-1 index.
@@ -235,13 +184,15 @@ fn load_functions(
     }
 }
 
-/// The state of one SB run over the union of its parts' skylines — the
-/// only SB state machine in the crate (see the [module docs](self)).
+/// The state of one SB run — the only SB state machine in the crate
+/// (see the [module docs](self)).
 pub(crate) struct SbRun<R: NodeSource> {
-    /// One part for an [`Engine`](crate::Engine), one per shard for a
-    /// [`ShardedEngine`](crate::ShardedEngine). An object lives in
-    /// exactly one part.
-    parts: Vec<Part<R>>,
+    src: R,
+    io_start: IoStats,
+    /// The maintainer's counters when the run took it over: a resumed
+    /// run does not report the seed's BBS as its own work.
+    sky_start: SkylineStats,
+    skyline: SkylineMaintainer,
     rt1: Option<ReverseTopOne>,
     /// Working function set, fbest/obest rank-list caches and the
     /// round-local buffers.
@@ -251,58 +202,49 @@ pub(crate) struct SbRun<R: NodeSource> {
 }
 
 impl<R: NodeSource> SbRun<R> {
-    /// Start a run over `sources`: load `functions`, then prime every
-    /// part's skyline — cold, or from its snapshot in `seed` (one per
-    /// source, in order) — and peel every `masked` object off it. Cold
-    /// parts leave their snapshots in `capture`, in order (see
-    /// [`prime`]). The cold parts of a partitioned run are built side by
-    /// side on scoped threads where there are cores for it; a 1-part
-    /// run, a resume and a one-core host spawn nothing.
+    /// Start a run over `src`: load `functions`, prime the skyline —
+    /// cold (BBS over the whole source) or cloned from `seed`, the same
+    /// source's BBS snapshot — and peel every `masked` object off it.
+    /// Either way the run holds exactly the skyline of its inventory, so
+    /// the matching loop downstream cannot tell the histories apart. A
+    /// cold run leaves its snapshot in `capture`, taken *before* any
+    /// peel, so what it captures depends on the source alone; a seeded
+    /// run captures nothing. Both clones share what BBS recorded (the
+    /// build ends frozen, see `mpq_skyline::maintain`): neither copies a
+    /// member or a plist.
     pub(crate) fn new(
-        sources: Vec<R>,
+        src: R,
         mut scratch: Scratch,
         functions: &FunctionSet,
         best_pair: BestPairMode,
         masked: impl Fn(u64) -> bool,
-        seed: Option<&[SkylineMaintainer]>,
-        mut capture: Option<&mut Vec<SkylineMaintainer>>,
-    ) -> SbRun<R>
-    where
-        R: Send,
-    {
+        seed: Option<&SkylineMaintainer>,
+        capture: Option<&mut Option<SkylineMaintainer>>,
+    ) -> SbRun<R> {
         let rt1 = load_functions(&mut scratch, functions, best_pair);
-        let capturing = capture.is_some();
-        let prime_nth = |(i, src)| prime(src, seed.map(|parts| &parts[i]), capturing);
-        let jobs = sources.into_iter().enumerate();
-        let primed: Vec<_> = if seed.is_some() || jobs.len() == 1 || thread_budget() == 1 {
-            jobs.map(prime_nth).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let builds: Vec<_> = jobs
-                    .map(|job| scope.spawn(move || prime_nth(job)))
-                    .collect();
-                let joined = builds.into_iter().map(|build| build.join());
-                joined
-                    .map(|part| part.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-                    .collect()
-            })
+        let io_start = src.io_snapshot();
+        let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
+        let mut skyline = match seed {
+            Some(snapshot) => snapshot.clone(),
+            None => {
+                let built = SkylineMaintainer::build(&src);
+                if let Some(snapshot) = capture {
+                    *snapshot = Some(built.clone());
+                }
+                built
+            }
         };
         let mut metrics = RunMetrics::default();
-        let mut parts = Vec::with_capacity(primed.len());
-        for (mut part, snapshot) in primed {
-            if let Some(snapshots) = capture.as_deref_mut() {
-                snapshots.extend(snapshot);
-            }
-            let bufs = &mut scratch.round;
-            bufs.wave.clear();
-            let members = part.skyline.iter().map(|e| e.oid);
-            bufs.wave.extend(members.filter(|&oid| masked(oid)));
-            let spent = &mut metrics.maintain;
-            peel_masked(&mut part.skyline, &part.src, bufs, &masked, spent);
-            parts.push(part);
-        }
+        let bufs = &mut scratch.round;
+        bufs.wave.clear();
+        let members = skyline.iter().map(|e| e.oid);
+        bufs.wave.extend(members.filter(|&oid| masked(oid)));
+        peel_masked(&mut skyline, &src, bufs, &masked, &mut metrics.maintain);
         SbRun {
-            parts,
+            src,
+            io_start,
+            sky_start,
+            skyline,
             rt1,
             scratch,
             best_pair,
@@ -323,14 +265,14 @@ impl<R: NodeSource> SbRun<R> {
         self.scratch.fs.n_alive() == 0 || self.skyline_len() == 0
     }
 
-    /// Objects in the pinned snapshots, assigned or not.
+    /// Objects in the pinned source, assigned or not.
     pub(crate) fn pinned_objects(&self) -> u64 {
-        self.parts.iter().map(|part| part.src.len()).sum()
+        self.src.len()
     }
 
-    /// Objects on the union of the parts' skylines.
+    /// Objects on the skyline.
     pub(crate) fn skyline_len(&self) -> usize {
-        self.parts.iter().map(|part| part.skyline.len()).sum()
+        self.skyline.len()
     }
 
     /// The working function set: the loaded functions not yet assigned.
@@ -338,27 +280,18 @@ impl<R: NodeSource> SbRun<R> {
         &self.scratch.fs
     }
 
-    /// Page traffic since the pins, summed over the parts.
+    /// Page traffic since the pin.
     pub(crate) fn io(&self) -> IoStats {
-        let since_pin = |part: &Part<R>| part.src.io_snapshot().since(part.io_start);
-        self.parts
-            .iter()
-            .map(since_pin)
-            .fold(IoStats::default(), |sum, io| sum + io)
+        self.src.io_snapshot().since(self.io_start)
     }
 
-    /// Counters since [`load`](SbRun::load), I/O since the pins, both
-    /// summed over the parts. `elapsed` is left to the caller, who
-    /// knows what it is timing.
+    /// Counters since [`load`](SbRun::load), I/O since the pin.
+    /// `elapsed` is left to the caller, who knows what it is timing.
     pub(crate) fn metrics(&self) -> RunMetrics {
         let mut m = self.metrics;
         m.io = self.io();
-        let mut skyline = SkylineStats::default();
-        for part in &self.parts {
-            let own = zip_stats(part.skyline.stats(), part.sky_start, |now, then| now - then);
-            skyline = zip_stats(skyline, own, |sum, part| sum + part);
-        }
-        m.skyline = Some(skyline);
+        let since = |now, then| now - then;
+        m.skyline = Some(zip_stats(self.skyline.stats(), self.sky_start, since));
         m.ta = self.rt1.as_ref().map(ReverseTopOne::stats);
         m
     }
@@ -393,7 +326,7 @@ impl<R: NodeSource> SbRun<R> {
     }
 
     /// First half of a round: refresh the fbest/obest rank lists
-    /// against the union of the parts' skylines and leave this round's
+    /// against the skyline and leave this round's
     /// mutually-best pairs, canonically sorted, in the round buffers
     /// (only the first without `multi_pair`). Changes nothing a matching
     /// depends on, so asking twice answers the same.
@@ -410,9 +343,7 @@ impl<R: NodeSource> SbRun<R> {
             round: bufs,
             ..
         } = &mut self.scratch;
-        let parts = &self.parts;
-        let skyline = || parts.iter().flat_map(|part| part.skyline.iter());
-        let on_skyline = |oid| parts.iter().any(|part| part.skyline.contains(oid));
+        let skyline = &self.skyline;
         let start = Instant::now();
         self.metrics.loops += 1;
 
@@ -421,7 +352,7 @@ impl<R: NodeSource> SbRun<R> {
         // the (top-M) reverse search. A surviving head entry is the true
         // reverse top-1 because removals can only have deleted
         // better-ranked functions.
-        for e in skyline() {
+        for e in skyline.iter() {
             let list = fbest.entry(e.oid).or_default();
             let dead = list.iter().take_while(|&&(fid, _)| !fs.is_alive(fid));
             list.drain(..dead.count());
@@ -438,21 +369,20 @@ impl<R: NodeSource> SbRun<R> {
         // all assigned, and promotions were folded in); empty ⇒ full
         // skyline rescan.
         bufs.fbest_fns.clear();
-        bufs.fbest_fns.extend(skyline().map(|e| fbest[&e.oid][0].0));
+        bufs.fbest_fns
+            .extend(skyline.iter().map(|e| fbest[&e.oid][0].0));
         for &fid in &bufs.fbest_fns {
             // Filling a list inserts before it truncates: one allocation.
             let list = obest
                 .entry(fid)
                 .or_insert_with(|| Vec::with_capacity(OBEST_RANKS + 1));
-            let gone = list.iter().take_while(|&&(oid, _)| !on_skyline(oid));
+            let gone = list.iter().take_while(|&&(oid, _)| !skyline.contains(oid));
             list.drain(..gone.count());
             if list.is_empty() {
-                // Every member, once per function: iterated from inside,
-                // so the chain of parts costs nothing per member.
-                skyline().for_each(|e| {
+                for e in skyline.iter() {
                     let s = fs.score(fid, e.point);
                     insert_ranked(list, OBEST_RANKS, e.oid, s);
-                });
+                }
                 debug_assert!(!list.is_empty(), "skyline is non-empty");
             }
         }
@@ -476,8 +406,8 @@ impl<R: NodeSource> SbRun<R> {
 
     /// Second half of a round: the functions of `pairs` are assigned and
     /// the `departed` objects have no unit left — tombstone, drop the
-    /// rank lists of what left, maintain the skyline of every part that
-    /// held one of them. An object that keeps a unit stays on the
+    /// rank lists of what left, maintain the skyline. An object that
+    /// keeps a unit stays on the
     /// skyline; the function it just took heads its fbest list and is
     /// drained like any other dead one.
     fn retire(&mut self, pairs: &[Pair], departed: &[u64], masked: impl Fn(u64) -> bool) {
@@ -499,45 +429,39 @@ impl<R: NodeSource> SbRun<R> {
         for oid in departed {
             fbest.remove(oid);
         }
-        for part in &mut self.parts {
-            bufs.wave.clear();
-            let held = departed.iter().filter(|&&oid| part.skyline.contains(oid));
-            bufs.wave.extend(held);
-            if bufs.wave.is_empty() {
-                continue;
-            }
-            // Skyline maintenance (§IV-B): promotions are folded into every
-            // cached obest rank list to preserve its "nothing better than the
-            // stored minimum is missing" invariant.
-            let spent = &mut self.metrics.maintain;
-            peel_masked(&mut part.skyline, &part.src, bufs, &masked, spent);
-            for &oid in &bufs.promoted {
-                let point = part.skyline.get(oid).expect("a kept promotion");
-                for (fid, list) in obest.iter_mut() {
-                    let s = fs.score(*fid, point);
-                    fold_promotion(list, OBEST_RANKS, oid, s);
-                }
+        bufs.wave.clear();
+        bufs.wave.extend_from_slice(departed);
+        // Skyline maintenance (§IV-B): promotions are folded into every
+        // cached obest rank list to preserve its "nothing better than the
+        // stored minimum is missing" invariant.
+        let spent = &mut self.metrics.maintain;
+        peel_masked(&mut self.skyline, &self.src, bufs, &masked, spent);
+        for &oid in &bufs.promoted {
+            let point = self.skyline.get(oid).expect("a kept promotion");
+            for (fid, list) in obest.iter_mut() {
+                let s = fs.score(*fid, point);
+                fold_promotion(list, OBEST_RANKS, oid, s);
             }
         }
     }
 }
 
-/// Build a progressive SB stream over node sources the stream *owns*
-/// (run-scoped I/O sessions, one per part). The objects the request
+/// Build a progressive SB stream over a node source the stream *owns*
+/// (the engine's run-scoped pins). The objects the request
 /// cannot see — excluded, or without a unit of capacity — are removed
 /// from the initial skyline along with every such promotion they
 /// uncover. Reads `best_pair`, `multi_pair`, `exclude` and `capacities`
 /// from `options`; the request path has already checked that the rest
 /// describe a streamable request.
-pub(crate) fn stream_on<R: NodeSource + Send>(
-    sources: Vec<R>,
+pub(crate) fn stream_on<R: NodeSource>(
+    src: R,
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> SbStream<R> {
     let excluded = options.exclude.clone();
     let units = options.capacities.clone().map(Units);
     let run = SbRun::new(
-        sources,
+        src,
         Scratch::new(),
         functions,
         options.best_pair,
@@ -554,11 +478,10 @@ pub(crate) fn stream_on<R: NodeSource + Send>(
     }
 }
 
-/// Non-streaming SB evaluation of one request over pinned sources —
-/// one for an [`Engine`](crate::Engine), one per shard for a
-/// [`ShardedEngine`](crate::ShardedEngine); `versions[i]` is the
-/// inventory version `sources[i]` is pinned at, `None` where a mutation
-/// straddled the pin (see `Engine::pin`). The entire per-run state —
+/// Non-streaming SB evaluation of one request over the pinned `src`;
+/// `versions` is the inventory version vector it is pinned at, `None`
+/// if a mutation straddled a pin (see `Engine::pin`). The entire
+/// per-run state —
 /// working function set, rank-list caches, round buffers — is served
 /// from a reusable [`Scratch`] (lent to the run, handed back at the
 /// end): after the first request on a warm scratch, a run makes no
@@ -571,18 +494,18 @@ pub(crate) fn stream_on<R: NodeSource + Send>(
 /// `SbRun::round` and nothing else.
 ///
 /// Seed-capable, and the one place that decides it. A `seed` is
-/// honoured as a whole or not at all: only when every part is pinned,
-/// unambiguously, at exactly the seed's version — its pruned entries
-/// reference pages of those epochs. A run that resumed captures
-/// nothing; a cold one leaves the inventory's seed in `capture` only if
-/// every pin was stable, so every part's snapshot can be stamped. Pass
+/// honoured only when every shard is pinned, unambiguously, at exactly
+/// the seed's version — its pruned entries reference pages of those
+/// epochs. A run that resumed captures nothing; a cold one leaves the
+/// inventory's seed in `capture` only if every pin was stable, so the
+/// snapshot can be stamped. Pass
 /// `None, None` for a plain cold run. Both paths run the identical
 /// round body over content-identical skylines, so seeded matchings are
 /// score-bit-identical to cold ones (pinned by
 /// `tests/seed_identity.rs`).
-pub(crate) fn run_sb_seeded<R: NodeSource + Send>(
-    sources: Vec<R>,
-    versions: &[Option<u64>],
+pub(crate) fn run_sb_seeded<R: NodeSource>(
+    src: R,
+    versions: Option<Vec<u64>>,
     functions: &FunctionSet,
     options: &RequestOptions,
     scratch: &mut Scratch,
@@ -590,27 +513,24 @@ pub(crate) fn run_sb_seeded<R: NodeSource + Send>(
     capture: Option<&mut Option<EvalSeed>>,
 ) -> Matching {
     let start = Instant::now();
-    let pinned = || versions.iter().copied();
-    let seed = seed.filter(|s| pinned().eq(s.versions.iter().map(|&v| Some(v))));
-    let mut snapshots = Vec::new();
-    let capturing = capture.is_some() && seed.is_none() && pinned().all(|v| v.is_some());
+    let seed = seed.filter(|s| versions.as_ref() == Some(&s.versions));
+    let mut snapshot = None;
+    let capturing = capture.is_some() && seed.is_none() && versions.is_some();
     let exclude = &options.exclude;
     let mut units = options.capacities.clone().map(Units);
     let mut run = SbRun::new(
-        sources,
+        src,
         std::mem::take(scratch),
         functions,
         options.best_pair,
         |oid| invisible(exclude, &units, oid),
-        seed.map(|s| &s.parts[..]),
-        capturing.then_some(&mut snapshots),
+        seed.map(|s| &s.skyline),
+        capturing.then_some(&mut snapshot),
     );
     if let Some(out) = capture {
-        // A seed has a snapshot of every part or does not exist.
-        *out = (snapshots.len() == versions.len()).then(|| EvalSeed {
-            versions: pinned().flatten().collect(),
-            parts: snapshots,
-        });
+        *out = versions
+            .zip(snapshot)
+            .map(|(versions, skyline)| EvalSeed { versions, skyline });
     }
     let budget = functions.n_alive().min(run.pinned_objects() as usize);
     let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
@@ -803,9 +723,9 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
 /// order [`Matching::pairs`] documents — the evaluation's, pair for
 /// pair, capacitated or not.
 ///
-/// Generic over the node source it *owns*: an [`mpq_rtree::IoSession`]
-/// when streaming from a shared [`Engine`](crate::Engine) (per-run I/O
-/// attribution).
+/// Generic over the node source it *owns*: the forest of
+/// [`mpq_rtree::IoSession`]s, one per shard, when streaming from a
+/// shared [`Engine`](crate::Engine) (per-run I/O attribution).
 pub struct SbStream<R: NodeSource> {
     run: SbRun<R>,
     multi_pair: bool,
@@ -829,8 +749,7 @@ impl<R: NodeSource> SbStream<R> {
         self.metrics()
     }
 
-    /// Number of objects currently on the maintained skyline (the
-    /// union of the per-shard skylines on a sharded backend).
+    /// Number of objects currently on the maintained skyline.
     pub fn skyline_len(&self) -> usize {
         self.run.skyline_len()
     }
@@ -858,7 +777,7 @@ impl<R: NodeSource> SbStream<R> {
                 continue;
             }
             let (mo, ms) = *list.last().unwrap();
-            for e in self.run.parts.iter().flat_map(|p| p.skyline.iter()) {
+            for e in self.run.skyline.iter() {
                 let s = scratch.fs.score(*fid, e.point);
                 let better = s > ms || (s == ms && e.oid < mo);
                 if better && !list.iter().any(|&(o, _)| o == e.oid) {

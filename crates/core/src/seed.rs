@@ -10,7 +10,7 @@
 //! build. In the terms of Chomicki's query modification it is the part
 //! of the answer that survives **any** change of a monotone preference.
 //!
-//! An [`EvalSeed`] is that part: per shard, the
+//! An [`EvalSeed`] is that part: the
 //! [`SkylineMaintainer`] exactly as BBS left it, before anything was
 //! peeled. A cold run captures it right after the build; any later run
 //! against the same inventory — whatever its functions, exclusions or
@@ -25,7 +25,7 @@
 //! the run that captured a seed goes on sharing with it, and nothing a
 //! seed shares is ever written.
 //! Capture and resume are one function — the priming step of
-//! [`crate::sb`]'s run state — whichever engine, shard or stream asks.
+//! [`crate::sb`]'s run state — whatever the shard count.
 //! A run that resumed captures nothing: it would only reproduce the
 //! seed it was handed.
 //!
@@ -41,7 +41,7 @@
 //!
 //! Seeds are **pinned to the exact inventory**: the snapshot's pruned
 //! entries reference R-tree pages of the version vector it was captured
-//! at, so a seed is only usable while the backend's versions are
+//! at, so a seed is only usable while the engine's versions are
 //! bit-equal to [`EvalSeed::versions`]. The result cache keeps at most
 //! one — a seed is a property of the inventory, not of a cached request
 //! — and hands it to every miss at exactly that vector; the evaluation
@@ -55,24 +55,23 @@ use mpq_skyline::SkylineMaintainer;
 /// [module docs](self)).
 ///
 /// Opaque by design: obtain one from
-/// [`MatchRequest::evaluate_seeded`](crate::MatchRequest::evaluate_seeded)
-/// (or its sharded twin), or let the serving layer capture and apply
-/// it transparently through the result cache.
+/// [`MatchRequest::evaluate_seeded`](crate::MatchRequest::evaluate_seeded),
+/// or let the serving layer capture and apply it transparently through
+/// the result cache.
 #[derive(Clone)]
 pub struct EvalSeed {
-    /// Per-shard inventory version vector at capture time (one
-    /// component for an unsharded engine). The seed is valid only while
-    /// the backend's vector is bit-equal.
+    /// Per-shard inventory version vector at capture time. The seed is
+    /// valid only while the engine's vector is bit-equal.
     pub(crate) versions: Vec<u64>,
-    /// One un-peeled BBS snapshot per shard, in shard order.
-    pub(crate) parts: Vec<SkylineMaintainer>,
+    /// The un-peeled BBS snapshot over the forest of the shards.
+    pub(crate) skyline: SkylineMaintainer,
 }
 
 impl std::fmt::Debug for EvalSeed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalSeed")
             .field("versions", &self.versions)
-            .field("parts", &self.parts.len())
+            .field("members", &self.skyline.len())
             .field("approx_bytes", &self.approx_bytes())
             .finish()
     }
@@ -84,12 +83,7 @@ impl EvalSeed {
         &self.versions
     }
 
-    /// Number of per-shard parts (1 for an unsharded engine).
-    pub fn parts(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// True iff the seed may prime an evaluation against a backend
+    /// True iff the seed may prime an evaluation against an engine
     /// currently at `versions` — requires bit-equality, because the
     /// snapshot's pruned entries reference pages of that exact epoch.
     pub fn usable_at(&self, versions: &[u64]) -> bool {
@@ -98,12 +92,8 @@ impl EvalSeed {
 
     /// Approximate heap footprint, for cache byte accounting.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<EvalSeed>()
+        std::mem::size_of_val(&self.versions)
             + self.versions.len() * 8
-            + self
-                .parts
-                .iter()
-                .map(SkylineMaintainer::approx_bytes)
-                .sum::<usize>()
+            + self.skyline.approx_bytes()
     }
 }

@@ -1,7 +1,6 @@
 //! The async serving layer: a submission queue in front of a shared
-//! [`EvalBackend`] — an [`Engine`](crate::Engine) or a
-//! [`ShardedEngine`](crate::ShardedEngine), the service never asks
-//! which — with cross-request result caching and in-flight dedupe.
+//! [`Engine`] — of one shard or many, the service never asks — with
+//! cross-request result caching and in-flight dedupe.
 //!
 //! The paper's premise (§I) is *many* preference queries arriving
 //! against one inventory — but a pre-collected synchronous batch
@@ -19,8 +18,8 @@
 //!   **bounded** submission queue — when it is full the configured
 //!   [`BackpressurePolicy`] either blocks the submitter or rejects with
 //!   [`MpqError::Overloaded`];
-//! * requests are built in one way, whatever engine is served:
-//!   `client.submit(client.backend().request(&functions))`;
+//! * requests are built against the served engine:
+//!   `client.submit(client.engine().request(&functions))`;
 //! * every submission returns a [`Ticket`] — a std-only future
 //!   (`Condvar`-backed oneshot, mirroring the `shims/` philosophy of
 //!   zero external dependencies) that can be blocked on ([`Ticket::wait`],
@@ -56,12 +55,13 @@
 //! `tests/cache.rs`).
 //!
 //! There is exactly one scheduling code path: every worker — the
-//! long-lived service's threads holding an [`Arc`] of the backend, and
-//! the scoped workers of a batch (`evaluate_batch` on either engine or
-//! on `dyn EvalBackend`, a submit-all-then-wait run with caching off —
-//! a batch is explicit about its request list) borrowing it — runs the
-//! same worker loop over the same `ServiceCore`, and evaluates through
-//! the one [`EvalBackend::evaluate_seeded`] call.
+//! long-lived service's threads holding an [`Arc`] of the engine, and
+//! the scoped workers of a batch
+//! ([`Engine::evaluate_batch`], a submit-all-then-wait run
+//! with caching off — a batch is explicit about its request list)
+//! borrowing it — runs the same worker loop over the same
+//! `ServiceCore`, and evaluates through the engine's one seed-capable
+//! evaluation call.
 
 use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -71,9 +71,8 @@ use std::time::{Duration, Instant};
 
 use mpq_ta::FunctionSet;
 
-use crate::backend::EvalBackend;
 use crate::cache::{request_key, CacheMetrics, MutationLog, RequestKey, ResultCache};
-use crate::engine::{MatchRequest, RequestOptions};
+use crate::engine::{BatchMetrics, BatchOutcome, Engine, MatchRequest, RequestOptions};
 use crate::error::MpqError;
 use crate::matching::Matching;
 use crate::scratch::Scratch;
@@ -526,7 +525,7 @@ struct CacheLayer {
 /// (Arc'd workers) and the scoped batch wrapper (borrowing workers): a
 /// bounded `Mutex + Condvar` priority queue with backpressure, eager
 /// deadlines, result caching + dedupe, and rolling metrics.
-/// Backend-agnostic — the backend is passed to [`worker_loop`], which
+/// It holds no engine — the engine is passed to [`worker_loop`], which
 /// is what lets one core serve both ownership models.
 pub(crate) struct ServiceCore<'a> {
     workers: usize,
@@ -815,7 +814,7 @@ impl<'a> ServiceCore<'a> {
     /// The full service submission path: consult the result cache, then
     /// the in-flight index (attach to an identical queued/running job),
     /// and only then pay a queue slot. `versions` is the submitting
-    /// backend's inventory version vector — one component per shard,
+    /// engine's inventory version vector — one component per shard,
     /// exactly one for an unsharded engine. Cache entries stamped
     /// from any other inventory are misses, except that `logs` (the
     /// per-shard [`MutationLog`]s) may revalidate an older entry whose
@@ -972,11 +971,11 @@ impl<'a> ServiceCore<'a> {
         }
     }
 
-    /// Run one popped job to resolution on `backend`, then release its
+    /// Run one popped job to resolution on `engine`, then release its
     /// in-flight slot: close the group, expire lapsed members, evaluate
     /// once, publish to the cache, fan the result out to every surviving
     /// member.
-    fn execute(&self, backend: &dyn EvalBackend, job: Job<'_>, scratch: &mut Scratch) {
+    fn execute(&self, engine: &Engine, job: Job<'_>, scratch: &mut Scratch) {
         // Claim: close the group first so an identical submission
         // arriving from here on starts a fresh job instead of racing the
         // fan-out; then expire members whose deadline lapsed before
@@ -1004,7 +1003,7 @@ impl<'a> ServiceCore<'a> {
         // version, so stamping the result with a possibly-older version
         // only makes the cache conservative. Reading the version *after*
         // evaluating would stamp a pre-mutation result as current.
-        let versions = backend.version_vector();
+        let versions = engine.version_vector();
         // The seed is only honored if it was captured at exactly this
         // inventory (the evaluation re-checks against its own pinned
         // snapshot and may still decline). A job without one runs cold
@@ -1015,7 +1014,7 @@ impl<'a> ServiceCore<'a> {
         let capture = (seed.is_none() && job.group.key.is_some() && self.cached.is_some())
             .then_some(&mut captured);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            backend.evaluate_seeded(&job.functions, &job.options, scratch, seed, capture)
+            engine.evaluate_seeded(&job.functions, &job.options, scratch, seed, capture)
         }))
         .unwrap_or_else(|_| {
             // The scratch may have been mid-mutation; replace it.
@@ -1034,7 +1033,7 @@ impl<'a> ServiceCore<'a> {
         // that observed its ticket resolve and immediately resubmits
         // must hit.
         if let (Some(key), Some(cached), Ok(matching)) = (&job.group.key, &self.cached, &result) {
-            let logs = backend.mutation_logs();
+            let logs = engine.mutation_logs();
             // A seed captured from a snapshot newer than the publish
             // stamp (a mutation landed mid-evaluation) is not the
             // skyline at `versions`: drop it, publish the matching
@@ -1143,12 +1142,98 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// A worker's whole life: pop, evaluate, resolve, repeat — one
 /// persistent [`Scratch`] across the entire stream — until shutdown
 /// drains the queue. Shared verbatim between the long-lived service
-/// (Arc'd backend) and the scoped batch wrapper (borrowed engine).
-pub(crate) fn worker_loop(core: &ServiceCore<'_>, backend: &dyn EvalBackend) {
+/// (Arc'd engine) and the scoped batch wrapper (borrowed engine).
+fn worker_loop(core: &ServiceCore<'_>, engine: &Engine) {
     let mut scratch = Scratch::new();
     while let Some(job) = core.next_job() {
-        core.execute(backend, job, &mut scratch);
+        core.execute(engine, job, &mut scratch);
     }
+}
+
+/// The one batch path ([`Engine::evaluate_batch`]): a
+/// submit-all-then-wait run of the service's own scheduling core over
+/// scoped workers borrowing `engine`.
+pub(crate) fn evaluate_batch(
+    engine: &Engine,
+    requests: &[MatchRequest<'_, '_>],
+    threads: usize,
+) -> Result<BatchOutcome, MpqError> {
+    let wall_start = Instant::now();
+    let n = requests.len();
+    let threads = resolved_workers(threads).clamp(1, n.max(1));
+
+    // Fail fast: all evaluation errors are request-shape errors, so an
+    // invalid request is caught here — in input order — before any work
+    // is spent on the rest of the batch. Requests built on a *different*
+    // engine are refused outright (same guard as
+    // `ServiceClient::submit_with`): these workers would otherwise
+    // evaluate them against the wrong inventory.
+    for request in requests {
+        if !request.targets(engine) {
+            return Err(MpqError::UnsupportedRequest(
+                "request was built against a different engine than this batch's",
+            ));
+        }
+        request.validate()?;
+    }
+
+    // The batch is one drained service run: a queue sized to the batch
+    // (so submission never blocks), FIFO order, scoped workers borrowing
+    // the engine instead of the long-lived service's Arc. The queue
+    // payloads are *borrowed* from `requests` (the workers cannot
+    // outlive the slice), so no request is cloned to travel the queue.
+    // Caching is off: a batch is explicit about its request list, and
+    // per-request [`RunMetrics`](crate::RunMetrics) stay exact only when
+    // every request pays its own run.
+    let core = ServiceCore::new(
+        &ServiceConfig::default()
+            .workers(threads)
+            .queue_capacity(n.max(1))
+            .cache_capacity(0),
+        threads,
+    );
+    let mut results: Vec<Result<Matching, MpqError>> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let core = &core;
+            scope.spawn(move || worker_loop(core, engine));
+        }
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                let (functions, options) = r.parts();
+                core.enqueue(
+                    Cow::Borrowed(functions),
+                    Cow::Borrowed(options),
+                    SubmitOptions::default(),
+                )
+                .expect("batch queue is sized to the batch and not shutting down")
+            })
+            .collect();
+        results.extend(tickets.into_iter().map(|t| t.wait()));
+        // All tickets resolved: let the scoped workers drain out so the
+        // scope can join them.
+        core.begin_shutdown();
+    });
+
+    let mut matchings = Vec::with_capacity(n);
+    let mut metrics = BatchMetrics {
+        threads,
+        requests: n,
+        ..BatchMetrics::default()
+    };
+    for result in results {
+        let m = result?;
+        let met = m.metrics();
+        metrics.io += met.io;
+        metrics.cpu_total += met.elapsed;
+        metrics.loops += met.loops;
+        metrics.top1_searches += met.top1_searches;
+        metrics.reverse_top1_calls += met.reverse_top1_calls;
+        matchings.push(m);
+    }
+    metrics.wall = wall_start.elapsed();
+    Ok(BatchOutcome::from_parts(matchings, metrics))
 }
 
 /// Rolling service health counters (see [`EngineService::metrics`]).
@@ -1192,10 +1277,9 @@ pub struct ServiceMetrics {
     /// [`HealthState::Healthy`] in snapshots taken through a bare
     /// `ServiceCore` without an engine attached).
     pub health: HealthState,
-    /// Per-shard gauges when the service serves a
-    /// [`ShardedEngine`](crate::ShardedEngine) — one entry per shard, in
-    /// shard order. Empty for an unsharded engine (and in snapshots
-    /// taken through a bare `ServiceCore`).
+    /// Per-shard gauges of the served engine — one entry per shard, in
+    /// shard order (empty in snapshots taken through a bare
+    /// `ServiceCore`).
     pub shards: Vec<ShardGauges>,
     /// Time since the service was spawned.
     pub uptime: Duration,
@@ -1216,7 +1300,7 @@ pub struct ServiceMetrics {
 
 impl ServiceMetrics {
     /// Completed requests per second of uptime. Guarded arithmetic
-    /// (shared with [`BatchMetrics`](crate::BatchMetrics)): zero
+    /// (shared with [`BatchMetrics`]): zero
     /// completions or zero uptime yield `0.0`, never `inf` or NaN.
     pub fn requests_per_sec(&self) -> f64 {
         safe_rate(self.completed, self.uptime)
@@ -1330,7 +1414,8 @@ impl std::fmt::Display for ServiceMetrics {
         if self.storage != mpq_rtree::IoStats::default() {
             writeln!(f, "storage {}", self.storage)?;
         }
-        if !self.shards.is_empty() {
+        // Skew is between shards: one has none to show.
+        if self.shards.len() > 1 {
             writeln!(
                 f,
                 "shards {}  objects [{}]",
@@ -1424,7 +1509,7 @@ struct HealthInner {
 /// Callers report outcomes ([`HealthMonitor::report_failure`] /
 /// [`HealthMonitor::report_success`]) and ask when the next repair
 /// attempt is due ([`HealthMonitor::probe_due`]); the network tenant
-/// runs the actual probe (an [`EvalBackend::checkpoint`] retry) and reports
+/// runs the actual probe (an [`Engine::checkpoint`] retry) and reports
 /// its outcome back.
 pub struct HealthMonitor {
     inner: Mutex<HealthInner>,
@@ -1536,18 +1621,14 @@ impl HealthMonitor {
     }
 }
 
-/// A long-lived worker pool serving one shared [`EvalBackend`] — an
-/// [`Engine`](crate::Engine) or a [`ShardedEngine`](crate::ShardedEngine)
-/// alike — through a bounded submission queue (see the
-/// [module docs](self)).
+/// A long-lived worker pool serving one shared [`Engine`] through a
+/// bounded submission queue (see the [module docs](self)).
 ///
-/// Spawn with [`Engine::serve`](crate::Engine::serve),
-/// [`ShardedEngine::serve`](crate::ShardedEngine::serve) or
-/// [`EngineService::spawn`]; feed it through [`ServiceClient`] handles;
+/// Spawn with [`Engine::serve`] or [`EngineService::spawn`]; feed it through [`ServiceClient`] handles;
 /// stop it with [`EngineService::shutdown`] (dropping the service shuts
 /// down gracefully too, draining all queued work first).
 pub struct EngineService {
-    backend: Arc<dyn EvalBackend>,
+    engine: Arc<Engine>,
     core: Arc<ServiceCore<'static>>,
     health: Arc<HealthMonitor>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -1567,45 +1648,41 @@ pub fn resolved_workers(requested: usize) -> usize {
 impl std::fmt::Debug for EngineService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineService")
-            .field("backend", &self.backend)
+            .field("engine", &self.engine)
             .field("workers", &self.handles.len())
             .finish()
     }
 }
 
-/// A metrics snapshot of `core` completed with what only the backend
+/// A metrics snapshot of `core` completed with what only the engine
 /// and the health monitor know.
-fn full_metrics(
-    core: &ServiceCore<'_>,
-    backend: &dyn EvalBackend,
-    health: &HealthMonitor,
-) -> ServiceMetrics {
+fn full_metrics(core: &ServiceCore<'_>, engine: &Engine, health: &HealthMonitor) -> ServiceMetrics {
     let mut m = core.metrics_snapshot();
-    m.storage = backend.storage_stats();
+    m.storage = engine.storage_stats();
     m.health = health.state();
-    m.shards = backend.shard_gauges();
+    m.shards = engine.shard_gauges();
     m
 }
 
 impl EngineService {
-    /// Start a worker pool over `backend`. Each worker owns a persistent
+    /// Start a worker pool over `engine`. Each worker owns a persistent
     /// [`Scratch`] for its whole lifetime, so steady-state evaluations
     /// reuse warm buffers instead of allocating per request.
-    pub fn spawn(backend: Arc<dyn EvalBackend>, config: ServiceConfig) -> EngineService {
+    pub fn spawn(engine: Arc<Engine>, config: ServiceConfig) -> EngineService {
         let workers = resolved_workers(config.workers);
         let core = Arc::new(ServiceCore::new(&config, workers));
         let handles = (0..workers)
             .map(|i| {
                 let core = Arc::clone(&core);
-                let backend = Arc::clone(&backend);
+                let engine = Arc::clone(&engine);
                 std::thread::Builder::new()
                     .name(format!("mpq-worker-{i}"))
-                    .spawn(move || worker_loop(&core, &*backend))
+                    .spawn(move || worker_loop(&core, &engine))
                     .expect("spawn service worker")
             })
             .collect();
         EngineService {
-            backend,
+            engine,
             core,
             health: Arc::new(HealthMonitor::new()),
             handles,
@@ -1624,15 +1701,15 @@ impl EngineService {
     /// [`MpqError::ServiceStopped`].
     pub fn client(&self) -> ServiceClient {
         ServiceClient {
-            backend: Arc::clone(&self.backend),
+            engine: Arc::clone(&self.engine),
             core: Arc::clone(&self.core),
             health: Arc::clone(&self.health),
         }
     }
 
-    /// The served backend.
-    pub fn backend(&self) -> &Arc<dyn EvalBackend> {
-        &self.backend
+    /// The served engine.
+    pub fn engine(&self) -> &Arc<Engine> {
+        &self.engine
     }
 
     /// Worker threads in the pool.
@@ -1642,7 +1719,7 @@ impl EngineService {
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        full_metrics(&self.core, &*self.backend, &self.health)
+        full_metrics(&self.core, &self.engine, &self.health)
     }
 
     /// Requests queued and not yet claimed by a worker, right now — a
@@ -1687,7 +1764,7 @@ impl Drop for EngineService {
 /// [`EngineService`].
 #[derive(Clone)]
 pub struct ServiceClient {
-    backend: Arc<dyn EvalBackend>,
+    engine: Arc<Engine>,
     core: Arc<ServiceCore<'static>>,
     health: Arc<HealthMonitor>,
 }
@@ -1695,44 +1772,39 @@ pub struct ServiceClient {
 impl std::fmt::Debug for ServiceClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceClient")
-            .field("backend", &self.backend)
+            .field("engine", &self.engine)
             .finish()
     }
 }
 
 impl ServiceClient {
-    /// The served backend — build requests against it:
-    /// `client.submit(client.backend().request(&functions))`.
-    pub fn backend(&self) -> &dyn EvalBackend {
-        &*self.backend
+    /// The served engine — build requests against it:
+    /// `client.submit(client.engine().request(&functions))`.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// Submit a request with default [`SubmitOptions`] (no deadline,
     /// priority 0).
-    pub fn submit<B: EvalBackend + ?Sized>(
-        &self,
-        request: MatchRequest<'_, '_, B>,
-    ) -> Result<Ticket, MpqError> {
+    pub fn submit(&self, request: MatchRequest<'_, '_>) -> Result<Ticket, MpqError> {
         self.submit_with(request, SubmitOptions::default())
     }
 
     /// Submit a request with a deadline and/or priority. The request
-    /// must have been built against the served backend — through
-    /// [`ServiceClient::backend`] or the concrete engine behind it; one
-    /// built on any other backend is refused with
-    /// [`MpqError::UnsupportedRequest`]. It is validated *now* — shape
+    /// must have been built against the served engine; one built on
+    /// any other is refused with [`MpqError::UnsupportedRequest`]. It is validated *now* — shape
     /// errors surface to the submitter instead of travelling to a worker
-    /// — then served from the result cache (stamped with the backend's
+    /// — then served from the result cache (stamped with the engine's
     /// version vector) if an identical request already completed against
     /// this inventory, attached to an identical queued/running job if
     /// one is in flight, and only otherwise detached (owned function-set
     /// copy + options) and enqueued under the backpressure policy.
-    pub fn submit_with<B: EvalBackend + ?Sized>(
+    pub fn submit_with(
         &self,
-        request: MatchRequest<'_, '_, B>,
+        request: MatchRequest<'_, '_>,
         options: SubmitOptions,
     ) -> Result<Ticket, MpqError> {
-        if !request.targets(&*self.backend) {
+        if !request.targets(&self.engine) {
             return Err(MpqError::UnsupportedRequest(
                 "request was built against a different engine than this service serves",
             ));
@@ -1743,14 +1815,14 @@ impl ServiceClient {
             functions,
             request_options,
             options,
-            &self.backend.version_vector(),
-            &self.backend.mutation_logs(),
+            &self.engine.version_vector(),
+            &self.engine.mutation_logs(),
         )
     }
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        full_metrics(&self.core, &*self.backend, &self.health)
+        full_metrics(&self.core, &self.engine, &self.health)
     }
 
     /// The service's storage [`HealthMonitor`] (shared with

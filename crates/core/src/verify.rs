@@ -100,13 +100,13 @@ pub fn verify_stable(
 /// Verify *weak* (score-only) stability: no unmatched combination
 /// `(f, o)` strictly improves the score of **both** sides.
 ///
-/// This is the right notion for degenerate inputs with duplicate points
-/// or zero weights, where the skyline-based matcher may pick a different
-/// — but score-identical — member of a duplicate group than the global
-/// id-order tie-break would (see the duplicate-semantics note in
-/// `mpq_skyline::maintain`). [`verify_stable`] additionally enforces the
-/// canonical id tie-breaks and should be used whenever all weights are
-/// strictly positive and no exact score ties are expected.
+/// This is the notion that survives degenerate inputs — zero weights,
+/// where a function is indifferent to an attribute and a dominated
+/// object may score as well as the one that dominates it — and the one
+/// to ask of a matching whose ids were substituted among duplicates.
+/// [`verify_stable`] additionally enforces the canonical id tie-breaks,
+/// which every algorithm here honours, duplicate points included (see
+/// the duplicate-semantics note in `mpq_skyline::maintain`).
 pub fn verify_weakly_stable(
     objects: &PointSet,
     functions: &FunctionSet,

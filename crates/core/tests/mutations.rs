@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mpq_core::capacity::verify_capacity_stable;
-use mpq_core::{verify_stable, Engine, EvalBackend, MpqError, Pair, ServiceConfig, ShardedEngine};
+use mpq_core::{verify_stable, Engine, MpqError, Pair, ServiceConfig};
 use mpq_datagen::WorkloadBuilder;
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -116,7 +116,7 @@ fn unrelated_cache_entries_survive_a_mutation() {
 
     let submit = |fs: &FunctionSet| {
         client
-            .submit(client.backend().request(fs))
+            .submit(client.engine().request(fs))
             .unwrap()
             .wait()
             .unwrap()
@@ -176,7 +176,7 @@ fn entries_excluding_the_mutated_object_survive() {
 
     let submit_excluding = || {
         client
-            .submit(client.backend().request(&fs).exclude([2u64]))
+            .submit(client.engine().request(&fs).exclude([2u64]))
             .unwrap()
             .wait()
             .unwrap()
@@ -207,7 +207,7 @@ fn stale_entries_are_swept_out_of_the_metrics() {
     let fs = base_functions();
 
     client
-        .submit(client.backend().request(&fs))
+        .submit(client.engine().request(&fs))
         .unwrap()
         .wait()
         .unwrap();
@@ -218,7 +218,7 @@ fn stale_entries_are_swept_out_of_the_metrics() {
     engine.insert_object(&[0.99, 0.99]).unwrap();
     let other = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
     client
-        .submit(client.backend().request(&other))
+        .submit(client.engine().request(&other))
         .unwrap()
         .wait()
         .unwrap();
@@ -272,13 +272,13 @@ fn concurrent_evaluations_race_mutations_safely() {
 
 /// Run `evaluations` while a second thread keeps inserting and removing
 /// `racer`.
-fn racing_an_insert(backend: &dyn EvalBackend, racer: &[f64], evaluations: impl FnOnce() + Send) {
+fn racing_an_insert(engine: &Engine, racer: &[f64], evaluations: impl FnOnce() + Send) {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                let oid = backend.insert_object(racer).unwrap();
-                backend.remove_object(oid).unwrap();
+                let oid = engine.insert_object(racer).unwrap();
+                engine.remove_object(oid).unwrap();
             }
         });
         // Join before stopping the mutator, and stop it even when an
@@ -295,7 +295,7 @@ fn racing_an_insert(backend: &dyn EvalBackend, racer: &[f64], evaluations: impl 
 /// into the snapshot that the vector does not cover. That object is
 /// available to an un-capacitated request and invisible to a
 /// capacitated one; it must never be an index out of bounds. And an
-/// exclusion that names its id holds on every backend, although the id
+/// exclusion that names its id holds on every engine, although the id
 /// lies past the vector.
 #[test]
 fn evaluations_racing_an_insert_stay_inside_their_vectors() {
@@ -319,8 +319,8 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
         inventories.push(next);
     }
     let n = w.objects.len() as u64;
-    let sharded = || ShardedEngine::builder().objects(&w.objects).shards(2);
-    let backends: [(Arc<dyn EvalBackend>, bool); 3] = [
+    let sharded = || Engine::builder().objects(&w.objects).shards(2);
+    let engines: [(Arc<Engine>, bool); 3] = [
         (
             Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
             true,
@@ -334,17 +334,17 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
             .map(|p| (p.fid, p.oid, p.score.to_bits()))
             .collect()
     };
-    for (backend, capacitated) in backends {
+    for (engine, capacitated) in engines {
         let evaluate = || {
-            let caps = vec![CAPACITY; backend.oid_bound() as usize];
-            let request = backend.request(&w.functions);
+            let caps = vec![CAPACITY; engine.oid_bound() as usize];
+            let request = engine.request(&w.functions);
             if capacitated {
                 request.capacities(&caps).evaluate()
             } else {
                 request.evaluate()
             }
         };
-        racing_an_insert(&*backend, &racer, || {
+        racing_an_insert(&engine, &racer, || {
             for _ in 0..EVALUATIONS {
                 let matching = match evaluate() {
                     Ok(matching) => matching,
@@ -362,7 +362,7 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
                     .collect();
                 racers.sort_unstable();
                 racers.dedup();
-                assert!(racers.len() <= backend.version_vector().len());
+                assert!(racers.len() <= engine.shard_count());
                 let pairs: Vec<Pair> = matching
                     .pairs()
                     .iter()
@@ -383,7 +383,7 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
             }
         });
 
-        assert_eq!(backend.n_objects(), w.objects.len());
+        assert_eq!(engine.n_objects(), w.objects.len());
         let fresh = Engine::builder().objects(&w.objects).build().unwrap();
         let request = fresh.request(&w.functions);
         let reference = if capacitated {
@@ -398,21 +398,21 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
         );
     }
 
-    // A request may exclude ids the backend has not minted yet (it read
+    // A request may exclude ids the engine has not minted yet (it read
     // `oid_bound()` first): the racer that then takes one of them is in
     // the snapshot, past every vector, and still excluded — on the
     // K-shard run as on `Engine`, which is the control.
     const AHEAD: u64 = 64;
-    let backends: [Arc<dyn EvalBackend>; 2] = [
+    let engines: [Arc<Engine>; 2] = [
         Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
         Arc::new(sharded().build().unwrap()),
     ];
-    for backend in backends {
-        racing_an_insert(&*backend, &racer, || {
+    for engine in engines {
+        racing_an_insert(&engine, &racer, || {
             for _ in 0..EVALUATIONS {
-                let bound = backend.oid_bound();
+                let bound = engine.oid_bound();
                 let excluded = bound..bound + AHEAD;
-                let matching = backend
+                let matching = engine
                     .request(&w.functions)
                     .exclude(excluded.clone())
                     .evaluate()
@@ -420,7 +420,7 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
                 for p in matching.pairs() {
                     assert!(
                         !excluded.contains(&p.oid),
-                        "{backend:?} assigned object {}, excluded as one of {excluded:?}",
+                        "{engine:?} assigned object {}, excluded as one of {excluded:?}",
                         p.oid
                     );
                 }

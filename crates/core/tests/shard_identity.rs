@@ -1,25 +1,26 @@
-//! Partitioned-engine acceptance: a [`ShardedEngine`] must be an
-//! invisible optimization. For every algorithm, shard count, exclusion
-//! set, capacity vector and interleaved mutation schedule, the
-//! run over the shards must produce matchings **bit-identical** to an
-//! unsharded [`Engine`] over the same objects — at one shard the very
-//! same run, count for count — and a sharded data
-//! directory must reopen (per-shard WAL replay included) to the same
-//! state. The result cache is stamped with a per-shard version vector,
-//! so a mutation on one shard must not evict entries whose matching
-//! only other shards' mutations could change.
+//! Shard-count acceptance: partitioning must be invisible. For every
+//! algorithm and knob, shard count, exclusion set, capacity vector and
+//! interleaved mutation schedule, an [`Engine`] of `K` shards must
+//! produce matchings **bit-identical** to the one-shard engine over the
+//! same objects — by the same run, count for count, and with the
+//! algorithm the request names, not a stand-in — and a data directory
+//! in either layout must reopen (per-shard WAL replay included) to the
+//! same state. The result cache is stamped with a per-shard version
+//! vector, so a mutation on one shard must not evict entries whose
+//! matching only other shards' mutations could change.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mpq_core::capacity::verify_capacity_stable;
 use mpq_core::{
-    reference_matching, reference_matching_excluding, verify_stable, Algorithm, Engine,
-    EngineService, EvalBackend, Matching, MpqError, Pair, Scratch, ServiceConfig, ShardedEngine,
-    SubmitOptions, Ticket,
+    reference_matching, reference_matching_excluding, verify_stable, Algorithm, BestPairMode,
+    BfStrategy, Engine, EngineService, IndexConfig, MaintenanceMode, MatchRequest, Matching,
+    MpqError, Pair, Scratch, ServiceConfig, ShardedEngine, SubmitOptions, Ticket,
 };
 use mpq_datagen::{Distribution, WorkloadBuilder};
-use mpq_rtree::{FaultInjector, Node, PageId, PointSet};
+use mpq_rtree::{FaultInjector, FaultOp, Forest, Node, NodeSource, PageId, PointSet, RTree};
 use mpq_skyline::SkylineMaintainer;
 use mpq_ta::FunctionSet;
 use proptest::prelude::*;
@@ -78,78 +79,55 @@ fn exact(pairs: &[Pair]) -> Vec<(u32, u64, u64)> {
         .collect()
 }
 
-/// The tentpole acceptance matrix: SB/BF/Chain × K ∈ {1, 2, 4, 8} ×
-/// {plain, exclusions, capacities}. Every cell must be bit-identical to
-/// the unsharded engine's answer.
+/// An in-memory engine over `objects` on `k` shards.
+fn engine(objects: &PointSet, k: usize) -> Engine {
+    Engine::builder()
+        .objects(objects)
+        .shards(k)
+        .build()
+        .unwrap()
+}
+
+/// The acceptance matrix: SB/BF/Chain × K ∈ {1, 2, 4, 8} × {plain,
+/// exclusions, capacities}. Every cell must be bit-identical to the
+/// one-tree engine's answer.
 #[test]
 fn sharded_matches_unsharded_for_all_algorithms_and_options() {
     let objects = seeded_points(240, 3, 0xA11CE);
     let fs = functions(3, 24, 0xB0B);
-    let single = Engine::builder().objects(&objects).build().unwrap();
+    let single = engine(&objects, 1);
     let exclude: Vec<u64> = vec![3, 17, 42, 99, 140];
     let capacities: Vec<u32> = (0..objects.len() as u64)
         .map(|oid| (oid % 3) as u32)
         .collect();
 
     for k in [1usize, 2, 4, 8] {
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(k)
-            .build()
-            .unwrap();
+        let sharded = engine(&objects, k);
         for alg in ALGORITHMS {
-            // Plain.
-            let want = single.request(&fs).algorithm(alg).evaluate().unwrap();
-            let got = sharded.request(&fs).algorithm(alg).evaluate().unwrap();
+            let plain = |engine: &Engine| engine.request(&fs).algorithm(alg).evaluate().unwrap();
             assert_eq!(
-                exact(&got.sorted_pairs()),
-                exact(&want.sorted_pairs()),
+                exact(&plain(&sharded).sorted_pairs()),
+                exact(&plain(&single).sorted_pairs()),
                 "plain, K={k}, {alg:?}"
             );
-
-            // Exclusions.
-            let want = single
-                .request(&fs)
-                .algorithm(alg)
-                .exclude(exclude.iter().copied())
-                .evaluate()
-                .unwrap();
-            let got = sharded
-                .request(&fs)
-                .algorithm(alg)
-                .exclude(exclude.iter().copied())
-                .evaluate()
-                .unwrap();
+            let masked = |engine: &Engine| {
+                let request = engine.request(&fs).algorithm(alg);
+                request.exclude(exclude.iter().copied()).evaluate().unwrap()
+            };
             assert_eq!(
-                exact(&got.sorted_pairs()),
-                exact(&want.sorted_pairs()),
+                exact(&masked(&sharded).sorted_pairs()),
+                exact(&masked(&single).sorted_pairs()),
                 "excluded, K={k}, {alg:?}"
             );
         }
 
-        // Capacities (SB only, same restriction as the unsharded engine).
-        let want = single
-            .request(&fs)
-            .capacities(&capacities)
-            .evaluate()
-            .unwrap();
-        let got = sharded
-            .request(&fs)
-            .capacities(&capacities)
-            .evaluate()
-            .unwrap();
+        // Capacities (SB only, at every shard count).
+        let capped = |engine: &Engine| engine.request(&fs).capacities(&capacities).evaluate();
         assert_eq!(
-            exact(&got.sorted_pairs()),
-            exact(&want.sorted_pairs()),
+            exact(&capped(&sharded).unwrap().sorted_pairs()),
+            exact(&capped(&single).unwrap().sorted_pairs()),
             "capacities, K={k}"
         );
-        let err = sharded
-            .request(&fs)
-            .algorithm(Algorithm::BruteForce)
-            .capacities(&capacities)
-            .evaluate()
-            .unwrap_err();
-        assert!(matches!(err, MpqError::UnsupportedRequest(_)), "{err:?}");
     }
 }
 
@@ -159,16 +137,172 @@ fn sharded_matches_unsharded_for_all_algorithms_and_options() {
 fn five_hash_shards_are_bit_identical_too() {
     let objects = seeded_points(180, 2, 0xCAFE);
     let fs = functions(2, 15, 0xF00D);
-    let single = Engine::builder().objects(&objects).build().unwrap();
-    let sharded = ShardedEngine::builder()
-        .objects(&objects)
-        .shards(5)
-        .build()
-        .unwrap();
+    let (single, sharded) = (engine(&objects, 1), engine(&objects, 5));
     for alg in ALGORITHMS {
         let want = single.request(&fs).algorithm(alg).evaluate().unwrap();
         let got = sharded.request(&fs).algorithm(alg).evaluate().unwrap();
         assert_eq!(exact(&got.sorted_pairs()), exact(&want.sorted_pairs()));
+    }
+}
+
+/// One request configuration: the knobs it turns on a default request.
+type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+
+/// Every request an engine evaluates with another loop, or the SB loop
+/// with another knob, than the default. `true`: an SB run, whose pairs
+/// come in the one-shard engine's order from its number of rounds and
+/// reverse top-1 scans.
+const CONFIGURATIONS: [(&str, Knobs, bool); 8] = [
+    ("bf", |r| r.algorithm(Algorithm::BruteForce), false),
+    (
+        "bf-restart",
+        |r| {
+            r.algorithm(Algorithm::BruteForce)
+                .bf_strategy(BfStrategy::Restart)
+        },
+        false,
+    ),
+    ("chain", |r| r.algorithm(Algorithm::Chain), false),
+    ("rescan", |r| r.maintenance(MaintenanceMode::Rescan), true),
+    (
+        "ta-naive",
+        |r| r.best_pair(BestPairMode::TaNaiveThreshold),
+        true,
+    ),
+    ("scan", |r| r.best_pair(BestPairMode::Scan), true),
+    ("single-pair", |r| r.multi_pair(false), true),
+    ("excluded", |r| r.exclude((0..600).step_by(7)), true),
+];
+
+/// The knobs mean on `K` shards what they mean on one: every algorithm,
+/// maintenance mode, strategy, stream and session runs — itself, as its
+/// own counters show, not the default SB run in its place — over the
+/// forest of the shards and reports the one-shard engine's matching,
+/// score bit for score bit; and what an engine refuses, it refuses in
+/// the same words at every shard count.
+#[test]
+fn every_algorithm_runs_on_every_shard_count() {
+    for (distribution, seed) in [
+        (Distribution::Independent, 2009),
+        (Distribution::AntiCorrelated, 7),
+        (Distribution::Correlated, 97),
+    ] {
+        let w = WorkloadBuilder::new()
+            .objects(1_500)
+            .functions(45)
+            .dim(3)
+            .distribution(distribution)
+            .seed(seed)
+            .build();
+        let (objects, fs) = (w.objects, w.functions);
+        let single = engine(&objects, 1);
+        let default = single.request(&fs).evaluate().unwrap();
+        verify_stable(&objects, &fs, default.pairs()).unwrap();
+        let caps: Vec<u32> = (0..objects.len()).map(|i| (i % 3) as u32).collect();
+        let batches: Vec<FunctionSet> = (0..3)
+            .map(|b| {
+                let rows: Vec<Vec<f64>> = (fs.iter_alive().skip(15 * b).take(15))
+                    .map(|(_, w)| w.to_vec())
+                    .collect();
+                FunctionSet::from_rows(3, &rows)
+            })
+            .collect();
+        let session = |engine: &Engine| -> Vec<Vec<(u32, u64, u64)>> {
+            let mut session = engine.session();
+            let served = batches.iter().map(|batch| session.submit(batch).unwrap());
+            served.map(|m| exact(m.pairs())).collect()
+        };
+        let refusals = |engine: &Engine| -> Vec<MpqError> {
+            let request = || engine.request(&fs);
+            let capped = || request().capacities(&caps);
+            vec![
+                capped().algorithm(Algorithm::BruteForce).evaluate().err(),
+                capped().algorithm(Algorithm::Chain).evaluate().err(),
+                capped()
+                    .maintenance(MaintenanceMode::Rescan)
+                    .evaluate()
+                    .err(),
+                request().algorithm(Algorithm::Chain).stream().err(),
+                request()
+                    .maintenance(MaintenanceMode::Rescan)
+                    .stream()
+                    .err(),
+            ]
+            .into_iter()
+            .map(|refusal| refusal.expect("refused"))
+            .collect()
+        };
+        let refused = refusals(&single);
+        let unsupported = MpqError::UnsupportedRequest;
+        assert_eq!(
+            refused,
+            [
+                unsupported("capacities are only supported with Algorithm::Sb"),
+                unsupported("capacities are only supported with Algorithm::Sb"),
+                unsupported("capacities do not support the rescan maintenance ablation"),
+                unsupported("streaming is only supported with Algorithm::Sb"),
+                unsupported("streaming requires incremental skyline maintenance"),
+            ]
+        );
+
+        for k in [1usize, 2, 4, 5, 8] {
+            let sharded = engine(&objects, k);
+            let case = |name: &str| format!("{distribution:?}, K={k}, {name}");
+            for (name, knobs, sb) in CONFIGURATIONS {
+                let want = knobs(single.request(&fs)).evaluate().unwrap();
+                let got = knobs(sharded.request(&fs)).evaluate().unwrap();
+                let (met, want_met) = (got.metrics(), want.metrics());
+                assert_eq!(
+                    exact(&got.sorted_pairs()),
+                    exact(&want.sorted_pairs()),
+                    "{}",
+                    case(name)
+                );
+                if name != "excluded" {
+                    assert_eq!(exact(&got.sorted_pairs()), exact(&default.sorted_pairs()));
+                }
+                if sb {
+                    assert_eq!(exact(got.pairs()), exact(want.pairs()), "{}", case(name));
+                    let rounds = [met.loops, met.reverse_top1_calls];
+                    let want_rounds = [want_met.loops, want_met.reverse_top1_calls];
+                    assert_eq!(rounds, want_rounds, "{}", case(name));
+                    assert_eq!(met.top1_searches, 0, "{}", case(name));
+                } else {
+                    assert!(met.top1_searches >= 45, "{}", case(name));
+                    assert_eq!(met.top1_searches, want_met.top1_searches, "{}", case(name));
+                    assert!(met.skyline.is_none(), "{}: no skyline", case(name));
+                }
+            }
+
+            // Rescan is one BBS a loop, not a maintained skyline: it
+            // reads every root again each round.
+            let rescan = sharded.request(&fs).maintenance(MaintenanceMode::Rescan);
+            let rescan = rescan.evaluate().unwrap();
+            let incremental = sharded.request(&fs).evaluate().unwrap();
+            assert!(rescan.metrics().skyline.is_none(), "{}", case("rescan"));
+            assert!(rescan.metrics().io.logical >= rescan.metrics().loops * k as u64);
+            assert!(rescan.metrics().io.logical > incremental.metrics().io.logical);
+
+            let capped = sharded.request(&fs).capacities(&caps).evaluate().unwrap();
+            let want = single.request(&fs).capacities(&caps).evaluate().unwrap();
+            assert_eq!(
+                exact(capped.pairs()),
+                exact(want.pairs()),
+                "{}",
+                case("caps")
+            );
+            verify_capacity_stable(&objects, &fs, &caps, capped.pairs()).unwrap();
+
+            let streamed: Vec<Pair> = sharded.stream(&fs).unwrap().collect();
+            assert_eq!(
+                exact(&streamed),
+                exact(default.pairs()),
+                "{}",
+                case("stream")
+            );
+            assert_eq!(session(&sharded), session(&single), "{}", case("session"));
+            assert_eq!(refusals(&sharded), refused, "{}", case("refusals"));
+        }
     }
 }
 
@@ -195,8 +329,10 @@ fn counts(m: &Matching) -> (Vec<(u32, u64, u64)>, [u64; 4]) {
     (exact(m.pairs()), work)
 }
 
-/// A 1-shard evaluation *is* the engine's: not only the same matching
-/// but the same run — cold, resumed, with exclusions, capacitated.
+/// One shard is one tree, under either name of the engine: not only the
+/// same matching but the same run — cold, resumed, with exclusions,
+/// capacitated — down to the page reads: a forest of one part reads
+/// what its tree would.
 #[test]
 fn one_shard_is_the_engine_by_counts() {
     for distribution in [Distribution::Independent, Distribution::AntiCorrelated] {
@@ -206,9 +342,9 @@ fn one_shard_is_the_engine_by_counts() {
         let sharded = sharded.build().unwrap();
         let units = vec![1; objects.len()];
 
-        let shapes = |backend: &dyn EvalBackend| {
+        let shapes = |engine: &Engine| {
             let mut scratch = Scratch::new();
-            let request = || backend.request(&fs);
+            let request = || engine.request(&fs);
             let (cold, seed) = request().evaluate_seeded(&mut scratch, None).unwrap();
             let seed = seed.expect("a cold run captures");
             let resume = request().evaluate_seeded(&mut scratch, Some(&seed));
@@ -218,15 +354,37 @@ fn one_shard_is_the_engine_by_counts() {
             let excluded = request().exclude(taken).evaluate().unwrap();
             let unit = request().capacities(&units).evaluate().unwrap();
             assert_eq!(counts(&unit), counts(&cold), "{distribution:?}");
+
+            // The run over the bare tree, no engine or forest between.
+            let tree = engine.tree();
+            let before = tree.io_stats().logical;
+            let built = SkylineMaintainer::build(tree).stats().nodes_expanded;
+            assert_eq!(tree.io_stats().logical - before, built);
+            let cold_expanded = cold.metrics().skyline.unwrap().nodes_expanded;
+            let seeded_expanded = seeded.metrics().skyline.unwrap().nodes_expanded;
+            assert_eq!(cold_expanded - seeded_expanded, built, "{distribution:?}");
             [cold, seeded, excluded, unit].map(|m| counts(&m))
         };
         assert_eq!(shapes(&single), shapes(&sharded), "{distribution:?}");
     }
 }
 
-/// K shards run the engine's rounds: the union of the shards' skylines
-/// contains the skyline, and nothing outside the skyline is ever
-/// mutually best, so every round reports the engine's pairs.
+/// BBS over the forest of `engine`'s trees, run directly: the nodes it
+/// expanded — the forest's virtual root, which is no page, among them —
+/// and the pages it read.
+fn forest_bbs(engine: &Engine) -> (SkylineMaintainer, u64) {
+    let forest = Forest::new(engine.trees().collect());
+    let before = forest.io_snapshot().logical;
+    let skyline = SkylineMaintainer::build(&forest);
+    (skyline, forest.io_snapshot().logical - before)
+}
+
+/// K shards run the one-shard engine's rounds over the one-shard
+/// engine's skyline: the same pairs in the same order from the same
+/// rounds and reverse top-1 scans, a stream that holds the skyline — not
+/// a union of per-shard skylines — before and after pairs left it, and
+/// a BBS that reads no more pages than the shards' own would, because
+/// an object of one shard prunes subtrees of another.
 #[test]
 fn any_shard_count_runs_the_engines_rounds() {
     for (distribution, seed) in [
@@ -235,49 +393,65 @@ fn any_shard_count_runs_the_engines_rounds() {
         (Distribution::Correlated, 97),
     ] {
         let (objects, fs) = paper_shaped(distribution, seed);
-        let single = Engine::builder().objects(&objects).build().unwrap();
+        let single = engine(&objects, 1);
         let want = single.request(&fs).evaluate().unwrap();
         assert!(want.metrics().loops < 120, "multi-pair rounds");
+        let skyline_sizes = |engine: &Engine| {
+            let mut stream = engine.request(&fs).multi_pair(false).stream().unwrap();
+            let at_start = stream.skyline_len();
+            assert_eq!(stream.by_ref().take(6).count(), 6);
+            [at_start, stream.skyline_len()]
+        };
+        let want_sizes = skyline_sizes(&single);
+        assert_eq!(want_sizes[0], SkylineMaintainer::build(single.tree()).len());
         for k in [2usize, 4, 8] {
-            let sharded = ShardedEngine::builder().objects(&objects).shards(k);
-            let got = sharded.build().unwrap().evaluate(&fs).unwrap();
+            let sharded = engine(&objects, k);
+            let got = sharded.evaluate(&fs).unwrap();
             let context = format!("{distribution:?}, K={k}");
             assert_eq!(exact(got.pairs()), exact(want.pairs()), "{context}");
-            assert_eq!(got.metrics().loops, want.metrics().loops, "{context}");
+            let rounds = |m: &Matching| [m.metrics().loops, m.metrics().reverse_top1_calls];
+            assert_eq!(rounds(&got), rounds(&want), "{context}");
+            assert_eq!(skyline_sizes(&sharded), want_sizes, "{context}");
+
+            let alone = |tree: &RTree| SkylineMaintainer::build(tree).stats().nodes_expanded;
+            let per_shard: u64 = sharded.trees().map(alone).sum();
+            let (skyline, pages_read) = forest_bbs(&sharded);
+            assert_eq!(skyline.len(), want_sizes[0], "{context}");
+            assert_eq!(skyline.stats().nodes_expanded, pages_read + 1, "{context}");
             assert!(
-                got.metrics().reverse_top1_calls >= want.metrics().reverse_top1_calls,
-                "{context}: the union is no smaller than the skyline"
+                pages_read <= per_shard,
+                "{context}: {pages_read} pages read, {per_shard} by the shards alone"
             );
         }
     }
 }
 
-/// One seed for K shards: captured once by a cold run, resumed by the
-/// next — which skips exactly the K BBS builds — and declined as a
-/// whole once any shard has moved on.
+/// One seed for K shards — one snapshot, of the one skyline, stamped
+/// with the K versions: captured by a cold run, resumed by the next —
+/// which skips exactly the forest's BBS — and declined as a whole once
+/// any shard has moved on.
 #[test]
 fn a_sharded_seed_resumes_every_shard_or_none() {
     let (objects, fs) = paper_shaped(Distribution::AntiCorrelated, 2009);
-    let sharded = ShardedEngine::builder().objects(&objects).shards(4);
-    let sharded = sharded.build().unwrap();
+    let sharded = engine(&objects, 4);
     let mut scratch = Scratch::new();
     let expanded = |m: &Matching| m.metrics().skyline.unwrap().nodes_expanded;
 
     let request = sharded.request(&fs);
     let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
     let seed = seed.expect("a cold run over stable pins captures");
-    assert_eq!(seed.parts(), 4);
+    assert_eq!(seed.versions().len(), 4);
     assert_eq!(seed.versions(), sharded.version_vector());
     let (seeded, captured) = request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
     assert!(captured.is_none(), "a resumed run captures nothing");
     assert_eq!(exact(seeded.pairs()), exact(cold.pairs()));
-    assert!(expanded(&seeded) < expanded(&cold));
-    let builds = sharded.shards().iter().map(|shard| {
-        SkylineMaintainer::build(shard.tree())
-            .stats()
-            .nodes_expanded
-    });
-    assert_eq!(expanded(&cold) - expanded(&seeded), builds.sum::<u64>());
+    let bbs = forest_bbs(&sharded).0.stats().nodes_expanded;
+    assert_eq!(expanded(&cold) - expanded(&seeded), bbs);
+    assert_eq!(
+        cold.metrics().io.logical - seeded.metrics().io.logical,
+        bbs - 1,
+        "every node but the virtual root is a page"
+    );
 
     // A dominated insert lands on one shard and changes no matching,
     // but the seed is now stale in one component: nothing resumes.
@@ -287,7 +461,7 @@ fn a_sharded_seed_resumes_every_shard_or_none() {
     let (stale, recaptured) = request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
     let (fresh, _) = request.evaluate_seeded(&mut scratch, None).unwrap();
     assert_eq!(exact(stale.pairs()), exact(cold.pairs()));
-    assert_eq!(expanded(&stale), expanded(&fresh), "every shard ran cold");
+    assert_eq!(expanded(&stale), expanded(&fresh), "the run was cold");
     let recaptured = recaptured.expect("a declined seed is replaced");
     assert_eq!(recaptured.versions(), sharded.version_vector());
 }
@@ -299,12 +473,7 @@ fn a_sharded_seed_resumes_every_shard_or_none() {
 fn interleaved_mutations_preserve_bit_identity() {
     let objects = seeded_points(120, 3, 0x5EED);
     let fs = functions(3, 18, 0x1234);
-    let single = Engine::builder().objects(&objects).build().unwrap();
-    let sharded = ShardedEngine::builder()
-        .objects(&objects)
-        .shards(4)
-        .build()
-        .unwrap();
+    let (single, sharded) = (engine(&objects, 1), engine(&objects, 4));
 
     let compare = |step: &str| {
         for alg in ALGORITHMS {
@@ -340,10 +509,33 @@ fn interleaved_mutations_preserve_bit_identity() {
     compare("after updates");
 }
 
+/// The mutations of the recovery tests, through any engine's three
+/// entry points.
+fn mutate(engine: &Engine) {
+    let extra = seeded_points(6, 3, 0xE17A);
+    for (_, p) in extra.iter() {
+        engine.insert_object(p).unwrap();
+    }
+    engine.remove_object(3).unwrap();
+    engine.remove_object(78).unwrap();
+    let moved = seeded_points(2, 3, 0x1B);
+    for (i, (_, p)) in moved.iter().enumerate() {
+        engine.update_object(40 + i as u64, p).unwrap();
+    }
+}
+
+/// All three algorithms' matchings on `engine`, bit-exact.
+fn matchings(engine: &Engine, fs: &FunctionSet) -> Vec<Vec<(u32, u64, u64)>> {
+    let evaluate = |alg| engine.request(fs).algorithm(alg).evaluate().unwrap();
+    ALGORITHMS
+        .map(|alg| exact(&evaluate(alg).sorted_pairs()))
+        .into()
+}
+
 /// Crash-shaped recovery: build a persistent sharded engine, mutate it
 /// (no checkpoint — the per-shard WAL tails carry everything), drop it
 /// without any shutdown grace, and reopen the directory. The reopened
-/// engine must match an in-memory unsharded reference that applied the
+/// engine must match an in-memory one-shard reference that applied the
 /// same mutations, bit-for-bit, for all three algorithms.
 #[test]
 fn sharded_reopen_replays_per_shard_wals_to_bit_identity() {
@@ -351,61 +543,179 @@ fn sharded_reopen_replays_per_shard_wals_to_bit_identity() {
     let objects = seeded_points(150, 3, 0xD15C);
     let fs = functions(3, 20, 0x9);
 
-    let reference = Engine::builder().objects(&objects).build().unwrap();
-    let mutate = |insert: &mut dyn FnMut(&[f64]) -> u64,
-                  remove: &mut dyn FnMut(u64),
-                  update: &mut dyn FnMut(u64, &[f64])| {
-        let extra = seeded_points(6, 3, 0xE17A);
-        for (_, p) in extra.iter() {
-            insert(p);
-        }
-        remove(3);
-        remove(78);
-        let moved = seeded_points(2, 3, 0x1B);
-        for (i, (_, p)) in moved.iter().enumerate() {
-            update(40 + i as u64, p);
-        }
-    };
-    mutate(
-        &mut |p| reference.insert_object(p).unwrap(),
-        &mut |oid| reference.remove_object(oid).unwrap(),
-        &mut |oid, p| reference.update_object(oid, p).unwrap(),
-    );
-
+    let reference = engine(&objects, 1);
+    mutate(&reference);
     {
-        let disk = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(4)
-            .data_dir(&dir)
-            .build()
-            .unwrap();
-        mutate(
-            &mut |p| disk.insert_object(p).unwrap(),
-            &mut |oid| disk.remove_object(oid).unwrap(),
-            &mut |oid, p| disk.update_object(oid, p).unwrap(),
-        );
+        let disk = Engine::builder().objects(&objects).shards(4);
+        let disk = disk.data_dir(&dir).build().unwrap();
+        mutate(&disk);
         assert!(disk.wal_bytes() > 0, "mutations must hit the shard WALs");
         // Dropped here: no checkpoint, recovery is WAL replay alone.
     }
 
-    assert!(ShardedEngine::persisted_at(&dir));
-    let reopened = ShardedEngine::open(&dir).unwrap();
+    assert!(Engine::persisted_at(&dir));
+    let reopened = Engine::open(&dir).unwrap();
     assert_eq!(reopened.shard_count(), 4, "manifest preserves the layout");
     assert_eq!(reopened.n_objects(), reference.n_objects());
-    for alg in ALGORITHMS {
-        let want = reference.request(&fs).algorithm(alg).evaluate().unwrap();
-        let got = reopened.request(&fs).algorithm(alg).evaluate().unwrap();
-        assert_eq!(
-            exact(&got.sorted_pairs()),
-            exact(&want.sorted_pairs()),
-            "{alg:?}"
-        );
+    assert_eq!(matchings(&reopened, &fs), matchings(&reference, &fs));
+}
+
+/// Both on-disk layouts reopen through the one `open`, and the layout
+/// on disk decides: a bare page file is one shard, a manifest names its
+/// `shard-i/` — one of them too, as older builders wrote it — and
+/// `open_or_build` brings back what is there whatever `shards` asks
+/// for. A fresh build supersedes whatever layout the directory held.
+#[test]
+fn both_layouts_reopen_and_the_disk_decides() {
+    let objects = seeded_points(150, 3, 0xD15C);
+    let fs = functions(3, 20, 0x9);
+    let reference = engine(&objects, 1);
+    mutate(&reference);
+    let want = matchings(&reference, &fs);
+    let persist = |dir: &PathBuf, k: usize| {
+        let builder = Engine::builder().objects(&objects).shards(k);
+        mutate(&builder.data_dir(dir).build().unwrap());
+    };
+    let files = |dir: &PathBuf| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+
+    for (built_on, asked_for) in [(1usize, 4usize), (4, 1), (3, 8)] {
+        let dir = tmp_dir("layout");
+        persist(&dir, built_on);
+        if built_on == 1 {
+            assert_eq!(files(&dir), ["pages.mpq", "wal.mpq"], "the bare layout");
+        } else {
+            assert!(files(&dir).contains(&"shards.mpq".to_string()));
+        }
+        let reopened = Engine::open(&dir).unwrap();
+        assert_eq!(reopened.shard_count(), built_on);
+        assert_eq!(matchings(&reopened, &fs), want, "K={built_on}");
+        drop(reopened);
+        let hosted = Engine::builder().data_dir(&dir).shards(asked_for);
+        let hosted = hosted.open_or_build().unwrap();
+        assert_eq!(hosted.shard_count(), built_on, "the disk wins");
+        assert_eq!(hosted.n_objects(), reference.n_objects());
+        assert_eq!(matchings(&hosted, &fs), want, "K={built_on}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // What a one-shard sharded engine wrote before there was one type.
+    let dir = tmp_dir("old_manifest");
+    persist(&dir.join("shard-0"), 1);
+    let manifest = "mpq-shard-manifest/1\nshards=1\npartitioner=hash\n";
+    std::fs::write(dir.join("shards.mpq"), manifest).unwrap();
+    let reopened = Engine::open(&dir).unwrap();
+    assert_eq!(reopened.shard_count(), 1);
+    assert_eq!(matchings(&reopened, &fs), want, "old shards=1 manifest");
+    reopened.insert_object(&[0.5, 0.5, 0.5]).unwrap();
+    drop(reopened);
+    assert_eq!(files(&dir), ["shard-0", "shards.mpq"], "it stays as it was");
+    assert_eq!(Engine::open(&dir).unwrap().n_objects(), 155);
+
+    // A fresh one-shard build there is what the next open sees.
+    let fresh = Engine::builder().objects(&objects).data_dir(&dir);
+    drop(fresh.build().unwrap());
+    let reopened = Engine::open(&dir).unwrap();
+    assert_eq!(reopened.n_objects(), 150, "not the superseded shard-0");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // More shards than a forest numbers: a typed refusal, nothing built.
+    let dir = tmp_dir("too_many");
+    let refused = Engine::builder().objects(&objects).shards(257);
+    let refused = refused.data_dir(&dir).build().unwrap_err();
+    assert!(matches!(refused, MpqError::Forest(_)), "{refused:?}");
+    assert!(!dir.exists(), "refused before any file");
+    assert!(engine(&objects, 256).evaluate(&fs).is_ok());
+}
+
+/// `buffer_shards` reaches every shard's buffer pool, of an engine built
+/// and of one reopened: the one shard constructor applies it.
+#[test]
+fn buffer_shards_reach_every_shard_built_or_reopened() {
+    let objects = seeded_points(400, 3, 0xB0FF);
+    for k in [1usize, 4] {
+        let dir = tmp_dir("buffer_shards");
+        let host = || {
+            let builder = Engine::builder().objects(&objects).shards(k);
+            builder.buffer_shards(4).data_dir(&dir).open_or_build()
+        };
+        for pass in ["built", "reopened"] {
+            let engine = host().unwrap();
+            assert_eq!(engine.shard_count(), k);
+            let lock_shards: Vec<usize> = engine.trees().map(RTree::buffer_shards).collect();
+            assert_eq!(lock_shards, vec![4; k], "K={k}, {pass}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// No shard consults a fault injector, so hosting shards with one is
-/// refused — building them, and reopening a directory that holds them,
-/// where a chaos schedule would otherwise inject nothing and pass.
+/// Page writes, page syncs, WAL appends and WAL syncs a persistent
+/// one-shard engine has issued after its build, after each of seven
+/// mutations, a checkpoint and one more insert — recorded at the commit
+/// before engines of one shard and of several became one type. The
+/// crash-point sweep of `chaos.rs` walks exactly this schedule.
+const ONE_SHARD_DURABILITY_OPS: [[u64; 4]; 10] = [
+    [8, 2, 0, 1],
+    [8, 2, 1, 2],
+    [11, 2, 2, 3],
+    [14, 2, 3, 4],
+    [16, 2, 4, 5],
+    [18, 2, 5, 6],
+    [22, 2, 6, 7],
+    [36, 2, 7, 8],
+    [39, 4, 7, 9],
+    [39, 4, 8, 10],
+];
+
+#[test]
+fn one_shard_schedules_the_durability_ops_it_always_did() {
+    let dir = tmp_dir("schedule");
+    let objects = seeded_points(90, 2, 404);
+    let config = IndexConfig {
+        page_size: 512,
+        buffer_fraction: 0.05,
+        min_buffer_pages: 2,
+    };
+    let inj = FaultInjector::shared();
+    let ops = [
+        FaultOp::PageWrite,
+        FaultOp::PageSync,
+        FaultOp::WalWrite,
+        FaultOp::WalSync,
+    ];
+    let mut schedule = Vec::new();
+    let mut record = || schedule.push(ops.map(|op| inj.count(op)));
+    let builder = Engine::builder().objects(&objects).index(config);
+    let builder = builder.data_dir(&dir).fault_injector(Arc::clone(&inj));
+    let engine = builder.build().unwrap();
+    record();
+    for (_, p) in seeded_points(4, 2, 0xC0FFEE).iter() {
+        engine.insert_object(p).unwrap();
+        record();
+    }
+    engine.remove_object(2).unwrap();
+    record();
+    for (i, (_, p)) in seeded_points(2, 2, 0xFACADE).iter().enumerate() {
+        engine.update_object(5 + i as u64, p).unwrap();
+        record();
+    }
+    engine.checkpoint().unwrap();
+    record();
+    engine.insert_object(&[0.5, 0.5]).unwrap();
+    record();
+    assert_eq!(schedule, ONE_SHARD_DURABILITY_OPS);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No shard of several consults a fault injector, so hosting them with
+/// one is refused — building them, and reopening a directory that holds
+/// them, where a chaos schedule would otherwise inject nothing and pass.
 #[test]
 fn hosting_shards_with_a_fault_injector_is_refused() {
     let dir = tmp_dir("injector");
@@ -413,30 +723,31 @@ fn hosting_shards_with_a_fault_injector_is_refused() {
     let host = |shards| {
         Engine::builder()
             .objects(&objects)
+            .shards(shards)
             .data_dir(&dir)
             .fault_injector(FaultInjector::shared())
-            .open_or_build(shards)
-            .map(|backend| backend.n_objects())
+            .open_or_build()
+            .map(|engine| engine.n_objects())
     };
     let refused = Err(MpqError::UnsupportedRequest(
         "fault injection is only supported on an unsharded engine",
     ));
     assert_eq!(host(2), refused, "building");
-    assert!(!mpq_core::persisted_at(&dir), "refused before any file");
-    let builder = ShardedEngine::builder().objects(&objects).shards(2);
+    assert!(!Engine::persisted_at(&dir), "refused before any file");
+    let builder = Engine::builder().objects(&objects).shards(2);
     drop(builder.data_dir(&dir).build().unwrap());
     assert_eq!(host(1), refused, "reopening: the directory decides");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(host(1), Ok(60), "one tree takes the injector");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `(FNV-1a over the page images in page-id order, as `mpq_rtree`'s
 /// `bulk_layout.rs` hashes a tree; pages; root; height)`.
 type IndexImage = (u64, usize, u32, u32);
 
-/// The [`IndexImage`] of an engine's index.
-fn index_image(engine: &Engine) -> IndexImage {
-    let tree = engine.tree();
+/// The [`IndexImage`] of an index.
+fn index_image(tree: &RTree) -> IndexImage {
     let mut page = vec![0u8; 4096];
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     for pid in 0..tree.page_count() as u32 {
@@ -450,10 +761,10 @@ fn index_image(engine: &Engine) -> IndexImage {
 }
 
 /// [`index_image`] of every shard of a `K`-shard build of 20 000 4-d
-/// objects (`WorkloadBuilder`, seed 2009), captured from the **parent
-/// commit's** builder — which copied each shard's objects out and
-/// bulk-loaded the copy under explicit ids — by running
-/// `index_image` there; not regenerated from the builder under test.
+/// objects (`WorkloadBuilder`, seed 2009), captured from the PR 22
+/// builder — which copied each shard's objects out and bulk-loaded the
+/// copy under explicit ids — by running `index_image` there; not
+/// regenerated from the builder under test.
 #[rustfmt::skip]
 const SHARD_IMAGES: [(Distribution, usize, &[IndexImage]); 8] = [
     (Distribution::Independent, 1, &[(14893964470603184496, 265, 264, 3)]),
@@ -467,10 +778,10 @@ const SHARD_IMAGES: [(Distribution, usize, &[IndexImage]); 8] = [
 ];
 
 /// One key buffer cut `K` ways is `K` independent loads. Every shard's
-/// index is, byte for byte, the one the parent commit built from a copy
-/// of the shard's objects; it is the tree an [`Engine`] over just those
-/// objects builds, with each leaf entry under its global id; and its
-/// object table holds exactly the shard's objects.
+/// index is, byte for byte, the one the PR 22 builder built from a copy
+/// of the shard's objects; it is the tree an engine over just those
+/// objects builds, with each leaf entry under its global id; and the
+/// engine finds every object where its tree holds it.
 #[test]
 fn every_shard_is_the_index_its_objects_alone_would_load() {
     for (distribution, k, images) in SHARD_IMAGES {
@@ -482,33 +793,25 @@ fn every_shard_is_the_index_its_objects_alone_would_load() {
             .seed(2009)
             .build()
             .objects;
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(k)
-            .build()
-            .unwrap();
+        let sharded = engine(&objects, k);
         let case = format!("{distribution:?}, K = {k}");
-        let built: Vec<_> = sharded.shards().iter().map(index_image).collect();
+        let built: Vec<_> = sharded.trees().map(index_image).collect();
         assert_eq!(built, images, "{case}");
 
         let owners = membership(&sharded);
-        for (s, shard) in sharded.shards().iter().enumerate() {
+        let gauges = sharded.shard_gauges();
+        for (s, tree) in sharded.trees().enumerate() {
             let ids: Vec<u64> = (0..objects.len() as u64)
                 .filter(|&oid| owners[oid as usize] == [s as u64])
                 .collect();
-            assert_eq!(shard.n_objects(), ids.len(), "{case}, shard {s}");
-            assert_eq!(shard.oid_bound(), ids.last().map_or(0, |last| last + 1));
+            assert_eq!(tree.len(), ids.len() as u64, "{case}, shard {s}");
+            assert_eq!(gauges[s].objects, ids.len(), "{case}, shard {s}");
             let mut alone = PointSet::new(4);
             for &oid in &ids {
-                assert_eq!(
-                    shard.object_point(oid).as_deref(),
-                    Some(objects.get(oid as usize)),
-                    "{case}, shard {s}, object {oid}"
-                );
                 alone.push(objects.get(oid as usize));
             }
-            let alone = Engine::builder().objects(&alone).build().unwrap();
-            let (tree, tree_alone) = (shard.tree(), alone.tree());
+            let alone = engine(&alone, 1);
+            let tree_alone = alone.tree();
             assert_eq!(tree.page_count(), tree_alone.page_count());
             assert_eq!(tree.root_page(), tree_alone.root_page());
             for pid in (0..tree.page_count() as u32).map(PageId) {
@@ -527,21 +830,15 @@ fn every_shard_is_the_index_its_objects_alone_would_load() {
     }
 }
 
-/// A `K`-shard build validates as an [`Engine`] build does: the whole
-/// inventory, first, naming the first bad object in id order — not the
-/// first one in shard order, after building the shards before it — and
-/// an invalid inventory writes nothing.
+/// A `K`-shard build validates the whole inventory, first, naming the
+/// first bad object in id order — not the first one in shard order,
+/// after building the shards before it — and an invalid inventory
+/// writes nothing.
 #[test]
 fn an_invalid_inventory_is_refused_as_an_engine_refuses_it_and_leaves_no_debris() {
     let objects = seeded_points(400, 3, 91);
     // Two ids in id order whose shards are in the opposite order.
-    let owners = membership(
-        &ShardedEngine::builder()
-            .objects(&objects)
-            .shards(4)
-            .build()
-            .unwrap(),
-    );
+    let owners = membership(&engine(&objects, 4));
     let (a, b) = (0..objects.len())
         .flat_map(|a| (a + 1..objects.len()).map(move |b| (a, b)))
         .find(|&(a, b)| owners[a] > owners[b])
@@ -565,41 +862,32 @@ fn an_invalid_inventory_is_refused_as_an_engine_refuses_it_and_leaves_no_debris(
                 MpqError::NonFiniteCoordinate { oid, .. } | MpqError::CoordinateOutOfRange { oid, .. }
                     if oid == a as u64
             ),
-            "an engine names object {a}: {want:?}"
+            "one shard names object {a}: {want:?}"
         );
-        for k in [1, 4] {
-            let got = ShardedEngine::builder().objects(&bad).shards(k).build();
-            assert_eq!(
-                format!("{:?}", got.unwrap_err()),
-                format!("{want:?}"),
-                "K = {k}"
-            );
-        }
         let dir = tmp_dir("invalid");
-        let got = ShardedEngine::builder()
-            .objects(&bad)
-            .shards(4)
-            .data_dir(&dir)
-            .build();
-        assert_eq!(
-            format!("{:?}", got.unwrap_err()),
-            format!("{want:?}"),
-            "persistent"
-        );
+        for builder in [
+            Engine::builder().objects(&bad).shards(4),
+            Engine::builder().objects(&bad).shards(4).data_dir(&dir),
+        ] {
+            let got = builder.build().unwrap_err();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
         let debris = std::fs::read_dir(&dir).map_or(0, Iterator::count);
         assert_eq!(debris, 0, "an invalid inventory creates no file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// Which shard holds each oid, by probing every shard's index.
-fn membership(sharded: &ShardedEngine) -> Vec<Vec<u64>> {
-    (0..sharded.oid_bound())
+/// Which shard's tree holds each oid the engine knows.
+fn membership(engine: &Engine) -> Vec<Vec<u64>> {
+    (0..engine.oid_bound())
         .map(|oid| {
-            (0..sharded.shard_count())
-                .filter(|&s| sharded.shards()[s].object_point(oid).is_some())
-                .map(|s| s as u64)
-                .collect()
+            let point = engine.object_point(oid);
+            let holders = engine
+                .trees()
+                .enumerate()
+                .filter(|(_, tree)| point.as_deref().is_some_and(|p| tree.contains(p, oid)));
+            holders.map(|(s, _)| s as u64).collect()
         })
         .collect()
 }
@@ -618,14 +906,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let objects = seeded_points(n, dim, seed);
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(k)
-            .build()
-            .unwrap();
+        let sharded = engine(&objects, k);
         prop_assert_eq!(sharded.n_objects(), n);
-        let per_shard: usize = sharded.shards().iter().map(Engine::n_objects).sum();
-        prop_assert_eq!(per_shard, n, "shard sizes must sum to the total");
+        let per_shard: u64 = sharded.trees().map(RTree::len).sum();
+        prop_assert_eq!(per_shard, n as u64, "shard sizes must sum to the total");
         for (oid, owners) in membership(&sharded).iter().enumerate() {
             prop_assert_eq!(
                 owners.len(), 1,
@@ -643,37 +927,21 @@ fn hash_partition_is_stable_across_reopen() {
     let dir = tmp_dir("stable");
     let objects = seeded_points(90, 3, 0x57AB);
     let before = {
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(6)
-            .data_dir(&dir)
-            .build()
-            .unwrap();
-        membership(&sharded)
+        let builder = Engine::builder().objects(&objects).shards(6);
+        membership(&builder.data_dir(&dir).build().unwrap())
     };
-    let reopened = ShardedEngine::open(&dir).unwrap();
+    let reopened = Engine::open(&dir).unwrap();
     assert_eq!(membership(&reopened), before);
 }
 
-/// Every hosting path runs on every backend: the unsharded engine and
-/// the sharded engine at K = 1 and K = 4, each with the number of
-/// per-shard gauge rows its service must report.
-fn backends(objects: &PointSet) -> Vec<(&'static str, Arc<dyn EvalBackend>, usize)> {
-    let sharded = |k| {
-        ShardedEngine::builder()
-            .objects(objects)
-            .shards(k)
-            .build()
-            .unwrap()
-    };
+/// Every hosting path runs at every shard count: one tree — built
+/// through either name of the engine — and four.
+fn engines(objects: &PointSet) -> Vec<(&'static str, Arc<Engine>)> {
+    let alias = ShardedEngine::builder().objects(objects).shards(1);
     vec![
-        (
-            "engine",
-            Arc::new(Engine::builder().objects(objects).build().unwrap()),
-            0,
-        ),
-        ("sharded K=1", Arc::new(sharded(1)), 1),
-        ("sharded K=4", Arc::new(sharded(4)), 4),
+        ("K=1", Arc::new(engine(objects, 1))),
+        ("K=1, by its old name", Arc::new(alias.build().unwrap())),
+        ("K=4", Arc::new(engine(objects, 4))),
     ]
 }
 
@@ -682,10 +950,10 @@ fn sorted_exact(mut pairs: Vec<Pair>) -> Vec<(u32, u64, u64)> {
     exact(&pairs)
 }
 
-/// One body, every backend, behind `&dyn EvalBackend`: direct
-/// evaluation, the batch path and the service (cold, cached, seeded
-/// miss) — all three algorithms, exclusions and capacities — must
-/// produce the reference matching bit for bit.
+/// One body, every shard count: direct evaluation, the batch path and
+/// the service (cold, cached, seeded miss) — all three algorithms,
+/// exclusions and capacities — must produce the reference matching bit
+/// for bit.
 #[test]
 fn every_backend_serves_the_reference_matching_on_every_path() {
     let objects = seeded_points(160, 3, 0x0B0D);
@@ -693,7 +961,7 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
     let exclude: Vec<u64> = vec![3, 17, 42, 99, 140];
     // 0/1 capacities are exclusions by another name, so the exact
     // reference covers them (multi-unit capacities are compared across
-    // engines in `sharded_matches_unsharded_for_all_algorithms_and_options`).
+    // shard counts in `sharded_matches_unsharded_for_all_algorithms_and_options`).
     let caps: Vec<u32> = (0..objects.len() as u64)
         .map(|oid| u32::from(oid % 4 != 0))
         .collect();
@@ -705,10 +973,10 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
     let want_caps = reference_without(&|oid| caps[oid as usize] == 0);
     let want_refined = reference_without(&|oid| oid == exclude[0]);
 
-    for (name, backend, gauge_rows) in backends(&objects) {
-        let plain = |alg| backend.request(&fs).algorithm(alg);
+    for (name, hosted) in engines(&objects) {
+        let plain = |alg| hosted.request(&fs).algorithm(alg);
         let masked = |alg| plain(alg).exclude(exclude.iter().copied());
-        let capped = || backend.request(&fs).capacities(&caps);
+        let capped = || hosted.request(&fs).capacities(&caps);
         let got = |m: &Matching| exact(&m.sorted_pairs());
 
         // Direct evaluation and the batch path.
@@ -720,7 +988,7 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
             let direct = masked(alg).evaluate().unwrap();
             assert_eq!(got(&direct), want_masked, "{name}, {alg:?}, masked");
 
-            let batch = backend
+            let batch = hosted
                 .evaluate_batch(&[plain(alg), masked(alg)], 2)
                 .unwrap();
             assert_eq!(got(&batch.matchings()[0]), want_plain, "{name}, {alg:?}");
@@ -731,7 +999,7 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
 
         // The service: cold, then cached.
         let service =
-            EngineService::spawn(Arc::clone(&backend), ServiceConfig::default().workers(2));
+            EngineService::spawn(Arc::clone(&hosted), ServiceConfig::default().workers(2));
         let client = service.client();
         let serve = |request| client.submit(request).unwrap().wait().unwrap();
         for alg in ALGORITHMS {
@@ -748,24 +1016,22 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
         // A request the cache has not seen: an exact miss, evaluated
         // seeded from the skyline the first cold run left there.
         let seeded = client.metrics().cache.seeded_hits;
-        let refined = serve(backend.request(&fs).exclude([exclude[0]]));
+        let refined = serve(hosted.request(&fs).exclude([exclude[0]]));
         assert_eq!(got(&refined), want_refined, "{name}, seeded miss");
         assert_eq!(client.metrics().cache.seeded_hits, seeded + 1, "{name}");
 
-        // Per-shard gauges surface exactly when there are shards.
+        // One gauge row a shard.
         let metrics = client.metrics();
-        assert_eq!(metrics.shards.len(), gauge_rows, "{name}");
-        if gauge_rows > 0 {
-            let covered: usize = metrics.shards.iter().map(|s| s.objects).sum();
-            assert_eq!(covered, objects.len(), "{name}: gauges cover the inventory");
-        }
+        assert_eq!(metrics.shards.len(), hosted.shard_count(), "{name}");
+        let covered: usize = metrics.shards.iter().map(|s| s.objects).sum();
+        assert_eq!(covered, objects.len(), "{name}: gauges cover the inventory");
         let json = metrics.to_json();
         assert!(json.get("shards").is_some());
         service.shutdown();
     }
 }
 
-/// The version-vector cache audit, on every backend: a mutation that
+/// The version-vector cache audit, at every shard count: a mutation that
 /// provably cannot change a cached matching (a dominated insert, which
 /// lands on exactly one shard) must not cost a re-evaluation — the
 /// per-shard mutation logs revalidate the entry component-wise. A
@@ -774,11 +1040,11 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
 fn cache_entries_survive_mutations_scoped_to_other_shards() {
     let objects = seeded_points(80, 2, 0xCACE);
     let fs = functions(2, 6, 0x77);
-    for (name, backend, _) in backends(&objects) {
+    for (name, hosted) in engines(&objects) {
         let service =
-            EngineService::spawn(Arc::clone(&backend), ServiceConfig::default().workers(1));
+            EngineService::spawn(Arc::clone(&hosted), ServiceConfig::default().workers(1));
         let client = service.client();
-        let submit = || client.submit(backend.request(&fs)).unwrap().wait().unwrap();
+        let submit = || client.submit(hosted.request(&fs)).unwrap().wait().unwrap();
         let first = submit();
         assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
         assert_eq!(
@@ -790,9 +1056,9 @@ fn cache_entries_survive_mutations_scoped_to_other_shards() {
         // A deeply dominated insert bumps exactly one component of the
         // version vector; the logs prove the matching unchanged and the
         // entry is restamped, not evicted.
-        let versions_before = backend.version_vector();
-        backend.insert_object(&[0.001, 0.001]).unwrap();
-        let versions_after = backend.version_vector();
+        let versions_before = hosted.version_vector();
+        hosted.insert_object(&[0.001, 0.001]).unwrap();
+        let versions_after = hosted.version_vector();
         assert_eq!(
             versions_before
                 .iter()
@@ -812,7 +1078,7 @@ fn cache_entries_survive_mutations_scoped_to_other_shards() {
 
         // A dominating insert can win a greedy round: the entry must
         // fall back to a real re-evaluation (and the result changes).
-        backend.insert_object(&[0.999, 0.999]).unwrap();
+        hosted.insert_object(&[0.999, 0.999]).unwrap();
         let after = submit();
         assert_eq!(
             client.metrics().cache.hits,
@@ -823,22 +1089,17 @@ fn cache_entries_survive_mutations_scoped_to_other_shards() {
     }
 }
 
-/// A request is only ever evaluated by the backend it was built
-/// against: a service refuses one built on any other backend — of the
-/// other kind (in both directions) or another instance of its own kind —
-/// with one message, and accepts its own backend's requests whether
-/// they were built through the concrete engine or the trait object.
+/// A request is only ever evaluated by the engine it was built
+/// against: a service refuses one built on any other engine — of
+/// another shard count (in both directions) or another instance of its
+/// own — with one message.
 #[test]
 fn services_refuse_requests_built_on_another_backend() {
     let objects = seeded_points(100, 3, 0x5E4E);
     let fs = functions(3, 10, 0x42);
-    let build_single = || Arc::new(Engine::builder().objects(&objects).build().unwrap());
-    let build_sharded = || {
-        let builder = ShardedEngine::builder().objects(&objects).shards(3);
-        Arc::new(builder.build().unwrap())
-    };
-    let (single, other_single) = (build_single(), build_single());
-    let (sharded, other_sharded) = (build_sharded(), build_sharded());
+    let build = |k| Arc::new(engine(&objects, k));
+    let (single, other_single) = (build(1), build(1));
+    let (sharded, other_sharded) = (build(3), build(3));
     let single_service = Arc::clone(&single).serve(ServiceConfig::default().workers(1));
     let sharded_service = Arc::clone(&sharded).serve(ServiceConfig::default().workers(1));
     let (to_single, to_sharded) = (single_service.client(), sharded_service.client());
@@ -855,15 +1116,15 @@ fn services_refuse_requests_built_on_another_backend() {
     refused(to_sharded.submit(single.request(&fs)));
     refused(to_single.submit(other_single.request(&fs)));
     refused(to_sharded.submit(other_sharded.request(&fs)));
-    refused(to_single.submit(to_sharded.backend().request(&fs)));
-    refused(to_sharded.submit_with(to_single.backend().request(&fs), SubmitOptions::default()));
+    refused(to_single.submit(to_sharded.engine().request(&fs)));
+    refused(to_sharded.submit_with(to_single.engine().request(&fs), SubmitOptions::default()));
 
     let direct = sharded.request(&fs).evaluate().unwrap();
     for ticket in [
         to_single.submit(single.request(&fs)),
-        to_single.submit(to_single.backend().request(&fs)),
+        to_single.submit(to_single.engine().request(&fs)),
         to_sharded.submit(sharded.request(&fs)),
-        to_sharded.submit(to_sharded.backend().request(&fs)),
+        to_sharded.submit(to_sharded.engine().request(&fs)),
     ] {
         let served = ticket.unwrap().wait().unwrap();
         assert_eq!(exact(&served.sorted_pairs()), exact(&direct.sorted_pairs()));

@@ -50,8 +50,8 @@ pub struct WireRequest {
     /// Object ids excluded from this evaluation.
     pub exclude: Vec<u64>,
     /// Optional per-object capacities, indexed by object id: one entry
-    /// for every id below the backend's id bound
-    /// ([`EvalBackend::oid_bound`](mpq_core::EvalBackend::oid_bound)),
+    /// for every id below the engine's id bound
+    /// ([`Engine::oid_bound`](mpq_core::Engine::oid_bound)),
     /// or the request is refused with
     /// [`MpqError::CapacityMismatch`](mpq_core::MpqError::CapacityMismatch).
     pub capacities: Option<Vec<u32>>,

@@ -23,8 +23,8 @@ use std::time::Duration;
 
 use mpq_core::service::BackpressurePolicy;
 use mpq_core::{
-    Algorithm, Engine, EngineService, EvalBackend, HealthMonitor, MpqError, ServiceClient,
-    ServiceConfig, SubmitOptions, Ticket,
+    Algorithm, Engine, EngineService, HealthMonitor, MpqError, ServiceClient, ServiceConfig,
+    SubmitOptions, Ticket,
 };
 use mpq_ta::FunctionSet;
 
@@ -42,10 +42,9 @@ pub struct TenantConfig {
     pub cache_capacity: usize,
     /// Result-cache byte budget.
     pub cache_max_bytes: usize,
-    /// Shards of the hosted engine: `1` hosts a plain
-    /// [`Engine`], `> 1` a
-    /// [`ShardedEngine`](mpq_core::ShardedEngine) with this many
-    /// hash-partitioned shards. `0` is rejected at tenant creation.
+    /// Hash-partitioned shards a freshly built engine is hosted on
+    /// ([`EngineBuilder::shards`](mpq_core::EngineBuilder::shards)).
+    /// `0` is rejected at tenant creation.
     pub shards: usize,
 }
 
@@ -73,9 +72,7 @@ impl TenantConfig {
     }
 }
 
-/// One hosted backend — an [`Engine`] or a
-/// [`ShardedEngine`](mpq_core::ShardedEngine), the tenant never asks
-/// which — with its private service.
+/// One hosted [`Engine`] with its private service.
 ///
 /// ## Health and degraded mode
 ///
@@ -86,7 +83,7 @@ impl TenantConfig {
 /// the server answers `503` with a `Retry-After` from the monitor's
 /// backoff — while reads keep serving from the engine's pinned epoch
 /// snapshot and result cache. A background **recovery probe** thread
-/// retries [`EvalBackend::checkpoint`] with capped exponential backoff;
+/// retries [`Engine::checkpoint`] with capped exponential backoff;
 /// the first success restores `Healthy`.
 pub struct Tenant {
     name: String,
@@ -111,7 +108,7 @@ impl Drop for Tenant {
 const PROBE_POLL: Duration = Duration::from_millis(10);
 
 fn spawn_probe(
-    backend: Arc<dyn EvalBackend>,
+    engine: Arc<Engine>,
     health: Arc<HealthMonitor>,
     stop: Arc<AtomicBool>,
 ) -> thread::JoinHandle<()> {
@@ -124,7 +121,7 @@ fn spawn_probe(
                     // A checkpoint is the repair primitive: it flushes
                     // the dirty pages, commits a new header and
                     // truncates (un-wedging) the WAL.
-                    match backend.checkpoint() {
+                    match engine.checkpoint() {
                         Ok(()) => health.report_success(),
                         Err(_) => {
                             let _ = health.report_failure();
@@ -143,15 +140,15 @@ impl Tenant {
         &self.name
     }
 
-    /// The hosted backend (for request building and direct evaluation in
+    /// The hosted engine (for request building and direct evaluation in
     /// tests).
-    pub fn backend(&self) -> &Arc<dyn EvalBackend> {
-        self.service.backend()
+    pub fn engine(&self) -> &Arc<Engine> {
+        self.service.engine()
     }
 
-    /// Shards of the hosted engine (`1` for a plain engine).
+    /// Shards of the hosted engine.
     pub fn shard_count(&self) -> usize {
-        self.backend().version_vector().len()
+        self.engine().shard_count()
     }
 
     /// A cloneable submission handle to this tenant's service.
@@ -159,7 +156,7 @@ impl Tenant {
         &self.client
     }
 
-    /// Build and submit a match request against the hosted backend — the
+    /// Build and submit a match request against the hosted engine — the
     /// submission path the wire layer uses.
     pub fn submit_match(
         &self,
@@ -170,7 +167,7 @@ impl Tenant {
         options: SubmitOptions,
     ) -> Result<Ticket, MpqError> {
         let mut req = self
-            .backend()
+            .engine()
             .request(functions)
             .algorithm(algorithm)
             .exclude(exclude.iter().copied());
@@ -196,12 +193,12 @@ impl Tenant {
         self.service.health()
     }
 
-    /// Apply a wire mutation to the hosted backend.
+    /// Apply a wire mutation to the hosted engine.
     ///
     /// Returns `(oid, version)` — `oid` only for inserts; `version` is
-    /// the sum of the backend's version vector, a monotone scalar (each
-    /// mutation bumps exactly one component) that equals
-    /// [`Engine::inventory_version`] on a single engine.
+    /// the sum of the engine's version vector, a monotone scalar (each
+    /// mutation bumps exactly one component) that is the one component
+    /// of a one-shard engine.
     /// Storage failures ([`MpqError::Io`], [`MpqError::StorageDegraded`])
     /// are reported to the health monitor, and while the tenant is not
     /// healthy further mutations are refused up front with
@@ -212,16 +209,16 @@ impl Tenant {
         if !self.health().state().is_healthy() {
             return Err(MpqError::StorageDegraded);
         }
-        let backend = self.backend();
+        let engine = self.engine();
         let result = match mutation {
-            WireMutation::Insert(point) => backend.insert_object(point).map(Some),
-            WireMutation::Remove(oid) => backend.remove_object(*oid).map(|()| None),
-            WireMutation::Update(oid, point) => backend.update_object(*oid, point).map(|()| None),
+            WireMutation::Insert(point) => engine.insert_object(point).map(Some),
+            WireMutation::Remove(oid) => engine.remove_object(*oid).map(|()| None),
+            WireMutation::Update(oid, point) => engine.update_object(*oid, point).map(|()| None),
         };
         match result {
             Ok(oid) => {
                 self.health().report_success();
-                Ok((oid, backend.version_vector().iter().sum()))
+                Ok((oid, engine.version_vector().iter().sum()))
             }
             Err(e @ (MpqError::Io(_) | MpqError::StorageDegraded)) => {
                 let _ = self.health().report_failure();
@@ -253,25 +250,14 @@ impl TenantRegistry {
         Self::default()
     }
 
-    /// Host a pre-built `engine` — an [`Engine`] or a
-    /// [`ShardedEngine`](mpq_core::ShardedEngine) — as tenant `name`,
-    /// spawning its service.
+    /// Host a pre-built `engine` as tenant `name`, spawning its service.
     ///
     /// Fails with [`MpqError::UnsupportedRequest`] on an invalid or
     /// duplicate name.
-    pub fn add_engine<B: EvalBackend + 'static>(
+    pub fn add_engine(
         &mut self,
         name: &str,
-        engine: Arc<B>,
-        config: TenantConfig,
-    ) -> Result<(), MpqError> {
-        self.host(name, engine, config)
-    }
-
-    fn host(
-        &mut self,
-        name: &str,
-        backend: Arc<dyn EvalBackend>,
+        engine: Arc<Engine>,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
         if !valid_tenant_name(name) {
@@ -282,11 +268,11 @@ impl TenantRegistry {
         if self.tenants.contains_key(name) {
             return Err(MpqError::UnsupportedRequest("duplicate tenant name"));
         }
-        let service = EngineService::spawn(Arc::clone(&backend), config.service_config());
+        let service = EngineService::spawn(Arc::clone(&engine), config.service_config());
         let client = service.client();
         let probe_stop = Arc::new(AtomicBool::new(false));
         let probe_handle = spawn_probe(
-            backend,
+            engine,
             Arc::clone(service.health()),
             Arc::clone(&probe_stop),
         );
@@ -303,29 +289,25 @@ impl TenantRegistry {
         Ok(())
     }
 
-    /// Build an in-memory engine over `objects` and host it: a plain
-    /// [`Engine`] for `config.shards == 1`, a hash-partitioned
-    /// [`ShardedEngine`](mpq_core::ShardedEngine) otherwise
-    /// (`config.shards == 0` is rejected) — see
-    /// [`EngineBuilder::open_or_build`](mpq_core::EngineBuilder::open_or_build).
+    /// Build an in-memory engine over `objects`, on `config.shards`
+    /// shards (`0` is rejected), and host it.
     pub fn add_objects(
         &mut self,
         name: &str,
         objects: &PointSet,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        let backend = Engine::builder()
-            .objects(objects)
-            .open_or_build(config.shards)?;
-        self.host(name, backend, config)
+        let builder = Engine::builder().objects(objects).shards(config.shards);
+        self.add_engine(name, Arc::new(builder.build()?), config)
     }
 
     /// Host a disk-backed tenant rooted at `data_dir`. If the directory
     /// already holds a persisted inventory it is **reopened** (WAL
-    /// replay included — per shard when the directory holds a sharded
-    /// layout, whatever `config.shards` says); otherwise a fresh engine
-    /// over `objects` is created there, sharded when
-    /// `config.shards > 1`. `objects` may be `None` only when reopening.
+    /// replay included, on the shards it was built on, whatever
+    /// `config.shards` says); otherwise a fresh engine over `objects`
+    /// is created there on `config.shards` shards — see
+    /// [`EngineBuilder::open_or_build`](mpq_core::EngineBuilder::open_or_build).
+    /// `objects` may be `None` only when reopening.
     pub fn add_persistent(
         &mut self,
         name: &str,
@@ -333,11 +315,11 @@ impl TenantRegistry {
         data_dir: PathBuf,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        let mut builder = Engine::builder().data_dir(data_dir);
+        let mut builder = Engine::builder().data_dir(data_dir).shards(config.shards);
         if let Some(objects) = objects {
             builder = builder.objects(objects);
         }
-        self.host(name, builder.open_or_build(config.shards)?, config)
+        self.add_engine(name, builder.open_or_build()?, config)
     }
 
     /// Look up a tenant by name.
@@ -445,7 +427,7 @@ mod tests {
         reg.add_objects("s", &w.objects, config).unwrap();
         let tenant = reg.get("s").unwrap();
         assert_eq!(tenant.shard_count(), 4);
-        assert_eq!(tenant.backend().shard_gauges().len(), 4);
+        assert_eq!(tenant.engine().shard_gauges().len(), 4);
 
         // The shard-agnostic submission path resolves to the same
         // matching an unsharded engine would produce.
@@ -502,7 +484,7 @@ mod tests {
         assert_eq!(tenant.shard_count(), 1);
         let ticket = tenant
             .client()
-            .submit(tenant.backend().request(&w.functions))
+            .submit(tenant.engine().request(&w.functions))
             .unwrap();
         let m = ticket.wait().unwrap();
         assert_eq!(m.len(), 4);

@@ -143,7 +143,7 @@ fn concurrent_clients_get_bit_identical_matchings() {
                 let wire_pairs = decode_pairs(&resp.body).unwrap();
 
                 let fs = FunctionSet::try_from_rows(dim, &rows).unwrap();
-                let engine = server.registry().get(tenant).unwrap().backend();
+                let engine = server.registry().get(tenant).unwrap().engine();
                 let direct = engine.request(&fs).evaluate().unwrap();
                 assert_eq!(wire_pairs.len(), direct.len());
                 for (w, d) in wire_pairs.iter().zip(direct.pairs()) {
@@ -566,7 +566,7 @@ fn near_miss_refinement_over_the_wire_is_seeded_and_identical() {
     assert_eq!(resp.status, 200);
     let wire_pairs = decode_pairs(&resp.body).unwrap();
 
-    let engine = server.registry().get("solo").unwrap().backend();
+    let engine = server.registry().get("solo").unwrap().engine();
     let direct = engine
         .request(&w.functions)
         .exclude([9u64])

@@ -67,7 +67,7 @@ pub use geometry::Mbr;
 pub use node::{InnerNode, LeafNode, Node};
 pub use pager::{MemPager, PageId, PageStore};
 pub use points::PointSet;
-pub use session::{IoSession, NodeSource};
+pub use session::{Forest, ForestError, IoSession, NodeSource};
 pub use stats::IoStats;
 pub use topk::{
     LinearScorer, LinearScorerRef, MonotoneScorer, RankedHit, RankedIter, Scorer, SearchBuf,

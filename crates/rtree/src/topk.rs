@@ -21,6 +21,7 @@ use std::collections::BinaryHeap;
 
 use crate::geometry::{dot, upper_score};
 use crate::node::Node;
+use crate::pager::PageId;
 use crate::session::NodeSource;
 use crate::tree::RTree;
 
@@ -249,7 +250,8 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
     pub fn over_reusing(src: &'t Src, scorer: S, buf: SearchBuf) -> RankedIter<'t, S, Src> {
         let mut storage = buf.0;
         storage.clear();
-        let root = src.read_node(src.root_page());
+        let root_page = src.root_page();
+        let root = src.read_node(root_page);
         let mut it = RankedIter {
             src,
             scorer,
@@ -257,7 +259,7 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
         };
         // Seed with the root's entries (reading the root costs 1 logical
         // access, matching how the paper counts a query's first page).
-        it.expand(&root);
+        it.expand(root_page, &root);
         it
     }
 
@@ -279,7 +281,7 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
         self.heap.len()
     }
 
-    fn expand(&mut self, node: &Node) {
+    fn expand(&mut self, pid: PageId, node: &Node) {
         match node {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {
@@ -297,7 +299,7 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
                     self.heap.push(HeapItem {
                         bound: self.scorer.bound(inner.hi(i)),
                         cand: Cand::Node {
-                            pid: inner.child(i).0,
+                            pid: self.src.child_page(pid, inner.child(i)).0,
                         },
                     });
                 }
@@ -320,8 +322,8 @@ impl<S: Scorer, Src: NodeSource> Iterator for RankedIter<'_, S, Src> {
                     });
                 }
                 Cand::Node { pid } => {
-                    let node = self.src.read_node(crate::pager::PageId(pid));
-                    self.expand(&node);
+                    let node = self.src.read_node(PageId(pid));
+                    self.expand(PageId(pid), &node);
                 }
             }
         }

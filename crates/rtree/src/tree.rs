@@ -656,6 +656,12 @@ impl RTree {
         self.buf.live_pages()
     }
 
+    /// One past the highest page id the store ever handed out: every
+    /// page of every epoch lies below it.
+    pub fn page_bound(&self) -> u32 {
+        self.buf.page_bound()
+    }
+
     /// Fetch a node through the buffer pool (costs I/O on a miss). This
     /// is the access path external algorithms (skyline, ranked search)
     /// must use so their page accesses are accounted.

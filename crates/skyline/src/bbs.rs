@@ -46,8 +46,8 @@ impl Item {
     fn new(cand: Cand) -> Item {
         let key = mindist_to_best(cand.hi());
         let (kind, id) = match &cand {
-            Cand::Point { oid, .. } => (0u8, *oid),
-            Cand::Subtree { pid, .. } => (1u8, pid.0 as u64),
+            Cand::Subtree { pid, .. } => (0u8, pid.0 as u64),
+            Cand::Point { oid, .. } => (1u8, *oid),
         };
         Item {
             key,
@@ -173,7 +173,7 @@ pub fn compute_skyline_excluding_with<R: NodeSource>(
                                 continue;
                             }
                             heap.push(Item::new(Cand::Subtree {
-                                pid: inner.child(i),
+                                pid: tree.child_page(pid, inner.child(i)),
                                 hi: inner.hi(i).into(),
                             }));
                         }

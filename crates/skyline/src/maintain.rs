@@ -125,9 +125,10 @@ enum EntryId {
 }
 
 /// Candidate-heap entry, popped in ascending `key` (L1 mindist to the
-/// best corner), with deterministic tie-breaking: points before subtrees,
-/// then ascending id. The entry itself waits in a slot of the
-/// maintainer's [`Slots`].
+/// best corner), with deterministic tie-breaking: subtrees before points,
+/// then ascending id — so of coordinate-identical objects the smallest
+/// id is promoted (see [`SkylineMaintainer::settle`]). The entry itself
+/// waits in a slot of the maintainer's [`Slots`].
 #[derive(Debug)]
 struct HeapEntry {
     key: f64,
@@ -139,8 +140,8 @@ impl HeapEntry {
     /// Tie-break rank behind `key`.
     fn rank(&self) -> (u8, u64) {
         match self.id {
-            EntryId::Point(oid) => (0, oid),
-            EntryId::Subtree(pid) => (1, pid.0 as u64),
+            EntryId::Subtree(pid) => (0, pid.0 as u64),
+            EntryId::Point(oid) => (1, oid),
         }
     }
 }
@@ -588,11 +589,14 @@ impl SkylineMaintainer {
     ///
     /// Note on duplicates: when several objects share identical
     /// coordinates, exactly one of them represents the group in the
-    /// skyline, but *which* one is implementation-defined — a duplicate
-    /// may be hidden inside an unexpanded subtree whose upper corner
-    /// equals the representative, so a smallest-id convention cannot be
-    /// maintained without defeating the lazy plist design. Removing the
-    /// representative eventually surfaces the remaining duplicates.
+    /// skyline — the one with the smallest id among those left, whatever
+    /// pages (or trees of a forest) hold them. That is the heap order's
+    /// doing, not this function's: at equal keys subtrees pop before
+    /// points, and a subtree that could hold a duplicate of a candidate
+    /// has a key no larger, so when the first of the group pops the
+    /// others are points in the heap beside it and fall to it by id —
+    /// unless a member dominates them all, and they wait on plists.
+    /// Removing the representative promotes the next.
     fn settle(&mut self, slot: u32, hi: &[f64]) -> bool {
         let owner = self.find_dominator(hi);
         match owner {
@@ -633,16 +637,17 @@ impl SkylineMaintainer {
                 EntryId::Subtree(pid) => {
                     let node = tree.read_node(pid);
                     self.stats.nodes_expanded += 1;
-                    self.expand(&node);
+                    self.expand(tree, pid, &node);
                 }
             }
         }
         self.corner = hi;
     }
 
-    /// Push a node's children into the heap, pruning what the current
-    /// skyline already dominates (with plist recording).
-    fn expand(&mut self, node: &Node) {
+    /// Push the children of `node`, read from `pid`, into the heap,
+    /// pruning what the current skyline already dominates (with plist
+    /// recording).
+    fn expand<R: NodeSource>(&mut self, tree: &R, pid: PageId, node: &Node) {
         match node {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {
@@ -651,7 +656,8 @@ impl SkylineMaintainer {
             }
             Node::Inner(inner) => {
                 for i in 0..inner.len() {
-                    self.admit(EntryId::Subtree(inner.child(i)), inner.hi(i));
+                    let child = tree.child_page(pid, inner.child(i));
+                    self.admit(EntryId::Subtree(child), inner.hi(i));
                 }
             }
         }
@@ -766,7 +772,7 @@ mod tests {
     use crate::dominance::dominates_or_equal;
     use crate::naive::naive_skyline_excluding;
     use mpq_datagen::Distribution;
-    use mpq_rtree::{IoStats, PointSet, RTree, RTreeParams};
+    use mpq_rtree::{Forest, IoStats, PointSet, RTree, RTreeParams};
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::collections::HashSet;
@@ -876,16 +882,14 @@ mod tests {
         let tree = RTree::bulk_load(&ps, params());
         let mut m = SkylineMaintainer::build(&tree);
         assert_eq!(m.len(), 1, "duplicates must collapse to one skyline object");
-        // removing the representative promotes the next duplicate
-        let rep = m.iter().next().unwrap().oid;
-        m.remove(&[rep], &tree);
-        assert_eq!(m.len(), 1);
-        assert!(!m.contains(rep));
+        // the smallest id stands for them; removing it promotes the next
+        assert_eq!(sky_ids(&m), vec![0]);
+        m.remove(&[0], &tree);
+        assert_eq!(sky_ids(&m), vec![1]);
         // removing both remaining duplicates exposes the dominated point
-        let rep2 = m.iter().next().unwrap().oid;
-        m.remove(&[rep2], &tree);
-        let rep3 = m.iter().next().unwrap().oid;
-        m.remove(&[rep3], &tree);
+        m.remove(&[1], &tree);
+        assert_eq!(sky_ids(&m), vec![2]);
+        m.remove(&[2], &tree);
         assert_eq!(sky_ids(&m), vec![3]);
     }
 
@@ -1028,12 +1032,12 @@ mod tests {
     }
 
     /// A node source that records the pages read through it, in order.
-    struct Recording<'a> {
-        tree: &'a RTree,
+    struct Recording<R> {
+        tree: R,
         reads: RefCell<Vec<PageId>>,
     }
 
-    impl NodeSource for Recording<'_> {
+    impl<R: NodeSource> NodeSource for Recording<R> {
         fn dim(&self) -> usize {
             self.tree.dim()
         }
@@ -1047,9 +1051,102 @@ mod tests {
             self.reads.borrow_mut().push(pid);
             self.tree.read_node(pid)
         }
-        fn io_snapshot(&self) -> IoStats {
-            self.tree.io_stats()
+        fn child_page(&self, parent: PageId, child: PageId) -> PageId {
+            self.tree.child_page(parent, child)
         }
+        fn io_snapshot(&self) -> IoStats {
+            self.tree.io_snapshot()
+        }
+    }
+
+    /// BBS and maintenance over a forest are BBS and maintenance over
+    /// the union of its trees: the skyline of the whole point set at the
+    /// build, through a wave of removals, and — the plists are sound —
+    /// after the removal of any one member, by either BBS. On a grid,
+    /// where points repeat, that is id for id the smallest one left at
+    /// each point, however the objects are cut into trees.
+    #[test]
+    fn a_forest_has_the_skyline_of_its_union() {
+        use crate::bbs::compute_skyline_excluding;
+        let mut grid = PointSet::new(3);
+        for (_, p) in seeded_points(900, 3, 61).iter() {
+            let cell: Vec<f64> = p.iter().map(|v| (v * 6.0).floor() / 6.0).collect();
+            grid.push(&cell);
+        }
+        let workloads = [
+            (
+                "independent",
+                Distribution::Independent.generate(900, 2, 47),
+            ),
+            ("anti", Distribution::AntiCorrelated.generate(900, 3, 47)),
+            ("grid", grid),
+        ];
+        for (name, ps) in workloads {
+            for k in [1, 2, 5] {
+                // Dealt round-robin, and one part that holds nothing.
+                let mut trees: Vec<RTree> =
+                    (0..k).map(|_| RTree::new(ps.dim(), params())).collect();
+                for (i, p) in ps.iter() {
+                    trees[i % k].insert(p, i as u64);
+                }
+                trees.push(RTree::new(ps.dim(), params()));
+                let forest = Forest::new(trees.iter().collect());
+                let label = format!("{name} K={k}");
+                let without = |gone: &HashSet<u64>| naive_skyline_excluding(&ps, gone);
+                let rescan = |gone: &HashSet<u64>| {
+                    let sky = compute_skyline_excluding(&forest, |oid| gone.contains(&oid));
+                    let mut ids: Vec<u64> = sky.into_iter().map(|(oid, _)| oid).collect();
+                    ids.sort_unstable();
+                    ids
+                };
+
+                let built = SkylineMaintainer::build(&forest);
+                let mut gone = HashSet::new();
+                assert_eq!(sky_ids(&built), without(&gone), "{label}");
+                assert_eq!(rescan(&gone), without(&gone), "{label}");
+                for member in sky_ids(&built) {
+                    let mut m = built.clone();
+                    m.remove(&[member], &forest);
+                    let gone = HashSet::from([member]);
+                    assert_eq!(sky_ids(&m), without(&gone), "{label}, without {member}");
+                }
+
+                let mut m = built;
+                for wave in 0..12 {
+                    let victims: Vec<u64> = sky_ids(&m).into_iter().step_by(3).collect();
+                    m.remove(&victims, &forest);
+                    gone.extend(victims);
+                    assert_eq!(sky_ids(&m), without(&gone), "{label}, wave {wave}");
+                    assert_eq!(rescan(&gone), without(&gone), "{label}, wave {wave}");
+                }
+            }
+        }
+    }
+
+    /// A forest of one part is its tree: the build and every removal
+    /// read the very pages, in the very order, the bare source reads.
+    #[test]
+    fn a_one_part_forest_reads_what_its_tree_reads() {
+        let ps = Distribution::AntiCorrelated.generate(1_500, 3, 53);
+        let tree = RTree::bulk_load(&ps, params());
+        let bare = Recording {
+            tree: &tree,
+            reads: RefCell::default(),
+        };
+        let through = Recording {
+            tree: Forest::new(vec![&tree]),
+            reads: RefCell::default(),
+        };
+        let mut on_bare = SkylineMaintainer::build(&bare);
+        let mut on_forest = SkylineMaintainer::build(&through);
+        for round in 0..30 {
+            assert_eq!(*bare.reads.borrow(), *through.reads.borrow(), "{round}");
+            assert!(on_bare.iter().eq(on_forest.iter()), "round {round}");
+            let victims: Vec<u64> = sky_ids(&on_bare).into_iter().take(1 + round % 5).collect();
+            let promoted = on_bare.remove(&victims, &bare).to_vec();
+            assert_eq!(promoted, on_forest.remove(&victims, &through));
+        }
+        assert!(bare.reads.borrow().len() > 100);
     }
 
     /// `find_dominator` may hand an entry to *any* dominator. Against an

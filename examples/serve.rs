@@ -68,7 +68,7 @@ fn main() {
                     // *start* within a second of submission.
                     let ticket = client
                         .submit_with(
-                            client.backend().request(&functions).algorithm(algo),
+                            client.engine().request(&functions).algorithm(algo),
                             SubmitOptions::default().deadline(Duration::from_secs(1)),
                         )
                         .expect("service is accepting");
@@ -95,7 +95,7 @@ fn main() {
         .seed(99)
         .build()
         .functions;
-    let ticket = client.submit(client.backend().request(&regret)).unwrap();
+    let ticket = client.submit(client.engine().request(&regret)).unwrap();
     if ticket.cancel() {
         assert!(matches!(ticket.wait(), Err(MpqError::Cancelled)));
         println!("cancelled one request before a worker reached it");
@@ -123,13 +123,13 @@ fn main() {
         .functions;
     let evals_before = engine.evaluation_count();
     let first = client
-        .submit(client.backend().request(&popular))
+        .submit(client.engine().request(&popular))
         .unwrap()
         .wait()
         .unwrap();
     for _ in 0..9 {
         let repeat = client
-            .submit(client.backend().request(&popular))
+            .submit(client.engine().request(&popular))
             .unwrap()
             .wait()
             .unwrap();

@@ -26,8 +26,8 @@
 //!   contribution, §III-B/§IV), **Brute Force** (§III-A) and **Chain**
 //!   (the adapted competitor of §V), plus verification utilities; the
 //!   [`core::shard`] module partitions the inventory into per-shard
-//!   R-trees, evaluated by the same SB run over the union of their
-//!   skylines ([`core::ShardedEngine`]).
+//!   R-trees that every algorithm reads as one index
+//!   ([`core::EngineBuilder::shards`]).
 //! * [`net`] — the std-only HTTP/1.1 front-end: a [`net::Server`]
 //!   hosting one [`net::TenantRegistry`] of named engines, each behind
 //!   its own service (queue, workers, cache), with a JSON wire codec,
@@ -101,7 +101,10 @@
 //! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object map and `inventory_version` untouched; degraded tenants answer mutations `503 Retry-After` while reads keep serving ([`core::HealthMonitor`]) |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
-//! | one machine-wide tree | [`core::ShardedEngine`] — K per-shard R-trees (objects routed by id), one SB run over the union of their skylines, bit-identical to the single engine; `mpq serve --shards K` / tenant spec `shards=K` |
+//! | one machine-wide tree | `Engine::builder().shards(k)` — K per-shard R-trees (objects routed by id) read as one index by every algorithm, bit-identical to one tree; `mpq serve --shards K` / tenant spec `shards=K` |
+//! | `ShardedEngine::builder().shards(k)`, `ShardedEngine::open(dir)` | `Engine::builder().shards(k)`, `Engine::open(dir)` — one engine type for any shard count |
+//! | `Arc<dyn EvalBackend>`, `MatchRequest<'e, 'f, B>`, `client.backend()` | `Arc<Engine>`, `MatchRequest<'e, 'f>`, `client.engine()` (also on `EngineService` and `net::Tenant`) |
+//! | `builder.open_or_build(k)`, `mpq_core::persisted_at(dir)` | `builder.shards(k).open_or_build()`, `Engine::persisted_at(dir)` |
 //!
 //! where `let engine = Engine::builder().objects(&o).build()?;` is built
 //! once and shared (it is `Sync`; evaluation never mutates the index).
@@ -140,14 +143,14 @@
 //!     .clone()
 //!     .serve(ServiceConfig::default().workers(2).cache_capacity(256));
 //! let client = service.client();
-//! let ticket = client.submit(client.backend().request(&functions)).unwrap();
+//! let ticket = client.submit(client.engine().request(&functions)).unwrap();
 //! let matching = ticket.wait().unwrap();
 //! # assert_eq!(matching.len(), 1);
 //!
 //! // An identical request is a cache hit: bit-identical result, no
 //! // second evaluation (the engine's evaluation counter stands still).
 //! let evals = engine.evaluation_count();
-//! let repeat = client.submit(client.backend().request(&functions)).unwrap();
+//! let repeat = client.submit(client.engine().request(&functions)).unwrap();
 //! assert_eq!(repeat.wait().unwrap().sorted_pairs(), matching.sorted_pairs());
 //! assert_eq!(engine.evaluation_count(), evals);
 //! assert_eq!(client.metrics().cache.hits, 1);
@@ -169,10 +172,10 @@ pub use mpq_ta as ta;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use mpq_core::{
-        Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalBackend,
-        EvalSeed, HealthMonitor, HealthState, MatchRequest, MatchSession, Matching,
-        MonotoneSkylineMatcher, MpqError, Pair, RequestKey, ResultCache, Scratch, ServiceClient,
-        ServiceConfig, ServiceMetrics, ShardGauges, ShardedEngine, ShardedEngineBuilder, Ticket,
+        Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalSeed,
+        HealthMonitor, HealthState, MatchRequest, MatchSession, Matching, MonotoneSkylineMatcher,
+        MpqError, Pair, RequestKey, ResultCache, Scratch, ServiceClient, ServiceConfig,
+        ServiceMetrics, ShardGauges, Ticket,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

@@ -3,7 +3,7 @@
 //!
 //! Counted with a global allocator that also notes whether the
 //! allocating thread is the caller, over `Engine::builder()..build()`
-//! (K = 1) and a 4-shard `ShardedEngine` build of 20 000 and of 100 000
+//! at K = 1 and at `.shards(4)`, of 20 000 and of 100 000
 //! 4-d objects (independent, seed 2009), on the two-core build
 //! container; "peak" is the most bytes live at once during the build
 //! over what the built engine keeps:
@@ -144,22 +144,12 @@ fn a_build_allocates_on_the_caller_a_constant_number_of_times_and_no_copy() {
         for k in [1u64, 4] {
             // (the engine is leaked: dropping it is not part of the build)
             let (cost, (pages, height)) = measure(|| {
-                if k == 1 {
-                    let e = Engine::builder().objects(&objects).build().unwrap();
-                    let shape = (e.tree().page_count(), e.tree().height() as u64);
-                    std::mem::forget(e);
-                    shape
-                } else {
-                    let e = ShardedEngine::builder()
-                        .objects(&objects)
-                        .shards(k as usize)
-                        .build()
-                        .unwrap();
-                    let pages = e.shards().iter().map(|s| s.tree().page_count()).sum();
-                    let height = e.shards().iter().map(|s| s.tree().height()).max().unwrap();
-                    std::mem::forget(e);
-                    (pages, height as u64)
-                }
+                let e = Engine::builder().objects(&objects).shards(k as usize);
+                let e = e.build().unwrap();
+                let height = e.trees().map(|tree| tree.height()).max().unwrap();
+                let shape = (e.page_count(), height as u64);
+                std::mem::forget(e);
+                shape
             });
             let case = format!("{n} objects, K = {k}, {threads} threads: {pages} pages, {cost:?}");
             eprintln!("{case}"); // shown by `--nocapture`: the probe of the verify skill

@@ -17,24 +17,26 @@
 //! top-1 scan. What is left is mostly one rank list per skyline object
 //! and per function (365 of the 615; they are dropped with the
 //! scratch's maps between runs). The asserted bound is this store's
-//! count + 25 %, itself under a quarter of the parent's. (617 since the
-//! run state is a `Vec` of parts — one for an `Engine`.) A capacitated
+//! count + 25 %, itself under a quarter of the parent's. (616 now: the
+//! pins and the version vector are a `Vec` each.) A capacitated
 //! request is that run and its one copy of the vector: the objects a
 //! round's pairs exhaust are listed in a round buffer, so the count is
 //! also held below the plain one plus the number of rounds.
 //!
-//! The same request behind four shards (`ShardedEngine`, K = 4):
+//! The same request behind four shards (`.shards(4)`):
 //!
 //! | the second seeded `evaluate_seeded`, K = 4                     | allocations |
 //! |----------------------------------------------------------------|------------:|
-//! | parent (four probes: a scratch, a function copy, an exclusion  |             |
-//! | set and a reverse top-1 index each, fresh per call)            |       1 397 |
-//! | one run over the four pins, on the caller's warm scratch       |         917 |
+//! | four probes: a scratch, a function copy, an exclusion set and  |             |
+//! | a reverse top-1 index each, fresh per call (before PR 20)      |       1 397 |
+//! | one run over four pins, each with a skyline of its own (PR 20) |         917 |
+//! | one run over the forest of the four pins, one skyline (PR 24)  |         632 |
 //!
-//! What is left over the engine's count is the union: 4 resumes
-//! instead of one, and a rank list for every member of the four
-//! shards' skylines, not only of the skyline. The asserted bound is
-//! 917 + 25 %, below the parent's count.
+//! What is left over the one-tree count (616) is the forest's virtual
+//! root and the promotions four small trees surface where one tree
+//! surfaces fewer: there is one resume and one rank list per member
+//! of *the* skyline, as on one tree. The asserted bound is 632 + 25 %,
+//! below the count with per-shard skylines.
 //!
 //! Resuming must also cost the same however large the skyline is: the
 //! seeded arm of `sb.rs`'s priming is a clone of the snapshot, and that
@@ -89,10 +91,10 @@ const STORE_ALLOCATIONS: u64 = 615;
 /// The same request with an all-ones capacity vector: the plain run
 /// (617) and its one copy of the vector.
 const CAPACITATED_ALLOCATIONS: u64 = 618;
-/// The same behind four shards: with one probe per shard, and with one
-/// run over the four pins.
-const SHARDED_PARENT_ALLOCATIONS: u64 = 1_397;
-const SHARDED_ALLOCATIONS: u64 = 917;
+/// The same behind four shards: with a skyline per shard, and with one
+/// skyline over the forest of the four pins.
+const SHARDED_PARENT_ALLOCATIONS: u64 = 917;
+const SHARDED_ALLOCATIONS: u64 = 632;
 
 #[test]
 fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
@@ -164,10 +166,9 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         "{allocations} allocations against {plain} without capacities: one a round ({rounds})?"
     );
 
-    // The same request behind four shards: one run over the shards'
-    // pins on the caller's scratch, not four runs each with a scratch,
-    // a function copy and a reverse top-1 index of its own.
-    let sharded = ShardedEngine::builder().objects(&w.objects).shards(4);
+    // The same request behind four shards: one run, one skyline and
+    // one resume over the forest of the shards' pins.
+    let sharded = Engine::builder().objects(&w.objects).shards(4);
     let sharded = sharded.build().unwrap();
     let request = sharded.request(&functions);
     let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();

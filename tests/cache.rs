@@ -100,7 +100,7 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
     // once the blocker is in flight could miss it.
     let evals_before = engine.evaluation_count();
     let slow = slow_functions();
-    let blocker = client.submit(client.backend().request(&slow)).unwrap();
+    let blocker = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
     let barrier = Arc::new(std::sync::Barrier::new(N));
@@ -111,7 +111,7 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
             std::thread::spawn(move || {
                 let functions = fast_functions(900);
                 barrier.wait();
-                client.submit(client.backend().request(&functions)).unwrap()
+                client.submit(client.engine().request(&functions)).unwrap()
             })
         })
         .collect();
@@ -146,7 +146,7 @@ fn cache_hit_skips_evaluation_and_is_bit_identical() {
     let client = service.client();
 
     let first = client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -155,7 +155,7 @@ fn cache_hit_skips_evaluation_and_is_bit_identical() {
     // The result is published to the cache before the first ticket
     // resolves, so this re-submission must hit — no new evaluation.
     let second = client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -184,11 +184,11 @@ fn cancelling_a_follower_leaves_the_leader_running() {
 
     let evals_before = engine.evaluation_count(); // see above: before the blocker
     let slow = slow_functions();
-    let blocker = client.submit(client.backend().request(&slow)).unwrap();
+    let blocker = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
-    let leader = client.submit(client.backend().request(&functions)).unwrap();
-    let follower = client.submit(client.backend().request(&functions)).unwrap();
+    let leader = client.submit(client.engine().request(&functions)).unwrap();
+    let follower = client.submit(client.engine().request(&functions)).unwrap();
     assert_eq!(client.metrics().cache.attaches, 1);
 
     assert!(follower.cancel(), "queued follower must be cancellable");
@@ -218,16 +218,16 @@ fn follower_deadline_expires_only_that_follower() {
     let client = service.client();
 
     let slow = slow_functions();
-    let blocker = client.submit(client.backend().request(&slow)).unwrap();
+    let blocker = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
     // Leader without a deadline; follower with a zero budget — by the
     // time the busy worker claims the shared job, only the follower has
     // expired.
-    let leader = client.submit(client.backend().request(&functions)).unwrap();
+    let leader = client.submit(client.engine().request(&functions)).unwrap();
     let follower = client
         .submit_with(
-            client.backend().request(&functions),
+            client.engine().request(&functions),
             SubmitOptions::default().deadline(Duration::ZERO),
         )
         .unwrap();
@@ -253,11 +253,11 @@ fn leader_cancellation_still_serves_the_followers() {
     let client = service.client();
 
     let slow = slow_functions();
-    let blocker = client.submit(client.backend().request(&slow)).unwrap();
+    let blocker = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
-    let leader = client.submit(client.backend().request(&functions)).unwrap();
-    let follower = client.submit(client.backend().request(&functions)).unwrap();
+    let leader = client.submit(client.engine().request(&functions)).unwrap();
+    let follower = client.submit(client.engine().request(&functions)).unwrap();
 
     // Cancelling the *first* submission must not starve the second —
     // the job survives as long as any attached submission wants it.
@@ -322,12 +322,12 @@ fn disabling_the_cache_restores_pay_per_submission() {
 
     let evals_before = engine.evaluation_count();
     let a = client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let b = client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -354,12 +354,12 @@ fn distinct_requests_never_collide_in_the_cache() {
     let client = service.client();
 
     let plain = client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let masked = client
-        .submit(client.backend().request(&functions).exclude([0u64, 5]))
+        .submit(client.engine().request(&functions).exclude([0u64, 5]))
         .unwrap()
         .wait()
         .unwrap();
@@ -368,7 +368,7 @@ fn distinct_requests_never_collide_in_the_cache() {
 
     // ...but exclusion *order* does not: this is the same request again.
     let masked_again = client
-        .submit(client.backend().request(&functions).exclude([5u64, 0]))
+        .submit(client.engine().request(&functions).exclude([5u64, 0]))
         .unwrap()
         .wait()
         .unwrap();
@@ -400,7 +400,7 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
     let client = service.client();
 
     client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
@@ -412,7 +412,7 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
     );
 
     let refined = client
-        .submit(client.backend().request(&functions).exclude([7u64]))
+        .submit(client.engine().request(&functions).exclude([7u64]))
         .unwrap()
         .wait()
         .unwrap();
@@ -436,7 +436,7 @@ fn near_miss_submission_is_seeded_and_bit_identical() {
     // cached — resumes from the same seed: no function enters a skyline.
     let fresh = function_set(20, 77);
     let served = client
-        .submit(client.backend().request(&fresh))
+        .submit(client.engine().request(&fresh))
         .unwrap()
         .wait()
         .unwrap();
@@ -478,7 +478,7 @@ fn twelve_distinct_requests_share_one_seed_and_evict_nothing() {
     let client = service.client();
     for functions in &sets {
         client
-            .submit(client.backend().request(functions))
+            .submit(client.engine().request(functions))
             .unwrap()
             .wait()
             .unwrap();
@@ -514,14 +514,14 @@ fn two_workers_resume_concurrently_from_the_one_seed() {
     // The first miss leaves the seed; the sixteen after it are queued
     // together, so both workers clone, peel and diverge from it at once.
     client
-        .submit(client.backend().request(&functions))
+        .submit(client.engine().request(&functions))
         .unwrap()
         .wait()
         .unwrap();
     let tickets: Vec<_> = exclusions
         .iter()
         .map(|excl| {
-            let request = client.backend().request(&functions);
+            let request = client.engine().request(&functions);
             client
                 .submit(request.exclude(excl.iter().copied()))
                 .unwrap()
@@ -544,7 +544,7 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
         .distribution(Distribution::AntiCorrelated)
         .seed(91)
         .build();
-    let backends: [(&str, Arc<dyn EvalBackend>); 2] = [
+    let engines: [(&str, Arc<Engine>); 2] = [
         (
             "engine",
             Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
@@ -552,7 +552,7 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
         (
             "K=4",
             Arc::new(
-                ShardedEngine::builder()
+                Engine::builder()
                     .objects(&w.objects)
                     .shards(4)
                     .build()
@@ -560,9 +560,9 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
             ),
         ),
     ];
-    for (name, backend) in backends {
+    for (name, engine) in engines {
         let service =
-            EngineService::spawn(Arc::clone(&backend), ServiceConfig::default().workers(1));
+            EngineService::spawn(Arc::clone(&engine), ServiceConfig::default().workers(1));
         let client = service.client();
         // Each step submits a set the cache has never seen; whether the
         // evaluation resumed shows in `seeded_hits` and in its page
@@ -572,11 +572,11 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
             let functions = fast_functions(seed);
             let before = client.metrics().cache.seeded_hits;
             let served = client
-                .submit(backend.request(&functions))
+                .submit(engine.request(&functions))
                 .unwrap()
                 .wait()
                 .unwrap();
-            let cold = backend.request(&functions).evaluate().unwrap();
+            let cold = engine.request(&functions).evaluate().unwrap();
             assert_identical(&served, &cold, &format!("{name}, set {seed}"));
             let seeded = client.metrics().cache.seeded_hits - before;
             assert_eq!(seeded, u64::from(resumes), "{name}, set {seed}");
@@ -591,7 +591,7 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
         step(941, true);
         // The inventory moves on: the seed's pruned entries name pages
         // of an epoch that is gone, so it must not be applied.
-        backend.insert_object(&[0.41, 0.43, 0.47]).unwrap();
+        engine.insert_object(&[0.41, 0.43, 0.47]).unwrap();
         step(942, false);
         step(943, true);
         service.shutdown();

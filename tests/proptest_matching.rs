@@ -3,13 +3,12 @@
 //! points, which is exactly where naive tie handling breaks.
 //!
 //! With strictly positive weights the stable matching under the
-//! canonical tie-broken order is unique *up to duplicate-point
-//! substitution*: Brute Force and Chain see every individual object and
-//! reproduce the reference exactly, while the skyline-based matcher
-//! keeps one implementation-defined representative per duplicate group
-//! (see the duplicate-semantics note in `mpq_skyline::maintain`), so it
-//! is compared modulo the identity of duplicates — i.e. on
-//! `(function, coordinates)` multisets, which *are* uniquely determined.
+//! canonical tie-broken order is unique, duplicates included: Brute
+//! Force and Chain see every individual object, and the skyline-based
+//! matcher sees of each duplicate group the smallest id left (see the
+//! duplicate-semantics note in `mpq_skyline::maintain`), which is the
+//! one the canonical order would hand out next — so every algorithm, on
+//! one tree or four, reproduces the reference exactly.
 //!
 //! The capacitated request gets continuous coordinates instead — no
 //! duplicate objects — so its contract is checked exactly: every knob,
@@ -27,19 +26,6 @@ use mpq::ta::FunctionSet;
 
 fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
     let mut v: Vec<(u32, u64)> = pairs.iter().map(|p| (p.fid, p.oid)).collect();
-    v.sort_unstable();
-    v
-}
-
-/// Pairs as `(fid, point bit patterns)` — the duplicate-insensitive view.
-fn sorted_by_point(pairs: &[Pair], objects: &PointSet) -> Vec<(u32, Vec<u64>)> {
-    let mut v: Vec<(u32, Vec<u64>)> = pairs
-        .iter()
-        .map(|p| {
-            let pt = objects.get(p.oid as usize);
-            (p.fid, pt.iter().map(|c| c.to_bits()).collect())
-        })
-        .collect();
     v.sort_unstable();
     v
 }
@@ -151,7 +137,6 @@ const SB_SINGLE_PAIR: Knobs = |r| r.multi_pair(false);
 fn check_all(objects: &PointSet, functions: &FunctionSet) -> Result<(), TestCaseError> {
     let expect = reference_matching(objects, functions);
     let expect_sorted = sorted(&expect);
-    let expect_by_point = sorted_by_point(&expect, objects);
     // one index build serves every configuration below
     let engine = Engine::builder().objects(objects).build().unwrap();
 
@@ -178,18 +163,25 @@ fn check_all(objects: &PointSet, functions: &FunctionSet) -> Result<(), TestCase
         }
     }
 
-    // SB: agreement modulo duplicate substitution, plus weak stability.
+    // SB: the skyline holds the smallest id left at each point, so the
+    // reference exactly as well — on one tree or four.
     let skyline: [(&str, Knobs); 2] = [("SB", |r| r), ("SB single-pair", SB_SINGLE_PAIR)];
+    let sharded = Engine::builder().objects(objects).shards(4);
+    let sharded = sharded.build().unwrap();
     for (label, knobs) in skyline {
-        let got = knobs(engine.request(functions)).evaluate().unwrap();
-        prop_assert_eq!(
-            sorted_by_point(got.pairs(), objects),
-            expect_by_point.clone(),
-            "{} diverged modulo duplicates",
-            label
-        );
-        if let Err(e) = verify_weakly_stable(objects, functions, got.pairs()) {
-            panic!("{label} produced a weakly unstable matching: {e}");
+        for engine in [&engine, &sharded] {
+            let got = knobs(engine.request(functions)).evaluate().unwrap();
+            let shards = engine.shard_count();
+            prop_assert_eq!(
+                sorted(got.pairs()),
+                expect_sorted.clone(),
+                "{} diverged on {} shards",
+                label,
+                shards
+            );
+            if let Err(e) = verify_stable(objects, functions, got.pairs()) {
+                panic!("{label} produced an unstable matching on {shards} shards: {e}");
+            }
         }
     }
 
@@ -252,6 +244,8 @@ proptest! {
         oids.dedup();
         prop_assert_eq!(fids.len(), m.len());
         prop_assert_eq!(oids.len(), m.len());
+        // nobody would trade up, by score alone
+        prop_assert_eq!(verify_weakly_stable(&objects, &functions, m.pairs()), Ok(()));
         // scores recompute exactly
         for p in m.pairs() {
             let s = functions.score(p.fid, objects.get(p.oid as usize));

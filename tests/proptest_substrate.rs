@@ -103,20 +103,11 @@ proptest! {
 
     #[test]
     fn bbs_skyline_matches_naive_as_point_set(ps in grid_points(3, 120)) {
-        // duplicate groups keep an implementation-defined representative,
-        // so skylines are compared as coordinate sets (which are unique)
+        // id for id: of a group of duplicates both keep the smallest
         let tree = RTree::bulk_load(&ps, tiny_params());
-        let mut got: Vec<Vec<u64>> = compute_skyline(&tree)
-            .into_iter()
-            .map(|(_, p)| p.iter().map(|c| c.to_bits()).collect())
-            .collect();
+        let mut got: Vec<u64> = compute_skyline(&tree).into_iter().map(|(oid, _)| oid).collect();
         got.sort_unstable();
-        let mut expect: Vec<Vec<u64>> = naive_skyline_excluding(&ps, &HashSet::new())
-            .into_iter()
-            .map(|o| ps.get(o as usize).iter().map(|c| c.to_bits()).collect())
-            .collect();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got, naive_skyline_excluding(&ps, &HashSet::new()));
     }
 
     #[test]
@@ -132,22 +123,15 @@ proptest! {
             let Some(victim) = m.iter().next().map(|e| e.oid) else { break };
             removed.insert(victim);
             m.remove(&[victim], &tree);
-            // compare as coordinate sets (duplicate-insensitive), and
-            // confirm every reported id is a real, unremoved object with
-            // those coordinates
-            let mut got: Vec<Vec<u64>> = Vec::new();
+            // id for id (of duplicates, the smallest left), each with
+            // its object's coordinates
+            let mut got: Vec<u64> = Vec::new();
             for e in m.iter() {
-                prop_assert!(!removed.contains(&e.oid));
                 prop_assert_eq!(ps.get(e.oid as usize), e.point);
-                got.push(e.point.iter().map(|c| c.to_bits()).collect());
+                got.push(e.oid);
             }
             got.sort_unstable();
-            let mut expect: Vec<Vec<u64>> = naive_skyline_excluding(&ps, &removed)
-                .into_iter()
-                .map(|o| ps.get(o as usize).iter().map(|c| c.to_bits()).collect())
-                .collect();
-            expect.sort_unstable();
-            prop_assert_eq!(got, expect);
+            prop_assert_eq!(got, naive_skyline_excluding(&ps, &removed));
         }
     }
 

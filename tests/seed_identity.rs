@@ -1,9 +1,8 @@
 //! Property tests for seeded evaluation: priming an evaluation from
 //! the inventory's [`EvalSeed`] must be **bit-identical** to running it
 //! cold, whatever the request — exclusion flips, function weight
-//! tweaks, capacities on and off — on every backend behind `dyn
-//! EvalBackend` (the unsharded engine and the sharded engine at K = 1
-//! and K = 4), including across interleaved inventory
+//! tweaks, capacities on and off — on an engine of one shard and of
+//! four, including across interleaved inventory
 //! mutations (which stale the seed: the evaluation must detect that,
 //! fall back cold and capture the new inventory's seed).
 //!
@@ -44,7 +43,7 @@ fn check(
     fn_rows: &[Vec<u8>],
     caps: &[u32],
     rounds: &[Round],
-    build: &dyn Fn(&PointSet) -> Box<dyn EvalBackend>,
+    build: &dyn Fn(&PointSet) -> Engine,
 ) -> Result<(), TestCaseError> {
     let (objects, mut live) = points(obj_rows);
     let mut fn_rows: Vec<Vec<f64>> = fn_rows
@@ -53,7 +52,7 @@ fn check(
         .collect();
     prop_assume!(live.len() > fn_rows.len() + 6);
 
-    let backend = build(&objects);
+    let engine = build(&objects);
 
     let mut excl: BTreeSet<u64> = BTreeSet::new();
     let mut seed: Option<EvalSeed> = None;
@@ -90,25 +89,25 @@ fn check(
                     (1 + (mut_sel / 997) % 989) as f64 / 991.0,
                 ];
                 if point_bits.insert([p[0].to_bits(), p[1].to_bits()]) {
-                    live.push(backend.insert_object(&p).unwrap());
+                    live.push(engine.insert_object(&p).unwrap());
                 }
             }
             2 if live.len() > fn_rows.len() + excl.len() + 8 => {
                 let i = ((mut_sel / 3) as usize) % live.len();
                 let oid = live.swap_remove(i);
                 excl.remove(&oid);
-                backend.remove_object(oid).unwrap();
+                engine.remove_object(oid).unwrap();
             }
             _ => {}
         }
 
         let functions = FunctionSet::from_rows(2, &fn_rows);
         // `caps` repeated over the id space: units 0..=3 per object.
-        let capacities: Vec<u32> = (0..backend.oid_bound() as usize)
+        let capacities: Vec<u32> = (0..engine.oid_bound() as usize)
             .map(|oid| caps[oid % caps.len()])
             .collect();
         let request = || {
-            let request = backend.request(&functions).exclude(excl.iter().copied());
+            let request = engine.request(&functions).exclude(excl.iter().copied());
             if *capacitated {
                 request.capacities(&capacities)
             } else {
@@ -118,7 +117,7 @@ fn check(
         let cold = request().evaluate().unwrap();
         let carried_usable = seed
             .as_ref()
-            .is_some_and(|s| s.usable_at(&backend.version_vector()));
+            .is_some_and(|s| s.usable_at(&engine.version_vector()));
         let (warm, captured) = request()
             .evaluate_seeded(&mut scratch, seed.as_ref())
             .unwrap();
@@ -171,12 +170,9 @@ proptest! {
             1..5,
         ),
     ) {
-        check(&obj_rows, &fn_rows, &caps, &rounds, &|objects| {
-            Box::new(Engine::builder().objects(objects).build().unwrap())
-        })?;
         for k in [1, 4] {
             check(&obj_rows, &fn_rows, &caps, &rounds, &|objects| {
-                Box::new(ShardedEngine::builder().objects(objects).shards(k).build().unwrap())
+                Engine::builder().objects(objects).shards(k).build().unwrap()
             })?;
         }
     }

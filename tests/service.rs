@@ -112,7 +112,7 @@ fn service_results_are_bit_identical_to_sequential_across_worker_counts() {
                 .iter()
                 .map(|fs| {
                     client
-                        .submit(client.backend().request(fs).algorithm(algo))
+                        .submit(client.engine().request(fs).algorithm(algo))
                         .unwrap()
                 })
                 .collect();
@@ -135,11 +135,11 @@ fn cancel_before_execution_yields_typed_error() {
     let client = service.client();
 
     let slow = slow_functions();
-    let t1 = client.submit(client.backend().request(&slow)).unwrap();
+    let t1 = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0); // worker owns t1, queue empty
 
     let fast = fast_functions(1);
-    let t2 = client.submit(client.backend().request(&fast)).unwrap();
+    let t2 = client.submit(client.engine().request(&fast)).unwrap();
     // t2 sits in the queue behind the busy worker: cancellation wins.
     assert!(t2.cancel(), "queued request must be cancellable");
     assert!(!t2.cancel(), "only the first cancel wins");
@@ -149,7 +149,7 @@ fn cancel_before_execution_yields_typed_error() {
 
     // Submitted behind the stale job: only served if the worker
     // survives popping it.
-    let t3 = client.submit(client.backend().request(&fast)).unwrap();
+    let t3 = client.submit(client.engine().request(&fast)).unwrap();
 
     assert!(t1.wait().is_ok(), "unrelated request is unaffected");
     assert!(
@@ -167,7 +167,7 @@ fn cancel_mid_execution_discards_the_result() {
     let client = service.client();
 
     let slow = slow_functions();
-    let ticket = client.submit(client.backend().request(&slow)).unwrap();
+    let ticket = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0); // the worker is evaluating it right now
 
     // The evaluation may win the race on a fast machine; either way the
@@ -188,7 +188,7 @@ fn cancel_after_completion_is_a_no_op() {
     let service = engine.serve(ServiceConfig::default().workers(1));
     let client = service.client();
     let fast = fast_functions(2);
-    let ticket = client.submit(client.backend().request(&fast)).unwrap();
+    let ticket = client.submit(client.engine().request(&fast)).unwrap();
     while !ticket.is_done() {
         std::thread::yield_now();
     }
@@ -204,14 +204,14 @@ fn queued_deadline_expires_with_typed_error() {
     let client = service.client();
 
     let slow = slow_functions();
-    let t1 = client.submit(client.backend().request(&slow)).unwrap();
+    let t1 = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
     // Zero budget: by the time the busy worker pops it, it has expired.
     let fast = fast_functions(3);
     let t2 = client
         .submit_with(
-            client.backend().request(&fast),
+            client.engine().request(&fast),
             SubmitOptions::default().deadline(Duration::ZERO),
         )
         .unwrap();
@@ -222,7 +222,7 @@ fn queued_deadline_expires_with_typed_error() {
     // A deadline with headroom is met: nothing in front of it.
     let t3 = client
         .submit_with(
-            client.backend().request(&fast),
+            client.engine().request(&fast),
             SubmitOptions::default().deadline(Duration::from_secs(60)),
         )
         .unwrap();
@@ -242,21 +242,21 @@ fn reject_backpressure_sheds_load_with_typed_error() {
     let client = service.client();
 
     let slow = slow_functions();
-    let t1 = client.submit(client.backend().request(&slow)).unwrap();
+    let t1 = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0); // worker busy, queue empty
 
     let fast = fast_functions(4);
-    let t2 = client.submit(client.backend().request(&fast)).unwrap(); // fills the queue
+    let t2 = client.submit(client.engine().request(&fast)).unwrap(); // fills the queue
 
     // A submission *identical* to the queued one needs no slot: it
     // attaches to t2's job (in-flight dedupe) instead of being shed.
-    let twin = client.submit(client.backend().request(&fast)).unwrap();
+    let twin = client.submit(client.engine().request(&fast)).unwrap();
     assert_eq!(client.metrics().cache.attaches, 1);
     assert_eq!(client.metrics().rejected, 0);
 
     // A *distinct* request has no job to attach to and is rejected.
     let other = fast_functions(40);
-    let overload = client.submit(client.backend().request(&other));
+    let overload = client.submit(client.engine().request(&other));
     assert_eq!(overload.unwrap_err(), MpqError::Overloaded);
     assert_eq!(client.metrics().rejected, 1);
 
@@ -280,16 +280,16 @@ fn block_backpressure_waits_for_space_instead_of_failing() {
     let client = service.client();
 
     let slow = slow_functions();
-    let t1 = client.submit(client.backend().request(&slow)).unwrap();
+    let t1 = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
     let fast = fast_functions(5);
-    let t2 = client.submit(client.backend().request(&fast)).unwrap(); // queue now full
+    let t2 = client.submit(client.engine().request(&fast)).unwrap(); // queue now full
 
     // This submission must block until the queue drains, then succeed.
     let blocked_client = client.clone();
     let blocked = std::thread::spawn(move || {
         let fast = fast_functions(6);
-        let engine = blocked_client.backend();
+        let engine = blocked_client.engine();
         blocked_client
             .submit(engine.request(&fast))
             .map(|t| t.wait())
@@ -315,7 +315,7 @@ fn graceful_shutdown_drains_queued_and_in_flight_work() {
     let tickets: Vec<_> = (0..6)
         .map(|i| {
             let fs = fast_functions(100 + i);
-            client.submit(client.backend().request(&fs)).unwrap()
+            client.submit(client.engine().request(&fs)).unwrap()
         })
         .collect();
 
@@ -337,10 +337,10 @@ fn graceful_shutdown_drains_queued_and_in_flight_work() {
     // identical to an already-served request, which would otherwise be
     // a cache hit: the post-shutdown contract beats the cache.
     let fs = fast_functions(200);
-    let refused = client.submit(client.backend().request(&fs));
+    let refused = client.submit(client.engine().request(&fs));
     assert_eq!(refused.unwrap_err(), MpqError::ServiceStopped);
     let served_before = fast_functions(100);
-    let refused_hit = client.submit(client.backend().request(&served_before));
+    let refused_hit = client.submit(client.engine().request(&served_before));
     assert_eq!(refused_hit.unwrap_err(), MpqError::ServiceStopped);
 }
 
@@ -351,10 +351,10 @@ fn tickets_are_pollable_and_timeout_returns_the_ticket() {
     let client = service.client();
 
     let slow = slow_functions();
-    let t1 = client.submit(client.backend().request(&slow)).unwrap();
+    let t1 = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
     let fast = fast_functions(7);
-    let t2 = client.submit(client.backend().request(&fast)).unwrap();
+    let t2 = client.submit(client.engine().request(&fast)).unwrap();
 
     // t2 is queued behind the slow job: polling and a tiny wait both
     // hand the live ticket back.
@@ -386,7 +386,7 @@ fn priority_ordering_still_serves_everything_and_fifo_is_default() {
         .map(|(i, fs)| {
             client
                 .submit_with(
-                    client.backend().request(fs),
+                    client.engine().request(fs),
                     SubmitOptions::default().priority(i as i32 % 3),
                 )
                 .unwrap()
@@ -394,7 +394,7 @@ fn priority_ordering_still_serves_everything_and_fifo_is_default() {
         .collect();
     for (fs, ticket) in function_sets.iter().zip(tickets) {
         let served = ticket.wait().unwrap();
-        let seq = client.backend().request(fs).evaluate().unwrap();
+        let seq = client.engine().request(fs).evaluate().unwrap();
         assert_identical(&served, &seq, "priority-served request");
     }
     service.shutdown();
@@ -433,7 +433,7 @@ fn invalid_requests_fail_at_submission_not_in_a_worker() {
     let client = service.client();
     let wrong_dim = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
     let err = client
-        .submit(client.backend().request(&wrong_dim))
+        .submit(client.engine().request(&wrong_dim))
         .unwrap_err();
     assert_eq!(
         err,
@@ -457,7 +457,7 @@ fn dropping_the_service_drains_like_shutdown() {
         tickets = (0..4)
             .map(|i| {
                 let fs = fast_functions(400 + i);
-                client.submit(client.backend().request(&fs)).unwrap()
+                client.submit(client.engine().request(&fs)).unwrap()
             })
             .collect();
         // service dropped here
