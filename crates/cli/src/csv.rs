@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// A parsed numeric table: column names, optional row identifiers, and
 /// row-major values.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Table {
+pub(crate) struct Table {
     /// Names of the numeric columns (identifier column excluded).
     pub columns: Vec<String>,
     /// Row identifiers: the first column if it is non-numeric, else
@@ -38,7 +38,7 @@ impl Table {
 /// The first line is the header. If every data row's first cell fails
 /// to parse as `f64`, the first column is treated as the identifier
 /// column; otherwise identifiers are synthesized.
-pub fn parse(text: &str) -> Result<Table, String> {
+pub(crate) fn parse(text: &str) -> Result<Table, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header: Vec<String> = lines
         .next()
@@ -112,7 +112,7 @@ pub fn parse(text: &str) -> Result<Table, String> {
 }
 
 /// Serialize rows of `(cells...)` with a header into CSV text.
-pub fn write_rows(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn write_rows(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{}", header.join(","));
     for r in rows {

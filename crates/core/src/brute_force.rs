@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 use std::collections::HashSet;
 use std::time::Instant;
 
-use mpq_rtree::{LinearScorer, LinearScorerRef, NodeSource, RankedHit, RankedIter, SearchBuf};
+use mpq_rtree::{NodeSource, RankedHit, RankedIter, SearchBuf};
 use mpq_ta::FunctionSet;
 
 use crate::matching::{Matching, Pair, RunMetrics};
@@ -113,7 +113,7 @@ pub(crate) fn run_incremental_on<R: NodeSource>(
     // One persistent incremental iterator per function. `iters[i]`
     // belongs to the i-th alive function.
     let fids: Vec<u32> = fs.iter_alive().map(|(fid, _)| fid).collect();
-    let mut iters: Vec<Option<RankedIter<'_, LinearScorer, R>>> = Vec::with_capacity(fids.len());
+    let mut iters: Vec<Option<RankedIter<'_, R>>> = Vec::with_capacity(fids.len());
     let mut iter_of_fid = vec![usize::MAX; fs.len()];
     let mut heap: BinaryHeap<Cand> = BinaryHeap::with_capacity(fids.len());
     let mut frontier_sizes: Vec<usize> = vec![0; fids.len()];
@@ -121,7 +121,7 @@ pub(crate) fn run_incremental_on<R: NodeSource>(
     let mut peak_frontier: usize = 0;
 
     for (i, &fid) in fids.iter().enumerate() {
-        let mut it = RankedIter::over(src, LinearScorer::new(fs.weights(fid)));
+        let mut it = RankedIter::over(src, functions.weights(fid));
         metrics.top1_searches += 1;
         let mut first = None;
         for hit in it.by_ref() {
@@ -199,7 +199,7 @@ pub(crate) fn masked_top1<R: NodeSource>(
     metrics: &mut RunMetrics,
 ) -> Option<RankedHit> {
     metrics.top1_searches += 1;
-    let mut it = RankedIter::over_reusing(src, LinearScorerRef::new(weights), std::mem::take(buf));
+    let mut it = RankedIter::over_reusing(src, weights, std::mem::take(buf));
     let hit = it.by_ref().find(|h| !assigned.contains(&h.oid));
     *buf = it.recycle();
     hit

@@ -18,8 +18,7 @@
 //!   [`Engine::inventory_version`](crate::Engine::inventory_version) it
 //!   was computed against; a lookup under a different version is a miss
 //!   (and drops the stale entry), so a cache outliving an engine rebuild
-//!   can never serve results from the old inventory. [`ResultCache::invalidate`]
-//!   clears everything at once.
+//!   can never serve results from the old inventory.
 //! * the [`service`](crate::service) layer — consults a `ResultCache`
 //!   before enqueueing and adds **in-flight dedupe** on top: a second
 //!   identical submission attaches to the first job instead of paying a
@@ -180,7 +179,7 @@ fn fnv64(words: &[u64]) -> u64 {
 /// One committed inventory mutation, as the cache's scoped invalidation
 /// sees it.
 #[derive(Debug, Clone)]
-pub enum MutationEvent {
+pub(crate) enum MutationEvent {
     /// Object `oid` at `point` entered the inventory.
     Insert {
         /// The new object's id.
@@ -202,17 +201,6 @@ pub enum MutationEvent {
     },
 }
 
-impl MutationEvent {
-    /// The object this event mutates.
-    pub fn oid(&self) -> u64 {
-        match self {
-            MutationEvent::Insert { oid, .. }
-            | MutationEvent::Remove { oid }
-            | MutationEvent::Update { oid, .. } => *oid,
-        }
-    }
-}
-
 /// A bounded ring of recent `(version, event)` mutations, shared between
 /// a mutable [`Engine`](crate::Engine) and the caches serving it.
 ///
@@ -224,7 +212,7 @@ impl MutationEvent {
 /// ring is bounded; entries older than the window fall back to the
 /// conservative drop.
 #[derive(Debug)]
-pub struct MutationLog {
+pub(crate) struct MutationLog {
     inner: Mutex<MutationLogInner>,
 }
 
@@ -276,7 +264,11 @@ impl MutationLog {
     /// All events with version in `(since, upto]`, oldest first — or
     /// `None` if the ring no longer covers the whole window (the caller
     /// must then fall back to full invalidation).
-    pub fn events_between(&self, since: u64, upto: u64) -> Option<Vec<(u64, MutationEvent)>> {
+    pub(crate) fn events_between(
+        &self,
+        since: u64,
+        upto: u64,
+    ) -> Option<Vec<(u64, MutationEvent)>> {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if since < inner.truncated_at {
             return None;
@@ -429,7 +421,7 @@ pub struct CacheMetrics {
     /// entries dropped on lookup count here too).
     pub evictions: u64,
     /// Entries restamped across inventory versions by scoped
-    /// invalidation ([`ResultCache::get_with_logs`]): the mutation log
+    /// invalidation (`ResultCache::get_with_logs`): the mutation log
     /// proved the cached result unaffected, so the entry was caught up
     /// instead of dropped.
     pub revalidations: u64,
@@ -741,17 +733,6 @@ impl ResultCache {
         self.insertions += 1;
     }
 
-    /// Drop every entry and the seed (e.g. the engine behind the cache
-    /// was rebuilt and the stale versions should stop occupying space).
-    /// Counters survive; dropped entries count as evictions.
-    pub fn invalidate(&mut self) {
-        self.evictions += self.entries.len() as u64;
-        self.entries.clear();
-        self.lru.clear();
-        self.seed = None;
-        self.bytes = 0;
-    }
-
     /// Number of cached results.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -800,7 +781,7 @@ impl ResultCache {
     /// mutations harmless — a mutation on shard A never touches the
     /// proof (or the validity) of a cached result whose assignments all
     /// live on shard B.
-    pub fn get_with_logs(
+    pub(crate) fn get_with_logs(
         &mut self,
         key: &RequestKey,
         versions: &[u64],
@@ -870,7 +851,7 @@ impl ResultCache {
     /// metrics would keep counting results that can never be served;
     /// sweeping at insert time keeps the accounting honest without a
     /// periodic task.
-    pub fn insert_with_logs_seeded(
+    pub(crate) fn insert_with_logs_seeded(
         &mut self,
         key: &RequestKey,
         versions: &[u64],
@@ -1065,24 +1046,6 @@ mod tests {
         );
         let m = cache.metrics();
         assert_eq!((m.hits, m.misses), (1, 2));
-    }
-
-    #[test]
-    fn invalidate_clears_everything() {
-        let mut cache = ResultCache::new(8, 1 << 20);
-        for i in 0..3 {
-            cache.insert_vec_seeded(
-                &key_of(&[vec![0.1 * (i + 1) as f64, 0.5]]),
-                &[1],
-                &matching_of(1),
-                None,
-            );
-        }
-        assert_eq!(cache.len(), 3);
-        cache.invalidate();
-        assert!(cache.is_empty());
-        assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.metrics().evictions, 3);
     }
 
     #[test]
@@ -1388,9 +1351,6 @@ mod tests {
         cache.insert_vec_seeded(&ka, &[4, 4], &matching_of(1), Some(seed_at(&[4, 4])));
         assert!(cache.near_miss(&kb, &[4, 5], 16).is_some());
         assert!(cache.near_miss(&kb, &[4, 4], 16).is_none());
-        cache.invalidate();
-        assert!(cache.near_miss(&kb, &[4, 5], 16).is_none());
-        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]

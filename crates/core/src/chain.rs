@@ -29,7 +29,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use mpq_rtree::{LinearScorerRef, NodeSource, PointSet, RTree, RTreeParams, RankedIter};
+use mpq_rtree::{NodeSource, PointSet, RTree, RTreeParams, RankedIter};
 use mpq_ta::FunctionSet;
 
 use crate::brute_force::masked_top1;
@@ -129,11 +129,8 @@ pub(crate) fn run_chain_on<R: NodeSource>(
                 Elem::O(oid, ref opoint) => {
                     metrics.fun_top1_searches += 1;
                     let hit = {
-                        let mut it = RankedIter::over_reusing(
-                            &fun_tree,
-                            LinearScorerRef::new(opoint),
-                            std::mem::take(search),
-                        );
+                        let mut it =
+                            RankedIter::over_reusing(&fun_tree, opoint, std::mem::take(search));
                         let hit = it.next();
                         *search = it.recycle();
                         hit

@@ -44,7 +44,7 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
 use mpq_rtree::{
@@ -57,11 +57,9 @@ use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
 use crate::cache::{MutationEvent, MutationLog};
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
-use crate::matching::{IndexConfig, Matching, Pair};
+use crate::matching::{IndexConfig, Matching};
 use crate::objects::{Cut, ObjectTable};
-use crate::sb::{
-    run_rescan_on, run_sb_seeded, stream_on, BestPairMode, MaintenanceMode, SbRun, SbStream,
-};
+use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, BestPairMode, MaintenanceMode, SbStream};
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
 use crate::service::{evaluate_batch, lock, safe_rate, EngineService, ServiceConfig};
@@ -788,12 +786,10 @@ impl Engine {
     /// [`ResultCache`](crate::ResultCache) entry stamped with one
     /// engine's vector can never be served against another engine's
     /// inventory; an entry stamped before a mutation is stale unless
-    /// [`Engine::mutation_logs`] prove the mutation could not have
-    /// changed it (see [`ResultCache::get_with_logs`]), and a mutation
-    /// of one shard leaves every other component — and that proof for
-    /// entries it cannot affect — intact.
-    ///
-    /// [`ResultCache::get_with_logs`]: crate::ResultCache::get_with_logs
+    /// the shards' mutation logs prove the mutation could not have
+    /// changed it, and a mutation of one shard leaves every other
+    /// component — and that proof for entries it cannot affect —
+    /// intact.
     pub fn version_vector(&self) -> Vec<u64> {
         self.shards.iter().map(Shard::version).collect()
     }
@@ -803,7 +799,7 @@ impl Engine {
     /// under the version stamp it minted, which is what lets a
     /// [`ResultCache`](crate::ResultCache) revalidate entries that a
     /// mutation provably did not affect instead of flushing wholesale.
-    pub fn mutation_logs(&self) -> Vec<&MutationLog> {
+    pub(crate) fn mutation_logs(&self) -> Vec<&MutationLog> {
         self.shards.iter().map(|shard| &shard.mutations).collect()
     }
 
@@ -1061,28 +1057,6 @@ impl Engine {
         EngineService::spawn(self, config)
     }
 
-    /// Open a persistent [`MatchSession`]: batches submitted over time
-    /// consume the inventory, and the incrementally-maintained skyline
-    /// survives across batches (the paper's online deployment, §IV-B).
-    pub fn session(&self) -> MatchSession<'_> {
-        MatchSession {
-            engine: self,
-            // No batch yet: the run holds the skyline, `submit` loads
-            // each batch's functions.
-            run: SbRun::new(
-                self.pin().0,
-                Scratch::new(),
-                &FunctionSet::new(self.dim),
-                BestPairMode::Ta,
-                |_| false,
-                None,
-                None,
-            ),
-            assigned: 0,
-            batches: 0,
-        }
-    }
-
     /// Pin a run-scoped I/O session on every shard's current epoch and
     /// read the pins as one source. The versions are `Some` iff no
     /// mutation straddled a pin: versions are monotone and minted at
@@ -1090,7 +1064,7 @@ impl Engine {
     /// pinned tree *is* that version's epoch. Otherwise some epoch is
     /// ambiguous, and the run must decline seeds and capture nothing
     /// rather than guess.
-    fn pin(&self) -> (Pins<'_>, Option<Vec<u64>>) {
+    pub(crate) fn pin(&self) -> (Pins<'_>, Option<Vec<u64>>) {
         let mut versions = Some(Vec::with_capacity(self.shards.len()));
         let mut sessions = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
@@ -1231,9 +1205,9 @@ impl Default for RequestOptions {
     }
 }
 
-/// The function-set half of request validation, shared with the
-/// stream and session entry points.
-fn validate_functions(dim: usize, functions: &FunctionSet) -> Result<(), MpqError> {
+/// The function-set half of request validation, shared with
+/// [`SbStream::load`].
+pub(crate) fn validate_functions(dim: usize, functions: &FunctionSet) -> Result<(), MpqError> {
     if functions.n_alive() == 0 {
         return Err(MpqError::EmptyFunctions);
     }
@@ -1536,71 +1510,6 @@ impl BatchMetrics {
     /// `0.0`, never `inf` or NaN.
     pub fn requests_per_sec(&self) -> f64 {
         safe_rate(self.requests as u64, self.wall)
-    }
-}
-
-/// A persistent matching session over one engine: batches submitted over
-/// time consume the inventory, and the R-trees **and** the
-/// incrementally-maintained skyline (with its plists, §IV-B) survive
-/// across batches — each batch pays only for its own best-pair search
-/// plus the maintenance its assignments cause.
-///
-/// Unlike stateless [`MatchRequest`]s, a session holds state (the
-/// consumed inventory), so it is a `&mut self` API; open one session per
-/// logical inventory stream. Sessions account their page traffic in
-/// their own [`mpq_rtree::IoSession`], so stateless requests may keep
-/// hitting the same engine concurrently.
-pub struct MatchSession<'e> {
-    engine: &'e Engine,
-    /// The skyline persists; every batch loads its own functions.
-    run: SbRun<Pins<'e>>,
-    assigned: u64,
-    batches: u64,
-}
-
-impl MatchSession<'_> {
-    /// Objects of the snapshot the session pinned that no earlier batch
-    /// reserved.
-    pub fn objects_remaining(&self) -> u64 {
-        self.run.pinned_objects() - self.assigned
-    }
-
-    /// Number of batches processed so far.
-    pub fn batches_processed(&self) -> u64 {
-        self.batches
-    }
-
-    /// Current skyline size (diagnostic).
-    pub fn skyline_len(&self) -> usize {
-        self.run.skyline_len()
-    }
-
-    /// Total I/O this session has caused since it was opened (including
-    /// the initial skyline computation).
-    pub fn io_stats(&self) -> mpq_rtree::IoStats {
-        self.run.io()
-    }
-
-    /// Match one arriving batch against the remaining inventory.
-    /// Returns the batch's stable matching; the assigned objects stay
-    /// reserved for subsequent batches.
-    pub fn submit(&mut self, functions: &FunctionSet) -> Result<Matching, MpqError> {
-        validate_functions(self.engine.dim, functions)?;
-        self.batches += 1;
-        let start = Instant::now();
-        let io_start = self.io_stats();
-        self.run.load(functions);
-        let mut pairs: Vec<Pair> = Vec::new();
-        while !self.run.is_done() {
-            pairs.extend_from_slice(self.run.round(true, &HashSet::new(), &mut None));
-        }
-        // every pair removed one distinct object from the inventory
-        self.assigned += pairs.len() as u64;
-
-        let mut metrics = self.run.metrics();
-        metrics.elapsed = start.elapsed();
-        metrics.io = self.io_stats().since(io_start);
-        Ok(Matching::new(pairs, metrics))
     }
 }
 

@@ -48,9 +48,12 @@
 //! then evaluate any number of [`MatchRequest`]s against it — also
 //! concurrently, since evaluation never mutates the shared index and
 //! every run accounts its own I/O through run-scoped
-//! [`mpq_rtree::IoSession`]s. [`Engine::session`] additionally keeps the
-//! maintained skyline alive across batches (the online deployment), and
-//! [`Engine::stream`] yields stable pairs progressively.
+//! [`mpq_rtree::IoSession`]s. [`Engine::stream`] yields stable pairs
+//! progressively, and [`SbStream::load`] matches the next query batch
+//! against what the stream left of the inventory, its maintained
+//! skyline alive across batches (the online deployment of §I). The
+//! same run evaluates any monotone preference functions (§II,
+//! [`Engine::evaluate_monotone`], the [`monotone`] module).
 //!
 //! ## Serving goes through the [`EngineService`]
 //!
@@ -83,7 +86,7 @@
 //! [`Engine::update_object`] maintain the R-tree incrementally under
 //! copy-on-write epochs: in-flight evaluations finish on the snapshot
 //! they pinned, and each committed mutation bumps one component of
-//! [`Engine::version_vector`] and is recorded in a [`MutationLog`]
+//! [`Engine::version_vector`] and is recorded in the shard's mutation log
 //! so the [`ResultCache`] can drop only the entries a mutation could
 //! actually change (the rest are revalidated in place). With
 //! [`EngineBuilder::data_dir`](engine::EngineBuilder::data_dir) the
@@ -98,8 +101,8 @@
 //!
 //! The [`shard`] module partitions the object set by object id into `K`
 //! independent shards — each with its own R-tree, buffer pool and WAL
-//! segment — and the engine reads them as one index: every algorithm,
-//! stream and session runs over `K` trees as it runs over one, and the
+//! segment — and the engine reads them as one index: every algorithm
+//! and stream runs over `K` trees as it runs over one, and the
 //! matching is bit-identical at every `K`. A mutation is one record in
 //! one shard's WAL, and the cache stamps results with a per-shard
 //! version vector so one shard's mutations never invalidate another
@@ -128,7 +131,6 @@ pub mod json;
 pub mod matching;
 pub mod monotone;
 mod objects;
-pub mod online;
 pub mod reference;
 pub mod sb;
 pub mod scratch;
@@ -139,15 +141,13 @@ pub mod verify;
 pub mod wal;
 
 pub use brute_force::BfStrategy;
-pub use cache::{CacheMetrics, MutationEvent, MutationLog, RequestKey, ResultCache};
+pub use cache::{CacheMetrics, RequestKey, ResultCache};
 pub use capacity::CapacityMatching;
-pub use engine::{
-    Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, MatchRequest, MatchSession,
-};
+pub use engine::{Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, MatchRequest};
 pub use error::MpqError;
 pub use json::Json;
 pub use matching::{index_build_count, IndexConfig, Matching, Pair, RunMetrics};
-pub use monotone::{MonotoneFunction, MonotoneSkylineMatcher};
+pub use monotone::MonotoneFunction;
 pub use reference::{reference_matching, reference_matching_excluding};
 pub use sb::{BestPairMode, MaintenanceMode, SbStream};
 pub use scratch::Scratch;

@@ -187,8 +187,8 @@ impl Default for IndexConfig {
     }
 }
 
-/// Process-wide count of object R-tree bulk loads performed through
-/// [`IndexConfig::build_tree`] (see [`index_build_count`]).
+/// Process-wide count of object R-tree bulk loads: one per tree an
+/// engine build loads (see [`index_build_count`]).
 static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide number of object R-tree bulk loads performed so far.
@@ -201,47 +201,14 @@ pub fn index_build_count() -> u64 {
 }
 
 impl IndexConfig {
-    /// Bulk-load `objects` and size the buffer; I/O counters start at
-    /// zero with a cold buffer.
-    pub fn build_tree(&self, objects: &PointSet) -> RTree {
-        self.build_tree_in(mpq_rtree::MemPager::new(self.page_size), objects)
-    }
-
-    /// Like [`IndexConfig::build_tree`], but persisting the pages into a
-    /// caller-supplied [`PageStore`](mpq_rtree::PageStore) — e.g. a
-    /// [`DiskPager`](mpq_rtree::DiskPager) for a disk-backed engine.
-    /// The store's page size must equal [`IndexConfig::page_size`].
-    pub fn build_tree_in<S: mpq_rtree::PageStore + 'static>(
-        &self,
-        store: S,
-        objects: &PointSet,
-    ) -> RTree {
-        INDEX_BUILDS.fetch_add(1, AtomicOrdering::Relaxed);
-        self.sized(RTree::bulk_load_in(store, objects, self.load_params()))
-    }
-
-    /// What a bulk load needs of this configuration.
-    fn load_params(&self) -> RTreeParams {
-        RTreeParams {
-            page_size: self.page_size,
-            min_fill_ratio: 0.4,
-            buffer_capacity: self.min_buffer_pages.max(1),
-        }
-    }
-
-    /// `tree`, its buffer sized for its page count.
-    fn sized(&self, tree: RTree) -> RTree {
-        tree.set_buffer_capacity(self.buffer_pages_for(tree.page_count()));
-        tree
-    }
-
-    /// Like [`IndexConfig::build_tree_in`], for a partitioned inventory:
-    /// one tree per store, tree `j` over the objects that
-    /// `keys[bounds[j]..bounds[j + 1]]` names (one `bulk::sort_key` each),
-    /// indexed under their indices in `objects` — how the shards of a
-    /// partitioned engine index their shares of the inventory without a
-    /// copy of them (see [`RTree::bulk_load_parts`]). Counts one index
-    /// build a tree. `keys` comes back permuted.
+    /// Bulk-load the trees of an inventory: one tree per store, tree `j`
+    /// over the objects that `keys[bounds[j]..bounds[j + 1]]` names (one
+    /// `bulk::sort_key` each), indexed under their indices in `objects`
+    /// — how the shards of a partitioned engine index their shares of
+    /// the inventory without a copy of them (see
+    /// [`RTree::bulk_load_parts`]) — each with its buffer sized for its
+    /// page count and its I/O counters at zero. Counts one index build a
+    /// tree. `keys` comes back permuted.
     pub(crate) fn build_trees_in(
         &self,
         stores: Vec<Box<dyn mpq_rtree::PageStore>>,
@@ -250,15 +217,23 @@ impl IndexConfig {
         bounds: &[usize],
     ) -> Vec<RTree> {
         INDEX_BUILDS.fetch_add(stores.len() as u64, AtomicOrdering::Relaxed);
-        let trees = RTree::bulk_load_parts(stores, objects, keys, bounds, self.load_params());
-        trees.into_iter().map(|tree| self.sized(tree)).collect()
+        let params = RTreeParams {
+            page_size: self.page_size,
+            min_fill_ratio: 0.4,
+            buffer_capacity: self.min_buffer_pages.max(1),
+        };
+        let trees = RTree::bulk_load_parts(stores, objects, keys, bounds, params);
+        for tree in &trees {
+            tree.set_buffer_capacity(self.buffer_pages_for(tree.page_count()));
+        }
+        trees
     }
 
     /// The buffer capacity this configuration prescribes for a tree of
     /// `page_count` pages. Rounds to the nearest page: truncation
     /// under-sizes the buffer by up to one page, which is visible at the
     /// paper's 2% default on small trees.
-    pub fn buffer_pages_for(&self, page_count: usize) -> usize {
+    pub(crate) fn buffer_pages_for(&self, page_count: usize) -> usize {
         ((page_count as f64 * self.buffer_fraction).round() as usize).max(self.min_buffer_pages)
     }
 }
@@ -266,6 +241,16 @@ impl IndexConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+
+    /// An engine of one tree over `objects`, built under `cfg`.
+    fn engine(cfg: IndexConfig, objects: &PointSet) -> Engine {
+        Engine::builder()
+            .index(cfg)
+            .objects(objects)
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn pair_order_breaks_ties_by_fid_then_oid() {
@@ -329,8 +314,8 @@ mod tests {
             let b = ((state >> 33) as f64) / (1u64 << 31) as f64;
             ps.push(&[a, b]);
         }
-        let cfg = IndexConfig::default();
-        let tree = cfg.build_tree(&ps);
+        let engine = engine(IndexConfig::default(), &ps);
+        let tree = engine.trees().next().unwrap();
         let expect = ((tree.page_count() as f64 * 0.02).round() as usize).max(8);
         assert_eq!(tree.buffer_capacity(), expect);
         assert_eq!(
@@ -358,16 +343,16 @@ mod tests {
             buffer_fraction: 0.02,
             min_buffer_pages: 1,
         };
-        let pages = probe.build_tree(&ps).page_count();
+        let pages = engine(probe, &ps).page_count();
         assert!(pages > 20, "need a multi-page tree for the boundary case");
         let cfg = IndexConfig {
             page_size: 512,
             buffer_fraction: 8.5 / pages as f64,
             min_buffer_pages: 1,
         };
-        let tree = cfg.build_tree(&ps);
+        let engine = engine(cfg, &ps);
         assert_eq!(
-            tree.buffer_capacity(),
+            engine.trees().next().unwrap().buffer_capacity(),
             9,
             "8.5 pages must round up to 9, not truncate to 8"
         );
@@ -379,7 +364,7 @@ mod tests {
         ps.push(&[0.5, 0.5]);
         ps.push(&[0.2, 0.8]);
         let before = index_build_count();
-        let _ = IndexConfig::default().build_tree(&ps);
+        let _ = engine(IndexConfig::default(), &ps);
         assert!(index_build_count() > before);
     }
 }

@@ -5,10 +5,14 @@
 //! implements the general case. The skyline observation holds for any
 //! monotone (non-decreasing per attribute) scoring function — the top-1
 //! object of every such function is a skyline object — so the SB loop
-//! carries over verbatim. What changes is the best-pair module: the
-//! sorted coefficient lists of the TA (§IV-A) exist only for linear
-//! functions, so the best function for a skyline object is found by a
-//! scan of `F`, exactly the fallback the paper's TA replaces.
+//! carries over verbatim: [`Engine::evaluate_monotone`] is the one SB
+//! run of [`crate::sb`] over the engine's pins, at any shard count, with
+//! both rank-list caches. What changes is the function side: the sorted
+//! coefficient lists of the TA (§IV-A) exist only for linear functions,
+//! so a skyline object's best functions are found by a scan of `F` —
+//! exactly the fallback the paper's TA replaces. A scan certifies the
+//! whole of what it ranks, so it fills the same top-`M` lists the TA
+//! does.
 //!
 //! Functions are supplied as implementations of [`MonotoneFunction`];
 //! ready-made forms cover the common non-linear preference shapes:
@@ -16,13 +20,17 @@
 //! ([`MinAttribute`]), and Cobb–Douglas / weighted geometric means
 //! ([`CobbDouglas`]).
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::time::Instant;
 
 use mpq_rtree::PointSet;
-use mpq_skyline::SkylineMaintainer;
+use mpq_ta::TaStats;
 
-use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
+use crate::engine::Engine;
+use crate::error::MpqError;
+use crate::matching::{Matching, Pair};
+use crate::sb::{insert_ranked, FunctionSide, SbRun, FBEST_RANKS};
+use crate::scratch::Scratch;
 
 /// A preference function that is monotone non-decreasing in every
 /// attribute.
@@ -96,109 +104,76 @@ impl MonotoneFunction for CobbDouglas {
     }
 }
 
-/// Skyline-based stable matcher for arbitrary monotone functions.
-///
-/// Same loop as [`Algorithm::Sb`](crate::Algorithm::Sb) with a
-/// scan-based best-pair module (no TA lists exist for non-linear functions). Outputs follow
-/// the canonical `(score desc, fid asc, oid asc)` tie-break.
-#[derive(Debug, Clone, Default)]
-pub struct MonotoneSkylineMatcher {
-    /// Object R-tree construction/buffering parameters.
-    pub index: IndexConfig,
-    /// Report all mutually-best pairs per loop (§IV-C).
-    pub multi_pair: bool,
+/// The function side of a monotone request: the functions by id, each
+/// skyline object's best found by a scan of the alive ones.
+struct Scanned<'f> {
+    functions: &'f [&'f dyn MonotoneFunction],
+    alive: Vec<bool>,
+    n_alive: usize,
 }
 
-impl MonotoneSkylineMatcher {
-    /// Compute the stable matching between `objects` and the monotone
-    /// `functions` (function ids are the slice indices).
-    pub fn run(&self, objects: &PointSet, functions: &[&dyn MonotoneFunction]) -> Matching {
-        let tree = self.index.build_tree(objects);
-        let start = Instant::now();
-        let mut metrics = RunMetrics::default();
-        let mut maintainer = SkylineMaintainer::build(&tree);
+impl FunctionSide for Scanned<'_> {
+    fn n_alive(&self) -> usize {
+        self.n_alive
+    }
 
-        let mut alive: Vec<bool> = vec![true; functions.len()];
-        let mut n_alive = functions.len();
-        let budget = n_alive.min(objects.len());
-        let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
-        // oid -> (fid, score): valid until the function is assigned
-        let mut fbest: HashMap<u64, (u32, f64)> = HashMap::new();
+    fn is_alive(&self, fid: u32) -> bool {
+        self.alive[fid as usize]
+    }
 
-        while n_alive > 0 && !maintainer.is_empty() {
-            metrics.loops += 1;
+    fn remove(&mut self, fid: u32) {
+        self.alive[fid as usize] = false;
+        self.n_alive -= 1;
+    }
 
-            // best alive function per skyline object (scan; no TA for
-            // general monotone functions)
-            for e in maintainer.iter() {
-                let stale = fbest
-                    .get(&e.oid)
-                    .is_none_or(|(fid, _)| !alive[*fid as usize]);
-                if stale {
-                    metrics.reverse_top1_calls += 1;
-                    let mut best: Option<(u32, f64)> = None;
-                    for (fid, f) in functions.iter().enumerate() {
-                        if !alive[fid] {
-                            continue;
-                        }
-                        let s = f.eval(e.point);
-                        if best.is_none_or(|(_, bs)| s > bs) {
-                            best = Some((fid as u32, s));
-                        }
-                    }
-                    fbest.insert(e.oid, best.expect("n_alive > 0"));
-                }
+    fn score(&self, fid: u32, point: &[f64]) -> f64 {
+        self.functions[fid as usize].eval(point)
+    }
+
+    fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>) {
+        list.clear();
+        for (fid, f) in self.functions.iter().enumerate() {
+            if self.alive[fid] {
+                insert_ranked(list, FBEST_RANKS, fid as u32, f.eval(point));
             }
-
-            // best skyline object per candidate function
-            let mut obest: HashMap<u32, (u64, f64)> = HashMap::new();
-            for e in maintainer.iter() {
-                let (fid, _) = fbest[&e.oid];
-                if obest.contains_key(&fid) {
-                    continue;
-                }
-                let f = functions[fid as usize];
-                let mut best: Option<(u64, f64)> = None;
-                for o in maintainer.iter() {
-                    let s = f.eval(o.point);
-                    let better = match best {
-                        None => true,
-                        Some((bo, bs)) => s > bs || (s == bs && o.oid < bo),
-                    };
-                    if better {
-                        best = Some((o.oid, s));
-                    }
-                }
-                obest.insert(fid, best.expect("skyline non-empty"));
-            }
-
-            // mutually-best pairs (Property 1)
-            let mut loop_pairs: Vec<Pair> = Vec::new();
-            for (&fid, &(oid, score)) in &obest {
-                if fbest[&oid].0 == fid {
-                    loop_pairs.push(Pair { fid, oid, score });
-                }
-            }
-            loop_pairs.sort_unstable();
-            if !self.multi_pair {
-                loop_pairs.truncate(1);
-            }
-            assert!(!loop_pairs.is_empty(), "global best pair is mutually best");
-
-            let removed_oids: Vec<u64> = loop_pairs.iter().map(|p| p.oid).collect();
-            for p in &loop_pairs {
-                alive[p.fid as usize] = false;
-                n_alive -= 1;
-                fbest.remove(&p.oid);
-            }
-            maintainer.remove(&removed_oids, &tree);
-            pairs.extend(loop_pairs);
         }
+    }
 
+    fn ta_stats(&self) -> Option<TaStats> {
+        None
+    }
+}
+
+impl Engine {
+    /// The stable matching between the inventory and monotone
+    /// `functions` (function ids are the slice indices): the one SB run
+    /// over the forest of the engine's pins — any shard count, built or
+    /// reopened — with each skyline object's best functions found by a
+    /// scan (see the [module docs](crate::monotone)).
+    ///
+    /// Every mutually-best pair of a round belongs to the greedy
+    /// matching whatever the score function (§IV-C), so all of them are
+    /// reported; [`Matching::sorted_pairs`] is the greedy's own order,
+    /// that of [`reference_monotone_matching`]. An empty slice is
+    /// refused with [`MpqError::EmptyFunctions`].
+    pub fn evaluate_monotone(
+        &self,
+        functions: &[&dyn MonotoneFunction],
+    ) -> Result<Matching, MpqError> {
+        if functions.is_empty() {
+            return Err(MpqError::EmptyFunctions);
+        }
+        let start = Instant::now();
+        let side = Scanned {
+            functions,
+            alive: vec![true; functions.len()],
+            n_alive: functions.len(),
+        };
+        let mut run = SbRun::new(self.pin().0, Scratch::new(), side, |_| false, None, None);
+        let pairs = run.drain(true, &HashSet::new(), &mut None);
+        let mut metrics = run.metrics();
         metrics.elapsed = start.elapsed();
-        metrics.io = tree.io_stats();
-        metrics.skyline = Some(maintainer.stats());
-        Matching::new(pairs, metrics)
+        Ok(Matching::new(pairs, metrics))
     }
 }
 
@@ -244,88 +219,125 @@ pub fn reference_monotone_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpq_datagen::WorkloadBuilder;
+    use crate::matching::IndexConfig;
+    use mpq_datagen::{Distribution, WorkloadBuilder};
 
-    fn tiny_index() -> IndexConfig {
-        IndexConfig {
-            page_size: 256,
-            buffer_fraction: 0.1,
-            min_buffer_pages: 4,
-        }
+    /// Small pages, so test-sized inventories span several levels.
+    const INDEX: IndexConfig = IndexConfig {
+        page_size: 256,
+        buffer_fraction: 0.1,
+        min_buffer_pages: 4,
+    };
+
+    fn engine(objects: &PointSet, shards: usize) -> Engine {
+        let builder = Engine::builder().index(INDEX).objects(objects);
+        builder.shards(shards).build().unwrap()
     }
 
-    fn matcher() -> MonotoneSkylineMatcher {
-        MonotoneSkylineMatcher {
-            index: tiny_index(),
-            multi_pair: true,
-        }
+    /// `(fid, oid, score bits)`: equal to the bit, or not at all.
+    fn exact(pairs: &[Pair]) -> Vec<(u32, u64, u64)> {
+        let bits = |p: &Pair| (p.fid, p.oid, p.score.to_bits());
+        pairs.iter().map(bits).collect()
     }
 
-    fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = pairs.iter().map(|p| (p.fid, p.oid)).collect();
-        v.sort_unstable();
-        v
+    /// 3-d inventories, independent and anti-correlated.
+    fn inventories(n: usize) -> [PointSet; 2] {
+        [
+            (Distribution::Independent, 41),
+            (Distribution::AntiCorrelated, 42),
+        ]
+        .map(|(d, seed)| {
+            let w = WorkloadBuilder::new().objects(n).functions(1).dim(3);
+            w.distribution(d).seed(seed).build().objects
+        })
     }
 
-    fn objects(n: usize, dim: usize, seed: u64) -> PointSet {
-        WorkloadBuilder::new()
-            .objects(n)
-            .functions(1)
-            .dim(dim)
-            .seed(seed)
-            .build()
-            .objects
-    }
-
+    /// Every form, in several shapes each, and closures: multi-pair
+    /// rounds, and `sorted_pairs()` the reference's greedy sequence to
+    /// the bit.
     #[test]
     fn mixed_monotone_functions_match_reference() {
-        let ps = objects(300, 3, 41);
-        let f1 = WeightedPower {
-            weights: vec![0.5, 0.3, 0.2],
-            k: 2.0,
-        };
-        let f2 = WeightedPower {
-            weights: vec![0.2, 0.2, 0.6],
-            k: 0.5,
-        };
-        let f3 = MinAttribute;
-        let f4 = CobbDouglas {
-            exponents: vec![0.5, 0.25, 0.25],
-            epsilon: 1e-3,
-        };
-        let f5 = |p: &[f64]| 0.9 * p[0] + 0.1 * p[2].sqrt();
-        let fns: Vec<&dyn MonotoneFunction> = vec![&f1, &f2, &f3, &f4, &f5];
+        let mut fns: Vec<Box<dyn MonotoneFunction>> = Vec::new();
+        for i in 1..=12 {
+            let w = |j: usize| ((i * 7 + j * 3) % 10 + 1) as f64 / 10.0;
+            let k = [0.5, 1.0, 2.0, 3.0][i % 4];
+            fns.push(Box::new(WeightedPower {
+                weights: vec![w(0), w(1), w(2)],
+                k,
+            }));
+            fns.push(Box::new(CobbDouglas {
+                exponents: vec![w(2), w(0), w(1)],
+                epsilon: 1e-3,
+            }));
+            let c = w(1);
+            fns.push(Box::new(move |p: &[f64]| c * p[0] + p[1].min(p[2])));
+        }
+        fns.push(Box::new(MinAttribute));
+        fns.push(Box::new(|p: &[f64]| 0.9 * p[0] + 0.1 * p[2].sqrt()));
+        let fns: Vec<&dyn MonotoneFunction> = fns.iter().map(|f| &**f).collect();
+        for objects in inventories(800) {
+            let expect = reference_monotone_matching(&objects, &fns);
+            assert_eq!(expect.len(), fns.len());
+            for k in [1, 4] {
+                let got = engine(&objects, k).evaluate_monotone(&fns).unwrap();
+                assert_eq!(exact(&got.sorted_pairs()), exact(&expect), "K={k}");
+                assert!(got.metrics().loops < fns.len() as u64, "multi-pair rounds");
+            }
+        }
+    }
 
-        let got = matcher().run(&ps, &fns);
-        let expect = reference_monotone_matching(&ps, &fns);
-        assert_eq!(sorted(got.pairs()), sorted(&expect));
-        assert_eq!(got.len(), 5);
+    /// Linear functions as closures, over the normalized weights so the
+    /// scores are the same bits: the same run as the linear request, in
+    /// pairs, order and counts.
+    #[test]
+    fn linear_special_case_agrees_with_linear_matcher() {
+        let fs = WorkloadBuilder::new().objects(1).functions(40).dim(3);
+        let fs = fs.seed(43).build().functions;
+        let closures: Vec<_> = (fs.iter_alive())
+            .map(|(_, w)| {
+                let w = w.to_vec();
+                move |p: &[f64]| w[0] * p[0] + w[1] * p[1] + w[2] * p[2]
+            })
+            .collect();
+        let fns: Vec<&dyn MonotoneFunction> = (closures.iter())
+            .map(|c| c as &dyn MonotoneFunction)
+            .collect();
+        for objects in inventories(800) {
+            for k in [1, 4] {
+                let engine = engine(&objects, k);
+                let linear = engine.request(&fs).evaluate().unwrap();
+                let general = engine.evaluate_monotone(&fns).unwrap();
+                assert_eq!(exact(general.pairs()), exact(linear.pairs()), "K={k}");
+                let (got, want) = (general.metrics(), linear.metrics());
+                assert_eq!(got.loops, want.loops);
+                assert_eq!(got.reverse_top1_calls, want.reverse_top1_calls);
+            }
+        }
     }
 
     #[test]
-    fn linear_special_case_agrees_with_linear_matcher() {
-        use mpq_ta::FunctionSet;
-        let ps = objects(200, 2, 43);
-        let rows = [vec![0.7, 0.3], vec![0.4, 0.6], vec![0.55, 0.45]];
-        let fs = FunctionSet::from_rows(2, rows.as_ref());
-        let engine = crate::Engine::builder()
-            .index(tiny_index())
-            .objects(&ps)
-            .build()
-            .unwrap();
-        let linear = engine.request(&fs).evaluate().unwrap();
-
-        // the same functions as monotone closures, using the normalized
-        // weights so scores are bitwise identical
-        let w0 = fs.weights(0).to_vec();
-        let w1 = fs.weights(1).to_vec();
-        let w2 = fs.weights(2).to_vec();
-        let c0 = move |p: &[f64]| w0[0] * p[0] + w0[1] * p[1];
-        let c1 = move |p: &[f64]| w1[0] * p[0] + w1[1] * p[1];
-        let c2 = move |p: &[f64]| w2[0] * p[0] + w2[1] * p[1];
-        let fns: Vec<&dyn MonotoneFunction> = vec![&c0, &c1, &c2];
-        let general = matcher().run(&ps, &fns);
-        assert_eq!(sorted(general.pairs()), sorted(linear.pairs()).clone());
+    fn more_monotone_functions_than_objects() {
+        let objects = &inventories(4)[0];
+        let f2 = WeightedPower {
+            weights: vec![1.0, 0.5, 0.5],
+            k: 1.0,
+        };
+        let f3 = WeightedPower {
+            weights: vec![0.5, 1.0, 0.5],
+            k: 1.0,
+        };
+        let f4 = CobbDouglas {
+            exponents: vec![1.0, 1.0, 1.0],
+            epsilon: 1e-3,
+        };
+        let fns: Vec<&dyn MonotoneFunction> =
+            vec![&MinAttribute, &f2, &f3, &f4, &MinAttribute, &MinAttribute];
+        let expect = reference_monotone_matching(objects, &fns);
+        for k in [1, 4] {
+            let got = engine(objects, k).evaluate_monotone(&fns).unwrap();
+            assert_eq!(got.len(), 4, "objects are the scarce side");
+            assert_eq!(exact(&got.sorted_pairs()), exact(&expect));
+        }
     }
 
     #[test]
@@ -334,52 +346,84 @@ mod tests {
         ps.push(&[0.95, 0.1]); // extreme
         ps.push(&[0.6, 0.55]); // balanced
         ps.push(&[0.1, 0.95]); // extreme
-        let f = MinAttribute;
-        let fns: Vec<&dyn MonotoneFunction> = vec![&f];
-        let got = matcher().run(&ps, &fns);
-        assert_eq!(got.pairs()[0].oid, 1, "maximin picks the balanced object");
+        for k in [1, 4] {
+            let got = engine(&ps, k).evaluate_monotone(&[&MinAttribute]).unwrap();
+            assert_eq!(got.pairs()[0].oid, 1, "maximin picks the balanced object");
+        }
+    }
+
+    /// The run pins whatever the engine holds: an engine reopened from
+    /// disk, on one tree or four, matches as the one it was built as.
+    #[test]
+    fn a_reopened_engine_matches_alike() {
+        let objects = &inventories(600)[1];
+        let power = WeightedPower {
+            weights: vec![0.2, 0.5, 0.3],
+            k: 2.0,
+        };
+        let fns: Vec<&dyn MonotoneFunction> = vec![&MinAttribute, &power, &MinAttribute];
+        for k in [1, 4] {
+            let name = format!("mpq-monotone-reopen-{}-{k}", std::process::id());
+            let dir = std::env::temp_dir().join(name);
+            let _ = std::fs::remove_dir_all(&dir);
+            let built = Engine::builder().index(INDEX).objects(objects).shards(k);
+            let built = built.data_dir(&dir).build().unwrap();
+            let want = built.evaluate_monotone(&fns).unwrap();
+            drop(built);
+            let reopened = Engine::open_with(&dir, INDEX).unwrap();
+            assert_eq!(reopened.shard_count(), k);
+            let got = reopened.evaluate_monotone(&fns).unwrap();
+            assert_eq!(exact(got.pairs()), exact(want.pairs()), "K={k}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
-    fn more_monotone_functions_than_objects() {
-        let ps = objects(4, 2, 47);
-        let f1 = MinAttribute;
-        let f2 = WeightedPower {
-            weights: vec![1.0, 0.0],
-            k: 1.0,
-        };
-        let f3 = WeightedPower {
-            weights: vec![0.0, 1.0],
-            k: 1.0,
-        };
-        let f4 = CobbDouglas {
-            exponents: vec![1.0, 1.0],
-            epsilon: 1e-3,
-        };
-        let f5 = MinAttribute;
-        let f6 = MinAttribute;
-        let fns: Vec<&dyn MonotoneFunction> = vec![&f1, &f2, &f3, &f4, &f5, &f6];
-        let got = matcher().run(&ps, &fns);
-        assert_eq!(got.len(), 4, "objects are the scarce side");
-        let expect = reference_monotone_matching(&ps, &fns);
-        assert_eq!(sorted(got.pairs()), sorted(&expect));
+    fn an_empty_request_is_refused() {
+        let engine = engine(&inventories(10)[0], 1);
+        let err = engine.evaluate_monotone(&[]).unwrap_err();
+        assert_eq!(err, MpqError::EmptyFunctions);
     }
 
+    /// Each evaluation pins the inventory as it is: an inserted object
+    /// that dominates everything is taken first, and once removed it is
+    /// no one's — on one tree and four.
+    #[test]
+    fn each_evaluation_matches_the_inventory_it_pins() {
+        let objects = &inventories(300)[0];
+        let fns: Vec<&dyn MonotoneFunction> = vec![&MinAttribute, &MinAttribute];
+        for k in [1, 4] {
+            let engine = engine(objects, k);
+            let before = engine.evaluate_monotone(&fns).unwrap();
+            let best = engine.insert_object(&[1.0, 1.0, 1.0]).unwrap();
+            let with = engine.evaluate_monotone(&fns).unwrap();
+            assert_eq!((with.pairs()[0].fid, with.pairs()[0].oid), (0, best));
+            assert_eq!(with.pairs()[1].oid, before.pairs()[0].oid, "K={k}");
+            engine.remove_object(best).unwrap();
+            let after = engine.evaluate_monotone(&fns).unwrap();
+            assert_eq!(exact(after.pairs()), exact(before.pairs()), "K={k}");
+            let metrics = after.metrics();
+            assert!(metrics.skyline.is_some() && metrics.ta.is_none());
+        }
+    }
+
+    /// The pairs taken one at a time, in the greedy's order: a round
+    /// reports several, and `sorted_pairs()` puts them back in the
+    /// sequence the reference takes them, score bits included.
     #[test]
     fn single_pair_mode_is_greedy_sequence() {
-        let ps = objects(150, 3, 53);
+        let ps = WorkloadBuilder::new().objects(150).functions(1).dim(3);
+        let ps = ps.seed(53).build().objects;
         let f1 = WeightedPower {
             weights: vec![0.4, 0.4, 0.2],
             k: 3.0,
         };
-        let f2 = MinAttribute;
-        let fns: Vec<&dyn MonotoneFunction> = vec![&f1, &f2];
-        let got = MonotoneSkylineMatcher {
-            index: tiny_index(),
-            multi_pair: false,
-        }
-        .run(&ps, &fns);
+        let fns: Vec<&dyn MonotoneFunction> = vec![&f1, &MinAttribute];
         let expect = reference_monotone_matching(&ps, &fns);
-        assert_eq!(got.pairs(), &expect[..]);
+        assert_eq!(expect.len(), 2);
+        for k in [1, 4] {
+            let got = engine(&ps, k).evaluate_monotone(&fns).unwrap();
+            assert_eq!(exact(&got.sorted_pairs()), exact(&expect), "K={k}");
+        }
     }
 }

@@ -210,7 +210,11 @@ impl ObjectTable {
     /// The table holding `oids[i]` at `coords[i * dim..(i + 1) * dim]`.
     /// Columns already in ascending id order are adopted as they are;
     /// otherwise they are sorted once. Ids must be distinct.
-    pub fn from_columns(dim: usize, mut oids: Vec<u64>, mut coords: Vec<f64>) -> ObjectTable {
+    pub(crate) fn from_columns(
+        dim: usize,
+        mut oids: Vec<u64>,
+        mut coords: Vec<f64>,
+    ) -> ObjectTable {
         assert_eq!(oids.len() * dim, coords.len(), "ragged object columns");
         if !oids.windows(2).all(|w| w[0] < w[1]) {
             let mut order: Vec<(u64, usize)> = oids.iter().copied().zip(0..).collect();
@@ -250,7 +254,7 @@ impl ObjectTable {
 
     /// Declare every id below `bound` spent (recovery: an id the log or
     /// a checkpoint has seen must not be minted again).
-    pub fn raise_bound(&mut self, bound: u64) {
+    pub(crate) fn raise_bound(&mut self, bound: u64) {
         self.bound = self.bound.max(bound);
     }
 

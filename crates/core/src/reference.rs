@@ -16,8 +16,8 @@ pub fn reference_matching(objects: &PointSet, functions: &FunctionSet) -> Vec<Pa
 }
 
 /// [`reference_matching`] over the objects for which `excluded(oid)` is
-/// `false` (ground truth for online/batched sessions where earlier
-/// batches consumed part of the inventory).
+/// `false` (ground truth for a reloaded stream's later batches, after
+/// earlier batches consumed part of the inventory).
 pub fn reference_matching_excluding(
     objects: &PointSet,
     functions: &FunctionSet,

@@ -38,9 +38,12 @@
 //! Everything above lives once, in the crate-private `SbRun`: one
 //! pinned node source — the engine's shards read as one forest (see
 //! [`crate::shard`]), so one tree or `K` is not the run's concern — the
-//! skyline maintained over it, the working function set with its
-//! reverse top-1 index, both rank-list caches and the counters.
-//! `SbRun::new` loads the functions and primes the skyline — cold by
+//! skyline maintained over it, the function side, both rank-list caches
+//! and the counters. The function side is what a round asks of `F`
+//! (`FunctionSide`): a linear request's working function set with its
+//! reverse top-1 index, or — §II admits "any monotone function" —
+//! monotone functions found by a scan ([`crate::monotone`]).
+//! `SbRun::new` takes the functions and primes the skyline — cold by
 //! BBS, or cloned from the inventory's seed ([`crate::seed`]) — then
 //! peels off the objects the run must not see; "must not see" is one
 //! predicate, so a request's exclusions and a capacitated request's
@@ -60,15 +63,21 @@
 //!   maintenance, masked promotions peeled before they reach a cache).
 //!   An object with a unit left stays where it is.
 //!
-//! Three drivers call it until the run is done, and do nothing else to
-//! the run: the evaluation (`run_sb_seeded`), the
-//! progressive [`SbStream`] and the persistent
-//! [`MatchSession`](crate::MatchSession).
+//! Two callers run it until the run is done, and do nothing else to
+//! the run: the evaluation (`run_sb_seeded`, and
+//! [`Engine::evaluate_monotone`](crate::Engine::evaluate_monotone) over
+//! the same run with monotone functions) and the progressive
+//! [`SbStream`].
 //!
 //! [`SbStream`] exposes the algorithm *progressively*: stable pairs are
 //! yielded as soon as they are identified, which is the paper's
 //! motivating deployment (a booking site confirming reservations while
-//! the rest of the batch is still being matched).
+//! the rest of the batch is still being matched). Query batches that
+//! arrive over time against one inventory (§I) are one stream
+//! [reloaded](SbStream::load) batch after batch: the maintained skyline
+//! with its plists survives, so each batch pays only for its own
+//! best-pair search plus the maintenance its assignments cause — where
+//! the alternative would run BBS again for every batch.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -76,10 +85,11 @@ use std::time::{Duration, Instant};
 use mpq_rtree::{IoStats, NodeSource};
 use mpq_skyline::bbs::compute_skyline_excluding_with;
 use mpq_skyline::{SkylineMaintainer, SkylineStats};
-use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
+use mpq_ta::{FunctionSet, ReverseTopOne, TaStats, ThresholdMode};
 
 use crate::capacity::{invisible, Units};
-use crate::engine::RequestOptions;
+use crate::engine::{validate_functions, RequestOptions};
+use crate::error::MpqError;
 use crate::matching::{Matching, Pair, RunMetrics};
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
@@ -88,7 +98,7 @@ use crate::seed::EvalSeed;
 /// amortize one TA scan over more function removals; the marginal scan
 /// depth is small because the threshold, not the rank count, dominates
 /// termination (measured sweet spot on the paper's workloads: 8).
-const FBEST_RANKS: usize = 8;
+pub(crate) const FBEST_RANKS: usize = 8;
 /// Top-`K` skyline objects cached per function.
 const OBEST_RANKS: usize = 8;
 
@@ -167,42 +177,122 @@ fn peel_masked<R: NodeSource>(
     *spent += start.elapsed();
 }
 
-/// Give `scratch` a fresh working copy of `functions` and empty
-/// rank-list caches (buffers reused), and build the copy's reverse
+/// What a round asks of the functions `F` (see the [module
+/// docs](self)). Function ids are dense and only ever die.
+pub(crate) trait FunctionSide {
+    /// Functions not assigned yet.
+    fn n_alive(&self) -> usize;
+
+    /// Is `fid` not assigned yet?
+    fn is_alive(&self, fid: u32) -> bool;
+
+    /// Assign `fid`, for good.
+    fn remove(&mut self, fid: u32);
+
+    /// `fid`'s score of `point`.
+    fn score(&self, fid: u32, point: &[f64]) -> f64;
+
+    /// Certified top alive functions for `point` — the best one at
+    /// least, sorted by `(score desc, fid asc)` — written over `list`
+    /// (rank-list cache fill).
+    fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>);
+
+    /// The reverse top-1 scans' counters, where there is an index.
+    fn ta_stats(&self) -> Option<TaStats>;
+}
+
+/// A linear request's function side: the working copy of its
+/// [`FunctionSet`] and, unless `best_pair` scans, the copy's reverse
 /// top-1 index.
-fn load_functions(
-    scratch: &mut Scratch,
-    functions: &FunctionSet,
-    best_pair: BestPairMode,
-) -> Option<ReverseTopOne> {
-    scratch.fs.copy_from(functions);
-    scratch.fbest.clear();
-    scratch.obest.clear();
-    match best_pair {
-        BestPairMode::Scan => None,
-        _ => Some(ReverseTopOne::build(&scratch.fs)),
+struct Linear {
+    fs: FunctionSet,
+    rt1: Option<ReverseTopOne>,
+    mode: BestPairMode,
+}
+
+impl Linear {
+    /// `functions`, copied into the buffers of `scratch`'s working set
+    /// (`SbRun::into_scratch` hands them back).
+    fn new(scratch: &mut Scratch, functions: &FunctionSet, mode: BestPairMode) -> Linear {
+        let fs = std::mem::replace(&mut scratch.fs, FunctionSet::new(1));
+        let mut side = Linear {
+            fs,
+            rt1: None,
+            mode,
+        };
+        side.load(functions);
+        side
+    }
+
+    /// Replace the working copy with `functions` (buffers reused) and
+    /// build its reverse top-1 index.
+    fn load(&mut self, functions: &FunctionSet) {
+        self.fs.copy_from(functions);
+        self.rt1 = match self.mode {
+            BestPairMode::Scan => None,
+            _ => Some(ReverseTopOne::build(&self.fs)),
+        };
+    }
+}
+
+impl FunctionSide for Linear {
+    #[inline]
+    fn n_alive(&self) -> usize {
+        self.fs.n_alive()
+    }
+
+    #[inline]
+    fn is_alive(&self, fid: u32) -> bool {
+        self.fs.is_alive(fid)
+    }
+
+    #[inline]
+    fn remove(&mut self, fid: u32) {
+        self.fs.remove(fid);
+    }
+
+    #[inline]
+    fn score(&self, fid: u32, point: &[f64]) -> f64 {
+        self.fs.score(fid, point)
+    }
+
+    /// Scan mode certifies only the top-1, so its lists hold one entry.
+    fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>) {
+        let threshold = match self.mode {
+            BestPairMode::Ta => ThresholdMode::Tight,
+            BestPairMode::TaNaiveThreshold => ThresholdMode::Naive,
+            BestPairMode::Scan => {
+                list.clear();
+                list.extend(self.fs.scan_best(point));
+                return;
+            }
+        };
+        let rt1 = self.rt1.as_mut().expect("TA mode has an index");
+        rt1.top_m_for(&self.fs, point, FBEST_RANKS, threshold, list);
+    }
+
+    fn ta_stats(&self) -> Option<TaStats> {
+        self.rt1.as_ref().map(ReverseTopOne::stats)
     }
 }
 
 /// The state of one SB run — the only SB state machine in the crate
 /// (see the [module docs](self)).
-pub(crate) struct SbRun<R: NodeSource> {
+pub(crate) struct SbRun<R: NodeSource, F> {
     src: R,
     io_start: IoStats,
     /// The maintainer's counters when the run took it over: a resumed
     /// run does not report the seed's BBS as its own work.
     sky_start: SkylineStats,
     skyline: SkylineMaintainer,
-    rt1: Option<ReverseTopOne>,
-    /// Working function set, fbest/obest rank-list caches and the
-    /// round-local buffers.
+    functions: F,
+    /// The fbest/obest rank-list caches and the round-local buffers.
     scratch: Scratch,
-    best_pair: BestPairMode,
     metrics: RunMetrics,
 }
 
-impl<R: NodeSource> SbRun<R> {
-    /// Start a run over `src`: load `functions`, prime the skyline —
+impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
+    /// Start a run of `functions` over `src`: prime the skyline —
     /// cold (BBS over the whole source) or cloned from `seed`, the same
     /// source's BBS snapshot — and peel every `masked` object off it.
     /// Either way the run holds exactly the skyline of its inventory, so
@@ -215,13 +305,13 @@ impl<R: NodeSource> SbRun<R> {
     pub(crate) fn new(
         src: R,
         mut scratch: Scratch,
-        functions: &FunctionSet,
-        best_pair: BestPairMode,
+        functions: F,
         masked: impl Fn(u64) -> bool,
         seed: Option<&SkylineMaintainer>,
         capture: Option<&mut Option<SkylineMaintainer>>,
-    ) -> SbRun<R> {
-        let rt1 = load_functions(&mut scratch, functions, best_pair);
+    ) -> SbRun<R, F> {
+        scratch.fbest.clear();
+        scratch.obest.clear();
         let io_start = src.io_snapshot();
         let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
         let mut skyline = match seed {
@@ -245,60 +335,44 @@ impl<R: NodeSource> SbRun<R> {
             io_start,
             sky_start,
             skyline,
-            rt1,
+            functions,
             scratch,
-            best_pair,
             metrics,
         }
-    }
-
-    /// Match `functions` against what is left of the skyline, with the
-    /// loop counters restarted. I/O keeps counting from the pin.
-    pub(crate) fn load(&mut self, functions: &FunctionSet) {
-        self.rt1 = load_functions(&mut self.scratch, functions, self.best_pair);
-        self.metrics = RunMetrics::default();
     }
 
     /// True once every function is assigned or the skyline drained (it
     /// can never refill).
     pub(crate) fn is_done(&self) -> bool {
-        self.scratch.fs.n_alive() == 0 || self.skyline_len() == 0
+        self.functions.n_alive() == 0 || self.skyline.is_empty()
     }
 
-    /// Objects in the pinned source, assigned or not.
-    pub(crate) fn pinned_objects(&self) -> u64 {
-        self.src.len()
-    }
-
-    /// Objects on the skyline.
-    pub(crate) fn skyline_len(&self) -> usize {
-        self.skyline.len()
-    }
-
-    /// The working function set: the loaded functions not yet assigned.
-    pub(crate) fn functions(&self) -> &FunctionSet {
-        &self.scratch.fs
-    }
-
-    /// Page traffic since the pin.
-    pub(crate) fn io(&self) -> IoStats {
-        self.src.io_snapshot().since(self.io_start)
-    }
-
-    /// Counters since [`load`](SbRun::load), I/O since the pin.
-    /// `elapsed` is left to the caller, who knows what it is timing.
+    /// Every counter since the pin, or since the last
+    /// [`load`](SbRun::load). `elapsed` is left to the caller, who
+    /// knows what it is timing.
     pub(crate) fn metrics(&self) -> RunMetrics {
         let mut m = self.metrics;
-        m.io = self.io();
+        m.io = self.src.io_snapshot().since(self.io_start);
         let since = |now, then| now - then;
         m.skyline = Some(zip_stats(self.skyline.stats(), self.sky_start, since));
-        m.ta = self.rt1.as_ref().map(ReverseTopOne::stats);
+        m.ta = self.functions.ta_stats();
         m
     }
 
-    /// Hand the working state back for the next run.
-    pub(crate) fn into_scratch(self) -> Scratch {
-        self.scratch
+    /// Run rounds until the run is done; their pairs, in emission
+    /// order.
+    pub(crate) fn drain(
+        &mut self,
+        multi_pair: bool,
+        exclude: &HashSet<u64>,
+        units: &mut Option<Units>,
+    ) -> Vec<Pair> {
+        let budget = self.functions.n_alive().min(self.src.len() as usize);
+        let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
+        while !self.is_done() {
+            pairs.extend_from_slice(self.round(multi_pair, exclude, units));
+        }
+        pairs
     }
 
     /// One whole round (Algorithm 1 lines 3–9), the only loop body:
@@ -337,12 +411,12 @@ impl<R: NodeSource> SbRun<R> {
     /// Precondition: the run is not [done](SbRun::is_done).
     fn discover(&mut self, multi_pair: bool) {
         let Scratch {
-            fs,
             fbest,
             obest,
             round: bufs,
             ..
         } = &mut self.scratch;
+        let fs = &mut self.functions;
         let skyline = &self.skyline;
         let start = Instant::now();
         self.metrics.loops += 1;
@@ -358,7 +432,7 @@ impl<R: NodeSource> SbRun<R> {
             list.drain(..dead.count());
             if list.is_empty() {
                 self.metrics.reverse_top1_calls += 1;
-                best_functions(&mut self.rt1, fs, e.point, self.best_pair, list);
+                fs.best_functions(e.point, list);
                 debug_assert!(!list.is_empty(), "fs.n_alive() > 0");
             }
         }
@@ -412,12 +486,12 @@ impl<R: NodeSource> SbRun<R> {
     /// drained like any other dead one.
     fn retire(&mut self, pairs: &[Pair], departed: &[u64], masked: impl Fn(u64) -> bool) {
         let Scratch {
-            fs,
             fbest,
             obest,
             round: bufs,
             ..
         } = &mut self.scratch;
+        let fs = &mut self.functions;
         // Assigned functions never return: drop their obest lists. Dead
         // functions inside fbest lists are drained lazily in step 1.
         for p in pairs {
@@ -446,6 +520,26 @@ impl<R: NodeSource> SbRun<R> {
     }
 }
 
+impl<R: NodeSource> SbRun<R, Linear> {
+    /// Match `functions` against what is left of the skyline. The
+    /// caches go with the old functions; every counter restarts.
+    fn load(&mut self, functions: &FunctionSet) {
+        self.functions.load(functions);
+        self.scratch.fbest.clear();
+        self.scratch.obest.clear();
+        self.io_start = self.src.io_snapshot();
+        self.sky_start = self.skyline.stats();
+        self.metrics = RunMetrics::default();
+    }
+
+    /// Hand the working state back for the next run.
+    fn into_scratch(self) -> Scratch {
+        let mut scratch = self.scratch;
+        scratch.fs = self.functions.fs;
+        scratch
+    }
+}
+
 /// Build a progressive SB stream over a node source the stream *owns*
 /// (the engine's run-scoped pins). The objects the request
 /// cannot see — excluded, or without a unit of capacity — are removed
@@ -460,15 +554,10 @@ pub(crate) fn stream_on<R: NodeSource>(
 ) -> SbStream<R> {
     let excluded = options.exclude.clone();
     let units = options.capacities.clone().map(Units);
-    let run = SbRun::new(
-        src,
-        Scratch::new(),
-        functions,
-        options.best_pair,
-        |oid| invisible(&excluded, &units, oid),
-        None,
-        None,
-    );
+    let mut scratch = Scratch::new();
+    let linear = Linear::new(&mut scratch, functions, options.best_pair);
+    let masked = |oid| invisible(&excluded, &units, oid);
+    let run = SbRun::new(src, scratch, linear, masked, None, None);
     SbStream {
         run,
         multi_pair: options.multi_pair,
@@ -518,11 +607,12 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     let capturing = capture.is_some() && seed.is_none() && versions.is_some();
     let exclude = &options.exclude;
     let mut units = options.capacities.clone().map(Units);
+    let mut lent = std::mem::take(scratch);
+    let linear = Linear::new(&mut lent, functions, options.best_pair);
     let mut run = SbRun::new(
         src,
-        std::mem::take(scratch),
-        functions,
-        options.best_pair,
+        lent,
+        linear,
         |oid| invisible(exclude, &units, oid),
         seed.map(|s| &s.skyline),
         capturing.then_some(&mut snapshot),
@@ -532,11 +622,7 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
             .zip(snapshot)
             .map(|(versions, skyline)| EvalSeed { versions, skyline });
     }
-    let budget = functions.n_alive().min(run.pinned_objects() as usize);
-    let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
-    while !run.is_done() {
-        pairs.extend_from_slice(run.round(options.multi_pair, exclude, &mut units));
-    }
+    let pairs = run.drain(options.multi_pair, exclude, &mut units);
     let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
     *scratch = run.into_scratch();
@@ -633,29 +719,6 @@ fn best_function(
     }
 }
 
-/// Certified top-`M` alive functions for `point`, written over `list`
-/// (rank-list cache fill). Scan mode certifies only the top-1, so its
-/// lists hold one entry.
-pub(crate) fn best_functions(
-    rt1: &mut Option<ReverseTopOne>,
-    fs: &FunctionSet,
-    point: &[f64],
-    mode: BestPairMode,
-    list: &mut Vec<(u32, f64)>,
-) {
-    let threshold = match mode {
-        BestPairMode::Ta => ThresholdMode::Tight,
-        BestPairMode::TaNaiveThreshold => ThresholdMode::Naive,
-        BestPairMode::Scan => {
-            list.clear();
-            list.extend(fs.scan_best(point));
-            return;
-        }
-    };
-    let rt1 = rt1.as_mut().expect("TA mode has an index");
-    rt1.top_m_for(fs, point, FBEST_RANKS, threshold, list);
-}
-
 /// `op` applied counter by counter.
 fn zip_stats(a: SkylineStats, b: SkylineStats, op: impl Fn(u64, u64) -> u64) -> SkylineStats {
     SkylineStats {
@@ -727,7 +790,7 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
 /// [`mpq_rtree::IoSession`]s, one per shard, when streaming from a
 /// shared [`Engine`](crate::Engine) (per-run I/O attribution).
 pub struct SbStream<R: NodeSource> {
-    run: SbRun<R>,
+    run: SbRun<R, Linear>,
     multi_pair: bool,
     /// The request's excluded objects, masked for the whole run.
     excluded: HashSet<u64>,
@@ -751,12 +814,59 @@ impl<R: NodeSource> SbStream<R> {
 
     /// Number of objects currently on the maintained skyline.
     pub fn skyline_len(&self) -> usize {
-        self.run.skyline_len()
+        self.run.skyline.len()
     }
 
     /// Number of functions still awaiting assignment.
     pub fn unassigned_functions(&self) -> usize {
-        self.run.functions().n_alive()
+        self.run.functions.n_alive()
+    }
+
+    /// Match the next batch of `functions` against what the stream left
+    /// of the inventory — query batches arriving over time (§I). What
+    /// carries over is the skyline with its plists, the request's
+    /// exclusions and what is left of its capacities: every object an
+    /// earlier batch took stays taken. The functions are replaced, and
+    /// every counter of [`metrics`](SbStream::metrics) restarts, so once
+    /// the batch is drained they report that batch alone. The stream
+    /// keeps its other knobs (`best_pair`, `multi_pair`).
+    ///
+    /// Refused — with the stream untouched — for an empty or
+    /// mismatched batch ([`MpqError::EmptyFunctions`],
+    /// [`MpqError::DimensionMismatch`]) and, with
+    /// [`MpqError::UnsupportedRequest`], before the stream is drained:
+    /// a batch is matched only once the one before it is done.
+    ///
+    /// ```
+    /// use mpq_core::Engine;
+    /// use mpq_rtree::PointSet;
+    /// use mpq_ta::FunctionSet;
+    ///
+    /// let mut inventory = PointSet::new(2);
+    /// for p in [[0.9_f64, 0.2], [0.2, 0.9], [0.7, 0.7], [0.4, 0.4]] {
+    ///     inventory.push(&p);
+    /// }
+    /// let engine = Engine::builder().objects(&inventory).build().unwrap();
+    /// let balanced = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
+    ///
+    /// // the first customer batch takes the best match...
+    /// let mut stream = engine.stream(&balanced).unwrap();
+    /// assert_eq!(stream.next().unwrap().oid, 2); // (0.7, 0.7) wins
+    /// assert_eq!(stream.next(), None);
+    ///
+    /// // ...the next batch sees only what is left
+    /// stream.load(&balanced).unwrap();
+    /// assert_eq!(stream.next().unwrap().oid, 0);
+    /// ```
+    pub fn load(&mut self, functions: &FunctionSet) -> Result<(), MpqError> {
+        validate_functions(self.run.src.dim(), functions)?;
+        if !self.pending.is_empty() || !self.run.is_done() {
+            return Err(MpqError::UnsupportedRequest(
+                "a stream loads its next batch once drained",
+            ));
+        }
+        self.run.load(functions);
+        Ok(())
     }
 
     /// One SB round, its pairs queued.
@@ -771,14 +881,13 @@ impl<R: NodeSource> SbStream<R> {
     /// above an obest list's stored minimum must be in that list.
     #[cfg(test)]
     fn check_obest_invariant(&self) {
-        let scratch = &self.run.scratch;
-        for (fid, list) in &scratch.obest {
+        for (fid, list) in &self.run.scratch.obest {
             if list.is_empty() {
                 continue;
             }
             let (mo, ms) = *list.last().unwrap();
             for e in self.run.skyline.iter() {
-                let s = scratch.fs.score(*fid, e.point);
+                let s = self.run.functions.score(*fid, e.point);
                 let better = s > ms || (s == ms && e.oid < mo);
                 if better && !list.iter().any(|&(o, _)| o == e.oid) {
                     panic!(
@@ -792,22 +901,22 @@ impl<R: NodeSource> SbStream<R> {
     }
 }
 
-/// Insert `(oid, s)` into a rank list sorted by `(score desc, oid asc)`,
+/// Insert `(id, s)` into a rank list sorted by `(score desc, id asc)`,
 /// keeping at most `k` entries. Used only while *building* a list by a
 /// full scan, where lowering the current minimum is correct.
 #[inline]
-pub(crate) fn insert_ranked(list: &mut Vec<(u64, f64)>, k: usize, oid: u64, s: f64) {
+pub(crate) fn insert_ranked<I: Copy + Ord>(list: &mut Vec<(I, f64)>, k: usize, id: I, s: f64) {
     if list.len() == k {
         let (wo, ws) = list[k - 1];
-        if s < ws || (s == ws && oid > wo) {
+        if s < ws || (s == ws && id > wo) {
             return;
         }
     }
     let pos = list
         .iter()
-        .position(|&(o, v)| s > v || (s == v && oid < o))
+        .position(|&(o, v)| s > v || (s == v && id < o))
         .unwrap_or(list.len());
-    list.insert(pos, (oid, s));
+    list.insert(pos, (id, s));
     list.truncate(k);
 }
 
@@ -851,7 +960,7 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, MatchRequest};
     use crate::matching::IndexConfig;
-    use crate::reference::reference_matching;
+    use crate::reference::{reference_matching, reference_matching_excluding};
     use crate::verify::verify_stable;
     use mpq_datagen::{Distribution, WorkloadBuilder};
     use mpq_rtree::PointSet;
@@ -1174,5 +1283,284 @@ mod tests {
         assert!(met.elapsed.as_nanos() > 0);
         assert!(met.discover.as_nanos() > 0 && met.maintain.as_nanos() > 0);
         assert!(met.discover + met.maintain <= met.elapsed);
+    }
+
+    /// `functions` cut into batches of `size`, in function-id order.
+    fn batches(functions: &FunctionSet, size: usize) -> Vec<FunctionSet> {
+        let rows: Vec<Vec<f64>> = (functions.iter_alive())
+            .map(|(_, weights)| weights.to_vec())
+            .collect();
+        let batch = |rows: &[Vec<f64>]| FunctionSet::from_rows(functions.dim(), rows);
+        rows.chunks(size).map(batch).collect()
+    }
+
+    /// The pairs of a stream's current batch, drained.
+    fn next_batch<R: NodeSource>(stream: &mut SbStream<R>) -> Vec<Pair> {
+        stream.by_ref().collect()
+    }
+
+    #[test]
+    fn single_batch_equals_offline_sb() {
+        let w = WorkloadBuilder::new()
+            .objects(300)
+            .functions(40)
+            .dim(3)
+            .seed(91)
+            .build();
+        let eng = engine(&w.objects);
+        let offline = eng.request(&w.functions).evaluate().unwrap();
+        let online = next_batch(&mut eng.stream(&w.functions).unwrap());
+        assert_eq!(sorted(&online), sorted(offline.pairs()));
+    }
+
+    #[test]
+    fn batches_consume_inventory_sequentially() {
+        let w = WorkloadBuilder::new()
+            .objects(400)
+            .functions(60)
+            .dim(2)
+            .distribution(Distribution::AntiCorrelated)
+            .seed(92)
+            .build();
+        let batches = batches(&w.functions, 20);
+        let eng = engine(&w.objects);
+        let mut stream = eng.stream(&batches[0]).unwrap();
+        let mut consumed: HashSet<u64> = HashSet::new();
+        for batch in &batches {
+            if !consumed.is_empty() {
+                stream.load(batch).unwrap();
+            }
+            let got = next_batch(&mut stream);
+            // ground truth: reference matching over the remaining objects
+            let expect =
+                reference_matching_excluding(&w.objects, batch, &|o| consumed.contains(&o));
+            assert_eq!(sorted(&got), sorted(&expect));
+            for p in got {
+                assert!(consumed.insert(p.oid), "object reserved twice");
+            }
+        }
+        assert_eq!(consumed.len(), 60);
+    }
+
+    #[test]
+    fn inventory_exhaustion_across_batches() {
+        let w = WorkloadBuilder::new()
+            .objects(15)
+            .functions(30)
+            .dim(2)
+            .seed(93)
+            .build();
+        let rows: Vec<Vec<f64>> = (w.functions.iter_alive())
+            .map(|(_, weights)| weights.to_vec())
+            .collect();
+        let eng = engine(&w.objects);
+        let mut stream = eng.stream(&FunctionSet::from_rows(2, &rows[..10])).unwrap();
+        assert_eq!(next_batch(&mut stream).len(), 10);
+        stream
+            .load(&FunctionSet::from_rows(2, &rows[10..]))
+            .unwrap();
+        assert_eq!(
+            next_batch(&mut stream).len(),
+            5,
+            "only 5 objects remain for 20 users"
+        );
+        assert_eq!(stream.skyline_len(), 0);
+        stream.load(&FunctionSet::from_rows(2, &rows[..3])).unwrap();
+        assert!(
+            next_batch(&mut stream).is_empty(),
+            "an empty inventory matches nobody"
+        );
+    }
+
+    /// The first batch counts from the pin, its BBS included, as every
+    /// evaluation does; a loaded batch counts its own work alone.
+    #[test]
+    fn later_batches_cost_less_io_than_the_initial_skyline() {
+        let w = WorkloadBuilder::new()
+            .objects(5_000)
+            .functions(100)
+            .dim(3)
+            .seed(94)
+            .build();
+        let batches = batches(&w.functions, 50);
+        let eng = engine(&w.objects);
+        let init = mpq_rtree::IoSession::new(eng.tree());
+        SkylineMaintainer::build(&init);
+        let init_io = init.stats().logical; // the initial BBS
+
+        let mut stream = eng.stream(&batches[0]).unwrap();
+        let b1 = next_batch(&mut stream).len();
+        let b1_io = stream.metrics().io.logical;
+        stream.load(&batches[1]).unwrap();
+        let b2 = next_batch(&mut stream).len();
+        assert_eq!(b1 + b2, 100);
+        assert!(b1_io >= init_io, "the first batch paid for the skyline");
+        // a later batch's own I/O is small relative to the initial
+        // skyline computation: the point of keeping the stream alive
+        assert!(stream.metrics().io.logical < init_io);
+    }
+
+    #[test]
+    fn a_stream_rejects_mismatched_batches() {
+        let w = WorkloadBuilder::new()
+            .objects(30)
+            .functions(5)
+            .dim(2)
+            .seed(95)
+            .build();
+        let eng = engine(&w.objects);
+        let mut stream = eng.stream(&w.functions).unwrap();
+        let err = stream.load(&FunctionSet::new(3)).unwrap_err();
+        assert_eq!(err, MpqError::EmptyFunctions);
+        let err = stream
+            .load(&FunctionSet::from_rows(3, &[vec![0.3, 0.3, 0.4]]))
+            .unwrap_err();
+        assert!(matches!(err, MpqError::DimensionMismatch { .. }));
+    }
+
+    /// A batch is loaded once the one before it is drained — not while
+    /// a pair of it is still queued — and a refused load leaves the
+    /// stream as it was.
+    #[test]
+    fn a_stream_loads_only_once_drained() {
+        let w = WorkloadBuilder::new()
+            .objects(300)
+            .functions(30)
+            .dim(3)
+            .seed(96)
+            .build();
+        let batches = batches(&w.functions, 15);
+        let eng = engine(&w.objects);
+        let whole = next_batch(&mut eng.stream(&batches[0]).unwrap());
+        let mut stream = eng.stream(&batches[0]).unwrap();
+        let mut got = vec![stream.next().unwrap()];
+        let refused = MpqError::UnsupportedRequest("a stream loads its next batch once drained");
+        assert_eq!(stream.load(&batches[1]), Err(refused.clone()));
+        got.extend(stream.by_ref().take(whole.len() - 2));
+        assert_eq!(
+            stream.load(&batches[1]),
+            Err(refused),
+            "one pair still queued"
+        );
+        got.extend(stream.by_ref());
+        assert_eq!(got, whole);
+        stream.load(&batches[1]).unwrap();
+        assert_eq!(next_batch(&mut stream).len(), 15);
+    }
+
+    /// Every counter restarts at a load: three batches' metrics add up
+    /// to what the run did since the pin, and a loaded batch's skyline
+    /// work is its maintenance alone — not the opening BBS again.
+    #[test]
+    fn a_loaded_batch_reports_its_own_work() {
+        let w = WorkloadBuilder::new()
+            .objects(5_000)
+            .functions(90)
+            .dim(3)
+            .distribution(Distribution::AntiCorrelated)
+            .seed(97)
+            .build();
+        let eng = engine(&w.objects);
+        let opening = SkylineMaintainer::build(eng.tree()).stats();
+        let mut stream = eng.stream(&batches(&w.functions, 30)[0]).unwrap();
+        let mut per_batch = Vec::new();
+        for (b, batch) in batches(&w.functions, 30).iter().enumerate() {
+            if b > 0 {
+                stream.load(batch).unwrap();
+            }
+            assert_eq!(next_batch(&mut stream).len(), 30);
+            per_batch.push(stream.metrics());
+        }
+        for loaded in &per_batch[1..] {
+            let sky = loaded.skyline.unwrap();
+            assert!(sky.nodes_expanded < opening.nodes_expanded, "{sky:?}");
+        }
+        let sum = |count: fn(&RunMetrics) -> u64| per_batch.iter().map(count).sum::<u64>();
+        let total = stream.run.skyline.stats();
+        assert_eq!(
+            sum(|m| m.skyline.unwrap().nodes_expanded),
+            total.nodes_expanded
+        );
+        assert_eq!(
+            sum(|m| m.skyline.unwrap().dominance_checks),
+            total.dominance_checks
+        );
+        assert_eq!(sum(|m| m.io.logical), stream.run.src.io_snapshot().logical);
+        for m in &per_batch {
+            assert_eq!(m.ta.unwrap().calls, m.reverse_top1_calls, "a fresh index");
+        }
+    }
+
+    /// A stream keeps its knobs across loads: one pair a round, so each
+    /// batch in the greedy's own order over what the earlier ones left,
+    /// found by scans.
+    #[test]
+    fn a_reloaded_single_pair_stream_is_the_greedy_batch_by_batch() {
+        let w = WorkloadBuilder::new()
+            .objects(500)
+            .functions(60)
+            .dim(3)
+            .seed(99)
+            .build();
+        let batches = batches(&w.functions, 20);
+        let eng = engine(&w.objects);
+        let request = eng.request(&batches[0]).multi_pair(false);
+        let mut stream = request.best_pair(BestPairMode::Scan).stream().unwrap();
+        let mut taken: HashSet<u64> = HashSet::new();
+        for (b, batch) in batches.iter().enumerate() {
+            if b > 0 {
+                stream.load(batch).unwrap();
+            }
+            let got = next_batch(&mut stream);
+            let expect = reference_matching_excluding(&w.objects, batch, &|o| taken.contains(&o));
+            assert_eq!(got, expect, "batch {b}");
+            assert_eq!(stream.metrics().loops, 20, "one pair a round");
+            assert!(stream.metrics().ta.is_none(), "no index to scan with");
+            taken.extend(got.iter().map(|p| p.oid));
+        }
+    }
+
+    /// The deployment of the hotel example: room types fill up over the
+    /// day. Exclusions and capacities are the request's, carried by the
+    /// stream: each batch is the capacitated matching over the units the
+    /// earlier ones left.
+    #[test]
+    fn exclusions_and_capacities_carry_across_batches() {
+        use crate::capacity::{reference_capacity_matching, verify_capacity_stable};
+        let w = WorkloadBuilder::new()
+            .objects(80)
+            .functions(90)
+            .dim(3)
+            .seed(98)
+            .build();
+        let eng = engine(&w.objects);
+        // 79 units, 76 of them visible: the third batch finds 16.
+        let caps: Vec<u32> = (0..80).map(|i| (i % 3) as u32).collect();
+        let excluded = [3u64, 7, 41];
+        let mut visible = caps.clone();
+        for oid in excluded {
+            visible[oid as usize] = 0;
+        }
+        let batches = batches(&w.functions, 30);
+        let request = eng.request(&batches[0]).exclude(excluded);
+        let mut stream = request.capacities(&caps).stream().unwrap();
+        for (b, batch) in batches.iter().enumerate() {
+            if b > 0 {
+                stream.load(batch).unwrap();
+            }
+            let mut got = next_batch(&mut stream);
+            verify_capacity_stable(&w.objects, batch, &visible, &got).unwrap();
+            got.sort_unstable();
+            let expect = reference_capacity_matching(&w.objects, batch, &visible);
+            assert_eq!(got, expect, "batch {b}");
+            for p in &got {
+                visible[p.oid as usize] -= 1;
+            }
+        }
+        assert_eq!(
+            visible.iter().sum::<u32>(),
+            0,
+            "the last batch fills the rest"
+        );
     }
 }

@@ -1540,7 +1540,7 @@ impl HealthMonitor {
 
     /// A monitor with custom probe pacing (tests use millisecond
     /// backoffs so recovery is observable without real waiting).
-    pub fn with_backoff(base: Duration, cap: Duration) -> HealthMonitor {
+    pub(crate) fn with_backoff(base: Duration, cap: Duration) -> HealthMonitor {
         HealthMonitor {
             inner: Mutex::new(HealthInner {
                 state: HealthState::Healthy,
@@ -1556,11 +1556,6 @@ impl HealthMonitor {
     /// Current state.
     pub fn state(&self) -> HealthState {
         lock(&self.inner).state
-    }
-
-    /// Consecutive failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        lock(&self.inner).consecutive_failures
     }
 
     /// Record a storage failure (a failed mutation commit or a failed
@@ -1926,11 +1921,11 @@ mod tests {
             h.report_failure();
         }
         assert_eq!(h.state(), HealthState::Failed);
-        assert!(h.consecutive_failures() >= FAILED_AFTER);
 
         h.report_success();
         assert_eq!(h.state(), HealthState::Healthy);
-        assert_eq!(h.consecutive_failures(), 0);
+        let counted_afresh = h.report_failure();
+        assert_eq!(counted_afresh, HealthState::Degraded, "the count restarted");
     }
 
     #[test]

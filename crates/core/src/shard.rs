@@ -13,10 +13,10 @@
 //!    source whose root lists the
 //!    `K` roots. Ranked search and BBS need a priority queue of entries,
 //!    not a single tree, so every algorithm — SB in both maintenance
-//!    modes, Brute Force in both strategies, Chain, streams, sessions —
-//!    runs over `K` trees as it runs over one, and an object of one
-//!    shard prunes subtrees of another before they are read. There is
-//!    one skyline, the inventory's, whatever `K` is.
+//!    modes, Brute Force in both strategies, Chain, streams reloaded or
+//!    not, monotone requests — runs over `K` trees as it runs over one,
+//!    and an object of one shard prunes subtrees of another before they
+//!    are read. There is one skyline, the inventory's, whatever `K` is.
 //!
 //! So a `K`-shard engine reports the one-shard engine's pairs round for
 //! round: the same matching in the same order from the same number of
@@ -77,9 +77,8 @@
 //! version component per shard — and the [`crate::ResultCache`] stamps
 //! entries with the whole vector: a mutation on shard A leaves a cached
 //! result's shard-B components untouched, and the per-shard
-//! [`MutationLog`](crate::MutationLog)s prove irrelevant shard-A
-//! mutations harmless component-wise (see
-//! [`crate::ResultCache::get_with_logs`]).
+//! mutation logs prove irrelevant shard-A mutations harmless
+//! component-wise.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};

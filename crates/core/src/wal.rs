@@ -189,7 +189,7 @@ pub fn decode_frame(buf: &[u8]) -> Option<(u64, WalRecord, usize)> {
 /// [`Wal::append_sync`], which rolls the file back to its pre-append
 /// length on any failure — so a record is either durable and
 /// acknowledged, or absent. If even the rollback fails the log is
-/// **wedged** ([`Wal::is_wedged`]): it may hold a frame nobody was told
+/// **wedged** (`Wal::is_wedged`): it may hold a frame nobody was told
 /// about, so appends are refused until [`Wal::truncate`] (run by the
 /// next successful checkpoint) wipes the file and clears the flag.
 #[derive(Debug)]
@@ -249,14 +249,14 @@ impl Wal {
     /// can fail them on demand (op classes [`FaultOp::WalWrite`],
     /// [`FaultOp::WalSync`] and [`FaultOp::WalRollback`]). Zero cost
     /// when never called.
-    pub fn set_injector(&mut self, injector: Arc<FaultInjector>) {
+    pub(crate) fn set_injector(&mut self, injector: Arc<FaultInjector>) {
         self.injector = Some(injector);
     }
 
     /// True once a failed append could not be rolled back: the file may
     /// hold a frame that was never acknowledged, so appends are refused
     /// until [`Wal::truncate`] wipes it.
-    pub fn is_wedged(&self) -> bool {
+    pub(crate) fn is_wedged(&self) -> bool {
         self.wedged
     }
 
@@ -305,7 +305,7 @@ impl Wal {
     /// number is returned. On failure the file is rolled back to its
     /// pre-append length, so the log holds exactly the records whose
     /// `append_sync` succeeded and stays appendable. If the rollback
-    /// itself fails, the log wedges (see [`Wal::is_wedged`]) and the
+    /// itself fails, the log wedges (see `Wal::is_wedged`) and the
     /// error says so.
     pub fn append_sync(&mut self, rec: &WalRecord) -> io::Result<u64> {
         if self.wedged {
@@ -366,21 +366,16 @@ impl Wal {
         }
     }
 
-    /// Sequence number the next append will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Raise the next sequence number to at least `seq`. The engine
     /// calls this after recovery with the checkpoint's high-water mark
     /// plus one, so records appended to a truncated log can never reuse
     /// a sequence number the checkpoint already covers.
-    pub fn ensure_next_seq(&mut self, seq: u64) {
+    pub(crate) fn ensure_next_seq(&mut self, seq: u64) {
         self.next_seq = self.next_seq.max(seq);
     }
 
     /// Highest sequence number appended so far (0 if none).
-    pub fn last_seq(&self) -> u64 {
+    pub(crate) fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
 
@@ -468,7 +463,7 @@ mod tests {
             wal.sync().unwrap();
         }
         let (wal, replayed) = Wal::open(&path).unwrap();
-        assert_eq!(wal.next_seq(), recs.len() as u64 + 1);
+        assert_eq!(wal.last_seq(), recs.len() as u64);
         let got: Vec<WalRecord> = replayed.into_iter().map(|(_, r)| r).collect();
         assert_eq!(got, recs);
     }
@@ -489,7 +484,7 @@ mod tests {
 
         let (mut wal, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed.len(), 2, "torn third record must be dropped");
-        assert_eq!(wal.next_seq(), 3);
+        assert_eq!(wal.last_seq(), 2);
         // The log was repaired: a new append lands on a clean boundary.
         wal.append(&WalRecord::Insert {
             oid: 99,
@@ -600,7 +595,7 @@ mod tests {
         wal.sync().unwrap();
         wal.truncate().unwrap();
         assert_eq!(wal.len_bytes(), 0);
-        assert_eq!(wal.next_seq(), 4, "sequence survives truncation");
+        assert_eq!(wal.last_seq(), 3, "sequence survives truncation");
         wal.append(&WalRecord::Remove {
             oid: 1,
             point: vec![0.3, 0.4].into(),

@@ -175,7 +175,7 @@ const CONFIGURATIONS: [(&str, Knobs, bool); 8] = [
 ];
 
 /// The knobs mean on `K` shards what they mean on one: every algorithm,
-/// maintenance mode, strategy, stream and session runs — itself, as its
+/// maintenance mode, strategy and stream, reloaded or not, runs — itself, as its
 /// own counters show, not the default SB run in its place — over the
 /// forest of the shards and reports the one-shard engine's matching,
 /// score bit for score bit; and what an engine refuses, it refuses in
@@ -207,10 +207,16 @@ fn every_algorithm_runs_on_every_shard_count() {
                 FunctionSet::from_rows(3, &rows)
             })
             .collect();
-        let session = |engine: &Engine| -> Vec<Vec<(u32, u64, u64)>> {
-            let mut session = engine.session();
-            let served = batches.iter().map(|batch| session.submit(batch).unwrap());
-            served.map(|m| exact(m.pairs())).collect()
+        let reloaded = |engine: &Engine| -> Vec<Vec<(u32, u64, u64)>> {
+            let mut stream = engine.request(&batches[0]).stream().unwrap();
+            let mut served = Vec::new();
+            for batch in &batches {
+                if !served.is_empty() {
+                    stream.load(batch).unwrap();
+                }
+                served.push(exact(&stream.by_ref().collect::<Vec<Pair>>()));
+            }
+            served
         };
         let refusals = |engine: &Engine| -> Vec<MpqError> {
             let request = || engine.request(&fs);
@@ -300,7 +306,7 @@ fn every_algorithm_runs_on_every_shard_count() {
                 "{}",
                 case("stream")
             );
-            assert_eq!(session(&sharded), session(&single), "{}", case("session"));
+            assert_eq!(reloaded(&sharded), reloaded(&single), "{}", case("reload"));
             assert_eq!(refusals(&sharded), refused, "{}", case("refusals"));
         }
     }

@@ -8,7 +8,7 @@
 use rand::Rng;
 
 /// Standard normal variate via the Box–Muller transform.
-pub fn std_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn std_normal(rng: &mut impl Rng) -> f64 {
     // avoid ln(0)
     let u1: f64 = loop {
         let u = rng.gen::<f64>();
@@ -28,7 +28,7 @@ pub fn normal(rng: &mut impl Rng, mean: f64, sd: f64) -> f64 {
 
 /// Log-normal variate: `exp(N(mu, sigma))`.
 #[inline]
-pub fn log_normal(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
+pub(crate) fn log_normal(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
@@ -48,7 +48,7 @@ pub fn exponential(rng: &mut impl Rng) -> f64 {
 ///
 /// # Panics
 /// Panics if `weights` is empty or sums to zero.
-pub fn discrete(rng: &mut impl Rng, weights: &[f64]) -> usize {
+pub(crate) fn discrete(rng: &mut impl Rng, weights: &[f64]) -> usize {
     assert!(!weights.is_empty(), "discrete distribution needs weights");
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "discrete weights must not sum to zero");
@@ -64,7 +64,7 @@ pub fn discrete(rng: &mut impl Rng, weights: &[f64]) -> usize {
 
 /// Uniform sample from the standard simplex (`Σxᵢ = 1, xᵢ ≥ 0`) — the
 /// Dirichlet(1, …, 1) distribution, via normalized exponentials.
-pub fn simplex_uniform(rng: &mut impl Rng, dim: usize, out: &mut Vec<f64>) {
+pub(crate) fn simplex_uniform(rng: &mut impl Rng, dim: usize, out: &mut Vec<f64>) {
     out.clear();
     let mut sum = 0.0;
     for _ in 0..dim {
@@ -79,7 +79,7 @@ pub fn simplex_uniform(rng: &mut impl Rng, dim: usize, out: &mut Vec<f64>) {
 
 /// Clamp to the unit interval.
 #[inline]
-pub fn unit_clamp(x: f64) -> f64 {
+pub(crate) fn unit_clamp(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
 }
 

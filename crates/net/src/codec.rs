@@ -28,7 +28,7 @@
 //! validation (dimension mismatch, empty sets, weight errors) stays in
 //! the engine, which already does it canonically.
 
-//! `POST .../mutate` bodies are a [`WireMutation`]:
+//! `POST .../mutate` bodies are a `WireMutation`:
 //!
 //! ```json
 //! {"op": "insert", "point": [0.3, 0.7]}
@@ -235,7 +235,7 @@ pub fn decode_pairs(body: &[u8]) -> Result<Vec<Pair>, String> {
 
 /// A decoded `POST .../mutate` body.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WireMutation {
+pub(crate) enum WireMutation {
     /// Insert a new object at `point`; the ack carries its oid.
     Insert(Vec<f64>),
     /// Remove object `oid`.
@@ -264,7 +264,7 @@ fn field_point(json: &Json) -> Result<Vec<f64>, String> {
 }
 
 /// Decode a mutation body. `Err` carries the message for the `400` body.
-pub fn decode_mutation(body: &[u8]) -> Result<WireMutation, String> {
+pub(crate) fn decode_mutation(body: &[u8]) -> Result<WireMutation, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
     let json = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     if !matches!(json, Json::Obj(_)) {
@@ -286,7 +286,7 @@ pub fn decode_mutation(body: &[u8]) -> Result<WireMutation, String> {
 /// Encode a successful mutation's ack:
 /// `{"ok":true,"oid":..,"inventory_version":..}` (`oid` only for
 /// inserts).
-pub fn encode_mutation_ack(oid: Option<u64>, inventory_version: u64) -> Json {
+pub(crate) fn encode_mutation_ack(oid: Option<u64>, inventory_version: u64) -> Json {
     let mut fields = vec![("ok", Json::Bool(true))];
     if let Some(oid) = oid {
         fields.push(("oid", Json::Num(oid as f64)));

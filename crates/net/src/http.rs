@@ -105,7 +105,7 @@ impl Request {
     /// Whether the connection should stay open after this request:
     /// HTTP/1.1 defaults to keep-alive unless `Connection: close`;
     /// HTTP/1.0 defaults to close unless `Connection: keep-alive`.
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         match self.header("connection").map(|v| v.to_ascii_lowercase()) {
             Some(v) if v.split(',').any(|t| t.trim() == "close") => false,
             Some(v) if v.split(',').any(|t| t.trim() == "keep-alive") => true,
@@ -178,7 +178,7 @@ impl RequestParser {
     /// Whether any bytes are buffered (a partially received request).
     /// Used by the server to distinguish "idle keep-alive close" from
     /// "peer vanished mid-request".
-    pub fn mid_request(&self) -> bool {
+    pub(crate) fn mid_request(&self) -> bool {
         !self.buf.is_empty() || matches!(self.state, ParseState::Body { .. })
     }
 
@@ -346,7 +346,7 @@ impl Response {
     }
 
     /// Add a header.
-    pub fn with_header(mut self, name: &str, value: String) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: String) -> Self {
         self.headers.push((name.to_string(), value));
         self
     }

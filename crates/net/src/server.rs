@@ -19,7 +19,7 @@
 //! | `POST /t/NAME/match`     | evaluate a [`WireRequest`] on tenant `NAME`   |
 //! | `POST /match`            | same, tenant from `X-Mpq-Tenant` header — or  |
 //! |                          | the sole tenant of a single-tenant server     |
-//! | `POST /t/NAME/mutate`    | apply a [`WireMutation`] to tenant `NAME`     |
+//! | `POST /t/NAME/mutate`    | apply a `WireMutation` to tenant `NAME`       |
 //! | `POST /mutate`           | same tenant resolution as `POST /match`       |
 //!
 //! ## Status mapping
@@ -46,7 +46,6 @@
 //!
 //! [`ServiceMetrics`]: mpq_core::ServiceMetrics
 //! [`WireRequest`]: crate::codec::WireRequest
-//! [`WireMutation`]: crate::codec::WireMutation
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};

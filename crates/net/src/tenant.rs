@@ -158,7 +158,7 @@ impl Tenant {
 
     /// Build and submit a match request against the hosted engine — the
     /// submission path the wire layer uses.
-    pub fn submit_match(
+    pub(crate) fn submit_match(
         &self,
         functions: &FunctionSet,
         algorithm: Algorithm,
@@ -205,7 +205,7 @@ impl Tenant {
     /// [`MpqError::StorageDegraded`] so a broken device is not hammered
     /// by every client. Validation errors pass through untouched — they
     /// say nothing about storage.
-    pub fn mutate(&self, mutation: &WireMutation) -> Result<(Option<u64>, u64), MpqError> {
+    pub(crate) fn mutate(&self, mutation: &WireMutation) -> Result<(Option<u64>, u64), MpqError> {
         if !self.health().state().is_healthy() {
             return Err(MpqError::StorageDegraded);
         }
@@ -231,7 +231,7 @@ impl Tenant {
 
 /// `true` iff `name` is usable in a route: non-empty ASCII
 /// `[A-Za-z0-9_-]`.
-pub fn valid_tenant_name(name: &str) -> bool {
+pub(crate) fn valid_tenant_name(name: &str) -> bool {
     !name.is_empty()
         && name
             .bytes()
@@ -329,7 +329,7 @@ impl TenantRegistry {
 
     /// The single tenant, if exactly one is hosted — lets clients of a
     /// single-tenant server post to plain `/match` without naming it.
-    pub fn sole_tenant(&self) -> Option<&Arc<Tenant>> {
+    pub(crate) fn sole_tenant(&self) -> Option<&Arc<Tenant>> {
         if self.tenants.len() == 1 {
             self.tenants.values().next()
         } else {

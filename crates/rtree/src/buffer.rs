@@ -21,7 +21,7 @@
 //! * the **capacity is a global bound** — per-shard LRU bounds sum to
 //!   exactly the configured capacity (shard `i` gets `cap/N`, with the
 //!   remainder spread over the first `cap % N` shards), and
-//!   [`BufferPool::set_capacity`] / [`BufferPool::clear`] evict down to
+//!   `BufferPool::set_capacity` / [`BufferPool::clear`] evict down to
 //!   the global bound across every shard;
 //! * the [`IoStats`] counters are kept per shard and summed on read, so
 //!   whole-pool accounting stays exact;
@@ -112,7 +112,7 @@ impl BufferPool {
 
     /// Create a pool with `shards` lock shards (clamped to ≥ 1). The
     /// `capacity` is the **global** bound across all shards.
-    pub fn with_shards<S: PageStore + 'static>(
+    pub(crate) fn with_shards<S: PageStore + 'static>(
         store: S,
         dim: usize,
         capacity: usize,
@@ -124,7 +124,7 @@ impl BufferPool {
     /// Like [`BufferPool::with_shards`] but taking an already-boxed store
     /// (avoids double boxing when a pool is rebuilt around an existing
     /// store, e.g. on re-sharding).
-    pub fn with_boxed_store(
+    pub(crate) fn with_boxed_store(
         store: Box<dyn PageStore>,
         dim: usize,
         capacity: usize,
@@ -213,7 +213,7 @@ impl BufferPool {
     ///
     /// # Panics
     /// See [`BufferPool::get`].
-    pub fn get_probe(&self, pid: PageId) -> (Arc<Node>, bool) {
+    pub(crate) fn get_probe(&self, pid: PageId) -> (Arc<Node>, bool) {
         let si = self.shard_of(pid);
         let mut g = self.shards[si].lock();
         g.stats.logical += 1;
@@ -376,7 +376,7 @@ impl BufferPool {
     /// each shard is trimmed to its share of the global capacity, so the
     /// total resident count never exceeds the bound (unless unwritable
     /// dirty frames force over-admission; see [`BufferPool::flush`]).
-    pub fn set_capacity(&self, capacity: usize) {
+    pub(crate) fn set_capacity(&self, capacity: usize) {
         self.cap.store(capacity.max(1), Ordering::Relaxed);
         for (i, shard) in self.shards.iter().enumerate() {
             let share = self.share(i);
@@ -447,7 +447,7 @@ impl BufferPool {
 
     /// Seed the store's free list after recovery (see
     /// [`PageStore::seed_free`]).
-    pub fn seed_free(&self, free: &[u32]) {
+    pub(crate) fn seed_free(&self, free: &[u32]) {
         self.store.write().seed_free(free);
     }
 

@@ -58,7 +58,7 @@ const SLOT_FIXED: usize = 28;
 /// `b"MPQPAGE1"` as a little-endian u64.
 const MAGIC: u64 = u64::from_le_bytes(*b"MPQPAGE1");
 /// Largest metadata payload a header slot can carry (the CRC trails it).
-pub const MAX_META: usize = SLOT_SIZE - SLOT_FIXED - 4;
+pub(crate) const MAX_META: usize = SLOT_SIZE - SLOT_FIXED - 4;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
 ///

@@ -72,7 +72,7 @@ impl FaultOp {
     /// `true` iff this class counts toward the global durability-op
     /// ordinal swept by [`FaultInjector::crash_at`].
     #[inline]
-    pub fn is_durability(self) -> bool {
+    pub(crate) fn is_durability(self) -> bool {
         matches!(
             self,
             FaultOp::PageWrite | FaultOp::PageSync | FaultOp::WalWrite | FaultOp::WalSync
@@ -309,7 +309,7 @@ impl FaultInjector {
     /// Consult the injector before a read-class operation; same contract
     /// as [`FaultInjector::on_write`] ([`WriteFault::Torn`] means "fail",
     /// [`WriteFault::BitFlip`] means "corrupt the bytes you read").
-    pub fn on_read(&self, op: FaultOp) -> io::Result<WriteFault> {
+    pub(crate) fn on_read(&self, op: FaultOp) -> io::Result<WriteFault> {
         self.on_write(op)
     }
 

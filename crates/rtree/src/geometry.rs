@@ -2,14 +2,14 @@
 //! tree construction, ranked search, and skyline pruning.
 //!
 //! All primitives are written against plain `&[f64]` slices so that they
-//! work both on the owned [`Mbr`] type and on the flat, stride-packed MBR
+//! work both on the owned `Mbr` type and on the flat, stride-packed MBR
 //! arrays stored inside [`crate::node::InnerNode`] without copying.
 
 /// An owned, axis-aligned minimum bounding rectangle.
 ///
 /// `lo[i] <= hi[i]` holds for every dimension `i`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mbr {
+pub(crate) struct Mbr {
     /// Lower corner (component-wise minimum).
     pub lo: Box<[f64]>,
     /// Upper corner (component-wise maximum).
@@ -17,14 +17,6 @@ pub struct Mbr {
 }
 
 impl Mbr {
-    /// A degenerate MBR covering exactly one point.
-    pub fn from_point(p: &[f64]) -> Mbr {
-        Mbr {
-            lo: p.into(),
-            hi: p.into(),
-        }
-    }
-
     /// An "empty" MBR that acts as the identity for union: every union
     /// with it yields the other operand.
     pub fn empty(dim: usize) -> Mbr {
@@ -41,26 +33,14 @@ impl Mbr {
     }
 
     /// Grow this MBR to cover `p`.
-    pub fn union_point(&mut self, p: &[f64]) {
+    pub(crate) fn union_point(&mut self, p: &[f64]) {
         debug_assert_eq!(p.len(), self.dim());
         rect_cover(&mut self.lo, &mut self.hi, p, p);
     }
 
     /// Grow this MBR to cover the rectangle `(lo, hi)`.
-    pub fn union_rect(&mut self, lo: &[f64], hi: &[f64]) {
+    pub(crate) fn union_rect(&mut self, lo: &[f64], hi: &[f64]) {
         rect_cover(&mut self.lo, &mut self.hi, lo, hi);
-    }
-
-    /// True iff `p` lies inside the rectangle (boundaries inclusive).
-    #[inline]
-    pub fn contains_point(&self, p: &[f64]) -> bool {
-        rect_contains_point(&self.lo, &self.hi, p)
-    }
-
-    /// Hyper-volume of the rectangle.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        rect_area(&self.lo, &self.hi)
     }
 }
 
@@ -80,7 +60,7 @@ pub(crate) fn rect_cover(lo: &mut [f64], hi: &mut [f64], other_lo: &[f64], other
 
 /// True iff the rectangle `(lo, hi)` contains point `p` (inclusive).
 #[inline]
-pub fn rect_contains_point(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
+pub(crate) fn rect_contains_point(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
     debug_assert_eq!(lo.len(), p.len());
     p.iter()
         .zip(lo.iter().zip(hi.iter()))
@@ -89,7 +69,7 @@ pub fn rect_contains_point(lo: &[f64], hi: &[f64], p: &[f64]) -> bool {
 
 /// True iff rectangles `(alo, ahi)` and `(blo, bhi)` intersect (inclusive).
 #[inline]
-pub fn rects_intersect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
+pub(crate) fn rects_intersect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bool {
     alo.iter()
         .zip(ahi.iter())
         .zip(blo.iter().zip(bhi.iter()))
@@ -98,7 +78,7 @@ pub fn rects_intersect(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> bo
 
 /// Hyper-volume of rectangle `(lo, hi)`.
 #[inline]
-pub fn rect_area(lo: &[f64], hi: &[f64]) -> f64 {
+pub(crate) fn rect_area(lo: &[f64], hi: &[f64]) -> f64 {
     lo.iter()
         .zip(hi.iter())
         .map(|(&l, &h)| (h - l).max(0.0))
@@ -108,7 +88,7 @@ pub fn rect_area(lo: &[f64], hi: &[f64]) -> f64 {
 /// Margin (sum of edge lengths) of rectangle `(lo, hi)`; the R\*-tree split
 /// heuristic minimizes this quantity when choosing a split axis.
 #[inline]
-pub fn rect_margin(lo: &[f64], hi: &[f64]) -> f64 {
+pub(crate) fn rect_margin(lo: &[f64], hi: &[f64]) -> f64 {
     lo.iter()
         .zip(hi.iter())
         .map(|(&l, &h)| (h - l).max(0.0))
@@ -117,7 +97,7 @@ pub fn rect_margin(lo: &[f64], hi: &[f64]) -> f64 {
 
 /// Hyper-volume of the intersection of two rectangles (0 if disjoint).
 #[inline]
-pub fn rect_overlap(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+pub(crate) fn rect_overlap(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
     let mut v = 1.0;
     for i in 0..alo.len() {
         let l = alo[i].max(blo[i]);
@@ -132,7 +112,7 @@ pub fn rect_overlap(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
 
 /// Area increase required for rectangle `(lo, hi)` to absorb `(plo, phi)`.
 #[inline]
-pub fn enlargement(lo: &[f64], hi: &[f64], plo: &[f64], phi: &[f64]) -> f64 {
+pub(crate) fn enlargement(lo: &[f64], hi: &[f64], plo: &[f64], phi: &[f64]) -> f64 {
     let mut enlarged = 1.0;
     for i in 0..lo.len() {
         enlarged *= (hi[i].max(phi[i]) - lo[i].min(plo[i])).max(0.0);
@@ -144,7 +124,7 @@ pub fn enlargement(lo: &[f64], hi: &[f64], plo: &[f64], phi: &[f64]) -> f64 {
 /// rectangle `(lo, hi)`, assuming non-negative weights: the score of the
 /// upper corner. This is the bound used by branch-and-bound ranked search.
 #[inline]
-pub fn upper_score(w: &[f64], hi: &[f64]) -> f64 {
+pub(crate) fn upper_score(w: &[f64], hi: &[f64]) -> f64 {
     debug_assert_eq!(w.len(), hi.len());
     dot(w, hi)
 }
@@ -175,7 +155,8 @@ mod tests {
 
     #[test]
     fn union_point_grows_in_both_directions() {
-        let mut m = Mbr::from_point(&[0.5, 0.5]);
+        let mut m = Mbr::empty(2);
+        m.union_point(&[0.5, 0.5]);
         m.union_point(&[0.2, 0.9]);
         assert_eq!(&*m.lo, &[0.2, 0.5]);
         assert_eq!(&*m.hi, &[0.5, 0.9]);
@@ -191,7 +172,8 @@ mod tests {
 
     #[test]
     fn union_rect_covers_both() {
-        let mut m = Mbr::from_point(&[0.4, 0.4]);
+        let mut m = Mbr::empty(2);
+        m.union_point(&[0.4, 0.4]);
         m.union_rect(&[0.1, 0.5], &[0.2, 0.9]);
         assert_eq!(&*m.lo, &[0.1, 0.4]);
         assert_eq!(&*m.hi, &[0.4, 0.9]);
@@ -199,13 +181,10 @@ mod tests {
 
     #[test]
     fn contains_point_is_inclusive() {
-        let m = Mbr {
-            lo: vec![0.0, 0.0].into(),
-            hi: vec![1.0, 1.0].into(),
-        };
-        assert!(m.contains_point(&[0.0, 1.0]));
-        assert!(m.contains_point(&[0.5, 0.5]));
-        assert!(!m.contains_point(&[1.1, 0.5]));
+        let (lo, hi) = ([0.0, 0.0], [1.0, 1.0]);
+        assert!(rect_contains_point(&lo, &hi, &[0.0, 1.0]));
+        assert!(rect_contains_point(&lo, &hi, &[0.5, 0.5]));
+        assert!(!rect_contains_point(&lo, &hi, &[1.1, 0.5]));
     }
 
     #[test]

@@ -63,13 +63,10 @@ pub mod tree;
 
 pub use disk::DiskPager;
 pub use fault::{FaultInjector, FaultKind, FaultOp, FaultPageStore, WriteFault};
-pub use geometry::Mbr;
 pub use node::{InnerNode, LeafNode, Node};
 pub use pager::{MemPager, PageId, PageStore};
 pub use points::PointSet;
 pub use session::{Forest, ForestError, IoSession, NodeSource};
 pub use stats::IoStats;
-pub use topk::{
-    LinearScorer, LinearScorerRef, MonotoneScorer, RankedHit, RankedIter, Scorer, SearchBuf,
-};
+pub use topk::{RankedHit, RankedIter, SearchBuf};
 pub use tree::{RTree, RTreeParams, Snapshot};

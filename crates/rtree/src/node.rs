@@ -95,7 +95,7 @@ impl Node {
     }
 
     /// The tight MBR covering everything in this node.
-    pub fn mbr(&self) -> Mbr {
+    pub(crate) fn mbr(&self) -> Mbr {
         let mut m = Mbr::empty(self.dim());
         match self {
             Node::Leaf(n) => {
@@ -117,7 +117,7 @@ impl Node {
     /// # Panics
     /// Panics if the node is an inner node.
     #[inline]
-    pub fn as_leaf(&self) -> &LeafNode {
+    pub(crate) fn as_leaf(&self) -> &LeafNode {
         match self {
             Node::Leaf(n) => n,
             Node::Inner(_) => panic!("expected leaf node, found inner node"),
@@ -129,7 +129,7 @@ impl Node {
     /// # Panics
     /// Panics if the node is a leaf.
     #[inline]
-    pub fn as_inner(&self) -> &InnerNode {
+    pub(crate) fn as_inner(&self) -> &InnerNode {
         match self {
             Node::Inner(n) => n,
             Node::Leaf(_) => panic!("expected inner node, found leaf node"),
@@ -138,7 +138,7 @@ impl Node {
 
     /// Mutable inner accessor (see [`Node::as_inner`]).
     #[inline]
-    pub fn as_inner_mut(&mut self) -> &mut InnerNode {
+    pub(crate) fn as_inner_mut(&mut self) -> &mut InnerNode {
         match self {
             Node::Inner(n) => n,
             Node::Leaf(_) => panic!("expected inner node, found leaf node"),
@@ -438,12 +438,12 @@ impl InnerNode {
 
     /// Replace the child page id of entry `i` (copy-on-write parent
     /// rewiring: the child was rewritten to a fresh page).
-    pub fn set_child(&mut self, i: usize, child: PageId) {
+    pub(crate) fn set_child(&mut self, i: usize, child: PageId) {
         self.children[i] = child.0;
     }
 
     /// Replace the MBR of entry `i`.
-    pub fn set_mbr(&mut self, i: usize, lo: &[f64], hi: &[f64]) {
+    pub(crate) fn set_mbr(&mut self, i: usize, lo: &[f64], hi: &[f64]) {
         let base = i * 2 * self.dim;
         self.mbrs[base..base + self.dim].copy_from_slice(lo);
         self.mbrs[base + self.dim..base + 2 * self.dim].copy_from_slice(hi);
@@ -460,11 +460,6 @@ impl InnerNode {
         }
         self.mbrs.truncate(last * stride);
         self.children.pop();
-    }
-
-    /// Index of the entry pointing at `child`, if present.
-    pub fn position_of(&self, child: PageId) -> Option<usize> {
-        self.children.iter().position(|&c| c == child.0)
     }
 }
 
@@ -585,8 +580,8 @@ mod tests {
         n.swap_remove(0);
         assert_eq!(n.len(), 2);
         assert_eq!(n.child(0), PageId(3));
-        assert_eq!(n.position_of(PageId(2)), Some(1));
-        assert_eq!(n.position_of(PageId(1)), None);
+        assert_eq!(n.child(1), PageId(2));
+        assert!((0..n.len()).all(|i| n.child(i) != PageId(1)));
     }
 
     #[test]

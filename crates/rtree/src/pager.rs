@@ -23,7 +23,7 @@ impl PageId {
 
     /// True iff this id refers to an actual page.
     #[inline]
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         self != PageId::INVALID
     }
 }

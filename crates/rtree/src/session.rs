@@ -39,7 +39,7 @@ use std::sync::Arc;
 use crate::node::{InnerNode, Node};
 use crate::pager::PageId;
 use crate::stats::IoStats;
-use crate::topk::{LinearScorer, RankedHit, RankedIter, Scorer};
+use crate::topk::{RankedHit, RankedIter};
 use crate::tree::{RTree, Snapshot};
 
 /// Read access to an R-tree's nodes, with I/O accounting.
@@ -198,19 +198,13 @@ impl<'t> IoSession<'t> {
     ///
     /// # Panics
     /// Panics if `weights.len() != self.tree().dim()`.
-    pub fn ranked_iter<'s>(&'s self, weights: &[f64]) -> RankedIter<'s, LinearScorer, Self> {
+    pub(crate) fn ranked_iter<'s>(&'s self, weights: &'s [f64]) -> RankedIter<'s, Self> {
         assert_eq!(
             weights.len(),
             self.tree.dim(),
             "weight vector dimensionality mismatch"
         );
-        RankedIter::with_scorer(self, LinearScorer::new(weights))
-    }
-
-    /// Ranked search under an arbitrary [`Scorer`], charged to this
-    /// session.
-    pub fn ranked_iter_by<'s, S: Scorer>(&'s self, scorer: S) -> RankedIter<'s, S, Self> {
-        RankedIter::with_scorer(self, scorer)
+        RankedIter::over(self, weights)
     }
 
     /// The single best point under `weights` (`None` on an empty tree).
@@ -594,7 +588,7 @@ mod tests {
     fn a_forest_ranks_like_one_tree() {
         let points = points_with_twins();
         let ranking = |src: &Forest<&RTree>, w: &[f64]| -> Vec<(u64, u64)> {
-            let hits = RankedIter::over(src, LinearScorer::new(w));
+            let hits = RankedIter::over(src, w);
             hits.map(|h| (h.oid, h.score.to_bits())).collect()
         };
         let one = cut(&points, 1);
@@ -627,7 +621,7 @@ mod tests {
         let points = points_with_twins();
         let trees = cut(&points, 5);
         let forest = Forest::new(trees.iter().map(IoSession::new).collect());
-        let top: Vec<u64> = RankedIter::over(&forest, LinearScorer::new(&[0.4, 0.6]))
+        let top: Vec<u64> = RankedIter::over(&forest, &[0.4, 0.6])
             .take(300)
             .map(|h| h.oid)
             .collect();
@@ -656,7 +650,7 @@ mod tests {
         };
         let w = [0.5, 0.5];
         let through = reads(&|| {
-            let hits = RankedIter::over(&forest, LinearScorer::new(&w));
+            let hits = RankedIter::over(&forest, &w);
             hits.take(40).map(|h| h.oid).collect()
         });
         let bare = reads(&|| t.ranked_iter(&w).take(40).map(|h| h.oid).collect());

@@ -18,7 +18,7 @@ use crate::geometry::{rect_area, rect_margin, rect_overlap, Mbr};
 
 /// An entry to be partitioned: its MBR (a point entry uses `lo == hi`).
 #[derive(Debug, Clone)]
-pub struct SplitEntry {
+pub(crate) struct SplitEntry {
     /// Lower corner.
     pub lo: Box<[f64]>,
     /// Upper corner.
@@ -27,7 +27,7 @@ pub struct SplitEntry {
 
 impl SplitEntry {
     /// Entry for a point (degenerate MBR).
-    pub fn from_point(p: &[f64]) -> SplitEntry {
+    pub(crate) fn from_point(p: &[f64]) -> SplitEntry {
         SplitEntry {
             lo: p.into(),
             hi: p.into(),
@@ -35,7 +35,7 @@ impl SplitEntry {
     }
 
     /// Entry for a rectangle.
-    pub fn from_rect(lo: &[f64], hi: &[f64]) -> SplitEntry {
+    pub(crate) fn from_rect(lo: &[f64], hi: &[f64]) -> SplitEntry {
         SplitEntry {
             lo: lo.into(),
             hi: hi.into(),
@@ -51,7 +51,7 @@ impl SplitEntry {
 /// # Panics
 /// Panics if `entries.len() < 2` or `min_fill` makes a legal split
 /// impossible (`2 * min_fill > entries.len()`).
-pub fn rstar_split(entries: &[SplitEntry], min_fill: usize) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn rstar_split(entries: &[SplitEntry], min_fill: usize) -> (Vec<usize>, Vec<usize>) {
     let n = entries.len();
     assert!(n >= 2, "cannot split fewer than two entries");
     let min_fill = min_fill.max(1);

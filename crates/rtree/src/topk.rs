@@ -36,109 +36,6 @@ pub struct RankedHit {
     pub point: Box<[f64]>,
 }
 
-/// A scoring function usable by branch-and-bound ranked search.
-///
-/// # Contract
-/// [`Scorer::bound`] must upper-bound [`Scorer::score`] over every point
-/// `p` with `p[i] <= hi[i]` in all dimensions. For any function that is
-/// *monotone non-decreasing* in every attribute — the paper's function
-/// class — `score(hi)` itself is such a bound, which is what
-/// [`MonotoneScorer`] provides. An inadmissible bound silently yields
-/// wrong (non-top) results; it is a logic error, not detected at
-/// runtime.
-pub trait Scorer {
-    /// Score of a concrete point.
-    fn score(&self, point: &[f64]) -> f64;
-
-    /// Upper bound of the score over the MBR with upper corner `hi`.
-    fn bound(&self, hi: &[f64]) -> f64;
-}
-
-/// Linear scorer `w · p` with non-negative weights (the paper's focus).
-#[derive(Debug, Clone)]
-pub struct LinearScorer(Box<[f64]>);
-
-impl LinearScorer {
-    /// Wrap a weight vector.
-    ///
-    /// # Panics
-    /// Panics if any weight is negative or non-finite (the upper-corner
-    /// bound would be inadmissible).
-    pub fn new(weights: &[f64]) -> LinearScorer {
-        assert!(
-            weights.iter().all(|&w| w.is_finite() && w >= 0.0),
-            "ranked search requires finite, non-negative weights"
-        );
-        LinearScorer(weights.into())
-    }
-}
-
-impl Scorer for LinearScorer {
-    #[inline]
-    fn score(&self, point: &[f64]) -> f64 {
-        dot(&self.0, point)
-    }
-
-    #[inline]
-    fn bound(&self, hi: &[f64]) -> f64 {
-        upper_score(&self.0, hi)
-    }
-}
-
-/// Borrowing variant of [`LinearScorer`]: scores `w · p` without copying
-/// the weight vector. Built for hot loops that issue one short ranked
-/// search per iteration (the Brute Force restart and Chain matchers),
-/// where the per-search `Box<[f64]>` of [`LinearScorer`] is measurable
-/// churn.
-#[derive(Debug, Clone, Copy)]
-pub struct LinearScorerRef<'w>(&'w [f64]);
-
-impl<'w> LinearScorerRef<'w> {
-    /// Borrow a weight vector.
-    ///
-    /// # Panics
-    /// Panics if any weight is negative or non-finite (the upper-corner
-    /// bound would be inadmissible).
-    pub fn new(weights: &'w [f64]) -> LinearScorerRef<'w> {
-        assert!(
-            weights.iter().all(|&w| w.is_finite() && w >= 0.0),
-            "ranked search requires finite, non-negative weights"
-        );
-        LinearScorerRef(weights)
-    }
-}
-
-impl Scorer for LinearScorerRef<'_> {
-    #[inline]
-    fn score(&self, point: &[f64]) -> f64 {
-        dot(self.0, point)
-    }
-
-    #[inline]
-    fn bound(&self, hi: &[f64]) -> f64 {
-        upper_score(self.0, hi)
-    }
-}
-
-/// Adapter turning any monotone non-decreasing function into a
-/// [`Scorer`] via the upper-corner bound.
-///
-/// The caller asserts monotonicity; see the [`Scorer`] contract.
-#[derive(Debug, Clone)]
-pub struct MonotoneScorer<F>(pub F);
-
-impl<F: Fn(&[f64]) -> f64> Scorer for MonotoneScorer<F> {
-    #[inline]
-    fn score(&self, point: &[f64]) -> f64 {
-        (self.0)(point)
-    }
-
-    #[inline]
-    fn bound(&self, hi: &[f64]) -> f64 {
-        (self.0)(hi)
-    }
-}
-
 #[derive(Debug)]
 enum Cand {
     Node { pid: u32 },
@@ -223,48 +120,50 @@ impl std::fmt::Debug for SearchBuf {
 }
 
 /// Incremental top-k iterator: each [`RankedIter::next`] call returns the
-/// next-best point in descending score order, reading tree pages lazily.
+/// next-best point in descending `weights · point` order, reading tree
+/// pages lazily. The weights are borrowed for the whole search.
 ///
 /// Generic over the node access path ([`NodeSource`]): searches run
 /// against a bare [`RTree`] (the default) or a run-scoped
 /// [`crate::IoSession`], which attributes the page traffic to one run.
-pub struct RankedIter<'t, S: Scorer = LinearScorer, Src: NodeSource = RTree> {
+pub struct RankedIter<'t, Src: NodeSource = RTree> {
     src: &'t Src,
-    scorer: S,
+    weights: &'t [f64],
     heap: BinaryHeap<HeapItem>,
 }
 
-impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
-    /// Ranked search over any [`NodeSource`] — a bare tree or a
-    /// run-scoped [`crate::IoSession`].
+impl<'t, Src: NodeSource> RankedIter<'t, Src> {
+    /// Ranked search under `weights` over any [`NodeSource`] — a bare
+    /// tree or a run-scoped [`crate::IoSession`].
     ///
-    /// The scorer's bound must be admissible over the source's tree (see
-    /// the [`Scorer`] contract).
-    pub fn over(src: &'t Src, scorer: S) -> RankedIter<'t, S, Src> {
-        Self::over_reusing(src, scorer, SearchBuf::new())
+    /// # Panics
+    /// Panics if any weight is negative or non-finite (the upper-corner
+    /// bound would be inadmissible).
+    pub fn over(src: &'t Src, weights: &'t [f64]) -> RankedIter<'t, Src> {
+        Self::over_reusing(src, weights, SearchBuf::new())
     }
 
     /// Like [`RankedIter::over`], but reusing the frontier storage of an
     /// earlier search (see [`SearchBuf`]). Recover the storage with
     /// [`RankedIter::recycle`].
-    pub fn over_reusing(src: &'t Src, scorer: S, buf: SearchBuf) -> RankedIter<'t, S, Src> {
+    pub fn over_reusing(src: &'t Src, weights: &'t [f64], buf: SearchBuf) -> RankedIter<'t, Src> {
+        assert!(
+            weights.iter().all(|&w| w.is_finite() && w >= 0.0),
+            "ranked search requires finite, non-negative weights"
+        );
         let mut storage = buf.0;
         storage.clear();
         let root_page = src.root_page();
         let root = src.read_node(root_page);
         let mut it = RankedIter {
             src,
-            scorer,
+            weights,
             heap: BinaryHeap::from(storage),
         };
         // Seed with the root's entries (reading the root costs 1 logical
         // access, matching how the paper counts a query's first page).
         it.expand(root_page, &root);
         it
-    }
-
-    pub(crate) fn with_scorer(src: &'t Src, scorer: S) -> RankedIter<'t, S, Src> {
-        Self::over(src, scorer)
     }
 
     /// Abandon the search, keeping the frontier's backing allocation for
@@ -286,7 +185,7 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {
                     self.heap.push(HeapItem {
-                        bound: self.scorer.score(p),
+                        bound: dot(self.weights, p),
                         cand: Cand::Point {
                             oid,
                             point: p.into(),
@@ -297,7 +196,7 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
             Node::Inner(inner) => {
                 for i in 0..inner.len() {
                     self.heap.push(HeapItem {
-                        bound: self.scorer.bound(inner.hi(i)),
+                        bound: upper_score(self.weights, inner.hi(i)),
                         cand: Cand::Node {
                             pid: self.src.child_page(pid, inner.child(i)).0,
                         },
@@ -308,7 +207,7 @@ impl<'t, S: Scorer, Src: NodeSource> RankedIter<'t, S, Src> {
     }
 }
 
-impl<S: Scorer, Src: NodeSource> Iterator for RankedIter<'_, S, Src> {
+impl<Src: NodeSource> Iterator for RankedIter<'_, Src> {
     type Item = RankedHit;
 
     fn next(&mut self) -> Option<RankedHit> {
@@ -334,30 +233,19 @@ impl<S: Scorer, Src: NodeSource> Iterator for RankedIter<'_, S, Src> {
 impl RTree {
     /// Incremental ranked search: yields points in descending
     /// `weights · point` order.
-    pub fn ranked_iter(&self, weights: &[f64]) -> RankedIter<'_> {
+    pub(crate) fn ranked_iter<'t>(&'t self, weights: &'t [f64]) -> RankedIter<'t> {
         assert_eq!(
             weights.len(),
             self.dim(),
             "weight vector dimensionality mismatch"
         );
-        RankedIter::with_scorer(self, LinearScorer::new(weights))
-    }
-
-    /// Incremental ranked search under an arbitrary [`Scorer`] (e.g. a
-    /// monotone non-linear preference via [`MonotoneScorer`]).
-    pub fn ranked_iter_by<S: Scorer>(&self, scorer: S) -> RankedIter<'_, S> {
-        RankedIter::with_scorer(self, scorer)
+        RankedIter::over(self, weights)
     }
 
     /// The single best point under the given weights (`None` on an empty
     /// tree). Equal scores resolve to the smallest object id.
     pub fn top1(&self, weights: &[f64]) -> Option<RankedHit> {
         self.ranked_iter(weights).next()
-    }
-
-    /// The best point under an arbitrary [`Scorer`].
-    pub fn top1_by<S: Scorer>(&self, scorer: S) -> Option<RankedHit> {
-        self.ranked_iter_by(scorer).next()
     }
 
     /// The `k` best points in descending score order (fewer if the tree
@@ -495,57 +383,13 @@ mod tests {
     }
 
     #[test]
-    fn monotone_scorer_matches_brute_force() {
-        let ps = seeded_points(600, 3, 29);
-        let tree = RTree::bulk_load(&ps, params());
-        // weighted geometric-mean-like monotone score
-        let f = |p: &[f64]| (p[0] + 0.1).ln() + 2.0 * (p[1] + 0.1).ln() + (p[2] + 0.1).ln();
-        let got = tree.top1_by(MonotoneScorer(f)).unwrap();
-        let expect = ps
-            .iter()
-            .max_by(|(_, a), (_, b)| f(a).total_cmp(&f(b)))
-            .unwrap();
-        assert_eq!(got.oid, expect.0 as u64);
-    }
-
-    #[test]
-    fn min_scorer_is_supported() {
-        // min over attributes is monotone; its maximizer is the most
-        // "balanced strong" point
-        let ps = seeded_points(400, 2, 31);
-        let tree = RTree::bulk_load(&ps, params());
-        let f = |p: &[f64]| p.iter().cloned().fold(f64::INFINITY, f64::min);
-        let got = tree.top1_by(MonotoneScorer(f)).unwrap();
-        let expect = ps
-            .iter()
-            .max_by(|(_, a), (_, b)| f(a).total_cmp(&f(b)))
-            .unwrap();
-        assert_eq!(got.oid, expect.0 as u64);
-    }
-
-    #[test]
-    fn ranked_iter_by_emits_in_descending_order() {
-        let ps = seeded_points(300, 2, 37);
-        let tree = RTree::bulk_load(&ps, params());
-        let f = |p: &[f64]| p[0].sqrt() + p[1].powi(2);
-        let mut last = f64::INFINITY;
-        let mut n = 0;
-        for hit in tree.ranked_iter_by(MonotoneScorer(f)) {
-            assert!(hit.score <= last + 1e-12);
-            last = hit.score;
-            n += 1;
-        }
-        assert_eq!(n, 300);
-    }
-
-    #[test]
     fn reused_search_buf_matches_fresh_searches_and_keeps_capacity() {
         let ps = seeded_points(800, 2, 47);
         let tree = RTree::bulk_load(&ps, params());
         let mut buf = SearchBuf::new();
         let mut grown = 0usize;
         for w in [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9], [0.7, 0.3]] {
-            let mut it = RankedIter::over_reusing(&tree, LinearScorerRef::new(&w), buf);
+            let mut it = RankedIter::over_reusing(&tree, &w, buf);
             let hit = it.next().unwrap();
             let fresh = tree.top1(&w).unwrap();
             assert_eq!(hit.oid, fresh.oid);
@@ -558,22 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn borrowing_scorer_agrees_with_owning_scorer() {
-        let ps = seeded_points(300, 3, 53);
-        let tree = RTree::bulk_load(&ps, params());
-        let w = [0.2, 0.5, 0.3];
-        let owned: Vec<u64> = tree.ranked_iter(&w).take(30).map(|h| h.oid).collect();
-        let borrowed: Vec<u64> = RankedIter::over(&tree, LinearScorerRef::new(&w))
-            .take(30)
-            .map(|h| h.oid)
-            .collect();
-        assert_eq!(owned, borrowed);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn borrowing_scorer_rejects_negative_weights() {
-        let _ = LinearScorerRef::new(&[0.5, -0.1]);
+        let tree = RTree::new(2, params());
+        let _ = RankedIter::over(&tree, &[0.5, -0.1]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Mutations take `&self` and never overwrite a live page. Instead the
 //! writer *path-copies*: every node touched by an insert or delete is
 //! rewritten to a freshly allocated page, parents are rewired
-//! ([`crate::node::InnerNode::set_child`]) up to a new root, and the new
+//! (`InnerNode::set_child`) up to a new root, and the new
 //! root is published atomically as the next **epoch**. Readers pin a
 //! [`Snapshot`] (see [`RTree::snapshot`]) and traverse a frozen root;
 //! in-flight readers on older epochs keep seeing their version while
@@ -674,7 +674,7 @@ impl RTree {
     /// access missed the buffer. This is the hook run-scoped
     /// [`crate::IoSession`] accounting builds on.
     #[inline]
-    pub fn read_node_probe(&self, pid: PageId) -> (Arc<Node>, bool) {
+    pub(crate) fn read_node_probe(&self, pid: PageId) -> (Arc<Node>, bool) {
         self.buf.get_probe(pid)
     }
 

@@ -4,7 +4,7 @@
 //! `a != b`. The paper's skyline definition excludes objects for which an
 //! "equal or better" object exists, so duplicate points keep exactly one
 //! representative in the skyline; pruning therefore uses the weak test
-//! [`dominates_or_equal`].
+//! `dominates_or_equal`.
 
 /// `a[i] >= b[i]` for every `i`, with strict inequality somewhere.
 #[inline]
@@ -31,7 +31,7 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 /// at the dimensionalities skylines are computed in, a mispredicted
 /// branch costs more than the comparisons it would skip.
 #[inline]
-pub fn dominates_or_equal(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn dominates_or_equal(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     (a.iter().zip(b.iter())).fold(true, |all, (&x, &y)| all & (x >= y))
 }

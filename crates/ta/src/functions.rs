@@ -11,7 +11,7 @@
 //! ("no function is favored over another") and is what makes the tight
 //! threshold of [`crate::threshold`] a valid bound.
 
-/// Why a weight row was rejected by [`FunctionSet::try_push`].
+/// Why a weight row was rejected by [`FunctionSet::try_from_rows`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightError {
     /// The row's length does not match the set's dimensionality.
@@ -117,7 +117,7 @@ impl FunctionSet {
     /// Non-panicking [`FunctionSet::push`]: append a function, rejecting
     /// malformed rows with a [`WeightError`] instead of panicking. On
     /// error the set is unchanged.
-    pub fn try_push(&mut self, weights: &[f64]) -> Result<u32, WeightError> {
+    pub(crate) fn try_push(&mut self, weights: &[f64]) -> Result<u32, WeightError> {
         if weights.len() != self.dim {
             return Err(WeightError::DimensionMismatch {
                 expected: self.dim,

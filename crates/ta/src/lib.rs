@@ -39,4 +39,3 @@ pub mod threshold;
 
 pub use functions::{FunctionSet, WeightError};
 pub use reverse::{ReverseTopOne, TaStats, ThresholdMode};
-pub use threshold::{naive_threshold, tight_threshold};

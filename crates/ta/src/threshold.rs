@@ -19,7 +19,7 @@
 
 /// Naive TA threshold `Σᵢ lᵢ·oᵢ`.
 #[inline]
-pub fn naive_threshold(last_seen: &[f64], object: &[f64]) -> f64 {
+pub(crate) fn naive_threshold(last_seen: &[f64], object: &[f64]) -> f64 {
     debug_assert_eq!(last_seen.len(), object.len());
     last_seen
         .iter()
@@ -35,7 +35,7 @@ pub fn naive_threshold(last_seen: &[f64], object: &[f64]) -> f64 {
 /// `order` must hold the dimension indices sorted by `object` value
 /// descending; it is precomputed once per reverse-top-1 call since the
 /// object does not change between rounds.
-pub fn tight_threshold(last_seen: &[f64], object: &[f64], order: &[usize]) -> f64 {
+pub(crate) fn tight_threshold(last_seen: &[f64], object: &[f64], order: &[usize]) -> f64 {
     debug_assert_eq!(last_seen.len(), object.len());
     debug_assert_eq!(order.len(), object.len());
     let mut budget = 1.0_f64;
@@ -53,7 +53,7 @@ pub fn tight_threshold(last_seen: &[f64], object: &[f64], order: &[usize]) -> f6
 
 /// Fill `order` with the dimension indices sorted by object value
 /// descending (ties by index, for determinism).
-pub fn descending_order(object: &[f64], order: &mut Vec<usize>) {
+pub(crate) fn descending_order(object: &[f64], order: &mut Vec<usize>) {
     order.clear();
     order.extend(0..object.len());
     order.sort_unstable_by(|&a, &b| object[b].total_cmp(&object[a]).then(a.cmp(&b)));

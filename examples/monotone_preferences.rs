@@ -1,22 +1,23 @@
 //! Beyond linear preferences: the paper's model admits *any* monotone
 //! scoring function (§II). This example matches users with non-linear
 //! utilities — maximin fairness, Cobb–Douglas, and power-law emphasis —
-//! against the same inventory, using the generalized skyline-based
-//! matcher.
+//! against the same inventory, through the engine's one skyline-based
+//! run with a scan in place of the reverse top-1 TA.
 //!
 //! ```text
 //! cargo run --release --example monotone_preferences
 //! ```
 
 use mpq::core::monotone::{
-    reference_monotone_matching, CobbDouglas, MinAttribute, MonotoneFunction,
-    MonotoneSkylineMatcher, WeightedPower,
+    reference_monotone_matching, CobbDouglas, MinAttribute, MonotoneFunction, WeightedPower,
 };
+use mpq::core::Engine;
 use mpq::datagen::objects::independent;
 
 fn main() {
     // 20,000 apartments scored on (space, location, condition).
     let apartments = independent(20_000, 3, 77);
+    let engine = Engine::builder().objects(&apartments).build().unwrap();
 
     // Six tenants with structurally different utilities.
     let balanced = MinAttribute; // "my worst attribute decides"
@@ -52,11 +53,7 @@ fn main() {
         &linearish,
     ];
 
-    let matching = MonotoneSkylineMatcher {
-        multi_pair: true,
-        ..Default::default()
-    }
-    .run(&apartments, &tenants);
+    let matching = engine.evaluate_monotone(&tenants).unwrap();
 
     println!("stable assignment over {} apartments:", apartments.len());
     for pair in matching.pairs() {
@@ -75,12 +72,11 @@ fn main() {
         met.elapsed.as_secs_f64()
     );
 
-    // exactness check against the quadratic reference
+    // exactness check against the quadratic reference: the same pairs,
+    // scores to the bit, in the greedy's own order
     let expect = reference_monotone_matching(&apartments, &tenants);
-    let mut got: Vec<(u32, u64)> = matching.pairs().iter().map(|p| (p.fid, p.oid)).collect();
-    let mut want: Vec<(u32, u64)> = expect.iter().map(|p| (p.fid, p.oid)).collect();
-    got.sort_unstable();
-    want.sort_unstable();
-    assert_eq!(got, want);
+    let bits = |p: &mpq::core::Pair| (p.fid, p.oid, p.score.to_bits());
+    let got: Vec<_> = matching.sorted_pairs().iter().map(bits).collect();
+    assert_eq!(got, expect.iter().map(bits).collect::<Vec<_>>());
     println!("matches the exhaustive reference ✓");
 }

@@ -1,14 +1,18 @@
 //! Online operation: preference-query batches arriving over time
 //! against a persistent inventory — the paper's motivating deployment.
-//! The R-tree and the incrementally-maintained skyline live across
-//! batches, so each batch pays only for its own matching plus the
-//! skyline maintenance its reservations cause.
+//! One stream serves the day: the R-tree and the incrementally-maintained
+//! skyline live across batches, each batch is loaded once the one before
+//! it is drained, and pays only for its own matching plus the skyline
+//! maintenance its reservations cause.
 //!
 //! ```text
 //! cargo run --release --example online_batches
 //! ```
 
-use mpq::core::Engine;
+use std::collections::HashSet;
+use std::time::Instant;
+
+use mpq::core::{Engine, Pair};
 use mpq::datagen::functions::uniform_weights;
 use mpq::datagen::objects::independent;
 
@@ -20,38 +24,56 @@ fn main() {
     println!(
         "inventory indexed: {} objects, {} pages",
         inventory.len(),
-        engine.tree().page_count()
+        engine.page_count()
     );
 
-    let mut session = engine.session();
+    // Batches of users arrive through the day; the first one opens the
+    // stream, which computes the skyline once.
+    let day = [(9, 800), (11, 1_500), (14, 2_500), (18, 4_000), (21, 1_200)];
+    let batches: Vec<_> = (day.iter())
+        .map(|&(hour, users)| uniform_weights(users, 4, hour))
+        .collect();
+    let mut stream = engine.stream(&batches[0]).unwrap();
     println!(
         "initial skyline: {} objects ({} page reads)\n",
-        session.skyline_len(),
-        session.io_stats().physical_reads
+        stream.skyline_len(),
+        stream.metrics().io.physical_reads
     );
 
-    // Batches of users arrive through the day.
-    for (hour, batch_size) in [(9, 800), (11, 1_500), (14, 2_500), (18, 4_000), (21, 1_200)] {
-        let batch = uniform_weights(batch_size, 4, hour as u64);
-        let result = session.submit(&batch).unwrap();
-        let met = result.metrics();
+    let mut reserved: HashSet<u64> = HashSet::new();
+    for (i, (&(hour, users), batch)) in day.iter().zip(&batches).enumerate() {
+        let start = Instant::now();
+        if i > 0 {
+            stream.load(batch).unwrap();
+        }
+        let mut pairs: Vec<Pair> = stream.by_ref().collect();
+        let elapsed = start.elapsed();
+        let met = stream.metrics();
         println!(
-            "{hour:>2}:00  {batch_size:>5} users -> {:>5} rooms reserved \
+            "{hour:>2}:00  {users:>5} users -> {:>5} rooms reserved \
              ({:>6.3}s, {:>5} physical I/Os, {:>4} loops, skyline now {:>4}, \
              {} rooms left)",
-            result.len(),
-            met.elapsed.as_secs_f64(),
+            pairs.len(),
+            elapsed.as_secs_f64(),
             met.io.physical(),
             met.loops,
-            session.skyline_len(),
-            session.objects_remaining(),
+            stream.skyline_len(),
+            inventory.len() - reserved.len() - pairs.len(),
         );
+
+        // Each batch is the stable matching over what the earlier ones
+        // left: a stateless request that excludes their rooms agrees.
+        let rest = engine.request(batch).exclude(reserved.iter().copied());
+        pairs.sort_unstable();
+        assert_eq!(pairs, rest.evaluate().unwrap().sorted_pairs());
+        reserved.extend(pairs.iter().map(|p| p.oid));
     }
 
     println!(
-        "\nday's total: {} batches, {} rooms reserved, {} remaining",
-        session.batches_processed(),
-        inventory.len() as u64 - session.objects_remaining(),
-        session.objects_remaining()
+        "\nday's total: {} batches, {} rooms reserved, {} remaining \
+         (every batch equal to a stateless request over the rooms left ✓)",
+        day.len(),
+        reserved.len(),
+        inventory.len() - reserved.len()
     );
 }

@@ -105,6 +105,8 @@
 //! | `ShardedEngine::builder().shards(k)`, `ShardedEngine::open(dir)` | `Engine::builder().shards(k)`, `Engine::open(dir)` — one engine type for any shard count |
 //! | `Arc<dyn EvalBackend>`, `MatchRequest<'e, 'f, B>`, `client.backend()` | `Arc<Engine>`, `MatchRequest<'e, 'f>`, `client.engine()` (also on `EngineService` and `net::Tenant`) |
 //! | `builder.open_or_build(k)`, `mpq_core::persisted_at(dir)` | `builder.shards(k).open_or_build()`, `Engine::persisted_at(dir)` |
+//! | `engine.session()`, `session.submit(&b)` | `engine.request(&b).stream()?`, drained, then `stream.load(&b)?` per later batch — one stream, with the request's exclusions and capacities carried across batches |
+//! | `MonotoneSkylineMatcher { .. }.run(&o, &f)` | `Engine::builder().objects(&o).build()?.evaluate_monotone(&f)?` |
 //!
 //! where `let engine = Engine::builder().objects(&o).build()?;` is built
 //! once and shared (it is `Sync`; evaluation never mutates the index).
@@ -173,9 +175,8 @@ pub use mpq_ta as ta;
 pub mod prelude {
     pub use mpq_core::{
         Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalSeed,
-        HealthMonitor, HealthState, MatchRequest, MatchSession, Matching, MonotoneSkylineMatcher,
-        MpqError, Pair, RequestKey, ResultCache, Scratch, ServiceClient, ServiceConfig,
-        ServiceMetrics, ShardGauges, Ticket,
+        HealthMonitor, HealthState, MatchRequest, Matching, MpqError, Pair, RequestKey,
+        ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges, Ticket,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

@@ -53,14 +53,16 @@ fn index_is_built_exactly_once_per_engine() {
             });
         }
     });
-    // a persistent session and a progressive stream share the index too
-    let mut session = engine.session();
-    let _ = session.submit(&w.functions).unwrap();
-    let _ = engine.stream(&w.functions).unwrap().count();
+    // a progressive stream, reloaded with a second batch, shares the
+    // index too
+    let mut stream = engine.stream(&w.functions).unwrap();
+    let _ = stream.by_ref().count();
+    stream.load(&w.functions).unwrap();
+    let _ = stream.count();
 
     assert_eq!(
         index_build_count() - before,
         1,
-        "8 evaluations + 1 session + 1 stream must not rebuild the index"
+        "8 evaluations + 1 stream and its reload must not rebuild the index"
     );
 }
