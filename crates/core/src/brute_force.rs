@@ -29,32 +29,24 @@
 //! concurrent requests). Both produce the identical stable matching.
 
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 use std::time::Instant;
 
 use mpq_rtree::{NodeSource, RankedHit, RankedIter, SearchBuf};
 use mpq_ta::FunctionSet;
 
 use crate::matching::{Matching, Pair, RunMetrics};
-use crate::scratch::Scratch;
+use crate::scratch::{Assigned, Scratch};
 
 /// Candidate heap entry, ordered so the canonically first [`Pair`] is
 /// popped first (max-heap: the reverse of the canonical `Ord`).
 #[derive(Debug)]
-struct Cand {
-    score: f64,
-    fid: u32,
-    oid: u64,
-}
+struct Cand(Pair);
 
 impl Cand {
-    #[inline]
-    fn pair(&self) -> Pair {
-        Pair {
-            fid: self.fid,
-            oid: self.oid,
-            score: self.score,
-        }
+    /// Function `fid` with `hit`, its best object left.
+    fn of(fid: u32, hit: RankedHit) -> Cand {
+        let (oid, score) = (hit.oid, hit.score);
+        Cand(Pair { fid, oid, score })
     }
 }
 
@@ -73,7 +65,7 @@ impl Ord for Cand {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Canonical order says Less = assigned first; BinaryHeap pops the
         // max, so reverse it.
-        self.pair().cmp(&other.pair()).reverse()
+        self.0.cmp(&other.0).reverse()
     }
 }
 
@@ -88,18 +80,17 @@ pub enum BfStrategy {
 }
 
 /// Incremental Brute Force over any node source. Objects in `excluded`
-/// are invisible (treated as pre-assigned). The working function set and
-/// the assigned-object set come from `scratch`; the per-function search
+/// (sorted) are invisible, as if assigned. The working function set and
+/// the assigned-object column come from `scratch`; the per-function search
 /// frontiers are inherently per-run state (they all live concurrently —
 /// this is the memory footprint the paper reports) and stay run-local.
 pub(crate) fn run_incremental_on<R: NodeSource>(
     src: &R,
     functions: &FunctionSet,
-    excluded: &HashSet<u64>,
+    excluded: &[u64],
     scratch: &mut Scratch,
 ) -> Matching {
     scratch.fs.copy_from(functions);
-    scratch.seed_assigned(excluded);
     let fs = &mut scratch.fs;
     let mut metrics = RunMetrics::default();
     let start = Instant::now();
@@ -108,7 +99,7 @@ pub(crate) fn run_incremental_on<R: NodeSource>(
     let available = (src.len() as usize).saturating_sub(excluded.len());
     let budget = fs.n_alive().min(available);
     let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
-    let assigned_objects = &mut scratch.assigned;
+    let mut assigned_objects = Assigned::new(excluded, &mut scratch.assigned);
 
     // One persistent incremental iterator per function. `iters[i]`
     // belongs to the i-th alive function.
@@ -123,20 +114,8 @@ pub(crate) fn run_incremental_on<R: NodeSource>(
     for (i, &fid) in fids.iter().enumerate() {
         let mut it = RankedIter::over(src, functions.weights(fid));
         metrics.top1_searches += 1;
-        let mut first = None;
-        for hit in it.by_ref() {
-            if !assigned_objects.contains(&hit.oid) {
-                first = Some(hit);
-                break;
-            }
-        }
-        if let Some(hit) = first {
-            heap.push(Cand {
-                score: hit.score,
-                fid,
-                oid: hit.oid,
-            });
-        }
+        let first = it.by_ref().find(|hit| !assigned_objects.contains(hit.oid));
+        heap.extend(first.map(|hit| Cand::of(fid, hit)));
         frontier_total += it.frontier_len();
         frontier_sizes[i] = it.frontier_len();
         iter_of_fid[fid as usize] = i;
@@ -144,39 +123,27 @@ pub(crate) fn run_incremental_on<R: NodeSource>(
     }
     peak_frontier = peak_frontier.max(frontier_total);
 
-    while let Some(cand) = heap.pop() {
+    while let Some(Cand(pair)) = heap.pop() {
         metrics.loops += 1;
-        let slot = iter_of_fid[cand.fid as usize];
-        if assigned_objects.contains(&cand.oid) {
+        let slot = iter_of_fid[pair.fid as usize];
+        if assigned_objects.contains(pair.oid) {
             // Resume this function's iterator to its next available
             // object; scores decrease monotonically, so re-inserting
             // keeps the global heap correct.
             metrics.top1_searches += 1;
             let it = iters[slot].as_mut().expect("iterator alive");
-            let mut next = None;
-            for hit in it.by_ref() {
-                if !assigned_objects.contains(&hit.oid) {
-                    next = Some(hit);
-                    break;
-                }
-            }
+            let next = it.by_ref().find(|hit| !assigned_objects.contains(hit.oid));
             frontier_total -= frontier_sizes[slot];
             frontier_sizes[slot] = it.frontier_len();
             frontier_total += frontier_sizes[slot];
             peak_frontier = peak_frontier.max(frontier_total);
-            if let Some(hit) = next {
-                heap.push(Cand {
-                    score: hit.score,
-                    fid: cand.fid,
-                    oid: hit.oid,
-                });
-            }
+            heap.extend(next.map(|hit| Cand::of(pair.fid, hit)));
             continue;
         }
         // Fresh: globally best remaining pair -> stable.
-        pairs.push(cand.pair());
-        fs.remove(cand.fid);
-        assigned_objects.insert(cand.oid);
+        pairs.push(pair);
+        fs.remove(pair.fid);
+        assigned_objects.insert(pair.oid);
         frontier_total -= frontier_sizes[slot];
         frontier_sizes[slot] = 0;
         iters[slot] = None; // drop the finished function's frontier
@@ -194,13 +161,13 @@ pub(crate) fn run_incremental_on<R: NodeSource>(
 pub(crate) fn masked_top1<R: NodeSource>(
     src: &R,
     weights: &[f64],
-    assigned: &HashSet<u64>,
+    assigned: &Assigned<'_>,
     buf: &mut SearchBuf,
     metrics: &mut RunMetrics,
 ) -> Option<RankedHit> {
     metrics.top1_searches += 1;
     let mut it = RankedIter::over_reusing(src, weights, std::mem::take(buf));
-    let hit = it.by_ref().find(|h| !assigned.contains(&h.oid));
+    let hit = it.by_ref().find(|h| !assigned.contains(h.oid));
     *buf = it.recycle();
     hit
 }
@@ -211,13 +178,12 @@ pub(crate) fn masked_top1<R: NodeSource>(
 pub(crate) fn run_restart_on<R: NodeSource>(
     src: &R,
     functions: &FunctionSet,
-    excluded: &HashSet<u64>,
+    excluded: &[u64],
     scratch: &mut Scratch,
 ) -> Matching {
     scratch.fs.copy_from(functions);
-    scratch.seed_assigned(excluded);
     let fs = &mut scratch.fs;
-    let assigned_objects = &mut scratch.assigned;
+    let mut assigned_objects = Assigned::new(excluded, &mut scratch.assigned);
     let search = &mut scratch.search;
     let mut metrics = RunMetrics::default();
     let start = Instant::now();
@@ -230,40 +196,25 @@ pub(crate) fn run_restart_on<R: NodeSource>(
     let mut heap: BinaryHeap<Cand> = BinaryHeap::with_capacity(fs.n_alive());
     let fids: Vec<u32> = fs.iter_alive().map(|(fid, _)| fid).collect();
     for fid in fids {
-        if let Some(hit) = masked_top1(src, fs.weights(fid), assigned_objects, search, &mut metrics)
-        {
-            heap.push(Cand {
-                score: hit.score,
-                fid,
-                oid: hit.oid,
-            });
-        }
+        let weights = fs.weights(fid);
+        let hit = masked_top1(src, weights, &assigned_objects, search, &mut metrics);
+        heap.extend(hit.map(|hit| Cand::of(fid, hit)));
     }
 
-    while let Some(cand) = heap.pop() {
+    while let Some(Cand(pair)) = heap.pop() {
         metrics.loops += 1;
-        if assigned_objects.contains(&cand.oid) {
+        if assigned_objects.contains(pair.oid) {
             // stale: the object was taken since this search ran; the
             // stored score upper-bounds the function's current best, so
             // a fresh search re-inserts it at the right position.
-            if let Some(hit) = masked_top1(
-                src,
-                fs.weights(cand.fid),
-                assigned_objects,
-                search,
-                &mut metrics,
-            ) {
-                heap.push(Cand {
-                    score: hit.score,
-                    fid: cand.fid,
-                    oid: hit.oid,
-                });
-            }
+            let weights = fs.weights(pair.fid);
+            let hit = masked_top1(src, weights, &assigned_objects, search, &mut metrics);
+            heap.extend(hit.map(|hit| Cand::of(pair.fid, hit)));
             continue;
         }
-        pairs.push(cand.pair());
-        fs.remove(cand.fid);
-        assigned_objects.insert(cand.oid);
+        pairs.push(pair);
+        fs.remove(pair.fid);
+        assigned_objects.insert(pair.oid);
     }
     metrics.elapsed = start.elapsed();
     metrics.io = src.io_snapshot().since(io_start);

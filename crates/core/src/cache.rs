@@ -27,9 +27,9 @@
 //! The key ([`RequestKey`]) is *canonical*: it covers the function-set
 //! rows (weight bits, in function-id order, with tombstone flags), the
 //! [`Algorithm`] and every evaluation knob of the
-//! request, the exclusion set (**order-insensitively** — it is sorted
-//! and deduplicated once at construction, so `HashSet` iteration order
-//! never leaks into the key), and the capacity vector.
+//! request, the exclusion set (**order-insensitively** — the request
+//! keeps it sorted and deduplicated from the start, and the key copies
+//! that list), and the capacity vector.
 //! Equality compares the full key material, not just the 64-bit hash,
 //! so a hash collision can never surface a wrong cached matching — the
 //! bit-identical guarantee survives adversarial inputs.
@@ -136,15 +136,11 @@ pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> 
         crate::brute_force::BfStrategy::Restart => 1,
     });
 
-    // Exclusions are a set: canonicalize (sort + dedupe) once here, so
-    // HashSet iteration order cannot make two identical requests key
-    // differently and `KeyView::excludes`' binary search can rely on a
-    // sorted unique list.
-    let mut excluded: Vec<u64> = options.exclude.iter().copied().collect();
-    excluded.sort_unstable();
-    excluded.dedup();
-    m.push(excluded.len() as u64);
-    m.extend(excluded);
+    // Exclusions are a set, already canonical: `MatchRequest::exclude`
+    // keeps them sorted and deduplicated, so two identical requests key
+    // alike and `KeyView::excludes`' binary search can rely on the list.
+    m.push(options.exclude.len() as u64);
+    m.extend_from_slice(&options.exclude);
 
     match &options.capacities {
         None => m.push(0),
@@ -378,12 +374,17 @@ fn beaten_everywhere(view: &KeyView<'_>, matching: &Matching, oid: u64, point: &
     if point.len() != view.dim {
         return false;
     }
-    let by_fid: HashMap<u32, &Pair> = matching.pairs().iter().map(|p| (p.fid, p)).collect();
-    for fid in 0..view.n_fns {
+    let mut by_fid: Vec<Option<&Pair>> = vec![None; view.n_fns];
+    for p in matching.pairs() {
+        if let Some(slot) = by_fid.get_mut(p.fid as usize) {
+            *slot = Some(p);
+        }
+    }
+    for (fid, assigned) in by_fid.into_iter().enumerate() {
         if !view.is_alive(fid) {
             continue;
         }
-        let Some(assigned) = by_fid.get(&(fid as u32)) else {
+        let Some(assigned) = assigned else {
             // an unmatched function would grab the new object
             return false;
         };
@@ -943,11 +944,7 @@ mod tests {
     #[test]
     fn key_is_order_insensitive_over_exclusions_only() {
         let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.9, 0.1]]);
-        let mut a = RequestOptions::default();
-        a.exclude.extend([3u64, 7, 11]);
-        let mut b = RequestOptions::default();
-        b.exclude.extend([11u64, 3, 7]);
-        assert_eq!(request_key(&functions, &a), request_key(&functions, &b));
+        assert_eq!(key_excluding(&[3, 7, 11]), key_excluding(&[11, 3, 7, 3]));
 
         // ...but function row order is semantic (fids name the rows).
         let swapped = FunctionSet::from_rows(2, &[vec![0.9, 0.1], vec![0.5, 0.5]]);
@@ -976,8 +973,10 @@ mod tests {
             ..RequestOptions::default()
         };
         assert_ne!(base, request_key(&functions, &o));
-        let mut o = RequestOptions::default();
-        o.exclude.insert(5);
+        let o = RequestOptions {
+            exclude: vec![5],
+            ..RequestOptions::default()
+        };
         assert_ne!(base, request_key(&functions, &o));
         // tombstones are part of the identity
         let mut dead = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.9, 0.1]]);
@@ -1152,8 +1151,10 @@ mod tests {
 
     #[test]
     fn mutations_of_an_excluded_object_always_survive() {
-        let mut options = RequestOptions::default();
-        options.exclude.insert(2);
+        let options = RequestOptions {
+            exclude: vec![2],
+            ..RequestOptions::default()
+        };
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::default();
@@ -1206,8 +1207,10 @@ mod tests {
     #[test]
     fn insert_with_log_sweeps_dead_entries_and_keeps_survivors() {
         let key_a = orthogonal_key(&RequestOptions::default());
-        let mut excl = RequestOptions::default();
-        excl.exclude.insert(0);
+        let excl = RequestOptions {
+            exclude: vec![0],
+            ..RequestOptions::default()
+        };
         let key_b = orthogonal_key(&excl);
         let key_c = key_of(&[vec![0.5, 0.5]]);
 
@@ -1266,11 +1269,15 @@ mod tests {
         })
     }
 
+    /// The key of a two-function request excluding `excl`, the list
+    /// built as every request builds it.
     fn key_excluding(excl: &[u64]) -> RequestKey {
         let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5], vec![0.9, 0.1]]);
-        let mut o = RequestOptions::default();
-        o.exclude.extend(excl.iter().copied());
-        request_key(&functions, &o)
+        let mut objects = mpq_rtree::PointSet::new(2);
+        objects.push(&[0.5, 0.5]);
+        let engine = crate::Engine::builder().objects(&objects).build().unwrap();
+        let request = engine.request(&functions);
+        request.exclude(excl.iter().copied()).cache_key()
     }
 
     #[test]

@@ -18,11 +18,17 @@
 //! outscore it on `o`; and two mutually-best pairs of one round never
 //! share an object, since an object has one best function. So every
 //! pair of a round belongs to the matching, one unit each: the round
-//! takes one of the request's `Units` per pair and retires the functions
-//! together with the objects whose last unit went. An un-capacitated
-//! request carries no `Units` at all — every object has the one unit
-//! that assignment takes — and is otherwise the same run, at any shard
-//! count.
+//! takes one unit per pair and retires the functions together with the
+//! objects whose last unit went. An un-capacitated request carries no
+//! units at all — every object has the one unit that assignment takes —
+//! and is otherwise the same run, at any shard count.
+//!
+//! The units live in the run's one `Mask`, beside the request's
+//! exclusions: the run is handed the mask when it starts and keeps it
+//! — across [reloads](crate::SbStream::load) too — and every object it
+//! peels, at the start or as a promotion, is one the mask's
+//! `invisible` predicate names. An exclusion is an object with no unit
+//! from the start.
 //!
 //! The contract, for every `multi_pair` × `best_pair`, evaluated or
 //! streamed, cold or resumed: [`Matching::sorted_pairs`] is
@@ -34,11 +40,12 @@
 //! with every capacity 1 the run is the un-capacitated one, count for
 //! count, at either setting (all asserted by tests).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
 
+use crate::engine::RequestOptions;
 use crate::matching::{Matching, Pair, RunMetrics};
 
 /// Result of a capacitated run: assignment pairs in emission order and
@@ -71,36 +78,54 @@ impl CapacityMatching {
     }
 }
 
-/// Remaining units of a capacitated request, by global oid.
+/// What an SB run must not see, given to the run once (`SbRun::new`)
+/// and owned by it from then on: the request's exclusions and, if the
+/// request is capacitated, what is left of its capacities.
 ///
-/// The request's vector was validated against the engine's id bound
-/// *before* any snapshot was pinned, so a racing insert can put an
-/// object into a snapshot whose oid lies past its end: the caller's
-/// vector predates it, and it has no units — invisible, like an
-/// exclusion.
-pub(crate) struct Units(pub(crate) Vec<u32>);
-
-impl Units {
-    /// Units object `oid` can still take.
-    fn left(&self, oid: u64) -> u32 {
-        self.0.get(oid as usize).copied().unwrap_or(0)
-    }
-
-    /// Consume one unit of `oid`; true iff that exhausted it.
-    pub(crate) fn take(&mut self, oid: u64) -> bool {
-        self.0.get_mut(oid as usize).is_none_or(|units| {
-            *units -= 1;
-            *units == 0
-        })
-    }
+/// The exclusions stay the request's sorted, deduplicated list of ids
+/// as given ([`MatchRequest::exclude`](crate::MatchRequest::exclude)),
+/// searched by bisection, and not a bitset over the id bound: an id not
+/// minted yet must be honoured, and an id read off the wire must not
+/// size an allocation.
+///
+/// Remaining units are kept by global oid. The request's vector was
+/// validated against the engine's id bound *before* any snapshot was
+/// pinned, so a racing insert can put an object into a snapshot whose
+/// oid lies past its end: the caller's vector predates it, and it has no
+/// units — invisible, like an exclusion.
+#[derive(Default)]
+pub(crate) struct Mask {
+    exclude: Vec<u64>,
+    units: Option<Vec<u32>>,
 }
 
-/// The one "invisible object" test of a run: excluded by the request,
-/// or capacitated with no unit left. An un-capacitated object has its
-/// one unit until it is assigned, and assignment takes it off the
-/// skyline for good, so nothing is stored for it.
-pub(crate) fn invisible(excluded: &HashSet<u64>, units: &Option<Units>, oid: u64) -> bool {
-    excluded.contains(&oid) || units.as_ref().is_some_and(|u| u.left(oid) == 0)
+impl Mask {
+    /// The mask of a request.
+    pub(crate) fn new(options: &RequestOptions) -> Mask {
+        Mask {
+            exclude: options.exclude.clone(),
+            units: options.capacities.clone(),
+        }
+    }
+
+    /// The one "invisible object" test of a run: excluded by the
+    /// request, or capacitated with no unit left. An un-capacitated
+    /// object has its one unit until it is assigned, and assignment
+    /// takes it off the skyline for good, so nothing is stored for it.
+    pub(crate) fn invisible(&self, oid: u64) -> bool {
+        let spent = |units: &Vec<u32>| units.get(oid as usize).is_none_or(|&left| left == 0);
+        self.exclude.binary_search(&oid).is_ok() || self.units.as_ref().is_some_and(spent)
+    }
+
+    /// Consume one unit of `oid`; true iff that was its last — always,
+    /// without capacities.
+    pub(crate) fn take(&mut self, oid: u64) -> bool {
+        let left = self.units.as_mut().and_then(|u| u.get_mut(oid as usize));
+        left.is_none_or(|left| {
+            *left -= 1;
+            *left == 0
+        })
+    }
 }
 
 /// Exact reference for the capacitated matching: greedy over all pairs.
@@ -274,30 +299,42 @@ mod tests {
             .build();
         let engine = engine(&w.objects);
         let bound = engine.oid_bound();
-        let excluded: HashSet<u64> = [bound, bound + 7].into();
-        let hidden = |units: &Option<Units>, oid| invisible(&excluded, units, oid);
+        // The next id, a later one, and two no engine will mint soon.
+        let excluded = [bound, bound + 7, 1 << 60, u64::MAX];
+        let hidden = |units: &Option<Vec<u32>>, oid| {
+            let (exclude, units) = (excluded.to_vec(), units.clone());
+            Mask { exclude, units }.invisible(oid)
+        };
         assert!(!hidden(&None, 0));
-        assert!(hidden(&None, bound));
-        assert!(hidden(&None, bound + 7));
+        for oid in excluded {
+            assert!(hidden(&None, oid), "{oid} is excluded");
+        }
         assert!(!hidden(&None, bound + 1), "in the snapshot, not excluded");
 
-        let units = Some(Units(vec![1; bound as usize]));
+        let units = Some(vec![1; bound as usize]);
         assert!(!hidden(&units, 0));
         for oid in [bound, bound + 7, bound + 1] {
             assert!(hidden(&units, oid), "the capacity vector predates {oid}");
         }
 
         // The run: everyone's favourite arrives after the request named
-        // its id, on one tree and behind two.
+        // its id, on one tree and behind two. The ids are kept as given:
+        // their order and repeats do not reach the key, minting one does
+        // not change it, and dropping the hostile two does.
         let sharded = Engine::builder().objects(&w.objects).shards(2);
         let sharded = sharded.build().unwrap();
+        let shuffled = [u64::MAX, bound + 7, 1 << 60, bound, u64::MAX];
         for engine in [&engine, &sharded] {
-            let request = engine
-                .request(&w.functions)
-                .exclude(excluded.iter().copied());
+            let request = engine.request(&w.functions).exclude(excluded);
+            let key = request.cache_key();
+            let again = engine.request(&w.functions).exclude(shuffled);
+            assert_eq!(again.cache_key(), key);
+            let minted_soon = engine.request(&w.functions).exclude([bound, bound + 7]);
+            assert_ne!(minted_soon.cache_key(), key);
             let before = request.evaluate().unwrap();
             assert_eq!(engine.insert_object(&[0.99, 0.99]), Ok(bound));
             assert_eq!(request.evaluate().unwrap().pairs(), before.pairs());
+            assert_eq!(request.cache_key(), key);
             let seen = engine.request(&w.functions).evaluate().unwrap();
             assert_eq!(seen.pairs()[0].oid, bound, "visible unless excluded");
         }

@@ -26,7 +26,6 @@
 //! normalized weights are inherently anti-correlated), which is why the
 //! paper shows it losing on both I/O and CPU.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use mpq_rtree::{NodeSource, PointSet, RTree, RTreeParams, RankedIter};
@@ -34,7 +33,7 @@ use mpq_ta::FunctionSet;
 
 use crate::brute_force::masked_top1;
 use crate::matching::{IndexConfig, Matching, Pair, RunMetrics};
-use crate::scratch::Scratch;
+use crate::scratch::{Assigned, Scratch};
 
 /// A chain element: a function or an object (with its point, needed for
 /// searching the function tree).
@@ -44,19 +43,18 @@ enum Elem {
     O(u64, Box<[f64]>),
 }
 
-/// Chain matching over any node source. Objects in `excluded` are
-/// invisible (masked from every object-side search). Both sides' top-1
-/// search storms reuse the scratch's frontier storage; the working
-/// function set and assigned-object set come from the scratch too.
+/// Chain matching over any node source. Objects in `excluded` (sorted)
+/// are invisible (masked from every object-side search). Both sides'
+/// top-1 search storms reuse the scratch's frontier storage; the working
+/// function set and assigned-object column come from the scratch too.
 pub(crate) fn run_chain_on<R: NodeSource>(
     index: &IndexConfig,
     src: &R,
     functions: &FunctionSet,
-    excluded: &HashSet<u64>,
+    excluded: &[u64],
     scratch: &mut Scratch,
 ) -> Matching {
     scratch.fs.copy_from(functions);
-    scratch.seed_assigned(excluded);
     let fs = &mut scratch.fs;
     let search = &mut scratch.search;
     let mut metrics = RunMetrics::default();
@@ -68,7 +66,9 @@ pub(crate) fn run_chain_on<R: NodeSource>(
     // `fun_io` counters, not paper-metric I/O.
     let mut fun_points = PointSet::new(fs.dim());
     let mut fid_of_row: Vec<u32> = Vec::with_capacity(fs.n_alive());
+    let mut row_of_fid: Vec<usize> = vec![usize::MAX; fs.len()];
     for (fid, w) in fs.iter_alive() {
+        row_of_fid[fid as usize] = fun_points.len();
         fun_points.push(w);
         fid_of_row.push(fid);
     }
@@ -85,11 +85,10 @@ pub(crate) fn run_chain_on<R: NodeSource>(
     let available = (src.len() as usize).saturating_sub(excluded.len());
     let budget = fs.n_alive().min(available);
     let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
-    let assigned = &mut scratch.assigned;
+    let mut assigned = Assigned::new(excluded, &mut scratch.assigned);
     let mut stack: Vec<Elem> = Vec::new();
 
-    'outer: for start_row in 0..fid_of_row.len() {
-        let start_fid = fid_of_row[start_row];
+    'outer: for &start_fid in &fid_of_row {
         if !fs.is_alive(start_fid) {
             continue;
         }
@@ -100,7 +99,7 @@ pub(crate) fn run_chain_on<R: NodeSource>(
             metrics.loops += 1;
             match top {
                 Elem::F(fid) => {
-                    let hit = masked_top1(src, fs.weights(fid), assigned, search, &mut metrics);
+                    let hit = masked_top1(src, fs.weights(fid), &assigned, search, &mut metrics);
                     let Some(hit) = hit else {
                         // objects exhausted: remaining functions stay
                         // unmatched
@@ -119,7 +118,7 @@ pub(crate) fn run_chain_on<R: NodeSource>(
                         stack.pop(); // the function
                         stack.pop(); // its partner object
                         fs.remove(fid);
-                        let row = fid_of_row.iter().position(|&f| f == fid).unwrap();
+                        let row = row_of_fid[fid as usize];
                         fun_tree.delete(fun_points.get(row), fid as u64);
                         assigned.insert(hit.oid);
                     } else {

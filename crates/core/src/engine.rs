@@ -40,7 +40,6 @@
 //! assert_eq!(sb.sorted_pairs(), bf.sorted_pairs());
 //! ```
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -1187,7 +1186,9 @@ pub(crate) struct RequestOptions {
     pub(crate) maintenance: MaintenanceMode,
     pub(crate) multi_pair: bool,
     pub(crate) bf_strategy: BfStrategy,
-    pub(crate) exclude: HashSet<u64>,
+    /// Sorted and deduplicated by [`MatchRequest::exclude`], the one
+    /// place that adds to it.
+    pub(crate) exclude: Vec<u64>,
     pub(crate) capacities: Option<Vec<u32>>,
 }
 
@@ -1199,7 +1200,7 @@ impl Default for RequestOptions {
             maintenance: MaintenanceMode::Incremental,
             multi_pair: true,
             bf_strategy: BfStrategy::Incremental,
-            exclude: HashSet::new(),
+            exclude: Vec::new(),
             capacities: None,
         }
     }
@@ -1301,10 +1302,15 @@ impl<'e> MatchRequest<'e, '_> {
 
     /// Mask out objects (e.g. already-reserved inventory). Excluded
     /// objects are invisible to this request: they are neither assigned
-    /// nor allowed to shadow other objects. Ids not present in the
-    /// engine are ignored. Accumulates across calls.
+    /// nor allowed to shadow other objects. Accumulates across calls.
+    ///
+    /// The ids are kept as given, sorted and deduplicated, so their
+    /// order and repeats mean nothing; an id the engine has not minted
+    /// yet is honoured once it is.
     pub fn exclude<I: IntoIterator<Item = u64>>(mut self, oids: I) -> Self {
         self.options.exclude.extend(oids);
+        self.options.exclude.sort_unstable();
+        self.options.exclude.dedup();
         self
     }
 
@@ -1366,7 +1372,7 @@ impl<'e> MatchRequest<'e, '_> {
     }
 
     /// Like [`MatchRequest::evaluate`], but serving the run's working
-    /// state — function-set copy, assigned sets, SB rank-list caches,
+    /// state — function-set copy, assigned objects, SB rank-list rows,
     /// search frontiers — from a caller-owned reusable [`Scratch`]. The
     /// scratch never changes what is computed, only how often the
     /// allocator is hit; reuse one per thread across any sequence of

@@ -20,12 +20,12 @@
 //! ([`MinAttribute`]), and Cobb–Douglas / weighted geometric means
 //! ([`CobbDouglas`]).
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use mpq_rtree::PointSet;
 use mpq_ta::TaStats;
 
+use crate::capacity::Mask;
 use crate::engine::Engine;
 use crate::error::MpqError;
 use crate::matching::{Matching, Pair};
@@ -113,6 +113,10 @@ struct Scanned<'f> {
 }
 
 impl FunctionSide for Scanned<'_> {
+    fn len(&self) -> usize {
+        self.functions.len()
+    }
+
     fn n_alive(&self) -> usize {
         self.n_alive
     }
@@ -169,8 +173,9 @@ impl Engine {
             alive: vec![true; functions.len()],
             n_alive: functions.len(),
         };
-        let mut run = SbRun::new(self.pin().0, Scratch::new(), side, |_| false, None, None);
-        let pairs = run.drain(true, &HashSet::new(), &mut None);
+        let (pins, scratch) = (self.pin().0, Scratch::new());
+        let mut run = SbRun::new(pins, scratch, side, Mask::default(), true, None, None);
+        let pairs = run.drain();
         let mut metrics = run.metrics();
         metrics.elapsed = start.elapsed();
         Ok(Matching::new(pairs, metrics))

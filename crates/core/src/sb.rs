@@ -33,6 +33,18 @@
 //! Neither cache changes the output (asserted by tests); they only
 //! remove redundant reverse-top-1 calls and skyline scans.
 //!
+//! Both are columns of rows indexed by dense ids, never hash tables:
+//! the fbest lists by skyline member number
+//! ([`mpq_skyline::SkylineEntry::member`] — members are only appended,
+//! never renumbered, so a departed member's row is simply never read
+//! again), the obest lists by fid. An obest entry carries its object's
+//! member number beside the oid, so a list's head finds its object's
+//! fbest row directly; ties still break on `(score desc, oid asc)`. A
+//! promotion is folded only into rows that hold a list, and an assigned
+//! function's row is emptied. The rows live in the [`Scratch`]: a run
+//! empties them and keeps their capacity, so a warm scratch fills them
+//! without allocating.
+//!
 //! ## One run state, one round
 //!
 //! Everything above lives once, in the crate-private `SbRun`: one
@@ -43,13 +55,15 @@
 //! (`FunctionSide`): a linear request's working function set with its
 //! reverse top-1 index, or — §II admits "any monotone function" —
 //! monotone functions found by a scan ([`crate::monotone`]).
-//! `SbRun::new` takes the functions and primes the skyline — cold by
-//! BBS, or cloned from the inventory's seed ([`crate::seed`]) — then
-//! peels off the objects the run must not see; "must not see" is one
-//! predicate, so a request's exclusions and a capacitated request's
-//! exhausted objects take the same path. `SbRun::round` is the only
-//! loop body (Algorithm 1 lines 3–9): three steps, the first and the
-//! last its private halves, which nothing else calls.
+//! `SbRun::new` takes the functions and the request's mask and primes
+//! the skyline — cold by BBS, or cloned from the inventory's seed
+//! ([`crate::seed`]) — then peels off the objects the run must not
+//! see. The run owns the mask from then on: the exclusions and what is
+//! left of the capacities, one predicate, so a request's exclusions and
+//! a capacitated request's exhausted objects take the same path
+//! ([`crate::capacity`]). `SbRun::round` is the only loop body
+//! (Algorithm 1 lines 3–9) and takes no argument: three steps, the
+//! first and the last its private halves, which nothing else calls.
 //!
 //! * **discover** refreshes the rank lists against the skyline and
 //!   reports the round's mutually-best pairs in canonical order — all
@@ -79,7 +93,7 @@
 //! best-pair search plus the maintenance its assignments cause — where
 //! the alternative would run BBS again for every batch.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use mpq_rtree::{IoStats, NodeSource};
@@ -87,11 +101,11 @@ use mpq_skyline::bbs::compute_skyline_excluding_with;
 use mpq_skyline::{SkylineMaintainer, SkylineStats};
 use mpq_ta::{FunctionSet, ReverseTopOne, TaStats, ThresholdMode};
 
-use crate::capacity::{invisible, Units};
+use crate::capacity::Mask;
 use crate::engine::{validate_functions, RequestOptions};
 use crate::error::MpqError;
 use crate::matching::{Matching, Pair, RunMetrics};
-use crate::scratch::Scratch;
+use crate::scratch::{Assigned, Scratch};
 use crate::seed::EvalSeed;
 
 /// Certified reverse-top-`M` cached per skyline object. Deeper lists
@@ -113,6 +127,17 @@ pub enum BestPairMode {
     /// Linear scan of all alive functions (the brute-force inner loop
     /// the paper's TA replaces).
     Scan,
+}
+
+impl BestPairMode {
+    /// The threshold of the mode's TA scans; `None` for a scan of `F`.
+    fn threshold(self) -> Option<ThresholdMode> {
+        match self {
+            BestPairMode::Ta => Some(ThresholdMode::Tight),
+            BestPairMode::TaNaiveThreshold => Some(ThresholdMode::Naive),
+            BestPairMode::Scan => None,
+        }
+    }
 }
 
 /// How the skyline is kept current across loops (ablation A2).
@@ -138,27 +163,28 @@ pub(crate) struct RoundBufs {
     pairs: Vec<Pair>,
     /// The objects among them whose last unit this round took.
     departed: Vec<u64>,
-    /// Functions that are some skyline object's current best.
-    fbest_fns: HashSet<u32>,
+    /// By fid: is the function some skyline object's current best?
+    fbest_fns: Vec<bool>,
     /// The objects one skyline removal takes out (see [`peel_masked`]).
     wave: Vec<u64>,
     /// The promotions that removal leaves on the skyline.
     promoted: Vec<u64>,
-    /// Per-loop best function per skyline object (SB-rescan only).
-    rescan_best: HashMap<u64, (u32, f64)>,
+    /// Per-loop best function per skyline object, by its position in
+    /// the loop's skyline (SB-rescan only).
+    rescan_best: Vec<(u32, f64)>,
 }
 
 /// Remove the objects in `bufs.wave` from the maintained skyline, then
-/// every *masked* object that removal promotes — its dominator just left
-/// — wave after wave until the skyline is clean, so a masked object
-/// never reaches the caches. The promotions that stay are left in
-/// `bufs.promoted`; `bufs.wave` comes back empty. The time spent is
-/// added to `spent`.
+/// every object that removal promotes — its dominator just left — and
+/// the `mask` hides, wave after wave until the skyline is clean, so a
+/// masked object never reaches the caches. The promotions that stay are
+/// left in `bufs.promoted`; `bufs.wave` comes back empty. The time spent
+/// is added to `spent`.
 fn peel_masked<R: NodeSource>(
     maintainer: &mut SkylineMaintainer,
     src: &R,
     bufs: &mut RoundBufs,
-    masked: &impl Fn(u64) -> bool,
+    mask: &Mask,
     spent: &mut Duration,
 ) {
     let start = Instant::now();
@@ -167,7 +193,7 @@ fn peel_masked<R: NodeSource>(
         let promoted = maintainer.remove(&bufs.wave, src);
         bufs.wave.clear();
         for &oid in promoted {
-            if masked(oid) {
+            if mask.invisible(oid) {
                 bufs.wave.push(oid);
             } else {
                 bufs.promoted.push(oid);
@@ -180,6 +206,9 @@ fn peel_masked<R: NodeSource>(
 /// What a round asks of the functions `F` (see the [module
 /// docs](self)). Function ids are dense and only ever die.
 pub(crate) trait FunctionSide {
+    /// Functions, assigned or not: the ids are `0..len`.
+    fn len(&self) -> usize;
+
     /// Functions not assigned yet.
     fn n_alive(&self) -> usize;
 
@@ -207,7 +236,8 @@ pub(crate) trait FunctionSide {
 struct Linear {
     fs: FunctionSet,
     rt1: Option<ReverseTopOne>,
-    mode: BestPairMode,
+    /// The scans' threshold; `None` scans `F` instead.
+    threshold: Option<ThresholdMode>,
 }
 
 impl Linear {
@@ -218,7 +248,7 @@ impl Linear {
         let mut side = Linear {
             fs,
             rt1: None,
-            mode,
+            threshold: mode.threshold(),
         };
         side.load(functions);
         side
@@ -228,14 +258,15 @@ impl Linear {
     /// build its reverse top-1 index.
     fn load(&mut self, functions: &FunctionSet) {
         self.fs.copy_from(functions);
-        self.rt1 = match self.mode {
-            BestPairMode::Scan => None,
-            _ => Some(ReverseTopOne::build(&self.fs)),
-        };
+        self.rt1 = self.threshold.map(|_| ReverseTopOne::build(&self.fs));
     }
 }
 
 impl FunctionSide for Linear {
+    fn len(&self) -> usize {
+        self.fs.len()
+    }
+
     #[inline]
     fn n_alive(&self) -> usize {
         self.fs.n_alive()
@@ -258,17 +289,13 @@ impl FunctionSide for Linear {
 
     /// Scan mode certifies only the top-1, so its lists hold one entry.
     fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>) {
-        let threshold = match self.mode {
-            BestPairMode::Ta => ThresholdMode::Tight,
-            BestPairMode::TaNaiveThreshold => ThresholdMode::Naive,
-            BestPairMode::Scan => {
+        match (&mut self.rt1, self.threshold) {
+            (Some(rt1), Some(t)) => rt1.top_m_for(&self.fs, point, FBEST_RANKS, t, list),
+            _ => {
                 list.clear();
                 list.extend(self.fs.scan_best(point));
-                return;
             }
-        };
-        let rt1 = self.rt1.as_mut().expect("TA mode has an index");
-        rt1.top_m_for(&self.fs, point, FBEST_RANKS, threshold, list);
+        }
     }
 
     fn ta_stats(&self) -> Option<TaStats> {
@@ -286,6 +313,10 @@ pub(crate) struct SbRun<R: NodeSource, F> {
     sky_start: SkylineStats,
     skyline: SkylineMaintainer,
     functions: F,
+    /// What the run must not see, for its whole life.
+    mask: Mask,
+    /// Report every mutually-best pair of a round, or the first alone.
+    multi_pair: bool,
     /// The fbest/obest rank-list caches and the round-local buffers.
     scratch: Scratch,
     metrics: RunMetrics,
@@ -294,24 +325,24 @@ pub(crate) struct SbRun<R: NodeSource, F> {
 impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// Start a run of `functions` over `src`: prime the skyline —
     /// cold (BBS over the whole source) or cloned from `seed`, the same
-    /// source's BBS snapshot — and peel every `masked` object off it.
-    /// Either way the run holds exactly the skyline of its inventory, so
-    /// the matching loop downstream cannot tell the histories apart. A
-    /// cold run leaves its snapshot in `capture`, taken *before* any
-    /// peel, so what it captures depends on the source alone; a seeded
-    /// run captures nothing. Both clones share what BBS recorded (the
-    /// build ends frozen, see `mpq_skyline::maintain`): neither copies a
-    /// member or a plist.
+    /// source's BBS snapshot — and peel every object the `mask` hides
+    /// off it. Either way the run holds exactly the skyline of its
+    /// inventory, so the matching loop downstream cannot tell the
+    /// histories apart. A cold run leaves its snapshot in `capture`,
+    /// taken *before* any peel, so what it captures depends on the
+    /// source alone; a seeded run captures nothing. Both clones share
+    /// what BBS recorded (the build ends frozen, see
+    /// `mpq_skyline::maintain`): neither copies a member or a plist.
     pub(crate) fn new(
         src: R,
         mut scratch: Scratch,
         functions: F,
-        masked: impl Fn(u64) -> bool,
+        mask: Mask,
+        multi_pair: bool,
         seed: Option<&SkylineMaintainer>,
         capture: Option<&mut Option<SkylineMaintainer>>,
     ) -> SbRun<R, F> {
-        scratch.fbest.clear();
-        scratch.obest.clear();
+        scratch.reset_rank_lists(functions.len());
         let io_start = src.io_snapshot();
         let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
         let mut skyline = match seed {
@@ -328,14 +359,16 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         let bufs = &mut scratch.round;
         bufs.wave.clear();
         let members = skyline.iter().map(|e| e.oid);
-        bufs.wave.extend(members.filter(|&oid| masked(oid)));
-        peel_masked(&mut skyline, &src, bufs, &masked, &mut metrics.maintain);
+        bufs.wave.extend(members.filter(|&oid| mask.invisible(oid)));
+        peel_masked(&mut skyline, &src, bufs, &mask, &mut metrics.maintain);
         SbRun {
             src,
             io_start,
             sky_start,
             skyline,
             functions,
+            mask,
+            multi_pair,
             scratch,
             metrics,
         }
@@ -361,16 +394,11 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
 
     /// Run rounds until the run is done; their pairs, in emission
     /// order.
-    pub(crate) fn drain(
-        &mut self,
-        multi_pair: bool,
-        exclude: &HashSet<u64>,
-        units: &mut Option<Units>,
-    ) -> Vec<Pair> {
+    pub(crate) fn drain(&mut self) -> Vec<Pair> {
         let budget = self.functions.n_alive().min(self.src.len() as usize);
         let mut pairs: Vec<Pair> = Vec::with_capacity(budget);
         while !self.is_done() {
-            pairs.extend_from_slice(self.round(multi_pair, exclude, units));
+            pairs.extend_from_slice(self.round());
         }
         pairs
     }
@@ -379,21 +407,16 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// discover the mutually-best pairs, let each take one unit of its
     /// object — an object of an un-capacitated request has exactly the
     /// one — and retire the functions together with the objects whose
-    /// last unit went. What retiring them promotes is masked by the one
-    /// `invisible` predicate, read *after* the round's takes.
-    pub(crate) fn round(
-        &mut self,
-        multi_pair: bool,
-        exclude: &HashSet<u64>,
-        units: &mut Option<Units>,
-    ) -> &[Pair] {
-        self.discover(multi_pair);
+    /// last unit went. What retiring them promotes is masked by the
+    /// run's one predicate, read *after* the round's takes.
+    pub(crate) fn round(&mut self) -> &[Pair] {
+        self.discover();
         let pairs = std::mem::take(&mut self.scratch.round.pairs);
         let mut departed = std::mem::take(&mut self.scratch.round.departed);
         departed.clear();
-        let mut spent = |oid| units.as_mut().is_none_or(|left| left.take(oid));
-        departed.extend(pairs.iter().map(|p| p.oid).filter(|&oid| spent(oid)));
-        self.retire(&pairs, &departed, |oid| invisible(exclude, units, oid));
+        let mask = &mut self.mask;
+        departed.extend(pairs.iter().map(|p| p.oid).filter(|&oid| mask.take(oid)));
+        self.retire(&pairs, &departed);
         self.scratch.round.departed = departed;
         self.scratch.round.pairs = pairs;
         &self.scratch.round.pairs
@@ -409,7 +432,7 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// performs no heap allocation once the buffers are warm.
     ///
     /// Precondition: the run is not [done](SbRun::is_done).
-    fn discover(&mut self, multi_pair: bool) {
+    fn discover(&mut self) {
         let Scratch {
             fbest,
             obest,
@@ -427,7 +450,10 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         // reverse top-1 because removals can only have deleted
         // better-ranked functions.
         for e in skyline.iter() {
-            let list = fbest.entry(e.oid).or_default();
+            if e.member >= fbest.len() {
+                fbest.resize_with(e.member + 1, Vec::new);
+            }
+            let list = &mut fbest[e.member];
             let dead = list.iter().take_while(|&&(fid, _)| !fs.is_alive(fid));
             list.drain(..dead.count());
             if list.is_empty() {
@@ -443,33 +469,43 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         // all assigned, and promotions were folded in); empty ⇒ full
         // skyline rescan.
         bufs.fbest_fns.clear();
-        bufs.fbest_fns
-            .extend(skyline.iter().map(|e| fbest[&e.oid][0].0));
-        for &fid in &bufs.fbest_fns {
-            // Filling a list inserts before it truncates: one allocation.
-            let list = obest
-                .entry(fid)
-                .or_insert_with(|| Vec::with_capacity(OBEST_RANKS + 1));
-            let gone = list.iter().take_while(|&&(oid, _)| !skyline.contains(oid));
+        bufs.fbest_fns.resize(obest.len(), false);
+        for e in skyline.iter() {
+            bufs.fbest_fns[fbest[e.member][0].0 as usize] = true;
+        }
+        for (fid, list) in obest.iter_mut().enumerate() {
+            if !bufs.fbest_fns[fid] {
+                continue;
+            }
+            let gone = list
+                .iter()
+                .take_while(|&&((oid, _), _)| !skyline.contains(oid));
             list.drain(..gone.count());
             if list.is_empty() {
+                // Filling a list inserts before it truncates.
+                list.reserve(OBEST_RANKS + 1);
                 for e in skyline.iter() {
-                    let s = fs.score(fid, e.point);
-                    insert_ranked(list, OBEST_RANKS, e.oid, s);
+                    let s = fs.score(fid as u32, e.point);
+                    insert_ranked(list, OBEST_RANKS, (e.oid, e.member), s);
                 }
                 debug_assert!(!list.is_empty(), "skyline is non-empty");
             }
         }
 
-        // 3. Mutually-best pairs (Property 1).
+        // 3. Mutually-best pairs (Property 1); an obest entry names its
+        // object's fbest row.
         bufs.pairs.clear();
-        for &fid in &bufs.fbest_fns {
-            let (oid, score) = obest[&fid][0];
-            if fbest[&oid][0].0 == fid {
+        for (fid, list) in obest.iter().enumerate() {
+            if !bufs.fbest_fns[fid] {
+                continue;
+            }
+            let ((oid, member), score) = list[0];
+            let fid = fid as u32;
+            if fbest[member][0].0 == fid {
                 bufs.pairs.push(Pair { fid, oid, score });
             }
         }
-        finalize_loop_pairs(&mut bufs.pairs, multi_pair);
+        finalize_loop_pairs(&mut bufs.pairs, self.multi_pair);
         assert!(
             !bufs.pairs.is_empty(),
             "SB invariant violated: the globally best remaining pair is always \
@@ -479,42 +515,40 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     }
 
     /// Second half of a round: the functions of `pairs` are assigned and
-    /// the `departed` objects have no unit left — tombstone, drop the
-    /// rank lists of what left, maintain the skyline. An object that
-    /// keeps a unit stays on the
-    /// skyline; the function it just took heads its fbest list and is
-    /// drained like any other dead one.
-    fn retire(&mut self, pairs: &[Pair], departed: &[u64], masked: impl Fn(u64) -> bool) {
+    /// the `departed` objects have no unit left — tombstone, empty the
+    /// obest rows of the assigned functions, maintain the skyline. An
+    /// object that keeps a unit stays on the skyline; the function it
+    /// just took heads its fbest list and is drained like any other dead
+    /// one. A departed member's fbest row is never read again: member
+    /// numbers are not reused.
+    fn retire(&mut self, pairs: &[Pair], departed: &[u64]) {
         let Scratch {
-            fbest,
-            obest,
-            round: bufs,
-            ..
+            obest, round: bufs, ..
         } = &mut self.scratch;
         let fs = &mut self.functions;
-        // Assigned functions never return: drop their obest lists. Dead
+        // Assigned functions never return: empty their obest rows. Dead
         // functions inside fbest lists are drained lazily in step 1.
         for p in pairs {
             fs.remove(p.fid);
-            obest.remove(&p.fid);
-        }
-        // Departed objects never return: drop their fbest lists. Dead
-        // objects inside obest lists are drained lazily in step 2.
-        for oid in departed {
-            fbest.remove(oid);
+            obest[p.fid as usize].clear();
         }
         bufs.wave.clear();
         bufs.wave.extend_from_slice(departed);
         // Skyline maintenance (§IV-B): promotions are folded into every
         // cached obest rank list to preserve its "nothing better than the
-        // stored minimum is missing" invariant.
+        // stored minimum is missing" invariant. Dead objects inside obest
+        // lists are drained lazily in step 2.
         let spent = &mut self.metrics.maintain;
-        peel_masked(&mut self.skyline, &self.src, bufs, &masked, spent);
+        peel_masked(&mut self.skyline, &self.src, bufs, &self.mask, spent);
         for &oid in &bufs.promoted {
-            let point = self.skyline.get(oid).expect("a kept promotion");
-            for (fid, list) in obest.iter_mut() {
-                let s = fs.score(*fid, point);
-                fold_promotion(list, OBEST_RANKS, oid, s);
+            let e = self.skyline.get(oid).expect("a kept promotion");
+            let cached = obest
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, list)| !list.is_empty());
+            for (fid, list) in cached {
+                let s = fs.score(fid as u32, e.point);
+                fold_promotion(list, OBEST_RANKS, (oid, e.member), s);
             }
         }
     }
@@ -522,11 +556,11 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
 
 impl<R: NodeSource> SbRun<R, Linear> {
     /// Match `functions` against what is left of the skyline. The
-    /// caches go with the old functions; every counter restarts.
+    /// caches go with the old functions; every counter restarts; the
+    /// mask stays.
     fn load(&mut self, functions: &FunctionSet) {
         self.functions.load(functions);
-        self.scratch.fbest.clear();
-        self.scratch.obest.clear();
+        self.scratch.reset_rank_lists(functions.len());
         self.io_start = self.src.io_snapshot();
         self.sky_start = self.skyline.stats();
         self.metrics = RunMetrics::default();
@@ -552,17 +586,12 @@ pub(crate) fn stream_on<R: NodeSource>(
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> SbStream<R> {
-    let excluded = options.exclude.clone();
-    let units = options.capacities.clone().map(Units);
     let mut scratch = Scratch::new();
     let linear = Linear::new(&mut scratch, functions, options.best_pair);
-    let masked = |oid| invisible(&excluded, &units, oid);
-    let run = SbRun::new(src, scratch, linear, masked, None, None);
+    let mask = Mask::new(options);
+    let run = SbRun::new(src, scratch, linear, mask, options.multi_pair, None, None);
     SbStream {
         run,
-        multi_pair: options.multi_pair,
-        excluded,
-        units,
         pending: VecDeque::new(),
     }
 }
@@ -574,9 +603,9 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// working function set, rank-list caches, round buffers — is served
 /// from a reusable [`Scratch`] (lent to the run, handed back at the
 /// end): after the first request on a warm scratch, a run makes no
-/// per-round allocations and no per-run `FunctionSet`/exclusion-set
-/// clones (the request's exclusion set is borrowed for the whole run
-/// instead of copied).
+/// per-round allocations, no per-run `FunctionSet` clone and no rank
+/// list of its own; what it copies is its mask — the request's
+/// exclusions and capacities, if it has any.
 ///
 /// Produces exactly the pairs the progressive [`SbStream`] would, in the
 /// same order (asserted by tests), capacitated or not: both drive
@@ -605,15 +634,14 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     let seed = seed.filter(|s| versions.as_ref() == Some(&s.versions));
     let mut snapshot = None;
     let capturing = capture.is_some() && seed.is_none() && versions.is_some();
-    let exclude = &options.exclude;
-    let mut units = options.capacities.clone().map(Units);
     let mut lent = std::mem::take(scratch);
     let linear = Linear::new(&mut lent, functions, options.best_pair);
     let mut run = SbRun::new(
         src,
         lent,
         linear,
-        |oid| invisible(exclude, &units, oid),
+        Mask::new(options),
+        options.multi_pair,
         seed.map(|s| &s.skyline),
         capturing.then_some(&mut snapshot),
     );
@@ -622,7 +650,7 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
             .zip(snapshot)
             .map(|(versions, skyline)| EvalSeed { versions, skyline });
     }
-    let pairs = run.drain(options.multi_pair, exclude, &mut units);
+    let pairs = run.drain();
     let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
     *scratch = run.into_scratch();
@@ -642,21 +670,18 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
     let start = Instant::now();
     let io_start = src.io_snapshot();
     scratch.fs.copy_from(functions);
-    scratch.seed_assigned(&options.exclude);
     let fs = &mut scratch.fs;
-    let assigned = &mut scratch.assigned;
+    let mut assigned = Assigned::new(&options.exclude, &mut scratch.assigned);
     let bufs = &mut scratch.round;
-    let mut rt1 = match options.best_pair {
-        BestPairMode::Scan => None,
-        _ => Some(ReverseTopOne::build(fs)),
-    };
+    let threshold = options.best_pair.threshold();
+    let mut rt1 = threshold.map(|_| ReverseTopOne::build(fs));
     let mut metrics = RunMetrics::default();
     let mut pairs: Vec<Pair> = Vec::new();
 
     while fs.n_alive() > 0 {
         compute_skyline_excluding_with(
             src,
-            |o| assigned.contains(&o),
+            |o| assigned.contains(o),
             &mut scratch.bbs,
             &mut scratch.sky,
         );
@@ -668,11 +693,13 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
 
         // best function per skyline object
         bufs.rescan_best.clear();
-        for (oid, point) in sky {
+        for (_, point) in sky {
             metrics.reverse_top1_calls += 1;
-            let best = best_function(&mut rt1, fs, point, options.best_pair)
-                .expect("functions remain alive");
-            bufs.rescan_best.insert(*oid, best);
+            let best = match (&mut rt1, threshold) {
+                (Some(rt1), Some(t)) => rt1.best_for_with(fs, point, t),
+                _ => fs.scan_best(point),
+            };
+            bufs.rescan_best.push(best.expect("functions remain alive"));
         }
         mutual_pairs(
             sky,
@@ -698,27 +725,6 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
     Matching::new(pairs, metrics)
 }
 
-/// Best alive function for `point` under the configured mode.
-fn best_function(
-    rt1: &mut Option<ReverseTopOne>,
-    fs: &FunctionSet,
-    point: &[f64],
-    mode: BestPairMode,
-) -> Option<(u32, f64)> {
-    match mode {
-        BestPairMode::Ta => rt1.as_mut().expect("TA mode has an index").best_for_with(
-            fs,
-            point,
-            ThresholdMode::Tight,
-        ),
-        BestPairMode::TaNaiveThreshold => rt1
-            .as_mut()
-            .expect("TA mode has an index")
-            .best_for_with(fs, point, ThresholdMode::Naive),
-        BestPairMode::Scan => fs.scan_best(point),
-    }
-}
-
 /// `op` applied counter by counter.
 fn zip_stats(a: SkylineStats, b: SkylineStats, op: impl Fn(u64, u64) -> u64) -> SkylineStats {
     SkylineStats {
@@ -731,39 +737,43 @@ fn zip_stats(a: SkylineStats, b: SkylineStats, op: impl Fn(u64, u64) -> u64) -> 
     }
 }
 
-/// Given the current skyline and each skyline object's best function,
-/// compute the mutually-best pairs of this loop (Property 1): for every
-/// function `f` that is the best of some object, find its best skyline
-/// object `f.obest`; report `(f, f.obest)` iff `fbest(f.obest) == f`.
-/// With `multi_pair == false`, only the canonical best pair is kept.
-/// `fbest_fns` is scratch storage; the pairs are written into `out`
-/// (cleared first).
+/// Given the current skyline and each skyline object's best function
+/// (`fbest[i]` is `sky[i]`'s), compute the mutually-best pairs of this
+/// loop (Property 1): for every function `f` that is the best of some
+/// object, find its best skyline object `f.obest`; report
+/// `(f, f.obest)` iff `fbest(f.obest) == f`. With `multi_pair == false`,
+/// only the canonical best pair is kept. `fbest_fns` is scratch storage,
+/// by fid; the pairs are written into `out` (cleared first).
 fn mutual_pairs(
     sky: &[(u64, Box<[f64]>)],
-    fbest: &HashMap<u64, (u32, f64)>,
+    fbest: &[(u32, f64)],
     fs: &FunctionSet,
     multi_pair: bool,
-    fbest_fns: &mut HashSet<u32>,
+    fbest_fns: &mut Vec<bool>,
     out: &mut Vec<Pair>,
 ) {
     fbest_fns.clear();
-    fbest_fns.extend(fbest.values().map(|&(f, _)| f));
+    fbest_fns.resize(fs.len(), false);
+    for &(fid, _) in fbest {
+        fbest_fns[fid as usize] = true;
+    }
     out.clear();
-    for &fid in fbest_fns.iter() {
+    for fid in (0..fs.len() as u32).filter(|&fid| fbest_fns[fid as usize]) {
         // obest by full scan (the rescan path has no caches)
-        let mut best: Option<(u64, f64)> = None;
-        for (oid, point) in sky {
+        let mut best: Option<(usize, f64)> = None;
+        for (at, (oid, point)) in sky.iter().enumerate() {
             let s = fs.score(fid, point);
             let better = match best {
                 None => true,
-                Some((bo, bs)) => s > bs || (s == bs && *oid < bo),
+                Some((b, bs)) => s > bs || (s == bs && *oid < sky[b].0),
             };
             if better {
-                best = Some((*oid, s));
+                best = Some((at, s));
             }
         }
-        let (oid, score) = best.expect("skyline is non-empty");
-        if fbest[&oid].0 == fid {
+        let (at, score) = best.expect("skyline is non-empty");
+        if fbest[at].0 == fid {
+            let oid = sky[at].0;
             out.push(Pair { fid, oid, score });
         }
     }
@@ -791,11 +801,6 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
 /// shared [`Engine`](crate::Engine) (per-run I/O attribution).
 pub struct SbStream<R: NodeSource> {
     run: SbRun<R, Linear>,
-    multi_pair: bool,
-    /// The request's excluded objects, masked for the whole run.
-    excluded: HashSet<u64>,
-    /// What is left of the request's capacities, if it has any.
-    units: Option<Units>,
     pending: VecDeque<Pair>,
 }
 
@@ -871,25 +876,22 @@ impl<R: NodeSource> SbStream<R> {
 
     /// One SB round, its pairs queued.
     fn loop_once(&mut self) {
-        let pairs = self
-            .run
-            .round(self.multi_pair, &self.excluded, &mut self.units);
-        self.pending.extend(pairs);
+        self.pending.extend(self.run.round());
     }
 
     /// Test-only invariant check: every current skyline object scoring
     /// above an obest list's stored minimum must be in that list.
     #[cfg(test)]
     fn check_obest_invariant(&self) {
-        for (fid, list) in &self.run.scratch.obest {
+        for (fid, list) in self.run.scratch.obest.iter().enumerate() {
             if list.is_empty() {
                 continue;
             }
-            let (mo, ms) = *list.last().unwrap();
+            let ((mo, _), ms) = *list.last().unwrap();
             for e in self.run.skyline.iter() {
-                let s = self.run.functions.score(*fid, e.point);
+                let s = self.run.functions.score(fid as u32, e.point);
                 let better = s > ms || (s == ms && e.oid < mo);
-                if better && !list.iter().any(|&(o, _)| o == e.oid) {
+                if better && !list.iter().any(|&(o, _)| o == (e.oid, e.member)) {
                     panic!(
                         "loop {}: J violated for fid={fid}: skyline oid={} score={s} \
                          beats stored min ({mo}, {ms}) but is missing; list={list:?}",
@@ -929,7 +931,7 @@ pub(crate) fn insert_ranked<I: Copy + Ord>(list: &mut Vec<(I, f64)>, k: usize, i
 /// Zillow data). A promotion is therefore inserted only if it beats the
 /// stored minimum; the minimum never decreases.
 #[inline]
-pub(crate) fn fold_promotion(list: &mut Vec<(u64, f64)>, k: usize, oid: u64, s: f64) {
+pub(crate) fn fold_promotion<I: Copy + Ord>(list: &mut Vec<(I, f64)>, k: usize, oid: I, s: f64) {
     let Some(&(mo, ms)) = list.last() else {
         return; // empty ⇒ the next access rescans anyway
     };
@@ -964,6 +966,7 @@ mod tests {
     use crate::verify::verify_stable;
     use mpq_datagen::{Distribution, WorkloadBuilder};
     use mpq_rtree::PointSet;
+    use std::collections::BTreeSet;
 
     /// One SB configuration: the knobs it turns on a default request.
     type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
@@ -1325,7 +1328,7 @@ mod tests {
         let batches = batches(&w.functions, 20);
         let eng = engine(&w.objects);
         let mut stream = eng.stream(&batches[0]).unwrap();
-        let mut consumed: HashSet<u64> = HashSet::new();
+        let mut consumed: BTreeSet<u64> = BTreeSet::new();
         for batch in &batches {
             if !consumed.is_empty() {
                 stream.load(batch).unwrap();
@@ -1506,7 +1509,7 @@ mod tests {
         let eng = engine(&w.objects);
         let request = eng.request(&batches[0]).multi_pair(false);
         let mut stream = request.best_pair(BestPairMode::Scan).stream().unwrap();
-        let mut taken: HashSet<u64> = HashSet::new();
+        let mut taken: BTreeSet<u64> = BTreeSet::new();
         for (b, batch) in batches.iter().enumerate() {
             if b > 0 {
                 stream.load(batch).unwrap();

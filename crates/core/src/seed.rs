@@ -32,12 +32,14 @@
 //! Because the loop's output is determined entirely by skyline
 //! *content* (the rank-list caches are canonical under the total order
 //! `(score desc, id asc)` and promotion folding is order-independent),
-//! a seeded evaluation produces matchings whose scores are
-//! `f64::to_bits`-identical to a cold one. With coordinate-identical
-//! duplicate objects the chosen representative — and therefore the
-//! reported `oid` of equal-score pairs — may differ, exactly as it
-//! already does between maintenance histories (see
-//! `mpq_skyline::maintain`); scores never do.
+//! a seeded evaluation produces the matching of a cold one, pair for
+//! pair: the same fids, the same oids and `f64::to_bits`-identical
+//! scores. Coordinate-identical objects are no exception. Every
+//! maintenance history keeps the smallest id left at a point on the
+//! skyline — both BBS heaps pop subtrees before points at equal keys
+//! (see `mpq_skyline::maintain`) — so a resume that peels and promotes
+//! reports the very object a cold run does (pinned, duplicates
+//! included, by `tests/seed_identity.rs`).
 //!
 //! Seeds are **pinned to the exact inventory**: the snapshot's pruned
 //! entries reference R-tree pages of the version vector it was captured

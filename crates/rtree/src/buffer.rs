@@ -41,10 +41,9 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
-use parking_lot::{Mutex, RwLock};
-
+use crate::lock;
 use crate::node::Node;
 use crate::pager::{PageId, PageStore};
 use crate::stats::IoStats;
@@ -180,7 +179,7 @@ impl BufferPool {
     /// dropped with the pool.
     pub(crate) fn into_store(self) -> Box<dyn PageStore> {
         let _ = self.flush();
-        self.store.into_inner()
+        lock(self.store.into_inner())
     }
 
     /// Seed the aggregate I/O counters (credited to shard 0). Used when a
@@ -188,7 +187,7 @@ impl BufferPool {
     /// `disk_*` fields are stripped: the store travels with the rebuild
     /// and keeps its own device counters.
     pub(crate) fn seed_stats(&self, stats: IoStats) {
-        self.shards[0].lock().stats = IoStats {
+        lock(self.shards[0].lock()).stats = IoStats {
             disk_reads: 0,
             disk_writes: 0,
             fsyncs: 0,
@@ -215,7 +214,7 @@ impl BufferPool {
     /// See [`BufferPool::get`].
     pub(crate) fn get_probe(&self, pid: PageId) -> (Arc<Node>, bool) {
         let si = self.shard_of(pid);
-        let mut g = self.shards[si].lock();
+        let mut g = lock(self.shards[si].lock());
         g.stats.logical += 1;
         if let Some(&slot) = g.map.get(&pid.0) {
             g.touch(slot);
@@ -223,7 +222,7 @@ impl BufferPool {
         }
         g.stats.physical_reads += 1;
         let node = {
-            let store = self.store.read();
+            let store = lock(self.store.read());
             store
                 .read_into(pid, &mut g.scratch)
                 .unwrap_or_else(|e| panic!("unserviceable read of page {pid}: {e}"));
@@ -251,7 +250,7 @@ impl BufferPool {
     /// update survives for a later flush to retry.
     pub fn put(&self, pid: PageId, node: Node) {
         let si = self.shard_of(pid);
-        let mut g = self.shards[si].lock();
+        let mut g = lock(self.shards[si].lock());
         g.stats.logical += 1;
         let node = Arc::new(node);
         if let Some(&slot) = g.map.get(&pid.0) {
@@ -271,7 +270,7 @@ impl BufferPool {
 
     /// Allocate a fresh page in the underlying store.
     pub fn allocate(&self) -> PageId {
-        self.store.write().allocate()
+        lock(self.store.write()).allocate()
     }
 
     /// Append `run` — page images back to back, see
@@ -290,18 +289,17 @@ impl BufferPool {
         let pages = run.len() / self.page_size;
         let mut failed = Vec::new();
         {
-            let mut store = self.store.write();
+            let mut store = lock(self.store.write());
             assert_eq!(store.page_bound(), first.0, "run encoded for another id");
             store.append_run(run, &mut |pid, page| {
                 failed.push((pid, Node::decode(self.dim, page)))
             });
         }
-        self.shards[0].lock().stats.physical_writes += (pages - failed.len()) as u64;
+        lock(self.shards[0].lock()).stats.physical_writes += (pages - failed.len()) as u64;
         for (pid, node) in failed {
             self.write_failures.fetch_add(1, Ordering::Relaxed);
-            self.shards[self.shard_of(pid)]
-                .lock()
-                .force_install(pid, Arc::new(node), true);
+            let mut shard = lock(self.shards[self.shard_of(pid)].lock());
+            shard.force_install(pid, Arc::new(node), true);
         }
     }
 
@@ -309,13 +307,13 @@ impl BufferPool {
     /// page in the pager.
     pub fn free(&self, pid: PageId) {
         let si = self.shard_of(pid);
-        let mut g = self.shards[si].lock();
+        let mut g = lock(self.shards[si].lock());
         if let Some(slot) = g.map.remove(&pid.0) {
             g.unlink(slot);
             g.frames[slot].node = Arc::new(Node::Leaf(crate::node::LeafNode::new(1)));
             g.free_slots.push(slot);
         }
-        self.store.write().free(pid);
+        lock(self.store.write()).free(pid);
     }
 
     /// Write back all dirty frames (counted as physical writes). Every
@@ -325,7 +323,7 @@ impl BufferPool {
     pub fn flush(&self) -> io::Result<()> {
         let mut first_err = None;
         for shard in self.shards.iter() {
-            let mut g = shard.lock();
+            let mut g = lock(shard.lock());
             let slots: Vec<usize> = g.map.values().copied().collect();
             for slot in slots {
                 if let Err(e) = g.write_back(slot, &self.store) {
@@ -348,7 +346,7 @@ impl BufferPool {
     /// pool may remain warm.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            let mut g = shard.lock();
+            let mut g = lock(shard.lock());
             let slots: Vec<usize> = g.map.values().copied().collect();
             let mut kept = false;
             for slot in slots {
@@ -380,7 +378,7 @@ impl BufferPool {
         self.cap.store(capacity.max(1), Ordering::Relaxed);
         for (i, shard) in self.shards.iter().enumerate() {
             let share = self.share(i);
-            let mut g = shard.lock();
+            let mut g = lock(shard.lock());
             while g.map.len() > share {
                 if !g.evict_one(&self.store, &self.write_failures) {
                     break;
@@ -402,13 +400,13 @@ impl BufferPool {
 
     /// Number of nodes currently resident across all shards.
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| lock(s.lock()).map.len()).sum()
     }
 
     /// Number of live pages in the store (i.e., size of the tree on
     /// disk, in pages).
     pub fn live_pages(&self) -> usize {
-        self.store.read().live_pages()
+        lock(self.store.read()).live_pages()
     }
 
     /// Page size of the underlying store, in bytes.
@@ -422,18 +420,18 @@ impl BufferPool {
     pub fn stats(&self) -> IoStats {
         let mut total = IoStats::default();
         for shard in self.shards.iter() {
-            total += shard.lock().stats;
+            total += lock(shard.lock()).stats;
         }
-        total + self.store.read().disk_stats()
+        total + lock(self.store.read()).disk_stats()
     }
 
     /// Zero the I/O counters (e.g., after bulk loading, so experiments
     /// measure query cost only).
     pub fn reset_stats(&self) {
         for shard in self.shards.iter() {
-            shard.lock().stats = IoStats::default();
+            lock(shard.lock()).stats = IoStats::default();
         }
-        self.store.read().reset_disk_stats();
+        lock(self.store.read()).reset_disk_stats();
     }
 
     /// Flush every dirty frame and checkpoint the underlying store with
@@ -442,18 +440,18 @@ impl BufferPool {
     /// header must never commit a page image that is not fully on disk.
     pub fn checkpoint(&self, meta: &[u8]) -> std::io::Result<()> {
         self.flush()?;
-        self.store.write().checkpoint(meta)
+        lock(self.store.write()).checkpoint(meta)
     }
 
     /// Seed the store's free list after recovery (see
     /// [`PageStore::seed_free`]).
     pub(crate) fn seed_free(&self, free: &[u32]) {
-        self.store.write().seed_free(free);
+        lock(self.store.write()).seed_free(free);
     }
 
     /// One past the highest page id ever allocated in the store.
     pub fn page_bound(&self) -> u32 {
-        self.store.read().page_bound()
+        lock(self.store.read()).page_bound()
     }
 }
 
@@ -596,7 +594,7 @@ impl Shard {
         // store zero-fills the page past it.
         node.encode(&mut self.scratch);
         let len = node.encoded_len();
-        store.write().write(pid, &self.scratch[..len])
+        lock(store.write()).write(pid, &self.scratch[..len])
     }
 }
 
@@ -762,7 +760,7 @@ mod tests {
         assert_eq!(pool.resident(), 3);
         // shard 0 holds the 2 most recent of {0,2,4}; shard 1 holds 3
         assert!(
-            !pool.shards.iter().any(|s| s.lock().map.len() > 2),
+            !pool.shards.iter().any(|s| lock(s.lock()).map.len() > 2),
             "no shard may exceed its share"
         );
     }

@@ -26,11 +26,10 @@
 //! *file* keeps whatever was durably written.
 
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::pager::{PageId, PageStore};
 use crate::stats::IoStats;
 
@@ -181,7 +180,7 @@ impl FaultInjector {
     }
 
     fn push_plan(&self, op: FaultOp, nth: u64, kind: FaultKind, persistent: bool) {
-        let mut g = self.inner.lock();
+        let mut g = lock(self.inner.lock());
         let nth = g.counts[op.index()] + nth;
         g.schedule.push(Plan {
             op,
@@ -197,13 +196,13 @@ impl FaultInjector {
     /// [`FaultInjector::reset`]) fails — torn if it is a write — and all
     /// later durability operations fail too.
     pub fn crash_at(&self, n: u64) {
-        self.inner.lock().crash_at = Some(n);
+        lock(self.inner.lock()).crash_at = Some(n);
     }
 
     /// Drop every scheduled fault and disarm [`FaultInjector::crash_at`].
     /// Counters keep running, so observation continues.
     pub fn clear(&self) {
-        let mut g = self.inner.lock();
+        let mut g = lock(self.inner.lock());
         g.schedule.clear();
         g.crash_at = None;
     }
@@ -211,30 +210,30 @@ impl FaultInjector {
     /// [`FaultInjector::clear`], plus zero every counter — a fresh
     /// numbering for the next scripted scenario.
     pub fn reset(&self) {
-        *self.inner.lock() = Inner::default();
+        *lock(self.inner.lock()) = Inner::default();
     }
 
     /// Operations of class `op` observed so far.
     pub fn count(&self, op: FaultOp) -> u64 {
-        self.inner.lock().counts[op.index()]
+        lock(self.inner.lock()).counts[op.index()]
     }
 
     /// Durability operations observed so far (the ordinal space of
     /// [`FaultInjector::crash_at`]).
     pub fn durability_ops(&self) -> u64 {
-        self.inner.lock().durability_ops
+        lock(self.inner.lock()).durability_ops
     }
 
     /// Faults injected so far (every fired schedule entry or crash-mode
     /// failure, including delays).
     pub fn injected(&self) -> u64 {
-        self.inner.lock().injected
+        lock(self.inner.lock()).injected
     }
 
     /// Decide the fate of one operation; returns the fired kind.
     fn decide(&self, op: FaultOp) -> Option<FaultKind> {
         let fired = {
-            let mut g = self.inner.lock();
+            let mut g = lock(self.inner.lock());
             let n = g.counts[op.index()];
             g.counts[op.index()] += 1;
             let mut fired = None;

@@ -61,6 +61,17 @@ pub mod stats;
 pub mod topk;
 pub mod tree;
 
+/// Take a lock — [`Mutex::lock`](std::sync::Mutex::lock),
+/// [`RwLock::read`](std::sync::RwLock::read) or
+/// [`write`](std::sync::RwLock::write) — ignoring poison: the crate's one
+/// policy. Every guarded state here (frames, counters, tree roots, epoch
+/// pins, fault plans) is consistent between statements, so a thread that
+/// panicked while holding a lock left nothing half-written for the next
+/// holder to trip over.
+pub(crate) fn lock<G>(taken: std::sync::LockResult<G>) -> G {
+    taken.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use disk::DiskPager;
 pub use fault::{FaultInjector, FaultKind, FaultOp, FaultPageStore, WriteFault};
 pub use node::{InnerNode, LeafNode, Node};

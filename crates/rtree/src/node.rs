@@ -19,8 +19,6 @@
 //! fanout of 127 and an inner fanout of 78 — the same regime as the C++
 //! implementation the paper measured.
 
-use bytes::{Buf, BufMut};
-
 use crate::geometry::Mbr;
 use crate::pager::PageId;
 
@@ -182,37 +180,35 @@ impl Node {
     /// are produced only by [`Node::encode`], so corruption is a logic
     /// error in the simulation, not a runtime condition to recover from.
     pub fn decode(dim: usize, buf: &[u8]) -> Node {
-        let mut r = buf;
-        assert!(r.len() >= HEADER_BYTES, "page too small for node header");
-        let tag = r.get_u8();
-        let level = r.get_u8();
-        let count = r.get_u16_le() as usize;
-        let _reserved = r.get_u32_le();
+        assert!(buf.len() >= HEADER_BYTES, "page too small for node header");
+        let (header, body) = buf.split_at(HEADER_BYTES);
+        let (tag, level) = (header[0], header[1]);
+        let count = u16::from_le_bytes(le(&header[2..4])) as usize;
         match tag {
             TAG_LEAF => {
-                assert!(r.len() >= count * (8 * dim + 8), "truncated leaf page");
+                let stride = 8 * dim + 8;
+                assert!(body.len() >= count * stride, "truncated leaf page");
                 // Straight into exactly-sized columns: this runs on
                 // every buffer miss.
                 let mut points = Vec::with_capacity(count * dim);
                 let mut oids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    for _ in 0..dim {
-                        points.push(r.get_f64_le());
-                    }
-                    oids.push(r.get_u64_le());
+                for entry in body.chunks_exact(stride).take(count) {
+                    let (coords, id) = entry.split_at(8 * dim);
+                    points.extend(f64s(coords));
+                    oids.push(u64::from_le_bytes(le(id)));
                 }
                 Node::Leaf(LeafNode { dim, points, oids })
             }
             TAG_INNER => {
                 assert!(level >= 1, "inner node with level 0");
-                assert!(r.len() >= count * (16 * dim + 4), "truncated inner page");
+                let stride = 16 * dim + 4;
+                assert!(body.len() >= count * stride, "truncated inner page");
                 let mut mbrs = Vec::with_capacity(count * 2 * dim);
                 let mut children = Vec::with_capacity(count);
-                for _ in 0..count {
-                    for _ in 0..2 * dim {
-                        mbrs.push(r.get_f64_le());
-                    }
-                    children.push(r.get_u32_le());
+                for entry in body.chunks_exact(stride).take(count) {
+                    let (corners, id) = entry.split_at(16 * dim);
+                    mbrs.extend(f64s(corners));
+                    children.push(u32::from_le_bytes(le(id)));
                 }
                 Node::Inner(InnerNode {
                     dim,
@@ -229,12 +225,24 @@ impl Node {
 /// Write the header of a page holding `count` entries and return the
 /// bytes its entries go to.
 fn write_header(page: &mut [u8], tag: u8, level: u8, count: usize) -> &mut [u8] {
-    let (mut header, body) = page.split_at_mut(HEADER_BYTES);
-    header.put_u8(tag);
-    header.put_u8(level);
-    header.put_u16_le(u16::try_from(count).expect("a page holds fewer than 2^16 entries"));
-    header.put_u32_le(0);
+    let (header, body) = page.split_at_mut(HEADER_BYTES);
+    let count = u16::try_from(count).expect("a page holds fewer than 2^16 entries");
+    header[..2].copy_from_slice(&[tag, level]);
+    header[2..4].copy_from_slice(&count.to_le_bytes());
+    header[4..].fill(0);
     body
+}
+
+/// A little-endian field of `N` bytes, read from a slice of exactly
+/// that width.
+#[inline]
+fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().expect("a slice of the field's width")
+}
+
+/// The little-endian `f64`s `bytes` holds back to back.
+fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(le(c)))
 }
 
 /// Write the image of a leaf holding `entries` — `(point, oid)` — into
@@ -599,6 +607,92 @@ mod tests {
         let mut i = InnerNode::new(2, 1);
         i.push(&[0.0, 0.0], &[1.0, 1.0], PageId(5));
         assert_eq!(Node::Inner(i).encoded_len(), 8 + (32 + 4));
+    }
+
+    /// Hostile images — short, truncated, wrong tag or level, random
+    /// bytes: `decode` panics on exactly the images a cursor decoder
+    /// that reads field by field panics on, and turns every other one
+    /// into the node that decoder reads, bit for bit.
+    #[test]
+    fn decode_fails_where_a_cursor_decoder_fails_and_nowhere_else() {
+        fn take<'b>(buf: &'b [u8], at: &mut usize, n: usize) -> &'b [u8] {
+            assert!(buf.len() - *at >= n, "buffer underflow");
+            *at += n;
+            &buf[*at - n..*at]
+        }
+        fn cursor_decode(dim: usize, buf: &[u8]) -> Node {
+            let at = &mut 0;
+            assert!(buf.len() >= HEADER_BYTES, "page too small for node header");
+            let (tag, level) = (take(buf, at, 1)[0], take(buf, at, 1)[0]);
+            let count = u16::from_le_bytes(le(take(buf, at, 2)));
+            take(buf, at, 4);
+            let coords = |at: &mut usize, n| -> Vec<f64> {
+                (0..n)
+                    .map(|_| f64::from_le_bytes(le(take(buf, at, 8))))
+                    .collect()
+            };
+            match tag {
+                TAG_LEAF => {
+                    let mut leaf = LeafNode::new(dim);
+                    for _ in 0..count {
+                        let p = coords(at, dim);
+                        leaf.push(&p, u64::from_le_bytes(le(take(buf, at, 8))));
+                    }
+                    Node::Leaf(leaf)
+                }
+                TAG_INNER => {
+                    assert!(level >= 1, "inner node with level 0");
+                    let mut inner = InnerNode::new(dim, level);
+                    for _ in 0..count {
+                        let mbr = coords(at, 2 * dim);
+                        let child = PageId(u32::from_le_bytes(le(take(buf, at, 4))));
+                        inner.push(&mbr[..dim], &mbr[dim..], child);
+                    }
+                    Node::Inner(inner)
+                }
+                other => panic!("unknown node tag {other}"),
+            }
+        }
+        let image = |node: &Node| {
+            let mut page = vec![0u8; node.encoded_len()];
+            node.encode(&mut page);
+            page
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let (mut decoded, mut refused) = (0, 0);
+        for case in 0..3_000 {
+            let dim = 1 + next(4) as usize;
+            let mut page: Vec<u8> = (0..next(160)).map(|_| next(256) as u8).collect();
+            if let [tag, level, count, ..] = &mut page[..] {
+                *tag = [TAG_LEAF, TAG_INNER, TAG_INNER, 7][next(4) as usize];
+                *level = next(3) as u8;
+                *count = next(6) as u8;
+            }
+            if page.len() > 3 {
+                page[3] = [0, 0, 0, 1][next(4) as usize];
+            }
+            let run = |decode: fn(usize, &[u8]) -> Node| {
+                std::panic::catch_unwind(|| decode(dim, &page)).ok()
+            };
+            match (run(Node::decode), run(cursor_decode)) {
+                (Some(got), Some(want)) => {
+                    assert_eq!(image(&got), image(&want), "case {case}");
+                    decoded += 1;
+                }
+                (None, None) => refused += 1,
+                (got, _) => panic!("case {case}: decode {got:?} on {page:?}, dim {dim}"),
+            }
+        }
+        assert!(
+            decoded > 500 && refused > 500,
+            "{decoded} decoded, {refused} refused"
+        );
     }
 
     #[test]

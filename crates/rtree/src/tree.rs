@@ -39,13 +39,12 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::BufferPool;
 use crate::bulk::{sort_key, str_bulk_load, thread_budget, Layout};
 use crate::geometry::{enlargement, rect_area, rect_contains_point, rect_overlap, Mbr};
+use crate::lock;
 use crate::node::{InnerNode, LeafNode, Node};
 use crate::pager::{MemPager, PageId, PageStore};
 use crate::points::PointSet;
@@ -193,7 +192,7 @@ pub struct RTree {
 
 impl std::fmt::Debug for RTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = *self.state.lock();
+        let st = *lock(self.state.lock());
         f.debug_struct("RTree")
             .field("dim", &self.dim)
             .field("len", &st.len)
@@ -484,8 +483,8 @@ impl RTree {
     /// engine stores its WAL high-water mark here). A no-op commit for
     /// in-memory stores.
     pub fn checkpoint(&self, extra: &[u8]) -> io::Result<()> {
-        let _w = self.writer.lock();
-        let st = *self.state.lock();
+        let _w = lock(self.writer.lock());
+        let st = *lock(self.state.lock());
         let meta = encode_tree_meta(self.dim, self.min_fill_ratio, st, extra);
         self.buf.checkpoint(&meta)
     }
@@ -525,9 +524,9 @@ impl RTree {
         // Lock order `state -> epochs` is safe: `publish` releases
         // `state` before taking `epochs`, and `unpin`/`reclaim_locked`
         // never take `state`.
-        let guard = self.state.lock();
+        let guard = lock(self.state.lock());
         let st = *guard;
-        *self.epochs.lock().active.entry(st.epoch).or_insert(0) += 1;
+        *lock(self.epochs.lock()).active.entry(st.epoch).or_insert(0) += 1;
         drop(guard);
         Snapshot {
             tree: self,
@@ -539,7 +538,7 @@ impl RTree {
     }
 
     fn unpin(&self, epoch: u64) {
-        let mut ep = self.epochs.lock();
+        let mut ep = lock(self.epochs.lock());
         if let Some(c) = ep.active.get_mut(&epoch) {
             *c -= 1;
             if *c == 0 {
@@ -568,7 +567,7 @@ impl RTree {
     fn publish(&self, ctx: MutCtx) {
         let epoch;
         {
-            let mut st = self.state.lock();
+            let mut st = lock(self.state.lock());
             epoch = st.epoch + 1;
             *st = TreeState {
                 root: ctx.root,
@@ -577,7 +576,7 @@ impl RTree {
                 epoch,
             };
         }
-        let mut ep = self.epochs.lock();
+        let mut ep = lock(self.epochs.lock());
         for pid in ctx.retired {
             ep.retired.push((epoch, pid));
         }
@@ -616,7 +615,7 @@ impl RTree {
     /// Number of indexed points (in the current epoch).
     #[inline]
     pub fn len(&self) -> u64 {
-        self.state.lock().len
+        lock(self.state.lock()).len
     }
 
     /// True iff the tree holds no points.
@@ -628,7 +627,7 @@ impl RTree {
     /// Number of levels (1 = the root is a leaf).
     #[inline]
     pub fn height(&self) -> u32 {
-        self.state.lock().height
+        lock(self.state.lock()).height
     }
 
     /// Root page id of the current epoch (for external traversals such
@@ -636,13 +635,13 @@ impl RTree {
     /// [`RTree::snapshot`], which keeps the returned root's pages alive.
     #[inline]
     pub fn root_page(&self) -> PageId {
-        self.state.lock().root
+        lock(self.state.lock()).root
     }
 
     /// The current epoch stamp; each published mutation increments it.
     #[inline]
     pub fn epoch(&self) -> u64 {
-        self.state.lock().epoch
+        lock(self.state.lock()).epoch
     }
 
     /// Maximum entries per leaf node.
@@ -822,8 +821,8 @@ impl RTree {
             p.iter().all(|c| c.is_finite()),
             "point coordinates must be finite"
         );
-        let _w = self.writer.lock();
-        let mut ctx = MutCtx::from_state(*self.state.lock());
+        let _w = lock(self.writer.lock());
+        let mut ctx = MutCtx::from_state(*lock(self.state.lock()));
         self.insert_pending(&mut ctx, Pending::Point { p: p.into(), oid });
         ctx.len += 1;
         self.publish(ctx);
@@ -1021,8 +1020,8 @@ impl RTree {
     /// condense-tree).
     pub fn delete(&self, p: &[f64], oid: u64) -> bool {
         assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
-        let _w = self.writer.lock();
-        let mut ctx = MutCtx::from_state(*self.state.lock());
+        let _w = lock(self.writer.lock());
+        let mut ctx = MutCtx::from_state(*lock(self.state.lock()));
         let mut path: Vec<(PageId, usize)> = Vec::new();
         let Some(leaf_pid) = self.find_leaf(ctx.root, p, oid, &mut path) else {
             return false;

@@ -95,6 +95,12 @@ const SUM_SLACK: f64 = 1e-9;
 pub struct SkylineEntry<'a> {
     /// Object id.
     pub oid: u64,
+    /// The member's number: members are numbered in the order they
+    /// entered the skyline, from 0, and only ever appended — a
+    /// maintainer never renumbers one, and a clone keeps the numbers of
+    /// what it copies — so it indexes per-member state for as long as
+    /// the maintainer lives.
+    pub member: usize,
     /// The object's attribute vector.
     pub point: &'a [f64],
 }
@@ -260,9 +266,14 @@ impl Members {
         self.sums.push(point.iter().sum());
     }
 
-    fn iter(&self, dim: usize) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
-        let points = self.points.chunks_exact(dim);
-        (self.ids.iter().zip(points)).map(|(&oid, point)| SkylineEntry { oid, point })
+    /// The rows as entries, row `r` numbered member `first + r`.
+    fn iter(&self, dim: usize, first: usize) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
+        let rows = self
+            .ids
+            .iter()
+            .zip(first..)
+            .zip(self.points.chunks_exact(dim));
+        rows.map(|((&oid, member), point)| SkylineEntry { oid, member, point })
     }
 
     fn bytes(&self) -> usize {
@@ -437,17 +448,19 @@ impl SkylineMaintainer {
         self.member(oid).is_some()
     }
 
-    /// The attribute vector of skyline object `oid`, if present.
-    pub fn get(&self, oid: u64) -> Option<&[f64]> {
-        self.member(oid).map(|m| self.point(m))
+    /// Skyline object `oid`, if present.
+    pub fn get(&self, oid: u64) -> Option<SkylineEntry<'_>> {
+        let member = self.member(oid)?;
+        let point = self.point(member);
+        Some(SkylineEntry { oid, member, point })
     }
 
-    /// Iterate over the current skyline. Use [`SkylineMaintainer::len`]
-    /// for the count.
+    /// Iterate over the current skyline, in member order. Use
+    /// [`SkylineMaintainer::len`] for the count.
     pub fn iter(&self) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
-        let members = self.base.members.iter(self.dim);
-        (members.chain(self.own.iter(self.dim)).zip(&self.dead))
-            .filter_map(|(e, &dead)| (!dead).then_some(e))
+        let members = self.base.members.iter(self.dim, 0);
+        let own = self.own.iter(self.dim, self.base.members.len());
+        (members.chain(own).zip(&self.dead)).filter_map(|(e, &dead)| (!dead).then_some(e))
     }
 
     /// Work counters accumulated since construction.
@@ -868,7 +881,7 @@ mod tests {
         assert_eq!(promoted, expected_new);
         // promoted points carry correct coordinates
         for oid in promoted {
-            assert_eq!(m.get(oid), Some(ps.get(oid as usize)));
+            assert_eq!(m.get(oid).map(|e| e.point), Some(ps.get(oid as usize)));
         }
     }
 
@@ -891,6 +904,37 @@ mod tests {
         assert_eq!(sky_ids(&m), vec![2]);
         m.remove(&[2], &tree);
         assert_eq!(sky_ids(&m), vec![3]);
+    }
+
+    /// A member keeps its number for good — through removals and in
+    /// every clone — and a promotion takes the next unused number, never
+    /// a departed member's: per-member state indexed by it stays valid
+    /// for the maintainer's life.
+    #[test]
+    fn members_keep_their_numbers() {
+        let ps = seeded_points(800, 3, 21);
+        let tree = RTree::bulk_load(&ps, params());
+        let mut m = SkylineMaintainer::build(&tree);
+        let mut numbers: Vec<(u64, usize)> = m.iter().map(|e| (e.oid, e.member)).collect();
+        assert!(numbers
+            .iter()
+            .enumerate()
+            .all(|(i, &(_, member))| member == i));
+        for _ in 0..30 {
+            let victims: Vec<u64> = m.iter().take(2).map(|e| e.oid).collect();
+            let promoted = m.remove(&victims, &tree).to_vec();
+            for oid in promoted {
+                let member = m.get(oid).unwrap().member;
+                assert_eq!(member, numbers.len(), "object {oid}");
+                numbers.push((oid, member));
+            }
+            let copy = m.clone();
+            for e in m.iter().chain(copy.iter()) {
+                assert_eq!(numbers[e.member], (e.oid, e.member));
+                assert_eq!(m.get(e.oid), Some(e));
+            }
+        }
+        assert!(numbers.len() > 80, "{} members", numbers.len());
     }
 
     #[test]

@@ -7,36 +7,42 @@
 //!
 //! | the second seeded `evaluate_seeded`                      | allocations |
 //! |----------------------------------------------------------|------------:|
-//! | parent (boxed members, copy-on-write plists, TA `Vec`s)  |       4 664 |
-//! | this store (shared base + slot arena, in-place TA lists) |         615 |
-//! | the same with an all-ones capacity vector                |         618 |
+//! | boxed members, copy-on-write plists, TA `Vec`s           |       4 664 |
+//! | shared base + slot arena, in-place TA lists              |         616 |
+//! | rank lists in rows by member and fid, kept by the scratch |         252 |
+//! | the same with an all-ones capacity vector                |         253 |
 //!
-//! What went: one box per member and per promotion point, a plist copy
-//! at the first append to each shared plist and its doublings after
+//! What went first: one box per member and per promotion point, a plist
+//! copy at the first append to each shared plist and its doublings after
 //! that, one box per candidate-heap entry, and five `Vec`s per reverse
-//! top-1 scan. What is left is mostly one rank list per skyline object
-//! and per function (365 of the 615; they are dropped with the
-//! scratch's maps between runs). The asserted bound is this store's
-//! count + 25 %, itself under a quarter of the parent's. (616 now: the
-//! pins and the version vector are a `Vec` each.) A capacitated
-//! request is that run and its one copy of the vector: the objects a
-//! round's pairs exhaust are listed in a round buffer, so the count is
-//! also held below the plain one plus the number of rounds.
+//! top-1 scan. What went next: one rank list per skyline object and per
+//! function (364 of the 616), which hash maps keyed by oid and fid
+//! dropped between runs; the rows are now indexed by skyline member
+//! number and by fid, and a run empties them but keeps their capacity.
+//! The asserted bound is the count + 25 %, under half the count with
+//! hashed rank lists. A capacitated request is that run and its one
+//! copy of the vector: the objects a round's pairs exhaust are listed in
+//! a round buffer, so the count is also held below the plain one plus
+//! the number of rounds.
 //!
 //! The same request behind four shards (`.shards(4)`):
 //!
 //! | the second seeded `evaluate_seeded`, K = 4                     | allocations |
 //! |----------------------------------------------------------------|------------:|
 //! | four probes: a scratch, a function copy, an exclusion set and  |             |
-//! | a reverse top-1 index each, fresh per call (before PR 20)      |       1 397 |
-//! | one run over four pins, each with a skyline of its own (PR 20) |         917 |
-//! | one run over the forest of the four pins, one skyline (PR 24)  |         632 |
+//! | a reverse top-1 index each, fresh per call                     |       1 397 |
+//! | one run over four pins, each with a skyline of its own         |         917 |
+//! | one run over the forest of the four pins, one skyline          |         626 |
+//! | the same with rank lists in rows                               |         262 |
 //!
-//! What is left over the one-tree count (616) is the forest's virtual
-//! root and the promotions four small trees surface where one tree
-//! surfaces fewer: there is one resume and one rank list per member
-//! of *the* skyline, as on one tree. The asserted bound is 632 + 25 %,
-//! below the count with per-shard skylines.
+//! What is left over the one-tree count is the forest's virtual root
+//! and the promotions four small trees surface where one tree surfaces
+//! fewer: there is one resume and one rank-list row per member of *the*
+//! skyline, as on one tree. The asserted bound is 262 + 25 %.
+//!
+//! An exclusion is an id kept as given in a sorted list, never a bit
+//! over the id bound: excluding `u64::MAX` allocates no more than
+//! excluding 3.
 //!
 //! Resuming must also cost the same however large the skyline is: the
 //! seeded arm of `sb.rs`'s priming is a clone of the snapshot, and that
@@ -84,17 +90,18 @@ fn counting<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
 }
 
-/// The second seeded evaluation's allocations at the parent commit and
-/// with this store (see the module docs).
+/// The second seeded evaluation's allocations with boxed members, with
+/// hashed rank lists, and with rank lists in rows (see the module docs).
 const PARENT_ALLOCATIONS: u64 = 4_664;
-const STORE_ALLOCATIONS: u64 = 615;
+const HASHED_ALLOCATIONS: u64 = 616;
+const STORE_ALLOCATIONS: u64 = 252;
 /// The same request with an all-ones capacity vector: the plain run
-/// (617) and its one copy of the vector.
-const CAPACITATED_ALLOCATIONS: u64 = 618;
+/// and its one copy of the vector.
+const CAPACITATED_ALLOCATIONS: u64 = 253;
 /// The same behind four shards: with a skyline per shard, and with one
-/// skyline over the forest of the four pins.
+/// skyline over the forest of the four pins and rank lists in rows.
 const SHARDED_PARENT_ALLOCATIONS: u64 = 917;
-const SHARDED_ALLOCATIONS: u64 = 632;
+const SHARDED_ALLOCATIONS: u64 = 262;
 
 #[test]
 fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
@@ -140,6 +147,30 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         "a served evaluation made {plain} allocations, recorded {STORE_ALLOCATIONS}"
     );
     assert!(plain * 4 <= PARENT_ALLOCATIONS);
+    assert!(plain * 2 <= HASHED_ALLOCATIONS);
+    const { assert!(STORE_ALLOCATIONS + STORE_ALLOCATIONS / 4 < HASHED_ALLOCATIONS) };
+
+    // One excluded id costs what any other does, the largest included:
+    // the list holds it as given, and no column is sized by it.
+    let excluding = |scratch: &mut Scratch, oid: u64| {
+        let request = engine.request(&functions).exclude([oid]);
+        request.evaluate_seeded(scratch, Some(&seed)).unwrap().0
+    };
+    let mut costs = [3, u64::MAX].map(|oid| {
+        excluding(&mut scratch, oid);
+        counting(|| excluding(&mut scratch, oid)).0
+    });
+    assert!(
+        costs[1] <= costs[0],
+        "excluding u64::MAX made {} allocations, excluding 3 made {}",
+        costs[1],
+        costs[0]
+    );
+    costs.sort_unstable();
+    assert!(
+        costs[1] <= plain + 4,
+        "{costs:?} against {plain} without exclusions"
+    );
 
     // The same request with a capacity of one everywhere is the same
     // run plus its copy of the vector: what a round's pairs take from

@@ -6,12 +6,14 @@
 //! mutations (which stale the seed: the evaluation must detect that,
 //! fall back cold and capture the new inventory's seed).
 //!
-//! Object points are deduplicated at generation so the canonical
-//! matching is unique down to object identity — the comparison is full
-//! pair equality, stronger than the score-bit equality the contract
-//! promises (duplicate points may legally swap representatives).
+//! Object points repeat: the generation grid is coarse enough for
+//! coordinate-identical objects, and inserts land on the grid too. The
+//! comparison is still full pair equality — fid, oid and score bits —
+//! because every history keeps the smallest id left at a point on the
+//! skyline (both BBS heaps pop subtrees before points at equal keys), so
+//! a seeded run reports the very objects a cold one does.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -23,18 +25,13 @@ use mpq::ta::FunctionSet;
 /// with or without capacities.
 type Round = (Vec<u64>, Vec<u8>, u64, u64, bool);
 
-/// Deduplicated 2-d points on a fine grid.
+/// 2-d points on a grid, repeats kept; every id is live.
 fn points(rows: &[Vec<u16>]) -> (PointSet, Vec<u64>) {
     let mut ps = PointSet::new(2);
-    let mut seen: HashSet<[u64; 2]> = HashSet::new();
-    let mut live = Vec::new();
     for r in rows {
-        let p = [r[0] as f64 / 1000.0, r[1] as f64 / 1000.0];
-        if seen.insert([p[0].to_bits(), p[1].to_bits()]) {
-            live.push(ps.len() as u64);
-            ps.push(&p);
-        }
+        ps.push(&[r[0] as f64 / 8.0, r[1] as f64 / 8.0]);
     }
+    let live = (0..ps.len() as u64).collect();
     (ps, live)
 }
 
@@ -57,13 +54,6 @@ fn check(
     let mut excl: BTreeSet<u64> = BTreeSet::new();
     let mut seed: Option<EvalSeed> = None;
     let mut scratch = Scratch::new();
-    let mut point_bits: HashSet<[u64; 2]> = live
-        .iter()
-        .map(|&o| {
-            let p = objects.get(o as usize);
-            [p[0].to_bits(), p[1].to_bits()]
-        })
-        .collect();
 
     for (step, (flips, tweak_row, tweak_sel, mut_sel, capacitated)) in rounds.iter().enumerate() {
         // Exclusion flips (≤ 3), bounded so the matching stays total.
@@ -82,15 +72,9 @@ fn check(
         // so the carried seed goes stale and must be declined.
         match mut_sel % 3 {
             1 => {
-                // Denominators coprime to 1000 keep these off the
-                // generation grid, so the inventory stays duplicate-free.
-                let p = [
-                    (1 + mut_sel % 995) as f64 / 997.0,
-                    (1 + (mut_sel / 997) % 989) as f64 / 991.0,
-                ];
-                if point_bits.insert([p[0].to_bits(), p[1].to_bits()]) {
-                    live.push(engine.insert_object(&p).unwrap());
-                }
+                // On the generation grid: often a copy of a live point.
+                let p = [(mut_sel % 9) as f64 / 8.0, (mut_sel / 9 % 9) as f64 / 8.0];
+                live.push(engine.insert_object(&p).unwrap());
             }
             2 if live.len() > fn_rows.len() + excl.len() + 8 => {
                 let i = ((mut_sel / 3) as usize) % live.len();
@@ -156,7 +140,7 @@ proptest! {
 
     #[test]
     fn seeded_is_bit_identical_to_cold_under_random_deltas(
-        obj_rows in proptest::collection::vec(proptest::collection::vec(0u16..=1000, 2), 28..72),
+        obj_rows in proptest::collection::vec(proptest::collection::vec(0u16..=8, 2), 28..72),
         fn_rows in proptest::collection::vec(proptest::collection::vec(1u8..=9, 2), 3..8),
         caps in proptest::collection::vec(0u32..=3, 1..4),
         rounds in proptest::collection::vec(
