@@ -19,6 +19,12 @@
 //! [`RunMetrics::io`](crate::RunMetrics::io) of one request contains
 //! precisely the page traffic that request caused.
 //!
+//! The trees are the engine's one copy of the inventory. A remove or an
+//! update must find the point an object is stored at, and a shard keeps
+//! a table of those only once the first of them is routed to it (see
+//! `crate::objects`): an engine that only evaluates and inserts never
+//! holds one, built or reopened.
+//!
 //! ```
 //! use mpq_core::{Algorithm, Engine};
 //! use mpq_rtree::PointSet;
@@ -243,9 +249,9 @@ impl<'o> EngineBuilder<'o> {
     /// it would land on — without paying for index construction or
     /// creating a file. Then one key buffer is cut `K` ways by the
     /// routing rule and every shard is loaded from its share of it
-    /// against the one `objects` — no shard holds a copy of its points
-    /// while it is built — into stores and tables this thread
-    /// allocated: the cores share the sorting and the encoding (see
+    /// against the one `objects` — no shard holds a copy of its points,
+    /// while it is built or after — into stores this thread allocated:
+    /// the cores share the sorting and the encoding (see
     /// `mpq_rtree::bulk`), never the allocating.
     pub fn build(self) -> Result<Engine, MpqError> {
         let k = self.shards;
@@ -257,8 +263,10 @@ impl<'o> EngineBuilder<'o> {
             .map(|dir| self.create_store(dir.as_deref()))
             .collect::<Result<Vec<_>, _>>()?;
         let trees = (self.index).build_trees_in(stores, objects, &mut cut.keys, &cut.bounds);
-        let shards = (trees.into_iter().zip(cut.into_tables()).zip(&dirs))
-            .map(|((tree, table), dir)| {
+        drop(cut);
+        let next_oid = objects.len() as u64;
+        let shards = (trees.into_iter().zip(&dirs))
+            .map(|(tree, dir)| {
                 let wal = match dir {
                     None => None,
                     Some(dir) => {
@@ -268,11 +276,11 @@ impl<'o> EngineBuilder<'o> {
                         // tree as checkpoint zero.
                         let mut wal = self.open_wal(dir)?.0;
                         wal.truncate()?;
-                        tree.checkpoint(&checkpoint_extra(0, table.bound()))?;
+                        tree.checkpoint(&checkpoint_extra(0, next_oid))?;
                         Some(wal)
                     }
                 };
-                Ok(Shard::new(tree, table, wal, self.buffer_shards))
+                Ok(Shard::new(tree, wal, self.buffer_shards))
             })
             .collect::<Result<Vec<_>, MpqError>>()?;
         if let Some(root) = &self.data_dir {
@@ -286,7 +294,7 @@ impl<'o> EngineBuilder<'o> {
                 }
             }
         }
-        Engine::over(shards, self)
+        Engine::over(shards, next_oid, self)
     }
 
     /// Create the store a shard keeps its pages in: a fresh page file
@@ -322,10 +330,12 @@ impl<'o> EngineBuilder<'o> {
 
     /// Reopen one shard from the `pages.mpq` + `wal.mpq` pair under
     /// `dir`: load the last checkpointed tree image, then replay every
-    /// intact WAL record past the checkpoint's high-water mark. A shard
-    /// may come back empty; an empty *inventory* is the engine's to
+    /// intact WAL record past the checkpoint's high-water mark into the
+    /// tree. Returns the shard with the id bound it vouches for: the one
+    /// its checkpoint recorded, raised past every id its WAL minted. A
+    /// shard may come back empty; an empty *inventory* is the engine's to
     /// refuse.
-    fn open_shard(&self, dir: &Path) -> Result<Shard, MpqError> {
+    fn open_shard(&self, dir: &Path) -> Result<(Shard, u64), MpqError> {
         let config = &self.index;
         let mut store = DiskPager::open(&dir.join(PAGE_FILE), config.page_size)?;
         if let Some(inj) = &self.fault_injector {
@@ -334,53 +344,41 @@ impl<'o> EngineBuilder<'o> {
         let (tree, extra) = RTree::open(store, config.min_buffer_pages.max(1))?;
         tree.set_buffer_capacity(config.buffer_pages_for(tree.page_count()));
         let ckpt_seq = extra_field(&extra, 0).unwrap_or(0);
+        // A file written before the bound was checkpointed stops after
+        // the sequence number: the live ids are then all there is to go
+        // by, as they were for the engine that wrote it.
+        let mut bound = extra_field(&extra, 1).unwrap_or_else(|| {
+            let mut bound = 0;
+            tree.for_each_point(|oid, _| bound = bound.max(oid.saturating_add(1)));
+            bound
+        });
 
         let (mut wal, records) = self.open_wal(dir)?;
         // A checkpoint truncates the WAL but sequence numbers must stay
         // monotonic across it, or replayed records could collide with
         // the checkpoint's high-water mark after the *next* crash.
         wal.ensure_next_seq(ckpt_seq + 1);
-
-        // The header's count sizes the columns, capped by what the
-        // pages could hold in case it is wrong.
-        let n = (tree.len() as usize).min(tree.page_count() * tree.leaf_capacity());
-        let mut oids = Vec::with_capacity(n);
-        let mut coords = Vec::with_capacity(n * tree.dim());
-        tree.for_each_point(|oid, p| {
-            oids.push(oid);
-            coords.extend_from_slice(p);
-        });
-        let mut objects = ObjectTable::from_columns(tree.dim(), oids, coords);
-        // A file written before the bound was checkpointed stops after
-        // the sequence number: the live ids are then all there is to go
-        // by, as they were for the engine that wrote it.
-        objects.raise_bound(extra_field(&extra, 1).unwrap_or(0));
         for (seq, rec) in records {
             if let WalRecord::Insert { oid, .. } = &rec {
                 // Even a record the checkpoint already covers, or whose
                 // object a later record removes, spent its id.
-                objects.raise_bound(oid.saturating_add(1));
+                bound = bound.max(oid.saturating_add(1));
             }
             if seq <= ckpt_seq {
                 continue; // already part of the checkpointed image
             }
             match rec {
-                WalRecord::Insert { oid, point } => {
-                    tree.insert(&point, oid);
-                    objects.insert(oid, &point);
-                }
+                WalRecord::Insert { oid, point } => tree.insert(&point, oid),
                 WalRecord::Remove { oid, point } => {
                     tree.delete(&point, oid);
-                    objects.remove(oid);
                 }
                 WalRecord::Update { oid, old, new } => {
                     tree.delete(&old, oid);
                     tree.insert(&new, oid);
-                    objects.insert(oid, &new);
                 }
             }
         }
-        Ok(Shard::new(tree, objects, Some(wal), self.buffer_shards))
+        Ok((Shard::new(tree, Some(wal), self.buffer_shards), bound))
     }
 
     /// Reopen the inventory whose shards live in `dirs`, in shard order
@@ -388,11 +386,13 @@ impl<'o> EngineBuilder<'o> {
     fn open(self, dirs: Vec<PathBuf>) -> Result<Engine, MpqError> {
         self.check_shards(dirs.len())?;
         let workers = thread_budget().min(dirs.len());
-        let shards = for_each_shard(dirs.len(), workers, |s| self.open_shard(&dirs[s]))?;
-        if shards.iter().all(|shard| lock(&shard.objects).is_empty()) {
+        let opened = for_each_shard(dirs.len(), workers, |s| self.open_shard(&dirs[s]))?;
+        let (shards, bounds): (Vec<Shard>, Vec<u64>) = opened.into_iter().unzip();
+        if shards.iter().all(|shard| shard.tree.is_empty()) {
             return Err(MpqError::EmptyObjects);
         }
-        Engine::over(shards, self)
+        let next_oid = bounds.into_iter().max().unwrap_or(0);
+        Engine::over(shards, next_oid, self)
     }
 
     /// Open or build the engine that hosts this inventory. One already
@@ -495,11 +495,12 @@ static NEXT_INVENTORY_VERSION: AtomicU64 = AtomicU64::new(1);
 /// engine of one shard holds the whole inventory in it.
 struct Shard {
     tree: RTree,
-    /// The live objects by id. Mirrors the R-tree's leaf entries; the
-    /// table is what gives mutations O(log n) point lookup and what
-    /// recovery replays the WAL against. Its id bound — ids at or above
-    /// it were never assigned here — is what a checkpoint records.
-    objects: Mutex<ObjectTable>,
+    /// The writers' index: the point of every live object by id, for
+    /// the removes and updates that must name a tree entry by its point.
+    /// `None` until the first of them routed here fills it from the tree
+    /// (see [`crate::objects`]); every mutation keeps it current from
+    /// then on. Only mutators, under the engine's mutator lock, touch it.
+    objects: Mutex<Option<ObjectTable>>,
     /// Bumped on every mutation of this shard (see
     /// [`Engine::version_vector`]).
     version: AtomicU64,
@@ -518,18 +519,13 @@ impl Shard {
     /// The one constructor, of a shard built and of one reopened: the
     /// buffer pool takes its lock shards here, so the knob cannot miss a
     /// path.
-    fn new(
-        mut tree: RTree,
-        objects: ObjectTable,
-        wal: Option<Wal>,
-        buffer_shards: Option<usize>,
-    ) -> Shard {
+    fn new(mut tree: RTree, wal: Option<Wal>, buffer_shards: Option<usize>) -> Shard {
         if let Some(shards) = buffer_shards {
             tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
         }
         Shard {
             tree,
-            objects: Mutex::new(objects),
+            objects: Mutex::new(None),
             version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
             mutations: MutationLog::default(),
             wal: wal.map(Mutex::new),
@@ -548,9 +544,13 @@ impl Shard {
         }
     }
 
-    /// The point stored for `oid`, if this shard holds it.
+    /// The point stored for `oid`, if this shard holds it — read from
+    /// the writers' index, which the shard's first remove or update
+    /// fills from the tree here.
     fn point(&self, oid: u64) -> Option<Box<[f64]>> {
-        lock(&self.objects).get(oid).map(Box::from)
+        let mut objects = lock(&self.objects);
+        let table = objects.get_or_insert_with(|| ObjectTable::from_tree(&self.tree));
+        table.get(oid).map(Box::from)
     }
 
     /// Refuse mutations while the storage is degraded (a failed WAL
@@ -601,7 +601,9 @@ impl Shard {
             point: Box::from(point),
         })?;
         self.tree.insert(point, oid);
-        lock(&self.objects).insert(oid, point);
+        if let Some(table) = lock(&self.objects).as_mut() {
+            table.insert(oid, point);
+        }
         self.commit_mutation(MutationEvent::Insert {
             oid,
             point: Arc::from(point),
@@ -616,8 +618,10 @@ impl Shard {
             point: point.clone(),
         })?;
         let removed = self.tree.delete(&point, oid);
-        debug_assert!(removed, "object map and tree disagree on oid {oid}");
-        lock(&self.objects).remove(oid);
+        debug_assert!(removed, "object table and tree disagree on oid {oid}");
+        if let Some(table) = lock(&self.objects).as_mut() {
+            table.remove(oid);
+        }
         self.commit_mutation(MutationEvent::Remove { oid });
         Ok(())
     }
@@ -631,9 +635,11 @@ impl Shard {
             new: Box::from(point),
         })?;
         let removed = self.tree.delete(&old, oid);
-        debug_assert!(removed, "object map and tree disagree on oid {oid}");
+        debug_assert!(removed, "object table and tree disagree on oid {oid}");
         self.tree.insert(point, oid);
-        lock(&self.objects).insert(oid, point);
+        if let Some(table) = lock(&self.objects).as_mut() {
+            table.insert(oid, point);
+        }
         self.commit_mutation(MutationEvent::Update {
             oid,
             point: Arc::from(point),
@@ -642,14 +648,15 @@ impl Shard {
     }
 
     /// Flush every dirty page, durably commit the current tree epoch
-    /// (with the WAL high-water mark and the id bound) into the page
-    /// file's header, then truncate the WAL — which also wipes any
-    /// phantom record a failed rollback left behind, so a degraded
-    /// shard takes mutations again. A no-op in memory.
-    fn checkpoint(&self) -> Result<(), MpqError> {
+    /// (with the WAL high-water mark and the engine's id bound
+    /// `oid_bound`) into the page file's header, then truncate the WAL —
+    /// which also wipes any phantom record a failed rollback left
+    /// behind, so a degraded shard takes mutations again. A no-op in
+    /// memory.
+    fn checkpoint(&self, oid_bound: u64) -> Result<(), MpqError> {
         if let Some(wal) = &self.wal {
             let mut wal = lock(wal);
-            let extra = checkpoint_extra(wal.last_seq(), lock(&self.objects).bound());
+            let extra = checkpoint_extra(wal.last_seq(), oid_bound);
             self.tree.checkpoint(&extra)?;
             wal.truncate()?;
             self.degraded.store(false, AtomicOrdering::Release);
@@ -720,18 +727,22 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// The engine over `shards`, built or reopened by `builder` —
-    /// unless a tree is too large to be read beside the others.
-    fn over(shards: Vec<Shard>, builder: EngineBuilder<'_>) -> Result<Engine, MpqError> {
+    /// The engine over `shards`, built or reopened by `builder`, minting
+    /// ids from `next_oid` on — unless a tree is too large to be read
+    /// beside the others.
+    fn over(
+        shards: Vec<Shard>,
+        next_oid: u64,
+        builder: EngineBuilder<'_>,
+    ) -> Result<Engine, MpqError> {
         Pins::check(
             shards.len(),
             shards.iter().map(|shard| shard.tree.page_bound()),
         )?;
-        let bounds = shards.iter().map(|shard| lock(&shard.objects).bound());
         Ok(Engine {
             dim: shards[0].tree.dim(),
             config: builder.index,
-            next_oid: AtomicU64::new(bounds.max().unwrap_or(0)),
+            next_oid: AtomicU64::new(next_oid),
             shards,
             evaluations: AtomicU64::new(0),
             data_dir: builder.data_dir,
@@ -754,14 +765,13 @@ impl Engine {
 
     /// Number of indexed objects (live inventory after mutations).
     pub fn n_objects(&self) -> usize {
-        let sizes = self.shards.iter().map(|shard| lock(&shard.objects).len());
-        sizes.sum()
+        self.trees().map(|tree| tree.len() as usize).sum()
     }
 
     /// One past the highest object id ever assigned. Object ids are
-    /// never recycled, so per-object vectors (capacities, exclusion
-    /// bitmaps) sized to this bound cover every id the engine can
-    /// report.
+    /// never recycled, so a per-object capacity vector sized to this
+    /// bound covers every id the engine can report. (Exclusions are a
+    /// list of ids and honour any id, minted or not.)
     #[inline]
     pub fn oid_bound(&self) -> u64 {
         self.next_oid.load(AtomicOrdering::Acquire)
@@ -770,11 +780,6 @@ impl Engine {
     /// The one shard that holds `oid` if any does (see [`shard_of`]).
     fn owner_of(&self, oid: u64) -> &Shard {
         &self.shards[shard_of(oid, self.shards.len())]
-    }
-
-    /// The point currently stored for `oid`, if the engine holds it.
-    pub fn object_point(&self, oid: u64) -> Option<Box<[f64]>> {
-        self.owner_of(oid).point(oid)
     }
 
     /// The engine's **inventory version vector**, one component per
@@ -852,7 +857,7 @@ impl Engine {
         self.shards
             .iter()
             .map(|shard| ShardGauges {
-                objects: lock(&shard.objects).len(),
+                objects: shard.tree.len() as usize,
                 tree_height: shard.tree.height(),
                 buffer_hit_rate: shard.tree.io_stats().hit_ratio(),
                 wal_bytes: shard.wal_bytes(),
@@ -875,9 +880,10 @@ impl Engine {
     /// then **replay** every intact WAL record past the checkpoint's
     /// high-water mark — a torn tail (crash mid-append) is discarded at
     /// the first corrupt frame, so the engine reopens to the last
-    /// fully-synced mutation. The reopened engine serves matchings
-    /// bit-identical to a freshly built engine over the same surviving
-    /// inventory.
+    /// fully-synced mutation. Replay touches only the trees, and a shard
+    /// with nothing to replay opens without reading a leaf. The reopened
+    /// engine serves matchings bit-identical to a freshly built engine
+    /// over the same surviving inventory.
     ///
     /// `config.page_size` must equal the page size the directory was
     /// created with; the buffer is re-sized from `config` (buffer
@@ -983,7 +989,8 @@ impl Engine {
     /// failed rollback left behind, so mutations are accepted again.
     pub fn checkpoint(&self) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        self.shards.iter().try_for_each(Shard::checkpoint)
+        let oid_bound = self.oid_bound();
+        (self.shards.iter()).try_for_each(|shard| shard.checkpoint(oid_bound))
     }
 
     /// Cumulative storage-level I/O, summed over the shards: the
@@ -1521,7 +1528,207 @@ impl BatchMetrics {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use mpq_datagen::WorkloadBuilder;
+    use mpq_rtree::RTreeParams;
+
     use super::*;
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn point(state: &mut u64, dim: usize) -> Vec<f64> {
+        (0..dim)
+            .map(|_| (xorshift(state) >> 11) as f64 / (1u64 << 53) as f64)
+            .collect()
+    }
+
+    fn points(n: usize, seed: u64) -> PointSet {
+        let w = WorkloadBuilder::new().objects(n).functions(0).dim(3);
+        w.seed(seed).build().objects
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, AtomicOrdering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("mpq-engine-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Which shards hold a writers' table.
+    fn tables(engine: &Engine) -> Vec<bool> {
+        let held = |shard: &Shard| lock(&shard.objects).is_some();
+        engine.shards.iter().map(held).collect()
+    }
+
+    /// `(fid, oid, score bits)` of every pair, in emission order.
+    fn pairs(matching: &Matching, oid_of: impl Fn(u64) -> u64) -> Vec<(u32, u64, u64)> {
+        let pair = |p: &crate::Pair| (p.fid, oid_of(p.oid), p.score.to_bits());
+        matching.pairs().iter().map(pair).collect()
+    }
+
+    /// Everything observable about the inventory against the model: the
+    /// count, the id bound, what the trees hold, and the SB matching of
+    /// a fresh build over the model's points (id `i` of which is the
+    /// model's `i`-th id).
+    fn assert_model(engine: &Engine, model: &BTreeMap<u64, Vec<f64>>, mint: u64, step: &str) {
+        assert_eq!(engine.n_objects(), model.len(), "{step}");
+        assert_eq!(engine.oid_bound(), mint, "{step}");
+        let mut held = BTreeMap::new();
+        for tree in engine.trees() {
+            tree.for_each_point(|oid, p| assert!(held.insert(oid, p.to_vec()).is_none()));
+        }
+        assert_eq!(&held, model, "{step}");
+
+        let flat: Vec<f64> = model.values().flatten().copied().collect();
+        let fresh = PointSet::from_flat(engine.dim(), flat);
+        let fresh = Engine::builder().objects(&fresh).build().unwrap();
+        let ids: Vec<u64> = model.keys().copied().collect();
+        let rows: Vec<Vec<f64>> = (0..6)
+            .map(|f| vec![0.1 + 0.15 * f as f64, 0.5, 0.3])
+            .collect();
+        let functions = FunctionSet::from_rows(3, &rows);
+        assert_eq!(
+            pairs(&engine.evaluate(&functions).unwrap(), |oid| oid),
+            pairs(&fresh.evaluate(&functions).unwrap(), |i| ids[i as usize]),
+            "{step}"
+        );
+    }
+
+    /// A seeded schedule of inserts, removes, updates, checkpoints and
+    /// reopens against a `BTreeMap` model, from a build at K = 1 and
+    /// K = 4 and from a page file whose header predates the id bound. A
+    /// shard holds a writers' table exactly when a remove or update was
+    /// routed to it since it was built or opened: an insert-only
+    /// stretch, an evaluation and a checkpoint never build one.
+    #[test]
+    fn the_writers_table_tracks_a_model_through_checkpoints_and_reopens() {
+        let dim = 3;
+        for (case, k) in [("built", 1), ("built", 4), ("legacy", 1)] {
+            let dir = tmp_dir(case);
+            let objects = points(120, 2009 + k as u64);
+            let mut engine = if case == "legacy" {
+                // What an engine wrote when the header held only the WAL
+                // sequence number.
+                let params = RTreeParams::default();
+                std::fs::create_dir_all(&dir).unwrap();
+                let store = DiskPager::create(&dir.join(PAGE_FILE), params.page_size).unwrap();
+                let tree = RTree::bulk_load_in(store, &objects, params);
+                tree.checkpoint(&0u64.to_le_bytes()).unwrap();
+                Engine::open(&dir).unwrap()
+            } else {
+                let builder = Engine::builder().objects(&objects).shards(k);
+                builder.data_dir(&dir).build().unwrap()
+            };
+            let mut model: BTreeMap<u64, Vec<f64>> = (objects.iter())
+                .map(|(i, p)| (i as u64, p.to_vec()))
+                .collect();
+            let mut mint = objects.len() as u64;
+            let mut expected = vec![false; k];
+            let mut state = 0x5EED ^ k as u64;
+            assert_model(&engine, &model, mint, &format!("{case} K={k}: opened"));
+
+            for step in 0..160 {
+                let r = xorshift(&mut state);
+                // An insert-only stretch first; a reopen is followed by a
+                // remove straight away.
+                let op = if step < 24 { 0 } else { r % 16 };
+                let what = match op {
+                    0..=5 => {
+                        let p = point(&mut state, dim);
+                        assert_eq!(engine.insert_object(&p).unwrap(), mint);
+                        model.insert(mint, p);
+                        mint += 1;
+                        "insert"
+                    }
+                    6..=8 => {
+                        let p = point(&mut state, dim);
+                        let oid = *model.keys().nth((r >> 8) as usize % model.len()).unwrap();
+                        engine.update_object(oid, &p).unwrap();
+                        model.insert(oid, p);
+                        expected[shard_of(oid, k)] = true;
+                        "update"
+                    }
+                    9..=12 => {
+                        let oid = *model.keys().nth((r >> 8) as usize % model.len()).unwrap();
+                        engine.remove_object(oid).unwrap();
+                        model.remove(&oid);
+                        expected[shard_of(oid, k)] = true;
+                        "remove"
+                    }
+                    13 => {
+                        engine.checkpoint().unwrap();
+                        "checkpoint"
+                    }
+                    _ => {
+                        if op == 14 {
+                            engine.checkpoint().unwrap();
+                        }
+                        drop(engine);
+                        engine = Engine::open(&dir).unwrap();
+                        assert_eq!(tables(&engine), vec![false; k], "a reopen builds none");
+                        let oid = *model.keys().nth((r >> 8) as usize % model.len()).unwrap();
+                        engine.remove_object(oid).unwrap();
+                        model.remove(&oid);
+                        expected = vec![false; k];
+                        expected[shard_of(oid, k)] = true;
+                        "reopen, then remove"
+                    }
+                };
+                let step = format!("{case} K={k}: step {step}, {what}");
+                assert_eq!(tables(&engine), expected, "{step}");
+                assert_model(&engine, &model, mint, &step);
+            }
+            drop(engine);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A checkpointed reopen reads no leaf page; the shard's first
+    /// remove fills its table from the tree without reading through the
+    /// buffer pool, and a second remove finds the same table.
+    #[test]
+    fn a_reopen_reads_no_leaf_and_the_first_remove_fills_the_table_once() {
+        let dir = tmp_dir("reopen");
+        let objects = points(20_000, 77);
+        drop(Engine::builder().objects(&objects).data_dir(&dir).build());
+        let engine = Engine::open(&dir).unwrap();
+        let opened = engine.storage_stats();
+        assert_eq!((opened.logical, opened.disk_reads), (0, 0), "{opened:?}");
+        let functions = FunctionSet::from_rows(3, &[vec![0.2, 0.5, 0.3]]);
+        engine.evaluate(&functions).unwrap();
+        engine.insert_object(&[0.5, 0.5, 0.5]).unwrap();
+        assert_eq!(tables(&engine), [false], "reads and inserts build none");
+
+        let before = engine.storage_stats();
+        engine.remove_object(7).unwrap();
+        let read = engine.storage_stats().logical - before.logical;
+        let pages = engine.page_count() as u64;
+        assert!(
+            read < pages / 4,
+            "a remove reads its path, not {pages} pages: {read}"
+        );
+        let at = |engine: &Engine| {
+            let objects = lock(&engine.shards[0].objects);
+            objects.as_ref().unwrap().get(8).unwrap().as_ptr()
+        };
+        let filled = at(&engine);
+        assert_eq!(
+            lock(&engine.shards[0].objects).as_ref().unwrap().get(7),
+            None
+        );
+        engine.remove_object(9).unwrap();
+        assert_eq!(at(&engine), filled, "the second remove keeps the table");
+        assert_eq!(engine.n_objects(), 19_999);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     #[cfg(target_pointer_width = "64")]

@@ -134,11 +134,11 @@ pub(crate) fn shard_of(oid: u64, k: usize) -> usize {
 /// Only a reopen fans out this way, and its shards allocate on the
 /// thread that opens them. A build does not (see
 /// [`EngineBuilder::build`](crate::EngineBuilder::build)): what a
-/// shard's reopen allocates is a decoded node for every page it reads
-/// back and an insert for every WAL record it replays, which no table
-/// sized on the caller would take off the workers — replaying as one
-/// bulk load would, and is ROADMAP item 7(a). No ledger workload reopens
-/// more than one shard.
+/// shard's reopen allocates is a decoded node for every inner page its
+/// free-list walk reads and an insert for every WAL record it replays,
+/// which nothing sized on the caller would take off the workers —
+/// replaying as one bulk load would, and is ROADMAP item 5(ii). No
+/// ledger workload reopens more than one shard.
 pub(crate) fn for_each_shard<T: Send>(
     k: usize,
     workers: usize,

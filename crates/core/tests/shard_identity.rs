@@ -884,18 +884,13 @@ fn an_invalid_inventory_is_refused_as_an_engine_refuses_it_and_leaves_no_debris(
     }
 }
 
-/// Which shard's tree holds each oid the engine knows.
+/// Which shards' trees hold each oid below the engine's id bound.
 fn membership(engine: &Engine) -> Vec<Vec<u64>> {
-    (0..engine.oid_bound())
-        .map(|oid| {
-            let point = engine.object_point(oid);
-            let holders = engine
-                .trees()
-                .enumerate()
-                .filter(|(_, tree)| point.as_deref().is_some_and(|p| tree.contains(p, oid)));
-            holders.map(|(s, _)| s as u64).collect()
-        })
-        .collect()
+    let mut owners = vec![Vec::new(); engine.oid_bound() as usize];
+    for (s, tree) in engine.trees().enumerate() {
+        tree.for_each_point(|oid, _| owners[oid as usize].push(s as u64));
+    }
+    owners
 }
 
 proptest! {

@@ -243,6 +243,25 @@ impl BufferPool {
         (node, true)
     }
 
+    /// Read a node without admitting it: a resident frame is shared as
+    /// it is, otherwise the page is decoded straight from the store. The
+    /// LRU order and the pool's counters stay as they were (a disk
+    /// store still counts the reads it makes), so a full scan neither
+    /// evicts the working set nor shows up as query I/O.
+    ///
+    /// # Panics
+    /// See [`BufferPool::get`].
+    pub(crate) fn peek(&self, pid: PageId) -> Arc<Node> {
+        let mut g = lock(self.shards[self.shard_of(pid)].lock());
+        if let Some(&slot) = g.map.get(&pid.0) {
+            return Arc::clone(&g.frames[slot].node);
+        }
+        lock(self.store.read())
+            .read_into(pid, &mut g.scratch)
+            .unwrap_or_else(|e| panic!("unserviceable read of page {pid}: {e}"));
+        Arc::new(Node::decode(self.dim, &g.scratch))
+    }
+
     /// Install a (possibly new) node image for `pid`, marking it dirty.
     /// On a shard with a zero capacity share the page is written through
     /// to the pager instead of cached — unless that write fails, in
@@ -664,6 +683,28 @@ mod tests {
         pool.get(pids[0]); // still resident -> hit
         let s = pool.stats();
         assert_eq!(s.physical_reads, 3, "pids[0] stayed hot");
+    }
+
+    #[test]
+    fn a_peek_admits_nothing_and_counts_nothing() {
+        let (pool, pids) = pool(2);
+        pool.clear();
+        pool.get(pids[0]);
+        pool.get(pids[1]);
+        pool.put(pids[1], leaf_node(2, 0.75)); // dirty: only the frame is current
+        pool.reset_stats();
+        for &pid in &pids {
+            pool.peek(pid);
+        }
+        assert_eq!(pool.peek(pids[1]).as_leaf().point(0), &[0.75, 0.75]);
+        assert_eq!(pool.peek(pids[4]).as_leaf().point(0), &[0.4, 0.4]);
+        assert_eq!(pool.stats(), IoStats::default());
+        assert_eq!(pool.resident(), 2);
+        // pids[0] is still the LRU victim: peeking did not touch it.
+        pool.peek(pids[0]);
+        pool.get(pids[2]);
+        pool.get(pids[1]);
+        assert_eq!(pool.stats().physical_reads, 1);
     }
 
     #[test]

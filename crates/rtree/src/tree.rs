@@ -782,16 +782,17 @@ impl RTree {
             .is_some()
     }
 
-    /// Visit every `(oid, point)` entry (full scan; for tests and
-    /// reference algorithms). The scan runs on a pinned snapshot, so a
-    /// concurrent mutation cannot tear it.
+    /// Visit every `(oid, point)` entry (full scan). The scan runs on a
+    /// pinned snapshot, so a concurrent mutation cannot tear it, and
+    /// reads its pages past the buffer pool: it evicts nothing and is no
+    /// query I/O (only a disk store's own read counter sees it).
     pub fn for_each_point(&self, mut f: impl FnMut(u64, &[f64])) {
         let snap = self.snapshot();
         self.scan_rec(snap.root_page(), &mut f);
     }
 
     fn scan_rec(&self, pid: PageId, f: &mut impl FnMut(u64, &[f64])) {
-        let node = self.buf.get(pid);
+        let node = self.buf.peek(pid);
         match &*node {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {

@@ -98,7 +98,7 @@
 //! | rebuild the engine on inventory change | `engine.insert_object(&p)?` / `engine.remove_object(oid)?` / `engine.update_object(oid, &p)?` |
 //! | in-memory only, lost on restart | `Engine::builder().data_dir(dir)` once, `Engine::open(dir)?` after |
 //! | in-process `ServiceClient` only | `net::Server::bind(addr, registry, config)?` / `mpq serve --listen ADDR` — HTTP clients `POST /t/<tenant>/match` |
-//! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object map and `inventory_version` untouched; degraded tenants answer mutations `503 Retry-After` while reads keep serving ([`core::HealthMonitor`]) |
+//! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object table and `inventory_version` untouched; degraded tenants answer mutations `503 Retry-After` while reads keep serving ([`core::HealthMonitor`]) |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
 //! | one machine-wide tree | `Engine::builder().shards(k)` — K per-shard R-trees (objects routed by id) read as one index by every algorithm, bit-identical to one tree; `mpq serve --shards K` / tenant spec `shards=K` |
