@@ -44,9 +44,10 @@
 //! enters it — and therefore every exact miss at that vector
 //! ([`ResultCache::near_miss`]) evaluates *seeded* from it instead of
 //! cold. The first miss after a version change runs cold and installs
-//! the seed it captured; a seed older than a looker's vector is dropped
-//! on sight. Its bytes count once, against the same `max_bytes` as the
-//! entries.
+//! the seed it captured the moment its BBS is done (the service makes
+//! every other miss at that vector wait for it rather than run a second
+//! BBS); a seed older than a looker's vector is dropped on sight. Its
+//! bytes count once, against the same `max_bytes` as the entries.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -426,9 +427,11 @@ pub struct CacheMetrics {
     /// proved the cached result unaffected, so the entry was caught up
     /// instead of dropped.
     pub revalidations: u64,
-    /// Exact misses that found the inventory's seed usable at their
-    /// version vector ([`ResultCache::near_miss`]) — the request was
-    /// then evaluated *seeded* instead of cold.
+    /// Exact misses whose evaluation resumed from the inventory's seed
+    /// instead of running cold — counted when the run primed from it,
+    /// not when a lookup handed it out (the run declines a seed its
+    /// pins have moved past). The service counts them; a standalone
+    /// cache, whose caller evaluates, never does.
     pub seeded_hits: u64,
     /// Current number of cached entries.
     pub entries: usize,
@@ -624,23 +627,25 @@ impl ResultCache {
 
     /// Install `seed` unless the resident one already serves `versions`
     /// or is newer than it. A seed that alone exceeds the byte bound is
-    /// not kept; one that fits displaces LRU entries until it does.
-    fn offer_seed(&mut self, seed: Arc<EvalSeed>, versions: &[u64]) {
+    /// not kept, and only then is the answer `false`; one that fits
+    /// displaces LRU entries until it does.
+    pub(crate) fn offer_seed(&mut self, seed: Arc<EvalSeed>, versions: &[u64]) -> bool {
         debug_assert!(
             seed.usable_at(versions),
             "seed captured at a different version vector than the entry stamp"
         );
         self.retire_seed_before(versions);
         if self.seed.is_some() {
-            return;
+            return true;
         }
         let bytes = seed.approx_bytes();
         if bytes > self.max_bytes {
-            return;
+            return false;
         }
         self.seed = Some(seed);
         self.bytes += bytes;
         while self.bytes > self.max_bytes && self.evict_lru() {}
+        true
     }
 
     /// Look up `key` under inventory `version`. A hit returns a clone of
@@ -844,21 +849,21 @@ impl ResultCache {
         survives
     }
 
-    /// Like [`ResultCache::insert_vec_seeded`], but first eagerly
-    /// sweeps entries stamped with any other version vector: each is
-    /// caught up through `logs` (restamped if it survives) or evicted on
-    /// the spot. Plain `get` only drops a stale entry when its exact key
-    /// is looked up again, so after a mutation the `entries`/`bytes`
-    /// metrics would keep counting results that can never be served;
-    /// sweeping at insert time keeps the accounting honest without a
-    /// periodic task.
-    pub(crate) fn insert_with_logs_seeded(
+    /// Like [`ResultCache::insert_vec_seeded`] without a seed (the
+    /// service installs its seeds at capture, see [`Self::offer_seed`]),
+    /// but first eagerly sweeps entries stamped with any other version
+    /// vector: each is caught up through `logs` (restamped if it
+    /// survives) or evicted on the spot. Plain `get` only drops a stale
+    /// entry when its exact key is looked up again, so after a mutation
+    /// the `entries`/`bytes` metrics would keep counting results that
+    /// can never be served; sweeping at insert time keeps the accounting
+    /// honest without a periodic task.
+    pub(crate) fn insert_with_logs(
         &mut self,
         key: &RequestKey,
         versions: &[u64],
         matching: &Matching,
         logs: &[&MutationLog],
-        seed: Option<Arc<EvalSeed>>,
     ) {
         // Only entries *strictly older* than the publish stamp are
         // sweepable — no component newer, at least one lagging: a worker
@@ -886,15 +891,15 @@ impl ResultCache {
         {
             return; // a newer result for this key is already published
         }
-        self.insert_vec_seeded(key, versions, matching, seed);
+        self.insert_vec_seeded(key, versions, matching, None);
     }
 
     /// What an exact miss at `versions` can still save: the inventory's
     /// seed, if the cache holds it at exactly that vector — whatever
     /// `key` asks (no part of a request enters a seed, see the
     /// [module docs](self)). The caller then evaluates *seeded* instead
-    /// of cold. A successful lookup counts into `seeded_hits`; it does
-    /// **not** count as a cache hit. `bound == 0` declines.
+    /// of cold. A lookup counts nothing: `seeded_hits` counts runs that
+    /// resumed, which only the evaluation knows. `bound == 0` declines.
     ///
     /// The name, `key` and `bound` date from per-entry seeds picked by
     /// request distance; the benchmark compiles against them.
@@ -907,10 +912,22 @@ impl ResultCache {
         if bound == 0 {
             return None;
         }
+        self.seed_at(versions)
+    }
+
+    /// The inventory's seed, if the cache holds it at exactly
+    /// `versions`; an older one is dropped on the way.
+    pub(crate) fn seed_at(&mut self, versions: &[u64]) -> Option<Arc<EvalSeed>> {
         self.retire_seed_before(versions);
-        let seed = self.seed.as_ref().filter(|s| s.usable_at(versions))?;
+        self.seed
+            .as_ref()
+            .filter(|s| s.usable_at(versions))
+            .cloned()
+    }
+
+    /// Count one evaluation that primed from the seed.
+    pub(crate) fn count_resumed(&mut self) {
         self.seeded_hits += 1;
-        Some(Arc::clone(seed))
     }
 }
 
@@ -1235,7 +1252,7 @@ mod tests {
 
         // Removing assigned object 0 kills A; B excluded it — survives.
         log.record(6, MutationEvent::Remove { oid: 0 });
-        cache.insert_with_logs_seeded(&key_c, &[6], &matching_of(1), &[&log], None);
+        cache.insert_with_logs(&key_c, &[6], &matching_of(1), &[&log]);
         assert_eq!(cache.len(), 2, "A swept, B restamped, C inserted");
         assert!(cache.get(&key_b, 6).is_some());
         assert!(cache.get(&key_c, 6).is_some());
@@ -1246,7 +1263,7 @@ mod tests {
 
         // A publish stamped *older* than live entries must not evict
         // them (the worker-raced-a-mutation case).
-        cache.insert_with_logs_seeded(&key_a, &[5], &orthogonal_matching(), &[&log], None);
+        cache.insert_with_logs(&key_a, &[5], &orthogonal_matching(), &[&log]);
         assert!(
             cache.get(&key_b, 6).is_some(),
             "newer entries survive an old-stamp publish"
@@ -1321,9 +1338,9 @@ mod tests {
         // newer seed alone ...
         assert!(cache.near_miss(&probe, &[3], 16).is_none());
         assert!(cache.near_miss(&probe, &[4], 16).is_some());
-        // ... bound 0 declines ...
+        // ... bound 0 declines, and no lookup counts as a resume ...
         assert!(cache.near_miss(&probe, &[4], 0).is_none());
-        assert_eq!(cache.metrics().seeded_hits, 4);
+        assert_eq!(cache.metrics().seeded_hits, 0);
         // ... and a looker past it drops it on sight, bytes and all.
         let with_seed = cache.bytes();
         assert!(cache.near_miss(&probe, &[5], 16).is_none());

@@ -1087,35 +1087,38 @@ impl Engine {
     /// The single evaluation code path: validate, pin every shard, run
     /// the request's algorithm over the forest of the pins. A usable
     /// `seed` primes the evaluation; a run that had none and ran cold
-    /// leaves the inventory's [`EvalSeed`] in `capture`. The resumable
-    /// configurations are SB with incremental maintenance, which every
+    /// hands the inventory's [`EvalSeed`] to `capture` as soon as its
+    /// BBS is done. The resumable configurations are SB with incremental
+    /// maintenance ([`RequestOptions::resumable`]), which every
     /// capacitated request is; the others silently decline both, so
-    /// callers never branch on the algorithm.
+    /// callers never branch on the algorithm. The flag beside the
+    /// matching says whether the run primed from `seed`.
     pub(crate) fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
         options: &RequestOptions,
         scratch: &mut Scratch,
         seed: Option<&EvalSeed>,
-        capture: Option<&mut Option<EvalSeed>>,
-    ) -> Result<Matching, MpqError> {
+        capture: Option<&mut dyn FnMut(EvalSeed)>,
+    ) -> Result<(Matching, bool), MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
         let (src, versions) = self.pin();
+        if options.resumable() {
+            return Ok(run_sb_seeded(
+                src, versions, functions, options, scratch, seed, capture,
+            ));
+        }
         let exclude = &options.exclude;
-        Ok(match options.algorithm {
-            Algorithm::Sb => match options.maintenance {
-                MaintenanceMode::Incremental => {
-                    run_sb_seeded(src, versions, functions, options, scratch, seed, capture)
-                }
-                MaintenanceMode::Rescan => run_rescan_on(&src, functions, options, scratch),
-            },
+        let cold = match options.algorithm {
+            Algorithm::Sb => run_rescan_on(&src, functions, options, scratch),
             Algorithm::BruteForce => match options.bf_strategy {
                 BfStrategy::Incremental => run_incremental_on(&src, functions, exclude, scratch),
                 BfStrategy::Restart => run_restart_on(&src, functions, exclude, scratch),
             },
             Algorithm::Chain => run_chain_on(&self.config, &src, functions, exclude, scratch),
-        })
+        };
+        Ok((cold, false))
     }
 
     /// Evaluate a slice of independent requests on a built-in scoped
@@ -1197,6 +1200,14 @@ pub(crate) struct RequestOptions {
     /// place that adds to it.
     pub(crate) exclude: Vec<u64>,
     pub(crate) capacities: Option<Vec<u32>>,
+}
+
+impl RequestOptions {
+    /// Can the run resume from the inventory's seed — SB with
+    /// incremental maintenance, the one run that keeps a skyline?
+    pub(crate) fn resumable(&self) -> bool {
+        self.algorithm == Algorithm::Sb && self.maintenance == MaintenanceMode::Incremental
+    }
 }
 
 impl Default for RequestOptions {
@@ -1385,8 +1396,10 @@ impl<'e> MatchRequest<'e, '_> {
     /// allocator is hit; reuse one per thread across any sequence of
     /// requests.
     pub fn evaluate_with(&self, scratch: &mut Scratch) -> Result<Matching, MpqError> {
-        self.engine
-            .evaluate_seeded(self.functions, &self.options, scratch, None, None)
+        let (matching, _) =
+            self.engine
+                .evaluate_seeded(self.functions, &self.options, scratch, None, None)?;
+        Ok(matching)
     }
 
     /// Seed-capable [`MatchRequest::evaluate_with`]: primes the run from
@@ -1409,12 +1422,12 @@ impl<'e> MatchRequest<'e, '_> {
         seed: Option<&EvalSeed>,
     ) -> Result<(Matching, Option<EvalSeed>), MpqError> {
         let mut captured = None;
-        let matching = self.engine.evaluate_seeded(
+        let (matching, _) = self.engine.evaluate_seeded(
             self.functions,
             &self.options,
             scratch,
             seed,
-            Some(&mut captured),
+            Some(&mut |seed| captured = Some(seed)),
         )?;
         Ok((matching, captured))
     }

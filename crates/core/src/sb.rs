@@ -328,11 +328,13 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// source's BBS snapshot — and peel every object the `mask` hides
     /// off it. Either way the run holds exactly the skyline of its
     /// inventory, so the matching loop downstream cannot tell the
-    /// histories apart. A cold run leaves its snapshot in `capture`,
-    /// taken *before* any peel, so what it captures depends on the
-    /// source alone; a seeded run captures nothing. Both clones share
-    /// what BBS recorded (the build ends frozen, see
-    /// `mpq_skyline::maintain`): neither copies a member or a plist.
+    /// histories apart. A cold run hands its snapshot to `capture` the
+    /// moment BBS is done — *before* any peel, so what it captures
+    /// depends on the source alone, and before its first round, so a
+    /// caller can share it while the run goes on; a seeded run captures
+    /// nothing. Every clone shares what BBS recorded (the build ends
+    /// frozen, see `mpq_skyline::maintain`): none copies a member or a
+    /// plist.
     pub(crate) fn new(
         src: R,
         mut scratch: Scratch,
@@ -340,7 +342,7 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         mask: Mask,
         multi_pair: bool,
         seed: Option<&SkylineMaintainer>,
-        capture: Option<&mut Option<SkylineMaintainer>>,
+        capture: Option<&mut dyn FnMut(&SkylineMaintainer)>,
     ) -> SbRun<R, F> {
         scratch.reset_rank_lists(functions.len());
         let io_start = src.io_snapshot();
@@ -349,8 +351,8 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
             Some(snapshot) => snapshot.clone(),
             None => {
                 let built = SkylineMaintainer::build(&src);
-                if let Some(snapshot) = capture {
-                    *snapshot = Some(built.clone());
+                if let Some(capture) = capture {
+                    capture(&built);
                 }
                 built
             }
@@ -614,13 +616,14 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// Seed-capable, and the one place that decides it. A `seed` is
 /// honoured only when every shard is pinned, unambiguously, at exactly
 /// the seed's version — its pruned entries reference pages of those
-/// epochs. A run that resumed captures nothing; a cold one leaves the
-/// inventory's seed in `capture` only if every pin was stable, so the
-/// snapshot can be stamped. Pass
-/// `None, None` for a plain cold run. Both paths run the identical
-/// round body over content-identical skylines, so seeded matchings are
+/// epochs. A run that resumed captures nothing; a cold one hands the
+/// inventory's seed to `capture` right after its BBS, and only if every
+/// pin was stable, so the snapshot can be stamped. Pass `None, None`
+/// for a plain cold run. Both paths run the identical round body over
+/// content-identical skylines, so seeded matchings are
 /// score-bit-identical to cold ones (pinned by
-/// `tests/seed_identity.rs`).
+/// `tests/seed_identity.rs`). The flag beside the matching says whether
+/// the run primed from `seed`.
 pub(crate) fn run_sb_seeded<R: NodeSource>(
     src: R,
     versions: Option<Vec<u64>>,
@@ -628,12 +631,18 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     options: &RequestOptions,
     scratch: &mut Scratch,
     seed: Option<&EvalSeed>,
-    capture: Option<&mut Option<EvalSeed>>,
-) -> Matching {
+    capture: Option<&mut dyn FnMut(EvalSeed)>,
+) -> (Matching, bool) {
     let start = Instant::now();
     let seed = seed.filter(|s| versions.as_ref() == Some(&s.versions));
-    let mut snapshot = None;
-    let capturing = capture.is_some() && seed.is_none() && versions.is_some();
+    let mut stamp = capture
+        .zip(versions.filter(|_| seed.is_none()))
+        .map(|(sink, versions)| {
+            move |skyline: &SkylineMaintainer| {
+                let (versions, skyline) = (versions.clone(), skyline.clone());
+                sink(EvalSeed { versions, skyline });
+            }
+        });
     let mut lent = std::mem::take(scratch);
     let linear = Linear::new(&mut lent, functions, options.best_pair);
     let mut run = SbRun::new(
@@ -643,18 +652,15 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
         Mask::new(options),
         options.multi_pair,
         seed.map(|s| &s.skyline),
-        capturing.then_some(&mut snapshot),
+        stamp
+            .as_mut()
+            .map(|s| s as &mut dyn FnMut(&SkylineMaintainer)),
     );
-    if let Some(out) = capture {
-        *out = versions
-            .zip(snapshot)
-            .map(|(versions, skyline)| EvalSeed { versions, skyline });
-    }
     let pairs = run.drain();
     let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
     *scratch = run.into_scratch();
-    Matching::new(pairs, metrics)
+    (Matching::new(pairs, metrics), seed.is_some())
 }
 
 /// The §IV-B strawman: full BBS recomputation per loop, no rank-list

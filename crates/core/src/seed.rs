@@ -19,13 +19,20 @@
 //! **shares** everything BBS left — member points, the id lookup, the
 //! dominance-scan index and every pruned list, frozen behind one `Arc`
 //! — and **owns** only what the run will change: a tombstone per
-//! member, the members it promotes, and the pruned entries it records
-//! or re-homes from then on (see `mpq_skyline::maintain`). Resuming
-//! therefore costs two small allocations whatever the skyline's size,
-//! the run that captured a seed goes on sharing with it, and nothing a
-//! seed shares is ever written.
+//! member, the members it promotes, the entries it reads from pages
+//! itself, and the links of the chains it appends to. An entry of the
+//! seed that the run re-homes or puts back in its heap stays where BBS
+//! wrote it: the run links the seed's slot through a `u32` column of its
+//! own, and never copies the entry (see `mpq_skyline::maintain`).
+//! Resuming therefore costs two small allocations whatever the
+//! skyline's size, the run that captured a seed goes on sharing with
+//! it, and nothing a seed shares is ever written or copied.
 //! Capture and resume are one function — the priming step of
-//! [`crate::sb`]'s run state — whatever the shard count.
+//! [`crate::sb`]'s run state — whatever the shard count. A cold run
+//! hands its capture over the moment BBS is done, before its first
+//! round: the serving layer installs it in the result cache there and
+//! then, and a worker takes the seed when it *claims* a job, so one cold
+//! BBS runs per version vector (see [`crate::service`]).
 //! A run that resumed captures nothing: it would only reproduce the
 //! seed it was handed.
 //!
@@ -46,9 +53,9 @@
 //! at, so a seed is only usable while the engine's versions are
 //! bit-equal to [`EvalSeed::versions`]. The result cache keeps at most
 //! one — a seed is a property of the inventory, not of a cached request
-//! — and hands it to every miss at exactly that vector; the evaluation
-//! path re-checks each component against the tree epoch it pinned
-//! before priming from it.
+//! — and hands it to every miss claimed at exactly that vector; the
+//! evaluation path re-checks each component against the tree epoch it
+//! pinned before priming from it, and reports whether it did.
 
 use mpq_skyline::SkylineMaintainer;
 

@@ -38,6 +38,15 @@
 //!   job instead of paying a queue slot and a duplicate evaluation —
 //!   each attached submission keeps its own ticket, deadline and
 //!   cancellation;
+//! * a miss that SB can resume takes the inventory's [`EvalSeed`] (see
+//!   [`crate::seed`]) when a worker *claims* it, not when it is
+//!   submitted, and a cold run installs the seed it captures in the
+//!   cache the moment its BBS is done. A worker that claims a miss while
+//!   another worker's cold run is capturing at the same version vector
+//!   waits for that capture to end, then resumes — or, if the capture
+//!   installed nothing, captures itself — so one cold BBS runs per
+//!   version. Brute Force, Chain and SB-rescan jobs, uncached services
+//!   and a single worker never wait;
 //! * the queue pops in one order — higher [`SubmitOptions::priority`]
 //!   first, submission order within a priority — so traffic that never
 //!   sets a priority is strictly FIFO;
@@ -429,11 +438,6 @@ struct Job<'a> {
     functions: Cow<'a, FunctionSet>,
     options: Cow<'a, RequestOptions>,
     group: Arc<DedupeGroup>,
-    /// The inventory's [`EvalSeed`], when the submission path found the
-    /// cache holding it at the submission's versions: the worker primes
-    /// the evaluation with it instead of running cold (and may still
-    /// decline it — bit-identity is unconditional either way).
-    seed: Option<Arc<EvalSeed>>,
 }
 
 /// Heap entry: pops by `(priority desc, seq asc)`. Jobs that all carry
@@ -516,9 +520,61 @@ impl MetricsInner {
 /// Lock order (outermost first): queue → cache layer → group state →
 /// ticket state → metrics. Paths only ever take locks left-to-right
 /// along this chain (skipping is fine), so the hierarchy is cycle-free.
+/// A worker waits on [`ServiceCore::seeded`] with the cache layer, and
+/// nothing else, locked.
 struct CacheLayer {
     cache: ResultCache,
     inflight: HashMap<Arc<RequestKey>, Arc<DedupeGroup>>,
+    /// The version vectors at which a worker's cold run is capturing the
+    /// seed right now: at most one capture per vector (see
+    /// [`ServiceCore::claim_seed`]).
+    capturing: Vec<Vec<u64>>,
+    /// The last vector whose seed did not fit `cache_max_bytes`: nobody
+    /// captures or waits at it again.
+    unfit: Option<Vec<u64>>,
+}
+
+/// One worker's claim on capturing the seed at `versions` (see
+/// [`ServiceCore::claim_seed`]). Its cold run installs what it captures
+/// the moment its BBS is done; however the run ends — seed installed,
+/// too large for the cache, pin moved, no capture at all, or a panic —
+/// the claim ends exactly once, clearing the mark and waking the
+/// workers that wait on it.
+struct Capture<'c> {
+    layer: &'c Mutex<CacheLayer>,
+    seeded: &'c Condvar,
+    versions: Vec<u64>,
+    open: bool,
+}
+
+impl Capture<'_> {
+    /// Install `seed` in the cache if it is the skyline at the claimed
+    /// vector (a mutation may have landed between claim and pin), then
+    /// end the claim.
+    fn install(&mut self, seed: EvalSeed) {
+        let mut layer = lock(self.layer);
+        if seed.usable_at(&self.versions) && !layer.cache.offer_seed(Arc::new(seed), &self.versions)
+        {
+            layer.unfit = Some(self.versions.clone());
+        }
+        self.end(layer);
+    }
+
+    fn end(&mut self, mut layer: MutexGuard<'_, CacheLayer>) {
+        layer.capturing.retain(|v| *v != self.versions);
+        self.open = false;
+        drop(layer);
+        self.seeded.notify_all();
+    }
+}
+
+impl Drop for Capture<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            let layer = lock(self.layer);
+            self.end(layer);
+        }
+    }
 }
 
 /// The scheduling heart shared by the long-lived [`EngineService`]
@@ -539,6 +595,9 @@ pub(crate) struct ServiceCore<'a> {
     space: Condvar,
     /// `None` when `cache_capacity == 0`: no caching, no dedupe.
     cached: Option<Mutex<CacheLayer>>,
+    /// Workers that claimed a job while another worker captures the
+    /// seed at its vector wait here for the capture to end.
+    seeded: Condvar,
     /// Ticket ids, also the FIFO tie-break; atomic so cache hits and
     /// dedupe attaches can mint ids without the queue lock.
     ticket_ids: AtomicU64,
@@ -565,8 +624,11 @@ impl<'a> ServiceCore<'a> {
                 Mutex::new(CacheLayer {
                     cache: ResultCache::new(config.cache_capacity, config.cache_max_bytes),
                     inflight: HashMap::new(),
+                    capturing: Vec::new(),
+                    unfit: None,
                 })
             }),
+            seeded: Condvar::new(),
             ticket_ids: AtomicU64::new(0),
             metrics: Arc::new(Mutex::new(MetricsInner::default())),
             started: Instant::now(),
@@ -695,7 +757,7 @@ impl<'a> ServiceCore<'a> {
                 members: Vec::new(),
             }),
         });
-        self.enqueue_with_group(functions, options, submit, group, None)
+        self.enqueue_with_group(functions, options, submit, group)
     }
 
     /// Enqueue a request whose fan-out group is already prepared (and,
@@ -708,7 +770,6 @@ impl<'a> ServiceCore<'a> {
         options: Cow<'a, RequestOptions>,
         submit: SubmitOptions,
         group: Arc<DedupeGroup>,
-        seed: Option<Arc<EvalSeed>>,
     ) -> Result<Ticket, MpqError> {
         let now = Instant::now();
         let (ticket, shared) = self.new_ticket();
@@ -799,7 +860,6 @@ impl<'a> ServiceCore<'a> {
                     functions,
                     options,
                     group,
-                    seed,
                 },
             });
             // Count while the job is provably in the queue (and before
@@ -838,7 +898,7 @@ impl<'a> ServiceCore<'a> {
         };
         let start = Instant::now();
         let key = request_key(&functions, &options);
-        let (group, seed) = {
+        let group = {
             let mut layer = lock(cached);
             if let Some(matching) = layer.cache.get_with_logs(&key, versions, logs) {
                 // Hit: resolve a ticket on the spot — no queue slot, no
@@ -886,11 +946,8 @@ impl<'a> ServiceCore<'a> {
                 // fall through and start a fresh job; the insert below
                 // replaces the stale index entry.
             }
-            // Exact miss, nothing identical in flight: the job takes
-            // the inventory's seed along, if the cache holds it at
-            // these versions, and resumes from it instead of running
-            // BBS (any non-zero bound asks; see `near_miss`).
-            let seed = layer.cache.near_miss(&key, versions, usize::MAX);
+            // Exact miss, nothing identical in flight: a job of its own,
+            // which takes the inventory's seed when a worker claims it.
             let key = Arc::new(key);
             let group = Arc::new(DedupeGroup {
                 key: Some(Arc::clone(&key)),
@@ -901,14 +958,13 @@ impl<'a> ServiceCore<'a> {
                 }),
             });
             layer.inflight.insert(key, Arc::clone(&group));
-            (group, seed)
+            group
         };
         match self.enqueue_with_group(
             Cow::Owned(functions),
             Cow::Owned(options),
             submit,
             Arc::clone(&group),
-            seed,
         ) {
             Ok(ticket) => Ok(ticket),
             Err(e) => {
@@ -971,6 +1027,46 @@ impl<'a> ServiceCore<'a> {
         }
     }
 
+    /// Claim-time seeding of a keyed resumable job: the engine's version
+    /// vector, and the inventory's seed at it if the cache holds one.
+    /// Without one, the worker waits while another worker's cold run
+    /// captures the seed at that vector — until the seed is installed or
+    /// the capture ends without one — and otherwise becomes that capture
+    /// itself, so at most one cold BBS runs per vector. A vector whose
+    /// seed did not fit the cache is neither captured nor waited on
+    /// again.
+    fn claim_seed<'c>(
+        &'c self,
+        engine: &Engine,
+        cached: &'c Mutex<CacheLayer>,
+    ) -> (Vec<u64>, Option<Arc<EvalSeed>>, Option<Capture<'c>>) {
+        let mut layer = lock(cached);
+        loop {
+            let versions = engine.version_vector();
+            if let Some(seed) = layer.cache.seed_at(&versions) {
+                return (versions, Some(seed), None);
+            }
+            if layer.capturing.contains(&versions) {
+                layer = self
+                    .seeded
+                    .wait(layer)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            if layer.unfit.as_ref() == Some(&versions) {
+                return (versions, None, None);
+            }
+            layer.capturing.push(versions.clone());
+            let capture = Capture {
+                layer: cached,
+                seeded: &self.seeded,
+                versions: versions.clone(),
+                open: true,
+            };
+            return (versions, None, Some(capture));
+        }
+    }
+
     /// Run one popped job to resolution on `engine`, then release its
     /// in-flight slot: close the group, expire lapsed members, evaluate
     /// once, publish to the cache, fan the result out to every surviving
@@ -1002,19 +1098,18 @@ impl<'a> ServiceCore<'a> {
         // evaluation reads a tree snapshot pinned at or after this
         // version, so stamping the result with a possibly-older version
         // only makes the cache conservative. Reading the version *after*
-        // evaluating would stamp a pre-mutation result as current.
-        let versions = engine.version_vector();
-        // The seed is only honored if it was captured at exactly this
-        // inventory (the evaluation re-checks against its own pinned
-        // snapshot and may still decline). A job without one runs cold
-        // and captures the seed for the misses after it — if it is
-        // keyed, so that it can publish it.
-        let seed = job.seed.as_deref().filter(|s| s.usable_at(&versions));
-        let mut captured: Option<EvalSeed> = None;
-        let capture = (seed.is_none() && job.group.key.is_some() && self.cached.is_some())
-            .then_some(&mut captured);
+        // evaluating would stamp a pre-mutation result as current. A
+        // keyed resumable job reads it when it claims the seed: see
+        // `claim_seed`, which may wait for another worker's capture.
+        let (versions, seed, mut capture) = match (&self.cached, &job.group.key) {
+            (Some(cached), Some(_)) if job.options.resumable() => self.claim_seed(engine, cached),
+            _ => (engine.version_vector(), None, None),
+        };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.evaluate_seeded(&job.functions, &job.options, scratch, seed, capture)
+            let mut install = capture.as_mut().map(|c| |seed| c.install(seed));
+            let install = install.as_mut().map(|i| i as &mut dyn FnMut(EvalSeed));
+            let seed = seed.as_deref();
+            engine.evaluate_seeded(&job.functions, &job.options, scratch, seed, install)
         }))
         .unwrap_or_else(|_| {
             // The scratch may have been mid-mutation; replace it.
@@ -1022,6 +1117,12 @@ impl<'a> ServiceCore<'a> {
             lock(&self.metrics).panicked += 1;
             Err(MpqError::WorkerPanicked)
         });
+        // However the run ended, its capture has.
+        drop(capture);
+        let (result, resumed) = match result {
+            Ok((matching, resumed)) => (Ok(matching), resumed),
+            Err(e) => (Err(e), false),
+        };
 
         if let Ok(matching) = &result {
             let mut metrics = lock(&self.metrics);
@@ -1034,14 +1135,13 @@ impl<'a> ServiceCore<'a> {
         // must hit.
         if let (Some(key), Some(cached), Ok(matching)) = (&job.group.key, &self.cached, &result) {
             let logs = engine.mutation_logs();
-            // A seed captured from a snapshot newer than the publish
-            // stamp (a mutation landed mid-evaluation) is not the
-            // skyline at `versions`: drop it, publish the matching
-            // alone.
-            let captured = captured.filter(|s| s.usable_at(&versions)).map(Arc::new);
-            lock(cached)
+            let mut layer = lock(cached);
+            if resumed {
+                layer.cache.count_resumed();
+            }
+            layer
                 .cache
-                .insert_with_logs_seeded(key, &versions, matching, &logs, captured);
+                .insert_with_logs(key, &versions, matching, &logs);
         }
         self.release_inflight(&job.group);
 

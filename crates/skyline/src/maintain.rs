@@ -65,13 +65,24 @@
 //! id lookup, the scan index and the arena with every plist as BBS
 //! recorded it move — nothing is copied — behind one `Arc`. A [`Clone`]
 //! bumps that `Arc` and copies what a run owns: the tombstones, the
-//! members promoted since, and an arena of its own holding per member
-//! the tail of entries appended since — empty in a snapshot nobody
-//! maintained. Recording links onto the tail; removing a member reads
-//! its base chain, then its tail. A run that rebuilds its scan index
-//! builds a private one. Nothing behind the `Arc` is written after the
-//! freeze, so the run that built a snapshot, the snapshot and every run
-//! resumed from it share it for as long as any of them lives. The
+//! members promoted since, and the chains of the tails appended since —
+//! empty in a snapshot nobody maintained. Removing a member reads its
+//! base chain, then its tail.
+//!
+//! Slots are numbered across both arenas: the base's `B` slots are
+//! `0..B`, the run's own arena holds slots `B..`, and an id or corner
+//! read dispatches on that range. A run's own arena only ever holds
+//! entries it read from pages itself. A base entry that a departure
+//! re-homes or re-heaps stays where BBS wrote it: the run links the
+//! base slot itself, through a link column of its own over the base's
+//! slots (`u32` per slot, allocated at the first such link), and never
+//! copies its id or corner. Only own slots are recycled; a consumed
+//! base slot is simply never linked again. Nothing orders by slot
+//! number — the heap orders by key and id — so the numbering changes no
+//! push, no page read and no promotion. A run that rebuilds its scan
+//! index builds a private one. Nothing behind the `Arc` is written after
+//! the freeze, so the run that built a snapshot, the snapshot and every
+//! run resumed from it share it for as long as any of them lives. The
 //! serving layer keeps one such snapshot per inventory version and
 //! resumes every evaluation from it (see `mpq_core::seed`).
 
@@ -134,7 +145,7 @@ enum EntryId {
 /// best corner), with deterministic tie-breaking: subtrees before points,
 /// then ascending id — so of coordinate-identical objects the smallest
 /// id is promoted (see [`SkylineMaintainer::settle`]). The entry itself
-/// waits in a slot of the maintainer's [`Slots`].
+/// waits in a slot, the base's or the run's.
 #[derive(Debug)]
 struct HeapEntry {
     key: f64,
@@ -177,13 +188,14 @@ impl Ord for HeapEntry {
 const NONE: u32 = u32::MAX;
 
 /// Entries — pruned ones on plists, candidates in the heap — as slots
-/// of one arena, column-wise (see the [module docs](self)): slot `s` is
+/// of an arena, column-wise (see the [module docs](self)): slot `s` is
 /// entry `ids[s]` with upper corner — the best point the entry could
 /// contain — `corners[s * dim..][..dim]`. A plist is a chain of slots
-/// in recording order, so pruning a candidate, or re-homing an entry
-/// within one arena, *links* its slot to the new owner and copies
-/// nothing; slots of consumed entries are recycled through a free list,
-/// so recording allocates nothing once the arena has grown.
+/// in recording order, so pruning a candidate or re-homing an entry
+/// *links* its slot to the new owner and copies nothing; slots of
+/// consumed entries are recycled through a free list, so recording
+/// allocates nothing once the arena has grown. Indices here are the
+/// arena's own; the maintainer numbers a run's arena after the base's.
 #[derive(Debug, Clone, Default)]
 struct Slots {
     ids: Vec<EntryId>,
@@ -196,44 +208,25 @@ struct Slots {
 }
 
 impl Slots {
-    fn store(&mut self, id: EntryId, hi: &[f64]) -> u32 {
+    fn store(&mut self, id: EntryId, hi: &[f64]) -> usize {
         match self.free.pop() {
             Some(slot) => {
                 let at = slot as usize * hi.len();
                 self.ids[slot as usize] = id;
                 self.corners[at..at + hi.len()].copy_from_slice(hi);
-                slot
+                slot as usize
             }
             None => {
                 self.ids.push(id);
                 self.corners.extend_from_slice(hi);
                 self.next.push(NONE);
-                (self.next.len() - 1) as u32
+                self.next.len() - 1
             }
         }
     }
 
-    /// Append `slot` to `owner`'s chain.
-    fn link(&mut self, owner: usize, slot: u32) {
-        self.next[slot as usize] = NONE;
-        let [first, last] = &mut self.chains[owner];
-        match *last {
-            NONE => *first = slot,
-            last => self.next[last as usize] = slot,
-        }
-        *last = slot;
-    }
-
-    fn corner(&self, slot: u32, dim: usize) -> &[f64] {
-        &self.corners[slot as usize * dim..][..dim]
-    }
-
-    /// The entries on `member`'s chain, in recording order.
-    fn chain(&self, member: usize, dim: usize) -> impl Iterator<Item = (EntryId, &[f64])> + '_ {
-        let slot = |slot: u32| (slot != NONE).then_some(slot);
-        let first = self.chains.get(member).and_then(|&[first, _]| slot(first));
-        std::iter::successors(first, move |&at| slot(self.next[at as usize]))
-            .map(move |at| (self.ids[at as usize], self.corner(at, dim)))
+    fn corner(&self, at: usize, dim: usize) -> &[f64] {
+        &self.corners[at * dim..][..dim]
     }
 
     fn bytes(&self) -> usize {
@@ -333,9 +326,14 @@ pub struct SkylineMaintainer {
     /// Tombstone per member, base and own.
     dead: Vec<bool>,
     alive: usize,
-    /// Per member, base and own: the entries it pruned since the freeze
-    /// — and the candidates in `heap`.
+    /// Per member, base and own: the tail of entries linked to it since
+    /// the freeze; and the run's own arena, slots `B..` (see the
+    /// [module docs](self)).
     slots: Slots,
+    /// Per base slot, the slot after it in this run's chains: a base
+    /// entry is re-homed by linking it where it lies. Empty until the
+    /// first such link.
+    relinked: Vec<u32>,
     /// The scan index this run rebuilt for itself; `None` = the base's.
     index: Option<Vec<Cut>>,
     /// Members `0..indexed` are in the scan index (tombstones included);
@@ -376,6 +374,7 @@ impl Clone for SkylineMaintainer {
             dead: self.dead.clone(),
             alive: self.alive,
             slots: self.slots.clone(),
+            relinked: self.relinked.clone(),
             index: self.index.clone(),
             indexed: self.indexed,
             stale: self.stale,
@@ -418,6 +417,7 @@ impl SkylineMaintainer {
             dead: Vec::new(),
             alive: 0,
             slots: Slots::default(),
+            relinked: Vec::new(),
             index: None,
             indexed: 0,
             stale: 0,
@@ -494,21 +494,24 @@ impl SkylineMaintainer {
         }
 
         // Re-home entries still dominated by a surviving skyline object;
-        // the rest become candidates (the paper's `Scand`). What the base
-        // recorded for a departed member is only read, so a snapshot
-        // keeps sharing it; the slots of its tail move as they are.
+        // the rest become candidates (the paper's `Scand`). The base
+        // chain of a departed member is only read: its slots are linked
+        // where they lie, so a snapshot keeps sharing them and nothing is
+        // copied. The slots of its tail move as they are.
         let (base, dim) = (Arc::clone(&self.base), self.dim);
         let mut corner = std::mem::take(&mut self.corner);
         for &m in &departed {
-            for (id, hi) in base.plists.chain(m, dim) {
-                let slot = self.slots.store(id, hi);
-                self.rehome(slot, hi);
+            let mut slot = base.plists.chains.get(m).map_or(NONE, |&[first, _]| first);
+            while slot != NONE {
+                let at = slot as usize;
+                self.rehome(slot, base.plists.corner(at, dim));
+                slot = base.plists.next[at];
             }
             let [mut slot, _] = std::mem::replace(&mut self.slots.chains[m], [NONE; 2]);
             while slot != NONE {
-                let next = self.slots.next[slot as usize];
+                let next = self.next(slot);
                 corner.clear();
-                corner.extend_from_slice(self.slots.corner(slot, dim));
+                corner.extend_from_slice(self.corner(slot));
                 self.rehome(slot, &corner);
                 slot = next;
             }
@@ -533,7 +536,76 @@ impl SkylineMaintainer {
             + self.own.bytes()
             + self.dead.capacity()
             + self.slots.bytes()
+            + self.relinked.capacity() * 4
             + self.index.as_deref().map_or(0, cuts)
+    }
+
+    /// `slot`'s index in the run's own arena; `None` for a base slot
+    /// (see the [module docs](self)).
+    fn own(&self, slot: u32) -> Option<usize> {
+        (slot as usize).checked_sub(self.base.plists.next.len())
+    }
+
+    /// Where `slot` lives: the base's arena or the run's, and its index
+    /// there.
+    fn arena(&self, slot: u32) -> (&Slots, usize) {
+        match self.own(slot) {
+            None => (&self.base.plists, slot as usize),
+            Some(own) => (&self.slots, own),
+        }
+    }
+
+    fn entry(&self, slot: u32) -> EntryId {
+        let (arena, at) = self.arena(slot);
+        arena.ids[at]
+    }
+
+    fn corner(&self, slot: u32) -> &[f64] {
+        let (arena, at) = self.arena(slot);
+        arena.corner(at, self.dim)
+    }
+
+    /// The slot after `slot` in this run's chains.
+    fn next(&self, slot: u32) -> u32 {
+        match self.own(slot) {
+            None => self.relinked[slot as usize],
+            Some(own) => self.slots.next[own],
+        }
+    }
+
+    fn next_mut(&mut self, slot: u32) -> &mut u32 {
+        match self.own(slot) {
+            None => {
+                if self.relinked.is_empty() {
+                    self.relinked = vec![NONE; self.base.plists.next.len()];
+                }
+                &mut self.relinked[slot as usize]
+            }
+            Some(own) => &mut self.slots.next[own],
+        }
+    }
+
+    /// Append `slot` to `owner`'s tail.
+    fn link(&mut self, owner: usize, slot: u32) {
+        *self.next_mut(slot) = NONE;
+        match self.slots.chains[owner][1] {
+            NONE => self.slots.chains[owner][0] = slot,
+            last => *self.next_mut(last) = slot,
+        }
+        self.slots.chains[owner][1] = slot;
+    }
+
+    /// A slot of the run's own arena holding `id` at corner `hi`.
+    fn store(&mut self, id: EntryId, hi: &[f64]) -> u32 {
+        (self.base.plists.next.len() + self.slots.store(id, hi)) as u32
+    }
+
+    /// Give back the slot of a consumed entry: an own slot is recycled,
+    /// a base slot is simply never linked again.
+    fn release(&mut self, slot: u32) {
+        if let Some(own) = self.own(slot) {
+            self.slots.free.push(own as u32);
+        }
     }
 
     /// The live member holding `oid` (most are the base's: look there
@@ -613,10 +685,10 @@ impl SkylineMaintainer {
     fn settle(&mut self, slot: u32, hi: &[f64]) -> bool {
         let owner = self.find_dominator(hi);
         match owner {
-            Some(owner) => self.slots.link(owner, slot),
+            Some(owner) => self.link(owner, slot),
             None => self.heap.push(HeapEntry {
                 key: mindist_to_best(hi),
-                id: self.slots.ids[slot as usize],
+                id: self.entry(slot),
                 slot,
             }),
         }
@@ -638,13 +710,13 @@ impl SkylineMaintainer {
         let mut hi = std::mem::take(&mut self.corner);
         while let Some(e) = self.heap.pop() {
             hi.clear();
-            hi.extend_from_slice(self.slots.corner(e.slot, self.dim));
+            hi.extend_from_slice(self.corner(e.slot));
             if let Some(owner) = self.find_dominator(&hi) {
                 self.stats.entries_pruned += 1;
-                self.slots.link(owner, e.slot);
+                self.link(owner, e.slot);
                 continue;
             }
-            self.slots.free.push(e.slot);
+            self.release(e.slot);
             match e.id {
                 EntryId::Point(oid) => self.promote(oid, &hi),
                 EntryId::Subtree(pid) => {
@@ -679,7 +751,7 @@ impl SkylineMaintainer {
     /// One child of an expanded node: into its dominator's plist, or —
     /// undominated so far — into the candidate heap.
     fn admit(&mut self, id: EntryId, hi: &[f64]) {
-        let slot = self.slots.store(id, hi);
+        let slot = self.store(id, hi);
         if self.settle(slot, hi) {
             self.stats.entries_pruned += 1;
         }
@@ -798,6 +870,17 @@ mod tests {
             (0..self.dead.len())
                 .rev()
                 .find(|&m| !self.dead[m] && dominates_or_equal(self.point(m), x))
+        }
+
+        /// The slots of `member`'s plist: the base chain as BBS
+        /// recorded it, then this run's tail.
+        fn plist(&self, member: usize) -> impl Iterator<Item = u32> + '_ {
+            let slot = |slot: u32| (slot != NONE).then_some(slot);
+            let base = &self.base.plists;
+            let recorded = base.chains.get(member).and_then(|&[first, _]| slot(first));
+            let recorded = std::iter::successors(recorded, move |&s| slot(base.next[s as usize]));
+            let tail = slot(self.slots.chains[member][0]);
+            recorded.chain(std::iter::successors(tail, move |&s| slot(self.next(s))))
         }
     }
 
@@ -1018,11 +1101,10 @@ mod tests {
         (oids.enumerate())
             .filter(|&(member, _)| !m.dead[member])
             .map(|(member, &oid)| {
-                let recorded = m.base.plists.chain(member, m.dim);
                 let (mut ids, mut corners) = (Vec::new(), Vec::new());
-                for (id, hi) in recorded.chain(m.slots.chain(member, m.dim)) {
-                    ids.push(id);
-                    corners.extend(hi.iter().map(|c| c.to_bits()));
+                for slot in m.plist(member) {
+                    ids.push(m.entry(slot));
+                    corners.extend(m.corner(slot).iter().map(|c| c.to_bits()));
                 }
                 (oid, ids, corners)
             })
@@ -1073,6 +1155,51 @@ mod tests {
         removed_a.insert(victim_a);
         assert_eq!(sky_ids(&a), naive_skyline_excluding(&ps, &removed_a));
         assert_eq!(format!("{:?}", b.base), frozen);
+    }
+
+    /// A resumed run re-homes and re-heaps the base's entries where they
+    /// lie: its own arena grows only by entries it read from pages after
+    /// the clone, never by a copy of one the base holds.
+    #[test]
+    fn a_resumed_run_links_base_entries_in_place() {
+        let ps = Distribution::AntiCorrelated.generate(1500, 3, 7);
+        let tree = RTree::bulk_load(&ps, params());
+        let seed = SkylineMaintainer::build(&tree);
+        let src = Recording {
+            tree: &tree,
+            reads: RefCell::default(),
+        };
+        let mut run = seed.clone();
+        for victim in sky_ids(&seed).into_iter().step_by(2) {
+            run.remove(&[victim], &src);
+        }
+        let moved = run.stats().entries_rehomed + run.stats().entries_reheaped;
+
+        let mut read = Vec::new();
+        for &pid in src.reads.borrow().iter() {
+            match &*tree.read_node(pid) {
+                Node::Leaf(leaf) => read.extend(leaf.iter().map(|(oid, _)| EntryId::Point(oid))),
+                Node::Inner(inner) => read.extend(
+                    (0..inner.len())
+                        .map(|i| EntryId::Subtree(tree.child_page(pid, inner.child(i)))),
+                ),
+            }
+        }
+        let own = &run.slots;
+        assert!(own.ids.iter().all(|id| read.contains(id)));
+        assert!(own.ids.len() <= read.len(), "{} slots", own.ids.len());
+        assert_eq!(own.corners.len(), own.ids.len() * 3);
+        assert!(
+            moved > own.ids.len() as u64,
+            "{moved} entries moved, {} own slots",
+            own.ids.len()
+        );
+        // The base entries were linked through the run's column ...
+        assert_eq!(run.relinked.len(), seed.base.plists.ids.len());
+        assert!(seed.relinked.is_empty() && seed.slots.ids.is_empty());
+        // ... and the run still holds the skyline of what is left.
+        let removed: HashSet<u64> = sky_ids(&seed).into_iter().step_by(2).collect();
+        assert_eq!(sky_ids(&run), naive_skyline_excluding(&ps, &removed));
     }
 
     /// A node source that records the pages read through it, in order.

@@ -4,14 +4,18 @@
 //! **bit-identical** to fresh sequential evaluation, cancellation and
 //! deadlines stay per-submission (a follower's fate never touches the
 //! leader), and inventory-version stamping makes cache entries die with
-//! the engine they were computed against.
+//! the engine they were computed against. The inventory's seed is
+//! captured by one cold run per version and every other miss resumes
+//! from it, without a worker ever waiting on a capture that ended
+//! (`one_capture_per_version_*`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{EngineService, ResultCache, ServiceConfig, SubmitOptions};
+use mpq::core::{EngineService, IndexConfig, ResultCache, ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
+use mpq::rtree::{FaultInjector, FaultKind, FaultOp};
 use mpq::ta::FunctionSet;
 
 /// A shared inventory sized so one SB evaluation takes long enough
@@ -596,4 +600,134 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
         step(943, true);
         service.shutdown();
     }
+}
+
+/// A fresh 2 000-object inventory whose page reads all reach an injected
+/// page store (a one-page buffer), and the injector.
+fn injected_engine() -> (Arc<Engine>, Arc<FaultInjector>) {
+    let w = WorkloadBuilder::new()
+        .objects(2_000)
+        .functions(1)
+        .dim(3)
+        .distribution(Distribution::AntiCorrelated)
+        .seed(44)
+        .build();
+    let inj = FaultInjector::shared();
+    let index = IndexConfig {
+        page_size: 512,
+        buffer_fraction: 0.0,
+        min_buffer_pages: 1,
+    };
+    let engine = Engine::builder()
+        .objects(&w.objects)
+        .index(index)
+        .fault_injector(Arc::clone(&inj))
+        .build()
+        .unwrap();
+    (Arc::new(engine), inj)
+}
+
+/// Submit every set at once to `service`, wait for all of them, check
+/// each against a sequential cold evaluation, shut the service down and
+/// return its last metrics. The first page read after the submissions
+/// takes 300 ms — the capturing run's BBS — so every worker that claims
+/// a miss meanwhile waits for the capture. A ticket still unresolved
+/// after 60 s fails the test — a worker waits on a capture that ended —
+/// and the service is then left running: shutting it down would join
+/// that worker forever.
+fn submit_at_once(
+    engine: &Arc<Engine>,
+    inj: &FaultInjector,
+    service: EngineService,
+    sets: &[FunctionSet],
+) -> mpq::core::ServiceMetrics {
+    let sequential: Vec<Matching> = sets
+        .iter()
+        .map(|functions| engine.request(functions).evaluate().unwrap())
+        .collect();
+    let service = std::mem::ManuallyDrop::new(service);
+    let client = service.client();
+    inj.fail_nth(
+        FaultOp::PageRead,
+        0,
+        FaultKind::Delay(Duration::from_millis(300)),
+    );
+    let tickets: Vec<_> = sets
+        .iter()
+        .map(|functions| client.submit(client.engine().request(functions)).unwrap())
+        .collect();
+    for (i, (ticket, cold)) in tickets.into_iter().zip(&sequential).enumerate() {
+        match ticket.wait_timeout(Duration::from_secs(60)) {
+            Ok(served) => assert_identical(&served.unwrap(), cold, &format!("set {i}")),
+            Err(_) => panic!("set {i}: no result in 60 s — a lost wake-up"),
+        }
+    }
+    let metrics = client.metrics();
+    std::mem::ManuallyDrop::into_inner(service).shutdown();
+    metrics
+}
+
+#[test]
+fn one_capture_per_version_serves_every_other_miss_from_it() {
+    // Eight distinct misses on a fresh inventory, four workers: the
+    // first claim runs BBS and installs the seed right after it; the
+    // workers that claim meanwhile wait for it instead of running BBS
+    // again, and every later claim finds it.
+    let (engine, inj) = injected_engine();
+    let sets: Vec<FunctionSet> = (0..8).map(|i| fast_functions(950 + i)).collect();
+    let service = engine.clone().serve(ServiceConfig::default().workers(4));
+    let metrics = submit_at_once(&engine, &inj, service, &sets);
+    assert_eq!(metrics.cache.seeded_hits, 7);
+}
+
+#[test]
+fn one_capture_per_version_never_waits_on_a_seed_that_does_not_fit() {
+    // A cache too small for the seed: the capture installs nothing, the
+    // workers waiting on it wake and run cold, nobody waits on that
+    // vector again, and nothing resumes.
+    let (engine, inj) = injected_engine();
+    let sets: Vec<FunctionSet> = (0..8).map(|i| fast_functions(960 + i)).collect();
+    let (_, seed) = engine
+        .request(&sets[0])
+        .evaluate_seeded(&mut Scratch::new(), None)
+        .unwrap();
+    let seed_bytes = seed.expect("a cold run captures").approx_bytes();
+    let config = ServiceConfig::default()
+        .workers(4)
+        .cache_max_bytes(seed_bytes / 2);
+    let metrics = submit_at_once(&engine, &inj, engine.clone().serve(config), &sets);
+    assert_eq!(metrics.cache.seeded_hits, 0);
+}
+
+#[test]
+fn one_capture_per_version_resumes_a_miss_queued_behind_it() {
+    // One worker, two misses submitted back to back: the second was
+    // queued before the first captured anything, and takes the seed
+    // when the worker claims it.
+    let (engine, inj) = injected_engine();
+    let sets = [fast_functions(970), fast_functions(971)];
+    let service = engine.clone().serve(ServiceConfig::default().workers(1));
+    let metrics = submit_at_once(&engine, &inj, service, &sets);
+    assert_eq!(metrics.cache.seeded_hits, 1);
+}
+
+#[test]
+fn one_capture_per_version_outlives_a_capture_that_panicked() {
+    let (engine, inj) = injected_engine();
+    let service = engine.clone().serve(ServiceConfig::default().workers(1));
+
+    // The capture panics inside its BBS and installs nothing; the claim
+    // it held at this vector must end with it, or the next claim here
+    // would wait for it forever.
+    inj.fail_from(FaultOp::PageRead, 0, FaultKind::Panic);
+    let doomed = service
+        .client()
+        .submit(engine.request(&fast_functions(980)));
+    let outcome = doomed.unwrap().wait();
+    assert_eq!(outcome.unwrap_err(), MpqError::WorkerPanicked);
+    inj.clear();
+
+    let sets = [fast_functions(981), fast_functions(982)];
+    let metrics = submit_at_once(&engine, &inj, service, &sets);
+    assert_eq!((metrics.panicked, metrics.cache.seeded_hits), (1, 1));
 }
