@@ -14,9 +14,7 @@
 //! ```
 
 use mpq_bench::{build_engine, env_usize, print_cell, print_header, run_cell_on};
-use mpq_core::{
-    index_build_count, Algorithm, BestPairMode, BfStrategy, IndexConfig, MaintenanceMode,
-};
+use mpq_core::{index_build_count, Algorithm, IndexConfig};
 use mpq_datagen::{Distribution, Workload, WorkloadBuilder};
 
 fn workload(n: usize, f: usize, dim: usize) -> Workload {
@@ -39,7 +37,8 @@ fn multipair() {
     print_header("A1 multi-pair per loop (independent, D=4)");
     for (label, multi) in [("multi/", true), ("single/", false)] {
         let request = engine.request(&w.functions).multi_pair(multi);
-        print_cell(label, &run_cell_on("SB", &engine, request));
+        let cell = run_cell_on("SB", &engine, request.algorithm(Algorithm::Sb));
+        print_cell(label, &cell);
     }
 }
 
@@ -52,12 +51,12 @@ fn maintenance() {
     );
     let engine = build_engine(&w, IndexConfig::default());
     print_header("A2 skyline maintenance (independent, D=4, reduced scale)");
-    for (label, method, mode) in [
-        ("incremental/", "SB", MaintenanceMode::Incremental),
-        ("rescan/", "SB-rescan", MaintenanceMode::Rescan),
+    for (label, algorithm) in [
+        ("incremental/", Algorithm::Sb),
+        ("rescan/", Algorithm::SbRescan),
     ] {
-        let request = engine.request(&w.functions).maintenance(mode);
-        print_cell(label, &run_cell_on(method, &engine, request));
+        let request = engine.request(&w.functions).algorithm(algorithm);
+        print_cell(label, &run_cell_on(algorithm.name(), &engine, request));
     }
 }
 
@@ -69,12 +68,12 @@ fn threshold() {
     );
     let engine = build_engine(&w, IndexConfig::default());
     print_header("A3 best-pair search (independent, D=4)");
-    for (label, mode) in [
-        ("ta-tight/", BestPairMode::Ta),
-        ("ta-naive/", BestPairMode::TaNaiveThreshold),
-        ("scan/", BestPairMode::Scan),
+    for (label, algorithm) in [
+        ("ta-tight/", Algorithm::Sb),
+        ("ta-naive/", Algorithm::SbNaiveThreshold),
+        ("scan/", Algorithm::SbScan),
     ] {
-        let request = engine.request(&w.functions).best_pair(mode);
+        let request = engine.request(&w.functions).algorithm(algorithm);
         print_cell(label, &run_cell_on("SB", &engine, request));
     }
 }
@@ -111,7 +110,7 @@ fn functions() {
         // each |F| is a workload of its own
         let w = workload(n, f, 4);
         let engine = build_engine(&w, IndexConfig::default());
-        let request = engine.request(&w.functions);
+        let request = engine.request(&w.functions).algorithm(Algorithm::Sb);
         print_cell(&format!("F={f}/"), &run_cell_on("SB", &engine, request));
     }
 }
@@ -124,15 +123,9 @@ fn bf() {
     );
     let engine = build_engine(&w, IndexConfig::default());
     print_header("A6 Brute Force strategy (independent, D=4)");
-    for (method, strategy) in [
-        ("BruteForce", BfStrategy::Incremental),
-        ("BruteForce-restart", BfStrategy::Restart),
-    ] {
-        let request = engine
-            .request(&w.functions)
-            .algorithm(Algorithm::BruteForce)
-            .bf_strategy(strategy);
-        print_cell("", &run_cell_on(method, &engine, request));
+    for algorithm in [Algorithm::BruteForce, Algorithm::BruteForceRestart] {
+        let request = engine.request(&w.functions).algorithm(algorithm);
+        print_cell("", &run_cell_on(algorithm.name(), &engine, request));
     }
 }
 

@@ -37,7 +37,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mpq_bench::json::Json;
-use mpq_core::Algorithm;
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_net::{decode_pairs, HttpClient, Server, ServerConfig, TenantConfig, TenantRegistry};
 use mpq_ta::FunctionSet;
@@ -400,11 +399,7 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
         let wire_pairs = decode_pairs(&resp.body).expect("decode pairs");
         let fs = FunctionSet::try_from_rows(DIM, &rows).expect("rows are valid");
         let engine = server.registry().get("primary").expect("tenant").engine();
-        let direct = engine
-            .request(&fs)
-            .algorithm(Algorithm::Sb)
-            .evaluate()
-            .expect("direct evaluation");
+        let direct = engine.request(&fs).evaluate().expect("direct evaluation");
         wire_pairs.len() == direct.len()
             && wire_pairs.iter().zip(direct.pairs()).all(|(w, d)| {
                 w.fid == d.fid && w.oid == d.oid && w.score.to_bits() == d.score.to_bits()

@@ -8,7 +8,7 @@
 //! fault-matrix artifacts — and the ledger, the repo's one benchmark,
 //! which links none of this library.
 
-use mpq_core::{Algorithm, Engine, IndexConfig, MatchRequest, Matching};
+use mpq_core::{Algorithm, Engine, IndexConfig, Matching, Variant};
 use mpq_datagen::Workload;
 use mpq_ta::FunctionSet;
 
@@ -65,17 +65,17 @@ pub fn build_engine(w: &Workload, index: IndexConfig) -> Engine {
         .expect("workload objects are valid")
 }
 
-/// Evaluate `request` — built against `engine` — and collect a [`Cell`]
-/// labeled `method`.
+/// Evaluate `variant` — a request built against `engine`, turned into
+/// the run the cell measures — and collect a [`Cell`] labeled `method`.
 ///
 /// The shared LRU buffer is **cold-started before the run**, so cells
 /// are order-independent and match the paper's cold-buffer methodology
 /// (without the reset, method N+1 would read pages method N left hot).
 /// Consequently this is a sequential measurement harness — do not share
 /// the engine with concurrent requests while cells run.
-pub fn run_cell_on(method: &str, engine: &Engine, request: MatchRequest<'_, '_>) -> Cell {
+pub fn run_cell_on(method: &str, engine: &Engine, variant: Variant<'_, '_>) -> Cell {
     engine.tree().clear_buffer();
-    let m: Matching = request.evaluate().expect("workload inputs are valid");
+    let m: Matching = variant.evaluate().expect("workload inputs are valid");
     let met = m.metrics();
     Cell {
         method: method.to_string(),
@@ -96,9 +96,9 @@ pub fn run_cell_on(method: &str, engine: &Engine, request: MatchRequest<'_, '_>)
 pub fn print_methods(engine: &Engine, functions: &FunctionSet) {
     for algorithm in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
         let skip = match algorithm {
-            Algorithm::Sb => false,
             Algorithm::BruteForce => env_flag("MPQ_SKIP_BF"),
             Algorithm::Chain => env_flag("MPQ_SKIP_CHAIN"),
+            _ => false,
         };
         if !skip {
             let request = engine.request(functions).algorithm(algorithm);
@@ -163,7 +163,8 @@ mod tests {
             .seed(1)
             .build();
         let engine = build_engine(&w, IndexConfig::default());
-        let c = run_cell_on("SB", &engine, engine.request(&w.functions));
+        let sb = engine.request(&w.functions).algorithm(Algorithm::Sb);
+        let c = run_cell_on("SB", &engine, sb);
         assert_eq!(c.method, "SB");
         assert_eq!(c.pairs, 20);
         assert!(c.logical > 0);

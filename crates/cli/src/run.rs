@@ -2,15 +2,15 @@
 //! matcher, emit the assignment as CSV on stdout and metrics on stderr.
 //!
 //! ```text
-//! mpq match --objects rooms.csv --functions users.csv [--algorithm sb|bf|chain]
+//! mpq match --objects rooms.csv --functions users.csv [--algo sb|bf|chain]
 //!           [--output out.csv] [--no-normalize-check]
 //! mpq generate --distribution independent|correlated|anti-correlated|zillow
 //!              --objects N --dim D [--seed S]   # emits an objects CSV
 //! mpq throughput --objects rooms.csv --functions users.csv
-//!                [--algo sb|bf|chain] [--requests R] [--threads T]
+//!                [--requests R] [--threads T]
 //!                # serve R copies of the request on T threads and report req/s
 //! mpq serve --objects rooms.csv --functions users.csv
-//!           [--algo sb|bf|chain] [--requests R] [--workers N]
+//!           [--requests R] [--workers N]
 //!           [--queue-cap M] [--reject] [--cache N] [--data-dir DIR]
 //!           # replay R copies through the EngineService submission
 //!           # queue and report ServiceMetrics (repeat-heavy: the
@@ -95,9 +95,9 @@ const USAGE: &str = "usage:
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
   mpq throughput --objects <objects.csv> --functions <functions.csv>
-                 [--algo sb|bf|chain] [--requests <R>] [--threads <T>]
+                 [--requests <R>] [--threads <T>]
   mpq serve --objects <objects.csv> --functions <functions.csv>
-            [--algo sb|bf|chain] [--requests <R>] [--workers <N>]
+            [--requests <R>] [--workers <N>]
             [--queue-cap <M>] [--reject] [--cache <N>] [--data-dir <dir>]
             [--shards <K>]
             # replay R copies of the request through the EngineService
@@ -155,6 +155,17 @@ fn parse_shards(args: &[String]) -> Result<usize, CliError> {
 fn parse_algorithm(args: &[String]) -> Result<Algorithm, CliError> {
     let name = arg_value(args, "--algo").or_else(|| arg_value(args, "--algorithm"));
     name.unwrap_or("sb").parse().map_err(CliError::usage)
+}
+
+/// `throughput` and `serve` run the served request, which is SB alone:
+/// any other `--algo` is a usage error that points at `mpq match`.
+fn require_sb(args: &[String]) -> Result<(), CliError> {
+    match parse_algorithm(args)? {
+        Algorithm::Sb => Ok(()),
+        other => Err(CliError::usage(format!(
+            "a served request is SB alone; run {other} with `mpq match --algo`"
+        ))),
+    }
 }
 
 fn read_table(path: &str) -> Result<Table, CliError> {
@@ -272,7 +283,7 @@ fn cli_from_mpq(e: MpqError) -> CliError {
 fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
     let objects_path = required(args, "--objects")?;
     let functions_path = required(args, "--functions")?;
-    let algorithm = parse_algorithm(args)?;
+    require_sb(args)?;
     let requests: usize = int_flag(args, "--requests", 32)?;
     let threads: usize = int_flag(args, "--threads", 0)?; // 0 = one worker per core
     let (objects, _) = read_objects(objects_path)?;
@@ -284,9 +295,7 @@ fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
         .build()
         .map_err(cli_from_mpq)?;
 
-    let batch: Vec<_> = (0..requests)
-        .map(|_| engine.request(&functions).algorithm(algorithm))
-        .collect();
+    let batch: Vec<_> = (0..requests).map(|_| engine.request(&functions)).collect();
 
     // Cold-start the shared buffer before each timed phase, like the
     // scaling harness does — otherwise the batch pass would run on a
@@ -316,10 +325,9 @@ fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
     let seq_rps = requests as f64 / seq_secs.max(f64::MIN_POSITIVE);
     let par_rps = met.requests_per_sec();
     Ok(format!(
-        "{} x{requests} requests over {} objects\n\
+        "SB x{requests} requests over {} objects\n\
          sequential: {:.2} req/s ({:.3}s)\n\
          batch t={}: {:.2} req/s ({:.3}s)  speedup {:.2}x  (all matchings identical)\n",
-        algorithm.name(),
         objects.len(),
         seq_rps,
         seq_secs,
@@ -342,10 +350,10 @@ fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
 /// bit-identical to a sequential evaluation before anything is
 /// reported.
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
+    require_sb(args)?;
     if arg_value(args, "--listen").is_some() {
         return cmd_serve_listen(args);
     }
-    let algorithm = parse_algorithm(args)?;
     let requests: usize = int_flag(args, "--requests", 32)?;
     let workers: usize = int_flag(args, "--workers", 0)?; // 0 = one worker per core
     let queue_cap: usize = int_flag(args, "--queue-cap", 64)?;
@@ -390,7 +398,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let (functions, _) = read_functions(required(args, "--functions")?, engine.dim())?;
     let expected = engine
         .request(&functions)
-        .algorithm(algorithm)
         .evaluate()
         .map_err(cli_from_mpq)?
         .sorted_pairs();
@@ -407,7 +414,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut tickets = Vec::with_capacity(requests);
     let mut rejected = 0usize;
     for _ in 0..requests {
-        match client.submit(engine.request(&functions).algorithm(algorithm)) {
+        match client.submit(engine.request(&functions)) {
             Ok(t) => tickets.push(t),
             Err(MpqError::Overloaded) => rejected += 1,
             Err(e) => return Err(cli_from_mpq(e)),
@@ -435,10 +442,9 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let metrics = client.metrics();
 
     Ok(format!(
-        "{} x{requests} requests over {} objects{} via EngineService \
+        "SB x{requests} requests over {} objects{} via EngineService \
          (queue cap {queue_cap}, {} backpressure{}{storage})\n{metrics}\n\
          all served matchings identical to {reference}\n",
-        algorithm.name(),
         engine.n_objects(),
         if k > 1 {
             format!(" in {k} shards")
@@ -770,6 +776,24 @@ mod tests {
         let sb = run("sb");
         assert_eq!(sb, run("bf"));
         assert_eq!(sb, run("chain"));
+    }
+
+    #[test]
+    fn serving_commands_refuse_a_non_sb_algorithm() {
+        for command in ["serve", "throughput"] {
+            let err = run_cli(&args(&[
+                command,
+                "--objects",
+                "x.csv",
+                "--functions",
+                "y.csv",
+                "--algo",
+                "bf",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.code, 2, "{command}");
+            assert!(err.message.contains("mpq match"), "{}", err.message);
+        }
     }
 
     #[test]

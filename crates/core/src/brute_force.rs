@@ -1,5 +1,7 @@
-//! The Brute Force algorithm (§III-A of the paper) — what a request
-//! runs under [`Algorithm::BruteForce`](crate::Algorithm::BruteForce).
+//! The Brute Force algorithm (§III-A of the paper) — what a
+//! [`Variant`](crate::Variant) runs under
+//! [`Algorithm::BruteForce`](crate::Algorithm::BruteForce) and
+//! [`Algorithm::BruteForceRestart`](crate::Algorithm::BruteForceRestart).
 //!
 //! One top-1 ranked query per function seeds a global max-heap of
 //! candidate pairs. The heap top with a still-available object is
@@ -9,7 +11,7 @@
 //!
 //! Two re-search strategies are provided:
 //!
-//! * [`BfStrategy::Incremental`] (default, the paper's adaptation of the
+//! * incremental (`BruteForce`, the paper's adaptation of the
 //!   branch-and-bound ranked search of Tao et al.): every function
 //!   keeps its **incremental top-k iterator** alive; when a popped
 //!   candidate's object has been assigned, the iterator simply resumes
@@ -18,7 +20,7 @@
 //!   reports Brute Force exceeding 4 GB on anti-correlated `D = 6` data
 //!   (we track the frontier size in
 //!   [`crate::matching::RunMetrics::peak_frontier`]).
-//! * [`BfStrategy::Restart`]: an invalidated function re-runs a fresh
+//! * restart (`BruteForceRestart`): an invalidated function re-runs a fresh
 //!   top-1 search from the root, skipping assigned objects. No
 //!   persistent state, but popular objects trigger storms of full
 //!   searches.
@@ -67,16 +69,6 @@ impl Ord for Cand {
         // max, so reverse it.
         self.0.cmp(&other.0).reverse()
     }
-}
-
-/// How an invalidated function finds its next-best object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BfStrategy {
-    /// Persistent incremental ranked iterators (the paper's method).
-    #[default]
-    Incremental,
-    /// Fresh top-1 search (skipping assigned objects) per invalidation.
-    Restart,
 }
 
 /// Incremental Brute Force over any node source. Objects in `excluded`
@@ -240,7 +232,7 @@ mod tests {
         }
     }
 
-    fn run(strategy: BfStrategy, objects: &PointSet, functions: &FunctionSet) -> Matching {
+    fn run(strategy: Algorithm, objects: &PointSet, functions: &FunctionSet) -> Matching {
         let engine = Engine::builder()
             .index(tiny_index())
             .objects(objects)
@@ -248,8 +240,7 @@ mod tests {
             .unwrap();
         engine
             .request(functions)
-            .algorithm(Algorithm::BruteForce)
-            .bf_strategy(strategy)
+            .algorithm(strategy)
             .evaluate()
             .unwrap()
     }
@@ -263,7 +254,7 @@ mod tests {
             .seed(11)
             .build();
         let expect = reference_matching(&w.objects, &w.functions);
-        for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
+        for strategy in [Algorithm::BruteForce, Algorithm::BruteForceRestart] {
             let m = run(strategy, &w.objects, &w.functions);
             assert_eq!(
                 m.pairs(),
@@ -283,7 +274,7 @@ mod tests {
             .distribution(Distribution::AntiCorrelated)
             .seed(3)
             .build();
-        let m = run(BfStrategy::Incremental, &w.objects, &w.functions);
+        let m = run(Algorithm::BruteForce, &w.objects, &w.functions);
         assert!(m.pairs().windows(2).all(|p| p[0].score >= p[1].score));
     }
 
@@ -295,7 +286,7 @@ mod tests {
             .dim(2)
             .seed(7)
             .build();
-        for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
+        for strategy in [Algorithm::BruteForce, Algorithm::BruteForceRestart] {
             let m = run(strategy, &w.objects, &w.functions);
             assert_eq!(m.len(), 10, "{strategy:?}");
             verify_stable(&w.objects, &w.functions, m.pairs()).unwrap();
@@ -310,7 +301,7 @@ mod tests {
             .dim(2)
             .seed(9)
             .build();
-        let m = run(BfStrategy::Incremental, &w.objects, &w.functions);
+        let m = run(Algorithm::BruteForce, &w.objects, &w.functions);
         let met = m.metrics();
         assert!(met.peak_frontier > 0, "frontier memory must be tracked");
         assert_eq!(met.io.physical_writes, 0, "BF never mutates the index");
@@ -325,7 +316,7 @@ mod tests {
             .dim(2)
             .seed(9)
             .build();
-        let m = run(BfStrategy::Restart, &w.objects, &w.functions);
+        let m = run(Algorithm::BruteForceRestart, &w.objects, &w.functions);
         let met = m.metrics();
         assert_eq!(
             met.io.physical_writes, 0,
@@ -344,11 +335,10 @@ mod tests {
             .build();
         let fs = mpq_ta::FunctionSet::new(2);
         let engine = Engine::builder().objects(&w.objects).build().unwrap();
-        for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
+        for strategy in [Algorithm::BruteForce, Algorithm::BruteForceRestart] {
             let err = engine
                 .request(&fs)
-                .algorithm(Algorithm::BruteForce)
-                .bf_strategy(strategy)
+                .algorithm(strategy)
                 .evaluate()
                 .unwrap_err();
             assert_eq!(err, MpqError::EmptyFunctions, "{strategy:?}");
@@ -373,7 +363,7 @@ mod tests {
             ],
         );
         let expect = reference_matching(&ps, &fs);
-        for strategy in [BfStrategy::Incremental, BfStrategy::Restart] {
+        for strategy in [Algorithm::BruteForce, Algorithm::BruteForceRestart] {
             let m = run(strategy, &ps, &fs);
             assert_eq!(m.pairs(), &expect[..], "{strategy:?}");
         }

@@ -26,8 +26,8 @@
 //!
 //! The key ([`RequestKey`]) is *canonical*: it covers the function-set
 //! rows (weight bits, in function-id order, with tombstone flags), the
-//! [`Algorithm`] and every evaluation knob of the
-//! request, the exclusion set (**order-insensitively** — the request
+//! request's one knob (`multi_pair` — a served request is SB alone), the
+//! exclusion set (**order-insensitively** — the request
 //! keeps it sorted and deduplicated from the start, and the key copies
 //! that list), and the capacity vector.
 //! Equality compares the full key material, not just the 64-bit hash,
@@ -56,10 +56,20 @@ use std::sync::{Mutex, PoisonError};
 
 use mpq_ta::FunctionSet;
 
-use crate::engine::{Algorithm, RequestOptions};
+use crate::engine::RequestOptions;
 use crate::matching::{Matching, Pair};
-use crate::sb::{BestPairMode, MaintenanceMode};
 use crate::seed::EvalSeed;
+
+/// The words a key holds between the function rows and the exclusion
+/// count: one per knob of [`RequestOptions`], `multi_pair` alone.
+/// [`request_key`] writes them and `KeyView::parse` skips them, both by
+/// this one count.
+const KNOB_WORDS: usize = 1;
+
+/// The knob words of `options`, in key order.
+fn knob_words(options: &RequestOptions) -> [u64; KNOB_WORDS] {
+    [u64::from(options.multi_pair)]
+}
 
 /// A canonical, collision-proof identity of one evaluation request:
 /// everything that can change the resulting [`Matching`], and nothing
@@ -69,7 +79,7 @@ use crate::seed::EvalSeed;
 /// Two requests have equal keys **iff** evaluating them against the same
 /// inventory is guaranteed to produce bit-identical matchings: the
 /// function rows (bit-exact weights, in function-id order, including
-/// tombstones), the algorithm and all its knobs, the exclusion set
+/// tombstones), `multi_pair`, the exclusion set
 /// (compared as a set — insertion order is irrelevant) and the capacity
 /// vector all agree. Equality compares the full material, so the
 /// precomputed hash only accelerates lookups — it can never cause a
@@ -116,26 +126,7 @@ pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> 
         m.extend(functions.weights(fid).iter().map(|w| w.to_bits()));
     }
 
-    // Every evaluation knob of RequestOptions.
-    m.push(match options.algorithm {
-        Algorithm::Sb => 0,
-        Algorithm::BruteForce => 1,
-        Algorithm::Chain => 2,
-    });
-    m.push(match options.best_pair {
-        BestPairMode::Ta => 0,
-        BestPairMode::TaNaiveThreshold => 1,
-        BestPairMode::Scan => 2,
-    });
-    m.push(match options.maintenance {
-        MaintenanceMode::Incremental => 0,
-        MaintenanceMode::Rescan => 1,
-    });
-    m.push(u64::from(options.multi_pair));
-    m.push(match options.bf_strategy {
-        crate::brute_force::BfStrategy::Incremental => 0,
-        crate::brute_force::BfStrategy::Restart => 1,
-    });
+    m.extend(knob_words(options));
 
     // Exclusions are a set, already canonical: `MatchRequest::exclude`
     // keeps them sorted and deduplicated, so two identical requests key
@@ -297,8 +288,8 @@ impl<'k> KeyView<'k> {
         let dim = *material.first()? as usize;
         let n_fns = *material.get(1)? as usize;
         let rows_end = 2 + n_fns.checked_mul(dim + 1)?;
-        // rows, then 5 knob words, then the exclusion count
-        let n_excl_at = rows_end + 5;
+        // rows, then the knob words, then the exclusion count
+        let n_excl_at = rows_end + KNOB_WORDS;
         let n_excl = *material.get(n_excl_at)? as usize;
         let excl = material.get(n_excl_at + 1..n_excl_at + 1 + n_excl)?;
         let has_caps = *material.get(n_excl_at + 1 + n_excl)? != 0;
@@ -975,11 +966,6 @@ mod tests {
     fn key_covers_every_knob() {
         let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
         let base = request_key(&functions, &RequestOptions::default());
-        let o = RequestOptions {
-            algorithm: Algorithm::Chain,
-            ..RequestOptions::default()
-        };
-        assert_ne!(base, request_key(&functions, &o));
         let o = RequestOptions {
             multi_pair: false,
             ..RequestOptions::default()

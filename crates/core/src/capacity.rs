@@ -30,8 +30,8 @@
 //! `invisible` predicate names. An exclusion is an object with no unit
 //! from the start.
 //!
-//! The contract, for every `multi_pair` × `best_pair`, evaluated or
-//! streamed, cold or resumed: [`Matching::sorted_pairs`] is
+//! The contract, for either `multi_pair`, evaluated or streamed, cold or
+//! resumed: [`Matching::sorted_pairs`] is
 //! `to_bits`-equal to [`reference_capacity_matching`] over the visible
 //! capacities (an excluded object has none) and passes
 //! [`verify_capacity_stable`]. Emission order is per-round canonical,

@@ -1,6 +1,7 @@
 //! The Chain algorithm — adaptation of Wong et al., "On Efficient
 //! Spatial Matching" (VLDB 2007), as described in §V of the paper; what
-//! a request runs under [`Algorithm::Chain`](crate::Algorithm::Chain).
+//! a [`Variant`](crate::Variant) runs under
+//! [`Algorithm::Chain`](crate::Algorithm::Chain).
 //!
 //! The functions are indexed by a **main-memory R-tree built on their
 //! weight vectors**; the nearest-neighbor module of the spatial chain

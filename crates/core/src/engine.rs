@@ -56,15 +56,15 @@ use mpq_rtree::{
     DiskPager, FaultInjector, FaultPageStore, Forest, IoSession, IoStats, MemPager, PageStore,
     PointSet, RTree,
 };
-use mpq_ta::FunctionSet;
+use mpq_ta::{FunctionSet, ThresholdMode};
 
-use crate::brute_force::{run_incremental_on, run_restart_on, BfStrategy};
+use crate::brute_force::{run_incremental_on, run_restart_on};
 use crate::cache::{MutationEvent, MutationLog};
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching};
 use crate::objects::{Cut, ObjectTable};
-use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, BestPairMode, MaintenanceMode, SbStream};
+use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, SbStream, SERVED_THRESHOLD};
 use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
 use crate::service::{evaluate_batch, lock, safe_rate, EngineService, ServiceConfig};
@@ -79,18 +79,33 @@ pub(crate) const PAGE_FILE: &str = "pages.mpq";
 /// Write-ahead log file name inside a shard's directory.
 const WAL_FILE: &str = "wal.mpq";
 
-/// Which stable-matching algorithm a [`MatchRequest`] runs.
+/// What the figures and the tests compare: the paper's algorithm, its
+/// §IV ablations and its two competitors, each a loop of its own. A
+/// served request runs SB alone; [`MatchRequest::algorithm`] turns a
+/// request into a [`Variant`] that runs one of these.
 ///
-/// All three produce the identical matching (the canonical tie-broken
-/// stable assignment); they differ in cost profile. `Sb` is the paper's
-/// contribution and the right default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// All produce the identical matching (the canonical tie-broken stable
+/// assignment); they differ in cost profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
-    /// Skyline-based matching (§III-B/§IV) — the paper's algorithm.
-    #[default]
+    /// Skyline-based matching (§III-B/§IV) — the paper's algorithm, and
+    /// what a served request runs.
     Sb,
-    /// Per-function top-1 queries with lazy invalidation (§III-A).
+    /// SB with TA's classic (loose) threshold instead of the tight one
+    /// (ablation A3, §IV-A).
+    SbNaiveThreshold,
+    /// SB finding a skyline object's best function by a linear scan of
+    /// the functions — the inner loop §IV-A's TA replaces (A3).
+    SbScan,
+    /// SB recomputing the skyline by BBS every loop, the strawman §IV-B
+    /// calls "unacceptably expensive" (A2).
+    SbRescan,
+    /// Per-function top-1 queries with lazy invalidation, each
+    /// function's ranked search resumed where it stopped (§III-A).
     BruteForce,
+    /// Brute Force re-running a fresh top-1 search per invalidation
+    /// (A6).
+    BruteForceRestart,
     /// Chains of alternating top-1 searches (adapted competitor, §V).
     Chain,
 }
@@ -100,7 +115,11 @@ impl Algorithm {
     pub fn name(self) -> &'static str {
         match self {
             Algorithm::Sb => "SB",
+            Algorithm::SbNaiveThreshold => "SB-ta-naive",
+            Algorithm::SbScan => "SB-scan",
+            Algorithm::SbRescan => "SB-rescan",
             Algorithm::BruteForce => "BruteForce",
+            Algorithm::BruteForceRestart => "BruteForce-restart",
             Algorithm::Chain => "Chain",
         }
     }
@@ -1010,7 +1029,7 @@ impl Engine {
     }
 
     /// Start a [`MatchRequest`] for `functions` with default options
-    /// (SB algorithm, multi-pair reporting, no exclusions).
+    /// (multi-pair reporting, no exclusions, no capacities).
     pub fn request<'e, 'f>(&'e self, functions: &'f FunctionSet) -> MatchRequest<'e, 'f> {
         MatchRequest {
             engine: self,
@@ -1084,14 +1103,10 @@ impl Engine {
         (Forest::new(sessions), versions)
     }
 
-    /// The single evaluation code path: validate, pin every shard, run
-    /// the request's algorithm over the forest of the pins. A usable
-    /// `seed` primes the evaluation; a run that had none and ran cold
-    /// hands the inventory's [`EvalSeed`] to `capture` as soon as its
-    /// BBS is done. The resumable configurations are SB with incremental
-    /// maintenance ([`RequestOptions::resumable`]), which every
-    /// capacitated request is; the others silently decline both, so
-    /// callers never branch on the algorithm. The flag beside the
+    /// The served evaluation path: validate, pin every shard, run SB
+    /// over the forest of the pins. A usable `seed` primes the run; a
+    /// run that had none and ran cold hands the inventory's [`EvalSeed`]
+    /// to `capture` as soon as its BBS is done. The flag beside the
     /// matching says whether the run primed from `seed`.
     pub(crate) fn evaluate_seeded(
         &self,
@@ -1103,22 +1118,15 @@ impl Engine {
     ) -> Result<(Matching, bool), MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
-        let (src, versions) = self.pin();
-        if options.resumable() {
-            return Ok(run_sb_seeded(
-                src, versions, functions, options, scratch, seed, capture,
-            ));
-        }
-        let exclude = &options.exclude;
-        let cold = match options.algorithm {
-            Algorithm::Sb => run_rescan_on(&src, functions, options, scratch),
-            Algorithm::BruteForce => match options.bf_strategy {
-                BfStrategy::Incremental => run_incremental_on(&src, functions, exclude, scratch),
-                BfStrategy::Restart => run_restart_on(&src, functions, exclude, scratch),
-            },
-            Algorithm::Chain => run_chain_on(&self.config, &src, functions, exclude, scratch),
-        };
-        Ok((cold, false))
+        Ok(run_sb_seeded(
+            self.pin(),
+            functions,
+            options,
+            SERVED_THRESHOLD,
+            scratch,
+            seed,
+            capture,
+        ))
     }
 
     /// Evaluate a slice of independent requests on a built-in scoped
@@ -1159,12 +1167,16 @@ impl Engine {
 /// [`Forest`].
 type Pins<'e> = Forest<IoSession<'e>>;
 
-/// One evaluation against a prepared [`Engine`], configured fluently —
-/// the only request builder. Every knob means on `K` shards what it
-/// means on one.
+/// One served evaluation against a prepared [`Engine`], configured
+/// fluently — the only request builder, and the one request type the
+/// cache, the service, [`Engine::evaluate_batch`], streams and the wire
+/// see. It runs SB over its functions, exclusions, capacities and
+/// `multi_pair`, and every knob means on `K` shards what it means on
+/// one. [`MatchRequest::algorithm`] turns it into a harness
+/// [`Variant`] instead.
 ///
 /// ```
-/// # use mpq_core::{Algorithm, Engine};
+/// # use mpq_core::Engine;
 /// # use mpq_rtree::PointSet;
 /// # use mpq_ta::FunctionSet;
 /// # let mut objects = PointSet::new(2);
@@ -1173,7 +1185,6 @@ type Pins<'e> = Forest<IoSession<'e>>;
 /// # let functions = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
 /// let matching = engine
 ///     .request(&functions)
-///     .algorithm(Algorithm::Sb)
 ///     .exclude([1u64]) // object 1 is already reserved
 ///     .evaluate()
 ///     .unwrap();
@@ -1191,33 +1202,17 @@ pub struct MatchRequest<'e, 'f> {
 /// travel through the [`crate::service`] queue to a worker thread.
 #[derive(Debug, Clone)]
 pub(crate) struct RequestOptions {
-    pub(crate) algorithm: Algorithm,
-    pub(crate) best_pair: BestPairMode,
-    pub(crate) maintenance: MaintenanceMode,
     pub(crate) multi_pair: bool,
-    pub(crate) bf_strategy: BfStrategy,
     /// Sorted and deduplicated by [`MatchRequest::exclude`], the one
     /// place that adds to it.
     pub(crate) exclude: Vec<u64>,
     pub(crate) capacities: Option<Vec<u32>>,
 }
 
-impl RequestOptions {
-    /// Can the run resume from the inventory's seed — SB with
-    /// incremental maintenance, the one run that keeps a skyline?
-    pub(crate) fn resumable(&self) -> bool {
-        self.algorithm == Algorithm::Sb && self.maintenance == MaintenanceMode::Incremental
-    }
-}
-
 impl Default for RequestOptions {
     fn default() -> RequestOptions {
         RequestOptions {
-            algorithm: Algorithm::Sb,
-            best_pair: BestPairMode::Ta,
-            maintenance: MaintenanceMode::Incremental,
             multi_pair: true,
-            bf_strategy: BfStrategy::Incremental,
             exclude: Vec::new(),
             capacities: None,
         }
@@ -1263,58 +1258,31 @@ pub(crate) fn validate_request(
                 got: caps.len(),
             });
         }
-        if options.algorithm != Algorithm::Sb {
-            return Err(MpqError::UnsupportedRequest(
-                "capacities are only supported with Algorithm::Sb",
-            ));
-        }
-        // Units are taken by the one SB round (`SbRun::round`), under
-        // any `multi_pair` and `best_pair`; the rescan strawman is
-        // another loop and knows nothing of them.
-        if options.maintenance != MaintenanceMode::Incremental {
-            return Err(MpqError::UnsupportedRequest(
-                "capacities do not support the rescan maintenance ablation",
-            ));
-        }
     }
     Ok(())
 }
 
-impl<'e> MatchRequest<'e, '_> {
-    /// Select the algorithm (default [`Algorithm::Sb`]).
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.options.algorithm = algorithm;
-        self
+impl<'e, 'f> MatchRequest<'e, 'f> {
+    /// Turn the request into a harness run of `algorithm` — SB, one of
+    /// its ablations or one of the paper's competitors — evaluated
+    /// directly against the engine: a [`Variant`] keeps the functions,
+    /// the exclusions and `multi_pair`, and has no cache key, no stream
+    /// and no service. A request that carries capacities is refused when
+    /// the variant evaluates.
+    pub fn algorithm(self, algorithm: Algorithm) -> Variant<'e, 'f> {
+        Variant {
+            request: self,
+            algorithm,
+        }
     }
 
-    /// SB only: how the best function per skyline object is located
-    /// (default [`BestPairMode::Ta`]).
-    pub fn best_pair(mut self, mode: BestPairMode) -> Self {
-        self.options.best_pair = mode;
-        self
-    }
-
-    /// SB only: skyline currency strategy (default
-    /// [`MaintenanceMode::Incremental`]).
-    pub fn maintenance(mut self, mode: MaintenanceMode) -> Self {
-        self.options.maintenance = mode;
-        self
-    }
-
-    /// SB only: report all mutually-best pairs per loop (§IV-C, default
-    /// `true`) or only the canonical best — with or without
+    /// Report all mutually-best pairs per loop (§IV-C, default `true`)
+    /// or only the canonical best — with or without
     /// [`capacities`](MatchRequest::capacities). The matching is the
     /// same; the emission order ([`Matching::pairs`]) and the number of
     /// loops are what change.
     pub fn multi_pair(mut self, multi: bool) -> Self {
         self.options.multi_pair = multi;
-        self
-    }
-
-    /// Brute Force only: re-search strategy (default
-    /// [`BfStrategy::Incremental`]).
-    pub fn bf_strategy(mut self, strategy: BfStrategy) -> Self {
-        self.options.bf_strategy = strategy;
         self
     }
 
@@ -1333,11 +1301,11 @@ impl<'e> MatchRequest<'e, '_> {
     }
 
     /// Per-object capacities (the many-to-one extension): `caps[oid]`
-    /// users may share object `oid`. Requires [`Algorithm::Sb`] with
-    /// incremental maintenance and a capacity for every object id up to
-    /// the engine's id bound; every other knob, and
+    /// users may share object `oid`. Requires a capacity for every
+    /// object id up to the engine's id bound; every other knob, and
     /// [`stream`](MatchRequest::stream), means what it means without
-    /// them (see [`crate::capacity`] for the contract).
+    /// them (see [`crate::capacity`] for the contract). A [`Variant`]
+    /// refuses them: only the served SB round takes units.
     pub fn capacities(mut self, caps: &[u32]) -> Self {
         self.options.capacities = Some(caps.to_vec());
         self
@@ -1365,9 +1333,9 @@ impl<'e> MatchRequest<'e, '_> {
     }
 
     /// The canonical cache identity of this request: covers the function
-    /// rows (bit-exact, in function-id order, with tombstones), the
-    /// algorithm and every evaluation knob, the exclusion set
-    /// (order-insensitively) and the capacity vector. Pair it with
+    /// rows (bit-exact, in function-id order, with tombstones),
+    /// `multi_pair`, the exclusion set (order-insensitively) and the
+    /// capacity vector. Pair it with
     /// [`Engine::version_vector`] to use a
     /// [`ResultCache`](crate::ResultCache) standalone; the
     /// [`EngineService`] computes the same key internally on every
@@ -1403,11 +1371,9 @@ impl<'e> MatchRequest<'e, '_> {
     }
 
     /// Seed-capable [`MatchRequest::evaluate_with`]: primes the run from
-    /// `seed` when the configuration is resumable and the seed is still
-    /// pinned to the engine's current inventory — otherwise runs cold;
-    /// the dispatch is uniform, so callers never branch on the
-    /// algorithm. Returns the matching together with the
-    /// [`EvalSeed`] a cold resumable run captured — the inventory's
+    /// `seed` when the seed is still pinned to the engine's current
+    /// inventory — otherwise runs cold. Returns the matching together
+    /// with the [`EvalSeed`] a cold run captured — the inventory's
     /// skyline, which can prime *any* later request against the same
     /// inventory. A run that resumed returns `None`: keep the seed it
     /// was handed.
@@ -1440,27 +1406,68 @@ impl<'e> MatchRequest<'e, '_> {
 
     /// Progressive SB evaluation: returns a stream that yields stable
     /// pairs as soon as they are identified, reading the shared index
-    /// through its own run-scoped I/O sessions.
-    ///
-    /// Requires [`Algorithm::Sb`] with incremental maintenance; yields
+    /// through its own run-scoped I/O sessions. It yields
     /// [`evaluate`](MatchRequest::evaluate)'s pairs in its order.
     pub fn stream(&self) -> Result<SbStream<Pins<'e>>, MpqError> {
         self.validate()?;
-        if self.options.algorithm != Algorithm::Sb {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming is only supported with Algorithm::Sb",
-            ));
-        }
-        if self.options.maintenance != MaintenanceMode::Incremental {
-            return Err(MpqError::UnsupportedRequest(
-                "streaming requires incremental skyline maintenance",
-            ));
-        }
         Ok(stream_on(
             self.engine.pin().0,
             self.functions,
             &self.options,
         ))
+    }
+}
+
+/// A request turned into a harness run by [`MatchRequest::algorithm`]:
+/// one [`Algorithm`] over the request's functions, exclusions and
+/// `multi_pair`, evaluated directly against the engine. The figures,
+/// the ablations and the cross-algorithm tests are what it is for;
+/// nothing serves it — it has no cache key, no stream and no service.
+#[derive(Debug)]
+pub struct Variant<'e, 'f> {
+    request: MatchRequest<'e, 'f>,
+    algorithm: Algorithm,
+}
+
+impl Variant<'_, '_> {
+    /// [`Variant::evaluate_with`] on a fresh [`Scratch`].
+    pub fn evaluate(&self) -> Result<Matching, MpqError> {
+        self.evaluate_with(&mut Scratch::new())
+    }
+
+    /// Validate and run the variant, serving its working state from a
+    /// caller-owned reusable [`Scratch`]. Refused with
+    /// [`MpqError::UnsupportedRequest`] if the request carried
+    /// capacities: only the served SB round takes units.
+    pub fn evaluate_with(&self, scratch: &mut Scratch) -> Result<Matching, MpqError> {
+        let MatchRequest {
+            engine,
+            functions,
+            options,
+        } = &self.request;
+        if options.capacities.is_some() {
+            return Err(MpqError::UnsupportedRequest(
+                "capacities are only supported by the served SB request",
+            ));
+        }
+        validate_functions(engine.dim, functions)?;
+        engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        let pins = engine.pin();
+        let (src, exclude) = (&pins.0, &options.exclude);
+        Ok(match self.algorithm {
+            Algorithm::SbRescan => run_rescan_on(src, functions, options, scratch),
+            Algorithm::BruteForce => run_incremental_on(src, functions, exclude, scratch),
+            Algorithm::BruteForceRestart => run_restart_on(src, functions, exclude, scratch),
+            Algorithm::Chain => run_chain_on(&engine.config, src, functions, exclude, scratch),
+            sb => {
+                let threshold = match sb {
+                    Algorithm::SbNaiveThreshold => Some(ThresholdMode::Naive),
+                    Algorithm::SbScan => None,
+                    _ => SERVED_THRESHOLD,
+                };
+                run_sb_seeded(pins, functions, options, threshold, scratch, None, None).0
+            }
+        })
     }
 }
 

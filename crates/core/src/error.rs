@@ -70,7 +70,7 @@ pub enum MpqError {
         got: usize,
     },
     /// The request combines options the engine cannot serve together
-    /// (e.g. capacities with a non-SB algorithm).
+    /// (e.g. capacities on a harness [`Variant`](crate::Variant)).
     UnsupportedRequest(&'static str),
     /// The service's submission queue is full and its backpressure
     /// policy is [`BackpressurePolicy::Reject`]. The request was not

@@ -6,26 +6,30 @@
 //! matching obtained by repeatedly assigning the `(f, o)` pair with the
 //! globally highest score `f(o)` and removing both.
 //!
-//! Three algorithms compute it, selected by [`Algorithm`] on the one
-//! request builder ([`MatchRequest`]):
+//! One algorithm serves it. A [`MatchRequest`] — the one request the
+//! cache, the service, batches, streams and the wire see — runs the
+//! paper's contribution, "SB" (§III-B/§IV, the [`sb`] module): maintain
+//! the skyline of the remaining objects incrementally ([`mpq_skyline`]),
+//! find each skyline object's best function with a tight-threshold
+//! reverse top-1 TA scan ([`mpq_ta`]), and report *all* mutually-best
+//! pairs per loop (§IV-C, `multi_pair`).
 //!
-//! * [`Algorithm::Sb`] — the paper's contribution ("SB", §III-B/§IV, the
-//!   [`sb`] module): maintain the skyline of the remaining objects
-//!   incrementally ([`mpq_skyline`]), find each skyline object's best
-//!   function with a reverse top-1 TA scan ([`mpq_ta`]), and report
-//!   *all* mutually-best pairs per loop (§IV-C). The §IV options are
-//!   knobs of the same request ([`BestPairMode`], [`MaintenanceMode`],
-//!   `multi_pair`).
-//! * [`Algorithm::BruteForce`] — §III-A ([`brute_force`]): one top-1
-//!   ranked query per function against the object R-tree and a global
-//!   heap with lazy invalidation ([`BfStrategy`]); assigned objects are
-//!   masked per run, not deleted.
-//! * [`Algorithm::Chain`] — the adapted competitor of §V (Wong et al.,
-//!   VLDB 2007, [`chain`]): functions indexed by a main-memory R-tree on
-//!   their weights; chains of alternating top-1 searches until a
+//! What SB is measured against is one call away:
+//! [`MatchRequest::algorithm`] turns a request into a [`Variant`], an
+//! uncached, unserved harness run of one [`Algorithm`]:
+//!
+//! * SB itself, or one of its §IV ablations — TA's naive threshold, a
+//!   linear scan of the functions, BBS recomputed every loop;
+//! * Brute Force — §III-A ([`brute_force`]): one top-1 ranked query per
+//!   function against the object R-tree and a global heap with lazy
+//!   invalidation, each function's search resumed or restarted;
+//!   assigned objects are masked per run, not deleted;
+//! * Chain — the adapted competitor of §V (Wong et al., VLDB 2007,
+//!   [`chain`]): functions indexed by a main-memory R-tree on their
+//!   weights; chains of alternating top-1 searches until a
 //!   mutually-best pair surfaces.
 //!
-//! All three produce the **same matching** (asserted by the test suite):
+//! All of them produce the **same matching** (asserted by the test suite):
 //! scores are tie-broken deterministically by `(score desc, function id
 //! asc, object id asc)` end to end, which makes the stable matching
 //! unique even on adversarial tie-heavy inputs.
@@ -101,8 +105,8 @@
 //!
 //! The [`shard`] module partitions the object set by object id into `K`
 //! independent shards — each with its own R-tree, buffer pool and WAL
-//! segment — and the engine reads them as one index: every algorithm
-//! and stream runs over `K` trees as it runs over one, and the
+//! segment — and the engine reads them as one index: every request,
+//! stream and variant runs over `K` trees as it runs over one, and the
 //! matching is bit-identical at every `K`. A mutation is one record in
 //! one shard's WAL, and the cache stamps results with a per-shard
 //! version vector so one shard's mutations never invalidate another
@@ -140,16 +144,17 @@ pub mod shard;
 pub mod verify;
 pub mod wal;
 
-pub use brute_force::BfStrategy;
 pub use cache::{CacheMetrics, RequestKey, ResultCache};
 pub use capacity::CapacityMatching;
-pub use engine::{Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, MatchRequest};
+pub use engine::{
+    Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, MatchRequest, Variant,
+};
 pub use error::MpqError;
 pub use json::Json;
 pub use matching::{index_build_count, IndexConfig, Matching, Pair, RunMetrics};
 pub use monotone::MonotoneFunction;
 pub use reference::{reference_matching, reference_matching_excluding};
-pub use sb::{BestPairMode, MaintenanceMode, SbStream};
+pub use sb::SbStream;
 pub use scratch::Scratch;
 pub use seed::EvalSeed;
 pub use service::{

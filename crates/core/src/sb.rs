@@ -1,6 +1,7 @@
 //! The Skyline-Based (SB) algorithm — the paper's contribution (§III-B,
-//! implemented with the optimizations of §IV), and what a request runs
-//! under the default [`Algorithm::Sb`](crate::Algorithm::Sb).
+//! implemented with the optimizations of §IV), and what every served
+//! request runs; its ablations are [`Algorithm`](crate::Algorithm)s of
+//! a [`Variant`](crate::Variant).
 //!
 //! Key facts exploited:
 //!
@@ -116,40 +117,10 @@ pub(crate) const FBEST_RANKS: usize = 8;
 /// Top-`K` skyline objects cached per function.
 const OBEST_RANKS: usize = 8;
 
-/// How the best function for a skyline object is located (ablation A3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BestPairMode {
-    /// Reverse top-1 TA scan over sorted coefficient lists (§IV-A).
-    #[default]
-    Ta,
-    /// TA with the classic (loose) threshold instead of the tight one.
-    TaNaiveThreshold,
-    /// Linear scan of all alive functions (the brute-force inner loop
-    /// the paper's TA replaces).
-    Scan,
-}
-
-impl BestPairMode {
-    /// The threshold of the mode's TA scans; `None` for a scan of `F`.
-    fn threshold(self) -> Option<ThresholdMode> {
-        match self {
-            BestPairMode::Ta => Some(ThresholdMode::Tight),
-            BestPairMode::TaNaiveThreshold => Some(ThresholdMode::Naive),
-            BestPairMode::Scan => None,
-        }
-    }
-}
-
-/// How the skyline is kept current across loops (ablation A2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaintenanceMode {
-    /// Incremental maintenance with plists (§IV-B).
-    #[default]
-    Incremental,
-    /// Recompute BBS from scratch every loop — the strawman the paper
-    /// calls "unacceptably expensive".
-    Rescan,
-}
+/// The threshold of a served request's reverse top-1 scans: §IV-A's
+/// tight one. The naive threshold and the scan of `F` (`None`) are
+/// ablations a [`Variant`](crate::Variant) asks for.
+pub(crate) const SERVED_THRESHOLD: Option<ThresholdMode> = Some(ThresholdMode::Tight);
 
 /// Round-local buffers of the SB matching loop, reused across rounds
 /// (and, through [`Scratch`], across runs) so a round allocates nothing.
@@ -231,7 +202,7 @@ pub(crate) trait FunctionSide {
 }
 
 /// A linear request's function side: the working copy of its
-/// [`FunctionSet`] and, unless `best_pair` scans, the copy's reverse
+/// [`FunctionSet`] and, unless the run scans `F`, the copy's reverse
 /// top-1 index.
 struct Linear {
     fs: FunctionSet,
@@ -243,12 +214,16 @@ struct Linear {
 impl Linear {
     /// `functions`, copied into the buffers of `scratch`'s working set
     /// (`SbRun::into_scratch` hands them back).
-    fn new(scratch: &mut Scratch, functions: &FunctionSet, mode: BestPairMode) -> Linear {
+    fn new(
+        scratch: &mut Scratch,
+        functions: &FunctionSet,
+        threshold: Option<ThresholdMode>,
+    ) -> Linear {
         let fs = std::mem::replace(&mut scratch.fs, FunctionSet::new(1));
         let mut side = Linear {
             fs,
             rt1: None,
-            threshold: mode.threshold(),
+            threshold,
         };
         side.load(functions);
         side
@@ -580,16 +555,14 @@ impl<R: NodeSource> SbRun<R, Linear> {
 /// (the engine's run-scoped pins). The objects the request
 /// cannot see — excluded, or without a unit of capacity — are removed
 /// from the initial skyline along with every such promotion they
-/// uncover. Reads `best_pair`, `multi_pair`, `exclude` and `capacities`
-/// from `options`; the request path has already checked that the rest
-/// describe a streamable request.
+/// uncover. Every knob of `options` carries over to the stream.
 pub(crate) fn stream_on<R: NodeSource>(
     src: R,
     functions: &FunctionSet,
     options: &RequestOptions,
 ) -> SbStream<R> {
     let mut scratch = Scratch::new();
-    let linear = Linear::new(&mut scratch, functions, options.best_pair);
+    let linear = Linear::new(&mut scratch, functions, SERVED_THRESHOLD);
     let mask = Mask::new(options);
     let run = SbRun::new(src, scratch, linear, mask, options.multi_pair, None, None);
     SbStream {
@@ -598,9 +571,12 @@ pub(crate) fn stream_on<R: NodeSource>(
     }
 }
 
-/// Non-streaming SB evaluation of one request over the pinned `src`;
-/// `versions` is the inventory version vector it is pinned at, `None`
-/// if a mutation straddled a pin (see `Engine::pin`). The entire
+/// Non-streaming SB evaluation of one request over `pins`: the pinned
+/// source and the inventory version vector it is pinned at, `None` if
+/// a mutation straddled a pin (see `Engine::pin`). `threshold` is the
+/// reverse top-1 scans' — [`SERVED_THRESHOLD`] for every served
+/// request; the naive one, or `None` to scan `F`, for the §IV-A
+/// ablations. The entire
 /// per-run state —
 /// working function set, rank-list caches, round buffers — is served
 /// from a reusable [`Scratch`] (lent to the run, handed back at the
@@ -625,10 +601,10 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// `tests/seed_identity.rs`). The flag beside the matching says whether
 /// the run primed from `seed`.
 pub(crate) fn run_sb_seeded<R: NodeSource>(
-    src: R,
-    versions: Option<Vec<u64>>,
+    (src, versions): (R, Option<Vec<u64>>),
     functions: &FunctionSet,
     options: &RequestOptions,
+    threshold: Option<ThresholdMode>,
     scratch: &mut Scratch,
     seed: Option<&EvalSeed>,
     capture: Option<&mut dyn FnMut(EvalSeed)>,
@@ -644,7 +620,7 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
             }
         });
     let mut lent = std::mem::take(scratch);
-    let linear = Linear::new(&mut lent, functions, options.best_pair);
+    let linear = Linear::new(&mut lent, functions, threshold);
     let mut run = SbRun::new(
         src,
         lent,
@@ -666,7 +642,9 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
 /// The §IV-B strawman: full BBS recomputation per loop, no rank-list
 /// caches — but still scratch-served, so the per-loop BBS heap, skyline
 /// buffer, and pair buffers are reused instead of reallocated. The
-/// request's excluded objects are invisible throughout.
+/// request's excluded objects are invisible throughout; best functions
+/// are found by tight-threshold TA scans, as a served request finds
+/// them.
 pub(crate) fn run_rescan_on<R: NodeSource>(
     src: &R,
     functions: &FunctionSet,
@@ -679,8 +657,7 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
     let fs = &mut scratch.fs;
     let mut assigned = Assigned::new(&options.exclude, &mut scratch.assigned);
     let bufs = &mut scratch.round;
-    let threshold = options.best_pair.threshold();
-    let mut rt1 = threshold.map(|_| ReverseTopOne::build(fs));
+    let mut rt1 = ReverseTopOne::build(fs);
     let mut metrics = RunMetrics::default();
     let mut pairs: Vec<Pair> = Vec::new();
 
@@ -701,10 +678,7 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
         bufs.rescan_best.clear();
         for (_, point) in sky {
             metrics.reverse_top1_calls += 1;
-            let best = match (&mut rt1, threshold) {
-                (Some(rt1), Some(t)) => rt1.best_for_with(fs, point, t),
-                _ => fs.scan_best(point),
-            };
+            let best = rt1.best_for_with(fs, point, ThresholdMode::Tight);
             bufs.rescan_best.push(best.expect("functions remain alive"));
         }
         mutual_pairs(
@@ -725,9 +699,7 @@ pub(crate) fn run_rescan_on<R: NodeSource>(
 
     metrics.elapsed = start.elapsed();
     metrics.io = src.io_snapshot().since(io_start);
-    if let Some(rt1) = &rt1 {
-        metrics.ta = Some(rt1.stats());
-    }
+    metrics.ta = Some(rt1.stats());
     Matching::new(pairs, metrics)
 }
 
@@ -840,7 +812,7 @@ impl<R: NodeSource> SbStream<R> {
     /// earlier batch took stays taken. The functions are replaced, and
     /// every counter of [`metrics`](SbStream::metrics) restarts, so once
     /// the batch is drained they report that batch alone. The stream
-    /// keeps its other knobs (`best_pair`, `multi_pair`).
+    /// keeps its `multi_pair`.
     ///
     /// Refused — with the stream untouched — for an empty or
     /// mismatched batch ([`MpqError::EmptyFunctions`],
@@ -966,7 +938,7 @@ impl<R: NodeSource> Iterator for SbStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, MatchRequest};
+    use crate::engine::{Algorithm, Engine, MatchRequest};
     use crate::matching::IndexConfig;
     use crate::reference::{reference_matching, reference_matching_excluding};
     use crate::verify::verify_stable;
@@ -1067,18 +1039,19 @@ mod tests {
             .seed(53)
             .build();
         let baseline = run(SB, &w.objects, &w.functions);
-        let configs: [(&str, Knobs); 4] = [
-            ("scan", |r| r.best_pair(BestPairMode::Scan)),
-            ("ta-naive", |r| r.best_pair(BestPairMode::TaNaiveThreshold)),
-            ("rescan", |r| r.maintenance(MaintenanceMode::Rescan)),
-            ("single-pair", SINGLE_PAIR),
-        ];
-        for (label, knobs) in configs {
-            let m = run(knobs, &w.objects, &w.functions);
+        let single = run(SINGLE_PAIR, &w.objects, &w.functions);
+        assert_eq!(sorted(single.pairs()), sorted(baseline.pairs()));
+        let engine = engine(&w.objects);
+        for algorithm in [
+            Algorithm::SbScan,
+            Algorithm::SbNaiveThreshold,
+            Algorithm::SbRescan,
+        ] {
+            let m = engine.request(&w.functions).algorithm(algorithm);
             assert_eq!(
-                sorted(m.pairs()),
+                sorted(m.evaluate().unwrap().pairs()),
                 sorted(baseline.pairs()),
-                "config {label} diverged"
+                "{algorithm} diverged"
             );
         }
     }
@@ -1501,8 +1474,7 @@ mod tests {
     }
 
     /// A stream keeps its knobs across loads: one pair a round, so each
-    /// batch in the greedy's own order over what the earlier ones left,
-    /// found by scans.
+    /// batch in the greedy's own order over what the earlier ones left.
     #[test]
     fn a_reloaded_single_pair_stream_is_the_greedy_batch_by_batch() {
         let w = WorkloadBuilder::new()
@@ -1514,7 +1486,7 @@ mod tests {
         let batches = batches(&w.functions, 20);
         let eng = engine(&w.objects);
         let request = eng.request(&batches[0]).multi_pair(false);
-        let mut stream = request.best_pair(BestPairMode::Scan).stream().unwrap();
+        let mut stream = request.stream().unwrap();
         let mut taken: BTreeSet<u64> = BTreeSet::new();
         for (b, batch) in batches.iter().enumerate() {
             if b > 0 {
@@ -1524,7 +1496,6 @@ mod tests {
             let expect = reference_matching_excluding(&w.objects, batch, &|o| taken.contains(&o));
             assert_eq!(got, expect, "batch {b}");
             assert_eq!(stream.metrics().loops, 20, "one pair a round");
-            assert!(stream.metrics().ta.is_none(), "no index to scan with");
             taken.extend(got.iter().map(|p| p.oid));
         }
     }

@@ -38,15 +38,14 @@
 //!   job instead of paying a queue slot and a duplicate evaluation —
 //!   each attached submission keeps its own ticket, deadline and
 //!   cancellation;
-//! * a miss that SB can resume takes the inventory's [`EvalSeed`] (see
+//! * a miss takes the inventory's [`EvalSeed`] (see
 //!   [`crate::seed`]) when a worker *claims* it, not when it is
 //!   submitted, and a cold run installs the seed it captures in the
 //!   cache the moment its BBS is done. A worker that claims a miss while
 //!   another worker's cold run is capturing at the same version vector
 //!   waits for that capture to end, then resumes — or, if the capture
 //!   installed nothing, captures itself — so one cold BBS runs per
-//!   version. Brute Force, Chain and SB-rescan jobs, uncached services
-//!   and a single worker never wait;
+//!   version. Uncached services and a single worker never wait;
 //! * the queue pops in one order — higher [`SubmitOptions::priority`]
 //!   first, submission order within a priority — so traffic that never
 //!   sets a priority is strictly FIFO;
@@ -1027,7 +1026,7 @@ impl<'a> ServiceCore<'a> {
         }
     }
 
-    /// Claim-time seeding of a keyed resumable job: the engine's version
+    /// Claim-time seeding of a keyed job: the engine's version
     /// vector, and the inventory's seed at it if the cache holds one.
     /// Without one, the worker waits while another worker's cold run
     /// captures the seed at that vector — until the seed is installed or
@@ -1099,10 +1098,10 @@ impl<'a> ServiceCore<'a> {
         // version, so stamping the result with a possibly-older version
         // only makes the cache conservative. Reading the version *after*
         // evaluating would stamp a pre-mutation result as current. A
-        // keyed resumable job reads it when it claims the seed: see
-        // `claim_seed`, which may wait for another worker's capture.
+        // keyed job reads it when it claims the seed: see `claim_seed`,
+        // which may wait for another worker's capture.
         let (versions, seed, mut capture) = match (&self.cached, &job.group.key) {
-            (Some(cached), Some(_)) if job.options.resumable() => self.claim_seed(engine, cached),
+            (Some(cached), Some(_)) => self.claim_seed(engine, cached),
             _ => (engine.version_vector(), None, None),
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -12,9 +12,9 @@
 //! 3. **One source.** The pins are read as one [`Forest`]: a node
 //!    source whose root lists the
 //!    `K` roots. Ranked search and BBS need a priority queue of entries,
-//!    not a single tree, so every algorithm — SB in both maintenance
-//!    modes, Brute Force in both strategies, Chain, streams reloaded or
-//!    not, monotone requests — runs over `K` trees as it runs over one,
+//!    not a single tree, so every algorithm — SB and its ablations,
+//!    Brute Force in both strategies, Chain, streams reloaded or not,
+//!    monotone requests — runs over `K` trees as it runs over one,
 //!    and an object of one shard prunes subtrees of another before they
 //!    are read. There is one skyline, the inventory's, whatever `K` is.
 //!
@@ -264,9 +264,8 @@ pub struct ShardGauges {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Algorithm, Engine};
+    use crate::engine::Engine;
     use crate::matching::Pair;
-    use crate::sb::MaintenanceMode;
     use mpq_datagen::WorkloadBuilder;
     use mpq_rtree::PointSet;
     use mpq_skyline::SkylineMaintainer;
@@ -412,8 +411,7 @@ mod tests {
         assert_eq!(streamed, whole.pairs());
     }
 
-    /// One list of what a stream accepts, and every knob it accepts is
-    /// honoured, at every shard count.
+    /// Every knob a stream takes is honoured, at every shard count.
     #[test]
     fn every_shard_count_streams_the_same_requests() {
         let (objects, functions) = workload(300, 20, 43);
@@ -424,25 +422,9 @@ mod tests {
         let one_tree = sharded(&objects, 1);
         let whole = one_tree.request(&functions).capacities(&caps);
         let whole = whole.evaluate().unwrap();
-        let unsupported = |why| Some(MpqError::UnsupportedRequest(why));
         for k in [1, 4] {
             let engine = sharded(&objects, k);
             let request = || engine.request(&functions);
-            let refused = [
-                request()
-                    .maintenance(MaintenanceMode::Rescan)
-                    .stream()
-                    .err(),
-                request().algorithm(Algorithm::BruteForce).stream().err(),
-                request().multi_pair(false).stream().err(),
-            ];
-            let expected = [
-                unsupported("streaming requires incremental skyline maintenance"),
-                unsupported("streaming is only supported with Algorithm::Sb"),
-                None,
-            ];
-            assert_eq!(refused, expected, "K={k}");
-
             let stream = request().capacities(&caps).stream().unwrap();
             assert_eq!(stream.collect::<Vec<Pair>>(), whole.pairs(), "K={k}");
 

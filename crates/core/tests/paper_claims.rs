@@ -1,8 +1,9 @@
 //! The paper's qualitative experimental claims, asserted at test scale.
 //!
-//! The full-scale numbers live in the `mpq-bench` harness (see
-//! EXPERIMENTS.md); these tests pin the *shape* of every claim so a
-//! regression that flips a comparison fails CI:
+//! The full-scale numbers come from the `mpq-bench` figure binaries,
+//! whose record at the paper's configuration ROADMAP item 9 still owes;
+//! these tests pin the *shape* of every claim so a regression that
+//! flips a comparison fails CI:
 //!
 //! 1. §V / Fig. 2–3: SB incurs orders of magnitude fewer I/Os than
 //!    Brute Force; Brute Force beats Chain.
@@ -15,7 +16,7 @@
 //!    memory on anti-correlated high-dimensional data (the paper's OOM
 //!    note).
 
-use mpq_core::{Algorithm, BfStrategy, Engine, MaintenanceMode, MatchRequest, Matching};
+use mpq_core::{Algorithm, Engine, Matching, Variant};
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_ta::{FunctionSet, ReverseTopOne, ThresholdMode};
 
@@ -35,18 +36,19 @@ fn engine(w: &mpq_datagen::Workload) -> Engine {
     Engine::builder().objects(&w.objects).build().unwrap()
 }
 
-/// One configuration: the knobs it turns on a default request.
-type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+const SB: Algorithm = Algorithm::Sb;
+const BF: Algorithm = Algorithm::BruteForce;
+const CHAIN: Algorithm = Algorithm::Chain;
 
-const SB: Knobs = |r| r;
-const BF: Knobs = |r| r.algorithm(Algorithm::BruteForce);
-const CHAIN: Knobs = |r| r.algorithm(Algorithm::Chain);
+fn run(algorithm: Algorithm, e: &Engine, fs: &FunctionSet) -> Matching {
+    cold(e, e.request(fs).algorithm(algorithm))
+}
 
-fn run(knobs: Knobs, e: &Engine, fs: &FunctionSet) -> Matching {
-    // cold buffer per method: the I/O comparisons stay order-independent
-    // even though the methods share one engine
+/// Evaluate on a cold buffer: the I/O comparisons stay order-independent
+/// even though the methods share one engine.
+fn cold(e: &Engine, variant: Variant<'_, '_>) -> Matching {
     e.tree().clear_buffer();
-    knobs(e.request(fs)).evaluate().unwrap()
+    variant.evaluate().unwrap()
 }
 
 #[test]
@@ -64,8 +66,8 @@ fn sb_beats_brute_force_beats_chain_in_io() {
             ch.metrics().io.physical(),
         );
         // the gap widens with scale (2.5–3 orders of magnitude at the
-        // paper's 100K/5K configuration; see EXPERIMENTS.md) — at test
-        // scale assert at least one order of magnitude
+        // paper's 100K/5K configuration, whose record ROADMAP item 9
+        // owes) — at test scale assert at least one order of magnitude
         assert!(
             sb_io * 10 < bf_io,
             "{}: SB ({sb_io}) must be at least an order of magnitude below BF ({bf_io})",
@@ -102,7 +104,7 @@ fn incremental_maintenance_beats_rescan() {
     let w = workload(Distribution::Independent, 8_000, 300, 3);
     let e = engine(&w);
     let incr = run(SB, &e, &w.functions);
-    let rescan = run(|r| r.maintenance(MaintenanceMode::Rescan), &e, &w.functions);
+    let rescan = run(Algorithm::SbRescan, &e, &w.functions);
     assert_eq!(incr.sorted_pairs(), rescan.sorted_pairs());
     let (a, b) = (incr.metrics().io.logical, rescan.metrics().io.logical);
     assert!(
@@ -138,7 +140,7 @@ fn multi_pair_reduces_loops_substantially() {
     let w = workload(Distribution::Independent, 20_000, 1_000, 3);
     let e = engine(&w);
     let multi = run(SB, &e, &w.functions);
-    let single = run(|r| r.multi_pair(false), &e, &w.functions);
+    let single = cold(&e, e.request(&w.functions).multi_pair(false).algorithm(SB));
     assert_eq!(single.metrics().loops, 1_000);
     assert!(
         multi.metrics().loops * 2 < single.metrics().loops,
@@ -175,7 +177,7 @@ fn no_algorithm_writes_to_the_shared_index() {
     let sb = run(SB, &e, &w.functions);
     assert_eq!(sb.metrics().io.physical_writes, 0);
     let incr = run(BF, &e, &w.functions);
-    let restart = run(|r| BF(r).bf_strategy(BfStrategy::Restart), &e, &w.functions);
+    let restart = run(Algorithm::BruteForceRestart, &e, &w.functions);
     assert_eq!(incr.metrics().io.physical_writes, 0);
     assert_eq!(restart.metrics().io.physical_writes, 0);
     assert_eq!(incr.sorted_pairs(), restart.sorted_pairs());

@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use mpq_core::capacity::verify_capacity_stable;
 use mpq_core::{
-    reference_matching, reference_matching_excluding, verify_stable, Algorithm, BestPairMode,
-    BfStrategy, Engine, EngineService, IndexConfig, MaintenanceMode, MatchRequest, Matching,
-    MpqError, Pair, Scratch, ServiceConfig, ShardedEngine, SubmitOptions, Ticket,
+    reference_matching, reference_matching_excluding, verify_stable, Algorithm, Engine,
+    EngineService, IndexConfig, MatchRequest, Matching, MpqError, Pair, Scratch, ServiceConfig,
+    ShardedEngine, SubmitOptions, Ticket, Variant,
 };
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_rtree::{FaultInjector, FaultOp, Forest, Node, NodeSource, PageId, PointSet, RTree};
@@ -111,8 +111,8 @@ fn sharded_matches_unsharded_for_all_algorithms_and_options() {
                 "plain, K={k}, {alg:?}"
             );
             let masked = |engine: &Engine| {
-                let request = engine.request(&fs).algorithm(alg);
-                request.exclude(exclude.iter().copied()).evaluate().unwrap()
+                let request = engine.request(&fs).exclude(exclude.iter().copied());
+                request.algorithm(alg).evaluate().unwrap()
             };
             assert_eq!(
                 exact(&masked(&sharded).sorted_pairs()),
@@ -145,40 +145,55 @@ fn five_hash_shards_are_bit_identical_too() {
     }
 }
 
-/// One request configuration: the knobs it turns on a default request.
-type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
+/// One configuration: the run a default request is turned into.
+type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> Variant<'e, 'f>;
 
-/// Every request an engine evaluates with another loop, or the SB loop
-/// with another knob, than the default. `true`: an SB run, whose pairs
-/// come in the one-shard engine's order from its number of rounds and
-/// reverse top-1 scans.
+/// Every algorithm other than the default SB run, and SB with another
+/// knob. `true`: an SB run, whose pairs come in the one-shard engine's
+/// order from its number of rounds and reverse top-1 scans.
 const CONFIGURATIONS: [(&str, Knobs, bool); 8] = [
     ("bf", |r| r.algorithm(Algorithm::BruteForce), false),
     (
         "bf-restart",
-        |r| {
-            r.algorithm(Algorithm::BruteForce)
-                .bf_strategy(BfStrategy::Restart)
-        },
+        |r| r.algorithm(Algorithm::BruteForceRestart),
         false,
     ),
     ("chain", |r| r.algorithm(Algorithm::Chain), false),
-    ("rescan", |r| r.maintenance(MaintenanceMode::Rescan), true),
+    ("rescan", |r| r.algorithm(Algorithm::SbRescan), true),
     (
         "ta-naive",
-        |r| r.best_pair(BestPairMode::TaNaiveThreshold),
+        |r| r.algorithm(Algorithm::SbNaiveThreshold),
         true,
     ),
-    ("scan", |r| r.best_pair(BestPairMode::Scan), true),
-    ("single-pair", |r| r.multi_pair(false), true),
-    ("excluded", |r| r.exclude((0..600).step_by(7)), true),
+    ("scan", |r| r.algorithm(Algorithm::SbScan), true),
+    (
+        "single-pair",
+        |r| r.multi_pair(false).algorithm(Algorithm::Sb),
+        true,
+    ),
+    (
+        "excluded",
+        |r| r.exclude((0..600).step_by(7)).algorithm(Algorithm::Sb),
+        true,
+    ),
 ];
 
-/// The knobs mean on `K` shards what they mean on one: every algorithm,
-/// maintenance mode, strategy and stream, reloaded or not, runs — itself, as its
-/// own counters show, not the default SB run in its place — over the
-/// forest of the shards and reports the one-shard engine's matching,
-/// score bit for score bit; and what an engine refuses, it refuses in
+/// Every algorithm, as named by the refusals below.
+const EVERY_ALGORITHM: [Algorithm; 7] = [
+    Algorithm::Sb,
+    Algorithm::SbNaiveThreshold,
+    Algorithm::SbScan,
+    Algorithm::SbRescan,
+    Algorithm::BruteForce,
+    Algorithm::BruteForceRestart,
+    Algorithm::Chain,
+];
+
+/// The knobs mean on `K` shards what they mean on one: every algorithm
+/// and stream, reloaded or not, runs — itself, as its own counters show,
+/// not the default SB run in its place — over the forest of the shards
+/// and reports the one-shard engine's matching, score bit for score
+/// bit; and a capacitated request turned into any variant is refused in
 /// the same words at every shard count.
 #[test]
 fn every_algorithm_runs_on_every_shard_count() {
@@ -219,37 +234,14 @@ fn every_algorithm_runs_on_every_shard_count() {
             served
         };
         let refusals = |engine: &Engine| -> Vec<MpqError> {
-            let request = || engine.request(&fs);
-            let capped = || request().capacities(&caps);
-            vec![
-                capped().algorithm(Algorithm::BruteForce).evaluate().err(),
-                capped().algorithm(Algorithm::Chain).evaluate().err(),
-                capped()
-                    .maintenance(MaintenanceMode::Rescan)
-                    .evaluate()
-                    .err(),
-                request().algorithm(Algorithm::Chain).stream().err(),
-                request()
-                    .maintenance(MaintenanceMode::Rescan)
-                    .stream()
-                    .err(),
-            ]
-            .into_iter()
-            .map(|refusal| refusal.expect("refused"))
-            .collect()
+            let capped = || engine.request(&fs).capacities(&caps);
+            let refused = |a| capped().algorithm(a).evaluate().expect_err("refused");
+            EVERY_ALGORITHM.map(refused).into()
         };
         let refused = refusals(&single);
-        let unsupported = MpqError::UnsupportedRequest;
-        assert_eq!(
-            refused,
-            [
-                unsupported("capacities are only supported with Algorithm::Sb"),
-                unsupported("capacities are only supported with Algorithm::Sb"),
-                unsupported("capacities do not support the rescan maintenance ablation"),
-                unsupported("streaming is only supported with Algorithm::Sb"),
-                unsupported("streaming requires incremental skyline maintenance"),
-            ]
-        );
+        let unsupported =
+            MpqError::UnsupportedRequest("capacities are only supported by the served SB request");
+        assert_eq!(refused, vec![unsupported; 7]);
 
         for k in [1usize, 2, 4, 5, 8] {
             let sharded = engine(&objects, k);
@@ -282,7 +274,7 @@ fn every_algorithm_runs_on_every_shard_count() {
 
             // Rescan is one BBS a loop, not a maintained skyline: it
             // reads every root again each round.
-            let rescan = sharded.request(&fs).maintenance(MaintenanceMode::Rescan);
+            let rescan = sharded.request(&fs).algorithm(Algorithm::SbRescan);
             let rescan = rescan.evaluate().unwrap();
             let incremental = sharded.request(&fs).evaluate().unwrap();
             assert!(rescan.metrics().skyline.is_none(), "{}", case("rescan"));
@@ -951,10 +943,10 @@ fn sorted_exact(mut pairs: Vec<Pair>) -> Vec<(u32, u64, u64)> {
     exact(&pairs)
 }
 
-/// One body, every shard count: direct evaluation, the batch path and
-/// the service (cold, cached, seeded miss) — all three algorithms,
-/// exclusions and capacities — must produce the reference matching bit
-/// for bit.
+/// One body, every shard count: direct evaluation (all three
+/// algorithms), the batch path and the service (cold, cached, seeded
+/// miss) — with exclusions and capacities — must produce the reference
+/// matching bit for bit.
 #[test]
 fn every_backend_serves_the_reference_matching_on_every_path() {
     let objects = seeded_points(160, 3, 0x0B0D);
@@ -975,43 +967,40 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
     let want_refined = reference_without(&|oid| oid == exclude[0]);
 
     for (name, hosted) in engines(&objects) {
-        let plain = |alg| hosted.request(&fs).algorithm(alg);
-        let masked = |alg| plain(alg).exclude(exclude.iter().copied());
+        let plain = || hosted.request(&fs);
+        let masked = || plain().exclude(exclude.iter().copied());
         let capped = || hosted.request(&fs).capacities(&caps);
         let got = |m: &Matching| exact(&m.sorted_pairs());
 
-        // Direct evaluation and the batch path.
+        // Direct evaluation, every algorithm.
         for alg in ALGORITHMS {
-            let direct = plain(alg).evaluate().unwrap();
+            let direct = plain().algorithm(alg).evaluate().unwrap();
             assert_eq!(got(&direct), want_plain, "{name}, {alg:?}, direct");
             verify_stable(&objects, &fs, direct.pairs())
                 .unwrap_or_else(|e| panic!("{name}, {alg:?}: {e}"));
-            let direct = masked(alg).evaluate().unwrap();
+            let direct = masked().algorithm(alg).evaluate().unwrap();
             assert_eq!(got(&direct), want_masked, "{name}, {alg:?}, masked");
-
-            let batch = hosted
-                .evaluate_batch(&[plain(alg), masked(alg)], 2)
-                .unwrap();
-            assert_eq!(got(&batch.matchings()[0]), want_plain, "{name}, {alg:?}");
-            assert_eq!(got(&batch.matchings()[1]), want_masked, "{name}, {alg:?}");
         }
         let direct = capped().evaluate().unwrap();
         assert_eq!(got(&direct), want_caps, "{name}, capacities");
+
+        // The batch path.
+        let batch = hosted.evaluate_batch(&[plain(), masked()], 2).unwrap();
+        assert_eq!(got(&batch.matchings()[0]), want_plain, "{name}, batch");
+        assert_eq!(got(&batch.matchings()[1]), want_masked, "{name}, batch");
 
         // The service: cold, then cached.
         let service =
             EngineService::spawn(Arc::clone(&hosted), ServiceConfig::default().workers(2));
         let client = service.client();
         let serve = |request| client.submit(request).unwrap().wait().unwrap();
-        for alg in ALGORITHMS {
-            let cold = serve(plain(alg));
-            assert_eq!(got(&cold), want_plain, "{name}, {alg:?}, cold ticket");
-            let hits = client.metrics().cache.hits;
-            let cached = serve(plain(alg));
-            assert_eq!(got(&cached), want_plain, "{name}, {alg:?}, cached ticket");
-            assert_eq!(client.metrics().cache.hits, hits + 1, "{name}, {alg:?}");
-            assert_eq!(got(&serve(masked(alg))), want_masked, "{name}, {alg:?}");
-        }
+        let cold = serve(plain());
+        assert_eq!(got(&cold), want_plain, "{name}, cold ticket");
+        let hits = client.metrics().cache.hits;
+        let cached = serve(plain());
+        assert_eq!(got(&cached), want_plain, "{name}, cached ticket");
+        assert_eq!(client.metrics().cache.hits, hits + 1, "{name}");
+        assert_eq!(got(&serve(masked())), want_masked, "{name}, masked ticket");
         assert_eq!(got(&serve(capped())), want_caps, "{name}, capacities");
 
         // A request the cache has not seen: an exact miss, evaluated

@@ -13,7 +13,9 @@
 //! }
 //! ```
 //!
-//! Only `functions` is required. `capacities` is per *object*, not per
+//! Only `functions` is required. The server runs SB alone: `algorithm`,
+//! if present, must be `"sb"`, and any other value is a `400` naming
+//! the field. `capacities` is per *object*, not per
 //! function: entry `oid` is how many functions object `oid` may take,
 //! and there must be one for every id below the tenant's id bound (a
 //! five-object inventory above) — any other length is a `400` whose
@@ -37,7 +39,7 @@
 //! ```
 
 use mpq_core::json::Json;
-use mpq_core::{Algorithm, Matching, Pair};
+use mpq_core::{Matching, Pair};
 use mpq_ta::FunctionSet;
 
 /// A decoded `POST .../match` body, ready to submit.
@@ -45,8 +47,6 @@ use mpq_ta::FunctionSet;
 pub struct WireRequest {
     /// The preference functions, one weight row per function.
     pub functions: FunctionSet,
-    /// Matching algorithm (default [`Algorithm::Sb`]).
-    pub algorithm: Algorithm,
     /// Object ids excluded from this evaluation.
     pub exclude: Vec<u64>,
     /// Optional per-object capacities, indexed by object id: one entry
@@ -111,16 +111,18 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
     let functions = FunctionSet::try_from_rows(dim, &rows)
         .map_err(|(i, e)| format!("function {i} is invalid: {e}"))?;
 
-    let algorithm = match json.get("algorithm") {
-        None | Some(Json::Null) => Algorithm::Sb,
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| "'algorithm' must be a string".to_string())?;
-            name.parse::<Algorithm>()
-                .map_err(|e| format!("'algorithm': {e}"))?
+    // A served request is SB alone. The field stays only to refuse any
+    // other value: the decoder ignores unknown fields, so a client asking
+    // for "bf" would otherwise be answered by SB without a word.
+    match json.get("algorithm") {
+        None | Some(Json::Null) => {}
+        Some(Json::Str(name)) if name.eq_ignore_ascii_case("sb") => {}
+        Some(_) => {
+            return Err("'algorithm' must be \"sb\" or absent: the server runs SB \
+                        alone (`mpq match --algo` runs the others)"
+                .to_string())
         }
-    };
+    }
 
     let exclude = match json.get("exclude") {
         None | Some(Json::Null) => Vec::new(),
@@ -173,7 +175,6 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
 
     Ok(WireRequest {
         functions,
-        algorithm,
         exclude,
         capacities,
         deadline_ms,
@@ -304,7 +305,6 @@ mod tests {
         let req = decode_match_request(br#"{"functions":[[0.7,0.3],[0.5,0.5]]}"#).unwrap();
         assert_eq!(req.functions.len(), 2);
         assert_eq!(req.functions.dim(), 2);
-        assert!(matches!(req.algorithm, Algorithm::Sb));
         assert!(req.exclude.is_empty());
         assert!(req.capacities.is_none());
         assert!(req.deadline_ms.is_none());
@@ -314,11 +314,10 @@ mod tests {
     #[test]
     fn decodes_all_optional_fields() {
         let req = decode_match_request(
-            br#"{"functions":[[1.0,0.0]],"algorithm":"bf","exclude":[3,9],
+            br#"{"functions":[[1.0,0.0]],"algorithm":"sb","exclude":[3,9],
                  "capacities":[2],"deadline_ms":250,"priority":-1}"#,
         )
         .unwrap();
-        assert!(matches!(req.algorithm, Algorithm::BruteForce));
         assert_eq!(req.exclude, vec![3, 9]);
         assert_eq!(req.capacities, Some(vec![2]));
         assert_eq!(req.deadline_ms, Some(250));
@@ -352,6 +351,24 @@ mod tests {
                 err.contains(needle),
                 "body {:?} gave {err:?}, wanted {needle:?}",
                 String::from_utf8_lossy(body)
+            );
+        }
+    }
+
+    /// The server runs SB alone: an absent, null or `"sb"` algorithm is
+    /// accepted, anything else refused by the field's name.
+    #[test]
+    fn only_sb_passes_the_algorithm_field() {
+        let body = |field: &str| format!(r#"{{"functions":[[0.5,0.5]]{field}}}"#);
+        for refused in [r#""bf""#, r#""chain""#, "3"] {
+            let err = decode_match_request(body(&format!(r#","algorithm":{refused}"#)).as_bytes())
+                .unwrap_err();
+            assert!(err.contains("'algorithm'"), "{refused}: {err}");
+        }
+        for accepted in ["", r#","algorithm":null"#, r#","algorithm":"sb""#] {
+            assert!(
+                decode_match_request(body(accepted).as_bytes()).is_ok(),
+                "{accepted}"
             );
         }
     }

@@ -408,7 +408,6 @@ fn handle_match(
     }
     let submitted = tenant.submit_match(
         &wire.functions,
-        wire.algorithm,
         &wire.exclude,
         wire.capacities.as_deref(),
         options,

@@ -23,8 +23,8 @@ use std::time::Duration;
 
 use mpq_core::service::BackpressurePolicy;
 use mpq_core::{
-    Algorithm, Engine, EngineService, HealthMonitor, MpqError, ServiceClient, ServiceConfig,
-    SubmitOptions, Ticket,
+    Engine, EngineService, HealthMonitor, MpqError, ServiceClient, ServiceConfig, SubmitOptions,
+    Ticket,
 };
 use mpq_ta::FunctionSet;
 
@@ -161,16 +161,11 @@ impl Tenant {
     pub(crate) fn submit_match(
         &self,
         functions: &FunctionSet,
-        algorithm: Algorithm,
         exclude: &[u64],
         capacities: Option<&[u32]>,
         options: SubmitOptions,
     ) -> Result<Ticket, MpqError> {
-        let mut req = self
-            .engine()
-            .request(functions)
-            .algorithm(algorithm)
-            .exclude(exclude.iter().copied());
+        let mut req = (self.engine().request(functions)).exclude(exclude.iter().copied());
         if let Some(caps) = capacities {
             req = req.capacities(caps);
         }
@@ -432,13 +427,7 @@ mod tests {
         // The shard-agnostic submission path resolves to the same
         // matching an unsharded engine would produce.
         let ticket = tenant
-            .submit_match(
-                &w.functions,
-                Algorithm::Sb,
-                &[],
-                None,
-                SubmitOptions::default(),
-            )
+            .submit_match(&w.functions, &[], None, SubmitOptions::default())
             .unwrap();
         let sharded = ticket.wait().unwrap();
         let single = Engine::builder().objects(&w.objects).build().unwrap();

@@ -6,8 +6,9 @@
 //!   direct `Engine::evaluate` on the same engine,
 //! * a full queue answers `429` with a `Retry-After` header,
 //! * a saturated tenant does not disturb an idle tenant (isolation),
-//! * deadlines map to `504`, unknown tenants to `404`, and a client
-//!   that hangs up gets its queued request cancelled,
+//! * deadlines map to `504`, unknown tenants to `404`, an `algorithm`
+//!   other than SB to `400`, and a client that hangs up gets its
+//!   queued request cancelled,
 //! * `capacities` is a per-object vector: the capacitated matching
 //!   crosses the wire bit-identically, from one tree and from four.
 
@@ -17,10 +18,12 @@ use std::time::{Duration, Instant};
 
 use mpq_core::capacity::reference_capacity_matching;
 use mpq_core::json::Json;
+use mpq_core::{Engine, IndexConfig};
 use mpq_datagen::WorkloadBuilder;
 use mpq_net::{
     decode_pairs, HttpClient, ParserLimits, Server, ServerConfig, TenantConfig, TenantRegistry,
 };
+use mpq_rtree::{FaultInjector, FaultKind, FaultOp, PointSet};
 use mpq_ta::FunctionSet;
 
 /// Render a FunctionSet as the wire `functions` field. JSON numbers
@@ -232,6 +235,16 @@ fn routing_health_and_metrics_endpoints() {
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("must not be empty"));
 
+    // The server runs SB alone: another algorithm is a 400 naming the
+    // field, never a silent SB answer.
+    let body = format!(
+        r#"{{"functions":{},"algorithm":"bf"}}"#,
+        functions_json(&w.functions)
+    );
+    let resp = client.post_json("/t/solo/match", &body).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("'algorithm'"), "{}", resp.text());
+
     // Aggregate metrics parse and contain the tenant with pinned gauges.
     let resp = client.get("/metrics").unwrap();
     assert_eq!(resp.status, 200);
@@ -244,22 +257,46 @@ fn routing_health_and_metrics_endpoints() {
     server.shutdown();
 }
 
-/// A "slow" tenant: one worker, cache off, a sizeable brute-force
-/// evaluation per request so the worker stays busy long enough to
-/// observe queueing deterministically (we poll `/metrics` rather than
-/// sleep).
+/// An engine over `objects` whose page reads all reach an injected
+/// store (a one-page buffer), and the injector: a test delays reads to
+/// hold a worker for as long as it needs to watch the queue behind it.
+fn injected_engine(objects: &PointSet) -> (Arc<Engine>, Arc<FaultInjector>) {
+    let injector = FaultInjector::shared();
+    let index = IndexConfig {
+        page_size: 512,
+        buffer_fraction: 0.0,
+        min_buffer_pages: 1,
+    };
+    let engine = Engine::builder()
+        .objects(objects)
+        .index(index)
+        .fault_injector(Arc::clone(&injector))
+        .build()
+        .unwrap();
+    (Arc::new(engine), injector)
+}
+
+/// A "slow" tenant: one worker, cache off, and every page read delayed,
+/// so an evaluation holds the worker while queueing behind it is
+/// observed deterministically (we poll `/metrics` rather than sleep).
 fn slow_tenant_registry(queue_cap: usize) -> (TenantRegistry, FunctionSet) {
     let w = WorkloadBuilder::new()
-        .objects(60_000)
-        .functions(600)
+        .objects(4_000)
+        .functions(48)
         .dim(3)
         .seed(77)
         .build();
+    let (engine, injector) = injected_engine(&w.objects);
+    injector.fail_from(
+        FaultOp::PageRead,
+        0,
+        FaultKind::Delay(Duration::from_millis(10)),
+    );
     let mut registry = TenantRegistry::new();
     registry
-        .add_objects(
+        .add_engine(
             "slow",
-            &w.objects,
+            engine,
             TenantConfig {
                 workers: 1,
                 queue_capacity: queue_cap,
@@ -275,7 +312,7 @@ fn slow_body(fs: &FunctionSet, salt: u64) -> String {
     // Distinct `exclude` per request keeps in-flight dedupe from
     // collapsing the flood into one evaluation.
     format!(
-        r#"{{"functions":{},"algorithm":"bf","exclude":[{salt}]}}"#,
+        r#"{{"functions":{},"exclude":[{salt}]}}"#,
         functions_json(fs)
     )
 }
@@ -344,7 +381,7 @@ fn queued_deadline_maps_to_504() {
     // With the worker occupied, a 1ms queueing deadline cannot be met.
     let mut client = HttpClient::connect(addr).unwrap();
     let body = format!(
-        r#"{{"functions":{},"algorithm":"bf","exclude":[50],"deadline_ms":1}}"#,
+        r#"{{"functions":{},"exclude":[50],"deadline_ms":1}}"#,
         functions_json(&fs)
     );
     let resp = client.post_json("/t/slow/match", &body).unwrap();
@@ -405,11 +442,20 @@ fn saturating_one_tenant_leaves_the_other_responsive() {
         .seed(88)
         .build();
 
+    // Every page read of noisy's engine takes 2 ms: an evaluation far
+    // outlasts a loopback round trip, so four flooders keep its one
+    // worker and two queue slots full.
+    let (noisy_engine, injector) = injected_engine(&noisy.objects);
+    injector.fail_from(
+        FaultOp::PageRead,
+        0,
+        FaultKind::Delay(Duration::from_millis(2)),
+    );
     let mut registry = TenantRegistry::new();
     registry
-        .add_objects(
+        .add_engine(
             "noisy",
-            &noisy.objects,
+            noisy_engine,
             TenantConfig {
                 workers: 1,
                 queue_capacity: 2,

@@ -90,7 +90,7 @@ fn main() {
                 // Distinct `exclude` values defeat in-flight dedupe so
                 // every request really occupies a queue slot.
                 let body = format!(
-                    r#"{{"functions":[[0.5,0.3,0.2]],"algorithm":"bf","exclude":[{}]}}"#,
+                    r#"{{"functions":[[0.5,0.3,0.2]],"exclude":[{}]}}"#,
                     1_000_000 + t * 1_000 + i
                 );
                 let resp = client.post_json("/t/kiosk/match", &body).expect("flood");

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpq::core::{Algorithm, ServiceConfig, SubmitOptions};
+use mpq::core::{ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 
@@ -49,12 +49,11 @@ fn main() {
         .serve(ServiceConfig::default().workers(4).queue_capacity(32));
     println!("service: {} workers", service.workers());
 
-    // Three front-end threads, each streaming its own request mix.
+    // Three front-end threads, each streaming its own requests.
     let producers: Vec<_> = (0..3)
         .map(|p| {
             let client = service.client();
             std::thread::spawn(move || {
-                let algo = [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain][p % 3];
                 let mut confirmed = 0usize;
                 for i in 0..8u64 {
                     let functions = WorkloadBuilder::new()
@@ -68,7 +67,7 @@ fn main() {
                     // *start* within a second of submission.
                     let ticket = client
                         .submit_with(
-                            client.engine().request(&functions).algorithm(algo),
+                            client.engine().request(&functions),
                             SubmitOptions::default().deadline(Duration::from_secs(1)),
                         )
                         .expect("service is accepting");
@@ -80,7 +79,7 @@ fn main() {
                         Err(e) => panic!("unexpected service error: {e}"),
                     }
                 }
-                (p, algo, confirmed)
+                (p, confirmed)
             })
         })
         .collect();
@@ -106,8 +105,8 @@ fn main() {
     }
 
     for producer in producers {
-        let (p, algo, confirmed) = producer.join().unwrap();
-        println!("producer {p} ({algo}): {confirmed} assignments confirmed");
+        let (p, confirmed) = producer.join().unwrap();
+        println!("producer {p}: {confirmed} assignments confirmed");
     }
 
     // Repeat-heavy traffic: the same search form submitted over and

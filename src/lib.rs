@@ -21,11 +21,13 @@
 //! * [`datagen`] — synthetic workload generators (independent,
 //!   anti-correlated, clustered, Zillow surrogate).
 //! * [`core`] — the [`core::Engine`] and the [`core::EngineService`]
-//!   serving layer, plus the three algorithms a request selects with
-//!   [`core::Algorithm`]: skyline-based **SB** (the paper's
-//!   contribution, §III-B/§IV), **Brute Force** (§III-A) and **Chain**
-//!   (the adapted competitor of §V), plus verification utilities; the
-//!   [`core::shard`] module partitions the inventory into per-shard
+//!   serving layer over skyline-based **SB** (the paper's contribution,
+//!   §III-B/§IV), the one algorithm a served request runs;
+//!   [`core::MatchRequest::algorithm`] turns a request into an
+//!   uncached [`core::Variant`] of one [`core::Algorithm`] — an SB
+//!   ablation, **Brute Force** (§III-A) or **Chain** (the adapted
+//!   competitor of §V) — for comparison; plus verification utilities.
+//!   The [`core::shard`] module partitions the inventory into per-shard
 //!   R-trees that every algorithm reads as one index
 //!   ([`core::EngineBuilder::shards`]).
 //! * [`net`] — the std-only HTTP/1.1 front-end: a [`net::Server`]
@@ -73,7 +75,8 @@
 //! assert!(matching.sorted_pairs().windows(2).all(|w| w[0].score >= w[1].score));
 //!
 //! // The same engine serves further requests without another index
-//! // build — other algorithms, masked inventory, capacities, ...
+//! // build — masked inventory, capacities, ... — and runs the paper's
+//! // competitors for comparison, as an uncached `Variant`:
 //! let bf = engine
 //!     .request(&functions)
 //!     .algorithm(Algorithm::BruteForce)
@@ -86,8 +89,9 @@
 //!
 //! Evaluation goes through an engine that is built once and shared, and
 //! there is one way to ask: `engine.request(&functions)` plus its knobs
-//! (`.algorithm(..)`, `.capacities(..)`, `.exclude(..)`, the §IV
-//! ablation options), then `.evaluate()` or `.stream()`. Every one-shot
+//! (`.exclude(..)`, `.capacities(..)`, `.multi_pair(..)`), then
+//! `.evaluate()` or `.stream()`; `.algorithm(..)` turns it into a
+//! harness `Variant` of another algorithm. Every one-shot
 //! matcher entry point (a private R-tree bulk-loaded per call, panics
 //! on malformed input) and the matcher structs that configured one are
 //! gone:
@@ -107,6 +111,8 @@
 //! | `builder.open_or_build(k)`, `mpq_core::persisted_at(dir)` | `builder.shards(k).open_or_build()`, `Engine::persisted_at(dir)` |
 //! | `engine.session()`, `session.submit(&b)` | `engine.request(&b).stream()?`, drained, then `stream.load(&b)?` per later batch — one stream, with the request's exclusions and capacities carried across batches |
 //! | `MonotoneSkylineMatcher { .. }.run(&o, &f)` | `Engine::builder().objects(&o).build()?.evaluate_monotone(&f)?` |
+//! | `.best_pair(BestPairMode::Scan)`, `.best_pair(BestPairMode::TaNaiveThreshold)`, `.maintenance(MaintenanceMode::Rescan)`, `.algorithm(BruteForce).bf_strategy(BfStrategy::Restart)` | `.algorithm(Algorithm::SbScan)`, `.algorithm(Algorithm::SbNaiveThreshold)`, `.algorithm(Algorithm::SbRescan)`, `.algorithm(Algorithm::BruteForceRestart)` — a `Variant`: evaluated directly, never cached, streamed, served or capacitated |
+//! | `client.submit(request.algorithm(a))`, wire `"algorithm": "bf"`, `mpq serve --algo bf` | served requests are SB alone: `request.algorithm(a).evaluate()` / `mpq match --algo bf` (the wire and `serve` refuse any other algorithm) |
 //!
 //! where `let engine = Engine::builder().objects(&o).build()?;` is built
 //! once and shared (it is `Sync`; evaluation never mutates the index).
@@ -177,6 +183,7 @@ pub mod prelude {
         Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalSeed,
         HealthMonitor, HealthState, MatchRequest, Matching, MpqError, Pair, RequestKey,
         ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges, Ticket,
+        Variant,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

@@ -56,16 +56,18 @@ fn fast_functions(seed: u64) -> FunctionSet {
 
 /// Spin until the service reports `in_flight` requests being evaluated
 /// and `queued` requests waiting, or panic after a generous timeout.
+/// Reads the two gauges alone: a full metrics snapshot also reads the
+/// storage counters, which wait for a page read an injected delay holds.
 fn await_state(client: &mpq::core::ServiceClient, in_flight: usize, queued: usize) {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let m = client.metrics();
-        if m.in_flight == in_flight && m.queue_depth == queued {
+        let now = (client.in_flight(), client.queue_depth());
+        if now == (in_flight, queued) {
             return;
         }
         assert!(
             Instant::now() < deadline,
-            "service never reached in_flight={in_flight} queue={queued}; metrics: {m:?}"
+            "service never reached in_flight={in_flight} queue={queued}; (in_flight, queue) {now:?}"
         );
         std::thread::yield_now();
     }
@@ -87,7 +89,7 @@ fn assert_identical(a: &Matching, b: &Matching, ctx: &str) {
 #[test]
 fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
     const N: usize = 6;
-    let engine = slow_engine();
+    let (engine, inj) = injected_engine();
     let functions = fast_functions(900);
     let sequential = engine.request(&functions).evaluate().unwrap();
 
@@ -98,12 +100,17 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
 
     // Occupy the single worker so the N identical submissions all land
     // while their leader is still queued — the deterministic dedupe
-    // window.
+    // window: the blocker's first page read takes 300 ms.
     // Counted from before the blocker: a worker holds a job "in flight"
     // a moment before the evaluation counts itself, so a snapshot taken
     // once the blocker is in flight could miss it.
     let evals_before = engine.evaluation_count();
     let slow = slow_functions();
+    inj.fail_nth(
+        FaultOp::PageRead,
+        0,
+        FaultKind::Delay(Duration::from_millis(300)),
+    );
     let blocker = client.submit(client.engine().request(&slow)).unwrap();
     await_state(&client, 1, 0);
 
@@ -120,6 +127,9 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
         })
         .collect();
     let tickets: Vec<_> = tickets.into_iter().map(|t| t.join().unwrap()).collect();
+    // Still behind the blocker: one leader queued, every other
+    // submission attached to it.
+    await_state(&client, 1, 1);
 
     assert!(blocker.wait().is_ok());
     for (i, ticket) in tickets.into_iter().enumerate() {

@@ -1,16 +1,15 @@
-//! Cross-algorithm agreement: SB (in every ablation configuration),
-//! Brute Force (both strategies) and Chain must produce the identical
-//! stable matching on every workload, and that matching must equal the
-//! exact reference and pass the Property-1 verifier.
+//! Cross-algorithm agreement: every [`Algorithm`] — SB, its ablations,
+//! Brute Force (both strategies) and Chain — and SB reporting one pair
+//! a loop must produce the identical stable matching on every workload,
+//! and that matching must equal the exact reference and pass the
+//! Property-1 verifier.
 //!
-//! Every evaluation is routed through the engine's `MatchRequest` path:
-//! one engine (one index build) per workload serves all configurations.
+//! Every evaluation is a `Variant` of one request: one engine (one
+//! index build) per workload serves all configurations.
 
-use mpq::core::{
-    reference_matching, verify_stable, Algorithm, BestPairMode, BfStrategy, Engine,
-    MaintenanceMode, MatchRequest, Pair,
-};
+use mpq::core::{reference_matching, verify_stable, Algorithm, Engine, Matching, Pair};
 use mpq::datagen::{Distribution, FunctionStyle, WorkloadBuilder};
+use mpq::ta::FunctionSet;
 
 fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
     let mut v: Vec<(u32, u64)> = pairs.iter().map(|p| (p.fid, p.oid)).collect();
@@ -18,25 +17,26 @@ fn sorted(pairs: &[Pair]) -> Vec<(u32, u64)> {
     v
 }
 
-/// One configuration: the knobs it turns on a default request.
-type Knobs = for<'e, 'f> fn(MatchRequest<'e, 'f>) -> MatchRequest<'e, 'f>;
-
-/// Every configuration that must yield the one stable matching.
-const ALL_CONFIGS: [(&str, Knobs); 8] = [
-    ("SB", |r| r),
-    ("SB single-pair", |r| r.multi_pair(false)),
-    ("SB scan", |r| r.best_pair(BestPairMode::Scan)),
-    ("SB ta-naive", |r| {
-        r.best_pair(BestPairMode::TaNaiveThreshold)
-    }),
-    ("SB-rescan", |r| r.maintenance(MaintenanceMode::Rescan)),
-    ("BruteForce", |r| r.algorithm(Algorithm::BruteForce)),
-    ("BruteForce-restart", |r| {
-        r.algorithm(Algorithm::BruteForce)
-            .bf_strategy(BfStrategy::Restart)
-    }),
-    ("Chain", |r| r.algorithm(Algorithm::Chain)),
+/// Every configuration that must yield the one stable matching: an
+/// algorithm and whether the request reports every mutually-best pair
+/// of a loop.
+const ALL_CONFIGS: [(Algorithm, bool); 8] = [
+    (Algorithm::Sb, true),
+    (Algorithm::Sb, false),
+    (Algorithm::SbScan, true),
+    (Algorithm::SbNaiveThreshold, true),
+    (Algorithm::SbRescan, true),
+    (Algorithm::BruteForce, true),
+    (Algorithm::BruteForceRestart, true),
+    (Algorithm::Chain, true),
 ];
+
+/// Evaluate `functions` on `engine` under one configuration.
+fn run(engine: &Engine, functions: &FunctionSet, config: (Algorithm, bool)) -> Matching {
+    let (algorithm, multi_pair) = config;
+    let request = engine.request(functions).multi_pair(multi_pair);
+    request.algorithm(algorithm).evaluate().unwrap()
+}
 
 fn check_workload(dist: Distribution, n: usize, f: usize, dim: usize, seed: u64) {
     let w = WorkloadBuilder::new()
@@ -50,16 +50,16 @@ fn check_workload(dist: Distribution, n: usize, f: usize, dim: usize, seed: u64)
     let expect_sorted = sorted(&expect);
     // One shared engine: the index is built once for all configurations.
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
-    for (label, knobs) in ALL_CONFIGS {
-        let got = knobs(engine.request(&w.functions)).evaluate().unwrap();
+    for config in ALL_CONFIGS {
+        let got = run(&engine, &w.functions, config);
         assert_eq!(
             sorted(got.pairs()),
             expect_sorted,
-            "{label} diverged on {} n={n} f={f} dim={dim} seed={seed}",
+            "{config:?} diverged on {} n={n} f={f} dim={dim} seed={seed}",
             dist.name()
         );
         verify_stable(&w.objects, &w.functions, got.pairs())
-            .unwrap_or_else(|e| panic!("{label} unstable: {e}"));
+            .unwrap_or_else(|e| panic!("{config:?} unstable: {e}"));
     }
 }
 
@@ -97,9 +97,9 @@ fn skewed_functions() {
         .build();
     let expect = sorted(&reference_matching(&w.objects, &w.functions));
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
-    for (label, knobs) in ALL_CONFIGS {
-        let got = knobs(engine.request(&w.functions)).evaluate().unwrap();
-        assert_eq!(sorted(got.pairs()), expect, "{label}");
+    for config in ALL_CONFIGS {
+        let got = run(&engine, &w.functions, config);
+        assert_eq!(sorted(got.pairs()), expect, "{config:?}");
     }
 }
 

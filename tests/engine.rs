@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use mpq::core::capacity::reference_capacity_matching;
-use mpq::core::{reference_matching, verify_stable, Algorithm, BestPairMode, BfStrategy};
+use mpq::core::{reference_matching, verify_stable, Algorithm};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::ta::WeightError;
@@ -140,8 +140,8 @@ fn excluded_objects_are_invisible_to_every_algorithm() {
     for algo in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
         let m = engine
             .request(&w.functions)
-            .algorithm(algo)
             .exclude(reserved.iter().copied())
+            .algorithm(algo)
             .evaluate()
             .unwrap();
         assert_eq!(sorted(m.pairs()), expect, "{algo} diverged under masking");
@@ -150,8 +150,8 @@ fn excluded_objects_are_invisible_to_every_algorithm() {
     // SB rescan ablation honours the mask too
     let rescan = engine
         .request(&w.functions)
-        .maintenance(mpq::core::MaintenanceMode::Rescan)
         .exclude(reserved.iter().copied())
+        .algorithm(Algorithm::SbRescan)
         .evaluate()
         .unwrap();
     assert_eq!(sorted(rescan.pairs()), expect);
@@ -182,8 +182,8 @@ fn excluded_objects_promoted_mid_run_stay_invisible() {
     for algo in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
         let m = engine
             .request(&functions)
-            .algorithm(algo)
             .exclude([1u64])
+            .algorithm(algo)
             .evaluate()
             .unwrap();
         assert_eq!(sorted(m.pairs()), expect, "{algo} assigned a masked object");
@@ -215,6 +215,9 @@ fn excluded_objects_promoted_mid_run_stay_invisible() {
     assert_eq!(got.len(), 2);
 }
 
+/// Capacities are the served SB round's alone: every algorithm refuses
+/// them, SB's ablations included, while the served request matches the
+/// capacity reference.
 #[test]
 fn capacities_reject_unimplemented_sb_ablations() {
     let w = WorkloadBuilder::new()
@@ -225,21 +228,25 @@ fn capacities_reject_unimplemented_sb_ablations() {
         .build();
     let caps: Vec<u32> = (0..40).map(|i| i % 3).collect();
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
-    let err = engine
-        .request(&w.functions)
-        .capacities(&caps)
-        .maintenance(mpq::core::MaintenanceMode::Rescan)
-        .evaluate()
-        .unwrap_err();
-    assert!(matches!(err, MpqError::UnsupportedRequest(_)));
-    // The best-pair ablations are the same round with another search
-    // for an object's best function: units are taken all the same.
-    let expect = reference_capacity_matching(&w.objects, &w.functions, &caps);
-    for mode in [BestPairMode::Scan, BestPairMode::TaNaiveThreshold] {
+    for algorithm in [
+        Algorithm::Sb,
+        Algorithm::SbNaiveThreshold,
+        Algorithm::SbScan,
+        Algorithm::SbRescan,
+        Algorithm::BruteForce,
+        Algorithm::BruteForceRestart,
+        Algorithm::Chain,
+    ] {
         let request = engine.request(&w.functions).capacities(&caps);
-        let m = request.best_pair(mode).evaluate().unwrap();
-        assert_eq!(m.sorted_pairs(), expect, "{mode:?}");
+        assert_eq!(
+            request.algorithm(algorithm).evaluate().unwrap_err(),
+            MpqError::UnsupportedRequest("capacities are only supported by the served SB request"),
+            "{algorithm}"
+        );
     }
+    let expect = reference_capacity_matching(&w.objects, &w.functions, &caps);
+    let served = engine.request(&w.functions).capacities(&caps);
+    assert_eq!(served.evaluate().unwrap().sorted_pairs(), expect);
 }
 
 #[test]
@@ -252,30 +259,19 @@ fn request_options_cover_the_ablations() {
         .build();
     let engine = Engine::builder().objects(&w.objects).build().unwrap();
     let baseline = engine.request(&w.functions).evaluate().unwrap();
-    for m in [
-        engine
-            .request(&w.functions)
-            .best_pair(BestPairMode::Scan)
-            .evaluate()
-            .unwrap(),
-        engine
-            .request(&w.functions)
-            .best_pair(BestPairMode::TaNaiveThreshold)
-            .evaluate()
-            .unwrap(),
-        engine
-            .request(&w.functions)
-            .multi_pair(false)
-            .evaluate()
-            .unwrap(),
-        engine
-            .request(&w.functions)
-            .algorithm(Algorithm::BruteForce)
-            .bf_strategy(BfStrategy::Restart)
-            .evaluate()
-            .unwrap(),
+    let single = engine.request(&w.functions).multi_pair(false);
+    assert_eq!(
+        sorted(single.evaluate().unwrap().pairs()),
+        sorted(baseline.pairs())
+    );
+    for algorithm in [
+        Algorithm::SbScan,
+        Algorithm::SbNaiveThreshold,
+        Algorithm::BruteForceRestart,
     ] {
-        assert_eq!(sorted(m.pairs()), sorted(baseline.pairs()));
+        let m = engine.request(&w.functions).algorithm(algorithm);
+        let m = m.evaluate().unwrap();
+        assert_eq!(sorted(m.pairs()), sorted(baseline.pairs()), "{algorithm}");
     }
 }
 
@@ -307,11 +303,11 @@ fn capacities_via_request_match_the_capacity_reference() {
         .unwrap_err();
     assert!(matches!(err, MpqError::CapacityMismatch { .. }));
 
-    // capacities only combine with SB
+    // capacities only combine with the served SB request
     let err = engine
         .request(&w.functions)
-        .algorithm(Algorithm::Chain)
         .capacities(&caps)
+        .algorithm(Algorithm::Chain)
         .evaluate()
         .unwrap_err();
     assert!(matches!(err, MpqError::UnsupportedRequest(_)));

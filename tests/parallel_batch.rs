@@ -2,9 +2,9 @@
 //!
 //! The contract of [`Engine::evaluate_batch`]: results arrive **in input
 //! order** and are **pair-for-pair identical** to evaluating the same
-//! requests sequentially, whatever the thread count, shard count, or
-//! algorithm — concurrency may only change buffer hit/miss counts, never
-//! matchings and never the (deterministic) logical I/O of a run.
+//! requests sequentially, whatever the thread count or shard count —
+//! concurrency may only change buffer hit/miss counts, never matchings
+//! and never the (deterministic) logical I/O of a run.
 
 use std::collections::HashSet;
 
@@ -44,7 +44,7 @@ fn assert_identical(a: &Matching, b: &Matching, ctx: &str) {
 }
 
 #[test]
-fn batch_matches_sequential_on_1_2_and_8_threads_all_algorithms() {
+fn batch_matches_sequential_on_1_2_and_8_threads() {
     let w = WorkloadBuilder::new()
         .objects(2_000)
         .functions(1)
@@ -58,53 +58,47 @@ fn batch_matches_sequential_on_1_2_and_8_threads_all_algorithms() {
         .build()
         .unwrap();
     let function_sets = request_functions(12, 25, 3);
+    let requests: Vec<MatchRequest> = function_sets.iter().map(|fs| engine.request(fs)).collect();
 
-    for algo in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
-        let requests: Vec<MatchRequest> = function_sets
-            .iter()
-            .map(|fs| engine.request(fs).algorithm(algo))
-            .collect();
+    // sequential baseline + its per-run I/O sum
+    let mut sequential = Vec::new();
+    let mut seq_io = IoStats::default();
+    for r in &requests {
+        let m = r.evaluate().unwrap();
+        seq_io += m.metrics().io;
+        sequential.push(m);
+    }
 
-        // sequential baseline + its per-run I/O sum
-        let mut sequential = Vec::new();
-        let mut seq_io = IoStats::default();
-        for r in &requests {
-            let m = r.evaluate().unwrap();
-            seq_io += m.metrics().io;
-            sequential.push(m);
+    for threads in [1usize, 2, 8] {
+        let outcome = engine.evaluate_batch(&requests, threads).unwrap();
+        assert_eq!(outcome.len(), requests.len());
+        let mut par_io = IoStats::default();
+        for (i, (par, seq)) in outcome.matchings().iter().zip(&sequential).enumerate() {
+            assert_identical(par, seq, &format!("t={threads} req={i}"));
+            par_io += par.metrics().io;
         }
-
-        for threads in [1usize, 2, 8] {
-            let outcome = engine.evaluate_batch(&requests, threads).unwrap();
-            assert_eq!(outcome.len(), requests.len());
-            let mut par_io = IoStats::default();
-            for (i, (par, seq)) in outcome.matchings().iter().zip(&sequential).enumerate() {
-                assert_identical(par, seq, &format!("{algo} t={threads} req={i}"));
-                par_io += par.metrics().io;
-            }
-            // Logical node requests are deterministic per run — sharing
-            // the tree cannot change *what* a run reads, only whether a
-            // read hits the buffer.
-            assert_eq!(
-                par_io.logical, seq_io.logical,
-                "{algo} t={threads}: summed logical I/O must equal sequential"
-            );
-            // Physical counts depend on buffer warmth under concurrent
-            // interleaving; they must stay within the sane envelope:
-            // never more than the logical request count, and not wildly
-            // off the sequential cost.
-            assert!(
-                par_io.physical_reads <= par_io.logical,
-                "{algo} t={threads}: reads cannot exceed requests"
-            );
-            assert!(
-                par_io.physical_reads <= seq_io.physical_reads * 3 + 100,
-                "{algo} t={threads}: physical reads {} vs sequential {} exceed \
-                 buffer-warmth tolerance",
-                par_io.physical_reads,
-                seq_io.physical_reads
-            );
-        }
+        // Logical node requests are deterministic per run — sharing the
+        // tree cannot change *what* a run reads, only whether a read
+        // hits the buffer.
+        assert_eq!(
+            par_io.logical, seq_io.logical,
+            "t={threads}: summed logical I/O must equal sequential"
+        );
+        // Physical counts depend on buffer warmth under concurrent
+        // interleaving; they must stay within the sane envelope: never
+        // more than the logical request count, and not wildly off the
+        // sequential cost.
+        assert!(
+            par_io.physical_reads <= par_io.logical,
+            "t={threads}: reads cannot exceed requests"
+        );
+        assert!(
+            par_io.physical_reads <= seq_io.physical_reads * 3 + 100,
+            "t={threads}: physical reads {} vs sequential {} exceed \
+             buffer-warmth tolerance",
+            par_io.physical_reads,
+            seq_io.physical_reads
+        );
     }
 }
 

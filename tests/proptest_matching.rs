@@ -11,15 +11,16 @@
 //! one tree or four, reproduces the reference exactly.
 //!
 //! The capacitated request gets continuous coordinates instead — no
-//! duplicate objects — so its contract is checked exactly: every knob,
-//! both engines, streamed and resumed, against the capacity oracle.
+//! duplicate objects — so its contract is checked exactly: either
+//! `multi_pair`, both engines, streamed and resumed, against the
+//! capacity oracle.
 
 use proptest::prelude::*;
 
 use mpq::core::capacity::{reference_capacity_matching, verify_capacity_stable};
 use mpq::core::{
-    reference_matching, verify_stable, verify_weakly_stable, Algorithm, BestPairMode, BfStrategy,
-    Engine, MatchRequest, Pair, Scratch, ShardedEngine,
+    reference_matching, verify_stable, verify_weakly_stable, Algorithm, Engine, MatchRequest, Pair,
+    Scratch, ShardedEngine,
 };
 use mpq::rtree::PointSet;
 use mpq::ta::FunctionSet;
@@ -71,7 +72,7 @@ fn continuous_objects(dim: usize) -> impl Strategy<Value = PointSet> {
 }
 
 /// The capacitated contract on one backend (a macro: `stream()` is
-/// per engine type): for every `multi_pair` × `best_pair` the matching
+/// per engine type): for either `multi_pair` the matching
 /// is the reference's over the visible capacities, bit for bit, and
 /// passes the verifier; one pair a round reproduces the reference's
 /// order; the stream and a seeded resume reproduce the evaluation. Then
@@ -89,13 +90,9 @@ macro_rules! check_capacitated {
             let request = $backend.request(functions).capacities(caps);
             request.exclude(excluded.iter().copied())
         };
-        let knobs = [true, false].into_iter().flat_map(|multi_pair| {
-            use BestPairMode::{Scan, Ta, TaNaiveThreshold};
-            [Ta, TaNaiveThreshold, Scan].map(|mode| (multi_pair, mode))
-        });
-        for (multi_pair, mode) in knobs {
-            let request = request().multi_pair(multi_pair).best_pair(mode);
-            let label = format!("multi_pair {multi_pair}, {mode:?}");
+        for multi_pair in [true, false] {
+            let request = request().multi_pair(multi_pair);
+            let label = format!("multi_pair {multi_pair}");
             let mut scratch = Scratch::new();
             let (got, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
             prop_assert_eq!(got.sorted_pairs(), expect.clone(), "{}", label);
@@ -140,26 +137,28 @@ fn check_all(objects: &PointSet, functions: &FunctionSet) -> Result<(), TestCase
     // one index build serves every configuration below
     let engine = Engine::builder().objects(objects).build().unwrap();
 
-    // Brute Force and Chain examine every individual object: exact
-    // agreement with the reference, including duplicate identities.
-    let exact: [(&str, Knobs); 3] = [
-        ("BruteForce", |r| r.algorithm(Algorithm::BruteForce)),
-        ("BruteForce-restart", |r| {
-            r.algorithm(Algorithm::BruteForce)
-                .bf_strategy(BfStrategy::Restart)
-        }),
-        ("Chain", |r| r.algorithm(Algorithm::Chain)),
+    // Every algorithm agrees with the reference exactly, duplicate
+    // identities included: Brute Force and Chain examine every
+    // individual object, and SB's ablations keep its skyline.
+    let exact = [
+        Algorithm::SbNaiveThreshold,
+        Algorithm::SbScan,
+        Algorithm::SbRescan,
+        Algorithm::BruteForce,
+        Algorithm::BruteForceRestart,
+        Algorithm::Chain,
     ];
-    for (label, knobs) in exact {
-        let got = knobs(engine.request(functions)).evaluate().unwrap();
+    for algorithm in exact {
+        let got = engine.request(functions).algorithm(algorithm);
+        let got = got.evaluate().unwrap();
         prop_assert_eq!(
             sorted(got.pairs()),
             expect_sorted.clone(),
             "{} diverged",
-            label
+            algorithm
         );
         if let Err(e) = verify_stable(objects, functions, got.pairs()) {
-            panic!("{label} produced an unstable matching: {e}");
+            panic!("{algorithm} produced an unstable matching: {e}");
         }
     }
 

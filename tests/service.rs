@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{Algorithm, BackpressurePolicy, ServiceConfig, SubmitOptions};
+use mpq::core::{BackpressurePolicy, ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::ta::FunctionSet;
@@ -96,35 +96,29 @@ fn service_results_are_bit_identical_to_sequential_across_worker_counts() {
     );
     let function_sets: Vec<FunctionSet> = (0..10).map(|i| fast_functions(900 + i)).collect();
 
-    for algo in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
-        // sequential ground truth
-        let sequential: Vec<Matching> = function_sets
-            .iter()
-            .map(|fs| engine.request(fs).algorithm(algo).evaluate().unwrap())
-            .collect();
+    // sequential ground truth
+    let sequential: Vec<Matching> = function_sets
+        .iter()
+        .map(|fs| engine.request(fs).evaluate().unwrap())
+        .collect();
 
-        for workers in [1usize, 2, 8] {
-            let service = engine
-                .clone()
-                .serve(ServiceConfig::default().workers(workers).queue_capacity(32));
-            let client = service.client();
-            let tickets: Vec<_> = function_sets
-                .iter()
-                .map(|fs| {
-                    client
-                        .submit(client.engine().request(fs).algorithm(algo))
-                        .unwrap()
-                })
-                .collect();
-            for (i, (ticket, seq)) in tickets.into_iter().zip(&sequential).enumerate() {
-                let served = ticket.wait().unwrap();
-                assert_identical(&served, seq, &format!("{algo} workers={workers} req={i}"));
-            }
-            let metrics = service.metrics();
-            assert_eq!(metrics.completed, function_sets.len() as u64);
-            assert_eq!(metrics.workers, workers);
-            service.shutdown();
+    for workers in [1usize, 2, 8] {
+        let service = engine
+            .clone()
+            .serve(ServiceConfig::default().workers(workers).queue_capacity(32));
+        let client = service.client();
+        let tickets: Vec<_> = function_sets
+            .iter()
+            .map(|fs| client.submit(client.engine().request(fs)).unwrap())
+            .collect();
+        for (i, (ticket, seq)) in tickets.into_iter().zip(&sequential).enumerate() {
+            let served = ticket.wait().unwrap();
+            assert_identical(&served, seq, &format!("workers={workers} req={i}"));
         }
+        let metrics = service.metrics();
+        assert_eq!(metrics.completed, function_sets.len() as u64);
+        assert_eq!(metrics.workers, workers);
+        service.shutdown();
     }
 }
 
