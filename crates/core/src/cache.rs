@@ -37,28 +37,29 @@
 //! ## The seed slot
 //!
 //! Beside the entries the cache holds at most one [`EvalSeed`]: the
-//! inventory's BBS skyline at one version vector (see [`crate::seed`]).
+//! inventory's BBS skyline at one version (see [`crate::seed`]).
 //! It belongs to the inventory, not to any cached request — §III-B of
 //! the paper puts every monotone function's top-1 object in the skyline
 //! of the remaining objects, so no function row, exclusion or capacity
-//! enters it — and therefore every exact miss at that vector
+//! enters it — and therefore every exact miss at that version
 //! ([`ResultCache::near_miss`]) evaluates *seeded* from it instead of
 //! cold. The first miss after a version change runs cold and installs
 //! the seed it captured the moment its BBS is done (the service makes
-//! every other miss at that vector wait for it rather than run a second
-//! BBS); a seed older than a looker's vector is dropped on sight. Its
-//! bytes count once, against the same `max_bytes` as the entries.
+//! every other miss at that version wait for it rather than run a
+//! second BBS); a seed older than a looker's version is dropped on
+//! sight. Its bytes count once, against the same `max_bytes` as the
+//! entries.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
-
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use mpq_ta::FunctionSet;
 
 use crate::engine::RequestOptions;
 use crate::matching::{Matching, Pair};
 use crate::seed::EvalSeed;
+use crate::service::lock;
+use crate::wal::WalRecord;
 
 /// The words a key holds between the function rows and the exclusion
 /// count: one per knob of [`RequestOptions`], `multi_pair` alone.
@@ -107,12 +108,10 @@ impl RequestKey {
 /// [`RequestKey`] for what it covers. The inventory version is *not*
 /// part of the key; it stamps cache entries instead
 /// ([`ResultCache::insert_vec_seeded`]), so one cache can safely span
-/// engine rebuilds. Under sharding the same holds for the whole
-/// per-shard version *vector*: keeping
-/// versions out of the key material means a sharded and an unsharded
-/// service compute the identical key for the identical request, and
-/// version skew shows up as entry-stamp mismatches (catch-up-able) —
-/// never as silently divergent key spaces.
+/// engine rebuilds, a sharded and an unsharded service compute the
+/// identical key for the identical request, and version skew shows up
+/// as entry-stamp mismatches (catch-up-able) — never as silently
+/// divergent key spaces.
 pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> RequestKey {
     let mut m: Vec<u64> = Vec::with_capacity(8 + functions.len() * (functions.dim() + 1));
 
@@ -164,41 +163,16 @@ fn fnv64(words: &[u64]) -> u64 {
     hash
 }
 
-/// One committed inventory mutation, as the cache's scoped invalidation
-/// sees it.
-#[derive(Debug, Clone)]
-pub(crate) enum MutationEvent {
-    /// Object `oid` at `point` entered the inventory.
-    Insert {
-        /// The new object's id.
-        oid: u64,
-        /// Its attribute vector.
-        point: Arc<[f64]>,
-    },
-    /// Object `oid` left the inventory.
-    Remove {
-        /// The removed object's id.
-        oid: u64,
-    },
-    /// Object `oid` now has attribute vector `point`.
-    Update {
-        /// The updated object's id.
-        oid: u64,
-        /// Its attribute vector *after* the update.
-        point: Arc<[f64]>,
-    },
-}
-
-/// A bounded ring of recent `(version, event)` mutations, shared between
-/// a mutable [`Engine`](crate::Engine) and the caches serving it.
+/// A bounded ring of recent `(version, record)` mutations: the
+/// engine's one log, read by the caches serving it.
 ///
-/// Each committed mutation bumps the engine's inventory version and
-/// records the event here. [`ResultCache::get_with_logs`] uses the window
-/// to *catch entries up* across versions instead of treating every
-/// version change as a full invalidation: an entry whose result provably
-/// does not depend on the mutated objects is restamped and served. The
-/// ring is bounded; entries older than the window fall back to the
-/// conservative drop.
+/// Each committed mutation mints the engine's next inventory version
+/// and records its [`WalRecord`] here. [`ResultCache::get_with_logs`]
+/// uses the window to *catch entries up* across versions instead of
+/// treating every version change as a full invalidation: an entry
+/// whose result provably does not depend on the mutated objects is
+/// restamped and served. The ring is bounded; entries older than the
+/// window fall back to the conservative drop.
 #[derive(Debug)]
 pub(crate) struct MutationLog {
     inner: Mutex<MutationLogInner>,
@@ -206,23 +180,17 @@ pub(crate) struct MutationLog {
 
 #[derive(Debug)]
 struct MutationLogInner {
-    /// `(version_after_commit, event)`, oldest first.
-    events: VecDeque<(u64, MutationEvent)>,
+    /// `(version_after_commit, record)`, oldest first.
+    events: VecDeque<(u64, WalRecord)>,
     cap: usize,
     /// Highest version dropped from the front of the ring (0 = nothing
     /// dropped): windows starting before it are incomplete.
     truncated_at: u64,
 }
 
-impl Default for MutationLog {
-    fn default() -> MutationLog {
-        MutationLog::new(64)
-    }
-}
-
 impl MutationLog {
-    /// A log retaining the most recent `cap` events (clamped to ≥ 1).
-    pub fn new(cap: usize) -> MutationLog {
+    /// A log retaining the most recent `cap` mutations (clamped to ≥ 1).
+    pub(crate) fn new(cap: usize) -> MutationLog {
         MutationLog {
             inner: Mutex::new(MutationLogInner {
                 events: VecDeque::new(),
@@ -234,41 +202,34 @@ impl MutationLog {
 
     /// Record a committed mutation: `version` is the inventory version
     /// the commit published.
-    pub fn record(&self, version: u64, event: MutationEvent) {
-        // Poison recovery: the log's invariants hold at every await-free
-        // point inside the critical sections, so a thread that panicked
-        // while holding the lock left the ring consistent. Inheriting
-        // the poison would instead wedge every future mutation commit
-        // behind one dead evaluation.
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+    pub(crate) fn record(&self, version: u64, record: WalRecord) {
+        let mut inner = lock(&self.inner);
         while inner.events.len() >= inner.cap {
             if let Some((v, _)) = inner.events.pop_front() {
                 inner.truncated_at = v;
             }
         }
-        inner.events.push_back((version, event));
+        inner.events.push_back((version, record));
     }
 
-    /// All events with version in `(since, upto]`, oldest first — or
-    /// `None` if the ring no longer covers the whole window (the caller
+    /// Does `survives` hold for every mutation with a version in
+    /// `(since, upto]`, visited oldest first under the log's lock? Also
+    /// `false` if the ring no longer covers the whole window (the caller
     /// must then fall back to full invalidation).
-    pub(crate) fn events_between(
-        &self,
-        since: u64,
-        upto: u64,
-    ) -> Option<Vec<(u64, MutationEvent)>> {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if since < inner.truncated_at {
-            return None;
-        }
-        Some(
-            inner
-                .events
-                .iter()
-                .filter(|(v, _)| *v > since && *v <= upto)
-                .cloned()
-                .collect(),
-        )
+    fn all_between(&self, since: u64, upto: u64, survives: impl FnMut(&WalRecord) -> bool) -> bool {
+        let inner = lock(&self.inner);
+        let window = inner
+            .events
+            .iter()
+            .filter(|(v, _)| *v > since && *v <= upto);
+        since >= inner.truncated_at && window.map(|(_, record)| record).all(survives)
+    }
+
+    /// Hold the log's lock until the guard drops: a mutation committed
+    /// meanwhile stops between its tree change and its version store.
+    #[cfg(test)]
+    pub(crate) fn hold(&self) -> impl Sized + '_ {
+        lock(&self.inner)
     }
 }
 
@@ -322,8 +283,8 @@ impl<'k> KeyView<'k> {
     }
 }
 
-/// Does the cached `matching` for `key` provably survive `event`
-/// unchanged?
+/// Does the cached `matching` for `key` provably survive the mutation
+/// `record` unchanged?
 ///
 /// The rules are exact consequences of the canonical greedy (pick the
 /// globally best remaining pair, `(score desc, fid asc, oid asc)`):
@@ -339,7 +300,7 @@ impl<'k> KeyView<'k> {
 ///   survives trivially.
 /// * Capacitated requests never survive (their greedy consumes capacity
 ///   units; the pairwise argument above does not apply).
-fn survives_event(key: &RequestKey, matching: &Matching, event: &MutationEvent) -> bool {
+fn survives_event(key: &RequestKey, matching: &Matching, record: &WalRecord) -> bool {
     let Some(view) = KeyView::parse(&key.material) else {
         return false;
     };
@@ -347,14 +308,14 @@ fn survives_event(key: &RequestKey, matching: &Matching, event: &MutationEvent) 
         return false;
     }
     let assigned = |oid: u64| matching.pairs().iter().any(|p| p.oid == oid);
-    match event {
-        MutationEvent::Remove { oid } => view.excludes(*oid) || !assigned(*oid),
-        MutationEvent::Insert { oid, point } => {
+    match record {
+        WalRecord::Remove { oid, .. } => view.excludes(*oid) || !assigned(*oid),
+        WalRecord::Insert { oid, point } => {
             view.excludes(*oid) || beaten_everywhere(&view, matching, *oid, point)
         }
-        MutationEvent::Update { oid, point } => {
+        WalRecord::Update { oid, new, .. } => {
             view.excludes(*oid)
-                || (!assigned(*oid) && beaten_everywhere(&view, matching, *oid, point))
+                || (!assigned(*oid) && beaten_everywhere(&view, matching, *oid, new))
         }
     }
 }
@@ -471,12 +432,11 @@ impl CacheMetrics {
 /// One cached result plus its bookkeeping.
 struct CacheEntry {
     matching: Matching,
-    /// Inventory version *vector* the result was computed against — one
-    /// component per shard, in shard order (an unsharded engine is the
-    /// 1-component case). A lookup under any other vector treats the
-    /// entry as absent, unless per-component mutation logs prove the
-    /// intervening mutations harmless (scoped invalidation).
-    stamp: Box<[u64]>,
+    /// Inventory version the result was computed against. A lookup
+    /// under any other version treats the entry as absent, unless the
+    /// mutation log proves the intervening mutations harmless (scoped
+    /// invalidation).
+    stamp: u64,
     /// Approximate heap footprint (key + matching).
     bytes: usize,
     /// Recency tick (key into the LRU index).
@@ -526,8 +486,8 @@ pub struct ResultCache {
     /// Recency index: tick → key, oldest first. Ticks are unique (one
     /// per touch), so this is a faithful LRU order.
     lru: BTreeMap<u64, Arc<RequestKey>>,
-    /// The inventory's skyline at the newest version vector any insert
-    /// offered one for (see the [module docs](self)).
+    /// The inventory's skyline at the newest version any insert offered
+    /// one for (see the [module docs](self)).
     seed: Option<Arc<EvalSeed>>,
     next_tick: u64,
     /// Entries plus seed.
@@ -596,16 +556,14 @@ impl ResultCache {
     }
 
     /// Drop a resident seed that is strictly older than a looker's
-    /// `versions`: it describes an inventory that no longer exists. One
-    /// with a *newer* component (the looker read its vector before a
-    /// mutation published) stays for the current lookers. Every entry
-    /// point that carries a looker's vector — lookup, miss, insert —
-    /// passes through here, so a write-heavy tenant whose reads all
-    /// revalidate does not keep a dead seed resident.
-    fn retire_seed_before(&mut self, versions: &[u64]) {
-        let stale =
-            |s: &Arc<EvalSeed>| !s.usable_at(versions) && !newer_somewhere(s.versions(), versions);
-        if self.seed.as_ref().is_some_and(stale) {
+    /// `version`: it describes an inventory that no longer exists. A
+    /// *newer* one (the looker read its version before a mutation
+    /// published) stays for the current lookers. Every entry point that
+    /// carries a looker's version — lookup, miss, insert — passes
+    /// through here, so a write-heavy tenant whose reads all revalidate
+    /// does not keep a dead seed resident.
+    fn retire_seed_before(&mut self, version: u64) {
+        if self.seed.as_ref().is_some_and(|s| s.version < version) {
             self.drop_seed();
         }
     }
@@ -616,16 +574,16 @@ impl ResultCache {
         }
     }
 
-    /// Install `seed` unless the resident one already serves `versions`
+    /// Install `seed` unless the resident one already serves `version`
     /// or is newer than it. A seed that alone exceeds the byte bound is
     /// not kept, and only then is the answer `false`; one that fits
     /// displaces LRU entries until it does.
-    pub(crate) fn offer_seed(&mut self, seed: Arc<EvalSeed>, versions: &[u64]) -> bool {
+    pub(crate) fn offer_seed(&mut self, seed: Arc<EvalSeed>, version: u64) -> bool {
         debug_assert!(
-            seed.usable_at(versions),
-            "seed captured at a different version vector than the entry stamp"
+            seed.usable_at(version),
+            "seed captured at a different version than the entry stamp"
         );
-        self.retire_seed_before(versions);
+        self.retire_seed_before(version);
         if self.seed.is_some() {
             return true;
         }
@@ -647,21 +605,12 @@ impl ResultCache {
     /// reported as a miss: the inventory it was computed against no
     /// longer exists.
     pub fn get(&mut self, key: &RequestKey, version: u64) -> Option<Matching> {
-        self.get_vec(key, &[version])
-    }
-
-    /// [`ResultCache::get`] for vector-stamped entries: a hit requires
-    /// the entry's whole per-shard version vector to equal `versions`
-    /// (engines stamp with
-    /// [`Engine::version_vector`](crate::Engine::version_vector); the
-    /// scalar form is the 1-component special case).
-    fn get_vec(&mut self, key: &RequestKey, versions: &[u64]) -> Option<Matching> {
-        self.retire_seed_before(versions);
+        self.retire_seed_before(version);
         let Some(entry) = self.entries.get(key) else {
             self.misses += 1;
             return None;
         };
-        if entry.stamp[..] != *versions {
+        if entry.stamp != version {
             self.misses += 1;
             self.evictions += 1;
             self.detach(key);
@@ -679,17 +628,15 @@ impl ResultCache {
         Some(matching)
     }
 
-    /// Store `matching` for `key` under the inventory version vector
-    /// `versions` (one component per shard, in shard order), evicting
-    /// least-recently-used entries until both bounds hold. A result too
-    /// large to ever fit the byte bound is not stored (the cache is an
-    /// accelerator, not a spill). `seed` is the [`EvalSeed`] the
-    /// evaluation captured (if it ran cold), which must have been
-    /// captured at exactly `versions`: it becomes the cache's one seed
-    /// unless the resident one already serves `versions` or is newer.
-    /// An entry that cannot fit beside the seed displaces it — a
-    /// matching answers its request outright, the seed only shortens a
-    /// miss.
+    /// Store `matching` for `key` under the inventory version the
+    /// `versions` slice names — its newest element, 0 for none — with
+    /// `seed`, the [`EvalSeed`] the evaluation captured (if it ran
+    /// cold), which must have been captured at that version: it becomes
+    /// the cache's one seed unless the resident one already serves the
+    /// version or is newer. The entry evicts least-recently-used ones
+    /// until both bounds hold; a result too large to ever fit the byte
+    /// bound is not stored, and one that cannot fit beside the seed
+    /// displaces it.
     pub fn insert_vec_seeded(
         &mut self,
         key: &RequestKey,
@@ -697,9 +644,20 @@ impl ResultCache {
         matching: &Matching,
         seed: Option<Arc<EvalSeed>>,
     ) {
+        let version = stamp_of(versions);
         if let Some(seed) = seed {
-            self.offer_seed(seed, versions);
+            self.offer_seed(seed, version);
         }
+        self.insert(key, version, matching);
+    }
+
+    /// Store `matching` for `key` under inventory `version`, evicting
+    /// least-recently-used entries until both bounds hold. A result too
+    /// large to ever fit the byte bound is not stored (the cache is an
+    /// accelerator, not a spill). An entry that cannot fit beside the
+    /// seed displaces it — a matching answers its request outright, the
+    /// seed only shortens a miss.
+    fn insert(&mut self, key: &RequestKey, version: u64, matching: &Matching) {
         let bytes = key.approx_bytes() + matching.approx_bytes();
         if bytes > self.max_bytes {
             return;
@@ -721,7 +679,7 @@ impl ResultCache {
             key,
             CacheEntry {
                 matching: matching.clone(),
-                stamp: versions.into(),
+                stamp: version,
                 bytes,
                 tick,
             },
@@ -765,135 +723,101 @@ impl ResultCache {
 
     /// Like [`ResultCache::get`], but with **scoped invalidation**: an
     /// entry stamped with an older inventory is caught up through the
-    /// mutation `logs` instead of being dropped outright — one version
-    /// component and one [`MutationLog`] per shard, in shard order.
-    /// Each intervening mutation is checked against the cached matching
+    /// mutation `log` instead of being dropped outright. Each
+    /// intervening mutation is checked against the cached matching
     /// (`survives_event`'s exact greedy argument); if all of them
     /// provably leave the result unchanged, the entry is restamped to
-    /// `versions` and served as a hit. Only when a mutation *can* affect
-    /// the result — or a log window no longer covers the gap — does
+    /// `version` and served as a hit. Only when a mutation *can* affect
+    /// the result — or the log window no longer covers the gap — does
     /// the entry fall back to the drop-and-miss of plain `get`.
-    /// Scoped invalidation is **component-wise**: only the shards
-    /// whose component lags are asked to prove their intervening
-    /// mutations harmless — a mutation on shard A never touches the
-    /// proof (or the validity) of a cached result whose assignments all
-    /// live on shard B.
     pub(crate) fn get_with_logs(
         &mut self,
         key: &RequestKey,
-        versions: &[u64],
-        logs: &[&MutationLog],
+        version: u64,
+        log: &MutationLog,
     ) -> Option<Matching> {
         if let Some(entry) = self.entries.get(key) {
-            if newer_somewhere(&entry.stamp, versions) {
-                // Some component is *newer* than the looker's version
-                // read (a mutation and a publish slipped in between):
-                // not servable backwards, but evicting the current
-                // result would punish the next — current — looker.
-                // Plain miss.
+            if entry.stamp > version {
+                // The entry is *newer* than the looker's version read (a
+                // mutation and a publish slipped in between): not
+                // servable backwards, but evicting the current result
+                // would punish the next — current — looker. Plain miss.
                 self.misses += 1;
                 return None;
             }
-            if entry.stamp[..] != *versions && !self.try_catch_up(key, versions, logs) {
+            if entry.stamp < version && !self.try_catch_up(key, version, log) {
                 self.misses += 1;
                 self.evictions += 1;
                 self.detach(key).expect("entry just found");
                 return None;
             }
         }
-        self.get_vec(key, versions)
+        self.get(key, version)
     }
 
-    /// Catch the entry for `key` up to `versions`: `true` iff, for every
-    /// lagging component, that shard's log covers the gap and every
-    /// event in it provably leaves the cached matching unchanged (the
-    /// entry is restamped to the full vector). A shard-count mismatch
-    /// (the topology changed under the cache) is never caught up.
-    fn try_catch_up(&mut self, key: &RequestKey, versions: &[u64], logs: &[&MutationLog]) -> bool {
-        debug_assert_eq!(versions.len(), logs.len());
-        let Some(entry) = self.entries.get(key) else {
+    /// Catch the entry for `key`, stamped before `version`, up to it:
+    /// `true` iff the log covers the gap and every mutation in it
+    /// provably leaves the cached matching unchanged (the entry is
+    /// restamped).
+    fn try_catch_up(&mut self, key: &RequestKey, version: u64, log: &MutationLog) -> bool {
+        let Some(entry) = self.entries.get_mut(key) else {
             return false;
         };
-        if entry.stamp.len() != versions.len() || newer_somewhere(&entry.stamp, versions) {
-            return false;
-        }
-        let mut survives = true;
-        'components: for ((&since, &upto), log) in entry.stamp.iter().zip(versions).zip(logs) {
-            if since == upto {
-                continue;
-            }
-            let Some(events) = log.events_between(since, upto) else {
-                return false;
-            };
-            for (_, event) in &events {
-                if !survives_event(key, &entry.matching, event) {
-                    survives = false;
-                    break 'components;
-                }
-            }
-        }
+        let matching = &entry.matching;
+        let survives = log.all_between(entry.stamp, version, |record| {
+            survives_event(key, matching, record)
+        });
         if survives {
-            let entry = self.entries.get_mut(key).expect("entry just found");
-            entry.stamp = versions.into();
+            entry.stamp = version;
             self.revalidations += 1;
         }
         survives
     }
 
-    /// Like [`ResultCache::insert_vec_seeded`] without a seed (the
-    /// service installs its seeds at capture, see [`Self::offer_seed`]),
-    /// but first eagerly sweeps entries stamped with any other version
-    /// vector: each is caught up through `logs` (restamped if it
-    /// survives) or evicted on the spot. Plain `get` only drops a stale
-    /// entry when its exact key is looked up again, so after a mutation
-    /// the `entries`/`bytes` metrics would keep counting results that
-    /// can never be served; sweeping at insert time keeps the accounting
-    /// honest without a periodic task.
+    /// Like [`ResultCache::insert`] (the service installs its seeds at
+    /// capture, see [`Self::offer_seed`]), but first eagerly sweeps
+    /// entries stamped with an older version: each is caught up through
+    /// `log` (restamped if it survives) or evicted on the spot. Plain
+    /// `get` only drops a stale entry when its exact key is looked up
+    /// again, so after a mutation the `entries`/`bytes` metrics would
+    /// keep counting results that can never be served; sweeping at
+    /// insert time keeps the accounting honest without a periodic task.
     pub(crate) fn insert_with_logs(
         &mut self,
         key: &RequestKey,
-        versions: &[u64],
+        version: u64,
         matching: &Matching,
-        logs: &[&MutationLog],
+        log: &MutationLog,
     ) {
-        // Only entries *strictly older* than the publish stamp are
-        // sweepable — no component newer, at least one lagging: a worker
-        // that captured its vector before a mutation must not evict
-        // entries already published under a newer component.
-        let stale: Vec<Arc<RequestKey>> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| {
-                e.stamp.len() == versions.len()
-                    && e.stamp.iter().zip(versions).all(|(a, b)| a <= b)
-                    && e.stamp[..] != *versions
-            })
+        // Only entries *older* than the publish stamp are sweepable: a
+        // worker that read its version before a mutation must not evict
+        // entries already published under a newer one.
+        let stale: Vec<Arc<RequestKey>> = (self.entries.iter())
+            .filter(|(_, e)| e.stamp < version)
             .map(|(k, _)| Arc::clone(k))
             .collect();
         for k in stale {
-            if !self.try_catch_up(&k, versions, logs) && self.detach(&k).is_some() {
+            if !self.try_catch_up(&k, version, log) && self.detach(&k).is_some() {
                 self.evictions += 1;
             }
         }
-        if self
-            .entries
-            .get(key)
-            .is_some_and(|e| newer_somewhere(&e.stamp, versions))
-        {
+        if self.entries.get(key).is_some_and(|e| e.stamp > version) {
             return; // a newer result for this key is already published
         }
-        self.insert_vec_seeded(key, versions, matching, None);
+        self.insert(key, version, matching);
     }
 
-    /// What an exact miss at `versions` can still save: the inventory's
-    /// seed, if the cache holds it at exactly that vector — whatever
-    /// `key` asks (no part of a request enters a seed, see the
-    /// [module docs](self)). The caller then evaluates *seeded* instead
-    /// of cold. A lookup counts nothing: `seeded_hits` counts runs that
-    /// resumed, which only the evaluation knows. `bound == 0` declines.
+    /// What an exact miss at the version the `versions` slice names can
+    /// still save: the inventory's seed, if the cache holds it at
+    /// exactly that version — whatever `key` asks (no part of a request
+    /// enters a seed, see the [module docs](self)). The caller then
+    /// evaluates *seeded* instead of cold. A lookup counts nothing:
+    /// `seeded_hits` counts runs that resumed, which only the evaluation
+    /// knows. `bound == 0` declines.
     ///
-    /// The name, `key` and `bound` date from per-entry seeds picked by
-    /// request distance; the benchmark compiles against them.
+    /// The name, `key`, `bound` and the slice date from per-entry seeds
+    /// picked by request distance and from per-shard versions; the
+    /// benchmark compiles against them.
     pub fn near_miss(
         &mut self,
         _key: &RequestKey,
@@ -903,17 +827,14 @@ impl ResultCache {
         if bound == 0 {
             return None;
         }
-        self.seed_at(versions)
+        self.seed_at(stamp_of(versions))
     }
 
-    /// The inventory's seed, if the cache holds it at exactly
-    /// `versions`; an older one is dropped on the way.
-    pub(crate) fn seed_at(&mut self, versions: &[u64]) -> Option<Arc<EvalSeed>> {
-        self.retire_seed_before(versions);
-        self.seed
-            .as_ref()
-            .filter(|s| s.usable_at(versions))
-            .cloned()
+    /// The inventory's seed, if the cache holds it at exactly `version`;
+    /// an older one is dropped on the way.
+    pub(crate) fn seed_at(&mut self, version: u64) -> Option<Arc<EvalSeed>> {
+        self.retire_seed_before(version);
+        self.seed.as_ref().filter(|s| s.usable_at(version)).cloned()
     }
 
     /// Count one evaluation that primed from the seed.
@@ -922,10 +843,10 @@ impl ResultCache {
     }
 }
 
-/// True iff `stamp` is comparable to `versions` (same shard count) and
-/// ahead of it in some component.
-fn newer_somewhere(stamp: &[u64], versions: &[u64]) -> bool {
-    stamp.len() == versions.len() && stamp.iter().zip(versions).any(|(s, v)| s > v)
+/// The one version a slice names, as the benchmark passes it: its
+/// newest element, or 0 — which no engine is ever at — for none.
+fn stamp_of(versions: &[u64]) -> u64 {
+    versions.iter().copied().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -1074,6 +995,12 @@ mod tests {
         request_key(&functions, options)
     }
 
+    /// The removal of object `oid`, wherever it was.
+    fn removal(oid: u64) -> WalRecord {
+        let point = Box::from([0.5, 0.5].as_slice());
+        WalRecord::Remove { oid, point }
+    }
+
     fn orthogonal_matching() -> Matching {
         Matching::new(
             vec![
@@ -1095,31 +1022,39 @@ mod tests {
     #[test]
     fn mutation_log_window_covers_exactly_the_retained_events() {
         let log = MutationLog::new(2);
-        log.record(10, MutationEvent::Remove { oid: 1 });
-        log.record(11, MutationEvent::Remove { oid: 2 });
-        log.record(12, MutationEvent::Remove { oid: 3 });
+        log.record(10, removal(1));
+        log.record(11, removal(2));
+        log.record(12, removal(3));
+        let visited = |since, upto| {
+            let mut oids = Vec::new();
+            let covered = log.all_between(since, upto, |record| {
+                oids.push(record.oid());
+                true
+            });
+            covered.then_some(oids)
+        };
         // The version-10 event fell out of the ring: a gap starting
         // before it can no longer be proven safe.
-        assert!(log.events_between(9, 12).is_none());
-        let covered = log.events_between(10, 12).expect("window covers 11..=12");
-        assert_eq!(covered.len(), 2);
+        assert_eq!(visited(9, 12), None);
+        assert_eq!(visited(10, 12), Some(vec![2, 3]), "11..=12, oldest first");
         // An empty gap is trivially covered.
-        assert_eq!(log.events_between(12, 12).expect("empty gap").len(), 0);
+        assert_eq!(visited(12, 12), Some(vec![]));
+        assert!(!log.all_between(10, 12, |record| record.oid() != 3));
     }
 
     #[test]
     fn removing_an_unassigned_object_revalidates_removing_assigned_drops() {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::default();
+        let log = MutationLog::new(64);
         cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
-        log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
+        log.record(6, removal(3));
+        assert!(cache.get_with_logs(&key, 6, &log).is_some());
         assert_eq!(cache.metrics().revalidations, 1);
 
-        log.record(7, MutationEvent::Remove { oid: 0 });
-        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_none());
+        log.record(7, removal(0));
+        assert!(cache.get_with_logs(&key, 7, &log).is_none());
         assert!(cache.is_empty(), "an affected entry is dropped outright");
     }
 
@@ -1127,28 +1062,28 @@ mod tests {
     fn beaten_everywhere_inserts_revalidate_dominating_inserts_drop() {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::default();
+        let log = MutationLog::new(64);
         cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         // Both functions score the newcomer below their assigned pair.
         log.record(
             6,
-            MutationEvent::Insert {
+            WalRecord::Insert {
                 oid: 9,
-                point: Arc::from([0.01, 0.02].as_slice()),
+                point: Box::from([0.01, 0.02].as_slice()),
             },
         );
-        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
+        assert!(cache.get_with_logs(&key, 6, &log).is_some());
 
         // Function 0 scores this newcomer 0.875 > 0.82: can steal.
         log.record(
             7,
-            MutationEvent::Insert {
+            WalRecord::Insert {
                 oid: 10,
-                point: Arc::from([0.95, 0.2].as_slice()),
+                point: Box::from([0.95, 0.2].as_slice()),
             },
         );
-        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_none());
+        assert!(cache.get_with_logs(&key, 7, &log).is_none());
         assert!(cache.is_empty());
     }
 
@@ -1160,21 +1095,22 @@ mod tests {
         };
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::default();
+        let log = MutationLog::new(64);
         cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         // Even a would-dominate-everything update is invisible to a
         // request that excludes the object.
         log.record(
             6,
-            MutationEvent::Update {
+            WalRecord::Update {
                 oid: 2,
-                point: Arc::from([1.0, 1.0].as_slice()),
+                old: Box::from([0.5, 0.5].as_slice()),
+                new: Box::from([1.0, 1.0].as_slice()),
             },
         );
-        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
-        log.record(7, MutationEvent::Remove { oid: 2 });
-        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_some());
+        assert!(cache.get_with_logs(&key, 6, &log).is_some());
+        log.record(7, removal(2));
+        assert!(cache.get_with_logs(&key, 7, &log).is_some());
         assert_eq!(cache.metrics().revalidations, 2);
     }
 
@@ -1186,13 +1122,13 @@ mod tests {
         };
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::default();
+        let log = MutationLog::new(64);
         cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
 
         // Harmless on its face, but the capacitated greedy's survival
         // argument is not implemented — must fall back to drop.
-        log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_none());
+        log.record(6, removal(3));
+        assert!(cache.get_with_logs(&key, 6, &log).is_none());
         assert!(cache.is_empty());
     }
 
@@ -1202,9 +1138,9 @@ mod tests {
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(1);
         cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
-        log.record(6, MutationEvent::Remove { oid: 3 });
-        log.record(7, MutationEvent::Remove { oid: 3 }); // evicts v6
-        assert!(cache.get_with_logs(&key, &[7], &[&log]).is_none());
+        log.record(6, removal(3));
+        log.record(7, removal(3)); // evicts v6
+        assert!(cache.get_with_logs(&key, 7, &log).is_none());
     }
 
     #[test]
@@ -1218,7 +1154,7 @@ mod tests {
         let key_c = key_of(&[vec![0.5, 0.5]]);
 
         let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::default();
+        let log = MutationLog::new(64);
         cache.insert_vec_seeded(&key_a, &[5], &orthogonal_matching(), None);
         // Entry B's matching does not assign object 0 (it excludes it).
         cache.insert_vec_seeded(
@@ -1237,8 +1173,8 @@ mod tests {
         let bytes_before = cache.bytes();
 
         // Removing assigned object 0 kills A; B excluded it — survives.
-        log.record(6, MutationEvent::Remove { oid: 0 });
-        cache.insert_with_logs(&key_c, &[6], &matching_of(1), &[&log]);
+        log.record(6, removal(0));
+        cache.insert_with_logs(&key_c, 6, &matching_of(1), &log);
         assert_eq!(cache.len(), 2, "A swept, B restamped, C inserted");
         assert!(cache.get(&key_b, 6).is_some());
         assert!(cache.get(&key_c, 6).is_some());
@@ -1249,7 +1185,7 @@ mod tests {
 
         // A publish stamped *older* than live entries must not evict
         // them (the worker-raced-a-mutation case).
-        cache.insert_with_logs(&key_a, &[5], &orthogonal_matching(), &[&log]);
+        cache.insert_with_logs(&key_a, 5, &orthogonal_matching(), &log);
         assert!(
             cache.get(&key_b, 6).is_some(),
             "newer entries survive an old-stamp publish"
@@ -1257,17 +1193,17 @@ mod tests {
         // The old-stamped entry itself installs, and its next versioned
         // lookup catches it up through the log — here: kills it, since
         // the remove hit its assigned object.
-        assert!(cache.get_with_logs(&key_a, &[6], &[&log]).is_none());
+        assert!(cache.get_with_logs(&key_a, 6, &log).is_none());
     }
 
     // ------------------------------------------------------------------
     // The seed slot
     // ------------------------------------------------------------------
 
-    fn seed_at(versions: &[u64]) -> Arc<EvalSeed> {
+    fn seed_at(version: u64) -> Arc<EvalSeed> {
         let empty = mpq_rtree::RTree::new(2, mpq_rtree::RTreeParams::default());
         Arc::new(EvalSeed {
-            versions: versions.to_vec(),
+            version,
             skyline: mpq_skyline::SkylineMaintainer::build(&empty),
         })
     }
@@ -1308,7 +1244,7 @@ mod tests {
             &key_excluding(&[7]),
             &[4],
             &matching_of(1),
-            Some(seed_at(&[4])),
+            Some(seed_at(4)),
         );
         let capacitated = orthogonal_key(&RequestOptions {
             capacities: Some(vec![1, 1, 1, 1]),
@@ -1318,7 +1254,7 @@ mod tests {
             let seed = cache
                 .near_miss(key, &[4], 16)
                 .expect("one seed, every miss");
-            assert!(seed.usable_at(&[4]));
+            assert!(seed.usable_at(4));
         }
         // A looker that read its version before the mutation leaves the
         // newer seed alone ...
@@ -1330,7 +1266,7 @@ mod tests {
         // ... and a looker past it drops it on sight, bytes and all.
         let with_seed = cache.bytes();
         assert!(cache.near_miss(&probe, &[5], 16).is_none());
-        assert_eq!(cache.bytes(), with_seed - seed_at(&[4]).approx_bytes());
+        assert_eq!(cache.bytes(), with_seed - seed_at(4).approx_bytes());
         assert!(cache.near_miss(&probe, &[4], 16).is_none());
     }
 
@@ -1343,12 +1279,12 @@ mod tests {
             key_excluding(&[2]),
             key_excluding(&[3]),
         );
-        let first = seed_at(&[4, 4]);
-        cache.insert_vec_seeded(&ka, &[4, 4], &matching_of(1), Some(Arc::clone(&first)));
+        let first = seed_at(4);
+        cache.insert_vec_seeded(&ka, &[4], &matching_of(1), Some(Arc::clone(&first)));
         // A second capture at the same vector (two workers missed
         // together) is dropped, not stacked.
-        cache.insert_vec_seeded(&kb, &[4, 4], &matching_of(1), Some(seed_at(&[4, 4])));
-        let resident = cache.near_miss(&kc, &[4, 4], 16).unwrap();
+        cache.insert_vec_seeded(&kb, &[4], &matching_of(1), Some(seed_at(4)));
+        let resident = cache.near_miss(&kc, &[4], 16).unwrap();
         assert!(Arc::ptr_eq(&resident, &first));
         assert_eq!(
             cache.bytes(),
@@ -1357,10 +1293,10 @@ mod tests {
         );
         // A newer vector replaces it; a late publish from the older one
         // does not replace it back.
-        cache.insert_vec_seeded(&kc, &[4, 5], &matching_of(1), Some(seed_at(&[4, 5])));
-        cache.insert_vec_seeded(&ka, &[4, 4], &matching_of(1), Some(seed_at(&[4, 4])));
-        assert!(cache.near_miss(&kb, &[4, 5], 16).is_some());
-        assert!(cache.near_miss(&kb, &[4, 4], 16).is_none());
+        cache.insert_vec_seeded(&kc, &[5], &matching_of(1), Some(seed_at(5)));
+        cache.insert_vec_seeded(&ka, &[4], &matching_of(1), Some(seed_at(4)));
+        assert!(cache.near_miss(&kb, &[5], 16).is_some());
+        assert!(cache.near_miss(&kb, &[4], 16).is_none());
     }
 
     #[test]
@@ -1368,8 +1304,8 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let other = key_excluding(&[42]);
         let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::default();
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), Some(seed_at(&[5])));
+        let log = MutationLog::new(64);
+        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), Some(seed_at(5)));
         let bytes_with_seed = cache.bytes();
         assert!(cache.near_miss(&other, &[5], 16).is_some());
 
@@ -1377,8 +1313,8 @@ mod tests {
         // matching is served, but the restamp never carries the seed —
         // whose pruned entries reference pages of the version-5 epoch —
         // along. The revalidating lookup itself releases it.
-        log.record(6, MutationEvent::Remove { oid: 3 });
-        assert!(cache.get_with_logs(&key, &[6], &[&log]).is_some());
+        log.record(6, removal(3));
+        assert!(cache.get_with_logs(&key, 6, &log).is_some());
         assert_eq!(cache.metrics().revalidations, 1);
         assert!(cache.bytes() < bytes_with_seed);
         assert!(cache.near_miss(&other, &[6], 16).is_none());
@@ -1392,7 +1328,7 @@ mod tests {
         let bulky = matching_of(1000);
         let (ka, kb) = (key_excluding(&[1]), key_excluding(&[2]));
         let entry = ka.approx_bytes() + bulky.approx_bytes();
-        let seed = seed_at(&[4]);
+        let seed = seed_at(4);
         let mut cache = ResultCache::new(8, entry + seed.approx_bytes());
         cache.insert_vec_seeded(&ka, &[4], &bulky, Some(seed));
         assert!(cache.near_miss(&kb, &[4], 16).is_some());

@@ -59,7 +59,7 @@ use mpq_rtree::{
 use mpq_ta::{FunctionSet, ThresholdMode};
 
 use crate::brute_force::{run_incremental_on, run_restart_on};
-use crate::cache::{MutationEvent, MutationLog};
+use crate::cache::MutationLog;
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching};
@@ -191,7 +191,7 @@ impl<'o> EngineBuilder<'o> {
 
     /// Number of shards `K >= 1` the inventory is hash-partitioned into
     /// by object id (default 1: one R-tree). Every shard has its own
-    /// R-tree, buffer pool, WAL segment and version component; every
+    /// R-tree, buffer pool and WAL segment; every
     /// request evaluates over all of them as over one tree (see
     /// [`crate::shard`]).
     pub fn shards(mut self, k: usize) -> EngineBuilder<'o> {
@@ -383,18 +383,8 @@ impl<'o> EngineBuilder<'o> {
                 // object a later record removes, spent its id.
                 bound = bound.max(oid.saturating_add(1));
             }
-            if seq <= ckpt_seq {
-                continue; // already part of the checkpointed image
-            }
-            match rec {
-                WalRecord::Insert { oid, point } => tree.insert(&point, oid),
-                WalRecord::Remove { oid, point } => {
-                    tree.delete(&point, oid);
-                }
-                WalRecord::Update { oid, old, new } => {
-                    tree.delete(&old, oid);
-                    tree.insert(&new, oid);
-                }
+            if seq > ckpt_seq {
+                apply(&tree, &rec); // else already part of the checkpointed image
             }
         }
         Ok((Shard::new(tree, Some(wal), self.buffer_shards), bound))
@@ -497,21 +487,48 @@ pub(crate) fn validate_point(oid: u64, dim: usize, p: &[f64]) -> Result<(), MpqE
     Ok(())
 }
 
-/// Process-global inventory version source: every built shard — and
-/// every committed mutation — gets a distinct, monotonically increasing
-/// stamp (starting at 1 so 0 can serve as a "no engine" sentinel in
-/// caller code). The stamp is what makes a
+/// Process-global inventory version source: every built or reopened
+/// engine — and every committed mutation — gets a distinct,
+/// monotonically increasing stamp (starting at 1 so 0 can serve as a
+/// "no engine" sentinel in caller code). The stamp is what makes a
 /// [`ResultCache`](crate::ResultCache) entry safe across engine rebuilds
 /// *and* in-place mutations: results computed against inventory version
 /// *v* are only served to lookups against the same *v*, unless the
-/// engine's [`MutationLog`]s prove every intervening mutation irrelevant
+/// engine's [`MutationLog`] proves every intervening mutation irrelevant
 /// to the entry.
 static NEXT_INVENTORY_VERSION: AtomicU64 = AtomicU64::new(1);
 
+/// Set in [`Engine`]'s stamp from before a mutation touches a tree until
+/// the version it mints is stored: a pin that reads it, or reads two
+/// different stamps around its sessions, cannot name the epoch it
+/// pinned. Versions never come near the bit.
+const IN_FLUX: u64 = 1 << 63;
+
+/// Mutations the log keeps per shard: the one log of a `K`-shard engine
+/// covers every window `K` rings of this many covered.
+const MUTATIONS_PER_SHARD: usize = 64;
+
+/// Apply one logged mutation to `tree` — the live mutation path and WAL
+/// replay alike. `false` if a remove or an update named an entry the
+/// tree did not hold.
+fn apply(tree: &RTree, record: &WalRecord) -> bool {
+    match record {
+        WalRecord::Insert { oid, point } => {
+            tree.insert(point, *oid);
+            true
+        }
+        WalRecord::Remove { oid, point } => tree.delete(point, *oid),
+        WalRecord::Update { oid, old, new } => {
+            let removed = tree.delete(old, *oid);
+            tree.insert(new, *oid);
+            removed
+        }
+    }
+}
+
 /// One shard of an engine's inventory: the objects [`shard_of`] routes
-/// to it, in an R-tree of their own with its buffer pool, its WAL
-/// segment, its version component and its log of recent mutations. An
-/// engine of one shard holds the whole inventory in it.
+/// to it, in an R-tree of their own with its buffer pool and its WAL
+/// segment. An engine of one shard holds the whole inventory in it.
 struct Shard {
     tree: RTree,
     /// The writers' index: the point of every live object by id, for
@@ -520,11 +537,6 @@ struct Shard {
     /// (see [`crate::objects`]); every mutation keeps it current from
     /// then on. Only mutators, under the engine's mutator lock, touch it.
     objects: Mutex<Option<ObjectTable>>,
-    /// Bumped on every mutation of this shard (see
-    /// [`Engine::version_vector`]).
-    version: AtomicU64,
-    /// Recent mutations by version, for scoped cache invalidation.
-    mutations: MutationLog,
     /// Write-ahead log; present iff the engine is disk-backed.
     wal: Option<Mutex<Wal>>,
     /// Set when a durability failure left the WAL wedged: mutations of
@@ -545,15 +557,9 @@ impl Shard {
         Shard {
             tree,
             objects: Mutex::new(None),
-            version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
-            mutations: MutationLog::default(),
             wal: wal.map(Mutex::new),
             degraded: AtomicBool::new(false),
         }
-    }
-
-    fn version(&self) -> u64 {
-        self.version.load(AtomicOrdering::Acquire)
     }
 
     fn wal_bytes(&self) -> u64 {
@@ -600,69 +606,6 @@ impl Shard {
                 return Err(e.into());
             }
         }
-        Ok(())
-    }
-
-    /// Publish a committed mutation: record the event under a freshly
-    /// minted version stamp, then advance the shard's version. The
-    /// order matters — once a reader observes the new version, the log
-    /// already holds every event up to it.
-    fn commit_mutation(&self, event: MutationEvent) {
-        let v = NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed);
-        self.mutations.record(v, event);
-        self.version.store(v, AtomicOrdering::Release);
-    }
-
-    /// Index a new object under `oid`, an id no shard has seen.
-    fn insert(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
-        self.log_wal(&WalRecord::Insert {
-            oid,
-            point: Box::from(point),
-        })?;
-        self.tree.insert(point, oid);
-        if let Some(table) = lock(&self.objects).as_mut() {
-            table.insert(oid, point);
-        }
-        self.commit_mutation(MutationEvent::Insert {
-            oid,
-            point: Arc::from(point),
-        });
-        Ok(())
-    }
-
-    /// Drop object `oid`, stored at `point`.
-    fn remove(&self, oid: u64, point: Box<[f64]>) -> Result<(), MpqError> {
-        self.log_wal(&WalRecord::Remove {
-            oid,
-            point: point.clone(),
-        })?;
-        let removed = self.tree.delete(&point, oid);
-        debug_assert!(removed, "object table and tree disagree on oid {oid}");
-        if let Some(table) = lock(&self.objects).as_mut() {
-            table.remove(oid);
-        }
-        self.commit_mutation(MutationEvent::Remove { oid });
-        Ok(())
-    }
-
-    /// Move object `oid` from `old` to `point`: one WAL record, one
-    /// version bump, delete + re-insert on the index.
-    fn update(&self, oid: u64, old: Box<[f64]>, point: &[f64]) -> Result<(), MpqError> {
-        self.log_wal(&WalRecord::Update {
-            oid,
-            old: old.clone(),
-            new: Box::from(point),
-        })?;
-        let removed = self.tree.delete(&old, oid);
-        debug_assert!(removed, "object table and tree disagree on oid {oid}");
-        self.tree.insert(point, oid);
-        if let Some(table) = lock(&self.objects).as_mut() {
-            table.insert(oid, point);
-        }
-        self.commit_mutation(MutationEvent::Update {
-            oid,
-            point: Arc::from(point),
-        });
         Ok(())
     }
 
@@ -714,6 +657,15 @@ pub struct Engine {
     /// The id mint: ids at or above it have never been assigned, in any
     /// shard. Removal never recycles an id.
     next_oid: AtomicU64,
+    /// The inventory version (see [`Engine::inventory_version`]), with
+    /// [`IN_FLUX`] set while a mutation is between its tree and its
+    /// version. A commit's `Release` store pairs with the readers'
+    /// `Acquire` loads: whoever reads a version finds its tree and its
+    /// log entry in place.
+    version: AtomicU64,
+    /// Recent mutations by the version each minted, for scoped cache
+    /// invalidation.
+    mutations: MutationLog,
     /// Evaluations actually run against this engine (see
     /// [`Engine::evaluation_count`]).
     evaluations: AtomicU64,
@@ -734,7 +686,7 @@ impl std::fmt::Debug for Engine {
             .field("shards", &self.shards.len())
             .field("objects", &self.n_objects())
             .field("pages", &self.page_count())
-            .field("versions", &self.version_vector())
+            .field("version", &self.inventory_version())
             .field("data_dir", &self.data_dir)
             .finish()
     }
@@ -762,6 +714,8 @@ impl Engine {
             dim: shards[0].tree.dim(),
             config: builder.index,
             next_oid: AtomicU64::new(next_oid),
+            version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
+            mutations: MutationLog::new(MUTATIONS_PER_SHARD * shards.len()),
             shards,
             evaluations: AtomicU64::new(0),
             data_dir: builder.data_dir,
@@ -801,29 +755,27 @@ impl Engine {
         &self.shards[shard_of(oid, self.shards.len())]
     }
 
-    /// The engine's **inventory version vector**, one component per
-    /// shard, in shard order. A component is a process-globally unique,
-    /// monotonically increasing stamp assigned at build time and
-    /// re-minted on every mutation of its shard. Two engines never share
-    /// a component — even when built over identical objects — so a
-    /// [`ResultCache`](crate::ResultCache) entry stamped with one
-    /// engine's vector can never be served against another engine's
-    /// inventory; an entry stamped before a mutation is stale unless
-    /// the shards' mutation logs prove the mutation could not have
-    /// changed it, and a mutation of one shard leaves every other
-    /// component — and that proof for entries it cannot affect —
-    /// intact.
-    pub fn version_vector(&self) -> Vec<u64> {
-        self.shards.iter().map(Shard::version).collect()
+    /// The engine's **inventory version**: a process-globally unique,
+    /// monotonically increasing stamp minted when the engine is built or
+    /// reopened and re-minted by every committed mutation, of whichever
+    /// shard. Two engines never share one — even when built over
+    /// identical objects — so a [`ResultCache`](crate::ResultCache)
+    /// entry stamped with one engine's version can never be served
+    /// against another engine's inventory; an entry stamped before a
+    /// mutation is stale unless the engine's mutation log proves the
+    /// mutation could not have changed it.
+    ///
+    /// While a mutation is being applied this is still the version
+    /// before it: the new one is stored once the trees hold the change.
+    pub fn inventory_version(&self) -> u64 {
+        self.version.load(AtomicOrdering::Acquire) & !IN_FLUX
     }
 
-    /// The per-shard recent-mutation logs, aligned with
-    /// [`Engine::version_vector`]: every mutation records its event
-    /// under the version stamp it minted, which is what lets a
-    /// [`ResultCache`](crate::ResultCache) revalidate entries that a
+    /// The log of recent mutations, by the version each minted: what
+    /// lets a [`ResultCache`](crate::ResultCache) revalidate entries a
     /// mutation provably did not affect instead of flushing wholesale.
-    pub(crate) fn mutation_logs(&self) -> Vec<&MutationLog> {
-        self.shards.iter().map(|shard| &shard.mutations).collect()
+    pub(crate) fn mutations(&self) -> &MutationLog {
+        &self.mutations
     }
 
     /// The data directory the engine persists under, if disk-backed.
@@ -921,8 +873,8 @@ impl Engine {
     /// engine the WAL record is appended and fsynced first — one record,
     /// in the log of the one shard the id routes to — then that shard's
     /// R-tree is updated in place (copy-on-write — in-flight evaluations
-    /// keep reading their pinned epoch), and only then does its
-    /// component of [`Engine::version_vector`] advance. Refused with
+    /// keep reading their pinned epoch), and only then does
+    /// [`Engine::inventory_version`] advance. Refused with
     /// [`MpqError::Forest`] once that shard's tree, one of several, has
     /// no page ids left to grow into.
     pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
@@ -932,7 +884,8 @@ impl Engine {
         shard.check_storage()?;
         self.check_room(shard)?;
         validate_point(oid, self.dim, point)?;
-        shard.insert(oid, point)?;
+        let point = Box::from(point);
+        self.commit(shard, WalRecord::Insert { oid, point })?;
         self.next_oid.store(oid + 1, AtomicOrdering::Release);
         Ok(oid)
     }
@@ -953,7 +906,8 @@ impl Engine {
                 "removing the last object would empty the inventory",
             ));
         }
-        shard.remove(oid, point.ok_or(MpqError::UnknownObject { oid })?)
+        let point = point.ok_or(MpqError::UnknownObject { oid })?;
+        self.commit(shard, WalRecord::Remove { oid, point })
     }
 
     /// Move an existing object to a new point (same id, new
@@ -968,7 +922,41 @@ impl Engine {
         self.check_room(shard)?;
         validate_point(oid, self.dim, point)?;
         let old = shard.point(oid).ok_or(MpqError::UnknownObject { oid })?;
-        shard.update(oid, old, point)
+        let new = Box::from(point);
+        self.commit(shard, WalRecord::Update { oid, old, new })
+    }
+
+    /// Commit one mutation of `shard`, with the mutator lock held: the
+    /// one [`WalRecord`] is appended to the shard's WAL, applied to its
+    /// tree and writers' index, recorded in the log under the version
+    /// it mints, and that version published. The stamp reads
+    /// [`IN_FLUX`] from before the tree changes until then, so no pin
+    /// taken in between trusts the old version (see [`Engine::pin`]).
+    fn commit(&self, shard: &Shard, record: WalRecord) -> Result<(), MpqError> {
+        shard.log_wal(&record)?;
+        // The tree publishes under a lock, whose release carries this
+        // mark to any pin that sees the change.
+        self.version.fetch_or(IN_FLUX, AtomicOrdering::Release);
+        let applied = apply(&shard.tree, &record);
+        debug_assert!(
+            applied,
+            "object table and tree disagree on oid {}",
+            record.oid()
+        );
+        if let Some(table) = lock(&shard.objects).as_mut() {
+            match &record {
+                WalRecord::Remove { oid, .. } => {
+                    table.remove(*oid);
+                }
+                WalRecord::Insert { oid, point: new } | WalRecord::Update { oid, new, .. } => {
+                    table.insert(*oid, new)
+                }
+            }
+        }
+        let version = NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed);
+        self.mutations.record(version, record);
+        self.version.store(version, AtomicOrdering::Release);
+        Ok(())
     }
 
     /// Refuse to grow a tree of several past the page ids that fit
@@ -1083,24 +1071,20 @@ impl Engine {
     }
 
     /// Pin a run-scoped I/O session on every shard's current epoch and
-    /// read the pins as one source. The versions are `Some` iff no
-    /// mutation straddled a pin: versions are monotone and minted at
-    /// commit, so equality on both sides of a shard's pin proves the
-    /// pinned tree *is* that version's epoch. Otherwise some epoch is
-    /// ambiguous, and the run must decline seeds and capture nothing
-    /// rather than guess.
-    pub(crate) fn pin(&self) -> (Pins<'_>, Option<Vec<u64>>) {
-        let mut versions = Some(Vec::with_capacity(self.shards.len()));
-        let mut sessions = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let before = shard.version();
-            sessions.push(IoSession::new(&shard.tree));
-            match &mut versions {
-                Some(stable) if shard.version() == before => stable.push(before),
-                _ => versions = None,
-            }
-        }
-        (Forest::new(sessions), versions)
+    /// read the pins as one source, with the inventory version they are
+    /// pinned at: `Some` iff the stamp read one committed version on
+    /// both sides of the pins. A mutation marks the stamp [`IN_FLUX`]
+    /// before its tree changes and stores its version only after, so a
+    /// pin that may hold a changed tree reads the mark or a new version.
+    /// Then the epoch is ambiguous, and the run must decline seeds and
+    /// capture nothing rather than guess.
+    pub(crate) fn pin(&self) -> (Pins<'_>, Option<u64>) {
+        let before = self.version.load(AtomicOrdering::Acquire);
+        let sessions = self.shards.iter().map(|shard| IoSession::new(&shard.tree));
+        let pins = Forest::new(sessions.collect());
+        let after = self.version.load(AtomicOrdering::Acquire);
+        let stable = before == after && before & IN_FLUX == 0;
+        (pins, stable.then_some(before))
     }
 
     /// The served evaluation path: validate, pin every shard, run SB
@@ -1336,7 +1320,7 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
     /// rows (bit-exact, in function-id order, with tombstones),
     /// `multi_pair`, the exclusion set (order-insensitively) and the
     /// capacity vector. Pair it with
-    /// [`Engine::version_vector`] to use a
+    /// [`Engine::inventory_version`] to use a
     /// [`ResultCache`](crate::ResultCache) standalone; the
     /// [`EngineService`] computes the same key internally on every
     /// submission.
@@ -1748,6 +1732,55 @@ mod tests {
         assert_eq!(engine.n_objects(), 19_999);
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A pin taken while a mutation sits between its tree change and its
+    /// version store names no version, so the seed captured before the
+    /// mutation does not prime the run: it returns what a cold run over
+    /// the same pins does. Both a removal — whose freed pages the seed's
+    /// pruned entries may name — and an insert the seed knows nothing of.
+    #[test]
+    fn a_pin_inside_a_mutation_trusts_no_seed() {
+        let objects = points(3_000, 2009);
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|f| vec![0.2 + 0.015 * f as f64, 0.5, 0.3])
+            .collect();
+        let functions = FunctionSet::from_rows(3, &rows);
+        for removal in [true, false] {
+            let engine = Engine::builder().objects(&objects).build().unwrap();
+            let mut scratch = Scratch::new();
+            let request = engine.request(&functions);
+            let (before, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
+            let seed = seed.expect("a cold run over stable pins captures");
+            let assigned = before.pairs()[0].oid;
+            std::thread::scope(|scope| {
+                let held = engine.mutations.hold();
+                let mutator = scope.spawn(|| match removal {
+                    true => engine.remove_object(assigned),
+                    false => engine.insert_object(&[1.0, 1.0, 1.0]).map(drop),
+                });
+                let start = std::time::Instant::now();
+                while engine.n_objects() == 3_000 {
+                    assert!(start.elapsed().as_secs() < 10, "the tree never changed");
+                    std::thread::yield_now();
+                }
+                assert_eq!(engine.pin().1, None, "removal: {removal}");
+                let (seeded, captured) =
+                    request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
+                assert!(captured.is_none(), "an ambiguous pin captures nothing");
+                let cold = request.evaluate().unwrap();
+                assert_ne!(
+                    cold.pairs(),
+                    before.pairs(),
+                    "the mutation moves the matching"
+                );
+                assert_eq!(seeded.pairs(), cold.pairs(), "removal: {removal}");
+                drop(held);
+                mutator.join().unwrap().unwrap();
+            });
+            assert_eq!(engine.pin().1, Some(engine.inventory_version()));
+            assert!(!seed.usable_at(engine.inventory_version()));
+        }
     }
 
     #[test]

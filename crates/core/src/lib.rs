@@ -89,11 +89,11 @@
 //! [`Engine::insert_object`], [`Engine::remove_object`] and
 //! [`Engine::update_object`] maintain the R-tree incrementally under
 //! copy-on-write epochs: in-flight evaluations finish on the snapshot
-//! they pinned, and each committed mutation bumps one component of
-//! [`Engine::version_vector`] and is recorded in the shard's mutation log
-//! so the [`ResultCache`] can drop only the entries a mutation could
-//! actually change (the rest are revalidated in place). With
-//! [`EngineBuilder::data_dir`](engine::EngineBuilder::data_dir) the
+//! they pinned, and each committed mutation mints a new
+//! [`Engine::inventory_version`] and is recorded in the engine's
+//! mutation log so the [`ResultCache`] can drop only the entries a
+//! mutation could actually change (the rest are revalidated in place).
+//! With [`EngineBuilder::data_dir`](engine::EngineBuilder::data_dir) the
 //! engine is disk-backed: index pages live in a CRC-checked page file
 //! and every mutation is appended to a write-ahead log ([`wal`]) and
 //! fsynced *before* it is applied, so [`Engine::open`] recovers the
@@ -108,9 +108,7 @@
 //! segment — and the engine reads them as one index: every request,
 //! stream and variant runs over `K` trees as it runs over one, and the
 //! matching is bit-identical at every `K`. A mutation is one record in
-//! one shard's WAL, and the cache stamps results with a per-shard
-//! version vector so one shard's mutations never invalidate another
-//! shard's cached work.
+//! one shard's WAL; the inventory has one version whatever `K` is.
 //!
 //! ## Ledger-only names
 //!
@@ -119,9 +117,9 @@
 //! has no other use for; a `benchmark` PR deletes these:
 //! [`ShardedEngine`] (`ShardedEngine::builder()` *is*
 //! [`Engine::builder`]), [`Engine::skipped_shards`], [`Engine::tree`],
-//! the scalar [`Engine::inventory_version`] with the scalar
-//! [`ResultCache::get`] / [`ResultCache::insert_vec_seeded`] pair it
-//! stamps, and [`ResultCache::near_miss`]'s name and dead arguments.
+//! and the slice [`ResultCache::insert_vec_seeded`] and
+//! [`ResultCache::near_miss`] take for the one version (with the
+//! latter's name and dead arguments).
 
 #![warn(missing_docs)]
 
@@ -182,13 +180,5 @@ impl Engine {
     /// [`Engine::shard_count`] is 1 — [`Engine::trees`] otherwise.
     pub fn tree(&self) -> &mpq_rtree::RTree {
         self.trees().next().expect("an engine has a shard")
-    }
-
-    /// The newest component of [`Engine::version_vector`] — the stamp
-    /// of the latest mutation, or of the build. With one shard it *is*
-    /// the vector.
-    pub fn inventory_version(&self) -> u64 {
-        let newest = self.version_vector().into_iter().max();
-        newest.expect("an engine has a shard")
     }
 }

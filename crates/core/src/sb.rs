@@ -572,8 +572,8 @@ pub(crate) fn stream_on<R: NodeSource>(
 }
 
 /// Non-streaming SB evaluation of one request over `pins`: the pinned
-/// source and the inventory version vector it is pinned at, `None` if
-/// a mutation straddled a pin (see `Engine::pin`). `threshold` is the
+/// source and the inventory version it is pinned at, `None` if a
+/// mutation straddled the pins (see `Engine::pin`). `threshold` is the
 /// reverse top-1 scans' — [`SERVED_THRESHOLD`] for every served
 /// request; the naive one, or `None` to scan `F`, for the §IV-A
 /// ablations. The entire
@@ -590,18 +590,18 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// `SbRun::round` and nothing else.
 ///
 /// Seed-capable, and the one place that decides it. A `seed` is
-/// honoured only when every shard is pinned, unambiguously, at exactly
+/// honoured only when the shards are pinned, unambiguously, at exactly
 /// the seed's version — its pruned entries reference pages of those
 /// epochs. A run that resumed captures nothing; a cold one hands the
-/// inventory's seed to `capture` right after its BBS, and only if every
-/// pin was stable, so the snapshot can be stamped. Pass `None, None`
+/// inventory's seed to `capture` right after its BBS, and only if the
+/// pins were stable, so the snapshot can be stamped. Pass `None, None`
 /// for a plain cold run. Both paths run the identical round body over
 /// content-identical skylines, so seeded matchings are
 /// score-bit-identical to cold ones (pinned by
 /// `tests/seed_identity.rs`). The flag beside the matching says whether
 /// the run primed from `seed`.
 pub(crate) fn run_sb_seeded<R: NodeSource>(
-    (src, versions): (R, Option<Vec<u64>>),
+    (src, version): (R, Option<u64>),
     functions: &FunctionSet,
     options: &RequestOptions,
     threshold: Option<ThresholdMode>,
@@ -610,13 +610,13 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     capture: Option<&mut dyn FnMut(EvalSeed)>,
 ) -> (Matching, bool) {
     let start = Instant::now();
-    let seed = seed.filter(|s| versions.as_ref() == Some(&s.versions));
+    let seed = seed.filter(|s| version == Some(s.version));
     let mut stamp = capture
-        .zip(versions.filter(|_| seed.is_none()))
-        .map(|(sink, versions)| {
+        .zip(version.filter(|_| seed.is_none()))
+        .map(|(sink, version)| {
             move |skyline: &SkylineMaintainer| {
-                let (versions, skyline) = (versions.clone(), skyline.clone());
-                sink(EvalSeed { versions, skyline });
+                let skyline = skyline.clone();
+                sink(EvalSeed { version, skyline });
             }
         });
     let mut lent = std::mem::take(scratch);

@@ -1,4 +1,4 @@
-//! Evaluation seeds: the inventory's skyline at a version vector, kept
+//! Evaluation seeds: the inventory's skyline at one version, kept
 //! once and resumed by every request against that inventory.
 //!
 //! SB rests on one fact (§III-B of the paper): the top-1 object of
@@ -32,7 +32,7 @@
 //! hands its capture over the moment BBS is done, before its first
 //! round: the serving layer installs it in the result cache there and
 //! then, and a worker takes the seed when it *claims* a job, so one cold
-//! BBS runs per version vector (see [`crate::service`]).
+//! BBS runs per inventory version (see [`crate::service`]).
 //! A run that resumed captures nothing: it would only reproduce the
 //! seed it was handed.
 //!
@@ -49,17 +49,20 @@
 //! included, by `tests/seed_identity.rs`).
 //!
 //! Seeds are **pinned to the exact inventory**: the snapshot's pruned
-//! entries reference R-tree pages of the version vector it was captured
-//! at, so a seed is only usable while the engine's versions are
-//! bit-equal to [`EvalSeed::versions`]. The result cache keeps at most
-//! one — a seed is a property of the inventory, not of a cached request
-//! — and hands it to every miss claimed at exactly that vector; the
-//! evaluation path re-checks each component against the tree epoch it
-//! pinned before priming from it, and reports whether it did.
+//! entries reference R-tree pages of the inventory version it was
+//! captured at, so a seed is only usable while the engine is at
+//! [`EvalSeed::version`]. The result cache keeps at most one — a seed is
+//! a property of the inventory, not of a cached request — and hands it
+//! to every miss claimed at exactly that version. The evaluation
+//! primes from it only if its pins read that version, committed, on
+//! both sides: a mutation marks the version in flux before it changes
+//! a tree and stores its new version after, so a run whose pins may
+//! hold a half-applied mutation runs cold and captures nothing. It
+//! reports whether it primed.
 
 use mpq_skyline::SkylineMaintainer;
 
-/// The inventory's skyline at one version vector, from which any
+/// The inventory's skyline at one inventory version, from which any
 /// evaluation against the *same* inventory can resume (see the
 /// [module docs](self)).
 ///
@@ -69,9 +72,9 @@ use mpq_skyline::SkylineMaintainer;
 /// the result cache.
 #[derive(Clone)]
 pub struct EvalSeed {
-    /// Per-shard inventory version vector at capture time. The seed is
-    /// valid only while the engine's vector is bit-equal.
-    pub(crate) versions: Vec<u64>,
+    /// The inventory version at capture time. The seed is valid only
+    /// while the engine is at it.
+    pub(crate) version: u64,
     /// The un-peeled BBS snapshot over the forest of the shards.
     pub(crate) skyline: SkylineMaintainer,
 }
@@ -79,7 +82,7 @@ pub struct EvalSeed {
 impl std::fmt::Debug for EvalSeed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalSeed")
-            .field("versions", &self.versions)
+            .field("version", &self.version)
             .field("members", &self.skyline.len())
             .field("approx_bytes", &self.approx_bytes())
             .finish()
@@ -87,22 +90,20 @@ impl std::fmt::Debug for EvalSeed {
 }
 
 impl EvalSeed {
-    /// The per-shard inventory version vector the seed was captured at.
-    pub fn versions(&self) -> &[u64] {
-        &self.versions
+    /// The inventory version the seed was captured at.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// True iff the seed may prime an evaluation against an engine
-    /// currently at `versions` — requires bit-equality, because the
+    /// currently at `version` — requires equality, because the
     /// snapshot's pruned entries reference pages of that exact epoch.
-    pub fn usable_at(&self, versions: &[u64]) -> bool {
-        self.versions == versions
+    pub fn usable_at(&self, version: u64) -> bool {
+        self.version == version
     }
 
     /// Approximate heap footprint, for cache byte accounting.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.versions)
-            + self.versions.len() * 8
-            + self.skyline.approx_bytes()
+        std::mem::size_of_val(&self.version) + self.skyline.approx_bytes()
     }
 }

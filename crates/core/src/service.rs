@@ -42,7 +42,7 @@
 //!   [`crate::seed`]) when a worker *claims* it, not when it is
 //!   submitted, and a cold run installs the seed it captures in the
 //!   cache the moment its BBS is done. A worker that claims a miss while
-//!   another worker's cold run is capturing at the same version vector
+//!   another worker's cold run is capturing at the same inventory version
 //!   waits for that capture to end, then resumes — or, if the capture
 //!   installed nothing, captures itself — so one cold BBS runs per
 //!   version. Uncached services and a single worker never wait;
@@ -524,16 +524,16 @@ impl MetricsInner {
 struct CacheLayer {
     cache: ResultCache,
     inflight: HashMap<Arc<RequestKey>, Arc<DedupeGroup>>,
-    /// The version vectors at which a worker's cold run is capturing the
-    /// seed right now: at most one capture per vector (see
+    /// The versions at which a worker's cold run is capturing the seed
+    /// right now: at most one capture per version (see
     /// [`ServiceCore::claim_seed`]).
-    capturing: Vec<Vec<u64>>,
-    /// The last vector whose seed did not fit `cache_max_bytes`: nobody
+    capturing: Vec<u64>,
+    /// The last version whose seed did not fit `cache_max_bytes`: nobody
     /// captures or waits at it again.
-    unfit: Option<Vec<u64>>,
+    unfit: Option<u64>,
 }
 
-/// One worker's claim on capturing the seed at `versions` (see
+/// One worker's claim on capturing the seed at `version` (see
 /// [`ServiceCore::claim_seed`]). Its cold run installs what it captures
 /// the moment its BBS is done; however the run ends — seed installed,
 /// too large for the cache, pin moved, no capture at all, or a panic —
@@ -542,25 +542,24 @@ struct CacheLayer {
 struct Capture<'c> {
     layer: &'c Mutex<CacheLayer>,
     seeded: &'c Condvar,
-    versions: Vec<u64>,
+    version: u64,
     open: bool,
 }
 
 impl Capture<'_> {
     /// Install `seed` in the cache if it is the skyline at the claimed
-    /// vector (a mutation may have landed between claim and pin), then
+    /// version (a mutation may have landed between claim and pin), then
     /// end the claim.
     fn install(&mut self, seed: EvalSeed) {
         let mut layer = lock(self.layer);
-        if seed.usable_at(&self.versions) && !layer.cache.offer_seed(Arc::new(seed), &self.versions)
-        {
-            layer.unfit = Some(self.versions.clone());
+        if seed.usable_at(self.version) && !layer.cache.offer_seed(Arc::new(seed), self.version) {
+            layer.unfit = Some(self.version);
         }
         self.end(layer);
     }
 
     fn end(&mut self, mut layer: MutexGuard<'_, CacheLayer>) {
-        layer.capturing.retain(|v| *v != self.versions);
+        layer.capturing.retain(|&v| v != self.version);
         self.open = false;
         drop(layer);
         self.seeded.notify_all();
@@ -872,20 +871,18 @@ impl<'a> ServiceCore<'a> {
 
     /// The full service submission path: consult the result cache, then
     /// the in-flight index (attach to an identical queued/running job),
-    /// and only then pay a queue slot. `versions` is the submitting
-    /// engine's inventory version vector — one component per shard,
-    /// exactly one for an unsharded engine. Cache entries stamped
-    /// from any other inventory are misses, except that `logs` (the
-    /// per-shard [`MutationLog`]s) may revalidate an older entry whose
-    /// result provably survived every intervening mutation on every
-    /// shard.
+    /// and only then pay a queue slot. `version` is the submitting
+    /// engine's inventory version. Cache entries stamped from any other
+    /// inventory are misses, except that `log` (the engine's
+    /// [`MutationLog`]) may revalidate an older entry whose result
+    /// provably survived every intervening mutation.
     pub(crate) fn submit_owned(
         &self,
         functions: FunctionSet,
         options: RequestOptions,
         submit: SubmitOptions,
-        versions: &[u64],
-        logs: &[&MutationLog],
+        version: u64,
+        log: &MutationLog,
     ) -> Result<Ticket, MpqError> {
         // The post-shutdown contract holds for every path, including a
         // would-be cache hit: a stopped service accepts nothing.
@@ -899,7 +896,7 @@ impl<'a> ServiceCore<'a> {
         let key = request_key(&functions, &options);
         let group = {
             let mut layer = lock(cached);
-            if let Some(matching) = layer.cache.get_with_logs(&key, versions, logs) {
+            if let Some(matching) = layer.cache.get_with_logs(&key, version, log) {
                 // Hit: resolve a ticket on the spot — no queue slot, no
                 // worker, bit-identical result by construction.
                 let (ticket, shared) = self.new_ticket();
@@ -1026,43 +1023,43 @@ impl<'a> ServiceCore<'a> {
         }
     }
 
-    /// Claim-time seeding of a keyed job: the engine's version
-    /// vector, and the inventory's seed at it if the cache holds one.
+    /// Claim-time seeding of a keyed job: the engine's inventory
+    /// version, and the inventory's seed at it if the cache holds one.
     /// Without one, the worker waits while another worker's cold run
-    /// captures the seed at that vector — until the seed is installed or
-    /// the capture ends without one — and otherwise becomes that capture
-    /// itself, so at most one cold BBS runs per vector. A vector whose
-    /// seed did not fit the cache is neither captured nor waited on
-    /// again.
+    /// captures the seed at that version — until the seed is installed
+    /// or the capture ends without one — and otherwise becomes that
+    /// capture itself, so at most one cold BBS runs per version. A
+    /// version whose seed did not fit the cache is neither captured nor
+    /// waited on again.
     fn claim_seed<'c>(
         &'c self,
         engine: &Engine,
         cached: &'c Mutex<CacheLayer>,
-    ) -> (Vec<u64>, Option<Arc<EvalSeed>>, Option<Capture<'c>>) {
+    ) -> (u64, Option<Arc<EvalSeed>>, Option<Capture<'c>>) {
         let mut layer = lock(cached);
         loop {
-            let versions = engine.version_vector();
-            if let Some(seed) = layer.cache.seed_at(&versions) {
-                return (versions, Some(seed), None);
+            let version = engine.inventory_version();
+            if let Some(seed) = layer.cache.seed_at(version) {
+                return (version, Some(seed), None);
             }
-            if layer.capturing.contains(&versions) {
+            if layer.capturing.contains(&version) {
                 layer = self
                     .seeded
                     .wait(layer)
                     .unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
-            if layer.unfit.as_ref() == Some(&versions) {
-                return (versions, None, None);
+            if layer.unfit == Some(version) {
+                return (version, None, None);
             }
-            layer.capturing.push(versions.clone());
+            layer.capturing.push(version);
             let capture = Capture {
                 layer: cached,
                 seeded: &self.seeded,
-                versions: versions.clone(),
+                version,
                 open: true,
             };
-            return (versions, None, Some(capture));
+            return (version, None, Some(capture));
         }
     }
 
@@ -1100,9 +1097,9 @@ impl<'a> ServiceCore<'a> {
         // evaluating would stamp a pre-mutation result as current. A
         // keyed job reads it when it claims the seed: see `claim_seed`,
         // which may wait for another worker's capture.
-        let (versions, seed, mut capture) = match (&self.cached, &job.group.key) {
+        let (version, seed, mut capture) = match (&self.cached, &job.group.key) {
             (Some(cached), Some(_)) => self.claim_seed(engine, cached),
-            _ => (engine.version_vector(), None, None),
+            _ => (engine.inventory_version(), None, None),
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut install = capture.as_mut().map(|c| |seed| c.install(seed));
@@ -1133,14 +1130,12 @@ impl<'a> ServiceCore<'a> {
         // that observed its ticket resolve and immediately resubmits
         // must hit.
         if let (Some(key), Some(cached), Ok(matching)) = (&job.group.key, &self.cached, &result) {
-            let logs = engine.mutation_logs();
             let mut layer = lock(cached);
             if resumed {
                 layer.cache.count_resumed();
             }
-            layer
-                .cache
-                .insert_with_logs(key, &versions, matching, &logs);
+            let log = engine.mutations();
+            layer.cache.insert_with_logs(key, version, matching, log);
         }
         self.release_inflight(&job.group);
 
@@ -1339,7 +1334,7 @@ pub(crate) fn evaluate_batch(
 ///
 /// A point-in-time snapshot: gauges (`queue_depth`, `in_flight`) are
 /// instantaneous, counters are since spawn, and the latency percentiles
-/// cover the configured rolling window of recent completions.
+/// cover the 1 024 most recent completions (the service keeps no more).
 #[derive(Debug, Clone)]
 pub struct ServiceMetrics {
     /// Worker threads in the pool.
@@ -1889,7 +1884,7 @@ impl ServiceClient {
     /// any other is refused with [`MpqError::UnsupportedRequest`]. It is validated *now* — shape
     /// errors surface to the submitter instead of travelling to a worker
     /// — then served from the result cache (stamped with the engine's
-    /// version vector) if an identical request already completed against
+    /// inventory version) if an identical request already completed against
     /// this inventory, attached to an identical queued/running job if
     /// one is in flight, and only otherwise detached (owned function-set
     /// copy + options) and enqueued under the backpressure policy.
@@ -1909,8 +1904,8 @@ impl ServiceClient {
             functions,
             request_options,
             options,
-            &self.engine.version_vector(),
-            &self.engine.mutation_logs(),
+            self.engine.inventory_version(),
+            self.engine.mutations(),
         )
     }
 
@@ -2222,8 +2217,8 @@ mod tests {
                 test_functions(),
                 RequestOptions::default(),
                 SubmitOptions::default().priority(0),
-                &[1],
-                &[&MutationLog::default()],
+                1,
+                &MutationLog::new(64),
             )
             .unwrap();
         // Identical request, higher priority: its own heap entry.
@@ -2232,8 +2227,8 @@ mod tests {
                 test_functions(),
                 RequestOptions::default(),
                 SubmitOptions::default().priority(10),
-                &[1],
-                &[&MutationLog::default()],
+                1,
+                &MutationLog::new(64),
             )
             .unwrap();
         assert_eq!(lock(&core.queue).heap.len(), 2);
@@ -2246,8 +2241,8 @@ mod tests {
                 test_functions(),
                 RequestOptions::default(),
                 SubmitOptions::default().priority(5),
-                &[1],
-                &[&MutationLog::default()],
+                1,
+                &MutationLog::new(64),
             )
             .unwrap();
         assert_eq!(lock(&core.queue).heap.len(), 2);
@@ -2284,8 +2279,8 @@ mod tests {
                 test_functions(),
                 RequestOptions::default(),
                 SubmitOptions::default(),
-                &[1],
-                &[&MutationLog::default()],
+                1,
+                &MutationLog::new(64),
             )
         });
         let registered = |core: &ServiceCore<'static>| {
@@ -2306,8 +2301,8 @@ mod tests {
                 test_functions(),
                 RequestOptions::default(),
                 SubmitOptions::default().deadline(Duration::ZERO),
-                &[1],
-                &[&MutationLog::default()],
+                1,
+                &MutationLog::new(64),
             )
             .unwrap();
         assert_eq!(lock(&core.metrics).dedupe_attaches, 1);

@@ -55,11 +55,12 @@
 //! 1.14–1.41× the same run's `engine.evaluate_ms` (1.56–1.84× and
 //! 1.51–1.65× over per-shard skylines), `shard.evaluate_k1_ms`
 //! 0.91–1.13× and 0.96–1.15×. So on one host sharding is still **not**
-//! a throughput feature. What it buys is independence of storage and of cached
-//! work: a WAL segment, a buffer pool and a version-vector component
-//! per shard, so a mutation appends to one shard's log and moves one
-//! component of the cache stamp, leaving what was cached against the
-//! other shards valid.
+//! a throughput feature. What it buys is independence of storage: a
+//! WAL segment and a buffer pool per shard, so a mutation appends to
+//! one shard's log and a reopen replays the shards' logs on threads of
+//! their own. It buys no independence of cached work: one evaluation
+//! reads every shard, so its result and its seed depend on all of them
+//! (see below).
 //!
 //! ## On disk
 //!
@@ -71,14 +72,19 @@
 //!
 //! ## Versioning under sharding
 //!
-//! A single global version stamp would invalidate cached results for
-//! *every* shard on *any* mutation. The engine instead exposes
-//! [`Engine::version_vector`](crate::Engine::version_vector) — one
-//! version component per shard — and the [`crate::ResultCache`] stamps
-//! entries with the whole vector: a mutation on shard A leaves a cached
-//! result's shard-B components untouched, and the per-shard
-//! mutation logs prove irrelevant shard-A mutations harmless
-//! component-wise.
+//! The inventory has one version, whatever `K` is:
+//! [`Engine::inventory_version`](crate::Engine::inventory_version),
+//! re-minted by every committed mutation of any shard, beside one log of
+//! recent mutations that the [`crate::ResultCache`] reads to revalidate
+//! entries a mutation provably left unchanged. One stamp loses nothing
+//! a stamp per shard would keep: every evaluation reads all `K` trees
+//! as one forest, so a mutation of any shard can change any matching
+//! and moves the one skyline every seed holds: the cache checks every
+//! mutation since an entry's stamp, whatever shard it hit, and a seed is
+//! only usable at an unchanged inventory. Mutations are serialized by
+//! the engine's one mutator lock whatever `K` is, so one counter costs
+//! them no contention either. The log holds 64 events per shard, which
+//! covers every window `K` logs of 64 covered.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -443,12 +449,14 @@ mod tests {
     fn mutations_route_to_exactly_one_shard() {
         let (objects, _) = workload(50, 4, 41);
         let engine = sharded(&objects, 4);
-        let before = engine.version_vector();
+        let lens = |engine: &Engine| engine.trees().map(RTree::len).collect::<Vec<u64>>();
+        let (before, version) = (lens(&engine), engine.inventory_version());
         let oid = engine.insert_object(&[0.5, 0.5, 0.5]).unwrap();
         assert_eq!(oid, 50);
-        let after = engine.version_vector();
-        let bumped = before.iter().zip(&after).filter(|(b, a)| b != a).count();
-        assert_eq!(bumped, 1, "an insert must bump exactly one component");
+        let after = lens(&engine);
+        let grown = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+        assert_eq!(grown, 1, "an insert must land in exactly one shard");
+        assert!(engine.inventory_version() > version);
         assert_eq!(engine.n_objects(), 51);
         engine.remove_object(oid).unwrap();
         assert_eq!(engine.n_objects(), 50);

@@ -5,9 +5,9 @@
 //! same objects — by the same run, count for count, and with the
 //! algorithm the request names, not a stand-in — and a data directory
 //! in either layout must reopen (per-shard WAL replay included) to the
-//! same state. The result cache is stamped with a per-shard version
-//! vector, so a mutation on one shard must not evict entries whose
-//! matching only other shards' mutations could change.
+//! same state. The result cache is stamped with the one inventory
+//! version at every shard count, and revalidates an entry through the
+//! engine's one mutation log as it does on one shard.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -425,9 +425,9 @@ fn any_shard_count_runs_the_engines_rounds() {
 }
 
 /// One seed for K shards — one snapshot, of the one skyline, stamped
-/// with the K versions: captured by a cold run, resumed by the next —
-/// which skips exactly the forest's BBS — and declined as a whole once
-/// any shard has moved on.
+/// with the one inventory version: captured by a cold run, resumed by
+/// the next — which skips exactly the forest's BBS — and declined as a
+/// whole once any shard has moved on.
 #[test]
 fn a_sharded_seed_resumes_every_shard_or_none() {
     let (objects, fs) = paper_shaped(Distribution::AntiCorrelated, 2009);
@@ -438,8 +438,7 @@ fn a_sharded_seed_resumes_every_shard_or_none() {
     let request = sharded.request(&fs);
     let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
     let seed = seed.expect("a cold run over stable pins captures");
-    assert_eq!(seed.versions().len(), 4);
-    assert_eq!(seed.versions(), sharded.version_vector());
+    assert_eq!(seed.version(), sharded.inventory_version());
     let (seeded, captured) = request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
     assert!(captured.is_none(), "a resumed run captures nothing");
     assert_eq!(exact(seeded.pairs()), exact(cold.pairs()));
@@ -452,16 +451,15 @@ fn a_sharded_seed_resumes_every_shard_or_none() {
     );
 
     // A dominated insert lands on one shard and changes no matching,
-    // but the seed is now stale in one component: nothing resumes.
+    // but the seed is now stale: nothing resumes.
     sharded.insert_object(&[0.001, 0.001, 0.001]).unwrap();
-    let moved = seed.versions().iter().zip(sharded.version_vector());
-    assert_eq!(moved.filter(|(then, now)| *then != now).count(), 1);
+    assert!(!seed.usable_at(sharded.inventory_version()));
     let (stale, recaptured) = request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
     let (fresh, _) = request.evaluate_seeded(&mut scratch, None).unwrap();
     assert_eq!(exact(stale.pairs()), exact(cold.pairs()));
     assert_eq!(expanded(&stale), expanded(&fresh), "the run was cold");
     let recaptured = recaptured.expect("a declined seed is replaced");
-    assert_eq!(recaptured.versions(), sharded.version_vector());
+    assert_eq!(recaptured.version(), sharded.inventory_version());
 }
 
 /// The same interleaved mutation schedule applied to both engines:
@@ -1021,13 +1019,13 @@ fn every_backend_serves_the_reference_matching_on_every_path() {
     }
 }
 
-/// The version-vector cache audit, at every shard count: a mutation that
-/// provably cannot change a cached matching (a dominated insert, which
-/// lands on exactly one shard) must not cost a re-evaluation — the
-/// per-shard mutation logs revalidate the entry component-wise. A
-/// mutation that *can* change the result must re-evaluate.
+/// Scoped invalidation at every shard count: a mutation that provably
+/// cannot change a cached matching (a dominated insert) must not cost a
+/// re-evaluation — the engine's mutation log revalidates the entry. A
+/// mutation that *can* change the result (a dominating insert) must
+/// re-evaluate.
 #[test]
-fn cache_entries_survive_mutations_scoped_to_other_shards() {
+fn a_dominated_insert_revalidates_and_a_dominating_one_reevaluates() {
     let objects = seeded_points(80, 2, 0xCACE);
     let fs = functions(2, 6, 0x77);
     for (name, hosted) in engines(&objects) {
@@ -1043,21 +1041,12 @@ fn cache_entries_survive_mutations_scoped_to_other_shards() {
             "{name}: identical resubmission must be a cache hit"
         );
 
-        // A deeply dominated insert bumps exactly one component of the
-        // version vector; the logs prove the matching unchanged and the
-        // entry is restamped, not evicted.
-        let versions_before = hosted.version_vector();
+        // A deeply dominated insert mints a new version; the log proves
+        // the matching unchanged and the entry is restamped, not
+        // evicted.
+        let version = hosted.inventory_version();
         hosted.insert_object(&[0.001, 0.001]).unwrap();
-        let versions_after = hosted.version_vector();
-        assert_eq!(
-            versions_before
-                .iter()
-                .zip(&versions_after)
-                .filter(|(a, b)| a != b)
-                .count(),
-            1,
-            "{name}: one mutation bumps exactly one shard's version"
-        );
+        assert!(hosted.inventory_version() > version, "{name}");
         assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
         let cache = client.metrics().cache;
         assert_eq!(
@@ -1077,6 +1066,31 @@ fn cache_entries_survive_mutations_scoped_to_other_shards() {
         );
         assert_ne!(after.sorted_pairs(), first.sorted_pairs());
     }
+}
+
+/// The one mutation log of a `K`-shard engine covers what `K` logs of
+/// 64 covered: at `K = 4`, 100 dominated inserts since a matching was
+/// cached (about 25 a shard) still revalidate it, in one catch-up.
+#[test]
+fn one_log_covers_what_a_log_per_shard_covered() {
+    let objects = seeded_points(80, 2, 0xCACE);
+    let fs = functions(2, 6, 0x77);
+    let hosted = Arc::new(engine(&objects, 4));
+    let service = EngineService::spawn(Arc::clone(&hosted), ServiceConfig::default().workers(1));
+    let client = service.client();
+    let submit = || client.submit(hosted.request(&fs)).unwrap().wait().unwrap();
+    let first = submit();
+    for i in 0..100 {
+        let tiny = 0.001 * (1 + i % 7) as f64;
+        hosted.insert_object(&[tiny, 0.001]).unwrap();
+    }
+    assert_eq!(submit().sorted_pairs(), first.sorted_pairs());
+    let cache = client.metrics().cache;
+    assert_eq!(
+        (cache.hits, cache.revalidations, hosted.evaluation_count()),
+        (1, 1, 1),
+        "100 dominated inserts over 4 shards must revalidate, not re-evaluate"
+    );
 }
 
 /// A request is only ever evaluated by the engine it was built

@@ -191,9 +191,8 @@ impl Tenant {
     /// Apply a wire mutation to the hosted engine.
     ///
     /// Returns `(oid, version)` — `oid` only for inserts; `version` is
-    /// the sum of the engine's version vector, a monotone scalar (each
-    /// mutation bumps exactly one component) that is the one component
-    /// of a one-shard engine.
+    /// the engine's [`inventory_version`](Engine::inventory_version)
+    /// after the mutation, which every committed mutation raises.
     /// Storage failures ([`MpqError::Io`], [`MpqError::StorageDegraded`])
     /// are reported to the health monitor, and while the tenant is not
     /// healthy further mutations are refused up front with
@@ -213,7 +212,7 @@ impl Tenant {
         match result {
             Ok(oid) => {
                 self.health().report_success();
-                Ok((oid, engine.version_vector().iter().sum()))
+                Ok((oid, engine.inventory_version()))
             }
             Err(e @ (MpqError::Io(_) | MpqError::StorageDegraded)) => {
                 let _ = self.health().report_failure();
@@ -478,8 +477,7 @@ mod tests {
         let m = ticket.wait().unwrap();
         assert_eq!(m.len(), 4);
 
-        // On a single engine the ack version (the sum of a 1-component
-        // version vector) is the engine's inventory version.
+        // The ack version is the engine's inventory version.
         let (_, acked) = tenant
             .mutate(&WireMutation::Insert(vec![0.3, 0.7]))
             .unwrap();

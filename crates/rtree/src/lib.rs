@@ -21,8 +21,10 @@
 //! * **STR bulk loading** ([`RTree::bulk_load`]) — Sort-Tile-Recursive
 //!   packing for the initial dataset.
 //! * **Dynamic updates** — R\*-style [`RTree::insert`] and Guttman
-//!   condense-tree [`RTree::delete`] (needed by the Brute Force and Chain
-//!   matchers, which remove assigned objects from the index), applied
+//!   condense-tree [`RTree::delete`] (called by an engine's inventory
+//!   mutations and its WAL replay, and by Chain on its request-local
+//!   tree of functions; no matcher removes assigned objects, which are
+//!   masked per run), applied
 //!   under copy-on-write **epochs**: a writer installs the next snapshot
 //!   while in-flight readers ([`tree::Snapshot`], [`session::IoSession`])
 //!   finish on the one they pinned.

@@ -68,7 +68,7 @@ fn check(
             let i = ((tweak_sel / 2) as usize) % fn_rows.len();
             fn_rows[i] = tweak_row.iter().map(|&v| v as f64).collect();
         }
-        // Maybe mutate the inventory — this bumps the version vector,
+        // Maybe mutate the inventory — this mints a new version,
         // so the carried seed goes stale and must be declined.
         match mut_sel % 3 {
             1 => {
@@ -101,7 +101,7 @@ fn check(
         let cold = request().evaluate().unwrap();
         let carried_usable = seed
             .as_ref()
-            .is_some_and(|s| s.usable_at(&engine.version_vector()));
+            .is_some_and(|s| s.usable_at(engine.inventory_version()));
         let (warm, captured) = request()
             .evaluate_seeded(&mut scratch, seed.as_ref())
             .unwrap();
