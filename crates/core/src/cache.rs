@@ -34,21 +34,9 @@
 //! so a hash collision can never surface a wrong cached matching — the
 //! bit-identical guarantee survives adversarial inputs.
 //!
-//! ## The seed slot
-//!
-//! Beside the entries the cache holds at most one [`EvalSeed`]: the
-//! inventory's BBS skyline at one version (see [`crate::seed`]).
-//! It belongs to the inventory, not to any cached request — §III-B of
-//! the paper puts every monotone function's top-1 object in the skyline
-//! of the remaining objects, so no function row, exclusion or capacity
-//! enters it — and therefore every exact miss at that version
-//! ([`ResultCache::near_miss`]) evaluates *seeded* from it instead of
-//! cold. The first miss after a version change runs cold and installs
-//! the seed it captured the moment its BBS is done (the service makes
-//! every other miss at that version wait for it rather than run a
-//! second BBS); a seed older than a looker's version is dropped on
-//! sight. Its bytes count once, against the same `max_bytes` as the
-//! entries.
+//! The cache holds results alone. The inventory's seed, which primes
+//! every miss, is not a result and lives beside the cache (see
+//! [`crate::seed`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -379,16 +367,14 @@ pub struct CacheMetrics {
     /// proved the cached result unaffected, so the entry was caught up
     /// instead of dropped.
     pub revalidations: u64,
-    /// Exact misses whose evaluation resumed from the inventory's seed
-    /// instead of running cold — counted when the run primed from it,
-    /// not when a lookup handed it out (the run declines a seed its
-    /// pins have moved past). The service counts them; a standalone
-    /// cache, whose caller evaluates, never does.
+    /// Exact misses whose evaluation resumed from a seed another run
+    /// built instead of running cold (see [`crate::seed`]). The service
+    /// counts them; a standalone cache, whose caller evaluates, never
+    /// does.
     pub seeded_hits: u64,
     /// Current number of cached entries.
     pub entries: usize,
-    /// Current approximate heap footprint of the cached entries and
-    /// the seed.
+    /// Current approximate heap footprint of the cached entries.
     pub bytes: usize,
 }
 
@@ -447,9 +433,8 @@ struct CacheEntry {
 /// stamped with the inventory version they were computed against.
 ///
 /// Capacity is double-bounded: at most `max_entries` results and at most
-/// `max_bytes` of approximate heap footprint (the one [`EvalSeed`]
-/// included) — whichever bound is hit first evicts the
-/// least-recently-used entry. Both bounds are clamped
+/// `max_bytes` of approximate heap footprint — whichever bound is hit
+/// first evicts the least-recently-used entry. Both bounds are clamped
 /// to sane minimums so a cache that exists can always hold one entry
 /// (construct via [`ServiceConfig`](crate::service::ServiceConfig) with
 /// `cache_capacity == 0` to disable caching entirely instead).
@@ -486,18 +471,13 @@ pub struct ResultCache {
     /// Recency index: tick → key, oldest first. Ticks are unique (one
     /// per touch), so this is a faithful LRU order.
     lru: BTreeMap<u64, Arc<RequestKey>>,
-    /// The inventory's skyline at the newest version any insert offered
-    /// one for (see the [module docs](self)).
-    seed: Option<Arc<EvalSeed>>,
     next_tick: u64,
-    /// Entries plus seed.
     bytes: usize,
     hits: u64,
     misses: u64,
     insertions: u64,
     evictions: u64,
     revalidations: u64,
-    seeded_hits: u64,
 }
 
 impl std::fmt::Debug for ResultCache {
@@ -521,7 +501,6 @@ impl ResultCache {
             max_bytes: max_bytes.max(4096),
             entries: HashMap::new(),
             lru: BTreeMap::new(),
-            seed: None,
             next_tick: 0,
             bytes: 0,
             hits: 0,
@@ -529,7 +508,6 @@ impl ResultCache {
             insertions: 0,
             evictions: 0,
             revalidations: 0,
-            seeded_hits: 0,
         }
     }
 
@@ -555,48 +533,6 @@ impl ResultCache {
         true
     }
 
-    /// Drop a resident seed that is strictly older than a looker's
-    /// `version`: it describes an inventory that no longer exists. A
-    /// *newer* one (the looker read its version before a mutation
-    /// published) stays for the current lookers. Every entry point that
-    /// carries a looker's version — lookup, miss, insert — passes
-    /// through here, so a write-heavy tenant whose reads all revalidate
-    /// does not keep a dead seed resident.
-    fn retire_seed_before(&mut self, version: u64) {
-        if self.seed.as_ref().is_some_and(|s| s.version < version) {
-            self.drop_seed();
-        }
-    }
-
-    fn drop_seed(&mut self) {
-        if let Some(seed) = self.seed.take() {
-            self.bytes -= seed.approx_bytes();
-        }
-    }
-
-    /// Install `seed` unless the resident one already serves `version`
-    /// or is newer than it. A seed that alone exceeds the byte bound is
-    /// not kept, and only then is the answer `false`; one that fits
-    /// displaces LRU entries until it does.
-    pub(crate) fn offer_seed(&mut self, seed: Arc<EvalSeed>, version: u64) -> bool {
-        debug_assert!(
-            seed.usable_at(version),
-            "seed captured at a different version than the entry stamp"
-        );
-        self.retire_seed_before(version);
-        if self.seed.is_some() {
-            return true;
-        }
-        let bytes = seed.approx_bytes();
-        if bytes > self.max_bytes {
-            return false;
-        }
-        self.seed = Some(seed);
-        self.bytes += bytes;
-        while self.bytes > self.max_bytes && self.evict_lru() {}
-        true
-    }
-
     /// Look up `key` under inventory `version`. A hit returns a clone of
     /// the cached matching (pairs bit-identical to the original
     /// evaluation; the [`RunMetrics`](crate::RunMetrics) are the
@@ -605,7 +541,6 @@ impl ResultCache {
     /// reported as a miss: the inventory it was computed against no
     /// longer exists.
     pub fn get(&mut self, key: &RequestKey, version: u64) -> Option<Matching> {
-        self.retire_seed_before(version);
         let Some(entry) = self.entries.get(key) else {
             self.misses += 1;
             return None;
@@ -629,34 +564,24 @@ impl ResultCache {
     }
 
     /// Store `matching` for `key` under the inventory version the
-    /// `versions` slice names — its newest element, 0 for none — with
-    /// `seed`, the [`EvalSeed`] the evaluation captured (if it ran
-    /// cold), which must have been captured at that version: it becomes
-    /// the cache's one seed unless the resident one already serves the
-    /// version or is newer. The entry evicts least-recently-used ones
-    /// until both bounds hold; a result too large to ever fit the byte
-    /// bound is not stored, and one that cannot fit beside the seed
-    /// displaces it.
+    /// `versions` slice names — its newest element, 0 for none —
+    /// evicting least-recently-used entries until both bounds hold. The
+    /// `seed` is ignored: the cache holds results alone (see the
+    /// [module docs](self)).
     pub fn insert_vec_seeded(
         &mut self,
         key: &RequestKey,
         versions: &[u64],
         matching: &Matching,
-        seed: Option<Arc<EvalSeed>>,
+        _seed: Option<Arc<EvalSeed>>,
     ) {
-        let version = stamp_of(versions);
-        if let Some(seed) = seed {
-            self.offer_seed(seed, version);
-        }
-        self.insert(key, version, matching);
+        self.insert(key, stamp_of(versions), matching);
     }
 
     /// Store `matching` for `key` under inventory `version`, evicting
     /// least-recently-used entries until both bounds hold. A result too
     /// large to ever fit the byte bound is not stored (the cache is an
-    /// accelerator, not a spill). An entry that cannot fit beside the
-    /// seed displaces it — a matching answers its request outright, the
-    /// seed only shortens a miss.
+    /// accelerator, not a spill).
     fn insert(&mut self, key: &RequestKey, version: u64, matching: &Matching) {
         let bytes = key.approx_bytes() + matching.approx_bytes();
         if bytes > self.max_bytes {
@@ -668,9 +593,6 @@ impl ResultCache {
         while (self.entries.len() + 1 > self.max_entries || self.bytes + bytes > self.max_bytes)
             && self.evict_lru()
         {}
-        if self.bytes + bytes > self.max_bytes {
-            self.drop_seed();
-        }
         let tick = self.next_tick;
         self.next_tick += 1;
         let key = Arc::new(key.clone());
@@ -698,14 +620,15 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Approximate heap footprint of the cached entries and the seed.
+    /// Approximate heap footprint of the cached entries.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Snapshot the rolling counters. `attaches` is always 0 here — the
-    /// service layer owns that counter and merges it into its
-    /// [`ServiceMetrics`](crate::service::ServiceMetrics) snapshot.
+    /// Snapshot the rolling counters. `attaches` and `seeded_hits` are
+    /// always 0 here — the service layer owns those counters and merges
+    /// them into its [`ServiceMetrics`](crate::service::ServiceMetrics)
+    /// snapshot.
     pub fn metrics(&self) -> CacheMetrics {
         CacheMetrics {
             enabled: true,
@@ -715,7 +638,7 @@ impl ResultCache {
             insertions: self.insertions,
             evictions: self.evictions,
             revalidations: self.revalidations,
-            seeded_hits: self.seeded_hits,
+            seeded_hits: 0,
             entries: self.entries.len(),
             bytes: self.bytes,
         }
@@ -774,8 +697,7 @@ impl ResultCache {
         survives
     }
 
-    /// Like [`ResultCache::insert`] (the service installs its seeds at
-    /// capture, see [`Self::offer_seed`]), but first eagerly sweeps
+    /// Like [`ResultCache::insert`], but first eagerly sweeps
     /// entries stamped with an older version: each is caught up through
     /// `log` (restamped if it survives) or evicted on the spot. Plain
     /// `get` only drops a stale entry when its exact key is looked up
@@ -807,39 +729,19 @@ impl ResultCache {
         self.insert(key, version, matching);
     }
 
-    /// What an exact miss at the version the `versions` slice names can
-    /// still save: the inventory's seed, if the cache holds it at
-    /// exactly that version — whatever `key` asks (no part of a request
-    /// enters a seed, see the [module docs](self)). The caller then
-    /// evaluates *seeded* instead of cold. A lookup counts nothing:
-    /// `seeded_hits` counts runs that resumed, which only the evaluation
-    /// knows. `bound == 0` declines.
+    /// **Stub, always `None`**, as [`Engine::skipped_shards`] is always
+    /// 0. It handed an exact miss the seed this cache used to hold; the
+    /// seed now lives beside the cache (see the [module docs](self)).
+    /// The benchmark compiles against the name and its arguments.
     ///
-    /// The name, `key`, `bound` and the slice date from per-entry seeds
-    /// picked by request distance and from per-shard versions; the
-    /// benchmark compiles against them.
+    /// [`Engine::skipped_shards`]: crate::Engine::skipped_shards
     pub fn near_miss(
         &mut self,
         _key: &RequestKey,
-        versions: &[u64],
-        bound: usize,
+        _versions: &[u64],
+        _bound: usize,
     ) -> Option<Arc<EvalSeed>> {
-        if bound == 0 {
-            return None;
-        }
-        self.seed_at(stamp_of(versions))
-    }
-
-    /// The inventory's seed, if the cache holds it at exactly `version`;
-    /// an older one is dropped on the way.
-    pub(crate) fn seed_at(&mut self, version: u64) -> Option<Arc<EvalSeed>> {
-        self.retire_seed_before(version);
-        self.seed.as_ref().filter(|s| s.usable_at(version)).cloned()
-    }
-
-    /// Count one evaluation that primed from the seed.
-    pub(crate) fn count_resumed(&mut self) {
-        self.seeded_hits += 1;
+        None
     }
 }
 
@@ -920,10 +822,10 @@ mod tests {
             key_of(&[vec![0.2, 0.8]]),
             key_of(&[vec![0.3, 0.7]]),
         );
-        cache.insert_vec_seeded(&ka, &[1], &matching_of(1), None);
-        cache.insert_vec_seeded(&kb, &[1], &matching_of(1), None);
+        cache.insert(&ka, 1, &matching_of(1));
+        cache.insert(&kb, 1, &matching_of(1));
         assert!(cache.get(&ka, 1).is_some()); // refresh a: b is now LRU
-        cache.insert_vec_seeded(&kc, &[1], &matching_of(1), None); // evicts b
+        cache.insert(&kc, 1, &matching_of(1)); // evicts b
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&ka, 1).is_some());
         assert!(cache.get(&kb, 1).is_none(), "b was least recently used");
@@ -942,7 +844,7 @@ mod tests {
             .map(|i| key_of(&[vec![0.1 + i as f64 * 0.05, 0.5]]))
             .collect();
         for k in &keys {
-            cache.insert_vec_seeded(k, &[1], &bulky, None);
+            cache.insert(k, 1, &bulky);
         }
         assert!(
             cache.bytes() <= cache.max_bytes,
@@ -952,7 +854,7 @@ mod tests {
 
         let huge = matching_of(100_000);
         let before = cache.len();
-        cache.insert_vec_seeded(&key_of(&[vec![0.9, 0.1]]), &[1], &huge, None);
+        cache.insert(&key_of(&[vec![0.9, 0.1]]), 1, &huge);
         assert_eq!(cache.len(), before, "oversize result must not be stored");
     }
 
@@ -960,7 +862,7 @@ mod tests {
     fn version_mismatch_is_a_miss_and_drops_the_stale_entry() {
         let mut cache = ResultCache::new(8, 1 << 20);
         let key = key_of(&[vec![0.4, 0.6]]);
-        cache.insert_vec_seeded(&key, &[7], &matching_of(3), None);
+        cache.insert(&key, 7, &matching_of(3));
         assert!(cache.get(&key, 7).is_some());
         assert!(cache.get(&key, 8).is_none(), "stale version must miss");
         assert!(
@@ -977,7 +879,7 @@ mod tests {
         assert_eq!(cache.metrics().hit_rate(), 0.0);
         let mut cache = cache;
         let key = key_of(&[vec![0.5, 0.5]]);
-        cache.insert_vec_seeded(&key, &[1], &matching_of(1), None);
+        cache.insert(&key, 1, &matching_of(1));
         let _ = cache.get(&key, 1);
         let _ = cache.get(&key_of(&[vec![0.6, 0.4]]), 1);
         let rate = cache.metrics().hit_rate();
@@ -1047,7 +949,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
+        cache.insert(&key, 5, &orthogonal_matching());
 
         log.record(6, removal(3));
         assert!(cache.get_with_logs(&key, 6, &log).is_some());
@@ -1063,7 +965,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
+        cache.insert(&key, 5, &orthogonal_matching());
 
         // Both functions score the newcomer below their assigned pair.
         log.record(
@@ -1096,7 +998,7 @@ mod tests {
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
+        cache.insert(&key, 5, &orthogonal_matching());
 
         // Even a would-dominate-everything update is invisible to a
         // request that excludes the object.
@@ -1123,7 +1025,7 @@ mod tests {
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
+        cache.insert(&key, 5, &orthogonal_matching());
 
         // Harmless on its face, but the capacitated greedy's survival
         // argument is not implemented — must fall back to drop.
@@ -1137,7 +1039,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(1);
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), None);
+        cache.insert(&key, 5, &orthogonal_matching());
         log.record(6, removal(3));
         log.record(7, removal(3)); // evicts v6
         assert!(cache.get_with_logs(&key, 7, &log).is_none());
@@ -1155,11 +1057,11 @@ mod tests {
 
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert_vec_seeded(&key_a, &[5], &orthogonal_matching(), None);
+        cache.insert(&key_a, 5, &orthogonal_matching());
         // Entry B's matching does not assign object 0 (it excludes it).
-        cache.insert_vec_seeded(
+        cache.insert(
             &key_b,
-            &[5],
+            5,
             &Matching::new(
                 vec![Pair {
                     fid: 1,
@@ -1168,7 +1070,6 @@ mod tests {
                 }],
                 RunMetrics::default(),
             ),
-            None,
         );
         let bytes_before = cache.bytes();
 
@@ -1196,18 +1097,6 @@ mod tests {
         assert!(cache.get_with_logs(&key_a, 6, &log).is_none());
     }
 
-    // ------------------------------------------------------------------
-    // The seed slot
-    // ------------------------------------------------------------------
-
-    fn seed_at(version: u64) -> Arc<EvalSeed> {
-        let empty = mpq_rtree::RTree::new(2, mpq_rtree::RTreeParams::default());
-        Arc::new(EvalSeed {
-            version,
-            skyline: mpq_skyline::SkylineMaintainer::build(&empty),
-        })
-    }
-
     /// The key of a two-function request excluding `excl`, the list
     /// built as every request builds it.
     fn key_excluding(excl: &[u64]) -> RequestKey {
@@ -1232,118 +1121,21 @@ mod tests {
     }
 
     #[test]
-    fn near_miss_requires_a_seed_at_exactly_the_lookup_versions() {
-        let mut cache = ResultCache::new(8, 1 << 20);
-        let probe = key_excluding(&[3, 7]);
-        // No insert offered a seed yet: nothing to resume from.
-        cache.insert_vec_seeded(&key_excluding(&[3]), &[4], &matching_of(1), None);
-        assert!(cache.near_miss(&probe, &[4], 16).is_none());
-        // The seed serves any request at version 4 — capacitated, other
-        // functions, other exclusions — and none at 3.
-        cache.insert_vec_seeded(
-            &key_excluding(&[7]),
-            &[4],
-            &matching_of(1),
-            Some(seed_at(4)),
-        );
-        let capacitated = orthogonal_key(&RequestOptions {
-            capacities: Some(vec![1, 1, 1, 1]),
-            ..RequestOptions::default()
-        });
-        for key in [&probe, &capacitated, &key_excluding(&[7])] {
-            let seed = cache
-                .near_miss(key, &[4], 16)
-                .expect("one seed, every miss");
-            assert!(seed.usable_at(4));
-        }
-        // A looker that read its version before the mutation leaves the
-        // newer seed alone ...
-        assert!(cache.near_miss(&probe, &[3], 16).is_none());
-        assert!(cache.near_miss(&probe, &[4], 16).is_some());
-        // ... bound 0 declines, and no lookup counts as a resume ...
-        assert!(cache.near_miss(&probe, &[4], 0).is_none());
-        assert_eq!(cache.metrics().seeded_hits, 0);
-        // ... and a looker past it drops it on sight, bytes and all.
-        let with_seed = cache.bytes();
-        assert!(cache.near_miss(&probe, &[5], 16).is_none());
-        assert_eq!(cache.bytes(), with_seed - seed_at(4).approx_bytes());
-        assert!(cache.near_miss(&probe, &[4], 16).is_none());
-    }
-
-    #[test]
-    fn the_slot_keeps_the_newest_seed_and_counts_it_once() {
-        let mut cache = ResultCache::new(8, 1 << 20);
-        let entry = |k: &RequestKey| k.approx_bytes() + matching_of(1).approx_bytes();
-        let (ka, kb, kc) = (
-            key_excluding(&[1]),
-            key_excluding(&[2]),
-            key_excluding(&[3]),
-        );
-        let first = seed_at(4);
-        cache.insert_vec_seeded(&ka, &[4], &matching_of(1), Some(Arc::clone(&first)));
-        // A second capture at the same vector (two workers missed
-        // together) is dropped, not stacked.
-        cache.insert_vec_seeded(&kb, &[4], &matching_of(1), Some(seed_at(4)));
-        let resident = cache.near_miss(&kc, &[4], 16).unwrap();
-        assert!(Arc::ptr_eq(&resident, &first));
-        assert_eq!(
-            cache.bytes(),
-            entry(&ka) + entry(&kb) + first.approx_bytes(),
-            "one seed beside two entries"
-        );
-        // A newer vector replaces it; a late publish from the older one
-        // does not replace it back.
-        cache.insert_vec_seeded(&kc, &[5], &matching_of(1), Some(seed_at(5)));
-        cache.insert_vec_seeded(&ka, &[4], &matching_of(1), Some(seed_at(4)));
-        assert!(cache.near_miss(&kb, &[5], 16).is_some());
-        assert!(cache.near_miss(&kb, &[4], 16).is_none());
-    }
-
-    #[test]
-    fn revalidation_keeps_the_matching_but_drops_the_seed() {
-        let key = orthogonal_key(&RequestOptions::default());
-        let other = key_excluding(&[42]);
-        let mut cache = ResultCache::new(8, 1 << 20);
-        let log = MutationLog::new(64);
-        cache.insert_vec_seeded(&key, &[5], &orthogonal_matching(), Some(seed_at(5)));
-        let bytes_with_seed = cache.bytes();
-        assert!(cache.near_miss(&other, &[5], 16).is_some());
-
-        // A harmless remove revalidates the entry to version 6: the
-        // matching is served, but the restamp never carries the seed —
-        // whose pruned entries reference pages of the version-5 epoch —
-        // along. The revalidating lookup itself releases it.
-        log.record(6, removal(3));
-        assert!(cache.get_with_logs(&key, 6, &log).is_some());
-        assert_eq!(cache.metrics().revalidations, 1);
-        assert!(cache.bytes() < bytes_with_seed);
-        assert!(cache.near_miss(&other, &[6], 16).is_none());
-    }
-
-    #[test]
     fn eviction_unindexes_the_donor() {
-        // The seed counts against the byte bound like an entry, and is
-        // the last thing evicted: it gives way only to a matching that
-        // cannot fit beside it.
+        // An entry evicted to make room leaves the lookup and the byte
+        // count together, and a key stored again replaces its entry
+        // instead of counting it twice.
         let bulky = matching_of(1000);
         let (ka, kb) = (key_excluding(&[1]), key_excluding(&[2]));
-        let entry = ka.approx_bytes() + bulky.approx_bytes();
-        let seed = seed_at(4);
-        let mut cache = ResultCache::new(8, entry + seed.approx_bytes());
-        cache.insert_vec_seeded(&ka, &[4], &bulky, Some(seed));
-        assert!(cache.near_miss(&kb, &[4], 16).is_some());
+        let mut cache = ResultCache::new(8, ka.approx_bytes() + bulky.approx_bytes());
+        cache.insert(&ka, 4, &bulky);
         assert_eq!(cache.bytes(), cache.max_bytes);
-        // A second entry of the same size evicts the first; the seed
-        // stays.
-        cache.insert_vec_seeded(&kb, &[4], &bulky, None);
+        cache.insert(&kb, 4, &bulky);
         assert_eq!((cache.len(), cache.metrics().evictions), (1, 1));
-        assert!(cache.near_miss(&ka, &[4], 16).is_some());
-        // A larger entry fits the bound alone but not beside the seed:
-        // the donor goes, from the lookup and from the byte count.
-        let larger = matching_of(1001);
-        cache.insert_vec_seeded(&ka, &[4], &larger, None);
-        assert!(cache.get(&ka, 4).is_some());
-        assert!(cache.near_miss(&kb, &[4], 16).is_none());
-        assert_eq!(cache.bytes(), ka.approx_bytes() + larger.approx_bytes());
+        assert!(cache.get(&ka, 4).is_none());
+        let smaller = matching_of(999);
+        cache.insert(&kb, 4, &smaller);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.bytes(), kb.approx_bytes() + smaller.approx_bytes());
     }
 }

@@ -48,7 +48,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
@@ -66,7 +66,7 @@ use crate::matching::{IndexConfig, Matching};
 use crate::objects::{Cut, ObjectTable};
 use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, SbStream, SERVED_THRESHOLD};
 use crate::scratch::Scratch;
-use crate::seed::EvalSeed;
+use crate::seed::{EvalSeed, SeedSlot};
 use crate::service::{evaluate_batch, lock, safe_rate, EngineService, ServiceConfig};
 use crate::shard::{
     for_each_shard, fresh_shard_dirs, persisted_shard_dirs, shard_of, write_manifest, ShardGauges,
@@ -1088,28 +1088,32 @@ impl Engine {
     }
 
     /// The served evaluation path: validate, pin every shard, run SB
-    /// over the forest of the pins. A usable `seed` primes the run; a
-    /// run that had none and ran cold hands the inventory's [`EvalSeed`]
-    /// to `capture` as soon as its BBS is done. The flag beside the
-    /// matching says whether the run primed from `seed`.
+    /// over the forest of the pins. With a `slot`, a run whose pins read
+    /// one committed version primes from that version's seed cell —
+    /// building the seed if the cell is empty, waiting if another run is
+    /// building it — and a pin older than the slot's cell runs cold (see
+    /// [`crate::seed`]). The flag beside the matching says whether the
+    /// run resumed from a seed another run built.
     pub(crate) fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
         options: &RequestOptions,
         scratch: &mut Scratch,
-        seed: Option<&EvalSeed>,
-        capture: Option<&mut dyn FnMut(EvalSeed)>,
+        slot: Option<&SeedSlot>,
     ) -> Result<(Matching, bool), MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        let (pins, version) = self.pin();
+        let cell = slot.zip(version).and_then(|(slot, v)| slot.cell(v));
+        let cell = cell.as_ref().map(|cell| &cell.1);
         Ok(run_sb_seeded(
-            self.pin(),
+            (pins, version),
             functions,
             options,
             SERVED_THRESHOLD,
             scratch,
-            seed,
-            capture,
+            None,
+            cell,
         ))
     }
 
@@ -1350,36 +1354,40 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
     pub fn evaluate_with(&self, scratch: &mut Scratch) -> Result<Matching, MpqError> {
         let (matching, _) =
             self.engine
-                .evaluate_seeded(self.functions, &self.options, scratch, None, None)?;
+                .evaluate_seeded(self.functions, &self.options, scratch, None)?;
         Ok(matching)
     }
 
-    /// Seed-capable [`MatchRequest::evaluate_with`]: primes the run from
-    /// `seed` when the seed is still pinned to the engine's current
-    /// inventory — otherwise runs cold. Returns the matching together
-    /// with the [`EvalSeed`] a cold run captured — the inventory's
+    /// Seed-capable [`MatchRequest::evaluate_with`]: pins, then primes
+    /// the run from `seed` when the seed is at the pinned inventory
+    /// version — otherwise captures the inventory's [`EvalSeed`] (its
     /// skyline, which can prime *any* later request against the same
-    /// inventory. A run that resumed returns `None`: keep the seed it
-    /// was handed.
+    /// inventory) and primes from that. Returns the matching together
+    /// with the seed it captured; a run that resumed from `seed`, or
+    /// whose pins straddled a mutation and so ran cold, returns `None`.
     ///
     /// Seeded and cold evaluation are score-bit-identical. The
-    /// [`EngineService`] drives this machinery automatically through
-    /// the result cache's seed slot; call it directly to carry a seed
-    /// by hand.
+    /// [`EngineService`] keeps one seed per inventory version and primes
+    /// every cache miss from it; call this to carry a seed by hand.
     pub fn evaluate_seeded(
         &self,
         scratch: &mut Scratch,
         seed: Option<&EvalSeed>,
     ) -> Result<(Matching, Option<EvalSeed>), MpqError> {
-        let mut captured = None;
-        let (matching, _) = self.engine.evaluate_seeded(
+        let engine = self.engine;
+        self.validate()?;
+        engine.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
+        let cell = OnceLock::new();
+        let (matching, _) = run_sb_seeded(
+            engine.pin(),
             self.functions,
             &self.options,
+            SERVED_THRESHOLD,
             scratch,
             seed,
-            Some(&mut |seed| captured = Some(seed)),
-        )?;
-        Ok((matching, captured))
+            Some(&cell),
+        );
+        Ok((matching, cell.into_inner()))
     }
 
     /// All the request-shape checks evaluation can fail on, with no

@@ -116,10 +116,11 @@
 //! `benchmark` PR may edit, still compiles against names the library
 //! has no other use for; a `benchmark` PR deletes these:
 //! [`ShardedEngine`] (`ShardedEngine::builder()` *is*
-//! [`Engine::builder`]), [`Engine::skipped_shards`], [`Engine::tree`],
-//! and the slice [`ResultCache::insert_vec_seeded`] and
-//! [`ResultCache::near_miss`] take for the one version (with the
-//! latter's name and dead arguments).
+//! [`Engine::builder`]), [`Engine::skipped_shards`] (always 0),
+//! [`Engine::tree`], [`ResultCache::insert_vec_seeded`] (its slice
+//! names the one version; its seed argument is ignored) and
+//! [`ResultCache::near_miss`] (always `None`: the seed no longer lives
+//! in the cache).
 
 #![warn(missing_docs)]
 

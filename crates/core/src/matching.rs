@@ -95,7 +95,7 @@ pub struct RunMetrics {
     pub maintain: Duration,
     /// Skyline computation/maintenance counters (SB only). A run resumed
     /// from a seed counts from the resume: the seed's build is not its
-    /// work.
+    /// work — unless the run built that seed itself.
     pub skyline: Option<SkylineStats>,
     /// TA scan counters (SB only).
     pub ta: Option<TaStats>,

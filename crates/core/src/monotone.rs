@@ -174,7 +174,7 @@ impl Engine {
             n_alive: functions.len(),
         };
         let (pins, scratch) = (self.pin().0, Scratch::new());
-        let mut run = SbRun::new(pins, scratch, side, Mask::default(), true, None, None);
+        let mut run = SbRun::new(pins, scratch, side, Mask::default(), true, None);
         let pairs = run.drain();
         let mut metrics = run.metrics();
         metrics.elapsed = start.elapsed();

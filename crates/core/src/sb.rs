@@ -95,6 +95,7 @@
 //! the alternative would run BBS again for every batch.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use mpq_rtree::{IoStats, NodeSource};
@@ -303,13 +304,9 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// source's BBS snapshot — and peel every object the `mask` hides
     /// off it. Either way the run holds exactly the skyline of its
     /// inventory, so the matching loop downstream cannot tell the
-    /// histories apart. A cold run hands its snapshot to `capture` the
-    /// moment BBS is done — *before* any peel, so what it captures
-    /// depends on the source alone, and before its first round, so a
-    /// caller can share it while the run goes on; a seeded run captures
-    /// nothing. Every clone shares what BBS recorded (the build ends
-    /// frozen, see `mpq_skyline::maintain`): none copies a member or a
-    /// plist.
+    /// histories apart. Every clone shares what BBS recorded (the build
+    /// ends frozen, see `mpq_skyline::maintain`): none copies a member
+    /// or a plist.
     pub(crate) fn new(
         src: R,
         mut scratch: Scratch,
@@ -317,20 +314,13 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         mask: Mask,
         multi_pair: bool,
         seed: Option<&SkylineMaintainer>,
-        capture: Option<&mut dyn FnMut(&SkylineMaintainer)>,
     ) -> SbRun<R, F> {
         scratch.reset_rank_lists(functions.len());
         let io_start = src.io_snapshot();
         let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
         let mut skyline = match seed {
             Some(snapshot) => snapshot.clone(),
-            None => {
-                let built = SkylineMaintainer::build(&src);
-                if let Some(capture) = capture {
-                    capture(&built);
-                }
-                built
-            }
+            None => SkylineMaintainer::build(&src),
         };
         let mut metrics = RunMetrics::default();
         let bufs = &mut scratch.round;
@@ -564,7 +554,7 @@ pub(crate) fn stream_on<R: NodeSource>(
     let mut scratch = Scratch::new();
     let linear = Linear::new(&mut scratch, functions, SERVED_THRESHOLD);
     let mask = Mask::new(options);
-    let run = SbRun::new(src, scratch, linear, mask, options.multi_pair, None, None);
+    let run = SbRun::new(src, scratch, linear, mask, options.multi_pair, None);
     SbStream {
         run,
         pending: VecDeque::new(),
@@ -589,17 +579,19 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// same order (asserted by tests), capacitated or not: both drive
 /// `SbRun::round` and nothing else.
 ///
-/// Seed-capable, and the one place that decides it. A `seed` is
-/// honoured only when the shards are pinned, unambiguously, at exactly
-/// the seed's version — its pruned entries reference pages of those
-/// epochs. A run that resumed captures nothing; a cold one hands the
-/// inventory's seed to `capture` right after its BBS, and only if the
-/// pins were stable, so the snapshot can be stamped. Pass `None, None`
-/// for a plain cold run. Both paths run the identical round body over
+/// Seed-capable, and the one place that decides it. A run primes only
+/// when its pins read one committed version, unambiguously — a seed's
+/// pruned entries reference pages of exactly that epoch: from `seed` if
+/// it is at that version, else from `cell`, the seed cell of that
+/// version, which the run fills by capturing BBS over its own pins
+/// (`EvalSeed::capture`) if nobody has yet, and waits on if another run
+/// is filling it. A run that filled the cell reports that BBS as its
+/// own work, I/O and time, as a cold run does. Pass `None, None` for a
+/// plain cold run. Every path runs the identical round body over
 /// content-identical skylines, so seeded matchings are
 /// score-bit-identical to cold ones (pinned by
 /// `tests/seed_identity.rs`). The flag beside the matching says whether
-/// the run primed from `seed`.
+/// the run resumed from a seed it did not build.
 pub(crate) fn run_sb_seeded<R: NodeSource>(
     (src, version): (R, Option<u64>),
     functions: &FunctionSet,
@@ -607,18 +599,20 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     threshold: Option<ThresholdMode>,
     scratch: &mut Scratch,
     seed: Option<&EvalSeed>,
-    capture: Option<&mut dyn FnMut(EvalSeed)>,
+    cell: Option<&OnceLock<EvalSeed>>,
 ) -> (Matching, bool) {
     let start = Instant::now();
-    let seed = seed.filter(|s| version == Some(s.version));
-    let mut stamp = capture
-        .zip(version.filter(|_| seed.is_none()))
-        .map(|(sink, version)| {
-            move |skyline: &SkylineMaintainer| {
-                let skyline = skyline.clone();
-                sink(EvalSeed { version, skyline });
-            }
-        });
+    let io_start = src.io_snapshot();
+    let mut built = false;
+    let seed = version.and_then(|version| {
+        let held = seed.filter(|s| s.usable_at(version));
+        held.or_else(|| {
+            Some(cell?.get_or_init(|| {
+                built = true;
+                EvalSeed::capture(&src, version)
+            }))
+        })
+    });
     let mut lent = std::mem::take(scratch);
     let linear = Linear::new(&mut lent, functions, threshold);
     let mut run = SbRun::new(
@@ -628,15 +622,16 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
         Mask::new(options),
         options.multi_pair,
         seed.map(|s| &s.skyline),
-        stamp
-            .as_mut()
-            .map(|s| s as &mut dyn FnMut(&SkylineMaintainer)),
     );
+    if built {
+        run.io_start = io_start;
+        run.sky_start = SkylineStats::default();
+    }
     let pairs = run.drain();
     let mut metrics = run.metrics();
     metrics.elapsed = start.elapsed();
     *scratch = run.into_scratch();
-    (Matching::new(pairs, metrics), seed.is_some())
+    (Matching::new(pairs, metrics), seed.is_some() && !built)
 }
 
 /// The §IV-B strawman: full BBS recomputation per loop, no rank-list

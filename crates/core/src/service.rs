@@ -38,14 +38,12 @@
 //!   job instead of paying a queue slot and a duplicate evaluation —
 //!   each attached submission keeps its own ticket, deadline and
 //!   cancellation;
-//! * a miss takes the inventory's [`EvalSeed`] (see
-//!   [`crate::seed`]) when a worker *claims* it, not when it is
-//!   submitted, and a cold run installs the seed it captures in the
-//!   cache the moment its BBS is done. A worker that claims a miss while
-//!   another worker's cold run is capturing at the same inventory version
-//!   waits for that capture to end, then resumes — or, if the capture
-//!   installed nothing, captures itself — so one cold BBS runs per
-//!   version. Uncached services and a single worker never wait;
+//! * a miss primes from the inventory's [`EvalSeed`](crate::EvalSeed) (see
+//!   [`crate::seed`]): the service keeps one seed cell for the newest
+//!   inventory version beside its cache, the first run at a version
+//!   builds the seed in it, and every other run at that version waits
+//!   for it and resumes, so one cold BBS runs per version. Uncached
+//!   services keep no seed;
 //! * the queue pops in one order — higher [`SubmitOptions::priority`]
 //!   first, submission order within a priority — so traffic that never
 //!   sets a priority is strictly FIFO;
@@ -84,7 +82,7 @@ use crate::engine::{BatchMetrics, BatchOutcome, Engine, MatchRequest, RequestOpt
 use crate::error::MpqError;
 use crate::matching::Matching;
 use crate::scratch::Scratch;
-use crate::seed::EvalSeed;
+use crate::seed::SeedSlot;
 use crate::shard::ShardGauges;
 
 /// Lock a mutex, ignoring poisoning — the crate's one policy: every
@@ -147,8 +145,10 @@ pub struct ServiceConfig {
     /// disables result caching **and** in-flight dedupe (every
     /// submission pays its own evaluation). Default 256.
     pub cache_capacity: usize,
-    /// Approximate byte bound of the result cache (evicts LRU-first
-    /// when exceeded). Default 32 MiB.
+    /// Approximate byte bound of the cached results (evicts LRU-first
+    /// when exceeded). Default 32 MiB. It bounds results only: the one
+    /// seed a cached service keeps (see [`crate::seed`]) lives beside
+    /// them.
     pub cache_max_bytes: usize,
 }
 
@@ -488,6 +488,8 @@ struct MetricsInner {
     panicked: u64,
     /// Submissions that attached to an identical in-flight job.
     dedupe_attaches: u64,
+    /// Evaluations that resumed from a seed another run built.
+    seeded_hits: u64,
     /// Summed [`RunMetrics::discover`](crate::RunMetrics::discover) and
     /// [`RunMetrics::maintain`](crate::RunMetrics::maintain) of every
     /// evaluation a worker ran.
@@ -519,60 +521,9 @@ impl MetricsInner {
 /// Lock order (outermost first): queue → cache layer → group state →
 /// ticket state → metrics. Paths only ever take locks left-to-right
 /// along this chain (skipping is fine), so the hierarchy is cycle-free.
-/// A worker waits on [`ServiceCore::seeded`] with the cache layer, and
-/// nothing else, locked.
 struct CacheLayer {
     cache: ResultCache,
     inflight: HashMap<Arc<RequestKey>, Arc<DedupeGroup>>,
-    /// The versions at which a worker's cold run is capturing the seed
-    /// right now: at most one capture per version (see
-    /// [`ServiceCore::claim_seed`]).
-    capturing: Vec<u64>,
-    /// The last version whose seed did not fit `cache_max_bytes`: nobody
-    /// captures or waits at it again.
-    unfit: Option<u64>,
-}
-
-/// One worker's claim on capturing the seed at `version` (see
-/// [`ServiceCore::claim_seed`]). Its cold run installs what it captures
-/// the moment its BBS is done; however the run ends — seed installed,
-/// too large for the cache, pin moved, no capture at all, or a panic —
-/// the claim ends exactly once, clearing the mark and waking the
-/// workers that wait on it.
-struct Capture<'c> {
-    layer: &'c Mutex<CacheLayer>,
-    seeded: &'c Condvar,
-    version: u64,
-    open: bool,
-}
-
-impl Capture<'_> {
-    /// Install `seed` in the cache if it is the skyline at the claimed
-    /// version (a mutation may have landed between claim and pin), then
-    /// end the claim.
-    fn install(&mut self, seed: EvalSeed) {
-        let mut layer = lock(self.layer);
-        if seed.usable_at(self.version) && !layer.cache.offer_seed(Arc::new(seed), self.version) {
-            layer.unfit = Some(self.version);
-        }
-        self.end(layer);
-    }
-
-    fn end(&mut self, mut layer: MutexGuard<'_, CacheLayer>) {
-        layer.capturing.retain(|&v| v != self.version);
-        self.open = false;
-        drop(layer);
-        self.seeded.notify_all();
-    }
-}
-
-impl Drop for Capture<'_> {
-    fn drop(&mut self) {
-        if self.open {
-            let layer = lock(self.layer);
-            self.end(layer);
-        }
-    }
 }
 
 /// The scheduling heart shared by the long-lived [`EngineService`]
@@ -593,9 +544,9 @@ pub(crate) struct ServiceCore<'a> {
     space: Condvar,
     /// `None` when `cache_capacity == 0`: no caching, no dedupe.
     cached: Option<Mutex<CacheLayer>>,
-    /// Workers that claimed a job while another worker captures the
-    /// seed at its vector wait here for the capture to end.
-    seeded: Condvar,
+    /// The seed every evaluation primes from (see [`crate::seed`]);
+    /// `None` when caching is off.
+    seed: Option<SeedSlot>,
     /// Ticket ids, also the FIFO tie-break; atomic so cache hits and
     /// dedupe attaches can mint ids without the queue lock.
     ticket_ids: AtomicU64,
@@ -622,11 +573,9 @@ impl<'a> ServiceCore<'a> {
                 Mutex::new(CacheLayer {
                     cache: ResultCache::new(config.cache_capacity, config.cache_max_bytes),
                     inflight: HashMap::new(),
-                    capturing: Vec::new(),
-                    unfit: None,
                 })
             }),
-            seeded: Condvar::new(),
+            seed: (config.cache_capacity > 0).then(SeedSlot::default),
             ticket_ids: AtomicU64::new(0),
             metrics: Arc::new(Mutex::new(MetricsInner::default())),
             started: Instant::now(),
@@ -943,7 +892,7 @@ impl<'a> ServiceCore<'a> {
                 // replaces the stale index entry.
             }
             // Exact miss, nothing identical in flight: a job of its own,
-            // which takes the inventory's seed when a worker claims it.
+            // which primes from the inventory's seed when a worker runs it.
             let key = Arc::new(key);
             let group = Arc::new(DedupeGroup {
                 key: Some(Arc::clone(&key)),
@@ -1023,46 +972,6 @@ impl<'a> ServiceCore<'a> {
         }
     }
 
-    /// Claim-time seeding of a keyed job: the engine's inventory
-    /// version, and the inventory's seed at it if the cache holds one.
-    /// Without one, the worker waits while another worker's cold run
-    /// captures the seed at that version — until the seed is installed
-    /// or the capture ends without one — and otherwise becomes that
-    /// capture itself, so at most one cold BBS runs per version. A
-    /// version whose seed did not fit the cache is neither captured nor
-    /// waited on again.
-    fn claim_seed<'c>(
-        &'c self,
-        engine: &Engine,
-        cached: &'c Mutex<CacheLayer>,
-    ) -> (u64, Option<Arc<EvalSeed>>, Option<Capture<'c>>) {
-        let mut layer = lock(cached);
-        loop {
-            let version = engine.inventory_version();
-            if let Some(seed) = layer.cache.seed_at(version) {
-                return (version, Some(seed), None);
-            }
-            if layer.capturing.contains(&version) {
-                layer = self
-                    .seeded
-                    .wait(layer)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            if layer.unfit == Some(version) {
-                return (version, None, None);
-            }
-            layer.capturing.push(version);
-            let capture = Capture {
-                layer: cached,
-                seeded: &self.seeded,
-                version,
-                open: true,
-            };
-            return (version, None, Some(capture));
-        }
-    }
-
     /// Run one popped job to resolution on `engine`, then release its
     /// in-flight slot: close the group, expire lapsed members, evaluate
     /// once, publish to the cache, fan the result out to every surviving
@@ -1090,22 +999,15 @@ impl<'a> ServiceCore<'a> {
         // A panicking evaluation must not leave any member unresolved
         // (its waiter would block forever) nor take the worker down.
         //
-        // The cache stamp is captured *before* evaluating: the
-        // evaluation reads a tree snapshot pinned at or after this
-        // version, so stamping the result with a possibly-older version
-        // only makes the cache conservative. Reading the version *after*
-        // evaluating would stamp a pre-mutation result as current. A
-        // keyed job reads it when it claims the seed: see `claim_seed`,
-        // which may wait for another worker's capture.
-        let (version, seed, mut capture) = match (&self.cached, &job.group.key) {
-            (Some(cached), Some(_)) => self.claim_seed(engine, cached),
-            _ => (engine.inventory_version(), None, None),
-        };
+        // The cache stamp is read *before* evaluating: the evaluation
+        // reads a tree snapshot pinned at or after this version, so
+        // stamping the result with a possibly-older version only makes
+        // the cache conservative. Reading the version *after* evaluating
+        // would stamp a pre-mutation result as current.
+        let version = engine.inventory_version();
+        let seed = self.seed.as_ref();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut install = capture.as_mut().map(|c| |seed| c.install(seed));
-            let install = install.as_mut().map(|i| i as &mut dyn FnMut(EvalSeed));
-            let seed = seed.as_deref();
-            engine.evaluate_seeded(&job.functions, &job.options, scratch, seed, install)
+            engine.evaluate_seeded(&job.functions, &job.options, scratch, seed)
         }))
         .unwrap_or_else(|_| {
             // The scratch may have been mid-mutation; replace it.
@@ -1113,8 +1015,6 @@ impl<'a> ServiceCore<'a> {
             lock(&self.metrics).panicked += 1;
             Err(MpqError::WorkerPanicked)
         });
-        // However the run ended, its capture has.
-        drop(capture);
         let (result, resumed) = match result {
             Ok((matching, resumed)) => (Ok(matching), resumed),
             Err(e) => (Err(e), false),
@@ -1124,18 +1024,17 @@ impl<'a> ServiceCore<'a> {
             let mut metrics = lock(&self.metrics);
             metrics.discover += matching.metrics().discover;
             metrics.maintain += matching.metrics().maintain;
+            metrics.seeded_hits += u64::from(resumed);
         }
 
         // Publish to the cache *before* resolving any ticket: a caller
         // that observed its ticket resolve and immediately resubmits
         // must hit.
         if let (Some(key), Some(cached), Ok(matching)) = (&job.group.key, &self.cached, &result) {
-            let mut layer = lock(cached);
-            if resumed {
-                layer.cache.count_resumed();
-            }
             let log = engine.mutations();
-            layer.cache.insert_with_logs(key, version, matching, log);
+            lock(cached)
+                .cache
+                .insert_with_logs(key, version, matching, log);
         }
         self.release_inflight(&job.group);
 
@@ -1197,6 +1096,7 @@ impl<'a> ServiceCore<'a> {
         };
         let metrics = lock(&self.metrics);
         cache.attaches = metrics.dedupe_attaches;
+        cache.seeded_hits = metrics.seeded_hits;
         let mut sorted: Vec<Duration> = metrics.latencies.iter().copied().collect();
         sorted.sort_unstable();
         ServiceMetrics {

@@ -40,7 +40,9 @@ pub struct TenantConfig {
     pub queue_capacity: usize,
     /// Result-cache entry budget (0 disables the cache).
     pub cache_capacity: usize,
-    /// Result-cache byte budget.
+    /// Result-cache byte budget. It bounds cached results only: the
+    /// one seed the tenant's service keeps while its cache is on lives
+    /// beside them (see [`mpq_core::seed`]).
     pub cache_max_bytes: usize,
     /// Hash-partitioned shards a freshly built engine is hosted on
     /// ([`EngineBuilder::shards`](mpq_core::EngineBuilder::shards)).

@@ -4,10 +4,12 @@
 //! **bit-identical** to fresh sequential evaluation, cancellation and
 //! deadlines stay per-submission (a follower's fate never touches the
 //! leader), and inventory-version stamping makes cache entries die with
-//! the engine they were computed against. The inventory's seed is
-//! captured by one cold run per version and every other miss resumes
-//! from it, without a worker ever waiting on a capture that ended
-//! (`one_capture_per_version_*`).
+//! the engine they were computed against. The inventory's seed lives
+//! beside the cache, never in its bytes: one cold run per version
+//! builds it in that version's `OnceLock` cell, every other miss at the
+//! version waits for that run and resumes from it — whatever
+//! `cache_max_bytes` is — and a run that panics while building leaves
+//! the cell to the next (`one_capture_per_version_*`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -484,8 +486,8 @@ fn twelve_distinct_requests_share_one_seed_and_evict_nothing() {
         "the seed dwarfs the matchings"
     );
 
-    // Room for the twelve matchings and one seed — not for two seeds.
-    let budget = 12 * entry_bytes + seed_bytes + seed_bytes / 2;
+    // Room for the twelve matchings alone: the seed is not the cache's.
+    let budget = 12 * entry_bytes;
     let service = engine
         .clone()
         .serve(ServiceConfig::default().workers(1).cache_max_bytes(budget));
@@ -500,10 +502,10 @@ fn twelve_distinct_requests_share_one_seed_and_evict_nothing() {
     let m = client.metrics();
     assert_eq!((m.cache.entries, m.cache.evictions), (12, 0));
     assert_eq!(m.cache.seeded_hits, 11, "every miss but the first resumed");
-    assert!(
-        m.cache.bytes <= 12 * entry_bytes + seed_bytes,
-        "{} bytes cached; one seed is {seed_bytes}, one entry {entry_bytes}",
-        m.cache.bytes
+    assert_eq!(
+        m.cache.bytes,
+        12 * entry_bytes,
+        "the twelve entries alone; one seed is {seed_bytes}, one entry {entry_bytes}"
     );
     service.shutdown();
 }
@@ -640,11 +642,11 @@ fn injected_engine() -> (Arc<Engine>, Arc<FaultInjector>) {
 /// Submit every set at once to `service`, wait for all of them, check
 /// each against a sequential cold evaluation, shut the service down and
 /// return its last metrics. The first page read after the submissions
-/// takes 300 ms — the capturing run's BBS — so every worker that claims
-/// a miss meanwhile waits for the capture. A ticket still unresolved
-/// after 60 s fails the test — a worker waits on a capture that ended —
-/// and the service is then left running: shutting it down would join
-/// that worker forever.
+/// takes 300 ms — the building run's BBS — so every worker that pins
+/// the version meanwhile waits on the seed cell. A ticket still
+/// unresolved after 60 s fails the test — a worker waits on a cell
+/// nobody will fill — and the service is then left running: shutting it
+/// down would join that worker forever.
 fn submit_at_once(
     engine: &Arc<Engine>,
     inj: &FaultInjector,
@@ -680,9 +682,9 @@ fn submit_at_once(
 #[test]
 fn one_capture_per_version_serves_every_other_miss_from_it() {
     // Eight distinct misses on a fresh inventory, four workers: the
-    // first claim runs BBS and installs the seed right after it; the
-    // workers that claim meanwhile wait for it instead of running BBS
-    // again, and every later claim finds it.
+    // first run builds the seed in its version's cell; the workers that
+    // pin meanwhile wait on the cell instead of running BBS again, and
+    // every later run finds it full.
     let (engine, inj) = injected_engine();
     let sets: Vec<FunctionSet> = (0..8).map(|i| fast_functions(950 + i)).collect();
     let service = engine.clone().serve(ServiceConfig::default().workers(4));
@@ -691,10 +693,10 @@ fn one_capture_per_version_serves_every_other_miss_from_it() {
 }
 
 #[test]
-fn one_capture_per_version_never_waits_on_a_seed_that_does_not_fit() {
-    // A cache too small for the seed: the capture installs nothing, the
-    // workers waiting on it wake and run cold, nobody waits on that
-    // vector again, and nothing resumes.
+fn one_capture_per_version_primes_every_other_miss_even_when_the_seed_exceeds_cache_max_bytes() {
+    // A cache too small for the seed: the seed is not the cache's, so
+    // one run still builds it, the others at its version still resume
+    // from it, and the cache's bytes stay within its bound.
     let (engine, inj) = injected_engine();
     let sets: Vec<FunctionSet> = (0..8).map(|i| fast_functions(960 + i)).collect();
     let (_, seed) = engine
@@ -702,18 +704,24 @@ fn one_capture_per_version_never_waits_on_a_seed_that_does_not_fit() {
         .evaluate_seeded(&mut Scratch::new(), None)
         .unwrap();
     let seed_bytes = seed.expect("a cold run captures").approx_bytes();
+    let max_bytes = seed_bytes / 2;
     let config = ServiceConfig::default()
         .workers(4)
-        .cache_max_bytes(seed_bytes / 2);
+        .cache_max_bytes(max_bytes);
     let metrics = submit_at_once(&engine, &inj, engine.clone().serve(config), &sets);
-    assert_eq!(metrics.cache.seeded_hits, 0);
+    assert_eq!(metrics.cache.seeded_hits, 7);
+    assert!(
+        metrics.cache.bytes <= max_bytes,
+        "{} bytes cached, bound {max_bytes}",
+        metrics.cache.bytes
+    );
 }
 
 #[test]
 fn one_capture_per_version_resumes_a_miss_queued_behind_it() {
     // One worker, two misses submitted back to back: the second was
-    // queued before the first captured anything, and takes the seed
-    // when the worker claims it.
+    // queued before the first built anything, and finds the seed when
+    // the worker runs it.
     let (engine, inj) = injected_engine();
     let sets = [fast_functions(970), fast_functions(971)];
     let service = engine.clone().serve(ServiceConfig::default().workers(1));
@@ -726,9 +734,9 @@ fn one_capture_per_version_outlives_a_capture_that_panicked() {
     let (engine, inj) = injected_engine();
     let service = engine.clone().serve(ServiceConfig::default().workers(1));
 
-    // The capture panics inside its BBS and installs nothing; the claim
-    // it held at this vector must end with it, or the next claim here
-    // would wait for it forever.
+    // The first run panics inside its BBS and stores nothing; the cell
+    // it was filling must stay empty for the next run at this version
+    // to build, or that run would wait for it forever.
     inj.fail_from(FaultOp::PageRead, 0, FaultKind::Panic);
     let doomed = service
         .client()
