@@ -11,10 +11,11 @@
 //!                # serve R copies of the request on T threads and report req/s
 //! mpq serve --objects rooms.csv --functions users.csv
 //!           [--requests R] [--workers N]
-//!           [--queue-cap M] [--reject] [--cache N] [--data-dir DIR]
+//!           [--queue-cap M] [--cache N] [--data-dir DIR]
 //!           # replay R copies through the EngineService submission
 //!           # queue and report ServiceMetrics (repeat-heavy: the
 //!           # replay exercises the result cache; --cache 0 disables).
+//!           # A full queue sheds a copy; the report counts them.
 //!           # With --data-dir the engine is disk-backed: a directory
 //!           # already holding a persisted engine is reopened (no
 //!           # --objects needed), an empty one is populated from the CSV
@@ -38,7 +39,7 @@ use std::fs;
 use std::sync::Arc;
 
 use mpq_core::service::resolved_workers;
-use mpq_core::{Algorithm, BackpressurePolicy, Engine, EngineService, MpqError, ServiceConfig};
+use mpq_core::{Algorithm, Engine, EngineService, MpqError, ServiceConfig};
 use mpq_datagen::Distribution;
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -98,10 +99,11 @@ const USAGE: &str = "usage:
                  [--requests <R>] [--threads <T>]
   mpq serve --objects <objects.csv> --functions <functions.csv>
             [--requests <R>] [--workers <N>]
-            [--queue-cap <M>] [--reject] [--cache <N>] [--data-dir <dir>]
+            [--queue-cap <M>] [--cache <N>] [--data-dir <dir>]
             [--shards <K>]
             # replay R copies of the request through the EngineService
-            # worker pool and report ServiceMetrics; --cache N bounds the
+            # worker pool and report ServiceMetrics (a full queue sheds
+            # a copy, and the report counts it); --cache N bounds the
             # result cache to N entries (0 disables caching + dedupe);
             # --data-dir persists the engine (or reopens one already
             # persisted there, in which case --objects is not needed);
@@ -358,11 +360,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let workers: usize = int_flag(args, "--workers", 0)?; // 0 = one worker per core
     let queue_cap: usize = int_flag(args, "--queue-cap", 64)?;
     let cache: usize = int_flag(args, "--cache", 256)?; // entries; 0 disables
-    let backpressure = if args.iter().any(|a| a == "--reject") {
-        BackpressurePolicy::Reject
-    } else {
-        BackpressurePolicy::Block
-    };
     let data_dir = arg_value(args, "--data-dir").map(std::path::PathBuf::from);
     let shards = parse_shards(args)?;
 
@@ -407,7 +404,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         ServiceConfig::default()
             .workers(workers)
             .queue_capacity(queue_cap)
-            .backpressure(backpressure)
             .cache_capacity(cache),
     );
     let client = service.client();
@@ -443,17 +439,13 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 
     Ok(format!(
         "SB x{requests} requests over {} objects{} via EngineService \
-         (queue cap {queue_cap}, {} backpressure{}{storage})\n{metrics}\n\
+         (queue cap {queue_cap}{}{storage})\n{metrics}\n\
          all served matchings identical to {reference}\n",
         engine.n_objects(),
         if k > 1 {
             format!(" in {k} shards")
         } else {
             String::new()
-        },
-        match backpressure {
-            BackpressurePolicy::Block => "block",
-            BackpressurePolicy::Reject => "reject",
         },
         if rejected > 0 {
             format!(", {rejected} rejected")
@@ -951,9 +943,9 @@ mod tests {
         }
         fs::write(&fpath, &fcsv).unwrap();
 
-        // 1 worker + tiny queue + a burst: some submissions are shed in
-        // reject mode, and the report stays truthful about it. Caching
-        // is off — the replayed requests are identical, and the default
+        // 1 worker + tiny queue + a burst: the service sheds what does
+        // not fit, and the report stays truthful about it. Caching is
+        // off — the replayed requests are identical, and the default
         // cache would (correctly) dedupe them instead of shedding.
         let out = run_cli(&args(&[
             "serve",
@@ -967,12 +959,21 @@ mod tests {
             "1",
             "--queue-cap",
             "1",
-            "--reject",
             "--cache",
             "0",
         ]))
         .unwrap();
-        assert!(out.contains("reject backpressure"), "{out}");
+        // The metrics line counts the shed copies, the header repeats
+        // the count, and every copy was either served or shed.
+        let counter = |name: &str| -> u64 {
+            let at = out.find(&format!("{name} ")).expect(name) + name.len() + 1;
+            let digits: String = out[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        let (completed, rejected) = (counter("completed"), counter("rejected"));
+        assert!(rejected >= 1, "a 16-copy burst into one slot sheds: {out}");
+        assert_eq!(completed + rejected, 16, "{out}");
+        assert!(out.contains(&format!(", {rejected} rejected)")), "{out}");
         assert!(
             out.contains("all served matchings identical to sequential"),
             "{out}"

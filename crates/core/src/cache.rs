@@ -354,7 +354,7 @@ pub struct CacheMetrics {
     /// to evaluate. In-flight dedupe attaches are misses at the cache
     /// level (counted in `attaches` too).
     pub misses: u64,
-    /// Submissions that attached to an identical in-flight job instead
+    /// Submissions that attached to an identical queued job instead
     /// of enqueueing a duplicate evaluation (service layer only).
     pub attaches: u64,
     /// Results stored.

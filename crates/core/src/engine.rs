@@ -1306,16 +1306,13 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
         std::ptr::eq(self.engine, engine)
     }
 
-    /// Detach the request into owned parts — a clone of the function set
-    /// plus the owned options — so it can travel through the long-lived
-    /// service queue to a worker thread.
-    pub(crate) fn owned_parts(&self) -> (FunctionSet, RequestOptions) {
-        (self.functions.clone(), self.options.clone())
+    /// The engine the request was built against.
+    pub(crate) fn engine(&self) -> &'e Engine {
+        self.engine
     }
 
-    /// Borrow the request's parts without detaching (the scoped batch
-    /// path, whose workers cannot outlive the request slice — no clones
-    /// needed).
+    /// Borrow the request's parts: what the service copies into a job
+    /// it queues, and what a batch's queue borrows.
     pub(crate) fn parts(&self) -> (&FunctionSet, &RequestOptions) {
         (self.functions, &self.options)
     }

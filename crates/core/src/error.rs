@@ -72,11 +72,9 @@ pub enum MpqError {
     /// The request combines options the engine cannot serve together
     /// (e.g. capacities on a harness [`Variant`](crate::Variant)).
     UnsupportedRequest(&'static str),
-    /// The service's submission queue is full and its backpressure
-    /// policy is [`BackpressurePolicy::Reject`]. The request was not
-    /// enqueued; back off and resubmit.
-    ///
-    /// [`BackpressurePolicy::Reject`]: crate::service::BackpressurePolicy::Reject
+    /// The service's submission queue is full of live jobs, even after
+    /// sweeping out the ones no submitter waits for any more. The
+    /// request was not enqueued; back off and resubmit.
     Overloaded,
     /// The request's deadline passed before a worker could start it.
     /// The evaluation was never run.
@@ -158,10 +156,7 @@ impl std::fmt::Display for MpqError {
                 "capacity vector has {got} entries, engine holds {expected} objects"
             ),
             MpqError::UnsupportedRequest(msg) => write!(f, "unsupported request: {msg}"),
-            MpqError::Overloaded => write!(
-                f,
-                "service queue is full (reject backpressure); back off and resubmit"
-            ),
+            MpqError::Overloaded => write!(f, "service queue is full; back off and resubmit"),
             MpqError::DeadlineExceeded => {
                 write!(f, "request deadline passed before evaluation started")
             }

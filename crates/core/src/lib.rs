@@ -66,10 +66,11 @@
 //! the [`service`] layer: [`Engine::serve`] starts a worker pool behind
 //! a bounded submission queue; cloneable [`ServiceClient`] handles
 //! submit requests and get back pollable/blockable [`Ticket`]s with
-//! deadlines, priorities, cancellation and typed backpressure.
+//! deadlines, priorities and cancellation; a full queue sheds with a
+//! typed error instead of blocking the submitter.
 //! Identical requests are served from a bounded, inventory-versioned
 //! [`ResultCache`] (with in-flight dedupe: a duplicate submission
-//! attaches to the running job instead of re-evaluating — see the
+//! attaches to the queued job instead of re-evaluating — see the
 //! [`cache`] module). [`Engine::evaluate_batch`] is a
 //! submit-all-then-wait wrapper over the same scheduling core.
 //!
@@ -157,8 +158,8 @@ pub use sb::SbStream;
 pub use scratch::Scratch;
 pub use seed::EvalSeed;
 pub use service::{
-    BackpressurePolicy, EngineService, HealthMonitor, HealthState, ServiceClient, ServiceConfig,
-    ServiceMetrics, SubmitOptions, Ticket,
+    EngineService, HealthMonitor, HealthState, ServiceClient, ServiceConfig, ServiceMetrics,
+    SubmitOptions, Ticket,
 };
 pub use shard::ShardGauges;
 pub use verify::{verify_stable, verify_weakly_stable};

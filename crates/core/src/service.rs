@@ -15,9 +15,10 @@
 //!   a pool of worker threads, each owning a persistent [`Scratch`] so
 //!   every evaluation after its first is allocation-light;
 //! * any number of cheap, cloneable [`ServiceClient`] handles feed a
-//!   **bounded** submission queue — when it is full the configured
-//!   [`BackpressurePolicy`] either blocks the submitter or rejects with
-//!   [`MpqError::Overloaded`];
+//!   **bounded** submission queue, and a submitter never blocks: a
+//!   submission that finds the queue full first sweeps out the jobs no
+//!   submitter waits for any more, then, if it is still full, fails
+//!   with [`MpqError::Overloaded`] — the network front-end's `429`;
 //! * requests are built against the served engine:
 //!   `client.submit(client.engine().request(&functions))`;
 //! * every submission returns a [`Ticket`] — a std-only future
@@ -29,15 +30,15 @@
 //!   queued work with a typed [`MpqError::DeadlineExceeded`] instead of
 //!   wasting a worker on an answer nobody is waiting for — and expiry is
 //!   **eager**: expired jobs are swept out of the queue (freeing their
-//!   slots and resolving their waiters) by submit-side pressure and by
-//!   workers purging expired heads, not just lazily when popped;
+//!   slots and resolving their waiters) by a submission that finds the
+//!   queue full and by workers discarding dead jobs as they pop;
 //! * because evaluation is deterministic and the shared index immutable,
 //!   identical requests are served from a bounded, inventory-versioned
 //!   [`ResultCache`] (consulted before enqueueing), and a submission
-//!   identical to one *already queued or running* **attaches** to that
-//!   job instead of paying a queue slot and a duplicate evaluation —
-//!   each attached submission keeps its own ticket, deadline and
-//!   cancellation;
+//!   identical to one *still queued* **attaches** to that job instead
+//!   of paying a queue slot and a duplicate evaluation — it needs no
+//!   slot, so it attaches even to a full queue, and each attached
+//!   submission keeps its own ticket, deadline and cancellation;
 //! * a miss primes from the inventory's [`EvalSeed`](crate::EvalSeed) (see
 //!   [`crate::seed`]): the service keeps one seed cell for the newest
 //!   inventory version beside its cache, the first run at a version
@@ -68,16 +69,23 @@
 //! borrowing it — runs the same worker loop over the same
 //! `ServiceCore`, and evaluates through the engine's one seed-capable
 //! evaluation call.
+//!
+//! Locks, outermost first: the core's one mutex (queue, result cache,
+//! in-flight index, ticket ids, shutdown flag) → a ticket's state →
+//! the metrics. A path takes them only left to right (skipping is
+//! fine), so the order is cycle-free. The engine's mutation log and the
+//! seed cell are leaves: the cache reads the log under the core lock,
+//! and no service lock is taken while either is held.
 
 use std::borrow::Cow;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpq_ta::FunctionSet;
 
-use crate::cache::{request_key, CacheMetrics, MutationLog, RequestKey, ResultCache};
+use crate::cache::{CacheMetrics, RequestKey, ResultCache};
 use crate::engine::{BatchMetrics, BatchOutcome, Engine, MatchRequest, RequestOptions};
 use crate::error::MpqError;
 use crate::matching::Matching;
@@ -108,39 +116,15 @@ pub(crate) fn safe_rate(count: u64, wall: Duration) -> f64 {
     }
 }
 
-/// Floor for deadline-aware condvar waits so a just-lapsed deadline
-/// cannot degenerate into a hot spin.
-const MIN_DEADLINE_WAIT: Duration = Duration::from_millis(1);
-
-/// What [`ServiceClient::submit`] does when the bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Block the submitting thread until a slot frees up (or the service
-    /// shuts down, which fails the submission with
-    /// [`MpqError::ServiceStopped`]). The right default for in-process
-    /// producers: the queue bound becomes a natural rate limiter.
-    /// Blocked submitters also wake themselves when a queued job's
-    /// deadline lapses, sweep it out, and take its slot — no worker
-    /// round-trip needed.
-    #[default]
-    Block,
-    /// Fail fast with [`MpqError::Overloaded`] and do not enqueue. The
-    /// right policy for a network front-end that would rather shed load
-    /// (HTTP 429) than accumulate unbounded latency. Expired queue
-    /// entries are swept before the rejection verdict, so a queue full
-    /// of dead jobs does not shed live traffic.
-    Reject,
-}
-
 /// Configuration of an [`EngineService`] worker pool and queue.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads; `0` means one per available core.
     pub workers: usize,
-    /// Maximum queued (not yet running) requests; clamped to at least 1.
+    /// Maximum queued (not yet running) requests, clamped to at least
+    /// one. A submission that finds this many live jobs queued fails
+    /// with [`MpqError::Overloaded`].
     pub queue_capacity: usize,
-    /// Full-queue behavior.
-    pub backpressure: BackpressurePolicy,
     /// Maximum entries of the cross-request [`ResultCache`]; `0`
     /// disables result caching **and** in-flight dedupe (every
     /// submission pays its own evaluation). Default 256.
@@ -157,7 +141,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             queue_capacity: 256,
-            backpressure: BackpressurePolicy::Block,
             cache_capacity: 256,
             cache_max_bytes: 32 << 20,
         }
@@ -174,12 +157,6 @@ impl ServiceConfig {
     /// Set the queue bound (clamped to at least 1).
     pub fn queue_capacity(mut self, capacity: usize) -> ServiceConfig {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Set the full-queue behavior.
-    pub fn backpressure(mut self, policy: BackpressurePolicy) -> ServiceConfig {
-        self.backpressure = policy;
         self
     }
 
@@ -203,10 +180,10 @@ pub struct SubmitOptions {
     /// Evaluation must *start* within this budget of submission time;
     /// a request still queued when it lapses resolves to
     /// [`MpqError::DeadlineExceeded`] without touching a worker. Expiry
-    /// is eager (swept by submit-side pressure and worker head-purges),
-    /// so an expired request frees its queue slot promptly. A deadline
-    /// too large to represent as an instant (e.g. [`Duration::MAX`])
-    /// means "no deadline".
+    /// is eager (swept by a submission that finds the queue full, and
+    /// discarded by the worker that pops it), so an expired request
+    /// frees its queue slot promptly. A deadline too large to represent
+    /// as an instant (e.g. [`Duration::MAX`]) means "no deadline".
     pub deadline: Option<Duration>,
     /// Pop priority: higher first, submission order within a
     /// priority. The default 0 everywhere is strict FIFO.
@@ -234,7 +211,7 @@ impl SubmitOptions {
 #[allow(clippy::large_enum_variant)]
 enum TicketState {
     /// Waiting for a result: in the queue, attached to an identical
-    /// in-flight job, or being evaluated right now.
+    /// queued job, or being evaluated right now.
     Queued,
     /// Resolved; the result waits for [`Ticket::wait`]/[`Ticket::try_take`].
     Done(Result<Matching, MpqError>),
@@ -355,7 +332,7 @@ impl Ticket {
 
     /// Cancel the request. Returns `true` iff **this call** wins — the
     /// ticket resolves to [`MpqError::Cancelled`] immediately, whether
-    /// it was queued, attached to an identical in-flight job, or being
+    /// it was queued, attached to an identical queued job, or being
     /// evaluated (the evaluation may still finish for other attached
     /// submissions — or for the cache — but this ticket's result is
     /// discarded). Cancelling one submission never cancels an identical
@@ -402,79 +379,90 @@ struct Member {
     submitted: Instant,
 }
 
-/// The fan-out target of one queued/running evaluation: every submission
-/// that deduped onto it. `open` gates attachment — it flips off when a
-/// worker claims the job (or the job dies wholesale), after which an
-/// identical submission starts a fresh job instead of racing the
-/// fan-out.
-struct GroupState {
-    open: bool,
-    members: Vec<Member>,
+/// Resolve expired members (their own [`MpqError::DeadlineExceeded`])
+/// and drop members already resolved elsewhere (cancelled); `false`
+/// when no live member is left.
+fn prune(members: &mut Vec<Member>, now: Instant, metrics: &Mutex<MetricsInner>) -> bool {
+    members.retain(|member| {
+        let mut state = lock(&member.ticket.state);
+        match *state {
+            TicketState::Done(_) | TicketState::Claimed => false,
+            TicketState::Queued => {
+                if member.deadline.is_some_and(|d| now > d) {
+                    *state = TicketState::Done(Err(MpqError::DeadlineExceeded));
+                    // Count before notifying so a woken waiter observes
+                    // the metrics update.
+                    lock(metrics).expired += 1;
+                    drop(state);
+                    member.ticket.done.notify_all();
+                    false
+                } else {
+                    true
+                }
+            }
+        }
+    });
+    !members.is_empty()
 }
 
-/// A dedupe group: the set of tickets one evaluation resolves. Jobs
-/// without a cache identity (batch path, caching disabled) still carry a
-/// group — with `key: None` and exactly one member — so there is a
-/// single claim/expire/fan-out code path.
-struct DedupeGroup {
-    /// The canonical request identity, when caching is on; used to
-    /// unregister from the in-flight index when the group closes.
-    key: Option<Arc<RequestKey>>,
-    /// The pop priority its job was (or will be) enqueued with. A
-    /// submission with a *higher* priority must not attach — it would
-    /// silently inherit this lower one — and starts its own job instead.
-    priority: i32,
-    state: Mutex<GroupState>,
-}
+/// A job's place in the queue: higher priority first, submission order
+/// within a priority — the queue map's ascending order is its pop
+/// order, so jobs that all carry the default priority 0 pop FIFO.
+type QueuePos = (Reverse<i32>, u64);
 
-/// One queued evaluation plus its scheduling envelope. The request
-/// payload is `Cow`: the long-lived service detaches submissions into
-/// owned copies (they must outlive the submitter's borrow), while the
-/// scoped batch wrapper enqueues *borrowed* requests — its workers
-/// cannot outlive the batch slice, so the PR 3 zero-clone batch path is
-/// preserved.
+/// The request payload of a queued job. It is `Cow`: the long-lived
+/// service detaches an admitted submission into owned copies (they must
+/// outlive the submitter's borrow), while the scoped batch wrapper
+/// queues *borrowed* requests — its workers cannot outlive the batch
+/// slice, so no batch request is cloned.
+type Payload<'a> = (Cow<'a, FunctionSet>, Cow<'a, RequestOptions>);
+
+/// One queued evaluation and every submission it resolves.
 struct Job<'a> {
     functions: Cow<'a, FunctionSet>,
     options: Cow<'a, RequestOptions>,
-    group: Arc<DedupeGroup>,
+    /// The canonical request identity when caching is on: what an
+    /// identical submission finds in the in-flight index, and the key
+    /// the result is published under.
+    key: Option<Arc<RequestKey>>,
+    /// The submission that queued the job and every identical one that
+    /// attached to it while it was queued.
+    members: Vec<Member>,
 }
 
-/// Heap entry: pops by `(priority desc, seq asc)`. Jobs that all carry
-/// the default priority 0 pop in strict submission order.
-struct QueuedJob<'a> {
-    priority: i32,
-    seq: u64,
-    job: Job<'a>,
-}
-
-impl PartialEq for QueuedJob<'_> {
-    fn eq(&self, other: &QueuedJob<'_>) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for QueuedJob<'_> {}
-impl PartialOrd for QueuedJob<'_> {
-    fn partial_cmp(&self, other: &QueuedJob<'_>) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedJob<'_> {
-    fn cmp(&self, other: &QueuedJob<'_>) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: greater pops first.
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Queue state behind the core's mutex.
-struct QueueState<'a> {
-    heap: BinaryHeap<QueuedJob<'a>>,
-    /// Set by shutdown: no new submissions; workers drain the heap and
+/// Everything behind the core's one mutex.
+struct CoreState<'a> {
+    /// The queued jobs, in pop order.
+    queue: BTreeMap<QueuePos, Job<'a>>,
+    /// Where an identical submission attaches: the queued job of each
+    /// request identity. Every entry names a queued job — a worker
+    /// removes it in the critical section that pops the job — and a
+    /// higher-priority twin, which does not attach, takes the entry
+    /// over.
+    index: HashMap<Arc<RequestKey>, QueuePos>,
+    /// `None` when `cache_capacity == 0`: no caching, no dedupe.
+    cache: Option<ResultCache>,
+    /// The next ticket id, also the FIFO tie-break.
+    next_seq: u64,
+    /// Set by shutdown: no new submissions; workers drain the queue and
     /// then exit.
     stopping: bool,
-    /// Jobs popped by a worker and not yet resolved.
+    /// Jobs popped by a worker and not yet published.
     in_flight: usize,
+}
+
+impl<'a> CoreState<'a> {
+    /// Take the job at `pos` out of the queue, with the index entry
+    /// that names it.
+    fn remove(&mut self, pos: QueuePos) -> Option<Job<'a>> {
+        let job = self.queue.remove(&pos)?;
+        if let Some(key) = &job.key {
+            if self.index.get(key) == Some(&pos) {
+                self.index.remove(key);
+            }
+        }
+        Some(job)
+    }
 }
 
 /// Rolling counters behind the core's metrics mutex.
@@ -486,7 +474,7 @@ struct MetricsInner {
     rejected: u64,
     expired: u64,
     panicked: u64,
-    /// Submissions that attached to an identical in-flight job.
+    /// Submissions that attached to an identical queued job.
     dedupe_attaches: u64,
     /// Evaluations that resumed from a seed another run built.
     seeded_hits: u64,
@@ -515,41 +503,21 @@ impl MetricsInner {
     }
 }
 
-/// The caching layer behind one mutex: the result LRU plus the index of
-/// identical jobs currently queued or running (for dedupe attachment).
-///
-/// Lock order (outermost first): queue → cache layer → group state →
-/// ticket state → metrics. Paths only ever take locks left-to-right
-/// along this chain (skipping is fine), so the hierarchy is cycle-free.
-struct CacheLayer {
-    cache: ResultCache,
-    inflight: HashMap<Arc<RequestKey>, Arc<DedupeGroup>>,
-}
-
 /// The scheduling heart shared by the long-lived [`EngineService`]
 /// (Arc'd workers) and the scoped batch wrapper (borrowing workers): a
-/// bounded `Mutex + Condvar` priority queue with backpressure, eager
-/// deadlines, result caching + dedupe, and rolling metrics.
+/// bounded priority queue that sheds when full, with eager deadlines,
+/// result caching + dedupe, and rolling metrics.
 /// It holds no engine — the engine is passed to [`worker_loop`], which
 /// is what lets one core serve both ownership models.
 pub(crate) struct ServiceCore<'a> {
     workers: usize,
     queue_capacity: usize,
-    backpressure: BackpressurePolicy,
-    queue: Mutex<QueueState<'a>>,
+    state: Mutex<CoreState<'a>>,
     /// Workers wait here for jobs (or shutdown).
     jobs: Condvar,
-    /// Blocked submitters wait here for queue space (or shutdown, or the
-    /// earliest queued deadline — whichever comes first).
-    space: Condvar,
-    /// `None` when `cache_capacity == 0`: no caching, no dedupe.
-    cached: Option<Mutex<CacheLayer>>,
     /// The seed every evaluation primes from (see [`crate::seed`]);
-    /// `None` when caching is off.
+    /// `None` exactly when caching is off.
     seed: Option<SeedSlot>,
-    /// Ticket ids, also the FIFO tie-break; atomic so cache hits and
-    /// dedupe attaches can mint ids without the queue lock.
-    ticket_ids: AtomicU64,
     /// Arc'd so [`Ticket`]s can count winning cancellations without
     /// holding (and thereby lifetime-infecting themselves with) the core.
     metrics: Arc<Mutex<MetricsInner>>,
@@ -558,444 +526,171 @@ pub(crate) struct ServiceCore<'a> {
 
 impl<'a> ServiceCore<'a> {
     pub(crate) fn new(config: &ServiceConfig, workers: usize) -> ServiceCore<'a> {
+        let cached = config.cache_capacity > 0;
         ServiceCore {
             workers,
             queue_capacity: config.queue_capacity.max(1),
-            backpressure: config.backpressure,
-            queue: Mutex::new(QueueState {
-                heap: BinaryHeap::new(),
+            state: Mutex::new(CoreState {
+                queue: BTreeMap::new(),
+                index: HashMap::new(),
+                cache: cached
+                    .then(|| ResultCache::new(config.cache_capacity, config.cache_max_bytes)),
+                next_seq: 0,
                 stopping: false,
                 in_flight: 0,
             }),
             jobs: Condvar::new(),
-            space: Condvar::new(),
-            cached: (config.cache_capacity > 0).then(|| {
-                Mutex::new(CacheLayer {
-                    cache: ResultCache::new(config.cache_capacity, config.cache_max_bytes),
-                    inflight: HashMap::new(),
-                })
-            }),
-            seed: (config.cache_capacity > 0).then(SeedSlot::default),
-            ticket_ids: AtomicU64::new(0),
+            seed: cached.then(SeedSlot::default),
             metrics: Arc::new(Mutex::new(MetricsInner::default())),
             started: Instant::now(),
         }
     }
 
-    /// Mint a fresh queued ticket (and its shared oneshot).
-    fn new_ticket(&self) -> (Ticket, Arc<TicketShared>) {
+    /// The one admission step, in one critical section: refuse if the
+    /// service is stopping; serve a cache hit on the spot; attach to an
+    /// identical queued job of no lower priority, which costs no slot;
+    /// otherwise take a queue slot — a full queue first sweeps out its
+    /// dead jobs, and is refused with [`MpqError::Overloaded`] if it is
+    /// still full. `detach` makes the job's payload and is called only
+    /// when the submission is queued, so a hit or an attach copies
+    /// nothing. A cache entry stamped before the request's engine's
+    /// inventory version is served only if its result provably survived
+    /// every mutation since (the engine's mutation log).
+    pub(crate) fn submit(
+        &self,
+        request: &MatchRequest<'_, '_>,
+        submit: SubmitOptions,
+        detach: impl FnOnce() -> Payload<'a>,
+    ) -> Result<Ticket, MpqError> {
+        let now = Instant::now();
+        // An unrepresentable deadline (now + huge) means "no deadline",
+        // mirroring Ticket::wait_timeout's overflow stance.
+        let deadline = submit.deadline.and_then(|d| now.checked_add(d));
+        let key = self.seed.is_some().then(|| request.cache_key());
+        let engine = request.engine();
+
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
+        // The post-shutdown contract holds for every path, including a
+        // would-be cache hit: a stopped service accepts nothing.
+        if state.stopping {
+            return Err(MpqError::ServiceStopped);
+        }
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        let (ticket, shared) = self.new_ticket(seq);
+        let member = Member {
+            ticket: shared,
+            deadline,
+            submitted: now,
+        };
+        if let (Some(key), Some(cache)) = (&key, &mut state.cache) {
+            let version = engine.inventory_version();
+            if let Some(matching) = cache.get_with_logs(key, version, engine.mutations()) {
+                // Hit: no queue slot, no worker, bit-identical result by
+                // construction.
+                *lock(&member.ticket.state) = TicketState::Done(Ok(matching));
+                let mut metrics = lock(&self.metrics);
+                metrics.submitted += 1;
+                metrics.complete(now.elapsed());
+                return Ok(ticket);
+            }
+            // A higher-priority duplicate must not quietly inherit the
+            // queued job's lower priority: it queues a job of its own.
+            let queued = (state.index.get(key))
+                .filter(|pos| submit.priority <= pos.0 .0)
+                .and_then(|pos| state.queue.get_mut(pos));
+            if let Some(job) = queued {
+                // The member keeps its own deadline and can be
+                // cancelled without touching its siblings.
+                job.members.push(member);
+                let mut metrics = lock(&self.metrics);
+                metrics.submitted += 1;
+                metrics.dedupe_attaches += 1;
+                return Ok(ticket);
+            }
+        }
+        if state.queue.len() >= self.queue_capacity {
+            // A queue full of dead work must not shed live traffic.
+            let now = Instant::now();
+            let dead: Vec<QueuePos> = (state.queue.iter_mut())
+                .filter_map(|(pos, job)| {
+                    (!prune(&mut job.members, now, &self.metrics)).then_some(*pos)
+                })
+                .collect();
+            for pos in dead {
+                state.remove(pos);
+            }
+            if state.queue.len() >= self.queue_capacity {
+                lock(&self.metrics).rejected += 1;
+                return Err(MpqError::Overloaded);
+            }
+        }
+        let (functions, options) = detach();
+        let pos = (Reverse(submit.priority), seq);
+        let key = key.map(Arc::new);
+        if let Some(key) = &key {
+            state.index.insert(Arc::clone(key), pos);
+        }
+        let job = Job {
+            functions,
+            options,
+            key,
+            members: vec![member],
+        };
+        state.queue.insert(pos, job);
+        // Count while the job is provably queued (and before any worker
+        // can complete it) so no snapshot ever observes completed >
+        // submitted.
+        lock(&self.metrics).submitted += 1;
+        drop(guard);
+        self.jobs.notify_one();
+        Ok(ticket)
+    }
+
+    /// Mint a queued ticket numbered `seq` (and its shared oneshot).
+    fn new_ticket(&self, seq: u64) -> (Ticket, Arc<TicketShared>) {
         let shared = Arc::new(TicketShared {
             state: Mutex::new(TicketState::Queued),
             done: Condvar::new(),
         });
         let ticket = Ticket {
-            seq: self.ticket_ids.fetch_add(1, AtomicOrdering::Relaxed),
+            seq,
             shared: Arc::clone(&shared),
             metrics: Arc::clone(&self.metrics),
         };
         (ticket, shared)
     }
 
-    /// Resolve expired members (their own [`MpqError::DeadlineExceeded`])
-    /// and drop members already resolved elsewhere (cancelled). Caller
-    /// holds the group lock.
-    fn prune_members_locked(&self, group: &mut GroupState, now: Instant) {
-        group.members.retain(|member| {
-            let mut state = lock(&member.ticket.state);
-            match *state {
-                TicketState::Done(_) | TicketState::Claimed => false,
-                TicketState::Queued => {
-                    if member.deadline.is_some_and(|d| now > d) {
-                        *state = TicketState::Done(Err(MpqError::DeadlineExceeded));
-                        // Count before notifying so a woken waiter
-                        // observes the metrics update.
-                        lock(&self.metrics).expired += 1;
-                        drop(state);
-                        member.ticket.done.notify_all();
-                        false
-                    } else {
-                        true
-                    }
-                }
-            }
-        });
-    }
-
-    /// Prune a job's members; `false` means the job is dead (no live
-    /// member remains) and its group has been closed.
-    fn prune_group(&self, group: &DedupeGroup, now: Instant) -> bool {
-        let mut state = lock(&group.state);
-        self.prune_members_locked(&mut state, now);
-        if state.members.is_empty() {
-            state.open = false;
-            false
-        } else {
-            true
-        }
-    }
-
-    /// Sweep every dead job (all members resolved or expired) out of the
-    /// queue, freeing its slot immediately. Returns the number of slots
-    /// freed. Caller holds the queue lock.
-    fn sweep_expired_locked(&self, queue: &mut QueueState<'a>, now: Instant) -> usize {
-        let before = queue.heap.len();
-        let mut dead: Vec<Arc<DedupeGroup>> = Vec::new();
-        queue.heap.retain(|entry| {
-            let live = self.prune_group(&entry.job.group, now);
-            if !live {
-                dead.push(Arc::clone(&entry.job.group));
-            }
-            live
-        });
-        for group in &dead {
-            self.release_inflight(group);
-        }
-        before - queue.heap.len()
-    }
-
-    /// The earliest deadline of any live queued member — when a blocked
-    /// submitter should wake to sweep, absent other traffic. Caller
-    /// holds the queue lock.
-    fn earliest_deadline_locked(&self, queue: &QueueState<'a>) -> Option<Instant> {
-        let mut earliest: Option<Instant> = None;
-        for entry in queue.heap.iter() {
-            let state = lock(&entry.job.group.state);
-            for member in &state.members {
-                let Some(deadline) = member.deadline else {
-                    continue;
-                };
-                if matches!(*lock(&member.ticket.state), TicketState::Queued) {
-                    earliest = Some(earliest.map_or(deadline, |e| e.min(deadline)));
-                }
-            }
-        }
-        earliest
-    }
-
-    /// Unregister `group` from the in-flight dedupe index (if it is
-    /// still the registered group for its key).
-    fn release_inflight(&self, group: &Arc<DedupeGroup>) {
-        let (Some(key), Some(cached)) = (&group.key, &self.cached) else {
-            return;
-        };
-        let mut layer = lock(cached);
-        if layer
-            .inflight
-            .get(key)
-            .is_some_and(|g| Arc::ptr_eq(g, group))
-        {
-            layer.inflight.remove(key);
-        }
-    }
-
-    /// Enqueue a request with no cache identity (the batch path, or a
-    /// service with caching disabled).
-    pub(crate) fn enqueue(
-        &self,
-        functions: Cow<'a, FunctionSet>,
-        options: Cow<'a, RequestOptions>,
-        submit: SubmitOptions,
-    ) -> Result<Ticket, MpqError> {
-        let group = Arc::new(DedupeGroup {
-            key: None,
-            priority: submit.priority,
-            state: Mutex::new(GroupState {
-                open: true,
-                members: Vec::new(),
-            }),
-        });
-        self.enqueue_with_group(functions, options, submit, group)
-    }
-
-    /// Enqueue a request whose fan-out group is already prepared (and,
-    /// for keyed jobs, registered in the in-flight index), honoring the
-    /// backpressure policy. The submitting ticket joins the group only
-    /// once the queue admits the job.
-    fn enqueue_with_group(
-        &self,
-        functions: Cow<'a, FunctionSet>,
-        options: Cow<'a, RequestOptions>,
-        submit: SubmitOptions,
-        group: Arc<DedupeGroup>,
-    ) -> Result<Ticket, MpqError> {
-        let now = Instant::now();
-        let (ticket, shared) = self.new_ticket();
-        // An unrepresentable deadline (now + huge) means "no deadline",
-        // mirroring Ticket::wait_timeout's overflow stance.
-        let deadline = submit.deadline.and_then(|d| now.checked_add(d));
-        {
-            let mut queue = lock(&self.queue);
-            loop {
-                if queue.stopping {
-                    return Err(MpqError::ServiceStopped);
-                }
-                // While this leader is blocked its group is already
-                // attachable (it is registered in the in-flight index
-                // but in no heap entry), so the queue sweeps cannot see
-                // its followers: expire them here, or their deadlines
-                // would silently stall until the job finally enqueues.
-                {
-                    let mut state = lock(&group.state);
-                    self.prune_members_locked(&mut state, Instant::now());
-                }
-                if queue.heap.len() < self.queue_capacity {
-                    break;
-                }
-                // Submit-side pressure: sweep expired jobs before
-                // blocking or shedding — a queue full of dead work must
-                // not stall live traffic.
-                if self.sweep_expired_locked(&mut queue, Instant::now()) > 0 {
-                    self.space.notify_all();
-                    continue;
-                }
-                match self.backpressure {
-                    BackpressurePolicy::Reject => {
-                        lock(&self.metrics).rejected += 1;
-                        return Err(MpqError::Overloaded);
-                    }
-                    BackpressurePolicy::Block => {
-                        // Wake on freed space *or* when the earliest
-                        // deadline lapses — among queued jobs AND this
-                        // group's own attached followers — whichever
-                        // comes first, then re-sweep. This is what lets
-                        // a blocked submitter unblock (and its
-                        // followers expire) without any worker ever
-                        // popping the dead jobs.
-                        let own = {
-                            let state = lock(&group.state);
-                            state
-                                .members
-                                .iter()
-                                .filter(|m| matches!(*lock(&m.ticket.state), TicketState::Queued))
-                                .filter_map(|m| m.deadline)
-                                .min()
-                        };
-                        let wake = match (self.earliest_deadline_locked(&queue), own) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        queue = match wake {
-                            Some(wake) => {
-                                let wait = wake
-                                    .saturating_duration_since(Instant::now())
-                                    .max(MIN_DEADLINE_WAIT);
-                                self.space
-                                    .wait_timeout(queue, wait)
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .0
-                            }
-                            None => self
-                                .space
-                                .wait(queue)
-                                .unwrap_or_else(PoisonError::into_inner),
-                        };
-                    }
-                }
-            }
-            {
-                let mut state = lock(&group.state);
-                state.members.push(Member {
-                    ticket: Arc::clone(&shared),
-                    deadline,
-                    submitted: now,
-                });
-            }
-            queue.heap.push(QueuedJob {
-                priority: submit.priority,
-                seq: ticket.seq,
-                job: Job {
-                    functions,
-                    options,
-                    group,
-                },
-            });
-            // Count while the job is provably in the queue (and before
-            // any worker can complete it) so no snapshot ever observes
-            // completed > submitted.
-            lock(&self.metrics).submitted += 1;
-        }
-        self.jobs.notify_one();
-        Ok(ticket)
-    }
-
-    /// The full service submission path: consult the result cache, then
-    /// the in-flight index (attach to an identical queued/running job),
-    /// and only then pay a queue slot. `version` is the submitting
-    /// engine's inventory version. Cache entries stamped from any other
-    /// inventory are misses, except that `log` (the engine's
-    /// [`MutationLog`]) may revalidate an older entry whose result
-    /// provably survived every intervening mutation.
-    pub(crate) fn submit_owned(
-        &self,
-        functions: FunctionSet,
-        options: RequestOptions,
-        submit: SubmitOptions,
-        version: u64,
-        log: &MutationLog,
-    ) -> Result<Ticket, MpqError> {
-        // The post-shutdown contract holds for every path, including a
-        // would-be cache hit: a stopped service accepts nothing.
-        if lock(&self.queue).stopping {
-            return Err(MpqError::ServiceStopped);
-        }
-        let Some(cached) = &self.cached else {
-            return self.enqueue(Cow::Owned(functions), Cow::Owned(options), submit);
-        };
-        let start = Instant::now();
-        let key = request_key(&functions, &options);
-        let group = {
-            let mut layer = lock(cached);
-            if let Some(matching) = layer.cache.get_with_logs(&key, version, log) {
-                // Hit: resolve a ticket on the spot — no queue slot, no
-                // worker, bit-identical result by construction.
-                let (ticket, shared) = self.new_ticket();
-                *lock(&shared.state) = TicketState::Done(Ok(matching));
-                let mut metrics = lock(&self.metrics);
-                metrics.submitted += 1;
-                metrics.complete(start.elapsed());
-                return Ok(ticket);
-            }
-            if let Some(group) = layer.inflight.get(&key) {
-                // A higher-priority duplicate must not quietly inherit
-                // the queued job's lower priority: it pays its own
-                // (correctly ordered) evaluation instead of attaching.
-                let attachable = submit.priority <= group.priority;
-                let mut state = lock(&group.state);
-                if state.open && attachable {
-                    // Identical job already queued or running: attach.
-                    // The member keeps its own deadline and can be
-                    // cancelled without touching its siblings.
-                    let (ticket, shared) = self.new_ticket();
-                    let deadline = submit.deadline.and_then(|d| start.checked_add(d));
-                    state.members.push(Member {
-                        ticket: shared,
-                        deadline,
-                        submitted: start,
-                    });
-                    drop(state);
-                    {
-                        let mut metrics = lock(&self.metrics);
-                        metrics.submitted += 1;
-                        metrics.dedupe_attaches += 1;
-                    }
-                    if deadline.is_some() {
-                        // A blocked submitter may be parked in an
-                        // *untimed* wait computed before this deadline
-                        // existed: nudge it so it re-derives its wake
-                        // instant (and can later sweep this member).
-                        self.space.notify_all();
-                    }
-                    return Ok(ticket);
-                }
-                // Closed (a worker claimed it, or it died wholesale):
-                // fall through and start a fresh job; the insert below
-                // replaces the stale index entry.
-            }
-            // Exact miss, nothing identical in flight: a job of its own,
-            // which primes from the inventory's seed when a worker runs it.
-            let key = Arc::new(key);
-            let group = Arc::new(DedupeGroup {
-                key: Some(Arc::clone(&key)),
-                priority: submit.priority,
-                state: Mutex::new(GroupState {
-                    open: true,
-                    members: Vec::new(),
-                }),
-            });
-            layer.inflight.insert(key, Arc::clone(&group));
-            group
-        };
-        match self.enqueue_with_group(
-            Cow::Owned(functions),
-            Cow::Owned(options),
-            submit,
-            Arc::clone(&group),
-        ) {
-            Ok(ticket) => Ok(ticket),
-            Err(e) => {
-                // The leader was refused (Overloaded / ServiceStopped):
-                // unregister the group and fail any follower that
-                // attached while the leader was blocked at a full queue
-                // — their evaluation will never run.
-                self.release_inflight(&group);
-                let members = {
-                    let mut state = lock(&group.state);
-                    state.open = false;
-                    std::mem::take(&mut state.members)
-                };
-                for member in members {
-                    let mut state = lock(&member.ticket.state);
-                    if matches!(*state, TicketState::Queued) {
-                        *state = TicketState::Done(Err(e.clone()));
-                        drop(state);
-                        member.ticket.done.notify_all();
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
     /// Worker side: block for the next job. `None` means the service is
     /// stopping *and* the queue has drained — the worker should exit.
-    /// Expired heads are purged (resolved and dropped) eagerly on the
-    /// way, freeing their slots without a worker committing to them.
+    /// The pop takes the job's index entry with it and expires its
+    /// lapsed members; a job with no live member left is discarded on
+    /// the way.
     fn next_job(&self) -> Option<Job<'a>> {
-        let mut queue = lock(&self.queue);
+        let mut state = lock(&self.state);
         loop {
-            let now = Instant::now();
-            let mut freed = 0usize;
-            while let Some(top) = queue.heap.peek() {
-                if self.prune_group(&top.job.group, now) {
-                    break;
+            while let Some(&pos) = state.queue.keys().next() {
+                let mut job = state.remove(pos).expect("just peeked");
+                if prune(&mut job.members, Instant::now(), &self.metrics) {
+                    state.in_flight += 1;
+                    return Some(job);
                 }
-                let entry = queue.heap.pop().expect("just peeked a head");
-                self.release_inflight(&entry.job.group);
-                freed += 1;
             }
-            if freed > 0 {
-                self.space.notify_all();
-            }
-            if let Some(entry) = queue.heap.pop() {
-                queue.in_flight += 1;
-                drop(queue);
-                self.space.notify_one();
-                return Some(entry.job);
-            }
-            if queue.stopping {
+            if state.stopping {
                 return None;
             }
-            queue = self
+            state = self
                 .jobs
-                .wait(queue)
+                .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Run one popped job to resolution on `engine`, then release its
-    /// in-flight slot: close the group, expire lapsed members, evaluate
-    /// once, publish to the cache, fan the result out to every surviving
-    /// member.
+    /// Run one popped job to resolution on `engine`: evaluate once,
+    /// publish to the cache, fan the result out to every member not
+    /// cancelled meanwhile.
     fn execute(&self, engine: &Engine, job: Job<'_>, scratch: &mut Scratch) {
-        // Claim: close the group first so an identical submission
-        // arriving from here on starts a fresh job instead of racing the
-        // fan-out; then expire members whose deadline lapsed before
-        // evaluation could start.
-        let now = Instant::now();
-        let members = {
-            let mut state = lock(&job.group.state);
-            state.open = false;
-            self.prune_members_locked(&mut state, now);
-            std::mem::take(&mut state.members)
-        };
-
-        if members.is_empty() {
-            // Cancelled or expired wholesale: nothing left to serve.
-            self.release_inflight(&job.group);
-            lock(&self.queue).in_flight -= 1;
-            return;
-        }
-
         // A panicking evaluation must not leave any member unresolved
         // (its waiter would block forever) nor take the worker down.
         //
@@ -1030,15 +725,16 @@ impl<'a> ServiceCore<'a> {
         // Publish to the cache *before* resolving any ticket: a caller
         // that observed its ticket resolve and immediately resubmits
         // must hit.
-        if let (Some(key), Some(cached), Ok(matching)) = (&job.group.key, &self.cached, &result) {
-            let log = engine.mutations();
-            lock(cached)
-                .cache
-                .insert_with_logs(key, version, matching, log);
+        {
+            let mut guard = lock(&self.state);
+            let state = &mut *guard;
+            if let (Some(key), Some(cache), Ok(matching)) = (&job.key, &mut state.cache, &result) {
+                cache.insert_with_logs(key, version, matching, engine.mutations());
+            }
+            state.in_flight -= 1;
         }
-        self.release_inflight(&job.group);
 
-        for member in members {
+        for member in job.members {
             let latency = member.submitted.elapsed();
             {
                 let mut state = lock(&member.ticket.state);
@@ -1058,8 +754,6 @@ impl<'a> ServiceCore<'a> {
             }
             member.ticket.done.notify_all();
         }
-
-        lock(&self.queue).in_flight -= 1;
     }
 
     /// Requests queued and not yet claimed by a worker, right now.
@@ -1067,32 +761,31 @@ impl<'a> ServiceCore<'a> {
     /// no latency sort — so an admission-control path (e.g. the network
     /// front-end computing a `Retry-After`) can afford it per rejection.
     pub(crate) fn queue_depth(&self) -> usize {
-        lock(&self.queue).heap.len()
+        lock(&self.state).queue.len()
     }
 
-    /// Requests claimed by a worker and not yet resolved, right now.
+    /// Requests claimed by a worker and not yet published, right now.
     pub(crate) fn in_flight(&self) -> usize {
-        lock(&self.queue).in_flight
+        lock(&self.state).in_flight
     }
 
-    /// Stop accepting submissions and wake everyone: blocked submitters
-    /// fail with [`MpqError::ServiceStopped`]; workers drain the queue
-    /// and exit.
+    /// Stop accepting submissions and wake the workers: they drain the
+    /// queue and exit.
     pub(crate) fn begin_shutdown(&self) {
-        lock(&self.queue).stopping = true;
+        lock(&self.state).stopping = true;
         self.jobs.notify_all();
-        self.space.notify_all();
     }
 
     /// Snapshot the rolling metrics.
     pub(crate) fn metrics_snapshot(&self) -> ServiceMetrics {
-        let (queue_depth, in_flight) = {
-            let queue = lock(&self.queue);
-            (queue.heap.len(), queue.in_flight)
-        };
-        let mut cache = match &self.cached {
-            None => CacheMetrics::default(),
-            Some(cached) => lock(cached).cache.metrics(),
+        let (queue_depth, in_flight, mut cache) = {
+            let state = lock(&self.state);
+            let cache = state.cache.as_ref().map(ResultCache::metrics);
+            (
+                state.queue.len(),
+                state.in_flight,
+                cache.unwrap_or_default(),
+            )
         };
         let metrics = lock(&self.metrics);
         cache.attaches = metrics.dedupe_attaches;
@@ -1172,7 +865,7 @@ pub(crate) fn evaluate_batch(
     }
 
     // The batch is one drained service run: a queue sized to the batch
-    // (so submission never blocks), FIFO order, scoped workers borrowing
+    // (so no submission is shed), FIFO order, scoped workers borrowing
     // the engine instead of the long-lived service's Arc. The queue
     // payloads are *borrowed* from `requests` (the workers cannot
     // outlive the slice), so no request is cloned to travel the queue.
@@ -1196,12 +889,9 @@ pub(crate) fn evaluate_batch(
             .iter()
             .map(|r| {
                 let (functions, options) = r.parts();
-                core.enqueue(
-                    Cow::Borrowed(functions),
-                    Cow::Borrowed(options),
-                    SubmitOptions::default(),
-                )
-                .expect("batch queue is sized to the batch and not shutting down")
+                let borrowed = || (Cow::Borrowed(functions), Cow::Borrowed(options));
+                (core.submit(r, SubmitOptions::default(), borrowed))
+                    .expect("batch queue is sized to the batch and not shutting down")
             })
             .collect();
         results.extend(tickets.into_iter().map(|t| t.wait()));
@@ -1252,7 +942,8 @@ pub struct ServiceMetrics {
     pub completed: u64,
     /// Cancellations that won since spawn.
     pub cancelled: u64,
-    /// Submissions rejected by [`BackpressurePolicy::Reject`].
+    /// Submissions shed with [`MpqError::Overloaded`]: the queue was
+    /// full of live jobs.
     pub rejected: u64,
     /// Requests whose deadline lapsed before evaluation started.
     pub expired: u64,
@@ -1712,7 +1403,7 @@ impl EngineService {
     }
 
     /// Requests queued and not yet claimed by a worker, right now — a
-    /// single-lock gauge (no latency sort, no cache lock), cheap enough
+    /// single-lock gauge (no latency sort, no storage read), cheap enough
     /// for per-request admission control. Before this existed, the only
     /// way to observe per-service queue pressure from outside a worker
     /// was a full [`EngineService::metrics`] snapshot.
@@ -1781,13 +1472,17 @@ impl ServiceClient {
 
     /// Submit a request with a deadline and/or priority. The request
     /// must have been built against the served engine; one built on
-    /// any other is refused with [`MpqError::UnsupportedRequest`]. It is validated *now* — shape
-    /// errors surface to the submitter instead of travelling to a worker
-    /// — then served from the result cache (stamped with the engine's
-    /// inventory version) if an identical request already completed against
-    /// this inventory, attached to an identical queued/running job if
-    /// one is in flight, and only otherwise detached (owned function-set
-    /// copy + options) and enqueued under the backpressure policy.
+    /// any other is refused with [`MpqError::UnsupportedRequest`]. It is
+    /// validated *now* — shape errors surface to the submitter instead
+    /// of travelling to a worker. Then, in one critical section, it is
+    /// refused with [`MpqError::ServiceStopped`] after shutdown, served
+    /// from the result cache if an identical request already completed
+    /// against this inventory, attached to an identical queued job of no
+    /// lower priority (which takes no slot, so it succeeds even when the
+    /// queue is full), or queued. A full queue first drops the jobs no
+    /// submitter waits for any more; if it is still full the submission
+    /// fails with [`MpqError::Overloaded`] — it never blocks. Only a
+    /// queued submission copies the function set.
     pub fn submit_with(
         &self,
         request: MatchRequest<'_, '_>,
@@ -1799,14 +1494,13 @@ impl ServiceClient {
             ));
         }
         request.validate()?;
-        let (functions, request_options) = request.owned_parts();
-        self.core.submit_owned(
-            functions,
-            request_options,
-            options,
-            self.engine.inventory_version(),
-            self.engine.mutations(),
-        )
+        let (functions, request_options) = request.parts();
+        self.core.submit(&request, options, || {
+            (
+                Cow::Owned(functions.clone()),
+                Cow::Owned(request_options.clone()),
+            )
+        })
     }
 
     /// Snapshot the rolling [`ServiceMetrics`].
@@ -1964,31 +1658,52 @@ mod tests {
         FunctionSet::from_rows(2, &[vec![0.5, 0.5]])
     }
 
+    /// A three-object, two-dimensional engine to build requests on.
+    fn tiny_engine() -> Engine {
+        let mut objects = mpq_rtree::PointSet::new(2);
+        for p in [[0.9_f64, 0.1], [0.1, 0.9], [0.5, 0.5]] {
+            objects.push(&p);
+        }
+        Engine::builder().objects(&objects).build().unwrap()
+    }
+
     fn uncached_core(config: ServiceConfig) -> Arc<ServiceCore<'static>> {
         Arc::new(ServiceCore::new(&config.cache_capacity(0), 0))
     }
 
+    /// Submit [`test_functions`] on `engine` to `core`, as a service
+    /// client does.
+    fn submit(
+        core: &ServiceCore<'static>,
+        engine: &Engine,
+        options: SubmitOptions,
+    ) -> Result<Ticket, MpqError> {
+        let functions = test_functions();
+        let request = engine.request(&functions);
+        core.submit(&request, options, || {
+            (
+                Cow::Owned(functions.clone()),
+                Cow::Owned(RequestOptions::default()),
+            )
+        })
+    }
+
+    /// Pop the queue's next job and return its ticket id.
+    fn pop(core: &ServiceCore<'static>) -> u64 {
+        lock(&core.state).queue.pop_first().unwrap().0 .1
+    }
+
     #[test]
     fn queue_pops_fifo_and_priority_orders() {
-        // No workers: enqueue, then drain the heap directly and observe
+        // No workers: enqueue, then drain the queue directly and observe
         // the pop order deterministically.
+        let engine = tiny_engine();
         let pops = |priorities: &[i32]| -> Vec<u64> {
             let core = uncached_core(ServiceConfig::default().queue_capacity(8));
             for &p in priorities {
-                core.enqueue(
-                    Cow::Owned(test_functions()),
-                    Cow::Owned(RequestOptions::default()),
-                    SubmitOptions::default().priority(p),
-                )
-                .unwrap();
+                submit(&core, &engine, SubmitOptions::default().priority(p)).unwrap();
             }
-            let mut order = Vec::new();
-            for _ in priorities {
-                let mut queue = lock(&core.queue);
-                let entry = queue.heap.pop().unwrap();
-                order.push(entry.seq);
-            }
-            order
+            priorities.iter().map(|_| pop(&core)).collect()
         };
 
         // Default priorities pop in submission order.
@@ -2026,228 +1741,58 @@ mod tests {
         }
     }
 
-    /// Regression for the lazy-expiry bug: a queue full of jobs whose
-    /// deadlines already lapsed must not block a `Block`-mode submitter
-    /// until a worker drains to them. There are NO workers here at all —
-    /// the submitter itself sweeps the dead jobs and takes a freed slot.
-    #[test]
-    fn block_submitter_unblocks_on_expired_queue_without_any_worker() {
-        let core = uncached_core(ServiceConfig::default().queue_capacity(2));
-        let dead: Vec<Ticket> = (0..2)
-            .map(|_| {
-                core.enqueue(
-                    Cow::Owned(test_functions()),
-                    Cow::Owned(RequestOptions::default()),
-                    SubmitOptions::default().deadline(Duration::ZERO),
-                )
-                .unwrap()
-            })
-            .collect();
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        let blocked_core = Arc::clone(&core);
-        std::thread::spawn(move || {
-            let ticket = blocked_core.enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default(),
-            );
-            tx.send(ticket).unwrap();
-        });
-        let accepted = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("submit must unblock by sweeping the expired jobs — no worker exists")
-            .expect("swept slots admit the live submission");
-        assert!(!accepted.is_done(), "the live job is queued, not served");
-
-        // The swept jobs resolved to DeadlineExceeded without any worker.
-        for ticket in dead {
-            assert_eq!(ticket.wait().unwrap_err(), MpqError::DeadlineExceeded);
-        }
-        assert_eq!(lock(&core.metrics).expired, 2);
-        assert_eq!(lock(&core.queue).heap.len(), 1, "only the live job remains");
-    }
-
-    /// Same regression through the timed-wait path: the deadlines lapse
-    /// only *after* the submitter has started blocking, so it must wake
-    /// itself on the earliest queued deadline and sweep.
-    #[test]
-    fn block_submitter_wakes_itself_when_queued_deadlines_lapse() {
-        let core = uncached_core(ServiceConfig::default().queue_capacity(1));
-        let dead = core
-            .enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default().deadline(Duration::from_millis(60)),
-            )
-            .unwrap();
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        let blocked_core = Arc::clone(&core);
-        let start = Instant::now();
-        std::thread::spawn(move || {
-            let ticket = blocked_core.enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default(),
-            );
-            tx.send(ticket).unwrap();
-        });
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("submitter must self-wake at the queued job's deadline")
-            .expect("the freed slot admits the live submission");
-        // Not a proof of promptness, but it must beat the 10s hang by a
-        // wide margin: the wake-up is scheduled at the 60ms deadline.
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert_eq!(dead.wait().unwrap_err(), MpqError::DeadlineExceeded);
-    }
-
     /// A higher-priority duplicate must not
     /// quietly inherit a queued twin's lower priority by attaching to
     /// it: it starts its own, correctly ordered job. Equal or lower
     /// priorities still dedupe.
     #[test]
     fn higher_priority_duplicate_does_not_attach_to_a_lower_priority_job() {
+        let engine = tiny_engine();
         let core = Arc::new(ServiceCore::new(
             &ServiceConfig::default().queue_capacity(8),
             0,
         ));
-        let low = core
-            .submit_owned(
-                test_functions(),
-                RequestOptions::default(),
-                SubmitOptions::default().priority(0),
-                1,
-                &MutationLog::new(64),
-            )
-            .unwrap();
-        // Identical request, higher priority: its own heap entry.
-        let high = core
-            .submit_owned(
-                test_functions(),
-                RequestOptions::default(),
-                SubmitOptions::default().priority(10),
-                1,
-                &MutationLog::new(64),
-            )
-            .unwrap();
-        assert_eq!(lock(&core.queue).heap.len(), 2);
+        let low = submit(&core, &engine, SubmitOptions::default().priority(0)).unwrap();
+        // Identical request, higher priority: its own queue entry.
+        let high = submit(&core, &engine, SubmitOptions::default().priority(10)).unwrap();
+        assert_eq!(core.queue_depth(), 2);
         assert_eq!(lock(&core.metrics).dedupe_attaches, 0);
-        // Identical request, lower priority than the (now registered)
+        // Identical request, lower priority than the (now indexed)
         // priority-10 job: attaches — it only ever pops *sooner* than
         // it paid for, never later.
-        let _attached = core
-            .submit_owned(
-                test_functions(),
-                RequestOptions::default(),
-                SubmitOptions::default().priority(5),
-                1,
-                &MutationLog::new(64),
-            )
-            .unwrap();
-        assert_eq!(lock(&core.queue).heap.len(), 2);
+        let _attached = submit(&core, &engine, SubmitOptions::default().priority(5)).unwrap();
+        assert_eq!(core.queue_depth(), 2);
         assert_eq!(lock(&core.metrics).dedupe_attaches, 1);
         // The higher-priority twin pops first.
-        let first = lock(&core.queue).heap.pop().unwrap().seq;
-        assert_eq!(first, high.id());
-        let second = lock(&core.queue).heap.pop().unwrap().seq;
-        assert_eq!(second, low.id());
+        assert_eq!(pop(&core), high.id());
+        assert_eq!(pop(&core), low.id());
     }
 
-    /// A follower attached to a leader that is itself *blocked* at a
-    /// full queue lives in no heap entry, so the queue sweeps cannot see
-    /// it: the blocked leader must expire it. No workers exist here.
-    #[test]
-    fn follower_of_a_blocked_leader_still_expires() {
-        let core = Arc::new(ServiceCore::new(
-            &ServiceConfig::default().queue_capacity(1),
-            0,
-        ));
-        // A *distinct* (keyless) job occupies the only slot forever.
-        core.enqueue(
-            Cow::Owned(FunctionSet::from_rows(2, &[vec![0.9, 0.1]])),
-            Cow::Owned(RequestOptions::default()),
-            SubmitOptions::default(),
-        )
-        .unwrap();
-
-        // The leader blocks at the full queue — after registering its
-        // group in the in-flight index.
-        let leader_core = Arc::clone(&core);
-        let leader = std::thread::spawn(move || {
-            leader_core.submit_owned(
-                test_functions(),
-                RequestOptions::default(),
-                SubmitOptions::default(),
-                1,
-                &MutationLog::new(64),
-            )
-        });
-        let registered = |core: &ServiceCore<'static>| {
-            core.cached
-                .as_ref()
-                .is_some_and(|c| !lock(c).inflight.is_empty())
-        };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !registered(&core) {
-            assert!(Instant::now() < deadline, "leader never registered");
-            std::thread::yield_now();
-        }
-
-        // Attach a zero-budget follower: only the blocked leader can
-        // expire it, and must.
-        let follower = core
-            .submit_owned(
-                test_functions(),
-                RequestOptions::default(),
-                SubmitOptions::default().deadline(Duration::ZERO),
-                1,
-                &MutationLog::new(64),
-            )
-            .unwrap();
-        assert_eq!(lock(&core.metrics).dedupe_attaches, 1);
-        assert_eq!(
-            follower.wait().unwrap_err(),
-            MpqError::DeadlineExceeded,
-            "the blocked leader must prune its own followers"
-        );
-
-        // Release the parked leader and fold the thread.
-        core.begin_shutdown();
-        assert_eq!(
-            leader.join().unwrap().unwrap_err(),
-            MpqError::ServiceStopped
-        );
-    }
-
-    /// Reject mode sweeps expired jobs before shedding: a queue full of
+    /// A full queue sweeps expired jobs before shedding: a queue full of
     /// dead work must not 429 live traffic.
     #[test]
     fn reject_mode_sweeps_expired_jobs_before_shedding() {
-        let core = uncached_core(
-            ServiceConfig::default()
-                .queue_capacity(1)
-                .backpressure(BackpressurePolicy::Reject),
-        );
-        let dead = core
-            .enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default().deadline(Duration::ZERO),
-            )
-            .unwrap();
+        let engine = tiny_engine();
+        let core = uncached_core(ServiceConfig::default().queue_capacity(1));
+        let dead = submit(
+            &core,
+            &engine,
+            SubmitOptions::default().deadline(Duration::ZERO),
+        )
+        .unwrap();
         // Queue is "full" — but only of an expired job, so this must be
         // accepted, not rejected.
-        let live = core
-            .enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default(),
-            )
+        let live = submit(&core, &engine, SubmitOptions::default())
             .expect("sweep must free the slot before the reject verdict");
         assert_eq!(dead.wait().unwrap_err(), MpqError::DeadlineExceeded);
         assert!(!live.is_done());
         assert_eq!(lock(&core.metrics).rejected, 0);
+        // Now full of a live job: the next distinct submission is shed.
+        assert_eq!(
+            submit(&core, &engine, SubmitOptions::default()).unwrap_err(),
+            MpqError::Overloaded
+        );
+        assert_eq!(lock(&core.metrics).rejected, 1);
     }
 
     /// Regression: per-service queue pressure is observable from outside
@@ -2256,16 +1801,12 @@ mod tests {
     /// admission-control path computing a `Retry-After` per rejection.
     #[test]
     fn queue_depth_and_in_flight_snapshots_track_the_queue() {
+        let engine = tiny_engine();
         let core = uncached_core(ServiceConfig::default().queue_capacity(8));
         assert_eq!(core.queue_depth(), 0);
         assert_eq!(core.in_flight(), 0);
         for _ in 0..3 {
-            core.enqueue(
-                Cow::Owned(test_functions()),
-                Cow::Owned(RequestOptions::default()),
-                SubmitOptions::default(),
-            )
-            .unwrap();
+            submit(&core, &engine, SubmitOptions::default()).unwrap();
         }
         assert_eq!(core.queue_depth(), 3);
         assert_eq!(core.in_flight(), 0);
@@ -2274,13 +1815,6 @@ mod tests {
         assert_eq!(core.queue_depth(), 2);
         assert_eq!(core.in_flight(), 1);
         // Resolving it through the normal execute path clears the gauge.
-        let engine = {
-            let mut objects = mpq_rtree::PointSet::new(2);
-            for p in [[0.9_f64, 0.1], [0.1, 0.9], [0.5, 0.5]] {
-                objects.push(&p);
-            }
-            Engine::builder().objects(&objects).build().unwrap()
-        };
         let mut scratch = Scratch::new();
         core.execute(&engine, job, &mut scratch);
         assert_eq!(core.queue_depth(), 2);
@@ -2290,11 +1824,7 @@ mod tests {
     /// The public handles surface the same gauges.
     #[test]
     fn service_and_client_expose_queue_snapshots() {
-        let mut objects = mpq_rtree::PointSet::new(2);
-        for p in [[0.9_f64, 0.1], [0.1, 0.9], [0.5, 0.5]] {
-            objects.push(&p);
-        }
-        let engine = Arc::new(Engine::builder().objects(&objects).build().unwrap());
+        let engine = Arc::new(tiny_engine());
         let service =
             Arc::clone(&engine).serve(ServiceConfig::default().workers(1).queue_capacity(4));
         let client = service.client();

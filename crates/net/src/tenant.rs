@@ -7,10 +7,10 @@
 //! caches are untouched. The server routes by path (`/t/<name>/match`)
 //! or by the `X-Mpq-Tenant` header; see [`crate::server`].
 //!
-//! Backpressure is forced to [`BackpressurePolicy::Reject`] regardless
-//! of what the config says: a blocking submit would park the connection
-//! thread inside another tenant's queue, which is exactly the coupling
-//! multi-tenancy exists to prevent. The wire answer to a full queue is
+//! A submission never blocks: a full queue sheds it with
+//! [`MpqError::Overloaded`], so no connection thread is ever parked
+//! inside a tenant's queue, which is exactly the coupling multi-tenancy
+//! exists to prevent. The wire answer to a full queue is
 //! `429 Too Many Requests` with a `Retry-After` estimate, never a
 //! stalled socket.
 
@@ -21,7 +21,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mpq_core::service::BackpressurePolicy;
 use mpq_core::{
     Engine, EngineService, HealthMonitor, MpqError, ServiceClient, ServiceConfig, SubmitOptions,
     Ticket,
@@ -67,8 +66,6 @@ impl TenantConfig {
         ServiceConfig::default()
             .workers(self.workers)
             .queue_capacity(self.queue_capacity)
-            // See the module docs: Reject is structural, not a default.
-            .backpressure(BackpressurePolicy::Reject)
             .cache_capacity(self.cache_capacity)
             .cache_max_bytes(self.cache_max_bytes)
     }

@@ -5,8 +5,8 @@
 //! batches arrive *continuously*. Instead of pre-collecting them into
 //! synchronous `evaluate_batch` calls, this example spawns a worker pool
 //! over one shared engine and has several producer threads stream
-//! requests in — with deadlines, one cancellation, deliberate
-//! backpressure, and a graceful drain at the end.
+//! requests in — with deadlines, one cancellation, a bounded queue, and
+//! a graceful drain at the end.
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -42,8 +42,9 @@ fn main() {
     );
 
     // The blessed serving entry point: a worker pool behind a bounded
-    // submission queue. Queue depth 32 + block backpressure = natural
-    // rate limiting for in-process producers.
+    // submission queue. A full queue would shed a submission with
+    // MpqError::Overloaded; each producer here waits for its answer
+    // before submitting the next, so the 32 slots never fill.
     let service = engine
         .clone()
         .serve(ServiceConfig::default().workers(4).queue_capacity(32));

@@ -127,12 +127,12 @@
 //! the blessed entry point): requests stream in through cloneable
 //! [`core::ServiceClient`] handles and resolve through pollable,
 //! blockable, cancellable [`core::Ticket`]s, with per-request deadlines,
-//! bounded-queue backpressure (block or reject), one queue order
-//! (higher priority first, FIFO within a priority),
+//! a bounded queue that sheds when full (never blocking a submitter),
+//! one queue order (higher priority first, FIFO within a priority),
 //! graceful draining shutdown and rolling [`core::ServiceMetrics`].
 //! Because evaluation is deterministic over an immutable index,
 //! identical requests are served from a bounded, inventory-versioned
-//! [`core::ResultCache`] and deduped while in flight — a repeat
+//! [`core::ResultCache`] and deduped while queued — a repeat
 //! submission costs a lookup, not an evaluation.
 //! `evaluate_batch` still exists — as a submit-all-then-wait wrapper
 //! over the same scheduling core — but new serving code should hold a

@@ -74,12 +74,26 @@
 //! is a reference-count bump on the shared base plus one tombstone
 //! column and one column of (empty) tail chains.
 //!
-//! One `#[test]` only: the counter is process-global, and a second
-//! concurrently-running test would pollute the deltas.
+//! A cache hit served through the service — one `submit` + `wait` of
+//! the same request against a warm one-worker service — is counted
+//! too:
+//!
+//! | a cache-hit `submit` + `wait`                                  | allocations |
+//! |----------------------------------------------------------------|------------:|
+//! | the function set detached before the lookup, dropped on a hit  |           6 |
+//! | the key built from the borrowed request, detached only to queue |           4 |
+//!
+//! What is left: the key, the ticket's oneshot, the matching's copy out
+//! of the cache and one node of the cache's recency map.
+//!
+//! The counter is process-global, so the tests take turns: each holds
+//! [`SERIAL`] while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use mpq::core::ServiceConfig;
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::rtree::{RTree, RTreeParams};
@@ -120,6 +134,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Held by each test while it runs, so no other test allocates into
+/// its counts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// What running a closure cost.
 #[derive(Debug, Clone, Copy)]
 struct Cost {
@@ -158,6 +180,10 @@ const CAPACITATED_ALLOCATIONS: u64 = 245;
 /// seed's entries linked and one version stamp.
 const SHARDED_PARENT_ALLOCATIONS: u64 = 917;
 const SHARDED_ALLOCATIONS: u64 = 250;
+/// A cache-hit `submit` + `wait` when the function set was detached
+/// before the lookup, and now.
+const DETACHED_HIT_ALLOCATIONS: u64 = 6;
+const HIT_ALLOCATIONS: u64 = 4;
 /// A served evaluation's peak live bytes, over its start, stay below
 /// this many times the seed's `approx_bytes`.
 const PEAK_OVER_SEED: usize = 2;
@@ -174,8 +200,9 @@ fn assert_peak_under_the_seed(cost: Cost, seed: &EvalSeed, label: &str) {
     );
 }
 
-#[test]
-fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
+/// The 3 000-object inventory and the 120-function request every test
+/// here runs.
+fn workload() -> (PointSet, FunctionSet) {
     let w = WorkloadBuilder::new()
         .objects(3_000)
         .functions(1)
@@ -183,7 +210,6 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         .distribution(Distribution::Independent)
         .seed(2009)
         .build();
-    let engine = Engine::builder().objects(&w.objects).build().unwrap();
     let functions = WorkloadBuilder::new()
         .objects(1)
         .functions(120)
@@ -191,6 +217,14 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         .seed(7)
         .build()
         .functions;
+    (w.objects, functions)
+}
+
+#[test]
+fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
+    let _serial = serial();
+    let (objects, functions) = workload();
+    let engine = Engine::builder().objects(&objects).build().unwrap();
 
     // Cold run: warms the scratch and the page buffer, captures the seed.
     let mut scratch = Scratch::new();
@@ -250,7 +284,7 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
     // The same request with a capacity of one everywhere is the same
     // run plus its copy of the vector: what a round's pairs take from
     // it is listed in a round buffer, not in a fresh `Vec` per round.
-    let units = vec![1; w.objects.len()];
+    let units = vec![1; objects.len()];
     let request = engine.request(&functions).capacities(&units);
     let mut served = || {
         request
@@ -275,7 +309,7 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
 
     // The same request behind four shards: one run, one skyline and
     // one resume over the forest of the shards' pins.
-    let sharded = Engine::builder().objects(&w.objects).shards(4);
+    let sharded = Engine::builder().objects(&objects).shards(4);
     let sharded = sharded.build().unwrap();
     let request = sharded.request(&functions);
     let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
@@ -320,4 +354,30 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
     assert!(many > 8 * few, "skylines of {few} and {many} members");
     assert_eq!(small, large, "resuming must not allocate per member");
     assert!(large <= 4, "resuming made {large} allocations");
+}
+
+#[test]
+fn a_cache_hit_copies_no_function_set() {
+    let _serial = serial();
+    let (objects, functions) = workload();
+    let engine = Arc::new(Engine::builder().objects(&objects).build().unwrap());
+    let service = Arc::clone(&engine).serve(ServiceConfig::default().workers(1));
+    let client = service.client();
+    let submit = || {
+        let ticket = client.submit(engine.request(&functions)).unwrap();
+        ticket.wait().unwrap()
+    };
+    // The miss evaluates and publishes before its ticket resolves; a
+    // first hit warms the service's latency window.
+    let evaluated = submit();
+    submit();
+    let (cost, hit) = counting(submit);
+    assert_eq!(hit.pairs(), evaluated.pairs());
+    assert!(
+        cost.allocations <= HIT_ALLOCATIONS,
+        "a cache hit made {} allocations, recorded {HIT_ALLOCATIONS}",
+        cost.allocations
+    );
+    const { assert!(HIT_ALLOCATIONS < DETACHED_HIT_ALLOCATIONS) };
+    service.shutdown();
 }

@@ -153,6 +153,55 @@ fn identical_concurrent_submissions_pay_exactly_one_evaluation() {
 }
 
 #[test]
+fn a_duplicate_of_a_queued_job_attaches_even_when_the_queue_is_full() {
+    let (engine, inj) = injected_engine();
+    let functions = fast_functions(909);
+    let sequential = engine.request(&functions).evaluate().unwrap();
+
+    let service = engine
+        .clone()
+        .serve(ServiceConfig::default().workers(1).queue_capacity(1));
+    let client = service.client();
+
+    // One worker held by a blocker whose first page read takes 300 ms,
+    // and the one slot taken by the leader behind it.
+    let evals_before = engine.evaluation_count(); // see above: before the blocker
+    inj.fail_nth(
+        FaultOp::PageRead,
+        0,
+        FaultKind::Delay(Duration::from_millis(300)),
+    );
+    let blocker = client
+        .submit(client.engine().request(&slow_functions()))
+        .unwrap();
+    await_state(&client, 1, 0);
+    let leader = client.submit(client.engine().request(&functions)).unwrap();
+    await_state(&client, 1, 1);
+
+    // The full queue sheds a distinct request...
+    let other = fast_functions(910);
+    let shed = client.submit(client.engine().request(&other));
+    assert_eq!(shed.unwrap_err(), MpqError::Overloaded);
+    // ...but an identical one needs no slot: it attaches.
+    let follower = client
+        .submit(client.engine().request(&functions))
+        .expect("a duplicate of a queued job attaches, full queue or not");
+    await_state(&client, 1, 1);
+
+    assert!(blocker.wait().is_ok());
+    assert_identical(&leader.wait().unwrap(), &sequential, "leader");
+    assert_identical(&follower.wait().unwrap(), &sequential, "follower");
+    assert_eq!(
+        engine.evaluation_count() - evals_before,
+        2,
+        "blocker + one evaluation for both submissions"
+    );
+    let m = client.metrics();
+    assert_eq!((m.cache.attaches, m.rejected), (1, 1));
+    service.shutdown();
+}
+
+#[test]
 fn cache_hit_skips_evaluation_and_is_bit_identical() {
     let engine = slow_engine();
     let functions = fast_functions(901);

@@ -1,5 +1,5 @@
 //! Acceptance tests for the [`EngineService`] serving layer: queue
-//! semantics (cancellation, deadlines, backpressure, ordering, graceful
+//! semantics (cancellation, deadlines, shedding, ordering, graceful
 //! shutdown) and the core determinism contract — a result delivered
 //! through the service is **bit-identical** to evaluating the same
 //! request sequentially, whatever the worker count.
@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{BackpressurePolicy, ServiceConfig, SubmitOptions};
+use mpq::core::{ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::ta::FunctionSet;
@@ -227,12 +227,7 @@ fn queued_deadline_expires_with_typed_error() {
 #[test]
 fn reject_backpressure_sheds_load_with_typed_error() {
     let engine = slow_engine();
-    let service = engine.serve(
-        ServiceConfig::default()
-            .workers(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Reject),
-    );
+    let service = engine.serve(ServiceConfig::default().workers(1).queue_capacity(1));
     let client = service.client();
 
     let slow = slow_functions();
@@ -259,44 +254,6 @@ fn reject_backpressure_sheds_load_with_typed_error() {
     let served = t2.wait().unwrap();
     let deduped = twin.wait().unwrap();
     assert_eq!(served.sorted_pairs(), deduped.sorted_pairs());
-    service.shutdown();
-}
-
-#[test]
-fn block_backpressure_waits_for_space_instead_of_failing() {
-    let engine = slow_engine();
-    let service = engine.serve(
-        ServiceConfig::default()
-            .workers(1)
-            .queue_capacity(1)
-            .backpressure(BackpressurePolicy::Block),
-    );
-    let client = service.client();
-
-    let slow = slow_functions();
-    let t1 = client.submit(client.engine().request(&slow)).unwrap();
-    await_state(&client, 1, 0);
-    let fast = fast_functions(5);
-    let t2 = client.submit(client.engine().request(&fast)).unwrap(); // queue now full
-
-    // This submission must block until the queue drains, then succeed.
-    let blocked_client = client.clone();
-    let blocked = std::thread::spawn(move || {
-        let fast = fast_functions(6);
-        let engine = blocked_client.engine();
-        blocked_client
-            .submit(engine.request(&fast))
-            .map(|t| t.wait())
-    });
-
-    assert!(t1.wait().is_ok());
-    assert!(t2.wait().is_ok());
-    let t3 = blocked
-        .join()
-        .unwrap()
-        .expect("blocked submission must be accepted once space frees");
-    assert!(t3.is_ok());
-    assert_eq!(client.metrics().rejected, 0, "block mode never rejects");
     service.shutdown();
 }
 
