@@ -127,7 +127,10 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum entries of the cross-request [`ResultCache`]; `0`
     /// disables result caching **and** in-flight dedupe (every
-    /// submission pays its own evaluation). Default 256.
+    /// submission pays its own evaluation). Default 64: room for the
+    /// repeats and near-misses of a few interactive clients' recent
+    /// queries, while one-shot batch traffic, which never hits, holds
+    /// at most 64 results (see [`ResultCache`]).
     pub cache_capacity: usize,
     /// Approximate byte bound of the cached results (evicts LRU-first
     /// when exceeded). Default 32 MiB. It bounds results only: the one
@@ -141,7 +144,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             queue_capacity: 256,
-            cache_capacity: 256,
+            cache_capacity: 64,
             cache_max_bytes: 32 << 20,
         }
     }

@@ -37,7 +37,8 @@ pub struct TenantConfig {
     pub workers: usize,
     /// Bounded submission-queue capacity.
     pub queue_capacity: usize,
-    /// Result-cache entry budget (0 disables the cache).
+    /// Result-cache entry budget (0 disables the cache). Default 64, as
+    /// [`ServiceConfig`]'s.
     pub cache_capacity: usize,
     /// Result-cache byte budget. It bounds cached results only: the
     /// one seed the tenant's service keeps while its cache is on lives
@@ -54,7 +55,7 @@ impl Default for TenantConfig {
         TenantConfig {
             workers: 1,
             queue_capacity: 64,
-            cache_capacity: 256,
+            cache_capacity: 64,
             cache_max_bytes: 32 * 1024 * 1024,
             shards: 1,
         }

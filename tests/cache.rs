@@ -14,7 +14,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{EngineService, IndexConfig, ResultCache, ServiceConfig, SubmitOptions};
+use mpq::core::{
+    CacheMetrics, EngineService, IndexConfig, ResultCache, ServiceConfig, SubmitOptions,
+};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::rtree::{FaultInjector, FaultKind, FaultOp};
@@ -557,6 +559,75 @@ fn twelve_distinct_requests_share_one_seed_and_evict_nothing() {
         "the twelve entries alone; one seed is {seed_bytes}, one entry {entry_bytes}"
     );
     service.shutdown();
+}
+
+/// A 2 000-object inventory a small request evaluates in well under a
+/// millisecond (release), for tests that stream many requests.
+fn small_engine() -> Arc<Engine> {
+    let w = WorkloadBuilder::new()
+        .objects(2_000)
+        .functions(1)
+        .dim(3)
+        .seed(45)
+        .build();
+    Arc::new(Engine::builder().objects(&w.objects).build().unwrap())
+}
+
+/// Two clients take turns on one service, 1 200 requests in all. Each
+/// keeps its last 16 distinct requests and repeats one of them 40 % of
+/// the time, as the ledger's `interactive` clients do; the rest are new
+/// and never repeated once they leave the history. Returns the number
+/// of repeats and the cache's metrics.
+fn refinement_stream(config: ServiceConfig) -> (u64, CacheMetrics) {
+    const CLIENTS: usize = 2;
+    const HISTORY: usize = 16;
+    let engine = small_engine();
+    let service = engine.serve(config.workers(1));
+    let client = service.client();
+    let mut histories: Vec<std::collections::VecDeque<u64>> = vec![Default::default(); CLIENTS];
+    let (mut next_seed, mut repeats, mut state) = (2000u64, 0u64, 0x9e37_79b9_7f4a_7c15u64);
+    for step in 0..1200 {
+        let history = &mut histories[step % CLIENTS];
+        // xorshift64: the same stream on every run.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let seed = if !history.is_empty() && state % 10 < 4 {
+            repeats += 1;
+            history[(state >> 8) as usize % history.len()]
+        } else {
+            next_seed += 1;
+            history.push_back(next_seed);
+            if history.len() > HISTORY {
+                history.pop_front();
+            }
+            next_seed
+        };
+        let functions = fast_functions(seed);
+        let request = client.engine().request(&functions);
+        client.submit(request).unwrap().wait().unwrap();
+    }
+    let metrics = client.metrics().cache;
+    service.shutdown();
+    (repeats, metrics)
+}
+
+#[test]
+fn a_refinement_stream_hits_on_every_repeat_at_the_default_config() {
+    // The default cache serves every repeat, though it fills with
+    // results that are never repeated and evicts them many times over.
+    let (repeats, m) = refinement_stream(ServiceConfig::default());
+    assert!(repeats > 400, "{repeats} repeats");
+    assert_eq!(m.hits, repeats, "{m:?}");
+    assert_eq!(m.misses, 1200 - repeats);
+    let capacity = ServiceConfig::default().cache_capacity;
+    assert_eq!(m.entries, capacity);
+    assert_eq!(m.evictions, m.misses - capacity as u64);
+
+    // The stream needs that room: two histories of 16 and the new
+    // requests between a result and its repeat outgrow 32 entries.
+    let (repeats, m) = refinement_stream(ServiceConfig::default().cache_capacity(32));
+    assert!(m.hits < repeats, "{m:?}");
 }
 
 #[test]
