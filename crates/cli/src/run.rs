@@ -89,10 +89,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
 
 const USAGE: &str = "usage:
   mpq match --objects <objects.csv> --functions <functions.csv>
-            [--algo sb|bf|chain] [--shards <K>] [--output <file>]
-            # --shards K > 1 partitions the objects into K per-shard
-            # R-trees and runs the (bit-identical) matching over the
-            # union of their skylines
+            [--algo sb|bf|chain] [--output <file>]
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
   mpq throughput --objects <objects.csv> --functions <functions.csv>
@@ -100,27 +97,25 @@ const USAGE: &str = "usage:
   mpq serve --objects <objects.csv> --functions <functions.csv>
             [--requests <R>] [--workers <N>]
             [--queue-cap <M>] [--cache <N>] [--data-dir <dir>]
-            [--shards <K>]
             # replay R copies of the request through the EngineService
             # worker pool and report ServiceMetrics (a full queue sheds
             # a copy, and the report counts it); --cache N bounds the
             # result cache to N entries (0 disables caching + dedupe);
             # --data-dir persists the engine (or reopens one already
-            # persisted there, in which case --objects is not needed);
-            # --shards K > 1 serves a partitioned engine
+            # persisted there, in which case --objects is not needed)
   mpq serve --listen <addr> [--tenant NAME=objects.csv[,KEY=VALUE]...]...
             # HTTP mode: serve match requests over a real socket.
             # Tenant spec keys: data-dir=DIR (persist/reopen; an empty
             # objects.csv part reopens an existing store), workers=N,
-            # queue-cap=M, cache=N, shards=K (K > 1 hosts a partitioned
-            # engine; 0 is rejected). Without --tenant, --objects
-            # [--data-dir DIR] [--shards K] hosts a single tenant named
+            # queue-cap=M, cache=N. Without --tenant, --objects
+            # [--data-dir DIR] hosts a single tenant named
             # 'default'. Routes: POST /t/NAME/match, GET /t/NAME/metrics,
             # GET /metrics, GET /healthz
   mpq compact --data-dir <dir>
             # checkpoint a persisted engine: fold the WAL into the page
-            # file so the next open replays nothing. A sharded store
-            # (shards.mpq manifest) checkpoints every shard";
+            # file so the next open replays nothing. A store an older
+            # version wrote as K shards (shards.mpq manifest) is
+            # migrated into one tree first";
 
 fn arg_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -140,17 +135,6 @@ fn int_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Re
         let bad = |_| CliError::usage(format!("{name} must be an integer"));
         value.parse().map_err(bad)
     })
-}
-
-/// Parse the shared `--shards` flag: absent means `1` (unsharded), and
-/// `0` is a usage error everywhere — a partitioned engine needs at
-/// least one shard.
-fn parse_shards(args: &[String]) -> Result<usize, CliError> {
-    let shards = int_flag(args, "--shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::usage("--shards must be at least 1"));
-    }
-    Ok(shards)
 }
 
 /// `--algo` is canonical; `--algorithm` stays accepted.
@@ -224,25 +208,18 @@ fn cmd_match(args: &[String]) -> Result<String, CliError> {
     let objects_path = required(args, "--objects")?;
     let functions_path = required(args, "--functions")?;
     let algorithm = parse_algorithm(args)?;
-    let shards = parse_shards(args)?;
     let (objects, object_ids) = read_objects(objects_path)?;
     let (functions, function_ids) = read_functions(functions_path, objects.dim())?;
 
     let matching = Engine::builder()
         .objects(&objects)
-        .shards(shards)
         .build()
         .and_then(|engine| engine.request(&functions).algorithm(algorithm).evaluate())
         .map_err(cli_from_mpq)?;
     let met = matching.metrics();
     eprintln!(
-        "{}{}: {} pairs, {:.3}s matching, {} physical I/Os ({} loops)",
+        "{}: {} pairs, {:.3}s matching, {} physical I/Os ({} loops)",
         algorithm.name(),
-        if shards > 1 {
-            format!(" over {shards} shards")
-        } else {
-            String::new()
-        },
         matching.len(),
         met.elapsed.as_secs_f64(),
         met.io.physical(),
@@ -361,10 +338,9 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let queue_cap: usize = int_flag(args, "--queue-cap", 64)?;
     let cache: usize = int_flag(args, "--cache", 256)?; // entries; 0 disables
     let data_dir = arg_value(args, "--data-dir").map(std::path::PathBuf::from);
-    let shards = parse_shards(args)?;
 
     // A directory already holding a persisted inventory is reopened —
-    // page file(s) plus WAL replay — so mutations from earlier runs are
+    // page file plus WAL replay — so mutations from earlier runs are
     // visible; otherwise build from the objects CSV (persisting to
     // `--data-dir` when given).
     let reopened = data_dir.as_deref().is_some_and(Engine::persisted_at);
@@ -373,9 +349,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     } else {
         Some(read_objects(required(args, "--objects")?)?.0)
     };
-    let mut builder = Engine::builder()
-        .shards(shards)
-        .buffer_shards(resolved_workers(workers));
+    let mut builder = Engine::builder().buffer_shards(resolved_workers(workers));
     if let Some(objects) = &objects {
         builder = builder.objects(objects);
     }
@@ -416,14 +390,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             Err(e) => return Err(cli_from_mpq(e)),
         }
     }
-    // The same check under either name: every served matching equals
-    // a direct `evaluate()` on the engine.
-    let k = engine.shard_count();
-    let reference = if k > 1 {
-        "direct sharded evaluation"
-    } else {
-        "sequential"
-    };
+    // Every served matching equals a direct `evaluate()` on the engine.
     for ticket in tickets {
         let served = ticket.wait().map_err(cli_from_mpq)?;
         if served.sorted_pairs() != expected {
@@ -438,15 +405,10 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let metrics = client.metrics();
 
     Ok(format!(
-        "SB x{requests} requests over {} objects{} via EngineService \
+        "SB x{requests} requests over {} objects via EngineService \
          (queue cap {queue_cap}{}{storage})\n{metrics}\n\
-         all served matchings identical to {reference}\n",
+         all served matchings identical to sequential\n",
         engine.n_objects(),
-        if k > 1 {
-            format!(" in {k} shards")
-        } else {
-            String::new()
-        },
         if rejected > 0 {
             format!(", {rejected} rejected")
         } else {
@@ -496,18 +458,10 @@ fn parse_tenant_spec(spec: &str) -> Result<TenantSpec, CliError> {
             "workers" => out.config.workers = int("workers")?,
             "queue-cap" => out.config.queue_capacity = int("queue-cap")?,
             "cache" => out.config.cache_capacity = int("cache")?,
-            "shards" => {
-                out.config.shards = int("shards")?;
-                if out.config.shards == 0 {
-                    return Err(CliError::usage(format!(
-                        "--tenant '{spec}': shards must be at least 1"
-                    )));
-                }
-            }
             other => {
                 return Err(CliError::usage(format!(
                     "--tenant '{spec}': unknown option '{other}' \
-                     (known: data-dir, workers, queue-cap, cache, shards)"
+                     (known: data-dir, workers, queue-cap, cache)"
                 )))
             }
         }
@@ -555,7 +509,6 @@ pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
         let mut config = mpq_net::TenantConfig::default();
         config.workers = int_flag(args, "--workers", config.workers)?;
         config.queue_capacity = int_flag(args, "--queue-cap", config.queue_capacity)?;
-        config.shards = parse_shards(args)?;
         specs.push(TenantSpec {
             name: "default".to_string(),
             objects_csv,
@@ -611,8 +564,8 @@ fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
 /// Checkpoint a persisted engine: reopen it (replaying the WAL), fold
 /// the recovered state into the page file, and truncate the WAL — the
 /// next `serve --data-dir` opens instantly, replaying nothing. A
-/// directory holding a shard manifest reopens on its shards and
-/// checkpoints every one.
+/// directory an older version wrote as `K` shards is migrated into one
+/// tree by the open.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     let dir = required(args, "--data-dir")?;
     if !Engine::persisted_at(dir) {
@@ -624,12 +577,8 @@ fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     let wal_before = engine.wal_bytes();
     engine.checkpoint().map_err(cli_from_mpq)?;
     let wal_after = engine.wal_bytes();
-    let shards = match engine.shard_count() {
-        1 => String::new(),
-        k => format!("{k} shards, "),
-    };
     Ok(format!(
-        "compacted {dir}: {shards}{} objects over {} pages, wal {wal_before} -> {wal_after} bytes\n",
+        "compacted {dir}: {} objects over {} pages, wal {wal_before} -> {wal_after} bytes\n",
         engine.n_objects(),
         engine.page_count(),
     ))
@@ -981,126 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn match_with_shards_is_bit_identical() {
-        let dir = std::env::temp_dir().join("mpq_cli_shards_match");
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "anti-correlated",
-            "--objects",
-            "300",
-            "--dim",
-            "2",
-            "--seed",
-            "29",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        let mut fcsv = String::from("w0,w1\n");
-        for i in 0..12 {
-            fcsv.push_str(&format!("0.{:02},0.{:02}\n", 35 + i, 65 - i));
-        }
-        fs::write(&fpath, &fcsv).unwrap();
-
-        let run_shards = |shards: &str| {
-            let mut base = args(&[
-                "match",
-                "--objects",
-                opath.to_str().unwrap(),
-                "--functions",
-                fpath.to_str().unwrap(),
-            ]);
-            if !shards.is_empty() {
-                base.extend(args(&["--shards", shards]));
-            }
-            let mut lines: Vec<String> = run_cli(&base)
-                .unwrap()
-                .trim()
-                .lines()
-                .skip(1)
-                .map(str::to_string)
-                .collect();
-            lines.sort();
-            lines
-        };
-        let unsharded = run_shards("");
-        for k in ["2", "4", "8"] {
-            assert_eq!(unsharded, run_shards(k), "K={k} must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn zero_shards_are_a_usage_error_everywhere() {
-        let err = run_cli(&args(&[
-            "match",
-            "--objects",
-            "x.csv",
-            "--functions",
-            "y.csv",
-            "--shards",
-            "0",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--shards must be at least 1"));
-
-        let err = parse_tenant_spec("t=objects.csv,shards=0").unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("shards must be at least 1"));
-
-        // A valid spec carries the shard count into the tenant config.
-        let spec = parse_tenant_spec("t=objects.csv,shards=4").unwrap();
-        assert_eq!(spec.config.shards, 4);
-    }
-
-    #[test]
-    fn serve_with_shards_replays_through_the_sharded_service() {
-        let dir = std::env::temp_dir().join("mpq_cli_serve_shards");
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "independent",
-            "--objects",
-            "400",
-            "--dim",
-            "2",
-            "--seed",
-            "31",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        fs::write(&fpath, "w0,w1\n0.7,0.3\n0.4,0.6\n0.5,0.5\n").unwrap();
-
-        let out = run_cli(&args(&[
-            "serve",
-            "--objects",
-            opath.to_str().unwrap(),
-            "--functions",
-            fpath.to_str().unwrap(),
-            "--requests",
-            "6",
-            "--workers",
-            "2",
-            "--shards",
-            "4",
-        ]))
-        .unwrap();
-        assert!(out.contains("in 4 shards via EngineService"), "{out}");
-        assert!(out.contains("completed 6"), "{out}");
-        assert!(out.contains("shards 4"), "{out}");
-        assert!(
-            out.contains("all served matchings identical to direct sharded evaluation"),
-            "{out}"
-        );
-    }
-
-    #[test]
     fn dimension_mismatch_is_reported() {
         let dir = std::env::temp_dir().join("mpq_cli_dim");
         fs::create_dir_all(&dir).unwrap();
@@ -1254,48 +1083,5 @@ mod tests {
             "{}",
             err.message
         );
-    }
-
-    #[test]
-    fn compact_routes_through_the_sharded_engine() {
-        let store = std::env::temp_dir().join("mpq_cli_compact").join("sharded");
-        let _ = fs::remove_dir_all(&store);
-
-        let mut objects = mpq_rtree::PointSet::new(2);
-        for i in 0..12u64 {
-            let t = i as f64 / 12.0;
-            objects.push(&[t, 1.0 - t]);
-        }
-        let engine = Engine::builder()
-            .objects(&objects)
-            .shards(3)
-            .data_dir(&store)
-            .build()
-            .unwrap();
-        engine.insert_object(&[0.7, 0.7]).unwrap();
-        engine.remove_object(2).unwrap();
-        assert!(engine.wal_bytes() > 0);
-        let functions = mpq_ta::FunctionSet::from_rows(2, &[vec![0.8, 0.2], vec![0.2, 0.8]]);
-        let expected = engine
-            .request(&functions)
-            .evaluate()
-            .unwrap()
-            .sorted_pairs();
-        drop(engine);
-
-        let report = run_cli(&args(&["compact", "--data-dir", store.to_str().unwrap()])).unwrap();
-        assert!(report.contains("3 shards"), "{report}");
-        assert!(report.contains("-> 0 bytes"), "{report}");
-
-        // Every shard's WAL was folded; the matching survives the round
-        // trip bit-identically.
-        let reopened = Engine::open(&store).unwrap();
-        assert_eq!(reopened.wal_bytes(), 0, "all shard WALs folded");
-        let served = reopened
-            .request(&functions)
-            .evaluate()
-            .unwrap()
-            .sorted_pairs();
-        assert_eq!(served, expected);
     }
 }

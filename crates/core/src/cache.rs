@@ -96,8 +96,8 @@ impl RequestKey {
 /// [`RequestKey`] for what it covers. The inventory version is *not*
 /// part of the key; it stamps cache entries instead
 /// ([`ResultCache::insert_vec_seeded`]), so one cache can safely span
-/// engine rebuilds, a sharded and an unsharded service compute the
-/// identical key for the identical request, and version skew shows up
+/// engine rebuilds, two services compute the identical key for the
+/// identical request, and version skew shows up
 /// as entry-stamp mismatches (catch-up-able) — never as silently
 /// divergent key spaces.
 pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> RequestKey {

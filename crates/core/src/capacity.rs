@@ -21,7 +21,7 @@
 //! takes one unit per pair and retires the functions together with the
 //! objects whose last unit went. An un-capacitated request carries no
 //! units at all — every object has the one unit that assignment takes —
-//! and is otherwise the same run, at any shard count.
+//! and is otherwise the same run.
 //!
 //! The units live in the run's one `Mask`, beside the request's
 //! exclusions: the run is handed the mask when it starts and keeps it
@@ -318,26 +318,22 @@ mod tests {
         }
 
         // The run: everyone's favourite arrives after the request named
-        // its id, on one tree and behind two. The ids are kept as given:
-        // their order and repeats do not reach the key, minting one does
-        // not change it, and dropping the hostile two does.
-        let sharded = Engine::builder().objects(&w.objects).shards(2);
-        let sharded = sharded.build().unwrap();
+        // its id. The ids are kept as given: their order and repeats do
+        // not reach the key, minting one does not change it, and
+        // dropping the hostile two does.
         let shuffled = [u64::MAX, bound + 7, 1 << 60, bound, u64::MAX];
-        for engine in [&engine, &sharded] {
-            let request = engine.request(&w.functions).exclude(excluded);
-            let key = request.cache_key();
-            let again = engine.request(&w.functions).exclude(shuffled);
-            assert_eq!(again.cache_key(), key);
-            let minted_soon = engine.request(&w.functions).exclude([bound, bound + 7]);
-            assert_ne!(minted_soon.cache_key(), key);
-            let before = request.evaluate().unwrap();
-            assert_eq!(engine.insert_object(&[0.99, 0.99]), Ok(bound));
-            assert_eq!(request.evaluate().unwrap().pairs(), before.pairs());
-            assert_eq!(request.cache_key(), key);
-            let seen = engine.request(&w.functions).evaluate().unwrap();
-            assert_eq!(seen.pairs()[0].oid, bound, "visible unless excluded");
-        }
+        let request = engine.request(&w.functions).exclude(excluded);
+        let key = request.cache_key();
+        let again = engine.request(&w.functions).exclude(shuffled);
+        assert_eq!(again.cache_key(), key);
+        let minted_soon = engine.request(&w.functions).exclude([bound, bound + 7]);
+        assert_ne!(minted_soon.cache_key(), key);
+        let before = request.evaluate().unwrap();
+        assert_eq!(engine.insert_object(&[0.99, 0.99]), Ok(bound));
+        assert_eq!(request.evaluate().unwrap().pairs(), before.pairs());
+        assert_eq!(request.cache_key(), key);
+        let seen = engine.request(&w.functions).evaluate().unwrap();
+        assert_eq!(seen.pairs()[0].oid, bound, "visible unless excluded");
     }
 
     /// All ones is the un-capacitated request: the same round takes the

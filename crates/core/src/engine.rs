@@ -19,9 +19,9 @@
 //! [`RunMetrics::io`](crate::RunMetrics::io) of one request contains
 //! precisely the page traffic that request caused.
 //!
-//! The trees are the engine's one copy of the inventory. A remove or an
-//! update must find the point an object is stored at, and a shard keeps
-//! a table of those only once the first of them is routed to it (see
+//! The tree is the engine's one copy of the inventory. A remove or an
+//! update must find the point an object is stored at, and the engine
+//! keeps a table of those only once the first of them comes (see
 //! `crate::objects`): an engine that only evaluates and inserts never
 //! holds one, built or reopened.
 //!
@@ -51,10 +51,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use mpq_rtree::bulk::{thread_budget, MAX_BULK_LEN};
+use mpq_rtree::bulk::MAX_BULK_LEN;
 use mpq_rtree::{
-    DiskPager, FaultInjector, FaultPageStore, Forest, IoSession, IoStats, MemPager, PageStore,
-    PointSet, RTree,
+    DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PageStore, PointSet,
+    RTree,
 };
 use mpq_ta::{FunctionSet, ThresholdMode};
 
@@ -63,20 +63,17 @@ use crate::cache::MutationLog;
 use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching};
-use crate::objects::{Cut, ObjectTable};
+use crate::objects::{validated_keys, ObjectTable};
 use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, SbStream, SERVED_THRESHOLD};
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedSlot};
 use crate::service::{evaluate_batch, lock, safe_rate, EngineService, ServiceConfig};
-use crate::shard::{
-    for_each_shard, fresh_shard_dirs, persisted_shard_dirs, shard_of, write_manifest, ShardGauges,
-    MANIFEST_FILE,
-};
+use crate::shard;
 use crate::wal::{Wal, WalRecord};
 
-/// Page file name inside a shard's directory.
+/// Page file name inside a data directory.
 pub(crate) const PAGE_FILE: &str = "pages.mpq";
-/// Write-ahead log file name inside a shard's directory.
+/// Write-ahead log file name inside a data directory.
 const WAL_FILE: &str = "wal.mpq";
 
 /// What the figures and the tests compare: the paper's algorithm, its
@@ -147,35 +144,20 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Builder for [`Engine`]: configure the index and the shard count,
-/// validate the inventory, bulk-load once.
-#[derive(Debug)]
+/// Builder for [`Engine`]: configure the index, validate the inventory,
+/// bulk-load once.
+#[derive(Debug, Default)]
 pub struct EngineBuilder<'o> {
     index: IndexConfig,
     objects: Option<&'o PointSet>,
-    shards: usize,
     buffer_shards: Option<usize>,
     data_dir: Option<PathBuf>,
     fault_injector: Option<Arc<FaultInjector>>,
 }
 
-impl Default for EngineBuilder<'_> {
-    fn default() -> Self {
-        EngineBuilder {
-            index: IndexConfig::default(),
-            objects: None,
-            shards: 1,
-            buffer_shards: None,
-            data_dir: None,
-            fault_injector: None,
-        }
-    }
-}
-
 impl<'o> EngineBuilder<'o> {
     /// Index construction/buffering parameters (defaults follow the
-    /// paper: 4 KiB pages, LRU buffer at 2% of the tree), applied to
-    /// every shard.
+    /// paper: 4 KiB pages, LRU buffer at 2% of the tree).
     pub fn index(mut self, config: IndexConfig) -> EngineBuilder<'o> {
         self.index = config;
         self
@@ -189,23 +171,13 @@ impl<'o> EngineBuilder<'o> {
         self
     }
 
-    /// Number of shards `K >= 1` the inventory is hash-partitioned into
-    /// by object id (default 1: one R-tree). Every shard has its own
-    /// R-tree, buffer pool and WAL segment; every
-    /// request evaluates over all of them as over one tree (see
-    /// [`crate::shard`]).
-    pub fn shards(mut self, k: usize) -> EngineBuilder<'o> {
-        self.shards = k;
-        self
-    }
-
-    /// Split every shard's LRU buffer into `shards` lock shards so
-    /// concurrent evaluations on distinct pages stop contending on one
-    /// mutex (see the `mpq_rtree::buffer` docs). A good value is the
-    /// thread count passed to [`Engine::evaluate_batch`]. Clamped to
-    /// `[1, buffer capacity]` so every lock shard caches at least one
-    /// page. Buffer geometry is a runtime choice, not persistent state:
-    /// it applies to an engine built and to one reopened alike.
+    /// Split the LRU buffer into `shards` lock shards so concurrent
+    /// evaluations on distinct pages stop contending on one mutex (see
+    /// the `mpq_rtree::buffer` docs). A good value is the thread count
+    /// passed to [`Engine::evaluate_batch`]. Clamped to `[1, buffer
+    /// capacity]` so every lock shard caches at least one page. Buffer
+    /// geometry is a runtime choice, not persistent state: it applies to
+    /// an engine built and to one reopened alike.
     ///
     /// Default: 1 — the classic single LRU of the paper's experiments,
     /// with bit-identical eviction order and I/O counts.
@@ -217,11 +189,9 @@ impl<'o> EngineBuilder<'o> {
     /// Persist the engine under `dir`: index pages go to a disk-backed
     /// pager (`pages.mpq`) and every mutation is logged to a write-ahead
     /// log (`wal.mpq`) before it is applied, so the engine survives a
-    /// restart — reopen it with [`Engine::open`]. One shard keeps the
-    /// two files in `dir` itself; `K > 1` shards keep theirs in
-    /// `dir/shard-i/`, beside a `shards.mpq` manifest that records `K`.
-    /// The directory is created if missing; any files from a previous
-    /// engine in it are superseded.
+    /// restart — reopen it with [`Engine::open`]. The directory is
+    /// created if missing; any files from a previous engine in it are
+    /// superseded, a `K`-shard layout included.
     pub fn data_dir(mut self, dir: impl AsRef<Path>) -> EngineBuilder<'o> {
         self.data_dir = Some(dir.as_ref().to_path_buf());
         self
@@ -234,89 +204,60 @@ impl<'o> EngineBuilder<'o> {
     /// in-memory engines (the pager is wrapped in a
     /// [`FaultPageStore`]) and disk-backed engines (the
     /// [`DiskPager`] and [`Wal`] consult the injector natively). Zero
-    /// cost when not called. One shard only: an inventory hosted on
-    /// more is refused with an injector, built or reopened.
+    /// cost when not called.
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> EngineBuilder<'o> {
         self.fault_injector = Some(injector);
         self
     }
 
-    /// Can this builder host an inventory on `k` shards? Checked before
-    /// anything is allocated, read or written.
-    fn check_shards(&self, k: usize) -> Result<(), MpqError> {
-        if k == 0 {
-            return Err(MpqError::UnsupportedRequest(
-                "an engine needs at least one shard",
-            ));
-        }
-        if k > 1 && self.fault_injector.is_some() {
-            return Err(MpqError::UnsupportedRequest(
-                "fault injection is only supported on an unsharded engine",
-            ));
-        }
-        Ok(Pins::check(k, [])?)
-    }
-
-    /// Validate the inventory, cut it [`shards`](EngineBuilder::shards)
-    /// ways and bulk-load the R-trees (exactly once for the engine's
-    /// lifetime).
+    /// Validate the inventory and bulk-load the R-tree (exactly once for
+    /// the engine's lifetime).
     ///
     /// Validation happens before the bulk load, on the whole inventory:
     /// an empty set, a NaN or infinite coordinate, or a coordinate
     /// outside the `[0, 1]` preference space is reported as an
-    /// [`MpqError`] — the first bad object in id order, whatever shard
-    /// it would land on — without paying for index construction or
-    /// creating a file. Then one key buffer is cut `K` ways by the
-    /// routing rule and every shard is loaded from its share of it
-    /// against the one `objects` — no shard holds a copy of its points,
-    /// while it is built or after — into stores this thread allocated:
-    /// the cores share the sorting and the encoding (see
-    /// `mpq_rtree::bulk`), never the allocating.
+    /// [`MpqError`] — the first bad object in id order — without paying
+    /// for index construction or creating a file. The tree is loaded
+    /// from one key an object against the one `objects` into a store
+    /// this thread allocated: the cores share the sorting and the
+    /// encoding (see `mpq_rtree::bulk`), never the allocating.
     pub fn build(self) -> Result<Engine, MpqError> {
-        let k = self.shards;
-        self.check_shards(k)?;
         let objects = self.objects.ok_or(MpqError::EmptyObjects)?;
-        let mut cut = Cut::new(objects, k, |oid| shard_of(oid, k))?;
-        let dirs = fresh_shard_dirs(self.data_dir.as_deref(), k);
-        let stores = (dirs.iter())
-            .map(|dir| self.create_store(dir.as_deref()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let trees = (self.index).build_trees_in(stores, objects, &mut cut.keys, &cut.bounds);
-        drop(cut);
-        let next_oid = objects.len() as u64;
-        let shards = (trees.into_iter().zip(&dirs))
-            .map(|(tree, dir)| {
-                let wal = match dir {
-                    None => None,
-                    Some(dir) => {
-                        // A fresh build supersedes whatever a previous
-                        // engine left in the directory: discard any
-                        // stale WAL tail and commit the bulk-loaded
-                        // tree as checkpoint zero.
-                        let mut wal = self.open_wal(dir)?.0;
-                        wal.truncate()?;
-                        tree.checkpoint(&checkpoint_extra(0, next_oid))?;
-                        Some(wal)
-                    }
-                };
-                Ok(Shard::new(tree, wal, self.buffer_shards))
-            })
-            .collect::<Result<Vec<_>, MpqError>>()?;
-        if let Some(root) = &self.data_dir {
-            if k > 1 {
-                write_manifest(root, k)?;
-            } else if let Err(e) = std::fs::remove_file(root.join(MANIFEST_FILE)) {
-                // A manifest some earlier engine left would outrank the
-                // bare page file at the next open.
-                if e.kind() != std::io::ErrorKind::NotFound {
-                    return Err(e.into());
-                }
-            }
-        }
-        Engine::over(shards, next_oid, self)
+        let mut keys = validated_keys(objects)?;
+        self.load(objects, &mut keys, objects.len() as u64)
     }
 
-    /// Create the store a shard keeps its pages in: a fresh page file
+    /// The one build path, of a fresh inventory and of a migrated one:
+    /// bulk-load the objects of `objects` that `keys` names (one
+    /// `bulk::sort_key` each) under their indices, minting ids from
+    /// `oid_bound` on. A disk-backed build commits the tree as
+    /// checkpoint zero beside an empty WAL, then retires whatever
+    /// `K`-shard layout the directory held (see the `shard` module).
+    pub(crate) fn load(
+        self,
+        objects: &PointSet,
+        keys: &mut [u128],
+        oid_bound: u64,
+    ) -> Result<Engine, MpqError> {
+        let dir = self.data_dir.as_deref();
+        let tree = (self.index).build_tree_in(self.create_store(dir)?, objects, keys);
+        let wal = match dir {
+            None => None,
+            Some(dir) => {
+                // A fresh build supersedes whatever a previous engine
+                // left in the directory: discard any stale WAL tail and
+                // commit the bulk-loaded tree as checkpoint zero.
+                let mut wal = self.open_wal(dir)?.0;
+                wal.truncate()?;
+                tree.checkpoint(&checkpoint_extra(0, oid_bound))?;
+                shard::retire(dir)?;
+                Some(wal)
+            }
+        };
+        Ok(Engine::over(tree, wal, oid_bound, self))
+    }
+
+    /// Create the store the tree keeps its pages in: a fresh page file
     /// under `dir`, else memory.
     fn create_store(&self, dir: Option<&Path>) -> Result<Box<dyn PageStore>, MpqError> {
         let page_size = self.index.page_size;
@@ -347,14 +288,14 @@ impl<'o> EngineBuilder<'o> {
         Ok((wal, records))
     }
 
-    /// Reopen one shard from the `pages.mpq` + `wal.mpq` pair under
+    /// Reopen one tree from the `pages.mpq` + `wal.mpq` pair under
     /// `dir`: load the last checkpointed tree image, then replay every
     /// intact WAL record past the checkpoint's high-water mark into the
-    /// tree. Returns the shard with the id bound it vouches for: the one
-    /// its checkpoint recorded, raised past every id its WAL minted. A
-    /// shard may come back empty; an empty *inventory* is the engine's to
-    /// refuse.
-    fn open_shard(&self, dir: &Path) -> Result<(Shard, u64), MpqError> {
+    /// tree. Returns the tree and its WAL with the id bound they vouch
+    /// for: the one the checkpoint recorded, raised past every id the
+    /// WAL minted. The tree may come back empty (a shard of an old
+    /// layout may be); an empty *inventory* is the caller's to refuse.
+    pub(crate) fn open_tree(&self, dir: &Path) -> Result<(RTree, Wal, u64), MpqError> {
         let config = &self.index;
         let mut store = DiskPager::open(&dir.join(PAGE_FILE), config.page_size)?;
         if let Some(inj) = &self.fault_injector {
@@ -387,42 +328,39 @@ impl<'o> EngineBuilder<'o> {
                 apply(&tree, &rec); // else already part of the checkpointed image
             }
         }
-        Ok((Shard::new(tree, Some(wal), self.buffer_shards), bound))
+        Ok((tree, wal, bound))
     }
 
-    /// Reopen the inventory whose shards live in `dirs`, in shard order
-    /// (see [`Engine::open_with`]).
-    fn open(self, dirs: Vec<PathBuf>) -> Result<Engine, MpqError> {
-        self.check_shards(dirs.len())?;
-        let workers = thread_budget().min(dirs.len());
-        let opened = for_each_shard(dirs.len(), workers, |s| self.open_shard(&dirs[s]))?;
-        let (shards, bounds): (Vec<Shard>, Vec<u64>) = opened.into_iter().unzip();
-        if shards.iter().all(|shard| shard.tree.is_empty()) {
+    /// Reopen the inventory persisted under `root`, the builder's
+    /// [`data_dir`](EngineBuilder::data_dir) (see [`Engine::open_with`]):
+    /// the bare layout as it is, a `K`-shard layout migrated into it
+    /// first.
+    fn open(self, root: &Path) -> Result<Engine, MpqError> {
+        if let Some(k) = shard::manifest_shards(root)? {
+            return shard::migrate(self, root, k);
+        }
+        let (tree, wal, bound) = self.open_tree(root)?;
+        if tree.is_empty() {
             return Err(MpqError::EmptyObjects);
         }
-        let next_oid = bounds.into_iter().max().unwrap_or(0);
-        Engine::over(shards, next_oid, self)
+        // Shards a migration committed before it could remove them.
+        shard::retire(root)?;
+        Ok(Engine::over(tree, Some(wal), bound, self))
     }
 
     /// Open or build the engine that hosts this inventory. One already
     /// persisted under [`EngineBuilder::data_dir`] is **reopened** (WAL
-    /// replay included), the layout on disk being authoritative: it
-    /// comes back on the shards it was built on, whatever
-    /// [`EngineBuilder::shards`] says. Otherwise the inventory is built
-    /// from [`EngineBuilder::objects`].
+    /// replay included, an old `K`-shard layout migrated). Otherwise the
+    /// inventory is built from [`EngineBuilder::objects`].
     pub fn open_or_build(self) -> Result<Arc<Engine>, MpqError> {
-        let persisted = match &self.data_dir {
-            None => None,
-            Some(dir) => persisted_shard_dirs(dir)?,
-        };
-        let engine = match persisted {
-            Some(dirs) => self.open(dirs)?,
-            None if self.data_dir.is_some() && self.objects.is_none() => {
+        let engine = match self.data_dir.clone() {
+            Some(dir) if Engine::persisted_at(&dir) => self.open(&dir)?,
+            Some(_) if self.objects.is_none() => {
                 return Err(MpqError::UnsupportedRequest(
                     "no persisted inventory at data_dir and no objects given",
                 ))
             }
-            None => self.build()?,
+            _ => self.build()?,
         };
         Ok(Arc::new(engine))
     }
@@ -504,9 +442,8 @@ static NEXT_INVENTORY_VERSION: AtomicU64 = AtomicU64::new(1);
 /// pinned. Versions never come near the bit.
 const IN_FLUX: u64 = 1 << 63;
 
-/// Mutations the log keeps per shard: the one log of a `K`-shard engine
-/// covers every window `K` rings of this many covered.
-const MUTATIONS_PER_SHARD: usize = 64;
+/// Mutations the engine's log keeps for scoped cache invalidation.
+const MUTATIONS_LOGGED: usize = 64;
 
 /// Apply one logged mutation to `tree` — the live mutation path and WAL
 /// replay alike. `false` if a remove or an update named an entry the
@@ -526,136 +463,34 @@ fn apply(tree: &RTree, record: &WalRecord) -> bool {
     }
 }
 
-/// One shard of an engine's inventory: the objects [`shard_of`] routes
-/// to it, in an R-tree of their own with its buffer pool and its WAL
-/// segment. An engine of one shard holds the whole inventory in it.
-struct Shard {
-    tree: RTree,
-    /// The writers' index: the point of every live object by id, for
-    /// the removes and updates that must name a tree entry by its point.
-    /// `None` until the first of them routed here fills it from the tree
-    /// (see [`crate::objects`]); every mutation keeps it current from
-    /// then on. Only mutators, under the engine's mutator lock, touch it.
-    objects: Mutex<Option<ObjectTable>>,
-    /// Write-ahead log; present iff the engine is disk-backed.
-    wal: Option<Mutex<Wal>>,
-    /// Set when a durability failure left the WAL wedged: mutations of
-    /// this shard are refused with [`MpqError::StorageDegraded`] until a
-    /// successful [`Engine::checkpoint`] repairs the log. Reads are
-    /// unaffected.
-    degraded: AtomicBool,
-}
-
-impl Shard {
-    /// The one constructor, of a shard built and of one reopened: the
-    /// buffer pool takes its lock shards here, so the knob cannot miss a
-    /// path.
-    fn new(mut tree: RTree, wal: Option<Wal>, buffer_shards: Option<usize>) -> Shard {
-        if let Some(shards) = buffer_shards {
-            tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
-        }
-        Shard {
-            tree,
-            objects: Mutex::new(None),
-            wal: wal.map(Mutex::new),
-            degraded: AtomicBool::new(false),
-        }
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        match &self.wal {
-            None => 0,
-            Some(wal) => lock(wal).len_bytes(),
-        }
-    }
-
-    /// The point stored for `oid`, if this shard holds it — read from
-    /// the writers' index, which the shard's first remove or update
-    /// fills from the tree here.
-    fn point(&self, oid: u64) -> Option<Box<[f64]>> {
-        let mut objects = lock(&self.objects);
-        let table = objects.get_or_insert_with(|| ObjectTable::from_tree(&self.tree));
-        table.get(oid).map(Box::from)
-    }
-
-    /// Refuse mutations while the storage is degraded (a failed WAL
-    /// rollback left the log wedged). Cleared by a successful
-    /// [`Engine::checkpoint`].
-    fn check_storage(&self) -> Result<(), MpqError> {
-        if self.degraded.load(AtomicOrdering::Acquire) {
-            return Err(MpqError::StorageDegraded);
-        }
-        Ok(())
-    }
-
-    /// Durably append a WAL record (no-op in memory). Called with the
-    /// mutator lock held, *before* the in-memory state changes: if the
-    /// append or fsync fails, the record is rolled back off the log and
-    /// the mutation is reported as [`MpqError::Io`] without having been
-    /// applied. If even the rollback fails, the WAL is wedged and the
-    /// shard flips to degraded: its mutations are refused with
-    /// [`MpqError::StorageDegraded`] until a successful
-    /// [`Engine::checkpoint`] truncates (and thereby repairs) the log.
-    fn log_wal(&self, rec: &WalRecord) -> Result<(), MpqError> {
-        if let Some(wal) = &self.wal {
-            let mut wal = lock(wal);
-            if let Err(e) = wal.append_sync(rec) {
-                if wal.is_wedged() {
-                    self.degraded.store(true, AtomicOrdering::Release);
-                }
-                return Err(e.into());
-            }
-        }
-        Ok(())
-    }
-
-    /// Flush every dirty page, durably commit the current tree epoch
-    /// (with the WAL high-water mark and the engine's id bound
-    /// `oid_bound`) into the page file's header, then truncate the WAL —
-    /// which also wipes any phantom record a failed rollback left
-    /// behind, so a degraded shard takes mutations again. A no-op in
-    /// memory.
-    fn checkpoint(&self, oid_bound: u64) -> Result<(), MpqError> {
-        if let Some(wal) = &self.wal {
-            let mut wal = lock(wal);
-            let extra = checkpoint_extra(wal.last_seq(), oid_bound);
-            self.tree.checkpoint(&extra)?;
-            wal.truncate()?;
-            self.degraded.store(false, AtomicOrdering::Release);
-        }
-        Ok(())
-    }
-
-    /// The index's logical/physical page traffic plus, on disk, the real
-    /// reads, writes and fsyncs of the pager and the WAL.
-    fn storage_stats(&self) -> IoStats {
-        let mut s = self.tree.io_stats();
-        if let Some(wal) = &self.wal {
-            let wal = lock(wal);
-            s.disk_writes += wal.appends();
-            s.fsyncs += wal.syncs();
-        }
-        s
-    }
-}
-
 /// A prepared matching engine: one validated inventory, bulk-loaded
-/// into `K >= 1` shards ([`EngineBuilder::shards`], one by default),
-/// serving any number of [`MatchRequest`]s.
+/// into one R-tree behind one buffer pool, serving any number of
+/// [`MatchRequest`]s.
 ///
 /// `Engine` is `Sync`: share it behind an `Arc` (or plain borrows with
 /// scoped threads) and evaluate requests concurrently. Evaluation never
 /// mutates the index — assigned objects are masked per run, not deleted
 /// — so requests cannot observe each other. Mutations are serialized
-/// internally; each is one record in the WAL of the one shard its
-/// object lives in.
+/// internally; each is one record in the WAL.
 pub struct Engine {
     dim: usize,
     config: IndexConfig,
-    /// In shard order; object `oid` lives in shard `shard_of(oid, K)`.
-    shards: Vec<Shard>,
-    /// The id mint: ids at or above it have never been assigned, in any
-    /// shard. Removal never recycles an id.
+    /// The object R-tree: the engine's one copy of the inventory.
+    tree: RTree,
+    /// The writers' index: the point of every live object by id, for
+    /// the removes and updates that must name a tree entry by its point.
+    /// `None` until the first of them fills it from the tree (see
+    /// [`crate::objects`]); every mutation keeps it current from then on.
+    /// Only mutators, under the mutator lock, touch it.
+    objects: Mutex<Option<ObjectTable>>,
+    /// Write-ahead log; present iff the engine is disk-backed.
+    wal: Option<Mutex<Wal>>,
+    /// Set when a durability failure left the WAL wedged: mutations are
+    /// refused with [`MpqError::StorageDegraded`] until a successful
+    /// [`Engine::checkpoint`] repairs the log. Reads are unaffected.
+    degraded: AtomicBool,
+    /// The id mint: ids at or above it have never been assigned.
+    /// Removal never recycles an id.
     next_oid: AtomicU64,
     /// The inventory version (see [`Engine::inventory_version`]), with
     /// [`IN_FLUX`] set while a mutation is between its tree and its
@@ -671,7 +506,7 @@ pub struct Engine {
     evaluations: AtomicU64,
     /// Data directory; present iff the engine is disk-backed.
     data_dir: Option<PathBuf>,
-    /// Serializes mutations (minting an id and routing it must be one
+    /// Serializes mutations (minting an id and logging it must be one
     /// step) and checkpoints; readers never take it.
     mutator: Mutex<()>,
     /// The fault injector every durability path consults, if one was
@@ -683,7 +518,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("dim", &self.dim)
-            .field("shards", &self.shards.len())
             .field("objects", &self.n_objects())
             .field("pages", &self.page_count())
             .field("version", &self.inventory_version())
@@ -698,30 +532,33 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// The engine over `shards`, built or reopened by `builder`, minting
-    /// ids from `next_oid` on — unless a tree is too large to be read
-    /// beside the others.
+    /// The engine over `tree`, built or reopened by `builder`, minting
+    /// ids from `next_oid` on. The buffer pool takes its lock shards
+    /// here, so the knob cannot miss a path.
     fn over(
-        shards: Vec<Shard>,
+        mut tree: RTree,
+        wal: Option<Wal>,
         next_oid: u64,
         builder: EngineBuilder<'_>,
-    ) -> Result<Engine, MpqError> {
-        Pins::check(
-            shards.len(),
-            shards.iter().map(|shard| shard.tree.page_bound()),
-        )?;
-        Ok(Engine {
-            dim: shards[0].tree.dim(),
+    ) -> Engine {
+        if let Some(shards) = builder.buffer_shards {
+            tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
+        }
+        Engine {
+            dim: tree.dim(),
             config: builder.index,
+            tree,
+            objects: Mutex::new(None),
+            wal: wal.map(Mutex::new),
+            degraded: AtomicBool::new(false),
             next_oid: AtomicU64::new(next_oid),
             version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
-            mutations: MutationLog::new(MUTATIONS_PER_SHARD * shards.len()),
-            shards,
+            mutations: MutationLog::new(MUTATIONS_LOGGED),
             evaluations: AtomicU64::new(0),
             data_dir: builder.data_dir,
             mutator: Mutex::new(()),
             injector: builder.fault_injector,
-        })
+        }
     }
 
     /// Dimensionality of the indexed preference space.
@@ -730,15 +567,9 @@ impl Engine {
         self.dim
     }
 
-    /// Number of shards `K`.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of indexed objects (live inventory after mutations).
     pub fn n_objects(&self) -> usize {
-        self.trees().map(|tree| tree.len() as usize).sum()
+        self.tree.len() as usize
     }
 
     /// One past the highest object id ever assigned. Object ids are
@@ -750,23 +581,18 @@ impl Engine {
         self.next_oid.load(AtomicOrdering::Acquire)
     }
 
-    /// The one shard that holds `oid` if any does (see [`shard_of`]).
-    fn owner_of(&self, oid: u64) -> &Shard {
-        &self.shards[shard_of(oid, self.shards.len())]
-    }
-
     /// The engine's **inventory version**: a process-globally unique,
     /// monotonically increasing stamp minted when the engine is built or
-    /// reopened and re-minted by every committed mutation, of whichever
-    /// shard. Two engines never share one — even when built over
-    /// identical objects — so a [`ResultCache`](crate::ResultCache)
-    /// entry stamped with one engine's version can never be served
-    /// against another engine's inventory; an entry stamped before a
-    /// mutation is stale unless the engine's mutation log proves the
-    /// mutation could not have changed it.
+    /// reopened and re-minted by every committed mutation. Two engines
+    /// never share one — even when built over identical objects — so a
+    /// [`ResultCache`](crate::ResultCache) entry stamped with one
+    /// engine's version can never be served against another engine's
+    /// inventory; an entry stamped before a mutation is stale unless the
+    /// engine's mutation log proves the mutation could not have changed
+    /// it.
     ///
     /// While a mutation is being applied this is still the version
-    /// before it: the new one is stored once the trees hold the change.
+    /// before it: the new one is stored once the tree holds the change.
     pub fn inventory_version(&self) -> u64 {
         self.version.load(AtomicOrdering::Acquire) & !IN_FLUX
     }
@@ -784,26 +610,26 @@ impl Engine {
     }
 
     /// Does `dir` hold a persisted engine, in either layout — i.e.
-    /// would [`Engine::open`] find a manifest or a page file to load?
-    /// Lets callers (the CLI's `serve --data-dir`) decide between
-    /// opening and building fresh without hard-coding the on-disk file
-    /// names.
+    /// would [`Engine::open`] find a page file or an old shard manifest
+    /// to load? Lets callers (the CLI's `serve --data-dir`) decide
+    /// between opening and building fresh without hard-coding the
+    /// on-disk file names.
     pub fn persisted_at(dir: impl AsRef<Path>) -> bool {
-        [MANIFEST_FILE, PAGE_FILE]
+        [shard::MANIFEST_FILE, PAGE_FILE]
             .iter()
             .any(|file| dir.as_ref().join(file).is_file())
     }
 
-    /// Current size of the write-ahead logs in bytes, summed over the
-    /// shards (0 for an in-memory engine). Grows with every mutation;
-    /// drops back to zero at a [`Engine::checkpoint`].
+    /// Current size of the write-ahead log in bytes (0 for an in-memory
+    /// engine). Grows with every mutation; drops back to zero at a
+    /// [`Engine::checkpoint`].
     pub fn wal_bytes(&self) -> u64 {
-        self.shards.iter().map(Shard::wal_bytes).sum()
+        self.wal.as_ref().map_or(0, |wal| lock(wal).len_bytes())
     }
 
-    /// R-tree pages across the shards.
+    /// R-tree pages.
     pub fn page_count(&self) -> usize {
-        self.trees().map(RTree::page_count).sum()
+        self.tree.page_count()
     }
 
     /// How many evaluations have actually run against this engine —
@@ -815,25 +641,11 @@ impl Engine {
         self.evaluations.load(AtomicOrdering::Relaxed)
     }
 
-    /// The shards' object R-trees, in shard order (read-only access;
-    /// evaluation never mutates them, and mutations go through the
-    /// engine so routing and id minting stay consistent).
-    pub fn trees(&self) -> impl ExactSizeIterator<Item = &RTree> {
-        self.shards.iter().map(|shard| &shard.tree)
-    }
-
-    /// Per-shard operator gauges, in shard order (surfaced by
-    /// `/metrics` so partition skew is visible).
-    pub fn shard_gauges(&self) -> Vec<ShardGauges> {
-        self.shards
-            .iter()
-            .map(|shard| ShardGauges {
-                objects: shard.tree.len() as usize,
-                tree_height: shard.tree.height(),
-                buffer_hit_rate: shard.tree.io_stats().hit_ratio(),
-                wal_bytes: shard.wal_bytes(),
-            })
-            .collect()
+    /// The object R-tree (read-only access; evaluation never mutates
+    /// it, and mutations go through the engine so id minting, the WAL
+    /// and the inventory version stay consistent).
+    pub fn tree(&self) -> &RTree {
+        &self.tree
     }
 
     /// Reopen a persistent engine from `dir` with the default
@@ -844,48 +656,45 @@ impl Engine {
 
     /// Reopen a persistent engine created earlier by
     /// [`EngineBuilder::data_dir`] under `dir`: the `pages.mpq` +
-    /// `wal.mpq` pair of one shard, or the `shard-i/` directories a
-    /// `shards.mpq` manifest counts.
+    /// `wal.mpq` pair.
     ///
-    /// Recovery is per shard: load the last checkpointed tree image,
-    /// then **replay** every intact WAL record past the checkpoint's
-    /// high-water mark — a torn tail (crash mid-append) is discarded at
-    /// the first corrupt frame, so the engine reopens to the last
-    /// fully-synced mutation. Replay touches only the trees, and a shard
-    /// with nothing to replay opens without reading a leaf. The reopened
-    /// engine serves matchings bit-identical to a freshly built engine
-    /// over the same surviving inventory.
+    /// Recovery loads the last checkpointed tree image, then **replays**
+    /// every intact WAL record past the checkpoint's high-water mark — a
+    /// torn tail (crash mid-append) is discarded at the first corrupt
+    /// frame, so the engine reopens to the last fully-synced mutation.
+    /// Replay touches only the tree, and an engine with nothing to
+    /// replay opens without reading a leaf. The reopened engine serves
+    /// matchings bit-identical to a freshly built engine over the same
+    /// surviving inventory.
+    ///
+    /// A directory an engine of `K` shards wrote (a `shards.mpq`
+    /// manifest beside `shard-i/`) is migrated on the way: every shard
+    /// is recovered as above, their live objects are bulk-loaded into
+    /// one tree at the root, and the shards are removed.
     ///
     /// `config.page_size` must equal the page size the directory was
     /// created with; the buffer is re-sized from `config` (buffer
     /// geometry is a runtime choice, not persistent state).
     pub fn open_with(dir: impl AsRef<Path>, config: IndexConfig) -> Result<Engine, MpqError> {
         let dir = dir.as_ref();
-        // No page file either: let opening it say what is missing.
-        let dirs = persisted_shard_dirs(dir)?.unwrap_or_else(|| vec![dir.to_path_buf()]);
-        Engine::builder().index(config).data_dir(dir).open(dirs)
+        Engine::builder().index(config).data_dir(dir).open(dir)
     }
 
     /// Insert a new object, returning its assigned id (ids are handed
     /// out monotonically and never recycled).
     ///
     /// The mutation is durable before it is visible: on a disk-backed
-    /// engine the WAL record is appended and fsynced first — one record,
-    /// in the log of the one shard the id routes to — then that shard's
+    /// engine the WAL record is appended and fsynced first, then the
     /// R-tree is updated in place (copy-on-write — in-flight evaluations
     /// keep reading their pinned epoch), and only then does
-    /// [`Engine::inventory_version`] advance. Refused with
-    /// [`MpqError::Forest`] once that shard's tree, one of several, has
-    /// no page ids left to grow into.
+    /// [`Engine::inventory_version`] advance.
     pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
         let _m = lock(&self.mutator);
         let oid = self.next_oid.load(AtomicOrdering::Relaxed);
-        let shard = self.owner_of(oid);
-        shard.check_storage()?;
-        self.check_room(shard)?;
+        self.check_storage()?;
         validate_point(oid, self.dim, point)?;
         let point = Box::from(point);
-        self.commit(shard, WalRecord::Insert { oid, point })?;
+        self.commit(WalRecord::Insert { oid, point })?;
         self.next_oid.store(oid + 1, AtomicOrdering::Release);
         Ok(oid)
     }
@@ -895,55 +704,85 @@ impl Engine {
     /// Fails with [`MpqError::UnknownObject`] if the engine does not
     /// hold `oid`, and refuses to empty the inventory entirely (an
     /// engine over zero objects violates the build-time contract; build
-    /// a new engine instead). One shard of several may drain to zero.
+    /// a new engine instead).
     pub fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        let shard = self.owner_of(oid);
-        shard.check_storage()?;
-        let point = shard.point(oid);
+        self.check_storage()?;
+        let point = self.point(oid);
         if point.is_some() && self.n_objects() == 1 {
             return Err(MpqError::UnsupportedRequest(
                 "removing the last object would empty the inventory",
             ));
         }
         let point = point.ok_or(MpqError::UnknownObject { oid })?;
-        self.commit(shard, WalRecord::Remove { oid, point })
+        self.commit(WalRecord::Remove { oid, point })
     }
 
     /// Move an existing object to a new point (same id, new
     /// coordinates): a single logical mutation — one WAL record, one
-    /// version bump — implemented as delete + re-insert on the index of
-    /// the shard that holds it; its id, and so its shard, does not
-    /// change.
+    /// version bump — implemented as delete + re-insert on the index.
     pub fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        let shard = self.owner_of(oid);
-        shard.check_storage()?;
-        self.check_room(shard)?;
+        self.check_storage()?;
         validate_point(oid, self.dim, point)?;
-        let old = shard.point(oid).ok_or(MpqError::UnknownObject { oid })?;
+        let old = self.point(oid).ok_or(MpqError::UnknownObject { oid })?;
         let new = Box::from(point);
-        self.commit(shard, WalRecord::Update { oid, old, new })
+        self.commit(WalRecord::Update { oid, old, new })
     }
 
-    /// Commit one mutation of `shard`, with the mutator lock held: the
-    /// one [`WalRecord`] is appended to the shard's WAL, applied to its
-    /// tree and writers' index, recorded in the log under the version
-    /// it mints, and that version published. The stamp reads
-    /// [`IN_FLUX`] from before the tree changes until then, so no pin
-    /// taken in between trusts the old version (see [`Engine::pin`]).
-    fn commit(&self, shard: &Shard, record: WalRecord) -> Result<(), MpqError> {
-        shard.log_wal(&record)?;
+    /// The point stored for `oid`, if the engine holds it — read from
+    /// the writers' index, which the first remove or update fills from
+    /// the tree here.
+    fn point(&self, oid: u64) -> Option<Box<[f64]>> {
+        let mut objects = lock(&self.objects);
+        let table = objects.get_or_insert_with(|| ObjectTable::from_tree(&self.tree));
+        table.get(oid).map(Box::from)
+    }
+
+    /// Refuse mutations while the storage is degraded (a failed WAL
+    /// rollback left the log wedged). Cleared by a successful
+    /// [`Engine::checkpoint`].
+    fn check_storage(&self) -> Result<(), MpqError> {
+        if self.is_degraded() {
+            return Err(MpqError::StorageDegraded);
+        }
+        Ok(())
+    }
+
+    /// Commit one mutation, with the mutator lock held: the one
+    /// [`WalRecord`] is durably appended to the WAL, applied to the tree
+    /// and the writers' index, recorded in the log under the version it
+    /// mints, and that version published. The stamp reads [`IN_FLUX`]
+    /// from before the tree changes until then, so no pin taken in
+    /// between trusts the old version (see [`Engine::pin`]).
+    ///
+    /// The append comes *before* the in-memory state changes: if it or
+    /// its fsync fails, the record is rolled back off the log and the
+    /// mutation is reported as [`MpqError::Io`] without having been
+    /// applied. If even the rollback fails, the WAL is wedged and the
+    /// engine flips to degraded: mutations are refused with
+    /// [`MpqError::StorageDegraded`] until a successful
+    /// [`Engine::checkpoint`] truncates (and thereby repairs) the log.
+    fn commit(&self, record: WalRecord) -> Result<(), MpqError> {
+        if let Some(wal) = &self.wal {
+            let mut wal = lock(wal);
+            if let Err(e) = wal.append_sync(&record) {
+                if wal.is_wedged() {
+                    self.degraded.store(true, AtomicOrdering::Release);
+                }
+                return Err(e.into());
+            }
+        }
         // The tree publishes under a lock, whose release carries this
         // mark to any pin that sees the change.
         self.version.fetch_or(IN_FLUX, AtomicOrdering::Release);
-        let applied = apply(&shard.tree, &record);
+        let applied = apply(&self.tree, &record);
         debug_assert!(
             applied,
             "object table and tree disagree on oid {}",
             record.oid()
         );
-        if let Some(table) = lock(&shard.objects).as_mut() {
+        if let Some(table) = lock(&self.objects).as_mut() {
             match &record {
                 WalRecord::Remove { oid, .. } => {
                     table.remove(*oid);
@@ -959,24 +798,11 @@ impl Engine {
         Ok(())
     }
 
-    /// Refuse to grow a tree of several past the page ids that fit
-    /// beside a shard number: an evaluation over it would have nothing
-    /// left to do but panic (what [`Engine::over`] refuses at build and
-    /// open, for a tree about to change). Removals stay welcome.
-    fn check_room(&self, shard: &Shard) -> Result<(), MpqError> {
-        Ok(Pins::check_room(
-            self.shards.len(),
-            shard.tree.page_bound(),
-        )?)
-    }
-
-    /// True while the engine refuses mutations — of any shard — after
-    /// an unrepaired durability failure (see
-    /// [`MpqError::StorageDegraded`]). Reads keep serving the last
-    /// committed snapshot throughout.
+    /// True while the engine refuses mutations after an unrepaired
+    /// durability failure (see [`MpqError::StorageDegraded`]). Reads
+    /// keep serving the last committed snapshot throughout.
     pub fn is_degraded(&self) -> bool {
-        let degraded = |shard: &Shard| shard.degraded.load(AtomicOrdering::Acquire);
-        self.shards.iter().any(degraded)
+        self.degraded.load(AtomicOrdering::Acquire)
     }
 
     /// The fault injector attached at build/open time, if any — lets
@@ -986,27 +812,37 @@ impl Engine {
         self.injector.as_ref()
     }
 
-    /// Checkpoint a disk-backed engine, shard by shard: flush every
-    /// dirty page, durably commit the current tree epoch (with the WAL
-    /// high-water mark and the id bound) into the page file's header,
-    /// then truncate the WAL. After a checkpoint, reopening replays
-    /// nothing; between checkpoints, the WALs alone carry the delta. A
-    /// no-op for in-memory engines. A successful checkpoint also repairs
-    /// a degraded engine: the WAL truncation wipes any phantom record a
+    /// Checkpoint a disk-backed engine: flush every dirty page, durably
+    /// commit the current tree epoch (with the WAL high-water mark and
+    /// the id bound) into the page file's header, then truncate the WAL.
+    /// After a checkpoint, reopening replays nothing; between
+    /// checkpoints, the WAL alone carries the delta. A no-op for
+    /// in-memory engines. A successful checkpoint also repairs a
+    /// degraded engine: the WAL truncation wipes any phantom record a
     /// failed rollback left behind, so mutations are accepted again.
     pub fn checkpoint(&self) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        let oid_bound = self.oid_bound();
-        (self.shards.iter()).try_for_each(|shard| shard.checkpoint(oid_bound))
+        if let Some(wal) = &self.wal {
+            let mut wal = lock(wal);
+            let extra = checkpoint_extra(wal.last_seq(), self.oid_bound());
+            self.tree.checkpoint(&extra)?;
+            wal.truncate()?;
+            self.degraded.store(false, AtomicOrdering::Release);
+        }
+        Ok(())
     }
 
-    /// Cumulative storage-level I/O, summed over the shards: the
-    /// indexes' logical/physical page traffic plus, on a disk-backed
-    /// engine, the real disk reads, writes and fsyncs of the pagers and
-    /// the WALs.
+    /// Cumulative storage-level I/O: the index's logical/physical page
+    /// traffic plus, on a disk-backed engine, the real disk reads,
+    /// writes and fsyncs of the pager and the WAL.
     pub fn storage_stats(&self) -> IoStats {
-        let stats = self.shards.iter().map(Shard::storage_stats);
-        stats.fold(IoStats::default(), |sum, io| sum + io)
+        let mut s = self.tree.io_stats();
+        if let Some(wal) = &self.wal {
+            let wal = lock(wal);
+            s.disk_writes += wal.appends();
+            s.fsyncs += wal.syncs();
+        }
+        s
     }
 
     /// Build a [`FunctionSet`] from raw weight rows, reporting malformed
@@ -1035,7 +871,7 @@ impl Engine {
     /// Progressive SB evaluation with default options: stable pairs are
     /// yielded as soon as they are identified. Shorthand for
     /// [`MatchRequest::stream`].
-    pub fn stream(&self, functions: &FunctionSet) -> Result<SbStream<Pins<'_>>, MpqError> {
+    pub fn stream(&self, functions: &FunctionSet) -> Result<SbStream<IoSession<'_>>, MpqError> {
         self.request(functions).stream()
     }
 
@@ -1070,25 +906,23 @@ impl Engine {
         EngineService::spawn(self, config)
     }
 
-    /// Pin a run-scoped I/O session on every shard's current epoch and
-    /// read the pins as one source, with the inventory version they are
-    /// pinned at: `Some` iff the stamp read one committed version on
-    /// both sides of the pins. A mutation marks the stamp [`IN_FLUX`]
-    /// before its tree changes and stores its version only after, so a
-    /// pin that may hold a changed tree reads the mark or a new version.
-    /// Then the epoch is ambiguous, and the run must decline seeds and
-    /// capture nothing rather than guess.
-    pub(crate) fn pin(&self) -> (Pins<'_>, Option<u64>) {
+    /// Pin a run-scoped I/O session on the tree's current epoch, with
+    /// the inventory version it is pinned at: `Some` iff the stamp read
+    /// one committed version on both sides of the pin. A mutation marks
+    /// the stamp [`IN_FLUX`] before its tree changes and stores its
+    /// version only after, so a pin that may hold a changed tree reads
+    /// the mark or a new version. Then the epoch is ambiguous, and the
+    /// run must decline seeds and capture nothing rather than guess.
+    pub(crate) fn pin(&self) -> (IoSession<'_>, Option<u64>) {
         let before = self.version.load(AtomicOrdering::Acquire);
-        let sessions = self.shards.iter().map(|shard| IoSession::new(&shard.tree));
-        let pins = Forest::new(sessions.collect());
+        let pin = IoSession::new(&self.tree);
         let after = self.version.load(AtomicOrdering::Acquire);
         let stable = before == after && before & IN_FLUX == 0;
-        (pins, stable.then_some(before))
+        (pin, stable.then_some(before))
     }
 
-    /// The served evaluation path: validate, pin every shard, run SB
-    /// over the forest of the pins. With a `slot`, a run whose pins read
+    /// The served evaluation path: validate, pin the tree, run SB over
+    /// the pin. With a `slot`, a run whose pin reads
     /// one committed version primes from that version's seed cell —
     /// building the seed if the cell is empty, waiting if another run is
     /// building it — and a pin older than the slot's cell runs cold (see
@@ -1150,17 +984,11 @@ impl Engine {
     }
 }
 
-/// What an evaluation reads an [`Engine`] through: one run-scoped
-/// [`IoSession`] per shard, each pinned to its shard's epoch, as one
-/// [`Forest`].
-type Pins<'e> = Forest<IoSession<'e>>;
-
 /// One served evaluation against a prepared [`Engine`], configured
 /// fluently — the only request builder, and the one request type the
 /// cache, the service, [`Engine::evaluate_batch`], streams and the wire
 /// see. It runs SB over its functions, exclusions, capacities and
-/// `multi_pair`, and every knob means on `K` shards what it means on
-/// one. [`MatchRequest::algorithm`] turns it into a harness
+/// `multi_pair`. [`MatchRequest::algorithm`] turns it into a harness
 /// [`Variant`] instead.
 ///
 /// ```
@@ -1223,9 +1051,8 @@ pub(crate) fn validate_functions(dim: usize, functions: &FunctionSet) -> Result<
 }
 
 /// Request-shape checks shared by direct evaluation and the service
-/// queue: everything evaluation can fail on, with no evaluation work —
-/// the same errors and strings at every shard count (it needs only the
-/// engine's dimensionality and id bound). Batches and
+/// queue: everything evaluation can fail on, with no evaluation work
+/// (it needs only the engine's dimensionality and id bound). Batches and
 /// [`crate::service::ServiceClient`] run this *before* enqueueing, so
 /// an invalid request is reported to the submitter instead of
 /// travelling to a worker first.
@@ -1397,7 +1224,7 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
     /// pairs as soon as they are identified, reading the shared index
     /// through its own run-scoped I/O sessions. It yields
     /// [`evaluate`](MatchRequest::evaluate)'s pairs in its order.
-    pub fn stream(&self) -> Result<SbStream<Pins<'e>>, MpqError> {
+    pub fn stream(&self) -> Result<SbStream<IoSession<'e>>, MpqError> {
         self.validate()?;
         Ok(stream_on(
             self.engine.pin().0,
@@ -1570,10 +1397,9 @@ mod tests {
         dir
     }
 
-    /// Which shards hold a writers' table.
-    fn tables(engine: &Engine) -> Vec<bool> {
-        let held = |shard: &Shard| lock(&shard.objects).is_some();
-        engine.shards.iter().map(held).collect()
+    /// Does the engine hold a writers' table?
+    fn table(engine: &Engine) -> bool {
+        lock(&engine.objects).is_some()
     }
 
     /// `(fid, oid, score bits)` of every pair, in emission order.
@@ -1590,9 +1416,7 @@ mod tests {
         assert_eq!(engine.n_objects(), model.len(), "{step}");
         assert_eq!(engine.oid_bound(), mint, "{step}");
         let mut held = BTreeMap::new();
-        for tree in engine.trees() {
-            tree.for_each_point(|oid, p| assert!(held.insert(oid, p.to_vec()).is_none()));
-        }
+        (engine.tree).for_each_point(|oid, p| assert!(held.insert(oid, p.to_vec()).is_none()));
         assert_eq!(&held, model, "{step}");
 
         let flat: Vec<f64> = model.values().flatten().copied().collect();
@@ -1611,17 +1435,17 @@ mod tests {
     }
 
     /// A seeded schedule of inserts, removes, updates, checkpoints and
-    /// reopens against a `BTreeMap` model, from a build at K = 1 and
-    /// K = 4 and from a page file whose header predates the id bound. A
-    /// shard holds a writers' table exactly when a remove or update was
-    /// routed to it since it was built or opened: an insert-only
-    /// stretch, an evaluation and a checkpoint never build one.
+    /// reopens against a `BTreeMap` model, from a build and from a page
+    /// file whose header predates the id bound. The engine holds a
+    /// writers' table exactly when a remove or update came since it was
+    /// built or opened: an insert-only stretch, an evaluation and a
+    /// checkpoint never build one.
     #[test]
     fn the_writers_table_tracks_a_model_through_checkpoints_and_reopens() {
         let dim = 3;
-        for (case, k) in [("built", 1), ("built", 4), ("legacy", 1)] {
+        for case in ["built", "legacy"] {
             let dir = tmp_dir(case);
-            let objects = points(120, 2009 + k as u64);
+            let objects = points(120, 2010);
             let mut engine = if case == "legacy" {
                 // What an engine wrote when the header held only the WAL
                 // sequence number.
@@ -1632,16 +1456,16 @@ mod tests {
                 tree.checkpoint(&0u64.to_le_bytes()).unwrap();
                 Engine::open(&dir).unwrap()
             } else {
-                let builder = Engine::builder().objects(&objects).shards(k);
+                let builder = Engine::builder().objects(&objects);
                 builder.data_dir(&dir).build().unwrap()
             };
             let mut model: BTreeMap<u64, Vec<f64>> = (objects.iter())
                 .map(|(i, p)| (i as u64, p.to_vec()))
                 .collect();
             let mut mint = objects.len() as u64;
-            let mut expected = vec![false; k];
-            let mut state = 0x5EED ^ k as u64;
-            assert_model(&engine, &model, mint, &format!("{case} K={k}: opened"));
+            let mut expected = false;
+            let mut state = 0x5EEC;
+            assert_model(&engine, &model, mint, &format!("{case}: opened"));
 
             for step in 0..160 {
                 let r = xorshift(&mut state);
@@ -1661,14 +1485,14 @@ mod tests {
                         let oid = *model.keys().nth((r >> 8) as usize % model.len()).unwrap();
                         engine.update_object(oid, &p).unwrap();
                         model.insert(oid, p);
-                        expected[shard_of(oid, k)] = true;
+                        expected = true;
                         "update"
                     }
                     9..=12 => {
                         let oid = *model.keys().nth((r >> 8) as usize % model.len()).unwrap();
                         engine.remove_object(oid).unwrap();
                         model.remove(&oid);
-                        expected[shard_of(oid, k)] = true;
+                        expected = true;
                         "remove"
                     }
                     13 => {
@@ -1681,17 +1505,16 @@ mod tests {
                         }
                         drop(engine);
                         engine = Engine::open(&dir).unwrap();
-                        assert_eq!(tables(&engine), vec![false; k], "a reopen builds none");
+                        assert!(!table(&engine), "a reopen builds none");
                         let oid = *model.keys().nth((r >> 8) as usize % model.len()).unwrap();
                         engine.remove_object(oid).unwrap();
                         model.remove(&oid);
-                        expected = vec![false; k];
-                        expected[shard_of(oid, k)] = true;
+                        expected = true;
                         "reopen, then remove"
                     }
                 };
-                let step = format!("{case} K={k}: step {step}, {what}");
-                assert_eq!(tables(&engine), expected, "{step}");
+                let step = format!("{case}: step {step}, {what}");
+                assert_eq!(table(&engine), expected, "{step}");
                 assert_model(&engine, &model, mint, &step);
             }
             drop(engine);
@@ -1699,9 +1522,9 @@ mod tests {
         }
     }
 
-    /// A checkpointed reopen reads no leaf page; the shard's first
-    /// remove fills its table from the tree without reading through the
-    /// buffer pool, and a second remove finds the same table.
+    /// A checkpointed reopen reads no leaf page; the first remove fills
+    /// the table from the tree without reading through the buffer pool,
+    /// and a second remove finds the same table.
     #[test]
     fn a_reopen_reads_no_leaf_and_the_first_remove_fills_the_table_once() {
         let dir = tmp_dir("reopen");
@@ -1713,7 +1536,7 @@ mod tests {
         let functions = FunctionSet::from_rows(3, &[vec![0.2, 0.5, 0.3]]);
         engine.evaluate(&functions).unwrap();
         engine.insert_object(&[0.5, 0.5, 0.5]).unwrap();
-        assert_eq!(tables(&engine), [false], "reads and inserts build none");
+        assert!(!table(&engine), "reads and inserts build none");
 
         let before = engine.storage_stats();
         engine.remove_object(7).unwrap();
@@ -1724,14 +1547,11 @@ mod tests {
             "a remove reads its path, not {pages} pages: {read}"
         );
         let at = |engine: &Engine| {
-            let objects = lock(&engine.shards[0].objects);
+            let objects = lock(&engine.objects);
             objects.as_ref().unwrap().get(8).unwrap().as_ptr()
         };
         let filled = at(&engine);
-        assert_eq!(
-            lock(&engine.shards[0].objects).as_ref().unwrap().get(7),
-            None
-        );
+        assert_eq!(lock(&engine.objects).as_ref().unwrap().get(7), None);
         engine.remove_object(9).unwrap();
         assert_eq!(at(&engine), filled, "the second remove keeps the table");
         assert_eq!(engine.n_objects(), 19_999);

@@ -42,17 +42,18 @@
 //! (e.g. a room *type* with `c` identical rooms), which the examples use.
 //! A capacitated request is the one SB evaluation — the same round,
 //! each of its pairs taking one unit of its object — evaluated or
-//! streamed, at any shard count.
+//! streamed.
 //!
 //! ## Evaluation goes through the [`Engine`]
 //!
 //! The index over `O` is expensive; the paper's deployment serves many
 //! query batches against one inventory. Build an [`Engine`] **once**
-//! ([`Engine::builder`] validates the inputs and bulk-loads the R-tree),
+//! ([`Engine::builder`] validates the inputs and bulk-loads the one
+//! R-tree, behind an LRU buffer of 2 % of the tree by default),
 //! then evaluate any number of [`MatchRequest`]s against it — also
 //! concurrently, since evaluation never mutates the shared index and
-//! every run accounts its own I/O through run-scoped
-//! [`mpq_rtree::IoSession`]s. [`Engine::stream`] yields stable pairs
+//! every run accounts its own I/O through a run-scoped
+//! [`mpq_rtree::IoSession`]. [`Engine::stream`] yields stable pairs
 //! progressively, and [`SbStream::load`] matches the next query batch
 //! against what the stream left of the inventory, its maintained
 //! skyline alive across batches (the online deployment of §I). The
@@ -79,11 +80,9 @@
 //! The service, the network tenants and the CLI hold an `Arc<Engine>`:
 //! one type serves through the [`EngineService`],
 //! [`ServiceClient::submit`] and the one request builder —
-//! `client.submit(client.engine().request(&functions))` — whatever
-//! its shard count. [`EngineBuilder::open_or_build`] hosts an
-//! inventory: a persisted directory reopens in whatever layout it
-//! holds, otherwise [`EngineBuilder::shards`] says how many shards are
-//! built.
+//! `client.submit(client.engine().request(&functions))`.
+//! [`EngineBuilder::open_or_build`] hosts an inventory: a persisted
+//! directory reopens, otherwise the objects are built.
 //!
 //! ## The inventory is mutable — and can persist
 //!
@@ -102,14 +101,14 @@
 //! [`Engine::checkpoint`] folds the WAL into the page file so the next
 //! open replays nothing.
 //!
-//! ## Partitioned storage: [`EngineBuilder::shards`]
+//! ## One index, and the layout it replaced
 //!
-//! The [`shard`] module partitions the object set by object id into `K`
-//! independent shards — each with its own R-tree, buffer pool and WAL
-//! segment — and the engine reads them as one index: every request,
-//! stream and variant runs over `K` trees as it runs over one, and the
-//! matching is bit-identical at every `K`. A mutation is one record in
-//! one shard's WAL; the inventory has one version whatever `K` is.
+//! The engine is one R-tree with one WAL and one buffer pool, as the
+//! paper's experiments index their objects. Engines of earlier versions
+//! could spread an inventory over `K` shards, each with its own tree and
+//! WAL in `shard-i/` beside a `shards.mpq` manifest; [`Engine::open`]
+//! migrates such a directory into the one tree the first time it opens
+//! it, and a build over it removes it.
 //!
 //! ## Ledger-only names
 //!
@@ -117,11 +116,13 @@
 //! `benchmark` PR may edit, still compiles against names the library
 //! has no other use for; a `benchmark` PR deletes these:
 //! [`ShardedEngine`] (`ShardedEngine::builder()` *is*
-//! [`Engine::builder`]), [`Engine::skipped_shards`] (always 0),
-//! [`Engine::tree`], [`ResultCache::insert_vec_seeded`] (its slice
-//! names the one version; its seed argument is ignored) and
+//! [`Engine::builder`]), [`EngineBuilder::shards`] (accepted and
+//! ignored: every engine is one tree), [`Engine::skipped_shards`]
+//! (always 0), [`ResultCache::insert_vec_seeded`] (its slice names the
+//! one version; its seed argument is ignored) and
 //! [`ResultCache::near_miss`] (always `None`: the seed no longer lives
-//! in the cache).
+//! in the cache). The network crate keeps one more,
+//! `TenantConfig::shards`, for the same reason.
 
 #![warn(missing_docs)]
 
@@ -140,7 +141,7 @@ pub mod sb;
 pub mod scratch;
 pub mod seed;
 pub mod service;
-pub mod shard;
+mod shard;
 pub mod verify;
 pub mod wal;
 
@@ -161,7 +162,6 @@ pub use service::{
     EngineService, HealthMonitor, HealthState, ServiceClient, ServiceConfig, ServiceMetrics,
     SubmitOptions, Ticket,
 };
-pub use shard::ShardGauges;
 pub use verify::{verify_stable, verify_weakly_stable};
 pub use wal::{Wal, WalRecord};
 
@@ -170,17 +170,20 @@ pub use wal::{Wal, WalRecord};
 pub type ShardedEngine = Engine;
 
 /// See "Ledger-only names" in the [crate docs](self).
+impl<'o> EngineBuilder<'o> {
+    /// **Stub, ignored.** It said how many shards an inventory was
+    /// partitioned into; every engine is one tree.
+    pub fn shards(self, _k: usize) -> EngineBuilder<'o> {
+        self
+    }
+}
+
+/// See "Ledger-only names" in the [crate docs](self).
 impl Engine {
     /// **Stub, always 0.** It counted the shard probes a best-pair
     /// merge pruned by score bound; nothing is probed or skipped any
     /// more.
     pub fn skipped_shards(&self) -> u64 {
         0
-    }
-
-    /// Shard 0's R-tree: the whole index iff
-    /// [`Engine::shard_count`] is 1 — [`Engine::trees`] otherwise.
-    pub fn tree(&self) -> &mpq_rtree::RTree {
-        self.trees().next().expect("an engine has a shard")
     }
 }

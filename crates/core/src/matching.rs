@@ -187,8 +187,8 @@ impl Default for IndexConfig {
     }
 }
 
-/// Process-wide count of object R-tree bulk loads: one per tree an
-/// engine build loads (see [`index_build_count`]).
+/// Process-wide count of object R-tree bulk loads: one per engine
+/// build (see [`index_build_count`]).
 static INDEX_BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide number of object R-tree bulk loads performed so far.
@@ -201,32 +201,26 @@ pub fn index_build_count() -> u64 {
 }
 
 impl IndexConfig {
-    /// Bulk-load the trees of an inventory: one tree per store, tree `j`
-    /// over the objects that `keys[bounds[j]..bounds[j + 1]]` names (one
-    /// `bulk::sort_key` each), indexed under their indices in `objects`
-    /// — how the shards of a partitioned engine index their shares of
-    /// the inventory without a copy of them (see
-    /// [`RTree::bulk_load_parts`]) — each with its buffer sized for its
-    /// page count and its I/O counters at zero. Counts one index build a
-    /// tree. `keys` comes back permuted.
-    pub(crate) fn build_trees_in(
+    /// Bulk-load the object tree into `store`: the objects of `objects`
+    /// that `keys` names (one `bulk::sort_key` each), indexed under their
+    /// indices (see [`RTree::bulk_load_keys`]), with the buffer sized for
+    /// the tree's page count and its I/O counters at zero. Counts one
+    /// index build. `keys` comes back permuted.
+    pub(crate) fn build_tree_in(
         &self,
-        stores: Vec<Box<dyn mpq_rtree::PageStore>>,
+        store: Box<dyn mpq_rtree::PageStore>,
         objects: &PointSet,
         keys: &mut [u128],
-        bounds: &[usize],
-    ) -> Vec<RTree> {
-        INDEX_BUILDS.fetch_add(stores.len() as u64, AtomicOrdering::Relaxed);
+    ) -> RTree {
+        INDEX_BUILDS.fetch_add(1, AtomicOrdering::Relaxed);
         let params = RTreeParams {
             page_size: self.page_size,
             min_fill_ratio: 0.4,
             buffer_capacity: self.min_buffer_pages.max(1),
         };
-        let trees = RTree::bulk_load_parts(stores, objects, keys, bounds, params);
-        for tree in &trees {
-            tree.set_buffer_capacity(self.buffer_pages_for(tree.page_count()));
-        }
-        trees
+        let tree = RTree::bulk_load_keys(store, objects, keys, params);
+        tree.set_buffer_capacity(self.buffer_pages_for(tree.page_count()));
+        tree
     }
 
     /// The buffer capacity this configuration prescribes for a tree of
@@ -315,7 +309,7 @@ mod tests {
             ps.push(&[a, b]);
         }
         let engine = engine(IndexConfig::default(), &ps);
-        let tree = engine.trees().next().unwrap();
+        let tree = engine.tree();
         let expect = ((tree.page_count() as f64 * 0.02).round() as usize).max(8);
         assert_eq!(tree.buffer_capacity(), expect);
         assert_eq!(
@@ -352,7 +346,7 @@ mod tests {
         };
         let engine = engine(cfg, &ps);
         assert_eq!(
-            engine.trees().next().unwrap().buffer_capacity(),
+            engine.tree().buffer_capacity(),
             9,
             "8.5 pages must round up to 9, not truncate to 8"
         );

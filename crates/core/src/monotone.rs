@@ -6,8 +6,8 @@
 //! monotone (non-decreasing per attribute) scoring function — the top-1
 //! object of every such function is a skyline object — so the SB loop
 //! carries over verbatim: [`Engine::evaluate_monotone`] is the one SB
-//! run of [`crate::sb`] over the engine's pins, at any shard count, with
-//! both rank-list caches. What changes is the function side: the sorted
+//! run of [`crate::sb`] over the engine's pin, with both rank-list
+//! caches. What changes is the function side: the sorted
 //! coefficient lists of the TA (§IV-A) exist only for linear functions,
 //! so a skyline object's best functions are found by a scan of `F` —
 //! exactly the fallback the paper's TA replaces. A scan certifies the
@@ -151,9 +151,8 @@ impl FunctionSide for Scanned<'_> {
 impl Engine {
     /// The stable matching between the inventory and monotone
     /// `functions` (function ids are the slice indices): the one SB run
-    /// over the forest of the engine's pins — any shard count, built or
-    /// reopened — with each skyline object's best functions found by a
-    /// scan (see the [module docs](crate::monotone)).
+    /// over the engine's pin — built or reopened — with each skyline
+    /// object's best functions found by a scan (see the [module docs](crate::monotone)).
     ///
     /// Every mutually-best pair of a round belongs to the greedy
     /// matching whatever the score function (§IV-C), so all of them are
@@ -234,9 +233,9 @@ mod tests {
         min_buffer_pages: 4,
     };
 
-    fn engine(objects: &PointSet, shards: usize) -> Engine {
+    fn engine(objects: &PointSet) -> Engine {
         let builder = Engine::builder().index(INDEX).objects(objects);
-        builder.shards(shards).build().unwrap()
+        builder.build().unwrap()
     }
 
     /// `(fid, oid, score bits)`: equal to the bit, or not at all.
@@ -283,11 +282,9 @@ mod tests {
         for objects in inventories(800) {
             let expect = reference_monotone_matching(&objects, &fns);
             assert_eq!(expect.len(), fns.len());
-            for k in [1, 4] {
-                let got = engine(&objects, k).evaluate_monotone(&fns).unwrap();
-                assert_eq!(exact(&got.sorted_pairs()), exact(&expect), "K={k}");
-                assert!(got.metrics().loops < fns.len() as u64, "multi-pair rounds");
-            }
+            let got = engine(&objects).evaluate_monotone(&fns).unwrap();
+            assert_eq!(exact(&got.sorted_pairs()), exact(&expect));
+            assert!(got.metrics().loops < fns.len() as u64, "multi-pair rounds");
         }
     }
 
@@ -308,15 +305,13 @@ mod tests {
             .map(|c| c as &dyn MonotoneFunction)
             .collect();
         for objects in inventories(800) {
-            for k in [1, 4] {
-                let engine = engine(&objects, k);
-                let linear = engine.request(&fs).evaluate().unwrap();
-                let general = engine.evaluate_monotone(&fns).unwrap();
-                assert_eq!(exact(general.pairs()), exact(linear.pairs()), "K={k}");
-                let (got, want) = (general.metrics(), linear.metrics());
-                assert_eq!(got.loops, want.loops);
-                assert_eq!(got.reverse_top1_calls, want.reverse_top1_calls);
-            }
+            let engine = engine(&objects);
+            let linear = engine.request(&fs).evaluate().unwrap();
+            let general = engine.evaluate_monotone(&fns).unwrap();
+            assert_eq!(exact(general.pairs()), exact(linear.pairs()));
+            let (got, want) = (general.metrics(), linear.metrics());
+            assert_eq!(got.loops, want.loops);
+            assert_eq!(got.reverse_top1_calls, want.reverse_top1_calls);
         }
     }
 
@@ -338,11 +333,9 @@ mod tests {
         let fns: Vec<&dyn MonotoneFunction> =
             vec![&MinAttribute, &f2, &f3, &f4, &MinAttribute, &MinAttribute];
         let expect = reference_monotone_matching(objects, &fns);
-        for k in [1, 4] {
-            let got = engine(objects, k).evaluate_monotone(&fns).unwrap();
-            assert_eq!(got.len(), 4, "objects are the scarce side");
-            assert_eq!(exact(&got.sorted_pairs()), exact(&expect));
-        }
+        let got = engine(objects).evaluate_monotone(&fns).unwrap();
+        assert_eq!(got.len(), 4, "objects are the scarce side");
+        assert_eq!(exact(&got.sorted_pairs()), exact(&expect));
     }
 
     #[test]
@@ -351,14 +344,12 @@ mod tests {
         ps.push(&[0.95, 0.1]); // extreme
         ps.push(&[0.6, 0.55]); // balanced
         ps.push(&[0.1, 0.95]); // extreme
-        for k in [1, 4] {
-            let got = engine(&ps, k).evaluate_monotone(&[&MinAttribute]).unwrap();
-            assert_eq!(got.pairs()[0].oid, 1, "maximin picks the balanced object");
-        }
+        let got = engine(&ps).evaluate_monotone(&[&MinAttribute]).unwrap();
+        assert_eq!(got.pairs()[0].oid, 1, "maximin picks the balanced object");
     }
 
     /// The run pins whatever the engine holds: an engine reopened from
-    /// disk, on one tree or four, matches as the one it was built as.
+    /// disk matches as the one it was built as.
     #[test]
     fn a_reopened_engine_matches_alike() {
         let objects = &inventories(600)[1];
@@ -367,49 +358,44 @@ mod tests {
             k: 2.0,
         };
         let fns: Vec<&dyn MonotoneFunction> = vec![&MinAttribute, &power, &MinAttribute];
-        for k in [1, 4] {
-            let name = format!("mpq-monotone-reopen-{}-{k}", std::process::id());
-            let dir = std::env::temp_dir().join(name);
-            let _ = std::fs::remove_dir_all(&dir);
-            let built = Engine::builder().index(INDEX).objects(objects).shards(k);
-            let built = built.data_dir(&dir).build().unwrap();
-            let want = built.evaluate_monotone(&fns).unwrap();
-            drop(built);
-            let reopened = Engine::open_with(&dir, INDEX).unwrap();
-            assert_eq!(reopened.shard_count(), k);
-            let got = reopened.evaluate_monotone(&fns).unwrap();
-            assert_eq!(exact(got.pairs()), exact(want.pairs()), "K={k}");
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        let name = format!("mpq-monotone-reopen-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let built = Engine::builder().index(INDEX).objects(objects);
+        let built = built.data_dir(&dir).build().unwrap();
+        let want = built.evaluate_monotone(&fns).unwrap();
+        drop(built);
+        let reopened = Engine::open_with(&dir, INDEX).unwrap();
+        let got = reopened.evaluate_monotone(&fns).unwrap();
+        assert_eq!(exact(got.pairs()), exact(want.pairs()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn an_empty_request_is_refused() {
-        let engine = engine(&inventories(10)[0], 1);
+        let engine = engine(&inventories(10)[0]);
         let err = engine.evaluate_monotone(&[]).unwrap_err();
         assert_eq!(err, MpqError::EmptyFunctions);
     }
 
     /// Each evaluation pins the inventory as it is: an inserted object
     /// that dominates everything is taken first, and once removed it is
-    /// no one's — on one tree and four.
+    /// no one's.
     #[test]
     fn each_evaluation_matches_the_inventory_it_pins() {
         let objects = &inventories(300)[0];
         let fns: Vec<&dyn MonotoneFunction> = vec![&MinAttribute, &MinAttribute];
-        for k in [1, 4] {
-            let engine = engine(objects, k);
-            let before = engine.evaluate_monotone(&fns).unwrap();
-            let best = engine.insert_object(&[1.0, 1.0, 1.0]).unwrap();
-            let with = engine.evaluate_monotone(&fns).unwrap();
-            assert_eq!((with.pairs()[0].fid, with.pairs()[0].oid), (0, best));
-            assert_eq!(with.pairs()[1].oid, before.pairs()[0].oid, "K={k}");
-            engine.remove_object(best).unwrap();
-            let after = engine.evaluate_monotone(&fns).unwrap();
-            assert_eq!(exact(after.pairs()), exact(before.pairs()), "K={k}");
-            let metrics = after.metrics();
-            assert!(metrics.skyline.is_some() && metrics.ta.is_none());
-        }
+        let engine = engine(objects);
+        let before = engine.evaluate_monotone(&fns).unwrap();
+        let best = engine.insert_object(&[1.0, 1.0, 1.0]).unwrap();
+        let with = engine.evaluate_monotone(&fns).unwrap();
+        assert_eq!((with.pairs()[0].fid, with.pairs()[0].oid), (0, best));
+        assert_eq!(with.pairs()[1].oid, before.pairs()[0].oid);
+        engine.remove_object(best).unwrap();
+        let after = engine.evaluate_monotone(&fns).unwrap();
+        assert_eq!(exact(after.pairs()), exact(before.pairs()));
+        let metrics = after.metrics();
+        assert!(metrics.skyline.is_some() && metrics.ta.is_none());
     }
 
     /// The pairs taken one at a time, in the greedy's order: a round
@@ -426,9 +412,7 @@ mod tests {
         let fns: Vec<&dyn MonotoneFunction> = vec![&f1, &MinAttribute];
         let expect = reference_monotone_matching(&ps, &fns);
         assert_eq!(expect.len(), 2);
-        for k in [1, 4] {
-            let got = engine(&ps, k).evaluate_monotone(&fns).unwrap();
-            assert_eq!(exact(&got.sorted_pairs()), exact(&expect), "K={k}");
-        }
+        let got = engine(&ps).evaluate_monotone(&fns).unwrap();
+        assert_eq!(exact(&got.sorted_pairs()), exact(&expect));
     }
 }

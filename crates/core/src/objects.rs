@@ -4,10 +4,10 @@
 //! Every evaluation reads the inventory through the R-tree alone, the
 //! paper's one index over the objects. Only a remove or an update needs
 //! the reverse lookup — a tree delete names the entry by its point — so
-//! a shard holds no table until the first remove or update routed to it
-//! fills one from its tree ([`ObjectTable::from_tree`]), and a tenant that
-//! only reads and inserts never holds one. From then on every mutation
-//! of the shard keeps it current.
+//! an engine holds no table until its first remove or update fills one
+//! from its tree ([`ObjectTable::from_tree`]), and a tenant that only
+//! reads and inserts never holds one. From then on every mutation keeps
+//! it current.
 //!
 //! A map of boxed points would cost `n` allocations and more bytes than
 //! the pages it mirrors. Ids are minted in increasing order, so a sorted
@@ -15,8 +15,8 @@
 //! fill is two walks and a sort of the ids, a mint appends, a lookup is
 //! a binary search, and an out-of-order id would be a `memmove`.
 //!
-//! A build starts here too: a [`Cut`] validates an inventory and cuts it
-//! into the key buffer the bulk loads sort.
+//! A build starts here too: [`validated_keys`] validates an inventory
+//! and fills the key buffer the bulk load sorts.
 
 use mpq_rtree::bulk::{side_by_side, sort_key, thread_budget};
 use mpq_rtree::{PointSet, RTree};
@@ -24,108 +24,59 @@ use mpq_rtree::{PointSet, RTree};
 use crate::engine::{check_inventory_len, validate_point};
 use crate::error::MpqError;
 
-/// An inventory, validated and cut into parts: the key buffer an
-/// engine's shards are bulk-loaded from, part after part.
-pub(crate) struct Cut {
-    /// One [`sort_key`] per object, part after part.
-    pub keys: Vec<u128>,
-    /// Part `j`'s keys are `keys[bounds[j]..bounds[j + 1]]`.
-    pub bounds: Vec<usize>,
-}
-
-/// Fewest objects worth a thread of their own in a [`Cut`]'s passes: a
-/// second thread from 65 536 objects on. The passes read every
-/// coordinate and write a key an object, mostly into fresh pages, and
-/// each spawns and joins its threads (20-60 µs a thread on the two-vCPU
+/// Fewest objects worth a thread of their own in [`validated_keys`]'
+/// pass: a second thread from 65 536 objects on. The pass reads every
+/// coordinate and writes a key an object, mostly into fresh pages, and
+/// spawns and joins its threads (20-60 µs a thread on the two-vCPU
 /// build container). Whole 4-d builds on two threads against one, when a
 /// third pass also copied the points out: 0.48 against 0.27 ms at 4 000
 /// objects, 0.78 / 0.61 at 8 000, 1.83 / 1.56 at 16 000, 2.77 / 2.84 at
 /// 32 000 (even), 5.36 / 5.82 at 64 000, 16.5 / 20.1 at 200 000.
 const CUT_MIN_OBJECTS: usize = 32 * 1024;
 
-impl Cut {
-    /// Validate `objects` and cut its keys `parts` ways, object `i` going
-    /// to part `part_of(i)`.
-    ///
-    /// Everything a build refuses an inventory for — empty, more than a
-    /// bulk load takes, a point off the preference space — is reported
-    /// here, naming the first bad object in id order, before anything is
-    /// allocated for the build, let alone written. The key buffer is
-    /// allocated once, at its final size, on this thread; the cores share
-    /// the filling, each taking a range of ids.
-    pub(crate) fn new(
-        objects: &PointSet,
-        parts: usize,
-        part_of: impl Fn(u64) -> usize + Sync,
-    ) -> Result<Cut, MpqError> {
-        let (n, dim) = (objects.len(), objects.dim());
-        if n == 0 {
-            return Err(MpqError::EmptyObjects);
-        }
-        check_inventory_len(n)?;
-        // Threads that share a pass, each taking `per_lane` consecutive ids.
-        let lanes = thread_budget().min(n / CUT_MIN_OBJECTS).max(1);
-        let per_lane = n.div_ceil(lanes);
-        let ids_of = |lane: usize| lane * per_lane..n.min((lane + 1) * per_lane);
-
-        // Validate, and count every lane's share of every part:
-        // `counts[lane * parts + part]`.
-        let mut counts = vec![0; lanes * parts];
-        let checked = side_by_side(counts.chunks_mut(parts).enumerate(), |(lane, counts)| {
-            let ids = ids_of(lane);
-            // One branch-free sweep says whether any coordinate is off
-            // the preference space (a NaN is in no range); only then is
-            // the first one looked for.
-            let coords = &objects.as_flat()[ids.start * dim..ids.end * dim];
-            if !coords
-                .iter()
-                .fold(true, |ok, v| ok & (0.0..=1.0).contains(v))
-            {
-                for i in ids.clone() {
-                    validate_point(i as u64, dim, objects.get(i))?;
-                }
-            }
-            for i in ids {
-                counts[part_of(i as u64)] += 1;
-            }
-            Ok(())
-        });
-        checked.into_iter().collect::<Result<(), MpqError>>()?;
-
-        let mut bounds = Vec::with_capacity(parts + 1);
-        bounds.push(0);
-        for part in 0..parts {
-            let size: usize = counts.iter().skip(part).step_by(parts).sum();
-            bounds.push(bounds[part] + size);
-        }
-        // Within a part ids ascend, so a lane's keys of a part are one run
-        // of the part's keys, lane after lane: `runs[lane][part]`.
-        let mut keys = vec![0u128; n];
-        let mut runs: Vec<Vec<&mut [u128]>> =
-            (0..lanes).map(|_| Vec::with_capacity(parts)).collect();
-        let mut rest = &mut keys[..];
-        for part in 0..parts {
-            for (lane, runs) in runs.iter_mut().enumerate() {
-                runs.push(take(&mut rest, counts[lane * parts + part]));
-            }
-        }
-        side_by_side(runs.into_iter().enumerate(), |(lane, mut runs)| {
-            for i in ids_of(lane) {
-                take(&mut runs[part_of(i as u64)], 1)[0] = sort_key(objects, i);
-            }
-        });
-        Ok(Cut { keys, bounds })
+/// Validate `objects` and fill the key buffer a build sorts: one
+/// [`sort_key`] per object, in id order.
+///
+/// Everything a build refuses an inventory for — empty, more than a
+/// bulk load takes, a point off the preference space — is reported
+/// here, naming the first bad object in id order, before anything is
+/// allocated for the build, let alone written. The key buffer is
+/// allocated once, at its final size, on this thread; the cores share
+/// the filling, each taking a range of ids.
+pub(crate) fn validated_keys(objects: &PointSet) -> Result<Vec<u128>, MpqError> {
+    let (n, dim) = (objects.len(), objects.dim());
+    if n == 0 {
+        return Err(MpqError::EmptyObjects);
     }
+    check_inventory_len(n)?;
+    // Threads that share a pass, each taking `per_lane` consecutive ids.
+    let lanes = thread_budget().min(n / CUT_MIN_OBJECTS).max(1);
+    let per_lane = n.div_ceil(lanes);
+    let mut keys = vec![0u128; n];
+    let checked = side_by_side(keys.chunks_mut(per_lane).enumerate(), |(lane, keys)| {
+        let ids = lane * per_lane..lane * per_lane + keys.len();
+        // One branch-free sweep says whether any coordinate is off the
+        // preference space (a NaN is in no range); only then is the
+        // first one looked for.
+        let coords = &objects.as_flat()[ids.start * dim..ids.end * dim];
+        if !coords
+            .iter()
+            .fold(true, |ok, v| ok & (0.0..=1.0).contains(v))
+        {
+            for i in ids.clone() {
+                validate_point(i as u64, dim, objects.get(i))?;
+            }
+        }
+        for (key, i) in keys.iter_mut().zip(ids) {
+            *key = sort_key(objects, i);
+        }
+        Ok(())
+    });
+    checked.into_iter().collect::<Result<(), MpqError>>()?;
+    Ok(keys)
 }
 
-/// Split the first `n` items off `rest`.
-fn take<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-    let (head, tail) = std::mem::take(rest).split_at_mut(n);
-    *rest = tail;
-    head
-}
-
-/// Object id → point for the objects of one shard.
+/// Object id → point for the objects of an engine.
 ///
 /// Slots are kept in ascending id order. A removed object leaves a
 /// tombstone behind, and the table is compacted once tombstones

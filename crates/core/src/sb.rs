@@ -49,9 +49,8 @@
 //! ## One run state, one round
 //!
 //! Everything above lives once, in the crate-private `SbRun`: one
-//! pinned node source — the engine's shards read as one forest (see
-//! [`crate::shard`]), so one tree or `K` is not the run's concern — the
-//! skyline maintained over it, the function side, both rank-list caches
+//! pinned node source — the engine's tree — the skyline maintained over
+//! it, the function side, both rank-list caches
 //! and the counters. The function side is what a round asks of `F`
 //! (`FunctionSide`): a linear request's working function set with its
 //! reverse top-1 index, or — §II admits "any monotone function" —
@@ -769,9 +768,9 @@ pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
 /// order [`Matching::pairs`] documents — the evaluation's, pair for
 /// pair, capacitated or not.
 ///
-/// Generic over the node source it *owns*: the forest of
-/// [`mpq_rtree::IoSession`]s, one per shard, when streaming from a
-/// shared [`Engine`](crate::Engine) (per-run I/O attribution).
+/// Generic over the node source it *owns*: an
+/// [`mpq_rtree::IoSession`] when streaming from a shared
+/// [`Engine`](crate::Engine) (per-run I/O attribution).
 pub struct SbStream<R: NodeSource> {
     run: SbRun<R, Linear>,
     pending: VecDeque<Pair>,
@@ -1049,6 +1048,37 @@ mod tests {
                 "{algorithm} diverged"
             );
         }
+    }
+
+    /// What a stream reports between pairs is the state of the
+    /// inventory's skyline: a stream that has retired some objects holds
+    /// the skyline a fresh one would start from with those objects
+    /// excluded.
+    #[test]
+    fn a_half_drained_stream_reports_the_skyline() {
+        let w = WorkloadBuilder::new().objects(400).functions(12).dim(3);
+        let w = w.seed(37).build();
+        let engine = engine(&w.objects);
+        let request = || engine.request(&w.functions).multi_pair(false);
+        let mut stream = request().stream().unwrap();
+        let skyline = SkylineMaintainer::build(engine.tree()).len();
+        assert_eq!(stream.skyline_len(), skyline);
+        assert_eq!(stream.unassigned_functions(), 12);
+
+        // One pair per round, so nothing is retired ahead of what was
+        // yielded.
+        let drained: Vec<Pair> = stream.by_ref().take(6).collect();
+        assert_eq!(stream.unassigned_functions(), 6);
+        let gone = drained.iter().map(|p| p.oid);
+        let fresh = request().exclude(gone).stream().unwrap();
+        assert_eq!(
+            stream.skyline_len(),
+            fresh.skyline_len(),
+            "the skyline of what is left"
+        );
+        let whole = request().evaluate().unwrap();
+        let streamed: Vec<Pair> = drained.into_iter().chain(stream).collect();
+        assert_eq!(streamed, whole.pairs());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Resuming therefore costs two small allocations whatever the
 //! skyline's size, and nothing a seed shares is ever written or copied.
 //! Capture and resume are one priming step of [`crate::sb`]'s run
-//! state, whatever the shard count: a run that has no seed at its
+//! state: a run that has no seed at its
 //! version captures one with `EvalSeed::capture` — BBS over its own
 //! pins — and resumes from that, exactly as from a seed it was handed.
 //!
@@ -89,7 +89,7 @@ pub struct EvalSeed {
     /// The inventory version at capture time. The seed is valid only
     /// while the engine is at it.
     pub(crate) version: u64,
-    /// The un-peeled BBS snapshot over the forest of the shards.
+    /// The un-peeled BBS snapshot over the engine's tree.
     pub(crate) skyline: SkylineMaintainer,
 }
 

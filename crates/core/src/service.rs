@@ -1,6 +1,5 @@
 //! The async serving layer: a submission queue in front of a shared
-//! [`Engine`] — of one shard or many, the service never asks — with
-//! cross-request result caching and in-flight dedupe.
+//! [`Engine`], with cross-request result caching and in-flight dedupe.
 //!
 //! The paper's premise (§I) is *many* preference queries arriving
 //! against one inventory — but a pre-collected synchronous batch
@@ -91,10 +90,9 @@ use crate::error::MpqError;
 use crate::matching::Matching;
 use crate::scratch::Scratch;
 use crate::seed::SeedSlot;
-use crate::shard::ShardGauges;
 
 /// Lock a mutex, ignoring poisoning — the crate's one policy: every
-/// critical section (engine, shards, service) leaves the protected
+/// critical section (engine, service) leaves the protected
 /// state consistent even if a thread panicked elsewhere; a panicking
 /// worker resolves its ticket through a guard before unwinding past the
 /// lock.
@@ -807,8 +805,10 @@ impl<'a> ServiceCore<'a> {
             panicked: metrics.panicked,
             cache,
             storage: mpq_rtree::IoStats::default(),
+            objects: 0,
+            tree_height: 0,
+            wal_bytes: 0,
             health: HealthState::Healthy,
-            shards: Vec::new(),
             uptime: self.started.elapsed(),
             p50_latency: percentile(&sorted, 0.50),
             p99_latency: percentile(&sorted, 0.99),
@@ -961,14 +961,17 @@ pub struct ServiceMetrics {
     /// snapshot was taken through a bare `ServiceCore` without an
     /// engine attached.
     pub storage: mpq_rtree::IoStats,
+    /// Live objects in the served engine's tree (0 in snapshots taken
+    /// through a bare `ServiceCore`, as are the two gauges below).
+    pub objects: usize,
+    /// Height of the served engine's R-tree (levels; 1 = root leaf).
+    pub tree_height: u32,
+    /// Current WAL size in bytes (0 for an in-memory engine).
+    pub wal_bytes: u64,
     /// Storage health of the served engine (always
     /// [`HealthState::Healthy`] in snapshots taken through a bare
     /// `ServiceCore` without an engine attached).
     pub health: HealthState,
-    /// Per-shard gauges of the served engine — one entry per shard, in
-    /// shard order (empty in snapshots taken through a bare
-    /// `ServiceCore`).
-    pub shards: Vec<ShardGauges>,
     /// Time since the service was spawned.
     pub uptime: Duration,
     /// Median submit→resolve latency over the rolling window.
@@ -977,7 +980,7 @@ pub struct ServiceMetrics {
     pub p99_latency: Duration,
     /// Time SB evaluations spent discovering pairs (rank-list refresh,
     /// reverse top-1 scans included), summed over every evaluation a
-    /// worker ran since spawn — a sharded evaluation adds all its shards.
+    /// worker ran since spawn.
     pub discover: Duration,
     /// Time those evaluations spent in skyline maintenance, summed the
     /// same way. With `discover` it says where an evaluation's time
@@ -1029,25 +1032,13 @@ impl ServiceMetrics {
                     ("disk_reads", Json::Num(self.storage.disk_reads as f64)),
                     ("disk_writes", Json::Num(self.storage.disk_writes as f64)),
                     ("fsyncs", Json::Num(self.storage.fsyncs as f64)),
+                    ("objects", Json::Num(self.objects as f64)),
+                    ("tree_height", Json::Num(self.tree_height as f64)),
+                    ("buffer_hit_rate", Json::Num(self.storage.hit_ratio())),
+                    ("wal_bytes", Json::Num(self.wal_bytes as f64)),
                 ]),
             ),
             ("health", Json::Str(self.health.as_str().to_string())),
-            (
-                "shards",
-                Json::Arr(
-                    self.shards
-                        .iter()
-                        .map(|s| {
-                            Json::obj([
-                                ("objects", Json::Num(s.objects as f64)),
-                                ("tree_height", Json::Num(s.tree_height as f64)),
-                                ("buffer_hit_rate", Json::Num(s.buffer_hit_rate)),
-                                ("wal_bytes", Json::Num(s.wal_bytes as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("uptime_secs", Json::Num(self.uptime.as_secs_f64())),
             ("requests_per_sec", Json::Num(self.requests_per_sec())),
             (
@@ -1102,17 +1093,14 @@ impl std::fmt::Display for ServiceMetrics {
         if self.storage != mpq_rtree::IoStats::default() {
             writeln!(f, "storage {}", self.storage)?;
         }
-        // Skew is between shards: one has none to show.
-        if self.shards.len() > 1 {
+        if self.objects > 0 {
             writeln!(
                 f,
-                "shards {}  objects [{}]",
-                self.shards.len(),
-                self.shards
-                    .iter()
-                    .map(|s| s.objects.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                "index {} objects  height {}  buffer hit-rate {:.1}%  wal {} bytes",
+                self.objects,
+                self.tree_height,
+                self.storage.hit_ratio() * 100.0,
+                self.wal_bytes
             )?;
         }
         write!(
@@ -1342,8 +1330,10 @@ impl std::fmt::Debug for EngineService {
 fn full_metrics(core: &ServiceCore<'_>, engine: &Engine, health: &HealthMonitor) -> ServiceMetrics {
     let mut m = core.metrics_snapshot();
     m.storage = engine.storage_stats();
+    m.objects = engine.n_objects();
+    m.tree_height = engine.tree().height();
+    m.wal_bytes = engine.wal_bytes();
     m.health = health.state();
-    m.shards = engine.shard_gauges();
     m
 }
 
@@ -1578,8 +1568,10 @@ mod tests {
             panicked: 0,
             cache: CacheMetrics::default(),
             storage: mpq_rtree::IoStats::default(),
+            objects: 0,
+            tree_height: 0,
+            wal_bytes: 0,
             health: HealthState::Healthy,
-            shards: Vec::new(),
             uptime: Duration::ZERO,
             p50_latency: Duration::ZERO,
             p99_latency: Duration::ZERO,
@@ -1879,13 +1871,10 @@ mod tests {
                 disk_writes: 2,
                 fsyncs: 1,
             },
+            objects: 3,
+            tree_height: 1,
+            wal_bytes: 64,
             health: HealthState::Degraded,
-            shards: vec![ShardGauges {
-                objects: 3,
-                tree_height: 1,
-                buffer_hit_rate: 0.5,
-                wal_bytes: 64,
-            }],
             uptime: Duration::from_secs(2),
             p50_latency: Duration::from_millis(5),
             p99_latency: Duration::from_millis(50),
@@ -1948,32 +1937,35 @@ mod tests {
             "disk_reads",
             "disk_writes",
             "fsyncs",
+            "objects",
+            "tree_height",
+            "buffer_hit_rate",
+            "wal_bytes",
         ] {
-            assert!(storage.get(key).is_some(), "missing storage field '{key}'");
+            assert!(
+                storage
+                    .get(key)
+                    .and_then(crate::json::Json::as_f64)
+                    .is_some(),
+                "missing storage field '{key}'"
+            );
         }
         assert_eq!(
             storage.get("fsyncs").and_then(crate::json::Json::as_f64),
             Some(1.0)
         );
         assert_eq!(
+            storage
+                .get("buffer_hit_rate")
+                .and_then(crate::json::Json::as_f64),
+            Some(m.storage.hit_ratio())
+        );
+        assert!(json.get("shards").is_none(), "one tree, no per-shard rows");
+        assert_eq!(
             json.get("health").and_then(crate::json::Json::as_str),
             Some("degraded"),
             "health must be reported as its lowercase wire name"
         );
-        let shards = match json.get("shards").expect("shards array") {
-            crate::json::Json::Arr(items) => items,
-            other => panic!("shards must be an array, got {other:?}"),
-        };
-        assert_eq!(shards.len(), 1);
-        for key in ["objects", "tree_height", "buffer_hit_rate", "wal_bytes"] {
-            assert!(
-                shards[0]
-                    .get(key)
-                    .and_then(crate::json::Json::as_f64)
-                    .is_some(),
-                "missing per-shard field '{key}'"
-            );
-        }
         // Round-trips through the parser (field values are finite).
         let text = json.render();
         assert_eq!(crate::json::Json::parse(&text).unwrap(), json);

@@ -295,7 +295,7 @@ fn racing_an_insert(engine: &Engine, racer: &[f64], evaluations: impl FnOnce() +
 /// into the snapshot that the vector does not cover. That object is
 /// available to an un-capacitated request and invisible to a
 /// capacitated one; it must never be an index out of bounds. And an
-/// exclusion that names its id holds on every engine, although the id
+/// exclusion that names its id holds, although the id
 /// lies past the vector.
 #[test]
 fn evaluations_racing_an_insert_stay_inside_their_vectors() {
@@ -308,26 +308,15 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
         .seed(14)
         .build();
     // The racing object beats the whole inventory for every function.
-    // Shards pin their snapshots one after another, so a K-shard
-    // matching can hold up to K incarnations of it: `inventories[r]`
-    // is the base inventory plus `r` racers.
+    // One pin holds at most one incarnation of it: `inventories[r]` is
+    // the base inventory plus `r` racers.
     let racer = [0.99, 0.99];
-    let mut inventories = vec![w.objects.clone()];
-    for r in 0..2 {
-        let mut next = inventories[r].clone();
-        next.push(&racer);
-        inventories.push(next);
-    }
+    let mut with_racer = w.objects.clone();
+    with_racer.push(&racer);
+    let inventories = [w.objects.clone(), with_racer];
     let n = w.objects.len() as u64;
-    let sharded = || Engine::builder().objects(&w.objects).shards(2);
-    let engines: [(Arc<Engine>, bool); 3] = [
-        (
-            Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
-            true,
-        ),
-        (Arc::new(sharded().build().unwrap()), false),
-        (Arc::new(sharded().build().unwrap()), true),
-    ];
+    let engine = || Arc::new(Engine::builder().objects(&w.objects).build().unwrap());
+    let engines: [(Arc<Engine>, bool); 2] = [(engine(), true), (engine(), false)];
     let bits = |pairs: Vec<Pair>| -> Vec<(u32, u64, u64)> {
         pairs
             .iter()
@@ -362,7 +351,7 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
                     .collect();
                 racers.sort_unstable();
                 racers.dedup();
-                assert!(racers.len() <= engine.shard_count());
+                assert!(racers.len() <= 1);
                 let pairs: Vec<Pair> = matching
                     .pairs()
                     .iter()
@@ -400,31 +389,25 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
 
     // A request may exclude ids the engine has not minted yet (it read
     // `oid_bound()` first): the racer that then takes one of them is in
-    // the snapshot, past every vector, and still excluded — on the
-    // K-shard run as on `Engine`, which is the control.
+    // the snapshot, past every vector, and still excluded.
     const AHEAD: u64 = 64;
-    let engines: [Arc<Engine>; 2] = [
-        Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
-        Arc::new(sharded().build().unwrap()),
-    ];
-    for engine in engines {
-        racing_an_insert(&engine, &racer, || {
-            for _ in 0..EVALUATIONS {
-                let bound = engine.oid_bound();
-                let excluded = bound..bound + AHEAD;
-                let matching = engine
-                    .request(&w.functions)
-                    .exclude(excluded.clone())
-                    .evaluate()
-                    .unwrap();
-                for p in matching.pairs() {
-                    assert!(
-                        !excluded.contains(&p.oid),
-                        "{engine:?} assigned object {}, excluded as one of {excluded:?}",
-                        p.oid
-                    );
-                }
+    let engine = engine();
+    racing_an_insert(&engine, &racer, || {
+        for _ in 0..EVALUATIONS {
+            let bound = engine.oid_bound();
+            let excluded = bound..bound + AHEAD;
+            let matching = engine
+                .request(&w.functions)
+                .exclude(excluded.clone())
+                .evaluate()
+                .unwrap();
+            for p in matching.pairs() {
+                assert!(
+                    !excluded.contains(&p.oid),
+                    "{engine:?} assigned object {}, excluded as one of {excluded:?}",
+                    p.oid
+                );
             }
-        });
-    }
+        }
+    });
 }

@@ -7,7 +7,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpq_core::wal::{decode_frame, encode_frame};
-use mpq_core::{Algorithm, Engine, IndexConfig, ShardedEngine, WalRecord};
+use mpq_core::{
+    reference_matching_excluding, Algorithm, Engine, IndexConfig, Pair, Wal, WalRecord,
+};
+use mpq_rtree::bulk::sort_key;
 use mpq_rtree::{DiskPager, PointSet, RTree, RTreeParams};
 use mpq_ta::FunctionSet;
 use proptest::prelude::*;
@@ -404,34 +407,6 @@ fn a_removed_id_is_not_minted_again_after_a_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A sharded engine takes its bound from its shards', so it inherits
-/// both halves: replay in whichever shard owned the id, then the
-/// checkpointed header.
-#[test]
-fn a_removed_id_is_not_minted_again_across_four_shards() {
-    let dir = tmp_dir("idk4");
-    let objects = seeded_points(100, 3, 61);
-    {
-        let sharded = ShardedEngine::builder()
-            .objects(&objects)
-            .shards(4)
-            .data_dir(&dir)
-            .build()
-            .unwrap();
-        assert_eq!(sharded.insert_object(&[0.3, 0.6, 0.1]).unwrap(), 100);
-        sharded.remove_object(100).unwrap();
-    }
-    {
-        let reopened = ShardedEngine::open(&dir).unwrap();
-        assert_eq!(reopened.oid_bound(), 101, "replay: id 100 is spent");
-        reopened.checkpoint().unwrap();
-    }
-    let again = ShardedEngine::open(&dir).unwrap();
-    assert_eq!(again.oid_bound(), 101, "checkpoint: id 100 is spent");
-    assert_eq!(again.insert_object(&[0.7, 0.2, 0.4]).unwrap(), 101);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A page file checkpointed by an engine that recorded only the WAL
 /// sequence number (8 bytes of caller metadata) still opens, with the
 /// bound that engine would have derived: one past the highest live id.
@@ -455,4 +430,225 @@ fn a_checkpoint_without_the_id_bound_still_opens() {
     let reference = Engine::builder().objects(&objects).build().unwrap();
     assert_eq!(matchings_of(&reopened, &fs), matchings_of(&reference, &fs));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// The layout an engine of `K` shards wrote, and its migration
+// ---------------------------------------------------------------------
+
+/// The manifest an engine of `k` shards wrote beside its `shard-i/`.
+fn manifest(k: usize) -> String {
+    format!("mpq-shard-manifest/1\nshards={k}\npartitioner=hash\n")
+}
+
+/// What an engine of `k` shards left under `dir`, written by hand
+/// through public APIs: object `oid` of `objects` in shard `oid % k`,
+/// each shard bulk-loaded under the objects' global ids and
+/// checkpointed with the WAL sequence number and the engine's id bound,
+/// then a WAL tail in the shards its records route to — an insert of
+/// id `n`, its removal, a removal of id 5 and an update of id 8 — and
+/// the manifest. Returns the surviving inventory by id (`None` where
+/// an id no longer lives), which is what a migrated engine must hold.
+fn write_k_shards(dir: &std::path::Path, objects: &PointSet, k: usize) -> Vec<Option<Vec<f64>>> {
+    let n = objects.len() as u64;
+    let params = RTreeParams {
+        page_size: IndexConfig::default().page_size,
+        ..RTreeParams::default()
+    };
+    let mut extra = [0u8; 16];
+    extra[8..].copy_from_slice(&n.to_le_bytes());
+    let shard = |oid: u64| dir.join(format!("shard-{}", oid % k as u64));
+    for s in 0..k as u64 {
+        let sdir = shard(s);
+        std::fs::create_dir_all(&sdir).unwrap();
+        let store = DiskPager::create(&sdir.join("pages.mpq"), params.page_size).unwrap();
+        let mut keys: Vec<u128> = (0..n)
+            .filter(|oid| oid % k as u64 == s)
+            .map(|oid| sort_key(objects, oid as usize))
+            .collect();
+        let tree = RTree::bulk_load_keys(Box::new(store), objects, &mut keys, params.clone());
+        tree.checkpoint(&extra).unwrap();
+    }
+    let mut survivors: Vec<Option<Vec<f64>>> =
+        (objects.iter()).map(|(_, p)| Some(p.to_vec())).collect();
+    let fresh = vec![0.9, 0.95, 0.9];
+    let moved = vec![0.2, 0.3, 0.99];
+    let tail = [
+        WalRecord::Insert {
+            oid: n,
+            point: fresh.clone().into(),
+        },
+        WalRecord::Remove {
+            oid: n,
+            point: fresh.into(),
+        },
+        WalRecord::Remove {
+            oid: 5,
+            point: objects.get(5).into(),
+        },
+        WalRecord::Update {
+            oid: 8,
+            old: objects.get(8).into(),
+            new: moved.clone().into(),
+        },
+    ];
+    for record in &tail {
+        let (mut wal, _) = Wal::open(&shard(record.oid()).join("wal.mpq")).unwrap();
+        wal.append_sync(record).unwrap();
+    }
+    survivors.push(None); // id `n`: minted, then removed
+    survivors[5] = None;
+    survivors[8] = Some(moved);
+    std::fs::write(dir.join("shards.mpq"), manifest(k)).unwrap();
+    survivors
+}
+
+/// The reference matching over `survivors`, ids as they stand.
+fn reference_over(survivors: &[Option<Vec<f64>>], fs: &FunctionSet) -> Vec<(u32, u64, u64)> {
+    let dim = fs.dim();
+    let flat: Vec<f64> = (survivors.iter())
+        .flat_map(|p| p.clone().unwrap_or(vec![0.0; dim]))
+        .collect();
+    let points = PointSet::from_flat(dim, flat);
+    let gone = |oid: u64| survivors[oid as usize].is_none();
+    bits(reference_matching_excluding(&points, fs, &gone))
+}
+
+fn bits(mut pairs: Vec<Pair>) -> Vec<(u32, u64, u64)> {
+    pairs.sort_unstable();
+    (pairs.iter())
+        .map(|p| (p.fid, p.oid, p.score.to_bits()))
+        .collect()
+}
+
+/// The files and directories directly under `dir`, sorted.
+fn files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A directory of `K` shards — three, or the `shards=1` / `shard-0/`
+/// form older builders wrote — opens as the one tree: every shard
+/// recovered (checkpoint, then WAL tail), their live objects loaded
+/// into one tree at the root, the shards removed. The matchings are the
+/// reference's over the surviving objects to the bit, for every
+/// algorithm, and the next open reads the bare layout.
+#[test]
+fn a_k_shard_directory_migrates_into_one_tree() {
+    let objects = seeded_points(300, 3, 0x5A4D);
+    let fs = functions(3, 40, 0x77);
+    for k in [3, 1] {
+        let dir = tmp_dir("migrate");
+        let survivors = write_k_shards(&dir, &objects, k);
+        let want = reference_over(&survivors, &fs);
+        assert!(Engine::persisted_at(&dir));
+
+        let migrated = Engine::builder().data_dir(&dir).open_or_build().unwrap();
+        assert_eq!(migrated.n_objects(), 299, "K={k}");
+        assert_eq!(migrated.oid_bound(), 301, "K={k}: id 300 was minted");
+        assert_eq!(migrated.wal_bytes(), 0, "K={k}: a fresh WAL");
+        for got in matchings_of(&migrated, &fs) {
+            assert_eq!(bits(got), want, "K={k}");
+        }
+        drop(migrated);
+        assert_eq!(files(&dir), ["pages.mpq", "wal.mpq"], "K={k}");
+
+        let reopened = Engine::open(&dir).unwrap();
+        assert_eq!(reopened.oid_bound(), 301, "K={k}");
+        let sb = reopened.request(&fs).evaluate().unwrap();
+        assert_eq!(bits(sb.pairs().to_vec()), want, "K={k}, the bare layout");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The migrated tree inherits the shards' id bound — the checkpointed
+/// one, raised by the replayed tail — so the highest id, removed, is
+/// not minted again: not by the migrating engine, not after a reopen.
+#[test]
+fn a_removed_id_is_not_minted_again_after_a_migration() {
+    let dir = tmp_dir("migrate_ids");
+    let objects = seeded_points(100, 3, 61);
+    write_k_shards(&dir, &objects, 3);
+    {
+        let migrated = Engine::open(&dir).unwrap();
+        assert_eq!(migrated.insert_object(&[0.3, 0.6, 0.1]).unwrap(), 101);
+        migrated.remove_object(101).unwrap();
+    }
+    let again = Engine::open(&dir).unwrap();
+    assert_eq!(again.oid_bound(), 102, "replay: id 101 is spent");
+    assert_eq!(again.insert_object(&[0.7, 0.2, 0.4]).unwrap(), 102);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Removing the manifest commits a migration. A crash before it leaves
+/// a root page file beside the manifest and the untouched shards: the
+/// next open migrates again from the shards, whatever the root holds.
+/// A crash after it leaves the migrated tree beside shards no manifest
+/// names: the next open reads the tree and removes them.
+#[test]
+fn a_migration_cut_short_is_finished_by_the_next_open() {
+    let objects = seeded_points(200, 3, 0xC0A5);
+    let fs = functions(3, 25, 0x31);
+
+    // Before the commit point: root pages beside the manifest.
+    let dir = tmp_dir("migrate_crash");
+    let survivors = write_k_shards(&dir, &objects, 3);
+    let want = reference_over(&survivors, &fs);
+    let stale = seeded_points(50, 3, 0xBAD);
+    let root = DiskPager::create(&dir.join("pages.mpq"), IndexConfig::default().page_size);
+    let tree = RTree::bulk_load_in(root.unwrap(), &stale, RTreeParams::default());
+    tree.checkpoint(&[0u8; 16]).unwrap();
+    drop(tree);
+    let migrated = Engine::open(&dir).unwrap();
+    assert_eq!(migrated.n_objects(), 199, "the shards, not the root's 50");
+    assert_eq!(
+        bits(migrated.request(&fs).evaluate().unwrap().pairs().to_vec()),
+        want
+    );
+    drop(migrated);
+    assert_eq!(files(&dir), ["pages.mpq", "wal.mpq"]);
+
+    // After it: the migrated tree beside shards no manifest names.
+    for s in 0..2 {
+        let copy = dir.join(format!("shard-{s}"));
+        std::fs::create_dir_all(&copy).unwrap();
+        std::fs::copy(dir.join("pages.mpq"), copy.join("pages.mpq")).unwrap();
+    }
+    let reopened = Engine::open(&dir).unwrap();
+    assert_eq!(
+        bits(reopened.request(&fs).evaluate().unwrap().pairs().to_vec()),
+        want
+    );
+    assert_eq!(files(&dir), ["pages.mpq", "wal.mpq"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh build supersedes whatever layout the directory held: over
+/// `K` shards it leaves the bare layout alone — no manifest and no
+/// `shard-i/` with their pages and WALs — and the next open sees the
+/// build's objects.
+#[test]
+fn a_fresh_build_removes_an_old_layout() {
+    let objects = seeded_points(120, 3, 0xF2E5);
+    for k in [3, 1] {
+        let dir = tmp_dir("build_over_shards");
+        write_k_shards(&dir, &objects, k);
+        let fresh = seeded_points(40, 3, 0xF00D);
+        drop(
+            Engine::builder()
+                .objects(&fresh)
+                .data_dir(&dir)
+                .build()
+                .unwrap(),
+        );
+        assert_eq!(files(&dir), ["pages.mpq", "wal.mpq"], "K={k}");
+        let reopened = Engine::open(&dir).unwrap();
+        assert_eq!(reopened.n_objects(), 40, "K={k}: not the superseded shards");
+        assert_eq!(reopened.oid_bound(), 40, "K={k}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

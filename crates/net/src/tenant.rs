@@ -44,9 +44,8 @@ pub struct TenantConfig {
     /// one seed the tenant's service keeps while its cache is on lives
     /// beside them (see [`mpq_core::seed`]).
     pub cache_max_bytes: usize,
-    /// Hash-partitioned shards a freshly built engine is hosted on
-    /// ([`EngineBuilder::shards`](mpq_core::EngineBuilder::shards)).
-    /// `0` is rejected at tenant creation.
+    /// **Ledger-only stub, ignored**: every engine is one tree (see
+    /// "Ledger-only names" in the `mpq_core` crate docs).
     pub shards: usize,
 }
 
@@ -144,11 +143,6 @@ impl Tenant {
     /// tests).
     pub fn engine(&self) -> &Arc<Engine> {
         self.service.engine()
-    }
-
-    /// Shards of the hosted engine.
-    pub fn shard_count(&self) -> usize {
-        self.engine().shard_count()
     }
 
     /// A cloneable submission handle to this tenant's service.
@@ -283,23 +277,21 @@ impl TenantRegistry {
         Ok(())
     }
 
-    /// Build an in-memory engine over `objects`, on `config.shards`
-    /// shards (`0` is rejected), and host it.
+    /// Build an in-memory engine over `objects` and host it.
     pub fn add_objects(
         &mut self,
         name: &str,
         objects: &PointSet,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        let builder = Engine::builder().objects(objects).shards(config.shards);
-        self.add_engine(name, Arc::new(builder.build()?), config)
+        let engine = Engine::builder().objects(objects).build()?;
+        self.add_engine(name, Arc::new(engine), config)
     }
 
     /// Host a disk-backed tenant rooted at `data_dir`. If the directory
     /// already holds a persisted inventory it is **reopened** (WAL
-    /// replay included, on the shards it was built on, whatever
-    /// `config.shards` says); otherwise a fresh engine over `objects`
-    /// is created there on `config.shards` shards — see
+    /// replay included, an old `K`-shard layout migrated); otherwise a
+    /// fresh engine over `objects` is created there — see
     /// [`EngineBuilder::open_or_build`](mpq_core::EngineBuilder::open_or_build).
     /// `objects` may be `None` only when reopening.
     pub fn add_persistent(
@@ -309,7 +301,7 @@ impl TenantRegistry {
         data_dir: PathBuf,
         config: TenantConfig,
     ) -> Result<(), MpqError> {
-        let mut builder = Engine::builder().data_dir(data_dir).shards(config.shards);
+        let mut builder = Engine::builder().data_dir(data_dir);
         if let Some(objects) = objects {
             builder = builder.objects(objects);
         }
@@ -406,57 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tenants_serve_and_mutate() {
-        let w = WorkloadBuilder::new()
-            .objects(60)
-            .functions(5)
-            .dim(2)
-            .seed(11)
-            .build();
-        let mut reg = TenantRegistry::new();
-        let config = TenantConfig {
-            shards: 4,
-            ..TenantConfig::default()
-        };
-        reg.add_objects("s", &w.objects, config).unwrap();
-        let tenant = reg.get("s").unwrap();
-        assert_eq!(tenant.shard_count(), 4);
-        assert_eq!(tenant.engine().shard_gauges().len(), 4);
-
-        // The shard-agnostic submission path resolves to the same
-        // matching an unsharded engine would produce.
-        let ticket = tenant
-            .submit_match(&w.functions, &[], None, SubmitOptions::default())
-            .unwrap();
-        let sharded = ticket.wait().unwrap();
-        let single = Engine::builder().objects(&w.objects).build().unwrap();
-        let unsharded = single.request(&w.functions).evaluate().unwrap();
-        assert_eq!(sharded.sorted_pairs(), unsharded.sorted_pairs());
-
-        // Mutations route through the partitioner and ack a
-        // monotonically advancing version.
-        let (oid, v1) = tenant
-            .mutate(&WireMutation::Insert(vec![0.4, 0.6]))
-            .unwrap();
-        let oid = oid.expect("insert acks its oid");
-        let (_, v2) = tenant.mutate(&WireMutation::Remove(oid)).unwrap();
-        assert!(v2 > v1);
-    }
-
-    #[test]
-    fn zero_shard_tenants_are_rejected() {
-        let objects = small_objects();
-        let mut reg = TenantRegistry::new();
-        let config = TenantConfig {
-            shards: 0,
-            ..TenantConfig::default()
-        };
-        let err = reg.add_objects("z", &objects, config).unwrap_err();
-        assert!(matches!(err, MpqError::UnsupportedRequest(_)), "{err:?}");
-        assert!(reg.is_empty());
-    }
-
-    #[test]
     fn tenant_services_answer_requests() {
         let w = WorkloadBuilder::new()
             .objects(50)
@@ -469,7 +410,6 @@ mod tests {
         reg.add_engine("t", Arc::clone(&engine), TenantConfig::default())
             .unwrap();
         let tenant = reg.get("t").unwrap();
-        assert_eq!(tenant.shard_count(), 1);
         let ticket = tenant
             .client()
             .submit(tenant.engine().request(&w.functions))

@@ -640,9 +640,9 @@ fn near_miss_refinement_over_the_wire_is_seeded_and_identical() {
 }
 
 /// `capacities` is indexed by object id and spans the tenant's id
-/// bound: the capacitated matching over HTTP is the reference's, on a
-/// plain and on a 4-shard tenant, cold and from the cache; any other
-/// length is a `400` that says which length was expected.
+/// bound: the capacitated matching over HTTP is the reference's, cold
+/// and from the cache; any other length is a `400` that says which
+/// length was expected.
 #[test]
 fn capacitated_requests_cross_the_wire_bit_identically() {
     let w = WorkloadBuilder::new()
@@ -652,13 +652,8 @@ fn capacitated_requests_cross_the_wire_bit_identically() {
         .seed(33)
         .build();
     let mut registry = TenantRegistry::new();
-    for (name, shards) in [("one", 1), ("four", 4)] {
-        let config = TenantConfig {
-            shards,
-            ..TenantConfig::default()
-        };
-        registry.add_objects(name, &w.objects, config).unwrap();
-    }
+    let config = TenantConfig::default();
+    registry.add_objects("one", &w.objects, config).unwrap();
     let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
 
@@ -672,24 +667,23 @@ fn capacitated_requests_cross_the_wire_bit_identically() {
         let (rows, caps) = (rows_json(&rows), caps.render());
         format!(r#"{{"functions":{rows},"capacities":{caps}}}"#)
     };
-    for tenant in ["one", "four"] {
-        let path = format!("/t/{tenant}/match");
-        for served in ["cold", "from the cache"] {
-            let resp = client.post_json(&path, &body(&caps)).unwrap();
-            assert_eq!(resp.status, 200, "body: {}", resp.text());
-            let mut pairs = decode_pairs(&resp.body).unwrap();
-            pairs.sort_unstable();
-            assert_eq!(pairs, expect, "{tenant}, {served}");
-        }
-        let resp = client.get(&format!("/t/{tenant}/metrics")).unwrap();
-        let doc = Json::parse(&resp.text()).unwrap();
-        let cache = doc.get("cache").expect("metrics carry the cache block");
-        assert_eq!(metric(cache, "hits"), 1.0, "{tenant}: the repeat hit");
-
-        let resp = client.post_json(&path, &body(&caps[..30])).unwrap();
-        assert_eq!(resp.status, 400, "one capacity per *function*");
-        let why = resp.text();
-        assert!(why.contains("30 entries") && why.contains("400"), "{why}");
+    for served in ["cold", "from the cache"] {
+        let resp = client.post_json("/t/one/match", &body(&caps)).unwrap();
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
+        let mut pairs = decode_pairs(&resp.body).unwrap();
+        pairs.sort_unstable();
+        assert_eq!(pairs, expect, "{served}");
     }
+    let resp = client.get("/t/one/metrics").unwrap();
+    let doc = Json::parse(&resp.text()).unwrap();
+    let cache = doc.get("cache").expect("metrics carry the cache block");
+    assert_eq!(metric(cache, "hits"), 1.0, "the repeat hit");
+
+    let resp = client
+        .post_json("/t/one/match", &body(&caps[..30]))
+        .unwrap();
+    assert_eq!(resp.status, 400, "one capacity per *function*");
+    let why = resp.text();
+    assert!(why.contains("30 entries") && why.contains("400"), "{why}");
     server.shutdown();
 }

@@ -6,7 +6,7 @@
 //! tiles become leaves. Upper levels are built by applying the same
 //! packing to the child MBR centers. This is how the experiment datasets
 //! (up to 400 K objects) are indexed before a run — and what every
-//! engine build, shard build and tenant registration pays before it can
+//! engine build and tenant registration pays before it can
 //! serve, so it runs at sort-and-memcpy speed.
 //!
 //! # Selection off the last axis
@@ -30,24 +30,17 @@
 //! # Threads
 //!
 //! Only the thread that called the load spawns, and only it allocates:
-//! the key buffer, every tree's page run and every level's MBR vector
+//! the key buffer, the page run and every level's MBR vector
 //! are the caller's, sized from the counts alone before a key is sorted
 //! and allocated once at their final size; scoped workers sort and
 //! encode in place into the disjoint slices they are handed
 //! (`split_at_mut` / `chunks_mut`). A thread that allocates and exits
 //! leaves its malloc arena behind, which is what made a process's
 //! resident size after a load a matter of chance. The fixed budget (by
-//! default [`thread_budget`], the core count) is spent in one of two
-//! ways:
-//!
-//! *Across trees.* Several trees loaded from one key buffer (a
-//! partitioned engine's shards), at least as many as threads: each
-//! thread loads whole trees, start to finish, and shares nothing.
-//!
-//! *Inside a tree.* Otherwise the trees are loaded one after another,
-//! each on every thread. *Tiling:* the caller bisects the first axis —
-//! the same selections a sequential run makes — one slab-aligned piece
-//! per thread, then every piece is tiled side by side; inputs under
+//! default [`thread_budget`], the core count) is spent inside the one
+//! tree. *Tiling:* the caller bisects the first axis — the same
+//! selections a sequential run makes — one slab-aligned piece per
+//! thread, then every piece is tiled side by side; inputs under
 //! `PAR_MIN_LEN` items stay on the calling thread. With more than two
 //! threads the selections above the pieces are sequential where a
 //! forking recursion ran them side by side: the price of no thread but
@@ -56,7 +49,7 @@
 //! written: the level's pages and MBR slots are cut into one contiguous
 //! share per thread (of at least `EMIT_MIN_PAGES` nodes).
 //!
-//! Either way every node is encoded straight from `(order, points)`
+//! Every node is encoded straight from `(order, points)`
 //! into its page — no decoded node, no copy — and page ids are
 //! sequential in tile order, level above level, whatever the thread
 //! count. The filled run goes to the store in one piece
@@ -149,7 +142,7 @@ where
 
 /// The key a load sorts point `i` of `points` by first: its first
 /// coordinate above its index. A load takes one key per point to index
-/// (see [`crate::RTree::bulk_load_parts`]), in any order.
+/// (see [`crate::RTree::bulk_load_keys`]), in any order.
 ///
 /// # Panics
 /// Panics if `points` has no point `i` or `i` exceeds [`MAX_BULK_LEN`].
@@ -166,71 +159,39 @@ pub(crate) struct Layout {
     pub page_size: usize,
 }
 
-/// Load one tree per pool of `pools`: tree `j` packs the points that
-/// `keys[bounds[j]..bounds[j + 1]]` names (see [`sort_key`]), each
-/// indexed under its index in `points`, into pages of its pool's store.
-/// `keys` is left in tile order, part by part. Every node is written to
-/// its store exactly once and the pools stay cold; at most `threads`
-/// threads work at a time.
+/// Load one tree into `pool`: it packs the points that `keys` names
+/// (see [`sort_key`]), each indexed under its index in `points`, into
+/// pages of the pool's store. `keys` is left in tile order. Every node
+/// is written to the store exactly once and the pool stays cold; at
+/// most `threads` threads work at a time.
 ///
 /// # Panics
-/// Panics on more than [`MAX_BULK_LEN`] keys, a key naming no point, or
-/// `bounds` that are not `pools.len() + 1` ascending offsets into `keys`.
+/// Panics on more than [`MAX_BULK_LEN`] keys or a key naming no point.
 pub(crate) fn str_bulk_load(
-    pools: &[BufferPool],
+    pool: &BufferPool,
     points: &PointSet,
     keys: &mut [u128],
-    bounds: &[usize],
     layout: Layout,
     threads: usize,
-) -> Vec<BulkResult> {
+) -> BulkResult {
     assert!(
         keys.len() <= MAX_BULK_LEN,
         "bulk load of {} points exceeds the {MAX_BULK_LEN}-point limit",
         keys.len()
     );
-    assert_eq!(bounds.len(), pools.len() + 1, "one part of the keys a tree");
-    assert_eq!(bounds.last(), Some(&keys.len()), "the parts cover the keys");
-    let mut rest = keys;
-    let mut loads: Vec<Load> = (pools.iter().zip(bounds.windows(2)))
-        .map(|(pool, part)| {
-            let (part, tail) = std::mem::take(&mut rest).split_at_mut(part[1] - part[0]);
-            rest = tail;
-            Load::plan(part, points.dim(), layout, PageId(pool.page_bound()))
-        })
-        .collect();
-    if threads > 1 && loads.len() >= threads {
-        let mut lanes: Vec<Vec<&mut Load>> = (0..threads)
-            .map(|_| Vec::with_capacity(loads.len().div_ceil(threads)))
-            .collect();
-        for (j, load) in loads.iter_mut().enumerate() {
-            lanes[j % threads].push(load);
-        }
-        side_by_side(lanes, |lane| {
-            for load in lane {
-                load.fill(points, layout, 1);
-            }
-        });
-    } else {
-        for load in &mut loads {
-            load.fill(points, layout, threads);
-        }
-    }
-    (pools.iter().zip(loads))
-        .map(|(pool, load)| {
-            let result = BulkResult {
-                root: PageId(load.first.0 + (load.run.len() / layout.page_size) as u32 - 1),
-                height: load.levels.len() as u32,
-                len: load.keys.len() as u64,
-            };
-            pool.append_run(load.first, load.run);
-            result
-        })
-        .collect()
+    let mut load = Load::plan(keys, points.dim(), layout, PageId(pool.page_bound()));
+    load.fill(points, layout, threads);
+    let result = BulkResult {
+        root: PageId(load.first.0 + (load.run.len() / layout.page_size) as u32 - 1),
+        height: load.levels.len() as u32,
+        len: load.keys.len() as u64,
+    };
+    pool.append_run(load.first, load.run);
+    result
 }
 
-/// One tree's load, planned: everything it writes to, sized from the
-/// counts alone and allocated before a key is sorted.
+/// The load, planned: everything it writes to, sized from the counts
+/// alone and allocated before a key is sorted.
 struct Load<'k> {
     /// The points to index; [`Load::fill`] leaves them in tile order.
     keys: &'k mut [u128],
@@ -542,12 +503,10 @@ mod tests {
         threads: usize,
     ) -> (BufferPool, BulkResult) {
         let layout = layout_of(store.page_size(), points.dim());
-        let pools = [BufferPool::new(store, points.dim(), 1024)];
+        let buf = BufferPool::new(store, points.dim(), 1024);
         let mut keys: Vec<u128> = subset.iter().map(|&i| sort_key(points, i)).collect();
-        let bounds = [0, keys.len()];
-        let res = str_bulk_load(&pools, points, &mut keys, &bounds, layout, threads);
-        let [buf] = pools;
-        (buf, res.into_iter().next().unwrap())
+        let res = str_bulk_load(&buf, points, &mut keys, layout, threads);
+        (buf, res)
     }
 
     fn layout_of(page_size: usize, dim: usize) -> Layout {
@@ -735,44 +694,6 @@ mod tests {
         }
     }
 
-    /// One key buffer cut several ways is that many independent loads,
-    /// page for page — whether the threads take a tree each or share one.
-    #[test]
-    fn parts_load_as_they_would_alone() {
-        let n = 70_000;
-        let ps = PointSet::from_flat(3, coordinates(0, n, 3, 99));
-        let layout = layout_of(512, 3);
-        for parts in [1usize, 2, 3, 5] {
-            // part `j` holds the ids congruent to `j`, and the last is empty
-            let subsets: Vec<Vec<usize>> = (0..parts)
-                .map(|j| (0..n).filter(|i| i % (parts - 1).max(1) == j).collect())
-                .collect();
-            let alone: Vec<_> = subsets
-                .iter()
-                .map(|subset| {
-                    let (buf, res) = load_into(MemPager::new(512), &ps, subset, 1);
-                    image(buf, &res)
-                })
-                .collect();
-            let mut bounds = vec![0];
-            for subset in &subsets {
-                bounds.push(bounds[bounds.len() - 1] + subset.len());
-            }
-            for threads in [1, 2, 3, 8] {
-                let mut keys: Vec<u128> = (subsets.iter().flatten())
-                    .map(|&i| sort_key(&ps, i))
-                    .collect();
-                let pools: Vec<BufferPool> = (0..parts)
-                    .map(|_| BufferPool::new(MemPager::new(512), 3, 16))
-                    .collect();
-                let loaded = str_bulk_load(&pools, &ps, &mut keys, &bounds, layout, threads);
-                for ((buf, res), alone) in pools.into_iter().zip(&loaded).zip(&alone) {
-                    assert_eq!(image(buf, res), *alone, "{parts} parts, {threads} threads");
-                }
-            }
-        }
-    }
-
     /// The constants of `tests/bulk_layout.rs` (captured from the
     /// pre-PR-13 loader, never regenerated), held at every thread count
     /// — that test can only run at the machine's — and on both ways a
@@ -848,11 +769,11 @@ mod tests {
     #[should_panic]
     fn a_key_naming_no_point_panics_the_load() {
         let ps = PointSet::from_flat(3, coordinates(0, 40_000, 3, 5));
-        let pools = [BufferPool::new(MemPager::new(512), 3, 16)];
+        let pool = BufferPool::new(MemPager::new(512), 3, 16);
         let mut keys: Vec<u128> = (0..ps.len()).map(|i| sort_key(&ps, i)).collect();
         // Past the first bisection this key is a spawned thread's.
         *keys.last_mut().unwrap() = pack(2.0, 1 << 30);
-        str_bulk_load(&pools, &ps, &mut keys, &[0, ps.len()], layout_of(512, 3), 2);
+        str_bulk_load(&pool, &ps, &mut keys, layout_of(512, 3), 2);
     }
 
     /// Nodes go straight to the store: the pool ends the load as cold as

@@ -31,6 +31,11 @@
 //! * **Branch-and-bound ranked search** ([`topk`]) — the "BRS" top-k /
 //!   top-1 algorithm of Tao et al. (Information Systems 32(3), 2007) for
 //!   linear scoring functions, plus an incremental iterator.
+//! * **Run-scoped I/O** ([`session::IoSession`]) — every traversal
+//!   (ranked search here, BBS in `mpq_skyline`) reads through a
+//!   [`NodeSource`]: the tree itself, or a session pinned to one epoch
+//!   that counts its own page reads. A child's page id is read straight
+//!   from its parent: one source is one tree.
 //!
 //! Scores follow the *larger-is-better* convention: points live in
 //! `[0,1]^D` and a query is a non-negative weight vector.
@@ -79,7 +84,7 @@ pub use fault::{FaultInjector, FaultKind, FaultOp, FaultPageStore, WriteFault};
 pub use node::{InnerNode, LeafNode, Node};
 pub use pager::{MemPager, PageId, PageStore};
 pub use points::PointSet;
-pub use session::{Forest, ForestError, IoSession, NodeSource};
+pub use session::{IoSession, NodeSource};
 pub use stats::IoStats;
 pub use topk::{RankedHit, RankedIter, SearchBuf};
 pub use tree::{RTree, RTreeParams, Snapshot};

@@ -153,8 +153,7 @@ impl<'t, Src: NodeSource> RankedIter<'t, Src> {
         );
         let mut storage = buf.0;
         storage.clear();
-        let root_page = src.root_page();
-        let root = src.read_node(root_page);
+        let root = src.read_node(src.root_page());
         let mut it = RankedIter {
             src,
             weights,
@@ -162,7 +161,7 @@ impl<'t, Src: NodeSource> RankedIter<'t, Src> {
         };
         // Seed with the root's entries (reading the root costs 1 logical
         // access, matching how the paper counts a query's first page).
-        it.expand(root_page, &root);
+        it.expand(&root);
         it
     }
 
@@ -180,7 +179,7 @@ impl<'t, Src: NodeSource> RankedIter<'t, Src> {
         self.heap.len()
     }
 
-    fn expand(&mut self, pid: PageId, node: &Node) {
+    fn expand(&mut self, node: &Node) {
         match node {
             Node::Leaf(leaf) => {
                 for (oid, p) in leaf.iter() {
@@ -198,7 +197,7 @@ impl<'t, Src: NodeSource> RankedIter<'t, Src> {
                     self.heap.push(HeapItem {
                         bound: upper_score(self.weights, inner.hi(i)),
                         cand: Cand::Node {
-                            pid: self.src.child_page(pid, inner.child(i)).0,
+                            pid: inner.child(i).0,
                         },
                     });
                 }
@@ -222,7 +221,7 @@ impl<Src: NodeSource> Iterator for RankedIter<'_, Src> {
                 }
                 Cand::Node { pid } => {
                     let node = self.src.read_node(PageId(pid));
-                    self.expand(PageId(pid), &node);
+                    self.expand(&node);
                 }
             }
         }

@@ -343,77 +343,63 @@ impl RTree {
         params: RTreeParams,
     ) -> RTree {
         let mut keys: Vec<u128> = (0..points.len()).map(|i| sort_key(points, i)).collect();
-        let bounds = [0, keys.len()];
-        let mut trees =
-            RTree::bulk_load_parts(vec![Box::new(store)], points, &mut keys, &bounds, params);
-        trees.pop().expect("one store, one tree")
+        RTree::bulk_load_keys(Box::new(store), points, &mut keys, params)
     }
 
-    /// [`RTree::bulk_load_in`] for a partitioned set: one tree per store
-    /// of `stores`, tree `j` over the points that
-    /// `keys[bounds[j]..bounds[j + 1]]` names — one [`sort_key`] each, in
-    /// any order — indexed under their indices in `points`. Each tree is,
-    /// page for page, the tree a load of a set holding only its points
-    /// would build; but no part needs a copy of its points, everything
-    /// the loads write to is allocated here, by the caller, before they
-    /// start, and they share the cores (see [`crate::bulk`]). `keys` is
-    /// the loads' scratch and comes back permuted.
+    /// [`RTree::bulk_load_in`] over the points of `points` that `keys`
+    /// names — one [`sort_key`] each, in any order — each indexed under
+    /// its index in `points`. The tree is, page for page, the one a load
+    /// of a set holding only those points would build, but the set needs
+    /// no copy of them: an id space with holes (a reopened inventory's
+    /// live ids) loads as it is. Everything the load writes to is
+    /// allocated here, by the caller, before it starts, and it shares the
+    /// cores (see [`crate::bulk`]). `keys` is the load's scratch and
+    /// comes back permuted.
     ///
     /// # Panics
-    /// See [`RTree::bulk_load_in`]; also panics on a key naming no point
-    /// and on `bounds` that are not `stores.len() + 1` ascending offsets
-    /// into `keys`.
-    pub fn bulk_load_parts(
-        stores: Vec<Box<dyn PageStore>>,
+    /// See [`RTree::bulk_load_in`]; also panics on a key naming no point.
+    pub fn bulk_load_keys(
+        store: Box<dyn PageStore>,
         points: &PointSet,
         keys: &mut [u128],
-        bounds: &[usize],
         params: RTreeParams,
-    ) -> Vec<RTree> {
+    ) -> RTree {
         let dim = points.dim();
         let (leaf_cap, inner_cap) = Self::capacities(params.page_size, dim);
         let (leaf_min, inner_min) = Self::min_fills(leaf_cap, inner_cap, params.min_fill_ratio);
-        let pools: Vec<BufferPool> = (stores.into_iter())
-            .map(|store| {
-                assert_eq!(
-                    store.page_size(),
-                    params.page_size,
-                    "store page size must match params.page_size"
-                );
-                BufferPool::with_boxed_store(store, dim, params.buffer_capacity, 1)
-            })
-            .collect();
+        assert_eq!(
+            store.page_size(),
+            params.page_size,
+            "store page size must match params.page_size"
+        );
+        let buf = BufferPool::with_boxed_store(store, dim, params.buffer_capacity, 1);
         let layout = Layout {
             leaf_cap,
             inner_cap,
             page_size: params.page_size,
         };
-        let loaded = str_bulk_load(&pools, points, keys, bounds, layout, thread_budget());
-        (pools.into_iter().zip(loaded))
-            .map(|(buf, res)| {
-                // Pages went straight to the store: only one whose write
-                // failed is resident (dirty), and `clear` retries it.
-                buf.clear();
-                buf.reset_stats();
-                RTree {
-                    dim,
-                    leaf_cap,
-                    inner_cap,
-                    leaf_min,
-                    inner_min,
-                    min_fill_ratio: params.min_fill_ratio,
-                    buf,
-                    state: Mutex::new(TreeState {
-                        root: res.root,
-                        height: res.height,
-                        len: res.len,
-                        epoch: 1,
-                    }),
-                    writer: Mutex::new(()),
-                    epochs: Mutex::new(Epochs::default()),
-                }
-            })
-            .collect()
+        let res = str_bulk_load(&buf, points, keys, layout, thread_budget());
+        // Pages went straight to the store: only one whose write failed
+        // is resident (dirty), and `clear` retries it.
+        buf.clear();
+        buf.reset_stats();
+        RTree {
+            dim,
+            leaf_cap,
+            inner_cap,
+            leaf_min,
+            inner_min,
+            min_fill_ratio: params.min_fill_ratio,
+            buf,
+            state: Mutex::new(TreeState {
+                root: res.root,
+                height: res.height,
+                len: res.len,
+                epoch: 1,
+            }),
+            writer: Mutex::new(()),
+            epochs: Mutex::new(Epochs::default()),
+        }
     }
 
     /// Reopen a tree from a store's most recent checkpoint. Returns the
@@ -653,12 +639,6 @@ impl RTree {
     /// Number of live pages ("size of the tree on disk").
     pub fn page_count(&self) -> usize {
         self.buf.live_pages()
-    }
-
-    /// One past the highest page id the store ever handed out: every
-    /// page of every epoch lies below it.
-    pub fn page_bound(&self) -> u32 {
-        self.buf.page_bound()
     }
 
     /// Fetch a node through the buffer pool (costs I/O on a miss). This

@@ -173,7 +173,7 @@ pub fn compute_skyline_excluding_with<R: NodeSource>(
                                 continue;
                             }
                             heap.push(Item::new(Cand::Subtree {
-                                pid: tree.child_page(pid, inner.child(i)),
+                                pid: inner.child(i),
                                 hi: inner.hi(i).into(),
                             }));
                         }

@@ -27,9 +27,8 @@
 //!   uncached [`core::Variant`] of one [`core::Algorithm`] — an SB
 //!   ablation, **Brute Force** (§III-A) or **Chain** (the adapted
 //!   competitor of §V) — for comparison; plus verification utilities.
-//!   The [`core::shard`] module partitions the inventory into per-shard
-//!   R-trees that every algorithm reads as one index
-//!   ([`core::EngineBuilder::shards`]).
+//!   The engine indexes its inventory in one R-tree behind one buffer
+//!   pool and, when persisted, one WAL.
 //! * [`net`] — the std-only HTTP/1.1 front-end: a [`net::Server`]
 //!   hosting one [`net::TenantRegistry`] of named engines, each behind
 //!   its own service (queue, workers, cache), with a JSON wire codec,
@@ -105,10 +104,10 @@
 //! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object table and `inventory_version` untouched; degraded tenants answer mutations `503 Retry-After` while reads keep serving ([`core::HealthMonitor`]) |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
-//! | one machine-wide tree | `Engine::builder().shards(k)` — K per-shard R-trees (objects routed by id) read as one index by every algorithm, bit-identical to one tree; `mpq serve --shards K` / tenant spec `shards=K` |
-//! | `ShardedEngine::builder().shards(k)`, `ShardedEngine::open(dir)` | `Engine::builder().shards(k)`, `Engine::open(dir)` — one engine type for any shard count |
+//! | `Engine::builder().shards(k)`, `ShardedEngine::builder().shards(k)`, `mpq serve --shards K`, tenant spec `shards=K` | `Engine::builder()` — one R-tree, one WAL, one buffer pool; `Engine::open(dir)` migrates a directory written as `K` shards (`shards.mpq` + `shard-i/`) into the one tree the first time it opens it |
+//! | `engine.shard_count()`, `engine.trees()`, `engine.shard_gauges()`, `/metrics` `"shards": [..]` | `engine.tree()`; `"objects"`, `"tree_height"`, `"buffer_hit_rate"`, `"wal_bytes"` in the `"storage"` object of `/metrics` |
 //! | `Arc<dyn EvalBackend>`, `MatchRequest<'e, 'f, B>`, `client.backend()` | `Arc<Engine>`, `MatchRequest<'e, 'f>`, `client.engine()` (also on `EngineService` and `net::Tenant`) |
-//! | `builder.open_or_build(k)`, `mpq_core::persisted_at(dir)` | `builder.shards(k).open_or_build()`, `Engine::persisted_at(dir)` |
+//! | `builder.open_or_build(k)`, `mpq_core::persisted_at(dir)` | `builder.open_or_build()`, `Engine::persisted_at(dir)` |
 //! | `engine.session()`, `session.submit(&b)` | `engine.request(&b).stream()?`, drained, then `stream.load(&b)?` per later batch — one stream, with the request's exclusions and capacities carried across batches |
 //! | `MonotoneSkylineMatcher { .. }.run(&o, &f)` | `Engine::builder().objects(&o).build()?.evaluate_monotone(&f)?` |
 //! | `.best_pair(BestPairMode::Scan)`, `.best_pair(BestPairMode::TaNaiveThreshold)`, `.maintenance(MaintenanceMode::Rescan)`, `.algorithm(BruteForce).bf_strategy(BfStrategy::Restart)` | `.algorithm(Algorithm::SbScan)`, `.algorithm(Algorithm::SbNaiveThreshold)`, `.algorithm(Algorithm::SbRescan)`, `.algorithm(Algorithm::BruteForceRestart)` — a `Variant`: evaluated directly, never cached, streamed, served or capacitated |
@@ -182,8 +181,7 @@ pub mod prelude {
     pub use mpq_core::{
         Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalSeed,
         HealthMonitor, HealthState, MatchRequest, Matching, MpqError, Pair, RequestKey,
-        ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, ShardGauges, Ticket,
-        Variant,
+        ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, Ticket, Variant,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

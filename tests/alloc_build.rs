@@ -3,28 +3,29 @@
 //!
 //! Counted with a global allocator that also notes whether the
 //! allocating thread is the caller, over `Engine::builder()..build()`
-//! at K = 1 and at `.shards(4)`, of 20 000 and of 100 000
-//! 4-d objects (independent, seed 2009), on the two-core build
-//! container. "Kept" is what the built engine holds; "peak" is the most
-//! bytes live at once during the build, over that:
+//! of 20 000 and of 100 000 4-d objects (independent, seed 2009), on the
+//! two-core build container. "Kept" is what the built engine holds;
+//! "peak" is the most bytes live at once during the build, over that:
 //!
-//! | objects, K (pages, height) | with an object table: allocations, kept, peak | pages only |
-//! |----------------------------|-----------------------------------------------|------------|
-//! | 20 000, 1 (265, 3)         | 58, 1.91 MB, +0.3 KB                          | 47, 1.09 MB, +0.35 MB |
-//! | 20 000, 4 (220, 2)         | 101, 1.74 MB, +1.4 KB                         | 81, 0.92 MB, +0.34 MB |
-//! | 100 000, 1 (1 105, 3)      | 76, 8.63 MB, +0.3 KB                          | 58, 4.53 MB, +1.72 MB |
-//! | 100 000, 4 (1 060, 3)      | 127, 8.46 MB, +1.4 KB                         | 100, 4.36 MB, +1.71 MB |
+//! | objects (pages, height) | allocations, kept, peak | with an object table         |
+//! |-------------------------|-------------------------|------------------------------|
+//! | 20 000 (265, 3)         | 36, 1.09 MB, +0.35 MB   | 58, 1.91 MB, +0.3 KB         |
+//! | 100 000 (1 105, 3)      | 41, 4.53 MB, +1.72 MB   | 76, 8.63 MB, +0.3 KB         |
+//!
+//! (47 and 58 allocations at one shard while a build could cut the
+//! inventory into several: the per-part vectors of the cut, the loader
+//! and the engine, and a second pass of the cut.)
 //!
 //! No allocation is ever made off the caller. A build allocates what it
-//! keeps — K page runs, 45 / 44 B an object at 100 000 — plus one key
-//! buffer, a plan per tree (node boundaries and an MBR vector per level)
-//! and what spawning a thread costs the spawner; on one core (`taskset
-//! -c 0`, which CI runs) the counts are 36 / 73 / 36 / 81: `21 + K (9 +
-//! 2 height)`, whatever the page count. The key buffer and the plans are
-//! what is live beside the pages at the peak. The object table a build
-//! used to fill as well (41 B an object at dim 4, three allocations a
-//! shard) is left to the first remove or update, which fills it from
-//! the tree.
+//! keeps — the page run, 45 B an object at 100 000 — plus one key
+//! buffer, the plan (node boundaries and an MBR vector per level) and
+//! what spawning a thread costs the spawner; on one core (`taskset -c
+//! 0`, which CI runs) the count is 25: `10 + 9 + 2 height`, whatever the
+//! page count (36 = `21 + 9 + 2 height` with the shard cut). The key
+//! buffer and the plan are what is live beside the pages at the peak.
+//! The object table a build used to fill as well (41 B an object at dim
+//! 4, three allocations) is left to the first remove or update, which
+//! fills it from the tree.
 //!
 //! Thread budgets: the budget is the machine's (`thread_budget()`), so
 //! this file sees one core under `taskset -c 0` and the machine's
@@ -141,46 +142,42 @@ fn a_build_allocates_on_the_caller_a_constant_number_of_times_and_no_copy() {
             .build()
             .objects;
         let key_buffer = (n * std::mem::size_of::<u128>()) as i64;
-        for k in [1u64, 4] {
-            // (the engine is leaked: dropping it is not part of the build)
-            let (cost, (pages, height)) = measure(|| {
-                let e = Engine::builder().objects(&objects).shards(k as usize);
-                let e = e.build().unwrap();
-                let height = e.trees().map(|tree| tree.height()).max().unwrap();
-                let shape = (e.page_count(), height as u64);
-                std::mem::forget(e);
-                shape
-            });
-            let case = format!("{n} objects, K = {k}, {threads} threads: {pages} pages, {cost:?}");
-            eprintln!("{case}"); // shown by `--nocapture`: the probe of the verify skill
-            assert_eq!(
-                cost.off_caller, 0,
-                "allocations off the calling thread: {case}"
-            );
-            // What one core allocates, and six allocations for every
-            // thread a fan-out spawns: two passes of the cut, and a
-            // tile and a level's emission per tree at most.
-            let bound = 24 + k * (9 + 2 * height) + 6 * (threads - 1) * (3 + k * height);
-            assert!(
-                cost.allocations <= bound,
-                "over {bound} allocations: {case}"
-            );
-            // The engine keeps its page runs, a live flag a page and a
-            // few KiB a shard (a pool's page buffer, locks, counters):
-            // no copy of the objects, which would be 41 B each here.
-            let pages_kept = (pages * (4096 + 1)) as i64;
-            assert!(
-                (pages_kept..=pages_kept + 8192 * k as i64).contains(&cost.kept),
-                "kept more than the pages: {case}"
-            );
-            // Beside them, while the loads run: the key buffer and every
-            // tree's plan — node bounds and an MBR a node, the tile order
-            // of the leaves — under 16 B a coordinate and 64 B a page.
-            let plans = (pages * (16 * 4 + 64)) as i64;
-            assert!(
-                cost.peak <= cost.kept + key_buffer + plans,
-                "more live than what is kept, the key buffer and the plans: {case}"
-            );
-        }
+        // (the engine is leaked: dropping it is not part of the build)
+        let (cost, (pages, height)) = measure(|| {
+            let e = Engine::builder().objects(&objects).build().unwrap();
+            let shape = (e.page_count(), e.tree().height() as u64);
+            std::mem::forget(e);
+            shape
+        });
+        let case = format!("{n} objects, {threads} threads: {pages} pages, {cost:?}");
+        eprintln!("{case}"); // shown by `--nocapture`: the probe of the verify skill
+        assert_eq!(
+            cost.off_caller, 0,
+            "allocations off the calling thread: {case}"
+        );
+        // What one core allocates, and six allocations for every
+        // thread a fan-out spawns: the pass of the key fill, the tile
+        // and a level's emission at most.
+        let bound = 13 + (9 + 2 * height) + 6 * (threads - 1) * (2 + height);
+        assert!(
+            cost.allocations <= bound,
+            "over {bound} allocations: {case}"
+        );
+        // The engine keeps its page run, a live flag a page and a few
+        // KiB (the pool's page buffer, locks, counters): no copy of the
+        // objects, which would be 41 B each here.
+        let pages_kept = (pages * (4096 + 1)) as i64;
+        assert!(
+            (pages_kept..=pages_kept + 8192).contains(&cost.kept),
+            "kept more than the pages: {case}"
+        );
+        // Beside them, while the load runs: the key buffer and the
+        // plan — node bounds and an MBR a node, the tile order of the
+        // leaves — under 16 B a coordinate and 64 B a page.
+        let plans = (pages * (16 * 4 + 64)) as i64;
+        assert!(
+            cost.peak <= cost.kept + key_buffer + plans,
+            "more live than what is kept, the key buffer and the plan: {case}"
+        );
     }
 }

@@ -15,6 +15,8 @@
 //! | the same with an all-ones capacity vector                |         246 |
 //! | pinned under one version stamp, no version `Vec` per pin |         244 |
 //! | the same with an all-ones capacity vector                |         245 |
+//! | one tree, one `IoSession` pin, no `Vec` of pins          |         243 |
+//! | the same with an all-ones capacity vector                |         244 |
 //!
 //! What went first: one box per member and per promotion point, a plist
 //! copy at the first append to each shared plist and its doublings after
@@ -26,44 +28,29 @@
 //! What went third: the doublings of the run's own slot arena, which
 //! copied every base entry a departure re-homed (`Slots::store`); the
 //! run now links the base's slot itself through one link column.
-//! What went last: the version vector a pin collected, one `Vec` per
-//! evaluation; a pin now reads the engine's one version stamp.
+//! What went fourth: the version vector a pin collected, one `Vec` per
+//! evaluation; a pin now reads the engine's one version stamp. What went
+//! last: the `Vec` of per-shard sessions a pin collected into a forest;
+//! a pin is now the one tree's `IoSession`.
 //! The asserted bound is the count + 25 %, under half the count with
 //! hashed rank lists. A capacitated request is that run and its one
 //! copy of the vector: the objects a round's pairs exhaust are listed in
 //! a round buffer, so the count is also held below the plain one plus
 //! the number of rounds.
 //!
-//! The same request behind four shards (`.shards(4)`):
-//!
-//! | the second seeded `evaluate_seeded`, K = 4                     | allocations |
-//! |----------------------------------------------------------------|------------:|
-//! | four probes: a scratch, a function copy, an exclusion set and  |             |
-//! | a reverse top-1 index each, fresh per call                     |       1 397 |
-//! | one run over four pins, each with a skyline of its own         |         917 |
-//! | one run over the forest of the four pins, one skyline          |         626 |
-//! | the same with rank lists in rows                               |         262 |
-//! | the same with the seed's entries linked, never copied          |         251 |
-//! | the same pinned under one version stamp                        |         250 |
-//!
-//! What is left over the one-tree count is the forest's virtual root
-//! and the promotions four small trees surface where one tree surfaces
-//! fewer: there is one resume and one rank-list row per member of *the*
-//! skyline, as on one tree. The asserted bound is 250 + 25 %.
-//!
 //! Live bytes are counted too: the measured run's peak over what was
-//! live before it, against the seed's `approx_bytes` (59 584 B at K = 1,
-//! 90 716 B at K = 4):
+//! live before it, against the seed's `approx_bytes` (59 588 B):
 //!
-//! | the second seeded `evaluate_seeded`            | K = 1     | K = 4     |
-//! |------------------------------------------------|----------:|----------:|
-//! | re-homed base entries copied into the run      | 173 600 B | 215 080 B |
-//! | base entries linked where they lie             | 108 300 B | 101 408 B |
+//! | the second seeded `evaluate_seeded`            | peak      |
+//! |------------------------------------------------|----------:|
+//! | re-homed base entries copied into the run      | 173 600 B |
+//! | base entries linked where they lie             | 108 300 B |
+//! | the same over one `IoSession` pin              | 108 244 B |
 //!
-//! That is 2.9× / 2.4× the seed before and 1.8× / 1.1× now. What is left
-//! is mostly the run's own arena — entries of pages the seed never
-//! expanded, read by this run — and the function side. The asserted
-//! bound is twice the seed at both K.
+//! That is 2.9× the seed before and 1.8× now. What is left is mostly the
+//! run's own arena — entries of pages the seed never expanded, read by
+//! this run — and the function side. The asserted bound is twice the
+//! seed.
 //!
 //! An exclusion is an id kept as given in a sorted list, never a bit
 //! over the id bound: excluding `u64::MAX` allocates no more than
@@ -168,18 +155,14 @@ fn counting<T>(f: impl FnOnce() -> T) -> (Cost, T) {
 const PARENT_ALLOCATIONS: u64 = 4_664;
 const HASHED_ALLOCATIONS: u64 = 616;
 const STORE_ALLOCATIONS: u64 = 252;
-/// ... with the seed's entries linked where they lie, and with one
-/// version stamp read by the pin.
+/// ... with the seed's entries linked where they lie, with one version
+/// stamp read by the pin, and with the pin one `IoSession`.
 const LINKED_ALLOCATIONS: u64 = 245;
 const STAMPED_ALLOCATIONS: u64 = 244;
+const ONE_PIN_ALLOCATIONS: u64 = 243;
 /// The same request with an all-ones capacity vector: the plain run
 /// and its one copy of the vector.
-const CAPACITATED_ALLOCATIONS: u64 = 245;
-/// The same behind four shards: with a skyline per shard, and with one
-/// skyline over the forest of the four pins, rank lists in rows, the
-/// seed's entries linked and one version stamp.
-const SHARDED_PARENT_ALLOCATIONS: u64 = 917;
-const SHARDED_ALLOCATIONS: u64 = 250;
+const CAPACITATED_ALLOCATIONS: u64 = 244;
 /// A cache-hit `submit` + `wait` when the function set was detached
 /// before the lookup, and now.
 const DETACHED_HIT_ALLOCATIONS: u64 = 6;
@@ -249,15 +232,16 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
     assert_eq!(cold.pairs(), first.pairs());
     assert_eq!(cold.pairs(), second.pairs());
     assert!(
-        plain <= STAMPED_ALLOCATIONS + STAMPED_ALLOCATIONS / 4,
-        "a served evaluation made {plain} allocations, recorded {STAMPED_ALLOCATIONS}"
+        plain <= ONE_PIN_ALLOCATIONS + ONE_PIN_ALLOCATIONS / 4,
+        "a served evaluation made {plain} allocations, recorded {ONE_PIN_ALLOCATIONS}"
     );
     assert!(plain * 4 <= PARENT_ALLOCATIONS);
     assert!(plain * 2 <= HASHED_ALLOCATIONS);
+    const { assert!(ONE_PIN_ALLOCATIONS < STAMPED_ALLOCATIONS) };
     const { assert!(STAMPED_ALLOCATIONS < LINKED_ALLOCATIONS) };
     const { assert!(LINKED_ALLOCATIONS < STORE_ALLOCATIONS) };
-    const { assert!(STAMPED_ALLOCATIONS + STAMPED_ALLOCATIONS / 4 < HASHED_ALLOCATIONS) };
-    assert_peak_under_the_seed(cost, &seed, "K = 1");
+    const { assert!(ONE_PIN_ALLOCATIONS + ONE_PIN_ALLOCATIONS / 4 < HASHED_ALLOCATIONS) };
+    assert_peak_under_the_seed(cost, &seed, "a served evaluation");
 
     // One excluded id costs what any other does, the largest included:
     // the list holds it as given, and no column is sized by it.
@@ -306,31 +290,6 @@ fn a_served_evaluation_allocates_a_fraction_and_resuming_a_constant() {
         allocations < plain + rounds,
         "{allocations} allocations against {plain} without capacities: one a round ({rounds})?"
     );
-
-    // The same request behind four shards: one run, one skyline and
-    // one resume over the forest of the shards' pins.
-    let sharded = Engine::builder().objects(&objects).shards(4);
-    let sharded = sharded.build().unwrap();
-    let request = sharded.request(&functions);
-    let (cold, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
-    let seed = seed.expect("a cold run captures the inventory's seed");
-    let mut served = || {
-        request
-            .evaluate_seeded(&mut scratch, Some(&seed))
-            .unwrap()
-            .0
-    };
-    let first = served();
-    let (cost, second) = counting(served);
-    let allocations = cost.allocations;
-    assert_eq!(cold.pairs(), first.pairs());
-    assert_eq!(cold.pairs(), second.pairs());
-    assert!(
-        allocations <= SHARDED_ALLOCATIONS + SHARDED_ALLOCATIONS / 4,
-        "a served 4-shard evaluation made {allocations} allocations, recorded {SHARDED_ALLOCATIONS}"
-    );
-    const { assert!(SHARDED_ALLOCATIONS + SHARDED_ALLOCATIONS / 4 < SHARDED_PARENT_ALLOCATIONS) };
-    assert_peak_under_the_seed(cost, &seed, "K = 4");
 
     // Resuming — cloning the snapshot — costs the same on a skyline of
     // dozens and on one of hundreds.

@@ -680,58 +680,36 @@ fn a_mutation_retires_the_seed_and_the_next_miss_recaptures() {
         .distribution(Distribution::AntiCorrelated)
         .seed(91)
         .build();
-    let engines: [(&str, Arc<Engine>); 2] = [
-        (
-            "engine",
-            Arc::new(Engine::builder().objects(&w.objects).build().unwrap()),
-        ),
-        (
-            "K=4",
-            Arc::new(
-                Engine::builder()
-                    .objects(&w.objects)
-                    .shards(4)
-                    .build()
-                    .unwrap(),
-            ),
-        ),
-    ];
-    for (name, engine) in engines {
-        let service =
-            EngineService::spawn(Arc::clone(&engine), ServiceConfig::default().workers(1));
-        let client = service.client();
-        // Each step submits a set the cache has never seen; whether the
-        // evaluation resumed shows in `seeded_hits` and in its page
-        // reads, which equal a direct cold evaluation's only when it
-        // ran BBS itself.
-        let step = |seed: u64, resumes: bool| {
-            let functions = fast_functions(seed);
-            let before = client.metrics().cache.seeded_hits;
-            let served = client
-                .submit(engine.request(&functions))
-                .unwrap()
-                .wait()
-                .unwrap();
-            let cold = engine.request(&functions).evaluate().unwrap();
-            assert_identical(&served, &cold, &format!("{name}, set {seed}"));
-            let seeded = client.metrics().cache.seeded_hits - before;
-            assert_eq!(seeded, u64::from(resumes), "{name}, set {seed}");
-            let (served, cold) = (served.metrics().io.logical, cold.metrics().io.logical);
-            assert_eq!(
-                served < cold,
-                resumes,
-                "{name}, set {seed}: {served} vs {cold}"
-            );
-        };
-        step(940, false);
-        step(941, true);
-        // The inventory moves on: the seed's pruned entries name pages
-        // of an epoch that is gone, so it must not be applied.
-        engine.insert_object(&[0.41, 0.43, 0.47]).unwrap();
-        step(942, false);
-        step(943, true);
-        service.shutdown();
-    }
+    let engine = Arc::new(Engine::builder().objects(&w.objects).build().unwrap());
+    let service = EngineService::spawn(Arc::clone(&engine), ServiceConfig::default().workers(1));
+    let client = service.client();
+    // Each step submits a set the cache has never seen; whether the
+    // evaluation resumed shows in `seeded_hits` and in its page
+    // reads, which equal a direct cold evaluation's only when it
+    // ran BBS itself.
+    let step = |seed: u64, resumes: bool| {
+        let functions = fast_functions(seed);
+        let before = client.metrics().cache.seeded_hits;
+        let served = client
+            .submit(engine.request(&functions))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let cold = engine.request(&functions).evaluate().unwrap();
+        assert_identical(&served, &cold, &format!("set {seed}"));
+        let seeded = client.metrics().cache.seeded_hits - before;
+        assert_eq!(seeded, u64::from(resumes), "set {seed}");
+        let (served, cold) = (served.metrics().io.logical, cold.metrics().io.logical);
+        assert_eq!(served < cold, resumes, "set {seed}: {served} vs {cold}");
+    };
+    step(940, false);
+    step(941, true);
+    // The inventory moves on: the seed's pruned entries name pages
+    // of an epoch that is gone, so it must not be applied.
+    engine.insert_object(&[0.41, 0.43, 0.47]).unwrap();
+    step(942, false);
+    step(943, true);
+    service.shutdown();
 }
 
 /// A fresh 2 000-object inventory whose page reads all reach an injected

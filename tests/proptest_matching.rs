@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use mpq::core::capacity::{reference_capacity_matching, verify_capacity_stable};
 use mpq::core::{
     reference_matching, verify_stable, verify_weakly_stable, Algorithm, Engine, MatchRequest, Pair,
-    Scratch, ShardedEngine,
+    Scratch,
 };
 use mpq::rtree::PointSet;
 use mpq::ta::FunctionSet;
@@ -163,24 +163,18 @@ fn check_all(objects: &PointSet, functions: &FunctionSet) -> Result<(), TestCase
     }
 
     // SB: the skyline holds the smallest id left at each point, so the
-    // reference exactly as well — on one tree or four.
+    // reference exactly as well.
     let skyline: [(&str, Knobs); 2] = [("SB", |r| r), ("SB single-pair", SB_SINGLE_PAIR)];
-    let sharded = Engine::builder().objects(objects).shards(4);
-    let sharded = sharded.build().unwrap();
     for (label, knobs) in skyline {
-        for engine in [&engine, &sharded] {
-            let got = knobs(engine.request(functions)).evaluate().unwrap();
-            let shards = engine.shard_count();
-            prop_assert_eq!(
-                sorted(got.pairs()),
-                expect_sorted.clone(),
-                "{} diverged on {} shards",
-                label,
-                shards
-            );
-            if let Err(e) = verify_stable(objects, functions, got.pairs()) {
-                panic!("{label} produced an unstable matching on {shards} shards: {e}");
-            }
+        let got = knobs(engine.request(functions)).evaluate().unwrap();
+        prop_assert_eq!(
+            sorted(got.pairs()),
+            expect_sorted.clone(),
+            "{} diverged",
+            label
+        );
+        if let Err(e) = verify_stable(objects, functions, got.pairs()) {
+            panic!("{label} produced an unstable matching: {e}");
         }
     }
 
@@ -219,11 +213,8 @@ proptest! {
         excluded in proptest::collection::vec(0u64..80, 0..6),
     ) {
         let caps = &caps[..objects.len()];
-        let single = Engine::builder().objects(&objects).build().unwrap();
-        let sharded = ShardedEngine::builder().objects(&objects).shards(4);
-        let sharded = sharded.build().unwrap();
-        check_capacitated!(single, &objects, &functions, caps, &excluded);
-        check_capacitated!(sharded, &objects, &functions, caps, &excluded);
+        let engine = Engine::builder().objects(&objects).build().unwrap();
+        check_capacitated!(engine, &objects, &functions, caps, &excluded);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property tests for seeded evaluation: priming an evaluation from
 //! the inventory's [`EvalSeed`] must be **bit-identical** to running it
 //! cold, whatever the request — exclusion flips, function weight
-//! tweaks, capacities on and off — on an engine of one shard and of
-//! four, including across interleaved inventory
+//! tweaks, capacities on and off — including across interleaved inventory
 //! mutations (which stale the seed: the evaluation must detect that,
 //! fall back cold and capture the new inventory's seed).
 //!
@@ -40,7 +39,6 @@ fn check(
     fn_rows: &[Vec<u8>],
     caps: &[u32],
     rounds: &[Round],
-    build: &dyn Fn(&PointSet) -> Engine,
 ) -> Result<(), TestCaseError> {
     let (objects, mut live) = points(obj_rows);
     let mut fn_rows: Vec<Vec<f64>> = fn_rows
@@ -49,7 +47,7 @@ fn check(
         .collect();
     prop_assume!(live.len() > fn_rows.len() + 6);
 
-    let engine = build(&objects);
+    let engine = Engine::builder().objects(&objects).build().unwrap();
 
     let mut excl: BTreeSet<u64> = BTreeSet::new();
     let mut seed: Option<EvalSeed> = None;
@@ -154,10 +152,6 @@ proptest! {
             1..5,
         ),
     ) {
-        for k in [1, 4] {
-            check(&obj_rows, &fn_rows, &caps, &rounds, &|objects| {
-                Engine::builder().objects(objects).shards(k).build().unwrap()
-            })?;
-        }
+        check(&obj_rows, &fn_rows, &caps, &rounds)?;
     }
 }
