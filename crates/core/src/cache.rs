@@ -214,7 +214,8 @@ impl MutationLog {
     }
 
     /// Hold the log's lock until the guard drops: a mutation committed
-    /// meanwhile stops between its tree change and its version store.
+    /// meanwhile stops after its WAL append and its version's minting,
+    /// before its tree publishes anything.
     #[cfg(test)]
     pub(crate) fn hold(&self) -> impl Sized + '_ {
         lock(&self.inner)

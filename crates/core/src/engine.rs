@@ -325,7 +325,9 @@ impl<'o> EngineBuilder<'o> {
                 bound = bound.max(oid.saturating_add(1));
             }
             if seq > ckpt_seq {
-                apply(&tree, &rec); // else already part of the checkpointed image
+                // else already part of the checkpointed image; the
+                // engine stamps the tree with its first version
+                apply(&tree, &rec, 0);
             }
         }
         Ok((tree, wal, bound))
@@ -436,31 +438,19 @@ pub(crate) fn validate_point(oid: u64, dim: usize, p: &[f64]) -> Result<(), MpqE
 /// to the entry.
 static NEXT_INVENTORY_VERSION: AtomicU64 = AtomicU64::new(1);
 
-/// Set in [`Engine`]'s stamp from before a mutation touches a tree until
-/// the version it mints is stored: a pin that reads it, or reads two
-/// different stamps around its sessions, cannot name the epoch it
-/// pinned. Versions never come near the bit.
-const IN_FLUX: u64 = 1 << 63;
-
 /// Mutations the engine's log keeps for scoped cache invalidation.
 const MUTATIONS_LOGGED: usize = 64;
 
-/// Apply one logged mutation to `tree` — the live mutation path and WAL
-/// replay alike. `false` if a remove or an update named an entry the
-/// tree did not hold.
-fn apply(tree: &RTree, record: &WalRecord) -> bool {
-    match record {
-        WalRecord::Insert { oid, point } => {
-            tree.insert(point, *oid);
-            true
-        }
-        WalRecord::Remove { oid, point } => tree.delete(point, *oid),
-        WalRecord::Update { oid, old, new } => {
-            let removed = tree.delete(old, *oid);
-            tree.insert(new, *oid);
-            removed
-        }
-    }
+/// Apply one logged mutation to `tree` as one epoch stamped `version` —
+/// the live mutation path and WAL replay alike. `false` if a remove or
+/// an update named an entry the tree did not hold.
+fn apply(tree: &RTree, record: &WalRecord, version: u64) -> bool {
+    let (old, new): (Option<&[f64]>, Option<&[f64]>) = match record {
+        WalRecord::Insert { point, .. } => (None, Some(point)),
+        WalRecord::Remove { point, .. } => (Some(point), None),
+        WalRecord::Update { old, new, .. } => (Some(old), Some(new)),
+    };
+    tree.apply(record.oid(), old, new, version)
 }
 
 /// A prepared matching engine: one validated inventory, bulk-loaded
@@ -475,14 +465,10 @@ fn apply(tree: &RTree, record: &WalRecord) -> bool {
 pub struct Engine {
     dim: usize,
     config: IndexConfig,
-    /// The object R-tree: the engine's one copy of the inventory.
+    /// The object R-tree: the engine's one copy of the inventory. Its
+    /// published stamp is the inventory version (see
+    /// [`Engine::inventory_version`]).
     tree: RTree,
-    /// The writers' index: the point of every live object by id, for
-    /// the removes and updates that must name a tree entry by its point.
-    /// `None` until the first of them fills it from the tree (see
-    /// [`crate::objects`]); every mutation keeps it current from then on.
-    /// Only mutators, under the mutator lock, touch it.
-    objects: Mutex<Option<ObjectTable>>,
     /// Write-ahead log; present iff the engine is disk-backed.
     wal: Option<Mutex<Wal>>,
     /// Set when a durability failure left the WAL wedged: mutations are
@@ -492,12 +478,6 @@ pub struct Engine {
     /// The id mint: ids at or above it have never been assigned.
     /// Removal never recycles an id.
     next_oid: AtomicU64,
-    /// The inventory version (see [`Engine::inventory_version`]), with
-    /// [`IN_FLUX`] set while a mutation is between its tree and its
-    /// version. A commit's `Release` store pairs with the readers'
-    /// `Acquire` loads: whoever reads a version finds its tree and its
-    /// log entry in place.
-    version: AtomicU64,
     /// Recent mutations by the version each minted, for scoped cache
     /// invalidation.
     mutations: MutationLog,
@@ -507,8 +487,12 @@ pub struct Engine {
     /// Data directory; present iff the engine is disk-backed.
     data_dir: Option<PathBuf>,
     /// Serializes mutations (minting an id and logging it must be one
-    /// step) and checkpoints; readers never take it.
-    mutator: Mutex<()>,
+    /// step) and checkpoints; readers never take it. It guards the
+    /// writers' index: the point of every live object by id, for the
+    /// removes and updates that must name a tree entry by its point.
+    /// `None` until the first of them fills it from the tree (see
+    /// [`crate::objects`]); every mutation keeps it current from then on.
+    mutator: Mutex<Option<ObjectTable>>,
     /// The fault injector every durability path consults, if one was
     /// attached at build/open time.
     injector: Option<Arc<FaultInjector>>,
@@ -533,8 +517,9 @@ impl Engine {
     }
 
     /// The engine over `tree`, built or reopened by `builder`, minting
-    /// ids from `next_oid` on. The buffer pool takes its lock shards
-    /// here, so the knob cannot miss a path.
+    /// ids from `next_oid` on, at a freshly minted inventory version.
+    /// The buffer pool takes its lock shards here, so the knob cannot
+    /// miss a path.
     fn over(
         mut tree: RTree,
         wal: Option<Wal>,
@@ -544,19 +529,18 @@ impl Engine {
         if let Some(shards) = builder.buffer_shards {
             tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
         }
+        tree.set_stamp(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed));
         Engine {
             dim: tree.dim(),
             config: builder.index,
             tree,
-            objects: Mutex::new(None),
             wal: wal.map(Mutex::new),
             degraded: AtomicBool::new(false),
             next_oid: AtomicU64::new(next_oid),
-            version: AtomicU64::new(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed)),
             mutations: MutationLog::new(MUTATIONS_LOGGED),
             evaluations: AtomicU64::new(0),
             data_dir: builder.data_dir,
-            mutator: Mutex::new(()),
+            mutator: Mutex::new(None),
             injector: builder.fault_injector,
         }
     }
@@ -591,10 +575,11 @@ impl Engine {
     /// engine's mutation log proves the mutation could not have changed
     /// it.
     ///
-    /// While a mutation is being applied this is still the version
-    /// before it: the new one is stored once the tree holds the change.
+    /// It is the stamp the tree publishes beside its root, so a version
+    /// and the inventory it names are read together: one committed
+    /// version, whole, never a mutation's half.
     pub fn inventory_version(&self) -> u64 {
-        self.version.load(AtomicOrdering::Acquire) & !IN_FLUX
+        self.tree.stamp()
     }
 
     /// The log of recent mutations, by the version each minted: what
@@ -686,15 +671,15 @@ impl Engine {
     /// The mutation is durable before it is visible: on a disk-backed
     /// engine the WAL record is appended and fsynced first, then the
     /// R-tree is updated in place (copy-on-write — in-flight evaluations
-    /// keep reading their pinned epoch), and only then does
-    /// [`Engine::inventory_version`] advance.
+    /// keep reading their pinned epoch) and publishes the object together
+    /// with the new [`Engine::inventory_version`].
     pub fn insert_object(&self, point: &[f64]) -> Result<u64, MpqError> {
-        let _m = lock(&self.mutator);
+        let mut table = lock(&self.mutator);
         let oid = self.next_oid.load(AtomicOrdering::Relaxed);
         self.check_storage()?;
         validate_point(oid, self.dim, point)?;
         let point = Box::from(point);
-        self.commit(WalRecord::Insert { oid, point })?;
+        self.commit(&mut table, WalRecord::Insert { oid, point })?;
         self.next_oid.store(oid + 1, AtomicOrdering::Release);
         Ok(oid)
     }
@@ -706,36 +691,36 @@ impl Engine {
     /// engine over zero objects violates the build-time contract; build
     /// a new engine instead).
     pub fn remove_object(&self, oid: u64) -> Result<(), MpqError> {
-        let _m = lock(&self.mutator);
+        let mut table = lock(&self.mutator);
         self.check_storage()?;
-        let point = self.point(oid);
+        let point = self.point(&mut table, oid);
         if point.is_some() && self.n_objects() == 1 {
             return Err(MpqError::UnsupportedRequest(
                 "removing the last object would empty the inventory",
             ));
         }
         let point = point.ok_or(MpqError::UnknownObject { oid })?;
-        self.commit(WalRecord::Remove { oid, point })
+        self.commit(&mut table, WalRecord::Remove { oid, point })
     }
 
     /// Move an existing object to a new point (same id, new
     /// coordinates): a single logical mutation — one WAL record, one
-    /// version bump — implemented as delete + re-insert on the index.
+    /// version bump, one tree epoch that removes and re-inserts it.
     pub fn update_object(&self, oid: u64, point: &[f64]) -> Result<(), MpqError> {
-        let _m = lock(&self.mutator);
+        let mut table = lock(&self.mutator);
         self.check_storage()?;
         validate_point(oid, self.dim, point)?;
-        let old = self.point(oid).ok_or(MpqError::UnknownObject { oid })?;
+        let old = self.point(&mut table, oid);
+        let old = old.ok_or(MpqError::UnknownObject { oid })?;
         let new = Box::from(point);
-        self.commit(WalRecord::Update { oid, old, new })
+        self.commit(&mut table, WalRecord::Update { oid, old, new })
     }
 
     /// The point stored for `oid`, if the engine holds it — read from
-    /// the writers' index, which the first remove or update fills from
-    /// the tree here.
-    fn point(&self, oid: u64) -> Option<Box<[f64]>> {
-        let mut objects = lock(&self.objects);
-        let table = objects.get_or_insert_with(|| ObjectTable::from_tree(&self.tree));
+    /// the writers' index `table`, which the first remove or update
+    /// fills from the tree here.
+    fn point(&self, table: &mut Option<ObjectTable>, oid: u64) -> Option<Box<[f64]>> {
+        let table = table.get_or_insert_with(|| ObjectTable::from_tree(&self.tree));
         table.get(oid).map(Box::from)
     }
 
@@ -749,12 +734,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Commit one mutation, with the mutator lock held: the one
-    /// [`WalRecord`] is durably appended to the WAL, applied to the tree
-    /// and the writers' index, recorded in the log under the version it
-    /// mints, and that version published. The stamp reads [`IN_FLUX`]
-    /// from before the tree changes until then, so no pin taken in
-    /// between trusts the old version (see [`Engine::pin`]).
+    /// Commit one mutation, with the mutator lock held and its writers'
+    /// index `table`, in this order: the one [`WalRecord`] is durably
+    /// appended to the WAL; a version is minted; the record is logged
+    /// under it; the tree applies it as one epoch that publishes the
+    /// version beside its root; the writers' index follows. A reader
+    /// therefore pins the version before the mutation or the one after
+    /// it, and whatever version it reads, the log already covers.
     ///
     /// The append comes *before* the in-memory state changes: if it or
     /// its fsync fails, the record is rolled back off the log and the
@@ -763,7 +749,7 @@ impl Engine {
     /// engine flips to degraded: mutations are refused with
     /// [`MpqError::StorageDegraded`] until a successful
     /// [`Engine::checkpoint`] truncates (and thereby repairs) the log.
-    fn commit(&self, record: WalRecord) -> Result<(), MpqError> {
+    fn commit(&self, table: &mut Option<ObjectTable>, record: WalRecord) -> Result<(), MpqError> {
         if let Some(wal) = &self.wal {
             let mut wal = lock(wal);
             if let Err(e) = wal.append_sync(&record) {
@@ -773,28 +759,24 @@ impl Engine {
                 return Err(e.into());
             }
         }
-        // The tree publishes under a lock, whose release carries this
-        // mark to any pin that sees the change.
-        self.version.fetch_or(IN_FLUX, AtomicOrdering::Release);
-        let applied = apply(&self.tree, &record);
+        let version = NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed);
+        self.mutations.record(version, record.clone());
+        let applied = apply(&self.tree, &record, version);
         debug_assert!(
             applied,
             "object table and tree disagree on oid {}",
             record.oid()
         );
-        if let Some(table) = lock(&self.objects).as_mut() {
-            match &record {
+        if let Some(table) = table {
+            match record {
                 WalRecord::Remove { oid, .. } => {
-                    table.remove(*oid);
+                    table.remove(oid);
                 }
                 WalRecord::Insert { oid, point: new } | WalRecord::Update { oid, new, .. } => {
-                    table.insert(*oid, new)
+                    table.insert(oid, &new)
                 }
             }
         }
-        let version = NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed);
-        self.mutations.record(version, record);
-        self.version.store(version, AtomicOrdering::Release);
         Ok(())
     }
 
@@ -907,40 +889,34 @@ impl Engine {
     }
 
     /// Pin a run-scoped I/O session on the tree's current epoch, with
-    /// the inventory version it is pinned at: `Some` iff the stamp read
-    /// one committed version on both sides of the pin. A mutation marks
-    /// the stamp [`IN_FLUX`] before its tree changes and stores its
-    /// version only after, so a pin that may hold a changed tree reads
-    /// the mark or a new version. Then the epoch is ambiguous, and the
-    /// run must decline seeds and capture nothing rather than guess.
-    pub(crate) fn pin(&self) -> (IoSession<'_>, Option<u64>) {
-        let before = self.version.load(AtomicOrdering::Acquire);
+    /// the inventory version published beside it: one committed
+    /// version, read under the tree's one state lock.
+    pub(crate) fn pin(&self) -> (IoSession<'_>, u64) {
         let pin = IoSession::new(&self.tree);
-        let after = self.version.load(AtomicOrdering::Acquire);
-        let stable = before == after && before & IN_FLUX == 0;
-        (pin, stable.then_some(before))
+        let version = pin.stamp();
+        (pin, version)
     }
 
     /// The served evaluation path: validate, pin the tree, run SB over
-    /// the pin. With a `slot`, a run whose pin reads
-    /// one committed version primes from that version's seed cell —
-    /// building the seed if the cell is empty, waiting if another run is
-    /// building it — and a pin older than the slot's cell runs cold (see
-    /// [`crate::seed`]). The flag beside the matching says whether the
-    /// run resumed from a seed another run built.
+    /// the pin. With a `slot`, the run primes from the seed cell of the
+    /// version its pin read — building the seed if the cell is empty,
+    /// waiting if another run is building it — and a pin older than the
+    /// slot's cell runs cold (see [`crate::seed`]). Beside the matching:
+    /// the version the pin read, and whether the run resumed from a seed
+    /// another run built.
     pub(crate) fn evaluate_seeded(
         &self,
         functions: &FunctionSet,
         options: &RequestOptions,
         scratch: &mut Scratch,
         slot: Option<&SeedSlot>,
-    ) -> Result<(Matching, bool), MpqError> {
+    ) -> Result<(Matching, u64, bool), MpqError> {
         validate_request(self, functions, options)?;
         self.evaluations.fetch_add(1, AtomicOrdering::Relaxed);
         let (pins, version) = self.pin();
-        let cell = slot.zip(version).and_then(|(slot, v)| slot.cell(v));
+        let cell = slot.and_then(|slot| slot.cell(version));
         let cell = cell.as_ref().map(|cell| &cell.1);
-        Ok(run_sb_seeded(
+        let (matching, resumed) = run_sb_seeded(
             (pins, version),
             functions,
             options,
@@ -948,7 +924,8 @@ impl Engine {
             scratch,
             None,
             cell,
-        ))
+        );
+        Ok((matching, version, resumed))
     }
 
     /// Evaluate a slice of independent requests on a built-in scoped
@@ -1176,19 +1153,19 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
     /// allocator is hit; reuse one per thread across any sequence of
     /// requests.
     pub fn evaluate_with(&self, scratch: &mut Scratch) -> Result<Matching, MpqError> {
-        let (matching, _) =
+        let (matching, ..) =
             self.engine
                 .evaluate_seeded(self.functions, &self.options, scratch, None)?;
         Ok(matching)
     }
 
-    /// Seed-capable [`MatchRequest::evaluate_with`]: pins, then primes
-    /// the run from `seed` when the seed is at the pinned inventory
-    /// version — otherwise captures the inventory's [`EvalSeed`] (its
-    /// skyline, which can prime *any* later request against the same
-    /// inventory) and primes from that. Returns the matching together
-    /// with the seed it captured; a run that resumed from `seed`, or
-    /// whose pins straddled a mutation and so ran cold, returns `None`.
+    /// Seed-capable [`MatchRequest::evaluate_with`]: pins one committed
+    /// inventory version, then primes the run from `seed` if the seed is
+    /// at that version — otherwise captures the inventory's [`EvalSeed`]
+    /// (its skyline, which can prime *any* later request against the
+    /// same inventory) and primes from that. Returns the matching
+    /// together with the seed it captured; a run that resumed from
+    /// `seed` returns `None`.
     ///
     /// Seeded and cold evaluation are score-bit-identical. The
     /// [`EngineService`] keeps one seed per inventory version and primes
@@ -1399,7 +1376,7 @@ mod tests {
 
     /// Does the engine hold a writers' table?
     fn table(engine: &Engine) -> bool {
-        lock(&engine.objects).is_some()
+        lock(&engine.mutator).is_some()
     }
 
     /// `(fid, oid, score bits)` of every pair, in emission order.
@@ -1547,11 +1524,11 @@ mod tests {
             "a remove reads its path, not {pages} pages: {read}"
         );
         let at = |engine: &Engine| {
-            let objects = lock(&engine.objects);
+            let objects = lock(&engine.mutator);
             objects.as_ref().unwrap().get(8).unwrap().as_ptr()
         };
         let filled = at(&engine);
-        assert_eq!(lock(&engine.objects).as_ref().unwrap().get(7), None);
+        assert_eq!(lock(&engine.mutator).as_ref().unwrap().get(7), None);
         engine.remove_object(9).unwrap();
         assert_eq!(at(&engine), filled, "the second remove keeps the table");
         assert_eq!(engine.n_objects(), 19_999);
@@ -1559,24 +1536,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A pin taken while a mutation sits between its tree change and its
-    /// version store names no version, so the seed captured before the
-    /// mutation does not prime the run: it returns what a cold run over
-    /// the same pins does. Both a removal — whose freed pages the seed's
-    /// pruned entries may name — and an insert the seed knows nothing of.
+    /// A pin taken while a commit is held at its mutation-log entry —
+    /// past its WAL append, before its tree epoch — reads the version
+    /// before the mutation and that version's tree, so the seed captured
+    /// at that version primes it and the run returns the pre-mutation
+    /// matching. Once the commit publishes, the seed is stale. Both a
+    /// removal, whose freed pages the seed's pruned entries may name,
+    /// and an insert the seed knows nothing of.
     #[test]
-    fn a_pin_inside_a_mutation_trusts_no_seed() {
+    fn a_pin_inside_a_mutation_reads_the_version_before_it() {
         let objects = points(3_000, 2009);
         let rows: Vec<Vec<f64>> = (0..40)
             .map(|f| vec![0.2 + 0.015 * f as f64, 0.5, 0.3])
             .collect();
         let functions = FunctionSet::from_rows(3, &rows);
         for removal in [true, false] {
-            let engine = Engine::builder().objects(&objects).build().unwrap();
+            let dir = tmp_dir("pin-window");
+            let builder = Engine::builder().objects(&objects).data_dir(&dir);
+            let engine = builder.build().unwrap();
+            let version = engine.inventory_version();
             let mut scratch = Scratch::new();
             let request = engine.request(&functions);
             let (before, seed) = request.evaluate_seeded(&mut scratch, None).unwrap();
-            let seed = seed.expect("a cold run over stable pins captures");
+            let seed = seed.expect("a cold run captures");
             let assigned = before.pairs()[0].oid;
             std::thread::scope(|scope| {
                 let held = engine.mutations.hold();
@@ -1585,26 +1567,30 @@ mod tests {
                     false => engine.insert_object(&[1.0, 1.0, 1.0]).map(drop),
                 });
                 let start = std::time::Instant::now();
-                while engine.n_objects() == 3_000 {
-                    assert!(start.elapsed().as_secs() < 10, "the tree never changed");
+                while engine.wal_bytes() == 0 {
+                    assert!(start.elapsed().as_secs() < 10, "the WAL never grew");
                     std::thread::yield_now();
                 }
-                assert_eq!(engine.pin().1, None, "removal: {removal}");
+                assert_eq!(engine.pin().1, version, "removal: {removal}");
                 let (seeded, captured) =
                     request.evaluate_seeded(&mut scratch, Some(&seed)).unwrap();
-                assert!(captured.is_none(), "an ambiguous pin captures nothing");
-                let cold = request.evaluate().unwrap();
-                assert_ne!(
-                    cold.pairs(),
-                    before.pairs(),
-                    "the mutation moves the matching"
-                );
-                assert_eq!(seeded.pairs(), cold.pairs(), "removal: {removal}");
+                assert!(captured.is_none(), "the held seed primes the run");
+                assert_eq!(pairs(&seeded, |oid| oid), pairs(&before, |oid| oid));
+                assert_eq!(engine.n_objects(), 3_000, "removal: {removal}");
                 drop(held);
                 mutator.join().unwrap().unwrap();
             });
-            assert_eq!(engine.pin().1, Some(engine.inventory_version()));
+            assert!(engine.inventory_version() > version);
+            assert_eq!(engine.pin().1, engine.inventory_version());
             assert!(!seed.usable_at(engine.inventory_version()));
+            let after = request.evaluate().unwrap();
+            assert_ne!(
+                after.pairs(),
+                before.pairs(),
+                "the mutation moves the matching"
+            );
+            drop(engine);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -561,8 +561,8 @@ pub(crate) fn stream_on<R: NodeSource>(
 }
 
 /// Non-streaming SB evaluation of one request over `pins`: the pinned
-/// source and the inventory version it is pinned at, `None` if a
-/// mutation straddled the pins (see `Engine::pin`). `threshold` is the
+/// source and the one committed inventory version it reads (see
+/// `Engine::pin`). `threshold` is the
 /// reverse top-1 scans' — [`SERVED_THRESHOLD`] for every served
 /// request; the naive one, or `None` to scan `F`, for the §IV-A
 /// ablations. The entire
@@ -578,10 +578,10 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// same order (asserted by tests), capacitated or not: both drive
 /// `SbRun::round` and nothing else.
 ///
-/// Seed-capable, and the one place that decides it. A run primes only
-/// when its pins read one committed version, unambiguously — a seed's
-/// pruned entries reference pages of exactly that epoch: from `seed` if
-/// it is at that version, else from `cell`, the seed cell of that
+/// Seed-capable, and the one place that decides it. A seed primes the
+/// run only if its version equals the one the pins read — its pruned
+/// entries reference pages of exactly that epoch: `seed` if it is at
+/// that version, else `cell`, the seed cell of that
 /// version, which the run fills by capturing BBS over its own pins
 /// (`EvalSeed::capture`) if nobody has yet, and waits on if another run
 /// is filling it. A run that filled the cell reports that BBS as its
@@ -592,7 +592,7 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// `tests/seed_identity.rs`). The flag beside the matching says whether
 /// the run resumed from a seed it did not build.
 pub(crate) fn run_sb_seeded<R: NodeSource>(
-    (src, version): (R, Option<u64>),
+    (src, version): (R, u64),
     functions: &FunctionSet,
     options: &RequestOptions,
     threshold: Option<ThresholdMode>,
@@ -603,14 +603,11 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     let start = Instant::now();
     let io_start = src.io_snapshot();
     let mut built = false;
-    let seed = version.and_then(|version| {
-        let held = seed.filter(|s| s.usable_at(version));
-        held.or_else(|| {
-            Some(cell?.get_or_init(|| {
-                built = true;
-                EvalSeed::capture(&src, version)
-            }))
-        })
+    let seed = seed.filter(|s| s.usable_at(version)).or_else(|| {
+        Some(cell?.get_or_init(|| {
+            built = true;
+            EvalSeed::capture(&src, version)
+        }))
     });
     let mut lent = std::mem::take(scratch);
     let linear = Linear::new(&mut lent, functions, threshold);

@@ -45,26 +45,26 @@
 //!
 //! ## The one rule
 //!
-//! Seeds are **pinned to the exact inventory**: the snapshot's pruned
-//! entries reference R-tree pages of the version it was captured at, so
-//! a seed primes a run only if the run's pins read that version,
-//! committed, on both sides — a mutation marks the version in flux
-//! before it changes a tree and stores its new version after, so a run
-//! whose pins may hold a half-applied mutation runs cold and touches no
-//! seed. Beyond that:
+//! A pin reads one committed version, and a seed primes it only if its
+//! version is equal. Seeds are **pinned to the exact inventory**: the
+//! snapshot's pruned entries reference R-tree pages of the version it
+//! was captured at. Every mutation is one tree epoch that publishes its
+//! version beside the root, so the version a pin reads and the pages it
+//! walks are one committed inventory, never half of a mutation. Beyond
+//! that:
 //!
 //! * **Where it lives.** A service with its cache on keeps one
 //!   `SeedSlot` beside (not inside) its result cache: one cell for the
 //!   newest inventory version a worker has pinned. The seed's bytes are
 //!   not the cache's; `cache_max_bytes` bounds results alone.
-//! * **Who builds it.** The first worker whose pins read a version the
+//! * **Who builds it.** The first worker whose pin reads a version the
 //!   slot has no seed for builds it, inside the cell's `OnceLock`, and
 //!   reports that BBS as its own work, as any cold run does.
 //! * **Who waits.** Every other worker at that version blocks on the
 //!   cell until the seed is there, then resumes from it. A builder that
 //!   panics leaves the cell empty, and the next worker builds instead.
 //! * **Why an older pin runs cold.** The slot's cell is replaced only
-//!   by a strictly newer version, so a worker whose pins read an older
+//!   by a strictly newer version, so a worker whose pin reads an older
 //!   version (it pinned before a mutation committed) gets no cell: it
 //!   runs cold and leaves the newer seed to the current workers.
 //!

@@ -694,13 +694,6 @@ impl<'a> ServiceCore<'a> {
     fn execute(&self, engine: &Engine, job: Job<'_>, scratch: &mut Scratch) {
         // A panicking evaluation must not leave any member unresolved
         // (its waiter would block forever) nor take the worker down.
-        //
-        // The cache stamp is read *before* evaluating: the evaluation
-        // reads a tree snapshot pinned at or after this version, so
-        // stamping the result with a possibly-older version only makes
-        // the cache conservative. Reading the version *after* evaluating
-        // would stamp a pre-mutation result as current.
-        let version = engine.inventory_version();
         let seed = self.seed.as_ref();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.evaluate_seeded(&job.functions, &job.options, scratch, seed)
@@ -711,9 +704,10 @@ impl<'a> ServiceCore<'a> {
             lock(&self.metrics).panicked += 1;
             Err(MpqError::WorkerPanicked)
         });
-        let (result, resumed) = match result {
-            Ok((matching, resumed)) => (Ok(matching), resumed),
-            Err(e) => (Err(e), false),
+        // The result is cached under the version its pin read.
+        let (result, version, resumed) = match result {
+            Ok((matching, version, resumed)) => (Ok(matching), version, resumed),
+            Err(e) => (Err(e), 0, false),
         };
 
         if let Ok(matching) = &result {

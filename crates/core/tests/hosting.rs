@@ -263,20 +263,21 @@ fn buffer_shards_reach_the_pool_built_or_reopened() {
 
 /// Page writes, page syncs, WAL appends and WAL syncs a persistent
 /// engine has issued after its build, after each of seven mutations, a
-/// checkpoint and one more insert — recorded at the commit before
-/// engines of one shard and of several became one type. The crash-point
-/// sweep of `chaos.rs` walks exactly this schedule.
+/// checkpoint and one more insert. The page writes are those of one
+/// tree epoch per mutation, whose superseded pages hold no share of the
+/// buffer until it publishes. The crash-point sweep of `chaos.rs` walks
+/// exactly this schedule.
 const DURABILITY_OPS: [[u64; 4]; 10] = [
     [8, 2, 0, 1],
     [8, 2, 1, 2],
     [11, 2, 2, 3],
     [14, 2, 3, 4],
-    [16, 2, 4, 5],
-    [18, 2, 5, 6],
-    [22, 2, 6, 7],
-    [36, 2, 7, 8],
-    [39, 4, 7, 9],
-    [39, 4, 8, 10],
+    [15, 2, 4, 5],
+    [16, 2, 5, 6],
+    [17, 2, 6, 7],
+    [22, 2, 7, 8],
+    [25, 4, 7, 9],
+    [25, 4, 8, 10],
 ];
 
 #[test]

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mpq_core::capacity::verify_capacity_stable;
-use mpq_core::{verify_stable, Engine, MpqError, Pair, ServiceConfig};
+use mpq_core::{reference_matching, verify_stable, Engine, MpqError, Pair, ServiceConfig};
 use mpq_datagen::WorkloadBuilder;
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -230,33 +230,63 @@ fn stale_entries_are_swept_out_of_the_metrics() {
     service.shutdown();
 }
 
+/// `(fid, oid, score bits)` of every pair, sorted — what
+/// `to_bits`-identity compares.
+fn bits(pairs: &[Pair]) -> Vec<(u32, u64, u64)> {
+    let mut bits: Vec<_> = (pairs.iter())
+        .map(|p| (p.fid, p.oid, p.score.to_bits()))
+        .collect();
+    bits.sort_unstable();
+    bits
+}
+
 /// Readers pin their epoch: evaluations racing a mutator never observe
-/// a half-applied mutation, and every evaluation matches one of the
-/// legal before/after inventories.
+/// a half-applied mutation, and every evaluation is the reference
+/// matching, to the bit, of one of the inventories the mutator commits
+/// in a round: the racer at its first point, at its second, or gone.
 #[test]
 fn concurrent_evaluations_race_mutations_safely() {
     let engine = Arc::new(Engine::builder().objects(&base_objects()).build().unwrap());
     let fs = base_functions();
+    let n = base_objects().len() as u64;
+    let inventories: Vec<Vec<(u32, u64, u64)>> = [None, Some([0.8, 0.8]), Some([0.2, 0.9])]
+        .iter()
+        .map(|racer| {
+            let mut objects = base_objects();
+            if let Some(p) = racer {
+                objects.push(p);
+            }
+            bits(&reference_matching(&objects, &fs))
+        })
+        .collect();
     std::thread::scope(|scope| {
         let e = Arc::clone(&engine);
         let mutator = scope.spawn(move || {
-            for round in 0..50u64 {
+            for _ in 0..50 {
                 let oid = e.insert_object(&[0.8, 0.8]).unwrap();
                 e.update_object(oid, &[0.2, 0.9]).unwrap();
                 e.remove_object(oid).unwrap();
-                let _ = round;
             }
         });
         for _ in 0..2 {
             let e = Arc::clone(&engine);
-            let fs = fs.clone();
+            let (fs, inventories) = (fs.clone(), &inventories);
             scope.spawn(move || {
                 for _ in 0..50 {
                     let m = e.request(&fs).evaluate().unwrap();
-                    assert!(!m.pairs().is_empty());
-                    for pair in m.pairs() {
-                        assert!(pair.score.is_finite());
-                    }
+                    // The racer of any round stands where the reference
+                    // puts the one extra object: at index `n`.
+                    let pairs: Vec<Pair> = (m.pairs().iter())
+                        .map(|p| Pair {
+                            oid: p.oid.min(n),
+                            ..*p
+                        })
+                        .collect();
+                    let got = bits(&pairs);
+                    assert!(
+                        inventories.contains(&got),
+                        "{got:?} is no committed inventory's matching"
+                    );
                 }
             });
         }
@@ -265,28 +295,74 @@ fn concurrent_evaluations_race_mutations_safely() {
     // The inventory is back to its original four objects.
     assert_eq!(engine.n_objects(), 4);
     let final_matching = engine.request(&fs).evaluate().unwrap();
-    let fresh = Engine::builder().objects(&base_objects()).build().unwrap();
-    let reference = fresh.request(&fs).evaluate().unwrap();
-    assert_eq!(final_matching.sorted_pairs(), reference.sorted_pairs());
+    assert_eq!(bits(final_matching.pairs()), inventories[0]);
 }
 
-/// Run `evaluations` while a second thread keeps inserting and removing
-/// `racer`.
-fn racing_an_insert(engine: &Engine, racer: &[f64], evaluations: impl FnOnce() + Send) {
+/// Run `evaluations` while a second thread keeps calling `mutate`.
+fn racing(mutate: impl Fn() + Sync, evaluations: impl FnOnce() + Send) {
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                let oid = engine.insert_object(racer).unwrap();
-                engine.remove_object(oid).unwrap();
+                mutate();
             }
         });
         // Join before stopping the mutator, and stop it even when an
         // evaluation panicked, or the scope would never end.
         let outcome = scope.spawn(evaluations).join();
         stop.store(true, Ordering::Relaxed);
-        outcome.expect("an evaluation racing an insert panicked");
+        outcome.expect("an evaluation racing a mutation panicked");
     });
+}
+
+/// Run `evaluations` while a second thread keeps inserting and removing
+/// `racer`.
+fn racing_an_insert(engine: &Engine, racer: &[f64], evaluations: impl FnOnce() + Send) {
+    let mutate = || {
+        let oid = engine.insert_object(racer).unwrap();
+        engine.remove_object(oid).unwrap();
+    };
+    racing(mutate, evaluations);
+}
+
+/// An update is one epoch. Object 2 is the one function's top-1 at
+/// both points a second thread moves it between, so every evaluation
+/// assigns it, and the engine never counts fewer than three objects:
+/// no reader pins the removal without the insert that completes it.
+#[test]
+fn an_update_is_never_seen_half_applied() {
+    const RACE: std::time::Duration = std::time::Duration::from_millis(500);
+    let mut objects = PointSet::new(2);
+    for p in [[0.1_f64, 0.2], [0.2, 0.2], [0.9, 0.9]] {
+        objects.push(&p);
+    }
+    let engine = Engine::builder().objects(&objects).build().unwrap();
+    let fs = FunctionSet::from_rows(2, &[vec![0.5, 0.5]]);
+    let moved = std::sync::atomic::AtomicU64::new(0);
+    let mutate = || {
+        let to: &[f64] = match moved.fetch_add(1, Ordering::Relaxed) % 2 {
+            0 => &[0.8, 0.95],
+            _ => &[0.9, 0.9],
+        };
+        engine.update_object(2, to).unwrap();
+    };
+    let mut evaluations = 0;
+    racing(mutate, || {
+        let start = std::time::Instant::now();
+        while start.elapsed() < RACE {
+            let matching = engine.request(&fs).evaluate().unwrap();
+            let oids: Vec<u64> = matching.pairs().iter().map(|p| p.oid).collect();
+            assert_eq!(
+                oids,
+                [2],
+                "evaluation {evaluations} saw a half-applied update"
+            );
+            assert_eq!(engine.n_objects(), 3, "evaluation {evaluations}");
+            evaluations += 1;
+        }
+    });
+    assert!(moved.load(Ordering::Relaxed) > 1, "the updates never raced");
+    assert!(evaluations > 0);
 }
 
 /// Per-object vectors — a request's capacities — are sized from
@@ -317,12 +393,6 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
     let n = w.objects.len() as u64;
     let engine = || Arc::new(Engine::builder().objects(&w.objects).build().unwrap());
     let engines: [(Arc<Engine>, bool); 2] = [(engine(), true), (engine(), false)];
-    let bits = |pairs: Vec<Pair>| -> Vec<(u32, u64, u64)> {
-        pairs
-            .iter()
-            .map(|p| (p.fid, p.oid, p.score.to_bits()))
-            .collect()
-    };
     for (engine, capacitated) in engines {
         let evaluate = || {
             let caps = vec![CAPACITY; engine.oid_bound() as usize];
@@ -381,8 +451,8 @@ fn evaluations_racing_an_insert_stay_inside_their_vectors() {
             request
         };
         assert_eq!(
-            bits(evaluate().unwrap().sorted_pairs()),
-            bits(reference.evaluate().unwrap().sorted_pairs()),
+            bits(evaluate().unwrap().pairs()),
+            bits(reference.evaluate().unwrap().pairs()),
             "quiescent matching differs from a fresh build"
         );
     }

@@ -37,6 +37,13 @@
 //!
 //! Nodes are handed out as `Arc<Node>` clones so read paths never copy
 //! node payloads; writers install fresh nodes with [`BufferPool::put`].
+//!
+//! A page an in-flight tree mutation has superseded stays readable (a
+//! pinned snapshot may still walk it) but no longer counts against its
+//! shard's share, and eviction passes it over: the mutation frees it at
+//! publish unless a reader still holds it, so writing it back or
+//! evicting a live page for it would both be waste. Publish settles it
+//! back into the count (see [`crate::tree`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -54,6 +61,9 @@ struct Frame {
     pid: u32,
     node: Arc<Node>,
     dirty: bool,
+    /// Superseded by the in-flight mutation: resident, but outside the
+    /// share and never an eviction victim.
+    superseded: bool,
     prev: usize,
     next: usize,
 }
@@ -64,6 +74,8 @@ struct Shard {
     free_slots: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    /// Resident frames marked superseded.
+    superseded: usize,
     stats: IoStats,
     scratch: Vec<u8>,
 }
@@ -139,6 +151,7 @@ impl BufferPool {
                     free_slots: Vec::new(),
                     head: NIL,
                     tail: NIL,
+                    superseded: 0,
                     stats: IoStats::default(),
                     scratch: vec![0u8; page],
                 })
@@ -327,12 +340,38 @@ impl BufferPool {
     pub fn free(&self, pid: PageId) {
         let si = self.shard_of(pid);
         let mut g = lock(self.shards[si].lock());
-        if let Some(slot) = g.map.remove(&pid.0) {
-            g.unlink(slot);
+        if let Some(&slot) = g.map.get(&pid.0) {
+            g.drop_frame(slot);
             g.frames[slot].node = Arc::new(Node::Leaf(crate::node::LeafNode::new(1)));
-            g.free_slots.push(slot);
         }
         lock(self.store.write()).free(pid);
+    }
+
+    /// Mark `pid`'s frame, if resident, as superseded by the in-flight
+    /// mutation (see the [module docs](self)).
+    pub(crate) fn supersede(&self, pid: PageId) {
+        let mut g = lock(self.shards[self.shard_of(pid)].lock());
+        if let Some(&slot) = g.map.get(&pid.0) {
+            if !std::mem::replace(&mut g.frames[slot].superseded, true) {
+                g.superseded += 1;
+            }
+        }
+    }
+
+    /// Count `pid`'s frame, if still resident and superseded, against its
+    /// shard's share again, evicting down to the share: its mutation has
+    /// published, and a reader still holds the page.
+    pub(crate) fn settle(&self, pid: PageId) {
+        let si = self.shard_of(pid);
+        let mut g = lock(self.shards[si].lock());
+        let Some(&slot) = g.map.get(&pid.0) else {
+            return;
+        };
+        if std::mem::replace(&mut g.frames[slot].superseded, false) {
+            g.superseded -= 1;
+            let share = self.share(si);
+            while g.counted() > share && g.evict_one(&self.store, &self.write_failures) {}
+        }
     }
 
     /// Write back all dirty frames (counted as physical writes). Every
@@ -374,10 +413,7 @@ impl BufferPool {
                     kept = true;
                     continue;
                 }
-                let pid = g.frames[slot].pid;
-                g.unlink(slot);
-                g.map.remove(&pid);
-                g.free_slots.push(slot);
+                g.drop_frame(slot);
             }
             if !kept && g.map.is_empty() {
                 g.frames.clear();
@@ -398,7 +434,7 @@ impl BufferPool {
         for (i, shard) in self.shards.iter().enumerate() {
             let share = self.share(i);
             let mut g = lock(shard.lock());
-            while g.map.len() > share {
+            while g.counted() > share {
                 if !g.evict_one(&self.store, &self.write_failures) {
                     break;
                 }
@@ -475,6 +511,21 @@ impl BufferPool {
 }
 
 impl Shard {
+    /// Resident frames that count against the shard's share.
+    fn counted(&self) -> usize {
+        self.map.len() - self.superseded
+    }
+
+    /// Take the frame in `slot` out of the map and the LRU list.
+    fn drop_frame(&mut self, slot: usize) {
+        let frame = &self.frames[slot];
+        self.superseded -= usize::from(frame.superseded);
+        let pid = frame.pid;
+        self.map.remove(&pid);
+        self.unlink(slot);
+        self.free_slots.push(slot);
+    }
+
     fn push_front(&mut self, slot: usize) {
         self.frames[slot].prev = NIL;
         self.frames[slot].next = self.head;
@@ -518,7 +569,7 @@ impl Shard {
         failures: &AtomicU64,
     ) {
         debug_assert!(share > 0, "zero-share shards must not cache");
-        while self.map.len() >= share {
+        while self.counted() >= share {
             if !self.evict_one(store, failures) {
                 // Every candidate victim is dirty and unwritable: admit
                 // the newcomer beyond the share rather than lose data or
@@ -536,6 +587,7 @@ impl Shard {
                 pid: pid.0,
                 node,
                 dirty,
+                superseded: false,
                 prev: NIL,
                 next: NIL,
             };
@@ -545,6 +597,7 @@ impl Shard {
                 pid: pid.0,
                 node,
                 dirty,
+                superseded: false,
                 prev: NIL,
                 next: NIL,
             });
@@ -555,19 +608,20 @@ impl Shard {
     }
 
     /// Evict one frame, scanning victims from the LRU tail toward the
-    /// head. A dirty victim whose write-back fails is skipped (it stays
-    /// resident so the data survives); returns `false` if no frame could
-    /// be evicted.
+    /// head. A superseded frame is passed over, and so is a dirty victim
+    /// whose write-back fails (it stays resident so the data survives);
+    /// returns `false` if no frame could be evicted.
     fn evict_one(&mut self, store: &RwLock<Box<dyn PageStore>>, failures: &AtomicU64) -> bool {
         debug_assert!(self.tail != NIL, "evict called on empty shard");
         let mut victim = self.tail;
         while victim != NIL {
+            if self.frames[victim].superseded {
+                victim = self.frames[victim].prev;
+                continue;
+            }
             match self.write_back(victim, store) {
                 Ok(()) => {
-                    let pid = self.frames[victim].pid;
-                    self.unlink(victim);
-                    self.map.remove(&pid);
-                    self.free_slots.push(victim);
+                    self.drop_frame(victim);
                     return true;
                 }
                 Err(_) => {
@@ -741,6 +795,34 @@ mod tests {
         pool.set_capacity(2);
         assert_eq!(pool.resident(), 2);
         assert_eq!(pool.capacity(), 2);
+    }
+
+    /// A superseded frame stays readable but outside the share, and no
+    /// eviction picks it; settled, it counts again and the pool trims
+    /// back to its capacity.
+    #[test]
+    fn a_superseded_frame_is_outside_the_share_until_settled() {
+        let (pool, pids) = pool(2);
+        pool.clear();
+        pool.get(pids[0]);
+        pool.get(pids[1]);
+        pool.put(pids[0], leaf_node(2, 0.9)); // dirty
+        pool.get(pids[1]); // pids[0] is the LRU tail
+        pool.supersede(pids[0]);
+        pool.reset_stats();
+        pool.get(pids[2]); // room without evicting anyone
+        assert_eq!(pool.resident(), 3);
+        pool.get(pids[3]); // evicts pids[1], passing over pids[0]
+        assert_eq!(pool.get(pids[0]).as_leaf().point(0), &[0.9, 0.9]);
+        let s = pool.stats();
+        assert_eq!((s.physical_reads, s.physical_writes), (2, 0));
+        pool.settle(pids[0]);
+        assert_eq!(pool.resident(), 2);
+        pool.free(pids[2]);
+        pool.free(pids[3]);
+        pool.get(pids[1]);
+        pool.get(pids[4]);
+        assert_eq!(pool.resident(), 2, "the count survives frees");
     }
 
     #[test]

@@ -20,14 +20,16 @@
 //!   access counters ([`stats::IoStats`]).
 //! * **STR bulk loading** ([`RTree::bulk_load`]) — Sort-Tile-Recursive
 //!   packing for the initial dataset.
-//! * **Dynamic updates** — R\*-style [`RTree::insert`] and Guttman
-//!   condense-tree [`RTree::delete`] (called by an engine's inventory
-//!   mutations and its WAL replay, and by Chain on its request-local
-//!   tree of functions; no matcher removes assigned objects, which are
-//!   masked per run), applied
-//!   under copy-on-write **epochs**: a writer installs the next snapshot
-//!   while in-flight readers ([`tree::Snapshot`], [`session::IoSession`])
-//!   finish on the one they pinned.
+//! * **Dynamic updates** — R\*-style insertion and Guttman
+//!   condense-tree deletion, applied under copy-on-write **epochs**: a
+//!   writer installs the next snapshot while in-flight readers
+//!   ([`tree::Snapshot`], [`session::IoSession`]) finish on the one they
+//!   pinned. [`RTree::apply`] removes, inserts or moves one entry as one
+//!   epoch stamped with the caller's version (an engine's inventory
+//!   mutations and its WAL replay); [`RTree::insert`] and
+//!   [`RTree::delete`] are its one-sided forms (Chain's request-local
+//!   tree of functions uses them; no matcher removes assigned objects,
+//!   which are masked per run).
 //! * **Branch-and-bound ranked search** ([`topk`]) — the "BRS" top-k /
 //!   top-1 algorithm of Tao et al. (Information Systems 32(3), 2007) for
 //!   linear scoring functions, plus an incremental iterator.

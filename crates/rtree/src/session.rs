@@ -148,6 +148,14 @@ impl<'t> IoSession<'t> {
         self.snap.epoch()
     }
 
+    /// The caller's stamp published with the pinned epoch (see
+    /// [`RTree::apply`]): read under the same lock as the root, so it
+    /// names exactly the version this session reads.
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.snap.stamp()
+    }
+
     /// The underlying shared tree.
     #[inline]
     pub fn tree(&self) -> &'t RTree {

@@ -26,6 +26,15 @@
 //! Writers are serialized by an internal lock; readers never block
 //! writers and vice versa (beyond per-page buffer-pool latching).
 //!
+//! One mutation is one epoch: [`RTree::apply`] removes an entry, inserts
+//! one, or both, in one copy-on-write pass, and publishes the result
+//! once. A page the pass itself allocated is invisible to readers, so
+//! when the pass comes back to it, it is rewritten in place rather than
+//! copied again. Each epoch carries a caller's **stamp** beside its root
+//! (an engine stamps its inventory version), so a reader that pins an
+//! epoch learns which version it holds under the same lock. The stamp
+//! is not persisted: a reopened tree starts at 0.
+//!
 //! # Persistence
 //!
 //! Any [`PageStore`] can back the tree. With a
@@ -74,13 +83,15 @@ impl Default for RTreeParams {
     }
 }
 
-/// The published tree version: root page, shape, and epoch stamp.
+/// The published tree version: root page, shape, epoch, and the
+/// caller's stamp.
 #[derive(Debug, Clone, Copy)]
 struct TreeState {
     root: PageId,
     height: u32,
     len: u64,
     epoch: u64,
+    stamp: u64,
 }
 
 /// Epoch bookkeeping: which epochs have pinned readers, and which retired
@@ -104,47 +115,51 @@ struct Epochs {
 /// epoch and lets deferred reclamation free superseded pages.
 pub struct Snapshot<'t> {
     tree: &'t RTree,
-    root: PageId,
-    height: u32,
-    len: u64,
-    epoch: u64,
+    state: TreeState,
 }
 
 impl Snapshot<'_> {
     /// Root page of the pinned epoch.
     #[inline]
     pub fn root_page(&self) -> PageId {
-        self.root
+        self.state.root
     }
 
     /// Tree height of the pinned epoch (1 = the root is a leaf).
     #[inline]
     pub fn height(&self) -> u32 {
-        self.height
+        self.state.height
     }
 
     /// Number of indexed points in the pinned epoch.
     #[inline]
     pub fn len(&self) -> u64 {
-        self.len
+        self.state.len
     }
 
     /// True iff the pinned epoch holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.state.len == 0
     }
 
-    /// The epoch stamp this snapshot pins.
+    /// The epoch this snapshot pins.
     #[inline]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch
+    }
+
+    /// The caller's stamp published with the pinned epoch (see
+    /// [`RTree::apply`]).
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.state.stamp
     }
 }
 
 impl Drop for Snapshot<'_> {
     fn drop(&mut self) {
-        self.tree.unpin(self.epoch);
+        self.tree.unpin(self.state.epoch);
     }
 }
 
@@ -275,6 +290,7 @@ fn decode_tree_meta(meta: &[u8]) -> io::Result<(usize, TreeState, f64, Vec<u8>)>
         height: u32_at(8),
         len: u64_at(16),
         epoch: u64_at(24),
+        stamp: 0,
     };
     let ratio = f64::from_le_bytes(meta[32..40].try_into().unwrap());
     if dim == 0 || !st.root.is_valid() || st.height == 0 {
@@ -317,6 +333,7 @@ impl RTree {
                 height: 1,
                 len: 0,
                 epoch: 1,
+                stamp: 0,
             }),
             writer: Mutex::new(()),
             epochs: Mutex::new(Epochs::default()),
@@ -396,6 +413,7 @@ impl RTree {
                 height: res.height,
                 len: res.len,
                 epoch: 1,
+                stamp: 0,
             }),
             writer: Mutex::new(()),
             epochs: Mutex::new(Epochs::default()),
@@ -516,10 +534,7 @@ impl RTree {
         drop(guard);
         Snapshot {
             tree: self,
-            root: st.root,
-            height: st.height,
-            len: st.len,
-            epoch: st.epoch,
+            state: st,
         }
     }
 
@@ -548,9 +563,10 @@ impl RTree {
         }
     }
 
-    /// Install the mutation's root as the next epoch and queue its
-    /// superseded pages for reclamation.
-    fn publish(&self, ctx: MutCtx) {
+    /// Install the mutation's root as the next epoch, stamped `stamp`,
+    /// and queue its superseded pages for reclamation. A superseded page
+    /// a reader still pins counts against the buffer again from here.
+    fn publish(&self, ctx: MutCtx, stamp: u64) {
         let epoch;
         {
             let mut st = lock(self.state.lock());
@@ -560,13 +576,17 @@ impl RTree {
                 height: ctx.height,
                 len: ctx.len,
                 epoch,
+                stamp,
             };
         }
         let mut ep = lock(self.epochs.lock());
-        for pid in ctx.retired {
-            ep.retired.push((epoch, pid));
-        }
+        ep.retired
+            .extend(ctx.retired.iter().map(|&pid| (epoch, pid)));
         self.reclaim_locked(&mut ep);
+        drop(ep);
+        for pid in ctx.retired {
+            self.buf.settle(pid);
+        }
     }
 
     /// Allocate a page invisible to readers (it belongs to the
@@ -578,14 +598,30 @@ impl RTree {
     }
 
     /// Supersede `pid`: pages of the published version are retired until
-    /// reclamation; pages this same mutation allocated were never visible
-    /// and are freed on the spot.
+    /// reclamation, and stop counting against the buffer until publish;
+    /// pages this same mutation allocated were never visible and are
+    /// freed on the spot.
     fn retire_page(&self, ctx: &mut MutCtx, pid: PageId) {
         if ctx.fresh.remove(&pid.0) {
             self.buf.free(pid);
         } else {
             ctx.retired.push(pid);
+            self.buf.supersede(pid);
         }
+    }
+
+    /// Write `node` as the new image of `pid`: in place if this mutation
+    /// allocated `pid` (no reader can see it), else to a fresh page that
+    /// supersedes it. Returns the page now holding `node`.
+    fn rewrite(&self, ctx: &mut MutCtx, pid: PageId, node: Node) -> PageId {
+        let target = if ctx.fresh.contains(&pid.0) {
+            pid
+        } else {
+            self.retire_page(ctx, pid);
+            self.alloc_fresh(ctx)
+        };
+        self.buf.put(target, node);
+        target
     }
 
     // ------------------------------------------------------------------
@@ -624,10 +660,22 @@ impl RTree {
         lock(self.state.lock()).root
     }
 
-    /// The current epoch stamp; each published mutation increments it.
+    /// The current epoch; each published mutation increments it.
     #[inline]
     pub fn epoch(&self) -> u64 {
         lock(self.state.lock()).epoch
+    }
+
+    /// The stamp published with the current epoch (see [`RTree::apply`]).
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        lock(self.state.lock()).stamp
+    }
+
+    /// Stamp the current epoch, before the tree is shared: an owner
+    /// that names its versions starts the tree at its first.
+    pub fn set_stamp(&mut self, stamp: u64) {
+        lock(self.state.get_mut()).stamp = stamp;
     }
 
     /// Maximum entries per leaf node.
@@ -791,22 +839,46 @@ impl RTree {
     // Insertion
     // ------------------------------------------------------------------
 
-    /// Insert a point with the given object id, publishing a new epoch.
-    /// Concurrent readers on pinned snapshots are unaffected.
+    /// Apply one mutation of the entries of `oid` — remove `(old, oid)`,
+    /// insert `(new, oid)`, or both — in one copy-on-write pass, and
+    /// publish it as one epoch stamped `stamp`: a reader pins the tree
+    /// before the mutation or after it, never between its halves.
+    /// Returns `false` if `old` named an entry the tree did not hold (an
+    /// insert still happens); a mutation that changed nothing publishes
+    /// nothing.
     ///
     /// # Panics
-    /// Panics if `p.len() != self.dim()` or any coordinate is not finite.
-    pub fn insert(&self, p: &[f64], oid: u64) {
-        assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
+    /// Panics if a point's length is not `self.dim()` or a coordinate of
+    /// `new` is not finite.
+    pub fn apply(&self, oid: u64, old: Option<&[f64]>, new: Option<&[f64]>, stamp: u64) -> bool {
+        for p in old.iter().chain(&new) {
+            assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
+        }
         assert!(
-            p.iter().all(|c| c.is_finite()),
+            new.iter().flat_map(|p| p.iter()).all(|c| c.is_finite()),
             "point coordinates must be finite"
         );
         let _w = lock(self.writer.lock());
         let mut ctx = MutCtx::from_state(*lock(self.state.lock()));
-        self.insert_pending(&mut ctx, Pending::Point { p: p.into(), oid });
-        ctx.len += 1;
-        self.publish(ctx);
+        let removed = old.is_some_and(|p| self.remove_in(&mut ctx, p, oid));
+        if let Some(p) = new {
+            self.insert_pending(&mut ctx, Pending::Point { p: p.into(), oid });
+            ctx.len += 1;
+        }
+        if removed || new.is_some() {
+            self.publish(ctx, stamp);
+        }
+        removed || old.is_none()
+    }
+
+    /// Insert a point with the given object id, publishing a new epoch
+    /// under the current stamp. Concurrent readers on pinned snapshots
+    /// are unaffected.
+    ///
+    /// # Panics
+    /// See [`RTree::apply`].
+    pub fn insert(&self, p: &[f64], oid: u64) {
+        self.apply(oid, None, Some(p), self.stamp());
     }
 
     fn insert_pending(&self, ctx: &mut MutCtx, ent: Pending) {
@@ -847,11 +919,8 @@ impl RTree {
                 self.split_node(ctx, pid, node)
             } else {
                 let mbr = node.mbr();
-                let new_pid = self.alloc_fresh(ctx);
-                self.buf.put(new_pid, node);
-                self.retire_page(ctx, pid);
                 RecResult {
-                    new_pid,
+                    new_pid: self.rewrite(ctx, pid, node),
                     mbr,
                     split: None,
                 }
@@ -875,11 +944,8 @@ impl RTree {
                 }
             }
             let mbr = node.mbr();
-            let new_pid = self.alloc_fresh(ctx);
-            self.buf.put(new_pid, node);
-            self.retire_page(ctx, pid);
             RecResult {
-                new_pid,
+                new_pid: self.rewrite(ctx, pid, node),
                 mbr,
                 split: None,
             }
@@ -935,9 +1001,10 @@ impl RTree {
         }
     }
 
-    /// Split an overflowing node: both groups land on fresh pages and the
-    /// overflowed page is superseded (copy-on-write — the old image stays
-    /// readable for pinned snapshots).
+    /// Split an overflowing node: the left group is `pid`'s new image
+    /// (see [`RTree::rewrite`]) and the right one lands on a fresh page
+    /// (copy-on-write — an old image stays readable for pinned
+    /// snapshots).
     fn split_node(&self, ctx: &mut MutCtx, pid: PageId, node: Node) -> RecResult {
         let (left, right, left_mbr, right_mbr) = match node {
             Node::Leaf(leaf) => {
@@ -979,11 +1046,9 @@ impl RTree {
                 (Node::Inner(l), Node::Inner(r), lm, rm)
             }
         };
-        let left_pid = self.alloc_fresh(ctx);
+        let left_pid = self.rewrite(ctx, pid, left);
         let right_pid = self.alloc_fresh(ctx);
-        self.buf.put(left_pid, left);
         self.buf.put(right_pid, right);
-        self.retire_page(ctx, pid);
         RecResult {
             new_pid: left_pid,
             mbr: left_mbr,
@@ -996,13 +1061,19 @@ impl RTree {
     // ------------------------------------------------------------------
 
     /// Delete the entry matching both `p` and `oid`, publishing a new
-    /// epoch. Returns `true` if an entry was removed. Underflowing nodes
-    /// are dissolved and their entries re-inserted (Guttman's
-    /// condense-tree).
+    /// epoch under the current stamp. Returns `true` if an entry was
+    /// removed; a failed delete publishes nothing.
+    ///
+    /// # Panics
+    /// Panics if `p.len() != self.dim()`.
     pub fn delete(&self, p: &[f64], oid: u64) -> bool {
-        assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
-        let _w = lock(self.writer.lock());
-        let mut ctx = MutCtx::from_state(*lock(self.state.lock()));
+        self.apply(oid, Some(p), None, self.stamp())
+    }
+
+    /// Remove the entry `(p, oid)` inside the mutation `ctx`. Underflowing
+    /// nodes are dissolved and their entries re-inserted (Guttman's
+    /// condense-tree). `false` if the tree holds no such entry.
+    fn remove_in(&self, ctx: &mut MutCtx, p: &[f64], oid: u64) -> bool {
         let mut path: Vec<(PageId, usize)> = Vec::new();
         let Some(leaf_pid) = self.find_leaf(ctx.root, p, oid, &mut path) else {
             return false;
@@ -1054,12 +1125,10 @@ impl RTree {
                         }
                     }
                 }
-                self.retire_page(&mut ctx, child_old);
+                self.retire_page(ctx, child_old);
             } else {
                 let mbr = child_node.mbr();
-                let new_child = self.alloc_fresh(&mut ctx);
-                self.buf.put(new_child, child_node);
-                self.retire_page(&mut ctx, child_old);
+                let new_child = self.rewrite(ctx, child_old, child_node);
                 parent.set_child(cidx, new_child);
                 parent.set_mbr(cidx, &mbr.lo, &mbr.hi);
             }
@@ -1067,10 +1136,7 @@ impl RTree {
             child_node = Node::Inner(parent);
         }
         // Install the copy-on-write image of the root.
-        let new_root = self.alloc_fresh(&mut ctx);
-        self.buf.put(new_root, child_node);
-        self.retire_page(&mut ctx, child_old);
-        ctx.root = new_root;
+        ctx.root = self.rewrite(ctx, child_old, child_node);
 
         // A root left with no children can only host points again.
         {
@@ -1087,9 +1153,7 @@ impl RTree {
                 for o in orphans {
                     match o {
                         Pending::Point { .. } => points.push(o),
-                        Pending::Child { pid, .. } => {
-                            self.drain_subtree(&mut ctx, pid, &mut points)
-                        }
+                        Pending::Child { pid, .. } => self.drain_subtree(ctx, pid, &mut points),
                     }
                 }
                 orphans = points;
@@ -1099,7 +1163,7 @@ impl RTree {
         // Re-insert orphans, subtrees before points so host levels exist.
         orphans.sort_by_key(|e| std::cmp::Reverse(e.host_level()));
         for ent in orphans {
-            self.insert_pending(&mut ctx, ent);
+            self.insert_pending(ctx, ent);
         }
 
         // Collapse chains of single-child roots.
@@ -1110,14 +1174,13 @@ impl RTree {
                     let child = n.child(0);
                     drop(root_arc);
                     let old_root = ctx.root;
-                    self.retire_page(&mut ctx, old_root);
+                    self.retire_page(ctx, old_root);
                     ctx.root = child;
                     ctx.height -= 1;
                 }
                 _ => break,
             }
         }
-        self.publish(ctx);
         true
     }
 
@@ -1445,6 +1508,34 @@ mod tests {
     // ------------------------------------------------------------------
     // Epoch snapshots
     // ------------------------------------------------------------------
+
+    /// A move is one epoch carrying the caller's stamp: a snapshot sees
+    /// the entry at its old point or at its new one, never nowhere, and
+    /// the one-sided wrappers carry the stamp over.
+    #[test]
+    fn a_move_is_one_epoch_stamped_once() {
+        let ps = seeded_points(300, 2, 5);
+        let tree = RTree::bulk_load(&ps, small_params());
+        let (e0, p7) = (tree.epoch(), ps.get(7).to_vec());
+        assert_eq!(tree.stamp(), 0);
+        let before = tree.snapshot();
+        assert!(tree.apply(7, Some(&p7), Some(&[0.99, 0.01]), 41));
+        assert_eq!((tree.epoch(), tree.stamp()), (e0 + 1, 41));
+        assert_eq!((before.epoch(), before.stamp()), (e0, 0));
+        assert!(!tree.contains(&p7, 7) && tree.contains(&[0.99, 0.01], 7));
+        assert_eq!(tree.len(), 300);
+        tree.check_invariants();
+        drop(before);
+
+        tree.insert(&[0.5, 0.5], 1_000);
+        assert!(tree.delete(&[0.5, 0.5], 1_000));
+        assert_eq!((tree.epoch(), tree.stamp()), (e0 + 3, 41));
+        // A remove that finds nothing still inserts, and says so.
+        assert!(!tree.apply(8, Some(&[0.5, 0.5]), Some(&[0.4, 0.4]), 42));
+        assert_eq!((tree.len(), tree.stamp()), (301, 42));
+        let snap = tree.snapshot();
+        assert_eq!((snap.len(), snap.stamp()), (301, 42));
+    }
 
     #[test]
     fn mutations_bump_the_epoch() {
