@@ -7,8 +7,8 @@
 //! independent requests each carrying its own preference-function
 //! batch. Every parallel cell is checked **pair-for-pair, bit-for-bit**
 //! against the sequential evaluation of the same requests; a mismatch
-//! aborts the run. The engine's buffer is sharded to the maximum tested
-//! thread count (`EngineBuilder::buffer_shards`).
+//! aborts the run. Every thread count shares the engine's one buffer
+//! pool: one LRU under one lock.
 //!
 //! The two kinds of cell do not run the same machinery. SB's batch
 //! cells are `Engine::evaluate_batch`, which drives the service core
@@ -95,14 +95,12 @@ pub const SERIES: Series = Series {
 
 fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
     let cfg = if quick { &QUICK } else { &FULL };
-    let max_threads = cfg.threads.iter().copied().max().unwrap_or(1);
     println!(
         "scaling: |O|={} requests={} |F|/req={} D={DIM} threads={:?} cores={cores}",
         cfg.objects, cfg.requests, cfg.functions_per_request, cfg.threads
     );
 
-    // fig2-style objects, one shared engine, buffer sharded to the
-    // widest tested thread count
+    // fig2-style objects, one shared engine
     let w = WorkloadBuilder::new()
         .objects(cfg.objects)
         .functions(1)
@@ -113,7 +111,6 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
     let build_start = Instant::now();
     let engine = Engine::builder()
         .objects(&w.objects)
-        .buffer_shards(max_threads)
         .build()
         .expect("workload objects are valid");
     let build_secs = build_start.elapsed().as_secs_f64();
@@ -235,10 +232,6 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
         ),
         ("dim", Json::Num(DIM as f64)),
         ("build_secs", Json::Num(build_secs)),
-        (
-            "buffer_shards",
-            Json::Num(engine.tree().buffer_shards() as f64),
-        ),
     ]);
     vec![
         ("workload", workload),

@@ -38,7 +38,6 @@
 use std::fs;
 use std::sync::Arc;
 
-use mpq_core::service::resolved_workers;
 use mpq_core::{Algorithm, Engine, EngineService, MpqError, ServiceConfig};
 use mpq_datagen::Distribution;
 use mpq_rtree::PointSet;
@@ -254,7 +253,7 @@ fn cli_from_mpq(e: MpqError) -> CliError {
 }
 
 /// Parallel serving demo: load one `(objects, functions)` pair, build
-/// the engine once (buffer sharded to the worker count), then serve `R`
+/// the engine once, then serve `R`
 /// copies of the request on `T` threads via `Engine::evaluate_batch` and
 /// report the throughput against the sequential loop. The batch results
 /// are verified identical to the sequential ones before anything is
@@ -270,7 +269,6 @@ fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
 
     let engine = Engine::builder()
         .objects(&objects)
-        .buffer_shards(resolved_workers(threads))
         .build()
         .map_err(cli_from_mpq)?;
 
@@ -349,7 +347,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     } else {
         Some(read_objects(required(args, "--objects")?)?.0)
     };
-    let mut builder = Engine::builder().buffer_shards(resolved_workers(workers));
+    let mut builder = Engine::builder();
     if let Some(objects) = &objects {
         builder = builder.objects(objects);
     }

@@ -150,7 +150,6 @@ impl std::fmt::Display for Algorithm {
 pub struct EngineBuilder<'o> {
     index: IndexConfig,
     objects: Option<&'o PointSet>,
-    buffer_shards: Option<usize>,
     data_dir: Option<PathBuf>,
     fault_injector: Option<Arc<FaultInjector>>,
 }
@@ -168,21 +167,6 @@ impl<'o> EngineBuilder<'o> {
     /// outlive the engine.
     pub fn objects(mut self, objects: &'o PointSet) -> EngineBuilder<'o> {
         self.objects = Some(objects);
-        self
-    }
-
-    /// Split the LRU buffer into `shards` lock shards so concurrent
-    /// evaluations on distinct pages stop contending on one mutex (see
-    /// the `mpq_rtree::buffer` docs). A good value is the thread count
-    /// passed to [`Engine::evaluate_batch`]. Clamped to `[1, buffer
-    /// capacity]` so every lock shard caches at least one page. Buffer
-    /// geometry is a runtime choice, not persistent state: it applies to
-    /// an engine built and to one reopened alike.
-    ///
-    /// Default: 1 — the classic single LRU of the paper's experiments,
-    /// with bit-identical eviction order and I/O counts.
-    pub fn buffer_shards(mut self, shards: usize) -> EngineBuilder<'o> {
-        self.buffer_shards = Some(shards);
         self
     }
 
@@ -518,17 +502,12 @@ impl Engine {
 
     /// The engine over `tree`, built or reopened by `builder`, minting
     /// ids from `next_oid` on, at a freshly minted inventory version.
-    /// The buffer pool takes its lock shards here, so the knob cannot
-    /// miss a path.
     fn over(
         mut tree: RTree,
         wal: Option<Wal>,
         next_oid: u64,
         builder: EngineBuilder<'_>,
     ) -> Engine {
-        if let Some(shards) = builder.buffer_shards {
-            tree.set_buffer_shards(shards.clamp(1, tree.buffer_capacity()));
-        }
         tree.set_stamp(NEXT_INVENTORY_VERSION.fetch_add(1, AtomicOrdering::Relaxed));
         Engine {
             dim: tree.dim(),
@@ -944,10 +923,6 @@ impl Engine {
     /// never mutated; only buffer hit/miss counts feel the concurrency).
     ///
     /// `threads == 0` means "one worker per available core".
-    ///
-    /// For multi-core scaling pair this with
-    /// [`EngineBuilder::buffer_shards`] (shards ≈ threads), otherwise
-    /// every worker funnels through the buffer pool's single lock.
     ///
     /// If any request fails validation, the error of the first failing
     /// request (in input order) is returned before any evaluation work

@@ -1300,9 +1300,9 @@ pub struct EngineService {
 }
 
 /// Resolve a configured worker/thread count: `0` means "one per
-/// available core". Shared by [`EngineService::spawn`], the batch path
-/// and the CLI so the resolution policy cannot drift between surfaces.
-pub fn resolved_workers(requested: usize) -> usize {
+/// available core". Shared by [`EngineService::spawn`] and the batch
+/// path so the resolution policy cannot drift between them.
+pub(crate) fn resolved_workers(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {

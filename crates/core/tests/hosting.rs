@@ -2,9 +2,8 @@
 //! evaluation, the batch path, the service with its cache and seed —
 //! serves the reference matching bit for bit; a service evaluates only
 //! what was built against its own engine; the durability schedule of a
-//! persistent engine is pinned op for op; an invalid inventory is
-//! refused before anything is written; and the buffer's lock shards
-//! reach the pool of an engine built and of one reopened.
+//! persistent engine is pinned op for op; and an invalid inventory is
+//! refused before anything is written.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -242,23 +241,6 @@ fn services_refuse_requests_built_on_another_engine() {
         let served = ticket.unwrap().wait().unwrap();
         assert_eq!(exact(&served.sorted_pairs()), exact(&direct.sorted_pairs()));
     }
-}
-
-/// `buffer_shards` reaches the buffer pool of an engine built and of
-/// one reopened: the one engine constructor applies it.
-#[test]
-fn buffer_shards_reach_the_pool_built_or_reopened() {
-    let objects = seeded_points(400, 3, 0xB0FF);
-    let dir = tmp_dir("buffer_shards");
-    let host = || {
-        let builder = Engine::builder().objects(&objects);
-        builder.buffer_shards(4).data_dir(&dir).open_or_build()
-    };
-    for pass in ["built", "reopened"] {
-        let engine = host().unwrap();
-        assert_eq!(engine.tree().buffer_shards(), 4, "{pass}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Page writes, page syncs, WAL appends and WAL syncs a persistent

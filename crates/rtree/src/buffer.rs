@@ -1,53 +1,33 @@
-//! Sharded LRU buffer pool caching decoded nodes above the pager.
+//! LRU buffer pool caching decoded nodes above the pager.
 //!
 //! The paper's experiments use "an LRU memory buffer with default size 2%
 //! of the tree size"; all reported I/O numbers are physical accesses that
-//! miss this buffer. [`BufferPool`] implements exactly that: a bounded
+//! miss this buffer. [`BufferPool`] implements exactly that: one bounded
 //! cache of decoded nodes with O(1) least-recently-used eviction
 //! (hash map + intrusive doubly-linked list), write-back of dirty pages,
 //! and the [`IoStats`] counters.
 //!
-//! # Sharding
+//! # Locking
 //!
-//! A long-lived engine serves many concurrent evaluations from one tree,
-//! and with a single lock every node access of every thread funnels
-//! through the same mutex. The pool is therefore split into `N` **lock
-//! shards keyed by page id** (`pid % N`): concurrent `get` calls on
-//! pages of different shards never contend, and the pager below is an
-//! `RwLock`, so cache misses on distinct pages decode concurrently too.
-//!
-//! Sharding changes *synchronization*, not *semantics*:
-//!
-//! * the **capacity is a global bound** — per-shard LRU bounds sum to
-//!   exactly the configured capacity (shard `i` gets `cap/N`, with the
-//!   remainder spread over the first `cap % N` shards), and
-//!   `BufferPool::set_capacity` / [`BufferPool::clear`] evict down to
-//!   the global bound across every shard;
-//! * the [`IoStats`] counters are kept per shard and summed on read, so
-//!   whole-pool accounting stays exact;
-//! * with one shard (the [`BufferPool::new`] default) the pool is
-//!   bit-for-bit the classic single-LRU of the paper's experiments —
-//!   eviction order, counters, everything.
-//!
-//! A shard whose capacity share is zero (more shards than buffer pages)
-//! caches nothing: reads on it are served straight from the pager and
-//! writes go through immediately. Eviction is LRU *within* a shard; with
-//! `N > 1` the global reference order is only approximated, which is the
-//! usual trade sharded caches make.
+//! One mutex guards the frames, the map, the LRU list, the capacity, the
+//! counters and the page scratch. The store sits behind a lock of its
+//! own, always taken after the frame lock. A hit takes the frame lock
+//! alone, so a checkpoint's fsync, which holds only the store lock,
+//! does not stall it; a miss reads its page under both locks, so it
+//! waits out the fsync and every access queues behind it meanwhile.
 //!
 //! Nodes are handed out as `Arc<Node>` clones so read paths never copy
 //! node payloads; writers install fresh nodes with [`BufferPool::put`].
 //!
 //! A page an in-flight tree mutation has superseded stays readable (a
-//! pinned snapshot may still walk it) but no longer counts against its
-//! shard's share, and eviction passes it over: the mutation frees it at
+//! pinned snapshot may still walk it) but no longer counts against the
+//! capacity, and eviction passes it over: the mutation frees it at
 //! publish unless a reader still holds it, so writing it back or
 //! evicting a live page for it would both be waste. Publish settles it
 //! back into the count (see [`crate::tree`]).
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::lock;
@@ -62,51 +42,50 @@ struct Frame {
     node: Arc<Node>,
     dirty: bool,
     /// Superseded by the in-flight mutation: resident, but outside the
-    /// share and never an eviction victim.
+    /// capacity and never an eviction victim.
     superseded: bool,
     prev: usize,
     next: usize,
 }
 
-struct Shard {
+/// Everything the frame lock guards.
+struct Lru {
     map: HashMap<u32, usize>,
     frames: Vec<Frame>,
     free_slots: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
+    capacity: usize,
     /// Resident frames marked superseded.
     superseded: usize,
     stats: IoStats,
+    /// Dirty write-backs that failed at the store. Each failure leaves
+    /// the frame resident and dirty (possibly over-admitting it past
+    /// the capacity) so no committed data is lost; a later
+    /// [`BufferPool::flush`] or eviction retries the write.
+    write_failures: u64,
     scratch: Vec<u8>,
 }
 
-/// A thread-safe, sharded LRU buffer pool over any [`PageStore`]
-/// (in-memory [`crate::pager::MemPager`] or file-backed
-/// [`crate::disk::DiskPager`]).
+/// A thread-safe LRU buffer pool over any [`PageStore`] (in-memory
+/// [`crate::pager::MemPager`] or file-backed [`crate::disk::DiskPager`]).
 ///
 /// All node traffic of an [`crate::RTree`] flows through this type, which
 /// is what makes the I/O accounting exact: `logical` counts every request,
 /// `physical_reads` counts misses, `physical_writes` counts dirty
 /// write-backs (and a disk-backed store contributes its `disk_*` device
-/// counters). See the [module docs](self) for the sharding model.
+/// counters). See the [module docs](self) for the locking model.
 pub struct BufferPool {
     store: RwLock<Box<dyn PageStore>>,
     dim: usize,
     page_size: usize,
-    cap: AtomicUsize,
-    shards: Box<[Mutex<Shard>]>,
-    /// Dirty write-backs that failed at the store. Each failure leaves
-    /// the frame resident and dirty (possibly over-admitting its shard
-    /// past the capacity share) so no committed data is lost; a later
-    /// [`BufferPool::flush`] or eviction retries the write.
-    write_failures: AtomicU64,
+    lru: Mutex<Lru>,
 }
 
 impl std::fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity())
-            .field("shards", &self.shards.len())
             .field("resident", &self.resident())
             .field("stats", &self.stats())
             .finish()
@@ -114,98 +93,45 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// Create a single-shard pool over `store` caching up to `capacity`
-    /// nodes of a `dim`-dimensional tree — the classic one-lock LRU.
-    /// Capacities below 1 are clamped to 1.
+    /// Create a pool over `store` caching up to `capacity` nodes of a
+    /// `dim`-dimensional tree. Capacities below 1 are clamped to 1.
     pub fn new<S: PageStore + 'static>(store: S, dim: usize, capacity: usize) -> BufferPool {
-        BufferPool::with_shards(store, dim, capacity, 1)
+        BufferPool::with_boxed_store(Box::new(store), dim, capacity)
     }
 
-    /// Create a pool with `shards` lock shards (clamped to ≥ 1). The
-    /// `capacity` is the **global** bound across all shards.
-    pub(crate) fn with_shards<S: PageStore + 'static>(
-        store: S,
-        dim: usize,
-        capacity: usize,
-        shards: usize,
-    ) -> BufferPool {
-        BufferPool::with_boxed_store(Box::new(store), dim, capacity, shards)
-    }
-
-    /// Like [`BufferPool::with_shards`] but taking an already-boxed store
-    /// (avoids double boxing when a pool is rebuilt around an existing
-    /// store, e.g. on re-sharding).
+    /// Like [`BufferPool::new`] but taking an already-boxed store, so a
+    /// tree built over a caller's store does not box it twice.
     pub(crate) fn with_boxed_store(
         store: Box<dyn PageStore>,
         dim: usize,
         capacity: usize,
-        shards: usize,
     ) -> BufferPool {
         let page = store.page_size();
-        let n = shards.max(1);
-        let shards = (0..n)
-            .map(|_| {
-                Mutex::new(Shard {
-                    map: HashMap::new(),
-                    frames: Vec::new(),
-                    free_slots: Vec::new(),
-                    head: NIL,
-                    tail: NIL,
-                    superseded: 0,
-                    stats: IoStats::default(),
-                    scratch: vec![0u8; page],
-                })
-            })
-            .collect();
         BufferPool {
             store: RwLock::new(store),
             dim,
             page_size: page,
-            cap: AtomicUsize::new(capacity.max(1)),
-            shards,
-            write_failures: AtomicU64::new(0),
+            lru: Mutex::new(Lru {
+                map: HashMap::new(),
+                frames: Vec::new(),
+                free_slots: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                capacity: capacity.max(1),
+                superseded: 0,
+                stats: IoStats::default(),
+                write_failures: 0,
+                scratch: vec![0u8; page],
+            }),
         }
     }
 
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    #[inline]
-    fn shard_of(&self, pid: PageId) -> usize {
-        pid.0 as usize % self.shards.len()
-    }
-
-    /// Capacity share of shard `i`: `cap/N` plus one of the `cap % N`
-    /// remainder pages. Shares sum to exactly the global capacity.
-    #[inline]
-    fn share(&self, i: usize) -> usize {
-        let cap = self.cap.load(Ordering::Relaxed);
-        let n = self.shards.len();
-        cap / n + usize::from(i < cap % n)
-    }
-
-    /// Flush every shard and unwrap the underlying store (used when the
-    /// pool is rebuilt with a different shard count). Intended for
-    /// healthy stores: a frame whose write-back still fails here is
-    /// dropped with the pool.
+    /// Flush and unwrap the underlying store, so a test can read the
+    /// page images the pool wrote.
+    #[cfg(test)]
     pub(crate) fn into_store(self) -> Box<dyn PageStore> {
         let _ = self.flush();
         lock(self.store.into_inner())
-    }
-
-    /// Seed the aggregate I/O counters (credited to shard 0). Used when a
-    /// pool is rebuilt so re-sharding never loses accounting history. The
-    /// `disk_*` fields are stripped: the store travels with the rebuild
-    /// and keeps its own device counters.
-    pub(crate) fn seed_stats(&self, stats: IoStats) {
-        lock(self.shards[0].lock()).stats = IoStats {
-            disk_reads: 0,
-            disk_writes: 0,
-            fsyncs: 0,
-            ..stats
-        };
     }
 
     /// Fetch a node, reading and decoding the page on a miss.
@@ -226,33 +152,15 @@ impl BufferPool {
     /// # Panics
     /// See [`BufferPool::get`].
     pub(crate) fn get_probe(&self, pid: PageId) -> (Arc<Node>, bool) {
-        let si = self.shard_of(pid);
-        let mut g = lock(self.shards[si].lock());
+        let mut g = lock(self.lru.lock());
         g.stats.logical += 1;
         if let Some(&slot) = g.map.get(&pid.0) {
             g.touch(slot);
             return (Arc::clone(&g.frames[slot].node), false);
         }
         g.stats.physical_reads += 1;
-        let node = {
-            let store = lock(self.store.read());
-            store
-                .read_into(pid, &mut g.scratch)
-                .unwrap_or_else(|e| panic!("unserviceable read of page {pid}: {e}"));
-            drop(store);
-            Arc::new(Node::decode(self.dim, &g.scratch))
-        };
-        let share = self.share(si);
-        if share > 0 {
-            g.install(
-                pid,
-                Arc::clone(&node),
-                false,
-                share,
-                &self.store,
-                &self.write_failures,
-            );
-        }
+        let node = Arc::new(self.read(pid, &mut g.scratch));
+        g.install(pid, Arc::clone(&node), false, &self.store);
         (node, true)
     }
 
@@ -265,24 +173,24 @@ impl BufferPool {
     /// # Panics
     /// See [`BufferPool::get`].
     pub(crate) fn peek(&self, pid: PageId) -> Arc<Node> {
-        let mut g = lock(self.shards[self.shard_of(pid)].lock());
+        let mut g = lock(self.lru.lock());
         if let Some(&slot) = g.map.get(&pid.0) {
             return Arc::clone(&g.frames[slot].node);
         }
+        Arc::new(self.read(pid, &mut g.scratch))
+    }
+
+    /// Read and decode `pid` from the store through `scratch`.
+    fn read(&self, pid: PageId, scratch: &mut [u8]) -> Node {
         lock(self.store.read())
-            .read_into(pid, &mut g.scratch)
+            .read_into(pid, scratch)
             .unwrap_or_else(|e| panic!("unserviceable read of page {pid}: {e}"));
-        Arc::new(Node::decode(self.dim, &g.scratch))
+        Node::decode(self.dim, scratch)
     }
 
     /// Install a (possibly new) node image for `pid`, marking it dirty.
-    /// On a shard with a zero capacity share the page is written through
-    /// to the pager instead of cached — unless that write fails, in
-    /// which case the frame is cached anyway (over-admitted) so the
-    /// update survives for a later flush to retry.
     pub fn put(&self, pid: PageId, node: Node) {
-        let si = self.shard_of(pid);
-        let mut g = lock(self.shards[si].lock());
+        let mut g = lock(self.lru.lock());
         g.stats.logical += 1;
         let node = Arc::new(node);
         if let Some(&slot) = g.map.get(&pid.0) {
@@ -291,13 +199,7 @@ impl BufferPool {
             g.touch(slot);
             return;
         }
-        let share = self.share(si);
-        if share > 0 {
-            g.install(pid, node, true, share, &self.store, &self.write_failures);
-        } else if g.write_through(pid, &node, &self.store).is_err() {
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
-            g.force_install(pid, node, true);
-        }
+        g.install(pid, node, true, &self.store);
     }
 
     /// Allocate a fresh page in the underlying store.
@@ -311,8 +213,8 @@ impl BufferPool {
     /// its pages are written once and never read back before the pool is
     /// emptied, so caching them would only buy an LRU install and an
     /// eviction each. A page whose write failed is kept as a resident
-    /// dirty frame (over-admitted, like a failed zero-share
-    /// write-through in [`BufferPool::put`]) for a later flush to retry.
+    /// dirty frame (over-admitted past the capacity) for a later flush
+    /// to retry.
     ///
     /// # Panics
     /// Panics if the store's next fresh page is not `first`: the run's
@@ -327,19 +229,18 @@ impl BufferPool {
                 failed.push((pid, Node::decode(self.dim, page)))
             });
         }
-        lock(self.shards[0].lock()).stats.physical_writes += (pages - failed.len()) as u64;
+        let mut g = lock(self.lru.lock());
+        g.stats.physical_writes += (pages - failed.len()) as u64;
+        g.write_failures += failed.len() as u64;
         for (pid, node) in failed {
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
-            let mut shard = lock(self.shards[self.shard_of(pid)].lock());
-            shard.force_install(pid, Arc::new(node), true);
+            g.force_install(pid, Arc::new(node), true);
         }
     }
 
     /// Drop any cached copy of `pid` (without write-back) and free the
     /// page in the pager.
     pub fn free(&self, pid: PageId) {
-        let si = self.shard_of(pid);
-        let mut g = lock(self.shards[si].lock());
+        let mut g = lock(self.lru.lock());
         if let Some(&slot) = g.map.get(&pid.0) {
             g.drop_frame(slot);
             g.frames[slot].node = Arc::new(Node::Leaf(crate::node::LeafNode::new(1)));
@@ -350,7 +251,7 @@ impl BufferPool {
     /// Mark `pid`'s frame, if resident, as superseded by the in-flight
     /// mutation (see the [module docs](self)).
     pub(crate) fn supersede(&self, pid: PageId) {
-        let mut g = lock(self.shards[self.shard_of(pid)].lock());
+        let mut g = lock(self.lru.lock());
         if let Some(&slot) = g.map.get(&pid.0) {
             if !std::mem::replace(&mut g.frames[slot].superseded, true) {
                 g.superseded += 1;
@@ -358,19 +259,17 @@ impl BufferPool {
         }
     }
 
-    /// Count `pid`'s frame, if still resident and superseded, against its
-    /// shard's share again, evicting down to the share: its mutation has
-    /// published, and a reader still holds the page.
+    /// Count `pid`'s frame, if still resident and superseded, against the
+    /// capacity again, evicting down to it: its mutation has published,
+    /// and a reader still holds the page.
     pub(crate) fn settle(&self, pid: PageId) {
-        let si = self.shard_of(pid);
-        let mut g = lock(self.shards[si].lock());
+        let mut g = lock(self.lru.lock());
         let Some(&slot) = g.map.get(&pid.0) else {
             return;
         };
         if std::mem::replace(&mut g.frames[slot].superseded, false) {
             g.superseded -= 1;
-            let share = self.share(si);
-            while g.counted() > share && g.evict_one(&self.store, &self.write_failures) {}
+            g.trim(&self.store);
         }
     }
 
@@ -379,83 +278,63 @@ impl BufferPool {
     /// frames that failed **stay resident and dirty**, so a later flush
     /// can retry once the device recovers.
     pub fn flush(&self) -> io::Result<()> {
+        let mut g = lock(self.lru.lock());
+        let slots: Vec<usize> = g.map.values().copied().collect();
         let mut first_err = None;
-        for shard in self.shards.iter() {
-            let mut g = lock(shard.lock());
-            let slots: Vec<usize> = g.map.values().copied().collect();
-            for slot in slots {
-                if let Err(e) = g.write_back(slot, &self.store) {
-                    self.write_failures.fetch_add(1, Ordering::Relaxed);
-                    first_err.get_or_insert(e);
-                }
+        for slot in slots {
+            if let Err(e) = g.write_back(slot, &self.store) {
+                first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
-    /// Flush, then drop every cached frame in every shard (a "cold"
-    /// buffer), leaving the stats untouched. Useful before measuring a
-    /// query from a cold start. A dirty frame whose write-back fails is
-    /// **not** dropped (that would lose the only copy); it stays
-    /// resident for a later retry, so under an injected store outage the
-    /// pool may remain warm.
+    /// Flush, then drop every cached frame (a "cold" buffer), leaving
+    /// the stats untouched. Useful before measuring a query from a cold
+    /// start. A dirty frame whose write-back fails is **not** dropped
+    /// (that would lose the only copy); it stays resident for a later
+    /// retry, so under an injected store outage the pool may remain
+    /// warm.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut g = lock(shard.lock());
-            let slots: Vec<usize> = g.map.values().copied().collect();
-            let mut kept = false;
-            for slot in slots {
-                if g.write_back(slot, &self.store).is_err() {
-                    self.write_failures.fetch_add(1, Ordering::Relaxed);
-                    kept = true;
-                    continue;
-                }
+        let mut g = lock(self.lru.lock());
+        let slots: Vec<usize> = g.map.values().copied().collect();
+        for slot in slots {
+            if g.write_back(slot, &self.store).is_ok() {
                 g.drop_frame(slot);
             }
-            if !kept && g.map.is_empty() {
-                g.frames.clear();
-                g.free_slots.clear();
-                g.head = NIL;
-                g.tail = NIL;
-            }
+        }
+        if g.map.is_empty() {
+            g.frames.clear();
+            g.free_slots.clear();
+            g.head = NIL;
+            g.tail = NIL;
         }
     }
 
-    /// Change the **global** capacity (clamped to ≥ 1), evicting LRU
-    /// victims in every shard until the pool is within the new bound:
-    /// each shard is trimmed to its share of the global capacity, so the
-    /// total resident count never exceeds the bound (unless unwritable
-    /// dirty frames force over-admission; see [`BufferPool::flush`]).
+    /// Change the capacity (clamped to ≥ 1), evicting LRU victims until
+    /// the pool is within the new bound (unless unwritable dirty frames
+    /// force over-admission; see [`BufferPool::flush`]).
     pub(crate) fn set_capacity(&self, capacity: usize) {
-        self.cap.store(capacity.max(1), Ordering::Relaxed);
-        for (i, shard) in self.shards.iter().enumerate() {
-            let share = self.share(i);
-            let mut g = lock(shard.lock());
-            while g.counted() > share {
-                if !g.evict_one(&self.store, &self.write_failures) {
-                    break;
-                }
-            }
-        }
+        let mut g = lock(self.lru.lock());
+        g.capacity = capacity.max(1);
+        g.trim(&self.store);
     }
 
     /// Dirty write-backs that have failed at the store so far (each one
     /// left its frame resident and dirty for a retry).
-    pub fn write_failures(&self) -> u64 {
-        self.write_failures.load(Ordering::Relaxed)
+    #[cfg(test)]
+    pub(crate) fn write_failures(&self) -> u64 {
+        lock(self.lru.lock()).write_failures
     }
 
-    /// Current global capacity in nodes/pages.
+    /// Current capacity in nodes/pages.
     pub fn capacity(&self) -> usize {
-        self.cap.load(Ordering::Relaxed)
+        lock(self.lru.lock()).capacity
     }
 
-    /// Number of nodes currently resident across all shards.
+    /// Number of nodes currently resident.
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| lock(s.lock()).map.len()).sum()
+        lock(self.lru.lock()).map.len()
     }
 
     /// Number of live pages in the store (i.e., size of the tree on
@@ -469,23 +348,17 @@ impl BufferPool {
         self.page_size
     }
 
-    /// Snapshot of the I/O counters: buffer traffic summed across shards,
-    /// plus the store's device counters (`disk_*`, zero for in-memory
-    /// stores).
+    /// Snapshot of the I/O counters: buffer traffic plus the store's
+    /// device counters (`disk_*`, zero for in-memory stores).
     pub fn stats(&self) -> IoStats {
-        let mut total = IoStats::default();
-        for shard in self.shards.iter() {
-            total += lock(shard.lock()).stats;
-        }
-        total + lock(self.store.read()).disk_stats()
+        let buffered = lock(self.lru.lock()).stats;
+        buffered + lock(self.store.read()).disk_stats()
     }
 
     /// Zero the I/O counters (e.g., after bulk loading, so experiments
     /// measure query cost only).
     pub fn reset_stats(&self) {
-        for shard in self.shards.iter() {
-            lock(shard.lock()).stats = IoStats::default();
-        }
+        lock(self.lru.lock()).stats = IoStats::default();
         lock(self.store.read()).reset_disk_stats();
     }
 
@@ -510,8 +383,8 @@ impl BufferPool {
     }
 }
 
-impl Shard {
-    /// Resident frames that count against the shard's share.
+impl Lru {
+    /// Resident frames that count against the capacity.
     fn counted(&self) -> usize {
         self.map.len() - self.superseded
     }
@@ -559,48 +432,40 @@ impl Shard {
         }
     }
 
+    /// Evict down to the capacity, as far as eviction can go.
+    fn trim(&mut self, store: &RwLock<Box<dyn PageStore>>) {
+        while self.counted() > self.capacity && self.evict_one(store) {}
+    }
+
     fn install(
         &mut self,
         pid: PageId,
         node: Arc<Node>,
         dirty: bool,
-        share: usize,
         store: &RwLock<Box<dyn PageStore>>,
-        failures: &AtomicU64,
     ) {
-        debug_assert!(share > 0, "zero-share shards must not cache");
-        while self.counted() >= share {
-            if !self.evict_one(store, failures) {
-                // Every candidate victim is dirty and unwritable: admit
-                // the newcomer beyond the share rather than lose data or
-                // refuse the caller. Later evictions retry the victims.
-                break;
-            }
-        }
+        // If every candidate victim is dirty and unwritable, the newcomer
+        // is admitted beyond the capacity rather than losing data or
+        // refusing the caller. Later evictions retry the victims.
+        while self.counted() >= self.capacity && self.evict_one(store) {}
         self.force_install(pid, node, dirty);
     }
 
     /// Insert a frame without evicting (used on over-admission).
     fn force_install(&mut self, pid: PageId, node: Arc<Node>, dirty: bool) {
+        let frame = Frame {
+            pid: pid.0,
+            node,
+            dirty,
+            superseded: false,
+            prev: NIL,
+            next: NIL,
+        };
         let slot = if let Some(s) = self.free_slots.pop() {
-            self.frames[s] = Frame {
-                pid: pid.0,
-                node,
-                dirty,
-                superseded: false,
-                prev: NIL,
-                next: NIL,
-            };
+            self.frames[s] = frame;
             s
         } else {
-            self.frames.push(Frame {
-                pid: pid.0,
-                node,
-                dirty,
-                superseded: false,
-                prev: NIL,
-                next: NIL,
-            });
+            self.frames.push(frame);
             self.frames.len() - 1
         };
         self.map.insert(pid.0, slot);
@@ -611,63 +476,37 @@ impl Shard {
     /// head. A superseded frame is passed over, and so is a dirty victim
     /// whose write-back fails (it stays resident so the data survives);
     /// returns `false` if no frame could be evicted.
-    fn evict_one(&mut self, store: &RwLock<Box<dyn PageStore>>, failures: &AtomicU64) -> bool {
-        debug_assert!(self.tail != NIL, "evict called on empty shard");
+    fn evict_one(&mut self, store: &RwLock<Box<dyn PageStore>>) -> bool {
+        debug_assert!(self.tail != NIL, "evict called on an empty pool");
         let mut victim = self.tail;
         while victim != NIL {
-            if self.frames[victim].superseded {
-                victim = self.frames[victim].prev;
-                continue;
+            if !self.frames[victim].superseded && self.write_back(victim, store).is_ok() {
+                self.drop_frame(victim);
+                return true;
             }
-            match self.write_back(victim, store) {
-                Ok(()) => {
-                    self.drop_frame(victim);
-                    return true;
-                }
-                Err(_) => {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                    victim = self.frames[victim].prev;
-                }
-            }
+            victim = self.frames[victim].prev;
         }
         false
     }
 
+    /// Write the frame in `slot` to the store if it is dirty. A failure
+    /// is counted and leaves the frame dirty.
     fn write_back(&mut self, slot: usize, store: &RwLock<Box<dyn PageStore>>) -> io::Result<()> {
-        if !self.frames[slot].dirty {
+        let frame = &self.frames[slot];
+        if !frame.dirty {
             return Ok(());
         }
-        let pid = PageId(self.frames[slot].pid);
-        let node = Arc::clone(&self.frames[slot].node);
-        self.encode_and_write(pid, &node, store)?;
+        // `encode` sets every byte of the prefix it reports and the
+        // store zero-fills the page past it.
+        frame.node.encode(&mut self.scratch);
+        let len = frame.node.encoded_len();
+        if let Err(e) = lock(store.write()).write(PageId(frame.pid), &self.scratch[..len]) {
+            self.write_failures += 1;
+            return Err(e);
+        }
         self.frames[slot].dirty = false;
         self.stats.physical_writes += 1;
         Ok(())
-    }
-
-    /// Uncached write of `node` to `pid` (zero-share shards).
-    fn write_through(
-        &mut self,
-        pid: PageId,
-        node: &Node,
-        store: &RwLock<Box<dyn PageStore>>,
-    ) -> io::Result<()> {
-        self.encode_and_write(pid, node, store)?;
-        self.stats.physical_writes += 1;
-        Ok(())
-    }
-
-    fn encode_and_write(
-        &mut self,
-        pid: PageId,
-        node: &Node,
-        store: &RwLock<Box<dyn PageStore>>,
-    ) -> io::Result<()> {
-        // `encode` sets every byte of the prefix it reports and the
-        // store zero-fills the page past it.
-        node.encode(&mut self.scratch);
-        let len = node.encoded_len();
-        lock(store.write()).write(pid, &self.scratch[..len])
     }
 }
 
@@ -684,12 +523,7 @@ mod tests {
     }
 
     fn pool(cap: usize) -> (BufferPool, Vec<PageId>) {
-        pool_sharded(cap, 1)
-    }
-
-    fn pool_sharded(cap: usize, shards: usize) -> (BufferPool, Vec<PageId>) {
-        let pager = MemPager::new(256);
-        let pool = BufferPool::with_shards(pager, 2, cap, shards);
+        let pool = BufferPool::new(MemPager::new(256), 2, cap);
         let mut pids = Vec::new();
         for i in 0..5 {
             let pid = pool.allocate();
@@ -845,147 +679,45 @@ mod tests {
         assert_eq!(pool.stats().physical_reads, 1);
     }
 
-    // ------------------------------------------------------------------
-    // Sharded-pool behavior
-    // ------------------------------------------------------------------
-
+    /// Four threads mix `get` and `put` over 32 pages through a pool of
+    /// 8. Each thread owns 8 pages, so the image it last put on a page
+    /// is the one every later `get` of that page must return.
     #[test]
-    fn sharded_pool_round_trips_all_pages() {
-        let (pool, pids) = pool_sharded(8, 3);
-        assert_eq!(pool.shard_count(), 3);
+    fn concurrent_gets_and_puts_stay_bounded_exact_and_current() {
+        const THREADS: usize = 4;
+        const OWN: usize = 8;
+        const OPS: usize = 600;
+        let pool = BufferPool::new(MemPager::new(256), 2, 8);
+        let pids: Vec<PageId> = (0..THREADS * OWN).map(|_| pool.allocate()).collect();
         for (i, &pid) in pids.iter().enumerate() {
-            let node = pool.get(pid);
-            assert_eq!(node.as_leaf().point(0), &[i as f64 * 0.1, i as f64 * 0.1]);
+            pool.put(pid, leaf_node(2, i as f64));
         }
-    }
-
-    #[test]
-    fn shard_shares_sum_to_global_capacity() {
-        // cap 5 over 3 shards: shares 2, 2, 1.
-        let (pool, _) = pool_sharded(5, 3);
-        let shares: Vec<usize> = (0..3).map(|i| pool.share(i)).collect();
-        assert_eq!(shares, vec![2, 2, 1]);
-        assert_eq!(shares.iter().sum::<usize>(), pool.capacity());
-    }
-
-    #[test]
-    fn sharded_resident_never_exceeds_global_capacity() {
-        // Regression for the shard-boundary semantics: 5 sequential pids
-        // over 2 shards (pids 0,2,4 -> shard 0; 1,3 -> shard 1) with
-        // global cap 3 (shares 2 + 1). Warming every page must leave
-        // exactly share-many residents per shard: 2 + 1 = 3 — the global
-        // bound, not a per-shard bound of 3 each.
-        let (pool, pids) = pool_sharded(3, 2);
         pool.clear();
-        for &pid in &pids {
-            pool.get(pid);
-        }
-        assert_eq!(pool.resident(), 3);
-        // shard 0 holds the 2 most recent of {0,2,4}; shard 1 holds 3
-        assert!(
-            !pool.shards.iter().any(|s| lock(s.lock()).map.len() > 2),
-            "no shard may exceed its share"
+        pool.reset_stats();
+        std::thread::scope(|s| {
+            for (t, own) in pids.chunks(OWN).enumerate() {
+                let pool = &pool;
+                s.spawn(move || {
+                    let mut last: Vec<f64> = (0..OWN).map(|j| (t * OWN + j) as f64).collect();
+                    for i in 0..OPS {
+                        let j = (i * 5 + t) % OWN;
+                        if i % 3 == 0 {
+                            last[j] = (1_000 * (t + 1) + i) as f64;
+                            pool.put(own[j], leaf_node(2, last[j]));
+                        } else {
+                            let got = pool.get(own[j]).as_leaf().point(0)[0];
+                            assert_eq!(got, last[j], "thread {t}, page {j}, op {i}");
+                        }
+                        assert!(pool.resident() <= pool.capacity());
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            pool.stats().logical,
+            (THREADS * OPS) as u64,
+            "every call is counted"
         );
-    }
-
-    #[test]
-    fn set_capacity_trims_across_shards_to_global_bound() {
-        // 5 pages over 4 shards; pids 0..5 land on shards 0,1,2,3,0.
-        let (pool, pids) = pool_sharded(8, 4);
-        pool.clear();
-        for &pid in &pids {
-            pool.get(pid);
-        }
-        assert_eq!(pool.resident(), 5);
-        // Global cap 5 -> shares (2,1,1,1): shard 0 keeps both its pages.
-        pool.set_capacity(5);
-        assert_eq!(pool.resident(), 5);
-        // Global cap 2 -> shares (1,1,0,0): shards 2 and 3 fully evict.
-        pool.set_capacity(2);
-        assert_eq!(pool.resident(), 2, "evicted to the global bound");
-        // And a dirty page trimmed away must have been written back.
-        pool.reset_stats();
-        for &pid in &pids {
-            let n = pool.get(pid);
-            let _ = n;
-        }
-        assert!(pool.stats().physical_reads >= 3, "trimmed pages are cold");
-    }
-
-    #[test]
-    fn zero_share_shard_serves_uncached_reads_and_writes() {
-        // cap 1 over 2 shards: shard 1 has share 0 and caches nothing.
-        let pager = MemPager::new(256);
-        let pool = BufferPool::with_shards(pager, 2, 1, 2);
-        let a = pool.allocate(); // pid 0 -> shard 0 (share 1)
-        let b = pool.allocate(); // pid 1 -> shard 1 (share 0)
-        pool.put(a, leaf_node(2, 0.3));
-        pool.put(b, leaf_node(2, 0.6)); // write-through
-        assert_eq!(pool.resident(), 1, "only the share-1 shard caches");
-        pool.reset_stats();
-        let n1 = pool.get(b);
-        let n2 = pool.get(b);
-        assert_eq!(n1.as_leaf().point(0), &[0.6, 0.6]);
-        assert_eq!(n2.as_leaf().point(0), &[0.6, 0.6]);
-        let s = pool.stats();
-        assert_eq!(s.physical_reads, 2, "share-0 shard never caches");
-    }
-
-    #[test]
-    fn sharded_clear_leaves_every_shard_cold() {
-        let (pool, pids) = pool_sharded(8, 3);
-        for &pid in &pids {
-            pool.get(pid);
-        }
-        pool.clear();
-        assert_eq!(pool.resident(), 0);
-        pool.reset_stats();
-        for &pid in &pids {
-            pool.get(pid);
-        }
-        assert_eq!(pool.stats().physical_reads, 5, "all shards were cold");
-    }
-
-    #[test]
-    fn sharded_stats_sum_exactly() {
-        let (pool, pids) = pool_sharded(16, 4);
-        pool.clear();
-        pool.reset_stats();
-        for &pid in &pids {
-            pool.get(pid); // 5 misses
-        }
-        for &pid in &pids {
-            pool.get(pid); // 5 hits
-        }
-        let s = pool.stats();
-        assert_eq!(s.logical, 10);
-        assert_eq!(s.physical_reads, 5);
-    }
-
-    #[test]
-    fn concurrent_gets_on_distinct_shards_stay_consistent() {
-        use std::sync::Arc as StdArc;
-        let (pool, pids) = pool_sharded(8, 4);
-        pool.clear();
-        pool.reset_stats();
-        let pool = StdArc::new(pool);
-        let mut handles = Vec::new();
-        for t in 0..4usize {
-            let pool = StdArc::clone(&pool);
-            let pids = pids.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200 {
-                    let pid = pids[(t + i) % pids.len()];
-                    let node = pool.get(pid);
-                    assert!(!node.as_leaf().is_empty());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = pool.stats();
-        assert_eq!(s.logical, 4 * 200, "every access is counted");
         assert!(pool.resident() <= pool.capacity());
     }
 
@@ -1047,24 +779,6 @@ mod tests {
         pool.clear();
         assert_eq!(pool.get(a).as_leaf().point(0), &[0.1, 0.1]);
         assert_eq!(pool.get(b).as_leaf().point(0), &[0.2, 0.2]);
-    }
-
-    #[test]
-    fn zero_share_write_through_failure_caches_the_frame() {
-        // cap 1 over 2 shards: shard 1 has share 0 and writes through.
-        let inj = FaultInjector::shared();
-        let store = FaultPageStore::new(MemPager::new(256), Arc::clone(&inj));
-        let pool = BufferPool::with_shards(store, 2, 1, 2);
-        let _a = pool.allocate(); // pid 0 -> shard 0
-        let b = pool.allocate(); // pid 1 -> shard 1 (share 0)
-        inj.fail_from(FaultOp::PageWrite, 0, FaultKind::Error);
-        pool.put(b, leaf_node(2, 0.6)); // write-through fails -> cached
-        assert_eq!(pool.resident(), 1, "update must be retained in memory");
-        assert_eq!(pool.get(b).as_leaf().point(0), &[0.6, 0.6]);
-        inj.clear();
-        pool.flush().unwrap();
-        pool.clear();
-        assert_eq!(pool.get(b).as_leaf().point(0), &[0.6, 0.6]);
     }
 
     #[test]

@@ -389,7 +389,7 @@ impl RTree {
             params.page_size,
             "store page size must match params.page_size"
         );
-        let buf = BufferPool::with_boxed_store(store, dim, params.buffer_capacity, 1);
+        let buf = BufferPool::with_boxed_store(store, dim, params.buffer_capacity);
         let layout = Layout {
             leaf_cap,
             inner_cap,
@@ -729,42 +729,6 @@ impl RTree {
     /// Current buffer capacity in pages.
     pub fn buffer_capacity(&self) -> usize {
         self.buf.capacity()
-    }
-
-    /// Number of lock shards in the buffer pool (1 = the classic
-    /// single-LRU of the paper's experiments).
-    pub fn buffer_shards(&self) -> usize {
-        self.buf.shard_count()
-    }
-
-    /// Rebuild the buffer pool with `shards` lock shards (clamped to
-    /// ≥ 1), so concurrent readers of distinct pages stop contending on
-    /// one mutex (see the [`crate::buffer`] docs for the sharding
-    /// model). The global capacity is preserved, dirty pages are flushed
-    /// and the buffer restarts cold; the aggregate I/O counters carry
-    /// over, and the underlying store (in-memory or disk) travels to the
-    /// new pool untouched.
-    ///
-    /// Takes `&mut self`: re-sharding is a (re)configuration step done
-    /// before a tree is shared, never during concurrent traffic.
-    pub fn set_buffer_shards(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        if shards == self.buf.shard_count() {
-            return;
-        }
-        let cap = self.buf.capacity();
-        // Flush *before* snapshotting the counters: the write-backs of
-        // dirty pages are physical writes and must stay in the carried-
-        // over stats (into_store's own flush then finds nothing dirty).
-        // Re-sharding is a healthy-path admin op; a store that cannot
-        // flush here simply carries its dirty frames into the new pool.
-        let _ = self.buf.flush();
-        let stats = self.buf.stats();
-        let placeholder = BufferPool::new(MemPager::new(64), 1, 1);
-        let old = std::mem::replace(&mut self.buf, placeholder);
-        let store = old.into_store();
-        self.buf = BufferPool::with_boxed_store(store, self.dim, cap, shards);
-        self.buf.seed_stats(stats);
     }
 
     // ------------------------------------------------------------------
@@ -1452,48 +1416,6 @@ mod tests {
         let warm = tree.io_stats().since(cold);
         assert_eq!(warm.physical_reads, 0, "warm scan should be all hits");
         assert!(warm.logical > 0);
-    }
-
-    #[test]
-    fn resharding_preserves_data_capacity_and_stats() {
-        let ps = seeded_points(2_000, 2, 23);
-        let mut tree = RTree::bulk_load(&ps, small_params());
-        let _ = tree.range(&[0.0, 0.0], &[0.3, 0.3]);
-        let stats_before = tree.io_stats();
-        let cap_before = tree.buffer_capacity();
-        assert_eq!(tree.buffer_shards(), 1);
-
-        tree.set_buffer_shards(4);
-        assert_eq!(tree.buffer_shards(), 4);
-        assert_eq!(tree.buffer_capacity(), cap_before);
-        // read-only tree: no dirty pages, counters carry over unchanged
-        assert_eq!(tree.io_stats(), stats_before, "counters carry over");
-        tree.check_invariants();
-
-        // queries still return the same answers through the sharded pool
-        let mut got: Vec<u64> = tree
-            .range(&[0.2, 0.2], &[0.8, 0.8])
-            .into_iter()
-            .map(|(o, _)| o)
-            .collect();
-        got.sort_unstable();
-        let mut expect: Vec<u64> = ps
-            .iter()
-            .filter(|(_, p)| p.iter().all(|&x| (0.2..=0.8).contains(&x)))
-            .map(|(i, _)| i as u64)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-
-        // dirty pages flushed by a re-shard must stay in the counters
-        tree.insert(&[0.5, 0.5], 999_999);
-        let writes_before = tree.io_stats().physical_writes;
-        tree.set_buffer_shards(2);
-        assert!(
-            tree.io_stats().physical_writes > writes_before,
-            "flush-on-reshard write-backs must be accounted"
-        );
-        tree.check_invariants();
     }
 
     #[test]

@@ -31,7 +31,6 @@ fn main() {
     let engine = Arc::new(
         Engine::builder()
             .objects(&w.objects)
-            .buffer_shards(4)
             .build()
             .expect("generated objects are valid"),
     );

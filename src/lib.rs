@@ -106,6 +106,7 @@
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
 //! | `Engine::builder().shards(k)`, `ShardedEngine::builder().shards(k)`, `mpq serve --shards K`, tenant spec `shards=K` | `Engine::builder()` — one R-tree, one WAL, one buffer pool; `Engine::open(dir)` migrates a directory written as `K` shards (`shards.mpq` + `shard-i/`) into the one tree the first time it opens it |
 //! | `engine.shard_count()`, `engine.trees()`, `engine.shard_gauges()`, `/metrics` `"shards": [..]` | `engine.tree()`; `"objects"`, `"tree_height"`, `"buffer_hit_rate"`, `"wal_bytes"` in the `"storage"` object of `/metrics` |
+//! | `Engine::builder().buffer_shards(n)`, `tree.set_buffer_shards(n)`, `tree.buffer_shards()`, `BufferPool::shard_count()` | nothing: the buffer pool is one LRU under one lock; `--threads` / `--workers` / `ServiceConfig::workers` size the workers |
 //! | `Arc<dyn EvalBackend>`, `MatchRequest<'e, 'f, B>`, `client.backend()` | `Arc<Engine>`, `MatchRequest<'e, 'f>`, `client.engine()` (also on `EngineService` and `net::Tenant`) |
 //! | `builder.open_or_build(k)`, `mpq_core::persisted_at(dir)` | `builder.open_or_build()`, `Engine::persisted_at(dir)` |
 //! | `engine.session()`, `session.submit(&b)` | `engine.request(&b).stream()?`, drained, then `stream.load(&b)?` per later batch — one stream, with the request's exclusions and capacities carried across batches |

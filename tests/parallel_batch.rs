@@ -2,7 +2,7 @@
 //!
 //! The contract of [`Engine::evaluate_batch`]: results arrive **in input
 //! order** and are **pair-for-pair identical** to evaluating the same
-//! requests sequentially, whatever the thread count or shard count —
+//! requests sequentially, whatever the thread count —
 //! concurrency may only change buffer hit/miss counts, never matchings
 //! and never the (deterministic) logical I/O of a run.
 
@@ -52,11 +52,7 @@ fn batch_matches_sequential_on_1_2_and_8_threads() {
         .distribution(Distribution::Independent)
         .seed(77)
         .build();
-    let engine = Engine::builder()
-        .objects(&w.objects)
-        .buffer_shards(8)
-        .build()
-        .unwrap();
+    let engine = Engine::builder().objects(&w.objects).build().unwrap();
     let function_sets = request_functions(12, 25, 3);
     let requests: Vec<MatchRequest> = function_sets.iter().map(|fs| engine.request(fs)).collect();
 
@@ -240,11 +236,7 @@ fn exclusions_and_masking_survive_batch_evaluation() {
         .dim(2)
         .seed(11)
         .build();
-    let engine = Engine::builder()
-        .objects(&w.objects)
-        .buffer_shards(4)
-        .build()
-        .unwrap();
+    let engine = Engine::builder().objects(&w.objects).build().unwrap();
     let fs = request_functions(1, 12, 2).remove(0);
     // mask the unconstrained winners, batch-evaluate the masked request
     let unmasked = engine.request(&fs).evaluate().unwrap();

@@ -87,13 +87,7 @@ fn service_results_are_bit_identical_to_sequential_across_worker_counts() {
         .distribution(Distribution::Independent)
         .seed(77)
         .build();
-    let engine = Arc::new(
-        Engine::builder()
-            .objects(&w.objects)
-            .buffer_shards(8)
-            .build()
-            .unwrap(),
-    );
+    let engine = Arc::new(Engine::builder().objects(&w.objects).build().unwrap());
     let function_sets: Vec<FunctionSet> = (0..10).map(|i| fast_functions(900 + i)).collect();
 
     // sequential ground truth
