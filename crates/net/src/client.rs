@@ -10,6 +10,14 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// The most body bytes a response's `Content-Length` reserves before
+/// any arrive: the server's own request limit
+/// ([`ParserLimits::max_body_bytes`](crate::ParserLimits::max_body_bytes)).
+const PRESIZED_BODY_MAX: usize = 4 * 1024 * 1024;
+
+/// The most bytes one read of a response body asks for.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Backoff tuning for [`HttpClient::send_with_retry`].
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
@@ -276,18 +284,22 @@ impl HttpClient {
             .get("content-length")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        let mut body = buf.split_off(head_end);
-        buf.clear();
+        // One buffer sized from the declared length, which a server
+        // could inflate: past `PRESIZED_BODY_MAX` the body grows as it
+        // arrives.
+        let mut body = Vec::with_capacity(content_length.min(PRESIZED_BODY_MAX));
+        body.extend_from_slice(&buf[head_end..]);
         while body.len() < content_length {
-            let mut chunk = [0u8; 8 * 1024];
-            let n = self.stream.read(&mut chunk)?;
+            let filled = body.len();
+            body.resize(content_length.min(filled + READ_CHUNK), 0);
+            let n = self.stream.read(&mut body[filled..])?;
+            body.truncate(filled + n);
             if n == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-body",
                 ));
             }
-            body.extend_from_slice(&chunk[..n]);
         }
         // Anything past the declared body belongs to the next response.
         self.leftover = body.split_off(content_length);

@@ -215,6 +215,9 @@ impl RequestParser {
                     self.state = ParseState::Body { request, remaining };
                 }
                 ParseState::Body { request, remaining } => {
+                    // The body grows with the bytes that arrive, never
+                    // by the declared length: a client may declare
+                    // `max_body_bytes` and send nothing.
                     let take = (*remaining).min(self.buf.len());
                     request.body.extend(self.buf.drain(..take));
                     *remaining -= take;

@@ -38,7 +38,7 @@ pub mod server;
 pub mod tenant;
 
 pub use client::{HttpClient, HttpResponse, RetryPolicy};
-pub use codec::{decode_match_request, decode_pairs, encode_matching, WireRequest};
+pub use codec::{decode_match_request, decode_pairs, encode_matching, MatchingBody, WireRequest};
 pub use http::{HttpError, ParserLimits, Request, RequestParser, Response};
 pub use server::{Server, ServerConfig};
 pub use tenant::{Tenant, TenantConfig, TenantRegistry};

@@ -257,6 +257,57 @@ fn routing_health_and_metrics_endpoints() {
     server.shutdown();
 }
 
+/// The largest bodies the parser admits, nearly all of it one string,
+/// are answered in one pass over their bytes, on `/match` and on
+/// `/mutate`: each took minutes of a connection thread when every
+/// character of a string re-validated the rest of the body.
+#[test]
+fn four_mebibyte_strings_are_answered_promptly() {
+    let w = WorkloadBuilder::new()
+        .objects(200)
+        .functions(1)
+        .dim(2)
+        .seed(5)
+        .build();
+    let mut registry = TenantRegistry::new();
+    registry
+        .add_objects("t", &w.objects, TenantConfig::default())
+        .unwrap();
+    let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(120))).unwrap();
+    let limit = ParserLimits::default().max_body_bytes;
+    let fill = |head: &str, tail: &str| {
+        let pad = "\u{e9}".repeat((limit - head.len() - tail.len()) / 2);
+        format!("{head}{pad}{tail}")
+    };
+    let start = Instant::now();
+    for (path, body, status) in [
+        (
+            "/t/t/match",
+            fill(r#"{"functions":[[0.5,0.5]],"note":""#, r#""}"#),
+            200,
+        ),
+        ("/t/t/match", fill(r#"{"functions":""#, r#""}"#), 400),
+        (
+            "/t/t/mutate",
+            fill(r#"{"op":"insert","point":[0.5,0.5],"note":""#, r#""}"#),
+            200,
+        ),
+        ("/t/t/mutate", fill(r#"{"op":""#, r#""}"#), 400),
+    ] {
+        assert!(body.len() <= limit);
+        let resp = client.post_json(path, &body).unwrap();
+        assert_eq!(resp.status, status, "{path}: {}", resp.text());
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(60),
+        "four 4 MiB bodies took {elapsed:?}"
+    );
+    server.shutdown();
+}
+
 /// An engine over `objects` whose page reads all reach an injected
 /// store (a one-page buffer), and the injector: a test delays reads to
 /// hold a worker for as long as it needs to watch the queue behind it.

@@ -117,7 +117,7 @@ impl FunctionSet {
     /// Non-panicking [`FunctionSet::push`]: append a function, rejecting
     /// malformed rows with a [`WeightError`] instead of panicking. On
     /// error the set is unchanged.
-    pub(crate) fn try_push(&mut self, weights: &[f64]) -> Result<u32, WeightError> {
+    pub fn try_push(&mut self, weights: &[f64]) -> Result<u32, WeightError> {
         if weights.len() != self.dim {
             return Err(WeightError::DimensionMismatch {
                 expected: self.dim,
