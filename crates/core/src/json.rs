@@ -240,6 +240,8 @@ pub struct Scanner<'a> {
     /// Set by an opening bracket: the container's first member comes
     /// with no comma before it.
     first: bool,
+    /// Where the text of the last number read lies.
+    number: std::ops::Range<usize>,
 }
 
 impl<'a> Scanner<'a> {
@@ -249,6 +251,7 @@ impl<'a> Scanner<'a> {
             text,
             pos: 0,
             first: false,
+            number: 0..0,
         }
     }
 
@@ -321,6 +324,15 @@ impl<'a> Scanner<'a> {
             }
             token = self.value()?;
         }
+    }
+
+    /// The number [`value`](Scanner::value) last returned, read from its
+    /// digits rather than its `f64`: the non-negative integer it denotes,
+    /// if it denotes one that fits in `u64` — `0`, `-0`, `17.0` and
+    /// `1.7e1` do; `1.5`, `-1` and `1e30` do not. Exact over the whole
+    /// range, where the `f64` rounds every integer above 2^53.
+    pub fn integer(&self) -> Option<u64> {
+        integer(&self.text[self.number.clone()])
     }
 
     /// Check that nothing but whitespace is left.
@@ -459,8 +471,45 @@ impl<'a> Scanner<'a> {
         if !n.is_finite() {
             return Err(format!("non-finite number '{text}'"));
         }
+        self.number = start..self.pos;
         Ok(n)
     }
+}
+
+/// The non-negative integer that `text`, a number [`Scanner`] accepted,
+/// denotes exactly, if it is one and fits in `u64` (see
+/// [`Scanner::integer`]). Allocates nothing, however long the text.
+fn integer(text: &str) -> Option<u64> {
+    let (mantissa, exponent) = match text.find(['e', 'E']) {
+        Some(at) => (&text[..at], Some(&text[at + 1..])),
+        None => (text, None),
+    };
+    let (negative, mantissa) = match mantissa.as_bytes().first() {
+        Some(b'-') => (true, &mantissa[1..]),
+        Some(b'+') => (false, &mantissa[1..]),
+        _ => (false, mantissa),
+    };
+    let (whole, fraction) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let (whole, fraction) = (whole.as_bytes(), fraction.as_bytes());
+    let digit = |i: usize| match whole.get(i) {
+        Some(&d) => d,
+        None => fraction[i - whole.len()],
+    };
+    let digits = whole.len() + fraction.len();
+    // The significant digits `first..=last`; none: the number is zero.
+    let Some(first) = (0..digits).find(|&i| digit(i) != b'0') else {
+        return Some(0);
+    };
+    let last = (0..digits).rfind(|&i| digit(i) != b'0')?;
+    let exponent: i128 = exponent.map_or(Ok(0), str::parse::<i64>).ok()?.into();
+    // The power of ten the significant digits are scaled by.
+    let scale = exponent - fraction.len() as i128 + (digits - 1 - last) as i128;
+    let significant = (last + 1 - first) as i128;
+    if negative || scale < 0 || significant + scale > 20 {
+        return None;
+    }
+    let value = (first..=last).fold(0u128, |v, i| v * 10 + (digit(i) - b'0') as u128);
+    u64::try_from(value * 10u128.pow(scale as u32)).ok()
 }
 
 #[cfg(test)]
@@ -596,6 +645,40 @@ mod tests {
         let deep = "[".repeat(1 << 20);
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.starts_with("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn integers_are_read_from_their_digits() {
+        let read = |text: &str| {
+            let mut s = Scanner::new(text);
+            assert!(matches!(s.value().unwrap(), Token::Num(_)), "{text}");
+            s.integer()
+        };
+        for (text, expect) in [
+            ("0", Some(0)),
+            ("-0", Some(0)),
+            ("-0.0e-7", Some(0)),
+            ("17", Some(17)),
+            ("17.00", Some(17)),
+            ("1.7e1", Some(17)),
+            ("1700e-2", Some(17)),
+            ("0.017E+3", Some(17)),
+            ("9007199254740993", Some((1 << 53) + 1)),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("1.8446744073709551615e19", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("1e19", Some(10_000_000_000_000_000_000)),
+            ("1e20", None),
+            ("1e30", None),
+            ("1.5", None),
+            ("17e-1", None),
+            ("-1", None),
+            ("1e-400", None),
+        ] {
+            assert_eq!(read(text), expect, "{text}");
+        }
+        let long = format!("1{}e-300", "0".repeat(300));
+        assert_eq!(read(&long), Some(1));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::capacity::Mask;
 use crate::engine::Engine;
 use crate::error::MpqError;
 use crate::matching::{Matching, Pair};
-use crate::sb::{insert_ranked, FunctionSide, SbRun, FBEST_RANKS};
+use crate::sb::{FunctionSide, Row, SbRun};
 use crate::scratch::Scratch;
 
 /// A preference function that is monotone non-decreasing in every
@@ -134,11 +134,11 @@ impl FunctionSide for Scanned<'_> {
         self.functions[fid as usize].eval(point)
     }
 
-    fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>) {
-        list.clear();
+    fn best_functions(&mut self, point: &[f64], mut row: Row<'_, u32>) {
+        row.clear();
         for (fid, f) in self.functions.iter().enumerate() {
             if self.alive[fid] {
-                insert_ranked(list, FBEST_RANKS, fid as u32, f.eval(point));
+                row.insert_ranked(fid as u32, f.eval(point));
             }
         }
     }

@@ -34,17 +34,19 @@
 //! Neither cache changes the output (asserted by tests); they only
 //! remove redundant reverse-top-1 calls and skyline scans.
 //!
-//! Both are columns of rows indexed by dense ids, never hash tables:
-//! the fbest lists by skyline member number
-//! ([`mpq_skyline::SkylineEntry::member`] — members are only appended,
-//! never renumbered, so a departed member's row is simply never read
-//! again), the obest lists by fid. An obest entry carries its object's
-//! member number beside the oid, so a list's head finds its object's
-//! fbest row directly; ties still break on `(score desc, oid asc)`. A
-//! promotion is folded only into rows that hold a list, and an assigned
-//! function's row is emptied. The rows live in the [`Scratch`]: a run
-//! empties them and keeps their capacity, so a warm scratch fills them
-//! without allocating.
+//! Both are fixed-stride rows indexed by dense ids, never hash tables
+//! nor a `Vec` per list (`RankRows`): the fbest lists by skyline
+//! member number ([`mpq_skyline::SkylineEntry::member`] — members are
+//! only appended, never renumbered, so a departed member's row is simply
+//! never read again), `FBEST_RANKS` slots a row, the obest lists by fid,
+//! `OBEST_RANKS` slots a row. Ids and scores are separate columns, and a
+//! row's length is one byte of a third. An obest entry carries its
+//! object's member number beside the oid, so a list's head finds its
+//! object's fbest row directly; ties still break on `(score desc, oid
+//! asc)`. A promotion is folded only into rows that hold a list, and an
+//! assigned function's row is emptied. The rows live in the
+//! [`Scratch`]: a run empties them and keeps the columns, so a warm
+//! scratch fills them without allocating.
 //!
 //! ## One run state, one round
 //!
@@ -56,8 +58,9 @@
 //! reverse top-1 index, or — §II admits "any monotone function" —
 //! monotone functions found by a scan ([`crate::monotone`]).
 //! `SbRun::new` takes the functions and the request's mask and primes
-//! the skyline — cold by BBS, or cloned from the inventory's seed
-//! ([`crate::seed`]) — then peels off the objects the run must not
+//! the skyline — cold by BBS, or resumed from the inventory's seed
+//! ([`crate::seed`]), either way into the skyline columns the
+//! [`Scratch`] keeps — then peels off the objects the run must not
 //! see. The run owns the mask from then on: the exclusions and what is
 //! left of the capacities, one predicate, so a request's exclusions and
 //! a capacitated request's exhausted objects take the same path
@@ -115,7 +118,158 @@ use crate::seed::EvalSeed;
 /// termination (measured sweet spot on the paper's workloads: 8).
 pub(crate) const FBEST_RANKS: usize = 8;
 /// Top-`K` skyline objects cached per function.
-const OBEST_RANKS: usize = 8;
+pub(crate) const OBEST_RANKS: usize = 8;
+
+/// Rank lists as fixed-stride rows (see the [module docs](self)): row
+/// `r` holds its first `lens[r]` entries, entry `i` being
+/// `(ids[r * width + i], scores[r * width + i])`, sorted by
+/// `(score desc, id asc)`. Rows are added on demand and emptied, never
+/// freed, so a warm set serves a run like the last without allocating.
+#[derive(Debug)]
+pub(crate) struct RankRows<I> {
+    width: usize,
+    ids: Vec<I>,
+    scores: Vec<f64>,
+    lens: Vec<u8>,
+}
+
+impl<I: Copy + Ord + Default> RankRows<I> {
+    /// No rows yet, `width` (at most 255) slots each.
+    pub(crate) fn new(width: usize) -> RankRows<I> {
+        assert!((1..=u8::MAX as usize).contains(&width));
+        RankRows {
+            width,
+            ids: Vec::new(),
+            scores: Vec::new(),
+            lens: Vec::new(),
+        }
+    }
+
+    /// Empty every row, and have at least `rows` of them.
+    pub(crate) fn reset(&mut self, rows: usize) {
+        self.lens.fill(0);
+        self.reserve(rows);
+    }
+
+    /// Have at least `rows` rows (new ones empty).
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        if rows > self.lens.len() {
+            self.lens.resize(rows, 0);
+            self.ids.resize(rows * self.width, I::default());
+            self.scores.resize(rows * self.width, 0.0);
+        }
+    }
+
+    /// The number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Row `r`'s length.
+    pub(crate) fn len(&self, r: usize) -> usize {
+        self.lens[r] as usize
+    }
+
+    /// Row `r`'s ids, in rank order.
+    pub(crate) fn ids(&self, r: usize) -> &[I] {
+        &self.ids[r * self.width..][..self.len(r)]
+    }
+
+    /// Row `r`'s first entry; the row must not be empty.
+    pub(crate) fn head(&self, r: usize) -> (I, f64) {
+        debug_assert!(self.len(r) > 0);
+        (self.ids[r * self.width], self.scores[r * self.width])
+    }
+
+    /// Drop row `r`'s first `n` entries.
+    pub(crate) fn drain_front(&mut self, r: usize, n: usize) {
+        if n > 0 {
+            let (at, len) = (r * self.width, self.len(r));
+            self.ids.copy_within(at + n..at + len, at);
+            self.scores.copy_within(at + n..at + len, at);
+            self.lens[r] = (len - n) as u8;
+        }
+    }
+
+    /// Empty row `r`.
+    pub(crate) fn clear(&mut self, r: usize) {
+        self.lens[r] = 0;
+    }
+
+    /// Row `r`, to write.
+    pub(crate) fn row(&mut self, r: usize) -> Row<'_, I> {
+        let at = r * self.width..(r + 1) * self.width;
+        Row {
+            ids: &mut self.ids[at.clone()],
+            scores: &mut self.scores[at],
+            len: &mut self.lens[r],
+        }
+    }
+}
+
+/// One row of a [`RankRows`], borrowed to write: its slots, of which
+/// the first `*len` are the list.
+pub(crate) struct Row<'a, I> {
+    pub(crate) ids: &'a mut [I],
+    pub(crate) scores: &'a mut [f64],
+    pub(crate) len: &'a mut u8,
+}
+
+impl<I: Copy + Ord> Row<'_, I> {
+    /// Empty the row.
+    pub(crate) fn clear(&mut self) {
+        *self.len = 0;
+    }
+
+    /// Insert `(id, s)` into the list, sorted by `(score desc, id asc)`,
+    /// the last entry falling off a full row. Used only while
+    /// *building* a list by a full scan, where lowering the current
+    /// minimum is correct.
+    #[inline]
+    pub(crate) fn insert_ranked(&mut self, id: I, s: f64) {
+        let (len, k) = (*self.len as usize, self.ids.len());
+        if len == k && (s < self.scores[k - 1] || (s == self.scores[k - 1] && id > self.ids[k - 1]))
+        {
+            return;
+        }
+        self.insert(id, s);
+    }
+
+    /// Fold a *promotion* into the list. Unlike
+    /// [`insert_ranked`](Row::insert_ranked), the stored minimum acts as
+    /// the list's **coverage bound**: objects canonically below it may
+    /// have been excluded when the list was built, so accepting a new
+    /// entry below the minimum would silently widen the list's claimed
+    /// coverage and make a stale head look authoritative (the very bug
+    /// that truncated matchings on tie-heavy Zillow data). A promotion
+    /// is therefore inserted only if it beats the stored minimum; the
+    /// minimum never decreases.
+    #[inline]
+    pub(crate) fn fold_promotion(&mut self, id: I, s: f64) {
+        let Some(last) = (*self.len as usize).checked_sub(1) else {
+            return; // empty ⇒ the next access rescans anyway
+        };
+        let (mo, ms) = (self.ids[last], self.scores[last]);
+        if s < ms || (s == ms && id > mo) {
+            return;
+        }
+        self.insert(id, s);
+    }
+
+    /// Insert `(id, s)` at its rank, shifting the rest down.
+    fn insert(&mut self, id: I, s: f64) {
+        let len = *self.len as usize;
+        let pos = (0..len)
+            .position(|i| s > self.scores[i] || (s == self.scores[i] && id < self.ids[i]))
+            .unwrap_or(len);
+        let kept = len.min(self.ids.len() - 1);
+        self.ids.copy_within(pos..kept, pos + 1);
+        self.scores.copy_within(pos..kept, pos + 1);
+        self.ids[pos] = id;
+        self.scores[pos] = s;
+        *self.len = (kept + 1) as u8;
+    }
+}
 
 /// The threshold of a served request's reverse top-1 scans: §IV-A's
 /// tight one. The naive threshold and the scan of `F` (`None`) are
@@ -193,9 +347,9 @@ pub(crate) trait FunctionSide {
     fn score(&self, fid: u32, point: &[f64]) -> f64;
 
     /// Certified top alive functions for `point` — the best one at
-    /// least, sorted by `(score desc, fid asc)` — written over `list`
+    /// least, sorted by `(score desc, fid asc)` — written over `row`
     /// (rank-list cache fill).
-    fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>);
+    fn best_functions(&mut self, point: &[f64], row: Row<'_, u32>);
 
     /// The reverse top-1 scans' counters, where there is an index.
     fn ta_stats(&self) -> Option<TaStats>;
@@ -263,12 +417,17 @@ impl FunctionSide for Linear {
     }
 
     /// Scan mode certifies only the top-1, so its lists hold one entry.
-    fn best_functions(&mut self, point: &[f64], list: &mut Vec<(u32, f64)>) {
+    fn best_functions(&mut self, point: &[f64], mut row: Row<'_, u32>) {
         match (&mut self.rt1, self.threshold) {
-            (Some(rt1), Some(t)) => rt1.top_m_for(&self.fs, point, FBEST_RANKS, t, list),
+            (Some(rt1), Some(t)) => {
+                let found = rt1.top_m_for(&self.fs, point, t, row.ids, row.scores);
+                *row.len = found as u8;
+            }
             _ => {
-                list.clear();
-                list.extend(self.fs.scan_best(point));
+                row.clear();
+                if let Some((fid, score)) = self.fs.scan_best(point) {
+                    row.insert_ranked(fid, score);
+                }
             }
         }
     }
@@ -299,13 +458,15 @@ pub(crate) struct SbRun<R: NodeSource, F> {
 
 impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// Start a run of `functions` over `src`: prime the skyline —
-    /// cold (BBS over the whole source) or cloned from `seed`, the same
+    /// cold (BBS over the whole source) or from `seed`, the same
     /// source's BBS snapshot — and peel every object the `mask` hides
     /// off it. Either way the run holds exactly the skyline of its
     /// inventory, so the matching loop downstream cannot tell the
-    /// histories apart. Every clone shares what BBS recorded (the build
-    /// ends frozen, see `mpq_skyline::maintain`): none copies a member
-    /// or a plist.
+    /// histories apart. Both resume a frozen snapshot — the seed, or the
+    /// one the cold BBS just built — into the skyline columns of
+    /// `scratch`: the run shares what BBS recorded (see
+    /// `mpq_skyline::maintain`), copies no member or plist, and on a
+    /// warm scratch allocates none of its columns.
     pub(crate) fn new(
         src: R,
         mut scratch: Scratch,
@@ -317,9 +478,10 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         scratch.reset_rank_lists(functions.len());
         let io_start = src.io_snapshot();
         let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
+        let columns = std::mem::take(&mut scratch.skyline);
         let mut skyline = match seed {
-            Some(snapshot) => snapshot.clone(),
-            None => SkylineMaintainer::build(&src),
+            Some(snapshot) => snapshot.resume(columns),
+            None => SkylineMaintainer::build(&src).resume(columns),
         };
         let mut metrics = RunMetrics::default();
         let bufs = &mut scratch.round;
@@ -416,16 +578,16 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         // reverse top-1 because removals can only have deleted
         // better-ranked functions.
         for e in skyline.iter() {
-            if e.member >= fbest.len() {
-                fbest.resize_with(e.member + 1, Vec::new);
-            }
-            let list = &mut fbest[e.member];
-            let dead = list.iter().take_while(|&&(fid, _)| !fs.is_alive(fid));
-            list.drain(..dead.count());
-            if list.is_empty() {
+            fbest.reserve(e.member + 1);
+            let dead = fbest
+                .ids(e.member)
+                .iter()
+                .take_while(|&&fid| !fs.is_alive(fid));
+            fbest.drain_front(e.member, dead.count());
+            if fbest.len(e.member) == 0 {
                 self.metrics.reverse_top1_calls += 1;
-                fs.best_functions(e.point, list);
-                debug_assert!(!list.is_empty(), "fs.n_alive() > 0");
+                fs.best_functions(e.point, fbest.row(e.member));
+                debug_assert!(fbest.len(e.member) > 0, "fs.n_alive() > 0");
             }
         }
 
@@ -435,39 +597,39 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         // all assigned, and promotions were folded in); empty ⇒ full
         // skyline rescan.
         bufs.fbest_fns.clear();
-        bufs.fbest_fns.resize(obest.len(), false);
+        bufs.fbest_fns.resize(obest.rows(), false);
         for e in skyline.iter() {
-            bufs.fbest_fns[fbest[e.member][0].0 as usize] = true;
+            bufs.fbest_fns[fbest.head(e.member).0 as usize] = true;
         }
-        for (fid, list) in obest.iter_mut().enumerate() {
+        for fid in 0..obest.rows() {
             if !bufs.fbest_fns[fid] {
                 continue;
             }
-            let gone = list
+            let gone = obest
+                .ids(fid)
                 .iter()
-                .take_while(|&&((oid, _), _)| !skyline.contains(oid));
-            list.drain(..gone.count());
-            if list.is_empty() {
-                // Filling a list inserts before it truncates.
-                list.reserve(OBEST_RANKS + 1);
+                .take_while(|&&(oid, _)| !skyline.contains(oid));
+            obest.drain_front(fid, gone.count());
+            if obest.len(fid) == 0 {
+                let mut row = obest.row(fid);
                 for e in skyline.iter() {
                     let s = fs.score(fid as u32, e.point);
-                    insert_ranked(list, OBEST_RANKS, (e.oid, e.member), s);
+                    row.insert_ranked((e.oid, e.member as u32), s);
                 }
-                debug_assert!(!list.is_empty(), "skyline is non-empty");
+                debug_assert!(obest.len(fid) > 0, "skyline is non-empty");
             }
         }
 
         // 3. Mutually-best pairs (Property 1); an obest entry names its
         // object's fbest row.
         bufs.pairs.clear();
-        for (fid, list) in obest.iter().enumerate() {
+        for fid in 0..obest.rows() {
             if !bufs.fbest_fns[fid] {
                 continue;
             }
-            let ((oid, member), score) = list[0];
+            let ((oid, member), score) = obest.head(fid);
             let fid = fid as u32;
-            if fbest[member][0].0 == fid {
+            if fbest.head(member as usize).0 == fid {
                 bufs.pairs.push(Pair { fid, oid, score });
             }
         }
@@ -496,7 +658,7 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         // functions inside fbest lists are drained lazily in step 1.
         for p in pairs {
             fs.remove(p.fid);
-            obest[p.fid as usize].clear();
+            obest.clear(p.fid as usize);
         }
         bufs.wave.clear();
         bufs.wave.extend_from_slice(departed);
@@ -508,13 +670,11 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         peel_masked(&mut self.skyline, &self.src, bufs, &self.mask, spent);
         for &oid in &bufs.promoted {
             let e = self.skyline.get(oid).expect("a kept promotion");
-            let cached = obest
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, list)| !list.is_empty());
-            for (fid, list) in cached {
-                let s = fs.score(fid as u32, e.point);
-                fold_promotion(list, OBEST_RANKS, (oid, e.member), s);
+            for fid in 0..obest.rows() {
+                if obest.len(fid) > 0 {
+                    let s = fs.score(fid as u32, e.point);
+                    obest.row(fid).fold_promotion((oid, e.member as u32), s);
+                }
             }
         }
     }
@@ -536,6 +696,7 @@ impl<R: NodeSource> SbRun<R, Linear> {
     fn into_scratch(self) -> Scratch {
         let mut scratch = self.scratch;
         scratch.fs = self.functions.fs;
+        scratch.skyline = self.skyline.into_columns();
         scratch
     }
 }
@@ -567,12 +728,13 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// request; the naive one, or `None` to scan `F`, for the §IV-A
 /// ablations. The entire
 /// per-run state —
-/// working function set, rank-list caches, round buffers — is served
-/// from a reusable [`Scratch`] (lent to the run, handed back at the
-/// end): after the first request on a warm scratch, a run makes no
-/// per-round allocations, no per-run `FunctionSet` clone and no rank
-/// list of its own; what it copies is its mask — the request's
-/// exclusions and capacities, if it has any.
+/// working function set, skyline columns, rank-list caches, round
+/// buffers — is served from a reusable [`Scratch`] (lent to the run,
+/// handed back at the end): after the first request on a warm scratch,
+/// a run makes no per-round allocations, no per-run `FunctionSet`
+/// clone, no skyline column and no rank list of its own; what it
+/// allocates is its mask — the request's exclusions and capacities, if
+/// it has any — its reverse top-1 index and its matching.
 ///
 /// Produces exactly the pairs the progressive [`SbStream`] would, in the
 /// same order (asserted by tests), capacitated or not: both drive
@@ -852,15 +1014,15 @@ impl<R: NodeSource> SbStream<R> {
     /// above an obest list's stored minimum must be in that list.
     #[cfg(test)]
     fn check_obest_invariant(&self) {
-        for (fid, list) in self.run.scratch.obest.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            let ((mo, _), ms) = *list.last().unwrap();
+        let obest = &self.run.scratch.obest;
+        for fid in (0..obest.rows()).filter(|&fid| obest.len(fid) > 0) {
+            let list = obest.ids(fid);
+            let (mo, _) = list[list.len() - 1];
+            let ms = obest.scores[fid * obest.width + list.len() - 1];
             for e in self.run.skyline.iter() {
                 let s = self.run.functions.score(fid as u32, e.point);
                 let better = s > ms || (s == ms && e.oid < mo);
-                if better && !list.iter().any(|&(o, _)| o == (e.oid, e.member)) {
+                if better && !list.contains(&(e.oid, e.member as u32)) {
                     panic!(
                         "loop {}: J violated for fid={fid}: skyline oid={} score={s} \
                          beats stored min ({mo}, {ms}) but is missing; list={list:?}",
@@ -870,49 +1032,6 @@ impl<R: NodeSource> SbStream<R> {
             }
         }
     }
-}
-
-/// Insert `(id, s)` into a rank list sorted by `(score desc, id asc)`,
-/// keeping at most `k` entries. Used only while *building* a list by a
-/// full scan, where lowering the current minimum is correct.
-#[inline]
-pub(crate) fn insert_ranked<I: Copy + Ord>(list: &mut Vec<(I, f64)>, k: usize, id: I, s: f64) {
-    if list.len() == k {
-        let (wo, ws) = list[k - 1];
-        if s < ws || (s == ws && id > wo) {
-            return;
-        }
-    }
-    let pos = list
-        .iter()
-        .position(|&(o, v)| s > v || (s == v && id < o))
-        .unwrap_or(list.len());
-    list.insert(pos, (id, s));
-    list.truncate(k);
-}
-
-/// Fold a *promotion* into an existing rank list. Unlike
-/// [`insert_ranked`], the stored minimum acts as the list's **coverage
-/// bound**: objects canonically below it may have been excluded when the
-/// list was built, so accepting a new entry below the minimum would
-/// silently widen the list's claimed coverage and make a stale head look
-/// authoritative (the very bug that truncated matchings on tie-heavy
-/// Zillow data). A promotion is therefore inserted only if it beats the
-/// stored minimum; the minimum never decreases.
-#[inline]
-pub(crate) fn fold_promotion<I: Copy + Ord>(list: &mut Vec<(I, f64)>, k: usize, oid: I, s: f64) {
-    let Some(&(mo, ms)) = list.last() else {
-        return; // empty ⇒ the next access rescans anyway
-    };
-    if s < ms || (s == ms && oid > mo) {
-        return;
-    }
-    let pos = list
-        .iter()
-        .position(|&(o, v)| s > v || (s == v && oid < o))
-        .unwrap_or(list.len());
-    list.insert(pos, (oid, s));
-    list.truncate(k);
 }
 
 impl<R: NodeSource> Iterator for SbStream<R> {

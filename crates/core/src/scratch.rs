@@ -2,8 +2,9 @@
 //!
 //! Every matcher run needs private mutable state: a working copy of the
 //! request's [`FunctionSet`] (functions are tombstoned as they are
-//! assigned), the objects it has assigned, the SB rank-list caches, and
-//! the per-round buffers of the matching loop. Allocating all of that
+//! assigned), the objects it has assigned, the SB run's skyline columns
+//! (what a run resumed from the inventory's seed writes), the SB
+//! rank-list caches, and the per-round buffers of the matching loop. Allocating all of that
 //! from scratch per request is invisible for one request and dominant
 //! for a high-throughput batch: under
 //! [`Engine::evaluate_batch`](crate::Engine::evaluate_batch) each worker
@@ -13,11 +14,20 @@
 //! allocations.
 //!
 //! Every id a run keys state by is dense, so that state is kept in
-//! columns indexed by the id, never in hash tables: the SB rank lists by
-//! skyline member number and by function id, the assigned objects of
-//! Brute Force, Chain and SB-rescan by object id. A run empties the rows
-//! it inherits and keeps their capacity, so a warm scratch serves the
-//! rank lists of a request like the last one without allocating.
+//! columns indexed by the id, never in hash tables: the SB rank lists —
+//! fixed-stride rows, one column of ids and one of scores — by skyline
+//! member number and by function id, the assigned objects of Brute
+//! Force, Chain and SB-rescan by object id. A run empties the rows it
+//! inherits and keeps the columns, so a warm scratch serves the rank
+//! lists of a request like the last one without allocating.
+//!
+//! The skyline columns are `mpq_skyline`'s
+//! [`SkylineColumns`]: the tombstones, the tails, the run's own slot
+//! arena and members, the link column over the seed's slots and the
+//! private scan index. Resuming from a seed copies into them and the run
+//! hands them back at its end, so on a warm scratch a resume allocates
+//! none of them — whichever engine, inventory or dimensionality the
+//! scratch served last.
 //!
 //! A `Scratch` carries **no results**: it never affects what a run
 //! computes (asserted by the determinism tests), only how often the
@@ -26,10 +36,10 @@
 //! deliberately not shared (`&mut` everywhere) — one scratch per thread.
 
 use mpq_rtree::SearchBuf;
-use mpq_skyline::BbsScratch;
+use mpq_skyline::{BbsScratch, SkylineColumns};
 use mpq_ta::FunctionSet;
 
-use crate::sb::RoundBufs;
+use crate::sb::{RankRows, RoundBufs, FBEST_RANKS, OBEST_RANKS};
 
 /// Reusable working state for [`MatchRequest::evaluate_with`]
 /// (see the [module docs](self)).
@@ -51,12 +61,16 @@ pub struct Scratch {
     pub(crate) bbs: BbsScratch,
     /// Per-loop skyline buffer for SB-rescan.
     pub(crate) sky: Vec<(u64, Box<[f64]>)>,
+    /// The SB run's skyline columns: what a run resumed from a seed
+    /// (or from its own BBS) writes — tombstones, tails, its own slot
+    /// arena and members, the link column, its private scan index.
+    pub(crate) skyline: SkylineColumns,
     /// SB rank-list cache, by skyline member number: the member's
     /// certified top-`M` alive functions.
-    pub(crate) fbest: Vec<Vec<(u32, f64)>>,
+    pub(crate) fbest: RankRows<u32>,
     /// SB rank-list cache, by fid: the function's top-`K` current
     /// skyline objects, each `(oid, member)`.
-    pub(crate) obest: Vec<Vec<((u64, usize), f64)>>,
+    pub(crate) obest: RankRows<(u64, u32)>,
     /// Round-local buffers of the SB matching loop.
     pub(crate) round: RoundBufs,
 }
@@ -72,19 +86,18 @@ impl Scratch {
             search: SearchBuf::new(),
             bbs: BbsScratch::default(),
             sky: Vec::new(),
-            fbest: Vec::new(),
-            obest: Vec::new(),
+            skyline: SkylineColumns::default(),
+            fbest: RankRows::new(FBEST_RANKS),
+            obest: RankRows::new(OBEST_RANKS),
             round: RoundBufs::default(),
         }
     }
 
-    /// Empty every rank list, keeping its capacity, and give each of
+    /// Empty every rank list, keeping the rows, and give each of
     /// `functions` ids an obest row.
     pub(crate) fn reset_rank_lists(&mut self, functions: usize) {
-        self.fbest.iter_mut().for_each(Vec::clear);
-        self.obest.iter_mut().for_each(Vec::clear);
-        let rows = self.obest.len().max(functions);
-        self.obest.resize_with(rows, Vec::new);
+        self.fbest.reset(0);
+        self.obest.reset(functions);
     }
 }
 

@@ -14,18 +14,29 @@
 //! [`SkylineMaintainer`] exactly as BBS left it, before anything was
 //! peeled. The first run at a version captures it by BBS; any run
 //! against the same inventory — whatever its functions, exclusions or
-//! capacities — *resumes*: clone the snapshot, peel what this request
-//! must not see, and run the unchanged matching loop. The clone
+//! capacities — *resumes*: start from the snapshot, peel what this
+//! request must not see, and run the unchanged matching loop. The run
 //! **shares** everything BBS left — member points, the id lookup, the
 //! dominance-scan index and every pruned list, frozen behind one `Arc`
-//! — and **owns** only what the run will change: a tombstone per
-//! member, the members it promotes, the entries it reads from pages
-//! itself, and the links of the chains it appends to. An entry of the
-//! seed that the run re-homes or puts back in its heap stays where BBS
-//! wrote it: the run links the seed's slot through a `u32` column of its
-//! own, and never copies the entry (see `mpq_skyline::maintain`).
-//! Resuming therefore costs two small allocations whatever the
-//! skyline's size, and nothing a seed shares is ever written or copied.
+//! — and **owns** only what it will change: a tombstone per member, the
+//! members it promotes, the entries it reads from pages itself, and the
+//! links of the chains it appends to. An entry of the seed that the run
+//! re-homes or puts back in its heap stays where BBS wrote it: the run
+//! links the seed's slot through a `u32` column of its own, and never
+//! copies the entry (see `mpq_skyline::maintain`). What the run owns
+//! lives in the skyline columns of the worker's [`Scratch`]: a resume
+//! copies the seed's tombstones and empty tails into them and the run
+//! hands them back at its end, so resuming allocates nothing once the
+//! worker's scratch is warm, whatever the skyline's size, and nothing a
+//! seed shares is ever written or copied.
+//!
+//! A seed holds that base, one tombstone and one empty tail per member,
+//! and nothing else: the build releases BBS's drained candidate heap
+//! and its traversal buffers when it freezes, and an entry id is one
+//! word beside a kind bit. [`EvalSeed::approx_bytes`] counts all of it,
+//! as the bytes the seed frees when it drops.
+//!
+//! [`Scratch`]: crate::Scratch
 //! Capture and resume are one priming step of [`crate::sb`]'s run
 //! state: a run that has no seed at its
 //! version captures one with `EvalSeed::capture` — BBS over its own
@@ -122,7 +133,8 @@ impl EvalSeed {
         self.version == version
     }
 
-    /// Approximate heap footprint.
+    /// The seed's heap footprint: what it frees when it drops (the
+    /// shared base counted in full), plus its version.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of_val(&self.version) + self.skyline.approx_bytes()
     }

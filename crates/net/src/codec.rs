@@ -25,8 +25,12 @@
 //! Scores cross the wire in shortest-round-trip `f64` form
 //! ([`write_num`], the one [`Json`] renders with), so a decoded pair is
 //! **bit-identical** to what `Engine::evaluate` produced — the e2e
-//! suite asserts exactly that. Ids cross as JSON numbers, exact below
-//! 2⁵³.
+//! suite asserts exactly that. Ids and counts cross as JSON integers
+//! written from their digits and read from them
+//! ([`Scanner::integer`]), never through an `f64`: every `u64` id is
+//! exact, and an id that is no integer or does not fit in `u64` is a
+//! `400` (an `exclude` entry or an `oid` of `1e30` no longer saturates
+//! to `u64::MAX`).
 //!
 //! No body is turned into a [`Json`] tree on its way. The decoders pull
 //! tokens from one [`Scanner`] straight into their results — weight
@@ -50,10 +54,13 @@
 //! {"op": "remove", "oid": 17}
 //! {"op": "update", "oid": 17, "point": [0.4, 0.6]}
 //! ```
+//!
+//! [`Json`]: mpq_core::json::Json
 
 use std::borrow::Cow;
+use std::fmt::Write;
 
-use mpq_core::json::{write_num, Json, Scanner, Token};
+use mpq_core::json::{write_num, Scanner, Token};
 use mpq_core::{Matching, Pair};
 use mpq_ta::{FunctionSet, WeightError};
 
@@ -124,15 +131,23 @@ fn number(s: &mut Scanner<'_>) -> Result<Option<f64>, String> {
     }
 }
 
-/// Read the array that `first` opens into `out`, mapping each element
-/// through `each`. The inner `Err` is `None` for a value that is not an
-/// array and `Some(i)` for the first element `each` refuses (or that is
-/// not a number). The value is consumed whole either way.
+/// The next value as an id read from its digits ([`Scanner::integer`]):
+/// `None` (the value skipped) if it is not a number, `Some(None)` if it
+/// is one but no `u64` integer.
+fn id(s: &mut Scanner<'_>) -> Result<Option<Option<u64>>, String> {
+    Ok(number(s)?.map(|_| s.integer()))
+}
+
+/// Read the array that `first` opens into `out`, mapping each element —
+/// its value, and the scanner that just read it — through `each`. The
+/// inner `Err` is `None` for a value that is not an array and `Some(i)`
+/// for the first element `each` refuses (or that is not a number). The
+/// value is consumed whole either way.
 fn numbers<'a, T>(
     s: &mut Scanner<'a>,
     first: Token<'a>,
     out: &mut Vec<T>,
-    each: impl Fn(f64) -> Option<T>,
+    each: impl Fn(f64, &Scanner<'a>) -> Option<T>,
 ) -> Result<Result<(), Option<usize>>, String> {
     if first != Token::Arr {
         s.skip(first)?;
@@ -141,7 +156,7 @@ fn numbers<'a, T>(
     let mut refused = None;
     let mut i = 0;
     while s.next_item()? {
-        match number(s)?.and_then(&each) {
+        match number(s)?.and_then(|n| each(n, s)) {
             Some(v) if refused.is_none() => out.push(v),
             Some(_) => {}
             None => {
@@ -153,14 +168,19 @@ fn numbers<'a, T>(
     Ok(refused.map_or(Ok(()), |i| Err(Some(i))))
 }
 
-/// An optional non-negative integer field; `null` reads as absent.
-fn optional_u64(s: &mut Scanner<'_>, key: &str) -> Scanned<Option<u64>> {
+/// An optional non-negative integer field, read by `read` from the
+/// number and the scanner that just read it; `null` reads as absent.
+fn optional_u64(
+    s: &mut Scanner<'_>,
+    key: &str,
+    read: impl Fn(f64, &Scanner<'_>) -> Option<u64>,
+) -> Scanned<Option<u64>> {
     Ok(match s.value()? {
         Token::Null => Ok(None),
-        Token::Num(n) if n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n) => {
-            Ok(Some(n as u64))
-        }
-        Token::Num(_) => Err(format!("'{key}' must be a non-negative integer")),
+        Token::Num(n) => match read(n, s) {
+            Some(n) => Ok(Some(n)),
+            None => Err(format!("'{key}' must be a non-negative integer")),
+        },
         other => {
             s.skip(other)?;
             Err(format!("'{key}' must be a number"))
@@ -190,7 +210,7 @@ fn weight_rows(s: &mut Scanner<'_>) -> Scanned<FunctionSet> {
             s.skip(first)?;
         } else {
             row.clear();
-            match numbers(s, first, &mut row, Some)? {
+            match numbers(s, first, &mut row, |n, _| Some(n))? {
                 Err(None) => misshapen = Some(format!("function {i} must be an array of numbers")),
                 Err(Some(_)) => misshapen = Some(format!("function {i} has a non-numeric weight")),
                 Ok(()) if invalid.is_none() => {
@@ -223,7 +243,7 @@ fn integers<T>(
     s: &mut Scanner<'_>,
     key: &str,
     what: &str,
-    each: impl Fn(f64) -> Option<T>,
+    each: impl Fn(f64, &Scanner<'_>) -> Option<T>,
 ) -> Scanned<Option<Vec<T>>> {
     let first = s.value()?;
     if first == Token::Null {
@@ -263,17 +283,19 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
                     }
                 }
             }
-            "exclude" => {
-                exclude = integers(s, key, "object ids", |n| {
-                    (n.fract() == 0.0 && n >= 0.0).then_some(n as u64)
-                })?
-            }
+            // An id is read from its digits: every `u64` exactly, and
+            // one past it refused.
+            "exclude" => exclude = integers(s, key, "object ids", |_, s| s.integer())?,
             "capacities" => {
-                capacities = integers(s, key, "counts", |n| {
+                capacities = integers(s, key, "counts", |n, _| {
                     (n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n)).then_some(n as u32)
                 })?
             }
-            "deadline_ms" => deadline_ms = optional_u64(s, key)?,
+            "deadline_ms" => {
+                deadline_ms = optional_u64(s, key, |n, _| {
+                    (n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n)).then_some(n as u64)
+                })?
+            }
             "priority" => {
                 priority = match s.value()? {
                     Token::Null => Ok(0),
@@ -318,23 +340,20 @@ impl MatchingBody {
 }
 
 /// Encode a matching as the response body, written straight into one
-/// buffer sized for the pairs: the text [`Json::render`] gives the same
-/// document, byte for byte.
+/// buffer sized for the pairs: while every id is below 1e15, the text
+/// [`Json::render`](mpq_core::json::Json::render) gives the same
+/// document, byte for byte; an id past that is its own digits, exact.
 pub fn encode_matching(m: &Matching) -> MatchingBody {
     // Room for a pair with a six-digit oid and a full-precision score.
     let mut out = String::with_capacity(64 + 64 * m.len());
-    out.push_str("{\"len\":");
-    write_num(m.len() as f64, &mut out);
-    out.push_str(",\"pairs\":[");
+    // Counts and ids are integers, written from their digits: below
+    // 1e15 the text `write_num` gives their `f64`, and exact above 2^53.
+    let _ = write!(out, "{{\"len\":{},\"pairs\":[", m.len());
     for (i, p) in m.pairs().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"fid\":");
-        write_num(p.fid as f64, &mut out);
-        out.push_str(",\"oid\":");
-        write_num(p.oid as f64, &mut out);
-        out.push_str(",\"score\":");
+        let _ = write!(out, "{{\"fid\":{},\"oid\":{},\"score\":", p.fid, p.oid);
         write_num(p.score, &mut out);
         out.push('}');
     }
@@ -360,8 +379,8 @@ fn pairs(s: &mut Scanner<'_>) -> Scanned<Vec<Pair>> {
             Token::Obj => {
                 while let Some(key) = s.next_key()? {
                     match &*key {
-                        "fid" => fid = number(s)?,
-                        "oid" => oid = number(s)?,
+                        "fid" => fid = id(s)?,
+                        "oid" => oid = id(s)?,
                         "score" => score = number(s)?,
                         _ => skip_value(s)?,
                     }
@@ -370,15 +389,20 @@ fn pairs(s: &mut Scanner<'_>) -> Scanned<Vec<Pair>> {
             other => s.skip(other)?,
         }
         if fault.is_none() {
+            let fid = fid.map(|fid| fid.and_then(|fid| u32::try_from(fid).ok()));
             match (fid, oid, score) {
-                (Some(fid), Some(oid), Some(score)) => pairs.push(Pair {
-                    fid: fid as u32,
-                    oid: oid as u64,
-                    score,
-                }),
+                (Some(Some(fid)), Some(Some(oid)), Some(score)) => {
+                    pairs.push(Pair { fid, oid, score })
+                }
                 (None, _, _) => fault = Some(format!("pair {i} missing 'fid'")),
                 (_, None, _) => fault = Some(format!("pair {i} missing 'oid'")),
                 (_, _, None) => fault = Some(format!("pair {i} missing 'score'")),
+                (Some(None), _, _) => {
+                    fault = Some(format!("pair {i}: 'fid' must be a non-negative integer"))
+                }
+                (_, Some(None), _) => {
+                    fault = Some(format!("pair {i}: 'oid' must be a non-negative integer"))
+                }
             }
         }
         i += 1;
@@ -416,7 +440,7 @@ pub(crate) enum WireMutation {
 fn point(s: &mut Scanner<'_>) -> Scanned<Vec<f64>> {
     let first = s.value()?;
     let mut point = Vec::new();
-    Ok(match numbers(s, first, &mut point, Some)? {
+    Ok(match numbers(s, first, &mut point, |n, _| Some(n))? {
         Err(None) => Err("'point' must be an array of numbers".to_string()),
         Err(Some(i)) => Err(format!("'point[{i}]' must be a finite number")),
         Ok(()) if point.is_empty() => Err("'point' must not be empty".to_string()),
@@ -438,7 +462,7 @@ pub(crate) fn decode_mutation(body: &[u8]) -> Result<WireMutation, String> {
                     other => s.skip(other).map(|()| None)?,
                 }
             }
-            "oid" => oid = optional_u64(s, key)?,
+            "oid" => oid = optional_u64(s, key, |_, s| s.integer())?,
             "point" => read_point = Some(point(s)?),
             _ => skip_value(s)?,
         }
@@ -461,20 +485,23 @@ pub(crate) fn decode_mutation(body: &[u8]) -> Result<WireMutation, String> {
 }
 
 /// Encode a successful mutation's ack:
-/// `{"ok":true,"oid":..,"inventory_version":..}` (`oid` only for
-/// inserts).
-pub(crate) fn encode_mutation_ack(oid: Option<u64>, inventory_version: u64) -> Json {
-    let mut fields = vec![("ok", Json::Bool(true))];
+/// `{"inventory_version":..,"oid":..,"ok":true}` (`oid` only for
+/// inserts; keys in the order a `Json` object renders them). The
+/// integers are written from their digits, exact over the whole `u64`
+/// range.
+pub(crate) fn encode_mutation_ack(oid: Option<u64>, inventory_version: u64) -> String {
+    let mut out = format!("{{\"inventory_version\":{inventory_version},");
     if let Some(oid) = oid {
-        fields.push(("oid", Json::Num(oid as f64)));
+        let _ = write!(out, "\"oid\":{oid},");
     }
-    fields.push(("inventory_version", Json::Num(inventory_version as f64)));
-    Json::obj(fields)
+    out.push_str("\"ok\":true}");
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpq_core::json::Json;
 
     #[test]
     fn decodes_a_minimal_request() {
@@ -596,11 +623,57 @@ mod tests {
 
     #[test]
     fn mutation_ack_includes_oid_only_for_inserts() {
-        let with = encode_mutation_ack(Some(5), 9).render();
+        let with = encode_mutation_ack(Some(5), 9);
         assert!(with.contains("\"oid\":5"), "{with}");
-        let without = encode_mutation_ack(None, 9).render();
+        let without = encode_mutation_ack(None, 9);
         assert!(!without.contains("oid"), "{without}");
         assert!(without.contains("\"inventory_version\":9"), "{without}");
+        // The bytes a `Json` object of the ack renders.
+        let tree = |oid: Option<u64>| {
+            let mut fields = vec![("ok", Json::Bool(true))];
+            fields.extend(oid.map(|oid| ("oid", Json::Num(oid as f64))));
+            fields.push(("inventory_version", Json::Num(9.0)));
+            Json::obj(fields).render()
+        };
+        assert_eq!(with, tree(Some(5)));
+        assert_eq!(without, tree(None));
+    }
+
+    /// Ids are integers on the wire over the whole `u64` range: written
+    /// from their digits, and read from them — never through an `f64`,
+    /// which rounds every id above 2^53 and saturates one past `u64`.
+    #[test]
+    fn ids_cross_the_wire_exactly() {
+        let ids = [0, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+        let ack = encode_mutation_ack(Some(u64::MAX), u64::MAX - 1);
+        assert_eq!(
+            ack,
+            r#"{"inventory_version":18446744073709551614,"oid":18446744073709551615,"ok":true}"#
+        );
+        let body = format!(r#"{{"functions":[[1]],"exclude":{ids:?}}}"#);
+        assert_eq!(decode_match_request(body.as_bytes()).unwrap().exclude, ids);
+        for oid in ids {
+            let body = format!(r#"{{"op":"remove","oid":{oid}}}"#);
+            assert_eq!(
+                decode_mutation(body.as_bytes()).unwrap(),
+                WireMutation::Remove(oid)
+            );
+        }
+        let pairs: Vec<Pair> = (ids.iter().enumerate())
+            .map(|(fid, &oid)| Pair {
+                fid: u32::MAX - fid as u32,
+                oid,
+                score: 0.5,
+            })
+            .collect();
+        let text = encode_matching(&Matching::new(pairs.clone(), Default::default())).render();
+        assert!(text.contains(r#""oid":9007199254740993,"#), "{text}");
+        assert_eq!(decode_pairs(text.as_bytes()).unwrap(), pairs);
+        // Written as a decimal fraction or with an exponent, an integer
+        // is still one.
+        let body = br#"{"functions":[[1]],"exclude":[1.7e1,17.0,-0,1.8446744073709551615e19]}"#;
+        let exclude = decode_match_request(body).unwrap().exclude;
+        assert_eq!(exclude, [17, 17, 0, u64::MAX]);
     }
 
     #[test]
@@ -700,6 +773,14 @@ mod tests {
                 "'exclude[1]' must be a non-negative integer",
             ),
             (
+                br#"{"exclude":[18446744073709551615,1e30],"functions":[[1]]}"#,
+                "'exclude[1]' must be a non-negative integer",
+            ),
+            (
+                br#"{"exclude":[18446744073709551616],"functions":[[1]]}"#,
+                "'exclude[0]' must be a non-negative integer",
+            ),
+            (
                 br#"{"capacities":[1,4294967296],"functions":[[1]]}"#,
                 "'capacities[1]' must be a non-negative integer",
             ),
@@ -736,6 +817,14 @@ mod tests {
             (br#"{"op":"remove","oid":"x"}"#, "'oid' must be a number"),
             (
                 br#"{"op":"update","oid":1.5,"point":[]}"#,
+                "'oid' must be a non-negative integer",
+            ),
+            (
+                br#"{"op":"remove","oid":1e30}"#,
+                "'oid' must be a non-negative integer",
+            ),
+            (
+                br#"{"op":"remove","oid":18446744073709551616}"#,
                 "'oid' must be a non-negative integer",
             ),
             (
@@ -777,6 +866,14 @@ mod tests {
             (
                 br#"{"pairs":[{"fid":0,"oid":1,"score":"1"}]}"#,
                 "pair 0 missing 'score'",
+            ),
+            (
+                br#"{"pairs":[{"fid":0,"oid":1,"score":1},{"fid":0,"oid":1.5,"score":1}]}"#,
+                "pair 1: 'oid' must be a non-negative integer",
+            ),
+            (
+                br#"{"pairs":[{"fid":4294967296,"oid":1,"score":1}]}"#,
+                "pair 0: 'fid' must be a non-negative integer",
             ),
             (
                 br#"{"pairs":[],"len":}"#,

@@ -436,7 +436,7 @@ fn handle_mutate(request: &Request, tenant: &Arc<Tenant>) -> Response {
         Err(why) => return error_response(400, &why),
     };
     match tenant.mutate(&mutation) {
-        Ok((oid, version)) => Response::json(200, encode_mutation_ack(oid, version).render()),
+        Ok((oid, version)) => Response::json(200, encode_mutation_ack(oid, version)),
         Err(e @ (MpqError::Io(_) | MpqError::StorageDegraded)) => {
             // Storage failure: the tenant is (now) degraded. Tell the
             // client when the recovery probe will next try, so retries

@@ -1,19 +1,22 @@
 //! The wire form of a matching, property-tested over seeded random
-//! matchings: [`encode_matching`] writes exactly the bytes a [`Json`]
-//! tree of the same document renders, and [`decode_pairs`] reads every
-//! pair back to the bit.
+//! matchings: [`encode_matching`] writes the document with every number
+//! in the form a [`Json`] tree renders it and every id as its decimal
+//! digits — exactly the bytes the tree renders while the ids are below
+//! 1e15 — and [`decode_pairs`] reads every pair back to the bit.
 //!
 //! Scores are drawn where a number formatter goes wrong: integers at
 //! and above 1e15 (where the integer form stops), subnormals, zero,
 //! values a few ulps either side of 1, and plain fractions. Object ids
-//! stay below 2⁵³, the last id a JSON number carries exactly.
+//! are drawn over the whole `u64` range in half of the matchings — far
+//! past 2⁵³, the last integer an `f64` carries exactly — and below 1e15
+//! in the other half.
 
 use mpq_core::json::Json;
 use mpq_core::{Matching, Pair};
 use mpq_net::{decode_pairs, encode_matching, MatchingBody};
 
 /// The response as a value tree, keys in any order: the document the
-/// encoder writes without building one.
+/// encoder writes without building one, for ids below 1e15.
 fn tree(m: &Matching) -> Json {
     let pairs = m
         .pairs()
@@ -31,6 +34,26 @@ fn tree(m: &Matching) -> Json {
         ("len", Json::Num(m.len() as f64)),
         ("total_score", Json::Num(m.total_score())),
     ])
+}
+
+/// The response as text: the tree's numbers, the ids' own digits.
+fn text(m: &Matching) -> String {
+    let num = |x: f64| Json::Num(x).render();
+    let pairs: Vec<String> = (m.pairs().iter())
+        .map(|p| {
+            format!(
+                r#"{{"fid":{},"oid":{},"score":{}}}"#,
+                p.fid,
+                p.oid,
+                num(p.score)
+            )
+        })
+        .collect();
+    let (len, total) = (m.len(), num(m.total_score()));
+    format!(
+        r#"{{"len":{len},"pairs":[{}],"total_score":{total}}}"#,
+        pairs.join(",")
+    )
 }
 
 struct Xorshift(u64);
@@ -60,12 +83,21 @@ impl Xorshift {
         }
     }
 
-    fn matching(&mut self) -> Matching {
+    /// A random matching, its ids below 1e15 unless `any_id`.
+    fn matching(&mut self, any_id: bool) -> Matching {
         let n = self.next() % 120;
+        let below = if any_id {
+            u64::MAX
+        } else {
+            1_000_000_000_000_000
+        };
         let pairs = (0..n)
             .map(|_| Pair {
                 fid: self.next() as u32,
-                oid: self.next() % (1 << 53),
+                oid: match self.next() % 4 {
+                    0 => below - self.next() % 1_000,
+                    _ => self.next() % below,
+                },
                 score: self.score(),
             })
             .collect();
@@ -76,11 +108,15 @@ impl Xorshift {
 #[test]
 fn the_encoder_writes_the_trees_bytes_and_decodes_to_the_bit() {
     let mut rng = Xorshift(0x51_7cc1_b727_220a);
-    for _ in 0..400 {
-        let m = rng.matching();
+    for round in 0..400 {
+        let any_id = round % 2 == 0;
+        let m = rng.matching(any_id);
         let body: MatchingBody = encode_matching(&m);
         let text = body.render();
-        assert_eq!(text, tree(&m).render());
+        assert_eq!(text, self::text(&m));
+        if !any_id {
+            assert_eq!(text, tree(&m).render());
+        }
         assert!(text.starts_with(r#"{"len":"#), "{text}");
         let back = decode_pairs(text.as_bytes()).unwrap();
         assert_eq!(back.len(), m.len());

@@ -54,4 +54,4 @@ pub mod naive;
 pub use bbs::{
     compute_skyline, compute_skyline_excluding, compute_skyline_excluding_with, BbsScratch,
 };
-pub use maintain::{SkylineEntry, SkylineMaintainer, SkylineStats};
+pub use maintain::{SkylineColumns, SkylineEntry, SkylineMaintainer, SkylineStats};

@@ -49,25 +49,43 @@
 //! ## Plist layout and snapshots
 //!
 //! Entries live in the slots of an arena, column-wise: one vector of
-//! entry ids (an object id or a subtree's page id), one of upper
-//! corners, contiguous at stride `dim`, and one of links. A plist is a
-//! chain of slots; so is nothing else — a candidate waiting in the heap
-//! just holds its slot. No entry owns a heap allocation: a dominated
-//! child's corner is written straight from the node's slice into a
-//! slot, pruning a candidate or re-homing an entry links the slot it
-//! already has, and a consumed entry's slot is recycled. Chains are
-//! only ever appended to, and a removed object's entries are re-homed
-//! in the order they were recorded, so the sequence of heap pushes and
-//! page reads is a function of the removal sequence alone.
+//! entry ids, one bit per slot saying whether the id is an object id or
+//! a subtree's page id, one of upper corners, contiguous at stride
+//! `dim`, and one of links. An id takes one word: object ids keep their
+//! whole `u64` range, and the kind bit lives beside it — in the arena's
+//! bit column, and in a candidate-heap entry as the top bit of its
+//! `u32` slot number (so a heap entry is a key, an id and a slot: 24
+//! bytes). A plist is a chain of slots; so is nothing else — a candidate
+//! waiting in the heap just holds its slot. No entry owns a heap
+//! allocation: a dominated child's corner is written straight from the
+//! node's slice into a slot, pruning a candidate or re-homing an entry
+//! links the slot it already has, and a consumed entry's slot is
+//! recycled. Chains are only ever appended to, and a removed object's
+//! entries are re-homed in the order they were recorded, so the
+//! sequence of heap pushes and page reads is a function of the removal
+//! sequence alone.
 //!
 //! A member's plist is an immutable **base** plus a private **tail**.
 //! [`SkylineMaintainer::build`] ends by *freezing*: member columns, the
 //! id lookup, the scan index and the arena with every plist as BBS
-//! recorded it move — nothing is copied — behind one `Arc`. A [`Clone`]
-//! bumps that `Arc` and copies what a run owns: the tombstones, the
-//! members promoted since, and the chains of the tails appended since —
-//! empty in a snapshot nobody maintained. Removing a member reads its
-//! base chain, then its tail.
+//! recorded it move — nothing is copied — behind one `Arc`, and what
+//! only the traversal needed (the drained candidate heap, the corner
+//! and departure buffers) is released. A snapshot — what the serving
+//! layer keeps as its seed — therefore holds the base, one tombstone and
+//! one empty tail per member, and nothing else.
+//!
+//! Everything a run writes lives in its [`SkylineColumns`]: the
+//! tombstones, the tails, its own slot arena, the members it promotes,
+//! the link column over the base's slots, its private scan index, the
+//! candidate heap and the buffers of one removal.
+//! [`SkylineMaintainer::resume`] starts a run from a snapshot by bumping
+//! the `Arc` and copying the snapshot's columns into columns the caller
+//! hands in — empty in a snapshot nobody maintained, bar the tombstones
+//! and the tails — and [`SkylineMaintainer::into_columns`] hands them
+//! back at the end, so a caller that keeps one set of columns per worker
+//! (`mpq_core`'s `Scratch`) resumes run after run without allocating
+//! once they are warm. A [`Clone`] is that resume with fresh columns.
+//! Removing a member reads its base chain, then its tail.
 //!
 //! Slots are numbered across both arenas: the base's `B` slots are
 //! `0..B`, the run's own arena holds slots `B..`, and an id or corner
@@ -75,16 +93,18 @@
 //! entries it read from pages itself. A base entry that a departure
 //! re-homes or re-heaps stays where BBS wrote it: the run links the
 //! base slot itself, through a link column of its own over the base's
-//! slots (`u32` per slot, allocated at the first such link), and never
+//! slots (`u32` per slot, sized at the first such link), and never
 //! copies its id or corner. Only own slots are recycled; a consumed
 //! base slot is simply never linked again. Nothing orders by slot
-//! number — the heap orders by key and id — so the numbering changes no
-//! push, no page read and no promotion. A run that rebuilds its scan
-//! index builds a private one. Nothing behind the `Arc` is written after
-//! the freeze, so the run that built a snapshot, the snapshot and every
-//! run resumed from it share it for as long as any of them lives. The
-//! serving layer keeps one such snapshot per inventory version and
-//! resumes every evaluation from it (see `mpq_core::seed`).
+//! number — the heap orders by key, kind and id — so the numbering
+//! changes no push, no page read and no promotion. A run that rebuilds
+//! its scan index rebuilds its private one in place, one cut at a time
+//! (the first rebuild reads the base's cuts). Nothing behind the `Arc`
+//! is written after the freeze, so the run that built a snapshot, the
+//! snapshot and every run resumed from it share it for as long as any
+//! of them lives. The serving layer keeps one such snapshot per
+//! inventory version and resumes every evaluation from it (see
+//! `mpq_core::seed`).
 
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -134,32 +154,58 @@ pub struct SkylineStats {
     pub dominance_checks: u64,
 }
 
-/// What a pruned entry names: an object, or an unexpanded subtree.
+/// What a pruned entry names: an object, or an unexpanded subtree. Only
+/// ever a transient view: a slot stores the id as one word and the kind
+/// as one bit (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryId {
     Point(u64),
     Subtree(PageId),
 }
 
+impl EntryId {
+    /// The id word, and whether it names an object.
+    fn pack(self) -> (u64, bool) {
+        match self {
+            EntryId::Point(oid) => (oid, true),
+            EntryId::Subtree(pid) => (pid.0 as u64, false),
+        }
+    }
+
+    fn unpack(id: u64, object: bool) -> EntryId {
+        match object {
+            true => EntryId::Point(id),
+            false => EntryId::Subtree(PageId(id as u32)),
+        }
+    }
+}
+
+/// The kind bit of a heap entry's slot word: set for an object, clear
+/// for a subtree, so at equal keys subtrees pop first. Slot numbers stay
+/// below it.
+const POINT: u32 = 1 << 31;
+
 /// Candidate-heap entry, popped in ascending `key` (L1 mindist to the
 /// best corner), with deterministic tie-breaking: subtrees before points,
 /// then ascending id — so of coordinate-identical objects the smallest
 /// id is promoted (see [`SkylineMaintainer::settle`]). The entry itself
-/// waits in a slot, the base's or the run's.
+/// waits in a slot, the base's or the run's; `slot` carries the kind in
+/// its [`POINT`] bit.
 #[derive(Debug)]
 struct HeapEntry {
     key: f64,
-    id: EntryId,
+    id: u64,
     slot: u32,
 }
 
 impl HeapEntry {
     /// Tie-break rank behind `key`.
-    fn rank(&self) -> (u8, u64) {
-        match self.id {
-            EntryId::Subtree(pid) => (0, pid.0 as u64),
-            EntryId::Point(oid) => (1, oid),
-        }
+    fn rank(&self) -> (u32, u64) {
+        (self.slot & POINT, self.id)
+    }
+
+    fn entry(&self) -> EntryId {
+        EntryId::unpack(self.id, self.slot & POINT != 0)
     }
 }
 
@@ -187,18 +233,27 @@ impl Ord for HeapEntry {
 /// "No slot": the end of a chain, an empty chain.
 const NONE: u32 = u32::MAX;
 
+/// `to` made a copy of `from`, in the buffer `to` already has.
+fn copy<T: Copy>(to: &mut Vec<T>, from: &[T]) {
+    to.clear();
+    to.extend_from_slice(from);
+}
+
 /// Entries — pruned ones on plists, candidates in the heap — as slots
 /// of an arena, column-wise (see the [module docs](self)): slot `s` is
-/// entry `ids[s]` with upper corner — the best point the entry could
-/// contain — `corners[s * dim..][..dim]`. A plist is a chain of slots
-/// in recording order, so pruning a candidate or re-homing an entry
+/// entry `ids[s]`, an object iff bit `s` of `objects` is set, with upper
+/// corner — the best point the entry could contain —
+/// `corners[s * dim..][..dim]`. A plist is a chain of slots in
+/// recording order, so pruning a candidate or re-homing an entry
 /// *links* its slot to the new owner and copies nothing; slots of
 /// consumed entries are recycled through a free list, so recording
 /// allocates nothing once the arena has grown. Indices here are the
 /// arena's own; the maintainer numbers a run's arena after the base's.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Slots {
-    ids: Vec<EntryId>,
+    ids: Vec<u64>,
+    /// One bit per slot: does its id name an object?
+    objects: Vec<u64>,
     corners: Vec<f64>,
     /// The slot after this one in its chain.
     next: Vec<u32>,
@@ -209,29 +264,57 @@ struct Slots {
 
 impl Slots {
     fn store(&mut self, id: EntryId, hi: &[f64]) -> usize {
-        match self.free.pop() {
+        let (word, object) = id.pack();
+        let at = match self.free.pop() {
             Some(slot) => {
-                let at = slot as usize * hi.len();
-                self.ids[slot as usize] = id;
-                self.corners[at..at + hi.len()].copy_from_slice(hi);
-                slot as usize
+                let at = slot as usize;
+                self.ids[at] = word;
+                self.corners[at * hi.len()..][..hi.len()].copy_from_slice(hi);
+                at
             }
             None => {
-                self.ids.push(id);
+                self.ids.push(word);
                 self.corners.extend_from_slice(hi);
                 self.next.push(NONE);
-                self.next.len() - 1
+                if self.ids.len() > self.objects.len() * 64 {
+                    self.objects.push(0);
+                }
+                self.ids.len() - 1
             }
-        }
+        };
+        let (word, bit) = (&mut self.objects[at / 64], 1u64 << (at % 64));
+        *word = if object { *word | bit } else { *word & !bit };
+        at
+    }
+
+    fn entry(&self, at: usize) -> EntryId {
+        EntryId::unpack(self.ids[at], self.objects[at / 64] >> (at % 64) & 1 == 1)
     }
 
     fn corner(&self, at: usize, dim: usize) -> &[f64] {
         &self.corners[at * dim..][..dim]
     }
 
+    fn copy_from(&mut self, from: &Slots) {
+        copy(&mut self.ids, &from.ids);
+        copy(&mut self.objects, &from.objects);
+        copy(&mut self.corners, &from.corners);
+        copy(&mut self.next, &from.next);
+        copy(&mut self.free, &from.free);
+        copy(&mut self.chains, &from.chains);
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.objects.shrink_to_fit();
+        self.corners.shrink_to_fit();
+        self.next.shrink_to_fit();
+        self.free.shrink_to_fit();
+        self.chains.shrink_to_fit();
+    }
+
     fn bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<EntryId>()
-            + self.corners.capacity() * 8
+        (self.ids.capacity() + self.objects.capacity() + self.corners.capacity()) * 8
             + (self.next.capacity() + self.free.capacity()) * 4
             + self.chains.capacity() * 8
     }
@@ -239,7 +322,7 @@ impl Slots {
 
 /// Skyline members as columns: row `r` is object `ids[r]` at
 /// `points[r * dim..][..dim]` with coordinate sum `sums[r]`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Members {
     ids: Vec<u64>,
     points: Vec<f64>,
@@ -259,6 +342,10 @@ impl Members {
         self.sums.push(point.iter().sum());
     }
 
+    fn point(&self, row: usize, dim: usize) -> &[f64] {
+        &self.points[row * dim..][..dim]
+    }
+
     /// The rows as entries, row `r` numbered member `first + r`.
     fn iter(&self, dim: usize, first: usize) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
         let rows = self
@@ -269,16 +356,44 @@ impl Members {
         rows.map(|((&oid, member), point)| SkylineEntry { oid, member, point })
     }
 
+    fn copy_from(&mut self, from: &Members) {
+        copy(&mut self.ids, &from.ids);
+        copy(&mut self.points, &from.points);
+        copy(&mut self.sums, &from.sums);
+        self.rows.clear();
+        self.rows
+            .extend(from.rows.iter().map(|(&oid, &row)| (oid, row)));
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.points.shrink_to_fit();
+        self.sums.shrink_to_fit();
+        self.rows.shrink_to_fit();
+    }
+
     fn bytes(&self) -> usize {
         (self.ids.capacity() + self.points.capacity() + self.sums.capacity()) * 8
-            + self.rows.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+            + table_bytes(&self.rows)
     }
+}
+
+/// The allocation behind a `HashMap<u64, u32>` of this capacity: a
+/// power-of-two number of buckets, one 16-byte `(u64, u32)` pair and one
+/// control byte each, plus one group of trailing control bytes.
+fn table_bytes(table: &HashMap<u64, u32>) -> usize {
+    let buckets = match table.capacity() {
+        0 => return 0,
+        small @ 1..=7 => (small + 1).next_power_of_two(),
+        cap => (cap * 8 / 7).next_power_of_two(),
+    };
+    buckets * (std::mem::size_of::<(u64, u32)>() + 1) + 16
 }
 
 /// One cut of the scan index: members in descending `keys` order (one
 /// axis, or the coordinate sum), their points copied in that order so a
 /// scan of a prefix reads contiguous memory.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Cut {
     keys: Vec<f64>,
     members: Vec<u32>,
@@ -286,9 +401,21 @@ struct Cut {
 }
 
 impl Cut {
+    fn copy_from(&mut self, from: &Cut) {
+        copy(&mut self.keys, &from.keys);
+        copy(&mut self.members, &from.members);
+        copy(&mut self.points, &from.points);
+    }
+
     fn bytes(&self) -> usize {
         (self.keys.capacity() + self.points.capacity()) * 8 + self.members.capacity() * 4
     }
+}
+
+/// Does `(key, member)` `a` come before `b` in a cut: larger key first,
+/// the smaller member among equal keys?
+fn cut_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
 /// The frozen part of a maintainer (see the [module docs](self)):
@@ -300,6 +427,63 @@ struct Base {
     index: Vec<Cut>,
     /// Every member's plist as BBS recorded it.
     plists: Slots,
+}
+
+/// Everything a run of a [`SkylineMaintainer`] writes, beside the base
+/// it shares (see the [module docs](self)).
+///
+/// Obtain an empty set with `SkylineColumns::default()`, lend it to
+/// [`SkylineMaintainer::resume`] and take it back with
+/// [`SkylineMaintainer::into_columns`]: the buffers keep their capacity
+/// from run to run, whatever maintainer they served last. They carry no
+/// state between runs — a resume overwrites every column it reads.
+#[derive(Debug, Default)]
+pub struct SkylineColumns {
+    /// Members promoted since the freeze: member `base.members.len() + r`
+    /// is row `r`.
+    own: Members,
+    /// Tombstone per member, base and own.
+    dead: Vec<bool>,
+    /// Per member, base and own: the tail of entries linked to it since
+    /// the freeze; and the run's own arena, slots `B..`.
+    slots: Slots,
+    /// Per base slot, the slot after it in this run's chains: a base
+    /// entry is re-homed by linking it where it lies. Empty until the
+    /// first such link.
+    relinked: Vec<u32>,
+    /// The run's private scan index, one cut per axis then the sum cut;
+    /// in use once the run has rebuilt it (may hold spare cuts of a
+    /// higher-dimensional run served before).
+    index: Vec<Cut>,
+    /// The `(key, member)` rows of the cut being rebuilt.
+    rows: Vec<(f64, u32)>,
+    heap: BinaryHeap<HeapEntry>,
+    /// The corner of the slot being processed.
+    corner: Vec<f64>,
+    /// Members whose plists the current [`SkylineMaintainer::remove`]
+    /// re-homes.
+    departed: Vec<usize>,
+    /// Objects that entered the skyline during the last
+    /// [`SkylineMaintainer::remove`], in promotion order.
+    entered: Vec<u64>,
+}
+
+impl SkylineColumns {
+    /// Bytes the columns hold, by capacity.
+    fn bytes(&self) -> usize {
+        let cuts = self.index.iter().map(Cut::bytes).sum::<usize>();
+        self.own.bytes()
+            + self.dead.capacity()
+            + self.slots.bytes()
+            + self.relinked.capacity() * 4
+            + self.index.capacity() * std::mem::size_of::<Cut>()
+            + cuts
+            + self.rows.capacity() * std::mem::size_of::<(f64, u32)>()
+            + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
+            + self.corner.capacity() * 8
+            + self.departed.capacity() * std::mem::size_of::<usize>()
+            + self.entered.capacity() * 8
+    }
 }
 
 /// The maintained skyline of an R-tree-indexed object set.
@@ -320,35 +504,16 @@ pub struct SkylineMaintainer {
     dim: usize,
     /// What the last freeze shared: members `0..base.members.len()`.
     base: Arc<Base>,
-    /// Members promoted since the freeze: member `base.members.len() + r`
-    /// is row `r`.
-    own: Members,
-    /// Tombstone per member, base and own.
-    dead: Vec<bool>,
+    /// What this run writes.
+    cols: SkylineColumns,
+    /// Is the scan in use `cols.index` (else the base's)?
+    private_index: bool,
     alive: usize,
-    /// Per member, base and own: the tail of entries linked to it since
-    /// the freeze; and the run's own arena, slots `B..` (see the
-    /// [module docs](self)).
-    slots: Slots,
-    /// Per base slot, the slot after it in this run's chains: a base
-    /// entry is re-homed by linking it where it lies. Empty until the
-    /// first such link.
-    relinked: Vec<u32>,
-    /// The scan index this run rebuilt for itself; `None` = the base's.
-    index: Option<Vec<Cut>>,
     /// Members `0..indexed` are in the scan index (tombstones included);
     /// the rest were promoted since it was built.
     indexed: usize,
     /// Removals since the scan index was built (tombstones inside it).
     stale: usize,
-    heap: BinaryHeap<HeapEntry>,
-    /// The corner of the slot being processed.
-    corner: Vec<f64>,
-    /// Members whose plists the current [`Self::remove`] re-homes.
-    departed: Vec<usize>,
-    /// Objects that entered the skyline during the last
-    /// [`Self::remove`], in promotion order.
-    entered: Vec<u64>,
     stats: SkylineStats,
     /// Test oracle: take the *last* live dominator in member order, by
     /// a plain scan (see `ownership_does_not_change_what_is_read`).
@@ -356,36 +521,11 @@ pub struct SkylineMaintainer {
     last_dominator_oracle: bool,
 }
 
-/// Snapshotting support for seeded evaluation: between calls the
-/// candidate heap is always drained (every public mutator ends in the
-/// internal BBS drain), so a clone shares the frozen base and copies
-/// only what the run owns (see the [module docs](self)) — never
-/// in-flight heap entries.
+/// Snapshotting support for seeded evaluation: a clone is a
+/// [`SkylineMaintainer::resume`] into fresh columns.
 impl Clone for SkylineMaintainer {
     fn clone(&self) -> SkylineMaintainer {
-        debug_assert!(
-            self.heap.is_empty(),
-            "maintainer cloned with a non-drained candidate heap"
-        );
-        SkylineMaintainer {
-            dim: self.dim,
-            base: Arc::clone(&self.base),
-            own: self.own.clone(),
-            dead: self.dead.clone(),
-            alive: self.alive,
-            slots: self.slots.clone(),
-            relinked: self.relinked.clone(),
-            index: self.index.clone(),
-            indexed: self.indexed,
-            stale: self.stale,
-            heap: BinaryHeap::new(),
-            corner: Vec::new(),
-            departed: Vec::new(),
-            entered: Vec::new(),
-            stats: self.stats,
-            #[cfg(test)]
-            last_dominator_oracle: self.last_dominator_oracle,
-        }
+        self.resume(SkylineColumns::default())
     }
 }
 
@@ -403,32 +543,76 @@ impl SkylineMaintainer {
         self.admit(EntryId::Subtree(tree.root_page()), &vec![1.0; self.dim]);
         self.run(tree);
         self.freeze();
-        self.entered.clear(); // build's "entries" are the initial skyline
     }
 
     fn empty(dim: usize) -> SkylineMaintainer {
         SkylineMaintainer {
             dim,
             base: Arc::new(Base {
-                index: vec![Cut::default(); dim + 1],
+                index: (0..=dim).map(|_| Cut::default()).collect(),
                 ..Base::default()
             }),
-            own: Members::default(),
-            dead: Vec::new(),
+            cols: SkylineColumns::default(),
+            private_index: false,
             alive: 0,
-            slots: Slots::default(),
-            relinked: Vec::new(),
-            index: None,
             indexed: 0,
             stale: 0,
-            heap: BinaryHeap::new(),
-            corner: Vec::new(),
-            departed: Vec::new(),
-            entered: Vec::new(),
             stats: SkylineStats::default(),
             #[cfg(test)]
             last_dominator_oracle: false,
         }
+    }
+
+    /// A run that starts where this maintainer stands, writing into
+    /// `columns` (see the [module docs](self)): it shares the frozen
+    /// base and copies what this maintainer wrote since — in a snapshot
+    /// nobody maintained, one tombstone and one empty tail per member —
+    /// into the buffers `columns` already has, so a warm set of columns
+    /// takes the copy without allocating. What `columns` held before is
+    /// overwritten, whatever maintainer it came from.
+    ///
+    /// Between calls the candidate heap is always drained (every public
+    /// mutator ends in the BBS drain), so no in-flight entry is copied.
+    pub fn resume(&self, mut columns: SkylineColumns) -> SkylineMaintainer {
+        let from = &self.cols;
+        debug_assert!(
+            from.heap.is_empty(),
+            "maintainer resumed from a non-drained candidate heap"
+        );
+        let to = &mut columns;
+        to.own.copy_from(&from.own);
+        copy(&mut to.dead, &from.dead);
+        to.slots.copy_from(&from.slots);
+        copy(&mut to.relinked, &from.relinked);
+        if self.private_index {
+            if to.index.len() <= self.dim {
+                to.index.resize_with(self.dim + 1, Cut::default);
+            }
+            for (to, from) in to.index.iter_mut().zip(&from.index[..=self.dim]) {
+                to.copy_from(from);
+            }
+        }
+        to.heap.clear();
+        to.entered.clear();
+        SkylineMaintainer {
+            dim: self.dim,
+            base: Arc::clone(&self.base),
+            cols: columns,
+            private_index: self.private_index,
+            alive: self.alive,
+            indexed: self.indexed,
+            stale: self.stale,
+            stats: self.stats,
+            #[cfg(test)]
+            last_dominator_oracle: self.last_dominator_oracle,
+        }
+    }
+
+    /// Give the run's columns back for the next
+    /// [`resume`](Self::resume); the base is released with the
+    /// maintainer.
+    pub fn into_columns(self) -> SkylineColumns {
+        self.cols
     }
 
     /// Number of current skyline objects.
@@ -459,8 +643,8 @@ impl SkylineMaintainer {
     /// [`SkylineMaintainer::len`] for the count.
     pub fn iter(&self) -> impl Iterator<Item = SkylineEntry<'_>> + '_ {
         let members = self.base.members.iter(self.dim, 0);
-        let own = self.own.iter(self.dim, self.base.members.len());
-        (members.chain(own).zip(&self.dead)).filter_map(|(e, &dead)| (!dead).then_some(e))
+        let own = self.cols.own.iter(self.dim, self.base.members.len());
+        (members.chain(own).zip(&self.cols.dead)).filter_map(|(e, &dead)| (!dead).then_some(e))
     }
 
     /// Work counters accumulated since construction.
@@ -480,14 +664,14 @@ impl SkylineMaintainer {
     /// error in the caller (the SB algorithm only assigns skyline
     /// objects).
     pub fn remove<R: NodeSource>(&mut self, oids: &[u64], tree: &R) -> &[u64] {
-        self.entered.clear();
-        let mut departed = std::mem::take(&mut self.departed);
+        self.cols.entered.clear();
+        let mut departed = std::mem::take(&mut self.cols.departed);
         departed.clear();
         for &oid in oids {
             let m = self
                 .member(oid)
                 .unwrap_or_else(|| panic!("object {oid} is not in the skyline"));
-            self.dead[m] = true;
+            self.cols.dead[m] = true;
             self.alive -= 1;
             self.stale += 1;
             departed.push(m);
@@ -499,7 +683,7 @@ impl SkylineMaintainer {
         // where they lie, so a snapshot keeps sharing them and nothing is
         // copied. The slots of its tail move as they are.
         let (base, dim) = (Arc::clone(&self.base), self.dim);
-        let mut corner = std::mem::take(&mut self.corner);
+        let mut corner = std::mem::take(&mut self.cols.corner);
         for &m in &departed {
             let mut slot = base.plists.chains.get(m).map_or(NONE, |&[first, _]| first);
             while slot != NONE {
@@ -507,7 +691,7 @@ impl SkylineMaintainer {
                 self.rehome(slot, base.plists.corner(at, dim));
                 slot = base.plists.next[at];
             }
-            let [mut slot, _] = std::mem::replace(&mut self.slots.chains[m], [NONE; 2]);
+            let [mut slot, _] = std::mem::replace(&mut self.cols.slots.chains[m], [NONE; 2]);
             while slot != NONE {
                 let next = self.next(slot);
                 corner.clear();
@@ -516,28 +700,27 @@ impl SkylineMaintainer {
                 slot = next;
             }
         }
-        self.corner = corner;
-        self.departed = departed;
+        self.cols.corner = corner;
+        self.cols.departed = departed;
 
         self.run(tree);
-        &self.entered
+        &self.cols.entered
     }
 
-    /// Approximate heap footprint of the maintained state (member
-    /// columns, scan index, plists, lookup maps) with the shared base
-    /// counted in full, for cache byte accounting of snapshots.
+    /// Heap footprint of the maintained state — the shared base counted
+    /// in full, and this maintainer's columns by capacity — for the byte
+    /// accounting of snapshots.
     pub fn approx_bytes(&self) -> usize {
-        let cuts = |index: &[Cut]| index.iter().map(Cut::bytes).sum::<usize>();
-        std::mem::size_of::<SkylineMaintainer>()
+        let base = &self.base;
+        let cuts = base.index.iter().map(Cut::bytes).sum::<usize>();
+        // The `Arc`'s allocation: two counts and the `Base`.
+        2 * std::mem::size_of::<usize>()
             + std::mem::size_of::<Base>()
-            + self.base.members.bytes()
-            + cuts(&self.base.index)
-            + self.base.plists.bytes()
-            + self.own.bytes()
-            + self.dead.capacity()
-            + self.slots.bytes()
-            + self.relinked.capacity() * 4
-            + self.index.as_deref().map_or(0, cuts)
+            + base.members.bytes()
+            + base.index.capacity() * std::mem::size_of::<Cut>()
+            + cuts
+            + base.plists.bytes()
+            + self.cols.bytes()
     }
 
     /// `slot`'s index in the run's own arena; `None` for a base slot
@@ -551,13 +734,13 @@ impl SkylineMaintainer {
     fn arena(&self, slot: u32) -> (&Slots, usize) {
         match self.own(slot) {
             None => (&self.base.plists, slot as usize),
-            Some(own) => (&self.slots, own),
+            Some(own) => (&self.cols.slots, own),
         }
     }
 
     fn entry(&self, slot: u32) -> EntryId {
         let (arena, at) = self.arena(slot);
-        arena.ids[at]
+        arena.entry(at)
     }
 
     fn corner(&self, slot: u32) -> &[f64] {
@@ -568,43 +751,46 @@ impl SkylineMaintainer {
     /// The slot after `slot` in this run's chains.
     fn next(&self, slot: u32) -> u32 {
         match self.own(slot) {
-            None => self.relinked[slot as usize],
-            Some(own) => self.slots.next[own],
+            None => self.cols.relinked[slot as usize],
+            Some(own) => self.cols.slots.next[own],
         }
     }
 
     fn next_mut(&mut self, slot: u32) -> &mut u32 {
         match self.own(slot) {
             None => {
-                if self.relinked.is_empty() {
-                    self.relinked = vec![NONE; self.base.plists.next.len()];
+                let relinked = &mut self.cols.relinked;
+                if relinked.is_empty() {
+                    relinked.resize(self.base.plists.next.len(), NONE);
                 }
-                &mut self.relinked[slot as usize]
+                &mut relinked[slot as usize]
             }
-            Some(own) => &mut self.slots.next[own],
+            Some(own) => &mut self.cols.slots.next[own],
         }
     }
 
     /// Append `slot` to `owner`'s tail.
     fn link(&mut self, owner: usize, slot: u32) {
         *self.next_mut(slot) = NONE;
-        match self.slots.chains[owner][1] {
-            NONE => self.slots.chains[owner][0] = slot,
+        match self.cols.slots.chains[owner][1] {
+            NONE => self.cols.slots.chains[owner][0] = slot,
             last => *self.next_mut(last) = slot,
         }
-        self.slots.chains[owner][1] = slot;
+        self.cols.slots.chains[owner][1] = slot;
     }
 
     /// A slot of the run's own arena holding `id` at corner `hi`.
     fn store(&mut self, id: EntryId, hi: &[f64]) -> u32 {
-        (self.base.plists.next.len() + self.slots.store(id, hi)) as u32
+        let slot = self.base.plists.next.len() + self.cols.slots.store(id, hi);
+        assert!(slot < POINT as usize, "more than 2^31 pruned entries");
+        slot as u32
     }
 
     /// Give back the slot of a consumed entry: an own slot is recycled,
     /// a base slot is simply never linked again.
     fn release(&mut self, slot: u32) {
         if let Some(own) = self.own(slot) {
-            self.slots.free.push(own as u32);
+            self.cols.slots.free.push(own as u32);
         }
     }
 
@@ -613,59 +799,52 @@ impl SkylineMaintainer {
     fn member(&self, oid: u64) -> Option<usize> {
         let m = match self.base.members.rows.get(&oid) {
             Some(&row) => row as usize,
-            None => self.base.members.len() + *self.own.rows.get(&oid)? as usize,
+            None => self.base.members.len() + *self.cols.own.rows.get(&oid)? as usize,
         };
-        (!self.dead[m]).then_some(m)
-    }
-
-    /// The columns holding `member`, and its row there.
-    fn row(&self, member: usize) -> (&Members, usize) {
-        match member.checked_sub(self.base.members.len()) {
-            None => (&self.base.members, member),
-            Some(row) => (&self.own, row),
-        }
+        (!self.cols.dead[m]).then_some(m)
     }
 
     fn point(&self, member: usize) -> &[f64] {
-        let (members, row) = self.row(member);
-        &members.points[row * self.dim..][..self.dim]
-    }
-
-    /// Member `member`'s key in cut `cut`: coordinate `cut`, or past the
-    /// last axis the coordinate sum.
-    fn key(&self, member: usize, cut: usize) -> f64 {
-        let (members, row) = self.row(member);
-        if cut < self.dim {
-            members.points[row * self.dim + cut]
-        } else {
-            members.sums[row]
-        }
+        let (members, row) = row_of(&self.base.members, &self.cols.own, member);
+        members.point(row, self.dim)
     }
 
     /// Move everything recorded so far behind a fresh shared base —
     /// member columns, lookup, scan index and the plists, arena and all;
-    /// nothing is copied. Called once, by [`Self::build`], on a
-    /// maintainer that has removed nothing.
+    /// nothing is copied — and release what only the traversal needed.
+    /// What the maintainer keeps is one tombstone and one empty tail per
+    /// member. Called once, by [`Self::build`], on a maintainer that has
+    /// removed nothing.
     fn freeze(&mut self) {
         debug_assert!(self.base.members.len() == 0 && self.stale == 0);
         self.reindex();
-        let chains = vec![[NONE; 2]; self.slots.chains.len()];
-        let mut plists = std::mem::replace(
-            &mut self.slots,
-            Slots {
-                chains,
-                ..Slots::default()
+        let members = self.cols.own.len();
+        let cols = std::mem::replace(
+            &mut self.cols,
+            SkylineColumns {
+                dead: vec![false; members],
+                slots: Slots {
+                    chains: vec![[NONE; 2]; members],
+                    ..Slots::default()
+                },
+                ..SkylineColumns::default()
             },
         );
+        let SkylineColumns {
+            own: mut members,
+            slots: mut plists,
+            index,
+            ..
+        } = cols;
+        members.shrink_to_fit();
         plists.free = Vec::new();
-        plists.ids.shrink_to_fit();
-        plists.corners.shrink_to_fit();
-        plists.next.shrink_to_fit();
+        plists.shrink_to_fit();
         self.base = Arc::new(Base {
-            members: std::mem::take(&mut self.own),
-            index: self.index.take().expect("just reindexed"),
+            members,
+            index,
             plists,
         });
+        self.private_index = false;
     }
 
     /// Settle the entry in `slot`, whose corner is `hi`: onto the tail of
@@ -686,11 +865,14 @@ impl SkylineMaintainer {
         let owner = self.find_dominator(hi);
         match owner {
             Some(owner) => self.link(owner, slot),
-            None => self.heap.push(HeapEntry {
-                key: mindist_to_best(hi),
-                id: self.entry(slot),
-                slot,
-            }),
+            None => {
+                let (id, object) = self.entry(slot).pack();
+                self.cols.heap.push(HeapEntry {
+                    key: mindist_to_best(hi),
+                    id,
+                    slot: if object { slot | POINT } else { slot },
+                })
+            }
         }
         owner.is_some()
     }
@@ -707,17 +889,18 @@ impl SkylineMaintainer {
 
     /// Drain the candidate heap: standard BBS with plist recording.
     fn run<R: NodeSource>(&mut self, tree: &R) {
-        let mut hi = std::mem::take(&mut self.corner);
-        while let Some(e) = self.heap.pop() {
+        let mut hi = std::mem::take(&mut self.cols.corner);
+        while let Some(e) = self.cols.heap.pop() {
+            let slot = e.slot & !POINT;
             hi.clear();
-            hi.extend_from_slice(self.corner(e.slot));
+            hi.extend_from_slice(self.corner(slot));
             if let Some(owner) = self.find_dominator(&hi) {
                 self.stats.entries_pruned += 1;
-                self.link(owner, e.slot);
+                self.link(owner, slot);
                 continue;
             }
-            self.release(e.slot);
-            match e.id {
+            self.release(slot);
+            match e.entry() {
                 EntryId::Point(oid) => self.promote(oid, &hi),
                 EntryId::Subtree(pid) => {
                     let node = tree.read_node(pid);
@@ -726,7 +909,7 @@ impl SkylineMaintainer {
                 }
             }
         }
-        self.corner = hi;
+        self.cols.corner = hi;
     }
 
     /// Push the children of `node` into the heap, pruning what the
@@ -758,10 +941,10 @@ impl SkylineMaintainer {
     fn promote(&mut self, oid: u64, point: &[f64]) {
         self.stats.points_promoted += 1;
         self.alive += 1;
-        self.own.push(oid, point);
-        self.dead.push(false);
-        self.slots.chains.push([NONE; 2]);
-        self.entered.push(oid);
+        self.cols.own.push(oid, point);
+        self.cols.dead.push(false);
+        self.cols.slots.chains.push([NONE; 2]);
+        self.cols.entered.push(oid);
     }
 
     /// A live member that dominates-or-equals `x`, if any (see
@@ -775,11 +958,12 @@ impl SkylineMaintainer {
         }
         self.maybe_reindex();
         let cutoff = x.iter().sum::<f64>() - SUM_SLACK;
+        let (own, dead) = (&self.cols.own, &self.cols.dead);
 
         let first_fresh = self.indexed - self.base.members.len();
-        let (dead, sums) = (&self.dead[self.indexed..], &self.own.sums[first_fresh..]);
-        let points = &self.own.points[first_fresh * self.dim..];
-        let live = dead
+        let (fresh, sums) = (&dead[self.indexed..], &own.sums[first_fresh..]);
+        let points = &own.points[first_fresh * self.dim..];
+        let live = fresh
             .iter()
             .zip(sums)
             .map(|(&dead, &sum)| !dead & (sum >= cutoff));
@@ -793,7 +977,10 @@ impl SkylineMaintainer {
         // of equals). A cut whose key at the shortest length so far still
         // qualifies reaches past it: one probe rules it out, and the
         // others are searched only up to that length.
-        let index = self.index.as_ref().unwrap_or(&self.base.index);
+        let index = match self.private_index {
+            true => &self.cols.index[..=self.dim],
+            false => &self.base.index[..],
+        };
         let (mut cut, mut len) = (&index[0], usize::MAX);
         for (other, &key) in index.iter().zip(x.iter().chain([&cutoff])) {
             if other.keys.get(len).is_some_and(|&k| k >= key) {
@@ -806,46 +993,86 @@ impl SkylineMaintainer {
             }
         }
         let members = &cut.members[..len];
-        let live = members.iter().map(|&m| !self.dead[m as usize]);
+        let live = members.iter().map(|&m| !dead[m as usize]);
         let (hit, tested) = first_dominator(&cut.points[..len * self.dim], x, live);
         self.stats.dominance_checks += tested;
         hit.map(|r| members[r] as usize)
     }
 
     fn maybe_reindex(&mut self) {
-        let churn = self.dead.len() - self.indexed + self.stale;
+        let churn = self.cols.dead.len() - self.indexed + self.stale;
         if churn > 64 && churn * 4 > self.alive {
             self.reindex();
         }
     }
 
-    /// Build this run a scan index over its live members. Each cut
-    /// starts from the one in use, already in order, so the stable sort
-    /// only has to merge the members promoted since into it.
+    /// Rebuild this run's scan index over its live members, one cut at a
+    /// time, in the buffers the run already has. Each cut starts from
+    /// the one in use — the base's, or the run's own, read before it is
+    /// overwritten — already in order, so only the members promoted
+    /// since are sorted and merged into it.
     fn reindex(&mut self) {
-        let in_use = self.index.as_ref().unwrap_or(&self.base.index);
-        let index = (in_use.iter().enumerate())
-            .map(|(c, old)| {
-                let indexed = old.keys.iter().copied().zip(old.members.iter().copied());
-                let fresh = (self.indexed..self.dead.len()).map(|m| (self.key(m, c), m as u32));
-                let mut rows: Vec<(f64, u32)> = (indexed.chain(fresh))
-                    .filter(|&(_, m)| !self.dead[m as usize])
-                    .collect();
-                rows.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut cut = Cut {
-                    keys: rows.iter().map(|&(key, _)| key).collect(),
-                    members: rows.iter().map(|&(_, m)| m).collect(),
-                    points: Vec::with_capacity(rows.len() * self.dim),
-                };
-                for &m in &cut.members {
-                    cut.points.extend_from_slice(self.point(m as usize));
-                }
-                cut
-            })
-            .collect();
-        self.index = Some(index);
-        self.indexed = self.dead.len();
+        let dim = self.dim;
+        let (base, cols) = (&self.base, &mut self.cols);
+        if cols.index.len() <= dim {
+            cols.index.resize_with(dim + 1, Cut::default);
+        }
+        let (own, dead) = (&cols.own, &cols.dead);
+        let key = |m: usize, c: usize| {
+            let (members, row) = row_of(&base.members, own, m);
+            if c < dim {
+                members.points[row * dim + c]
+            } else {
+                members.sums[row]
+            }
+        };
+        for c in 0..=dim {
+            let rows = &mut cols.rows;
+            rows.clear();
+            let old = if self.private_index {
+                &cols.index[c]
+            } else {
+                &base.index[c]
+            };
+            let indexed = old.keys.iter().zip(&old.members);
+            rows.extend((indexed.map(|(&key, &m)| (key, m))).filter(|&(_, m)| !dead[m as usize]));
+            let merged = rows.len();
+            let fresh = (self.indexed..dead.len()).filter(|&m| !dead[m]);
+            rows.extend(fresh.map(|m| (key(m, c), m as u32)));
+            rows[merged..].sort_unstable_by(cut_order);
+
+            let cut = &mut cols.index[c];
+            cut.keys.clear();
+            cut.members.clear();
+            cut.points.clear();
+            cut.keys.reserve_exact(rows.len());
+            cut.members.reserve_exact(rows.len());
+            cut.points.reserve_exact(rows.len() * dim);
+            let (old, fresh) = rows.split_at(merged);
+            let (mut i, mut j) = (0, 0);
+            while i + j < rows.len() {
+                let from_old =
+                    j == fresh.len() || (i < old.len() && cut_order(&old[i], &fresh[j]).is_lt());
+                let (key, m) = if from_old { old[i] } else { fresh[j] };
+                (i, j) = if from_old { (i + 1, j) } else { (i, j + 1) };
+                cut.keys.push(key);
+                cut.members.push(m);
+                let (members, row) = row_of(&base.members, own, m as usize);
+                cut.points.extend_from_slice(members.point(row, dim));
+            }
+        }
+        self.private_index = true;
+        self.indexed = dead.len();
         self.stale = 0;
+    }
+}
+
+/// The columns holding member `member`, and its row there: the base's,
+/// or past them the run's own.
+fn row_of<'a>(base: &'a Members, own: &'a Members, member: usize) -> (&'a Members, usize) {
+    match member.checked_sub(base.len()) {
+        None => (base, member),
+        Some(row) => (own, row),
     }
 }
 
@@ -865,9 +1092,9 @@ mod tests {
         /// member in `iter()` order that dominates-or-equals `x`, by a
         /// plain scan of every member — no index, no cut, no early exit.
         pub(super) fn last_dominator(&self, x: &[f64]) -> Option<usize> {
-            (0..self.dead.len())
+            (0..self.cols.dead.len())
                 .rev()
-                .find(|&m| !self.dead[m] && dominates_or_equal(self.point(m), x))
+                .find(|&m| !self.cols.dead[m] && dominates_or_equal(self.point(m), x))
         }
 
         /// The slots of `member`'s plist: the base chain as BBS
@@ -877,7 +1104,7 @@ mod tests {
             let base = &self.base.plists;
             let recorded = base.chains.get(member).and_then(|&[first, _]| slot(first));
             let recorded = std::iter::successors(recorded, move |&s| slot(base.next[s as usize]));
-            let tail = slot(self.slots.chains[member][0]);
+            let tail = slot(self.cols.slots.chains[member][0]);
             recorded.chain(std::iter::successors(tail, move |&s| slot(self.next(s))))
         }
     }
@@ -1095,9 +1322,9 @@ mod tests {
     /// Every live member's plist — what the base recorded, then the
     /// tail — by owner, down to the corner bits.
     fn plist_dump(m: &SkylineMaintainer) -> Vec<(u64, Vec<EntryId>, Vec<u64>)> {
-        let oids = m.base.members.ids.iter().chain(&m.own.ids);
+        let oids = m.base.members.ids.iter().chain(&m.cols.own.ids);
         (oids.enumerate())
-            .filter(|&(member, _)| !m.dead[member])
+            .filter(|&(member, _)| !m.cols.dead[member])
             .map(|(member, &oid)| {
                 let (mut ids, mut corners) = (Vec::new(), Vec::new());
                 for slot in m.plist(member) {
@@ -1136,7 +1363,7 @@ mod tests {
             }
         }
         assert_eq!(sky_ids(&b), naive_skyline_excluding(&ps, &removed));
-        assert!(b.own.len() > 0 && b.index.is_some());
+        assert!(b.cols.own.len() > 0 && b.private_index);
         // ... while the snapshot's members and plists stay bit for bit
         // what they were, behind a base that was never written and that
         // the clone still shares: nothing was copied to diverge.
@@ -1182,8 +1409,8 @@ mod tests {
                 }
             }
         }
-        let own = &run.slots;
-        assert!(own.ids.iter().all(|id| read.contains(id)));
+        let own = &run.cols.slots;
+        assert!((0..own.ids.len()).all(|at| read.contains(&own.entry(at))));
         assert!(own.ids.len() <= read.len(), "{} slots", own.ids.len());
         assert_eq!(own.corners.len(), own.ids.len() * 3);
         assert!(
@@ -1192,8 +1419,8 @@ mod tests {
             own.ids.len()
         );
         // The base entries were linked through the run's column ...
-        assert_eq!(run.relinked.len(), seed.base.plists.ids.len());
-        assert!(seed.relinked.is_empty() && seed.slots.ids.is_empty());
+        assert_eq!(run.cols.relinked.len(), seed.base.plists.ids.len());
+        assert!(seed.cols.relinked.is_empty() && seed.cols.slots.ids.is_empty());
         // ... and the run still holds the skyline of what is left.
         let removed: HashSet<u64> = sky_ids(&seed).into_iter().step_by(2).collect();
         assert_eq!(sky_ids(&run), naive_skyline_excluding(&ps, &removed));
@@ -1302,7 +1529,7 @@ mod tests {
                     let dominated = m.iter().any(|e| dominates_or_equal(e.point, &x));
                     match m.find_dominator(&x) {
                         Some(member) => {
-                            prop_assert!(!m.dead[member], "member {} is dead", member);
+                            prop_assert!(!m.cols.dead[member], "member {} is dead", member);
                             prop_assert!(dominates_or_equal(m.point(member), &x));
                         }
                         None => prop_assert!(!dominated, "missed a dominator of {:?}", x),
@@ -1317,6 +1544,98 @@ mod tests {
                     .collect();
                 m.remove(&victims, &tree);
             }
+        }
+    }
+
+    /// An entry id is one word beside a kind bit, so an object keeps
+    /// its id whatever its value: on a tree whose ids spread over the
+    /// whole `u64` range — half of them at or above 2^63 — the skyline
+    /// and every removal's promotions are the naive oracle's.
+    #[test]
+    fn object_ids_keep_the_whole_u64_range() {
+        let (n, dim) = (900, 3);
+        let ps = Distribution::AntiCorrelated.generate(n, dim, 17);
+        // Increasing in the point's index, so the oracle's tie-break by
+        // index is the tree's by id.
+        let oid = |i: u64| i * (u64::MAX / (n as u64 - 1));
+        let tree = RTree::new(dim, params());
+        for (i, p) in ps.iter() {
+            tree.insert(p, oid(i as u64));
+        }
+        assert!(oid(n as u64 - 1) > u64::MAX - n as u64);
+        let naive = |removed: &HashSet<u64>| -> Vec<u64> {
+            naive_skyline_excluding(&ps, removed)
+                .into_iter()
+                .map(oid)
+                .collect()
+        };
+        let mut m = SkylineMaintainer::build(&tree);
+        let mut removed = HashSet::new();
+        assert_eq!(sky_ids(&m), naive(&removed));
+        assert!(sky_ids(&m).iter().any(|&id| id >= 1 << 63));
+        for round in 0..40 {
+            let before = sky_ids(&m);
+            let victims: Vec<u64> = before.iter().rev().step_by(3).take(4).copied().collect();
+            removed.extend(victims.iter().map(|&id| id / (u64::MAX / (n as u64 - 1))));
+            let mut promoted = m.remove(&victims, &tree).to_vec();
+            promoted.sort_unstable();
+            let expect = naive(&removed);
+            assert_eq!(sky_ids(&m), expect, "round {round}");
+            let fresh: Vec<u64> = expect
+                .into_iter()
+                .filter(|id| !before.contains(id))
+                .collect();
+            assert_eq!(promoted, fresh, "round {round}");
+        }
+    }
+
+    /// Columns carry capacity, never state: a run resumed into columns
+    /// that last served a larger skyline of another dimensionality —
+    /// maintained, re-indexed, its arena grown — reads, promotes and
+    /// counts exactly what a run resumed into fresh columns does, and
+    /// hands them back warm.
+    #[test]
+    fn warm_columns_serve_any_maintainer() {
+        let big = Distribution::AntiCorrelated.generate(2000, 4, 3);
+        let big_tree = RTree::bulk_load(&big, params());
+        let mut other = SkylineMaintainer::build(&big_tree);
+        for victim in sky_ids(&other).into_iter().step_by(2) {
+            other.remove(&[victim], &big_tree);
+        }
+        assert!(other.private_index && !other.cols.own.ids.is_empty());
+        let mut columns = other.into_columns();
+
+        let ps = Distribution::Independent.generate(1500, 3, 8);
+        let tree = RTree::bulk_load(&ps, params());
+        let seed = SkylineMaintainer::build(&tree);
+        for pass in 0..2 {
+            let src = Recording {
+                tree: &tree,
+                reads: RefCell::default(),
+            };
+            let cold_src = Recording {
+                tree: &tree,
+                reads: RefCell::default(),
+            };
+            let mut warm = seed.resume(columns);
+            let mut cold = seed.clone();
+            for round in 0..25 {
+                let victims: Vec<u64> = sky_ids(&cold).into_iter().take(1 + round % 3).collect();
+                let promoted = cold.remove(&victims, &cold_src).to_vec();
+                assert_eq!(
+                    warm.remove(&victims, &src),
+                    promoted,
+                    "pass {pass} round {round}"
+                );
+                assert!(warm.iter().eq(cold.iter()), "pass {pass} round {round}");
+            }
+            assert!(warm.private_index, "the run rebuilt its scan index");
+            let (w, c) = (warm.stats(), cold.stats());
+            assert_eq!(w.dominance_checks, c.dominance_checks);
+            assert_eq!(w.nodes_expanded, c.nodes_expanded);
+            assert_eq!(*src.reads.borrow(), *cold_src.reads.borrow());
+            assert_eq!(plist_dump(&warm), plist_dump(&cold));
+            columns = warm.into_columns();
         }
     }
 

@@ -68,8 +68,6 @@ pub struct ReverseTopOne {
     order: Vec<usize>,
     cursors: Vec<usize>,
     last: Vec<f64>,
-    /// The one-entry list behind [`ReverseTopOne::best_for_with`].
-    top: Vec<(u32, f64)>,
     stats: TaStats,
 }
 
@@ -94,7 +92,6 @@ impl ReverseTopOne {
             order: Vec::new(),
             cursors: Vec::new(),
             last: Vec::new(),
-            top: Vec::new(),
             stats: TaStats::default(),
         }
     }
@@ -113,18 +110,16 @@ impl ReverseTopOne {
         point: &[f64],
         mode: ThresholdMode,
     ) -> Option<(u32, f64)> {
-        let mut top = std::mem::take(&mut self.top);
-        self.top_m_for(fs, point, 1, mode, &mut top);
-        let best = top.first().copied();
-        self.top = top;
-        best
+        let (mut fid, mut score) = ([0], [0.0]);
+        let found = self.top_m_for(fs, point, mode, &mut fid, &mut score);
+        (found == 1).then_some((fid[0], score[0]))
     }
 
-    /// The `m` best functions for `point`, certified by the threshold
-    /// bound and sorted by `(score desc, fid asc)`, written over `top`
-    /// (whose capacity a caller that refills the same list keeps).
-    /// Fewer than `m` entries are left only when fewer alive functions
-    /// exist.
+    /// The `m` best functions for `point`, `m` the length of the row
+    /// `fids` / `scores` (one column each, of equal length), certified
+    /// by the threshold bound and sorted by `(score desc, fid asc)`:
+    /// written over the row's first entries, their number returned.
+    /// Fewer than `m` are written only when fewer alive functions exist.
     ///
     /// Certified top-`m` results let callers amortize one TA scan over
     /// several function removals: as long as at least one entry is still
@@ -135,15 +130,16 @@ impl ReverseTopOne {
         &mut self,
         fs: &FunctionSet,
         point: &[f64],
-        m: usize,
         mode: ThresholdMode,
-        top: &mut Vec<(u32, f64)>,
-    ) {
+        fids: &mut [u32],
+        scores: &mut [f64],
+    ) -> usize {
         assert_eq!(point.len(), self.dim, "object dimensionality mismatch");
+        let m = fids.len();
         assert!(m >= 1, "m must be at least 1");
-        top.clear();
+        assert_eq!(scores.len(), m, "a row's columns have one length");
         if fs.n_alive() == 0 {
-            return;
+            return 0;
         }
         self.maybe_compact(fs);
         self.stats.calls += 1;
@@ -165,8 +161,9 @@ impl ReverseTopOne {
         // before any list progress every coefficient is bounded by 1
         last.clear();
         last.resize(self.dim, 1.0);
-        // `top` holds the candidates, sorted by (score desc, fid asc)
-        top.reserve(m + 1);
+        // the row's first `found` entries are the candidates, sorted by
+        // (score desc, fid asc)
+        let mut found = 0;
         let mut scored = 0u64;
         let mut advanced = 0u64;
 
@@ -192,7 +189,7 @@ impl ReverseTopOne {
                     self.visited[fid as usize] = self.stamp;
                     let s = fs.score(fid, point);
                     scored += 1;
-                    insert_top(top, m, fid, s);
+                    insert_top(fids, scores, &mut found, fid, s);
                 }
             }
             self.stats.rounds += 1;
@@ -200,8 +197,8 @@ impl ReverseTopOne {
                 // some list ran out: every alive function has been seen
                 break;
             }
-            if top.len() == m {
-                let worst = top[m - 1].1;
+            if found == m {
+                let worst = scores[m - 1];
                 let t = match mode {
                     ThresholdMode::Tight => tight_threshold(last, point, order),
                     ThresholdMode::Naive => naive_threshold(last, point),
@@ -217,6 +214,7 @@ impl ReverseTopOne {
         }
         self.stats.functions_scored += scored;
         self.stats.positions_advanced += advanced;
+        found
     }
 
     /// Cumulative counters.
@@ -241,21 +239,24 @@ impl ReverseTopOne {
     }
 }
 
-/// Insert `(fid, s)` into the sorted top-`m` candidate buffer.
+/// Insert `(fid, s)` into the sorted top-`m` candidates — the first
+/// `found` entries of the row `fids` / `scores`, `m` its length — the
+/// last one falling off a full row.
 #[inline]
-fn insert_top(top: &mut Vec<(u32, f64)>, m: usize, fid: u32, s: f64) {
-    if top.len() == m {
-        let (wf, ws) = top[m - 1];
-        if s < ws || (s == ws && fid > wf) {
-            return;
-        }
+fn insert_top(fids: &mut [u32], scores: &mut [f64], found: &mut usize, fid: u32, s: f64) {
+    let m = fids.len();
+    if *found == m && (s < scores[m - 1] || (s == scores[m - 1] && fid > fids[m - 1])) {
+        return;
     }
-    let pos = top
-        .iter()
-        .position(|&(f, v)| s > v || (s == v && fid < f))
-        .unwrap_or(top.len());
-    top.insert(pos, (fid, s));
-    top.truncate(m);
+    let pos = (0..*found)
+        .position(|i| s > scores[i] || (s == scores[i] && fid < fids[i]))
+        .unwrap_or(*found);
+    let kept = (*found).min(m - 1);
+    fids.copy_within(pos..kept, pos + 1);
+    scores.copy_within(pos..kept, pos + 1);
+    fids[pos] = fid;
+    scores[pos] = s;
+    *found = kept + 1;
 }
 
 #[cfg(test)]
@@ -403,6 +404,13 @@ mod tests {
         );
     }
 
+    /// [`ReverseTopOne::top_m_for`] into a fresh row of `m`, as a list.
+    fn top_m(rt1: &mut ReverseTopOne, fs: &FunctionSet, o: &[f64], m: usize) -> Vec<(u32, f64)> {
+        let (mut fids, mut scores) = (vec![u32::MAX; m], vec![-1.0; m]);
+        let found = rt1.top_m_for(fs, o, ThresholdMode::Tight, &mut fids, &mut scores);
+        fids.into_iter().zip(scores).take(found).collect()
+    }
+
     #[test]
     fn top_m_matches_sorted_scan() {
         let fs = random_functions(300, 3, 71);
@@ -410,8 +418,7 @@ mod tests {
         let mut next = rng(72);
         for _ in 0..30 {
             let o: Vec<f64> = (0..3).map(|_| next()).collect();
-            let mut got = Vec::new();
-            rt1.top_m_for(&fs, &o, 5, ThresholdMode::Tight, &mut got);
+            let got = top_m(&mut rt1, &fs, &o, 5);
             // reference: score everything, sort, take 5
             let mut all: Vec<(u32, f64)> = fs
                 .iter_alive()
@@ -428,9 +435,17 @@ mod tests {
         let mut fs = random_functions(4, 2, 73);
         fs.remove(1);
         let mut rt1 = ReverseTopOne::build(&fs);
-        let mut got = vec![(7, 0.5)]; // overwritten, not appended to
-        rt1.top_m_for(&fs, &[0.5, 0.5], 10, ThresholdMode::Tight, &mut got);
-        assert_eq!(got.len(), 3);
+        let (mut fids, mut scores) = ([7; 10], [0.5; 10]); // overwritten
+        let found = rt1.top_m_for(
+            &fs,
+            &[0.5, 0.5],
+            ThresholdMode::Tight,
+            &mut fids,
+            &mut scores,
+        );
+        assert_eq!(found, 3);
+        let got: Vec<(u32, f64)> = fids.into_iter().zip(scores).take(found).collect();
+        assert!(got.iter().all(|&(fid, _)| fid != 1 && fid < 4));
         // sorted by score descending
         assert!(got.windows(2).all(|w| w[0].1 >= w[1].1));
     }
@@ -444,8 +459,7 @@ mod tests {
         let mut next = rng(75);
         for _ in 0..20 {
             let o: Vec<f64> = (0..4).map(|_| next()).collect();
-            let mut m = Vec::new();
-            a.top_m_for(&fs, &o, 4, ThresholdMode::Tight, &mut m);
+            let m = top_m(&mut a, &fs, &o, 4);
             let one = b.best_for(&fs, &o).unwrap();
             assert_eq!(m[0], one);
         }

@@ -16,6 +16,19 @@ fn full_ranking(fs: &FunctionSet, point: &[f64]) -> Vec<(u32, f64)> {
     all
 }
 
+/// `top_m_for` into a fresh row of `m`, as a list.
+fn top_m(
+    rt1: &mut ReverseTopOne,
+    fs: &FunctionSet,
+    point: &[f64],
+    m: usize,
+    mode: ThresholdMode,
+) -> Vec<(u32, f64)> {
+    let (mut fids, mut scores) = (vec![u32::MAX; m], vec![-1.0; m]);
+    let found = rt1.top_m_for(fs, point, mode, &mut fids, &mut scores);
+    fids.into_iter().zip(scores).take(found).collect()
+}
+
 fn functions_strategy(dim: usize) -> impl Strategy<Value = FunctionSet> {
     proptest::collection::vec(proptest::collection::vec(1u32..=1000, dim), 1..60).prop_map(
         move |rows| {
@@ -44,8 +57,7 @@ proptest! {
     ) {
         let mut rt1 = ReverseTopOne::build(&fs);
         for mode in [ThresholdMode::Tight, ThresholdMode::Naive] {
-            let mut got = Vec::new();
-            rt1.top_m_for(&fs, &point, m, mode, &mut got);
+            let got = top_m(&mut rt1, &fs, &point, m, mode);
             let mut expect = full_ranking(&fs, &point);
             expect.truncate(m);
             prop_assert_eq!(&got, &expect, "mode {:?}", mode);
@@ -62,8 +74,7 @@ proptest! {
         let rows: Vec<Vec<f64>> = (0..copies).map(|_| row.clone()).collect();
         let fs = FunctionSet::from_rows(2, &rows);
         let mut rt1 = ReverseTopOne::build(&fs);
-        let mut got = Vec::new();
-        rt1.top_m_for(&fs, &point, copies, ThresholdMode::Tight, &mut got);
+        let got = top_m(&mut rt1, &fs, &point, copies, ThresholdMode::Tight);
         let ids: Vec<u32> = got.iter().map(|&(f, _)| f).collect();
         let expect: Vec<u32> = (0..copies as u32).collect();
         prop_assert_eq!(ids, expect, "identical functions must rank by id");

@@ -155,3 +155,66 @@ proptest! {
         check(&obj_rows, &fn_rows, &caps, &rounds)?;
     }
 }
+
+/// One warm [`Scratch`] carried from engine to engine and back — from
+/// an anti-correlated inventory whose skyline has 2 849 members to a
+/// 3-d independent one of a few dozen and back twice, each run resumed
+/// from its engine's seed, with exclusions, with and without an
+/// all-ones capacity vector —
+/// leaves nothing behind that changes a matching: every one equals a
+/// cold run on a fresh scratch, fid, oid and score bits.
+#[test]
+fn one_warm_scratch_serves_any_engine() {
+    use mpq::datagen::{functions::uniform_weights, Distribution, WorkloadBuilder};
+    use mpq::skyline::SkylineMaintainer;
+
+    let inventory = |objects, dim, distribution| {
+        let w = WorkloadBuilder::new()
+            .objects(objects)
+            .functions(0)
+            .dim(dim);
+        w.distribution(distribution).seed(2009).build().objects
+    };
+    let anti = inventory(100_000, 4, Distribution::AntiCorrelated);
+    let independent = inventory(5_000, 3, Distribution::Independent);
+    let engines =
+        [&anti, &independent].map(|objects| Engine::builder().objects(objects).build().unwrap());
+    assert_eq!(SkylineMaintainer::build(engines[0].tree()).len(), 2_849);
+    let functions = [uniform_weights(200, 4, 5), uniform_weights(40, 3, 6)];
+
+    let mut seeds: [Option<EvalSeed>; 2] = [None, None];
+    let mut scratch = Scratch::new();
+    let visits = [(0, false), (1, true), (0, true), (1, false)];
+    for (visit, (e, capacitated)) in visits.into_iter().enumerate() {
+        let engine = &engines[e];
+        let bound = engine.oid_bound();
+        let excluded: Vec<u64> = (0..4)
+            .map(|k| (visit as u64 * 7 + k * 131) % bound)
+            .collect();
+        let ones = vec![1; bound as usize];
+        let request = || {
+            let request = engine
+                .request(&functions[e])
+                .exclude(excluded.iter().copied());
+            if capacitated {
+                request.capacities(&ones)
+            } else {
+                request
+            }
+        };
+        let cold = request().evaluate().unwrap();
+        let (warm, captured) = request()
+            .evaluate_seeded(&mut scratch, seeds[e].as_ref())
+            .unwrap();
+        assert_eq!(captured.is_some(), seeds[e].is_none(), "visit {visit}");
+        seeds[e] = captured.or(seeds[e].take());
+        let bits = |m: &Matching| -> Vec<(u32, u64, u64)> {
+            m.pairs()
+                .iter()
+                .map(|p| (p.fid, p.oid, p.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&cold), bits(&warm), "visit {visit}");
+        assert_eq!(warm.len(), functions[e].len(), "every function is matched");
+    }
+}
