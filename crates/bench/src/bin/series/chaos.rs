@@ -15,8 +15,8 @@
 //!    degraded mode (mutations 503, reads serving); the target is
 //!    degraded >= 50% of healthy.
 //! 4. **Recovery time** — once the storage heals, how long until the
-//!    tenant's recovery probe reports `healthy` again and mutations
-//!    commit.
+//!    engine, repaired by a due checkpoint of the tenant's repair loop,
+//!    reports `healthy` again and mutations commit.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -434,8 +434,9 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
          ratio {goodput_ratio:.2} (mutation 503+Retry-After={degraded_503})"
     );
 
-    // Heal the device; the tenant's probe (checkpoint with backoff)
-    // must restore healthy service on its own.
+    // Heal the device; the next repair the engine paces (a checkpoint
+    // the tenant's repair loop runs when due) must restore healthy
+    // service on its own.
     inj.clear();
     let t = Instant::now();
     let recovery_deadline = Instant::now() + Duration::from_secs(30);
@@ -526,7 +527,7 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
                     Json::Str(format!(
                         "every injected fault survives with acked-prefix recovery and \
                          no panics; degraded read goodput >= {TARGET_GOODPUT_RATIO} of \
-                         healthy; the recovery probe restores mutations"
+                         healthy; the engine's repair restores mutations"
                     )),
                 ),
                 ("target_goodput_ratio", Json::Num(TARGET_GOODPUT_RATIO)),

@@ -332,9 +332,10 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         return cmd_serve_listen(args);
     }
     let requests: usize = int_flag(args, "--requests", 32)?;
-    let workers: usize = int_flag(args, "--workers", 0)?; // 0 = one worker per core
-    let queue_cap: usize = int_flag(args, "--queue-cap", 64)?;
-    let cache: usize = int_flag(args, "--cache", 256)?; // entries; 0 disables
+    let mut config = ServiceConfig::default();
+    config.workers = int_flag(args, "--workers", config.workers)?; // 0 = one worker per core
+    config.queue_capacity = int_flag(args, "--queue-cap", config.queue_capacity)?;
+    config.cache_capacity = int_flag(args, "--cache", config.cache_capacity)?; // entries; 0 disables
     let data_dir = arg_value(args, "--data-dir").map(std::path::PathBuf::from);
 
     // A directory already holding a persisted inventory is reopened —
@@ -371,13 +372,8 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         .map_err(cli_from_mpq)?
         .sorted_pairs();
 
-    let service = EngineService::spawn(
-        Arc::clone(&engine),
-        ServiceConfig::default()
-            .workers(workers)
-            .queue_capacity(queue_cap)
-            .cache_capacity(cache),
-    );
+    let queue_cap = config.queue_capacity;
+    let service = EngineService::spawn(Arc::clone(&engine), config);
     let client = service.client();
     let mut tickets = Vec::with_capacity(requests);
     let mut rejected = 0usize;

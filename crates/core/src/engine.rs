@@ -47,9 +47,9 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mpq_rtree::bulk::MAX_BULK_LEN;
 use mpq_rtree::{
@@ -437,6 +437,72 @@ fn apply(tree: &RTree, record: &WalRecord, version: u64) -> bool {
     tree.apply(record.oid(), old, new, version)
 }
 
+/// Storage health of an engine, as its mutations see it.
+///
+/// The engine is degraded exactly while its WAL is *wedged*: a commit's
+/// append failed, its rollback failed too, and the log may hold a frame
+/// no caller was told about. A clean failure, one the WAL rolled back,
+/// fails only its own mutation. While degraded, mutations are refused
+/// with [`MpqError::StorageDegraded`] (the network layer maps this to
+/// `503` + `Retry-After`) but **reads keep serving** from the pinned
+/// epoch and the result cache. [`Engine::checkpoint`] is the repair: a
+/// success restores `Healthy`, and each failure puts the next repair
+/// one doubled backoff further out, `Failed` after five in a row.
+/// [`Engine::health`] reads the state and [`Engine::retry_after`] the
+/// wait until the next repair is due.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum HealthState {
+    /// Mutations commit; everything is served.
+    #[default]
+    Healthy,
+    /// The WAL is wedged; mutations are refused until a repair
+    /// succeeds. Reads are unaffected.
+    Degraded,
+    /// Degraded, and the repairs keep failing. Reads are still served.
+    Failed,
+}
+
+impl HealthState {
+    /// Canonical lowercase name (the wire form used by `/healthz` and
+    /// `/metrics`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            HealthState::Healthy => "healthy",
+            HealthState::Degraded => "degraded",
+            HealthState::Failed => "failed",
+        }
+    }
+
+    /// True iff mutations are currently accepted.
+    pub fn is_healthy(self) -> bool {
+        self == HealthState::Healthy
+    }
+}
+
+impl std::fmt::Display for HealthState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// The first repair of a wedged WAL is due this long after the wedge;
+/// each failed repair doubles the wait, up to [`REPAIR_CAP`].
+const REPAIR_BASE: Duration = Duration::from_millis(100);
+/// The longest wait between two repairs.
+const REPAIR_CAP: Duration = Duration::from_secs(5);
+/// Consecutive failed repairs after which the state is
+/// [`HealthState::Failed`].
+const FAILED_AFTER: u32 = 5;
+
+/// What the engine knows of a wedged WAL.
+#[derive(Clone, Copy)]
+struct Wedged {
+    /// Repairs that failed since the wedge.
+    failed_repairs: u32,
+    /// When the next repair is due.
+    repair_at: Instant,
+}
+
 /// A prepared matching engine: one validated inventory, bulk-loaded
 /// into one R-tree behind one buffer pool, serving any number of
 /// [`MatchRequest`]s.
@@ -455,10 +521,10 @@ pub struct Engine {
     tree: RTree,
     /// Write-ahead log; present iff the engine is disk-backed.
     wal: Option<Mutex<Wal>>,
-    /// Set when a durability failure left the WAL wedged: mutations are
-    /// refused with [`MpqError::StorageDegraded`] until a successful
-    /// [`Engine::checkpoint`] repairs the log. Reads are unaffected.
-    degraded: AtomicBool,
+    /// Storage health: `Some` exactly while the WAL is wedged (see
+    /// [`HealthState`]). A lock of its own, never the WAL's, so a
+    /// reader of the state never waits behind an fsync.
+    health: Mutex<Option<Wedged>>,
     /// The id mint: ids at or above it have never been assigned.
     /// Removal never recycles an id.
     next_oid: AtomicU64,
@@ -514,7 +580,7 @@ impl Engine {
             config: builder.index,
             tree,
             wal: wal.map(Mutex::new),
-            degraded: AtomicBool::new(false),
+            health: Mutex::new(None),
             next_oid: AtomicU64::new(next_oid),
             mutations: MutationLog::new(MUTATIONS_LOGGED),
             evaluations: AtomicU64::new(0),
@@ -707,7 +773,7 @@ impl Engine {
     /// rollback left the log wedged). Cleared by a successful
     /// [`Engine::checkpoint`].
     fn check_storage(&self) -> Result<(), MpqError> {
-        if self.is_degraded() {
+        if lock(&self.health).is_some() {
             return Err(MpqError::StorageDegraded);
         }
         Ok(())
@@ -724,17 +790,16 @@ impl Engine {
     /// The append comes *before* the in-memory state changes: if it or
     /// its fsync fails, the record is rolled back off the log and the
     /// mutation is reported as [`MpqError::Io`] without having been
-    /// applied. If even the rollback fails, the WAL is wedged and the
-    /// engine flips to degraded: mutations are refused with
+    /// applied; the next mutation is attempted as usual. If even the
+    /// rollback fails, the WAL is wedged and the engine is degraded (see
+    /// [`HealthState`]): mutations are refused with
     /// [`MpqError::StorageDegraded`] until a successful
     /// [`Engine::checkpoint`] truncates (and thereby repairs) the log.
     fn commit(&self, table: &mut Option<ObjectTable>, record: WalRecord) -> Result<(), MpqError> {
         if let Some(wal) = &self.wal {
             let mut wal = lock(wal);
             if let Err(e) = wal.append_sync(&record) {
-                if wal.is_wedged() {
-                    self.degraded.store(true, AtomicOrdering::Release);
-                }
+                self.record_health(&wal);
                 return Err(e.into());
             }
         }
@@ -759,11 +824,47 @@ impl Engine {
         Ok(())
     }
 
-    /// True while the engine refuses mutations after an unrepaired
-    /// durability failure (see [`MpqError::StorageDegraded`]). Reads
-    /// keep serving the last committed snapshot throughout.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(AtomicOrdering::Acquire)
+    /// Bring the health record in line with `wal` after a failed commit
+    /// or a checkpoint: healthy while the log is not wedged; on a fresh
+    /// wedge the first repair is due [`REPAIR_BASE`] later; a repair
+    /// that left the log wedged pushes the next one a doubled backoff
+    /// out (capped at [`REPAIR_CAP`]).
+    fn record_health(&self, wal: &Wal) {
+        let mut health = lock(&self.health);
+        *health = match (*health, wal.is_wedged()) {
+            (_, false) => None,
+            (None, true) => Some(Wedged {
+                failed_repairs: 0,
+                repair_at: Instant::now() + REPAIR_BASE,
+            }),
+            (Some(w), true) => {
+                let failed_repairs = w.failed_repairs + 1;
+                let backoff = REPAIR_BASE.saturating_mul(1 << failed_repairs.min(16));
+                Some(Wedged {
+                    failed_repairs,
+                    repair_at: Instant::now() + backoff.min(REPAIR_CAP),
+                })
+            }
+        };
+    }
+
+    /// The engine's storage health (see [`HealthState`]). Reads keep
+    /// serving the last committed snapshot whatever it says.
+    pub fn health(&self) -> HealthState {
+        match *lock(&self.health) {
+            None => HealthState::Healthy,
+            Some(w) if w.failed_repairs >= FAILED_AFTER => HealthState::Failed,
+            Some(_) => HealthState::Degraded,
+        }
+    }
+
+    /// How long a refused mutation should wait before it is retried:
+    /// the time until the next repair is due. Zero when healthy, and
+    /// once a repair is due.
+    pub fn retry_after(&self) -> Duration {
+        lock(&self.health).map_or(Duration::ZERO, |w| {
+            w.repair_at.saturating_duration_since(Instant::now())
+        })
     }
 
     /// The fault injector attached at build/open time, if any — lets
@@ -778,19 +879,21 @@ impl Engine {
     /// the id bound) into the page file's header, then truncate the WAL.
     /// After a checkpoint, reopening replays nothing; between
     /// checkpoints, the WAL alone carries the delta. A no-op for
-    /// in-memory engines. A successful checkpoint also repairs a
-    /// degraded engine: the WAL truncation wipes any phantom record a
-    /// failed rollback left behind, so mutations are accepted again.
+    /// in-memory engines. A checkpoint is also the repair of a degraded
+    /// engine and records its outcome: a success wipes any phantom
+    /// record a failed rollback left behind and restores
+    /// [`HealthState::Healthy`]; a failure schedules the next repair
+    /// (see [`Engine::retry_after`]).
     pub fn checkpoint(&self) -> Result<(), MpqError> {
         let _m = lock(&self.mutator);
-        if let Some(wal) = &self.wal {
-            let mut wal = lock(wal);
-            let extra = checkpoint_extra(wal.last_seq(), self.oid_bound());
-            self.tree.checkpoint(&extra)?;
-            wal.truncate()?;
-            self.degraded.store(false, AtomicOrdering::Release);
-        }
-        Ok(())
+        let Some(wal) = &self.wal else {
+            return Ok(());
+        };
+        let mut wal = lock(wal);
+        let extra = checkpoint_extra(wal.last_seq(), self.oid_bound());
+        let result = self.tree.checkpoint(&extra).and_then(|()| wal.truncate());
+        self.record_health(&wal);
+        Ok(result?)
     }
 
     /// Cumulative storage-level I/O: the index's logical/physical page
@@ -1319,7 +1422,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use mpq_datagen::WorkloadBuilder;
-    use mpq_rtree::RTreeParams;
+    use mpq_rtree::{FaultKind, FaultOp, RTreeParams};
 
     use super::*;
 
@@ -1592,5 +1695,95 @@ mod tests {
         assert_eq!(extra_field(&extra[..8], 0), Some(7));
         assert_eq!(extra_field(&extra[..8], 1), None);
         assert_eq!(extra_field(&[], 0), None);
+    }
+
+    /// A disk engine whose WAL the next insert wedges (its append fsync
+    /// fails, then its rollback), with every page fsync failing from
+    /// then on, so each repair fails until the injector is cleared.
+    fn wedged_engine(tag: &str) -> (Engine, Arc<FaultInjector>, PathBuf) {
+        let dir = tmp_dir(tag);
+        let inj = FaultInjector::shared();
+        let engine = Engine::builder()
+            .objects(&points(40, 5))
+            .data_dir(&dir)
+            .fault_injector(Arc::clone(&inj))
+            .build()
+            .unwrap();
+        assert_eq!(engine.health(), HealthState::Healthy);
+        assert_eq!(engine.retry_after(), Duration::ZERO);
+        wedge(&engine, &inj);
+        inj.fail_from(FaultOp::PageSync, 0, FaultKind::Error);
+        (engine, inj, dir)
+    }
+
+    fn wedge(engine: &Engine, inj: &FaultInjector) {
+        inj.fail_nth(FaultOp::WalSync, 0, FaultKind::Error);
+        inj.fail_nth(FaultOp::WalRollback, 0, FaultKind::Error);
+        assert!(matches!(
+            engine.insert_object(&[0.5; 3]),
+            Err(MpqError::Io(_))
+        ));
+        assert_eq!(engine.health(), HealthState::Degraded);
+        let first = engine.retry_after();
+        assert!(first <= REPAIR_BASE, "{first:?}");
+    }
+
+    #[test]
+    fn health_degrades_and_escalates_after_five_failed_repairs() {
+        let (engine, _inj, dir) = wedged_engine("escalate");
+        for _ in 1..FAILED_AFTER {
+            assert!(engine.checkpoint().is_err());
+            assert_eq!(engine.health(), HealthState::Degraded);
+        }
+        assert!(engine.checkpoint().is_err());
+        assert_eq!(engine.health(), HealthState::Failed);
+        assert!(matches!(
+            engine.insert_object(&[0.5; 3]),
+            Err(MpqError::StorageDegraded)
+        ));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn health_backoff_doubles_and_caps() {
+        let (engine, _inj, dir) = wedged_engine("backoff");
+        let mut last = engine.retry_after();
+        for failed in 1..=8 {
+            assert!(engine.checkpoint().is_err());
+            let wait = engine.retry_after();
+            assert!(wait <= REPAIR_CAP, "repair {failed}: {wait:?}");
+            if failed < 6 {
+                assert!(wait > last, "repair {failed}: {wait:?} after {last:?}");
+            } else {
+                assert!(wait > REPAIR_CAP / 2, "repair {failed}: {wait:?}");
+            }
+            last = wait;
+        }
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn health_a_successful_repair_resets_the_count() {
+        let (engine, inj, dir) = wedged_engine("reset");
+        for _ in 0..FAILED_AFTER {
+            assert!(engine.checkpoint().is_err());
+        }
+        assert_eq!(engine.health(), HealthState::Failed);
+        inj.clear();
+        engine.checkpoint().unwrap();
+        assert_eq!(engine.health(), HealthState::Healthy);
+        assert_eq!(engine.retry_after(), Duration::ZERO);
+        engine.insert_object(&[0.5; 3]).unwrap();
+
+        // The count restarted: a new wedge is one backoff from repair,
+        // and one failed repair leaves it degraded, not failed.
+        wedge(&engine, &inj);
+        inj.fail_from(FaultOp::PageSync, 0, FaultKind::Error);
+        assert!(engine.checkpoint().is_err());
+        assert_eq!(engine.health(), HealthState::Degraded);
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -100,12 +100,12 @@ pub enum MpqError {
     /// The engine's in-memory state is unchanged — a failed mutation was
     /// not applied.
     Io(String),
-    /// The engine's storage is degraded: a previous durability failure
-    /// left the persistence layer unable to accept new commits (e.g. a
-    /// WAL rollback failed, so the log may hold an unacknowledged
-    /// record). Reads keep serving from the last committed snapshot;
-    /// mutations are refused until a checkpoint repairs the log. Back
-    /// off and retry after the storage recovers.
+    /// The engine's storage is degraded: a WAL append failed and so did
+    /// its rollback, so the log may hold an unacknowledged record (see
+    /// [`HealthState`](crate::HealthState)). Reads keep serving from the
+    /// last committed snapshot; mutations are refused until a checkpoint
+    /// repairs the log. Back off for
+    /// [`Engine::retry_after`](crate::Engine::retry_after) and retry.
     StorageDegraded,
 }
 

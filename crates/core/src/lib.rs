@@ -148,7 +148,8 @@ pub mod wal;
 pub use cache::{CacheMetrics, RequestKey, ResultCache};
 pub use capacity::CapacityMatching;
 pub use engine::{
-    Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, MatchRequest, Variant,
+    Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, HealthState, MatchRequest,
+    Variant,
 };
 pub use error::MpqError;
 pub use json::Json;
@@ -159,8 +160,7 @@ pub use sb::SbStream;
 pub use scratch::Scratch;
 pub use seed::EvalSeed;
 pub use service::{
-    EngineService, HealthMonitor, HealthState, ServiceClient, ServiceConfig, ServiceMetrics,
-    SubmitOptions, Ticket,
+    EngineService, ServiceClient, ServiceConfig, ServiceMetrics, SubmitOptions, Ticket,
 };
 pub use verify::{verify_stable, verify_weakly_stable};
 pub use wal::{Wal, WalRecord};

@@ -85,7 +85,9 @@ use std::time::{Duration, Instant};
 use mpq_ta::FunctionSet;
 
 use crate::cache::{CacheMetrics, RequestKey, ResultCache};
-use crate::engine::{BatchMetrics, BatchOutcome, Engine, MatchRequest, RequestOptions};
+use crate::engine::{
+    BatchMetrics, BatchOutcome, Engine, HealthState, MatchRequest, RequestOptions,
+};
 use crate::error::MpqError;
 use crate::matching::Matching;
 use crate::scratch::Scratch;
@@ -1107,185 +1109,6 @@ impl std::fmt::Display for ServiceMetrics {
     }
 }
 
-/// Storage health of a served engine, as a three-state machine.
-///
-/// Transitions (driven by [`HealthMonitor`]):
-///
-/// * `Healthy → Degraded` on the first reported storage failure;
-/// * `Degraded → Failed` after several *consecutive* failures (the
-///   recovery probes themselves keep failing);
-/// * `Degraded/Failed → Healthy` on any reported success (a mutation
-///   commit or a recovery-probe checkpoint went through).
-///
-/// While degraded or failed, mutations are refused (the network layer
-/// maps this to `503` + `Retry-After`) but **reads keep serving** from
-/// the engine's in-memory snapshot and the result cache — storage
-/// failures never take read traffic down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HealthState {
-    /// Storage commits succeed; everything is served.
-    #[default]
-    Healthy,
-    /// A storage failure was reported; mutations are refused while
-    /// recovery probes run. Reads are unaffected.
-    Degraded,
-    /// Recovery probes keep failing; the storage is considered down
-    /// until a probe succeeds. Reads are still served.
-    Failed,
-}
-
-impl HealthState {
-    /// Canonical lowercase name (the wire form used by `/healthz` and
-    /// `/metrics`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Failed => "failed",
-        }
-    }
-
-    /// True iff mutations are currently accepted.
-    pub fn is_healthy(self) -> bool {
-        self == HealthState::Healthy
-    }
-}
-
-impl std::fmt::Display for HealthState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Consecutive failures after which [`HealthState::Degraded`] escalates
-/// to [`HealthState::Failed`].
-const FAILED_AFTER: u32 = 5;
-
-struct HealthInner {
-    state: HealthState,
-    consecutive_failures: u32,
-    /// Delay before the *next* recovery probe; doubles per failure up
-    /// to the cap.
-    backoff: Duration,
-    /// When the next recovery probe may run (`None` until the first
-    /// failure).
-    next_probe: Option<Instant>,
-}
-
-/// Tracks a served engine's [`HealthState`] and paces recovery probes
-/// with capped exponential backoff.
-///
-/// The monitor is pure bookkeeping — it never touches storage itself.
-/// Callers report outcomes ([`HealthMonitor::report_failure`] /
-/// [`HealthMonitor::report_success`]) and ask when the next repair
-/// attempt is due ([`HealthMonitor::probe_due`]); the network tenant
-/// runs the actual probe (an [`Engine::checkpoint`] retry) and reports
-/// its outcome back.
-pub struct HealthMonitor {
-    inner: Mutex<HealthInner>,
-    base: Duration,
-    cap: Duration,
-}
-
-impl Default for HealthMonitor {
-    fn default() -> HealthMonitor {
-        HealthMonitor::new()
-    }
-}
-
-impl std::fmt::Debug for HealthMonitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthMonitor")
-            .field("state", &self.state())
-            .finish()
-    }
-}
-
-impl HealthMonitor {
-    /// A monitor with the default probe pacing: first retry after
-    /// 100 ms, doubling per consecutive failure, capped at 5 s.
-    pub fn new() -> HealthMonitor {
-        HealthMonitor::with_backoff(Duration::from_millis(100), Duration::from_secs(5))
-    }
-
-    /// A monitor with custom probe pacing (tests use millisecond
-    /// backoffs so recovery is observable without real waiting).
-    pub(crate) fn with_backoff(base: Duration, cap: Duration) -> HealthMonitor {
-        HealthMonitor {
-            inner: Mutex::new(HealthInner {
-                state: HealthState::Healthy,
-                consecutive_failures: 0,
-                backoff: base,
-                next_probe: None,
-            }),
-            base,
-            cap: cap.max(base),
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> HealthState {
-        lock(&self.inner).state
-    }
-
-    /// Record a storage failure (a failed mutation commit or a failed
-    /// recovery probe): the state degrades — escalating to
-    /// [`HealthState::Failed`] after `FAILED_AFTER` consecutive
-    /// failures — the next probe is scheduled one backoff out, and the
-    /// backoff doubles (capped). Returns the new state.
-    pub fn report_failure(&self) -> HealthState {
-        let mut g = lock(&self.inner);
-        g.consecutive_failures += 1;
-        g.state = if g.consecutive_failures >= FAILED_AFTER {
-            HealthState::Failed
-        } else {
-            HealthState::Degraded
-        };
-        g.next_probe = Some(Instant::now() + g.backoff);
-        g.backoff = (g.backoff * 2).min(self.cap);
-        g.state
-    }
-
-    /// Record a storage success: back to [`HealthState::Healthy`] with
-    /// the backoff reset.
-    pub fn report_success(&self) {
-        let mut g = lock(&self.inner);
-        g.state = HealthState::Healthy;
-        g.consecutive_failures = 0;
-        g.backoff = self.base;
-        g.next_probe = None;
-    }
-
-    /// True iff the state is unhealthy and the backoff window since the
-    /// last failure (or probe) has elapsed — time to try a repair.
-    pub fn probe_due(&self) -> bool {
-        let g = lock(&self.inner);
-        !g.state.is_healthy() && g.next_probe.is_none_or(|t| t <= Instant::now())
-    }
-
-    /// Claim the due probe: pushes the next probe one backoff out so
-    /// concurrent pollers don't stampede the storage with repairs.
-    /// Call [`HealthMonitor::report_success`] /
-    /// [`HealthMonitor::report_failure`] with the probe's outcome.
-    pub fn begin_probe(&self) {
-        let mut g = lock(&self.inner);
-        g.next_probe = Some(Instant::now() + g.backoff);
-    }
-
-    /// How long a refused client should wait before retrying: the time
-    /// until the next recovery probe. Zero when healthy.
-    pub fn retry_after(&self) -> Duration {
-        let g = lock(&self.inner);
-        if g.state.is_healthy() {
-            return Duration::ZERO;
-        }
-        match g.next_probe {
-            Some(t) => t.saturating_duration_since(Instant::now()),
-            None => g.backoff,
-        }
-    }
-}
-
 /// A long-lived worker pool serving one shared [`Engine`] through a
 /// bounded submission queue (see the [module docs](self)).
 ///
@@ -1295,7 +1118,6 @@ impl HealthMonitor {
 pub struct EngineService {
     engine: Arc<Engine>,
     core: Arc<ServiceCore<'static>>,
-    health: Arc<HealthMonitor>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -1320,14 +1142,14 @@ impl std::fmt::Debug for EngineService {
 }
 
 /// A metrics snapshot of `core` completed with what only the engine
-/// and the health monitor know.
-fn full_metrics(core: &ServiceCore<'_>, engine: &Engine, health: &HealthMonitor) -> ServiceMetrics {
+/// knows.
+fn full_metrics(core: &ServiceCore<'_>, engine: &Engine) -> ServiceMetrics {
     let mut m = core.metrics_snapshot();
     m.storage = engine.storage_stats();
     m.objects = engine.n_objects();
     m.tree_height = engine.tree().height();
     m.wal_bytes = engine.wal_bytes();
-    m.health = health.state();
+    m.health = engine.health();
     m
 }
 
@@ -1351,16 +1173,8 @@ impl EngineService {
         EngineService {
             engine,
             core,
-            health: Arc::new(HealthMonitor::new()),
             handles,
         }
-    }
-
-    /// The service's storage [`HealthMonitor`]. The network tenant
-    /// reports mutation-commit outcomes here and runs the recovery
-    /// probes it paces; `/healthz` and `/metrics` read the state.
-    pub fn health(&self) -> &Arc<HealthMonitor> {
-        &self.health
     }
 
     /// A cheap, cloneable submission handle. Clients stay valid for the
@@ -1370,7 +1184,6 @@ impl EngineService {
         ServiceClient {
             engine: Arc::clone(&self.engine),
             core: Arc::clone(&self.core),
-            health: Arc::clone(&self.health),
         }
     }
 
@@ -1386,7 +1199,7 @@ impl EngineService {
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        full_metrics(&self.core, &self.engine, &self.health)
+        full_metrics(&self.core, &self.engine)
     }
 
     /// Requests queued and not yet claimed by a worker, right now — a
@@ -1433,7 +1246,6 @@ impl Drop for EngineService {
 pub struct ServiceClient {
     engine: Arc<Engine>,
     core: Arc<ServiceCore<'static>>,
-    health: Arc<HealthMonitor>,
 }
 
 impl std::fmt::Debug for ServiceClient {
@@ -1492,13 +1304,7 @@ impl ServiceClient {
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        full_metrics(&self.core, &self.engine, &self.health)
-    }
-
-    /// The service's storage [`HealthMonitor`] (shared with
-    /// [`EngineService::health`]).
-    pub fn health(&self) -> &Arc<HealthMonitor> {
-        &self.health
+        full_metrics(&self.core, &self.engine)
     }
 
     /// Requests queued and not yet claimed by a worker, right now (see
@@ -1583,53 +1389,6 @@ mod tests {
         assert!(m.to_string().contains("cache disabled"));
         m.cache.enabled = true;
         assert!(m.to_string().contains("hit-rate"));
-    }
-
-    #[test]
-    fn health_monitor_degrades_escalates_and_recovers() {
-        let h = HealthMonitor::with_backoff(Duration::from_millis(1), Duration::from_millis(8));
-        assert_eq!(h.state(), HealthState::Healthy);
-        assert!(!h.probe_due(), "healthy monitors never ask for probes");
-        assert_eq!(h.retry_after(), Duration::ZERO);
-
-        assert_eq!(h.report_failure(), HealthState::Degraded);
-        assert!(!h.state().is_healthy());
-        for _ in 0..FAILED_AFTER {
-            h.report_failure();
-        }
-        assert_eq!(h.state(), HealthState::Failed);
-
-        h.report_success();
-        assert_eq!(h.state(), HealthState::Healthy);
-        let counted_afresh = h.report_failure();
-        assert_eq!(counted_afresh, HealthState::Degraded, "the count restarted");
-    }
-
-    #[test]
-    fn health_monitor_backoff_doubles_and_caps() {
-        let h = HealthMonitor::with_backoff(Duration::from_millis(10), Duration::from_millis(25));
-        h.report_failure(); // schedules probe at +10ms, backoff -> 20ms
-        let first = h.retry_after();
-        assert!(first <= Duration::from_millis(10));
-        h.report_failure(); // schedules probe at +20ms, backoff -> 25ms (capped)
-        let second = h.retry_after();
-        assert!(second > first, "backoff must grow between failures");
-        h.report_failure();
-        h.report_failure();
-        assert!(
-            h.retry_after() <= Duration::from_millis(25),
-            "backoff must cap"
-        );
-    }
-
-    #[test]
-    fn health_monitor_probe_pacing() {
-        let h = HealthMonitor::with_backoff(Duration::from_millis(1), Duration::from_millis(1));
-        h.report_failure();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(h.probe_due(), "backoff elapsed: a probe is due");
-        h.begin_probe();
-        assert!(!h.probe_due(), "claiming the probe defers the next one");
     }
 
     #[test]

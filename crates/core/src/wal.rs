@@ -187,7 +187,7 @@ pub fn decode_frame(buf: &[u8]) -> Option<(u64, WalRecord, usize)> {
 /// past [`Wal::len_bytes`], so further raw appends would land behind
 /// garbage and be discarded at replay. Committing callers use
 /// [`Wal::append_sync`], which rolls the file back to its pre-append
-/// length on any failure — so a record is either durable and
+/// length, durably, on any failure — so a record is either durable and
 /// acknowledged, or absent. If even the rollback fails the log is
 /// **wedged** (`Wal::is_wedged`): it may hold a frame nobody was told
 /// about, so appends are refused until [`Wal::truncate`] (run by the
@@ -333,13 +333,17 @@ impl Wal {
     }
 
     /// Trim the file back to `len`, discarding a partial or unsynced
-    /// frame from a failed append.
+    /// frame from a failed append, and make the trim durable: a crash
+    /// right after an unsynced trim could bring back an intact frame
+    /// whose caller was told it failed.
     fn rollback_to(&mut self, len: u64) -> io::Result<()> {
         if let Some(inj) = &self.injector {
             inj.on_sync(FaultOp::WalRollback)?;
         }
         self.file.set_len(len)?;
         self.file.seek(SeekFrom::Start(len))?;
+        self.file.sync_data()?;
+        self.syncs += 1;
         Ok(())
     }
 
@@ -533,6 +537,7 @@ mod tests {
         inj.fail_nth(FaultOp::WalSync, 0, FaultKind::Error);
         wal.append_sync(&recs[0]).unwrap_err();
         assert_eq!(wal.len_bytes(), 0, "unsynced frame must be trimmed");
+        assert_eq!(wal.syncs(), 1, "the trim itself must be fsynced");
 
         // Without the rollback the intact-but-unacknowledged frame would
         // replay as a phantom record.

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpq_core::{Algorithm, Engine, IndexConfig, MpqError, ServiceConfig};
+use mpq_core::{Algorithm, Engine, HealthState, IndexConfig, MpqError, ServiceConfig};
 use mpq_rtree::{FaultInjector, FaultKind, FaultOp, PointSet};
 use mpq_ta::FunctionSet;
 
@@ -366,7 +366,7 @@ fn wedged_wal_degrades_mutations_but_not_reads_until_checkpoint_repairs() {
     inj.fail_nth(FaultOp::WalRollback, 0, FaultKind::Error);
     let err = engine.insert_object(&[0.6, 0.6]).unwrap_err();
     assert!(matches!(err, MpqError::Io(_)), "{err:?}");
-    assert!(engine.is_degraded());
+    assert_eq!(engine.health(), HealthState::Degraded);
 
     // Degraded: mutations refused up front, reads unaffected.
     let err = engine.insert_object(&[0.7, 0.7]).unwrap_err();
@@ -379,7 +379,7 @@ fn wedged_wal_degrades_mutations_but_not_reads_until_checkpoint_repairs() {
     // Checkpoint truncates the (possibly phantom-holding) WAL and
     // restores service.
     engine.checkpoint().unwrap();
-    assert!(!engine.is_degraded());
+    assert_eq!(engine.health(), HealthState::Healthy);
     engine.insert_object(&[0.6, 0.6]).unwrap();
 
     // The repaired engine recovers to exactly its committed state.
@@ -387,6 +387,40 @@ fn wedged_wal_degrades_mutations_but_not_reads_until_checkpoint_repairs() {
     drop(engine);
     let reopened = Engine::open(&dir).unwrap();
     assert_eq!(matchings_of(&reopened, &fs), after);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The service reports the engine's health: over a wedged engine its
+/// metrics read `degraded` while it keeps serving reads, and `healthy`
+/// again once a checkpoint repairs the log.
+#[test]
+fn service_metrics_read_the_engines_health() {
+    let dir = tmp_dir("service_health");
+    let objects = seeded_points(50, 2, 25);
+    let fs = functions(2, 4, 27);
+    let inj = FaultInjector::shared();
+    let engine = Arc::new(
+        Engine::builder()
+            .objects(&objects)
+            .data_dir(&dir)
+            .fault_injector(Arc::clone(&inj))
+            .build()
+            .unwrap(),
+    );
+    let service = Arc::clone(&engine).serve(ServiceConfig::default().workers(1));
+    assert_eq!(service.metrics().health, HealthState::Healthy);
+
+    inj.fail_nth(FaultOp::WalSync, 0, FaultKind::Error);
+    inj.fail_nth(FaultOp::WalRollback, 0, FaultKind::Error);
+    engine.insert_object(&[0.6, 0.6]).unwrap_err();
+    assert_eq!(service.metrics().health, HealthState::Degraded);
+    assert_eq!(service.client().metrics().health, HealthState::Degraded);
+    let served = service.client().submit(engine.request(&fs)).unwrap();
+    assert_eq!(served.wait().unwrap().len(), 4);
+
+    engine.checkpoint().unwrap();
+    assert_eq!(service.metrics().health, HealthState::Healthy);
+    service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -413,7 +447,7 @@ fn enospc_on_wal_append_is_a_typed_error() {
         other => panic!("expected Io, got {other:?}"),
     }
     // The engine is not degraded — a clean append failure rolls back.
-    assert!(!engine.is_degraded());
+    assert_eq!(engine.health(), HealthState::Healthy);
     engine.insert_object(&[0.5, 0.5]).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

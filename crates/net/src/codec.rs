@@ -30,7 +30,9 @@
 //! ([`Scanner::integer`]), never through an `f64`: every `u64` id is
 //! exact, and an id that is no integer or does not fit in `u64` is a
 //! `400` (an `exclude` entry or an `oid` of `1e30` no longer saturates
-//! to `u64::MAX`).
+//! to `u64::MAX`). `deadline_ms` is read the same way: `250` and
+//! `250.0` are 250 ms, while `1e30` or `1e-400` is a `400`, not "no
+//! deadline" or a 0 ms one.
 //!
 //! No body is turned into a [`Json`] tree on its way. The decoders pull
 //! tokens from one [`Scanner`] straight into their results — weight
@@ -291,11 +293,7 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
                     (n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n)).then_some(n as u32)
                 })?
             }
-            "deadline_ms" => {
-                deadline_ms = optional_u64(s, key, |n, _| {
-                    (n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n)).then_some(n as u64)
-                })?
-            }
+            "deadline_ms" => deadline_ms = optional_u64(s, key, |_, s| s.integer())?,
             "priority" => {
                 priority = match s.value()? {
                     Token::Null => Ok(0),
@@ -525,6 +523,8 @@ mod tests {
         assert_eq!(req.capacities, Some(vec![2]));
         assert_eq!(req.deadline_ms, Some(250));
         assert_eq!(req.priority, -1);
+        let req = decode_match_request(br#"{"functions":[[1]],"deadline_ms":250.0}"#).unwrap();
+        assert_eq!(req.deadline_ms, Some(250));
     }
 
     #[test]
@@ -794,6 +794,18 @@ mod tests {
             ),
             (
                 br#"{"priority":null,"deadline_ms":-5,"functions":[[1]]}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                br#"{"deadline_ms":1e30,"functions":[[1]]}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                br#"{"deadline_ms":18446744073709551616,"functions":[[1]]}"#,
+                "'deadline_ms' must be a non-negative integer",
+            ),
+            (
+                br#"{"deadline_ms":1e-400,"functions":[[1]]}"#,
                 "'deadline_ms' must be a non-negative integer",
             ),
             (

@@ -29,9 +29,10 @@
 //! * queue deadline lapsed ([`MpqError::DeadlineExceeded`]) → `504`,
 //! * service stopped → `503`, worker panic / I/O error → `500`,
 //! * a mutation hitting degraded storage ([`MpqError::StorageDegraded`]
-//!   or an I/O error) → `503` with a `Retry-After` from the tenant's
-//!   health monitor backoff — reads are unaffected and keep serving
-//!   from the engine's snapshot,
+//!   or an I/O error) → `503` with a `Retry-After` of the engine's
+//!   [`retry_after`](mpq_core::Engine::retry_after) (the wait until its
+//!   next repair is due), at least 1 s and at most 30 s — reads are
+//!   unaffected and keep serving from the engine's snapshot,
 //! * a request head or body that trickles in slower than
 //!   [`ServerConfig::request_read_timeout`] → `408` and close (so a
 //!   slow-loris peer cannot pin a connection slot),
@@ -361,14 +362,14 @@ fn healthz(shared: &Shared) -> Response {
         .map(|t| {
             (
                 t.name().to_string(),
-                Json::Str(t.health().state().as_str().to_string()),
+                Json::Str(t.engine().health().as_str().to_string()),
             )
         })
         .collect();
     let all_healthy = shared
         .registry
         .iter()
-        .all(|t| t.health().state().is_healthy());
+        .all(|t| t.engine().health().is_healthy());
     let doc = Json::obj([
         (
             "status",
@@ -438,10 +439,10 @@ fn handle_mutate(request: &Request, tenant: &Arc<Tenant>) -> Response {
     match tenant.mutate(&mutation) {
         Ok((oid, version)) => Response::json(200, encode_mutation_ack(oid, version)),
         Err(e @ (MpqError::Io(_) | MpqError::StorageDegraded)) => {
-            // Storage failure: the tenant is (now) degraded. Tell the
-            // client when the recovery probe will next try, so retries
-            // line up with repair instead of hammering a broken device.
-            let secs = tenant.health().retry_after().as_secs().clamp(1, 30);
+            // Storage failure. Tell the client when the engine's next
+            // repair is due (at least a second), so retries line up with
+            // repair instead of hammering a broken device.
+            let secs = tenant.engine().retry_after().as_secs().clamp(1, 30);
             error_response(503, &e.to_string()).with_header("Retry-After", secs.to_string())
         }
         Err(e) => error_response(400, &e.to_string()),

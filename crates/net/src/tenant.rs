@@ -16,14 +16,13 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use mpq_core::{
-    Engine, EngineService, HealthMonitor, MpqError, ServiceClient, ServiceConfig, SubmitOptions,
-    Ticket,
+    Engine, EngineService, MpqError, ServiceClient, ServiceConfig, SubmitOptions, Ticket,
 };
 use mpq_ta::FunctionSet;
 
@@ -75,62 +74,54 @@ impl TenantConfig {
 ///
 /// ## Health and degraded mode
 ///
-/// The tenant's [`HealthMonitor`] (shared with its service) tracks
-/// storage health: a mutation that fails on a storage error flips the
-/// tenant to `Degraded` (escalating to `Failed` after repeated
-/// failures), after which further mutations are refused up front —
-/// the server answers `503` with a `Retry-After` from the monitor's
-/// backoff — while reads keep serving from the engine's pinned epoch
-/// snapshot and result cache. A background **recovery probe** thread
-/// retries [`Engine::checkpoint`] with capped exponential backoff;
-/// the first success restores `Healthy`.
+/// Storage health is the engine's (see [`mpq_core::HealthState`]): it
+/// is degraded exactly while its WAL is wedged, refuses mutations with
+/// [`MpqError::StorageDegraded`] meanwhile — the server answers `503`
+/// with a `Retry-After` of [`Engine::retry_after`] — and keeps serving
+/// reads from its pinned epoch and the result cache. A mutation that
+/// failed cleanly (rolled back) fails alone: the next one is attempted.
+/// The engine paces its repairs; a disk-backed tenant runs a **repair
+/// loop** that calls [`Engine::checkpoint`] whenever one is due, and
+/// the first success restores `healthy`. An in-memory engine's storage
+/// cannot fail, so its tenant runs no loop.
 pub struct Tenant {
     name: String,
     service: EngineService,
     client: ServiceClient,
-    probe_stop: Arc<AtomicBool>,
-    probe_handle: Option<thread::JoinHandle<()>>,
+    /// The repair loop of a disk-backed tenant: dropping the sender
+    /// stops it.
+    repair: Option<(Sender<()>, thread::JoinHandle<()>)>,
 }
 
 impl Drop for Tenant {
     fn drop(&mut self) {
-        self.probe_stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.probe_handle.take() {
+        if let Some((stop, handle)) = self.repair.take() {
+            drop(stop);
             let _ = handle.join();
         }
     }
 }
 
-/// How often the recovery-probe thread checks whether a probe is due.
-/// Bounds probe latency and tenant-drop latency, nothing else — the
-/// actual retry pacing is the monitor's exponential backoff.
-const PROBE_POLL: Duration = Duration::from_millis(10);
+/// How often the repair loop asks the engine whether a repair is due.
+/// Bounds repair latency, nothing else: the engine paces the repairs.
+const REPAIR_POLL: Duration = Duration::from_millis(10);
 
-fn spawn_probe(
-    engine: Arc<Engine>,
-    health: Arc<HealthMonitor>,
-    stop: Arc<AtomicBool>,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name("mpq-net-probe".to_string())
+/// Run `engine`'s due repairs until the returned sender is dropped.
+fn spawn_repair(engine: Arc<Engine>) -> (Sender<()>, thread::JoinHandle<()>) {
+    let (stop, stopped) = mpsc::channel();
+    let handle = thread::Builder::new()
+        .name("mpq-net-repair".to_string())
         .spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if health.probe_due() {
-                    health.begin_probe();
-                    // A checkpoint is the repair primitive: it flushes
-                    // the dirty pages, commits a new header and
-                    // truncates (un-wedging) the WAL.
-                    match engine.checkpoint() {
-                        Ok(()) => health.report_success(),
-                        Err(_) => {
-                            let _ = health.report_failure();
-                        }
-                    }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(REPAIR_POLL) {
+                if !engine.health().is_healthy() && engine.retry_after().is_zero() {
+                    // A checkpoint is the repair: it truncates (un-wedges)
+                    // the WAL, and the engine records its outcome.
+                    let _ = engine.checkpoint();
                 }
-                thread::sleep(PROBE_POLL);
             }
         })
-        .expect("spawn probe thread")
+        .expect("spawn repair thread");
+    (stop, handle)
 }
 
 impl Tenant {
@@ -176,44 +167,19 @@ impl Tenant {
         self.service.workers()
     }
 
-    /// The tenant's health monitor (shared with its service, so
-    /// `/metrics` and `/healthz` report the same state).
-    pub fn health(&self) -> &Arc<HealthMonitor> {
-        self.service.health()
-    }
-
     /// Apply a wire mutation to the hosted engine.
     ///
     /// Returns `(oid, version)` — `oid` only for inserts; `version` is
     /// the engine's [`inventory_version`](Engine::inventory_version)
     /// after the mutation, which every committed mutation raises.
-    /// Storage failures ([`MpqError::Io`], [`MpqError::StorageDegraded`])
-    /// are reported to the health monitor, and while the tenant is not
-    /// healthy further mutations are refused up front with
-    /// [`MpqError::StorageDegraded`] so a broken device is not hammered
-    /// by every client. Validation errors pass through untouched — they
-    /// say nothing about storage.
     pub(crate) fn mutate(&self, mutation: &WireMutation) -> Result<(Option<u64>, u64), MpqError> {
-        if !self.health().state().is_healthy() {
-            return Err(MpqError::StorageDegraded);
-        }
         let engine = self.engine();
-        let result = match mutation {
+        let oid = match mutation {
             WireMutation::Insert(point) => engine.insert_object(point).map(Some),
             WireMutation::Remove(oid) => engine.remove_object(*oid).map(|()| None),
             WireMutation::Update(oid, point) => engine.update_object(*oid, point).map(|()| None),
-        };
-        match result {
-            Ok(oid) => {
-                self.health().report_success();
-                Ok((oid, engine.inventory_version()))
-            }
-            Err(e @ (MpqError::Io(_) | MpqError::StorageDegraded)) => {
-                let _ = self.health().report_failure();
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
+        }?;
+        Ok((oid, engine.inventory_version()))
     }
 }
 
@@ -256,22 +222,19 @@ impl TenantRegistry {
         if self.tenants.contains_key(name) {
             return Err(MpqError::UnsupportedRequest("duplicate tenant name"));
         }
-        let service = EngineService::spawn(Arc::clone(&engine), config.service_config());
+        let repair = engine
+            .data_dir()
+            .is_some()
+            .then(|| spawn_repair(Arc::clone(&engine)));
+        let service = EngineService::spawn(engine, config.service_config());
         let client = service.client();
-        let probe_stop = Arc::new(AtomicBool::new(false));
-        let probe_handle = spawn_probe(
-            engine,
-            Arc::clone(service.health()),
-            Arc::clone(&probe_stop),
-        );
         self.tenants.insert(
             name.to_string(),
             Arc::new(Tenant {
                 name: name.to_string(),
                 service,
                 client,
-                probe_stop,
-                probe_handle: Some(probe_handle),
+                repair,
             }),
         );
         Ok(())
@@ -422,5 +385,23 @@ mod tests {
             .mutate(&WireMutation::Insert(vec![0.3, 0.7]))
             .unwrap();
         assert_eq!(acked, engine.inventory_version());
+    }
+
+    /// Only storage that can fail gets a repair loop: an in-memory
+    /// tenant spawns its workers alone.
+    #[test]
+    fn only_a_persistent_tenant_runs_a_repair_loop() {
+        let objects = small_objects();
+        let dir = std::env::temp_dir().join(format!("mpq-tenant-repair-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut reg = TenantRegistry::new();
+        reg.add_objects("mem", &objects, TenantConfig::default())
+            .unwrap();
+        reg.add_persistent("disk", Some(&objects), dir.clone(), TenantConfig::default())
+            .unwrap();
+        assert!(reg.get("mem").unwrap().repair.is_none());
+        assert!(reg.get("disk").unwrap().repair.is_some());
+        drop(reg);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,8 +7,9 @@
 //!   connection slot nor the server,
 //! * a tenant whose storage fails degrades gracefully end-to-end:
 //!   mutations get `503` + `Retry-After`, reads keep serving, `/healthz`
-//!   and `/metrics` report the state, and the recovery probe restores
-//!   `healthy` without operator action,
+//!   and `/metrics` report the engine's state, and the tenant's repair
+//!   loop restores `healthy` without operator action,
+//! * a clean storage failure fails only its own mutation,
 //! * [`HttpClient::send_with_retry`] rides out a flooded queue.
 
 use std::io::{Read, Write};
@@ -291,8 +292,8 @@ fn storage_failure_degrades_gracefully_end_to_end() {
         resp.text()
     );
 
-    // …and both health surfaces report the truth. (The recovery probe
-    // may already have repaired the tenant by the time we look — only
+    // …and both health surfaces report the truth. (The repair loop
+    // may already have repaired the engine by the time we look — only
     // assert degradation if it is still in effect, via /metrics.)
     let resp = client.get("/t/t/metrics").unwrap();
     let health = Json::parse(&resp.text())
@@ -302,8 +303,8 @@ fn storage_failure_degrades_gracefully_end_to_end() {
         .expect("metrics carry health");
     assert!(health == "degraded" || health == "healthy", "{health}");
 
-    // The probe (checkpoint with backoff) restores healthy service
-    // without any operator action.
+    // The engine's repair (a due checkpoint, paced with backoff) restores
+    // healthy service without any operator action.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let resp = client.get("/healthz").unwrap();
@@ -327,6 +328,52 @@ fn storage_failure_degrades_gracefully_end_to_end() {
         "recovered tenant accepts mutations: {}",
         resp.text()
     );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A clean storage failure, one the WAL rolled back, fails only its own
+/// mutation: it gets `503` with a `Retry-After`, the tenant stays
+/// `healthy`, and the immediate retry commits.
+#[test]
+fn a_clean_failure_fails_only_its_own_mutation() {
+    let w = WorkloadBuilder::new()
+        .objects(60)
+        .functions(3)
+        .dim(2)
+        .seed(6)
+        .build();
+    let dir = tmp_dir("clean");
+    let inj = FaultInjector::shared();
+    let engine = Engine::builder()
+        .objects(&w.objects)
+        .data_dir(&dir)
+        .fault_injector(Arc::clone(&inj))
+        .build()
+        .unwrap();
+    let mut registry = TenantRegistry::new();
+    registry
+        .add_engine("t", Arc::new(engine), TenantConfig::default())
+        .unwrap();
+    let server = Server::bind("127.0.0.1:0", registry, chaos_config()).unwrap();
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+
+    inj.fail_nth(FaultOp::WalWrite, 0, FaultKind::Enospc);
+    let insert = r#"{"op":"insert","point":[0.4,0.6]}"#;
+    let resp = client.post_json("/t/t/mutate", insert).unwrap();
+    assert_eq!(resp.status, 503, "{}", resp.text());
+    let retry_after: u64 = resp
+        .header("retry-after")
+        .expect("503 must carry Retry-After")
+        .parse()
+        .unwrap();
+    assert!((1..=30).contains(&retry_after));
+    let resp = client.get("/healthz").unwrap();
+    assert!(resp.text().contains(r#""t":"healthy""#), "{}", resp.text());
+
+    let resp = client.post_json("/t/t/mutate", insert).unwrap();
+    assert_eq!(resp.status, 200, "the retry commits: {}", resp.text());
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

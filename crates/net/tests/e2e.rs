@@ -10,7 +10,8 @@
 //!   other than SB to `400`, and a client that hangs up gets its
 //!   queued request cancelled,
 //! * `capacities` is a per-object vector: the capacitated matching
-//!   crosses the wire bit-identically, from one tree and from four.
+//!   crosses the wire bit-identically, from one tree and from four,
+//! * reads that overlap a stream of writes each get a whole matching.
 
 use std::sync::Arc;
 use std::thread;
@@ -164,6 +165,85 @@ fn concurrent_clients_get_bit_identical_matchings() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+/// Reads that overlap writes: one connection inserts, updates and
+/// removes objects without pause while another asks for matchings. Every
+/// read is a whole matching of the inventory at some version — `200`,
+/// one pair per function, no object twice — never a torn one.
+#[test]
+fn reads_overlapping_writes_see_whole_matchings() {
+    const OBJECTS: usize = 600;
+    const READS: u64 = 2_000;
+    let w = WorkloadBuilder::new()
+        .objects(OBJECTS)
+        .functions(0)
+        .dim(2)
+        .seed(41)
+        .build();
+    let mut registry = TenantRegistry::new();
+    registry
+        .add_objects("t", &w.objects, TenantConfig::default())
+        .unwrap();
+    let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let reading = Arc::new(std::sync::atomic::AtomicBool::new(true));
+
+    let writer = {
+        let reading = Arc::clone(&reading);
+        thread::spawn(move || {
+            let mut client = HttpClient::connect(addr).unwrap();
+            let mut live: std::collections::VecDeque<u64> = (0..OBJECTS as u64).collect();
+            let mut mutations = 0u64;
+            while reading.load(std::sync::atomic::Ordering::Relaxed) {
+                let p = &raw_rows(2, 1, mutations)[0];
+                let point = format!("[{},{}]", p[0] / 1.1, p[1] / 1.1);
+                let body = match mutations % 3 {
+                    0 => format!(r#"{{"op":"insert","point":{point}}}"#),
+                    1 => {
+                        let oid = live[mutations as usize % live.len()];
+                        format!(r#"{{"op":"update","oid":{oid},"point":{point}}}"#)
+                    }
+                    _ => {
+                        let oid = live.pop_front().unwrap();
+                        format!(r#"{{"op":"remove","oid":{oid}}}"#)
+                    }
+                };
+                let resp = client.post_json("/t/t/mutate", &body).unwrap();
+                assert_eq!(resp.status, 200, "{body}: {}", resp.text());
+                let ack = Json::parse(&resp.text()).unwrap();
+                if let Some(oid) = ack.get("oid").and_then(Json::as_f64) {
+                    live.push_back(oid as u64);
+                }
+                mutations += 1;
+            }
+            mutations
+        })
+    };
+
+    let mut client = HttpClient::connect(addr).unwrap();
+    for i in 0..READS {
+        let body = format!(
+            r#"{{"functions":{}}}"#,
+            rows_json(&raw_rows(2, 4, 7_000 + i))
+        );
+        let resp = client.post_json("/t/t/match", &body).unwrap();
+        assert_eq!(resp.status, 200, "read {i}: {}", resp.text());
+        let pairs = decode_pairs(&resp.body).unwrap();
+        let mut oids: Vec<u64> = pairs.iter().map(|p| p.oid).collect();
+        oids.sort_unstable();
+        oids.dedup();
+        assert_eq!(
+            (pairs.len(), oids.len()),
+            (4, 4),
+            "read {i}: {}",
+            resp.text()
+        );
+    }
+    reading.store(false, std::sync::atomic::Ordering::Relaxed);
+    let mutations = writer.join().unwrap();
+    assert!(mutations > 0, "no write overlapped the reads");
+    server.shutdown();
 }
 
 #[test]

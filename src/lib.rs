@@ -101,7 +101,7 @@
 //! | rebuild the engine on inventory change | `engine.insert_object(&p)?` / `engine.remove_object(oid)?` / `engine.update_object(oid, &p)?` |
 //! | in-memory only, lost on restart | `Engine::builder().data_dir(dir)` once, `Engine::open(dir)?` after |
 //! | in-process `ServiceClient` only | `net::Server::bind(addr, registry, config)?` / `mpq serve --listen ADDR` — HTTP clients `POST /t/<tenant>/match` |
-//! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object table and `inventory_version` untouched; degraded tenants answer mutations `503 Retry-After` while reads keep serving ([`core::HealthMonitor`]) |
+//! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object table and `inventory_version` untouched; an engine whose WAL is wedged is degraded ([`core::Engine::health`]): its tenant answers mutations `503` with a `Retry-After` of [`core::Engine::retry_after`] while reads keep serving, and a due checkpoint repairs it |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
 //! | `Engine::builder().shards(k)`, `ShardedEngine::builder().shards(k)`, `mpq serve --shards K`, tenant spec `shards=K` | `Engine::builder()` — one R-tree, one WAL, one buffer pool; `Engine::open(dir)` migrates a directory written as `K` shards (`shards.mpq` + `shard-i/`) into the one tree the first time it opens it |
@@ -181,8 +181,8 @@ pub use mpq_ta as ta;
 pub mod prelude {
     pub use mpq_core::{
         Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalSeed,
-        HealthMonitor, HealthState, MatchRequest, Matching, MpqError, Pair, RequestKey,
-        ResultCache, Scratch, ServiceClient, ServiceConfig, ServiceMetrics, Ticket, Variant,
+        HealthState, MatchRequest, Matching, MpqError, Pair, RequestKey, ResultCache, Scratch,
+        ServiceClient, ServiceConfig, ServiceMetrics, Ticket, Variant,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{
