@@ -25,14 +25,37 @@
 //!   queue slot and a duplicate evaluation.
 //!
 //! The key ([`RequestKey`]) is *canonical*: it covers the function-set
-//! rows (weight bits, in function-id order, with tombstone flags), the
+//! rows (weight bits, in function-id order, with their tombstones), the
 //! request's one knob (`multi_pair` — a served request is SB alone), the
 //! exclusion set (**order-insensitively** — the request
 //! keeps it sorted and deduplicated from the start, and the key copies
-//! that list), and the capacity vector.
+//! that list), and the capacity vector. It is one slice of words, in
+//! this order:
+//!
+//! | words                 | what                                             |
+//! |-----------------------|--------------------------------------------------|
+//! | 2                     | `dim`, the number of functions `n`               |
+//! | ⌈`n` / 64⌉            | the tombstones: bit `fid % 64` of word `fid / 64` set iff `fid` is alive |
+//! | `n` × `dim`           | the weights' bits, row by row                    |
+//! | 1                     | `multi_pair`                                     |
+//! | 1 + exclusions        | their count, then the sorted ids                 |
+//! | 1, or 2 + capacities  | 0 for none; else 1, their count, the vector      |
+//!
+//! Its hash is taken a word at a time (a multiply-rotate step per word
+//! and a final avalanche), deterministic across processes.
 //! Equality compares the full key material, not just the 64-bit hash,
 //! so a hash collision can never surface a wrong cached matching — the
 //! bit-identical guarantee survives adversarial inputs.
+//!
+//! An entry holds its key — shared, never copied: the service's
+//! dedupe index, its queued job and the entry hold one `Arc` — and its
+//! matching's pairs as three columns: the `u32` function ids, the
+//! object ids as `u32` when every one fits and as `u64` otherwise, and
+//! the `f64` scores, 16 or 20 bytes a pair where a `Pair` takes 24. A
+//! hit rebuilds them into one `Vec<Pair>`. An entry's counted bytes are
+//! the heap it frees when it leaves: the key's `Arc` and material, and
+//! the columns. On the ledger's 1 000-function, 4-d requests that is
+//! about 32 KB of key and 16 KB of pairs.
 //!
 //! The cache holds results alone. The inventory's seed, which primes
 //! every miss, is not a result and lives beside the cache (see
@@ -44,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use mpq_ta::FunctionSet;
 
 use crate::engine::RequestOptions;
-use crate::matching::{Matching, Pair};
+use crate::matching::{Matching, Pair, RunMetrics};
 use crate::seed::EvalSeed;
 use crate::service::lock;
 use crate::wal::WalRecord;
@@ -73,6 +96,11 @@ fn knob_words(options: &RequestOptions) -> [u64; KNOB_WORDS] {
 /// vector all agree. Equality compares the full material, so the
 /// precomputed hash only accelerates lookups — it can never cause a
 /// false hit.
+///
+/// The material is one boxed slice of words, sized exactly: the
+/// tombstones are a bitmap (16 words for 1 000 functions), followed by
+/// the weights' bits and the options (see the [module docs](self) for
+/// the layout). The hash is taken over it a word at a time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestKey {
     hash: u64,
@@ -86,9 +114,12 @@ impl std::hash::Hash for RequestKey {
 }
 
 impl RequestKey {
-    /// Approximate heap footprint of the key, for cache byte accounting.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<RequestKey>() + self.material.len() * std::mem::size_of::<u64>()
+    /// The heap a cache entry's key holds: the `Arc`'s one allocation
+    /// (its two counts and the key) and the material.
+    fn shared_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<RequestKey>()
+            + std::mem::size_of_val(&*self.material)
     }
 }
 
@@ -101,15 +132,22 @@ impl RequestKey {
 /// as entry-stamp mismatches (catch-up-able) — never as silently
 /// divergent key spaces.
 pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> RequestKey {
-    let mut m: Vec<u64> = Vec::with_capacity(8 + functions.len() * (functions.dim() + 1));
+    let (n, dim) = (functions.len(), functions.dim());
+    let caps_words = options.capacities.as_ref().map_or(1, |caps| 2 + caps.len());
+    let len = 2 + n.div_ceil(64) + n * dim + KNOB_WORDS + 1 + options.exclude.len() + caps_words;
+    let mut m: Vec<u64> = Vec::with_capacity(len);
 
     // Function rows, in function-id order: ids are semantic (a matching
     // names them), so row order is part of the identity — but exclusion
     // order below is not.
-    m.push(functions.dim() as u64);
-    m.push(functions.len() as u64);
-    for fid in 0..functions.len() as u32 {
-        m.push(u64::from(functions.is_alive(fid)));
+    m.push(dim as u64);
+    m.push(n as u64);
+    m.extend((0..n.div_ceil(64)).map(|word| {
+        let fids = word * 64..(n.min(word * 64 + 64));
+        fids.filter(|&fid| functions.is_alive(fid as u32))
+            .fold(0u64, |bits, fid| bits | (1 << (fid % 64)))
+    }));
+    for fid in 0..n as u32 {
         m.extend(functions.weights(fid).iter().map(|w| w.to_bits()));
     }
 
@@ -129,26 +167,30 @@ pub(crate) fn request_key(functions: &FunctionSet, options: &RequestOptions) -> 
             m.extend(caps.iter().map(|&c| u64::from(c)));
         }
     }
+    debug_assert_eq!(m.len(), len, "the key is sized exactly");
 
-    // FNV-1a over the whole material: deterministic across processes
-    // (unlike SipHash's random keys), so keys are stable for logging
-    // and cross-run comparison.
     RequestKey {
-        hash: fnv64(&m),
+        hash: word_hash(&m),
         material: m.into_boxed_slice(),
     }
 }
 
-/// FNV-1a over the little-endian bytes of `words`.
-fn fnv64(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+/// A hash of `words` taken a word at a time: the multiply-rotate step
+/// of FxHash per word, then the length and murmur3's 64-bit finalizer,
+/// so every input bit reaches every output bit. It has no random key,
+/// so a key hashes alike in every process (stable for logging and
+/// cross-run comparison).
+fn word_hash(words: &[u64]) -> u64 {
+    const STEP: u64 = 0x517c_c1b7_2722_0a95;
+    let mut hash = words.iter().fold(0u64, |hash, &word| {
+        (hash.rotate_left(5) ^ word).wrapping_mul(STEP)
+    });
+    hash ^= words.len() as u64;
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    hash ^ (hash >> 33)
 }
 
 /// A bounded ring of recent `(version, record)` mutations: the
@@ -223,43 +265,46 @@ impl MutationLog {
 }
 
 /// A read-only view over a [`RequestKey`]'s material: the decoded
-/// function weights and exclusion set, which scoped invalidation needs
-/// to reason about whether a mutation can affect the cached result.
+/// tombstones, function weights and exclusion set, which scoped
+/// invalidation needs to reason about whether a mutation can affect the
+/// cached result.
 struct KeyView<'k> {
     dim: usize,
     n_fns: usize,
-    material: &'k [u64],
+    alive: &'k [u64],
+    weights: &'k [u64],
     excl: &'k [u64],
     has_caps: bool,
 }
 
 impl<'k> KeyView<'k> {
     fn parse(material: &'k [u64]) -> Option<KeyView<'k>> {
-        let dim = *material.first()? as usize;
-        let n_fns = *material.get(1)? as usize;
-        let rows_end = 2 + n_fns.checked_mul(dim + 1)?;
+        let dim = usize::try_from(*material.first()?).ok()?;
+        let n_fns = usize::try_from(*material.get(1)?).ok()?;
+        let weights_at = 2 + n_fns.div_ceil(64);
+        let rows_end = weights_at.checked_add(n_fns.checked_mul(dim)?)?;
         // rows, then the knob words, then the exclusion count
-        let n_excl_at = rows_end + KNOB_WORDS;
-        let n_excl = *material.get(n_excl_at)? as usize;
-        let excl = material.get(n_excl_at + 1..n_excl_at + 1 + n_excl)?;
+        let n_excl_at = rows_end.checked_add(KNOB_WORDS)?;
+        let n_excl = usize::try_from(*material.get(n_excl_at)?).ok()?;
+        let excl = material.get(n_excl_at + 1..(n_excl_at + 1).checked_add(n_excl)?)?;
         let has_caps = *material.get(n_excl_at + 1 + n_excl)? != 0;
         Some(KeyView {
             dim,
             n_fns,
-            material,
+            alive: &material[2..weights_at],
+            weights: &material[weights_at..rows_end],
             excl,
             has_caps,
         })
     }
 
     fn is_alive(&self, fid: usize) -> bool {
-        self.material[2 + fid * (self.dim + 1)] != 0
+        (self.alive[fid / 64] >> (fid % 64)) & 1 != 0
     }
 
     /// Score of function `fid` on `point` (weights are stored bit-exact).
     fn score(&self, fid: usize, point: &[f64]) -> f64 {
-        let base = 2 + fid * (self.dim + 1) + 1;
-        self.material[base..base + self.dim]
+        self.weights[fid * self.dim..(fid + 1) * self.dim]
             .iter()
             .zip(point)
             .map(|(&bits, &x)| f64::from_bits(bits) * x)
@@ -289,14 +334,14 @@ impl<'k> KeyView<'k> {
 ///   survives trivially.
 /// * Capacitated requests never survive (their greedy consumes capacity
 ///   units; the pairwise argument above does not apply).
-fn survives_event(key: &RequestKey, matching: &Matching, record: &WalRecord) -> bool {
+fn survives_event(key: &RequestKey, matching: &PackedMatching, record: &WalRecord) -> bool {
     let Some(view) = KeyView::parse(&key.material) else {
         return false;
     };
     if view.has_caps {
         return false;
     }
-    let assigned = |oid: u64| matching.pairs().iter().any(|p| p.oid == oid);
+    let assigned = |oid: u64| matching.pairs().any(|p| p.oid == oid);
     match record {
         WalRecord::Remove { oid, .. } => view.excludes(*oid) || !assigned(*oid),
         WalRecord::Insert { oid, point } => {
@@ -312,11 +357,16 @@ fn survives_event(key: &RequestKey, matching: &Matching, record: &WalRecord) -> 
 /// True iff every alive function is matched and its assigned pair beats
 /// the candidate pair `(fid, oid, score(fid, point))` — the condition
 /// under which the new/moved object can never win a greedy round.
-fn beaten_everywhere(view: &KeyView<'_>, matching: &Matching, oid: u64, point: &[f64]) -> bool {
+fn beaten_everywhere(
+    view: &KeyView<'_>,
+    matching: &PackedMatching,
+    oid: u64,
+    point: &[f64],
+) -> bool {
     if point.len() != view.dim {
         return false;
     }
-    let mut by_fid: Vec<Option<&Pair>> = vec![None; view.n_fns];
+    let mut by_fid: Vec<Option<Pair>> = vec![None; view.n_fns];
     for p in matching.pairs() {
         if let Some(slot) = by_fid.get_mut(p.fid as usize) {
             *slot = Some(p);
@@ -375,7 +425,8 @@ pub struct CacheMetrics {
     pub seeded_hits: u64,
     /// Current number of cached entries.
     pub entries: usize,
-    /// Current approximate heap footprint of the cached entries.
+    /// Heap bytes the cached entries hold right now — each its key and
+    /// its pair columns, what evicting it frees (see [`ResultCache`]).
     pub bytes: usize,
 }
 
@@ -416,15 +467,74 @@ impl CacheMetrics {
     }
 }
 
+/// A finished matching as a cache entry stores it: its pairs as
+/// columns, in emission order, and the run's metrics. The service's
+/// worker packs it before it takes the core's lock.
+pub(crate) struct PackedMatching {
+    fids: Box<[u32]>,
+    oids: Oids,
+    scores: Box<[f64]>,
+    metrics: RunMetrics,
+}
+
+/// The object-id column: `u32`s when every id fits, else `u64`s.
+enum Oids {
+    Narrow(Box<[u32]>),
+    Wide(Box<[u64]>),
+}
+
+impl PackedMatching {
+    pub(crate) fn pack(matching: &Matching) -> PackedMatching {
+        let pairs = matching.pairs();
+        let narrow = pairs.iter().all(|p| u32::try_from(p.oid).is_ok());
+        PackedMatching {
+            fids: pairs.iter().map(|p| p.fid).collect(),
+            oids: if narrow {
+                Oids::Narrow(pairs.iter().map(|p| p.oid as u32).collect())
+            } else {
+                Oids::Wide(pairs.iter().map(|p| p.oid).collect())
+            },
+            scores: pairs.iter().map(|p| p.score).collect(),
+            metrics: *matching.metrics(),
+        }
+    }
+
+    /// The pairs, in emission order.
+    fn pairs(&self) -> impl Iterator<Item = Pair> + '_ {
+        (0..self.fids.len()).map(|i| Pair {
+            fid: self.fids[i],
+            oid: match &self.oids {
+                Oids::Narrow(oids) => u64::from(oids[i]),
+                Oids::Wide(oids) => oids[i],
+            },
+            score: self.scores[i],
+        })
+    }
+
+    /// The matching, rebuilt into one `Vec<Pair>`.
+    fn unpack(&self) -> Matching {
+        Matching::new(self.pairs().collect(), self.metrics)
+    }
+
+    /// The heap the columns hold.
+    fn heap_bytes(&self) -> usize {
+        let oids = match &self.oids {
+            Oids::Narrow(oids) => std::mem::size_of_val(&**oids),
+            Oids::Wide(oids) => std::mem::size_of_val(&**oids),
+        };
+        std::mem::size_of_val(&*self.fids) + oids + std::mem::size_of_val(&*self.scores)
+    }
+}
+
 /// One cached result plus its bookkeeping.
 struct CacheEntry {
-    matching: Matching,
+    matching: PackedMatching,
     /// Inventory version the result was computed against. A lookup
     /// under any other version treats the entry as absent, unless the
     /// mutation log proves the intervening mutations harmless (scoped
     /// invalidation).
     stamp: u64,
-    /// Approximate heap footprint (key + matching).
+    /// The heap the entry frees when it leaves (key and columns).
     bytes: usize,
     /// Recency tick (key into the LRU index).
     tick: u64,
@@ -434,8 +544,10 @@ struct CacheEntry {
 /// stamped with the inventory version they were computed against.
 ///
 /// Capacity is double-bounded: at most `max_entries` results and at most
-/// `max_bytes` of approximate heap footprint — whichever bound is hit
-/// first evicts the least-recently-used entry. Both bounds are clamped
+/// `max_bytes` of heap — whichever bound is hit first evicts the
+/// least-recently-used entry. An entry counts the heap it frees when it
+/// leaves: its key (shared with the service's job, held once) and its
+/// pair columns (see the [module docs](self)). Both bounds are clamped
 /// to sane minimums so a cache that exists can always hold one entry
 /// (construct via [`ServiceConfig`](crate::service::ServiceConfig) with
 /// `cache_capacity == 0` to disable caching entirely instead).
@@ -494,8 +606,7 @@ impl std::fmt::Debug for ResultCache {
 
 impl ResultCache {
     /// An empty cache bounded to `max_entries` results and `max_bytes`
-    /// of approximate footprint (each clamped to at least 1 entry /
-    /// 4 KiB).
+    /// of heap (each clamped to at least 1 entry / 4 KiB).
     pub fn new(max_entries: usize, max_bytes: usize) -> ResultCache {
         ResultCache {
             max_entries: max_entries.max(1),
@@ -534,13 +645,13 @@ impl ResultCache {
         true
     }
 
-    /// Look up `key` under inventory `version`. A hit returns a clone of
-    /// the cached matching (pairs bit-identical to the original
-    /// evaluation; the [`RunMetrics`](crate::RunMetrics) are the
-    /// *original run's* — a hit does no I/O of its own) and refreshes
-    /// recency. An entry stamped with a different version is dropped and
-    /// reported as a miss: the inventory it was computed against no
-    /// longer exists.
+    /// Look up `key` under inventory `version`. A hit returns the cached
+    /// matching rebuilt from its columns (pairs bit-identical to the
+    /// original evaluation, in its order; the
+    /// [`RunMetrics`] are the *original run's* — a
+    /// hit does no I/O of its own) and refreshes recency. An entry
+    /// stamped with a different version is dropped and reported as a
+    /// miss: the inventory it was computed against no longer exists.
     pub fn get(&mut self, key: &RequestKey, version: u64) -> Option<Matching> {
         let Some(entry) = self.entries.get(key) else {
             self.misses += 1;
@@ -558,7 +669,7 @@ impl ResultCache {
         self.next_tick += 1;
         let entry = self.entries.get_mut(key).expect("entry just found");
         let old = std::mem::replace(&mut entry.tick, tick);
-        let matching = entry.matching.clone();
+        let matching = entry.matching.unpack();
         let key = self.lru.remove(&old).expect("lru tracks every entry");
         self.lru.insert(tick, key);
         Some(matching)
@@ -576,15 +687,16 @@ impl ResultCache {
         matching: &Matching,
         _seed: Option<Arc<EvalSeed>>,
     ) {
-        self.insert(key, stamp_of(versions), matching);
+        let key = Arc::new(key.clone());
+        self.insert(&key, stamp_of(versions), PackedMatching::pack(matching));
     }
 
     /// Store `matching` for `key` under inventory `version`, evicting
-    /// least-recently-used entries until both bounds hold. A result too
-    /// large to ever fit the byte bound is not stored (the cache is an
-    /// accelerator, not a spill).
-    fn insert(&mut self, key: &RequestKey, version: u64, matching: &Matching) {
-        let bytes = key.approx_bytes() + matching.approx_bytes();
+    /// least-recently-used entries until both bounds hold. The entry
+    /// shares `key`. A result too large to ever fit the byte bound is
+    /// not stored (the cache is an accelerator, not a spill).
+    fn insert(&mut self, key: &Arc<RequestKey>, version: u64, matching: PackedMatching) {
+        let bytes = key.shared_bytes() + matching.heap_bytes();
         if bytes > self.max_bytes {
             return;
         }
@@ -596,12 +708,11 @@ impl ResultCache {
         {}
         let tick = self.next_tick;
         self.next_tick += 1;
-        let key = Arc::new(key.clone());
-        self.lru.insert(tick, Arc::clone(&key));
+        self.lru.insert(tick, Arc::clone(key));
         self.entries.insert(
-            key,
+            Arc::clone(key),
             CacheEntry {
-                matching: matching.clone(),
+                matching,
                 stamp: version,
                 bytes,
                 tick,
@@ -621,7 +732,7 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Approximate heap footprint of the cached entries.
+    /// The heap the cached entries hold: what evicting them all frees.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -698,7 +809,7 @@ impl ResultCache {
         survives
     }
 
-    /// Like [`ResultCache::insert`], but first eagerly sweeps
+    /// Like `ResultCache::insert`, but first eagerly sweeps
     /// entries stamped with an older version: each is caught up through
     /// `log` (restamped if it survives) or evicted on the spot. Plain
     /// `get` only drops a stale entry when its exact key is looked up
@@ -707,9 +818,9 @@ impl ResultCache {
     /// insert time keeps the accounting honest without a periodic task.
     pub(crate) fn insert_with_logs(
         &mut self,
-        key: &RequestKey,
+        key: &Arc<RequestKey>,
         version: u64,
-        matching: &Matching,
+        matching: PackedMatching,
         log: &MutationLog,
     ) {
         // Only entries *older* than the publish stamp are sweepable: a
@@ -728,6 +839,12 @@ impl ResultCache {
             return; // a newer result for this key is already published
         }
         self.insert(key, version, matching);
+    }
+
+    /// The `Arc` the entry for `key` holds, if one is cached.
+    #[cfg(test)]
+    pub(crate) fn stored_key(&self, key: &RequestKey) -> Option<&Arc<RequestKey>> {
+        self.entries.get_key_value(key).map(|(stored, _)| stored)
     }
 
     /// **Stub, always `None`**, as [`Engine::skipped_shards`] is always
@@ -755,7 +872,17 @@ fn stamp_of(versions: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::{Pair, RunMetrics};
+
+    /// Store `matching` for `key` under `version`, as a worker does.
+    fn insert(cache: &mut ResultCache, key: &RequestKey, version: u64, matching: &Matching) {
+        let key = Arc::new(key.clone());
+        cache.insert(&key, version, PackedMatching::pack(matching));
+    }
+
+    /// What an entry of `key` and `matching` counts.
+    fn entry_bytes(key: &RequestKey, matching: &Matching) -> usize {
+        key.shared_bytes() + PackedMatching::pack(matching).heap_bytes()
+    }
 
     fn matching_of(n: usize) -> Matching {
         let pairs = (0..n)
@@ -816,6 +943,70 @@ mod tests {
     }
 
     #[test]
+    fn tombstones_are_a_bitmap_and_the_key_is_sized_exactly() {
+        // 130 functions: three bitmap words, the last one partial.
+        let rows: Vec<Vec<f64>> = (0..130).map(|i| vec![i as f64, 1.0]).collect();
+        let mut functions = FunctionSet::from_rows(2, &rows);
+        for fid in [0, 63, 64, 129] {
+            functions.remove(fid);
+        }
+        let key = request_key(&functions, &RequestOptions::default());
+        // dim and n, 3 bitmap words, the weights, multi_pair, no
+        // exclusions, no capacities.
+        assert_eq!(key.material.len(), 2 + 3 + 130 * 2 + 1 + 1 + 1);
+        let view = KeyView::parse(&key.material).expect("well-formed key");
+        for fid in 0..130 {
+            assert_eq!(view.is_alive(fid), functions.is_alive(fid as u32), "{fid}");
+            let bits: Vec<u64> = (functions.weights(fid as u32).iter())
+                .map(|w| w.to_bits())
+                .collect();
+            assert_eq!(view.weights[fid * 2..fid * 2 + 2], bits[..], "{fid}");
+        }
+        assert_eq!(view.alive[2] >> 2, 0, "no bit past the last function");
+    }
+
+    #[test]
+    fn the_key_hash_is_word_wise_and_the_same_in_every_process() {
+        // Pinned: a key must hash alike across processes and runs.
+        let key = key_of(&[vec![0.5, 0.5], vec![0.9, 0.1]]);
+        assert_eq!(key.hash, word_hash(&key.material));
+        assert_eq!(key.hash, 0xf1b9_9bfa_8061_5549);
+        // Every word counts, and its position does too.
+        assert_ne!(key.hash, key_of(&[vec![0.9, 0.1], vec![0.5, 0.5]]).hash);
+        assert_ne!(word_hash(&[1, 0]), word_hash(&[0, 1]));
+        assert_ne!(word_hash(&[0]), word_hash(&[0, 0]));
+    }
+
+    #[test]
+    fn packed_pairs_rebuild_bit_for_bit_narrow_or_wide() {
+        let pairs = |top: u64| {
+            let pairs = (0..5)
+                .map(|i| Pair {
+                    fid: 4 - i as u32,
+                    oid: top - i,
+                    score: f64::from_bits(0x3fe0_0000_0000_0001 + i),
+                })
+                .collect();
+            Matching::new(pairs, RunMetrics::default())
+        };
+        for (top, oid_bytes) in [(u64::from(u32::MAX), 4), (u64::MAX, 8)] {
+            let matching = pairs(top);
+            let packed = PackedMatching::pack(&matching);
+            assert_eq!(packed.heap_bytes(), 5 * (4 + oid_bytes + 8));
+            let rebuilt = packed.unpack();
+            assert_eq!(rebuilt.pairs().len(), 5);
+            for (a, b) in rebuilt.pairs().iter().zip(matching.pairs()) {
+                assert_eq!(
+                    (a.fid, a.oid, a.score.to_bits()),
+                    (b.fid, b.oid, b.score.to_bits())
+                );
+            }
+        }
+        let empty = PackedMatching::pack(&Matching::default());
+        assert_eq!((empty.heap_bytes(), empty.unpack().len()), (0, 0));
+    }
+
+    #[test]
     fn lru_evicts_by_recency_and_respects_entry_bound() {
         let mut cache = ResultCache::new(2, 1 << 20);
         let (ka, kb, kc) = (
@@ -823,10 +1014,10 @@ mod tests {
             key_of(&[vec![0.2, 0.8]]),
             key_of(&[vec![0.3, 0.7]]),
         );
-        cache.insert(&ka, 1, &matching_of(1));
-        cache.insert(&kb, 1, &matching_of(1));
+        insert(&mut cache, &ka, 1, &matching_of(1));
+        insert(&mut cache, &kb, 1, &matching_of(1));
         assert!(cache.get(&ka, 1).is_some()); // refresh a: b is now LRU
-        cache.insert(&kc, 1, &matching_of(1)); // evicts b
+        insert(&mut cache, &kc, 1, &matching_of(1)); // evicts b
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&ka, 1).is_some());
         assert!(cache.get(&kb, 1).is_none(), "b was least recently used");
@@ -839,13 +1030,13 @@ mod tests {
         // Entries big enough that the byte bound (not the entry bound)
         // is what binds: ~24 KiB of pairs each, bound at ~2 entries.
         let bulky = matching_of(1000);
-        let per_entry = key_of(&[vec![0.1, 0.9]]).approx_bytes() + bulky.approx_bytes();
+        let per_entry = entry_bytes(&key_of(&[vec![0.1, 0.9]]), &bulky);
         let mut cache = ResultCache::new(1024, per_entry * 2);
         let keys: Vec<RequestKey> = (0..4)
             .map(|i| key_of(&[vec![0.1 + i as f64 * 0.05, 0.5]]))
             .collect();
         for k in &keys {
-            cache.insert(k, 1, &bulky);
+            insert(&mut cache, k, 1, &bulky);
         }
         assert!(
             cache.bytes() <= cache.max_bytes,
@@ -855,7 +1046,7 @@ mod tests {
 
         let huge = matching_of(100_000);
         let before = cache.len();
-        cache.insert(&key_of(&[vec![0.9, 0.1]]), 1, &huge);
+        insert(&mut cache, &key_of(&[vec![0.9, 0.1]]), 1, &huge);
         assert_eq!(cache.len(), before, "oversize result must not be stored");
     }
 
@@ -863,7 +1054,7 @@ mod tests {
     fn version_mismatch_is_a_miss_and_drops_the_stale_entry() {
         let mut cache = ResultCache::new(8, 1 << 20);
         let key = key_of(&[vec![0.4, 0.6]]);
-        cache.insert(&key, 7, &matching_of(3));
+        insert(&mut cache, &key, 7, &matching_of(3));
         assert!(cache.get(&key, 7).is_some());
         assert!(cache.get(&key, 8).is_none(), "stale version must miss");
         assert!(
@@ -880,7 +1071,7 @@ mod tests {
         assert_eq!(cache.metrics().hit_rate(), 0.0);
         let mut cache = cache;
         let key = key_of(&[vec![0.5, 0.5]]);
-        cache.insert(&key, 1, &matching_of(1));
+        insert(&mut cache, &key, 1, &matching_of(1));
         let _ = cache.get(&key, 1);
         let _ = cache.get(&key_of(&[vec![0.6, 0.4]]), 1);
         let rate = cache.metrics().hit_rate();
@@ -950,7 +1141,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert(&key, 5, &orthogonal_matching());
+        insert(&mut cache, &key, 5, &orthogonal_matching());
 
         log.record(6, removal(3));
         assert!(cache.get_with_logs(&key, 6, &log).is_some());
@@ -966,7 +1157,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert(&key, 5, &orthogonal_matching());
+        insert(&mut cache, &key, 5, &orthogonal_matching());
 
         // Both functions score the newcomer below their assigned pair.
         log.record(
@@ -999,7 +1190,7 @@ mod tests {
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert(&key, 5, &orthogonal_matching());
+        insert(&mut cache, &key, 5, &orthogonal_matching());
 
         // Even a would-dominate-everything update is invisible to a
         // request that excludes the object.
@@ -1026,7 +1217,7 @@ mod tests {
         let key = orthogonal_key(&options);
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert(&key, 5, &orthogonal_matching());
+        insert(&mut cache, &key, 5, &orthogonal_matching());
 
         // Harmless on its face, but the capacitated greedy's survival
         // argument is not implemented — must fall back to drop.
@@ -1040,7 +1231,7 @@ mod tests {
         let key = orthogonal_key(&RequestOptions::default());
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(1);
-        cache.insert(&key, 5, &orthogonal_matching());
+        insert(&mut cache, &key, 5, &orthogonal_matching());
         log.record(6, removal(3));
         log.record(7, removal(3)); // evicts v6
         assert!(cache.get_with_logs(&key, 7, &log).is_none());
@@ -1058,9 +1249,10 @@ mod tests {
 
         let mut cache = ResultCache::new(8, 1 << 20);
         let log = MutationLog::new(64);
-        cache.insert(&key_a, 5, &orthogonal_matching());
+        insert(&mut cache, &key_a, 5, &orthogonal_matching());
         // Entry B's matching does not assign object 0 (it excludes it).
-        cache.insert(
+        insert(
+            &mut cache,
             &key_b,
             5,
             &Matching::new(
@@ -1076,18 +1268,21 @@ mod tests {
 
         // Removing assigned object 0 kills A; B excluded it — survives.
         log.record(6, removal(0));
-        cache.insert_with_logs(&key_c, 6, &matching_of(1), &log);
+        let (key_c, one) = (Arc::new(key_c), PackedMatching::pack(&matching_of(1)));
+        cache.insert_with_logs(&key_c, 6, one, &log);
         assert_eq!(cache.len(), 2, "A swept, B restamped, C inserted");
         assert!(cache.get(&key_b, 6).is_some());
         assert!(cache.get(&key_c, 6).is_some());
-        assert!(
-            cache.bytes() < bytes_before + key_c.approx_bytes() + matching_of(1).approx_bytes() + 1
-        );
+        assert!(cache.bytes() < bytes_before + entry_bytes(&key_c, &matching_of(1)) + 1);
         assert_eq!(cache.metrics().evictions, 1);
 
         // A publish stamped *older* than live entries must not evict
         // them (the worker-raced-a-mutation case).
-        cache.insert_with_logs(&key_a, 5, &orthogonal_matching(), &log);
+        let (key_a, packed) = (
+            Arc::new(key_a),
+            PackedMatching::pack(&orthogonal_matching()),
+        );
+        cache.insert_with_logs(&key_a, 5, packed, &log);
         assert!(
             cache.get(&key_b, 6).is_some(),
             "newer entries survive an old-stamp publish"
@@ -1128,15 +1323,15 @@ mod tests {
         // instead of counting it twice.
         let bulky = matching_of(1000);
         let (ka, kb) = (key_excluding(&[1]), key_excluding(&[2]));
-        let mut cache = ResultCache::new(8, ka.approx_bytes() + bulky.approx_bytes());
-        cache.insert(&ka, 4, &bulky);
+        let mut cache = ResultCache::new(8, entry_bytes(&ka, &bulky));
+        insert(&mut cache, &ka, 4, &bulky);
         assert_eq!(cache.bytes(), cache.max_bytes);
-        cache.insert(&kb, 4, &bulky);
+        insert(&mut cache, &kb, 4, &bulky);
         assert_eq!((cache.len(), cache.metrics().evictions), (1, 1));
         assert!(cache.get(&ka, 4).is_none());
         let smaller = matching_of(999);
-        cache.insert(&kb, 4, &smaller);
+        insert(&mut cache, &kb, 4, &smaller);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bytes(), kb.approx_bytes() + smaller.approx_bytes());
+        assert_eq!(cache.bytes(), entry_bytes(&kb, &smaller));
     }
 }

@@ -154,13 +154,6 @@ impl Matching {
         v.sort_unstable();
         v
     }
-
-    /// Approximate heap footprint of this matching — what a
-    /// [`ResultCache`](crate::ResultCache) entry holding it costs
-    /// against the cache's byte bound.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Matching>() + self.pairs.len() * std::mem::size_of::<Pair>()
-    }
 }
 
 /// How matchers build and buffer the object R-tree.

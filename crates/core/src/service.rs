@@ -37,7 +37,12 @@
 //!   identical to one *still queued* **attaches** to that job instead
 //!   of paying a queue slot and a duplicate evaluation — it needs no
 //!   slot, so it attaches even to a full queue, and each attached
-//!   submission keeps its own ticket, deadline and cancellation;
+//!   submission keeps its own ticket, deadline and cancellation. A
+//!   submission builds its [`RequestKey`] once, outside the lock; a
+//!   queued job wraps it in one `Arc` that the in-flight index and,
+//!   once the result is published, the cache entry share. The worker
+//!   packs the entry before it takes the lock, and the job's last
+//!   member takes the matching itself, the others a copy each;
 //! * a miss primes from the inventory's [`EvalSeed`](crate::EvalSeed) (see
 //!   [`crate::seed`]): the service keeps one seed cell for the newest
 //!   inventory version beside its cache, the first run at a version
@@ -84,7 +89,7 @@ use std::time::{Duration, Instant};
 
 use mpq_ta::FunctionSet;
 
-use crate::cache::{CacheMetrics, RequestKey, ResultCache};
+use crate::cache::{CacheMetrics, PackedMatching, RequestKey, ResultCache};
 use crate::engine::{
     BatchMetrics, BatchOutcome, Engine, HealthState, MatchRequest, RequestOptions,
 };
@@ -132,10 +137,14 @@ pub struct ServiceConfig {
     /// queries, while one-shot batch traffic, which never hits, holds
     /// at most 64 results (see [`ResultCache`]).
     pub cache_capacity: usize,
-    /// Approximate byte bound of the cached results (evicts LRU-first
-    /// when exceeded). Default 32 MiB. It bounds results only: the one
-    /// seed a cached service keeps (see [`crate::seed`]) lives beside
-    /// them.
+    /// Byte bound of the cached results (evicts LRU-first when
+    /// exceeded). Default 32 MiB. A counted byte is a heap byte an
+    /// entry holds and frees when it leaves: its key (shared with the
+    /// job that computed it) and its pairs, packed into columns of 16
+    /// or 20 bytes a pair (see [`ResultCache`]); the map and recency
+    /// slots that index it are not counted. It bounds results only: the
+    /// one seed a cached service keeps (see [`crate::seed`]) lives
+    /// beside them.
     pub cache_max_bytes: usize,
 }
 
@@ -170,7 +179,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the result-cache approximate byte bound.
+    /// Set the result-cache byte bound, in heap bytes.
     pub fn cache_max_bytes(mut self, bytes: usize) -> ServiceConfig {
         self.cache_max_bytes = bytes;
         self
@@ -426,7 +435,8 @@ struct Job<'a> {
     options: Cow<'a, RequestOptions>,
     /// The canonical request identity when caching is on: what an
     /// identical submission finds in the in-flight index, and the key
-    /// the result is published under.
+    /// the result is published under — one `Arc`, which the index and
+    /// the cache entry share.
     key: Option<Arc<RequestKey>>,
     /// The submission that queued the job and every identical one that
     /// attached to it while it was queued.
@@ -718,6 +728,12 @@ impl<'a> ServiceCore<'a> {
             metrics.maintain += matching.metrics().maintain;
             metrics.seeded_hits += u64::from(resumed);
         }
+        // The entry is packed before the lock is taken; it shares the
+        // job's key.
+        let packed = match (&job.key, &result) {
+            (Some(_), Ok(matching)) => Some(PackedMatching::pack(matching)),
+            _ => None,
+        };
 
         // Publish to the cache *before* resolving any ticket: a caller
         // that observed its ticket resolve and immediately resubmits
@@ -725,19 +741,28 @@ impl<'a> ServiceCore<'a> {
         {
             let mut guard = lock(&self.state);
             let state = &mut *guard;
-            if let (Some(key), Some(cache), Ok(matching)) = (&job.key, &mut state.cache, &result) {
-                cache.insert_with_logs(key, version, matching, engine.mutations());
+            if let (Some(key), Some(cache), Some(packed)) = (&job.key, &mut state.cache, packed) {
+                cache.insert_with_logs(key, version, packed, engine.mutations());
             }
             state.in_flight -= 1;
         }
 
-        for member in job.members {
+        // Every member but the last gets a copy; the last takes the
+        // result itself.
+        let last = job.members.len().saturating_sub(1);
+        let mut result = Some(result);
+        for (i, member) in job.members.into_iter().enumerate() {
             let latency = member.submitted.elapsed();
             {
                 let mut state = lock(&member.ticket.state);
                 match *state {
                     TicketState::Queued => {
-                        *state = TicketState::Done(result.clone());
+                        let own = if i == last {
+                            result.take()
+                        } else {
+                            result.clone()
+                        };
+                        *state = TicketState::Done(own.expect("only the last member takes it"));
                         // Count before notifying (still under the state
                         // lock, which every metrics taker acquires
                         // first) so a woken waiter observes the update.
@@ -1439,6 +1464,33 @@ mod tests {
     /// Pop the queue's next job and return its ticket id.
     fn pop(core: &ServiceCore<'static>) -> u64 {
         lock(&core.state).queue.pop_first().unwrap().0 .1
+    }
+
+    #[test]
+    fn a_published_entry_shares_the_jobs_key() {
+        // Two identical submissions, one job: the dedupe index, the job
+        // and the cache entry hold one `Arc` of the key, never a copy.
+        let engine = tiny_engine();
+        let core: ServiceCore<'static> = ServiceCore::new(&ServiceConfig::default(), 0);
+        let first = submit(&core, &engine, SubmitOptions::default()).unwrap();
+        let second = submit(&core, &engine, SubmitOptions::default()).unwrap();
+        let job = core.next_job().expect("one queued job");
+        assert_eq!(job.members.len(), 2, "the twin attached");
+        let key = Arc::clone(job.key.as_ref().expect("a cached core keys its jobs"));
+        core.execute(&engine, job, &mut Scratch::new());
+
+        let state = lock(&core.state);
+        let cache = state.cache.as_ref().unwrap();
+        let stored = cache.stored_key(&key).expect("the result was published");
+        assert!(Arc::ptr_eq(stored, &key), "the entry copied the job's key");
+        // The entry's map slot and recency slot, and this test's handle.
+        assert_eq!(Arc::strong_count(&key), 3);
+        drop(state);
+
+        let (a, b) = (first.wait().unwrap(), second.wait().unwrap());
+        assert_eq!(a.pairs(), b.pairs());
+        let fresh = engine.request(&test_functions()).evaluate().unwrap();
+        assert_eq!(a.pairs(), fresh.pairs());
     }
 
     #[test]

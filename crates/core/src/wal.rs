@@ -454,6 +454,85 @@ mod tests {
         }
     }
 
+    /// Seeded truncations, bit flips and random frames — some with a
+    /// valid length and CRC around a random payload, so the payload
+    /// parser sees them — through `decode_frame` and through `Wal::open`
+    /// on a file of them: each decodes or answers `None`, and the log
+    /// opens on its intact prefix, never panicking.
+    #[test]
+    fn hostile_frames_never_panic() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let valid: Vec<Vec<u8>> = (sample_records().iter().enumerate())
+            .map(|(i, rec)| encode_frame(i as u64 + 1, rec))
+            .collect();
+        // A frame whose length and CRC hold around `payload`.
+        let framed = |payload: &[u8]| {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&crc32(payload).to_le_bytes());
+            frame.extend_from_slice(payload);
+            frame
+        };
+        let hostile = |next: &mut dyn FnMut() -> u64| -> Vec<u8> {
+            let base = &valid[next() as usize % valid.len()];
+            match next() % 4 {
+                0 => base[..next() as usize % base.len()].to_vec(),
+                1 => {
+                    let mut frame = base.clone();
+                    let bit = next() as usize % (frame.len() * 8);
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                    frame
+                }
+                2 => {
+                    // A random payload: any kind, oid and dim, any
+                    // number of coordinate bytes.
+                    let len = PAYLOAD_PREFIX + next() as usize % 40;
+                    let mut payload: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                    payload[8] = (next() % 5) as u8;
+                    if next().is_multiple_of(2) {
+                        let dim = (next() % 4) as u32;
+                        payload[17..21].copy_from_slice(&dim.to_le_bytes());
+                    }
+                    framed(&payload)
+                }
+                _ => (0..next() % 64).map(|_| next() as u8).collect(),
+            }
+        };
+        for frame in &valid {
+            for cut in 0..frame.len() {
+                assert!(decode_frame(&frame[..cut]).is_none(), "a cut frame");
+            }
+        }
+        for _ in 0..20_000 {
+            let frame = hostile(&mut next);
+            if let Some((_, rec, consumed)) = decode_frame(&frame) {
+                assert!(consumed <= frame.len());
+                assert_eq!(decode_frame(&encode_frame(1, &rec)).unwrap().1, rec);
+            }
+        }
+        let path = tmp("hostile.wal");
+        for _ in 0..64 {
+            let mut file = Vec::new();
+            let mut intact = 0;
+            for _ in 0..next() % 4 {
+                file.extend_from_slice(&valid[next() as usize % valid.len()]);
+                intact += 1;
+            }
+            for _ in 0..1 + next() % 3 {
+                file.extend_from_slice(&hostile(&mut next));
+            }
+            std::fs::write(&path, &file).unwrap();
+            let (wal, records) = Wal::open(&path).expect("a log of hostile bytes opens");
+            assert!(records.len() >= intact, "the intact prefix replays");
+            assert_eq!(wal.len_bytes(), std::fs::metadata(&path).unwrap().len());
+        }
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let path = tmp("round_trip.wal");

@@ -30,18 +30,25 @@ use crate::codec::WireMutation;
 use mpq_rtree::PointSet;
 
 /// Configuration for one hosted tenant.
+///
+/// Its defaults are [`ServiceConfig::default`]'s — the queue, the cache's
+/// entry bound and its byte bound — so a tenant behind `mpq serve
+/// --listen` queues and caches as an in-process service does. Two
+/// fields are the tenant's own: one worker, and the ignored `shards`.
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
     /// Worker threads of this tenant's service (0 = one per core).
+    /// Default 1.
     pub workers: usize,
-    /// Bounded submission-queue capacity.
+    /// Bounded submission-queue capacity ([`ServiceConfig::queue_capacity`]).
     pub queue_capacity: usize,
-    /// Result-cache entry budget (0 disables the cache). Default 64, as
-    /// [`ServiceConfig`]'s.
+    /// Result-cache entry budget, 0 disabling the cache
+    /// ([`ServiceConfig::cache_capacity`]).
     pub cache_capacity: usize,
-    /// Result-cache byte budget. It bounds cached results only: the
-    /// one seed the tenant's service keeps while its cache is on lives
-    /// beside them (see [`mpq_core::seed`]).
+    /// Result-cache byte budget, in heap bytes
+    /// ([`ServiceConfig::cache_max_bytes`]). It bounds cached results
+    /// only: the one seed the tenant's service keeps while its cache is
+    /// on lives beside them (see [`mpq_core::seed`]).
     pub cache_max_bytes: usize,
     /// **Ledger-only stub, ignored**: every engine is one tree (see
     /// "Ledger-only names" in the `mpq_core` crate docs).
@@ -50,11 +57,12 @@ pub struct TenantConfig {
 
 impl Default for TenantConfig {
     fn default() -> Self {
+        let service = ServiceConfig::default();
         TenantConfig {
             workers: 1,
-            queue_capacity: 64,
-            cache_capacity: 64,
-            cache_max_bytes: 32 * 1024 * 1024,
+            queue_capacity: service.queue_capacity,
+            cache_capacity: service.cache_capacity,
+            cache_max_bytes: service.cache_max_bytes,
             shards: 1,
         }
     }
@@ -315,6 +323,25 @@ mod tests {
             .seed(7)
             .build()
             .objects
+    }
+
+    #[test]
+    fn a_tenant_defaults_to_the_services_knobs() {
+        let (tenant, service) = (TenantConfig::default(), ServiceConfig::default());
+        assert_eq!(tenant.queue_capacity, service.queue_capacity);
+        assert_eq!(tenant.cache_capacity, service.cache_capacity);
+        assert_eq!(tenant.cache_max_bytes, service.cache_max_bytes);
+        // ...and the one service a default tenant spawns is configured so.
+        let spawned = tenant.service_config();
+        assert_eq!(
+            (
+                spawned.workers,
+                spawned.queue_capacity,
+                spawned.cache_capacity
+            ),
+            (1, service.queue_capacity, service.cache_capacity)
+        );
+        assert_eq!(spawned.cache_max_bytes, service.cache_max_bytes);
     }
 
     #[test]

@@ -256,16 +256,7 @@ impl DiskPager {
             meta.len()
         );
         let generation = self.generation + 1;
-        let mut slot = vec![0u8; SLOT_SIZE];
-        slot[0..8].copy_from_slice(&MAGIC.to_le_bytes());
-        slot[8..16].copy_from_slice(&generation.to_le_bytes());
-        slot[16..20].copy_from_slice(&(self.page_size as u32).to_le_bytes());
-        slot[20..24].copy_from_slice(&self.page_count.to_le_bytes());
-        slot[24..28].copy_from_slice(&(meta.len() as u32).to_le_bytes());
-        slot[SLOT_FIXED..SLOT_FIXED + meta.len()].copy_from_slice(meta);
-        let crc = crc32(&slot[..SLOT_FIXED + meta.len()]);
-        slot[SLOT_FIXED + meta.len()..SLOT_FIXED + meta.len() + 4]
-            .copy_from_slice(&crc.to_le_bytes());
+        let mut slot = encode_slot(generation, self.page_size as u32, self.page_count, meta);
         let slot_offset = (generation % 2) * SLOT_SIZE as u64;
         if let Some(inj) = &self.injector {
             match inj.on_write(FaultOp::PageWrite)? {
@@ -300,30 +291,42 @@ struct Slot {
     meta: Vec<u8>,
 }
 
+/// The `SLOT_SIZE` bytes of a header slot: the fixed prefix, `meta`
+/// and the CRC over both.
+fn encode_slot(generation: u64, page_size: u32, page_count: u32, meta: &[u8]) -> Vec<u8> {
+    let mut slot = vec![0u8; SLOT_SIZE];
+    slot[0..8].copy_from_slice(&MAGIC.to_le_bytes());
+    slot[8..16].copy_from_slice(&generation.to_le_bytes());
+    slot[16..20].copy_from_slice(&page_size.to_le_bytes());
+    slot[20..24].copy_from_slice(&page_count.to_le_bytes());
+    slot[24..28].copy_from_slice(&(meta.len() as u32).to_le_bytes());
+    slot[SLOT_FIXED..SLOT_FIXED + meta.len()].copy_from_slice(meta);
+    let crc = crc32(&slot[..SLOT_FIXED + meta.len()]);
+    slot[SLOT_FIXED + meta.len()..SLOT_FIXED + meta.len() + 4].copy_from_slice(&crc.to_le_bytes());
+    slot
+}
+
+/// The slot `bytes` hold, or `None` for anything else — a wrong magic,
+/// a metadata length past the slot, a CRC mismatch, or too few bytes.
 fn parse_slot(bytes: &[u8]) -> Option<Slot> {
-    if u64::from_le_bytes(bytes[0..8].try_into().ok()?) != MAGIC {
+    let u32_at = |at: usize| Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?));
+    let u64_at = |at: usize| Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
+    if u64_at(0)? != MAGIC {
         return None;
     }
-    let generation = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let page_size = u32::from_le_bytes(bytes[16..20].try_into().ok()?);
-    let page_count = u32::from_le_bytes(bytes[20..24].try_into().ok()?);
-    let meta_len = u32::from_le_bytes(bytes[24..28].try_into().ok()?) as usize;
+    let meta_len = u32_at(24)? as usize;
     if meta_len > MAX_META {
         return None;
     }
-    let stored = u32::from_le_bytes(
-        bytes[SLOT_FIXED + meta_len..SLOT_FIXED + meta_len + 4]
-            .try_into()
-            .ok()?,
-    );
-    if crc32(&bytes[..SLOT_FIXED + meta_len]) != stored {
+    let covered = bytes.get(..SLOT_FIXED + meta_len)?;
+    if crc32(covered) != u32_at(SLOT_FIXED + meta_len)? {
         return None;
     }
     Some(Slot {
-        generation,
-        page_size,
-        page_count,
-        meta: bytes[SLOT_FIXED..SLOT_FIXED + meta_len].to_vec(),
+        generation: u64_at(8)?,
+        page_size: u32_at(16)?,
+        page_count: u32_at(20)?,
+        meta: covered[SLOT_FIXED..].to_vec(),
     })
 }
 
@@ -534,6 +537,54 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// Seeded truncations, bit flips and random slots through
+    /// `parse_slot`: each parses or answers `None`, never panicking, and
+    /// a flip anywhere the CRC covers is caught.
+    #[test]
+    fn hostile_slots_never_panic() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let valid = [
+            encode_slot(1, 4096, 9, &[]),
+            encode_slot(7, 64, 3, b"root 2 height 1"),
+            encode_slot(u64::MAX, 128, u32::MAX, &[0xab; MAX_META]),
+        ];
+        for slot in &valid {
+            let parsed = parse_slot(slot).expect("a valid slot parses");
+            assert_eq!(
+                slot[SLOT_FIXED..SLOT_FIXED + parsed.meta.len()],
+                parsed.meta[..]
+            );
+            for cut in 0..SLOT_FIXED + parsed.meta.len() + 4 {
+                assert!(parse_slot(&slot[..cut]).is_none(), "a slot cut at {cut}");
+            }
+        }
+        for _ in 0..5_000 {
+            let base = &valid[next() as usize % valid.len()];
+            let meta_len = u32::from_le_bytes(base[24..28].try_into().unwrap()) as usize;
+            let mut slot = base.clone();
+            let bit = next() as usize % ((SLOT_FIXED + meta_len + 4) * 8);
+            slot[bit / 8] ^= 1 << (bit % 8);
+            assert!(parse_slot(&slot).is_none(), "a flipped bit {bit} parsed");
+            // Random bytes behind the magic, some with a small meta length.
+            let mut random: Vec<u8> = (0..next() % SLOT_SIZE as u64)
+                .map(|_| next() as u8)
+                .collect();
+            if random.len() >= 28 {
+                random[..8].copy_from_slice(&MAGIC.to_le_bytes());
+                if next().is_multiple_of(2) {
+                    random[24..28].copy_from_slice(&((next() % 64) as u32).to_le_bytes());
+                }
+            }
+            let _ = parse_slot(&random);
+        }
     }
 
     #[test]

@@ -88,9 +88,17 @@
 //! |----------------------------------------------------------------|------------:|
 //! | the function set detached before the lookup, dropped on a hit  |           6 |
 //! | the key built from the borrowed request, detached only to queue |           4 |
+//! | the key's material sized exactly, not shrunk after it is built  |           3 |
 //!
-//! What is left: the key, the ticket's oneshot, the matching's copy out
-//! of the cache and one node of the cache's recency map.
+//! What is left: the key's material, the ticket's oneshot and the
+//! matching rebuilt from the entry's columns.
+//!
+//! A cache entry's counted bytes are the heap it frees: exactly, on a
+//! 1 000-function 4-d request (the ledger's batch shape) and a
+//! 40-function 3-d one, with object ids that fit a `u32` and with ids
+//! that do not. The entries hold 48 208 B and 1 688 B (52 208 B and
+//! 1 848 B with `u64` ids), where the key with a word per tombstone and
+//! 24-byte pairs counted 64 368 B and 2 608 B.
 //!
 //! The counter is process-global, so the tests take turns: each holds
 //! [`SERIAL`] while it counts.
@@ -99,7 +107,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use mpq::core::ServiceConfig;
+use mpq::core::{ResultCache, ServiceConfig};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::rtree::{RTree, RTreeParams};
@@ -185,9 +193,17 @@ const COLUMNS_ALLOCATIONS: u64 = 19;
 /// and its one copy of the vector.
 const CAPACITATED_ALLOCATIONS: u64 = 20;
 /// A cache-hit `submit` + `wait` when the function set was detached
-/// before the lookup, and now.
+/// before the lookup, when the key was shrunk after it was built, and
+/// now.
 const DETACHED_HIT_ALLOCATIONS: u64 = 6;
 const HIT_ALLOCATIONS: u64 = 4;
+const SIZED_KEY_HIT_ALLOCATIONS: u64 = 3;
+/// What a cache entry of the 1 000-function, 4-d request and of the
+/// 40-function, 3-d one frees, and counts. They counted 64 368 B and
+/// 2 608 B while the key spent a word per tombstone and the entry held
+/// a `Matching` of 24-byte pairs.
+const ENTRY_BYTES_1000X4: usize = 48_208;
+const ENTRY_BYTES_40X3: usize = 1_688;
 /// A served evaluation's peak live bytes, over its start, stay below
 /// this many times the seed's `approx_bytes` ...
 const PEAK_OVER_SEED: usize = 2;
@@ -397,6 +413,73 @@ fn a_seeds_approx_bytes_are_what_it_frees() {
     }
 }
 
+/// A cache entry's counted bytes against the heap it frees when a
+/// stale lookup drops it: a 1 000-function, 4-d request (the ledger's
+/// batch shape) and a 40-function, 3-d one (its refinement shape), each
+/// with its evaluated matching and with the same pairs moved past the
+/// `u32` ids.
+#[test]
+fn a_cache_entrys_approx_bytes_are_what_it_frees() {
+    let _serial = serial();
+    for (functions, dim, objects, narrow_bound) in [
+        (1_000, 4, 2_000, ENTRY_BYTES_1000X4),
+        (40, 3, 500, ENTRY_BYTES_40X3),
+    ] {
+        let label = format!("{functions} x {dim}-d");
+        let objects = WorkloadBuilder::new()
+            .objects(objects)
+            .functions(1)
+            .dim(dim)
+            .seed(2009)
+            .build()
+            .objects;
+        let functions = WorkloadBuilder::new()
+            .objects(1)
+            .functions(functions)
+            .dim(dim)
+            .seed(7)
+            .build()
+            .functions;
+        let engine = Engine::builder().objects(&objects).build().unwrap();
+        let request = engine.request(&functions);
+        let key = request.cache_key();
+        let evaluated = request.evaluate().unwrap();
+        let wide_pairs = (evaluated.pairs().iter())
+            .map(|p| Pair {
+                oid: p.oid + (1 << 40),
+                ..*p
+            })
+            .collect();
+        let wide = Matching::new(wide_pairs, *evaluated.metrics());
+        let version = engine.inventory_version();
+        let mut sizes = Vec::new();
+        for matching in [&evaluated, &wide] {
+            let mut cache = ResultCache::new(1, 1 << 30);
+            cache.insert_vec_seeded(&key, &[version], matching, None);
+            let hit = cache.get(&key, version).expect("stored");
+            assert_eq!(hit.pairs(), matching.pairs(), "{label}: rebuilt pairs");
+            drop(hit);
+            let counted = cache.bytes();
+            let live = LIVE.load(Ordering::Relaxed);
+            assert!(cache.get(&key, version + 1).is_none(), "a stale lookup");
+            let freed = live - LIVE.load(Ordering::Relaxed);
+            assert!(cache.is_empty(), "{label}: the stale entry left");
+            assert_eq!(
+                counted as i64, freed,
+                "{label}: the entry counted {counted} B and freed {freed} B"
+            );
+            sizes.push(counted);
+        }
+        // Four more bytes a pair once an id needs a `u64`.
+        assert_eq!(sizes[1] - sizes[0], 4 * evaluated.len(), "{label}");
+        assert!(
+            sizes[0] <= narrow_bound,
+            "{label}: an entry of {} B, recorded {narrow_bound} B",
+            sizes[0]
+        );
+    }
+}
+
 #[test]
 fn a_cache_hit_copies_no_function_set() {
     let _serial = serial();
@@ -415,10 +498,11 @@ fn a_cache_hit_copies_no_function_set() {
     let (cost, hit) = counting(submit);
     assert_eq!(hit.pairs(), evaluated.pairs());
     assert!(
-        cost.allocations <= HIT_ALLOCATIONS,
-        "a cache hit made {} allocations, recorded {HIT_ALLOCATIONS}",
+        cost.allocations <= SIZED_KEY_HIT_ALLOCATIONS,
+        "a cache hit made {} allocations, recorded {SIZED_KEY_HIT_ALLOCATIONS}",
         cost.allocations
     );
+    const { assert!(SIZED_KEY_HIT_ALLOCATIONS < HIT_ALLOCATIONS) };
     const { assert!(HIT_ALLOCATIONS < DETACHED_HIT_ALLOCATIONS) };
     service.shutdown();
 }
