@@ -18,7 +18,11 @@
 //!           # A full queue sheds a copy; the report counts them.
 //!           # With --data-dir the engine is disk-backed: a directory
 //!           # already holding a persisted engine is reopened (no
-//!           # --objects needed), an empty one is populated from the CSV
+//!           # --objects needed), an empty one is populated from the CSV.
+//!           # One layout is read: pages.mpq + wal.mpq. A directory in
+//!           # an older form — K shards under a shards.mpq manifest, or a
+//!           # page file checkpointed without the id bound — is refused
+//!           # untouched; `mpq compact` at commit cd313ab converts it
 //! mpq serve --listen ADDR [--tenant NAME=objects.csv[,KEY=VALUE...]]...
 //!           # HTTP mode: host one or more tenants behind a std-only
 //!           # HTTP/1.1 listener (see the `mpq_net` crate). Without
@@ -27,7 +31,8 @@
 //!           # exits; persisted tenants reopen cleanly from their WAL)
 //! mpq compact --data-dir DIR
 //!           # checkpoint a persisted engine: fold the WAL into the page
-//!           # file so the next open replays nothing
+//!           # file so the next open replays nothing (an older layout
+//!           # is refused, as by serve)
 //! ```
 //!
 //! Object attribute values are expected in `[0, 1]` larger-is-better
@@ -101,7 +106,10 @@ const USAGE: &str = "usage:
             # a copy, and the report counts it); --cache N bounds the
             # result cache to N entries (0 disables caching + dedupe);
             # --data-dir persists the engine (or reopens one already
-            # persisted there, in which case --objects is not needed)
+            # persisted there, in which case --objects is not needed);
+            # a directory in an older layout (K shards under shards.mpq,
+            # or a checkpoint without the id bound) is refused untouched:
+            # run `mpq compact` at commit cd313ab on it first
   mpq serve --listen <addr> [--tenant NAME=objects.csv[,KEY=VALUE]...]...
             # HTTP mode: serve match requests over a real socket.
             # Tenant spec keys: data-dir=DIR (persist/reopen; an empty
@@ -112,9 +120,10 @@ const USAGE: &str = "usage:
             # GET /metrics, GET /healthz
   mpq compact --data-dir <dir>
             # checkpoint a persisted engine: fold the WAL into the page
-            # file so the next open replays nothing. A store an older
-            # version wrote as K shards (shards.mpq manifest) is
-            # migrated into one tree first";
+            # file so the next open replays nothing. A store in an
+            # older layout (K shards under shards.mpq, or a checkpoint
+            # without the id bound) is refused untouched; commit cd313ab
+            # is the last whose compact converts it";
 
 fn arg_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -558,16 +567,15 @@ fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
 /// Checkpoint a persisted engine: reopen it (replaying the WAL), fold
 /// the recovered state into the page file, and truncate the WAL — the
 /// next `serve --data-dir` opens instantly, replaying nothing. A
-/// directory an older version wrote as `K` shards is migrated into one
-/// tree by the open.
+/// directory in a layout the open refuses is reported as refused.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     let dir = required(args, "--data-dir")?;
-    if !Engine::persisted_at(dir) {
-        return Err(CliError::runtime(format!(
+    let engine = Engine::open(dir).map_err(|e| match e {
+        MpqError::Io(_) if !Engine::persisted_at(dir) => CliError::runtime(format!(
             "no persisted engine under {dir} (run `mpq serve --data-dir` first)"
-        )));
-    }
-    let engine = Engine::open(dir).map_err(cli_from_mpq)?;
+        )),
+        e => cli_from_mpq(e),
+    })?;
     let wal_before = engine.wal_bytes();
     engine.checkpoint().map_err(cli_from_mpq)?;
     let wal_after = engine.wal_bytes();
@@ -1077,5 +1085,20 @@ mod tests {
             "{}",
             err.message
         );
+
+        // A directory in the K-shard layout is refused as such, untouched.
+        let sharded = std::env::temp_dir().join(format!("mpq_cli_sharded_{}", std::process::id()));
+        std::fs::create_dir_all(&sharded).unwrap();
+        std::fs::write(
+            sharded.join("shards.mpq"),
+            "mpq-shard-manifest/1\nshards=1\n",
+        )
+        .unwrap();
+        let err =
+            run_cli(&args(&["compact", "--data-dir", sharded.to_str().unwrap()])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("K-shard layout"), "{}", err.message);
+        assert_eq!(std::fs::read_dir(&sharded).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&sharded);
     }
 }

@@ -101,14 +101,20 @@
 //! [`Engine::checkpoint`] folds the WAL into the page file so the next
 //! open replays nothing.
 //!
-//! ## One index, and the layout it replaced
+//! ## One index, one on-disk layout
 //!
 //! The engine is one R-tree with one WAL and one buffer pool, as the
-//! paper's experiments index their objects. Engines of earlier versions
-//! could spread an inventory over `K` shards, each with its own tree and
-//! WAL in `shard-i/` beside a `shards.mpq` manifest; [`Engine::open`]
-//! migrates such a directory into the one tree the first time it opens
-//! it, and a build over it removes it.
+//! paper's experiments index their objects, and a data directory holds
+//! exactly `pages.mpq` + `wal.mpq`, the page file's checkpoint recording
+//! the WAL sequence number and the id bound. Two older forms are refused
+//! with [`MpqError::UnsupportedRequest`] by every entry point — opening,
+//! [`EngineBuilder::open_or_build`] and a build into the directory —
+//! before anything under it is written or removed: the `K`-shard layout
+//! earlier engines wrote (`shard-i/` trees beside a `shards.mpq`
+//! manifest) and a page file checkpointed without the id bound. Commit
+//! `cd313ab` is the last that opens both, migrating the first into one
+//! tree: `mpq compact --data-dir DIR` run at that commit leaves the one
+//! layout, which this version opens.
 //!
 //! ## Ledger-only names
 //!
@@ -141,7 +147,6 @@ pub mod sb;
 pub mod scratch;
 pub mod seed;
 pub mod service;
-mod shard;
 pub mod verify;
 pub mod wal;
 

@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{self, Write};
 
 /// Hard caps the parser enforces while buffering a request.
 #[derive(Debug, Clone, Copy)]
@@ -128,6 +129,10 @@ enum ParseState {
 /// Incremental HTTP/1.1 request parser. One parser instance per
 /// connection; it carries leftover bytes across requests so pipelined
 /// requests are handled correctly.
+///
+/// A body's bytes are copied once, from the fed slice straight into
+/// [`Request::body`]; the parser's own buffer holds only head bytes and
+/// whatever arrived behind a finished request.
 pub struct RequestParser {
     limits: ParserLimits,
     buf: Vec<u8>,
@@ -151,8 +156,7 @@ impl RequestParser {
         if let ParseState::Failed(e) = &self.state {
             return Err(e.clone());
         }
-        self.buf.extend_from_slice(bytes);
-        self.advance().inspect_err(|e| {
+        self.consume(bytes).inspect_err(|e| {
             self.state = ParseState::Failed(e.clone());
         })
     }
@@ -166,8 +170,11 @@ impl RequestParser {
                 unreachable!()
             };
             // Leftover bytes may already contain the next request.
-            if let Err(e) = self.advance() {
-                self.state = ParseState::Failed(e);
+            if !self.buf.is_empty() {
+                let leftover = std::mem::take(&mut self.buf);
+                if let Err(e) = self.consume(&leftover) {
+                    self.state = ParseState::Failed(e);
+                }
             }
             Some(req)
         } else {
@@ -182,21 +189,27 @@ impl RequestParser {
         !self.buf.is_empty() || matches!(self.state, ParseState::Body { .. })
     }
 
-    fn advance(&mut self) -> Result<(), HttpError> {
-        loop {
+    /// Take `bytes` in: a head's into the buffer until it ends, a body's
+    /// straight into its request, and everything behind a finished
+    /// request into the buffer until that request is taken.
+    fn consume(&mut self, mut bytes: &[u8]) -> Result<(), HttpError> {
+        while !bytes.is_empty() {
             match &mut self.state {
                 ParseState::Head => {
-                    let Some(head_end) = find_head_end(&self.buf) else {
+                    let Some(end) = head_end(&self.buf, bytes) else {
+                        self.buf.extend_from_slice(bytes);
                         if self.buf.len() > self.limits.max_head_bytes {
                             return Err(HttpError::HeadersTooLarge);
                         }
                         return Ok(());
                     };
-                    if head_end > self.limits.max_head_bytes {
+                    if self.buf.len() + end > self.limits.max_head_bytes {
                         return Err(HttpError::HeadersTooLarge);
                     }
-                    let head: Vec<u8> = self.buf.drain(..head_end).collect();
-                    let request = parse_head(&head)?;
+                    self.buf.extend_from_slice(&bytes[..end]);
+                    bytes = &bytes[end..];
+                    let request = parse_head(&self.buf)?;
+                    self.buf.clear();
                     let remaining = match request.header("transfer-encoding") {
                         Some(_) => {
                             return Err(HttpError::BadRequest("transfer-encoding unsupported"))
@@ -212,37 +225,54 @@ impl RequestParser {
                     if remaining > self.limits.max_body_bytes {
                         return Err(HttpError::BodyTooLarge);
                     }
-                    self.state = ParseState::Body { request, remaining };
+                    self.state = match remaining {
+                        0 => ParseState::Ready(request),
+                        _ => ParseState::Body { request, remaining },
+                    };
                 }
                 ParseState::Body { request, remaining } => {
                     // The body grows with the bytes that arrive, never
                     // by the declared length: a client may declare
                     // `max_body_bytes` and send nothing.
-                    let take = (*remaining).min(self.buf.len());
-                    request.body.extend(self.buf.drain(..take));
+                    let take = (*remaining).min(bytes.len());
+                    request.body.extend_from_slice(&bytes[..take]);
+                    bytes = &bytes[take..];
                     *remaining -= take;
-                    if *remaining > 0 {
-                        return Ok(());
+                    if *remaining == 0 {
+                        let state = std::mem::replace(&mut self.state, ParseState::Head);
+                        let ParseState::Body { request, .. } = state else {
+                            unreachable!()
+                        };
+                        self.state = ParseState::Ready(request);
                     }
-                    let state = std::mem::replace(&mut self.state, ParseState::Head);
-                    let ParseState::Body { request, .. } = state else {
-                        unreachable!()
-                    };
-                    self.state = ParseState::Ready(request);
-                    return Ok(());
                 }
                 // A ready request must be taken before more parsing; the
-                // buffered bytes simply wait.
-                ParseState::Ready(_) => return Ok(()),
+                // bytes behind it wait in the buffer.
+                ParseState::Ready(_) => {
+                    self.buf.extend_from_slice(bytes);
+                    return Ok(());
+                }
                 ParseState::Failed(e) => return Err(e.clone()),
             }
         }
+        Ok(())
     }
 }
 
-/// Index one past the `\r\n\r\n` terminating the head, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+/// One past the `\r\n\r\n` that ends a head whose first bytes are
+/// `buffered` and whose rest begins with `bytes`, as an index into
+/// `bytes`. `buffered` holds no terminator of its own.
+fn head_end(buffered: &[u8], bytes: &[u8]) -> Option<usize> {
+    const END: &[u8] = b"\r\n\r\n";
+    // One that starts in `buffered`, earliest first, else one in `bytes`.
+    (1..END.len())
+        .rev()
+        .find(|&k| buffered.ends_with(&END[..k]) && bytes.starts_with(&END[k..]))
+        .map(|k| END.len() - k)
+        .or_else(|| {
+            let at = bytes.windows(END.len()).position(|w| w == END);
+            at.map(|i| i + END.len())
+        })
 }
 
 fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
@@ -354,27 +384,48 @@ impl Response {
         self
     }
 
-    /// Serialize head + body, stamping `Content-Length` and
-    /// `Connection: keep-alive`/`close` from `keep_alive`.
+    /// Serialize head + body into one buffer, stamping
+    /// `Content-Length` and `Connection: keep-alive`/`close` from
+    /// `keep_alive`.
     pub fn write_to(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).as_bytes(),
-        );
-        for (name, value) in &self.headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(if keep_alive {
-            b"Connection: keep-alive\r\n".as_slice()
-        } else {
-            b"Connection: close\r\n".as_slice()
-        });
-        out.extend_from_slice(b"\r\n");
+        let mut out = Vec::with_capacity(HEAD_CAPACITY + self.body.len());
+        self.write_head(&mut out, keep_alive);
         out.extend_from_slice(&self.body);
         out
     }
+
+    /// Write the response to `out` as two writes, its head and then its
+    /// body as it is, never copied behind the head (the server sets
+    /// `TCP_NODELAY`, so the second write does not wait for the first's
+    /// acknowledgement).
+    pub(crate) fn send(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        let mut head = Vec::with_capacity(HEAD_CAPACITY);
+        self.write_head(&mut head, keep_alive);
+        out.write_all(&head)?;
+        out.write_all(&self.body)
+    }
+
+    /// Append the head: status line, extra headers, the framing pair and
+    /// the blank line.
+    fn write_head(&self, out: &mut Vec<u8>, keep_alive: bool) {
+        let status = self.status;
+        // Writes into a `Vec` cannot fail.
+        let _ = write!(out, "HTTP/1.1 {status} {}\r\n", reason(status));
+        for (name, value) in &self.headers {
+            let _ = write!(out, "{name}: {value}\r\n");
+        }
+        let _ = write!(out, "Content-Length: {}\r\n", self.body.len());
+        out.extend_from_slice(if keep_alive {
+            b"Connection: keep-alive\r\n\r\n".as_slice()
+        } else {
+            b"Connection: close\r\n\r\n".as_slice()
+        });
+    }
 }
+
+/// Room for a head: the status line, `Content-Type`, the framing pair
+/// and one more short header.
+const HEAD_CAPACITY: usize = 128;
 
 #[cfg(test)]
 mod tests {

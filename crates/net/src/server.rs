@@ -49,7 +49,7 @@
 //! [`WireRequest`]: crate::codec::WireRequest
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -197,9 +197,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
                     // Shed before spawning: answer 503 inline and close.
                     let _ = stream.set_nonblocking(false);
-                    let resp = Response::text(503, "connection limit reached\n").write_to(false);
-                    let mut stream = stream;
-                    let _ = stream.write_all(&resp);
+                    let resp = Response::text(503, "connection limit reached\n");
+                    let _ = resp.send(&mut &stream, false);
                     continue;
                 }
                 shared.active.fetch_add(1, Ordering::SeqCst);
@@ -236,7 +235,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
             let keep_alive = request.keep_alive();
             match handle_request(&request, &stream, shared) {
                 Outcome::Respond(resp) => {
-                    stream.write_all(&resp.write_to(keep_alive))?;
+                    resp.send(&mut stream, keep_alive)?;
                     if !keep_alive {
                         return Ok(());
                     }
@@ -260,7 +259,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                     // Answer with the parse error's status and close —
                     // framing is unknown from here on.
                     let resp = Response::text(e.status(), &format!("{e}\n"));
-                    let _ = stream.write_all(&resp.write_to(false));
+                    let _ = resp.send(&mut stream, false);
                     return Ok(());
                 }
                 request_started = if parser.mid_request() {
@@ -287,7 +286,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
         if let Some(started) = request_started {
             if started.elapsed() >= shared.config.request_read_timeout {
                 let resp = Response::text(408, "request read timeout\n");
-                let _ = stream.write_all(&resp.write_to(false));
+                let _ = resp.send(&mut stream, false);
                 return Ok(());
             }
         }

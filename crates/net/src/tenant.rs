@@ -261,10 +261,14 @@ impl TenantRegistry {
 
     /// Host a disk-backed tenant rooted at `data_dir`. If the directory
     /// already holds a persisted inventory it is **reopened** (WAL
-    /// replay included, an old `K`-shard layout migrated); otherwise a
-    /// fresh engine over `objects` is created there — see
+    /// replay included); otherwise a fresh engine over `objects` is
+    /// created there — see
     /// [`EngineBuilder::open_or_build`](mpq_core::EngineBuilder::open_or_build).
-    /// `objects` may be `None` only when reopening.
+    /// `objects` may be `None` only when reopening. A directory in an
+    /// older layout — `K` shards under a `shards.mpq` manifest, or a
+    /// page file checkpointed without the id bound — is refused with
+    /// [`MpqError::UnsupportedRequest`], untouched; commit `cd313ab` is
+    /// the last that opens it.
     pub fn add_persistent(
         &mut self,
         name: &str,

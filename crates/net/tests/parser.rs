@@ -171,3 +171,109 @@ fn errors_are_sticky() {
         assert!(parser.take_request().is_none());
     }
 }
+
+/// What a parse yields: each request taken, in order, as its parts.
+type Parsed = Vec<(String, String, bool, Vec<(String, String)>, Vec<u8>)>;
+
+/// Feed `raw` in pieces ending at `ends` (then whatever is left), taking
+/// every request as it completes; the requests, and the error that
+/// stopped the parser, if one did.
+fn parse_in_pieces(raw: &[u8], ends: &[usize]) -> (Parsed, Option<HttpError>) {
+    let mut parser = RequestParser::new(small_limits());
+    let mut taken = Vec::new();
+    let mut from = 0;
+    for &end in ends.iter().chain([raw.len()].iter()) {
+        let end = end.clamp(from, raw.len());
+        let fed = parser.feed(&raw[from..end]);
+        while let Some(r) = parser.take_request() {
+            let headers = r.headers.into_iter().collect();
+            taken.push((r.method, r.path, r.http11, headers, r.body));
+        }
+        if let Err(e) = fed {
+            return (taken, Some(e));
+        }
+        from = end;
+    }
+    // A failure met while parsing what was buffered behind a taken
+    // request surfaces at the next feed.
+    (taken, parser.feed(&[]).err())
+}
+
+/// Seeded hostile input — valid requests truncated, bit-flipped and
+/// pipelined, random heads and random bodies — never panics the parser,
+/// fails only with a typed error, and parses the same fed whole or in
+/// random pieces, byte by byte included.
+#[test]
+fn hostile_bytes_never_panic_and_pieces_parse_as_the_whole() {
+    let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    const HEADISH: &[u8] =
+        b"GETPOS /t:-_HTP1.0\r\n \tContent-Length: 7\r\nTransfer-Encoding\xff\xc3";
+    let valid: Vec<Vec<u8>> = vec![
+        b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n".to_vec(),
+        b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n".to_vec(),
+        well_formed(9, br#"{"functions":[[0.5,0.5]]}"#),
+        well_formed(4, b""),
+        [well_formed(1, b"abc"), well_formed(2, b"\r\n\r\n")].concat(),
+        [&b"GET /a HTTP/1.1\r\n\r\n"[..], &well_formed(3, b"xyz")].concat(),
+    ];
+    let mut failures = [0usize; 3];
+    for round in 0..6_000 {
+        let base = &valid[next() as usize % valid.len()];
+        let raw: Vec<u8> = match round % 5 {
+            0 => base.clone(),
+            1 => base[..next() as usize % (base.len() + 1)].to_vec(),
+            2 => {
+                let mut raw = base.clone();
+                for _ in 0..1 + next() % 3 {
+                    let at = next() as usize % raw.len();
+                    raw[at] ^= 1 << (next() % 8);
+                }
+                raw
+            }
+            3 => {
+                let head: Vec<u8> = (0..next() % 96)
+                    .map(|_| HEADISH[next() as usize % HEADISH.len()])
+                    .collect();
+                let padding = b"X-Pad: abcdefgh\r\n".repeat(next() as usize % 48);
+                [&head[..], &padding, b"\r\n\r\n", base].concat()
+            }
+            _ => {
+                let body: Vec<u8> = (0..next() % 64).map(|_| next() as u8).collect();
+                let length = next() % 1280;
+                let head = format!("POST /b HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+                [head.as_bytes(), &body, base].concat()
+            }
+        };
+        let whole = parse_in_pieces(&raw, &[]);
+        if let Some(e) = &whole.1 {
+            let status = e.status();
+            assert!(matches!(status, 400 | 413 | 431), "{e:?}");
+            failures[[400, 413, 431].iter().position(|&s| s == status).unwrap()] += 1;
+        }
+        for split in 0..3 {
+            let ends: Vec<usize> = match split {
+                0 => (1..raw.len()).collect(),
+                _ => {
+                    let mut ends: Vec<usize> = (0..next() % 8)
+                        .map(|_| next() as usize % (raw.len() + 1))
+                        .collect();
+                    ends.sort_unstable();
+                    ends
+                }
+            };
+            let pieces = parse_in_pieces(&raw, &ends);
+            assert!(
+                pieces == whole,
+                "round {round}, ends {ends:?}: {pieces:?} != {whole:?}"
+            );
+        }
+    }
+    // Each kind of failure was met, so each path was exercised.
+    assert!(failures.iter().all(|&n| n > 0), "{failures:?}");
+}

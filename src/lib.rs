@@ -104,7 +104,7 @@
 //! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object table and `inventory_version` untouched; an engine whose WAL is wedged is degraded ([`core::Engine::health`]): its tenant answers mutations `503` with a `Retry-After` of [`core::Engine::retry_after`] while reads keep serving, and a due checkpoint repairs it |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
 //! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
-//! | `Engine::builder().shards(k)`, `ShardedEngine::builder().shards(k)`, `mpq serve --shards K`, tenant spec `shards=K` | `Engine::builder()` — one R-tree, one WAL, one buffer pool; `Engine::open(dir)` migrates a directory written as `K` shards (`shards.mpq` + `shard-i/`) into the one tree the first time it opens it |
+//! | `Engine::builder().shards(k)`, `ShardedEngine::builder().shards(k)`, `mpq serve --shards K`, tenant spec `shards=K` | `Engine::builder()` — one R-tree, one WAL, one buffer pool, one on-disk layout (`pages.mpq` + `wal.mpq`); a directory written as `K` shards (`shards.mpq` + `shard-i/`), or a page file checkpointed without the id bound, is refused untouched with `MpqError::UnsupportedRequest` — `mpq compact --data-dir DIR` at commit `cd313ab` converts either |
 //! | `engine.shard_count()`, `engine.trees()`, `engine.shard_gauges()`, `/metrics` `"shards": [..]` | `engine.tree()`; `"objects"`, `"tree_height"`, `"buffer_hit_rate"`, `"wal_bytes"` in the `"storage"` object of `/metrics` |
 //! | `Engine::builder().buffer_shards(n)`, `tree.set_buffer_shards(n)`, `tree.buffer_shards()`, `BufferPool::shard_count()` | nothing: the buffer pool is one LRU under one lock; `--threads` / `--workers` / `ServiceConfig::workers` size the workers |
 //! | `Arc<dyn EvalBackend>`, `MatchRequest<'e, 'f, B>`, `client.backend()` | `Arc<Engine>`, `MatchRequest<'e, 'f>`, `client.engine()` (also on `EngineService` and `net::Tenant`) |
