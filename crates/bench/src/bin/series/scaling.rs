@@ -1,4 +1,4 @@
-//! `scaling` — requests/sec of a batch vs. thread count × algorithm,
+//! `scaling` — requests/sec of a request list vs. thread count × algorithm,
 //! against the sequential request loop (`BENCH_pr3.json`, schema
 //! `mpq.bench.scaling/1`).
 //!
@@ -10,14 +10,12 @@
 //! aborts the run. Every thread count shares the engine's one buffer
 //! pool: one LRU under one lock.
 //!
-//! The two kinds of cell do not run the same machinery. SB's batch
-//! cells are `Engine::evaluate_batch`, which drives the service core
-//! (queue, tickets, scoped workers). Brute Force and Chain are not
-//! served requests: their batch cells are a plain scoped-thread pool,
-//! one `Scratch` a worker, request indices taken from one counter. So
-//! an SB speedup below the strawmen's — `BENCH_pr3.json` records SB at
-//! 0.80–0.86× while Brute Force gains 1.9× — measures the service core
-//! as well as the algorithm, and must be re-read with that in mind.
+//! Every algorithm's parallel cells run one harness: a plain
+//! scoped-thread pool, one `Scratch` a worker, request indices taken
+//! from one counter, each request a `Variant` of its algorithm
+//! (`request.algorithm(Algorithm::Sb)` for SB). No cell goes through the
+//! service's queue and tickets, so the speedups of SB, Brute Force and
+//! Chain compare the algorithms alone.
 //!
 //! Each cell repeats its batch, from a cold buffer every time, until it
 //! has run [`MIN_REPEATS`] times and for the size's `min_cell_secs` in
@@ -37,7 +35,7 @@ use std::time::Instant;
 
 use mpq_bench::identical_matchings;
 use mpq_bench::json::Json;
-use mpq_core::{Algorithm, Engine, MatchRequest, Matching, Scratch, Variant};
+use mpq_core::{Algorithm, Engine, Matching, Scratch, Variant};
 use mpq_datagen::{Distribution, WorkloadBuilder};
 use mpq_ta::FunctionSet;
 
@@ -145,14 +143,12 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
     let mut accept_best: Option<f64> = None;
 
     for algo in ALGORITHMS {
-        let requests: Vec<MatchRequest> =
-            function_sets.iter().map(|fs| engine.request(fs)).collect();
         let variants: Vec<Variant> = function_sets
             .iter()
             .map(|fs| engine.request(fs).algorithm(algo))
             .collect();
 
-        // sequential baseline (the pre-batch serving loop)
+        // sequential baseline: one request after another
         let (sequential, seq_wall, repeats) = timed_cell(&engine, cfg, algo, None, || {
             let start = Instant::now();
             let matchings = variants
@@ -181,15 +177,7 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
 
         for &threads in cfg.threads {
             let (_, wall, repeats) = timed_cell(&engine, cfg, algo, Some(&sequential), || {
-                if algo == Algorithm::Sb {
-                    let outcome = engine
-                        .evaluate_batch(&requests, threads)
-                        .expect("valid requests");
-                    let wall = outcome.metrics().wall.as_secs_f64();
-                    (outcome.matchings().to_vec(), wall)
-                } else {
-                    pool(&variants, threads)
-                }
+                pool(&variants, threads)
             });
             let rps = cfg.requests as f64 / wall;
             let speedup = if seq_rps > 0.0 { rps / seq_rps } else { 0.0 };
@@ -281,8 +269,8 @@ fn timed_cell(
     (first.expect("at least one repeat"), median, walls.len())
 }
 
-/// A strawman's batch cell: `threads` scoped workers, one [`Scratch`]
-/// each, taking request indices from one counter. Returns the
+/// A parallel cell of any algorithm: `threads` scoped workers, one
+/// [`Scratch`] each, taking request indices from one counter. Returns the
 /// matchings in input order and the wall time in seconds.
 fn pool(variants: &[Variant<'_, '_>], threads: usize) -> (Vec<Matching>, f64) {
     let next = AtomicUsize::new(0);

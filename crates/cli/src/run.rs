@@ -6,9 +6,6 @@
 //!           [--output out.csv] [--no-normalize-check]
 //! mpq generate --distribution independent|correlated|anti-correlated|zillow
 //!              --objects N --dim D [--seed S]   # emits an objects CSV
-//! mpq throughput --objects rooms.csv --functions users.csv
-//!                [--requests R] [--threads T]
-//!                # serve R copies of the request on T threads and report req/s
 //! mpq serve --objects rooms.csv --functions users.csv
 //!           [--requests R] [--workers N]
 //!           [--queue-cap M] [--cache N] [--data-dir DIR]
@@ -81,7 +78,6 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
     match args.first().map(String::as_str) {
         Some("match") => cmd_match(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
-        Some("throughput") => cmd_throughput(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("compact") => cmd_compact(&args[1..]),
         Some("--help" | "-h" | "help") | None => Err(CliError::usage(USAGE)),
@@ -96,8 +92,6 @@ const USAGE: &str = "usage:
             [--algo sb|bf|chain] [--output <file>]
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
-  mpq throughput --objects <objects.csv> --functions <functions.csv>
-                 [--requests <R>] [--threads <T>]
   mpq serve --objects <objects.csv> --functions <functions.csv>
             [--requests <R>] [--workers <N>]
             [--queue-cap <M>] [--cache <N>] [--data-dir <dir>]
@@ -151,8 +145,8 @@ fn parse_algorithm(args: &[String]) -> Result<Algorithm, CliError> {
     name.unwrap_or("sb").parse().map_err(CliError::usage)
 }
 
-/// `throughput` and `serve` run the served request, which is SB alone:
-/// any other `--algo` is a usage error that points at `mpq match`.
+/// `serve` runs the served request, which is SB alone: any other
+/// `--algo` is a usage error that points at `mpq match`.
 fn require_sb(args: &[String]) -> Result<(), CliError> {
     match parse_algorithm(args)? {
         Algorithm::Sb => Ok(()),
@@ -261,80 +255,12 @@ fn cli_from_mpq(e: MpqError) -> CliError {
     CliError::runtime(e.to_string())
 }
 
-/// Parallel serving demo: load one `(objects, functions)` pair, build
-/// the engine once, then serve `R`
-/// copies of the request on `T` threads via `Engine::evaluate_batch` and
-/// report the throughput against the sequential loop. The batch results
-/// are verified identical to the sequential ones before anything is
-/// reported.
-fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
-    let objects_path = required(args, "--objects")?;
-    let functions_path = required(args, "--functions")?;
-    require_sb(args)?;
-    let requests: usize = int_flag(args, "--requests", 32)?;
-    let threads: usize = int_flag(args, "--threads", 0)?; // 0 = one worker per core
-    let (objects, _) = read_objects(objects_path)?;
-    let (functions, _) = read_functions(functions_path, objects.dim())?;
-
-    let engine = Engine::builder()
-        .objects(&objects)
-        .build()
-        .map_err(cli_from_mpq)?;
-
-    let batch: Vec<_> = (0..requests).map(|_| engine.request(&functions)).collect();
-
-    // Cold-start the shared buffer before each timed phase, like the
-    // scaling harness does — otherwise the batch pass would run on a
-    // buffer the sequential pass warmed and the speedup would conflate
-    // parallelism with cache warmth.
-    engine.tree().clear_buffer();
-    let seq_start = std::time::Instant::now();
-    let mut sequential = Vec::with_capacity(requests);
-    for r in &batch {
-        sequential.push(r.evaluate().map_err(cli_from_mpq)?);
-    }
-    let seq_secs = seq_start.elapsed().as_secs_f64();
-
-    engine.tree().clear_buffer();
-    let outcome = engine
-        .evaluate_batch(&batch, threads)
-        .map_err(cli_from_mpq)?;
-    let met = outcome.metrics();
-    for (a, b) in outcome.matchings().iter().zip(&sequential) {
-        if a.sorted_pairs() != b.sorted_pairs() {
-            return Err(CliError::runtime(
-                "batch result diverged from sequential evaluation".to_string(),
-            ));
-        }
-    }
-
-    let seq_rps = requests as f64 / seq_secs.max(f64::MIN_POSITIVE);
-    let par_rps = met.requests_per_sec();
-    Ok(format!(
-        "SB x{requests} requests over {} objects\n\
-         sequential: {:.2} req/s ({:.3}s)\n\
-         batch t={}: {:.2} req/s ({:.3}s)  speedup {:.2}x  (all matchings identical)\n",
-        objects.len(),
-        seq_rps,
-        seq_secs,
-        met.threads,
-        par_rps,
-        met.wall.as_secs_f64(),
-        if seq_rps > 0.0 {
-            par_rps / seq_rps
-        } else {
-            0.0
-        },
-    ))
-}
-
 /// Async-serving demo: load one `(objects, functions)` pair, spawn an
 /// [`EngineService`] worker pool over the shared engine, replay `R`
-/// copies of the request through the submission queue (the same
-/// workload `mpq throughput` uses), wait for all tickets, and print the
-/// rolling [`ServiceMetrics`]. Every served result is verified
-/// bit-identical to a sequential evaluation before anything is
-/// reported.
+/// copies of the request through the submission queue, wait for all
+/// tickets, and print the rolling [`ServiceMetrics`]. Every served
+/// result is verified bit-identical to a sequential evaluation before
+/// anything is reported.
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     require_sb(args)?;
     if arg_value(args, "--listen").is_some() {
@@ -622,6 +548,10 @@ mod tests {
     fn help_and_unknown_commands() {
         assert_eq!(run_cli(&[]).unwrap_err().code, 2);
         assert_eq!(run_cli(&args(&["bogus"])).unwrap_err().code, 2);
+        // Many requests run through `serve`; there is no batch command.
+        let err = run_cli(&args(&["throughput"])).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("unknown command 'throughput'"));
         assert!(run_cli(&args(&["--help"]))
             .unwrap_err()
             .message
@@ -723,58 +653,18 @@ mod tests {
 
     #[test]
     fn serving_commands_refuse_a_non_sb_algorithm() {
-        for command in ["serve", "throughput"] {
-            let err = run_cli(&args(&[
-                command,
-                "--objects",
-                "x.csv",
-                "--functions",
-                "y.csv",
-                "--algo",
-                "bf",
-            ]))
-            .unwrap_err();
-            assert_eq!(err.code, 2, "{command}");
-            assert!(err.message.contains("mpq match"), "{}", err.message);
-        }
-    }
-
-    #[test]
-    fn throughput_reports_identical_parallel_serving() {
-        let dir = std::env::temp_dir().join("mpq_cli_throughput");
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "independent",
+        let err = run_cli(&args(&[
+            "serve",
             "--objects",
-            "400",
-            "--dim",
-            "2",
-            "--seed",
-            "13",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        fs::write(&fpath, "w0,w1\n0.7,0.3\n0.4,0.6\n0.5,0.5\n").unwrap();
-
-        let out = run_cli(&args(&[
-            "throughput",
-            "--objects",
-            opath.to_str().unwrap(),
+            "x.csv",
             "--functions",
-            fpath.to_str().unwrap(),
-            "--requests",
-            "6",
-            "--threads",
-            "2",
+            "y.csv",
+            "--algo",
+            "bf",
         ]))
-        .unwrap();
-        assert!(out.contains("sequential:"), "{out}");
-        assert!(out.contains("batch t=2:"), "{out}");
-        assert!(out.contains("all matchings identical"), "{out}");
+        .unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("mpq match"), "{}", err.message);
     }
 
     #[test]

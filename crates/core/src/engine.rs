@@ -67,7 +67,7 @@ use crate::objects::{validated_keys, ObjectTable};
 use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, SbStream, SERVED_THRESHOLD};
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedSlot};
-use crate::service::{evaluate_batch, lock, safe_rate, EngineService, ServiceConfig};
+use crate::service::{lock, EngineService, ServiceConfig};
 use crate::wal::{Wal, WalRecord};
 
 /// Page file name inside a data directory.
@@ -953,8 +953,8 @@ impl Engine {
     /// blessed serving entry point: a worker pool behind a bounded
     /// submission queue, fed by cheap cloneable
     /// [`ServiceClient`](crate::service::ServiceClient) handles, so a
-    /// network front-end can stream requests in as they arrive instead
-    /// of pre-collecting synchronous batches. Shorthand for
+    /// network front-end can stream requests in as they arrive — the one
+    /// way to run many requests. Shorthand for
     /// [`EngineService::spawn`].
     ///
     /// The engine must be in an [`Arc`] because the workers are real
@@ -1019,42 +1019,14 @@ impl Engine {
         );
         Ok((matching, version, resumed))
     }
-
-    /// Evaluate a slice of independent requests on a built-in scoped
-    /// worker pool, returning the matchings **in input order** plus
-    /// aggregated [`BatchMetrics`].
-    ///
-    /// This is a thin submit-all-then-wait wrapper over the same
-    /// scheduling machinery that powers the long-lived [`EngineService`]
-    /// — one code path decides which worker runs which request. The
-    /// workers are scoped threads; each owns one persistent [`Scratch`]
-    /// across its whole request stream, and every run reads the shared
-    /// index through its own per-run [`IoSession`]s — so every returned
-    /// [`Matching::metrics`] still reports exactly its own run's I/O,
-    /// and the result of every request is **identical to evaluating it
-    /// sequentially** (each evaluation is deterministic and the index is
-    /// never mutated; only buffer hit/miss counts feel the concurrency).
-    ///
-    /// `threads == 0` means "one worker per available core".
-    ///
-    /// If any request fails validation, the error of the first failing
-    /// request (in input order) is returned before any evaluation work
-    /// is spent.
-    pub fn evaluate_batch(
-        &self,
-        requests: &[MatchRequest<'_, '_>],
-        threads: usize,
-    ) -> Result<BatchOutcome, MpqError> {
-        evaluate_batch(self, requests, threads)
-    }
 }
 
 /// One served evaluation against a prepared [`Engine`], configured
 /// fluently — the only request builder, and the one request type the
-/// cache, the service, [`Engine::evaluate_batch`], streams and the wire
-/// see. It runs SB over its functions, exclusions, capacities and
-/// `multi_pair`. [`MatchRequest::algorithm`] turns it into a harness
-/// [`Variant`] instead.
+/// cache, the service, streams and the wire see. It runs SB over its
+/// functions, exclusions, capacities and `multi_pair`.
+/// [`MatchRequest::algorithm`] turns it into a harness [`Variant`]
+/// instead.
 ///
 /// ```
 /// # use mpq_core::Engine;
@@ -1191,20 +1163,15 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
         self
     }
 
-    /// Was this request built against `engine`? Services and batches
-    /// refuse foreign requests — their workers would otherwise evaluate
-    /// them against the wrong inventory.
+    /// Was this request built against `engine`? A service refuses
+    /// foreign requests — its workers would otherwise evaluate them
+    /// against the wrong inventory.
     pub(crate) fn targets(&self, engine: &Engine) -> bool {
         std::ptr::eq(self.engine, engine)
     }
 
-    /// The engine the request was built against.
-    pub(crate) fn engine(&self) -> &'e Engine {
-        self.engine
-    }
-
     /// Borrow the request's parts: what the service copies into a job
-    /// it queues, and what a batch's queue borrows.
+    /// it queues.
     pub(crate) fn parts(&self) -> (&FunctionSet, &RequestOptions) {
         (self.functions, &self.options)
     }
@@ -1228,7 +1195,7 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
     ///
     /// Equivalent to [`MatchRequest::evaluate_with`] on a fresh
     /// [`Scratch`]; serving many requests from one reused scratch (as
-    /// [`Engine::evaluate_batch`] does per worker) skips the per-run
+    /// every [`EngineService`] worker does) skips the per-run
     /// allocations.
     pub fn evaluate(&self) -> Result<Matching, MpqError> {
         self.evaluate_with(&mut Scratch::new())
@@ -1349,81 +1316,6 @@ impl Variant<'_, '_> {
                 run_sb_seeded(pins, functions, options, threshold, scratch, None, None).0
             }
         })
-    }
-}
-
-/// Results of one [`Engine::evaluate_batch`] call: the matchings in
-/// input order plus aggregated cost metrics.
-#[derive(Debug)]
-pub struct BatchOutcome {
-    matchings: Vec<Matching>,
-    metrics: BatchMetrics,
-}
-
-impl BatchOutcome {
-    /// Assemble an outcome (the one batch runner lives beside the
-    /// scheduling core it drives, in [`crate::service`]).
-    pub(crate) fn from_parts(matchings: Vec<Matching>, metrics: BatchMetrics) -> BatchOutcome {
-        BatchOutcome { matchings, metrics }
-    }
-
-    /// The matchings, one per request, **in input order**.
-    pub fn matchings(&self) -> &[Matching] {
-        &self.matchings
-    }
-
-    /// Aggregated metrics of the whole batch.
-    pub fn metrics(&self) -> &BatchMetrics {
-        &self.metrics
-    }
-
-    /// Number of evaluated requests.
-    pub fn len(&self) -> usize {
-        self.matchings.len()
-    }
-
-    /// True iff the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.matchings.is_empty()
-    }
-}
-
-/// Aggregated cost counters of one [`Engine::evaluate_batch`] call.
-///
-/// `wall` is the end-to-end time of the batch (the throughput
-/// denominator); `cpu_total` is the *sum* of per-request matching times,
-/// so `cpu_total / wall` approximates the achieved parallelism. The
-/// I/O and algorithm counters are sums over the per-request
-/// [`RunMetrics`](crate::RunMetrics); the per-request values stay
-/// available on each [`Matching`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchMetrics {
-    /// End-to-end wall-clock time of the batch.
-    pub wall: Duration,
-    /// Worker threads actually used.
-    pub threads: usize,
-    /// Number of requests evaluated.
-    pub requests: usize,
-    /// Summed per-request object-tree I/O.
-    pub io: IoStats,
-    /// Summed per-request matching (CPU) time.
-    pub cpu_total: Duration,
-    /// Summed algorithm outer loops.
-    pub loops: u64,
-    /// Summed object-tree top-1 searches (BF, Chain).
-    pub top1_searches: u64,
-    /// Summed reverse top-1 (TA) invocations (SB).
-    pub reverse_top1_calls: u64,
-}
-
-impl BatchMetrics {
-    /// Batch throughput: requests per wall-clock second. Guarded
-    /// arithmetic (shared with
-    /// [`ServiceMetrics`](crate::service::ServiceMetrics)): an empty
-    /// batch or an unmeasurably fast / zero-duration wall clock yields
-    /// `0.0`, never `inf` or NaN.
-    pub fn requests_per_sec(&self) -> f64 {
-        safe_rate(self.requests as u64, self.wall)
     }
 }
 

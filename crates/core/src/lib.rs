@@ -7,7 +7,7 @@
 //! globally highest score `f(o)` and removing both.
 //!
 //! One algorithm serves it. A [`MatchRequest`] — the one request the
-//! cache, the service, batches, streams and the wire see — runs the
+//! cache, the service, streams and the wire see — runs the
 //! paper's contribution, "SB" (§III-B/§IV, the [`sb`] module): maintain
 //! the skyline of the remaining objects incrementally ([`mpq_skyline`]),
 //! find each skyline object's best function with a tight-threshold
@@ -62,9 +62,8 @@
 //!
 //! ## Serving goes through the [`EngineService`]
 //!
-//! For a long-lived deployment — requests streaming in from a network
-//! front-end rather than pre-collected into batches — wrap the engine in
-//! the [`service`] layer: [`Engine::serve`] starts a worker pool behind
+//! To run many requests — streaming in from a network front-end, or
+//! queued by a harness — wrap the engine in the [`service`] layer: [`Engine::serve`] starts a worker pool behind
 //! a bounded submission queue; cloneable [`ServiceClient`] handles
 //! submit requests and get back pollable/blockable [`Ticket`]s with
 //! deadlines, priorities and cancellation; a full queue sheds with a
@@ -72,8 +71,7 @@
 //! Identical requests are served from a bounded, inventory-versioned
 //! [`ResultCache`] (with in-flight dedupe: a duplicate submission
 //! attaches to the queued job instead of re-evaluating — see the
-//! [`cache`] module). [`Engine::evaluate_batch`] is a
-//! submit-all-then-wait wrapper over the same scheduling core.
+//! [`cache`] module). The service is the one way to run many requests.
 //!
 //! ## One hosting path
 //!
@@ -152,10 +150,7 @@ pub mod wal;
 
 pub use cache::{CacheMetrics, RequestKey, ResultCache};
 pub use capacity::CapacityMatching;
-pub use engine::{
-    Algorithm, BatchMetrics, BatchOutcome, Engine, EngineBuilder, HealthState, MatchRequest,
-    Variant,
-};
+pub use engine::{Algorithm, Engine, EngineBuilder, HealthState, MatchRequest, Variant};
 pub use error::MpqError;
 pub use json::Json;
 pub use matching::{index_build_count, IndexConfig, Matching, Pair, RunMetrics};

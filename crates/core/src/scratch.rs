@@ -6,12 +6,11 @@
 //! (what a run resumed from the inventory's seed writes), the SB
 //! rank-list caches, and the per-round buffers of the matching loop. Allocating all of that
 //! from scratch per request is invisible for one request and dominant
-//! for a high-throughput batch: under
-//! [`Engine::evaluate_batch`](crate::Engine::evaluate_batch) each worker
-//! thread owns one [`Scratch`] and serves its entire request stream from
-//! it, so after the first request the per-run state is built by reuse —
-//! `clear()` + `copy_from` on warm buffers — instead of fresh heap
-//! allocations.
+//! for a high-throughput stream: each worker thread of an
+//! [`EngineService`](crate::EngineService) owns one [`Scratch`] and
+//! serves its entire request stream from it, so after the first request
+//! the per-run state is built by reuse — `clear()` + `copy_from` on warm
+//! buffers — instead of fresh heap allocations.
 //!
 //! Every id a run keys state by is dense, so that state is kept in
 //! columns indexed by the id, never in hash tables: the SB rank lists —

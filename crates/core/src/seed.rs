@@ -79,8 +79,7 @@
 //!   version (it pinned before a mutation committed) gets no cell: it
 //!   runs cold and leaves the newer seed to the current workers.
 //!
-//! A cache-off service, and so [`Engine::evaluate_batch`](crate::Engine::evaluate_batch),
-//! keeps no slot and runs every request cold. A caller can also carry a
+//! A cache-off service keeps no slot and runs every request cold. A caller can also carry a
 //! seed by hand ([`MatchRequest::evaluate_seeded`](crate::MatchRequest::evaluate_seeded)).
 
 use std::sync::{Arc, Mutex, OnceLock};

@@ -1,13 +1,13 @@
 //! The async serving layer: a submission queue in front of a shared
 //! [`Engine`], with cross-request result caching and in-flight dedupe.
+//! It is the one way to run many requests.
 //!
 //! The paper's premise (§I) is *many* preference queries arriving
-//! against one inventory — but a pre-collected synchronous batch
-//! ([`Engine::evaluate_batch`](crate::Engine::evaluate_batch)) is
-//! something a network front-end cannot assemble: requests stream in
-//! one at a time, get revised, cancelled and resubmitted (Chomicki's
-//! preference-revision line of work is the motivating related
-//! literature). [`EngineService`] inverts the control flow:
+//! against one inventory — and they arrive the way a network front-end
+//! sees them: one at a time, revised, cancelled and resubmitted
+//! (Chomicki's preference-revision line of work is the motivating
+//! related literature), never as a pre-collected batch.
+//! [`EngineService`] serves that stream:
 //!
 //! * [`EngineService::spawn`] (or the blessed
 //!   [`Engine::serve`](crate::Engine::serve)) starts
@@ -65,14 +65,10 @@
 //! change the matching (asserted by `tests/service.rs` and
 //! `tests/cache.rs`).
 //!
-//! There is exactly one scheduling code path: every worker — the
-//! long-lived service's threads holding an [`Arc`] of the engine, and
-//! the scoped workers of a batch
-//! ([`Engine::evaluate_batch`], a submit-all-then-wait run
-//! with caching off — a batch is explicit about its request list)
-//! borrowing it — runs the same worker loop over the same
-//! `ServiceCore`, and evaluates through the engine's one seed-capable
-//! evaluation call.
+//! There is exactly one scheduling code path: a `ServiceCore` owns the
+//! served engine's `Arc`, the service's worker threads share the core,
+//! and every one of them runs the same worker loop, which evaluates
+//! through the engine's one seed-capable evaluation call.
 //!
 //! Locks, outermost first: the core's one mutex (queue, result cache,
 //! in-flight index, ticket ids, shutdown flag) → a ticket's state →
@@ -81,7 +77,6 @@
 //! seed cell are leaves: the cache reads the log under the core lock,
 //! and no service lock is taken while either is held.
 
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -90,9 +85,7 @@ use std::time::{Duration, Instant};
 use mpq_ta::FunctionSet;
 
 use crate::cache::{CacheMetrics, PackedMatching, RequestKey, ResultCache};
-use crate::engine::{
-    BatchMetrics, BatchOutcome, Engine, HealthState, MatchRequest, RequestOptions,
-};
+use crate::engine::{Engine, HealthState, MatchRequest, RequestOptions};
 use crate::error::MpqError;
 use crate::matching::Matching;
 use crate::scratch::Scratch;
@@ -107,12 +100,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Guarded throughput arithmetic shared by
-/// [`BatchMetrics`](crate::BatchMetrics) and [`ServiceMetrics`]:
-/// `count / wall` as a rate per second, except that a zero count or a
-/// zero-duration (or unmeasurably fast) wall clock yields `0.0` — never
-/// `inf`, never NaN.
-pub(crate) fn safe_rate(count: u64, wall: Duration) -> f64 {
+/// Guarded throughput arithmetic behind
+/// [`ServiceMetrics::requests_per_sec`]: `count / wall` as a rate per
+/// second, except that a zero count or a zero-duration (or unmeasurably
+/// fast) wall clock yields `0.0` — never `inf`, never NaN.
+fn safe_rate(count: u64, wall: Duration) -> f64 {
     let secs = wall.as_secs_f64();
     if count == 0 || secs <= 0.0 || !secs.is_finite() {
         0.0
@@ -134,8 +126,8 @@ pub struct ServiceConfig {
     /// disables result caching **and** in-flight dedupe (every
     /// submission pays its own evaluation). Default 64: room for the
     /// repeats and near-misses of a few interactive clients' recent
-    /// queries, while one-shot batch traffic, which never hits, holds
-    /// at most 64 results (see [`ResultCache`]).
+    /// queries, while one-shot traffic, which never hits, holds at most
+    /// 64 results (see [`ResultCache`]).
     pub cache_capacity: usize,
     /// Byte bound of the cached results (evicts LRU-first when
     /// exceeded). Default 32 MiB. A counted byte is a heap byte an
@@ -248,8 +240,9 @@ pub struct Ticket {
     seq: u64,
     shared: Arc<TicketShared>,
     /// The service's counters, for attributing a winning [`Ticket::cancel`]
-    /// — shared directly (not via the core) so tickets stay free of the
-    /// core's queue-payload lifetime.
+    /// — shared directly (not via the core), so a ticket that outlives
+    /// its service keeps the counters alive and not the core's queue,
+    /// cache and engine.
     metrics: Arc<Mutex<MetricsInner>>,
 }
 
@@ -422,17 +415,16 @@ fn prune(members: &mut Vec<Member>, now: Instant, metrics: &Mutex<MetricsInner>)
 /// order, so jobs that all carry the default priority 0 pop FIFO.
 type QueuePos = (Reverse<i32>, u64);
 
-/// The request payload of a queued job. It is `Cow`: the long-lived
-/// service detaches an admitted submission into owned copies (they must
-/// outlive the submitter's borrow), while the scoped batch wrapper
-/// queues *borrowed* requests — its workers cannot outlive the batch
-/// slice, so no batch request is cloned.
-type Payload<'a> = (Cow<'a, FunctionSet>, Cow<'a, RequestOptions>);
+/// The request payload of a queued job: owned copies of the
+/// submission's function set and options, which must outlive the
+/// submitter's borrow. They are made only when the submission is
+/// queued, so a cache hit or an attach copies nothing.
+type Payload = (FunctionSet, RequestOptions);
 
 /// One queued evaluation and every submission it resolves.
-struct Job<'a> {
-    functions: Cow<'a, FunctionSet>,
-    options: Cow<'a, RequestOptions>,
+struct Job {
+    functions: FunctionSet,
+    options: RequestOptions,
     /// The canonical request identity when caching is on: what an
     /// identical submission finds in the in-flight index, and the key
     /// the result is published under — one `Arc`, which the index and
@@ -444,9 +436,9 @@ struct Job<'a> {
 }
 
 /// Everything behind the core's one mutex.
-struct CoreState<'a> {
+struct CoreState {
     /// The queued jobs, in pop order.
-    queue: BTreeMap<QueuePos, Job<'a>>,
+    queue: BTreeMap<QueuePos, Job>,
     /// Where an identical submission attaches: the queued job of each
     /// request identity. Every entry names a queued job — a worker
     /// removes it in the critical section that pops the job — and a
@@ -464,10 +456,10 @@ struct CoreState<'a> {
     in_flight: usize,
 }
 
-impl<'a> CoreState<'a> {
+impl CoreState {
     /// Take the job at `pos` out of the queue, with the index entry
     /// that names it.
-    fn remove(&mut self, pos: QueuePos) -> Option<Job<'a>> {
+    fn remove(&mut self, pos: QueuePos) -> Option<Job> {
         let job = self.queue.remove(&pos)?;
         if let Some(key) = &job.key {
             if self.index.get(key) == Some(&pos) {
@@ -516,31 +508,37 @@ impl MetricsInner {
     }
 }
 
-/// The scheduling heart shared by the long-lived [`EngineService`]
-/// (Arc'd workers) and the scoped batch wrapper (borrowing workers): a
-/// bounded priority queue that sheds when full, with eager deadlines,
-/// result caching + dedupe, and rolling metrics.
-/// It holds no engine — the engine is passed to [`worker_loop`], which
-/// is what lets one core serve both ownership models.
-pub(crate) struct ServiceCore<'a> {
+/// The scheduling heart of an [`EngineService`], shared by its workers
+/// and its clients: the served engine, a bounded priority queue that
+/// sheds when full, with eager deadlines, result caching + dedupe, and
+/// rolling metrics.
+pub(crate) struct ServiceCore {
+    engine: Arc<Engine>,
     workers: usize,
     queue_capacity: usize,
-    state: Mutex<CoreState<'a>>,
+    state: Mutex<CoreState>,
     /// Workers wait here for jobs (or shutdown).
     jobs: Condvar,
     /// The seed every evaluation primes from (see [`crate::seed`]);
     /// `None` exactly when caching is off.
     seed: Option<SeedSlot>,
     /// Arc'd so [`Ticket`]s can count winning cancellations without
-    /// holding (and thereby lifetime-infecting themselves with) the core.
+    /// holding the core.
     metrics: Arc<Mutex<MetricsInner>>,
     started: Instant,
 }
 
-impl<'a> ServiceCore<'a> {
-    pub(crate) fn new(config: &ServiceConfig, workers: usize) -> ServiceCore<'a> {
+impl ServiceCore {
+    /// A core serving `engine`, its worker count resolved (`0` = one
+    /// per available core) but no worker started.
+    fn new(engine: Arc<Engine>, config: &ServiceConfig) -> ServiceCore {
         let cached = config.cache_capacity > 0;
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            n => n,
+        };
         ServiceCore {
+            engine,
             workers,
             queue_capacity: config.queue_capacity.max(1),
             state: Mutex::new(CoreState {
@@ -566,21 +564,21 @@ impl<'a> ServiceCore<'a> {
     /// dead jobs, and is refused with [`MpqError::Overloaded`] if it is
     /// still full. `detach` makes the job's payload and is called only
     /// when the submission is queued, so a hit or an attach copies
-    /// nothing. A cache entry stamped before the request's engine's
-    /// inventory version is served only if its result provably survived
-    /// every mutation since (the engine's mutation log).
-    pub(crate) fn submit(
+    /// nothing. A cache entry stamped before the engine's inventory
+    /// version is served only if its result provably survived every
+    /// mutation since (the engine's mutation log).
+    fn submit(
         &self,
         request: &MatchRequest<'_, '_>,
         submit: SubmitOptions,
-        detach: impl FnOnce() -> Payload<'a>,
+        detach: impl FnOnce() -> Payload,
     ) -> Result<Ticket, MpqError> {
         let now = Instant::now();
         // An unrepresentable deadline (now + huge) means "no deadline",
         // mirroring Ticket::wait_timeout's overflow stance.
         let deadline = submit.deadline.and_then(|d| now.checked_add(d));
         let key = self.seed.is_some().then(|| request.cache_key());
-        let engine = request.engine();
+        let engine = &self.engine;
 
         let mut guard = lock(&self.state);
         let state = &mut *guard;
@@ -680,7 +678,7 @@ impl<'a> ServiceCore<'a> {
     /// The pop takes the job's index entry with it and expires its
     /// lapsed members; a job with no live member left is discarded on
     /// the way.
-    fn next_job(&self) -> Option<Job<'a>> {
+    fn next_job(&self) -> Option<Job> {
         let mut state = lock(&self.state);
         loop {
             while let Some(&pos) = state.queue.keys().next() {
@@ -700,15 +698,16 @@ impl<'a> ServiceCore<'a> {
         }
     }
 
-    /// Run one popped job to resolution on `engine`: evaluate once,
-    /// publish to the cache, fan the result out to every member not
-    /// cancelled meanwhile.
-    fn execute(&self, engine: &Engine, job: Job<'_>, scratch: &mut Scratch) {
+    /// Run one popped job to resolution: evaluate once, publish to the
+    /// cache, fan the result out to every member not cancelled
+    /// meanwhile.
+    fn execute(&self, job: Job, scratch: &mut Scratch) {
         // A panicking evaluation must not leave any member unresolved
         // (its waiter would block forever) nor take the worker down.
         let seed = self.seed.as_ref();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.evaluate_seeded(&job.functions, &job.options, scratch, seed)
+            self.engine
+                .evaluate_seeded(&job.functions, &job.options, scratch, seed)
         }))
         .unwrap_or_else(|_| {
             // The scratch may have been mid-mutation; replace it.
@@ -742,7 +741,7 @@ impl<'a> ServiceCore<'a> {
             let mut guard = lock(&self.state);
             let state = &mut *guard;
             if let (Some(key), Some(cache), Some(packed)) = (&job.key, &mut state.cache, packed) {
-                cache.insert_with_logs(key, version, packed, engine.mutations());
+                cache.insert_with_logs(key, version, packed, self.engine.mutations());
             }
             state.in_flight -= 1;
         }
@@ -779,27 +778,34 @@ impl<'a> ServiceCore<'a> {
     }
 
     /// Requests queued and not yet claimed by a worker, right now.
-    /// Cheaper than a full [`ServiceCore::metrics_snapshot`] — one lock,
+    /// Cheaper than a full [`ServiceCore::metrics`] — one lock,
     /// no latency sort — so an admission-control path (e.g. the network
     /// front-end computing a `Retry-After`) can afford it per rejection.
-    pub(crate) fn queue_depth(&self) -> usize {
+    fn queue_depth(&self) -> usize {
         lock(&self.state).queue.len()
     }
 
     /// Requests claimed by a worker and not yet published, right now.
-    pub(crate) fn in_flight(&self) -> usize {
+    fn in_flight(&self) -> usize {
         lock(&self.state).in_flight
     }
 
     /// Stop accepting submissions and wake the workers: they drain the
     /// queue and exit.
-    pub(crate) fn begin_shutdown(&self) {
+    fn begin_shutdown(&self) {
         lock(&self.state).stopping = true;
         self.jobs.notify_all();
     }
 
-    /// Snapshot the rolling metrics.
-    pub(crate) fn metrics_snapshot(&self) -> ServiceMetrics {
+    /// Snapshot the rolling metrics, with what only the engine knows.
+    fn metrics(&self) -> ServiceMetrics {
+        // The engine's figures are read before any service lock is
+        // taken: a snapshot must not hold one while it waits on the
+        // engine's WAL lock, which a mutation holds through its fsync.
+        let engine = &self.engine;
+        let (storage, objects) = (engine.storage_stats(), engine.n_objects());
+        let (tree_height, wal_bytes) = (engine.tree().height(), engine.wal_bytes());
+        let health = engine.health();
         let (queue_depth, in_flight, mut cache) = {
             let state = lock(&self.state);
             let cache = state.cache.as_ref().map(ResultCache::metrics);
@@ -825,11 +831,11 @@ impl<'a> ServiceCore<'a> {
             expired: metrics.expired,
             panicked: metrics.panicked,
             cache,
-            storage: mpq_rtree::IoStats::default(),
-            objects: 0,
-            tree_height: 0,
-            wal_bytes: 0,
-            health: HealthState::Healthy,
+            storage,
+            objects,
+            tree_height,
+            wal_bytes,
+            health,
             uptime: self.started.elapsed(),
             p50_latency: percentile(&sorted, 0.50),
             p99_latency: percentile(&sorted, 0.99),
@@ -852,96 +858,12 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 
 /// A worker's whole life: pop, evaluate, resolve, repeat — one
 /// persistent [`Scratch`] across the entire stream — until shutdown
-/// drains the queue. Shared verbatim between the long-lived service
-/// (Arc'd engine) and the scoped batch wrapper (borrowed engine).
-fn worker_loop(core: &ServiceCore<'_>, engine: &Engine) {
+/// drains the queue.
+fn worker_loop(core: &ServiceCore) {
     let mut scratch = Scratch::new();
     while let Some(job) = core.next_job() {
-        core.execute(engine, job, &mut scratch);
+        core.execute(job, &mut scratch);
     }
-}
-
-/// The one batch path ([`Engine::evaluate_batch`]): a
-/// submit-all-then-wait run of the service's own scheduling core over
-/// scoped workers borrowing `engine`.
-pub(crate) fn evaluate_batch(
-    engine: &Engine,
-    requests: &[MatchRequest<'_, '_>],
-    threads: usize,
-) -> Result<BatchOutcome, MpqError> {
-    let wall_start = Instant::now();
-    let n = requests.len();
-    let threads = resolved_workers(threads).clamp(1, n.max(1));
-
-    // Fail fast: all evaluation errors are request-shape errors, so an
-    // invalid request is caught here — in input order — before any work
-    // is spent on the rest of the batch. Requests built on a *different*
-    // engine are refused outright (same guard as
-    // `ServiceClient::submit_with`): these workers would otherwise
-    // evaluate them against the wrong inventory.
-    for request in requests {
-        if !request.targets(engine) {
-            return Err(MpqError::UnsupportedRequest(
-                "request was built against a different engine than this batch's",
-            ));
-        }
-        request.validate()?;
-    }
-
-    // The batch is one drained service run: a queue sized to the batch
-    // (so no submission is shed), FIFO order, scoped workers borrowing
-    // the engine instead of the long-lived service's Arc. The queue
-    // payloads are *borrowed* from `requests` (the workers cannot
-    // outlive the slice), so no request is cloned to travel the queue.
-    // Caching is off: a batch is explicit about its request list, and
-    // per-request [`RunMetrics`](crate::RunMetrics) stay exact only when
-    // every request pays its own run.
-    let core = ServiceCore::new(
-        &ServiceConfig::default()
-            .workers(threads)
-            .queue_capacity(n.max(1))
-            .cache_capacity(0),
-        threads,
-    );
-    let mut results: Vec<Result<Matching, MpqError>> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let core = &core;
-            scope.spawn(move || worker_loop(core, engine));
-        }
-        let tickets: Vec<_> = requests
-            .iter()
-            .map(|r| {
-                let (functions, options) = r.parts();
-                let borrowed = || (Cow::Borrowed(functions), Cow::Borrowed(options));
-                (core.submit(r, SubmitOptions::default(), borrowed))
-                    .expect("batch queue is sized to the batch and not shutting down")
-            })
-            .collect();
-        results.extend(tickets.into_iter().map(|t| t.wait()));
-        // All tickets resolved: let the scoped workers drain out so the
-        // scope can join them.
-        core.begin_shutdown();
-    });
-
-    let mut matchings = Vec::with_capacity(n);
-    let mut metrics = BatchMetrics {
-        threads,
-        requests: n,
-        ..BatchMetrics::default()
-    };
-    for result in results {
-        let m = result?;
-        let met = m.metrics();
-        metrics.io += met.io;
-        metrics.cpu_total += met.elapsed;
-        metrics.loops += met.loops;
-        metrics.top1_searches += met.top1_searches;
-        metrics.reverse_top1_calls += met.reverse_top1_calls;
-        matchings.push(m);
-    }
-    metrics.wall = wall_start.elapsed();
-    Ok(BatchOutcome::from_parts(matchings, metrics))
 }
 
 /// Rolling service health counters (see [`EngineService::metrics`]).
@@ -978,20 +900,15 @@ pub struct ServiceMetrics {
     pub cache: CacheMetrics,
     /// Cumulative storage I/O of the served engine (logical/physical
     /// page traffic plus, on a disk-backed engine, real disk reads,
-    /// writes and fsyncs of the pager and the WAL). All zero when the
-    /// snapshot was taken through a bare `ServiceCore` without an
-    /// engine attached.
+    /// writes and fsyncs of the pager and the WAL).
     pub storage: mpq_rtree::IoStats,
-    /// Live objects in the served engine's tree (0 in snapshots taken
-    /// through a bare `ServiceCore`, as are the two gauges below).
+    /// Live objects in the served engine's tree.
     pub objects: usize,
     /// Height of the served engine's R-tree (levels; 1 = root leaf).
     pub tree_height: u32,
     /// Current WAL size in bytes (0 for an in-memory engine).
     pub wal_bytes: u64,
-    /// Storage health of the served engine (always
-    /// [`HealthState::Healthy`] in snapshots taken through a bare
-    /// `ServiceCore` without an engine attached).
+    /// Storage health of the served engine.
     pub health: HealthState,
     /// Time since the service was spawned.
     pub uptime: Duration,
@@ -1011,8 +928,7 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Completed requests per second of uptime. Guarded arithmetic
-    /// (shared with [`BatchMetrics`]): zero
+    /// Completed requests per second of uptime. Guarded arithmetic: zero
     /// completions or zero uptime yield `0.0`, never `inf` or NaN.
     pub fn requests_per_sec(&self) -> f64 {
         safe_rate(self.completed, self.uptime)
@@ -1141,41 +1057,17 @@ impl std::fmt::Display for ServiceMetrics {
 /// stop it with [`EngineService::shutdown`] (dropping the service shuts
 /// down gracefully too, draining all queued work first).
 pub struct EngineService {
-    engine: Arc<Engine>,
-    core: Arc<ServiceCore<'static>>,
+    core: Arc<ServiceCore>,
     handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// Resolve a configured worker/thread count: `0` means "one per
-/// available core". Shared by [`EngineService::spawn`] and the batch
-/// path so the resolution policy cannot drift between them.
-pub(crate) fn resolved_workers(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        requested
-    }
 }
 
 impl std::fmt::Debug for EngineService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineService")
-            .field("engine", &self.engine)
+            .field("engine", &self.core.engine)
             .field("workers", &self.handles.len())
             .finish()
     }
-}
-
-/// A metrics snapshot of `core` completed with what only the engine
-/// knows.
-fn full_metrics(core: &ServiceCore<'_>, engine: &Engine) -> ServiceMetrics {
-    let mut m = core.metrics_snapshot();
-    m.storage = engine.storage_stats();
-    m.objects = engine.n_objects();
-    m.tree_height = engine.tree().height();
-    m.wal_bytes = engine.wal_bytes();
-    m.health = engine.health();
-    m
 }
 
 impl EngineService {
@@ -1183,23 +1075,17 @@ impl EngineService {
     /// [`Scratch`] for its whole lifetime, so steady-state evaluations
     /// reuse warm buffers instead of allocating per request.
     pub fn spawn(engine: Arc<Engine>, config: ServiceConfig) -> EngineService {
-        let workers = resolved_workers(config.workers);
-        let core = Arc::new(ServiceCore::new(&config, workers));
-        let handles = (0..workers)
+        let core = Arc::new(ServiceCore::new(engine, &config));
+        let handles = (0..core.workers)
             .map(|i| {
                 let core = Arc::clone(&core);
-                let engine = Arc::clone(&engine);
                 std::thread::Builder::new()
                     .name(format!("mpq-worker-{i}"))
-                    .spawn(move || worker_loop(&core, &engine))
+                    .spawn(move || worker_loop(&core))
                     .expect("spawn service worker")
             })
             .collect();
-        EngineService {
-            engine,
-            core,
-            handles,
-        }
+        EngineService { core, handles }
     }
 
     /// A cheap, cloneable submission handle. Clients stay valid for the
@@ -1207,14 +1093,13 @@ impl EngineService {
     /// [`MpqError::ServiceStopped`].
     pub fn client(&self) -> ServiceClient {
         ServiceClient {
-            engine: Arc::clone(&self.engine),
             core: Arc::clone(&self.core),
         }
     }
 
     /// The served engine.
     pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+        &self.core.engine
     }
 
     /// Worker threads in the pool.
@@ -1224,7 +1109,7 @@ impl EngineService {
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        full_metrics(&self.core, &self.engine)
+        self.core.metrics()
     }
 
     /// Requests queued and not yet claimed by a worker, right now — a
@@ -1269,14 +1154,13 @@ impl Drop for EngineService {
 /// [`EngineService`].
 #[derive(Clone)]
 pub struct ServiceClient {
-    engine: Arc<Engine>,
-    core: Arc<ServiceCore<'static>>,
+    core: Arc<ServiceCore>,
 }
 
 impl std::fmt::Debug for ServiceClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceClient")
-            .field("engine", &self.engine)
+            .field("engine", &self.core.engine)
             .finish()
     }
 }
@@ -1285,7 +1169,7 @@ impl ServiceClient {
     /// The served engine — build requests against it:
     /// `client.submit(client.engine().request(&functions))`.
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        &self.core.engine
     }
 
     /// Submit a request with default [`SubmitOptions`] (no deadline,
@@ -1312,7 +1196,7 @@ impl ServiceClient {
         request: MatchRequest<'_, '_>,
         options: SubmitOptions,
     ) -> Result<Ticket, MpqError> {
-        if !request.targets(&self.engine) {
+        if !request.targets(&self.core.engine) {
             return Err(MpqError::UnsupportedRequest(
                 "request was built against a different engine than this service serves",
             ));
@@ -1320,16 +1204,13 @@ impl ServiceClient {
         request.validate()?;
         let (functions, request_options) = request.parts();
         self.core.submit(&request, options, || {
-            (
-                Cow::Owned(functions.clone()),
-                Cow::Owned(request_options.clone()),
-            )
+            (functions.clone(), request_options.clone())
         })
     }
 
     /// Snapshot the rolling [`ServiceMetrics`].
     pub fn metrics(&self) -> ServiceMetrics {
-        full_metrics(&self.core, &self.engine)
+        self.core.metrics()
     }
 
     /// Requests queued and not yet claimed by a worker, right now (see
@@ -1347,7 +1228,6 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BatchMetrics, Engine};
 
     #[test]
     fn safe_rate_guards_zero_and_degenerate_inputs() {
@@ -1357,26 +1237,6 @@ mod tests {
         let r = safe_rate(10, Duration::from_secs(2));
         assert!((r - 5.0).abs() < 1e-12);
         assert!(safe_rate(u64::MAX, Duration::from_nanos(1)).is_finite());
-    }
-
-    #[test]
-    fn batch_metrics_rate_never_inf_or_nan() {
-        // zero-duration batch (wall never measured)
-        let zero_wall = BatchMetrics {
-            requests: 7,
-            ..BatchMetrics::default()
-        };
-        assert_eq!(zero_wall.requests_per_sec(), 0.0);
-        // zero-request batch with measurable wall
-        let zero_requests = BatchMetrics {
-            wall: Duration::from_millis(5),
-            ..BatchMetrics::default()
-        };
-        assert_eq!(zero_requests.requests_per_sec(), 0.0);
-        // the degenerate empty batch
-        let empty = BatchMetrics::default();
-        let r = empty.requests_per_sec();
-        assert!(r == 0.0 && !r.is_nan());
     }
 
     #[test]
@@ -1432,37 +1292,34 @@ mod tests {
     }
 
     /// A three-object, two-dimensional engine to build requests on.
-    fn tiny_engine() -> Engine {
+    fn tiny_engine() -> Arc<Engine> {
         let mut objects = mpq_rtree::PointSet::new(2);
         for p in [[0.9_f64, 0.1], [0.1, 0.9], [0.5, 0.5]] {
             objects.push(&p);
         }
-        Engine::builder().objects(&objects).build().unwrap()
+        Arc::new(Engine::builder().objects(&objects).build().unwrap())
     }
 
-    fn uncached_core(config: ServiceConfig) -> Arc<ServiceCore<'static>> {
-        Arc::new(ServiceCore::new(&config.cache_capacity(0), 0))
+    /// A core over a fresh [`tiny_engine`], with no worker running.
+    fn core(config: ServiceConfig) -> ServiceCore {
+        ServiceCore::new(tiny_engine(), &config)
     }
 
-    /// Submit [`test_functions`] on `engine` to `core`, as a service
-    /// client does.
-    fn submit(
-        core: &ServiceCore<'static>,
-        engine: &Engine,
-        options: SubmitOptions,
-    ) -> Result<Ticket, MpqError> {
+    fn uncached_core(config: ServiceConfig) -> ServiceCore {
+        core(config.cache_capacity(0))
+    }
+
+    /// Submit [`test_functions`] to `core`, as a service client does.
+    fn submit(core: &ServiceCore, options: SubmitOptions) -> Result<Ticket, MpqError> {
         let functions = test_functions();
-        let request = engine.request(&functions);
+        let request = core.engine.request(&functions);
         core.submit(&request, options, || {
-            (
-                Cow::Owned(functions.clone()),
-                Cow::Owned(RequestOptions::default()),
-            )
+            (functions.clone(), RequestOptions::default())
         })
     }
 
     /// Pop the queue's next job and return its ticket id.
-    fn pop(core: &ServiceCore<'static>) -> u64 {
+    fn pop(core: &ServiceCore) -> u64 {
         lock(&core.state).queue.pop_first().unwrap().0 .1
     }
 
@@ -1470,14 +1327,13 @@ mod tests {
     fn a_published_entry_shares_the_jobs_key() {
         // Two identical submissions, one job: the dedupe index, the job
         // and the cache entry hold one `Arc` of the key, never a copy.
-        let engine = tiny_engine();
-        let core: ServiceCore<'static> = ServiceCore::new(&ServiceConfig::default(), 0);
-        let first = submit(&core, &engine, SubmitOptions::default()).unwrap();
-        let second = submit(&core, &engine, SubmitOptions::default()).unwrap();
+        let core = core(ServiceConfig::default());
+        let first = submit(&core, SubmitOptions::default()).unwrap();
+        let second = submit(&core, SubmitOptions::default()).unwrap();
         let job = core.next_job().expect("one queued job");
         assert_eq!(job.members.len(), 2, "the twin attached");
         let key = Arc::clone(job.key.as_ref().expect("a cached core keys its jobs"));
-        core.execute(&engine, job, &mut Scratch::new());
+        core.execute(job, &mut Scratch::new());
 
         let state = lock(&core.state);
         let cache = state.cache.as_ref().unwrap();
@@ -1489,7 +1345,7 @@ mod tests {
 
         let (a, b) = (first.wait().unwrap(), second.wait().unwrap());
         assert_eq!(a.pairs(), b.pairs());
-        let fresh = engine.request(&test_functions()).evaluate().unwrap();
+        let fresh = core.engine.request(&test_functions()).evaluate().unwrap();
         assert_eq!(a.pairs(), fresh.pairs());
     }
 
@@ -1497,11 +1353,10 @@ mod tests {
     fn queue_pops_fifo_and_priority_orders() {
         // No workers: enqueue, then drain the queue directly and observe
         // the pop order deterministically.
-        let engine = tiny_engine();
         let pops = |priorities: &[i32]| -> Vec<u64> {
             let core = uncached_core(ServiceConfig::default().queue_capacity(8));
             for &p in priorities {
-                submit(&core, &engine, SubmitOptions::default().priority(p)).unwrap();
+                submit(&core, SubmitOptions::default().priority(p)).unwrap();
             }
             priorities.iter().map(|_| pop(&core)).collect()
         };
@@ -1547,20 +1402,16 @@ mod tests {
     /// priorities still dedupe.
     #[test]
     fn higher_priority_duplicate_does_not_attach_to_a_lower_priority_job() {
-        let engine = tiny_engine();
-        let core = Arc::new(ServiceCore::new(
-            &ServiceConfig::default().queue_capacity(8),
-            0,
-        ));
-        let low = submit(&core, &engine, SubmitOptions::default().priority(0)).unwrap();
+        let core = core(ServiceConfig::default().queue_capacity(8));
+        let low = submit(&core, SubmitOptions::default().priority(0)).unwrap();
         // Identical request, higher priority: its own queue entry.
-        let high = submit(&core, &engine, SubmitOptions::default().priority(10)).unwrap();
+        let high = submit(&core, SubmitOptions::default().priority(10)).unwrap();
         assert_eq!(core.queue_depth(), 2);
         assert_eq!(lock(&core.metrics).dedupe_attaches, 0);
         // Identical request, lower priority than the (now indexed)
         // priority-10 job: attaches — it only ever pops *sooner* than
         // it paid for, never later.
-        let _attached = submit(&core, &engine, SubmitOptions::default().priority(5)).unwrap();
+        let _attached = submit(&core, SubmitOptions::default().priority(5)).unwrap();
         assert_eq!(core.queue_depth(), 2);
         assert_eq!(lock(&core.metrics).dedupe_attaches, 1);
         // The higher-priority twin pops first.
@@ -1572,24 +1423,18 @@ mod tests {
     /// dead work must not 429 live traffic.
     #[test]
     fn reject_mode_sweeps_expired_jobs_before_shedding() {
-        let engine = tiny_engine();
         let core = uncached_core(ServiceConfig::default().queue_capacity(1));
-        let dead = submit(
-            &core,
-            &engine,
-            SubmitOptions::default().deadline(Duration::ZERO),
-        )
-        .unwrap();
+        let dead = submit(&core, SubmitOptions::default().deadline(Duration::ZERO)).unwrap();
         // Queue is "full" — but only of an expired job, so this must be
         // accepted, not rejected.
-        let live = submit(&core, &engine, SubmitOptions::default())
+        let live = submit(&core, SubmitOptions::default())
             .expect("sweep must free the slot before the reject verdict");
         assert_eq!(dead.wait().unwrap_err(), MpqError::DeadlineExceeded);
         assert!(!live.is_done());
         assert_eq!(lock(&core.metrics).rejected, 0);
         // Now full of a live job: the next distinct submission is shed.
         assert_eq!(
-            submit(&core, &engine, SubmitOptions::default()).unwrap_err(),
+            submit(&core, SubmitOptions::default()).unwrap_err(),
             MpqError::Overloaded
         );
         assert_eq!(lock(&core.metrics).rejected, 1);
@@ -1601,12 +1446,11 @@ mod tests {
     /// admission-control path computing a `Retry-After` per rejection.
     #[test]
     fn queue_depth_and_in_flight_snapshots_track_the_queue() {
-        let engine = tiny_engine();
         let core = uncached_core(ServiceConfig::default().queue_capacity(8));
         assert_eq!(core.queue_depth(), 0);
         assert_eq!(core.in_flight(), 0);
         for _ in 0..3 {
-            submit(&core, &engine, SubmitOptions::default()).unwrap();
+            submit(&core, SubmitOptions::default()).unwrap();
         }
         assert_eq!(core.queue_depth(), 3);
         assert_eq!(core.in_flight(), 0);
@@ -1616,7 +1460,7 @@ mod tests {
         assert_eq!(core.in_flight(), 1);
         // Resolving it through the normal execute path clears the gauge.
         let mut scratch = Scratch::new();
-        core.execute(&engine, job, &mut scratch);
+        core.execute(job, &mut scratch);
         assert_eq!(core.queue_depth(), 2);
         assert_eq!(core.in_flight(), 0);
     }
@@ -1624,7 +1468,7 @@ mod tests {
     /// The public handles surface the same gauges.
     #[test]
     fn service_and_client_expose_queue_snapshots() {
-        let engine = Arc::new(tiny_engine());
+        let engine = tiny_engine();
         let service =
             Arc::clone(&engine).serve(ServiceConfig::default().workers(1).queue_capacity(4));
         let client = service.client();

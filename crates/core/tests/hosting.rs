@@ -1,7 +1,7 @@
 //! Hosting acceptance: every path that hosts the one engine — direct
-//! evaluation, the batch path, the service with its cache and seed —
-//! serves the reference matching bit for bit; a service evaluates only
-//! what was built against its own engine; the durability schedule of a
+//! evaluation and the service with its cache and seed — serves the
+//! reference matching bit for bit; a service evaluates only what was
+//! built against its own engine; the durability schedule of a
 //! persistent engine is pinned op for op; and an invalid inventory is
 //! refused before anything is written.
 
@@ -80,8 +80,8 @@ fn engine(objects: &PointSet) -> Engine {
     Engine::builder().objects(objects).build().unwrap()
 }
 
-/// One body, every path: direct evaluation (all three algorithms), the
-/// batch path and the service (cold, cached, seeded miss) — with
+/// One body, every path: direct evaluation (all three algorithms) and
+/// the service (cold, cached, seeded miss) — with
 /// exclusions and capacities — must produce the reference matching bit
 /// for bit, and the service's metrics report the index it serves.
 #[test]
@@ -118,11 +118,6 @@ fn the_engine_serves_the_reference_matching_on_every_path() {
     }
     let direct = capped().evaluate().unwrap();
     assert_eq!(got(&direct), want_caps, "capacities");
-
-    // The batch path.
-    let batch = hosted.evaluate_batch(&[plain(), masked()], 2).unwrap();
-    assert_eq!(got(&batch.matchings()[0]), want_plain, "batch");
-    assert_eq!(got(&batch.matchings()[1]), want_masked, "batch");
 
     // The service: cold, then cached.
     let service = EngineService::spawn(Arc::clone(&hosted), ServiceConfig::default().workers(2));

@@ -2,11 +2,11 @@
 //! clients, the way a network front-end would drive the engine.
 //!
 //! The paper's deployment (§I) is a reservation site where preference
-//! batches arrive *continuously*. Instead of pre-collecting them into
-//! synchronous `evaluate_batch` calls, this example spawns a worker pool
-//! over one shared engine and has several producer threads stream
-//! requests in — with deadlines, one cancellation, a bounded queue, and
-//! a graceful drain at the end.
+//! batches arrive *continuously*, and a service is the one way to run
+//! many of them: this example spawns a worker pool over one shared
+//! engine and has several producer threads stream requests in — with
+//! deadlines, one cancellation, a bounded queue, and a graceful drain
+//! at the end.
 //!
 //! ```text
 //! cargo run --release --example serve

@@ -97,7 +97,7 @@
 //!
 //! | before | after |
 //! |---|---|
-//! | `engine.evaluate_batch(&reqs, t)` (pre-collected batches) | `engine.serve(config)` + `client.submit(..)` per request |
+//! | `engine.evaluate_batch(&reqs, t)` (pre-collected batches; removed, with `BatchOutcome`, `BatchMetrics` and `mpq throughput`) | `engine.serve(config)` + `client.submit(..)` per request — the service is the one way to run many requests; `mpq serve` replays copies of a request through it |
 //! | rebuild the engine on inventory change | `engine.insert_object(&p)?` / `engine.remove_object(oid)?` / `engine.update_object(oid, &p)?` |
 //! | in-memory only, lost on restart | `Engine::builder().data_dir(dir)` once, `Engine::open(dir)?` after |
 //! | in-process `ServiceClient` only | `net::Server::bind(addr, registry, config)?` / `mpq serve --listen ADDR` — HTTP clients `POST /t/<tenant>/match` |
@@ -122,7 +122,7 @@
 //!
 //! ## Serving
 //!
-//! For a long-lived deployment, wrap the engine in the
+//! To run many requests, wrap the engine in the
 //! [`core::EngineService`] submission queue ([`core::Engine::serve`] is
 //! the blessed entry point): requests stream in through cloneable
 //! [`core::ServiceClient`] handles and resolve through pollable,
@@ -133,10 +133,8 @@
 //! Because evaluation is deterministic over an immutable index,
 //! identical requests are served from a bounded, inventory-versioned
 //! [`core::ResultCache`] and deduped while queued — a repeat
-//! submission costs a lookup, not an evaluation.
-//! `evaluate_batch` still exists — as a submit-all-then-wait wrapper
-//! over the same scheduling core — but new serving code should hold a
-//! service:
+//! submission costs a lookup, not an evaluation. Running many requests
+//! means holding a service:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -180,9 +178,9 @@ pub use mpq_ta as ta;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use mpq_core::{
-        Algorithm, BatchMetrics, BatchOutcome, CacheMetrics, Engine, EngineService, EvalSeed,
-        HealthState, MatchRequest, Matching, MpqError, Pair, RequestKey, ResultCache, Scratch,
-        ServiceClient, ServiceConfig, ServiceMetrics, Ticket, Variant,
+        Algorithm, CacheMetrics, Engine, EngineService, EvalSeed, HealthState, MatchRequest,
+        Matching, MpqError, Pair, RequestKey, ResultCache, Scratch, ServiceClient, ServiceConfig,
+        ServiceMetrics, Ticket, Variant,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
     pub use mpq_net::{

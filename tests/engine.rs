@@ -1,7 +1,7 @@
 //! Engine API acceptance tests: one shared index serving all three
-//! algorithms, concurrent evaluation with independent per-run metrics,
-//! inventory masking, capacities, and boundary validation (unit tests +
-//! proptests) with typed [`MpqError`]s.
+//! algorithms, scratch reuse, concurrent evaluation with independent
+//! per-run metrics, inventory masking, capacities, and boundary
+//! validation (unit tests + proptests) with typed [`MpqError`]s.
 
 use std::collections::HashSet;
 
@@ -43,6 +43,68 @@ fn one_engine_serves_all_three_algorithms() {
             0,
             "{algo} must not mutate the shared index"
         );
+    }
+}
+
+/// A small stream of distinct requests: each has its own function set.
+fn request_functions(n_requests: usize, per_request: usize, dim: usize) -> Vec<FunctionSet> {
+    (0..n_requests)
+        .map(|i| {
+            WorkloadBuilder::new()
+                .objects(1)
+                .functions(per_request)
+                .dim(dim)
+                .seed(1000 + i as u64)
+                .build()
+                .functions
+        })
+        .collect()
+}
+
+/// Byte-level identity: same pairs, same order, same score bits.
+fn assert_identical(a: &Matching, b: &Matching, ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: pair count");
+    for (x, y) in a.pairs().iter().zip(b.pairs()) {
+        assert_eq!(x.fid, y.fid, "{ctx}: fid");
+        assert_eq!(x.oid, y.oid, "{ctx}: oid");
+        assert_eq!(
+            x.score.to_bits(),
+            y.score.to_bits(),
+            "{ctx}: score must be byte-identical"
+        );
+    }
+}
+
+#[test]
+fn scratch_reuse_across_algorithms_and_requests_changes_nothing() {
+    let w = WorkloadBuilder::new()
+        .objects(800)
+        .functions(1)
+        .dim(3)
+        .distribution(Distribution::AntiCorrelated)
+        .seed(9)
+        .build();
+    let engine = Engine::builder().objects(&w.objects).build().unwrap();
+    let function_sets = request_functions(5, 20, 3);
+
+    // one scratch, hammered across every (request, algorithm) pair in
+    // sequence — results must equal fresh-scratch evaluations
+    let mut scratch = Scratch::new();
+    for fs in &function_sets {
+        for algo in [Algorithm::Sb, Algorithm::BruteForce, Algorithm::Chain] {
+            let reused = engine
+                .request(fs)
+                .algorithm(algo)
+                .evaluate_with(&mut scratch)
+                .unwrap();
+            let fresh = engine.request(fs).algorithm(algo).evaluate().unwrap();
+            assert_identical(&reused, &fresh, &format!("{algo} scratch reuse"));
+            assert_eq!(
+                sorted(reused.pairs()),
+                sorted(&reference_matching(&w.objects, fs)),
+                "{algo} must still match the reference"
+            );
+        }
     }
 }
 

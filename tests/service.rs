@@ -2,14 +2,17 @@
 //! semantics (cancellation, deadlines, shedding, ordering, graceful
 //! shutdown) and the core determinism contract — a result delivered
 //! through the service is **bit-identical** to evaluating the same
-//! request sequentially, whatever the worker count.
+//! request sequentially, whatever the worker count, and the runs of a
+//! cache-off service make the same logical reads as sequential runs.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mpq::core::{ServiceConfig, SubmitOptions};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
+use mpq::rtree::IoStats;
 use mpq::ta::FunctionSet;
 
 /// A shared inventory sized so one SB evaluation takes long enough
@@ -89,30 +92,80 @@ fn service_results_are_bit_identical_to_sequential_across_worker_counts() {
         .build();
     let engine = Arc::new(Engine::builder().objects(&w.objects).build().unwrap());
     let function_sets: Vec<FunctionSet> = (0..10).map(|i| fast_functions(900 + i)).collect();
-
-    // sequential ground truth
-    let sequential: Vec<Matching> = function_sets
+    // One more request: the first one with its unconstrained winners
+    // masked out.
+    let masked: HashSet<u64> = (engine.request(&function_sets[0]).evaluate().unwrap())
+        .pairs()
         .iter()
-        .map(|fs| engine.request(fs).evaluate().unwrap())
+        .take(3)
+        .map(|p| p.oid)
         .collect();
+    let n = function_sets.len() + 1;
+    let request = |i: usize| match function_sets.get(i) {
+        Some(fs) => engine.request(fs),
+        None => engine
+            .request(&function_sets[0])
+            .exclude(masked.iter().copied()),
+    };
+
+    // sequential ground truth and its per-run I/O sum
+    let sequential: Vec<Matching> = (0..n).map(|i| request(i).evaluate().unwrap()).collect();
+    let mut seq_io = IoStats::default();
+    for m in &sequential {
+        seq_io += m.metrics().io;
+    }
+    for p in sequential[n - 1].pairs() {
+        assert!(!masked.contains(&p.oid), "masked object {} assigned", p.oid);
+    }
 
     for workers in [1usize, 2, 8] {
-        let service = engine
-            .clone()
-            .serve(ServiceConfig::default().workers(workers).queue_capacity(32));
-        let client = service.client();
-        let tickets: Vec<_> = function_sets
-            .iter()
-            .map(|fs| client.submit(client.engine().request(fs)).unwrap())
-            .collect();
-        for (i, (ticket, seq)) in tickets.into_iter().zip(&sequential).enumerate() {
-            let served = ticket.wait().unwrap();
-            assert_identical(&served, seq, &format!("workers={workers} req={i}"));
+        // The default cache, and none: every request then pays its own
+        // cold run, so its metrics are comparable with the sequential
+        // run's.
+        for cache in [ServiceConfig::default().cache_capacity, 0] {
+            let config = ServiceConfig::default()
+                .workers(workers)
+                .queue_capacity(32)
+                .cache_capacity(cache);
+            let service = engine.clone().serve(config);
+            let client = service.client();
+            let tickets: Vec<_> = (0..n).map(|i| client.submit(request(i)).unwrap()).collect();
+            let mut served_io = IoStats::default();
+            for (i, (ticket, seq)) in tickets.into_iter().zip(&sequential).enumerate() {
+                let served = ticket.wait().unwrap();
+                let ctx = format!("workers={workers} cache={cache} req={i}");
+                assert_identical(&served, seq, &ctx);
+                served_io += served.metrics().io;
+            }
+            if cache == 0 {
+                // Logical node requests are deterministic per run —
+                // sharing the tree cannot change *what* a run reads,
+                // only whether a read hits the buffer.
+                assert_eq!(
+                    served_io.logical, seq_io.logical,
+                    "workers={workers}: summed logical I/O must equal sequential"
+                );
+                // Physical counts depend on buffer warmth under
+                // concurrent interleaving; they must stay within the
+                // sane envelope: never more than the logical request
+                // count, and not wildly off the sequential cost.
+                assert!(
+                    served_io.physical_reads <= served_io.logical,
+                    "workers={workers}: reads cannot exceed requests"
+                );
+                assert!(
+                    served_io.physical_reads <= seq_io.physical_reads * 3 + 100,
+                    "workers={workers}: physical reads {} vs sequential {} exceed \
+                     buffer-warmth tolerance",
+                    served_io.physical_reads,
+                    seq_io.physical_reads
+                );
+            }
+            let metrics = service.metrics();
+            assert_eq!(metrics.completed, n as u64);
+            assert_eq!(metrics.workers, workers);
+            service.shutdown();
         }
-        let metrics = service.metrics();
-        assert_eq!(metrics.completed, function_sets.len() as u64);
-        assert_eq!(metrics.workers, workers);
-        service.shutdown();
     }
 }
 
@@ -355,20 +408,6 @@ fn submissions_against_a_foreign_engine_are_refused() {
     let err = client.submit(other.request(&fast)).unwrap_err();
     assert!(matches!(err, MpqError::UnsupportedRequest(_)));
     service.shutdown();
-}
-
-#[test]
-fn evaluate_batch_refuses_foreign_requests() {
-    // The batch path shares the service's guard: a request built on a
-    // different engine must be refused up front, never silently
-    // evaluated against this engine's inventory.
-    let engine = slow_engine();
-    let other = slow_engine();
-    let fast = fast_functions(9);
-    let err = engine
-        .evaluate_batch(&[engine.request(&fast), other.request(&fast)], 2)
-        .unwrap_err();
-    assert!(matches!(err, MpqError::UnsupportedRequest(_)));
 }
 
 #[test]
