@@ -17,12 +17,17 @@
 //! service's queue and tickets, so the speedups of SB, Brute Force and
 //! Chain compare the algorithms alone.
 //!
-//! Each cell repeats its batch, from a cold buffer every time, until it
-//! has run [`MIN_REPEATS`] times and for the size's `min_cell_secs` in
-//! all, and reports the median repeat: a single pass of the full size
-//! lasted 0.05–0.2 s, and SB at 8 threads read 769–977 req/s across
-//! runs of one binary. Every repeat is checked against the sequential
-//! matchings, so `identical_to_sequential` holds for all of them.
+//! An algorithm's cells are timed in alternating rounds: each round runs
+//! the sequential loop, then the pool at every thread count, each pass
+//! from a cold buffer. Rounds go on until there are [`MIN_REPEATS`] and
+//! every cell has run for the size's `min_cell_secs` in all. A cell
+//! reports its median pass, and its speedup is the median over rounds
+//! of the sequential pass's wall over its own in the same round, so
+//! drift of the machine during the run lands on both sides of a ratio
+//! rather than between two cells (a t = 1 cell does the sequential
+//! loop's work on one worker, so it should read about 1×). Every pass
+//! is checked against the first sequential pass, so
+//! `identical_to_sequential` holds for all of them.
 //!
 //! Speedup is machine-dependent: the `host.cores` field records how many
 //! cores the measurement actually had. The acceptance target (≥ 2× at
@@ -148,18 +153,12 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
             .map(|fs| engine.request(fs).algorithm(algo))
             .collect();
 
-        // sequential baseline: one request after another
-        let (sequential, seq_wall, repeats) = timed_cell(&engine, cfg, algo, None, || {
-            let start = Instant::now();
-            let matchings = variants
-                .iter()
-                .map(|v| v.evaluate().expect("valid request"))
-                .collect();
-            (matchings, start.elapsed().as_secs_f64())
-        });
+        let walls = timed_rounds(&engine, cfg, algo, &variants);
+        let rounds = walls[0].len();
+        let seq_wall = median(walls[0].clone());
         let seq_rps = cfg.requests as f64 / seq_wall;
         println!(
-            "  {:<12} sequential: {:>8.2} req/s ({:.3}s, median of {repeats})",
+            "  {:<12} sequential: {:>8.2} req/s ({:.3}s, median of {rounds} rounds)",
             algo.name(),
             seq_rps,
             seq_wall
@@ -175,14 +174,13 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
             true,
         ));
 
-        for &threads in cfg.threads {
-            let (_, wall, repeats) = timed_cell(&engine, cfg, algo, Some(&sequential), || {
-                pool(&variants, threads)
-            });
+        for (&threads, cell_walls) in cfg.threads.iter().zip(&walls[1..]) {
+            let wall = median(cell_walls.clone());
             let rps = cfg.requests as f64 / wall;
-            let speedup = if seq_rps > 0.0 { rps / seq_rps } else { 0.0 };
+            let ratios = walls[0].iter().zip(cell_walls).map(|(seq, par)| seq / par);
+            let speedup = median(ratios.collect());
             println!(
-                "  {:<12} t={:<2}      : {:>8.2} req/s  speedup {:>5.2}x  identical=true (median of {repeats})",
+                "  {:<12} t={:<2}      : {:>8.2} req/s  speedup {:>5.2}x  identical=true (median of {rounds} rounds)",
                 algo.name(),
                 threads,
                 rps,
@@ -232,41 +230,63 @@ fn run(quick: bool, cores: usize) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Time one cell: run it from a cold buffer until it has run
-/// [`MIN_REPEATS`] times and for `cfg.min_cell_secs` in all. Every
-/// repeat's matchings must be identical to `reference`, or with none
-/// given to the first repeat's; a mismatch aborts the run. Returns the
-/// first repeat's matchings, the median repeat's wall seconds and the
-/// number of repeats.
-fn timed_cell(
+/// Time one algorithm's cells in alternating rounds — the sequential
+/// loop, then [`pool`] at each of `cfg.threads`, every pass from a cold
+/// buffer — until there are [`MIN_REPEATS`] rounds and every cell has
+/// run for `cfg.min_cell_secs` in all. Every pass's matchings must be
+/// identical to the first sequential pass's; a mismatch aborts the run.
+/// Returns each cell's wall seconds, one per round, the sequential cell
+/// first.
+fn timed_rounds(
     engine: &Engine,
     cfg: &Size,
     algo: Algorithm,
-    reference: Option<&[Matching]>,
-    mut run: impl FnMut() -> (Vec<Matching>, f64),
-) -> (Vec<Matching>, f64, usize) {
-    let mut first: Option<Vec<Matching>> = None;
-    let mut walls = Vec::new();
-    while walls.len() < MIN_REPEATS || walls.iter().sum::<f64>() < cfg.min_cell_secs {
-        engine.tree().clear_buffer();
-        let (matchings, wall) = run();
-        let expected = reference.or(first.as_deref()).unwrap_or(&matchings);
-        let identical = matchings.len() == expected.len()
-            && matchings
-                .iter()
-                .zip(expected)
-                .all(|(a, b)| identical_matchings(a, b));
-        assert!(
-            identical,
-            "{algo}: repeat {} diverged from sequential — this is a bug",
-            walls.len()
-        );
-        first.get_or_insert(matchings);
-        walls.push(wall);
+    variants: &[Variant<'_, '_>],
+) -> Vec<Vec<f64>> {
+    let mut walls = vec![Vec::new(); 1 + cfg.threads.len()];
+    let mut reference: Option<Vec<Matching>> = None;
+    while walls[0].len() < MIN_REPEATS
+        || walls
+            .iter()
+            .any(|w| w.iter().sum::<f64>() < cfg.min_cell_secs)
+    {
+        for (cell, cell_walls) in walls.iter_mut().enumerate() {
+            engine.tree().clear_buffer();
+            let (matchings, wall) = match cell {
+                0 => sequential(variants),
+                _ => pool(variants, cfg.threads[cell - 1]),
+            };
+            let identical = reference.as_deref().is_none_or(|expected| {
+                matchings.len() == expected.len()
+                    && (matchings.iter().zip(expected)).all(|(a, b)| identical_matchings(a, b))
+            });
+            assert!(
+                identical,
+                "{algo}: round {} diverged from sequential — this is a bug",
+                cell_walls.len()
+            );
+            reference.get_or_insert(matchings);
+            cell_walls.push(wall);
+        }
     }
-    walls.sort_by(f64::total_cmp);
-    let median = walls[walls.len() / 2];
-    (first.expect("at least one repeat"), median, walls.len())
+    walls
+}
+
+/// The median of `values`, which must not be empty.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// The sequential cell: one request after another on the calling
+/// thread. Returns the matchings in input order and the wall time in
+/// seconds.
+fn sequential(variants: &[Variant<'_, '_>]) -> (Vec<Matching>, f64) {
+    let start = Instant::now();
+    let matchings = (variants.iter())
+        .map(|v| v.evaluate().expect("valid request"))
+        .collect();
+    (matchings, start.elapsed().as_secs_f64())
 }
 
 /// A parallel cell of any algorithm: `threads` scoped workers, one

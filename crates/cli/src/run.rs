@@ -3,34 +3,31 @@
 //!
 //! ```text
 //! mpq match --objects rooms.csv --functions users.csv [--algo sb|bf|chain]
-//!           [--output out.csv] [--no-normalize-check]
+//!           [--output out.csv]
 //! mpq generate --distribution independent|correlated|anti-correlated|zillow
 //!              --objects N --dim D [--seed S]   # emits an objects CSV
-//! mpq serve --objects rooms.csv --functions users.csv
-//!           [--requests R] [--workers N]
-//!           [--queue-cap M] [--cache N] [--data-dir DIR]
-//!           # replay R copies through the EngineService submission
-//!           # queue and report ServiceMetrics (repeat-heavy: the
-//!           # replay exercises the result cache; --cache 0 disables).
-//!           # A full queue sheds a copy; the report counts them.
-//!           # With --data-dir the engine is disk-backed: a directory
-//!           # already holding a persisted engine is reopened (no
-//!           # --objects needed), an empty one is populated from the CSV.
-//!           # One layout is read: pages.mpq + wal.mpq. A directory in
-//!           # an older form — K shards under a shards.mpq manifest, or a
-//!           # page file checkpointed without the id bound — is refused
-//!           # untouched; `mpq compact` at commit cd313ab converts it
 //! mpq serve --listen ADDR [--tenant NAME=objects.csv[,KEY=VALUE...]]...
-//!           # HTTP mode: host one or more tenants behind a std-only
-//!           # HTTP/1.1 listener (see the `mpq_net` crate). Without
-//!           # --tenant, --objects [--data-dir DIR] forms a single
-//!           # tenant named "default". Stop with Ctrl-C (the process
-//!           # exits; persisted tenants reopen cleanly from their WAL)
+//!           # host one or more tenants behind a std-only HTTP/1.1
+//!           # listener (see the `mpq_net` crate). Without --tenant,
+//!           # --objects [--data-dir DIR] [--workers N] [--queue-cap M]
+//!           # forms a single tenant named "default". With a data dir
+//!           # the engine is disk-backed: a directory already holding a
+//!           # persisted engine is reopened (no --objects needed), an
+//!           # empty one is populated from the CSV. One layout is read:
+//!           # pages.mpq + wal.mpq. A directory in an older form — K
+//!           # shards under a shards.mpq manifest, or a page file
+//!           # checkpointed without the id bound — is refused untouched;
+//!           # `mpq compact` at commit cd313ab converts it. Stop with
+//!           # Ctrl-C (the process exits; persisted tenants reopen
+//!           # cleanly from their WAL)
 //! mpq compact --data-dir DIR
 //!           # checkpoint a persisted engine: fold the WAL into the page
 //!           # file so the next open replays nothing (an older layout
 //!           # is refused, as by serve)
 //! ```
+//!
+//! A command reads only the flags shown for it, each followed by its
+//! value; any other argument is a usage error that names it.
 //!
 //! Object attribute values are expected in `[0, 1]` larger-is-better
 //! space (use `mpq generate` for synthetic inputs, or normalize your
@@ -38,9 +35,8 @@
 //! recipe). Function rows are weights; they are normalized to sum to 1.
 
 use std::fs;
-use std::sync::Arc;
 
-use mpq_core::{Algorithm, Engine, EngineService, MpqError, ServiceConfig};
+use mpq_core::{Algorithm, Engine, MpqError};
 use mpq_datagen::Distribution;
 use mpq_rtree::PointSet;
 use mpq_ta::FunctionSet;
@@ -92,26 +88,17 @@ const USAGE: &str = "usage:
             [--algo sb|bf|chain] [--output <file>]
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
-  mpq serve --objects <objects.csv> --functions <functions.csv>
-            [--requests <R>] [--workers <N>]
-            [--queue-cap <M>] [--cache <N>] [--data-dir <dir>]
-            # replay R copies of the request through the EngineService
-            # worker pool and report ServiceMetrics (a full queue sheds
-            # a copy, and the report counts it); --cache N bounds the
-            # result cache to N entries (0 disables caching + dedupe);
-            # --data-dir persists the engine (or reopens one already
-            # persisted there, in which case --objects is not needed);
-            # a directory in an older layout (K shards under shards.mpq,
-            # or a checkpoint without the id bound) is refused untouched:
-            # run `mpq compact` at commit cd313ab on it first
   mpq serve --listen <addr> [--tenant NAME=objects.csv[,KEY=VALUE]...]...
-            # HTTP mode: serve match requests over a real socket.
+            # serve match requests over a real socket.
             # Tenant spec keys: data-dir=DIR (persist/reopen; an empty
             # objects.csv part reopens an existing store), workers=N,
-            # queue-cap=M, cache=N. Without --tenant, --objects
-            # [--data-dir DIR] hosts a single tenant named
-            # 'default'. Routes: POST /t/NAME/match, GET /t/NAME/metrics,
-            # GET /metrics, GET /healthz
+            # queue-cap=M, cache=N. Without --tenant, --objects <csv>
+            # [--data-dir <dir>] [--workers <N>] [--queue-cap <M>] hosts
+            # a single tenant named 'default'. A directory in an older
+            # layout (K shards under shards.mpq, or a checkpoint without
+            # the id bound) is refused untouched: run `mpq compact` at
+            # commit cd313ab on it first. Routes: POST /t/NAME/match,
+            # GET /t/NAME/metrics, GET /metrics, GET /healthz
   mpq compact --data-dir <dir>
             # checkpoint a persisted engine: fold the WAL into the page
             # file so the next open replays nothing. A store in an
@@ -124,6 +111,19 @@ fn arg_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
+}
+
+/// Refuse any argument `command` does not read: `args` must be flags
+/// among `reads`, each followed by its value, so a misspelled flag or
+/// one the command ignores is named rather than silently dropped.
+fn reads_only(command: &str, args: &[String], reads: &[&str]) -> Result<(), CliError> {
+    let mut flags = args.iter().step_by(2);
+    match flags.find(|a| !reads.contains(&a.as_str())) {
+        Some(arg) => Err(CliError::usage(format!(
+            "mpq {command} does not read '{arg}'\n{USAGE}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// The value of a flag the command cannot do without.
@@ -207,6 +207,14 @@ fn read_functions(path: &str, dim: usize) -> Result<(FunctionSet, Vec<String>), 
 }
 
 fn cmd_match(args: &[String]) -> Result<String, CliError> {
+    let reads = [
+        "--objects",
+        "--functions",
+        "--algo",
+        "--algorithm",
+        "--output",
+    ];
+    reads_only("match", args, &reads)?;
     let objects_path = required(args, "--objects")?;
     let functions_path = required(args, "--functions")?;
     let algorithm = parse_algorithm(args)?;
@@ -253,97 +261,6 @@ fn cmd_match(args: &[String]) -> Result<String, CliError> {
 /// Engine-boundary validation errors become runtime CLI failures.
 fn cli_from_mpq(e: MpqError) -> CliError {
     CliError::runtime(e.to_string())
-}
-
-/// Async-serving demo: load one `(objects, functions)` pair, spawn an
-/// [`EngineService`] worker pool over the shared engine, replay `R`
-/// copies of the request through the submission queue, wait for all
-/// tickets, and print the rolling [`ServiceMetrics`]. Every served
-/// result is verified bit-identical to a sequential evaluation before
-/// anything is reported.
-fn cmd_serve(args: &[String]) -> Result<String, CliError> {
-    require_sb(args)?;
-    if arg_value(args, "--listen").is_some() {
-        return cmd_serve_listen(args);
-    }
-    let requests: usize = int_flag(args, "--requests", 32)?;
-    let mut config = ServiceConfig::default();
-    config.workers = int_flag(args, "--workers", config.workers)?; // 0 = one worker per core
-    config.queue_capacity = int_flag(args, "--queue-cap", config.queue_capacity)?;
-    config.cache_capacity = int_flag(args, "--cache", config.cache_capacity)?; // entries; 0 disables
-    let data_dir = arg_value(args, "--data-dir").map(std::path::PathBuf::from);
-
-    // A directory already holding a persisted inventory is reopened —
-    // page file plus WAL replay — so mutations from earlier runs are
-    // visible; otherwise build from the objects CSV (persisting to
-    // `--data-dir` when given).
-    let reopened = data_dir.as_deref().is_some_and(Engine::persisted_at);
-    let objects = if reopened {
-        None
-    } else {
-        Some(read_objects(required(args, "--objects")?)?.0)
-    };
-    let mut builder = Engine::builder();
-    if let Some(objects) = &objects {
-        builder = builder.objects(objects);
-    }
-    let storage = match &data_dir {
-        Some(dir) => {
-            builder = builder.data_dir(dir);
-            let verb = if reopened {
-                "opened from"
-            } else {
-                "persisted to"
-            };
-            format!(", {verb} {}", dir.display())
-        }
-        None => String::new(),
-    };
-    let engine = builder.open_or_build().map_err(cli_from_mpq)?;
-    let (functions, _) = read_functions(required(args, "--functions")?, engine.dim())?;
-    let expected = engine
-        .request(&functions)
-        .evaluate()
-        .map_err(cli_from_mpq)?
-        .sorted_pairs();
-
-    let queue_cap = config.queue_capacity;
-    let service = EngineService::spawn(Arc::clone(&engine), config);
-    let client = service.client();
-    let mut tickets = Vec::with_capacity(requests);
-    let mut rejected = 0usize;
-    for _ in 0..requests {
-        match client.submit(engine.request(&functions)) {
-            Ok(t) => tickets.push(t),
-            Err(MpqError::Overloaded) => rejected += 1,
-            Err(e) => return Err(cli_from_mpq(e)),
-        }
-    }
-    // Every served matching equals a direct `evaluate()` on the engine.
-    for ticket in tickets {
-        let served = ticket.wait().map_err(cli_from_mpq)?;
-        if served.sorted_pairs() != expected {
-            return Err(CliError::runtime(
-                "served result diverged from direct evaluation".to_string(),
-            ));
-        }
-    }
-    // Snapshot after the drain: the joined workers have retired every
-    // job, so the queue/in-flight gauges are deterministically zero.
-    service.shutdown();
-    let metrics = client.metrics();
-
-    Ok(format!(
-        "SB x{requests} requests over {} objects via EngineService \
-         (queue cap {queue_cap}{}{storage})\n{metrics}\n\
-         all served matchings identical to sequential\n",
-        engine.n_objects(),
-        if rejected > 0 {
-            format!(", {rejected} rejected")
-        } else {
-            String::new()
-        },
-    ))
 }
 
 /// One `--tenant NAME=objects.csv[,KEY=VALUE...]` specification.
@@ -412,20 +329,20 @@ fn parse_tenant_spec(spec: &str) -> Result<TenantSpec, CliError> {
 /// process, and persisted tenants recover from their WAL on reopen).
 pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
     let listen = required(args, "--listen")?;
-
+    require_sb(args)?;
     let mut specs = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tenant" {
-            let spec = args
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage("--tenant needs a value"))?;
-            specs.push(parse_tenant_spec(spec)?);
-            i += 2;
-        } else {
-            i += 1;
-        }
+    for pair in args.chunks(2).filter(|pair| pair[0] == "--tenant") {
+        let spec = pair
+            .get(1)
+            .ok_or_else(|| CliError::usage("--tenant needs a value"))?;
+        specs.push(parse_tenant_spec(spec)?);
     }
+    // The single-tenant shorthand's flags are read only without --tenant.
+    let mut reads = vec!["--listen", "--algo", "--algorithm", "--tenant"];
+    if specs.is_empty() {
+        reads.extend(["--objects", "--data-dir", "--workers", "--queue-cap"]);
+    }
+    reads_only("serve", args, &reads)?;
     if specs.is_empty() {
         // Single-tenant shorthand: --objects [--data-dir DIR].
         let objects_csv = arg_value(args, "--objects").map(str::to_string);
@@ -469,8 +386,8 @@ pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
 /// `mpq serve --listen`: start the server and block until the process
 /// is killed. The bound address goes to stderr immediately (stdout is
 /// reserved for command output), so scripts can scrape it even with
-/// `--listen 127.0.0.1:0`.
-fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
+/// `--listen 127.0.0.1:0`. Without `--listen` it is a usage error.
+fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let server = start_server(args)?;
     let tenants: Vec<String> = server
         .registry()
@@ -495,6 +412,7 @@ fn cmd_serve_listen(args: &[String]) -> Result<String, CliError> {
 /// next `serve --data-dir` opens instantly, replaying nothing. A
 /// directory in a layout the open refuses is reported as refused.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
+    reads_only("compact", args, &["--data-dir"])?;
     let dir = required(args, "--data-dir")?;
     let engine = Engine::open(dir).map_err(|e| match e {
         MpqError::Io(_) if !Engine::persisted_at(dir) => CliError::runtime(format!(
@@ -513,6 +431,8 @@ fn cmd_compact(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<String, CliError> {
+    let reads = ["--distribution", "--objects", "--dim", "--seed"];
+    reads_only("generate", args, &reads)?;
     let dist = match arg_value(args, "--distribution").unwrap_or("independent") {
         "independent" => Distribution::Independent,
         "correlated" => Distribution::Correlated,
@@ -548,7 +468,7 @@ mod tests {
     fn help_and_unknown_commands() {
         assert_eq!(run_cli(&[]).unwrap_err().code, 2);
         assert_eq!(run_cli(&args(&["bogus"])).unwrap_err().code, 2);
-        // Many requests run through `serve`; there is no batch command.
+        // Many requests run through the service; there is no batch command.
         let err = run_cli(&args(&["throughput"])).unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("unknown command 'throughput'"));
@@ -655,170 +575,52 @@ mod tests {
     fn serving_commands_refuse_a_non_sb_algorithm() {
         let err = run_cli(&args(&[
             "serve",
+            "--listen",
+            "127.0.0.1:0",
             "--objects",
             "x.csv",
-            "--functions",
-            "y.csv",
             "--algo",
             "bf",
         ]))
         .unwrap_err();
         assert_eq!(err.code, 2);
+        assert!(err.message.contains("SB alone"), "{}", err.message);
         assert!(err.message.contains("mpq match"), "{}", err.message);
     }
 
     #[test]
-    fn serve_replays_workload_through_the_service() {
-        let dir = std::env::temp_dir().join("mpq_cli_serve");
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "independent",
-            "--objects",
-            "400",
-            "--dim",
-            "2",
-            "--seed",
-            "17",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        fs::write(&fpath, "w0,w1\n0.7,0.3\n0.4,0.6\n0.5,0.5\n").unwrap();
-
-        let out = run_cli(&args(&[
-            "serve",
-            "--objects",
-            opath.to_str().unwrap(),
-            "--functions",
-            fpath.to_str().unwrap(),
-            "--requests",
-            "8",
-            "--workers",
-            "2",
-            "--queue-cap",
-            "4",
-        ]))
-        .unwrap();
-        assert!(out.contains("via EngineService"), "{out}");
-        assert!(out.contains("workers 2"), "{out}");
-        assert!(out.contains("submitted 8"), "{out}");
-        assert!(out.contains("completed 8"), "{out}");
-        assert!(out.contains("latency p50"), "{out}");
-        // The replay is 8 copies of one request: with the default cache
-        // on, all but the first are hits or in-flight attaches.
-        assert!(out.contains("cache hits"), "{out}");
-        assert!(
-            out.contains("all served matchings identical to sequential"),
-            "{out}"
-        );
+    fn serve_without_listen_is_a_usage_error() {
+        let argv = ["serve", "--objects", "o.csv", "--functions", "f.csv"];
+        let err = run_cli(&args(&argv)).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("--listen"), "{}", err.message);
     }
 
     #[test]
-    fn serve_cache_flag_disables_caching() {
-        let dir = std::env::temp_dir().join("mpq_cli_serve_nocache");
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "independent",
-            "--objects",
-            "300",
-            "--dim",
-            "2",
-            "--seed",
-            "19",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        fs::write(&fpath, "w0,w1\n0.7,0.3\n0.4,0.6\n").unwrap();
-
-        let out = run_cli(&args(&[
-            "serve",
-            "--objects",
-            opath.to_str().unwrap(),
-            "--functions",
-            fpath.to_str().unwrap(),
-            "--requests",
-            "4",
-            "--workers",
-            "1",
-            "--cache",
-            "0",
-        ]))
-        .unwrap();
-        assert!(out.contains("cache disabled"), "{out}");
-        assert!(out.contains("completed 4"), "{out}");
-        assert!(
-            out.contains("all served matchings identical to sequential"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn serve_reject_mode_sheds_load_but_still_reports() {
-        let dir = std::env::temp_dir().join("mpq_cli_serve_reject");
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "anti-correlated",
-            "--objects",
-            "2000",
-            "--dim",
-            "3",
-            "--seed",
-            "23",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        let mut fcsv = String::from("w0,w1,w2\n");
-        for i in 0..40 {
-            fcsv.push_str(&format!("0.{:02},0.{:02},0.20\n", 20 + i, 60 - i));
+    fn a_flag_the_command_does_not_read_is_refused() {
+        for (argv, named) in [
+            (
+                &["match", "--objets", "o.csv", "--functions", "f.csv"][..],
+                "--objets",
+            ),
+            (&["match", "--objects", "o.csv", "stray"], "stray"),
+            (
+                &["generate", "--objects", "5", "--output", "x.csv"],
+                "--output",
+            ),
+            (
+                &["compact", "--data-dir", "d", "--objects", "o.csv"],
+                "--objects",
+            ),
+        ] {
+            let err = run_cli(&args(argv)).unwrap_err();
+            assert_eq!(err.code, 2, "{argv:?}");
+            assert!(
+                err.message.contains(&format!("does not read '{named}'")),
+                "{argv:?}: {}",
+                err.message
+            );
         }
-        fs::write(&fpath, &fcsv).unwrap();
-
-        // 1 worker + tiny queue + a burst: the service sheds what does
-        // not fit, and the report stays truthful about it. Caching is
-        // off — the replayed requests are identical, and the default
-        // cache would (correctly) dedupe them instead of shedding.
-        let out = run_cli(&args(&[
-            "serve",
-            "--objects",
-            opath.to_str().unwrap(),
-            "--functions",
-            fpath.to_str().unwrap(),
-            "--requests",
-            "16",
-            "--workers",
-            "1",
-            "--queue-cap",
-            "1",
-            "--cache",
-            "0",
-        ]))
-        .unwrap();
-        // The metrics line counts the shed copies, the header repeats
-        // the count, and every copy was either served or shed.
-        let counter = |name: &str| -> u64 {
-            let at = out.find(&format!("{name} ")).expect(name) + name.len() + 1;
-            let digits: String = out[at..].chars().take_while(char::is_ascii_digit).collect();
-            digits.parse().unwrap()
-        };
-        let (completed, rejected) = (counter("completed"), counter("rejected"));
-        assert!(rejected >= 1, "a 16-copy burst into one slot sheds: {out}");
-        assert_eq!(completed + rejected, 16, "{out}");
-        assert!(out.contains(&format!(", {rejected} rejected)")), "{out}");
-        assert!(
-            out.contains("all served matchings identical to sequential"),
-            "{out}"
-        );
     }
 
     #[test]
@@ -857,74 +659,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.message.contains("outside [0,1]"), "{}", err.message);
-    }
-
-    #[test]
-    fn serve_with_data_dir_persists_across_invocations() {
-        let dir = std::env::temp_dir().join("mpq_cli_persist");
-        let store = dir.join("store");
-        let _ = fs::remove_dir_all(&store);
-        fs::create_dir_all(&dir).unwrap();
-        let objects_csv = run_cli(&args(&[
-            "generate",
-            "--distribution",
-            "independent",
-            "--objects",
-            "100",
-            "--dim",
-            "2",
-            "--seed",
-            "7",
-        ]))
-        .unwrap();
-        let opath = dir.join("objects.csv");
-        fs::write(&opath, &objects_csv).unwrap();
-        let fpath = dir.join("functions.csv");
-        fs::write(&fpath, "w0,w1\n0.8,0.2\n0.2,0.8\n").unwrap();
-
-        // First run builds the engine from the CSV and persists it.
-        let first = run_cli(&args(&[
-            "serve",
-            "--objects",
-            opath.to_str().unwrap(),
-            "--functions",
-            fpath.to_str().unwrap(),
-            "--data-dir",
-            store.to_str().unwrap(),
-            "--requests",
-            "4",
-            "--workers",
-            "1",
-        ]))
-        .unwrap();
-        assert!(first.contains("over 100 objects"), "{first}");
-        assert!(first.contains("persisted to"), "{first}");
-
-        // Mutate the persisted engine out of band: the WAL carries it.
-        let engine = Engine::open(&store).unwrap();
-        engine.insert_object(&[0.99, 0.99]).unwrap();
-        drop(engine);
-
-        // Second run reopens from disk — no --objects — and sees the
-        // mutated inventory.
-        let second = run_cli(&args(&[
-            "serve",
-            "--functions",
-            fpath.to_str().unwrap(),
-            "--data-dir",
-            store.to_str().unwrap(),
-            "--requests",
-            "4",
-            "--workers",
-            "1",
-        ]))
-        .unwrap();
-        assert!(second.contains("opened from"), "{second}");
-        assert!(second.contains("over 101 objects"), "{second}");
-        assert!(
-            second.contains("all served matchings identical"),
-            "{second}"
-        );
     }
 
     #[test]

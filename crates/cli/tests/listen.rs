@@ -119,6 +119,68 @@ fn multi_tenant_specs_route_independently_and_persist() {
     server.shutdown();
 }
 
+/// A persisted single tenant outlives its server: restarted with its
+/// data dir alone, it holds what was written to the store meanwhile and
+/// serves the matching a direct evaluation gives.
+#[test]
+fn serve_with_data_dir_persists_across_restarts() {
+    let dir = tmp_dir("persist");
+    let objects = run_cli(&args(&[
+        "generate",
+        "--objects",
+        "100",
+        "--dim",
+        "2",
+        "--seed",
+        "7",
+    ]))
+    .unwrap();
+    let objects_csv = dir.join("objects.csv");
+    fs::write(&objects_csv, objects).unwrap();
+    let store = dir.join("store");
+    let store_str = store.to_str().unwrap();
+
+    // The first server builds the tenant from the CSV and persists it.
+    drop(
+        start_server(&args(&[
+            "--listen",
+            "127.0.0.1:0",
+            "--objects",
+            objects_csv.to_str().unwrap(),
+            "--data-dir",
+            store_str,
+        ]))
+        .unwrap(),
+    );
+
+    // Mutate the store out of band: the WAL carries the insert.
+    let engine = mpq_core::Engine::open(&store).unwrap();
+    engine.insert_object(&[0.99, 0.99]).unwrap();
+    drop(engine);
+
+    // The second reopens it from disk, with no --objects.
+    let server =
+        start_server(&args(&["--listen", "127.0.0.1:0", "--data-dir", store_str])).unwrap();
+    let tenants: Vec<_> = server.registry().iter().collect();
+    assert_eq!(tenants.len(), 1);
+    let engine = tenants[0].engine();
+    assert_eq!(engine.n_objects(), 101);
+
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let resp = client.post_json("/match", BODY).unwrap();
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
+    let served = mpq_net::decode_pairs(&resp.body).unwrap();
+    let functions = mpq_ta::FunctionSet::from_rows(2, &[vec![0.7, 0.3], vec![0.4, 0.6]]);
+    let direct = engine.request(&functions).evaluate().unwrap();
+    let key = |p: &mpq_core::Pair| (p.fid, p.oid, p.score.to_bits());
+    let mut served: Vec<_> = served.iter().map(key).collect();
+    let mut direct: Vec<_> = direct.pairs().iter().map(key).collect();
+    served.sort_unstable();
+    direct.sort_unstable();
+    assert_eq!(served, direct);
+    server.shutdown();
+}
+
 #[test]
 fn dropping_the_server_closes_the_listener() {
     let dir = tmp_dir("drop");
@@ -172,6 +234,21 @@ fn listen_mode_usage_errors() {
     ] {
         let err = start_server(&args(&["--listen", "127.0.0.1:0", "--tenant", bad])).unwrap_err();
         assert_eq!(err.code, 2, "spec {bad:?} should be a usage error");
+    }
+
+    // A flag serve does not read is named, not ignored: the shorthand
+    // has no cache flag (a tenant spec's `cache=N` sets it) and no
+    // request count, and with --tenant its flags are not read at all.
+    for (extra, named) in [
+        (&["--objects", "o.csv", "--cache", "0"][..], "--cache"),
+        (&["--objects", "o.csv", "--requests", "8"], "--requests"),
+        (&["--tenant", "n=o.csv", "--workers", "2"], "--workers"),
+    ] {
+        let argv = [&["--listen", "127.0.0.1:0"][..], extra].concat();
+        let err = start_server(&args(&argv)).unwrap_err();
+        assert_eq!(err.code, 2, "{argv:?}");
+        let message = format!("does not read '{named}'");
+        assert!(err.message.contains(&message), "{argv:?}: {}", err.message);
     }
 
     // A tenant whose CSV does not exist is a runtime error.

@@ -159,9 +159,7 @@ pub use reference::{reference_matching, reference_matching_excluding};
 pub use sb::SbStream;
 pub use scratch::Scratch;
 pub use seed::EvalSeed;
-pub use service::{
-    EngineService, ServiceClient, ServiceConfig, ServiceMetrics, SubmitOptions, Ticket,
-};
+pub use service::{EngineService, ServiceClient, ServiceConfig, ServiceMetrics, Ticket};
 pub use verify::{verify_stable, verify_weakly_stable};
 pub use wal::{Wal, WalRecord};
 

@@ -25,7 +25,7 @@
 //!   zero external dependencies) that can be blocked on ([`Ticket::wait`],
 //!   [`Ticket::wait_timeout`]), polled ([`Ticket::try_take`]) and
 //!   cancelled ([`Ticket::cancel`]);
-//! * per-request **deadlines** ([`SubmitOptions::deadline`]) expire
+//! * per-request **deadlines** ([`ServiceClient::submit_with`]) expire
 //!   queued work with a typed [`MpqError::DeadlineExceeded`] instead of
 //!   wasting a worker on an answer nobody is waiting for — and expiry is
 //!   **eager**: expired jobs are swept out of the queue (freeing their
@@ -49,9 +49,8 @@
 //!   builds the seed in it, and every other run at that version waits
 //!   for it and resumes, so one cold BBS runs per version. Uncached
 //!   services keep no seed;
-//! * the queue pops in one order — higher [`SubmitOptions::priority`]
-//!   first, submission order within a priority — so traffic that never
-//!   sets a priority is strictly FIFO;
+//! * the queue pops in one order, submission order (FIFO): nothing
+//!   ranks one request ahead of another;
 //! * [`EngineService::shutdown`] is graceful: submissions stop, queued
 //!   and in-flight work drains to completion, workers are joined;
 //! * [`EngineService::metrics`] exposes rolling [`ServiceMetrics`]
@@ -77,7 +76,6 @@
 //! seed cell are leaves: the cache reads the log under the core lock,
 //! and no service lock is taken while either is held.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -178,36 +176,6 @@ impl ServiceConfig {
     }
 }
 
-/// Per-submission options (see [`ServiceClient::submit_with`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SubmitOptions {
-    /// Evaluation must *start* within this budget of submission time;
-    /// a request still queued when it lapses resolves to
-    /// [`MpqError::DeadlineExceeded`] without touching a worker. Expiry
-    /// is eager (swept by a submission that finds the queue full, and
-    /// discarded by the worker that pops it), so an expired request
-    /// frees its queue slot promptly. A deadline too large to represent
-    /// as an instant (e.g. [`Duration::MAX`]) means "no deadline".
-    pub deadline: Option<Duration>,
-    /// Pop priority: higher first, submission order within a
-    /// priority. The default 0 everywhere is strict FIFO.
-    pub priority: i32,
-}
-
-impl SubmitOptions {
-    /// Set the queueing deadline.
-    pub fn deadline(mut self, deadline: Duration) -> SubmitOptions {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Set the pop priority (higher first).
-    pub fn priority(mut self, priority: i32) -> SubmitOptions {
-        self.priority = priority;
-        self
-    }
-}
-
 /// Lifecycle of one submitted request, protected by the ticket's mutex.
 /// The `Done` payload dwarfs the other variants, but there is exactly
 /// one `TicketState` per in-flight request — boxing the result would
@@ -262,7 +230,7 @@ impl std::fmt::Debug for Ticket {
 
 impl Ticket {
     /// Submission sequence number (unique per service, monotonically
-    /// increasing — also the FIFO tie-break).
+    /// increasing — also the queue's pop order).
     pub fn id(&self) -> u64 {
         self.seq
     }
@@ -410,11 +378,6 @@ fn prune(members: &mut Vec<Member>, now: Instant, metrics: &Mutex<MetricsInner>)
     !members.is_empty()
 }
 
-/// A job's place in the queue: higher priority first, submission order
-/// within a priority — the queue map's ascending order is its pop
-/// order, so jobs that all carry the default priority 0 pop FIFO.
-type QueuePos = (Reverse<i32>, u64);
-
 /// The request payload of a queued job: owned copies of the
 /// submission's function set and options, which must outlive the
 /// submitter's borrow. They are made only when the submission is
@@ -437,17 +400,15 @@ struct Job {
 
 /// Everything behind the core's one mutex.
 struct CoreState {
-    /// The queued jobs, in pop order.
-    queue: BTreeMap<QueuePos, Job>,
-    /// Where an identical submission attaches: the queued job of each
-    /// request identity. Every entry names a queued job — a worker
-    /// removes it in the critical section that pops the job — and a
-    /// higher-priority twin, which does not attach, takes the entry
-    /// over.
-    index: HashMap<Arc<RequestKey>, QueuePos>,
+    /// The queued jobs by ticket id, which is their pop order (FIFO).
+    queue: BTreeMap<u64, Job>,
+    /// Where an identical submission attaches: the one queued job of
+    /// each request identity. Every entry names a queued job — a worker
+    /// removes it in the critical section that pops the job.
+    index: HashMap<Arc<RequestKey>, u64>,
     /// `None` when `cache_capacity == 0`: no caching, no dedupe.
     cache: Option<ResultCache>,
-    /// The next ticket id, also the FIFO tie-break.
+    /// The next ticket id, also the next queued job's place.
     next_seq: u64,
     /// Set by shutdown: no new submissions; workers drain the queue and
     /// then exit.
@@ -457,14 +418,13 @@ struct CoreState {
 }
 
 impl CoreState {
-    /// Take the job at `pos` out of the queue, with the index entry
-    /// that names it.
-    fn remove(&mut self, pos: QueuePos) -> Option<Job> {
-        let job = self.queue.remove(&pos)?;
+    /// Take the job `seq` out of the queue, with the index entry that
+    /// names it: an identical submission always attaches, so the entry
+    /// of a queued job's key is always that job's.
+    fn remove(&mut self, seq: u64) -> Option<Job> {
+        let job = self.queue.remove(&seq)?;
         if let Some(key) = &job.key {
-            if self.index.get(key) == Some(&pos) {
-                self.index.remove(key);
-            }
+            self.index.remove(key);
         }
         Some(job)
     }
@@ -509,8 +469,8 @@ impl MetricsInner {
 }
 
 /// The scheduling heart of an [`EngineService`], shared by its workers
-/// and its clients: the served engine, a bounded priority queue that
-/// sheds when full, with eager deadlines, result caching + dedupe, and
+/// and its clients: the served engine, a bounded FIFO queue that sheds
+/// when full, with eager deadlines, result caching + dedupe, and
 /// rolling metrics.
 pub(crate) struct ServiceCore {
     engine: Arc<Engine>,
@@ -558,8 +518,8 @@ impl ServiceCore {
     }
 
     /// The one admission step, in one critical section: refuse if the
-    /// service is stopping; serve a cache hit on the spot; attach to an
-    /// identical queued job of no lower priority, which costs no slot;
+    /// service is stopping; serve a cache hit on the spot; attach to the
+    /// identical queued job, which costs no slot;
     /// otherwise take a queue slot — a full queue first sweeps out its
     /// dead jobs, and is refused with [`MpqError::Overloaded`] if it is
     /// still full. `detach` makes the job's payload and is called only
@@ -570,13 +530,13 @@ impl ServiceCore {
     fn submit(
         &self,
         request: &MatchRequest<'_, '_>,
-        submit: SubmitOptions,
+        deadline: Duration,
         detach: impl FnOnce() -> Payload,
     ) -> Result<Ticket, MpqError> {
         let now = Instant::now();
         // An unrepresentable deadline (now + huge) means "no deadline",
         // mirroring Ticket::wait_timeout's overflow stance.
-        let deadline = submit.deadline.and_then(|d| now.checked_add(d));
+        let deadline = now.checked_add(deadline);
         let key = self.seed.is_some().then(|| request.cache_key());
         let engine = &self.engine;
 
@@ -606,11 +566,10 @@ impl ServiceCore {
                 metrics.complete(now.elapsed());
                 return Ok(ticket);
             }
-            // A higher-priority duplicate must not quietly inherit the
-            // queued job's lower priority: it queues a job of its own.
-            let queued = (state.index.get(key))
-                .filter(|pos| submit.priority <= pos.0 .0)
-                .and_then(|pos| state.queue.get_mut(pos));
+            let queued = state
+                .index
+                .get(key)
+                .and_then(|seq| state.queue.get_mut(seq));
             if let Some(job) = queued {
                 // The member keeps its own deadline and can be
                 // cancelled without touching its siblings.
@@ -624,13 +583,13 @@ impl ServiceCore {
         if state.queue.len() >= self.queue_capacity {
             // A queue full of dead work must not shed live traffic.
             let now = Instant::now();
-            let dead: Vec<QueuePos> = (state.queue.iter_mut())
-                .filter_map(|(pos, job)| {
-                    (!prune(&mut job.members, now, &self.metrics)).then_some(*pos)
+            let dead: Vec<u64> = (state.queue.iter_mut())
+                .filter_map(|(&seq, job)| {
+                    (!prune(&mut job.members, now, &self.metrics)).then_some(seq)
                 })
                 .collect();
-            for pos in dead {
-                state.remove(pos);
+            for seq in dead {
+                state.remove(seq);
             }
             if state.queue.len() >= self.queue_capacity {
                 lock(&self.metrics).rejected += 1;
@@ -638,10 +597,9 @@ impl ServiceCore {
             }
         }
         let (functions, options) = detach();
-        let pos = (Reverse(submit.priority), seq);
         let key = key.map(Arc::new);
         if let Some(key) = &key {
-            state.index.insert(Arc::clone(key), pos);
+            state.index.insert(Arc::clone(key), seq);
         }
         let job = Job {
             functions,
@@ -649,7 +607,7 @@ impl ServiceCore {
             key,
             members: vec![member],
         };
-        state.queue.insert(pos, job);
+        state.queue.insert(seq, job);
         // Count while the job is provably queued (and before any worker
         // can complete it) so no snapshot ever observes completed >
         // submitted.
@@ -681,8 +639,8 @@ impl ServiceCore {
     fn next_job(&self) -> Option<Job> {
         let mut state = lock(&self.state);
         loop {
-            while let Some(&pos) = state.queue.keys().next() {
-                let mut job = state.remove(pos).expect("just peeked");
+            while let Some(&seq) = state.queue.keys().next() {
+                let mut job = state.remove(seq).expect("just peeked");
                 if prune(&mut job.members, Instant::now(), &self.metrics) {
                     state.in_flight += 1;
                     return Some(job);
@@ -1172,29 +1130,36 @@ impl ServiceClient {
         &self.core.engine
     }
 
-    /// Submit a request with default [`SubmitOptions`] (no deadline,
-    /// priority 0).
+    /// Submit a request with no deadline.
     pub fn submit(&self, request: MatchRequest<'_, '_>) -> Result<Ticket, MpqError> {
-        self.submit_with(request, SubmitOptions::default())
+        self.submit_with(request, Duration::MAX)
     }
 
-    /// Submit a request with a deadline and/or priority. The request
-    /// must have been built against the served engine; one built on
+    /// Submit a request whose evaluation must *start* within `deadline`
+    /// of now. The request must have been built against the served
+    /// engine; one built on
     /// any other is refused with [`MpqError::UnsupportedRequest`]. It is
     /// validated *now* — shape errors surface to the submitter instead
     /// of travelling to a worker. Then, in one critical section, it is
     /// refused with [`MpqError::ServiceStopped`] after shutdown, served
     /// from the result cache if an identical request already completed
-    /// against this inventory, attached to an identical queued job of no
-    /// lower priority (which takes no slot, so it succeeds even when the
-    /// queue is full), or queued. A full queue first drops the jobs no
+    /// against this inventory, attached to the identical queued job
+    /// (which takes no slot, so it succeeds even when the queue is
+    /// full), or queued. A full queue first drops the jobs no
     /// submitter waits for any more; if it is still full the submission
     /// fails with [`MpqError::Overloaded`] — it never blocks. Only a
     /// queued submission copies the function set.
+    ///
+    /// A request still queued when its deadline lapses resolves to
+    /// [`MpqError::DeadlineExceeded`] without touching a worker. Expiry
+    /// is eager (swept by a submission that finds the queue full, and
+    /// discarded by the worker that pops it), so an expired request
+    /// frees its queue slot promptly. A deadline too large to represent
+    /// as an instant (e.g. [`Duration::MAX`]) means "no deadline".
     pub fn submit_with(
         &self,
         request: MatchRequest<'_, '_>,
-        options: SubmitOptions,
+        deadline: Duration,
     ) -> Result<Ticket, MpqError> {
         if !request.targets(&self.core.engine) {
             return Err(MpqError::UnsupportedRequest(
@@ -1203,7 +1168,7 @@ impl ServiceClient {
         }
         request.validate()?;
         let (functions, request_options) = request.parts();
-        self.core.submit(&request, options, || {
+        self.core.submit(&request, deadline, || {
             (functions.clone(), request_options.clone())
         })
     }
@@ -1310,17 +1275,17 @@ mod tests {
     }
 
     /// Submit [`test_functions`] to `core`, as a service client does.
-    fn submit(core: &ServiceCore, options: SubmitOptions) -> Result<Ticket, MpqError> {
+    fn submit(core: &ServiceCore, deadline: Duration) -> Result<Ticket, MpqError> {
         let functions = test_functions();
         let request = core.engine.request(&functions);
-        core.submit(&request, options, || {
+        core.submit(&request, deadline, || {
             (functions.clone(), RequestOptions::default())
         })
     }
 
     /// Pop the queue's next job and return its ticket id.
     fn pop(core: &ServiceCore) -> u64 {
-        lock(&core.state).queue.pop_first().unwrap().0 .1
+        lock(&core.state).queue.pop_first().unwrap().0
     }
 
     #[test]
@@ -1328,8 +1293,8 @@ mod tests {
         // Two identical submissions, one job: the dedupe index, the job
         // and the cache entry hold one `Arc` of the key, never a copy.
         let core = core(ServiceConfig::default());
-        let first = submit(&core, SubmitOptions::default()).unwrap();
-        let second = submit(&core, SubmitOptions::default()).unwrap();
+        let first = submit(&core, Duration::MAX).unwrap();
+        let second = submit(&core, Duration::MAX).unwrap();
         let job = core.next_job().expect("one queued job");
         assert_eq!(job.members.len(), 2, "the twin attached");
         let key = Arc::clone(job.key.as_ref().expect("a cached core keys its jobs"));
@@ -1350,21 +1315,15 @@ mod tests {
     }
 
     #[test]
-    fn queue_pops_fifo_and_priority_orders() {
+    fn queue_pops_in_submission_order() {
         // No workers: enqueue, then drain the queue directly and observe
-        // the pop order deterministically.
-        let pops = |priorities: &[i32]| -> Vec<u64> {
-            let core = uncached_core(ServiceConfig::default().queue_capacity(8));
-            for &p in priorities {
-                submit(&core, SubmitOptions::default().priority(p)).unwrap();
-            }
-            priorities.iter().map(|_| pop(&core)).collect()
-        };
-
-        // Default priorities pop in submission order.
-        assert_eq!(pops(&[0, 0, 0, 0]), vec![0, 1, 2, 3]);
-        // Higher priority first, FIFO among equals.
-        assert_eq!(pops(&[0, 5, 0, 9, 5]), vec![3, 1, 4, 0, 2]);
+        // the pop order deterministically, whatever each deadline.
+        let core = uncached_core(ServiceConfig::default().queue_capacity(8));
+        for deadline in [60, 1, 3600, 5].map(Duration::from_secs) {
+            submit(&core, deadline).unwrap();
+        }
+        let pops: Vec<u64> = (0..4).map(|_| pop(&core)).collect();
+        assert_eq!(pops, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1396,27 +1355,27 @@ mod tests {
         }
     }
 
-    /// A higher-priority duplicate must not
-    /// quietly inherit a queued twin's lower priority by attaching to
-    /// it: it starts its own, correctly ordered job. Equal or lower
-    /// priorities still dedupe.
+    /// An identical submission attaches to the one queued job of its
+    /// key, whatever its deadline; once a worker pops that job the
+    /// index forgets the key, and the next twin queues a job of its own.
     #[test]
-    fn higher_priority_duplicate_does_not_attach_to_a_lower_priority_job() {
+    fn an_identical_submission_always_attaches_to_the_queued_job() {
         let core = core(ServiceConfig::default().queue_capacity(8));
-        let low = submit(&core, SubmitOptions::default().priority(0)).unwrap();
-        // Identical request, higher priority: its own queue entry.
-        let high = submit(&core, SubmitOptions::default().priority(10)).unwrap();
-        assert_eq!(core.queue_depth(), 2);
-        assert_eq!(lock(&core.metrics).dedupe_attaches, 0);
-        // Identical request, lower priority than the (now indexed)
-        // priority-10 job: attaches — it only ever pops *sooner* than
-        // it paid for, never later.
-        let _attached = submit(&core, SubmitOptions::default().priority(5)).unwrap();
-        assert_eq!(core.queue_depth(), 2);
-        assert_eq!(lock(&core.metrics).dedupe_attaches, 1);
-        // The higher-priority twin pops first.
-        assert_eq!(pop(&core), high.id());
-        assert_eq!(pop(&core), low.id());
+        let first = submit(&core, Duration::MAX).unwrap();
+        for deadline in [Duration::from_secs(60), Duration::from_secs(1)] {
+            submit(&core, deadline).unwrap();
+        }
+        assert_eq!(core.queue_depth(), 1);
+        assert_eq!(lock(&core.metrics).dedupe_attaches, 2);
+
+        let job = core.next_job().expect("one queued job");
+        assert_eq!(job.members.len(), 3);
+        assert!(lock(&core.state).index.is_empty(), "the pop took the entry");
+        let later = submit(&core, Duration::MAX).unwrap();
+        assert_eq!(core.queue_depth(), 1, "a twin of a running job queues");
+        assert_eq!(lock(&core.metrics).dedupe_attaches, 2);
+        assert_eq!(pop(&core), later.id());
+        assert!(later.id() > first.id());
     }
 
     /// A full queue sweeps expired jobs before shedding: a queue full of
@@ -1424,17 +1383,17 @@ mod tests {
     #[test]
     fn reject_mode_sweeps_expired_jobs_before_shedding() {
         let core = uncached_core(ServiceConfig::default().queue_capacity(1));
-        let dead = submit(&core, SubmitOptions::default().deadline(Duration::ZERO)).unwrap();
+        let dead = submit(&core, Duration::ZERO).unwrap();
         // Queue is "full" — but only of an expired job, so this must be
         // accepted, not rejected.
-        let live = submit(&core, SubmitOptions::default())
+        let live = submit(&core, Duration::MAX)
             .expect("sweep must free the slot before the reject verdict");
         assert_eq!(dead.wait().unwrap_err(), MpqError::DeadlineExceeded);
         assert!(!live.is_done());
         assert_eq!(lock(&core.metrics).rejected, 0);
         // Now full of a live job: the next distinct submission is shed.
         assert_eq!(
-            submit(&core, SubmitOptions::default()).unwrap_err(),
+            submit(&core, Duration::MAX).unwrap_err(),
             MpqError::Overloaded
         );
         assert_eq!(lock(&core.metrics).rejected, 1);
@@ -1450,7 +1409,7 @@ mod tests {
         assert_eq!(core.queue_depth(), 0);
         assert_eq!(core.in_flight(), 0);
         for _ in 0..3 {
-            submit(&core, SubmitOptions::default()).unwrap();
+            submit(&core, Duration::MAX).unwrap();
         }
         assert_eq!(core.queue_depth(), 3);
         assert_eq!(core.in_flight(), 0);

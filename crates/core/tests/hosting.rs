@@ -8,10 +8,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use mpq_core::{
     reference_matching, reference_matching_excluding, verify_stable, Algorithm, Engine,
-    EngineService, IndexConfig, Matching, MpqError, Pair, ServiceConfig, SubmitOptions, Ticket,
+    EngineService, IndexConfig, Matching, MpqError, Pair, ServiceConfig, Ticket,
 };
 use mpq_rtree::{FaultInjector, FaultOp, PointSet};
 use mpq_ta::FunctionSet;
@@ -224,7 +225,7 @@ fn services_refuse_requests_built_on_another_engine() {
     refused(to_first.submit(other_first.request(&fs)));
     refused(to_second.submit(other_second.request(&fs)));
     refused(to_first.submit(to_second.engine().request(&fs)));
-    refused(to_second.submit_with(to_first.engine().request(&fs), SubmitOptions::default()));
+    refused(to_second.submit_with(to_first.engine().request(&fs), Duration::MAX));
 
     let direct = second.request(&fs).evaluate().unwrap();
     for ticket in [

@@ -8,14 +8,14 @@
 //!   "algorithm": "sb",
 //!   "exclude": [17, 42],
 //!   "capacities": [1, 0, 2, 1, 1],
-//!   "deadline_ms": 250,
-//!   "priority": 5
+//!   "deadline_ms": 250
 //! }
 //! ```
 //!
-//! Only `functions` is required. The server runs SB alone: `algorithm`,
-//! if present, must be `"sb"`, and any other value is a `400` naming
-//! the field. `capacities` is per *object*, not per
+//! Only `functions` is required; a field the codec does not know is
+//! skipped, `"priority"` among them (the queue is FIFO). The server
+//! runs SB alone: `algorithm`, if present, must be `"sb"`, and any
+//! other value is a `400` naming the field. `capacities` is per *object*, not per
 //! function: entry `oid` is how many functions object `oid` may take,
 //! and there must be one for every id below the tenant's id bound (a
 //! five-object inventory above) — any other length is a `400` whose
@@ -81,8 +81,6 @@ pub struct WireRequest {
     pub capacities: Option<Vec<u32>>,
     /// Optional per-request deadline in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Queue priority (higher runs first; default 0).
-    pub priority: i32,
 }
 
 /// One field as the decoders read it. The outer `Err` says the body is
@@ -266,7 +264,6 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
     let mut exclude = Ok(None);
     let mut capacities = Ok(None);
     let mut deadline_ms = Ok(None);
-    let mut priority = Ok(0);
     let is_object = scan_object(body, |key, s| {
         match key {
             "functions" => functions = Some(weight_rows(s)?),
@@ -294,20 +291,6 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
                 })?
             }
             "deadline_ms" => deadline_ms = optional_u64(s, key, |_, s| s.integer())?,
-            "priority" => {
-                priority = match s.value()? {
-                    Token::Null => Ok(0),
-                    Token::Num(n)
-                        if n.fract() == 0.0 && (i32::MIN as f64..=i32::MAX as f64).contains(&n) =>
-                    {
-                        Ok(n as i32)
-                    }
-                    other => {
-                        s.skip(other)?;
-                        Err("'priority' must be an integer")
-                    }
-                }
-            }
             _ => skip_value(s)?,
         }
         Ok(())
@@ -322,7 +305,6 @@ pub fn decode_match_request(body: &[u8]) -> Result<WireRequest, String> {
         exclude: exclude?.unwrap_or_default(),
         capacities: capacities?,
         deadline_ms: deadline_ms?,
-        priority: priority?,
     })
 }
 
@@ -509,20 +491,18 @@ mod tests {
         assert!(req.exclude.is_empty());
         assert!(req.capacities.is_none());
         assert!(req.deadline_ms.is_none());
-        assert_eq!(req.priority, 0);
     }
 
     #[test]
     fn decodes_all_optional_fields() {
         let req = decode_match_request(
             br#"{"functions":[[1.0,0.0]],"algorithm":"sb","exclude":[3,9],
-                 "capacities":[2],"deadline_ms":250,"priority":-1}"#,
+                 "capacities":[2],"deadline_ms":250}"#,
         )
         .unwrap();
         assert_eq!(req.exclude, vec![3, 9]);
         assert_eq!(req.capacities, Some(vec![2]));
         assert_eq!(req.deadline_ms, Some(250));
-        assert_eq!(req.priority, -1);
         let req = decode_match_request(br#"{"functions":[[1]],"deadline_ms":250.0}"#).unwrap();
         assert_eq!(req.deadline_ms, Some(250));
     }
@@ -808,10 +788,6 @@ mod tests {
                 br#"{"deadline_ms":1e-400,"functions":[[1]]}"#,
                 "'deadline_ms' must be a non-negative integer",
             ),
-            (
-                br#"{"priority":2147483648,"functions":[[1]]}"#,
-                "'priority' must be an integer",
-            ),
         ] {
             assert_eq!(
                 decode_match_request(body).unwrap_err(),
@@ -906,16 +882,36 @@ mod tests {
     #[test]
     fn the_last_of_a_repeated_field_counts_and_unknown_fields_are_checked() {
         let req = decode_match_request(
-            br#"{"functions":[[1,"x"]],"note":{"a":[1,{"b":null}]},"functions":[[1,3]],"priority":9,"priority":2}"#,
+            br#"{"functions":[[1,"x"]],"note":{"a":[1,{"b":null}]},"functions":[[1,3]]}"#,
         )
         .unwrap();
         assert_eq!(req.functions.weights(0), &[0.25, 0.75]);
-        assert_eq!(req.priority, 2);
         let err = decode_match_request(br#"{"functions":[[1,3]],"note":{"a":[1}}"#).unwrap_err();
         assert!(err.starts_with("invalid JSON"), "{err}");
         let pairs =
             decode_pairs(br#"{"pairs":[],"pairs":[{"score":2,"oid":5,"fid":1,"x":[]}]}"#).unwrap();
         assert_eq!((pairs[0].fid, pairs[0].oid, pairs[0].score), (1, 5, 2.0));
+    }
+
+    /// A `"priority"` field is skipped like any unknown one, whatever
+    /// its value: the body decodes to the request it names without it.
+    #[test]
+    fn a_priority_field_changes_nothing() {
+        let decode = |body: String| {
+            let req = decode_match_request(body.as_bytes()).unwrap();
+            (req.functions, req.exclude, req.capacities, req.deadline_ms)
+        };
+        let plain = r#""functions":[[0.7,0.3],[1,3]],"exclude":[4],"deadline_ms":250"#;
+        let without = decode(format!("{{{plain}}}"));
+        for priority in [
+            r#""priority":5"#,
+            r#""priority":"high""#,
+            r#""priority":2147483648"#,
+            r#""priority":9,"priority":-2"#,
+        ] {
+            assert_eq!(decode(format!("{{{priority},{plain}}}")), without);
+            assert_eq!(decode(format!("{{{plain},{priority}}}")), without);
+        }
     }
 
     /// The largest body the parser admits, most of it one string, is

@@ -57,7 +57,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mpq_core::json::Json;
-use mpq_core::{MpqError, SubmitOptions, Ticket};
+use mpq_core::{MpqError, Ticket};
 
 use crate::codec::{decode_match_request, decode_mutation, encode_matching, encode_mutation_ack};
 use crate::http::{ParserLimits, Request, RequestParser, Response};
@@ -402,15 +402,14 @@ fn handle_match(
         Ok(wire) => wire,
         Err(why) => return Outcome::Respond(error_response(400, &why)),
     };
-    let mut options = SubmitOptions::default().priority(wire.priority);
-    if let Some(ms) = wire.deadline_ms {
-        options = options.deadline(Duration::from_millis(ms));
-    }
+    let deadline = wire
+        .deadline_ms
+        .map_or(Duration::MAX, Duration::from_millis);
     let submitted = tenant.submit_match(
         &wire.functions,
         &wire.exclude,
         wire.capacities.as_deref(),
-        options,
+        deadline,
     );
     let ticket = match submitted {
         Ok(ticket) => ticket,

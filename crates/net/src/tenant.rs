@@ -21,9 +21,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use mpq_core::{
-    Engine, EngineService, MpqError, ServiceClient, ServiceConfig, SubmitOptions, Ticket,
-};
+use mpq_core::{Engine, EngineService, MpqError, ServiceClient, ServiceConfig, Ticket};
 use mpq_ta::FunctionSet;
 
 use crate::codec::WireMutation;
@@ -156,13 +154,13 @@ impl Tenant {
         functions: &FunctionSet,
         exclude: &[u64],
         capacities: Option<&[u32]>,
-        options: SubmitOptions,
+        deadline: Duration,
     ) -> Result<Ticket, MpqError> {
         let mut req = (self.engine().request(functions)).exclude(exclude.iter().copied());
         if let Some(caps) = capacities {
             req = req.capacities(caps);
         }
-        self.client.submit_with(req, options)
+        self.client.submit_with(req, deadline)
     }
 
     /// Snapshot of this tenant's service metrics.

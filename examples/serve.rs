@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpq::core::{ServiceConfig, SubmitOptions};
+use mpq::core::ServiceConfig;
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 
@@ -66,10 +66,7 @@ fn main() {
                     // Every request carries a deadline: evaluation must
                     // *start* within a second of submission.
                     let ticket = client
-                        .submit_with(
-                            client.engine().request(&functions),
-                            SubmitOptions::default().deadline(Duration::from_secs(1)),
-                        )
+                        .submit_with(client.engine().request(&functions), Duration::from_secs(1))
                         .expect("service is accepting");
                     match ticket.wait() {
                         Ok(matching) => confirmed += matching.len(),

@@ -97,7 +97,7 @@
 //!
 //! | before | after |
 //! |---|---|
-//! | `engine.evaluate_batch(&reqs, t)` (pre-collected batches; removed, with `BatchOutcome`, `BatchMetrics` and `mpq throughput`) | `engine.serve(config)` + `client.submit(..)` per request — the service is the one way to run many requests; `mpq serve` replays copies of a request through it |
+//! | `engine.evaluate_batch(&reqs, t)` (pre-collected batches; removed, with `BatchOutcome`, `BatchMetrics` and `mpq throughput`) | `engine.serve(config)` + `client.submit(..)` per request — the service is the one way to run many requests |
 //! | rebuild the engine on inventory change | `engine.insert_object(&p)?` / `engine.remove_object(oid)?` / `engine.update_object(oid, &p)?` |
 //! | in-memory only, lost on restart | `Engine::builder().data_dir(dir)` once, `Engine::open(dir)?` after |
 //! | in-process `ServiceClient` only | `net::Server::bind(addr, registry, config)?` / `mpq serve --listen ADDR` — HTTP clients `POST /t/<tenant>/match` |
@@ -113,6 +113,8 @@
 //! | `MonotoneSkylineMatcher { .. }.run(&o, &f)` | `Engine::builder().objects(&o).build()?.evaluate_monotone(&f)?` |
 //! | `.best_pair(BestPairMode::Scan)`, `.best_pair(BestPairMode::TaNaiveThreshold)`, `.maintenance(MaintenanceMode::Rescan)`, `.algorithm(BruteForce).bf_strategy(BfStrategy::Restart)` | `.algorithm(Algorithm::SbScan)`, `.algorithm(Algorithm::SbNaiveThreshold)`, `.algorithm(Algorithm::SbRescan)`, `.algorithm(Algorithm::BruteForceRestart)` — a `Variant`: evaluated directly, never cached, streamed, served or capacitated |
 //! | `client.submit(request.algorithm(a))`, wire `"algorithm": "bf"`, `mpq serve --algo bf` | served requests are SB alone: `request.algorithm(a).evaluate()` / `mpq match --algo bf` (the wire and `serve` refuse any other algorithm) |
+//! | `client.submit_with(request, SubmitOptions::default().deadline(d).priority(p))`, wire `"priority": P` | `client.submit_with(request, d)` (`Duration::MAX`, or `client.submit(request)`, for no deadline) — one queue order, FIFO; the wire ignores a `"priority"` field like any unknown one |
+//! | in-process `mpq serve --objects o.csv --functions f.csv --requests R` (a replay of one request) | `mpq serve --listen ADDR --objects o.csv` with HTTP clients, or `examples/serve.rs` in process; `mpq serve` without `--listen` is a usage error |
 //!
 //! where `let engine = Engine::builder().objects(&o).build()?;` is built
 //! once and shared (it is `Sync`; evaluation never mutates the index).
@@ -128,7 +130,7 @@
 //! [`core::ServiceClient`] handles and resolve through pollable,
 //! blockable, cancellable [`core::Ticket`]s, with per-request deadlines,
 //! a bounded queue that sheds when full (never blocking a submitter),
-//! one queue order (higher priority first, FIFO within a priority),
+//! one queue order (FIFO: nothing ranks one request ahead of another),
 //! graceful draining shutdown and rolling [`core::ServiceMetrics`].
 //! Because evaluation is deterministic over an immutable index,
 //! identical requests are served from a bounded, inventory-versioned

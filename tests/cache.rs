@@ -14,9 +14,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{
-    CacheMetrics, EngineService, IndexConfig, ResultCache, ServiceConfig, SubmitOptions,
-};
+use mpq::core::{CacheMetrics, EngineService, IndexConfig, ResultCache, ServiceConfig};
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::rtree::{FaultInjector, FaultKind, FaultOp};
@@ -293,10 +291,7 @@ fn follower_deadline_expires_only_that_follower() {
     // expired.
     let leader = client.submit(client.engine().request(&functions)).unwrap();
     let follower = client
-        .submit_with(
-            client.engine().request(&functions),
-            SubmitOptions::default().deadline(Duration::ZERO),
-        )
+        .submit_with(client.engine().request(&functions), Duration::ZERO)
         .unwrap();
     assert_eq!(client.metrics().cache.attaches, 1);
 

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpq::core::{ServiceConfig, SubmitOptions};
+use mpq::core::ServiceConfig;
 use mpq::datagen::{Distribution, WorkloadBuilder};
 use mpq::prelude::*;
 use mpq::rtree::IoStats;
@@ -251,10 +251,7 @@ fn queued_deadline_expires_with_typed_error() {
     // Zero budget: by the time the busy worker pops it, it has expired.
     let fast = fast_functions(3);
     let t2 = client
-        .submit_with(
-            client.engine().request(&fast),
-            SubmitOptions::default().deadline(Duration::ZERO),
-        )
+        .submit_with(client.engine().request(&fast), Duration::ZERO)
         .unwrap();
     assert_eq!(t2.wait().unwrap_err(), MpqError::DeadlineExceeded);
     assert!(t1.wait().is_ok());
@@ -262,10 +259,7 @@ fn queued_deadline_expires_with_typed_error() {
 
     // A deadline with headroom is met: nothing in front of it.
     let t3 = client
-        .submit_with(
-            client.engine().request(&fast),
-            SubmitOptions::default().deadline(Duration::from_secs(60)),
-        )
+        .submit_with(client.engine().request(&fast), Duration::from_secs(60))
         .unwrap();
     assert!(t3.wait().is_ok());
     service.shutdown();
@@ -369,31 +363,37 @@ fn tickets_are_pollable_and_timeout_returns_the_ticket() {
 }
 
 #[test]
-fn priority_ordering_still_serves_everything_and_fifo_is_default() {
-    // End-to-end smoke over the priority queue (the deterministic pop
-    // ordering itself is unit-tested in mpq_core::service): mixed
-    // priorities all complete, bit-identical to sequential.
+fn one_worker_serves_every_request_in_submission_order() {
+    // End-to-end smoke over the FIFO queue (the deterministic pop order
+    // itself is unit-tested in mpq_core::service): requests with mixed
+    // deadlines all complete, bit-identical to sequential, and one
+    // worker resolves them in the order they were submitted.
     let engine = slow_engine();
     let service = engine.serve(ServiceConfig::default().workers(1).queue_capacity(16));
     let client = service.client();
 
     let function_sets: Vec<FunctionSet> = (0..5).map(|i| fast_functions(300 + i)).collect();
-    let tickets: Vec<_> = function_sets
+    let mut tickets: Vec<_> = function_sets
         .iter()
-        .enumerate()
-        .map(|(i, fs)| {
+        .zip([60, 3600, 120, 600, 90].map(Duration::from_secs))
+        .map(|(fs, deadline)| {
             client
-                .submit_with(
-                    client.engine().request(fs),
-                    SubmitOptions::default().priority(i as i32 % 3),
-                )
+                .submit_with(client.engine().request(fs), deadline)
                 .unwrap()
         })
         .collect();
-    for (fs, ticket) in function_sets.iter().zip(tickets) {
-        let served = ticket.wait().unwrap();
+    let mut served = Vec::new();
+    while let Some(last) = tickets.pop() {
+        served.push(last.wait().unwrap());
+        assert!(
+            tickets.iter().all(Ticket::is_done),
+            "a later request resolved before an earlier one"
+        );
+    }
+    served.reverse();
+    for (fs, served) in function_sets.iter().zip(&served) {
         let seq = client.engine().request(fs).evaluate().unwrap();
-        assert_identical(&served, &seq, "priority-served request");
+        assert_identical(served, &seq, "FIFO-served request");
     }
     service.shutdown();
 }
