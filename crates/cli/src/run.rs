@@ -6,20 +6,19 @@
 //!           [--output out.csv]
 //! mpq generate --distribution independent|correlated|anti-correlated|zillow
 //!              --objects N --dim D [--seed S]   # emits an objects CSV
-//! mpq serve --listen ADDR [--tenant NAME=objects.csv[,KEY=VALUE...]]...
+//! mpq serve --listen ADDR --tenant NAME=objects.csv[,KEY=VALUE...]...
 //!           # host one or more tenants behind a std-only HTTP/1.1
-//!           # listener (see the `mpq_net` crate). Without --tenant,
-//!           # --objects [--data-dir DIR] [--workers N] [--queue-cap M]
-//!           # forms a single tenant named "default". With a data dir
-//!           # the engine is disk-backed: a directory already holding a
-//!           # persisted engine is reopened (no --objects needed), an
-//!           # empty one is populated from the CSV. One layout is read:
-//!           # pages.mpq + wal.mpq. A directory in an older form — K
-//!           # shards under a shards.mpq manifest, or a page file
-//!           # checkpointed without the id bound — is refused untouched;
-//!           # `mpq compact` at commit cd313ab converts it. Stop with
-//!           # Ctrl-C (the process exits; persisted tenants reopen
-//!           # cleanly from their WAL)
+//!           # listener (see the `mpq_net` crate), each reached at
+//!           # /t/NAME/{match,mutate,metrics}. With a data-dir key the
+//!           # engine is disk-backed: a directory already holding a
+//!           # persisted engine is reopened (the objects.csv part may be
+//!           # empty), an empty one is populated from the CSV. One layout
+//!           # is read: pages.mpq + wal.mpq. A directory in an older
+//!           # form — K shards under a shards.mpq manifest, or a page
+//!           # file checkpointed without the id bound — is refused
+//!           # untouched; `mpq compact` at commit cd313ab converts it.
+//!           # Stop with Ctrl-C (the process exits; persisted tenants
+//!           # reopen cleanly from their WAL)
 //! mpq compact --data-dir DIR
 //!           # checkpoint a persisted engine: fold the WAL into the page
 //!           # file so the next open replays nothing (an older layout
@@ -88,16 +87,15 @@ const USAGE: &str = "usage:
             [--algo sb|bf|chain] [--output <file>]
   mpq generate --distribution <independent|correlated|anti-correlated|clustered|zillow>
                --objects <N> --dim <D> [--seed <S>]
-  mpq serve --listen <addr> [--tenant NAME=objects.csv[,KEY=VALUE]...]...
-            # serve match requests over a real socket.
-            # Tenant spec keys: data-dir=DIR (persist/reopen; an empty
-            # objects.csv part reopens an existing store), workers=N,
-            # queue-cap=M, cache=N. Without --tenant, --objects <csv>
-            # [--data-dir <dir>] [--workers <N>] [--queue-cap <M>] hosts
-            # a single tenant named 'default'. A directory in an older
-            # layout (K shards under shards.mpq, or a checkpoint without
-            # the id bound) is refused untouched: run `mpq compact` at
-            # commit cd313ab on it first. Routes: POST /t/NAME/match,
+  mpq serve --listen <addr> --tenant NAME=objects.csv[,KEY=VALUE]...
+            # serve match requests over a real socket; repeat --tenant
+            # per inventory. Tenant spec keys: data-dir=DIR
+            # (persist/reopen; an empty objects.csv part reopens an
+            # existing store), workers=N, queue-cap=M, cache=N. A
+            # directory in an older layout (K shards under shards.mpq,
+            # or a checkpoint without the id bound) is refused
+            # untouched: run `mpq compact` at commit cd313ab on it
+            # first. Routes: POST /t/NAME/match, POST /t/NAME/mutate,
             # GET /t/NAME/metrics, GET /metrics, GET /healthz
   mpq compact --data-dir <dir>
             # checkpoint a persisted engine: fold the WAL into the page
@@ -139,21 +137,10 @@ fn int_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Re
     })
 }
 
-/// `--algo` is canonical; `--algorithm` stays accepted.
+/// The algorithm `--algo` names, SB where it is absent.
 fn parse_algorithm(args: &[String]) -> Result<Algorithm, CliError> {
-    let name = arg_value(args, "--algo").or_else(|| arg_value(args, "--algorithm"));
-    name.unwrap_or("sb").parse().map_err(CliError::usage)
-}
-
-/// `serve` runs the served request, which is SB alone: any other
-/// `--algo` is a usage error that points at `mpq match`.
-fn require_sb(args: &[String]) -> Result<(), CliError> {
-    match parse_algorithm(args)? {
-        Algorithm::Sb => Ok(()),
-        other => Err(CliError::usage(format!(
-            "a served request is SB alone; run {other} with `mpq match --algo`"
-        ))),
-    }
+    let name = arg_value(args, "--algo").unwrap_or("sb");
+    name.parse().map_err(CliError::usage)
 }
 
 fn read_table(path: &str) -> Result<Table, CliError> {
@@ -207,13 +194,7 @@ fn read_functions(path: &str, dim: usize) -> Result<(FunctionSet, Vec<String>), 
 }
 
 fn cmd_match(args: &[String]) -> Result<String, CliError> {
-    let reads = [
-        "--objects",
-        "--functions",
-        "--algo",
-        "--algorithm",
-        "--output",
-    ];
+    let reads = ["--objects", "--functions", "--algo", "--output"];
     reads_only("match", args, &reads)?;
     let objects_path = required(args, "--objects")?;
     let functions_path = required(args, "--functions")?;
@@ -321,15 +302,14 @@ fn parse_tenant_spec(spec: &str) -> Result<TenantSpec, CliError> {
     Ok(out)
 }
 
-/// Build the tenant registry from `--tenant` specs (or the single
-/// `--objects`/`--data-dir` default tenant) and bind the HTTP server.
-/// Shared with the CLI tests, which bind port 0 and drive the server
-/// over a real socket; dropping the returned server is the clean
+/// Build the tenant registry from `--tenant` specs and bind the HTTP
+/// server. Shared with the CLI tests, which bind port 0 and drive the
+/// server over a real socket; dropping the returned server is the clean
 /// shutdown path (Ctrl-C on a foreground `mpq serve --listen` kills the
 /// process, and persisted tenants recover from their WAL on reopen).
 pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
     let listen = required(args, "--listen")?;
-    require_sb(args)?;
+    reads_only("serve", args, &["--listen", "--tenant"])?;
     let mut specs = Vec::new();
     for pair in args.chunks(2).filter(|pair| pair[0] == "--tenant") {
         let spec = pair
@@ -337,30 +317,10 @@ pub fn start_server(args: &[String]) -> Result<mpq_net::Server, CliError> {
             .ok_or_else(|| CliError::usage("--tenant needs a value"))?;
         specs.push(parse_tenant_spec(spec)?);
     }
-    // The single-tenant shorthand's flags are read only without --tenant.
-    let mut reads = vec!["--listen", "--algo", "--algorithm", "--tenant"];
     if specs.is_empty() {
-        reads.extend(["--objects", "--data-dir", "--workers", "--queue-cap"]);
-    }
-    reads_only("serve", args, &reads)?;
-    if specs.is_empty() {
-        // Single-tenant shorthand: --objects [--data-dir DIR].
-        let objects_csv = arg_value(args, "--objects").map(str::to_string);
-        let data_dir = arg_value(args, "--data-dir").map(std::path::PathBuf::from);
-        if objects_csv.is_none() && data_dir.is_none() {
-            return Err(CliError::usage(format!(
-                "serve --listen needs --tenant specs or --objects\n{USAGE}"
-            )));
-        }
-        let mut config = mpq_net::TenantConfig::default();
-        config.workers = int_flag(args, "--workers", config.workers)?;
-        config.queue_capacity = int_flag(args, "--queue-cap", config.queue_capacity)?;
-        specs.push(TenantSpec {
-            name: "default".to_string(),
-            objects_csv,
-            data_dir,
-            config,
-        });
+        return Err(CliError::usage(format!(
+            "serve --listen needs at least one --tenant\n{USAGE}"
+        )));
     }
 
     let mut registry = mpq_net::TenantRegistry::new();
@@ -409,14 +369,15 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
 
 /// Checkpoint a persisted engine: reopen it (replaying the WAL), fold
 /// the recovered state into the page file, and truncate the WAL — the
-/// next `serve --data-dir` opens instantly, replaying nothing. A
+/// next serve of a tenant with this `data-dir` opens instantly,
+/// replaying nothing. A
 /// directory in a layout the open refuses is reported as refused.
 fn cmd_compact(args: &[String]) -> Result<String, CliError> {
     reads_only("compact", args, &["--data-dir"])?;
     let dir = required(args, "--data-dir")?;
     let engine = Engine::open(dir).map_err(|e| match e {
         MpqError::Io(_) if !Engine::persisted_at(dir) => CliError::runtime(format!(
-            "no persisted engine under {dir} (run `mpq serve --data-dir` first)"
+            "no persisted engine under {dir} (serve a tenant with data-dir={dir} first)"
         )),
         e => cli_from_mpq(e),
     })?;
@@ -511,7 +472,7 @@ mod tests {
                 opath.to_str().unwrap(),
                 "--functions",
                 fpath.to_str().unwrap(),
-                "--algorithm",
+                "--algo",
                 algo,
             ]))
             .unwrap();
@@ -554,7 +515,7 @@ mod tests {
                 opath.to_str().unwrap(),
                 "--functions",
                 fpath.to_str().unwrap(),
-                "--algorithm",
+                "--algo",
                 algo,
             ]))
             .unwrap()
@@ -571,21 +532,26 @@ mod tests {
         assert_eq!(sb, run("chain"));
     }
 
+    /// A served request is SB alone, so `serve` reads no algorithm:
+    /// `--algo` is refused like any flag it does not read.
     #[test]
     fn serving_commands_refuse_a_non_sb_algorithm() {
         let err = run_cli(&args(&[
             "serve",
             "--listen",
             "127.0.0.1:0",
-            "--objects",
-            "x.csv",
+            "--tenant",
+            "t=x.csv",
             "--algo",
             "bf",
         ]))
         .unwrap_err();
         assert_eq!(err.code, 2);
-        assert!(err.message.contains("SB alone"), "{}", err.message);
-        assert!(err.message.contains("mpq match"), "{}", err.message);
+        assert!(
+            err.message.contains("does not read '--algo'"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]
@@ -604,6 +570,10 @@ mod tests {
                 "--objets",
             ),
             (&["match", "--objects", "o.csv", "stray"], "stray"),
+            (
+                &["match", "--objects", "o.csv", "--algorithm", "bf"],
+                "--algorithm",
+            ),
             (
                 &["generate", "--objects", "5", "--output", "x.csv"],
                 "--output",

@@ -49,10 +49,8 @@ fn single_tenant_serves_over_a_real_socket() {
     let server = start_server(&args(&[
         "--listen",
         "127.0.0.1:0",
-        "--objects",
-        &objects,
-        "--workers",
-        "1",
+        "--tenant",
+        &format!("default={objects},workers=1"),
     ]))
     .unwrap();
     let addr = server.local_addr();
@@ -60,14 +58,12 @@ fn single_tenant_serves_over_a_real_socket() {
     let mut client = HttpClient::connect(addr).unwrap();
     assert_eq!(client.get("/healthz").unwrap().status, 200);
 
-    // The shorthand tenant is named "default" and is also the sole
-    // tenant, so both routes work.
+    // The tenant is reached by its path alone, even as the only one.
     let resp = client.post_json("/t/default/match", BODY).unwrap();
     assert_eq!(resp.status, 200, "body: {}", resp.text());
     let pairs = mpq_net::decode_pairs(&resp.body).unwrap();
     assert_eq!(pairs.len(), 2);
-    let resp = client.post_json("/match", BODY).unwrap();
-    assert_eq!(resp.status, 200);
+    assert_eq!(client.post_json("/match", BODY).unwrap().status, 404);
 
     server.shutdown();
 }
@@ -99,7 +95,7 @@ fn multi_tenant_specs_route_independently_and_persist() {
                 .unwrap();
             assert_eq!(resp.status, 200, "{tenant}: {}", resp.text());
         }
-        // Two tenants: plain /match needs a name.
+        // Plain /match names no tenant: no route.
         assert_eq!(client.post_json("/match", BODY).unwrap().status, 404);
         // Drop: clean shutdown, flushing the persistent tenant.
     }
@@ -119,9 +115,9 @@ fn multi_tenant_specs_route_independently_and_persist() {
     server.shutdown();
 }
 
-/// A persisted single tenant outlives its server: restarted with its
-/// data dir alone, it holds what was written to the store meanwhile and
-/// serves the matching a direct evaluation gives.
+/// A persisted tenant outlives its server: restarted from its data dir
+/// alone (an empty objects part), it holds what was written to the
+/// store meanwhile and serves the matching a direct evaluation gives.
 #[test]
 fn serve_with_data_dir_persists_across_restarts() {
     let dir = tmp_dir("persist");
@@ -145,10 +141,8 @@ fn serve_with_data_dir_persists_across_restarts() {
         start_server(&args(&[
             "--listen",
             "127.0.0.1:0",
-            "--objects",
-            objects_csv.to_str().unwrap(),
-            "--data-dir",
-            store_str,
+            "--tenant",
+            &format!("default={},data-dir={store_str}", objects_csv.display()),
         ]))
         .unwrap(),
     );
@@ -158,16 +152,16 @@ fn serve_with_data_dir_persists_across_restarts() {
     engine.insert_object(&[0.99, 0.99]).unwrap();
     drop(engine);
 
-    // The second reopens it from disk, with no --objects.
-    let server =
-        start_server(&args(&["--listen", "127.0.0.1:0", "--data-dir", store_str])).unwrap();
+    // The second reopens it from disk, with no objects CSV.
+    let spec = format!("default=,data-dir={store_str}");
+    let server = start_server(&args(&["--listen", "127.0.0.1:0", "--tenant", &spec])).unwrap();
     let tenants: Vec<_> = server.registry().iter().collect();
     assert_eq!(tenants.len(), 1);
     let engine = tenants[0].engine();
     assert_eq!(engine.n_objects(), 101);
 
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
-    let resp = client.post_json("/match", BODY).unwrap();
+    let resp = client.post_json("/t/default/match", BODY).unwrap();
     assert_eq!(resp.status, 200, "body: {}", resp.text());
     let served = mpq_net::decode_pairs(&resp.body).unwrap();
     let functions = mpq_ta::FunctionSet::from_rows(2, &[vec![0.7, 0.3], vec![0.4, 0.6]]);
@@ -186,7 +180,8 @@ fn dropping_the_server_closes_the_listener() {
     let dir = tmp_dir("drop");
     let objects = write_objects_csv(&dir, "objects.csv", 44);
 
-    let server = start_server(&args(&["--listen", "127.0.0.1:0", "--objects", &objects])).unwrap();
+    let spec = format!("default={objects}");
+    let server = start_server(&args(&["--listen", "127.0.0.1:0", "--tenant", &spec])).unwrap();
     let addr = server.local_addr();
 
     // Alive: a request round-trips.
@@ -236,19 +231,28 @@ fn listen_mode_usage_errors() {
         assert_eq!(err.code, 2, "spec {bad:?} should be a usage error");
     }
 
-    // A flag serve does not read is named, not ignored: the shorthand
-    // has no cache flag (a tenant spec's `cache=N` sets it) and no
-    // request count, and with --tenant its flags are not read at all.
-    for (extra, named) in [
-        (&["--objects", "o.csv", "--cache", "0"][..], "--cache"),
-        (&["--objects", "o.csv", "--requests", "8"], "--requests"),
-        (&["--tenant", "n=o.csv", "--workers", "2"], "--workers"),
+    // A flag serve does not read is named, not ignored: a tenant is
+    // declared by --tenant alone (its spec's keys set what the old
+    // single-tenant flags did, and `cache=N` too), a served request is
+    // SB alone, and there is no request count — with --tenant or
+    // without.
+    for named in [
+        "--objects",
+        "--data-dir",
+        "--workers",
+        "--queue-cap",
+        "--algo",
+        "--algorithm",
+        "--cache",
+        "--requests",
     ] {
-        let argv = [&["--listen", "127.0.0.1:0"][..], extra].concat();
-        let err = start_server(&args(&argv)).unwrap_err();
-        assert_eq!(err.code, 2, "{argv:?}");
-        let message = format!("does not read '{named}'");
-        assert!(err.message.contains(&message), "{argv:?}: {}", err.message);
+        for tenant in [&["--tenant", "n=o.csv"][..], &[]] {
+            let argv = [&["--listen", "127.0.0.1:0"][..], tenant, &[named, "1"]].concat();
+            let err = start_server(&args(&argv)).unwrap_err();
+            assert_eq!(err.code, 2, "{argv:?}");
+            let message = format!("does not read '{named}'");
+            assert!(err.message.contains(&message), "{argv:?}: {}", err.message);
+        }
     }
 
     // A tenant whose CSV does not exist is a runtime error.

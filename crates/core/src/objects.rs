@@ -93,36 +93,65 @@ pub(crate) struct ObjectTable {
     live: usize,
 }
 
-/// Slot counts below this are never worth compacting.
+/// Slot counts below this are never worth compacting, and a full table
+/// grows by at least this many slots.
 const COMPACT_MIN_SLOTS: usize = 64;
+
+/// The spare slots of a table `len` slots long: an eighth of it. A fill
+/// leaves this much room and a full table grows by it (at least
+/// [`COMPACT_MIN_SLOTS`]), so the columns never double.
+fn headroom(len: usize) -> usize {
+    len / 8
+}
 
 impl ObjectTable {
     /// The table of every object `tree` holds, in two walks of its
     /// leaves read past the buffer pool (see [`RTree::for_each_point`]):
     /// the first lists the ids, which are sorted in place, the second
     /// puts each point in its id's slot. Nothing is allocated but the
-    /// table itself, so a fill costs no more memory at its peak than it
-    /// keeps. The tree must not change in between: the engine fills
-    /// under its mutator lock.
+    /// table itself, with [`headroom`] for the inserts that follow, so a
+    /// fill costs no more memory at its peak than it keeps. The tree
+    /// must not change in between: the engine fills under its mutator
+    /// lock.
     pub(crate) fn from_tree(tree: &RTree) -> ObjectTable {
         let dim = tree.dim();
         // The count sizes the id column, capped by what the pages could
         // hold in case a header said otherwise.
         let n = (tree.len() as usize).min(tree.page_count() * tree.leaf_capacity());
-        let mut oids = Vec::with_capacity(n);
+        let mut oids = Vec::with_capacity(n + headroom(n));
         tree.for_each_point(|oid, _| oids.push(oid));
         oids.sort_unstable();
-        let mut coords = vec![0.0; oids.len() * dim];
+        let slots = oids.len() + headroom(oids.len());
+        let mut coords = Vec::with_capacity(slots * dim);
+        coords.resize(oids.len() * dim, 0.0);
         tree.for_each_point(|oid, p| {
             let slot = (oids.binary_search(&oid)).expect("the second walk meets the first's ids");
             coords[slot * dim..(slot + 1) * dim].copy_from_slice(p);
         });
+        let mut dead = Vec::with_capacity(slots);
+        dead.resize(oids.len(), false);
         ObjectTable {
             dim,
             live: oids.len(),
-            dead: vec![false; oids.len()],
+            dead,
             oids,
             coords,
+        }
+    }
+
+    /// Room for one more slot in every column: a full column grows by
+    /// [`headroom`], at least [`COMPACT_MIN_SLOTS`] slots, never doubling.
+    fn reserve_slot(&mut self) {
+        let len = self.oids.len();
+        let extra = headroom(len).max(COMPACT_MIN_SLOTS);
+        if self.oids.capacity() == len {
+            self.oids.reserve_exact(extra);
+        }
+        if self.dead.capacity() == len {
+            self.dead.reserve_exact(extra);
+        }
+        if self.coords.capacity() < (len + 1) * self.dim {
+            self.coords.reserve_exact(extra * self.dim);
         }
     }
 
@@ -143,6 +172,7 @@ impl ObjectTable {
     pub fn insert(&mut self, oid: u64, point: &[f64]) {
         assert_eq!(point.len(), self.dim, "point dimensionality mismatch");
         if self.oids.last().is_none_or(|&last| last < oid) {
+            self.reserve_slot();
             self.oids.push(oid);
             self.coords.extend_from_slice(point);
             self.dead.push(false);
@@ -155,6 +185,7 @@ impl ObjectTable {
                 self.live += usize::from(std::mem::take(&mut self.dead[slot]));
             }
             Err(slot) => {
+                self.reserve_slot();
                 self.oids.insert(slot, oid);
                 self.dead.insert(slot, false);
                 let at = slot * self.dim;
@@ -299,6 +330,46 @@ mod tests {
             }
             assert!(compactions >= 2, "schedule must compact: {compactions}");
         }
+    }
+
+    /// A fill leaves an eighth of its length spare, so the first inserts
+    /// after it move no column, and a full table grows by an eighth (at
+    /// least 64 slots): no column ever holds close to twice its length.
+    #[test]
+    fn a_filled_table_grows_by_an_eighth_never_doubling() {
+        let (n, dim) = (4000usize, 3usize);
+        let mut state = 5u64;
+        let mut points = PointSet::new(dim);
+        for _ in 0..n {
+            let p: Vec<f64> = (0..dim)
+                .map(|_| (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64)
+                .collect();
+            points.push(&p);
+        }
+        let tree = RTree::bulk_load(&points, RTreeParams::default());
+        let mut table = ObjectTable::from_tree(&tree);
+        let slots = |t: &ObjectTable| {
+            [
+                t.oids.capacity(),
+                t.dead.capacity(),
+                t.coords.capacity() / t.dim,
+            ]
+        };
+        let filled = slots(&table);
+        for i in 0..2 * n {
+            table.insert((n + i) as u64, &[0.5; 3]);
+            let len = table.oids.len();
+            if i < n / 8 {
+                assert_eq!(slots(&table), filled, "append {i} moved a column");
+            }
+            for capacity in slots(&table) {
+                assert!(
+                    capacity <= len + len / 8 + 64,
+                    "append {i}: {capacity} slots for {len}"
+                );
+            }
+        }
+        assert_eq!(table.live, 3 * n);
     }
 
     /// A filled table holds exactly what the tree holds, after inserts

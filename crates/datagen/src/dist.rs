@@ -34,7 +34,7 @@ pub(crate) fn log_normal(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
 
 /// Exponential variate with rate 1.
 #[inline]
-pub fn exponential(rng: &mut impl Rng) -> f64 {
+pub(crate) fn exponential(rng: &mut impl Rng) -> f64 {
     let u: f64 = loop {
         let u = rng.gen::<f64>();
         if u > 1e-300 {

@@ -18,54 +18,6 @@ const PRESIZED_BODY_MAX: usize = 4 * 1024 * 1024;
 /// The most bytes one read of a response body asks for.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Backoff tuning for [`HttpClient::send_with_retry`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (so `1` means no retries).
-    pub attempts: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: Duration,
-    /// Cap on any single backoff — also caps an honored `Retry-After`,
-    /// so a server asking for 30 s cannot stall a caller that budgeted
-    /// less.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `retry` (0-based), honoring the
-    /// server's `Retry-After` hint when it is larger: exponential from
-    /// [`base_backoff`](RetryPolicy::base_backoff), jittered to 50-100%
-    /// so synchronized clients spread out, capped at
-    /// [`max_backoff`](RetryPolicy::max_backoff).
-    fn backoff(&self, retry: u32, retry_after: Option<Duration>, jitter_seed: u64) -> Duration {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << retry.min(16))
-            .min(self.max_backoff);
-        let hinted = match retry_after {
-            Some(ra) => exp.max(ra.min(self.max_backoff)),
-            None => exp,
-        };
-        // Multiplicative 50-100% jitter from a tiny splitmix step — a
-        // real RNG would be a dependency for one scalar.
-        let mut z = jitter_seed.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        let frac = 0.5 + 0.5 * ((z >> 11) as f64 / (1u64 << 53) as f64);
-        hinted.mul_f64(frac)
-    }
-}
-
 /// A parsed response.
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
@@ -95,8 +47,8 @@ impl HttpResponse {
 pub struct HttpClient {
     stream: TcpStream,
     leftover: Vec<u8>,
-    /// The server's resolved address — kept for reconnecting after a
-    /// reset inside [`HttpClient::send_with_retry`].
+    /// The server's resolved address — kept for
+    /// [`HttpClient::reconnect`].
     addr: SocketAddr,
     timeout: Option<Duration>,
 }
@@ -116,7 +68,7 @@ impl HttpClient {
     }
 
     /// Set a read timeout for responses (None = block forever). The
-    /// timeout survives a retry-triggered reconnect.
+    /// timeout survives a reconnect.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.timeout = timeout;
         self.stream.set_read_timeout(timeout)
@@ -163,75 +115,6 @@ impl HttpClient {
         self.stream.write_all(head.as_bytes())?;
         self.stream.write_all(body)?;
         self.read_response()
-    }
-
-    /// Issue a request, retrying on backpressure and broken
-    /// connections.
-    ///
-    /// Retries happen on `429 Too Many Requests` (honoring the server's
-    /// `Retry-After`, capped by the policy) and on connection errors
-    /// (reset, broken pipe, unexpected EOF — the client reconnects
-    /// first), with jittered exponential backoff between attempts.
-    /// Other statuses — including `4xx`/`5xx` — return immediately:
-    /// whether e.g. a `503` mutation is safe to resend is the caller's
-    /// call, not the transport's. **Only send idempotent requests
-    /// through this** (`/match` is: evaluation never mutates), since a
-    /// request whose response was lost may execute twice.
-    ///
-    /// Returns the last response once one arrives and no retry applies
-    /// (so an exhausted budget surfaces the final `429` to the caller),
-    /// or the last connection error if the budget ends without any
-    /// response.
-    pub fn send_with_retry(
-        &mut self,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-        policy: RetryPolicy,
-    ) -> io::Result<HttpResponse> {
-        let attempts = policy.attempts.max(1);
-        let mut last_err: Option<io::Error> = None;
-        for attempt in 0..attempts {
-            if last_err.is_some() {
-                // The previous attempt died mid-exchange; the old
-                // stream's framing is unknown, start fresh.
-                match self.reconnect() {
-                    Ok(()) => last_err = None,
-                    Err(e) => {
-                        last_err = Some(e);
-                        continue;
-                    }
-                }
-            }
-            let retry_after = match self.request(method, path, headers, body) {
-                Ok(resp) if resp.status == 429 && attempt + 1 < attempts => resp
-                    .header("retry-after")
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .map(Duration::from_secs),
-                Ok(resp) => return Ok(resp),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionReset
-                            | io::ErrorKind::ConnectionAborted
-                            | io::ErrorKind::BrokenPipe
-                            | io::ErrorKind::UnexpectedEof
-                    ) =>
-                {
-                    last_err = Some(e);
-                    None
-                }
-                Err(e) => return Err(e),
-            };
-            if attempt + 1 < attempts {
-                let seed = (attempt as u64) << 32 | self.addr.port() as u64;
-                std::thread::sleep(policy.backoff(attempt, retry_after, seed));
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::other("retry budget exhausted without a terminal response")
-        }))
     }
 
     /// Write a request but never read the response — used by tests that

@@ -37,7 +37,7 @@ pub mod http;
 pub mod server;
 pub mod tenant;
 
-pub use client::{HttpClient, HttpResponse, RetryPolicy};
+pub use client::{HttpClient, HttpResponse};
 pub use codec::{decode_match_request, decode_pairs, encode_matching, MatchingBody, WireRequest};
 pub use http::{HttpError, ParserLimits, Request, RequestParser, Response};
 pub use server::{Server, ServerConfig};

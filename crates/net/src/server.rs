@@ -17,10 +17,11 @@
 //! | `GET /metrics`           | all tenants' [`ServiceMetrics`] as JSON       |
 //! | `GET /t/NAME/metrics`    | one tenant's metrics                          |
 //! | `POST /t/NAME/match`     | evaluate a [`WireRequest`] on tenant `NAME`   |
-//! | `POST /match`            | same, tenant from `X-Mpq-Tenant` header — or  |
-//! |                          | the sole tenant of a single-tenant server     |
 //! | `POST /t/NAME/mutate`    | apply a `WireMutation` to tenant `NAME`       |
-//! | `POST /mutate`           | same tenant resolution as `POST /match`       |
+//!
+//! A tenant is reached by its path alone: any other `GET` or `POST`
+//! path, `POST /match` among them, is `404 no such route`, and an
+//! unknown `NAME` is `404 no such tenant`.
 //!
 //! ## Status mapping
 //!
@@ -315,36 +316,10 @@ fn handle_request(request: &Request, stream: &TcpStream, shared: &Shared) -> Out
             Some(tenant) => handle_match(request, stream, shared, tenant),
             None => Outcome::Respond(Response::text(404, "no such tenant\n")),
         },
-        ("POST", ["match"]) => {
-            let tenant = match request.header("x-mpq-tenant") {
-                Some(name) => shared.registry.get(name),
-                None => shared.registry.sole_tenant(),
-            };
-            match tenant {
-                Some(tenant) => handle_match(request, stream, shared, &Arc::clone(tenant)),
-                None => Outcome::Respond(Response::text(
-                    404,
-                    "tenant required: use /t/NAME/match or X-Mpq-Tenant\n",
-                )),
-            }
-        }
         ("POST", ["t", name, "mutate"]) => match shared.registry.get(name) {
             Some(tenant) => Outcome::Respond(handle_mutate(request, tenant)),
             None => Outcome::Respond(Response::text(404, "no such tenant\n")),
         },
-        ("POST", ["mutate"]) => {
-            let tenant = match request.header("x-mpq-tenant") {
-                Some(name) => shared.registry.get(name),
-                None => shared.registry.sole_tenant(),
-            };
-            match tenant {
-                Some(tenant) => Outcome::Respond(handle_mutate(request, tenant)),
-                None => Outcome::Respond(Response::text(
-                    404,
-                    "tenant required: use /t/NAME/mutate or X-Mpq-Tenant\n",
-                )),
-            }
-        }
         ("GET" | "POST", _) => Outcome::Respond(Response::text(404, "no such route\n")),
         _ => Outcome::Respond(Response::text(405, "method not allowed\n")),
     }

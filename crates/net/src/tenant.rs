@@ -4,8 +4,8 @@
 //! worker pool, bounded queue, result cache. That per-tenant service is
 //! the isolation mechanism: a tenant that saturates its queue sheds its
 //! own load with `429`s while the other tenants' workers, queues and
-//! caches are untouched. The server routes by path (`/t/<name>/match`)
-//! or by the `X-Mpq-Tenant` header; see [`crate::server`].
+//! caches are untouched. The server reaches a tenant by its path alone,
+//! `/t/<name>/{match,mutate,metrics}`; see [`crate::server`].
 //!
 //! A submission never blocks: a full queue sheds it with
 //! [`MpqError::Overloaded`], so no connection thread is ever parked
@@ -286,16 +286,6 @@ impl TenantRegistry {
         self.tenants.get(name)
     }
 
-    /// The single tenant, if exactly one is hosted — lets clients of a
-    /// single-tenant server post to plain `/match` without naming it.
-    pub(crate) fn sole_tenant(&self) -> Option<&Arc<Tenant>> {
-        if self.tenants.len() == 1 {
-            self.tenants.values().next()
-        } else {
-            None
-        }
-    }
-
     /// Iterate tenants in name order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<Tenant>> {
         self.tenants.values()
@@ -357,20 +347,9 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert!(reg.get("alpha").is_some());
         assert!(reg.get("gamma").is_none());
-        assert!(reg.sole_tenant().is_none());
 
         let names: Vec<_> = reg.iter().map(|t| t.name().to_string()).collect();
         assert_eq!(names, ["alpha", "beta"]);
-    }
-
-    #[test]
-    fn sole_tenant_only_with_exactly_one() {
-        let objects = small_objects();
-        let mut reg = TenantRegistry::new();
-        assert!(reg.sole_tenant().is_none());
-        reg.add_objects("only", &objects, TenantConfig::default())
-            .unwrap();
-        assert_eq!(reg.sole_tenant().unwrap().name(), "only");
     }
 
     #[test]

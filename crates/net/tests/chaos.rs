@@ -9,8 +9,7 @@
 //!   mutations get `503` + `Retry-After`, reads keep serving, `/healthz`
 //!   and `/metrics` report the engine's state, and the tenant's repair
 //!   loop restores `healthy` without operator action,
-//! * a clean storage failure fails only its own mutation,
-//! * [`HttpClient::send_with_retry`] rides out a flooded queue.
+//! * a clean storage failure fails only its own mutation.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -23,7 +22,7 @@ use std::time::{Duration, Instant};
 use mpq_core::json::Json;
 use mpq_core::Engine;
 use mpq_datagen::WorkloadBuilder;
-use mpq_net::{HttpClient, RetryPolicy, Server, ServerConfig, TenantConfig, TenantRegistry};
+use mpq_net::{HttpClient, Server, ServerConfig, TenantConfig, TenantRegistry};
 use mpq_rtree::{FaultInjector, FaultKind, FaultOp};
 use mpq_ta::FunctionSet;
 
@@ -131,7 +130,7 @@ fn slow_loris_is_answered_408_and_reaped() {
     // The slot is free again: a real client gets real service.
     let mut client = HttpClient::connect(addr).unwrap();
     let resp = client
-        .post_json("/match", &match_body(&w.functions))
+        .post_json("/t/t/match", &match_body(&w.functions))
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
     server.shutdown();
@@ -177,7 +176,7 @@ fn mid_body_disconnect_frees_the_slot() {
                 continue;
             }
         };
-        match client.post_json("/match", &match_body(&w.functions)) {
+        match client.post_json("/t/t/match", &match_body(&w.functions)) {
             Ok(resp) if resp.status == 200 => break,
             Ok(resp) => assert_eq!(resp.status, 503, "unexpected {}", resp.text()),
             Err(_) => {} // shed inline before our request: retry
@@ -209,7 +208,7 @@ fn peer_reset_mid_response_does_not_kill_the_server() {
     for _ in 0..8 {
         let mut client = HttpClient::connect(addr).unwrap();
         client
-            .fire_and_forget("POST", "/match", match_body(&w.functions).as_bytes())
+            .fire_and_forget("POST", "/t/t/match", match_body(&w.functions).as_bytes())
             .unwrap();
         // drop without reading
     }
@@ -217,7 +216,7 @@ fn peer_reset_mid_response_does_not_kill_the_server() {
     // The server shrugs: a polite client still gets a full answer.
     let mut client = HttpClient::connect(addr).unwrap();
     let resp = client
-        .post_json("/match", &match_body(&w.functions))
+        .post_json("/t/t/match", &match_body(&w.functions))
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
     server.shutdown();
@@ -377,107 +376,4 @@ fn a_clean_failure_fails_only_its_own_mutation() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn send_with_retry_rides_out_a_flooded_queue() {
-    let w = WorkloadBuilder::new()
-        .objects(600)
-        .functions(6)
-        .dim(2)
-        .seed(5)
-        .build();
-    let inj = FaultInjector::shared();
-    // Every page read stalls 3 ms and the buffer holds one page, so
-    // each queued evaluation occupies the single worker long enough to
-    // observe the full queue deterministically.
-    let engine = Engine::builder()
-        .objects(&w.objects)
-        .index(mpq_core::IndexConfig {
-            page_size: 512,
-            buffer_fraction: 0.0,
-            min_buffer_pages: 1,
-        })
-        .fault_injector(Arc::clone(&inj))
-        .build()
-        .unwrap();
-    let engine = Arc::new(engine);
-    let mut registry = TenantRegistry::new();
-    registry
-        .add_engine(
-            "t",
-            Arc::clone(&engine),
-            TenantConfig {
-                workers: 1,
-                queue_capacity: 1,
-                cache_capacity: 0, // no cache: each request really evaluates
-                ..TenantConfig::default()
-            },
-        )
-        .unwrap();
-    let server = Server::bind("127.0.0.1:0", registry, chaos_config()).unwrap();
-    let addr = server.local_addr();
-    inj.fail_from(
-        FaultOp::PageRead,
-        0,
-        FaultKind::Delay(Duration::from_millis(3)),
-    );
-
-    // Fill the worker and the queue slot with distinct slow requests.
-    let tenant = Arc::clone(server.registry().get("t").unwrap());
-    let t1 = tenant
-        .client()
-        .submit(engine.request(&w.functions))
-        .unwrap();
-    // Wait for the worker to pick t1 up so the queue slot is free for
-    // t2 (queue_capacity is 1).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while tenant.client().queue_depth() > 0 {
-        assert!(Instant::now() < deadline, "worker never picked up t1");
-        thread::sleep(Duration::from_millis(1));
-    }
-    let rows: Vec<Vec<f64>> = vec![vec![0.9, 0.1], vec![0.2, 0.8]];
-    let other = FunctionSet::from_rows(2, &rows);
-    let t2 = tenant.client().submit(engine.request(&other)).unwrap();
-
-    // A plain request bounces: the queue is full right now.
-    let mut plain = HttpClient::connect(addr).unwrap();
-    let rows: Vec<Vec<f64>> = vec![vec![0.5, 0.5]];
-    let mine = FunctionSet::from_rows(2, &rows);
-    let resp = plain.post_json("/t/t/match", &match_body(&mine)).unwrap();
-    assert_eq!(resp.status, 429, "{}", resp.text());
-    assert!(resp.header("retry-after").is_some());
-
-    // Lift the slowdown: the flood drains at normal speed from here,
-    // bounding the test while the retry loop does its job.
-    inj.clear();
-
-    // The retrying client keeps backing off until the flood drains,
-    // then gets its matching.
-    let body = match_body(&mine);
-    let resp = plain
-        .send_with_retry(
-            "POST",
-            "/t/t/match",
-            &[("Content-Type", "application/json")],
-            body.as_bytes(),
-            RetryPolicy {
-                attempts: 40,
-                base_backoff: Duration::from_millis(20),
-                max_backoff: Duration::from_millis(200),
-            },
-        )
-        .unwrap();
-    assert_eq!(resp.status, 200, "{}", resp.text());
-
-    t1.wait().unwrap();
-    t2.wait().unwrap();
-    // The flood really produced rejections (the 429s the retry rode out).
-    let metrics = tenant.metrics();
-    assert!(
-        metrics.rejected >= 1,
-        "expected rejections, got {metrics:?}"
-    );
-    inj.clear();
-    server.shutdown();
 }

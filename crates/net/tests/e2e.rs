@@ -6,7 +6,8 @@
 //!   direct `Engine::evaluate` on the same engine,
 //! * a full queue answers `429` with a `Retry-After` header,
 //! * a saturated tenant does not disturb an idle tenant (isolation),
-//! * deadlines map to `504`, unknown tenants to `404`, an `algorithm`
+//! * deadlines map to `504`, unknown tenants to `404` (as does a
+//!   `/match` or `/mutate` that names no tenant in its path), an `algorithm`
 //!   other than SB to `400`, and a client that hangs up gets its
 //!   queued request cancelled,
 //! * `capacities` is a per-object vector: the capacitated matching
@@ -273,26 +274,14 @@ fn routing_health_and_metrics_endpoints() {
         Some("healthy")
     );
 
-    // Sole tenant: plain /match routes without a name.
-    let resp = client
-        .post_json("/match", &match_body(&w.functions))
-        .unwrap();
-    assert_eq!(resp.status, 200);
-    assert_eq!(decode_pairs(&resp.body).unwrap().len(), 4);
-
-    // Header routing works too.
-    let resp = client
-        .request(
-            "POST",
-            "/match",
-            &[
-                ("X-Mpq-Tenant", "solo"),
-                ("Content-Type", "application/json"),
-            ],
-            match_body(&w.functions).as_bytes(),
-        )
-        .unwrap();
-    assert_eq!(resp.status, 200);
+    // A tenant is reached by its path; the repeat is a cache hit.
+    for _ in 0..2 {
+        let resp = client
+            .post_json("/t/solo/match", &match_body(&w.functions))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(decode_pairs(&resp.body).unwrap().len(), 4);
+    }
 
     // Unknown tenant and unknown routes are 404; bad method is 405.
     assert_eq!(
@@ -335,6 +324,62 @@ fn routing_health_and_metrics_endpoints() {
     assert!(metric(solo, "workers") >= 1.0);
 
     server.shutdown();
+}
+
+/// `POST /match` and `POST /mutate` name no tenant, so they are no
+/// route — on a one-tenant server as on a two-tenant one, and whether or
+/// not an `X-Mpq-Tenant` header names a hosted tenant — and a mutation
+/// sent there changes nothing.
+#[test]
+fn a_tenant_is_reached_by_its_path_alone() {
+    let w = WorkloadBuilder::new()
+        .objects(100)
+        .functions(2)
+        .dim(2)
+        .seed(6)
+        .build();
+    let bodies = [
+        ("/match", match_body(&w.functions)),
+        (
+            "/mutate",
+            r#"{"op":"insert","point":[0.5,0.5]}"#.to_string(),
+        ),
+    ];
+    for names in [&["solo"][..], &["alpha", "beta"]] {
+        let mut registry = TenantRegistry::new();
+        for name in names {
+            registry
+                .add_objects(name, &w.objects, TenantConfig::default())
+                .unwrap();
+        }
+        let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        for (path, body) in &bodies {
+            for header in [None, Some(names[0])] {
+                let headers: Vec<(&str, &str)> = header
+                    .map(|name| ("X-Mpq-Tenant", name))
+                    .into_iter()
+                    .collect();
+                let resp = client
+                    .request("POST", path, &headers, body.as_bytes())
+                    .unwrap();
+                assert_eq!(
+                    (resp.status, resp.text().as_str()),
+                    (404, "no such route\n"),
+                    "{names:?} {path} {headers:?}"
+                );
+            }
+        }
+        for name in names {
+            let tenant = server.registry().get(name).unwrap();
+            assert_eq!(tenant.engine().n_objects(), 100, "{name}");
+            let resp = client
+                .post_json(&format!("/t/{name}/match"), &match_body(&w.functions))
+                .unwrap();
+            assert_eq!(resp.status, 200, "{name}: {}", resp.text());
+        }
+        server.shutdown();
+    }
 }
 
 /// The largest bodies the parser admits, nearly all of it one string,

@@ -103,7 +103,7 @@
 //! | in-process `ServiceClient` only | `net::Server::bind(addr, registry, config)?` / `mpq serve --listen ADDR` — HTTP clients `POST /t/<tenant>/match` |
 //! | storage failure ⇒ panic / silent corruption | typed [`core::MpqError::Io`] / [`core::MpqError::StorageDegraded`] — a failed commit leaves the tree, the object table and `inventory_version` untouched; an engine whose WAL is wedged is degraded ([`core::Engine::health`]): its tenant answers mutations `503` with a `Retry-After` of [`core::Engine::retry_after`] while reads keep serving, and a due checkpoint repairs it |
 //! | failure paths untestable | [`rtree::FaultInjector`] scripted into any pager or WAL (`fail_nth`, `crash_at`, torn/bit-flip/ENOSPC) — the chaos suites reopen after a fault at every durability op |
-//! | hand-rolled client retry loops | [`net::HttpClient::send_with_retry`] with a [`net::RetryPolicy`] (jittered backoff, honors `Retry-After`) |
+//! | `client.send_with_retry(method, path, headers, body, RetryPolicy { .. })` (removed, with `net::RetryPolicy`) | the caller's own loop over `client.request(..)`: a `429` carries a `Retry-After` in seconds, and [`net::HttpClient::reconnect`] redials after a reset |
 //! | `Engine::builder().shards(k)`, `ShardedEngine::builder().shards(k)`, `mpq serve --shards K`, tenant spec `shards=K` | `Engine::builder()` — one R-tree, one WAL, one buffer pool, one on-disk layout (`pages.mpq` + `wal.mpq`); a directory written as `K` shards (`shards.mpq` + `shard-i/`), or a page file checkpointed without the id bound, is refused untouched with `MpqError::UnsupportedRequest` — `mpq compact --data-dir DIR` at commit `cd313ab` converts either |
 //! | `engine.shard_count()`, `engine.trees()`, `engine.shard_gauges()`, `/metrics` `"shards": [..]` | `engine.tree()`; `"objects"`, `"tree_height"`, `"buffer_hit_rate"`, `"wal_bytes"` in the `"storage"` object of `/metrics` |
 //! | `Engine::builder().buffer_shards(n)`, `tree.set_buffer_shards(n)`, `tree.buffer_shards()`, `BufferPool::shard_count()` | nothing: the buffer pool is one LRU under one lock; `--threads` / `--workers` / `ServiceConfig::workers` size the workers |
@@ -112,9 +112,11 @@
 //! | `engine.session()`, `session.submit(&b)` | `engine.request(&b).stream()?`, drained, then `stream.load(&b)?` per later batch — one stream, with the request's exclusions and capacities carried across batches |
 //! | `MonotoneSkylineMatcher { .. }.run(&o, &f)` | `Engine::builder().objects(&o).build()?.evaluate_monotone(&f)?` |
 //! | `.best_pair(BestPairMode::Scan)`, `.best_pair(BestPairMode::TaNaiveThreshold)`, `.maintenance(MaintenanceMode::Rescan)`, `.algorithm(BruteForce).bf_strategy(BfStrategy::Restart)` | `.algorithm(Algorithm::SbScan)`, `.algorithm(Algorithm::SbNaiveThreshold)`, `.algorithm(Algorithm::SbRescan)`, `.algorithm(Algorithm::BruteForceRestart)` — a `Variant`: evaluated directly, never cached, streamed, served or capacitated |
-//! | `client.submit(request.algorithm(a))`, wire `"algorithm": "bf"`, `mpq serve --algo bf` | served requests are SB alone: `request.algorithm(a).evaluate()` / `mpq match --algo bf` (the wire and `serve` refuse any other algorithm) |
+//! | `client.submit(request.algorithm(a))`, wire `"algorithm": "bf"`, `mpq serve --algo bf` | served requests are SB alone: `request.algorithm(a).evaluate()` / `mpq match --algo bf` (the wire refuses any other algorithm; `serve` reads no `--algo` at all, and `mpq match` no `--algorithm`: exit 2 naming the flag) |
 //! | `client.submit_with(request, SubmitOptions::default().deadline(d).priority(p))`, wire `"priority": P` | `client.submit_with(request, d)` (`Duration::MAX`, or `client.submit(request)`, for no deadline) — one queue order, FIFO; the wire ignores a `"priority"` field like any unknown one |
-//! | in-process `mpq serve --objects o.csv --functions f.csv --requests R` (a replay of one request) | `mpq serve --listen ADDR --objects o.csv` with HTTP clients, or `examples/serve.rs` in process; `mpq serve` without `--listen` is a usage error |
+//! | in-process `mpq serve --objects o.csv --functions f.csv --requests R` (a replay of one request) | `mpq serve --listen ADDR --tenant NAME=o.csv` with HTTP clients, or `examples/serve.rs` in process; `mpq serve` without `--listen` is a usage error |
+//! | `mpq serve --listen ADDR --objects o.csv [--data-dir D] [--workers N] [--queue-cap M]` (one tenant named `default`) | `mpq serve --listen ADDR --tenant default=o.csv[,data-dir=D][,workers=N][,queue-cap=M]` — the one way to declare a tenant; the old flags exit 2 naming themselves |
+//! | `POST /match`, `POST /mutate` (the sole tenant, or the one the `X-Mpq-Tenant` header names) | `POST /t/<tenant>/match`, `POST /t/<tenant>/mutate` — the one way to reach a tenant; the old paths answer `404 no such route` |
 //!
 //! where `let engine = Engine::builder().objects(&o).build()?;` is built
 //! once and shared (it is `Sync`; evaluation never mutates the index).
@@ -185,9 +187,7 @@ pub mod prelude {
         ServiceMetrics, Ticket, Variant,
     };
     pub use mpq_datagen::{Distribution, WorkloadBuilder};
-    pub use mpq_net::{
-        HttpClient, RetryPolicy, Server, ServerConfig, TenantConfig, TenantRegistry,
-    };
+    pub use mpq_net::{HttpClient, Server, ServerConfig, TenantConfig, TenantRegistry};
     pub use mpq_rtree::{
         FaultInjector, FaultKind, FaultOp, IoSession, PointSet, RTree, RTreeParams,
     };
