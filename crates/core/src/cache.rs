@@ -64,7 +64,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use mpq_ta::FunctionSet;
+use mpq_ta::{linear_score, FunctionSet};
 
 use crate::engine::RequestOptions;
 use crate::matching::{Matching, Pair, RunMetrics};
@@ -302,13 +302,12 @@ impl<'k> KeyView<'k> {
         (self.alive[fid / 64] >> (fid % 64)) & 1 != 0
     }
 
-    /// Score of function `fid` on `point` (weights are stored bit-exact).
+    /// Score of function `fid` on `point`: the weights are stored
+    /// bit-exact and scored by the working set's kernel, so this is
+    /// [`FunctionSet::score`] to the bit.
     fn score(&self, fid: usize, point: &[f64]) -> f64 {
-        self.weights[fid * self.dim..(fid + 1) * self.dim]
-            .iter()
-            .zip(point)
-            .map(|(&bits, &x)| f64::from_bits(bits) * x)
-            .sum()
+        let weights = &self.weights[fid * self.dim..(fid + 1) * self.dim];
+        linear_score(weights.iter().map(|&bits| f64::from_bits(bits)), point)
     }
 
     /// Sorted-set membership test over the key's exclusions.
@@ -963,6 +962,53 @@ mod tests {
             assert_eq!(view.weights[fid * 2..fid * 2 + 2], bits[..], "{fid}");
         }
         assert_eq!(view.alive[2] >> 2, 0, "no bit past the last function");
+    }
+
+    /// A key scores with the working set's kernel: random rows of 1–8
+    /// dimensions, zero weights included, score random points — some
+    /// coordinates `0.0` or `-0.0` — to the same bits either way.
+    #[test]
+    fn a_key_scores_to_the_function_sets_bits() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for dim in 1..=8 {
+            let mut rows: Vec<Vec<f64>> = (0..40)
+                .map(|_| (0..dim).map(|_| next()).collect())
+                .collect();
+            for (fid, row) in rows.iter_mut().enumerate() {
+                for (d, w) in row.iter_mut().enumerate() {
+                    if d != fid % dim && next() < 0.4 {
+                        *w = 0.0;
+                    }
+                }
+            }
+            let functions = FunctionSet::from_rows(dim, &rows);
+            let key = request_key(&functions, &RequestOptions::default());
+            let view = KeyView::parse(&key.material).expect("well-formed key");
+            for _ in 0..50 {
+                let point: Vec<f64> = (0..dim)
+                    .map(|_| match next() {
+                        r if r < 0.2 => -0.0,
+                        r if r < 0.3 => 0.0,
+                        _ => next(),
+                    })
+                    .collect();
+                for fid in 0..40 {
+                    let (got, want) =
+                        (view.score(fid, &point), functions.score(fid as u32, &point));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "dim {dim} fid {fid} {point:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -117,6 +117,15 @@ impl Mask {
         self.exclude.binary_search(&oid).is_ok() || self.units.as_ref().is_some_and(spent)
     }
 
+    /// Hide `oid` from now on, as if the request had excluded it: how
+    /// ablation A2, which rebuilds its skyline by BBS every round, keeps
+    /// what it assigned out of the next one.
+    pub(crate) fn hide(&mut self, oid: u64) {
+        if let Err(at) = self.exclude.binary_search(&oid) {
+            self.exclude.insert(at, oid);
+        }
+    }
+
     /// Consume one unit of `oid`; true iff that was its last — always,
     /// without capacities.
     pub(crate) fn take(&mut self, oid: u64) -> bool {

@@ -56,7 +56,7 @@ use mpq_rtree::{
     DiskPager, FaultInjector, FaultPageStore, IoSession, IoStats, MemPager, PageStore, PointSet,
     RTree,
 };
-use mpq_ta::{FunctionSet, ThresholdMode};
+use mpq_ta::FunctionSet;
 
 use crate::brute_force::{run_incremental_on, run_restart_on};
 use crate::cache::MutationLog;
@@ -64,7 +64,7 @@ use crate::chain::run_chain_on;
 use crate::error::MpqError;
 use crate::matching::{IndexConfig, Matching};
 use crate::objects::{validated_keys, ObjectTable};
-use crate::sb::{run_rescan_on, run_sb_seeded, stream_on, SbStream, SERVED_THRESHOLD};
+use crate::sb::{run_sb_seeded, stream_on, SbStream};
 use crate::scratch::Scratch;
 use crate::seed::{EvalSeed, SeedSlot};
 use crate::service::{lock, EngineService, ServiceConfig};
@@ -75,10 +75,11 @@ const PAGE_FILE: &str = "pages.mpq";
 /// Write-ahead log file name inside a data directory.
 const WAL_FILE: &str = "wal.mpq";
 
-/// What the figures and the tests compare: the paper's algorithm, its
-/// §IV ablations and its two competitors, each a loop of its own. A
-/// served request runs SB alone; [`MatchRequest::algorithm`] turns a
-/// request into a [`Variant`] that runs one of these.
+/// What the figures and the tests compare: the paper's algorithm and
+/// its §IV ablations, all one SB run, and its two competitors, each a
+/// loop of its own. A served request runs SB alone;
+/// [`MatchRequest::algorithm`] turns a request into a [`Variant`] that
+/// runs one of these.
 ///
 /// All produce the identical matching (the canonical tie-broken stable
 /// assignment); they differ in cost profile.
@@ -1012,7 +1013,7 @@ impl Engine {
             (pins, version),
             functions,
             options,
-            SERVED_THRESHOLD,
+            Algorithm::Sb,
             scratch,
             None,
             cell,
@@ -1238,7 +1239,7 @@ impl<'e, 'f> MatchRequest<'e, 'f> {
             engine.pin(),
             self.functions,
             &self.options,
-            SERVED_THRESHOLD,
+            Algorithm::Sb,
             scratch,
             seed,
             Some(&cell),
@@ -1303,18 +1304,10 @@ impl Variant<'_, '_> {
         let pins = engine.pin();
         let (src, exclude) = (&pins.0, &options.exclude);
         Ok(match self.algorithm {
-            Algorithm::SbRescan => run_rescan_on(src, functions, options, scratch),
             Algorithm::BruteForce => run_incremental_on(src, functions, exclude, scratch),
             Algorithm::BruteForceRestart => run_restart_on(src, functions, exclude, scratch),
             Algorithm::Chain => run_chain_on(&engine.config, src, functions, exclude, scratch),
-            sb => {
-                let threshold = match sb {
-                    Algorithm::SbNaiveThreshold => Some(ThresholdMode::Naive),
-                    Algorithm::SbScan => None,
-                    _ => SERVED_THRESHOLD,
-                };
-                run_sb_seeded(pins, functions, options, threshold, scratch, None, None).0
-            }
+            sb => run_sb_seeded(pins, functions, options, sb, scratch, None, None).0,
         })
     }
 }

@@ -19,7 +19,8 @@
 //! uncached, unserved harness run of one [`Algorithm`]:
 //!
 //! * SB itself, or one of its §IV ablations — TA's naive threshold, a
-//!   linear scan of the functions, BBS recomputed every loop;
+//!   linear scan of the functions, BBS recomputed every loop — each a
+//!   mode of the one SB run;
 //! * Brute Force — §III-A ([`brute_force`]): one top-1 ranked query per
 //!   function against the object R-tree and a global heap with lazy
 //!   invalidation, each function's search resumed or restarted;
@@ -66,7 +67,7 @@
 //! queued by a harness — wrap the engine in the [`service`] layer: [`Engine::serve`] starts a worker pool behind
 //! a bounded submission queue; cloneable [`ServiceClient`] handles
 //! submit requests and get back pollable/blockable [`Ticket`]s with
-//! deadlines, priorities and cancellation; a full queue sheds with a
+//! deadlines and cancellation; a full queue sheds with a
 //! typed error instead of blocking the submitter.
 //! Identical requests are served from a bounded, inventory-versioned
 //! [`ResultCache`] (with in-flight dedupe: a duplicate submission

@@ -173,7 +173,7 @@ impl Engine {
             n_alive: functions.len(),
         };
         let (pins, scratch) = (self.pin().0, Scratch::new());
-        let mut run = SbRun::new(pins, scratch, side, Mask::default(), true, None);
+        let mut run = SbRun::new(pins, scratch, side, Mask::default(), true, false, None);
         let pairs = run.drain();
         let mut metrics = run.metrics();
         metrics.elapsed = start.elapsed();
@@ -298,7 +298,7 @@ mod tests {
         let closures: Vec<_> = (fs.iter_alive())
             .map(|(_, w)| {
                 let w = w.to_vec();
-                move |p: &[f64]| w[0] * p[0] + w[1] * p[1] + w[2] * p[2]
+                move |p: &[f64]| mpq_ta::linear_score(w.iter().copied(), p)
             })
             .collect();
         let fns: Vec<&dyn MonotoneFunction> = (closures.iter())

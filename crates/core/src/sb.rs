@@ -1,7 +1,7 @@
 //! The Skyline-Based (SB) algorithm — the paper's contribution (§III-B,
 //! implemented with the optimizations of §IV), and what every served
-//! request runs; its ablations are [`Algorithm`](crate::Algorithm)s of
-//! a [`Variant`](crate::Variant).
+//! request runs; its ablations are [`Algorithm`]s of a
+//! [`Variant`](crate::Variant), and modes of the same run.
 //!
 //! Key facts exploited:
 //!
@@ -80,8 +80,20 @@
 //!   maintenance, masked promotions peeled before they reach a cache).
 //!   An object with a unit left stays where it is.
 //!
+//! The ablations change one part each. A3's naive threshold and scan
+//! of `F` are the function side's. A2 ([`Algorithm::SbRescan`], the
+//! recomputation §IV-B calls "unacceptably expensive") is the run's
+//! `rescan` mode: every skyline it uses — the first one too — is BBS
+//! from scratch over what the mask leaves visible
+//! ([`SkylineMaintainer::build_hiding`]), so nothing is peeled; retire
+//! adds the departed objects to the mask and rebuilds instead of
+//! maintaining, and skips the rebuild once no function is left. A
+//! rebuild numbers the members afresh, so it empties the rank lists;
+//! a member's fbest list lives one round, so A2 certifies its head
+//! alone — the reverse top-1 the strawman asks for.
+//!
 //! Two callers run it until the run is done, and do nothing else to
-//! the run: the evaluation (`run_sb_seeded`, and
+//! the run: the evaluation (`run_sb_seeded`, any SB algorithm, and
 //! [`Engine::evaluate_monotone`](crate::Engine::evaluate_monotone) over
 //! the same run with monotone functions) and the progressive
 //! [`SbStream`].
@@ -101,15 +113,14 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use mpq_rtree::{IoStats, NodeSource};
-use mpq_skyline::bbs::compute_skyline_excluding_with;
 use mpq_skyline::{SkylineMaintainer, SkylineStats};
 use mpq_ta::{FunctionSet, ReverseTopOne, TaStats, ThresholdMode};
 
 use crate::capacity::Mask;
-use crate::engine::{validate_functions, RequestOptions};
+use crate::engine::{validate_functions, Algorithm, RequestOptions};
 use crate::error::MpqError;
 use crate::matching::{Matching, Pair, RunMetrics};
-use crate::scratch::{Assigned, Scratch};
+use crate::scratch::Scratch;
 use crate::seed::EvalSeed;
 
 /// Certified reverse-top-`M` cached per skyline object. Deeper lists
@@ -215,7 +226,16 @@ pub(crate) struct Row<'a, I> {
     pub(crate) len: &'a mut u8,
 }
 
-impl<I: Copy + Ord> Row<'_, I> {
+impl<'a, I: Copy + Ord> Row<'a, I> {
+    /// The row cut to its first slot: a list of one.
+    pub(crate) fn first(self) -> Row<'a, I> {
+        Row {
+            ids: &mut self.ids[..1],
+            scores: &mut self.scores[..1],
+            len: self.len,
+        }
+    }
+
     /// Empty the row.
     pub(crate) fn clear(&mut self) {
         *self.len = 0;
@@ -271,11 +291,6 @@ impl<I: Copy + Ord> Row<'_, I> {
     }
 }
 
-/// The threshold of a served request's reverse top-1 scans: §IV-A's
-/// tight one. The naive threshold and the scan of `F` (`None`) are
-/// ablations a [`Variant`](crate::Variant) asks for.
-pub(crate) const SERVED_THRESHOLD: Option<ThresholdMode> = Some(ThresholdMode::Tight);
-
 /// Round-local buffers of the SB matching loop, reused across rounds
 /// (and, through [`Scratch`], across runs) so a round allocates nothing.
 ///
@@ -294,9 +309,6 @@ pub(crate) struct RoundBufs {
     wave: Vec<u64>,
     /// The promotions that removal leaves on the skyline.
     promoted: Vec<u64>,
-    /// Per-loop best function per skyline object, by its position in
-    /// the loop's skyline (SB-rescan only).
-    rescan_best: Vec<(u32, f64)>,
 }
 
 /// Remove the objects in `bufs.wave` from the maintained skyline, then
@@ -367,12 +379,15 @@ struct Linear {
 
 impl Linear {
     /// `functions`, copied into the buffers of `scratch`'s working set
-    /// (`SbRun::into_scratch` hands them back).
-    fn new(
-        scratch: &mut Scratch,
-        functions: &FunctionSet,
-        threshold: Option<ThresholdMode>,
-    ) -> Linear {
+    /// (`SbRun::into_scratch` hands them back), for `algorithm`, one of
+    /// the SB family: §IV-A's tight threshold, unless it asks for the
+    /// naive one or for a scan of `F` (ablation A3).
+    fn new(scratch: &mut Scratch, functions: &FunctionSet, algorithm: Algorithm) -> Linear {
+        let threshold = match algorithm {
+            Algorithm::SbNaiveThreshold => Some(ThresholdMode::Naive),
+            Algorithm::SbScan => None,
+            _ => Some(ThresholdMode::Tight),
+        };
         let fs = std::mem::replace(&mut scratch.fs, FunctionSet::new(1));
         let mut side = Linear {
             fs,
@@ -443,7 +458,9 @@ pub(crate) struct SbRun<R: NodeSource, F> {
     src: R,
     io_start: IoStats,
     /// The maintainer's counters when the run took it over: a resumed
-    /// run does not report the seed's BBS as its own work.
+    /// run does not report the seed's BBS as its own work. Kept modulo
+    /// 2^64: a rebuild takes the counters of the maintainer it replaces
+    /// off it, so they stay counted.
     sky_start: SkylineStats,
     skyline: SkylineMaintainer,
     functions: F,
@@ -451,6 +468,9 @@ pub(crate) struct SbRun<R: NodeSource, F> {
     mask: Mask,
     /// Report every mutually-best pair of a round, or the first alone.
     multi_pair: bool,
+    /// Ablation A2: rebuild the skyline by BBS every round instead of
+    /// maintaining it.
+    rescan: bool,
     /// The fbest/obest rank-list caches and the round-local buffers.
     scratch: Scratch,
     metrics: RunMetrics,
@@ -466,13 +486,16 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// one the cold BBS just built — into the skyline columns of
     /// `scratch`: the run shares what BBS recorded (see
     /// `mpq_skyline::maintain`), copies no member or plist, and on a
-    /// warm scratch allocates none of its columns.
+    /// warm scratch allocates none of its columns. A `rescan` run takes
+    /// no seed: BBS over what the mask leaves visible writes its
+    /// skyline into those columns, and nothing is peeled.
     pub(crate) fn new(
         src: R,
         mut scratch: Scratch,
         functions: F,
         mask: Mask,
         multi_pair: bool,
+        rescan: bool,
         seed: Option<&SkylineMaintainer>,
     ) -> SbRun<R, F> {
         scratch.reset_rank_lists(functions.len());
@@ -480,6 +503,9 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         let sky_start = seed.map(SkylineMaintainer::stats).unwrap_or_default();
         let columns = std::mem::take(&mut scratch.skyline);
         let mut skyline = match seed {
+            _ if rescan => {
+                SkylineMaintainer::build_hiding(&src, |oid| mask.invisible(oid), columns)
+            }
             Some(snapshot) => snapshot.resume(columns),
             None => SkylineMaintainer::build(&src).resume(columns),
         };
@@ -497,6 +523,7 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
             functions,
             mask,
             multi_pair,
+            rescan,
             scratch,
             metrics,
         }
@@ -514,8 +541,8 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     pub(crate) fn metrics(&self) -> RunMetrics {
         let mut m = self.metrics;
         m.io = self.src.io_snapshot().since(self.io_start);
-        let since = |now, then| now - then;
-        m.skyline = Some(zip_stats(self.skyline.stats(), self.sky_start, since));
+        let sky = zip_stats(self.skyline.stats(), self.sky_start, u64::wrapping_sub);
+        m.skyline = Some(sky);
         m.ta = self.functions.ta_stats();
         m
     }
@@ -586,7 +613,9 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
             fbest.drain_front(e.member, dead.count());
             if fbest.len(e.member) == 0 {
                 self.metrics.reverse_top1_calls += 1;
-                fs.best_functions(e.point, fbest.row(e.member));
+                // A2's lists live one round: certify the head alone.
+                let row = fbest.row(e.member);
+                fs.best_functions(e.point, if self.rescan { row.first() } else { row });
                 debug_assert!(fbest.len(e.member) > 0, "fs.n_alive() > 0");
             }
         }
@@ -633,7 +662,10 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
                 bufs.pairs.push(Pair { fid, oid, score });
             }
         }
-        finalize_loop_pairs(&mut bufs.pairs, self.multi_pair);
+        bufs.pairs.sort_unstable();
+        if !self.multi_pair {
+            bufs.pairs.truncate(1);
+        }
         assert!(
             !bufs.pairs.is_empty(),
             "SB invariant violated: the globally best remaining pair is always \
@@ -648,7 +680,8 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
     /// object that keeps a unit stays on the skyline; the function it
     /// just took heads its fbest list and is drained like any other dead
     /// one. A departed member's fbest row is never read again: member
-    /// numbers are not reused.
+    /// numbers are not reused. A `rescan` run hides the departed objects
+    /// and rebuilds instead — unless no function is left to match.
     fn retire(&mut self, pairs: &[Pair], departed: &[u64]) {
         let Scratch {
             obest, round: bufs, ..
@@ -659,6 +692,13 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
         for p in pairs {
             fs.remove(p.fid);
             obest.clear(p.fid as usize);
+        }
+        if self.rescan {
+            departed.iter().for_each(|&oid| self.mask.hide(oid));
+            if fs.n_alive() > 0 {
+                self.rebuild();
+            }
+            return;
         }
         bufs.wave.clear();
         bufs.wave.extend_from_slice(departed);
@@ -677,6 +717,22 @@ impl<R: NodeSource, F: FunctionSide> SbRun<R, F> {
                 }
             }
         }
+    }
+
+    /// Ablation A2, §IV-B's strawman: replace the skyline with the one
+    /// BBS finds from scratch over what the mask leaves visible. Its
+    /// members are numbered afresh, so every rank list goes; the
+    /// replaced maintainer's counters stay counted, and its columns are
+    /// the next rebuild's.
+    fn rebuild(&mut self) {
+        let start = Instant::now();
+        let (mask, spare) = (&self.mask, std::mem::take(&mut self.scratch.skyline));
+        let fresh = SkylineMaintainer::build_hiding(&self.src, |oid| mask.invisible(oid), spare);
+        let old = std::mem::replace(&mut self.skyline, fresh);
+        self.sky_start = zip_stats(self.sky_start, old.stats(), u64::wrapping_sub);
+        self.scratch.skyline = old.into_columns();
+        self.scratch.reset_rank_lists(self.functions.len());
+        self.metrics.maintain += start.elapsed();
     }
 }
 
@@ -712,9 +768,9 @@ pub(crate) fn stream_on<R: NodeSource>(
     options: &RequestOptions,
 ) -> SbStream<R> {
     let mut scratch = Scratch::new();
-    let linear = Linear::new(&mut scratch, functions, SERVED_THRESHOLD);
+    let linear = Linear::new(&mut scratch, functions, Algorithm::Sb);
     let mask = Mask::new(options);
-    let run = SbRun::new(src, scratch, linear, mask, options.multi_pair, None);
+    let run = SbRun::new(src, scratch, linear, mask, options.multi_pair, false, None);
     SbStream {
         run,
         pending: VecDeque::new(),
@@ -723,11 +779,10 @@ pub(crate) fn stream_on<R: NodeSource>(
 
 /// Non-streaming SB evaluation of one request over `pins`: the pinned
 /// source and the one committed inventory version it reads (see
-/// `Engine::pin`). `threshold` is the
-/// reverse top-1 scans' — [`SERVED_THRESHOLD`] for every served
-/// request; the naive one, or `None` to scan `F`, for the §IV-A
-/// ablations. The entire
-/// per-run state —
+/// `Engine::pin`). `algorithm` is one of the SB family: [`Algorithm::Sb`]
+/// for every served request, or one of its §IV ablations — the naive
+/// threshold or the scan of `F` (A3), or the skyline rebuilt by BBS every
+/// round ([`Algorithm::SbRescan`], A2). The entire per-run state —
 /// working function set, skyline columns, rank-list caches, round
 /// buffers — is served from a reusable [`Scratch`] (lent to the run,
 /// handed back at the end): after the first request on a warm scratch,
@@ -748,16 +803,16 @@ pub(crate) fn stream_on<R: NodeSource>(
 /// (`EvalSeed::capture`) if nobody has yet, and waits on if another run
 /// is filling it. A run that filled the cell reports that BBS as its
 /// own work, I/O and time, as a cold run does. Pass `None, None` for a
-/// plain cold run. Every path runs the identical round body over
-/// content-identical skylines, so seeded matchings are
-/// score-bit-identical to cold ones (pinned by
+/// plain cold run, and for A2, which takes no seed. Every path runs the
+/// identical round body over content-identical skylines, so seeded
+/// matchings are score-bit-identical to cold ones (pinned by
 /// `tests/seed_identity.rs`). The flag beside the matching says whether
 /// the run resumed from a seed it did not build.
 pub(crate) fn run_sb_seeded<R: NodeSource>(
     (src, version): (R, u64),
     functions: &FunctionSet,
     options: &RequestOptions,
-    threshold: Option<ThresholdMode>,
+    algorithm: Algorithm,
     scratch: &mut Scratch,
     seed: Option<&EvalSeed>,
     cell: Option<&OnceLock<EvalSeed>>,
@@ -772,13 +827,14 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
         }))
     });
     let mut lent = std::mem::take(scratch);
-    let linear = Linear::new(&mut lent, functions, threshold);
+    let linear = Linear::new(&mut lent, functions, algorithm);
     let mut run = SbRun::new(
         src,
         lent,
         linear,
         Mask::new(options),
         options.multi_pair,
+        algorithm == Algorithm::SbRescan,
         seed.map(|s| &s.skyline),
     );
     if built {
@@ -792,70 +848,6 @@ pub(crate) fn run_sb_seeded<R: NodeSource>(
     (Matching::new(pairs, metrics), seed.is_some() && !built)
 }
 
-/// The §IV-B strawman: full BBS recomputation per loop, no rank-list
-/// caches — but still scratch-served, so the per-loop BBS heap, skyline
-/// buffer, and pair buffers are reused instead of reallocated. The
-/// request's excluded objects are invisible throughout; best functions
-/// are found by tight-threshold TA scans, as a served request finds
-/// them.
-pub(crate) fn run_rescan_on<R: NodeSource>(
-    src: &R,
-    functions: &FunctionSet,
-    options: &RequestOptions,
-    scratch: &mut Scratch,
-) -> Matching {
-    let start = Instant::now();
-    let io_start = src.io_snapshot();
-    scratch.fs.copy_from(functions);
-    let fs = &mut scratch.fs;
-    let mut assigned = Assigned::new(&options.exclude, &mut scratch.assigned);
-    let bufs = &mut scratch.round;
-    let mut rt1 = ReverseTopOne::build(fs);
-    let mut metrics = RunMetrics::default();
-    let mut pairs: Vec<Pair> = Vec::new();
-
-    while fs.n_alive() > 0 {
-        compute_skyline_excluding_with(
-            src,
-            |o| assigned.contains(o),
-            &mut scratch.bbs,
-            &mut scratch.sky,
-        );
-        let sky = &scratch.sky;
-        if sky.is_empty() {
-            break;
-        }
-        metrics.loops += 1;
-
-        // best function per skyline object
-        bufs.rescan_best.clear();
-        for (_, point) in sky {
-            metrics.reverse_top1_calls += 1;
-            let best = rt1.best_for_with(fs, point, ThresholdMode::Tight);
-            bufs.rescan_best.push(best.expect("functions remain alive"));
-        }
-        mutual_pairs(
-            sky,
-            &bufs.rescan_best,
-            fs,
-            options.multi_pair,
-            &mut bufs.fbest_fns,
-            &mut bufs.pairs,
-        );
-        debug_assert!(!bufs.pairs.is_empty(), "each loop must emit a pair");
-        for p in &bufs.pairs {
-            fs.remove(p.fid);
-            assigned.insert(p.oid);
-        }
-        pairs.extend_from_slice(&bufs.pairs);
-    }
-
-    metrics.elapsed = start.elapsed();
-    metrics.io = src.io_snapshot().since(io_start);
-    metrics.ta = Some(rt1.stats());
-    Matching::new(pairs, metrics)
-}
-
 /// `op` applied counter by counter.
 fn zip_stats(a: SkylineStats, b: SkylineStats, op: impl Fn(u64, u64) -> u64) -> SkylineStats {
     SkylineStats {
@@ -865,59 +857,6 @@ fn zip_stats(a: SkylineStats, b: SkylineStats, op: impl Fn(u64, u64) -> u64) -> 
         entries_reheaped: op(a.entries_reheaped, b.entries_reheaped),
         points_promoted: op(a.points_promoted, b.points_promoted),
         dominance_checks: op(a.dominance_checks, b.dominance_checks),
-    }
-}
-
-/// Given the current skyline and each skyline object's best function
-/// (`fbest[i]` is `sky[i]`'s), compute the mutually-best pairs of this
-/// loop (Property 1): for every function `f` that is the best of some
-/// object, find its best skyline object `f.obest`; report
-/// `(f, f.obest)` iff `fbest(f.obest) == f`. With `multi_pair == false`,
-/// only the canonical best pair is kept. `fbest_fns` is scratch storage,
-/// by fid; the pairs are written into `out` (cleared first).
-fn mutual_pairs(
-    sky: &[(u64, Box<[f64]>)],
-    fbest: &[(u32, f64)],
-    fs: &FunctionSet,
-    multi_pair: bool,
-    fbest_fns: &mut Vec<bool>,
-    out: &mut Vec<Pair>,
-) {
-    fbest_fns.clear();
-    fbest_fns.resize(fs.len(), false);
-    for &(fid, _) in fbest {
-        fbest_fns[fid as usize] = true;
-    }
-    out.clear();
-    for fid in (0..fs.len() as u32).filter(|&fid| fbest_fns[fid as usize]) {
-        // obest by full scan (the rescan path has no caches)
-        let mut best: Option<(usize, f64)> = None;
-        for (at, (oid, point)) in sky.iter().enumerate() {
-            let s = fs.score(fid, point);
-            let better = match best {
-                None => true,
-                Some((b, bs)) => s > bs || (s == bs && *oid < sky[b].0),
-            };
-            if better {
-                best = Some((at, s));
-            }
-        }
-        let (at, score) = best.expect("skyline is non-empty");
-        if fbest[at].0 == fid {
-            let oid = sky[at].0;
-            out.push(Pair { fid, oid, score });
-        }
-    }
-    finalize_loop_pairs(out, multi_pair);
-}
-
-/// Sort a loop's pairs canonically in place (the [`Pair`] `Ord`);
-/// truncate to the single best pair when multi-pair reporting is
-/// disabled.
-pub(crate) fn finalize_loop_pairs(pairs: &mut Vec<Pair>, multi_pair: bool) {
-    pairs.sort_unstable();
-    if !multi_pair {
-        pairs.truncate(1);
     }
 }
 
@@ -1164,6 +1103,42 @@ mod tests {
                 "{algorithm} diverged"
             );
         }
+    }
+
+    /// Ablation A2 rebuilds the skyline by BBS every round, hiding the
+    /// request's exclusions — skyline members among them — and what it
+    /// assigned. Its pairs are SB's to the bit. Its loops, reverse top-1
+    /// calls, functions scored and logical reads are pinned: one BBS and
+    /// one top-1 scan per member per round, the work the strawman asks
+    /// for. Every read is a rebuild's expansion, so the skyline
+    /// counters, summed over the rebuilds, count them all.
+    #[test]
+    fn a2_rebuilds_every_round_at_the_recorded_cost() {
+        let w = WorkloadBuilder::new().objects(3000).functions(150).dim(3);
+        let w = w.distribution(Distribution::AntiCorrelated).seed(83);
+        let w = w.build();
+        let engine = engine(&w.objects);
+        let skyline = SkylineMaintainer::build(engine.tree());
+        let mut exclude: Vec<u64> = skyline.iter().step_by(4).map(|e| e.oid).collect();
+        assert_eq!(exclude.len(), 50, "every fourth of 200 members");
+        exclude.extend([11, 404, 2999]);
+        let request = || engine.request(&w.functions).exclude(exclude.clone());
+        let sb = request().evaluate().unwrap();
+        let a2 = request().algorithm(Algorithm::SbRescan).evaluate().unwrap();
+        let bits = |m: &Matching| -> Vec<(u32, u64, u64)> {
+            let pairs = m.pairs().iter();
+            pairs.map(|p| (p.fid, p.oid, p.score.to_bits())).collect()
+        };
+        assert_eq!(a2.len(), 150);
+        assert_eq!(bits(&a2), bits(&sb));
+        let (m, ta) = (a2.metrics(), a2.metrics().ta.unwrap());
+        assert_eq!(
+            (m.loops, m.reverse_top1_calls, m.io.logical),
+            (30, 9536, 10446)
+        );
+        assert_eq!((ta.calls, ta.functions_scored), (9536, 199_719));
+        assert_eq!(m.loops, sb.metrics().loops);
+        assert_eq!(m.skyline.unwrap().nodes_expanded, m.io.logical);
     }
 
     /// What a stream reports between pairs is the state of the

@@ -16,7 +16,7 @@
 //! columns indexed by the id, never in hash tables: the SB rank lists —
 //! fixed-stride rows, one column of ids and one of scores — by skyline
 //! member number and by function id, the assigned objects of Brute
-//! Force, Chain and SB-rescan by object id. A run empties the rows it
+//! Force and Chain by object id. A run empties the rows it
 //! inherits and keeps the columns, so a warm scratch serves the rank
 //! lists of a request like the last one without allocating.
 //!
@@ -26,7 +26,10 @@
 //! private scan index. Resuming from a seed copies into them and the run
 //! hands them back at its end, so on a warm scratch a resume allocates
 //! none of them — whichever engine, inventory or dimensionality the
-//! scratch served last.
+//! scratch served last. Ablation A2 (SB-rescan) keeps no second BBS and
+//! no buffer of its own: its every skyline is the maintainer's BBS
+//! written into these columns, and while a run holds them it keeps the
+//! last rebuild's here, for the next.
 //!
 //! A `Scratch` carries **no results**: it never affects what a run
 //! computes (asserted by the determinism tests), only how often the
@@ -35,7 +38,7 @@
 //! deliberately not shared (`&mut` everywhere) — one scratch per thread.
 
 use mpq_rtree::SearchBuf;
-use mpq_skyline::{BbsScratch, SkylineColumns};
+use mpq_skyline::SkylineColumns;
 use mpq_ta::FunctionSet;
 
 use crate::sb::{RankRows, RoundBufs, FBEST_RANKS, OBEST_RANKS};
@@ -49,17 +52,13 @@ pub struct Scratch {
     /// Working copy of the request's functions, refreshed per run with
     /// [`FunctionSet::copy_from`].
     pub(crate) fs: FunctionSet,
-    /// The objects assigned so far (Brute Force, Chain, SB-rescan), by
+    /// The objects assigned so far (Brute Force, Chain), by
     /// oid — ids a tree holds, so the column is as long as the
     /// inventory's id bound at most (see [`Assigned`]).
     pub(crate) assigned: Vec<bool>,
     /// Frontier storage for the short ranked searches of the Brute Force
     /// restart and Chain matchers.
     pub(crate) search: SearchBuf,
-    /// BBS traversal heap for SB-rescan's per-loop skyline recomputation.
-    pub(crate) bbs: BbsScratch,
-    /// Per-loop skyline buffer for SB-rescan.
-    pub(crate) sky: Vec<(u64, Box<[f64]>)>,
     /// The SB run's skyline columns: what a run resumed from a seed
     /// (or from its own BBS) writes — tombstones, tails, its own slot
     /// arena and members, the link column, its private scan index.
@@ -83,8 +82,6 @@ impl Scratch {
             fs: FunctionSet::new(1),
             assigned: Vec::new(),
             search: SearchBuf::new(),
-            bbs: BbsScratch::default(),
-            sky: Vec::new(),
             skyline: SkylineColumns::default(),
             fbest: RankRows::new(FBEST_RANKS),
             obest: RankRows::new(OBEST_RANKS),
@@ -106,7 +103,7 @@ impl Default for Scratch {
     }
 }
 
-/// What a Brute Force, Chain or SB-rescan run must skip: the request's
+/// What a Brute Force or Chain run must skip: the request's
 /// exclusions — sorted, and honoured whatever the id — and the objects
 /// the run has assigned, marked in the scratch's column by oid.
 pub(crate) struct Assigned<'r> {

@@ -2,11 +2,10 @@
 //!
 //! This is the standalone variant of the traversal inside
 //! [`crate::maintain::SkylineMaintainer`], without plist bookkeeping. It
-//! exists for two reasons: as an independently testable reference for the
-//! maintainer, and as the building block of the *SB-rescan* ablation
-//! (recompute the skyline from scratch at every matching loop, which the
-//! paper dismisses as "unacceptably expensive" — our ablation benchmark
-//! quantifies that claim).
+//! exists as an independently testable reference for the maintainer:
+//! [`SkylineMaintainer::build`](crate::SkylineMaintainer::build) and
+//! [`SkylineMaintainer::build_hiding`](crate::SkylineMaintainer::build_hiding)
+//! must find its skyline, in its order, reading its pages.
 //!
 //! [`compute_skyline_excluding`] treats a caller-chosen set of object ids
 //! as absent: excluded points neither enter the skyline nor prune other
@@ -79,25 +78,6 @@ impl Ord for Item {
     }
 }
 
-/// Reusable priority-queue storage for BBS traversals.
-///
-/// The *SB-rescan* ablation recomputes the skyline once per matching
-/// loop; without reuse each recomputation allocates (and drops) the
-/// traversal heap. A `BbsScratch` keeps the heap's backing storage alive
-/// across calls to [`compute_skyline_excluding_with`]. The scratch is
-/// opaque and starts every traversal empty — reuse affects allocation
-/// only, never results.
-#[derive(Default)]
-pub struct BbsScratch(Vec<Item>);
-
-impl std::fmt::Debug for BbsScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BbsScratch")
-            .field("capacity", &self.0.capacity())
-            .finish()
-    }
-}
-
 /// Skyline of every object in the tree, as `(oid, point)` pairs in BBS
 /// discovery order (ascending L1 distance to the best corner).
 ///
@@ -116,34 +96,18 @@ pub fn compute_skyline_excluding<R: NodeSource>(
     tree: &R,
     excluded: impl Fn(u64) -> bool,
 ) -> Vec<(u64, Box<[f64]>)> {
-    let mut sky = Vec::new();
-    compute_skyline_excluding_with(tree, excluded, &mut BbsScratch::default(), &mut sky);
-    sky
-}
-
-/// Like [`compute_skyline_excluding`], but reusing the traversal heap of
-/// `scratch` and writing the skyline into `sky` (cleared first), so
-/// repeated recomputations stop churning the allocator.
-pub fn compute_skyline_excluding_with<R: NodeSource>(
-    tree: &R,
-    excluded: impl Fn(u64) -> bool,
-    scratch: &mut BbsScratch,
-    sky: &mut Vec<(u64, Box<[f64]>)>,
-) {
-    let mut storage = std::mem::take(&mut scratch.0);
-    storage.clear();
-    let mut heap: BinaryHeap<Item> = BinaryHeap::from(storage);
+    let mut heap = BinaryHeap::new();
     heap.push(Item::new(Cand::Subtree {
         pid: tree.root_page(),
         hi: vec![1.0; tree.dim()].into(),
     }));
-    sky.clear();
+    let mut sky: Vec<(u64, Box<[f64]>)> = Vec::new();
 
     let dominated =
         |sky: &[(u64, Box<[f64]>)], x: &[f64]| sky.iter().any(|(_, p)| dominates_or_equal(p, x));
 
     while let Some(item) = heap.pop() {
-        if dominated(sky, item.cand.hi()) {
+        if dominated(&sky, item.cand.hi()) {
             continue;
         }
         match item.cand {
@@ -158,7 +122,7 @@ pub fn compute_skyline_excluding_with<R: NodeSource>(
                 match &*node {
                     Node::Leaf(leaf) => {
                         for (oid, p) in leaf.iter() {
-                            if excluded(oid) || dominated(sky, p) {
+                            if excluded(oid) || dominated(&sky, p) {
                                 continue;
                             }
                             heap.push(Item::new(Cand::Point {
@@ -169,7 +133,7 @@ pub fn compute_skyline_excluding_with<R: NodeSource>(
                     }
                     Node::Inner(inner) => {
                         for i in 0..inner.len() {
-                            if dominated(sky, inner.hi(i)) {
+                            if dominated(&sky, inner.hi(i)) {
                                 continue;
                             }
                             heap.push(Item::new(Cand::Subtree {
@@ -182,14 +146,15 @@ pub fn compute_skyline_excluding_with<R: NodeSource>(
             }
         }
     }
-    scratch.0 = heap.into_vec();
+    sky
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maintain::SkylineMaintainer;
+    use crate::maintain::{SkylineColumns, SkylineMaintainer};
     use crate::naive::naive_skyline_excluding;
+    use mpq_datagen::Distribution;
     use mpq_rtree::{PointSet, RTree, RTreeParams};
     use std::collections::HashSet;
 
@@ -228,18 +193,48 @@ mod tests {
         }
     }
 
+    /// The maintainer's BBS with hidden objects skipped is this one:
+    /// over a hidden set that grows as an SB-rescan run's does — the
+    /// first members of each skyline, and objects no skyline held — it
+    /// finds the same members in the same order from the same page
+    /// reads, on columns recycled from build to build.
     #[test]
-    fn reused_scratch_matches_fresh_computation() {
-        let ps = seeded_points(600, 3, 9);
-        let tree = RTree::bulk_load(&ps, params());
-        let mut scratch = BbsScratch::default();
-        let mut sky = Vec::new();
-        for round in 0..3 {
-            // grow the exclusion set across rounds like SB-rescan does
-            let excl: HashSet<u64> = (0..round * 40).map(|i| i as u64).collect();
-            compute_skyline_excluding_with(&tree, |o| excl.contains(&o), &mut scratch, &mut sky);
-            let fresh = compute_skyline_excluding(&tree, |o| excl.contains(&o));
-            assert_eq!(sky, fresh, "round {round} diverged under scratch reuse");
+    fn build_hiding_reads_what_bbs_reads() {
+        for distribution in [Distribution::Independent, Distribution::AntiCorrelated] {
+            for (dim, page_size) in [(2, 256), (3, 4096), (4, 256)] {
+                let ps = distribution.generate(1500, dim, 23);
+                let tree = RTree::bulk_load(
+                    &ps,
+                    RTreeParams {
+                        page_size,
+                        ..params()
+                    },
+                );
+                let mut hidden: HashSet<u64> = HashSet::new();
+                let mut columns = SkylineColumns::default();
+                for round in 0..12 {
+                    let label = format!(
+                        "{} dim {dim} page {page_size} round {round}",
+                        distribution.name()
+                    );
+                    tree.reset_io_stats();
+                    let bbs = compute_skyline_excluding(&tree, |o| hidden.contains(&o));
+                    let reads = tree.io_stats().logical;
+                    tree.reset_io_stats();
+                    let m =
+                        SkylineMaintainer::build_hiding(&tree, |o| hidden.contains(&o), columns);
+                    assert_eq!(tree.io_stats().logical, reads, "{label}");
+                    assert_eq!(m.stats().nodes_expanded, reads, "{label}");
+                    let members = m.iter().map(|e| (e.oid, e.point));
+                    assert!(
+                        members.eq(bbs.iter().map(|(oid, p)| (*oid, &p[..]))),
+                        "{label}"
+                    );
+                    hidden.extend(bbs.iter().take(1 + round % 5).map(|&(oid, _)| oid));
+                    hidden.extend((0..3).map(|i| (round * 97 + i * 31) as u64 % 1500));
+                    columns = m.into_columns();
+                }
+            }
         }
     }
 

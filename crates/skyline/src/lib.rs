@@ -51,7 +51,5 @@ pub mod dominance;
 pub mod maintain;
 pub mod naive;
 
-pub use bbs::{
-    compute_skyline, compute_skyline_excluding, compute_skyline_excluding_with, BbsScratch,
-};
+pub use bbs::{compute_skyline, compute_skyline_excluding};
 pub use maintain::{SkylineColumns, SkylineEntry, SkylineMaintainer, SkylineStats};

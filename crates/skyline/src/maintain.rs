@@ -534,15 +534,35 @@ impl SkylineMaintainer {
     /// pruned entries for later maintenance.
     pub fn build<R: NodeSource>(tree: &R) -> SkylineMaintainer {
         let mut m = SkylineMaintainer::empty(tree.dim());
-        m.bbs(tree);
+        m.bbs(tree, |_| false);
+        m.freeze();
         m
     }
 
-    /// [`Self::build`] on an empty maintainer.
-    fn bbs<R: NodeSource>(&mut self, tree: &R) {
+    /// The skyline of the objects for which `hidden(oid)` is false, by
+    /// the same BBS as [`Self::build`] with those objects' leaf entries
+    /// skipped: a hidden object neither enters the skyline nor prunes
+    /// anything, so what only it dominates is a member. It is written
+    /// into `columns` (whatever they held is overwritten, their buffers
+    /// kept) and not frozen, so a caller that builds again and again —
+    /// the *SB-rescan* ablation, BBS from scratch every matching loop —
+    /// hands back the columns of the last build and allocates nothing
+    /// once they are warm.
+    pub fn build_hiding<R: NodeSource>(
+        tree: &R,
+        hidden: impl Fn(u64) -> bool,
+        columns: SkylineColumns,
+    ) -> SkylineMaintainer {
+        let mut m = SkylineMaintainer::empty(tree.dim()).resume(columns);
+        m.bbs(tree, hidden);
+        m
+    }
+
+    /// BBS from the root on an empty maintainer, `hidden` objects
+    /// skipped.
+    fn bbs<R: NodeSource>(&mut self, tree: &R, hidden: impl Fn(u64) -> bool) {
         self.admit(EntryId::Subtree(tree.root_page()), &vec![1.0; self.dim]);
-        self.run(tree);
-        self.freeze();
+        self.run(tree, &hidden);
     }
 
     fn empty(dim: usize) -> SkylineMaintainer {
@@ -703,7 +723,7 @@ impl SkylineMaintainer {
         self.cols.corner = corner;
         self.cols.departed = departed;
 
-        self.run(tree);
+        self.run(tree, &|_| false);
         &self.cols.entered
     }
 
@@ -887,8 +907,9 @@ impl SkylineMaintainer {
         }
     }
 
-    /// Drain the candidate heap: standard BBS with plist recording.
-    fn run<R: NodeSource>(&mut self, tree: &R) {
+    /// Drain the candidate heap: standard BBS with plist recording,
+    /// `hidden` objects skipped.
+    fn run<R: NodeSource>(&mut self, tree: &R, hidden: &impl Fn(u64) -> bool) {
         let mut hi = std::mem::take(&mut self.cols.corner);
         while let Some(e) = self.cols.heap.pop() {
             let slot = e.slot & !POINT;
@@ -905,7 +926,7 @@ impl SkylineMaintainer {
                 EntryId::Subtree(pid) => {
                     let node = tree.read_node(pid);
                     self.stats.nodes_expanded += 1;
-                    self.expand(&node);
+                    self.expand(&node, hidden);
                 }
             }
         }
@@ -913,11 +934,12 @@ impl SkylineMaintainer {
     }
 
     /// Push the children of `node` into the heap, pruning what the
-    /// current skyline already dominates (with plist recording).
-    fn expand(&mut self, node: &Node) {
+    /// current skyline already dominates (with plist recording) and
+    /// skipping `hidden` objects.
+    fn expand(&mut self, node: &Node, hidden: &impl Fn(u64) -> bool) {
         match node {
             Node::Leaf(leaf) => {
-                for (oid, p) in leaf.iter() {
+                for (oid, p) in leaf.iter().filter(|&(oid, _)| !hidden(oid)) {
                     self.admit(EntryId::Point(oid), p);
                 }
             }
@@ -1475,7 +1497,8 @@ mod tests {
             let mut m = SkylineMaintainer::build(&src);
             let mut oracle = SkylineMaintainer::empty(dim);
             oracle.last_dominator_oracle = true;
-            oracle.bbs(&oracle_src);
+            oracle.bbs(&oracle_src, |_| false);
+            oracle.freeze();
 
             let mut owners_differed = false;
             for round in 0.. {

@@ -63,6 +63,16 @@ pub struct FunctionSet {
     n_alive: usize,
 }
 
+/// The one linear score kernel: `Σᵢ wᵢ·pᵢ`, added in index order from
+/// `+0.0`. Every path that scores a linear function calls it — the
+/// working sets, and the result cache's revalidation over the weight
+/// bits a key stores — so one function scores one point to the same
+/// bits wherever it is scored.
+#[inline]
+pub fn linear_score(weights: impl IntoIterator<Item = f64>, point: &[f64]) -> f64 {
+    (weights.into_iter().zip(point)).fold(0.0, |s, (w, &p)| s + w * p)
+}
+
 impl FunctionSet {
     /// An empty set of `dim`-ary functions.
     ///
@@ -194,7 +204,8 @@ impl FunctionSet {
         &self.coefs[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Score of `point` under function `fid`: `Σᵢ αᵢ·pᵢ`.
+    /// Score of `point` under function `fid`: `Σᵢ αᵢ·pᵢ`, by
+    /// [`linear_score`].
     ///
     /// # Panics
     /// Panics if dimensions mismatch or `fid` is out of range.
@@ -202,11 +213,7 @@ impl FunctionSet {
     pub fn score(&self, fid: u32, point: &[f64]) -> f64 {
         let w = self.weights(fid);
         debug_assert_eq!(point.len(), w.len());
-        let mut s = 0.0;
-        for i in 0..w.len() {
-            s += w[i] * point[i];
-        }
-        s
+        linear_score(w.iter().copied(), point)
     }
 
     /// Overwrite `self` with a copy of `src`, **reusing** this set's

@@ -37,5 +37,5 @@ pub mod functions;
 pub mod reverse;
 pub mod threshold;
 
-pub use functions::{FunctionSet, WeightError};
+pub use functions::{linear_score, FunctionSet, WeightError};
 pub use reverse::{ReverseTopOne, TaStats, ThresholdMode};
